@@ -24,9 +24,14 @@
 //
 // The graph is mutable at runtime: AddVertex/AddEdge/DeleteEdge/Apply
 // publish new epochs with snapshot isolation (queries already running
-// never observe a later batch), plan-cache keys are versioned by epoch,
-// and a background compactor periodically folds the delta overlay into a
-// fresh CSR base.
+// never observe a later batch), and a background compactor periodically
+// folds the delta overlay into a fresh CSR base. Planning state is
+// decoupled from the epoch: cached plans are valid on every epoch and are
+// only re-bound (not re-optimized) to the newest snapshot, while the
+// catalogue is a sampled statistic republished as a new statistics
+// generation — in the background, or on demand through
+// RefreshStatistics — only once the graph has drifted far enough from
+// the one it was sampled on.
 package graphflow
 
 import (
@@ -144,27 +149,44 @@ func (o *Options) withDefaults() Options {
 }
 
 // DB is a graph database instance: the live versioned store (immutable
-// CSR base plus mutable delta overlay), per-epoch catalogue statistics,
-// calibrated cost-model weights, and the compiled-plan cache. A DB is
-// safe for concurrent use by multiple goroutines: queries read an
-// immutable epoch snapshot, and mutations (AddVertex/AddEdge/DeleteEdge/
-// Apply) publish new epochs without disturbing in-flight queries.
+// CSR base plus mutable delta overlay), the published statistics
+// generation (the catalogue), calibrated cost-model weights, and the plan
+// cache. A DB is safe for concurrent use by multiple goroutines: queries
+// read an immutable epoch snapshot, and mutations (AddVertex/AddEdge/
+// DeleteEdge/Apply) publish new epochs without disturbing in-flight
+// queries.
 type DB struct {
 	store  *live.DB
 	opts   Options
 	w1, w2 float64
-	// plans caches compiled plans keyed by canonical query form plus the
-	// epoch it was planned at (nil when caching is disabled), so an epoch
-	// bump naturally invalidates every cached plan: post-mutation lookups
-	// miss and re-plan against fresh statistics.
-	plans *cache.Cache[*preparedPlan]
+	// plans caches optimized plans keyed by canonical query form, the WCO
+	// restriction and the statistics generation they were costed under
+	// (nil when caching is disabled). Entries outlive epochs: a plan is
+	// valid on every epoch, so a lookup after a mutation is a hit that
+	// only re-binds the plan to the new snapshot.
+	plans *cache.Cache[*cachedPlan]
 
-	// cat is the newest epoch's catalogue, rebuilt lazily on first use
-	// after an epoch bump so stale cost estimates never leak across
-	// epochs.
-	catMu    sync.Mutex
-	cat      *catalogue.Catalogue
-	catEpoch uint64
+	// stats is the published statistics generation. Planners only ever
+	// load it; nothing on a query's path builds a catalogue.
+	stats atomic.Pointer[statistics]
+	// mutations totals the vertices appended and edges added or deleted
+	// through this DB; its distance from statistics.mutations is the
+	// drift the refresh rule watches. Compaction changes no logical
+	// content and never counts.
+	mutations atomic.Int64
+	// buildMu serialises catalogue builds and their publication, so
+	// generations are numbered in the order they were sampled.
+	buildMu      sync.Mutex
+	buildSeconds *metrics.Histogram
+	// refreshMu guards the single-flight state of the background
+	// refresher; refreshWG lets Close wait for it to exit.
+	refreshMu  sync.Mutex
+	refreshing bool
+	closed     bool
+	refreshWG  sync.WaitGroup
+	// refreshHook, when non-nil, runs on the refresher goroutine before
+	// it builds; tests use it to hold a refresh in flight.
+	refreshHook func()
 
 	// gov is the process-wide memory governor (nil when MemGlobalBytes
 	// is 0 and no per-query ceiling is set): every query's budget draws
@@ -298,6 +320,8 @@ func newDB(g *graph.Graph, opts Options) (*DB, error) {
 		w1:   optimizer.DefaultW1,
 		w2:   optimizer.DefaultW2,
 		gov:  resource.NewGovernor(opts.MemGlobalBytes),
+
+		buildSeconds: metrics.NewHistogram(catalogueBuildBuckets),
 	}
 	if opts.HubDegreeThreshold != 0 && opts.HubDegreeThreshold != g.HubThreshold() {
 		// Graphs from paths that could not thread the knob into their
@@ -317,62 +341,162 @@ func newDB(g *graph.Graph, opts Options) (*DB, error) {
 		Dir:              opts.DataDir,
 		Sync:             sync,
 		SyncInterval:     opts.FsyncInterval,
-		// Epoch-versioned keys mean entries for older epochs can never be
-		// looked up again; dropping them eagerly releases the snapshots
-		// (and pre-compaction CSR bases) they pin instead of waiting for
-		// LRU aging. In-flight queries are unaffected — they hold their
-		// own preparedPlan reference.
-		OnEpoch: func(*live.Snapshot) {
-			if db.plans != nil {
-				db.plans.Clear()
-			}
-		},
+		OnEpoch:          func(*live.Snapshot) { db.dropStaleBindings() },
 	})
 	if err != nil {
 		return nil, err
 	}
 	if opts.PlanCacheSize > 0 {
-		db.plans = cache.New[*preparedPlan](opts.PlanCacheSize)
+		db.plans = cache.New[*cachedPlan](opts.PlanCacheSize)
 	}
-	// The catalogue samples the recovered snapshot, not the raw base:
-	// after WAL replay the two differ.
-	db.cat = catalogue.Build(db.store.Snapshot(), catalogue.Config{H: opts.CatalogueH, Z: opts.CatalogueZ, Seed: opts.Seed})
-	db.catEpoch = db.store.Epoch()
+	// Generation 0 samples the recovered snapshot, not the raw base: after
+	// WAL replay the two differ.
+	db.RefreshStatistics()
 	if opts.CalibrateJoinWeights {
 		db.w1, db.w2 = optimizer.Calibrate(g)
 	}
 	return db, nil
 }
 
-// Close releases the DB's durable resources: it waits for background
-// compaction and syncs and closes the write-ahead log, so a graceful
-// shutdown never relies on the fsync policy alone. Mutations fail after
-// Close; in-flight queries finish on their snapshots. A nil error is
-// returned for an in-memory DB.
-func (db *DB) Close() error { return db.store.Close() }
+// Close releases the DB's resources: it waits for the background
+// statistics refresher and background compaction to exit, then syncs and
+// closes the write-ahead log, so a graceful shutdown never relies on the
+// fsync policy alone. Mutations fail after Close; in-flight queries
+// finish on their snapshots. A nil error is returned for an in-memory DB.
+func (db *DB) Close() error {
+	db.refreshMu.Lock()
+	db.closed = true
+	db.refreshMu.Unlock()
+	db.refreshWG.Wait()
+	return db.store.Close()
+}
 
-// catalogueFor returns the catalogue matching snap's epoch, rebuilding
-// it from the snapshot when the epoch has moved since the last build.
-// The newest epoch's catalogue is cached; requests for older snapshots
-// (a query racing a mutation) get a correct one-off build. The build
-// itself runs outside catMu so one rebuild never stalls every other
-// query's planning — racing planners may build the same epoch twice,
-// trading bounded duplicate work for zero lock-held sampling.
-func (db *DB) catalogueFor(snap *live.Snapshot) *catalogue.Catalogue {
-	db.catMu.Lock()
-	if db.cat != nil && db.catEpoch == snap.Epoch() {
-		cat := db.cat
-		db.catMu.Unlock()
-		return cat
+// statsDriftDivisor sets the refresh rule: statistics are due for a
+// rebuild once the graph has seen at least 1/statsDriftDivisor as many
+// mutations as the edges they were sampled over (never less than one).
+// The catalogue is a z-edge sample, so a smaller change cannot move a
+// plan choice; a constant rather than an option because no caller has a
+// reason to pick another value.
+const statsDriftDivisor = 10
+
+// catalogueBuildBuckets spans catalogue builds: milliseconds on small
+// unlabelled graphs up to the sampler's work budget on labelled ones.
+var catalogueBuildBuckets = []float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
+
+// statistics is one published statistics generation: a catalogue and
+// what the graph looked like when it was sampled. Immutable once
+// published.
+type statistics struct {
+	cat *catalogue.Catalogue
+	gen uint64
+	// edges is the live edge count the catalogue was sampled over and
+	// mutations the DB's mutation total at that moment.
+	edges     int
+	mutations int64
+	took      time.Duration
+}
+
+// drift is how many mutations the graph has seen since st was sampled.
+func (db *DB) drift(st *statistics) int64 { return db.mutations.Load() - st.mutations }
+
+// planningStats returns the published statistics generation for a planner
+// and, when the graph has drifted past the refresh rule, starts a
+// background rebuild. The caller carries on with the stale catalogue
+// (stale-while-revalidate): it steers plan choice only, never results.
+// The trigger sits here rather than in Apply so that a write-only
+// workload, which never plans, never builds a catalogue.
+func (db *DB) planningStats() *statistics {
+	st := db.stats.Load()
+	due := int64(st.edges / statsDriftDivisor)
+	if due < 1 {
+		due = 1
 	}
-	db.catMu.Unlock()
+	if db.drift(st) >= due {
+		db.startRefresh()
+	}
+	return st
+}
+
+// startRefresh launches the background refresher unless one is already
+// in flight or the DB is closing.
+func (db *DB) startRefresh() {
+	db.refreshMu.Lock()
+	if db.refreshing || db.closed {
+		db.refreshMu.Unlock()
+		return
+	}
+	db.refreshing = true
+	db.refreshWG.Add(1)
+	db.refreshMu.Unlock()
+	go func() {
+		defer db.refreshWG.Done()
+		if db.refreshHook != nil {
+			db.refreshHook()
+		}
+		db.RefreshStatistics()
+		db.refreshMu.Lock()
+		db.refreshing = false
+		db.refreshMu.Unlock()
+	}()
+}
+
+// RefreshStatistics synchronously rebuilds the catalogue from the current
+// snapshot and publishes it as the next statistics generation — the
+// ANALYZE of this engine. Subsequent queries re-plan once per pattern
+// against the fresh statistics. The DB refreshes itself in the background
+// once the graph has drifted by a tenth of its edges; call this after a
+// bulk load, or wherever plan choice must reflect the graph as of now.
+func (db *DB) RefreshStatistics() {
+	db.buildMu.Lock()
+	defer db.buildMu.Unlock()
+	// Read the mutation total before the snapshot: a batch landing in
+	// between is then both sampled and counted as drift, which errs
+	// towards refreshing early rather than late.
+	mutations := db.mutations.Load()
+	snap := db.store.Snapshot()
+	t0 := time.Now()
 	cat := catalogue.Build(snap, catalogue.Config{H: db.opts.CatalogueH, Z: db.opts.CatalogueZ, Seed: db.opts.Seed})
-	db.catMu.Lock()
-	if db.cat == nil || snap.Epoch() >= db.catEpoch {
-		db.cat, db.catEpoch = cat, snap.Epoch()
+	next := &statistics{cat: cat, edges: snap.NumEdges(), mutations: mutations, took: time.Since(t0)}
+	prev := db.stats.Load()
+	if prev != nil {
+		next.gen = prev.gen + 1
 	}
-	db.catMu.Unlock()
-	return cat
+	db.buildSeconds.ObserveDuration(next.took)
+	db.stats.Store(next)
+	if prev != nil && db.plans != nil {
+		// Keys carry the generation, so the older generation's plans can
+		// never be looked up again.
+		db.plans.Clear()
+	}
+}
+
+// CatalogueStats is a snapshot of the planner statistics' state.
+type CatalogueStats struct {
+	// Generation numbers the published catalogue: 0 is the one built when
+	// the DB opened, and every refresh publishes the next.
+	Generation uint64
+	// Builds counts catalogue builds by this DB, the one at open included.
+	Builds int64
+	// EdgesAtBuild is the edge count the published catalogue was sampled
+	// over; DriftEdges the vertices appended and edges added or deleted
+	// since. A planner that finds DriftEdges at a tenth of EdgesAtBuild
+	// starts a background refresh.
+	EdgesAtBuild int
+	DriftEdges   int64
+	// LastBuild is how long the published catalogue took to build.
+	LastBuild time.Duration
+}
+
+// CatalogueStats reports the state of the planner statistics.
+func (db *DB) CatalogueStats() CatalogueStats {
+	st := db.stats.Load()
+	return CatalogueStats{
+		Generation:   st.gen,
+		Builds:       int64(st.gen) + 1, // every build publishes a generation
+		EdgesAtBuild: st.edges,
+		DriftEdges:   db.drift(st),
+		LastBuild:    st.took,
+	}
 }
 
 // NewFromEdgeList builds a DB from the textual edge-list format of
@@ -442,71 +566,115 @@ func (db *DB) NumVertices() int { return db.store.Snapshot().NumVertices() }
 // NumEdges returns the live epoch's edge count (post-mutation).
 func (db *DB) NumEdges() int { return db.store.Snapshot().NumEdges() }
 
-// preparedPlan is the shareable, immutable compiled artifact cached per
-// (canonical query form, epoch): the canonical query, its optimized
-// plan, the plan lowered into an executable CompiledPlan, and the epoch
-// snapshot it was compiled against. The plan is built over the canonical
-// query, so one cached entry serves every isomorphic spelling of a
-// pattern; per-spelling state (the original vertex names) lives in
-// PreparedQuery instead. Holding the snapshot pins the epoch the
-// compiled plan reads, which is what gives running queries snapshot
-// isolation across concurrent mutations.
+// cachedPlan is the plan-cache entry for one (canonical query form, WCO
+// restriction, statistics generation): the optimized plan, which
+// references no snapshot and is valid on every epoch, plus its most
+// recent binding to one. The plan is built over the canonical query, so
+// one entry serves every isomorphic spelling of a pattern; per-spelling
+// state (the original vertex names) lives in PreparedQuery instead.
+type cachedPlan struct {
+	plan *plan.Plan
+	gen  uint64
+	// bound is the plan compiled against the newest snapshot a query ran
+	// it on; nil after the epoch hook dropped a superseded binding.
+	bound atomic.Pointer[preparedPlan]
+}
+
+// preparedPlan is a cachedPlan bound to one epoch: the plan lowered into
+// an executable CompiledPlan over that epoch's snapshot. Holding the
+// snapshot pins the epoch the compiled plan reads, which is what gives
+// running queries snapshot isolation across concurrent mutations.
 type preparedPlan struct {
-	canon    *query.Graph
-	plan     *plan.Plan
+	*cachedPlan
 	compiled *exec.CompiledPlan
 	snap     *live.Snapshot
 }
 
-// preparedFor returns the compiled plan for q at the current epoch (from
-// the cache when possible) plus perm, mapping q's vertex indices to
-// canonical indices.
-func (db *DB) preparedFor(q *query.Graph, wcoOnly, skipCache bool) (*preparedPlan, []int, error) {
-	canon, perm := q.Canonical()
+// bind returns cp compiled against snap, reusing the current binding when
+// it already reads snap. Lowering a finished plan is microseconds, against
+// milliseconds for optimizing one.
+func (cp *cachedPlan) bind(snap *live.Snapshot) (*preparedPlan, error) {
+	if pp := cp.bound.Load(); pp != nil && pp.snap == snap {
+		return pp, nil
+	}
+	compiled, err := exec.Compile(snap, cp.plan)
+	if err != nil {
+		return nil, err
+	}
+	pp := &preparedPlan{cachedPlan: cp, compiled: compiled, snap: snap}
+	cp.bound.Store(pp)
+	return pp, nil
+}
+
+// dropStaleBindings is the epoch hook: it unbinds every cached plan still
+// compiled against a superseded snapshot, so the plan cache never pins an
+// old epoch's overlay or a pre-compaction CSR. The entries stay; the next
+// query of each re-binds it. In-flight queries are unaffected — they hold
+// their own preparedPlan reference.
+func (db *DB) dropStaleBindings() {
+	if db.plans == nil {
+		return
+	}
+	cur := db.store.Snapshot()
+	db.plans.Range(func(_ string, cp *cachedPlan) {
+		if pp := cp.bound.Load(); pp != nil && pp.snap != cur {
+			cp.bound.CompareAndSwap(pp, nil)
+		}
+	})
+}
+
+// preparedFor returns the plan for the canonical query canon (from the
+// cache when possible) bound to the current epoch.
+func (db *DB) preparedFor(canon *query.Graph, wcoOnly, skipCache bool) (*preparedPlan, error) {
 	snap := db.store.Snapshot()
-	var key string
+	st := db.planningStats()
+	var (
+		key string
+		cp  *cachedPlan
+	)
 	if db.plans != nil && !skipCache {
-		// Versioning the key by epoch makes every mutation batch an
-		// implicit cache-wide invalidation: post-mutation lookups miss and
-		// re-plan against the new epoch's statistics, while entries for
-		// still-running old-epoch queries stay resolvable until evicted.
-		key = canon.Key() + "|e" + strconv.FormatUint(snap.Epoch(), 10)
+		key = canon.Key() + "|g" + strconv.FormatUint(st.gen, 10)
 		if wcoOnly {
 			// WCO-restricted planning yields different plans; keep the
 			// spaces apart in the cache.
 			key += "|wco"
 		}
-		if pp, ok := db.plans.Get(key); ok {
-			return pp, perm, nil
+		cp, _ = db.plans.Get(key)
+	}
+	cached := cp != nil
+	if !cached {
+		p, err := optimizer.Optimize(canon, optimizer.Options{
+			Catalogue:    st.cat,
+			W1:           db.w1,
+			W2:           db.w2,
+			WCOOnly:      wcoOnly,
+			HubThreshold: db.opts.HubDegreeThreshold,
+			// Plans are cached per canonical query and shared across runs with
+			// factorization on or off, so pricing assumes the default (on):
+			// star-suffix set reuse is what the batch engine actually executes.
+			Factorized: true,
+		})
+		if err != nil {
+			return nil, err
 		}
+		cp = &cachedPlan{plan: p, gen: st.gen}
 	}
-	p, err := optimizer.Optimize(canon, optimizer.Options{
-		Catalogue:    db.catalogueFor(snap),
-		W1:           db.w1,
-		W2:           db.w2,
-		WCOOnly:      wcoOnly,
-		HubThreshold: db.opts.HubDegreeThreshold,
-		// Plans are cached per canonical query and shared across runs with
-		// factorization on or off, so pricing assumes the default (on):
-		// star-suffix set reuse is what the batch engine actually executes.
-		Factorized: true,
-	})
+	pp, err := cp.bind(snap)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	cp, err := exec.Compile(snap, p)
-	if err != nil {
-		return nil, nil, err
+	if !cached && key != "" {
+		db.plans.Put(key, cp)
 	}
-	pp := &preparedPlan{canon: canon, plan: p, compiled: cp, snap: snap}
-	// Re-check the epoch before publishing to the cache: if a mutation (or
-	// compaction) landed while we were planning, the epoch hook's Clear has
-	// already run and this entry's key could never be looked up again — a
-	// Put now would just pin snap's whole base CSR until the next Clear.
-	if key != "" && db.store.Epoch() == snap.Epoch() {
-		db.plans.Put(key, pp)
+	// If a mutation or compaction landed since snap was loaded, the epoch
+	// hook may have swept the cache before this binding was reachable from
+	// it; unbind it ourselves rather than pin snap until the next epoch.
+	// (A binding stored while snap is still current is visible to every
+	// later sweep, so this check cannot miss.)
+	if db.store.Snapshot() != snap {
+		cp.bound.CompareAndSwap(pp, nil)
 	}
-	return pp, perm, nil
+	return pp, nil
 }
 
 // PlanCacheStats reports the DB's compiled-plan cache effectiveness; all
@@ -525,34 +693,39 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 // immutable and every run carries its own mutable state.
 //
 // A PreparedQuery tracks the DB's epoch: each run starts from the
-// current epoch's snapshot, transparently re-planning (through the plan
-// cache) when mutations or compaction have bumped the epoch since the
-// last run. A run in flight keeps the snapshot it started on, so it
-// never observes a mutation applied after it began.
+// current epoch's snapshot. When mutations or compaction have bumped the
+// epoch since the last run it keeps its plan and only re-binds it to the
+// new snapshot; it re-plans (through the plan cache) only when a new
+// statistics generation has been published. A run in flight keeps the
+// snapshot it started on, so it never observes a mutation applied after
+// it began.
 type PreparedQuery struct {
-	db      *DB
-	q       *query.Graph
+	db *DB
+	// canon is the pattern's canonical form, the unit of planning and of
+	// plan-cache identity.
+	canon   *query.Graph
 	wcoOnly bool
-	// skipCache preserves QueryOptions.SkipPlanCache across epoch
-	// re-plans for ad-hoc queries measuring planning overhead.
+	// skipCache preserves QueryOptions.SkipPlanCache across re-resolves
+	// for ad-hoc queries measuring planning overhead.
 	skipCache bool
 	// names maps canonical vertex index to the pattern's original vertex
 	// name, for Match output. The canonical form depends only on the
-	// pattern, so names stay valid across epoch re-plans.
+	// pattern, so names stay valid across re-plans.
 	names []string
-	// cur is the most recently resolved plan; stale entries are replaced
-	// on first use after an epoch bump.
+	// cur is the most recently resolved plan; it is replaced on first use
+	// after an epoch bump or a new statistics generation.
 	cur atomic.Pointer[preparedPlan]
 }
 
-// resolve returns the plan for the current epoch, re-planning if the
-// cached one is stale.
+// resolve returns the plan bound to the current epoch under the current
+// statistics generation, re-binding or re-planning if the held one is
+// stale.
 func (pq *PreparedQuery) resolve() (*preparedPlan, error) {
 	pp := pq.cur.Load()
-	if pp != nil && pp.snap.Epoch() == pq.db.store.Epoch() {
+	if pp.snap == pq.db.store.Snapshot() && pp.gen == pq.db.stats.Load().gen {
 		return pp, nil
 	}
-	pp, _, err := pq.db.preparedFor(pq.q, pq.wcoOnly, pq.skipCache)
+	pp, err := pq.db.preparedFor(pq.canon, pq.wcoOnly, pq.skipCache)
 	if err != nil {
 		return nil, err
 	}
@@ -582,7 +755,8 @@ func (db *DB) prepare(pattern string, wcoOnly, skipCache bool) (*PreparedQuery, 
 	if err != nil {
 		return nil, err
 	}
-	pp, perm, err := db.preparedFor(q, wcoOnly, skipCache)
+	canon, perm := q.Canonical()
+	pp, err := db.preparedFor(canon, wcoOnly, skipCache)
 	if err != nil {
 		return nil, err
 	}
@@ -590,7 +764,7 @@ func (db *DB) prepare(pattern string, wcoOnly, skipCache bool) (*PreparedQuery, 
 	for orig, canon := range perm {
 		names[canon] = q.Vertices[orig].Name
 	}
-	pq := &PreparedQuery{db: db, q: q, wcoOnly: wcoOnly, skipCache: skipCache, names: names}
+	pq := &PreparedQuery{db: db, canon: canon, wcoOnly: wcoOnly, skipCache: skipCache, names: names}
 	pq.cur.Store(pp)
 	return pq, nil
 }
@@ -675,7 +849,7 @@ func (pq *PreparedQuery) MatchCtx(ctx context.Context, fn func(map[string]uint32
 
 // Stats returns the prepared plan's kind and operator tree without
 // running it (the Explain view). It reflects the most recently resolved
-// epoch; a pending re-plan is not forced.
+// statistics generation; a pending re-plan is not forced.
 func (pq *PreparedQuery) Stats() Stats {
 	pp := pq.cur.Load()
 	return Stats{PlanKind: pp.plan.Kind(), Plan: pp.plan.Describe()}
@@ -689,7 +863,7 @@ func (pq *PreparedQuery) Stats() Stats {
 func (pq *PreparedQuery) PlanDigest() string {
 	pp := pq.cur.Load()
 	h := fnv.New64a()
-	io.WriteString(h, pp.canon.Key())
+	io.WriteString(h, pq.canon.Key())
 	io.WriteString(h, "|")
 	io.WriteString(h, pp.plan.Describe())
 	return strconv.FormatUint(h.Sum64(), 16)
@@ -698,7 +872,7 @@ func (pq *PreparedQuery) PlanDigest() string {
 // PlanKind returns the prepared plan's kind ("wco", "bj" or "hybrid")
 // without rendering the operator tree — cheap enough for per-request
 // serving paths. Like Stats, it reflects the most recently resolved
-// epoch.
+// statistics generation.
 func (pq *PreparedQuery) PlanKind() string { return pq.cur.Load().plan.Kind() }
 
 // execConfig maps the per-query knobs onto the executor's RunConfig:
@@ -767,10 +941,11 @@ func (db *DB) runCount(pp *preparedPlan, qo QueryOptions) (int64, exec.Profile, 
 		return count.Load(), prof, err
 	case qo.Adaptive:
 		// The adaptive evaluator reads the same epoch snapshot the plan was
-		// compiled against, with that epoch's catalogue.
+		// compiled against and re-costs orderings with the published
+		// statistics.
 		ev := &adaptive.Evaluator{
 			Graph:     pp.snap,
-			Catalogue: db.catalogueFor(pp.snap),
+			Catalogue: db.planningStats().cat,
 			Config: adaptive.Config{
 				Workers:      qo.Workers,
 				HubThreshold: db.opts.HubDegreeThreshold,
@@ -939,7 +1114,7 @@ func (db *DB) EstimateCardinality(pattern string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return db.catalogueFor(db.store.Snapshot()).EstimateCardinality(q), nil
+	return db.planningStats().cat.EstimateCardinality(q), nil
 }
 
 // GraphStats summarises the stored graph (degree skew and clustering — the
@@ -990,9 +1165,9 @@ type ApplyResult struct {
 // Apply runs one mutation batch atomically against the live store:
 // either the whole batch becomes a single new epoch, or (on validation
 // error) nothing changes. In-flight queries keep the snapshot they
-// started on; subsequent queries re-plan against the new epoch's
-// statistics. The background compactor folds the delta overlay into a
-// fresh CSR base once it outgrows Options.CompactThreshold.
+// started on; subsequent queries keep their cached plans and re-bind them
+// to the new epoch. The background compactor folds the delta overlay into
+// a fresh CSR base once it outgrows Options.CompactThreshold.
 func (db *DB) Apply(b Batch) (ApplyResult, error) {
 	lb := live.Batch{
 		AddEdges:    make([]live.EdgeOp, len(b.AddEdges)),
@@ -1007,7 +1182,7 @@ func (db *DB) Apply(b Batch) (ApplyResult, error) {
 	for i, e := range b.DeleteEdges {
 		lb.DeleteEdges[i] = live.EdgeOp{Src: graph.VertexID(e.Src), Dst: graph.VertexID(e.Dst), Label: graph.Label(e.Label)}
 	}
-	res, err := db.store.Apply(lb)
+	res, err := db.apply(lb)
 	if err != nil {
 		return ApplyResult{}, err
 	}
@@ -1022,10 +1197,21 @@ func (db *DB) Apply(b Batch) (ApplyResult, error) {
 	}, nil
 }
 
+// apply publishes one batch through the live store and counts what it
+// actually changed towards statistics drift — the only work a mutation
+// does for the planner.
+func (db *DB) apply(b live.Batch) (live.ApplyResult, error) {
+	res, err := db.store.Apply(b)
+	if err == nil {
+		db.mutations.Add(int64(res.AddedVertices + res.AddedEdges + res.DeletedEdges))
+	}
+	return res, err
+}
+
 // AddVertex appends a labelled vertex to the live graph and returns its ID.
 func (db *DB) AddVertex(label uint16) (uint32, error) {
-	v, err := db.store.AddVertex(graph.Label(label))
-	return uint32(v), err
+	res, err := db.apply(live.Batch{AddVertices: []graph.Label{graph.Label(label)}})
+	return uint32(res.FirstNewVertex), err
 }
 
 // AddEdge inserts a directed labelled edge into the live graph. It
@@ -1034,16 +1220,17 @@ func (db *DB) AddVertex(label uint16) (uint32, error) {
 //
 // Each call publishes its own epoch, which pays one copy-on-write clone
 // of the overlay's vertex index; for bulk mutation streams prefer
-// Apply, which amortizes that clone (and the plan-cache invalidation)
-// across the whole batch.
+// Apply, which amortizes that clone across the whole batch.
 func (db *DB) AddEdge(src, dst uint32, label uint16) (bool, error) {
-	return db.store.AddEdge(graph.VertexID(src), graph.VertexID(dst), graph.Label(label))
+	res, err := db.apply(live.Batch{AddEdges: []live.EdgeOp{{Src: graph.VertexID(src), Dst: graph.VertexID(dst), Label: graph.Label(label)}}})
+	return res.AddedEdges > 0, err
 }
 
 // DeleteEdge removes the directed edge src->dst with the given (exact)
 // label from the live graph, reporting whether it existed.
 func (db *DB) DeleteEdge(src, dst uint32, label uint16) (bool, error) {
-	return db.store.DeleteEdge(graph.VertexID(src), graph.VertexID(dst), graph.Label(label))
+	res, err := db.apply(live.Batch{DeleteEdges: []live.EdgeOp{{Src: graph.VertexID(src), Dst: graph.VertexID(dst), Label: graph.Label(label)}}})
+	return res.DeletedEdges > 0, err
 }
 
 // Epoch returns the live graph's current version; it advances by one per
@@ -1126,8 +1313,9 @@ func (db *DB) LiveStats() LiveStats {
 }
 
 // RegisterMetrics exposes the DB's internals — live-store gauges, plan
-// cache counters, WAL state including fsync latency, and compaction
-// durations — in a metrics registry under the graphflow_* namespace.
+// cache counters, statistics generation and drift, WAL state including
+// fsync latency, and compaction durations — in a metrics registry under
+// the graphflow_* namespace.
 // Call at most once per (DB, registry) pair; the gauges read live state
 // at scrape time, so registration costs nothing between scrapes.
 func (db *DB) RegisterMetrics(reg *metrics.Registry) {
@@ -1150,6 +1338,15 @@ func (db *DB) RegisterMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(db.PlanCacheStats().Misses) })
 	reg.CounterFunc("graphflow_plan_cache_evictions_total", "Plans evicted to respect the cache size bound.",
 		func() float64 { return float64(db.PlanCacheStats().Evictions) })
+
+	reg.GaugeFunc("graphflow_catalogue_generation", "Published statistics generation (0 = the catalogue built at open).",
+		func() float64 { return float64(db.CatalogueStats().Generation) })
+	reg.CounterFunc("graphflow_catalogue_builds_total", "Catalogue builds, the one at open included.",
+		func() float64 { return float64(db.CatalogueStats().Builds) })
+	reg.GaugeFunc("graphflow_catalogue_drift_edges", "Vertices appended and edges added or deleted since the published catalogue was sampled (a refresh is due at a tenth of the edges it was sampled over).",
+		func() float64 { return float64(db.CatalogueStats().DriftEdges) })
+	reg.RegisterHistogram("graphflow_catalogue_build_seconds", "Catalogue build duration (open, background refresh and RefreshStatistics).",
+		db.buildSeconds)
 
 	reg.GaugeFunc("graphflow_mem_reserved_bytes", "Bytes currently reserved from the memory governor by in-flight queries.",
 		func() float64 { return float64(db.gov.InUse()) })

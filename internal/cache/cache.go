@@ -108,10 +108,9 @@ func (c *Cache[V]) Put(key string, val V) {
 }
 
 // Clear drops every entry, returning how many were removed (counted as
-// evictions). The DB calls it on graph-epoch bumps: epoch-versioned keys
-// mean old entries can never be looked up again, so dropping them
-// eagerly releases the snapshots they pin instead of waiting for LRU
-// aging.
+// evictions). The DB calls it when it publishes a new statistics
+// generation: keys carry the generation they were planned under, so
+// entries of older generations can never be looked up again.
 func (c *Cache[V]) Clear() int {
 	removed := 0
 	for i := range c.shards {
@@ -124,6 +123,22 @@ func (c *Cache[V]) Clear() int {
 	}
 	c.evictions.Add(int64(removed))
 	return removed
+}
+
+// Range calls fn once for every cached entry, without touching recency
+// or the hit/miss counters. fn runs under the entry's shard lock, so it
+// must be brief and must not call back into the cache. Entries stored
+// or evicted concurrently may or may not be visited.
+func (c *Cache[V]) Range(fn func(key string, val V)) {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for el := s.order.Front(); el != nil; el = el.Next() {
+			e := el.Value.(*entry[V])
+			fn(e.key, e.val)
+		}
+		s.mu.Unlock()
+	}
 }
 
 // Len returns the current number of cached entries.

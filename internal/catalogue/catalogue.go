@@ -81,6 +81,33 @@ type Catalogue struct {
 
 func edgeCountKey(el, sl, dl graph.Label) string { return fmt.Sprintf("%d/%d/%d", el, sl, dl) }
 func listKey(el, nl graph.Label) string          { return fmt.Sprintf("%d/%d", el, nl) }
+func vertexKey(vl graph.Label) string            { return fmt.Sprintf("%d", vl) }
+
+// scanBaseStatistics fills the exact base statistics in one pass over
+// g's vertices and one over its edges. The scans accumulate under
+// struct keys — the label alphabets are tiny next to the edge count —
+// and the string-keyed maps of the JSON format are rendered once at
+// the end, instead of formatting three keys per edge.
+func (c *Catalogue) scanBaseStatistics(g graph.View) {
+	type edgeLabels struct{ el, sl, dl graph.Label }
+	vertices := map[graph.Label]int64{}
+	edges := map[edgeLabels]int64{}
+	for v := 0; v < g.NumVertices(); v++ {
+		vertices[g.VertexLabel(graph.VertexID(v))]++
+	}
+	g.Edges(func(src, dst graph.VertexID, el graph.Label) bool {
+		edges[edgeLabels{el, g.VertexLabel(src), g.VertexLabel(dst)}]++
+		return true
+	})
+	for vl, n := range vertices {
+		c.VertexCount[vertexKey(vl)] = n
+	}
+	for k, n := range edges {
+		c.EdgeCount[edgeCountKey(k.el, k.sl, k.dl)] = n
+		c.FwdTotal[listKey(k.el, k.dl)] += n
+		c.BwdTotal[listKey(k.el, k.sl)] += n
+	}
+}
 
 // ScanCount returns the exact number of edges matching the given labels —
 // the selectivity µ(l_e) used to seed 2-vertex subqueries in Algorithm 1.
@@ -93,7 +120,7 @@ func (c *Catalogue) ScanCount(el, srcLabel, dstLabel graph.Label) float64 {
 // optimizer reasons about intersection-cache reuse across scan tuples
 // grouped by source vertex.
 func (c *Catalogue) VertexCountByLabel(vl graph.Label) float64 {
-	return float64(c.VertexCount[fmt.Sprintf("%d", vl)])
+	return float64(c.VertexCount[vertexKey(vl)])
 }
 
 // DefaultListSize returns the graph-wide average adjacency-partition size
@@ -112,8 +139,8 @@ func (c *Catalogue) DefaultListSize(dir graph.Direction, el, nl graph.Label) flo
 	return float64(total) / float64(c.NumVertices)
 }
 
-// Build constructs the catalogue for g — any graph View, so live
-// snapshots get per-epoch statistics without materialising a CSR.
+// Build constructs the catalogue for g — any graph View, so a live
+// snapshot is sampled without materialising a CSR.
 func Build(g graph.View, cfg Config) *Catalogue {
 	cfg = cfg.withDefaults()
 	c := &Catalogue{
@@ -125,17 +152,7 @@ func Build(g graph.View, cfg Config) *Catalogue {
 		BwdTotal:    map[string]int64{},
 		VertexCount: map[string]int64{},
 	}
-	for v := 0; v < g.NumVertices(); v++ {
-		c.VertexCount[fmt.Sprintf("%d", g.VertexLabel(graph.VertexID(v)))]++
-	}
-	// Exact single-edge statistics.
-	g.Edges(func(src, dst graph.VertexID, el graph.Label) bool {
-		sl, dl := g.VertexLabel(src), g.VertexLabel(dst)
-		c.EdgeCount[edgeCountKey(el, sl, dl)]++
-		c.FwdTotal[listKey(el, dl)]++
-		c.BwdTotal[listKey(el, sl)]++
-		return true
-	})
+	c.scanBaseStatistics(g)
 
 	b := &builder{g: g, c: c, rng: rand.New(rand.NewSource(cfg.Seed)), visited: map[string]bool{}}
 	b.run()

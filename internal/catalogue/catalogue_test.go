@@ -2,7 +2,9 @@ package catalogue
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"graphflow/internal/datagen"
@@ -243,5 +245,35 @@ func TestLabeledCatalogue(t *testing.T) {
 	}
 	if int(total) != g.NumEdges() {
 		t.Errorf("label scan counts sum to %v, want %d", total, g.NumEdges())
+	}
+}
+
+// TestBaseStatisticsKeyFormat pins the string keys of the exact base
+// statistics (the JSON format of Save/Load) against a per-edge rendering
+// on a graph with several vertex and edge labels.
+func TestBaseStatisticsKeyFormat(t *testing.T) {
+	g := datagen.Relabel(datagen.Epinions(1), 2, 3, 1)
+	c := Build(g, Config{H: 1, Z: 10, Seed: 1})
+	edges, fwd, bwd, vertices := map[string]int64{}, map[string]int64{}, map[string]int64{}, map[string]int64{}
+	for v := 0; v < g.NumVertices(); v++ {
+		vertices[fmt.Sprintf("%d", g.VertexLabel(graph.VertexID(v)))]++
+	}
+	g.Edges(func(src, dst graph.VertexID, el graph.Label) bool {
+		sl, dl := g.VertexLabel(src), g.VertexLabel(dst)
+		edges[fmt.Sprintf("%d/%d/%d", el, sl, dl)]++
+		fwd[fmt.Sprintf("%d/%d", el, dl)]++
+		bwd[fmt.Sprintf("%d/%d", el, sl)]++
+		return true
+	})
+	if len(edges) != 12 || len(vertices) != 2 {
+		t.Fatalf("graph not labelled as expected: %d edge-label triples, %d vertex labels", len(edges), len(vertices))
+	}
+	for name, pair := range map[string][2]map[string]int64{
+		"EdgeCount": {c.EdgeCount, edges}, "FwdTotal": {c.FwdTotal, fwd},
+		"BwdTotal": {c.BwdTotal, bwd}, "VertexCount": {c.VertexCount, vertices},
+	} {
+		if !reflect.DeepEqual(pair[0], pair[1]) {
+			t.Errorf("%s = %v, want %v", name, pair[0], pair[1])
+		}
 	}
 }

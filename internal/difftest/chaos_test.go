@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -263,6 +264,79 @@ func TestChaosServerStorm(t *testing.T) {
 	// Idle keep-alive connections hold goroutines on both sides; release
 	// them before the leak comparison.
 	client.CloseIdleConnections()
+	if err := lc.Check(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestChaosStatisticsRefresh extends the goroutine census to the
+// background statistics refresher: writers keep a small graph drifting
+// past the refresh rule while readers and a compactor run against it, so
+// refreshers start throughout. Once the DB is closed the refresher, the
+// compactor and every query worker must be gone, and before that the
+// live DB must count what the BJ reference counts on a from-scratch
+// rebuild of the shadow.
+func TestChaosStatisticsRefresh(t *testing.T) {
+	lc := NewLeakCheck()
+	g := GenGraph(43)
+	db, err := OpenLiveDB(g, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := NewShadow(g)
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := db.Count(chaosPatterns[(r+i)%len(chaosPatterns)], &graphflow.QueryOptions{Workers: 1 + r%2}); err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+			}
+		}(r)
+	}
+	rng := rand.New(rand.NewSource(43))
+	for b := 0; b < 40; b++ {
+		batch := GenBatch(rng, sh)
+		if _, err := db.Apply(batch); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		sh.Apply(batch)
+		if b%8 == 7 {
+			if err := db.Compact(); err != nil {
+				t.Fatalf("batch %d: compact: %v", b, err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	rebuilt := sh.Build()
+	for seed := int64(0); seed < 4; seed++ {
+		res, err := ComparePair(db, rebuilt, GenPattern(rand.New(rand.NewSource(seed))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Skipped && (res.Got != res.Want || res.GotWCO != res.Want) {
+			t.Errorf("%s: hybrid=%d wco=%d reference=%d", res.Pattern, res.Got, res.GotWCO, res.Want)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Close waited for whatever refresh the last planner started.
+	if cs := db.CatalogueStats(); cs.Generation == 0 {
+		t.Errorf("40 batches past the refresh rule published no new generation: %+v", cs)
+	}
 	if err := lc.Check(); err != nil {
 		t.Error(err)
 	}

@@ -288,6 +288,19 @@ func collectRows(db *graphflow.DB, pattern string, batchSize int) ([]string, err
 	return rows, nil
 }
 
+// diffRows reports the first difference between two sorted row sets.
+func diffRows(rows, wantRows []string) error {
+	if len(rows) != len(wantRows) {
+		return fmt.Errorf("%d rows, reference %d", len(rows), len(wantRows))
+	}
+	for i := range rows {
+		if rows[i] != wantRows[i] {
+			return fmt.Errorf("row %d = %s, reference %s", i, rows[i], wantRows[i])
+		}
+	}
+	return nil
+}
+
 // CompareBatchMatrix evaluates q on db under the tuple-at-a-time oracle
 // (BatchSize < 0) and at every entry of BatchSizes, requiring identical
 // counts (sequential and Workers=4) and identical sorted tuple sets.
@@ -328,13 +341,8 @@ func CompareBatchMatrix(db *graphflow.DB, q *query.Graph) error {
 		if err != nil {
 			return fmt.Errorf("batch %d rows of %q: %w", bs, pattern, err)
 		}
-		if len(rows) != len(wantRows) {
-			return fmt.Errorf("batch %d of %q: %d rows, oracle %d", bs, pattern, len(rows), len(wantRows))
-		}
-		for i := range rows {
-			if rows[i] != wantRows[i] {
-				return fmt.Errorf("batch %d of %q: row %d = %s, oracle %s", bs, pattern, i, rows[i], wantRows[i])
-			}
+		if err := diffRows(rows, wantRows); err != nil {
+			return fmt.Errorf("batch %d of %q: %w", bs, pattern, err)
 		}
 	}
 	return nil
@@ -397,14 +405,59 @@ func CompareFactorized(db *graphflow.DB, q *query.Graph) error {
 		if err != nil {
 			return fmt.Errorf("factorized rows of %q: %w", pattern, err)
 		}
-		if len(rows) != len(wantRows) {
-			return fmt.Errorf("factorized match of %q: %d rows, oracle %d", pattern, len(rows), len(wantRows))
+		if err := diffRows(rows, wantRows); err != nil {
+			return fmt.Errorf("factorized match of %q: %w", pattern, err)
 		}
-		for i := range rows {
-			if rows[i] != wantRows[i] {
-				return fmt.Errorf("factorized match of %q: row %d = %s, oracle %s", pattern, i, rows[i], wantRows[i])
-			}
+	}
+	return nil
+}
+
+// CompareDBs checks that got answers q exactly as want does — full
+// count, Limit caps and the sorted tuple set — for two DBs that should
+// hold the same logical graph under the same vertex IDs, such as a live
+// DB and a DB opened over a from-scratch rebuild of its shadow.
+func CompareDBs(got, want *graphflow.DB, q *query.Graph) error {
+	pattern := q.String()
+	total, err := want.Count(pattern, nil)
+	if err != nil {
+		return fmt.Errorf("reference count of %q: %w", pattern, err)
+	}
+	n, err := got.Count(pattern, nil)
+	if err != nil {
+		return fmt.Errorf("count of %q: %w", pattern, err)
+	}
+	if n != total {
+		return fmt.Errorf("count of %q = %d, reference %d", pattern, n, total)
+	}
+	for _, limit := range []int64{1, total / 2, total + 7} {
+		if limit <= 0 {
+			continue
 		}
+		wantLim := limit
+		if wantLim > total {
+			wantLim = total
+		}
+		n, err := got.Count(pattern, &graphflow.QueryOptions{Limit: limit})
+		if err != nil {
+			return fmt.Errorf("limit=%d count of %q: %w", limit, pattern, err)
+		}
+		if n != wantLim {
+			return fmt.Errorf("limit=%d count of %q = %d, want exactly %d", limit, pattern, n, wantLim)
+		}
+	}
+	if total > maxRowCollect {
+		return nil
+	}
+	wantRows, err := collectRows(want, pattern, 0)
+	if err != nil {
+		return fmt.Errorf("reference rows of %q: %w", pattern, err)
+	}
+	rows, err := collectRows(got, pattern, 0)
+	if err != nil {
+		return fmt.Errorf("rows of %q: %w", pattern, err)
+	}
+	if err := diffRows(rows, wantRows); err != nil {
+		return fmt.Errorf("match of %q: %w", pattern, err)
 	}
 	return nil
 }

@@ -290,3 +290,80 @@ func mustDecode(t *testing.T, b []byte, v any) {
 		t.Fatalf("decoding %s: %v", b, err)
 	}
 }
+
+// TestCatalogueMetricsIngestOnly pins the demand-driven refresh: ingest
+// alone, however far past the refresh rule, builds no catalogue — the
+// build counter stays at its set-up value while drift accumulates — and
+// the first query afterwards starts exactly one background refresh that
+// /stats and /metrics then report.
+func TestCatalogueMetricsIngestOnly(t *testing.T) {
+	db := ingestDB(t)
+	defer db.Close()
+	s := newTestServer(t, Config{DB: db})
+
+	scrape := func() map[string]float64 {
+		t.Helper()
+		w := do(t, s, http.MethodGet, "/metrics", nil)
+		if errs := metrics.Lint(bytes.NewReader(w.Body.Bytes())); len(errs) > 0 {
+			t.Fatalf("exposition fails lint: %v", errs)
+		}
+		fams, err := metrics.ParseText(bytes.NewReader(w.Body.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]float64{}
+		for _, f := range fams {
+			if strings.HasPrefix(f.Name, "graphflow_catalogue_") && len(f.Series) == 1 {
+				got[f.Name] = f.Series[0].Value
+			}
+		}
+		return got
+	}
+	type catalogueStats struct {
+		Catalogue struct {
+			Generation   uint64  `json:"generation"`
+			Builds       int64   `json:"builds"`
+			EdgesAtBuild int     `json:"edges_at_build"`
+			DriftEdges   int64   `json:"drift_edges"`
+			LastBuildMS  float64 `json:"last_build_ms"`
+		} `json:"catalogue"`
+	}
+	stats := func() (st catalogueStats) {
+		t.Helper()
+		mustDecode(t, do(t, s, http.MethodGet, "/stats", nil).Body.Bytes(), &st)
+		return st
+	}
+
+	// Ten batches of one new vertex and one edge to it: 20 mutations on a
+	// 2-edge graph.
+	for i := 0; i < 10; i++ {
+		if w := do(t, s, http.MethodPost, "/ingest", map[string]any{
+			"add_vertices": []uint16{0},
+			"add_edges":    []map[string]any{{"src": 0, "dst": 4 + i, "label": 0}},
+		}); w.Code != http.StatusOK {
+			t.Fatalf("/ingest %d = %d: %s", i, w.Code, w.Body)
+		}
+	}
+	m := scrape()
+	if m["graphflow_catalogue_builds_total"] != 1 || m["graphflow_catalogue_generation"] != 0 || m["graphflow_catalogue_drift_edges"] != 20 {
+		t.Fatalf("ingest alone must build nothing: %v", m)
+	}
+	if st := stats().Catalogue; st.Generation != 0 || st.Builds != 1 || st.EdgesAtBuild != 2 || st.DriftEdges != 20 || st.LastBuildMS <= 0 {
+		t.Fatalf("/stats after ingest: %+v", st)
+	}
+
+	if w := do(t, s, http.MethodPost, "/query", map[string]any{"pattern": "a->b, b->c"}); w.Code != http.StatusOK {
+		t.Fatalf("/query = %d: %s", w.Code, w.Body)
+	}
+	waitFor(t, "the background statistics refresh", func() bool { return stats().Catalogue.Generation == 1 })
+	if st := stats().Catalogue; st.Builds != 2 || st.EdgesAtBuild != 12 || st.DriftEdges != 0 {
+		t.Fatalf("/stats after the refresh: %+v", st)
+	}
+	m = scrape()
+	if m["graphflow_catalogue_builds_total"] != 2 || m["graphflow_catalogue_generation"] != 1 || m["graphflow_catalogue_drift_edges"] != 0 {
+		t.Fatalf("/metrics after the refresh: %v", m)
+	}
+	if body := do(t, s, http.MethodGet, "/metrics", nil).Body.String(); !strings.Contains(body, "graphflow_catalogue_build_seconds_count 2") {
+		t.Fatal("build-duration histogram does not hold both builds")
+	}
+}

@@ -35,7 +35,7 @@
 //
 // Mutations go through the DB's live store: each /ingest batch becomes
 // one new epoch, queries already executing keep their snapshot, and
-// later queries transparently re-plan against the mutated graph.
+// later queries run their cached plans against the mutated graph.
 package server
 
 import (
@@ -1192,6 +1192,17 @@ type statsResponse struct {
 		Evictions int64 `json:"evictions"`
 		Entries   int   `json:"entries"`
 	} `json:"plan_cache"`
+	// Catalogue reports the planner statistics: the published generation,
+	// how far the graph has drifted from the one it was sampled on (a
+	// background refresh is due at a tenth of edges_at_build), and what
+	// the published catalogue cost to build.
+	Catalogue struct {
+		Generation   uint64  `json:"generation"`
+		Builds       int64   `json:"builds"`
+		EdgesAtBuild int     `json:"edges_at_build"`
+		DriftEdges   int64   `json:"drift_edges"`
+		LastBuildMS  float64 `json:"last_build_ms"`
+	} `json:"catalogue"`
 	Prepared int `json:"prepared_statements"`
 	Requests struct {
 		Served    int64 `json:"served"`
@@ -1247,6 +1258,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.PlanCache.Misses = pc.Misses
 	resp.PlanCache.Evictions = pc.Evictions
 	resp.PlanCache.Entries = pc.Entries
+	cs := s.cfg.DB.CatalogueStats()
+	resp.Catalogue.Generation = cs.Generation
+	resp.Catalogue.Builds = cs.Builds
+	resp.Catalogue.EdgesAtBuild = cs.EdgesAtBuild
+	resp.Catalogue.DriftEdges = cs.DriftEdges
+	resp.Catalogue.LastBuildMS = float64(cs.LastBuild) / float64(time.Millisecond)
 	s.mu.RLock()
 	resp.Prepared = len(s.prepared)
 	s.mu.RUnlock()

@@ -60,57 +60,84 @@ func TestMutationsChangeCounts(t *testing.T) {
 	}
 }
 
-// TestPlanCacheEpochInvalidation checks that an epoch bump invalidates
-// cached plans: the same pattern misses the plan cache again after a
-// mutation, and hits again once the epoch is stable.
-func TestPlanCacheEpochInvalidation(t *testing.T) {
-	db := tinyDB(t)
-	if _, err := db.Count(triPattern, nil); err != nil {
+// ringDB opens a DB over n vertices with edges i->i+1 and i->i+2 (mod n):
+// 2n edges and exactly n asymmetric triangles, enough edges that a few
+// mutations stay under the statistics-refresh rule (a tenth of 2n).
+func ringDB(t *testing.T, n int) *DB {
+	t.Helper()
+	b := NewBuilder(n)
+	for i := 0; i < n; i++ {
+		b.AddEdge(uint32(i), uint32((i+1)%n), 0)
+		b.AddEdge(uint32(i), uint32((i+2)%n), 0)
+	}
+	db, err := b.Open(&Options{CatalogueZ: 50, CompactThreshold: -1})
+	if err != nil {
 		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
+
+const pathPattern = "a->b, b->c"
+
+// TestPlanCacheSurvivesEpochs checks that planning state is decoupled
+// from the epoch: after a mutation and after a compaction, with drift
+// under the refresh rule, the same pattern hits the plan cache and still
+// counts the post-mutation graph, and no catalogue is built.
+func TestPlanCacheSurvivesEpochs(t *testing.T) {
+	db := ringDB(t, 60)
+	if n, _ := db.Count(triPattern, nil); n != 60 {
+		t.Fatalf("ring triangle count = %d, want 60", n)
+	}
+	base := db.PlanCacheStats()
+	if base.Misses != 1 || base.Entries != 1 {
+		t.Fatalf("first count should plan once: %+v", base)
+	}
+
+	// 0->3 closes (0,1,3) and (0,2,3).
+	if _, err := db.AddEdge(0, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := db.Count(triPattern, nil); n != 62 {
+		t.Fatalf("triangle count after add = %d, want 62", n)
+	}
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := db.Count(triPattern, nil); n != 62 {
+		t.Fatalf("triangle count after compaction = %d, want 62", n)
 	}
 	st := db.PlanCacheStats()
-	if st.Misses == 0 {
-		t.Fatalf("first count did not miss the plan cache: %+v", st)
+	if st.Misses != base.Misses || st.Hits != base.Hits+2 || st.Evictions != 0 || st.Entries != 1 {
+		t.Fatalf("post-mutation and post-compaction counts should hit the cached plan: %+v (base %+v)", st, base)
 	}
-	baseMisses, baseHits := st.Misses, st.Hits
-
-	if _, err := db.Count(triPattern, nil); err != nil {
-		t.Fatal(err)
-	}
-	st = db.PlanCacheStats()
-	if st.Hits != baseHits+1 || st.Misses != baseMisses {
-		t.Fatalf("stable-epoch recount should hit: %+v (base hits %d misses %d)", st, baseHits, baseMisses)
-	}
-
-	if _, err := db.AddEdge(4, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Count(triPattern, nil); err != nil {
-		t.Fatal(err)
-	}
-	st = db.PlanCacheStats()
-	if st.Misses != baseMisses+1 {
-		t.Fatalf("post-mutation count should miss (epoch-versioned key): %+v", st)
+	cs := db.CatalogueStats()
+	if cs.Generation != 0 || cs.Builds != 1 || cs.DriftEdges != 1 || cs.EdgesAtBuild != 120 {
+		t.Fatalf("one edge of drift must not refresh statistics, and compaction is not drift: %+v", cs)
 	}
 }
 
-// TestPreparedReplansAfterCompaction checks the prepared-query lifecycle
+// TestPreparedRebindsAcrossEpochs checks the prepared-query lifecycle
 // across epochs: a PreparedQuery keeps working through mutations and
-// compaction, re-planning transparently, and PlanCacheStats shows the
-// invalidation as fresh misses.
-func TestPreparedReplansAfterCompaction(t *testing.T) {
-	db := tinyDB(t)
+// compaction by re-binding its plan to the new snapshot, which never
+// shows up as a plan-cache miss, and touches nothing on a stable epoch.
+func TestPreparedRebindsAcrossEpochs(t *testing.T) {
+	db := ringDB(t, 60)
 	pq, err := db.Prepare(triPattern)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := pq.Count(nil); n != 1 {
-		t.Fatalf("prepared count = %d, want 1", n)
+	if n, _ := pq.Count(nil); n != 60 {
+		t.Fatalf("prepared count = %d, want 60", n)
 	}
 	missesBefore := db.PlanCacheStats().Misses
+	plan := pq.PlanDigest()
 
-	if _, err := db.AddEdge(2, 4, 0); err != nil { // second triangle 2->3->4, 2->4... needs 3->4 (present)
+	if _, err := db.AddEdge(0, 3, 0); err != nil {
 		t.Fatal(err)
+	}
+	if n, _ := pq.Count(nil); n != 62 {
+		t.Fatalf("prepared count after add = %d, want 62", n)
 	}
 	epochBeforeCompact := db.Epoch()
 	if err := db.Compact(); err != nil {
@@ -122,19 +149,19 @@ func TestPreparedReplansAfterCompaction(t *testing.T) {
 	if db.LiveStats().DeltaOps != 0 {
 		t.Fatalf("overlay not folded: %+v", db.LiveStats())
 	}
-
-	// The same prepared query must re-plan against the compacted epoch
-	// and see the new triangle.
-	if n, _ := pq.Count(nil); n != 2 {
-		t.Fatalf("prepared count after compaction = %d, want 2", n)
+	if n, _ := pq.Count(nil); n != 62 {
+		t.Fatalf("prepared count after compaction = %d, want 62", n)
 	}
-	if misses := db.PlanCacheStats().Misses; misses != missesBefore+1 {
-		t.Fatalf("re-plan after compaction should register one plan-cache miss: %d -> %d", missesBefore, misses)
+	if misses := db.PlanCacheStats().Misses; misses != missesBefore {
+		t.Fatalf("running at a new epoch must not re-plan: misses %d -> %d", missesBefore, misses)
+	}
+	if pq.PlanDigest() != plan {
+		t.Fatal("plan changed without a new statistics generation")
 	}
 	// Stable epoch again: the prepared query reuses its resolved plan
-	// without further cache traffic.
+	// without any cache traffic.
 	statsBefore := db.PlanCacheStats()
-	if n, _ := pq.Count(nil); n != 2 {
+	if n, _ := pq.Count(nil); n != 62 {
 		t.Fatal("prepared recount diverged")
 	}
 	if st := db.PlanCacheStats(); st != statsBefore {
@@ -142,9 +169,84 @@ func TestPreparedReplansAfterCompaction(t *testing.T) {
 	}
 }
 
+// TestNewGenerationReplansOncePerPattern checks both ways a statistics
+// generation is published — RefreshStatistics, and a planner finding the
+// graph drifted past the refresh rule — and that each re-plans every
+// pattern exactly once, ad hoc and prepared alike.
+func TestNewGenerationReplansOncePerPattern(t *testing.T) {
+	db := ringDB(t, 60)
+	pq, err := db.Prepare(triPattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns := []string{triPattern, pathPattern}
+	countAll := func() {
+		t.Helper()
+		for _, p := range patterns {
+			if _, err := db.Count(p, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := pq.Count(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// expectReplan runs every pattern twice and requires one miss per
+	// pattern in total: the prepared triangle shares the ad-hoc one's entry.
+	expectReplan := func(when string) {
+		t.Helper()
+		before := db.PlanCacheStats().Misses
+		countAll()
+		countAll()
+		if got := db.PlanCacheStats().Misses - before; got != int64(len(patterns)) {
+			t.Fatalf("%s: %d plan-cache misses, want %d (one per pattern)", when, got, len(patterns))
+		}
+	}
+	countAll()
+
+	db.RefreshStatistics()
+	if cs := db.CatalogueStats(); cs.Generation != 1 || cs.Builds != 2 || cs.DriftEdges != 0 {
+		t.Fatalf("after RefreshStatistics: %+v", cs)
+	}
+	expectReplan("after RefreshStatistics")
+
+	// Twelve new edges are a tenth of the 120 the catalogue was sampled
+	// over. Ingest alone builds nothing; the next planner starts the
+	// refresh and still answers, correctly, from the stale generation.
+	var b Batch
+	for i := 0; i < 12; i++ {
+		b.AddEdges = append(b.AddEdges, EdgeOp{Src: uint32(i), Dst: uint32(i + 30), Label: 0})
+	}
+	release := make(chan struct{})
+	var once sync.Once
+	releaseRefresh := func() { once.Do(func() { close(release) }) }
+	defer releaseRefresh() // a failing assertion must not leave Close waiting
+	db.refreshHook = func() { <-release }
+	if _, err := db.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	if cs := db.CatalogueStats(); cs.Generation != 1 || cs.Builds != 2 || cs.DriftEdges != 12 {
+		t.Fatalf("ingest alone must not build a catalogue: %+v", cs)
+	}
+	missesBefore := db.PlanCacheStats().Misses
+	if n, _ := db.Count(triPattern, nil); n != 60 {
+		t.Fatalf("count while the refresh is in flight = %d, want 60 (long chords close no triangle)", n)
+	}
+	if cs, st := db.CatalogueStats(), db.PlanCacheStats(); cs.Generation != 1 || st.Misses != missesBefore {
+		t.Fatalf("a planner must carry on with the stale generation: %+v, misses %d -> %d", cs, missesBefore, st.Misses)
+	}
+	releaseRefresh()
+	db.refreshWG.Wait()
+	if cs := db.CatalogueStats(); cs.Generation != 2 || cs.Builds != 3 || cs.DriftEdges != 0 || cs.EdgesAtBuild != 132 {
+		t.Fatalf("after the background refresh: %+v", cs)
+	}
+	expectReplan("after the background refresh")
+}
+
 // TestConcurrentPreparedAcrossEpochs runs one PreparedQuery from many
 // goroutines while a writer mutates and compacts — the -race exercise
-// for the epoch-tracking resolve path. Every observed count must be a
+// for the epoch-tracking resolve path (on a graph this small every batch
+// also crosses the refresh rule, so generations move underneath too). Every observed count must be a
 // value the graph logically held at some epoch (1..3 triangles).
 func TestConcurrentPreparedAcrossEpochs(t *testing.T) {
 	db := tinyDB(t)
