@@ -47,7 +47,7 @@ func runJSON(path string, scale int) error {
 		return err
 	}
 	for _, r := range results {
-		fmt.Printf("%-14s %-12s %-6s workers=%d  %12.0f ns/op %8d allocs/op  matches=%d\n",
+		fmt.Printf("%-14s %-12s %-13s workers=%d  %12.0f ns/op %8d allocs/op  matches=%d\n",
 			r.Name, r.Graph, r.Engine, r.Workers, r.NsPerOp, r.AllocsPerOp, r.Matches)
 	}
 	fmt.Printf("wrote %s (%d rows)\n", path, len(results))

@@ -263,6 +263,13 @@ type Stats struct {
 	Intermediate int64
 	ICost        int64
 	CacheHits    int64
+	// CarriedSets counts intersections seeded with the extension set the
+	// previous E/I stage already computed (a stage whose descriptors
+	// include all of its upstream's intersects into that set instead of
+	// re-reading the shared adjacency lists). ICost charges such an
+	// intersection the carried set's size plus the lists it still reads.
+	// Zero under DisableCache and the tuple-at-a-time oracle.
+	CarriedSets int64
 	// KernelMerge, KernelGallop, KernelBitsetProbe and KernelBitsetAnd
 	// count intersection-kernel dispatches by kind: how often the
 	// degree-adaptive engine merged two sorted runs, galloped a short run
@@ -1389,6 +1396,7 @@ func statsFrom(p *plan.Plan, prof exec.Profile, n int64) Stats {
 		Intermediate:         prof.Intermediate,
 		ICost:                prof.ICost,
 		CacheHits:            prof.CacheHits,
+		CarriedSets:          prof.CarriedSets,
 		KernelMerge:          prof.Kernels.Merge,
 		KernelGallop:         prof.Kernels.Gallop,
 		KernelBitsetProbe:    prof.Kernels.BitsetProbe,

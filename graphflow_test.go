@@ -229,3 +229,39 @@ func TestBadPattern(t *testing.T) {
 		t.Error("empty pattern should error")
 	}
 }
+
+// TestCarriedSetsStats checks the public face of the carried extension
+// sets on a 4-clique: Stats.CarriedSets counts the seeded intersections
+// and the i-cost drops below the tuple-at-a-time engine's, Explain marks
+// the inheriting operator, and DisableCache (and the oracle engine) turn
+// the carrying off without changing the count.
+func TestCarriedSetsStats(t *testing.T) {
+	db, err := NewFromDataset("Epinions", 1, &Options{CatalogueZ: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clique4 = "a->b, a->c, b->c, a->d, b->d, c->d"
+	n, st, err := db.CountStats(clique4, &QueryOptions{WCOOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 || st.CarriedSets == 0 {
+		t.Fatalf("count %d, carried sets %d: want both > 0\n%s", n, st.CarriedSets, st.Plan)
+	}
+	if !strings.Contains(st.Plan, "<- ↑∩") {
+		t.Errorf("plan does not mark the inheriting operator:\n%s", st.Plan)
+	}
+	for name, qo := range map[string]*QueryOptions{
+		"cache off": {WCOOnly: true, DisableCache: true},
+		"oracle":    {WCOOnly: true, BatchSize: -1},
+	} {
+		m, off, err := db.CountStats(clique4, qo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m != n || off.CarriedSets != 0 || off.ICost <= st.ICost {
+			t.Errorf("%s: count %d carried %d i-cost %d; want count %d, no carried sets, i-cost above %d",
+				name, m, off.CarriedSets, off.ICost, n, st.ICost)
+		}
+	}
+}

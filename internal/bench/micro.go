@@ -18,7 +18,7 @@ type MicroResult struct {
 	Name        string  `json:"name"`
 	Graph       string  `json:"graph"`
 	Query       string  `json:"query"`
-	Engine      string  `json:"engine"` // "batch" (vectorized), "factorized" (batch + star-suffix factorization) or "tuple" (oracle)
+	Engine      string  `json:"engine"` // "batch" (vectorized), "factorized" (batch + star-suffix factorization), "tuple" (oracle) or "batch-nocache" (batch with the intersection cache — and with it the carried extension sets — off)
 	Workers     int     `json:"workers"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
@@ -90,13 +90,23 @@ func microCases(scale int) []microCase {
 			name: "skew-parallel", graph: "Web-hubheavy", g: skew,
 			pattern: "a->b, a->c, b->c, c->d, d->e, e->f", order: []int{0, 1, 2, 3, 4, 5}, workers: 4,
 		},
+		{
+			name: "clique4", graph: "Web-skewed", g: web,
+			pattern: "a->b, a->c, b->c, a->d, b->d, c->d", order: []int{0, 1, 2, 3}, workers: 1,
+		},
+		{
+			name: "clique5", graph: "Web-skewed", g: web,
+			pattern: "a->b, a->c, b->c, a->d, b->d, c->d, a->e, b->e, c->e, d->e", order: []int{0, 1, 2, 3, 4}, workers: 1,
+		},
 	}
 }
 
 // Micro runs the machine-readable micro suite: every workload under the
 // vectorized engine (with star-suffix factorization off and on) and the
-// tuple-at-a-time oracle, fast counting, reporting ns/op, bytes/op,
-// allocs/op and the (engine-independent) match count.
+// tuple-at-a-time oracle, plus the vectorized engine with the
+// intersection cache off (on the cliques, cache on vs off brackets what
+// carrying extension sets between stages saves), fast counting, reporting
+// ns/op, bytes/op, allocs/op and the (engine-independent) match count.
 func Micro(scale int) ([]MicroResult, error) {
 	if scale < 1 {
 		scale = 1
@@ -115,12 +125,13 @@ func Micro(scale int) ([]MicroResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", mc.name, err)
 		}
-		for _, engine := range []string{"batch", "factorized", "tuple"} {
+		for _, engine := range []string{"batch", "factorized", "tuple", "batch-nocache"} {
 			cfg := exec.RunConfig{
 				FastCount:    true,
 				Workers:      mc.workers,
 				TupleAtATime: engine == "tuple",
 				Factorized:   engine == "factorized",
+				DisableCache: engine == "batch-nocache",
 			}
 			matches, _, err := cp.Count(cfg)
 			if err != nil {

@@ -63,3 +63,19 @@ func EffectiveICost(sizes []float64, hubThreshold int) float64 {
 func StarLeafICost(sizes []float64, hubThreshold int) float64 {
 	return EffectiveICost(sizes, hubThreshold)
 }
+
+// CarriedICost prices one set computation of an inheriting extension:
+// the upstream extension set (expected size set) replaces the lists
+// marked in covered — a bitmask over sizes' indices — and is intersected
+// with the rest, so the executor accesses set plus the uncovered lists
+// (the meaning Profile.ICost keeps for carried extension sets).
+func CarriedICost(set float64, sizes []float64, covered uint32, hubThreshold int) float64 {
+	var buf [33]float64
+	accessed := append(buf[:0], set)
+	for i, s := range sizes {
+		if covered&(1<<uint(i)) == 0 {
+			accessed = append(accessed, s)
+		}
+	}
+	return EffectiveICost(accessed, hubThreshold)
+}

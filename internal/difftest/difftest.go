@@ -96,6 +96,104 @@ func GenPattern(rng *rand.Rand) *query.Graph {
 	}
 }
 
+// GenDenseGraph returns a small graph thick with cliques — every ordered
+// vertex pair is an edge with a fixed probability — for the dense-pattern
+// family, whose k-cliques the sparse GenGraph shapes almost never hold.
+// With labelled set it carries 2 vertex × 3 edge labels (and a higher
+// edge probability, so labelled 4-cliques still occur); otherwise none.
+func GenDenseGraph(seed int64, labelled bool) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	n, p := 36+rng.Intn(16), 0.22+0.06*rng.Float64()
+	if labelled {
+		p = 0.55 + 0.1*rng.Float64()
+	}
+	b := graph.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if u != v && rng.Float64() < p {
+				b.AddEdge(graph.VertexID(u), graph.VertexID(v), 0)
+			}
+		}
+	}
+	g := b.MustBuild()
+	if labelled {
+		g = datagen.Relabel(g, 2, 3, rng.Int63())
+	}
+	return g
+}
+
+// GenDensePattern returns a pattern from the dense family the carried
+// extension sets target: a k-clique (k = 4..6 unlabelled, 4..5 labelled),
+// possibly minus one edge, possibly with one or two pendant leaves, with
+// edges either all oriented low→high or each flipped at random. WCO
+// chains over these nest one stage's descriptors inside the next one's,
+// so stages inherit — except where a missing edge, a flipped direction
+// or, on labelled graphs, a differing edge or target-vertex label breaks
+// the subset, which must then be recomputed from the lists. Labelled
+// patterns keep one vertex label across the clique more often than not,
+// so both outcomes stay common.
+func GenDensePattern(rng *rand.Rand, labelled bool) *query.Graph {
+	for {
+		k := 4 + rng.Intn(3)
+		if labelled {
+			k = 4 + rng.Intn(2)
+		}
+		q := &query.Graph{}
+		addVertex := func(l graph.Label) int {
+			q.Vertices = append(q.Vertices, query.Vertex{Name: fmt.Sprintf("v%d", len(q.Vertices)), Label: l})
+			return len(q.Vertices) - 1
+		}
+		vLabel := func() graph.Label { return 0 }
+		eLabel := vLabel
+		if labelled {
+			base, mixV, mixE := graph.Label(rng.Intn(2)), rng.Intn(3) == 0, rng.Intn(2) == 0
+			vLabel = func() graph.Label {
+				if mixV {
+					return graph.Label(rng.Intn(2))
+				}
+				return base
+			}
+			eBase := graph.Label(rng.Intn(3))
+			eLabel = func() graph.Label {
+				if mixE {
+					return graph.Label(rng.Intn(3))
+				}
+				return eBase
+			}
+		}
+		mixedDirs := rng.Intn(2) == 0
+		addEdge := func(a, b int) {
+			if mixedDirs && rng.Intn(2) == 0 {
+				a, b = b, a
+			}
+			q.Edges = append(q.Edges, query.Edge{From: a, To: b, Label: eLabel()})
+		}
+		for v := 0; v < k; v++ {
+			addVertex(vLabel())
+		}
+		drop := -1
+		if rng.Intn(3) == 0 {
+			drop = rng.Intn(k * (k - 1) / 2)
+		}
+		for i, pair := 0, 0; i < k; i++ {
+			for j := i + 1; j < k; j++ {
+				if pair != drop {
+					addEdge(i, j)
+				}
+				pair++
+			}
+		}
+		if rng.Intn(3) == 0 {
+			for leaves := 1 + rng.Intn(2); leaves > 0; leaves-- {
+				addEdge(rng.Intn(k), addVertex(vLabel()))
+			}
+		}
+		if q.Validate() == nil {
+			return q
+		}
+	}
+}
+
 // OpenDB wraps g in a DB with a deliberately tiny catalogue (H=2, small
 // sample): on labelled graphs a full catalogue samples a huge labelled
 // pattern space, and the corpus trades catalogue fidelity for volume —
@@ -265,6 +363,11 @@ const maxRowCollect = 30_000
 // collectRows enumerates every match of pattern at the given batch size
 // as deterministic row strings, sorted.
 func collectRows(db *graphflow.DB, pattern string, batchSize int) ([]string, error) {
+	return collectRowsOpts(db, pattern, &graphflow.QueryOptions{BatchSize: batchSize})
+}
+
+// collectRowsOpts is collectRows under arbitrary query options.
+func collectRowsOpts(db *graphflow.DB, pattern string, opts *graphflow.QueryOptions) ([]string, error) {
 	var names []string
 	var rows []string
 	err := db.Match(pattern, func(m map[string]uint32) bool {
@@ -280,7 +383,7 @@ func collectRows(db *graphflow.DB, pattern string, batchSize int) ([]string, err
 		}
 		rows = append(rows, sb.String())
 		return true
-	}, &graphflow.QueryOptions{BatchSize: batchSize})
+	}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -410,6 +513,84 @@ func CompareFactorized(db *graphflow.DB, q *query.Graph) error {
 		}
 	}
 	return nil
+}
+
+// CompareCarried is the dense-pattern sweep behind the carried extension
+// sets: on one (db, pattern) pair, for the optimizer's plan and the
+// WCO-restricted one (the chains where stages inherit), at every entry of
+// BatchSizes (prefix runs split across batch boundaries differently at
+// each), it requires the oracle's count sequentially and under Workers=4,
+// with factorization on and off and with the intersection cache — hence
+// the carrying — off; an exact Limit spectrum; and the oracle's sorted row
+// set. It returns how many intersections were seeded with a carried set,
+// so a corpus can assert the path was exercised at all.
+func CompareCarried(db *graphflow.DB, q *query.Graph) (carried int64, err error) {
+	pattern := q.String()
+	for _, wco := range []bool{false, true} {
+		oracle := &graphflow.QueryOptions{BatchSize: -1, WCOOnly: wco}
+		want, err := db.Count(pattern, oracle)
+		if err != nil {
+			return carried, fmt.Errorf("oracle count of %q: %w", pattern, err)
+		}
+		var wantRows []string
+		if want <= maxRowCollect {
+			if wantRows, err = collectRowsOpts(db, pattern, oracle); err != nil {
+				return carried, fmt.Errorf("oracle rows of %q: %w", pattern, err)
+			}
+		}
+		for _, bs := range BatchSizes {
+			for _, workers := range []int{0, 4} {
+				for _, variant := range []graphflow.QueryOptions{
+					{},
+					{DisableFactorization: true},
+					{DisableCache: true},
+				} {
+					opts := variant
+					opts.BatchSize, opts.Workers, opts.WCOOnly = bs, workers, wco
+					got, st, err := db.CountStats(pattern, &opts)
+					if err != nil {
+						return carried, fmt.Errorf("count of %q under %+v: %w", pattern, opts, err)
+					}
+					if got != want {
+						return carried, fmt.Errorf("count of %q under %+v = %d, oracle %d", pattern, opts, got, want)
+					}
+					if opts.DisableCache && st.CarriedSets != 0 {
+						return carried, fmt.Errorf("%q under %+v carried %d sets with the cache off", pattern, opts, st.CarriedSets)
+					}
+					carried += st.CarriedSets
+				}
+				limits := []int64{1, 2, want / 2, want - 1, want, want + 13}
+				if workers > 1 {
+					// Racing workers add nothing new at the extremes.
+					limits = []int64{want / 2, want - 1}
+				}
+				for _, limit := range limits {
+					if limit <= 0 {
+						continue
+					}
+					opts := &graphflow.QueryOptions{BatchSize: bs, Workers: workers, WCOOnly: wco, Limit: limit}
+					got, err := db.Count(pattern, opts)
+					if err != nil {
+						return carried, fmt.Errorf("limit count of %q under %+v: %w", pattern, *opts, err)
+					}
+					if wantLim := min(limit, want); got != wantLim {
+						return carried, fmt.Errorf("limit count of %q under %+v = %d, want exactly %d", pattern, *opts, got, wantLim)
+					}
+				}
+			}
+			if wantRows == nil {
+				continue
+			}
+			rows, err := collectRowsOpts(db, pattern, &graphflow.QueryOptions{BatchSize: bs, WCOOnly: wco})
+			if err != nil {
+				return carried, fmt.Errorf("batch %d rows of %q: %w", bs, pattern, err)
+			}
+			if err := diffRows(rows, wantRows); err != nil {
+				return carried, fmt.Errorf("batch %d (wco=%v) of %q: %w", bs, wco, pattern, err)
+			}
+		}
+	}
+	return carried, nil
 }
 
 // CompareDBs checks that got answers q exactly as want does — full

@@ -389,3 +389,60 @@ func TestDifferentialBatchLimits(t *testing.T) {
 		}
 	}
 }
+
+// TestDifferentialCarriedSets runs the dense-pattern family — k-cliques,
+// cliques minus an edge, cliques with pendant leaves, uniform and mixed
+// edge directions — through CompareCarried on unlabelled graphs and on
+// 2 vertex × 3 edge label graphs (where a same-slot stage with another
+// target or edge label must not inherit), with the hub bitset threshold
+// forced to both extremes, on the static store and on a live overlay
+// after mutation batches. Wrongly carried, stale or mis-sliced sets
+// surface as count, limit or row-set mismatches against the
+// tuple-at-a-time oracle, which never carries.
+func TestDifferentialCarriedSets(t *testing.T) {
+	numGraphs, patternsPer := 4, 3
+	if testing.Short() {
+		numGraphs, patternsPer = 2, 2
+	}
+	var carried int64
+	for gi := 0; gi < numGraphs; gi++ {
+		seed := int64(52000 + gi)
+		labelled := gi%2 == 1
+		g := GenDenseGraph(seed, labelled)
+		rng := rand.New(rand.NewSource(seed * 15485863))
+		for _, hub := range []int{1, -1} {
+			static, err := OpenDBHub(g, hub)
+			if err != nil {
+				t.Fatalf("graph seed %d hub %d: %v", seed, hub, err)
+			}
+			// No compaction: every read after the batches goes through the
+			// overlay's merged neighbor runs.
+			live, err := openDB(g, -1, hub)
+			if err != nil {
+				t.Fatalf("graph seed %d hub %d (live): %v", seed, hub, err)
+			}
+			sh := NewShadow(g)
+			for b := 0; b < 2; b++ {
+				batch := GenBatch(rng, sh)
+				if _, err := live.Apply(batch); err != nil {
+					t.Fatalf("graph seed %d hub %d batch %d: %v", seed, hub, b, err)
+				}
+				sh.Apply(batch)
+			}
+			for pi := 0; pi < patternsPer; pi++ {
+				q := GenDensePattern(rng, labelled)
+				for name, db := range map[string]*graphflow.DB{"static": static, "live": live} {
+					n, err := CompareCarried(db, q)
+					if err != nil {
+						t.Errorf("graph seed %d hub %d %s pattern %d: %v", seed, hub, name, pi, err)
+					}
+					carried += n
+				}
+			}
+		}
+	}
+	if carried == 0 {
+		t.Error("no intersection of the whole corpus was seeded with a carried set; the family no longer exercises the path")
+	}
+	t.Logf("corpus carried %d extension sets", carried)
+}

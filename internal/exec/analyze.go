@@ -21,6 +21,9 @@ type OpStats struct {
 	ICost int64
 	// CacheHits counts intersection-cache hits (E/I only).
 	CacheHits int64
+	// CarriedSets counts intersections seeded with the upstream stage's
+	// extension set (inheriting E/I operators only).
+	CarriedSets int64
 	// Probes counts probe lookups (HASH-JOIN only).
 	Probes int64
 	// BuildRows is the materialised build-side size (HASH-JOIN only).
@@ -44,6 +47,9 @@ func (s *OpStats) Describe() string {
 		if n.ICost > 0 || n.CacheHits > 0 {
 			fmt.Fprintf(&sb, " icost=%d hits=%d", n.ICost, n.CacheHits)
 		}
+		if n.CarriedSets > 0 {
+			fmt.Fprintf(&sb, " carried=%d", n.CarriedSets)
+		}
 		if n.Probes > 0 || n.BuildRows > 0 {
 			fmt.Fprintf(&sb, " probes=%d build=%d", n.Probes, n.BuildRows)
 		}
@@ -65,18 +71,21 @@ type nodeCounters struct {
 	m  map[plan.Node]*OpStats
 }
 
-func (nc *nodeCounters) add(n plan.Node, out, icost, hits, probes, build int64) {
+// add folds one worker's counters for plan node n (d's counter fields
+// only) into the node's stats.
+func (nc *nodeCounters) add(n plan.Node, d OpStats) {
 	nc.mu.Lock()
 	st := nc.m[n]
 	if st == nil {
 		st = &OpStats{}
 		nc.m[n] = st
 	}
-	st.OutTuples += out
-	st.ICost += icost
-	st.CacheHits += hits
-	st.Probes += probes
-	st.BuildRows += build
+	st.OutTuples += d.OutTuples
+	st.ICost += d.ICost
+	st.CacheHits += d.CacheHits
+	st.CarriedSets += d.CarriedSets
+	st.Probes += d.Probes
+	st.BuildRows += d.BuildRows
 	nc.mu.Unlock()
 }
 

@@ -67,6 +67,28 @@ func (c *BatchCounters) Add(other BatchCounters) {
 type tupleBatch struct {
 	cols [][]graph.VertexID
 	n    int
+
+	// Carried extension sets: an E/I stage whose downstream inherits (see
+	// extendSpec.covered) publishes, for each prefix run of the batch —
+	// the rows one input row fanned out to — the extension set S it fanned
+	// out. runEnds holds each run's exclusive end row. A run that lies
+	// wholly inside the batch needs no storage at all: its rows' last
+	// column IS S. Only a run cut by a batch boundary does: tailSet
+	// aliases the producer's live buffer for the last run while the batch
+	// is dispatched mid-fan-out (dispatch is synchronous, so the buffer
+	// outlives the consumer's pushBatch), and headSet — a copy owned by
+	// headBuf — serves a first run that began in an earlier batch and ended
+	// here with more rows behind it. At most one copy per batch, but the
+	// copy is the whole of S, not just the rows that landed here: headBuf
+	// grows to the largest carried set seen (bounded by the maximum degree,
+	// not by the batch size). The worker's upfront estimate does not cover
+	// it; closeRun reserves it from the budget as it grows.
+	runEnds          []int32
+	headSet, tailSet []graph.VertexID
+	headBuf          []graph.VertexID
+	// headMetered is headBuf's capacity already charged to the run's
+	// memory budget (growth beyond it is reserved, as for extendState).
+	headMetered int
 }
 
 func newTupleBatch(width, capacity int) *tupleBatch {
@@ -83,6 +105,65 @@ func (b *tupleBatch) clear() {
 		b.cols[i] = b.cols[i][:0]
 	}
 	b.n = 0
+	b.runEnds = b.runEnds[:0]
+	b.headSet, b.tailSet = nil, nil
+}
+
+// closeRun records that the run fanning set out ends (for this batch) at
+// the current row. partial says the batch's column holds only part of
+// set — the run began in an earlier batch or the batch filled before the
+// fan-out finished. A full batch is dispatched right away, so the live
+// buffer can be aliased; otherwise the run is over and the producer is
+// about to reuse its buffer, so set is copied.
+func (b *tupleBatch) closeRun(w *worker, set []graph.VertexID, partial, full bool) {
+	b.runEnds = append(b.runEnds, int32(b.n))
+	if !partial {
+		return
+	}
+	if full {
+		b.tailSet = set
+		return
+	}
+	b.headBuf = append(b.headBuf[:0], set...)
+	b.headSet = b.headBuf
+	if c := cap(b.headBuf); c > b.headMetered {
+		w.rc.mem.Reserve(int64(c-b.headMetered) * vertexIDBytes)
+		b.headMetered = c
+	}
+}
+
+// carriedRun returns the extension set published for run k and the run's
+// exclusive end row.
+func (b *tupleBatch) carriedRun(k int) ([]graph.VertexID, int) {
+	end := int(b.runEnds[k])
+	switch {
+	case k == len(b.runEnds)-1 && b.tailSet != nil:
+		return b.tailSet, end
+	case k == 0 && b.headSet != nil:
+		return b.headSet, end
+	}
+	start := 0
+	if k > 0 {
+		start = int(b.runEnds[k-1])
+	}
+	return b.cols[len(b.cols)-1][start:end], end
+}
+
+// runCursor walks a batch's published runs in row order for an
+// inheriting consumer, which visits every row exactly once.
+type runCursor struct {
+	k, end int
+	set    []graph.VertexID
+}
+
+// at returns the carried set of the run holding row r; r must advance by
+// one per call from zero.
+func (c *runCursor) at(in *tupleBatch, r int) []graph.VertexID {
+	if r == c.end {
+		c.set, c.end = in.carriedRun(c.k)
+		c.k++
+	}
+	return c.set
 }
 
 // appendFill appends k copies of v to dst.
@@ -256,14 +337,22 @@ type batchExtendState struct {
 	idx  int
 	out  *tupleBatch
 	vals []graph.VertexID
+	// inherit and publish are the spec's carried-set marks gated on the
+	// run's intersection cache: carrying a set across stages is the cache
+	// generalised, so DisableCache (Table 3's "Cache Off") turns it off.
+	inherit, publish bool
 }
 
 func (s *batchExtendState) outWidth() int { return len(s.out.cols) }
 
 func (s *batchExtendState) reset(rc *runContext) {
-	s.es.reset(!rc.cfg.DisableCache)
+	useCache := !rc.cfg.DisableCache
+	s.es.reset(useCache)
+	s.inherit = useCache && s.es.spec.covered != 0
+	s.publish = useCache && s.es.spec.publishes
 	if s.out != nil {
 		s.out.clear()
+		s.out.headMetered = 0
 	}
 }
 
@@ -284,9 +373,11 @@ func (s *batchExtendState) sameRun(in *tupleBatch, r int) bool {
 
 // extFor returns row r's extension set: prev when the batch run
 // continues (attributed as a cache hit), a fresh (possibly cache-served)
-// intersection otherwise. runs is false when the cache is disabled —
-// Table 3's "Cache Off" recomputes per row, exactly like the oracle.
-func (s *batchExtendState) extFor(w *worker, in *tupleBatch, r int, runs bool, prev []graph.VertexID) []graph.VertexID {
+// intersection otherwise — seeded with carried, the set the upstream
+// stage published for r's run, when this stage inherits (nil otherwise).
+// runs is false when the cache is disabled — Table 3's "Cache Off"
+// recomputes per row, exactly like the oracle.
+func (s *batchExtendState) extFor(w *worker, in *tupleBatch, r int, runs bool, prev, carried []graph.VertexID) []graph.VertexID {
 	if runs && r > 0 && s.sameRun(in, r) {
 		w.profile.CacheHits++
 		s.es.hits++
@@ -296,27 +387,33 @@ func (s *batchExtendState) extFor(w *worker, in *tupleBatch, r int, runs bool, p
 	for _, d := range s.es.spec.op.Descriptors {
 		s.vals = append(s.vals, in.cols[d.TupleIdx][r])
 	}
-	return s.es.extensionSetFor(w, s.vals)
+	return s.es.extensionSetFor(w, s.vals, carried)
 }
 
 //gf:noalloc
 func (s *batchExtendState) pushBatch(w *worker, in *tupleBatch) {
 	width := len(in.cols)
 	runs := s.es.useCache
+	var ext, carried []graph.VertexID
+	var cur runCursor
 	if w.countFast && w.isRoot && s.idx == len(w.bstages)-1 {
 		// Factorized counting (Section 10): the last extension's Cartesian
 		// product is counted, not enumerated.
-		var ext []graph.VertexID
 		//gf:nopoll bounded by one batch (<= w.batchSize rows); dispatchBatch polled before delivering it
 		for r := 0; r < in.n; r++ {
-			ext = s.extFor(w, in, r, runs, ext)
+			if s.inherit {
+				carried = cur.at(in, r)
+			}
+			ext = s.extFor(w, in, r, runs, ext, carried)
 			w.profile.Matches += int64(len(ext))
 		}
 		return
 	}
-	var ext []graph.VertexID
 	for r := 0; r < in.n; r++ {
-		ext = s.extFor(w, in, r, runs, ext)
+		if s.inherit {
+			carried = cur.at(in, r)
+		}
+		ext = s.extFor(w, in, r, runs, ext, carried)
 		s.es.outTuples += int64(len(ext))
 		off := 0
 		for off < len(ext) {
@@ -330,7 +427,11 @@ func (s *batchExtendState) pushBatch(w *worker, in *tupleBatch) {
 			s.out.cols[width] = append(s.out.cols[width], ext[off:off+k]...)
 			s.out.n += k
 			off += k
-			if s.out.n >= w.batchSize {
+			full := s.out.n >= w.batchSize
+			if s.publish {
+				s.out.closeRun(w, ext, off > k || off < len(ext), full)
+			}
+			if full {
 				w.profile.Batches.Extend++
 				w.dispatchBatch(s.idx+1, s.out)
 				s.out.clear()
@@ -377,6 +478,10 @@ func (s *batchProbeState) pushBatch(w *worker, in *tupleBatch) {
 	slots := s.ps.spec.probeSlots
 	appendIdx := s.ps.spec.appendIdx
 	width := len(in.cols)
+	// A terminal probe of a pure count adds each probe row's match count
+	// instead of fanning the joined rows out to be counted at the sink —
+	// the hash-join counterpart of the E/I stage's factorized counting.
+	countOnly := w.countFast && w.isRoot && s.idx == len(w.bstages)-1
 	for r := 0; r < in.n; r++ {
 		// probes stays a per-input-row counter (like the oracle's), so
 		// Analyze's per-node numbers are engine- and batch-size-
@@ -404,6 +509,10 @@ func (s *batchProbeState) pushBatch(w *worker, in *tupleBatch) {
 			continue
 		}
 		s.ps.outTuples += int64(len(s.rows))
+		if countOnly {
+			w.profile.Matches += int64(len(s.rows))
+			continue
+		}
 		// Column-major fan-out: replicate the probe-side prefix with bulk
 		// fills and splice each build column in one pass, chunked at batch
 		// capacity.

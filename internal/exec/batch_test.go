@@ -33,7 +33,8 @@ func sortedTuples(t *testing.T, cp *CompiledPlan, cfg RunConfig) []string {
 }
 
 // plansUnderTest builds a representative plan set over g: scan-only, a
-// 1-stage and 2-stage WCO pipeline, and a hybrid with a hash probe.
+// 1-stage and 2-stage WCO pipeline, a hybrid with a hash probe, and two
+// cliques whose upper stages inherit their upstream's extension set.
 func plansUnderTest(t *testing.T, g *graph.Graph) map[string]*plan.Plan {
 	t.Helper()
 	plans := map[string]*plan.Plan{}
@@ -49,6 +50,8 @@ func plansUnderTest(t *testing.T, g *graph.Graph) map[string]*plan.Plan {
 		t.Fatal(err)
 	}
 	plans["hybrid"] = &plan.Plan{Query: q8, Root: hj}
+	plans["clique4"] = buildWCO(t, cliqueQuery(4), chainOrder(4))
+	plans["clique5"] = buildWCO(t, cliqueQuery(5), chainOrder(5))
 	return plans
 }
 
@@ -98,11 +101,14 @@ func TestBatchEngineMatchesOracle(t *testing.T) {
 }
 
 // TestBatchProfileParity checks that the sequential batch engine
-// reproduces the oracle's cost counters exactly: i-cost, intermediate
+// reproduces the oracle's counters exactly: matches, intermediate
 // tuples, cache hits and probe inputs (run-grouping must behave exactly
-// like the intersection cache it generalises).
+// like the intersection cache it generalises) — and its i-cost too on
+// plans with no inheriting stage. A stage seeded with a carried set
+// reads that set instead of the lists behind it, so there the i-cost may
+// only be lower (TestCarriedCliqueICost pins the exact number).
 func TestBatchProfileParity(t *testing.T) {
-	g := smallRandomGraph(12, 200, 5)
+	g := denseRandomGraph(12, 60, 0.12)
 	for name, p := range plansUnderTest(t, g) {
 		cp, err := Compile(g, p)
 		if err != nil {
@@ -117,10 +123,15 @@ func TestBatchProfileParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.ICost != want.ICost || got.Intermediate != want.Intermediate ||
+			if got.Matches != want.Matches || got.Intermediate != want.Intermediate ||
 				got.CacheHits != want.CacheHits || got.ProbedTuples != want.ProbedTuples ||
 				got.HashedTuples != want.HashedTuples {
 				t.Errorf("%s bs=%d: profile %+v, oracle %+v", name, bs, got, want)
+			}
+			if carries := hasInheritingStage(cp); carries && (got.ICost >= want.ICost || got.CarriedSets == 0) {
+				t.Errorf("%s bs=%d: i-cost %d with %d carried sets, oracle i-cost %d: want lower", name, bs, got.ICost, got.CarriedSets, want.ICost)
+			} else if !carries && (got.ICost != want.ICost || got.CarriedSets != 0) {
+				t.Errorf("%s bs=%d: i-cost %d with %d carried sets, oracle i-cost %d and none", name, bs, got.ICost, got.CarriedSets, want.ICost)
 			}
 		}
 	}
@@ -261,15 +272,15 @@ func TestHubMorselSplitParity(t *testing.T) {
 	}
 }
 
-// steadyWorker compiles p over g and returns a warmed-up batch worker
-// whose buffers have all reached steady-state capacity.
-func steadyWorker(tb testing.TB, g *graph.Graph, p *plan.Plan) (*worker, int) {
+// steadyWorker compiles p over g and returns a batch worker for a
+// sequential emit-free run under cfg, warmed up until its buffers have
+// all reached steady-state capacity.
+func steadyWorker(tb testing.TB, g *graph.Graph, p *plan.Plan, cfg RunConfig) (*worker, int) {
 	tb.Helper()
 	cp, err := Compile(g, p)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := RunConfig{FastCount: true}
 	rc := &runContext{cp: cp, cfg: cfg, batch: cp.EffectiveBatchSize(cfg)}
 	var stopped atomic.Bool
 	w := newWorker(rc, cp.pipes[len(cp.pipes)-1], true, nil, &stopped, nil)
@@ -296,7 +307,7 @@ func TestZeroAllocs(t *testing.T) {
 			// intersections reuse stage scratch, no per-tuple closures.
 			name: "batchEI",
 			setup: func(t *testing.T) func() {
-				w, n := steadyWorker(t, g, buildWCO(t, query.Q4(), []int{0, 1, 2, 3}))
+				w, n := steadyWorker(t, g, buildWCO(t, query.Q4(), []int{0, 1, 2, 3}), RunConfig{FastCount: true})
 				return func() {
 					w.runBatchRange(0, n)
 					w.flushBatches()
@@ -309,6 +320,44 @@ func TestZeroAllocs(t *testing.T) {
 			name: "factorizedCount",
 			setup: func(t *testing.T) func() {
 				w, n := steadyFactorizedWorker(t, g)
+				return func() {
+					w.runBatchRange(0, n)
+					w.flushBatches()
+				}
+			},
+		},
+		{
+			// Carried extension sets, plain chain: the 4-clique's last stage
+			// intersects into the run table its upstream publishes (run
+			// boundaries, aliased columns, the split-run copy).
+			name: "carriedEI",
+			setup: func(t *testing.T) func() {
+				w, n := steadyWorker(t, g, buildWCO(t, cliqueQuery(4), chainOrder(4)), RunConfig{FastCount: true})
+				return func() {
+					w.runBatchRange(0, n)
+					w.flushBatches()
+				}
+			},
+		},
+		{
+			// Carried extension sets into a factorized tail, two links deep:
+			// the 5-clique's middle stage inherits and publishes, its tail
+			// leaf inherits.
+			name: "carriedFactorizedTail",
+			setup: func(t *testing.T) func() {
+				w, n := steadyWorker(t, g, buildWCO(t, cliqueQuery(5), chainOrder(5)), RunConfig{Factorized: true, FastCount: true})
+				return func() {
+					w.runBatchRange(0, n)
+					w.flushBatches()
+				}
+			},
+		},
+		{
+			// Cache off (Table 3): every row recomputes its intersection,
+			// still into the stage's owned buffer.
+			name: "cacheOff",
+			setup: func(t *testing.T) func() {
+				w, n := steadyWorker(t, g, buildWCO(t, query.Q1(), chainOrder(3)), RunConfig{FastCount: true, DisableCache: true})
 				return func() {
 					w.runBatchRange(0, n)
 					w.flushBatches()
@@ -348,7 +397,7 @@ func TestZeroAllocs(t *testing.T) {
 // engine, factorized count. CI asserts 0 allocs/op.
 func BenchmarkBatchEISteadyState(b *testing.B) {
 	g := datagen.Epinions(1)
-	w, n := steadyWorker(b, g, buildWCO(b, query.Q4(), []int{0, 1, 2, 3}))
+	w, n := steadyWorker(b, g, buildWCO(b, query.Q4(), []int{0, 1, 2, 3}), RunConfig{FastCount: true})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

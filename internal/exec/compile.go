@@ -68,6 +68,14 @@ type stageSpec interface {
 // extendSpec is the compiled form of an EXTEND/INTERSECT operator.
 type extendSpec struct {
 	op *plan.Extend
+	// covered marks the descriptors the upstream stage's extension set
+	// already intersects (plan.Extend.Inherited); non-zero makes this an
+	// inheriting stage of the vectorized engine: it intersects the set its
+	// upstream carried down with the remaining descriptors' lists instead
+	// of re-reading the covered ones. publishes is the matching mark on
+	// that upstream stage.
+	covered   uint32
+	publishes bool
 }
 
 func (s *extendSpec) planNode() plan.Node { return s.op }
@@ -77,11 +85,16 @@ func (s *extendSpec) newState(rc *runContext) stageState {
 }
 
 func (s *extendSpec) newBatchState(rc *runContext, idx, inWidth int) batchStage {
-	return &batchExtendState{
-		es:  extendState{spec: s, useCache: !rc.cfg.DisableCache},
+	st := &batchExtendState{
+		es:  extendState{spec: s},
 		idx: idx,
 		out: newTupleBatch(inWidth+1, rc.batch),
 	}
+	if s.publishes {
+		st.out.runEnds = make([]int32, 0, rc.batch)
+	}
+	st.reset(rc)
+	return st
 }
 
 // probeSpec is the compiled form of a HASH-JOIN probe: the slot maps that
@@ -159,7 +172,12 @@ func (cp *CompiledPlan) addPipeline(n plan.Node, feeds *plan.HashJoin) error {
 	for _, cn := range chain {
 		switch op := cn.(type) {
 		case *plan.Extend:
-			pipe.stages = append(pipe.stages, &extendSpec{op: op})
+			spec := &extendSpec{op: op, covered: op.Inherited()}
+			if spec.covered != 0 {
+				// op.Child is an E/I operator, hence the stage just appended.
+				pipe.stages[len(pipe.stages)-1].(*extendSpec).publishes = true
+			}
+			pipe.stages = append(pipe.stages, spec)
 			width++
 		case *plan.HashJoin:
 			if err := cp.addPipeline(op.Build, op); err != nil {

@@ -36,9 +36,11 @@ import (
 
 // Profile aggregates the runtime counters of one plan execution.
 type Profile struct {
-	// ICost is the actual intersection cost: the summed sizes of adjacency
-	// lists accessed by E/I operators (Equation 1). Cached intersections
-	// access no lists and contribute nothing.
+	// ICost is the actual intersection cost: the summed sizes of the lists
+	// accessed by E/I operators (Equation 1). Cached intersections access
+	// no lists and contribute nothing; an intersection seeded with a
+	// carried extension set accesses that set and the adjacency lists it
+	// does not already cover.
 	ICost int64
 	// Intermediate is the number of partial matches produced by non-root
 	// operators (the "part. m." column of Tables 4-6).
@@ -47,6 +49,12 @@ type Profile struct {
 	Matches int64
 	// CacheHits counts E/I extensions served from the intersection cache.
 	CacheHits int64
+	// CarriedSets counts E/I intersections seeded with the extension set
+	// their upstream stage carried down instead of re-reading the lists
+	// that set already intersects (vectorized engine only; zero under
+	// DisableCache). Each charges ICost the carried set's size plus the
+	// lists it still read.
+	CarriedSets int64
 	// HashedTuples and ProbedTuples count hash-join build and probe work
 	// (the n1/n2 of the paper's hash-join cost model).
 	HashedTuples, ProbedTuples int64
@@ -111,6 +119,7 @@ func (p *Profile) Add(other Profile) {
 	p.Intermediate += other.Intermediate
 	p.Matches += other.Matches
 	p.CacheHits += other.CacheHits
+	p.CarriedSets += other.CarriedSets
 	p.HashedTuples += other.HashedTuples
 	p.ProbedTuples += other.ProbedTuples
 	p.Kernels.Add(other.Kernels)

@@ -60,9 +60,9 @@ func newFactorizedTail(rc *runContext, specs []*extendSpec, idx, inWidth int) *f
 		out:         newTupleBatch(inWidth+len(specs), rc.batch),
 	}
 	for _, spec := range specs {
-		t.leaves = append(t.leaves, &batchExtendState{
-			es: extendState{spec: spec, useCache: !rc.cfg.DisableCache},
-		})
+		leaf := &batchExtendState{es: extendState{spec: spec}}
+		leaf.reset(rc)
+		t.leaves = append(t.leaves, leaf)
 	}
 	return t
 }
@@ -83,14 +83,25 @@ func (s *factorizedTail) reset(rc *runContext) {
 // i's extension set for prefix row r. Unlike the batch E/I operator's
 // consecutive-row run probe, the tail always goes through the keyed
 // cache: rows whose sets were skipped (an earlier leaf came up empty)
-// leave no stale run state behind.
-func (s *factorizedTail) leafSet(w *worker, in *tupleBatch, r, i int) []graph.VertexID {
+// leave no stale run state behind. An inheriting leaf is seeded with its
+// upstream's set: the previous leaf's, just computed for this row, or —
+// for the first leaf — the one the stage below the tail published for
+// r's run (cur walks them; leaf 0 is computed for every row).
+func (s *factorizedTail) leafSet(w *worker, in *tupleBatch, r, i int, cur *runCursor) []graph.VertexID {
 	leaf := s.leaves[i]
 	leaf.vals = leaf.vals[:0]
 	for _, d := range leaf.es.spec.op.Descriptors {
 		leaf.vals = append(leaf.vals, in.cols[d.TupleIdx][r])
 	}
-	ext := leaf.es.extensionSetFor(w, leaf.vals)
+	var carried []graph.VertexID
+	if leaf.inherit {
+		if i == 0 {
+			carried = cur.at(in, r)
+		} else {
+			carried = s.sets[i-1]
+		}
+	}
+	ext := leaf.es.extensionSetFor(w, leaf.vals, carried)
 	s.sets[i] = ext
 	return ext
 }
@@ -99,11 +110,12 @@ func (s *factorizedTail) leafSet(w *worker, in *tupleBatch, r, i int) []graph.Ve
 func (s *factorizedTail) pushBatch(w *worker, in *tupleBatch) {
 	counting := w.emit == nil
 	budget := w.rc.countBudget
+	var cur runCursor
 	for r := 0; r < in.n; r++ {
 		w.profile.FactorizedPrefixes++
 		product := int64(1)
 		for i := range s.leaves {
-			n := int64(len(s.leafSet(w, in, r, i)))
+			n := int64(len(s.leafSet(w, in, r, i, &cur)))
 			if n == 0 {
 				product = 0
 				break

@@ -139,6 +139,10 @@ func newWorker(rc *runContext, pipe *compiledPipeline, isRoot bool, emit func([]
 		words := 2 * w.batchSize
 		for _, st := range w.bstages {
 			words += st.outWidth() * w.batchSize
+			if es, ok := st.(*batchExtendState); ok {
+				// A publishing stage's run table: one more column's worth.
+				words += cap(es.out.runEnds)
+			}
 		}
 		w.memBytes = int64(words) * vertexIDBytes
 	}
@@ -432,13 +436,13 @@ func (w *worker) finish() {
 	if nc == nil {
 		return
 	}
-	nc.add(w.pipe.scan, w.scanOut, 0, 0, 0, 0)
+	nc.add(w.pipe.scan, OpStats{OutTuples: w.scanOut})
 	w.scanOut = 0
 	w.eachState(func(st *extendState) {
-		nc.add(st.spec.op, st.outTuples, st.icost, st.hits, 0, 0)
-		st.outTuples, st.icost, st.hits = 0, 0, 0
+		nc.add(st.spec.op, OpStats{OutTuples: st.outTuples, ICost: st.icost, CacheHits: st.hits, CarriedSets: st.carried})
+		st.outTuples, st.icost, st.hits, st.carried = 0, 0, 0, 0
 	}, func(st *probeState) {
-		nc.add(st.spec.op, st.outTuples, 0, 0, st.probes, int64(st.table.len()))
+		nc.add(st.spec.op, OpStats{OutTuples: st.outTuples, Probes: st.probes, BuildRows: int64(st.table.len())})
 		st.outTuples, st.probes = 0, 0
 	})
 }
@@ -485,7 +489,7 @@ type extendState struct {
 	meteredCap int
 
 	// Per-operator analysis counters (collected by worker.finish).
-	outTuples, icost, hits int64
+	outTuples, icost, hits, carried int64
 }
 
 // reset readies the state for reuse by a pooled worker: cache validity
@@ -497,7 +501,7 @@ func (s *extendState) reset(useCache bool) {
 	// The retained buffers are now held on behalf of the next run: its
 	// budget is recharged for their full capacity on first use.
 	s.meteredCap = 0
-	s.outTuples, s.icost, s.hits = 0, 0, 0
+	s.outTuples, s.icost, s.hits, s.carried = 0, 0, 0, 0
 }
 
 //gf:noalloc
@@ -512,15 +516,19 @@ func (s *extendState) extensionSet(w *worker) []graph.VertexID {
 	for _, d := range s.spec.op.Descriptors {
 		s.valBuf = append(s.valBuf, w.tuple[d.TupleIdx])
 	}
-	return s.extensionSetFor(w, s.valBuf)
+	return s.extensionSetFor(w, s.valBuf, nil)
 }
 
 // extensionSetFor computes (or serves from the intersection cache) the
 // extension set for the given descriptor source vertices, one per
-// descriptor in declaration order.
+// descriptor in declaration order. carried, when non-nil, is the
+// extension set the upstream stage already computed over the descriptors
+// in spec.covered (the vectorized engine's inheriting stages): the set is
+// then carried ∩ (the remaining descriptors' lists) and the covered
+// lists are never read. The oracle always passes nil.
 //
 //gf:noalloc
-func (s *extendState) extensionSetFor(w *worker, vals []graph.VertexID) []graph.VertexID {
+func (s *extendState) extensionSetFor(w *worker, vals, carried []graph.VertexID) []graph.VertexID {
 	op := s.spec.op
 	descs := op.Descriptors
 	// Cache lookup.
@@ -544,50 +552,83 @@ func (s *extendState) extensionSetFor(w *worker, vals []graph.VertexID) []graph.
 	if s.readers == nil {
 		s.readers = make([]graph.NeighborReader, len(descs)) //gf:allowalloc one-time per-descriptor reader setup, retained across tuples
 	}
-	// Gather descriptor lists; i-cost counts every accessed list's size
-	// (Equation 1).
+	covered := uint32(0)
+	if carried != nil {
+		covered = s.spec.covered
+		w.profile.CarriedSets++
+		s.carried++
+	}
+	// Gather the lists to intersect: the carried set, if any, then one
+	// adjacency run per descriptor it does not cover. i-cost counts every
+	// accessed list's size (Equation 1) — the carried set stands in for
+	// the lists it replaces.
 	s.lists = s.lists[:0]
+	if carried != nil {
+		s.lists = append(s.lists, carried)
+	}
 	for i, d := range descs {
-		list := s.readers[i].Read(w.g, vals[i], d.Dir, d.EdgeLabel, op.TargetLabel)
-		w.profile.ICost += int64(len(list))
-		s.icost += int64(len(list))
-		s.lists = append(s.lists, list)
+		if covered&(1<<uint(i)) == 0 {
+			s.lists = append(s.lists, s.readers[i].Read(w.g, vals[i], d.Dir, d.EdgeLabel, op.TargetLabel))
+		}
+	}
+	cost := int64(0)
+	for _, l := range s.lists {
+		cost += int64(len(l))
+	}
+	w.profile.ICost += cost
+	s.icost += cost
+	if carried == nil && len(s.lists) == 1 {
+		ext := s.lists[0]
+		if s.useCache {
+			// The single-descriptor alias is never assigned to cacheBuf, so
+			// the next multiway intersection cannot scribble over graph
+			// storage.
+			s.cacheExt = ext
+			s.cacheValid = true
+		}
+		return ext
+	}
+	// Multiway extension: fetch hub bitset indexes only for the adjacency
+	// runs the shared pre-filter says could win a bitset kernel (s.bits
+	// aligns with them; a carried set has no index). Extensions over
+	// ordinary-degree vertices (and dead ends with an empty list) pay
+	// nothing for the index's existence.
+	runs := s.lists
+	if carried != nil {
+		runs = s.lists[1:]
+	}
+	s.bits = s.bits[:0]
+	if floor, ok := graph.BitsetFetchFloor(s.lists, w.nWords); ok {
+		for i, d := range descs {
+			if covered&(1<<uint(i)) != 0 {
+				continue
+			}
+			var bs *graph.Bitset
+			if len(runs[len(s.bits)]) >= floor {
+				bs = w.g.NeighborBitset(vals[i], d.Dir, d.EdgeLabel, op.TargetLabel)
+			}
+			s.bits = append(s.bits, bs)
+		}
 	}
 	var ext []graph.VertexID
-	if len(s.lists) == 1 {
-		ext = s.lists[0]
+	if carried != nil {
+		ext, s.scratch = s.it.IntersectSeeded(carried, runs, s.bits, s.cacheBuf[:0], s.scratch)
 	} else {
-		// Multiway extension: fetch hub bitset indexes only for the lists
-		// the shared pre-filter says could win a bitset kernel. Extensions
-		// over ordinary-degree vertices (and dead ends with an empty list)
-		// pay nothing for the index's existence.
-		s.bits = s.bits[:0]
-		if floor, ok := graph.BitsetFetchFloor(s.lists, w.nWords); ok {
-			for i, d := range descs {
-				var bs *graph.Bitset
-				if len(s.lists[i]) >= floor {
-					bs = w.g.NeighborBitset(vals[i], d.Dir, d.EdgeLabel, op.TargetLabel)
-				}
-				s.bits = append(s.bits, bs)
-			}
-		}
-		ext, s.scratch = s.it.IntersectK(s.lists, s.bits, s.cacheBuf[:0], s.scratch)
-		// Charge kernel-buffer growth (the factorized extension-set caches
-		// of the memory budget) — capacity deltas only, so a warm cache
-		// costs one compare per intersection. Exhaustion is observed at
-		// the next pollpoint.
-		if n := cap(ext) + cap(s.scratch); n > s.meteredCap {
-			w.rc.mem.Reserve(int64(n-s.meteredCap) * vertexIDBytes)
-			s.meteredCap = n
-		}
+		ext, s.scratch = s.it.IntersectK(runs, s.bits, s.cacheBuf[:0], s.scratch)
+	}
+	// cacheBuf stays the owned kernel output buffer whether or not the
+	// cache is on: with it off every intersection still writes into the
+	// same storage instead of growing a fresh slice.
+	s.cacheBuf = ext
+	// Charge kernel-buffer growth (the factorized extension-set caches of
+	// the memory budget) — capacity deltas only, so a warm cache costs one
+	// compare per intersection. Exhaustion is observed at the next
+	// pollpoint.
+	if n := cap(ext) + cap(s.scratch); n > s.meteredCap {
+		w.rc.mem.Reserve(int64(n-s.meteredCap) * vertexIDBytes)
+		s.meteredCap = n
 	}
 	if s.useCache {
-		if len(s.lists) > 1 {
-			// cacheBuf stays the owned kernel output buffer; the
-			// single-descriptor alias is never assigned to it, so the next
-			// multiway intersection cannot scribble over graph storage.
-			s.cacheBuf = ext
-		}
 		s.cacheExt = ext
 		s.cacheValid = true
 	}

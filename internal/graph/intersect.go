@@ -209,12 +209,22 @@ func (it *Intersector) IntersectK(lists [][]VertexID, bits []*Bitset, out, scrat
 		out = append(out[:0], lists[0]...)
 		return out, scratch
 	}
-	// Order shortest first to bound intermediate sizes. Insertion sort:
-	// descriptor counts are tiny and sort.Slice would allocate its
-	// closure on every call.
-	// bits may be shorter than lists (callers pass an empty slice when
-	// the pre-filter proves no index can help); missing entries mean no
-	// index.
+	refs := it.order(lists, bits)
+	out = it.intersectPair(refs[0], refs[1], out)
+	for i := 2; i < len(refs) && len(out) > 0; i++ {
+		scratch = it.intersectInto(out, refs[i], scratch)
+		out, scratch = scratch, out
+	}
+	return out, scratch
+}
+
+// order loads lists (with their optional indexes) into the reusable ref
+// scratch, shortest first to bound intermediate sizes. Insertion sort:
+// descriptor counts are tiny and sort.Slice would allocate its closure
+// on every call. bits may be shorter than lists (callers pass an empty
+// slice when the pre-filter proves no index can help); missing entries
+// mean no index.
+func (it *Intersector) order(lists [][]VertexID, bits []*Bitset) []listRef {
 	it.refs = it.refs[:0]
 	for i, l := range lists {
 		ref := listRef{list: l}
@@ -229,11 +239,32 @@ func (it *Intersector) IntersectK(lists [][]VertexID, bits []*Bitset, out, scrat
 			refs[j], refs[j-1] = refs[j-1], refs[j]
 		}
 	}
+	return refs
+}
 
-	out = it.intersectPair(refs[0], refs[1], out)
-	for i := 2; i < len(refs) && len(out) > 0; i++ {
-		scratch = it.intersectInto(out, refs[i], scratch)
+// IntersectSeeded intersects seed — an already-computed sorted set, such
+// as the extension set an upstream E/I stage carried down — with lists,
+// shortest-first, through the same per-step kernel dispatch as
+// IntersectK (seed carries no index, so each step is a bitset probe, a
+// gallop or a merge of the running result into the next list). bits
+// aligns with lists as in IntersectK. The result is written into out,
+// ping-ponging with scratch; neither may alias seed, which is only
+// read. With no lists the result is a copy of seed.
+//
+//gf:noalloc
+func (it *Intersector) IntersectSeeded(seed []VertexID, lists [][]VertexID, bits []*Bitset, out, scratch []VertexID) (result, newScratch []VertexID) {
+	if len(lists) == 0 {
+		out = append(out[:0], seed...)
+		return out, scratch
+	}
+	r := seed
+	for _, ref := range it.order(lists, bits) {
+		scratch = it.intersectInto(r, ref, scratch)
 		out, scratch = scratch, out
+		r = out
+		if len(r) == 0 {
+			break
+		}
 	}
 	return out, scratch
 }

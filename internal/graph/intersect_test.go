@@ -161,6 +161,19 @@ func TestIntersectKDifferential(t *testing.T) {
 		if !equalIDs(got, want) {
 			t.Fatalf("trial %d: wrapper IntersectK = %v, want %v", trial, got, want)
 		}
+		// Seeding with the intersection of a prefix of the lists and
+		// intersecting the rest in must land on the same set — with no
+		// lists left, on a copy of the seed.
+		cut := 1 + rng.Intn(k)
+		seed := naiveIntersect(lists[:cut]...)
+		seedCopy := append([]VertexID(nil), seed...)
+		out, scratch = it.IntersectSeeded(seed, lists[cut:], bits[cut:], out, scratch)
+		if !equalIDs(out, want) {
+			t.Fatalf("trial %d: IntersectSeeded(cut=%d of %d) = %v, want %v", trial, cut, k, out, want)
+		}
+		if !equalIDs(seed, seedCopy) || (len(out) > 0 && len(seed) > 0 && &out[0] == &seed[0]) {
+			t.Fatalf("trial %d: IntersectSeeded wrote to or aliased its seed", trial)
+		}
 	}
 }
 
@@ -242,6 +255,25 @@ func TestIntersectorZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+	// The carried-set entry point: a seed probed into an indexed list,
+	// merged with a plain one, and copied when nothing is left to read.
+	t.Run("seeded", func(t *testing.T) {
+		var it Intersector
+		var out, scratch []VertexID
+		lists := [][]VertexID{long, mid}
+		bits := []*Bitset{NewBitsetFromSorted(long), nil}
+		body := func() {
+			out, scratch = it.IntersectSeeded(short, lists, bits, out, scratch)
+			out, scratch = it.IntersectSeeded(short, nil, nil, out, scratch)
+		}
+		body()
+		if it.Counters.BitsetProbe == 0 {
+			t.Fatalf("seeded probe never dispatched (counters %+v)", it.Counters)
+		}
+		if allocs := testing.AllocsPerRun(100, body); allocs != 0 {
+			t.Errorf("IntersectSeeded allocates %.1f per run, want 0", allocs)
+		}
+	})
 }
 
 // decodeFuzzList turns fuzz bytes into a strictly increasing ID list:

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"math"
 	"math/bits"
 
 	"graphflow/internal/catalogue"
@@ -123,9 +124,10 @@ func (c *context) cardinality(mask query.Mask) float64 {
 	return out
 }
 
-// extendCost returns the estimated i-cost of an E/I operator that extends
-// the subquery on childMask (already computed by childPlan) with vertex v
-// (Equations 1-2 with the cache-conscious refinement of Section 5.2).
+// extendCost returns the estimated i-cost of the E/I operator ext, which
+// extends the subquery on childMask (already computed by ext.Child) with
+// one vertex (Equations 1-2 with the cache-conscious refinement of
+// Section 5.2).
 //
 // The executor's intersection cache reuses the previous extension set when
 // consecutive tuples agree on every descriptor anchor. Tuples stream in
@@ -134,10 +136,27 @@ func (c *context) cardinality(mask query.Mask) float64 {
 // number of distinct intersections collapses from card(childMask) to
 // card(childMask minus the last-added vertex). A SCAN groups its tuples by
 // source vertex, so its "last added" is the destination.
-func (c *context) extendCost(childMask query.Mask, v int, childPlan plan.Node) float64 {
+//
+// An inheriting extension (plan.Extend.Inherited: the child E/I's
+// descriptors are a subset of ext's) is priced the way the executor runs
+// it: the child's extension set, of expected size µ(child) — at least one,
+// since only a non-empty set produces rows to extend — stands in for the
+// lists it already intersects. Carrying is the intersection cache
+// generalised, so cache-oblivious costing ignores it too.
+func (c *context) extendCost(childMask query.Mask, ext *plan.Extend) float64 {
+	v := ext.TargetVertex
 	st := c.extension(childMask, v)
-	return c.reuseMult(childMask, st.edges, v, childPlan) *
-		catalogue.StarLeafICost(st.sizes, c.opts.HubThreshold)
+	mult := c.reuseMult(childMask, st.edges, v, ext.Child)
+	// NewExtend derives descriptors from the same EdgesBetween walk as
+	// st.edges, so descriptor i is st.sizes[i]; the length check guards
+	// externally built plans (EstimateCost).
+	covered := ext.Inherited()
+	if covered == 0 || c.opts.CacheOblivious || len(st.sizes) != len(ext.Descriptors) {
+		return mult * catalogue.StarLeafICost(st.sizes, c.opts.HubThreshold)
+	}
+	up := ext.Child.(*plan.Extend).TargetVertex
+	set := math.Max(1, c.extension(childMask&^query.Bit(up), up).mu)
+	return mult * catalogue.CarriedICost(set, st.sizes, covered, c.opts.HubThreshold)
 }
 
 // reuseMult estimates the number of distinct intersections the E/I

@@ -189,7 +189,7 @@ func dynamicProgram(ctx *context) map[query.Mask]*planInfo {
 				if err != nil {
 					continue
 				}
-				consider(&planInfo{node: ext, cost: child.cost + ctx.extendCost(rest, v, child.node)})
+				consider(&planInfo{node: ext, cost: child.cost + ctx.extendCost(rest, ext)})
 			}
 			// (iii) binary join of two smaller best plans.
 			for _, cand := range joinCandidates(ctx, mask, table) {
@@ -210,7 +210,7 @@ func dynamicProgram(ctx *context) map[query.Mask]*planInfo {
 				if err != nil {
 					continue
 				}
-				consider(&planInfo{node: ext, cost: child.cost + ctx.extendCost(rest, v, child.node)})
+				consider(&planInfo{node: ext, cost: child.cost + ctx.extendCost(rest, ext)})
 			}
 		}
 		if best != nil {
@@ -329,7 +329,7 @@ func beamSearch(ctx *context) map[query.Mask]*planInfo {
 			if err != nil {
 				return
 			}
-			cost := child.cost + ctx.extendCost(rest, v, child.node)
+			cost := child.cost + ctx.extendCost(rest, ext)
 			if cur, ok := cands[mask]; !ok || cost < cur.cost {
 				cands[mask] = &planInfo{node: ext, cost: cost}
 			}
@@ -403,7 +403,7 @@ func EstimateCost(q *query.Graph, p *plan.Plan, opts Options) float64 {
 			return 0
 		case *plan.Extend:
 			childMask := plan.CoverMask(op.Child)
-			return rec(op.Child) + ctx.extendCost(childMask, op.TargetVertex, op.Child)
+			return rec(op.Child) + ctx.extendCost(childMask, op)
 		case *plan.HashJoin:
 			return rec(op.Build) + rec(op.Probe) + ctx.joinCost(plan.CoverMask(op.Build), plan.CoverMask(op.Probe))
 		default:

@@ -337,3 +337,64 @@ func TestCalibrateProducesSaneWeights(t *testing.T) {
 		t.Errorf("hash insert should cost at least a probe: w1=%v w2=%v", w1, w2)
 	}
 }
+
+// TestCarriedSetPricing checks that the cost model prices an inheriting
+// extension the way the executor runs it. On the 4-clique's WCO chain the
+// last stage reads the carried set plus one list instead of three lists:
+// the estimate must drop below the cache-oblivious one (which on this
+// chain — every descriptor reads the last-added vertex — differs only by
+// the carried pricing), and it must track the measured i-cost at least as
+// closely as the oblivious estimate tracks the oracle's.
+func TestCarriedSetPricing(t *testing.T) {
+	q := query.MustParse("a->b, a->c, b->c, a->d, b->d, c->d")
+	// A clustered graph, so the carried triangle-closing sets are a large
+	// share of the work (the benchmark's hot-count graph).
+	ljG := datagen.LiveJournal(1)
+	ljCat := catalogue.Build(ljG, catalogue.Config{H: 3, Z: 500, MaxInstances: 300, Seed: 7})
+	wco, err := EnumerateWCOPlans(q, Options{Catalogue: ljCat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p *plan.Plan
+	for _, cand := range wco {
+		if top, ok := cand.Plan.Root.(*plan.Extend); ok && top.Inherited() != 0 {
+			p = cand.Plan
+			break
+		}
+	}
+	if p == nil {
+		t.Fatal("no WCO ordering of the 4-clique inherits")
+	}
+	carried := EstimateCost(q, p, Options{Catalogue: ljCat})
+	oblivious := EstimateCost(q, p, Options{Catalogue: ljCat, CacheOblivious: true})
+	if carried >= oblivious {
+		t.Fatalf("carried estimate %.0f not below the cache-oblivious %.0f\n%s", carried, oblivious, p.Describe())
+	}
+	cp, err := exec.Compile(ljG, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := cp.Count(exec.RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, oracle, err := cp.Count(exec.RunConfig{TupleAtATime: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.CarriedSets == 0 || got.ICost >= oracle.ICost {
+		t.Fatalf("executor did not carry: i-cost %d (oracle %d), carried sets %d", got.ICost, oracle.ICost, got.CarriedSets)
+	}
+	qerr := func(est float64, actual int64) float64 {
+		r := est / float64(actual)
+		if r < 1 {
+			r = 1 / r
+		}
+		return r
+	}
+	t.Logf("estimate %.0f vs measured %d (q-error %.2f); oblivious %.0f vs oracle %d (q-error %.2f)",
+		carried, got.ICost, qerr(carried, got.ICost), oblivious, oracle.ICost, qerr(oblivious, oracle.ICost))
+	if c, o := qerr(carried, got.ICost), qerr(oblivious, oracle.ICost); c > 1.25*o || c > 2 {
+		t.Errorf("carried estimate q-error %.2f, cache-oblivious baseline %.2f: pricing drifted from what the executor does", c, o)
+	}
+}

@@ -79,7 +79,7 @@ func EnumeratePlans(q *query.Graph, opts Options, maxPerMask int) ([]SpectrumPla
 					if err != nil {
 						continue
 					}
-					add(ext, child.cost+ctx.extendCost(rest, v, child.node))
+					add(ext, child.cost+ctx.extendCost(rest, ext))
 				}
 			}
 			// Binary joins.

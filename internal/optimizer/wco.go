@@ -38,7 +38,7 @@ func enumerateWCOBest(ctx *context) map[query.Mask]*planInfo {
 			}
 			// extendCost reads the child's trailing chain off node, so the
 			// last-added vertex needs no explicit threading.
-			rec(mask|query.Bit(v), ext, cost+ctx.extendCost(mask, v, node))
+			rec(mask|query.Bit(v), ext, cost+ctx.extendCost(mask, ext))
 		}
 	}
 	for _, e := range q.Edges {
@@ -100,7 +100,7 @@ func EnumerateWCOPlans(q *query.Graph, opts Options) ([]WCOPlan, error) {
 			}
 			stepSig := ctx.stepSignature(mask, v, lastAdded)
 			rec(append(order, v), mask|query.Bit(v), v, ext,
-				cost+ctx.extendCost(mask, v, node), append(sig, stepSig))
+				cost+ctx.extendCost(mask, ext), append(sig, stepSig))
 		}
 	}
 	for _, e := range q.Edges {

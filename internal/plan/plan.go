@@ -132,11 +132,56 @@ func (e *Extend) Out() []int { return e.out }
 // Children implements Node.
 func (e *Extend) Children() []Node { return []Node{e.Child} }
 
-// String implements fmt.Stringer.
+// Inherited reports which of e's descriptors its child's extension set
+// already covers, as a bitmask over descriptor indices; 0 means e does
+// not inherit. e inherits when its child is an E/I operator with at
+// least two descriptors, the same target label, and every child
+// descriptor (same slot, direction and edge label) among e's own: the
+// child's extension set S is then exactly the intersection of those
+// lists, every child output row carries one element of S, and e's
+// extension set is S ∩ (the lists of the descriptors not covered). The
+// vectorized executor carries S downstream instead of re-reading the
+// covered lists (exec's carried extension sets), and the optimizer
+// prices the operator the same way. The size floor keeps single-list
+// extends out: their "set" is an adjacency run the store already owns.
+// (An operator has fewer descriptors than query.MaxVertices, so the mask
+// always fits.)
+func (e *Extend) Inherited() uint32 {
+	up, ok := e.Child.(*Extend)
+	if !ok || len(up.Descriptors) < 2 || len(up.Descriptors) > len(e.Descriptors) ||
+		up.TargetLabel != e.TargetLabel {
+		return 0
+	}
+	covered := uint32(0)
+	for _, u := range up.Descriptors {
+		found := false
+		for i, d := range e.Descriptors {
+			if d == u {
+				covered |= 1 << uint(i)
+				found = true
+				break
+			}
+		}
+		if !found {
+			return 0
+		}
+	}
+	return covered
+}
+
+// String implements fmt.Stringer. An inheriting operator (see Inherited)
+// renders the covered descriptors as one ↑ — the set handed up by its
+// child — followed by the lists it still reads.
 func (e *Extend) String() string {
-	ds := make([]string, len(e.Descriptors))
+	covered := e.Inherited()
+	var ds []string
+	if covered != 0 {
+		ds = append(ds, "↑")
+	}
 	for i, d := range e.Descriptors {
-		ds[i] = d.String()
+		if covered&(1<<uint(i)) == 0 {
+			ds = append(ds, d.String())
+		}
 	}
 	return fmt.Sprintf("EXTEND(a%d <- %s)", e.TargetVertex+1, strings.Join(ds, "∩"))
 }

@@ -162,3 +162,31 @@ func TestKindBJ(t *testing.T) {
 		t.Errorf("kind = %q, want bj", p.Kind())
 	}
 }
+
+// TestExtendInherited pins the carried-set rule at the plan level: which
+// descriptors the child's extension set covers, and the ↑ rendering.
+func TestExtendInherited(t *testing.T) {
+	clique := query.MustParse("a->b, a->c, b->c, a->d, b->d, c->d")
+	top := wcoPlan(t, clique, []int{0, 1, 2, 3}).Root.(*Extend)
+	covered := top.Inherited()
+	if covered == 0 {
+		t.Fatalf("4-clique's last extension does not inherit: %s", top)
+	}
+	for i, d := range top.Descriptors {
+		if want := d.TupleIdx < 2; covered&(1<<uint(i)) != 0 != want {
+			t.Errorf("descriptor %s covered = %v, want %v", d, !want, want)
+		}
+	}
+	if got, want := top.String(), "EXTEND(a4 <- ↑∩(2,fwd))"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+	if mid := top.Child.(*Extend); mid.Inherited() != 0 || strings.Contains(mid.String(), "↑") {
+		t.Errorf("extension above a scan inherits: %s", mid)
+	}
+	// The diamond-X's last extension reads {b, c}: it shares b with the
+	// triangle close below it but does not contain it.
+	diamond := wcoPlan(t, query.Q4(), []int{0, 1, 2, 3}).Root.(*Extend)
+	if diamond.Inherited() != 0 {
+		t.Errorf("diamond-X's last extension inherits: %s", diamond)
+	}
+}

@@ -367,3 +367,55 @@ func TestCatalogueMetricsIngestOnly(t *testing.T) {
 		t.Fatal("build-duration histogram does not hold both builds")
 	}
 }
+
+// TestCarriedSetsSurfaces checks the one counter the carried extension
+// sets add, everywhere it is promised: a 4-clique count response reports
+// kernels.carried_sets > 0, /stats and /metrics accumulate it, and
+// EXPLAIN ANALYZE renders the inheriting operator with ↑ and carried=.
+func TestCarriedSetsSurfaces(t *testing.T) {
+	const clique4 = "a->b, a->c, b->c, a->d, b->d, c->d"
+	s := newTestServer(t, Config{})
+	w := do(t, s, http.MethodPost, "/query", map[string]any{"pattern": clique4, "wco": true})
+	if w.Code != http.StatusOK {
+		t.Fatalf("/query = %d: %s", w.Code, w.Body)
+	}
+	var resp struct {
+		Kernels struct {
+			CarriedSets int64 `json:"carried_sets"`
+		} `json:"kernels"`
+	}
+	mustDecode(t, w.Body.Bytes(), &resp)
+	if resp.Kernels.CarriedSets <= 0 {
+		t.Fatalf("count response kernels.carried_sets = %d, want > 0: %s", resp.Kernels.CarriedSets, w.Body)
+	}
+	var stats struct {
+		Kernels struct {
+			CarriedSets int64 `json:"carried_sets"`
+		} `json:"kernels"`
+	}
+	mustDecode(t, do(t, s, http.MethodGet, "/stats", nil).Body.Bytes(), &stats)
+	if stats.Kernels.CarriedSets != resp.Kernels.CarriedSets {
+		t.Errorf("/stats kernels.carried_sets = %d, the one served query reported %d", stats.Kernels.CarriedSets, resp.Kernels.CarriedSets)
+	}
+	fams, err := metrics.ParseText(bytes.NewReader(do(t, s, http.MethodGet, "/metrics", nil).Body.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, f := range fams {
+		if f.Name == "graphflow_exec_carried_sets_total" {
+			found = len(f.Series) == 1 && f.Series[0].Value == float64(resp.Kernels.CarriedSets)
+		}
+	}
+	if !found {
+		t.Errorf("graphflow_exec_carried_sets_total missing or not %d", resp.Kernels.CarriedSets)
+	}
+	w = do(t, s, http.MethodPost, "/explain", map[string]any{"pattern": clique4, "wco": true, "analyze": true})
+	var explained struct {
+		Plan string `json:"plan"`
+	}
+	mustDecode(t, w.Body.Bytes(), &explained)
+	if !strings.Contains(explained.Plan, "<- ↑∩") || !strings.Contains(explained.Plan, "carried=") {
+		t.Errorf("analyzed 4-clique plan does not show the inheriting operator:\n%s", explained.Plan)
+	}
+}

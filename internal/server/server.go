@@ -200,6 +200,9 @@ type Server struct {
 	// per-run statistics), surfaced by /stats as the serving-layer view
 	// of the degree-adaptive intersection engine.
 	kernelMerge, kernelGallop, kernelBitsetProbe, kernelBitsetAnd atomic.Int64
+	// carriedSets totals the intersections seeded with an upstream
+	// stage's extension set (Stats.CarriedSets), reported beside them.
+	carriedSets atomic.Int64
 
 	// Per-stage batch dispatch totals of the vectorized engine, same
 	// accumulation rules as the kernel counters.
@@ -328,6 +331,9 @@ func (s *Server) registerMetrics() {
 			"Intersection-kernel dispatches across served count queries.",
 			func() float64 { return float64(c.Load()) }, "kernel", k.name)
 	}
+	s.reg.CounterFunc("graphflow_exec_carried_sets_total",
+		"E/I intersections seeded with the upstream stage's extension set across served count queries.",
+		func() float64 { return float64(s.carriedSets.Load()) })
 	s.reg.CounterFunc("graphflow_exec_factorized_prefixes_total",
 		"Prefixes that reached a factorized tail across served count queries.",
 		func() float64 { return float64(s.factorizedPrefixes.Load()) })
@@ -492,6 +498,9 @@ type kernelCounts struct {
 	Gallop      int64 `json:"gallop"`
 	BitsetProbe int64 `json:"bitset_probe"`
 	BitsetAnd   int64 `json:"bitset_and"`
+	// CarriedSets counts the intersections that started from the set an
+	// upstream E/I stage carried down rather than from adjacency lists.
+	CarriedSets int64 `json:"carried_sets"`
 }
 
 type errorResponse struct {
@@ -739,6 +748,7 @@ func (s *Server) execute(r *http.Request, name string, pq *graphflow.PreparedQue
 			Gallop:      st.KernelGallop,
 			BitsetProbe: st.KernelBitsetProbe,
 			BitsetAnd:   st.KernelBitsetAnd,
+			CarriedSets: st.CarriedSets,
 		}
 		resp.Batches = &batchCounts{
 			Scan:   st.ScanBatches,
@@ -754,6 +764,7 @@ func (s *Server) execute(r *http.Request, name string, pq *graphflow.PreparedQue
 		s.kernelGallop.Add(st.KernelGallop)
 		s.kernelBitsetProbe.Add(st.KernelBitsetProbe)
 		s.kernelBitsetAnd.Add(st.KernelBitsetAnd)
+		s.carriedSets.Add(st.CarriedSets)
 		s.batchScan.Add(st.ScanBatches)
 		s.batchExtend.Add(st.ExtendBatches)
 		s.batchProbe.Add(st.ProbeBatches)
@@ -1243,6 +1254,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Gallop:      s.kernelGallop.Load(),
 		BitsetProbe: s.kernelBitsetProbe.Load(),
 		BitsetAnd:   s.kernelBitsetAnd.Load(),
+		CarriedSets: s.carriedSets.Load(),
 	}
 	resp.Batches = batchCounts{
 		Scan:   s.batchScan.Load(),
