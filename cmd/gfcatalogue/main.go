@@ -80,7 +80,7 @@ func main() {
 	fmt.Printf("catalogue: %d extension entries, %d vertices indexed\n", cat.Len(), cat.NumVertices)
 	if *inspect {
 		type row struct {
-			key string
+			key catalogue.Key
 			mu  float64
 		}
 		var rows []row

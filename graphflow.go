@@ -178,6 +178,9 @@ type DB struct {
 	// generations are numbered in the order they were sampled.
 	buildMu      sync.Mutex
 	buildSeconds *metrics.Histogram
+	// planSeconds observes every optimizer.Optimize a plan-cache miss (or
+	// a cache-skipping query) pays.
+	planSeconds *metrics.Histogram
 	// refreshMu guards the single-flight state of the background
 	// refresher; refreshWG lets Close wait for it to exit.
 	refreshMu  sync.Mutex
@@ -329,6 +332,7 @@ func newDB(g *graph.Graph, opts Options) (*DB, error) {
 		gov:  resource.NewGovernor(opts.MemGlobalBytes),
 
 		buildSeconds: metrics.NewHistogram(catalogueBuildBuckets),
+		planSeconds:  metrics.NewHistogram(planBuckets),
 	}
 	if opts.HubDegreeThreshold != 0 && opts.HubDegreeThreshold != g.HubThreshold() {
 		// Graphs from paths that could not thread the knob into their
@@ -389,6 +393,11 @@ const statsDriftDivisor = 10
 // catalogueBuildBuckets spans catalogue builds: milliseconds on small
 // unlabelled graphs up to the sampler's work budget on labelled ones.
 var catalogueBuildBuckets = []float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
+
+// planBuckets spans one optimizer.Optimize: tens of microseconds for the
+// 4–6 vertex patterns the exact DP plans, up to seconds for the largest
+// queries under the beam search.
+var planBuckets = []float64{0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.05, 0.25, 1}
 
 // statistics is one published statistics generation: a catalogue and
 // what the graph looked like when it was sampled. Immutable once
@@ -631,8 +640,9 @@ func (db *DB) dropStaleBindings() {
 }
 
 // preparedFor returns the plan for the canonical query canon (from the
-// cache when possible) bound to the current epoch.
-func (db *DB) preparedFor(canon *query.Graph, wcoOnly, skipCache bool) (*preparedPlan, error) {
+// cache when possible) bound to the current epoch, and how long the
+// optimizer took when the plan had to be made (0 on a cache hit).
+func (db *DB) preparedFor(canon *query.Graph, wcoOnly, skipCache bool) (*preparedPlan, time.Duration, error) {
 	snap := db.store.Snapshot()
 	st := db.planningStats()
 	var (
@@ -649,7 +659,9 @@ func (db *DB) preparedFor(canon *query.Graph, wcoOnly, skipCache bool) (*prepare
 		cp, _ = db.plans.Get(key)
 	}
 	cached := cp != nil
+	var planTook time.Duration
 	if !cached {
+		planStart := time.Now()
 		p, err := optimizer.Optimize(canon, optimizer.Options{
 			Catalogue:    st.cat,
 			W1:           db.w1,
@@ -662,13 +674,15 @@ func (db *DB) preparedFor(canon *query.Graph, wcoOnly, skipCache bool) (*prepare
 			Factorized: true,
 		})
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
+		planTook = time.Since(planStart)
+		db.planSeconds.ObserveDuration(planTook)
 		cp = &cachedPlan{plan: p, gen: st.gen}
 	}
 	pp, err := cp.bind(snap)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if !cached && key != "" {
 		db.plans.Put(key, cp)
@@ -681,7 +695,7 @@ func (db *DB) preparedFor(canon *query.Graph, wcoOnly, skipCache bool) (*prepare
 	if db.store.Snapshot() != snap {
 		cp.bound.CompareAndSwap(pp, nil)
 	}
-	return pp, nil
+	return pp, planTook, nil
 }
 
 // PlanCacheStats reports the DB's compiled-plan cache effectiveness; all
@@ -719,6 +733,9 @@ type PreparedQuery struct {
 	// name, for Match output. The canonical form depends only on the
 	// pattern, so names stay valid across re-plans.
 	names []string
+	// planTook is what the optimizer took to plan this query when it was
+	// prepared; 0 when the plan cache already held its plan.
+	planTook time.Duration
 	// cur is the most recently resolved plan; it is replaced on first use
 	// after an epoch bump or a new statistics generation.
 	cur atomic.Pointer[preparedPlan]
@@ -732,7 +749,7 @@ func (pq *PreparedQuery) resolve() (*preparedPlan, error) {
 	if pp.snap == pq.db.store.Snapshot() && pp.gen == pq.db.stats.Load().gen {
 		return pp, nil
 	}
-	pp, err := pq.db.preparedFor(pq.canon, pq.wcoOnly, pq.skipCache)
+	pp, _, err := pq.db.preparedFor(pq.canon, pq.wcoOnly, pq.skipCache)
 	if err != nil {
 		return nil, err
 	}
@@ -763,7 +780,7 @@ func (db *DB) prepare(pattern string, wcoOnly, skipCache bool) (*PreparedQuery, 
 		return nil, err
 	}
 	canon, perm := q.Canonical()
-	pp, err := db.preparedFor(canon, wcoOnly, skipCache)
+	pp, planTook, err := db.preparedFor(canon, wcoOnly, skipCache)
 	if err != nil {
 		return nil, err
 	}
@@ -771,7 +788,7 @@ func (db *DB) prepare(pattern string, wcoOnly, skipCache bool) (*PreparedQuery, 
 	for orig, canon := range perm {
 		names[canon] = q.Vertices[orig].Name
 	}
-	pq := &PreparedQuery{db: db, canon: canon, wcoOnly: wcoOnly, skipCache: skipCache, names: names}
+	pq := &PreparedQuery{db: db, canon: canon, wcoOnly: wcoOnly, skipCache: skipCache, names: names, planTook: planTook}
 	pq.cur.Store(pp)
 	return pq, nil
 }
@@ -875,6 +892,11 @@ func (pq *PreparedQuery) PlanDigest() string {
 	io.WriteString(h, pp.plan.Describe())
 	return strconv.FormatUint(h.Sum64(), 16)
 }
+
+// PlanTime returns how long the optimizer took to plan the query when it
+// was prepared, or 0 when the plan cache served it: the share of an
+// ad-hoc query's latency that a cache hit would not have paid.
+func (pq *PreparedQuery) PlanTime() time.Duration { return pq.planTook }
 
 // PlanKind returns the prepared plan's kind ("wco", "bj" or "hybrid")
 // without rendering the operator tree — cheap enough for per-request
@@ -1345,6 +1367,8 @@ func (db *DB) RegisterMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(db.PlanCacheStats().Misses) })
 	reg.CounterFunc("graphflow_plan_cache_evictions_total", "Plans evicted to respect the cache size bound.",
 		func() float64 { return float64(db.PlanCacheStats().Evictions) })
+	reg.RegisterHistogram("graphflow_plan_seconds", "Optimizer time per planned query (plan-cache misses and cache-skipping queries).",
+		db.planSeconds)
 
 	reg.GaugeFunc("graphflow_catalogue_generation", "Published statistics generation (0 = the catalogue built at open).",
 		func() float64 { return float64(db.CatalogueStats().Generation) })

@@ -315,23 +315,15 @@ func newAdaptiveChain(g graph.View, cat *catalogue.Catalogue, q *query.Graph, so
 		for _, v := range ov {
 			st := step{target: v, targetLabel: q.Vertices[v].Label}
 			// Build descriptors and fetch catalogue estimates.
-			base, orig := q.Project(mask)
-			newIdx := map[int]int{}
-			for ni, ovx := range orig {
-				newIdx[ovx] = ni
-			}
-			targetIdx := base.NumVertices()
-			var extEdges []query.Edge
 			for _, e := range q.EdgesBetween(mask, v) {
 				if e.From == v {
 					st.descs = append(st.descs, desc{slot: slotOf[e.To], dir: graph.Backward, label: e.Label})
-					extEdges = append(extEdges, query.Edge{From: targetIdx, To: newIdx[e.To], Label: e.Label})
 				} else {
 					st.descs = append(st.descs, desc{slot: slotOf[e.From], dir: graph.Forward, label: e.Label})
-					extEdges = append(extEdges, query.Edge{From: newIdx[e.From], To: targetIdx, Label: e.Label})
 				}
 			}
-			sizes, mu, _ := cat.ExtensionStats(base, extEdges, st.targetLabel)
+			sizes := make([]float64, len(st.descs))
+			mu, _ := cat.ExtendStats(q, mask, v, sizes)
 			st.estSizes = sizes
 			st.estICost = catalogue.EffectiveICost(sizes, cfg.HubThreshold)
 			st.estMu = mu

@@ -18,7 +18,7 @@ type MicroResult struct {
 	Name        string  `json:"name"`
 	Graph       string  `json:"graph"`
 	Query       string  `json:"query"`
-	Engine      string  `json:"engine"` // "batch" (vectorized), "factorized" (batch + star-suffix factorization), "tuple" (oracle) or "batch-nocache" (batch with the intersection cache — and with it the carried extension sets — off)
+	Engine      string  `json:"engine"` // "batch" (vectorized), "factorized" (batch + star-suffix factorization), "tuple" (oracle) or "batch-nocache" (batch with the intersection cache — and with it the carried extension sets — off); "optimizer" and "catalogue" on the planning rows, which execute nothing
 	Workers     int     `json:"workers"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
@@ -107,6 +107,7 @@ func microCases(scale int) []microCase {
 // intersection cache off (on the cliques, cache on vs off brackets what
 // carrying extension sets between stages saves), fast counting, reporting
 // ns/op, bytes/op, allocs/op and the (engine-independent) match count.
+// The planning rows (optimize/v4..v6, catalogue/build) close the list.
 func Micro(scale int) ([]MicroResult, error) {
 	if scale < 1 {
 		scale = 1
@@ -158,5 +159,5 @@ func Micro(scale int) ([]MicroResult, error) {
 			})
 		}
 	}
-	return out, nil
+	return append(out, planningRows(scale)...), nil
 }

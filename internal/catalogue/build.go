@@ -26,11 +26,16 @@ type builder struct {
 	g        graph.View
 	c        *Catalogue
 	rng      *rand.Rand
-	visited  map[string]bool
-	acc      map[string]*accum
+	visited  map[query.Code]bool
+	acc      map[Key]*accum
 	expanded int
 	work     int64
 	queue    []queued
+
+	// Scratch reused across measure and expand calls: the extension under
+	// measurement assembled as one graph, and the bytes of the last key.
+	ext query.Graph
+	key []byte
 }
 
 // queued is a pattern awaiting expansion, with its sampled instances.
@@ -48,7 +53,7 @@ type accum struct {
 type instance []graph.VertexID
 
 func (b *builder) run() {
-	b.acc = map[string]*accum{}
+	b.acc = map[Key]*accum{}
 	// Sample Z edges uniformly (reservoir), grouped by their labels.
 	type groupKey struct{ el, sl, dl graph.Label }
 	type sampledEdge struct {
@@ -96,11 +101,11 @@ func (b *builder) expand(pattern *query.Graph, instances []instance) {
 	if k > b.c.Cfg.H || len(instances) == 0 || b.work > maxWorkUnits {
 		return
 	}
-	code := pattern.CanonicalCode()
-	if b.visited[code] {
+	b.key = pattern.AppendCanonicalCode(b.key[:0], query.AllMask(k), query.NoTarget, nil)
+	if b.visited[query.Code(b.key)] {
 		return
 	}
-	b.visited[code] = true
+	b.visited[query.Code(b.key)] = true
 	b.expanded++
 	if b.expanded > maxPatternsExpanded {
 		return
@@ -166,7 +171,6 @@ func (b *builder) measure(pattern *query.Graph, edges []query.Edge, tl graph.Lab
 	}
 	b.work += int64(len(instances)) * int64(len(edges))
 	target := pattern.NumVertices()
-	ext := Extension{Base: pattern, Edges: edges, TargetLabel: tl}
 
 	listSums := make([]float64, len(edges))
 	totalExt := 0
@@ -212,24 +216,27 @@ func (b *builder) measure(pattern *query.Graph, edges []query.Edge, tl graph.Lab
 		// catalogue with all-zero rows.
 		return
 	}
-	key, ranks := ext.Key()
-	a := b.acc[key]
+	// The extension as one graph: pattern, the target as its last vertex,
+	// the extension edges after pattern's own.
+	b.ext.Vertices = append(append(b.ext.Vertices[:0], pattern.Vertices...), query.Vertex{Label: tl})
+	b.ext.Edges = append(append(b.ext.Edges[:0], pattern.Edges...), edges...)
+	base := query.AllMask(target)
+	var perm [query.MaxVertices]int
+	b.key = extensionKey(b.key[:0], &b.ext, base, target, perm[:])
+	a := b.acc[Key(b.key)]
 	if a == nil {
 		a = &accum{listSums: make([]float64, len(edges))}
-		b.acc[key] = a
+		b.acc[Key(b.key)] = a
 	}
-	for i := range edges {
-		a.listSums[ranks[i]] += listSums[i]
+	for i, e := range edges {
+		a.listSums[descriptorRank(&b.ext, base, target, &perm, e)] += listSums[i]
 	}
 	a.muSum += float64(totalExt)
 	a.samples += len(instances)
 
 	if recurse && len(newInstances) > 0 {
-		np := pattern.Clone()
-		np.Vertices = append(np.Vertices, query.Vertex{Label: tl})
-		np.Edges = append(np.Edges, edges...)
 		// Enqueue rather than recurse: see the breadth-first note in run().
-		b.queue = append(b.queue, queued{np, newInstances})
+		b.queue = append(b.queue, queued{b.ext.Clone(), newInstances})
 	}
 }
 

@@ -12,20 +12,22 @@
 package catalogue
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 
 	"graphflow/internal/graph"
 	"graphflow/internal/query"
 )
 
-// targetMarker is OR-ed into the extension target's vertex label inside
-// entry keys, so canonicalization distinguishes the new vertex from the
-// base subquery's vertices. Real labels must stay below it.
-const targetMarker graph.Label = 0x4000
+// Key identifies an entry: the canonical code of (Q_{k-1}, A, a_k) read
+// as one graph — the base subquery, the new vertex flagged as the code's
+// target, and one edge per adjacency-list descriptor. The flag is a bit
+// of the code, outside the label bits, so the new vertex never aliases a
+// base vertex whatever labels the graph uses.
+type Key = query.Code
 
 // Config controls catalogue construction.
 type Config struct {
@@ -66,53 +68,59 @@ type Entry struct {
 	Samples int `json:"samples"`
 }
 
+// edgeLabels and listLabels key the exact base statistics: an edge label
+// with both endpoint labels, and an edge label with the label of the
+// vertices an adjacency list holds.
+type (
+	edgeLabels struct{ el, sl, dl graph.Label }
+	listLabels struct{ el, nl graph.Label }
+)
+
 // Catalogue is the complete statistics store for one graph.
 type Catalogue struct {
-	Cfg     Config            `json:"config"`
-	Entries map[string]*Entry `json:"entries"`
+	Cfg     Config
+	Entries map[Key]*Entry
 
 	// Exact base statistics, computed in one pass over the graph.
-	NumVertices int              `json:"numVertices"`
-	EdgeCount   map[string]int64 `json:"edgeCount"`   // "el/sl/dl" -> count
-	FwdTotal    map[string]int64 `json:"fwdTotal"`    // "el/nl" -> total fwd partition size
-	BwdTotal    map[string]int64 `json:"bwdTotal"`    // "el/nl" -> total bwd partition size
-	VertexCount map[string]int64 `json:"vertexCount"` // "vl" -> count
+	NumVertices int
+	edgeCount   map[edgeLabels]int64
+	fwdTotal    map[listLabels]int64 // total forward partition size
+	bwdTotal    map[listLabels]int64 // total backward partition size
+	vertexCount map[graph.Label]int64
 }
 
-func edgeCountKey(el, sl, dl graph.Label) string { return fmt.Sprintf("%d/%d/%d", el, sl, dl) }
-func listKey(el, nl graph.Label) string          { return fmt.Sprintf("%d/%d", el, nl) }
-func vertexKey(vl graph.Label) string            { return fmt.Sprintf("%d", vl) }
+func newCatalogue(cfg Config, numVertices int) *Catalogue {
+	return &Catalogue{
+		Cfg:         cfg,
+		Entries:     map[Key]*Entry{},
+		NumVertices: numVertices,
+		edgeCount:   map[edgeLabels]int64{},
+		fwdTotal:    map[listLabels]int64{},
+		bwdTotal:    map[listLabels]int64{},
+		vertexCount: map[graph.Label]int64{},
+	}
+}
 
 // scanBaseStatistics fills the exact base statistics in one pass over
-// g's vertices and one over its edges. The scans accumulate under
-// struct keys — the label alphabets are tiny next to the edge count —
-// and the string-keyed maps of the JSON format are rendered once at
-// the end, instead of formatting three keys per edge.
+// g's vertices and one over its edges.
 func (c *Catalogue) scanBaseStatistics(g graph.View) {
-	type edgeLabels struct{ el, sl, dl graph.Label }
-	vertices := map[graph.Label]int64{}
-	edges := map[edgeLabels]int64{}
 	for v := 0; v < g.NumVertices(); v++ {
-		vertices[g.VertexLabel(graph.VertexID(v))]++
+		c.vertexCount[g.VertexLabel(graph.VertexID(v))]++
 	}
 	g.Edges(func(src, dst graph.VertexID, el graph.Label) bool {
-		edges[edgeLabels{el, g.VertexLabel(src), g.VertexLabel(dst)}]++
+		c.edgeCount[edgeLabels{el, g.VertexLabel(src), g.VertexLabel(dst)}]++
 		return true
 	})
-	for vl, n := range vertices {
-		c.VertexCount[vertexKey(vl)] = n
-	}
-	for k, n := range edges {
-		c.EdgeCount[edgeCountKey(k.el, k.sl, k.dl)] = n
-		c.FwdTotal[listKey(k.el, k.dl)] += n
-		c.BwdTotal[listKey(k.el, k.sl)] += n
+	for k, n := range c.edgeCount {
+		c.fwdTotal[listLabels{k.el, k.dl}] += n
+		c.bwdTotal[listLabels{k.el, k.sl}] += n
 	}
 }
 
 // ScanCount returns the exact number of edges matching the given labels —
 // the selectivity µ(l_e) used to seed 2-vertex subqueries in Algorithm 1.
 func (c *Catalogue) ScanCount(el, srcLabel, dstLabel graph.Label) float64 {
-	return float64(c.EdgeCount[edgeCountKey(el, srcLabel, dstLabel)])
+	return float64(c.edgeCount[edgeLabels{el, srcLabel, dstLabel}])
 }
 
 // VertexCountByLabel returns the exact number of vertices carrying the
@@ -120,7 +128,7 @@ func (c *Catalogue) ScanCount(el, srcLabel, dstLabel graph.Label) float64 {
 // optimizer reasons about intersection-cache reuse across scan tuples
 // grouped by source vertex.
 func (c *Catalogue) VertexCountByLabel(vl graph.Label) float64 {
-	return float64(c.VertexCount[vertexKey(vl)])
+	return float64(c.vertexCount[vl])
 }
 
 // DefaultListSize returns the graph-wide average adjacency-partition size
@@ -130,11 +138,9 @@ func (c *Catalogue) DefaultListSize(dir graph.Direction, el, nl graph.Label) flo
 	if c.NumVertices == 0 {
 		return 0
 	}
-	var total int64
+	total := c.bwdTotal[listLabels{el, nl}]
 	if dir == graph.Forward {
-		total = c.FwdTotal[listKey(el, nl)]
-	} else {
-		total = c.BwdTotal[listKey(el, nl)]
+		total = c.fwdTotal[listLabels{el, nl}]
 	}
 	return float64(total) / float64(c.NumVertices)
 }
@@ -143,42 +149,109 @@ func (c *Catalogue) DefaultListSize(dir graph.Direction, el, nl graph.Label) flo
 // snapshot is sampled without materialising a CSR.
 func Build(g graph.View, cfg Config) *Catalogue {
 	cfg = cfg.withDefaults()
-	c := &Catalogue{
-		Cfg:         cfg,
-		Entries:     map[string]*Entry{},
-		NumVertices: g.NumVertices(),
-		EdgeCount:   map[string]int64{},
-		FwdTotal:    map[string]int64{},
-		BwdTotal:    map[string]int64{},
-		VertexCount: map[string]int64{},
-	}
+	c := newCatalogue(cfg, g.NumVertices())
 	c.scanBaseStatistics(g)
 
-	b := &builder{g: g, c: c, rng: rand.New(rand.NewSource(cfg.Seed)), visited: map[string]bool{}}
+	b := &builder{g: g, c: c, rng: rand.New(rand.NewSource(cfg.Seed)), visited: map[query.Code]bool{}}
 	b.run()
 	b.finalize()
 	return c
 }
 
-// Save writes the catalogue as JSON.
-func (c *Catalogue) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(c)
+// fileVersion is the version of the JSON form. Version 2 writes entry
+// keys as hex-encoded packed codes; files from before carry no version
+// and keys in a rendered-string format this package no longer computes.
+const fileVersion = 2
+
+// catalogueFile is the JSON form of a Catalogue. Only here do keys take
+// string shapes: hex for the entry keys, "el/sl/dl", "el/nl" and "vl"
+// for the base statistics.
+type catalogueFile struct {
+	Version     int               `json:"version"`
+	Cfg         Config            `json:"config"`
+	Entries     map[string]*Entry `json:"entries"`
+	NumVertices int               `json:"numVertices"`
+	EdgeCount   map[string]int64  `json:"edgeCount"`
+	FwdTotal    map[string]int64  `json:"fwdTotal"`
+	BwdTotal    map[string]int64  `json:"bwdTotal"`
+	VertexCount map[string]int64  `json:"vertexCount"`
 }
 
-// Load reads a catalogue written by Save.
+// Save writes the catalogue as JSON.
+func (c *Catalogue) Save(w io.Writer) error {
+	f := catalogueFile{
+		Version:     fileVersion,
+		Cfg:         c.Cfg,
+		Entries:     make(map[string]*Entry, len(c.Entries)),
+		NumVertices: c.NumVertices,
+		EdgeCount:   make(map[string]int64, len(c.edgeCount)),
+		FwdTotal:    make(map[string]int64, len(c.fwdTotal)),
+		BwdTotal:    make(map[string]int64, len(c.bwdTotal)),
+		VertexCount: make(map[string]int64, len(c.vertexCount)),
+	}
+	for k, e := range c.Entries {
+		f.Entries[hex.EncodeToString([]byte(k))] = e
+	}
+	for k, n := range c.edgeCount {
+		f.EdgeCount[fmt.Sprintf("%d/%d/%d", k.el, k.sl, k.dl)] = n
+	}
+	for k, n := range c.fwdTotal {
+		f.FwdTotal[fmt.Sprintf("%d/%d", k.el, k.nl)] = n
+	}
+	for k, n := range c.bwdTotal {
+		f.BwdTotal[fmt.Sprintf("%d/%d", k.el, k.nl)] = n
+	}
+	for vl, n := range c.vertexCount {
+		f.VertexCount[fmt.Sprintf("%d", vl)] = n
+	}
+	return json.NewEncoder(w).Encode(f)
+}
+
+// Load reads a catalogue written by Save. A file of another version is
+// refused rather than converted: building one takes seconds.
 func Load(r io.Reader) (*Catalogue, error) {
-	var c Catalogue
-	if err := json.NewDecoder(r).Decode(&c); err != nil {
-		return nil, err
+	var f catalogueFile
+	if err := json.NewDecoder(r).Decode(&f); err != nil {
+		return nil, fmt.Errorf("catalogue: load: %w", err)
 	}
-	if c.Entries == nil {
-		c.Entries = map[string]*Entry{}
+	if f.Version != fileVersion {
+		return nil, fmt.Errorf("catalogue: load: file has format version %d, this build reads version %d: rebuild the catalogue", f.Version, fileVersion)
 	}
-	if c.VertexCount == nil {
-		c.VertexCount = map[string]int64{}
+	c := newCatalogue(f.Cfg, f.NumVertices)
+	for k, e := range f.Entries {
+		raw, err := hex.DecodeString(k)
+		if err != nil {
+			return nil, fmt.Errorf("catalogue: load: entry key %q: %w", k, err)
+		}
+		c.Entries[Key(raw)] = e
 	}
-	return &c, nil
+	for k, n := range f.EdgeCount {
+		var key edgeLabels
+		if _, err := fmt.Sscanf(k, "%d/%d/%d", &key.el, &key.sl, &key.dl); err != nil {
+			return nil, fmt.Errorf("catalogue: load: edge count key %q: %w", k, err)
+		}
+		c.edgeCount[key] = n
+	}
+	for _, side := range []struct {
+		from map[string]int64
+		to   map[listLabels]int64
+	}{{f.FwdTotal, c.fwdTotal}, {f.BwdTotal, c.bwdTotal}} {
+		for k, n := range side.from {
+			var key listLabels
+			if _, err := fmt.Sscanf(k, "%d/%d", &key.el, &key.nl); err != nil {
+				return nil, fmt.Errorf("catalogue: load: list total key %q: %w", k, err)
+			}
+			side.to[key] = n
+		}
+	}
+	for k, n := range f.VertexCount {
+		var vl graph.Label
+		if _, err := fmt.Sscanf(k, "%d", &vl); err != nil {
+			return nil, fmt.Errorf("catalogue: load: vertex count key %q: %w", k, err)
+		}
+		c.vertexCount[vl] = n
+	}
+	return c, nil
 }
 
 // Len returns the number of extension entries.
@@ -186,53 +259,88 @@ func (c *Catalogue) Len() int { return len(c.Entries) }
 
 // Extension describes extending Base by one new query vertex. Edges
 // reference Base's vertex indices plus Base.NumVertices() for the target.
+// It is the paper's (Q_{k-1}, A, a_k) spelled out; the estimator and the
+// sampler address the same thing in place, as a vertex subset of a larger
+// graph plus one more of its vertices (extensionKey).
 type Extension struct {
 	Base        *query.Graph
 	Edges       []query.Edge
 	TargetLabel graph.Label
 }
 
+// graph returns the extension as one graph: Base, then the target as
+// the last vertex, then Edges after Base's own.
+func (e Extension) graph() *query.Graph {
+	kg := e.Base.Clone()
+	kg.Vertices = append(kg.Vertices, query.Vertex{Label: e.TargetLabel})
+	kg.Edges = append(kg.Edges, e.Edges...)
+	return kg
+}
+
 // Key returns the canonical entry key and, for each input edge, its rank in
 // the canonical descriptor order (so callers can align ListSizes with their
 // own descriptor order).
-func (e Extension) Key() (string, []int) {
-	kg := e.Base.Clone()
-	target := len(kg.Vertices)
-	kg.Vertices = append(kg.Vertices, query.Vertex{Label: e.TargetLabel | targetMarker})
-	kg.Edges = append(kg.Edges, e.Edges...)
-	code, perm := kg.CanonicalCodeWithPerm()
+func (e Extension) Key() (Key, []int) {
+	kg := e.graph()
+	target := len(e.Base.Vertices)
+	base := query.AllMask(target)
+	var perm [query.MaxVertices]int
+	key := Key(extensionKey(nil, kg, base, target, perm[:]))
+	ranks := make([]int, 0, len(e.Edges))
+	for _, ed := range e.Edges {
+		ranks = append(ranks, descriptorRank(kg, base, target, &perm, ed))
+	}
+	return key, ranks
+}
 
-	type tup struct {
-		src   int
-		dir   graph.Direction
-		label graph.Label
-		orig  int
+// ExtensionKey returns the key of extending the projection of q onto base
+// by vertex v of q, through q's edges between v and base.
+func ExtensionKey(q *query.Graph, base query.Mask, v int) Key {
+	return Key(extensionKey(nil, q, base, v, nil))
+}
+
+// extensionKey appends the bytes of ExtensionKey(q, base, v) to dst and,
+// unless perm is nil, leaves the canonical renumbering of base's vertices
+// and v in it.
+func extensionKey(dst []byte, q *query.Graph, base query.Mask, v int, perm []int) []byte {
+	return q.AppendCanonicalCode(dst, base|query.Bit(v), v, perm)
+}
+
+// descriptorOf reports whether query edge e is an adjacency-list
+// descriptor of extending base by v — an edge between v and a vertex of
+// base — and if so its anchor (the endpoint in base, whose list is read)
+// and the direction of that list: forward for anchor->v, backward for
+// v->anchor.
+func descriptorOf(e query.Edge, base query.Mask, v int) (anchor int, dir graph.Direction, ok bool) {
+	switch {
+	case e.To == v && base&query.Bit(e.From) != 0:
+		return e.From, graph.Forward, true
+	case e.From == v && base&query.Bit(e.To) != 0:
+		return e.To, graph.Backward, true
 	}
-	tuples := make([]tup, len(e.Edges))
-	for i, ed := range e.Edges {
-		src, dir := ed.From, graph.Backward
-		if ed.From == target {
-			// target -> src: candidates come from src's backward list.
-			src = ed.To
-		} else {
-			// src -> target: candidates from src's forward list.
-			dir = graph.Forward
+	return 0, 0, false
+}
+
+// descriptorOrder is the sort key of a descriptor in an entry's
+// ListSizes: canonical anchor index, then direction, then edge label.
+func descriptorOrder(perm *[query.MaxVertices]int, anchor int, dir graph.Direction, el graph.Label) uint64 {
+	return uint64(perm[anchor])<<17 | uint64(dir)<<16 | uint64(el)
+}
+
+// descriptorRank returns the position of descriptor d among the
+// descriptors of extending base by v, in the order an entry stores its
+// ListSizes. perm is the renumbering extensionKey left for the same
+// (q, base, v). It rescans q's edges instead of sorting them, so it
+// needs no buffer however many descriptors there are; extensions have a
+// handful.
+func descriptorRank(q *query.Graph, base query.Mask, v int, perm *[query.MaxVertices]int, d query.Edge) int {
+	anchor, dir, _ := descriptorOf(d, base, v)
+	own := descriptorOrder(perm, anchor, dir, d.Label)
+	rank := 0
+	for _, e := range q.Edges {
+		if a, dr, ok := descriptorOf(e, base, v); ok && descriptorOrder(perm, a, dr, e.Label) < own {
+			rank++
 		}
-		tuples[i] = tup{src: perm[src], dir: dir, label: ed.Label, orig: i}
 	}
-	sort.Slice(tuples, func(a, b int) bool {
-		x, y := tuples[a], tuples[b]
-		if x.src != y.src {
-			return x.src < y.src
-		}
-		if x.dir != y.dir {
-			return x.dir < y.dir
-		}
-		return x.label < y.label
-	})
-	ranks := make([]int, len(e.Edges))
-	for rank, t := range tuples {
-		ranks[t.orig] = rank
-	}
-	return code, ranks
+	return rank
 }

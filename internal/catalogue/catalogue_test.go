@@ -2,9 +2,12 @@ package catalogue
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"graphflow/internal/datagen"
@@ -210,8 +213,21 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if c2.Len() != c.Len() {
 		t.Fatalf("entries lost: %d vs %d", c2.Len(), c.Len())
 	}
-	if c2.NumVertices != c.NumVertices {
+	if c2.NumVertices != c.NumVertices || c2.Cfg != c.Cfg {
 		t.Errorf("base stats lost")
+	}
+	for k, e := range c.Entries {
+		if !reflect.DeepEqual(c2.Entries[k], e) {
+			t.Fatalf("entry %s = %+v after the round trip, was %+v", k, c2.Entries[k], e)
+		}
+	}
+	for name, pair := range map[string][2]any{
+		"edgeCount": {c2.edgeCount, c.edgeCount}, "fwdTotal": {c2.fwdTotal, c.fwdTotal},
+		"bwdTotal": {c2.bwdTotal, c.bwdTotal}, "vertexCount": {c2.vertexCount, c.vertexCount},
+	} {
+		if !reflect.DeepEqual(pair[0], pair[1]) {
+			t.Errorf("%s = %v after the round trip, was %v", name, pair[0], pair[1])
+		}
 	}
 	// Same estimate after round trip.
 	q := query.Q1()
@@ -248,9 +264,10 @@ func TestLabeledCatalogue(t *testing.T) {
 	}
 }
 
-// TestBaseStatisticsKeyFormat pins the string keys of the exact base
-// statistics (the JSON format of Save/Load) against a per-edge rendering
-// on a graph with several vertex and edge labels.
+// TestBaseStatisticsKeyFormat pins the string keys the exact base
+// statistics take in the JSON format of Save/Load (in memory they are
+// typed) against a per-edge rendering on a graph with several vertex and
+// edge labels.
 func TestBaseStatisticsKeyFormat(t *testing.T) {
 	g := datagen.Relabel(datagen.Epinions(1), 2, 3, 1)
 	c := Build(g, Config{H: 1, Z: 10, Seed: 1})
@@ -268,12 +285,158 @@ func TestBaseStatisticsKeyFormat(t *testing.T) {
 	if len(edges) != 12 || len(vertices) != 2 {
 		t.Fatalf("graph not labelled as expected: %d edge-label triples, %d vertex labels", len(edges), len(vertices))
 	}
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	var f catalogueFile
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatalf("saved catalogue is not JSON: %v", err)
+	}
 	for name, pair := range map[string][2]map[string]int64{
-		"EdgeCount": {c.EdgeCount, edges}, "FwdTotal": {c.FwdTotal, fwd},
-		"BwdTotal": {c.BwdTotal, bwd}, "VertexCount": {c.VertexCount, vertices},
+		"EdgeCount": {f.EdgeCount, edges}, "FwdTotal": {f.FwdTotal, fwd},
+		"BwdTotal": {f.BwdTotal, bwd}, "VertexCount": {f.VertexCount, vertices},
 	} {
 		if !reflect.DeepEqual(pair[0], pair[1]) {
 			t.Errorf("%s = %v, want %v", name, pair[0], pair[1])
 		}
+	}
+}
+
+// BenchmarkCatalogueBuild is what one statistics refresh costs: a full
+// Build on Epinions under the repository benchmark's cold-plan labelling
+// (two vertex labels by three edge labels).
+func BenchmarkCatalogueBuild(b *testing.B) {
+	g := datagen.Relabel(datagen.Epinions(1), 2, 3, 11)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Build(g, Config{H: 3, Z: 1000, Seed: 1})
+	}
+}
+
+// TestHighLabelsDoNotAliasTheTarget is the regression test for keys that
+// marked the new vertex by OR-ing 0x4000 into its label: a base vertex
+// labelled 0x4000|l was then indistinguishable from a target labelled l.
+// Extending (a:0x4001 -> b:0) by t:1 through b's forward list and
+// extending (b:0 -> y:0x4001) by t:1 through b's backward list both
+// rendered as the path 0x4001 -> 0 -> 0x4001 and shared one entry.
+func TestHighLabelsDoNotAliasTheTarget(t *testing.T) {
+	const hi = graph.Label(0x4001)
+	fwd := Extension{
+		Base:        &query.Graph{Vertices: []query.Vertex{{Label: hi}, {Label: 0}}, Edges: []query.Edge{{From: 0, To: 1}}},
+		Edges:       []query.Edge{{From: 1, To: 2}},
+		TargetLabel: 1,
+	}
+	bwd := Extension{
+		Base:        &query.Graph{Vertices: []query.Vertex{{Label: 0}, {Label: hi}}, Edges: []query.Edge{{From: 0, To: 1}}},
+		Edges:       []query.Edge{{From: 2, To: 0}},
+		TargetLabel: 1,
+	}
+	kf, _ := fwd.Key()
+	kb, _ := bwd.Key()
+	if kf == kb {
+		t.Fatalf("non-isomorphic extensions share the key %s", kf)
+	}
+
+	// A graph holding both: x:0x4001 -> m:0 -> y:0x4001, plus m -> p:1 (so
+	// the forward extension finds one t) and q:1, r:1 -> m (so the backward
+	// one finds two). Every edge is sampled, so the statistics are exact.
+	b := graph.NewBuilder(0)
+	x, m, y := b.AddVertex(hi), b.AddVertex(0), b.AddVertex(hi)
+	p, q, r := b.AddVertex(1), b.AddVertex(1), b.AddVertex(1)
+	for _, e := range [][2]graph.VertexID{{x, m}, {m, y}, {m, p}, {q, m}, {r, m}} {
+		b.AddEdge(e[0], e[1], 0)
+	}
+	c := Build(b.MustBuild(), Config{H: 2, Z: 100, Seed: 1})
+	ef, eb := c.Entries[kf], c.Entries[kb]
+	if ef == nil || eb == nil {
+		t.Fatalf("entries missing: forward %v, backward %v", ef, eb)
+	}
+	if ef.Mu != 1 || eb.Mu != 2 {
+		t.Errorf("µ forward = %v (want 1), backward = %v (want 2): the extensions still share statistics", ef.Mu, eb.Mu)
+	}
+}
+
+// TestBuildPinnedOnEpinions pins Build on the unlabelled Epinions graph —
+// one label group, so the sampler is deterministic — to the totals the
+// string-keyed implementation produced. Sums do not depend on the key
+// format, nor on which of several automorphic canonical orderings a key
+// computation settles on (that can only move a list size between two
+// symmetric descriptors of one entry).
+func TestBuildPinnedOnEpinions(t *testing.T) {
+	c := Build(datagen.Epinions(1), Config{H: 3, Z: 1000, Seed: 1})
+	const (
+		wantLen     = 572
+		wantSamples = 489957
+		wantMu      = 3899.58356089874
+		wantLists   = 88612.973018806486
+	)
+	var mus, lists []float64
+	samples := 0
+	for _, e := range c.Entries {
+		samples += e.Samples
+		mus = append(mus, e.Mu)
+		lists = append(lists, e.ListSizes...)
+	}
+	sum := func(xs []float64) float64 {
+		sort.Float64s(xs) // a summation order independent of map iteration
+		s := 0.0
+		for _, x := range xs {
+			s += x
+		}
+		return s
+	}
+	if c.Len() != wantLen || samples != wantSamples {
+		t.Errorf("Len = %d, Σsamples = %d; want %d, %d", c.Len(), samples, wantLen, wantSamples)
+	}
+	if got := sum(mus); math.Abs(got-wantMu) > 1e-9*wantMu {
+		t.Errorf("Σµ = %.17g, want %.17g", got, wantMu)
+	}
+	if got := sum(lists); math.Abs(got-wantLists) > 1e-9*wantLists {
+		t.Errorf("ΣListSizes = %.17g, want %.17g", got, wantLists)
+	}
+}
+
+// TestLoadRefusesOtherVersions: a file from before the version field —
+// string-rendered keys — is refused with the advice to rebuild.
+func TestLoadRefusesOtherVersions(t *testing.T) {
+	old := `{"config":{"H":3,"Z":1000,"MaxInstances":1000,"Seed":0},` +
+		`"entries":{"v0:0;v1:0;v2:16384;e0>1:0;e1>2:0":{"lists":[4.5],"mu":4.5,"samples":1000}},` +
+		`"numVertices":3000,"edgeCount":{"0/0/0":25565},"fwdTotal":{"0/0":25565},"bwdTotal":{"0/0":25565},"vertexCount":{"0":3000}}`
+	_, err := Load(strings.NewReader(old))
+	if err == nil || !strings.Contains(err.Error(), "rebuild the catalogue") {
+		t.Fatalf("Load of a version-less file: err = %v, want one advising to rebuild the catalogue", err)
+	}
+}
+
+// TestZeroAllocs is the dynamic backstop of ExtendStats' //gf:noalloc
+// contract — the planner's only call into the catalogue per (subquery,
+// vertex): key computed on the stack, entry found by it, list sizes
+// written into the caller's buffer. CI runs it via the shared
+// `go test -run 'ZeroAllocs'` step.
+func TestZeroAllocs(t *testing.T) {
+	c := Build(datagen.Epinions(1), Config{H: 3, Z: 300, Seed: 1})
+	tri, path, labelled := query.Q1(), query.Q13(), query.MustParse("a->b, b->c:7, a->c:7")
+	sizes := make([]float64, 2)
+	cases := []struct {
+		name  string
+		found bool
+		body  func() (float64, bool)
+	}{
+		{"catalogue lookup, hit", true, func() (float64, bool) { return c.ExtendStats(tri, 0b011, 2, sizes) }},
+		{"catalogue lookup, hit after reducing a 5-vertex base", true, func() (float64, bool) {
+			return c.ExtendStats(path, 0b011111, 5, sizes[:1])
+		}},
+		{"catalogue lookup, miss", false, func() (float64, bool) { return c.ExtendStats(labelled, 0b011, 2, sizes) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, found := tc.body(); found != tc.found {
+				t.Fatalf("found = %v, want %v", found, tc.found)
+			}
+			if a := testing.AllocsPerRun(100, func() { tc.body() }); a != 0 {
+				t.Fatalf("%s allocates %v per run, want 0", tc.name, a)
+			}
+		})
 	}
 }

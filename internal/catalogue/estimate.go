@@ -2,6 +2,7 @@ package catalogue
 
 import (
 	"math"
+	"math/bits"
 
 	"graphflow/internal/graph"
 	"graphflow/internal/query"
@@ -11,7 +12,25 @@ import (
 // vertex labelled tl through the given edges (which reference base's
 // vertices plus base.NumVertices() as the target): the average size of each
 // descriptor's adjacency list (aligned with the edges order) and the
-// average number of extensions µ.
+// average number of extensions µ. The boolean reports whether a catalogue
+// entry (direct or reduced) was found.
+//
+// This is the spelled-out form of ExtendStats, which planners call: it
+// assembles the extension into one graph first.
+func (c *Catalogue) ExtensionStats(base *query.Graph, edges []query.Edge, tl graph.Label) ([]float64, float64, bool) {
+	k := base.NumVertices()
+	sizes := make([]float64, len(edges))
+	mu, found := c.ExtendStats(Extension{Base: base, Edges: edges, TargetLabel: tl}.graph(), query.AllMask(k), k, sizes)
+	return sizes, mu, found
+}
+
+// ExtendStats estimates the statistics for extending the projection of q
+// onto base by vertex v of q: the extension's descriptors are q's edges
+// between v and base. sizes must have one element per descriptor and
+// receives each one's average adjacency-list size, in q.Edges order; the
+// results are the average number of extensions µ and whether a catalogue
+// entry (direct or reduced) was found. Nothing is projected or copied:
+// keys are computed on q in place.
 //
 // Resolution order (Section 5.2):
 //  1. exact catalogue entry;
@@ -20,36 +39,29 @@ import (
 //     descriptors;
 //  3. graph-wide average list sizes with an independence assumption for µ.
 //
-// The boolean reports whether a catalogue entry (direct or reduced) was
-// found.
-func (c *Catalogue) ExtensionStats(base *query.Graph, edges []query.Edge, tl graph.Label) ([]float64, float64, bool) {
-	k := base.NumVertices()
+//gf:noalloc
+func (c *Catalogue) ExtendStats(q *query.Graph, base query.Mask, v int, sizes []float64) (float64, bool) {
+	k := bits.OnesCount32(base)
 	if k <= c.Cfg.H {
 		// Only bases of at most H vertices can have entries, and skipping
 		// the direct lookup for larger bases also avoids canonicalizing
 		// large graphs (factorial cost).
-		if entry, ranks := c.lookup(base, edges, tl); entry != nil {
-			sizes := make([]float64, len(edges))
-			for i := range edges {
-				sizes[i] = entry.ListSizes[ranks[i]]
-			}
-			return sizes, entry.Mu, true
+		var perm [query.MaxVertices]int
+		if entry := c.lookup(q, base, v, len(sizes), &perm); entry != nil {
+			c.fillSizes(q, base, base, v, &perm, entry, sizes)
+			return entry.Mu, true
 		}
 	}
 	// Missing entry: reduce the base by removing vertex subsets until a
 	// recorded entry matches (Section 5.2's rule, generalised: bases at or
 	// below H can also miss when construction was budget-bounded, so keep
 	// shrinking toward well-sampled small patterns before giving up).
-	maxTarget := k - 1
-	if c.Cfg.H < maxTarget {
-		maxTarget = c.Cfg.H
-	}
-	for target := maxTarget; target >= 1; target-- {
-		if sizes, mu, ok := c.reducedStats(base, edges, tl, k-target); ok {
-			return sizes, mu, true
+	for target := min(k-1, c.Cfg.H); target >= 1; target-- {
+		if mu, ok := c.reducedStats(q, base, v, k-target, sizes); ok {
+			return mu, true
 		}
 	}
-	return c.defaultStats(base, edges, tl)
+	return c.defaultStats(q, base, v, sizes), false
 }
 
 // minEntrySamples is the smallest sample count an entry needs before the
@@ -59,115 +71,106 @@ func (c *Catalogue) ExtensionStats(base *query.Graph, edges []query.Edge, tl gra
 // reduction rule.
 const minEntrySamples = 5
 
-func (c *Catalogue) lookup(base *query.Graph, edges []query.Edge, tl graph.Label) (*Entry, []int) {
-	key, ranks := Extension{Base: base, Edges: edges, TargetLabel: tl}.Key()
-	if e, ok := c.Entries[key]; ok && len(e.ListSizes) == len(edges) && e.Samples >= minEntrySamples {
-		return e, ranks
+// keyStackBytes holds the key of a 5-vertex extension with every edge
+// present, so lookups up to H = 4 build their key on the stack.
+const keyStackBytes = 1 + 2*5 + 4*20
+
+// lookup returns the trusted entry for extending the projection of q
+// onto keep by v through descs descriptors, or nil, and leaves the
+// canonical renumbering in perm for fillSizes.
+func (c *Catalogue) lookup(q *query.Graph, keep query.Mask, v, descs int, perm *[query.MaxVertices]int) *Entry {
+	var buf [keyStackBytes]byte
+	key := extensionKey(buf[:0], q, keep, v, perm[:])
+	e, ok := c.Entries[Key(key)] //gf:allowalloc a map index by a converted byte slice is looked up in place, not copied
+	if ok && len(e.ListSizes) == descs && e.Samples >= minEntrySamples {
+		return e
 	}
-	return nil, nil
+	return nil
+}
+
+// fillSizes writes the list size of every descriptor of extending base
+// by v into sizes: entry's, for a descriptor anchored in keep (entry
+// and perm come from lookup on keep), the graph-wide default otherwise.
+func (c *Catalogue) fillSizes(q *query.Graph, base, keep query.Mask, v int, perm *[query.MaxVertices]int, entry *Entry, sizes []float64) {
+	i := 0
+	for _, e := range q.Edges {
+		anchor, dir, ok := descriptorOf(e, base, v)
+		if !ok {
+			continue
+		}
+		if keep&query.Bit(anchor) != 0 {
+			sizes[i] = entry.ListSizes[descriptorRank(q, keep, v, perm, e)]
+		} else {
+			sizes[i] = c.DefaultListSize(dir, e.Label, q.Vertices[v].Label)
+		}
+		i++
+	}
 }
 
 // reducedStats implements the missing-entry rule: remove every
 // removeCount-subset of base vertices (dropping descriptors anchored on
-// removed vertices), look the reduced entries up, and keep the minimum µ.
-// Removed descriptors contribute default list sizes.
-func (c *Catalogue) reducedStats(base *query.Graph, edges []query.Edge, tl graph.Label, removeCount int) ([]float64, float64, bool) {
-	k := base.NumVertices()
-	if removeCount <= 0 || removeCount >= k {
-		return nil, 0, false
+// removed vertices), look the reduced entries up, and keep the minimum µ
+// (the first in lexicographic subset order on a tie). Removed descriptors
+// contribute default list sizes.
+func (c *Catalogue) reducedStats(q *query.Graph, base query.Mask, v, removeCount int, sizes []float64) (float64, bool) {
+	var verts [query.MaxVertices]int // base's vertices, ascending
+	k := 0
+	for m := base; m != 0; m &= m - 1 {
+		verts[k] = bits.TrailingZeros32(m)
+		k++
 	}
-	target := k
-
+	if removeCount <= 0 || removeCount >= k {
+		return 0, false
+	}
 	bestMu := math.Inf(1)
-	var bestSizes []float64
 	found := false
 
-	full := query.AllMask(k)
-	// Enumerate subsets of size removeCount to remove.
-	var subsets []query.Mask
-	var gen func(start int, left int, cur query.Mask)
-	gen = func(start, left int, cur query.Mask) {
-		if left == 0 {
-			subsets = append(subsets, cur)
-			return
+	// comb walks the removeCount-subsets of verts in lexicographic order.
+	var comb [query.MaxVertices]int
+	for i := 0; i < removeCount; i++ {
+		comb[i] = i
+	}
+	for {
+		keep := base
+		for i := 0; i < removeCount; i++ {
+			keep &^= query.Bit(verts[comb[i]])
 		}
-		for v := start; v < k; v++ {
-			gen(v+1, left-1, cur|query.Bit(v))
+		if q.IsConnected(keep) {
+			// Descriptors anchored on surviving vertices stay.
+			if kept := q.NumEdgesBetween(keep, v); kept > 0 {
+				var perm [query.MaxVertices]int
+				if entry := c.lookup(q, keep, v, kept, &perm); entry != nil && entry.Mu < bestMu {
+					bestMu = entry.Mu
+					c.fillSizes(q, base, keep, v, &perm, entry, sizes)
+					found = true
+				}
+			}
+		}
+		i := removeCount - 1
+		for i >= 0 && comb[i] == k-removeCount+i {
+			i--
+		}
+		if i < 0 {
+			break
+		}
+		comb[i]++
+		for j := i + 1; j < removeCount; j++ {
+			comb[j] = comb[j-1] + 1
 		}
 	}
-	gen(0, removeCount, 0)
-
-	for _, rm := range subsets {
-		keep := full &^ rm
-		if !base.IsConnected(keep) {
-			continue
-		}
-		// Keep descriptors anchored on surviving vertices.
-		var keptIdx []int
-		for i, e := range edges {
-			anchor := e.From
-			if anchor == target {
-				anchor = e.To
-			}
-			if keep&query.Bit(anchor) != 0 {
-				keptIdx = append(keptIdx, i)
-			}
-		}
-		if len(keptIdx) == 0 {
-			continue
-		}
-		reduced, orig := base.Project(keep)
-		newIdx := make(map[int]int, len(orig))
-		for ni, ov := range orig {
-			newIdx[ov] = ni
-		}
-		redTarget := reduced.NumVertices()
-		redEdges := make([]query.Edge, 0, len(keptIdx))
-		for _, i := range keptIdx {
-			e := edges[i]
-			if e.From == target {
-				redEdges = append(redEdges, query.Edge{From: redTarget, To: newIdx[e.To], Label: e.Label})
-			} else {
-				redEdges = append(redEdges, query.Edge{From: newIdx[e.From], To: redTarget, Label: e.Label})
-			}
-		}
-		entry, ranks := c.lookup(reduced, redEdges, tl)
-		if entry == nil {
-			continue
-		}
-		if entry.Mu < bestMu {
-			bestMu = entry.Mu
-			bestSizes = make([]float64, len(edges))
-			for i := range edges {
-				bestSizes[i] = -1 // filled below or defaulted
-			}
-			for j, i := range keptIdx {
-				bestSizes[i] = entry.ListSizes[ranks[j]]
-			}
-			found = true
-		}
-	}
-	if !found {
-		return nil, 0, false
-	}
-	// Default the dropped descriptors' list sizes.
-	for i, s := range bestSizes {
-		if s < 0 {
-			dir, el := descriptorOf(edges[i], base.NumVertices())
-			bestSizes[i] = c.DefaultListSize(dir, el, tl)
-		}
-	}
-	return bestSizes, bestMu, true
+	return bestMu, found
 }
 
 // defaultStats is the last-resort estimate: graph-wide average partition
 // sizes and an independence-assumption µ (the first list filtered by each
 // further list's hit probability |Li|/n).
-func (c *Catalogue) defaultStats(base *query.Graph, edges []query.Edge, tl graph.Label) ([]float64, float64, bool) {
-	sizes := make([]float64, len(edges))
-	for i, e := range edges {
-		dir, el := descriptorOf(e, base.NumVertices())
-		sizes[i] = c.DefaultListSize(dir, el, tl)
+func (c *Catalogue) defaultStats(q *query.Graph, base query.Mask, v int, sizes []float64) float64 {
+	i := 0
+	for _, e := range q.Edges {
+		if _, dir, ok := descriptorOf(e, base, v); ok {
+			sizes[i] = c.DefaultListSize(dir, e.Label, q.Vertices[v].Label)
+			i++
+		}
 	}
 	mu := 0.0
 	if len(sizes) > 0 && c.NumVertices > 0 {
@@ -176,16 +179,7 @@ func (c *Catalogue) defaultStats(base *query.Graph, edges []query.Edge, tl graph
 			mu *= s / float64(c.NumVertices)
 		}
 	}
-	return sizes, mu, false
-}
-
-// descriptorOf maps an extension edge to its (direction, edge label) as
-// seen from the anchor vertex.
-func descriptorOf(e query.Edge, target int) (graph.Direction, graph.Label) {
-	if e.From == target {
-		return graph.Backward, e.Label
-	}
-	return graph.Forward, e.Label
+	return mu
 }
 
 // EstimateCardinality estimates |Q| as the paper does: pick a WCO-style
@@ -207,6 +201,7 @@ func (c *Catalogue) EstimateCardinality(q *query.Graph) float64 {
 	e0 := q.Edges[bestEdge]
 	card := bestCount
 	mask := query.Bit(e0.From) | query.Bit(e0.To)
+	sizes := make([]float64, len(q.Edges))
 	for card > 0 && mask != query.AllMask(n) {
 		// Greedily extend by the vertex with the most connections to the
 		// current mask (maximally constrained first, as a sampling plan
@@ -216,38 +211,16 @@ func (c *Catalogue) EstimateCardinality(q *query.Graph) float64 {
 			if mask&query.Bit(v) != 0 {
 				continue
 			}
-			d := len(q.EdgesBetween(mask, v))
-			if d > nextDeg {
+			if d := q.NumEdgesBetween(mask, v); d > nextDeg {
 				next, nextDeg = v, d
 			}
 		}
 		if next < 0 || nextDeg == 0 {
 			return 0 // disconnected query
 		}
-		_, mu := c.extensionForMask(q, mask, next)
+		mu, _ := c.ExtendStats(q, mask, next, sizes[:nextDeg])
 		card *= mu
 		mask |= query.Bit(next)
 	}
 	return card
-}
-
-// extensionForMask prepares the Extension for growing the mask-projection
-// of q by vertex v and returns its stats.
-func (c *Catalogue) extensionForMask(q *query.Graph, mask query.Mask, v int) ([]float64, float64) {
-	base, orig := q.Project(mask)
-	newIdx := make(map[int]int, len(orig))
-	for ni, ov := range orig {
-		newIdx[ov] = ni
-	}
-	target := base.NumVertices()
-	var edges []query.Edge
-	for _, e := range q.EdgesBetween(mask, v) {
-		if e.From == v {
-			edges = append(edges, query.Edge{From: target, To: newIdx[e.To], Label: e.Label})
-		} else {
-			edges = append(edges, query.Edge{From: newIdx[e.From], To: target, Label: e.Label})
-		}
-	}
-	sizes, mu, _ := c.ExtensionStats(base, edges, q.Vertices[v].Label)
-	return sizes, mu
 }

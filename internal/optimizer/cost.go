@@ -10,65 +10,65 @@ import (
 )
 
 // context carries the per-query state of one optimization: the catalogue,
-// the options, and memoized cardinality and extension-statistics caches.
+// the options, the query's neighbour sets, and memoized cardinality and
+// extension-statistics caches. Nothing in it outlives the Optimize call.
 type context struct {
 	q    *query.Graph
 	cat  *catalogue.Catalogue
 	opts Options
 
+	// nbr[v] is the set of query vertices sharing an edge with v: the
+	// adjacency and join-split tests of the search read it instead of
+	// rescanning (and copying out of) the edge list.
+	nbr      []query.Mask
 	card     map[query.Mask]float64
 	extStats map[extKey]extStat
 	sigMemo  map[extKey]string
 }
 
-type extKey struct {
-	mask query.Mask
-	v    int
-}
+// extKey packs (mask, v) — extending the subquery on mask by vertex v —
+// into one word: v < 32 takes the low five bits.
+type extKey uint64
 
-// extStat holds the catalogue estimates for extending mask by v: per-edge
-// average list sizes aligned with edges.
+func newExtKey(mask query.Mask, v int) extKey { return extKey(mask)<<5 | extKey(v) }
+
+// extStat holds the catalogue estimates for extending mask by v: the
+// average list size per query edge between mask and v, in q.Edges order
+// (the order plan.NewExtend derives descriptors in), and µ.
 type extStat struct {
-	edges []query.Edge // edges of q between mask and v
 	sizes []float64
 	mu    float64
 }
 
 func newContext(q *query.Graph, opts Options) *context {
-	return &context{
+	c := &context{
 		q:        q,
 		cat:      opts.Catalogue,
 		opts:     opts,
+		nbr:      make([]query.Mask, q.NumVertices()),
 		card:     map[query.Mask]float64{},
 		extStats: map[extKey]extStat{},
 		sigMemo:  map[extKey]string{},
 	}
+	for _, e := range q.Edges {
+		c.nbr[e.From] |= query.Bit(e.To)
+		c.nbr[e.To] |= query.Bit(e.From)
+	}
+	return c
 }
+
+// adjacent reports whether a query edge connects v to a vertex of mask.
+func (c *context) adjacent(mask query.Mask, v int) bool { return c.nbr[v]&mask != 0 }
 
 // extension returns the memoized catalogue statistics for extending the
 // subquery on mask by query vertex v.
 func (c *context) extension(mask query.Mask, v int) extStat {
-	key := extKey{mask, v}
+	key := newExtKey(mask, v)
 	if st, ok := c.extStats[key]; ok {
 		return st
 	}
-	base, orig := c.q.Project(mask)
-	newIdx := make(map[int]int, len(orig))
-	for ni, ov := range orig {
-		newIdx[ov] = ni
-	}
-	target := base.NumVertices()
-	qEdges := c.q.EdgesBetween(mask, v)
-	extEdges := make([]query.Edge, len(qEdges))
-	for i, e := range qEdges {
-		if e.From == v {
-			extEdges[i] = query.Edge{From: target, To: newIdx[e.To], Label: e.Label}
-		} else {
-			extEdges[i] = query.Edge{From: newIdx[e.From], To: target, Label: e.Label}
-		}
-	}
-	sizes, mu, _ := c.cat.ExtensionStats(base, extEdges, c.q.Vertices[v].Label)
-	st := extStat{edges: qEdges, sizes: sizes, mu: mu}
+	st := extStat{sizes: make([]float64, c.q.NumEdgesBetween(mask, v))}
+	st.mu, _ = c.cat.ExtendStats(c.q, mask, v, st.sizes)
 	c.extStats[key] = st
 	return st
 }
@@ -88,12 +88,11 @@ func (c *context) cardinality(mask query.Mask) float64 {
 		v := bits.TrailingZeros32(mask)
 		out = c.cat.VertexCountByLabel(c.q.Vertices[v].Label)
 	case 2:
-		es := c.q.EdgesWithin(mask)
-		if len(es) == 0 {
-			out = 0
-		} else {
-			e := es[0]
-			out = c.cat.ScanCount(e.Label, c.q.Vertices[e.From].Label, c.q.Vertices[e.To].Label)
+		for _, e := range c.q.Edges {
+			if mask == query.Bit(e.From)|query.Bit(e.To) {
+				out = c.cat.ScanCount(e.Label, c.q.Vertices[e.From].Label, c.q.Vertices[e.To].Label)
+				break
+			}
 		}
 	default:
 		// Remove the most-connected removable vertex: its µ is estimated
@@ -107,7 +106,7 @@ func (c *context) cardinality(mask query.Mask) float64 {
 			if !c.q.IsConnected(rest) {
 				continue
 			}
-			d := len(c.q.EdgesBetween(rest, v))
+			d := c.q.NumEdgesBetween(rest, v)
 			if d > bestDeg || (d == bestDeg && v < bestV) {
 				bestV, bestDeg = v, d
 			}
@@ -146,9 +145,8 @@ func (c *context) cardinality(mask query.Mask) float64 {
 func (c *context) extendCost(childMask query.Mask, ext *plan.Extend) float64 {
 	v := ext.TargetVertex
 	st := c.extension(childMask, v)
-	mult := c.reuseMult(childMask, st.edges, v, ext.Child)
-	// NewExtend derives descriptors from the same EdgesBetween walk as
-	// st.edges, so descriptor i is st.sizes[i]; the length check guards
+	mult := c.reuseMult(childMask, v, ext.Child)
+	// Descriptor i is st.sizes[i] (see extStat); the length check guards
 	// externally built plans (EstimateCost).
 	covered := ext.Inherited()
 	if covered == 0 || c.opts.CacheOblivious || len(st.sizes) != len(ext.Descriptors) {
@@ -170,13 +168,13 @@ func (c *context) extendCost(childMask query.Mask, ext *plan.Extend) float64 {
 // with it, the walk continues through a whole star-shaped suffix of
 // leaves, collapsing the multiplier to the prefix cardinality — the
 // set-computation pricing the factorized execution tier realizes.
-func (c *context) reuseMult(childMask query.Mask, edges []query.Edge, v int, childPlan plan.Node) float64 {
+func (c *context) reuseMult(childMask query.Mask, v int, childPlan plan.Node) float64 {
 	mask := childMask
 	if !c.opts.CacheOblivious {
 		node := childPlan
 		for {
 			last, ok := lastAddedVertex(node)
-			if !ok || anchorsTouch(edges, v, last) {
+			if !ok || c.adjacent(query.Bit(last), v) {
 				break
 			}
 			mask &^= query.Bit(last)
@@ -213,19 +211,4 @@ func lastAddedVertex(n plan.Node) (int, bool) {
 	default:
 		return 0, false
 	}
-}
-
-// anchorsTouch reports whether any extension edge (anchoring an adjacency
-// list) reads the given vertex.
-func anchorsTouch(edges []query.Edge, target, vertex int) bool {
-	for _, e := range edges {
-		anchor := e.From
-		if anchor == target {
-			anchor = e.To
-		}
-		if anchor == vertex {
-			return true
-		}
-	}
-	return false
 }

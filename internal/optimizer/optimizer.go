@@ -81,10 +81,16 @@ func (o Options) withDefaults() Options {
 }
 
 // planInfo is a DP table row: the best plan found for one subquery mask.
+// The zero value (no node) is an empty row.
 type planInfo struct {
 	node plan.Node
 	cost float64
 }
+
+// beats reports whether a plan of the given cost should replace the row:
+// the row is empty or the cost is strictly lower, so among equal costs
+// the first plan considered stays.
+func (pi planInfo) beats(cost float64) bool { return pi.node == nil || cost < pi.cost }
 
 // Optimize returns the lowest-estimated-cost plan for q (Algorithm 1).
 func Optimize(q *query.Graph, opts Options) (*plan.Plan, error) {
@@ -101,22 +107,20 @@ func Optimize(q *query.Graph, opts Options) (*plan.Plan, error) {
 	ctx := newContext(q, opts)
 	m := q.NumVertices()
 
-	var table map[query.Mask]*planInfo
+	var best planInfo
 	if m > opts.FullEnumerationLimit {
-		table = beamSearch(ctx)
+		best = beamSearch(ctx)
 	} else {
-		table = dynamicProgram(ctx)
+		best = dynamicProgram(ctx)
 	}
-	full := query.AllMask(m)
-	best, ok := table[full]
-	if !ok || best == nil {
+	if best.node == nil {
 		return nil, fmt.Errorf("optimizer: no plan found")
 	}
 	p := &plan.Plan{
 		Query:                q,
 		Root:                 best.node,
 		EstimatedCost:        best.cost,
-		EstimatedCardinality: ctx.cardinality(full),
+		EstimatedCardinality: ctx.cardinality(query.AllMask(m)),
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("optimizer: produced invalid plan: %w", err)
@@ -144,18 +148,19 @@ func checkNoParallelEdges(q *query.Graph) error {
 
 // dynamicProgram runs Algorithm 1 exactly: seed 2-vertex subqueries, fold
 // in the best full WCO enumeration per mask, then grow masks by E/I
-// extensions and binary joins.
-func dynamicProgram(ctx *context) map[query.Mask]*planInfo {
+// extensions and binary joins. It returns the full query's row. The
+// table is indexed by mask: below FullEnumerationLimit vertices, 2^m rows
+// are cheaper than a map of the connected ones.
+func dynamicProgram(ctx *context) planInfo {
 	q := ctx.q
-	table := map[query.Mask]*planInfo{}
+	m := q.NumVertices()
+	table := make([]planInfo, 1<<uint(m))
 
-	// Line 2: initialise each query edge to its scan.
+	// Line 2: initialise each query edge to its scan. Scanning is the
+	// unavoidable input cost, priced 0; plans differ beyond it.
 	for _, e := range q.Edges {
-		mask := query.Bit(e.From) | query.Bit(e.To)
-		cost := 0.0 // scanning is the unavoidable input cost; plans differ beyond it
-		cand := &planInfo{node: plan.NewScan(q, e), cost: cost}
-		if cur, ok := table[mask]; !ok || cand.cost < cur.cost {
-			table[mask] = cand
+		if row := &table[query.Bit(e.From)|query.Bit(e.To)]; row.node == nil {
+			row.node = plan.NewScan(q, e)
 		}
 	}
 
@@ -164,119 +169,63 @@ func dynamicProgram(ctx *context) map[query.Mask]*planInfo {
 	// necessarily extend the best plan for Qk-1).
 	wcoBest := enumerateWCOBest(ctx)
 
-	masks := q.ConnectedSubsets(3)
-	for _, mask := range masks {
-		var best *planInfo
-		consider := func(pi *planInfo) {
-			if pi != nil && (best == nil || pi.cost < best.cost) {
-				best = pi
-			}
-		}
+	for _, mask := range q.ConnectedSubsets(3) {
 		// (i) best WCO plan for this subquery.
-		consider(wcoBest[mask])
+		best := wcoBest[mask]
+		// (ii) extend a smaller best plan by one vertex. A row exists only
+		// for a connected subquery. Under WCOOnly the stored plans are WCO
+		// plans, and extending them only matters where (i) found nothing.
+		if !ctx.opts.WCOOnly || best.node == nil {
+			for v := 0; v < m; v++ {
+				rest := mask &^ query.Bit(v)
+				if rest == mask || table[rest].node == nil || !ctx.adjacent(rest, v) {
+					continue
+				}
+				ext, err := plan.NewExtend(q, table[rest].node, v)
+				if err != nil {
+					continue
+				}
+				if cost := table[rest].cost + ctx.extendCost(rest, ext); best.beats(cost) {
+					best = planInfo{node: ext, cost: cost}
+				}
+			}
+		}
+		// (iii) binary join of two smaller best plans.
 		if !ctx.opts.WCOOnly {
-			// (ii) extend a smaller best plan by one vertex.
-			for v := 0; v < q.NumVertices(); v++ {
-				if mask&query.Bit(v) == 0 {
-					continue
-				}
-				rest := mask &^ query.Bit(v)
-				child, ok := table[rest]
-				if !ok || !q.IsConnected(rest) || len(q.EdgesBetween(rest, v)) == 0 {
-					continue
-				}
-				ext, err := plan.NewExtend(q, child.node, v)
-				if err != nil {
-					continue
-				}
-				consider(&planInfo{node: ext, cost: child.cost + ctx.extendCost(rest, ext)})
-			}
-			// (iii) binary join of two smaller best plans.
-			for _, cand := range joinCandidates(ctx, mask, table) {
-				consider(cand)
-			}
-		} else if best == nil {
-			// WCOOnly: extensions of stored WCO plans only.
-			for v := 0; v < q.NumVertices(); v++ {
-				if mask&query.Bit(v) == 0 {
-					continue
-				}
-				rest := mask &^ query.Bit(v)
-				child, ok := table[rest]
-				if !ok || len(q.EdgesBetween(rest, v)) == 0 {
-					continue
-				}
-				ext, err := plan.NewExtend(q, child.node, v)
-				if err != nil {
-					continue
-				}
-				consider(&planInfo{node: ext, cost: child.cost + ctx.extendCost(rest, ext)})
-			}
+			joinCandidates(ctx, mask, table, &best)
 		}
-		if best != nil {
-			table[mask] = best
-		}
+		table[mask] = best
 	}
-	return table
+	return table[query.AllMask(m)]
 }
 
-// joinCandidates enumerates binary joins computing mask from two connected
-// subqueries already in the table. Following Section 4.3, joins that a
-// single E/I could replace (one side adds exactly one vertex) are omitted —
-// case (ii) covers them more cheaply.
-func joinCandidates(ctx *context, mask query.Mask, table map[query.Mask]*planInfo) []*planInfo {
-	q := ctx.q
-	var out []*planInfo
-	lowest := query.Mask(1) << uint(bits.TrailingZeros32(mask))
-	edgesWithin := q.EdgesWithin(mask)
+// joinCandidates offers best every binary join computing mask from two
+// connected subqueries already in the table. Following Section 4.3, joins
+// that a single E/I could replace (one side adds exactly one vertex) are
+// omitted — case (ii) covers them more cheaply.
+func joinCandidates(ctx *context, mask query.Mask, table []planInfo, best *planInfo) {
+	lowest := mask & -mask
 
 	// Enumerate c1 as submasks of mask containing the lowest bit.
 	for c1 := mask; c1 > 0; c1 = (c1 - 1) & mask {
-		if c1&lowest == 0 || c1 == mask {
-			continue
-		}
-		info1, ok := table[c1]
-		if !ok {
+		if c1&lowest == 0 || c1 == mask || table[c1].node == nil {
 			continue
 		}
 		// c2 must cover mask\c1 plus a non-empty shared part of c1.
 		rest := mask &^ c1
-		if rest == 0 {
-			continue
-		}
-		shared := c1
-		for s := shared; ; s = (s - 1) & shared {
-			c2 := rest | s
-			if s != 0 && c2 != mask {
-				if info2, ok := table[c2]; ok && c1&c2 != 0 {
-					if cand := tryJoin(ctx, mask, c1, c2, info1, info2, edgesWithin); cand != nil {
-						out = append(out, cand)
-					}
-				}
-			}
-			if s == 0 {
-				break
+		for s := c1; s != 0; s = (s - 1) & c1 {
+			if c2 := rest | s; c2 != mask && table[c2].node != nil {
+				tryJoin(ctx, c1, c2, table[c1], table[c2], best)
 			}
 		}
 	}
-	return out
 }
 
-func tryJoin(ctx *context, mask, c1, c2 query.Mask, i1, i2 *planInfo, edgesWithin []query.Edge) *planInfo {
-	// Every edge of the mask-projection must lie inside one side (the
-	// projection constraint makes Qk = Qc1 ∪ Qc2).
-	for _, e := range edgesWithin {
-		eb := query.Bit(e.From) | query.Bit(e.To)
-		if eb&^c1 != 0 && eb&^c2 != 0 {
-			return nil
-		}
-	}
-	// Joins replaceable by a single-list E/I are omitted (Section 4.3's
-	// a1->a2->a3 example): one side is a single query edge hanging off one
-	// shared vertex. Joins of larger sub-queries stay — the diamond-X
-	// triangles join of Figure 1c is a legitimate hybrid plan.
-	if singleEdgeAttachment(c1, c2) || singleEdgeAttachment(c2, c1) {
-		return nil
+// tryJoin offers best the hash join of the plans i1 and i2 for the
+// subqueries c1 and c2, when the split is a valid one.
+func tryJoin(ctx *context, c1, c2 query.Mask, i1, i2 planInfo, best *planInfo) {
+	if !ctx.validJoinSplit(c1, c2) {
+		return
 	}
 	// Orient: build on the smaller estimated side.
 	build, probe := c1, c2
@@ -285,12 +234,34 @@ func tryJoin(ctx *context, mask, c1, c2 query.Mask, i1, i2 *planInfo, edgesWithi
 		build, probe = c2, c1
 		bi, pi = i2, i1
 	}
-	hj, err := plan.NewHashJoin(bi.node, pi.node)
-	if err != nil {
-		return nil
-	}
 	cost := bi.cost + pi.cost + ctx.joinCost(build, probe)
-	return &planInfo{node: hj, cost: cost}
+	if !best.beats(cost) {
+		return
+	}
+	if hj, err := plan.NewHashJoin(bi.node, pi.node); err == nil {
+		*best = planInfo{node: hj, cost: cost}
+	}
+}
+
+// validJoinSplit reports whether the subqueries c1 and c2 may be hash
+// joined into c1|c2 (Section 4.3). They must overlap, and every edge of
+// the union's projection must lie inside one side (the projection
+// constraint makes Qk = Qc1 ∪ Qc2), so no edge may connect a vertex only
+// c1 has to one only c2 has. Joins replaceable by a single-list E/I are
+// omitted (the a1->a2->a3 example): one side is a single query edge
+// hanging off one shared vertex. Joins of larger sub-queries stay — the
+// diamond-X triangles join of Figure 1c is a legitimate hybrid plan.
+func (c *context) validJoinSplit(c1, c2 query.Mask) bool {
+	if c1&c2 == 0 {
+		return false
+	}
+	only2 := c2 &^ c1
+	for only1 := c1 &^ c2; only1 != 0; only1 &= only1 - 1 {
+		if c.adjacent(only2, bits.TrailingZeros32(only1)) {
+			return false
+		}
+	}
+	return !singleEdgeAttachment(c1, c2) && !singleEdgeAttachment(c2, c1)
 }
 
 // singleEdgeAttachment reports whether side is a 2-vertex subquery sharing
@@ -302,92 +273,79 @@ func singleEdgeAttachment(side, other query.Mask) bool {
 
 // beamSearch is the Section 4.4 path for very large queries: WCO plans are
 // not enumerated separately, and only the BeamWidth cheapest subqueries are
-// kept per level.
-func beamSearch(ctx *context) map[query.Mask]*planInfo {
+// kept per level. It returns the full query's row. Masks are too wide to
+// index a table here, so rows live in maps.
+func beamSearch(ctx *context) planInfo {
 	q := ctx.q
 	m := q.NumVertices()
-	table := map[query.Mask]*planInfo{}
+	table := map[query.Mask]planInfo{}
 	levels := make([][]query.Mask, m+1)
 
 	for _, e := range q.Edges {
 		mask := query.Bit(e.From) | query.Bit(e.To)
-		if cur, ok := table[mask]; !ok || cur.cost > 0 {
-			table[mask] = &planInfo{node: plan.NewScan(q, e), cost: 0}
+		if _, ok := table[mask]; !ok {
+			table[mask] = planInfo{node: plan.NewScan(q, e)}
+			levels[2] = append(levels[2], mask)
 		}
-	}
-	for mask := range table {
-		levels[2] = append(levels[2], mask)
 	}
 	sort.Slice(levels[2], func(i, j int) bool { return levels[2][i] < levels[2][j] })
 
 	for k := 3; k <= m; k++ {
-		cands := map[query.Mask]*planInfo{}
-		considerExt := func(rest query.Mask, v int) {
-			child := table[rest]
-			mask := rest | query.Bit(v)
-			ext, err := plan.NewExtend(q, child.node, v)
-			if err != nil {
-				return
-			}
-			cost := child.cost + ctx.extendCost(rest, ext)
-			if cur, ok := cands[mask]; !ok || cost < cur.cost {
-				cands[mask] = &planInfo{node: ext, cost: cost}
-			}
-		}
+		cands := map[query.Mask]planInfo{}
 		for _, rest := range levels[k-1] {
+			child := table[rest]
 			for v := 0; v < m; v++ {
-				if rest&query.Bit(v) != 0 || len(q.EdgesBetween(rest, v)) == 0 {
+				if rest&query.Bit(v) != 0 || !ctx.adjacent(rest, v) {
 					continue
 				}
-				considerExt(rest, v)
+				ext, err := plan.NewExtend(q, child.node, v)
+				if err != nil {
+					continue
+				}
+				mask := rest | query.Bit(v)
+				if cost := child.cost + ctx.extendCost(rest, ext); cands[mask].beats(cost) {
+					cands[mask] = planInfo{node: ext, cost: cost}
+				}
 			}
 		}
 		// Joins of stored smaller levels.
 		for k1 := 2; k1 <= k-2; k1++ {
 			for _, c1 := range levels[k1] {
-				for k2 := k - k1; k2 <= k-1; k2++ {
-					if k2 < 2 || k2 > m {
-						continue
-					}
+				for k2 := max(k-k1, 2); k2 <= k-1; k2++ {
 					for _, c2 := range levels[k2] {
 						mask := c1 | c2
-						if bits.OnesCount32(mask) != k || c1&c2 == 0 {
+						if bits.OnesCount32(mask) != k {
 							continue
 						}
-						if cand := tryJoin(ctx, mask, c1, c2, table[c1], table[c2], q.EdgesWithin(mask)); cand != nil {
-							if cur, ok := cands[mask]; !ok || cand.cost < cur.cost {
-								cands[mask] = cand
-							}
+						best := cands[mask]
+						tryJoin(ctx, c1, c2, table[c1], table[c2], &best)
+						if best.node != nil {
+							cands[mask] = best
 						}
 					}
 				}
 			}
 		}
 		// Keep the BeamWidth cheapest (always keep the full mask).
-		type entry struct {
-			mask query.Mask
-			pi   *planInfo
-		}
-		var list []entry
-		for mask, pi := range cands {
-			list = append(list, entry{mask, pi})
+		list := make([]query.Mask, 0, len(cands))
+		for mask := range cands {
+			list = append(list, mask)
 		}
 		sort.Slice(list, func(i, j int) bool {
-			if list[i].pi.cost != list[j].pi.cost {
-				return list[i].pi.cost < list[j].pi.cost
+			if ci, cj := cands[list[i]].cost, cands[list[j]].cost; ci != cj {
+				return ci < cj
 			}
-			return list[i].mask < list[j].mask
+			return list[i] < list[j]
 		})
-		keep := ctx.opts.BeamWidth
-		for i, ent := range list {
-			if i >= keep && ent.mask != query.AllMask(m) {
+		for i, mask := range list {
+			if i >= ctx.opts.BeamWidth && mask != query.AllMask(m) {
 				continue
 			}
-			table[ent.mask] = ent.pi
-			levels[k] = append(levels[k], ent.mask)
+			table[mask] = cands[mask]
+			levels[k] = append(levels[k], mask)
 		}
 	}
-	return table
+	return table[query.AllMask(m)]
 }
 
 // EstimateCost exposes the cost model for a given externally-built plan:

@@ -71,7 +71,7 @@ func EnumeratePlans(q *query.Graph, opts Options, maxPerMask int) ([]SpectrumPla
 					continue
 				}
 				rest := mask &^ query.Bit(v)
-				if !q.IsConnected(rest) || len(q.EdgesBetween(rest, v)) == 0 {
+				if !q.IsConnected(rest) || !ctx.adjacent(rest, v) {
 					continue
 				}
 				for _, child := range plansFor(rest) {
@@ -84,7 +84,6 @@ func EnumeratePlans(q *query.Graph, opts Options, maxPerMask int) ([]SpectrumPla
 			}
 			// Binary joins.
 			lowest := query.Mask(1) << uint(bits.TrailingZeros32(mask))
-			edgesWithin := q.EdgesWithin(mask)
 			for c1 := mask; c1 > 0; c1 = (c1 - 1) & mask {
 				if c1&lowest == 0 || c1 == mask || !q.IsConnected(c1) {
 					continue
@@ -96,7 +95,7 @@ func EnumeratePlans(q *query.Graph, opts Options, maxPerMask int) ([]SpectrumPla
 				for s := c1; ; s = (s - 1) & c1 {
 					c2 := rest | s
 					if s != 0 && c2 != mask && q.IsConnected(c2) {
-						if validJoinSplit(c1, c2, edgesWithin) {
+						if ctx.validJoinSplit(c1, c2) {
 							b, p := c1, c2
 							if ctx.cardinality(c2) < ctx.cardinality(c1) {
 								b, p = c2, c1
@@ -176,24 +175,6 @@ func EnumeratePlans(q *query.Graph, opts Options, maxPerMask int) ([]SpectrumPla
 	}
 	sort.SliceStable(result, func(i, j int) bool { return result[i].Cost < result[j].Cost })
 	return result, nil
-}
-
-// validJoinSplit checks the projection-constraint coverage and the
-// E/I-convertibility omission for a join split (Section 4.3).
-func validJoinSplit(c1, c2 query.Mask, edgesWithin []query.Edge) bool {
-	if c1&c2 == 0 {
-		return false
-	}
-	for _, e := range edgesWithin {
-		eb := query.Bit(e.From) | query.Bit(e.To)
-		if eb&^c1 != 0 && eb&^c2 != 0 {
-			return false
-		}
-	}
-	if singleEdgeAttachment(c1, c2) || singleEdgeAttachment(c2, c1) {
-		return false
-	}
-	return true
 }
 
 // planSignature serialises the plan tree with query vertices optionally

@@ -12,24 +12,23 @@ import (
 
 // enumerateWCOBest walks every query vertex ordering with connected
 // prefixes and records, for every prefix mask, the cheapest WCO plan
-// reaching it (line 1 of Algorithm 1). The full-query entries double as
-// the complete WCO plan space.
-func enumerateWCOBest(ctx *context) map[query.Mask]*planInfo {
+// reaching it (line 1 of Algorithm 1), in a table indexed by mask. The
+// full-query row doubles as the complete WCO plan space.
+func enumerateWCOBest(ctx *context) []planInfo {
 	q := ctx.q
-	best := map[query.Mask]*planInfo{}
-	consider := func(mask query.Mask, node plan.Node, cost float64) {
-		if cur, ok := best[mask]; !ok || cost < cur.cost {
-			best[mask] = &planInfo{node: node, cost: cost}
-		}
-	}
+	m := q.NumVertices()
+	full := query.AllMask(m)
+	best := make([]planInfo, 1<<uint(m))
 	var rec func(mask query.Mask, node plan.Node, cost float64)
 	rec = func(mask query.Mask, node plan.Node, cost float64) {
-		consider(mask, node, cost)
-		if mask == query.AllMask(q.NumVertices()) {
+		if best[mask].beats(cost) {
+			best[mask] = planInfo{node: node, cost: cost}
+		}
+		if mask == full {
 			return
 		}
-		for v := 0; v < q.NumVertices(); v++ {
-			if mask&query.Bit(v) != 0 || len(q.EdgesBetween(mask, v)) == 0 {
+		for v := 0; v < m; v++ {
+			if mask&query.Bit(v) != 0 || !ctx.adjacent(mask, v) {
 				continue
 			}
 			ext, err := plan.NewExtend(q, node, v)
@@ -42,9 +41,7 @@ func enumerateWCOBest(ctx *context) map[query.Mask]*planInfo {
 		}
 	}
 	for _, e := range q.Edges {
-		scan := plan.NewScan(q, e)
-		mask := query.Bit(e.From) | query.Bit(e.To)
-		rec(mask, scan, 0)
+		rec(query.Bit(e.From)|query.Bit(e.To), plan.NewScan(q, e), 0)
 	}
 	return best
 }
@@ -91,7 +88,7 @@ func EnumerateWCOPlans(q *query.Graph, opts Options) ([]WCOPlan, error) {
 			return
 		}
 		for v := 0; v < q.NumVertices(); v++ {
-			if mask&query.Bit(v) != 0 || len(q.EdgesBetween(mask, v)) == 0 {
+			if mask&query.Bit(v) != 0 || !ctx.adjacent(mask, v) {
 				continue
 			}
 			ext, err := plan.NewExtend(q, node, v)
@@ -119,28 +116,16 @@ func EnumerateWCOPlans(q *query.Graph, opts Options) ([]WCOPlan, error) {
 // identical work.
 func (c *context) stepSignature(mask query.Mask, v, lastAdded int) string {
 	cached := "-"
-	if !anchorsTouch(c.q.EdgesBetween(mask, v), v, lastAdded) {
+	if !c.adjacent(query.Bit(lastAdded), v) {
 		cached = "c"
 	}
-	if sig, ok := c.sigMemo[extKey{mask, v}]; ok {
+	if sig, ok := c.sigMemo[newExtKey(mask, v)]; ok {
 		return sig + cached
 	}
-	base, orig := c.q.Project(mask)
-	newIdx := make(map[int]int, len(orig))
-	for ni, ov := range orig {
-		newIdx[ov] = ni
-	}
-	target := base.NumVertices()
-	var edges []query.Edge
-	for _, e := range c.q.EdgesBetween(mask, v) {
-		if e.From == v {
-			edges = append(edges, query.Edge{From: target, To: newIdx[e.To], Label: e.Label})
-		} else {
-			edges = append(edges, query.Edge{From: newIdx[e.From], To: target, Label: e.Label})
-		}
-	}
-	key, _ := (catalogue.Extension{Base: base, Edges: edges, TargetLabel: c.q.Vertices[v].Label}).Key()
-	c.sigMemo[extKey{mask, v}] = key
+	// The rendered key, not its packed bytes: signatures are joined with a
+	// separator the bytes could contain.
+	key := catalogue.ExtensionKey(c.q, mask, v).String()
+	c.sigMemo[newExtKey(mask, v)] = key
 	return key + cached
 }
 

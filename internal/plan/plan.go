@@ -9,6 +9,7 @@ package plan
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"graphflow/internal/graph"
@@ -92,7 +93,7 @@ type Extend struct {
 // vertices.
 func NewExtend(q *query.Graph, child Node, target int) (*Extend, error) {
 	childOut := child.Out()
-	slotOf := make(map[int]int, len(childOut))
+	var slotOf [32]int // query vertex -> child tuple slot, for vertices in mask
 	mask := query.Mask(0)
 	for slot, v := range childOut {
 		slotOf[v] = slot
@@ -101,28 +102,32 @@ func NewExtend(q *query.Graph, child Node, target int) (*Extend, error) {
 	if mask&query.Bit(target) != 0 {
 		return nil, fmt.Errorf("plan: target a%d already matched", target+1)
 	}
-	edges := q.EdgesBetween(mask, target)
-	if len(edges) == 0 {
+	// The optimizer builds one node per ordering prefix it visits, so the
+	// descriptors are gathered on the stack and then the node, its
+	// descriptors and its layout are each allocated once, at final size.
+	var buf [8]Descriptor
+	descs := buf[:0]
+	for _, e := range q.Edges {
+		switch {
+		case e.From == target && mask&query.Bit(e.To) != 0:
+			// target -> existing: follow existing vertex's backward list.
+			descs = append(descs, Descriptor{TupleIdx: slotOf[e.To], Dir: graph.Backward, EdgeLabel: e.Label})
+		case e.To == target && mask&query.Bit(e.From) != 0:
+			descs = append(descs, Descriptor{TupleIdx: slotOf[e.From], Dir: graph.Forward, EdgeLabel: e.Label})
+		}
+	}
+	if len(descs) == 0 {
 		return nil, fmt.Errorf("plan: target a%d not adjacent to child", target+1)
 	}
 	ext := &Extend{
 		Child:        child,
+		Descriptors:  append(make([]Descriptor, 0, len(descs)), descs...),
 		TargetVertex: target,
 		TargetLabel:  q.Vertices[target].Label,
-		out:          append(append([]int(nil), childOut...), target),
+		out:          make([]int, len(childOut)+1),
 	}
-	for _, e := range edges {
-		if e.From == target {
-			// target -> existing: follow existing vertex's backward list.
-			ext.Descriptors = append(ext.Descriptors, Descriptor{
-				TupleIdx: slotOf[e.To], Dir: graph.Backward, EdgeLabel: e.Label,
-			})
-		} else {
-			ext.Descriptors = append(ext.Descriptors, Descriptor{
-				TupleIdx: slotOf[e.From], Dir: graph.Forward, EdgeLabel: e.Label,
-			})
-		}
-	}
+	copy(ext.out, childOut)
+	ext.out[len(childOut)] = target
 	return ext, nil
 }
 
@@ -207,7 +212,12 @@ func NewHashJoin(build, probe Node) (*HashJoin, error) {
 	if bm|pm == bm || bm|pm == pm {
 		return nil, fmt.Errorf("plan: hash join side covers the other")
 	}
-	hj := &HashJoin{Build: build, Probe: probe}
+	hj := &HashJoin{
+		Build:        build,
+		Probe:        probe,
+		JoinVertices: make([]int, 0, bits.OnesCount32(common)),
+		out:          make([]int, 0, bits.OnesCount32(bm|pm)),
+	}
 	for _, v := range build.Out() {
 		if common&query.Bit(v) != 0 {
 			hj.JoinVertices = append(hj.JoinVertices, v)

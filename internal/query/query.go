@@ -107,28 +107,23 @@ func (q *Graph) IsConnected(mask Mask) bool {
 	if mask == 0 {
 		return false
 	}
-	if bits.OnesCount32(mask) == 1 {
-		return true
-	}
-	start := Mask(1) << uint(bits.TrailingZeros32(mask))
-	frontier := start
-	reached := start
-	for frontier != 0 {
-		next := Mask(0)
-		for _, e := range q.Edges {
-			fb, tb := Bit(e.From), Bit(e.To)
-			if fb&mask == 0 || tb&mask == 0 {
-				continue
-			}
-			if frontier&fb != 0 && reached&tb == 0 {
-				next |= tb
-			}
-			if frontier&tb != 0 && reached&fb == 0 {
-				next |= fb
-			}
+	// One pass over the edges for the induced neighbour sets, then a
+	// breadth-first search on bitmasks.
+	var nbr [32]Mask
+	for _, e := range q.Edges {
+		fb, tb := Bit(e.From), Bit(e.To)
+		if fb&mask != 0 && tb&mask != 0 {
+			nbr[e.From] |= tb
+			nbr[e.To] |= fb
 		}
-		reached |= next
-		frontier = next
+	}
+	reached := mask & -mask
+	for frontier := reached; frontier != 0; {
+		v := bits.TrailingZeros32(frontier)
+		frontier &^= Bit(v)
+		fresh := nbr[v] &^ reached
+		reached |= fresh
+		frontier |= fresh
 	}
 	return reached == mask
 }
@@ -137,7 +132,16 @@ func (q *Graph) IsConnected(mask Mask) bool {
 // the edge set of the projection ΠVk(Q) (Section 4.1: projections are
 // induced subgraphs).
 func (q *Graph) EdgesWithin(mask Mask) []Edge {
-	var out []Edge
+	n := 0
+	for _, e := range q.Edges {
+		if mask&Bit(e.From) != 0 && mask&Bit(e.To) != 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Edge, 0, n)
 	for _, e := range q.Edges {
 		if mask&Bit(e.From) != 0 && mask&Bit(e.To) != 0 {
 			out = append(out, e)
@@ -146,16 +150,37 @@ func (q *Graph) EdgesWithin(mask Mask) []Edge {
 	return out
 }
 
-// EdgesBetween returns the query edges connecting vertex v to vertices in
-// mask (in either direction). These become the adjacency-list descriptors
-// when an E/I operator extends the mask-subquery by v.
-func (q *Graph) EdgesBetween(mask Mask, v int) []Edge {
-	var out []Edge
-	vb := Bit(v)
+// connects reports whether e joins vertex v to a vertex of mask, in
+// either direction.
+func (e Edge) connects(mask Mask, v int) bool {
+	return (e.From == v && mask&Bit(e.To) != 0) || (e.To == v && mask&Bit(e.From) != 0)
+}
+
+// NumEdgesBetween counts the query edges connecting vertex v to vertices
+// in mask: the number of adjacency lists an E/I operator intersects when
+// it extends the mask-subquery by v.
+func (q *Graph) NumEdgesBetween(mask Mask, v int) int {
+	n := 0
 	for _, e := range q.Edges {
-		if Bit(e.From) == vb && mask&Bit(e.To) != 0 {
-			out = append(out, e)
-		} else if Bit(e.To) == vb && mask&Bit(e.From) != 0 {
+		if e.connects(mask, v) {
+			n++
+		}
+	}
+	return n
+}
+
+// EdgesBetween returns the query edges connecting vertex v to vertices in
+// mask (in either direction), in q.Edges order. These become the
+// adjacency-list descriptors when an E/I operator extends the
+// mask-subquery by v.
+func (q *Graph) EdgesBetween(mask Mask, v int) []Edge {
+	n := q.NumEdgesBetween(mask, v)
+	if n == 0 {
+		return nil
+	}
+	out := make([]Edge, 0, n)
+	for _, e := range q.Edges {
+		if e.connects(mask, v) {
 			out = append(out, e)
 		}
 	}

@@ -53,6 +53,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"graphflow_exec_kernel_dispatch_total",
 		"graphflow_plan_cache_hits_total",
 		"graphflow_plan_cache_misses_total",
+		"graphflow_plan_seconds_bucket",
 		"graphflow_graph_vertices",
 		"graphflow_graph_epoch",
 		"graphflow_overlay_delta_ops",
@@ -232,6 +233,17 @@ func TestSlowQueryLogged(t *testing.T) {
 	for _, want := range []string{"slow query", "plan_digest=", "plan_kind=", "pattern=", "elapsed_ms=", "scan_ms="} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("slow-query log missing %q:\n%s", want, out)
+		}
+	}
+
+	// plan_ms says how much of the request was the optimizer: present when
+	// the request planned (a pattern no other test of the shared DB sends),
+	// absent when the plan cache served it.
+	for _, planned := range []bool{true, false} {
+		buf.Reset()
+		do(t, s, http.MethodPost, "/query", map[string]any{"pattern": "p->q, q->r, r->s, s->t, t->p, p->r", "limit": 1})
+		if out := buf.String(); !strings.Contains(out, "slow query") || strings.Contains(out, "plan_ms=") != planned {
+			t.Fatalf("slow-query log carries plan_ms = %v, want %v:\n%s", !planned, planned, out)
 		}
 	}
 

@@ -814,7 +814,8 @@ func (s *Server) execute(r *http.Request, name string, pq *graphflow.PreparedQue
 // maybeLogSlow emits the slow-query Warn record when the run met the
 // configured threshold: enough to find the query (pattern or template),
 // group it across processes (plan digest), and see where the time went
-// (per-stage breakdown, when the vectorized engine attributed one).
+// (planning, when this request planned; the per-stage breakdown, when the
+// vectorized engine attributed one).
 func (s *Server) maybeLogSlow(name string, pq *graphflow.PreparedQuery, req *queryRequest, elapsed time.Duration, stages *stageMillis) {
 	if s.cfg.SlowQueryThreshold <= 0 || elapsed < s.cfg.SlowQueryThreshold {
 		return
@@ -828,6 +829,11 @@ func (s *Server) maybeLogSlow(name string, pq *graphflow.PreparedQuery, req *que
 		attrs = append(attrs, slog.String("template", name))
 	} else {
 		attrs = append(attrs, slog.String("pattern", req.Pattern))
+		// An ad-hoc query is prepared inside the request: when the plan
+		// cache missed, say how much of elapsed_ms was the optimizer.
+		if took := pq.PlanTime(); took > 0 {
+			attrs = append(attrs, slog.Float64("plan_ms", float64(took.Microseconds())/1000))
+		}
 	}
 	if mode := req.Mode; mode == "" {
 		attrs = append(attrs, slog.String("mode", "count"))
