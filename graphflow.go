@@ -1247,9 +1247,9 @@ func (db *DB) AddVertex(label uint16) (uint32, error) {
 // reports whether the edge was new (false: duplicate or self-loop, both
 // dropped to preserve Builder semantics).
 //
-// Each call publishes its own epoch, which pays one copy-on-write clone
-// of the overlay's vertex index; for bulk mutation streams prefer
-// Apply, which amortizes that clone across the whole batch.
+// Each call publishes its own epoch and, on a durable store, writes (and
+// by default fsyncs) its own log record; for bulk mutation streams prefer
+// Apply, which pays both once per batch.
 func (db *DB) AddEdge(src, dst uint32, label uint16) (bool, error) {
 	res, err := db.apply(live.Batch{AddEdges: []live.EdgeOp{{Src: graph.VertexID(src), Dst: graph.VertexID(dst), Label: graph.Label(label)}}})
 	return res.AddedEdges > 0, err
@@ -1284,8 +1284,9 @@ type LiveStats struct {
 	Vertices, Edges int
 	// BaseEdges is the edge count of the immutable CSR under the overlay.
 	BaseEdges int
-	// DeltaOps is the number of overlay mutations since the last
-	// compaction — the metric the compaction trigger watches.
+	// DeltaOps is the number of overlay mutations not yet folded into the
+	// base — the metric the compaction trigger watches. A compaction that
+	// ran beside writers leaves what they wrote during its fold.
 	DeltaOps int
 	// Compactions counts completed compaction passes.
 	Compactions int64
@@ -1305,7 +1306,8 @@ type LiveStats struct {
 	// WALBatches counts mutation batches logged by this process.
 	WALBytes   int64
 	WALBatches int64
-	// ReplayedBatches is the number of WAL records replayed at open, and
+	// ReplayedBatches is the number of mutation batches replayed from the
+	// WAL at open (the empty records compactions log are not counted), and
 	// WALTornTail whether a torn final record was discarded then.
 	ReplayedBatches int
 	WALTornTail     bool
@@ -1358,7 +1360,7 @@ func (db *DB) RegisterMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(db.store.Snapshot().DeltaOps()) })
 	reg.CounterFunc("graphflow_compactions_total", "Completed compaction passes.",
 		func() float64 { return float64(db.store.Compactions()) })
-	reg.RegisterHistogram("graphflow_compaction_seconds", "Compaction pass duration (rebuild through publish, checkpoint included).",
+	reg.RegisterHistogram("graphflow_compaction_seconds", "Compaction pass duration (freeze through rebase, checkpoint included).",
 		db.store.CompactionHistogram())
 
 	reg.CounterFunc("graphflow_plan_cache_hits_total", "Plan cache hits.",

@@ -21,8 +21,12 @@ import (
 // labels, edge set and epoch against the shadow state as of the last
 // record that survived intact. A cut inside a record must be reported
 // (and repaired) as a torn tail; a cut at a boundary must recover
-// cleanly. With a compaction in the middle of the trial the same sweep
-// exercises checkpoint-plus-tail-replay recovery.
+// cleanly. With a compaction in the middle of the trial — one that races
+// a writer — the same sweep exercises checkpoint-plus-tail-replay
+// recovery, and the data directory is also copied at every stage of the
+// compaction pass (after the freeze-time rotation, mid-checkpoint, after
+// the checkpoint but before the rebase, after the rebase's compaction
+// record) and recovered from each copy.
 
 // liveBatch converts the public batch shape onto the live store's.
 func liveBatch(b graphflow.Batch) live.Batch {
@@ -136,13 +140,43 @@ func checkRecovered(db *live.DB, want crashState) error {
 	return nil
 }
 
+// killPoint is a copy of the data directory taken at one stage of a
+// compaction pass, with the state a recovery from it must reach.
+type killPoint struct {
+	name, dir string
+	want      crashState
+}
+
+// recoverAndCheck opens a store over dir, compares it with want, proves
+// it still accepts a batch and closes it, returning its WAL statistics.
+func recoverAndCheck(base *graph.Graph, dir string, want crashState) (live.WALStats, error) {
+	rdb, err := live.Open(base, live.Config{CompactThreshold: -1, Dir: dir})
+	if err != nil {
+		return live.WALStats{}, fmt.Errorf("recovery open: %w", err)
+	}
+	ws := rdb.WALStats()
+	if err := checkRecovered(rdb, want); err != nil {
+		rdb.Close()
+		return ws, err
+	}
+	// The store must stay writable after recovery: one more batch proves
+	// the repaired log accepts appends.
+	if _, err := rdb.Apply(live.Batch{AddVertices: []graph.Label{0}}); err != nil {
+		rdb.Close()
+		return ws, fmt.Errorf("post-recovery apply: %w", err)
+	}
+	return ws, rdb.Close()
+}
+
 // RunCrashTrial drives `batches` random mutation batches into a durable
 // live store rooted at a scratch directory under tmpDir, then for every
 // byte offset of the final WAL segment simulates a crash at that offset
-// and verifies recovery. compactAt >= 0 forces a compaction (checkpoint
-// + WAL prune) after that many batches, so the sweep covers
-// checkpoint-plus-tail recovery; negative keeps the whole history in
-// the log.
+// and verifies recovery. compactAt >= 0 forces a compaction after that
+// many batches, with two more batches applied while it folds, so the
+// sweep covers checkpoint-plus-tail recovery (the tail holding the racing
+// batches and the compaction's own record); every stage of that pass is
+// a kill point of its own, and the store is closed and reopened right
+// after it. Negative keeps the whole history in the log.
 func RunCrashTrial(tmpDir string, seed int64, batches, compactAt int) error {
 	rng := rand.New(rand.NewSource(seed))
 	base := GenGraph(seed)
@@ -150,61 +184,127 @@ func RunCrashTrial(tmpDir string, seed int64, batches, compactAt int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	db, err := live.Open(base, live.Config{CompactThreshold: -1, Dir: dir})
+	cfg := live.Config{CompactThreshold: -1, Dir: dir}
+	db, err := live.Open(base, cfg)
 	if err != nil {
 		return fmt.Errorf("seed %d: open durable store: %w", seed, err)
 	}
 	sh := NewShadow(base)
 
 	// states[k] is the expected recovery outcome when exactly k records
-	// of the final segment survive; boundaries[k-1] is that segment's
-	// size after the k-th record.
+	// of the final segment survive, replayed[k] how many of those are
+	// mutation batches (a compaction's record is not one), and
+	// boundaries[k-1] that segment's size after the k-th record.
 	states := []crashState{captureState(0, sh)}
+	replayed := []int{0}
 	var boundaries []int
-	segSize := func() (int, error) {
+	record := func(isBatch bool) error {
 		name, err := newestSegment(dir)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		fi, err := os.Stat(filepath.Join(dir, name))
 		if err != nil {
-			return 0, err
+			return err
 		}
-		return int(fi.Size()), nil
+		n := replayed[len(replayed)-1]
+		if isBatch {
+			n++
+		}
+		boundaries = append(boundaries, int(fi.Size()))
+		states = append(states, captureState(db.Epoch(), sh))
+		replayed = append(replayed, n)
+		return nil
 	}
-	for i := 0; i < batches; i++ {
+	apply := func(what string) error {
 		b := GenBatch(rng, sh)
 		before := db.WALStats().Appended
-		res, err := db.Apply(liveBatch(b))
-		if err != nil {
-			return fmt.Errorf("seed %d batch %d: apply: %w", seed, i, err)
+		if _, err := db.Apply(liveBatch(b)); err != nil {
+			return fmt.Errorf("seed %d %s: apply: %w", seed, what, err)
 		}
 		sh.Apply(b)
 		if db.WALStats().Appended > before {
-			sz, err := segSize()
-			if err != nil {
-				return err
+			return record(true)
+		}
+		return nil
+	}
+
+	var kills []killPoint
+	var hookErr error
+	kill := func(name string) string {
+		kdir := filepath.Join(tmpDir, fmt.Sprintf("kill-%d-%s", seed, name))
+		if hookErr == nil {
+			hookErr = os.MkdirAll(kdir, 0o755)
+		}
+		if hookErr == nil {
+			hookErr = cloneDirTruncated(dir, kdir, "", 0)
+		}
+		kills = append(kills, killPoint{name, kdir, captureState(db.Epoch(), sh)})
+		return kdir
+	}
+	db.SetCompactionHook(func(st live.CompactStage) {
+		switch st {
+		case live.StageFrozen:
+			// The log was just rotated at the frozen epoch: the sweep
+			// restarts on the new (empty) segment with that epoch as the
+			// zero-record state. Two batches then race the fold.
+			kill("rotated")
+			states, replayed, boundaries = []crashState{captureState(db.Epoch(), sh)}, []int{0}, nil
+			for i := 0; i < 2 && hookErr == nil; i++ {
+				hookErr = apply("racing the fold")
 			}
-			boundaries = append(boundaries, sz)
-			states = append(states, captureState(res.Epoch, sh))
+		case live.StageCheckpointed:
+			kdir := kill("checkpointed")
+			if hookErr == nil {
+				hookErr = tearCheckpoint(kdir, kill("mid-checkpoint"))
+			}
+		case live.StageRebased:
+			if hookErr == nil {
+				hookErr = record(false)
+			}
+			kill("rebased")
+		}
+	})
+
+	for i := 0; i < batches; i++ {
+		if err := apply(fmt.Sprintf("batch %d", i)); err != nil {
+			return err
 		}
 		if i == compactAt {
+			frozen := db.Epoch()
 			if err := db.Compact(); err != nil {
 				return fmt.Errorf("seed %d batch %d: compact: %w", seed, i, err)
 			}
-			// The checkpoint now covers everything so far; the log was
-			// rotated and pruned, and the sweep restarts on the new (empty)
-			// segment with the compacted epoch as the zero-record state.
-			ws := db.WALStats()
-			if ws.Checkpoints == 0 || ws.CheckpointEpoch != db.Epoch() {
-				return fmt.Errorf("seed %d: compaction did not checkpoint: %+v", seed, ws)
+			if hookErr != nil {
+				return fmt.Errorf("seed %d: during compaction: %w", seed, hookErr)
 			}
-			boundaries = nil
-			states = []crashState{captureState(db.Epoch(), sh)}
+			// The checkpoint covers the epoch the pass froze; the racing
+			// batches and the compaction's record follow it in the log.
+			ws := db.WALStats()
+			published := frozen + uint64(replayed[len(replayed)-1]) + 1
+			if ws.Checkpoints != 1 || ws.CheckpointEpoch != frozen || db.Epoch() != published || len(kills) != 4 {
+				return fmt.Errorf("seed %d: compaction frozen at %d left epoch %d, %d kill points, %+v", seed, frozen, db.Epoch(), len(kills), ws)
+			}
+			// Closed right after a compaction that raced a writer, the
+			// store must reopen at the epoch and edge set it closed with.
+			if err := db.Close(); err != nil {
+				return fmt.Errorf("seed %d: close after compaction: %w", seed, err)
+			}
+			if db, err = live.Open(base, cfg); err != nil {
+				return fmt.Errorf("seed %d: reopen after compaction: %w", seed, err)
+			}
+			if err := checkRecovered(db, states[len(states)-1]); err != nil {
+				return fmt.Errorf("seed %d: reopened after compaction: %w", seed, err)
+			}
 		}
 	}
 	if err := db.Close(); err != nil {
 		return fmt.Errorf("seed %d: close: %w", seed, err)
+	}
+	for _, k := range kills {
+		if _, err := recoverAndCheck(base, k.dir, k.want); err != nil {
+			return fmt.Errorf("seed %d killed at %q: %w", seed, k.name, err)
+		}
 	}
 
 	segment, err := newestSegment(dir)
@@ -237,35 +337,44 @@ func RunCrashTrial(tmpDir string, seed int64, batches, compactAt int) error {
 				atBoundary = true
 			}
 		}
-		rdb, err := live.Open(base, live.Config{CompactThreshold: -1, Dir: cdir})
+		ws, err := recoverAndCheck(base, cdir, states[k])
 		if err != nil {
-			return fmt.Errorf("seed %d cut %d: recovery open: %w", seed, cut, err)
-		}
-		ws := rdb.WALStats()
-		if ws.Replayed != k {
-			rdb.Close()
-			return fmt.Errorf("seed %d cut %d: replayed %d records, want %d", seed, cut, ws.Replayed, k)
-		}
-		if ws.TornTailDropped == atBoundary {
-			rdb.Close()
-			return fmt.Errorf("seed %d cut %d: torn=%v but boundary=%v", seed, cut, ws.TornTailDropped, atBoundary)
-		}
-		if err := checkRecovered(rdb, states[k]); err != nil {
-			rdb.Close()
 			return fmt.Errorf("seed %d cut %d (k=%d): %w", seed, cut, k, err)
 		}
-		// The store must stay writable after recovery: one more batch
-		// proves the repaired log accepts appends.
-		if _, err := rdb.Apply(live.Batch{AddVertices: []graph.Label{0}}); err != nil {
-			rdb.Close()
-			return fmt.Errorf("seed %d cut %d: post-recovery apply: %w", seed, cut, err)
+		if ws.Replayed != replayed[k] {
+			return fmt.Errorf("seed %d cut %d: replayed %d batches, want %d", seed, cut, ws.Replayed, replayed[k])
 		}
-		if err := rdb.Close(); err != nil {
-			return fmt.Errorf("seed %d cut %d: close: %w", seed, cut, err)
+		if ws.TornTailDropped == atBoundary {
+			return fmt.Errorf("seed %d cut %d: torn=%v but boundary=%v", seed, cut, ws.TornTailDropped, atBoundary)
 		}
 		if err := os.RemoveAll(cdir); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// tearCheckpoint turns the copy of a data directory taken just after a
+// checkpoint landed (from) into the one a crash half-way through writing
+// it leaves (to, already a copy of from): the finished checkpoint becomes
+// a truncated temporary file.
+func tearCheckpoint(from, to string) error {
+	ents, err := os.ReadDir(from)
+	if err != nil {
+		return err
+	}
+	for _, ent := range ents {
+		if !strings.HasSuffix(ent.Name(), ".snap") {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(from, ent.Name()))
+		if err != nil {
+			return err
+		}
+		if err := os.Remove(filepath.Join(to, ent.Name())); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(to, "ckpt-torn.tmp"), data[:len(data)/2], 0o644)
+	}
+	return fmt.Errorf("no checkpoint in %s", from)
 }

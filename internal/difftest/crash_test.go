@@ -20,9 +20,10 @@ func TestDifferentialCrashRecovery(t *testing.T) {
 }
 
 // TestDifferentialCrashRecoveryWithCheckpoint interleaves a compaction
-// (checkpoint + WAL prune) into the trial, so every kill offset
-// exercises checkpoint-load-plus-tail-replay recovery instead of pure
-// log replay.
+// that races a writer (rotation, checkpoint, rebase record, WAL prune)
+// into the trial, so every kill offset exercises
+// checkpoint-load-plus-tail-replay recovery instead of pure log replay,
+// and kills the store at every stage of the compaction pass as well.
 func TestDifferentialCrashRecoveryWithCheckpoint(t *testing.T) {
 	seeds := []int64{4, 5}
 	if testing.Short() {

@@ -77,3 +77,10 @@ func (g *Graph) Partitions(v VertexID, dir Direction, fn PartitionFunc) {
 		}
 	}
 }
+
+// NumPartitions returns how many partitions Partitions would visit for v
+// in dir, so a caller copying them can size its directory once.
+func (g *Graph) NumPartitions(v VertexID, dir Direction) int {
+	a := g.adj(dir)
+	return int(a.pOff[v+1] - a.pOff[v])
+}

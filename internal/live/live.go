@@ -48,11 +48,9 @@ type Config struct {
 	SyncInterval time.Duration
 }
 
-// EdgeOp names one directed labelled edge in a Batch.
-type EdgeOp struct {
-	Src, Dst graph.VertexID
-	Label    graph.Label
-}
+// EdgeOp names one directed labelled edge in a Batch. It is the log's own
+// type, so a batch reaches the WAL without being copied.
+type EdgeOp = wal.EdgeOp
 
 // Batch is one atomic group of mutations. Vertices are appended first, so
 // AddEdges/DeleteEdges may reference vertices created by the same batch.
@@ -89,16 +87,21 @@ type ApplyResult struct {
 // on an internal mutex and publish each batch as a new epoch with an
 // atomic pointer swap.
 type DB struct {
-	mu        sync.Mutex // serialises writers and the compaction swap
+	mu        sync.Mutex // serialises writers and compaction's freeze and rebase
 	cur       atomic.Pointer[Snapshot]
 	threshold int
 	onEpoch   func(*Snapshot)
 
-	compacting  atomic.Bool
+	// compactMu serialises compaction passes (background and forced) and
+	// guards stageHook; it is never taken while holding mu.
+	compactMu   sync.Mutex
+	stageHook   func(CompactStage)
+	compacting  atomic.Bool // the background compactor is running
+	folds       atomic.Int64
 	compactions atomic.Int64
 	compactWG   sync.WaitGroup
-	// compactSeconds observes full compaction-pass durations (rebuild
-	// through publish, including the checkpoint write for durable
+	// compactSeconds observes full compaction-pass durations (freeze
+	// through rebase, including the checkpoint write for durable
 	// stores). Owned here so it records regardless of whether a metrics
 	// registry is attached; exposed via CompactionHistogram.
 	compactSeconds *metrics.Histogram
@@ -192,16 +195,19 @@ func Open(base *graph.Graph, cfg Config) (*DB, error) {
 			// out before the checkpoint landed but not yet pruned.
 			return nil
 		}
-		ns, _, err := applyBatch(cur, batchFromRecord(rec))
+		if rec.Empty() {
+			// A compaction published this epoch over an unchanged edge set.
+			// cur is still private to Open, so it takes the epoch in place.
+			cur.epoch = rec.Epoch
+			return nil
+		}
+		// The logged epoch is the one to build: stores written before
+		// compactions were logged skip a number at each of them.
+		ns, _, err := applyBatch(cur, Batch{rec.AddVertices, rec.AddEdges, rec.DeleteEdges}, rec.Epoch)
 		if err != nil {
 			return fmt.Errorf("live: wal replay epoch %d: %w", rec.Epoch, err)
 		}
-		if ns != cur {
-			// Epochs can skip numbers across compactions (which publish an
-			// epoch without a WAL record), so trust the logged epoch.
-			ns.epoch = rec.Epoch
-			cur = ns
-		}
+		cur = ns
 		replayed++
 		return nil
 	})
@@ -218,43 +224,6 @@ func Open(base *graph.Graph, cfg Config) (*DB, error) {
 	}
 	db.cur.Store(cur)
 	return db, nil
-}
-
-// batchFromRecord converts a logged record back into a Batch.
-func batchFromRecord(rec wal.Record) Batch {
-	b := Batch{AddVertices: rec.AddVertices}
-	if len(rec.AddEdges) > 0 {
-		b.AddEdges = make([]EdgeOp, len(rec.AddEdges))
-		for i, e := range rec.AddEdges {
-			b.AddEdges[i] = EdgeOp{Src: e.Src, Dst: e.Dst, Label: e.Label}
-		}
-	}
-	if len(rec.DeleteEdges) > 0 {
-		b.DeleteEdges = make([]EdgeOp, len(rec.DeleteEdges))
-		for i, e := range rec.DeleteEdges {
-			b.DeleteEdges[i] = EdgeOp{Src: e.Src, Dst: e.Dst, Label: e.Label}
-		}
-	}
-	return b
-}
-
-// recordFromBatch converts a batch (plus the epoch its application will
-// publish) into its WAL record.
-func recordFromBatch(epoch uint64, b Batch) wal.Record {
-	rec := wal.Record{Epoch: epoch, AddVertices: b.AddVertices}
-	if len(b.AddEdges) > 0 {
-		rec.AddEdges = make([]wal.EdgeOp, len(b.AddEdges))
-		for i, e := range b.AddEdges {
-			rec.AddEdges[i] = wal.EdgeOp{Src: e.Src, Dst: e.Dst, Label: e.Label}
-		}
-	}
-	if len(b.DeleteEdges) > 0 {
-		rec.DeleteEdges = make([]wal.EdgeOp, len(b.DeleteEdges))
-		for i, e := range b.DeleteEdges {
-			rec.DeleteEdges[i] = wal.EdgeOp{Src: e.Src, Dst: e.Dst, Label: e.Label}
-		}
-	}
-	return rec
 }
 
 // Close waits for background compaction and closes the WAL (syncing any
@@ -279,7 +248,8 @@ type WALStats struct {
 	// logged by this process.
 	Bytes    int64
 	Appended int64
-	// Replayed is the number of WAL records recovered at open, and
+	// Replayed is the number of mutation batches recovered from the WAL
+	// at open (a compaction's empty record is not one), and
 	// TornTailDropped whether a torn final record was discarded.
 	Replayed        int
 	TornTailDropped bool
@@ -335,7 +305,7 @@ func (db *DB) AddVertex(label graph.Label) (graph.VertexID, error) {
 // reports whether the edge was new (false: duplicate or self-loop, both
 // dropped to preserve the frozen Builder's semantics).
 func (db *DB) AddEdge(src, dst graph.VertexID, label graph.Label) (bool, error) {
-	res, err := db.Apply(Batch{AddEdges: []EdgeOp{{src, dst, label}}})
+	res, err := db.Apply(Batch{AddEdges: []EdgeOp{{Src: src, Dst: dst, Label: label}}})
 	if err != nil {
 		return false, err
 	}
@@ -345,7 +315,7 @@ func (db *DB) AddEdge(src, dst graph.VertexID, label graph.Label) (bool, error) 
 // DeleteEdge removes the directed edge src->dst with the given (exact)
 // label, reporting whether it existed.
 func (db *DB) DeleteEdge(src, dst graph.VertexID, label graph.Label) (bool, error) {
-	res, err := db.Apply(Batch{DeleteEdges: []EdgeOp{{src, dst, label}}})
+	res, err := db.Apply(Batch{DeleteEdges: []EdgeOp{{Src: src, Dst: dst, Label: label}}})
 	if err != nil {
 		return false, err
 	}
@@ -364,7 +334,7 @@ func (db *DB) Apply(b Batch) (ApplyResult, error) {
 	}
 	db.mu.Lock()
 	s := db.cur.Load()
-	ns, res, err := applyBatch(s, b)
+	ns, res, err := applyBatch(s, b, s.epoch+1)
 	if err != nil {
 		db.mu.Unlock()
 		return ApplyResult{}, err
@@ -375,7 +345,7 @@ func (db *DB) Apply(b Batch) (ApplyResult, error) {
 		// duplicates and absent deletes deterministically) and made durable
 		// per the sync policy before the epoch becomes visible, so an
 		// acknowledged batch can never outrun the log.
-		if err := db.log.Append(recordFromBatch(ns.epoch, b)); err != nil {
+		if err := db.log.Append(wal.Record{Epoch: ns.epoch, AddVertices: b.AddVertices, AddEdges: b.AddEdges, DeleteEdges: b.DeleteEdges}); err != nil {
 			db.mu.Unlock()
 			return ApplyResult{}, err
 		}
@@ -395,8 +365,8 @@ func (db *DB) Apply(b Batch) (ApplyResult, error) {
 	return res, nil
 }
 
-// applyBatch builds the next epoch's snapshot from s without publishing it.
-func applyBatch(s *Snapshot, b Batch) (*Snapshot, ApplyResult, error) {
+// applyBatch builds the given epoch's snapshot from s without publishing it.
+func applyBatch(s *Snapshot, b Batch, epoch uint64) (*Snapshot, ApplyResult, error) {
 	var res ApplyResult
 	nAfter := s.NumVertices() + len(b.AddVertices)
 	for _, l := range b.AddVertices {
@@ -424,21 +394,17 @@ func applyBatch(s *Snapshot, b Batch) (*Snapshot, ApplyResult, error) {
 		return s, res, nil
 	}
 
-	ns := s.clone()
+	ns := s.fork(epoch)
 	if len(b.AddVertices) > 0 {
 		res.FirstNewVertex = graph.VertexID(ns.NumVertices())
 		res.AddedVertices = len(b.AddVertices)
+		ns.extra = append(ns.extra, b.AddVertices...)
 		for _, l := range b.AddVertices {
-			ns.extra = append(ns.extra, l)
 			if int(l)+1 > ns.numVertexLabels {
 				ns.numVertexLabels = int(l) + 1
 			}
 		}
 	}
-	// touched tracks which adjacencies are already private to ns, so a
-	// batch touching the same vertex repeatedly clones it once.
-	touchedF := map[graph.VertexID]bool{}
-	touchedB := map[graph.VertexID]bool{}
 	for _, e := range b.AddEdges {
 		if e.Src == e.Dst {
 			continue // self-loops dropped: subgraph queries bind distinct vertices
@@ -446,8 +412,8 @@ func applyBatch(s *Snapshot, b Batch) (*Snapshot, ApplyResult, error) {
 		if ns.HasEdge(e.Src, e.Dst, e.Label) {
 			continue
 		}
-		ns.materialize(graph.Forward, e.Src, touchedF).insert(e.Label, ns.VertexLabel(e.Dst), e.Dst)
-		ns.materialize(graph.Backward, e.Dst, touchedB).insert(e.Label, ns.VertexLabel(e.Src), e.Src)
+		ns.materialize(graph.Forward, e.Src).insert(e.Label, ns.VertexLabel(e.Dst), e.Dst)
+		ns.materialize(graph.Backward, e.Dst).insert(e.Label, ns.VertexLabel(e.Src), e.Src)
 		ns.m++
 		ns.deltaOps++
 		if int(e.Label)+1 > ns.numEdgeLabels {
@@ -459,8 +425,8 @@ func applyBatch(s *Snapshot, b Batch) (*Snapshot, ApplyResult, error) {
 		if !ns.HasEdge(e.Src, e.Dst, e.Label) {
 			continue
 		}
-		ns.materialize(graph.Forward, e.Src, touchedF).remove(e.Label, ns.VertexLabel(e.Dst), e.Dst)
-		ns.materialize(graph.Backward, e.Dst, touchedB).remove(e.Label, ns.VertexLabel(e.Src), e.Src)
+		ns.materialize(graph.Forward, e.Src).remove(e.Label, ns.VertexLabel(e.Dst), e.Dst)
+		ns.materialize(graph.Backward, e.Dst).remove(e.Label, ns.VertexLabel(e.Src), e.Src)
 		ns.m--
 		ns.deltaOps++
 		res.DeletedEdges++
@@ -468,138 +434,223 @@ func applyBatch(s *Snapshot, b Batch) (*Snapshot, ApplyResult, error) {
 	return ns, res, nil
 }
 
-// materialize returns a private (mutable) vadj for v in dir, cloning the
-// published overlay entry or materialising the base adjacency on first
-// touch.
-func (s *Snapshot) materialize(dir graph.Direction, v graph.VertexID, touched map[graph.VertexID]bool) *vadj {
-	ov := s.overlay(dir)
-	if touched[v] {
-		return ov[v]
-	}
-	var a *vadj
+// materialize returns v's adjacency in dir, private to the epoch s is
+// building: the entry as it stands when this epoch already made it,
+// otherwise a copy of the published overlay entry or of the base
+// adjacency.
+func (s *Snapshot) materialize(dir graph.Direction, v graph.VertexID) *vadj {
+	p := s.overlay(dir).slot(v, s.epoch)
+	a := *p
 	switch {
-	case ov[v] != nil:
-		a = ov[v].clone()
-	case int(v) < s.nBase:
+	case a == nil && int(v) < s.nBase:
 		a = fromPartitions(s.base, v, dir)
+	case a == nil:
+		a = newVadj(0, 0)
+	case a.stamp == s.epoch:
+		return a
 	default:
-		a = &vadj{}
+		a = a.clone()
 	}
-	ov[v] = a
-	touched[v] = true
+	a.stamp = s.epoch
+	*p = a
 	return a
 }
 
-// maybeCompact kicks off a background compaction pass when the overlay
-// has outgrown the threshold and no pass is already running.
+// maybeCompact starts the background compactor when the overlay has
+// outgrown the threshold and it is not already running.
 func (db *DB) maybeCompact() {
-	if db.threshold <= 0 || db.closed.Load() {
-		return
-	}
-	if db.cur.Load().deltaOps < db.threshold {
-		return
-	}
-	if !db.compacting.CompareAndSwap(false, true) {
+	if !db.overThreshold() || !db.compacting.CompareAndSwap(false, true) {
 		return
 	}
 	db.compactWG.Add(1)
 	go func() {
 		defer db.compactWG.Done()
-		defer db.compacting.Store(false)
-		// The overlay only grows until a compaction lands, so an error here
-		// (impossible for overlays built through Apply, which validates)
-		// just leaves the delta in place for the next trigger.
-		_ = db.compactOnce()
+		// One fold per iteration: a rebase leaves behind what was written
+		// during its fold, which may itself be over threshold. An error
+		// (none for overlays built through Apply, which validates) leaves
+		// the delta in place for the next trigger.
+		var err error
+		for err == nil && db.overThreshold() {
+			err = db.Compact()
+		}
+		db.compacting.Store(false)
+		if err == nil {
+			// A writer that crossed the threshold meanwhile started none.
+			db.maybeCompact()
+		}
 	}()
 }
 
-// Compact folds the current overlay into a fresh CSR base synchronously
-// and bumps the epoch. A no-op when the overlay is empty.
-func (db *DB) Compact() error { return db.compactOnce() }
+func (db *DB) overThreshold() bool {
+	return db.threshold > 0 && !db.closed.Load() && db.cur.Load().deltaOps >= db.threshold
+}
 
-// WaitCompaction blocks until any in-flight background compaction pass
-// finishes — a test and shutdown aid.
+// WaitCompaction blocks until the background compactor has brought the
+// overlay back under the threshold and stopped — a test and shutdown aid.
 func (db *DB) WaitCompaction() { db.compactWG.Wait() }
 
-// compactOnce rebuilds the base CSR from the current snapshot. The
-// rebuild runs without the writer lock (queries and writers proceed);
-// the swap retries if a writer published a new epoch mid-rebuild, and
-// after repeated conflicts rebuilds once more under the lock so the pass
-// terminates even under a sustained write load.
-func (db *DB) compactOnce() error {
-	t0 := time.Now()
-	defer func() { db.compactSeconds.ObserveDuration(time.Since(t0)) }()
-	for tries := 0; ; tries++ {
-		s := db.cur.Load()
-		if s.deltaOps == 0 && len(s.extra) == 0 {
-			return nil
-		}
-		g, err := Rebuild(s)
-		if err != nil {
-			return err
-		}
-		db.mu.Lock()
-		if db.cur.Load() == s {
-			return db.publishCompacted(s, g) // unlocks db.mu
-		}
-		if tries >= 2 {
-			s = db.cur.Load()
-			if s.deltaOps == 0 && len(s.extra) == 0 {
-				// A concurrent pass already landed; publishing a rebuild of
-				// an empty overlay would bump the epoch for no logical change.
-				db.mu.Unlock()
-				return nil
-			}
-			g, err = Rebuild(s)
-			if err != nil {
-				db.mu.Unlock()
-				return err
-			}
-			return db.publishCompacted(s, g) // unlocks db.mu
-		}
-		db.mu.Unlock()
+// CompactStage names a point in a compaction pass for SetCompactionHook:
+// StageFrozen once the snapshot to fold is chosen and the WAL rotated at
+// its epoch (the fold has not started), StageCheckpointed once the folded
+// base is built and, for a durable store, its checkpoint is on disk, and
+// StageRebased once the new base is published and its compaction record
+// logged, before superseded segments and checkpoints are pruned.
+type CompactStage int
+
+const (
+	StageFrozen CompactStage = iota
+	StageCheckpointed
+	StageRebased
+)
+
+// SetCompactionHook installs fn to be called, with no lock but the
+// compaction pass's own held, at each CompactStage of every pass. It
+// exists for crash and concurrency tests, which copy the data directory
+// or apply batches from it; fn must not call Compact.
+func (db *DB) SetCompactionHook(fn func(CompactStage)) {
+	db.compactMu.Lock()
+	db.stageHook = fn
+	db.compactMu.Unlock()
+}
+
+func (db *DB) atStage(st CompactStage) {
+	if db.stageHook != nil {
+		db.stageHook(st)
 	}
 }
 
-// publishCompacted swaps in the rebuilt base as a new epoch and, for a
-// durable store, rotates the WAL onto a fresh segment while still under
-// the writer lock — no append can land between the swap and the
-// rotation, so the old segments hold exactly the records the new base
-// covers. The expensive part, serialising the checkpoint, then runs
-// outside the lock; only once it is durable are the covered segments and
-// older checkpoints pruned. A crash anywhere in between recovers from
-// the previous checkpoint plus the retained segments. Called with db.mu
-// held; always unlocks it.
-func (db *DB) publishCompacted(s *Snapshot, g *graph.Graph) error {
-	ns := newBaseSnapshot(g, s.epoch+1)
-	ns.hubThreshold = s.hubThreshold
-	db.cur.Store(ns)
-	var rotateErr error
+// Compact runs one compaction pass synchronously: it folds the current
+// overlay into a fresh CSR base and bumps the epoch, or does nothing on
+// an empty overlay. The pass freezes the current snapshot S under the
+// writer lock — rotating the WAL there, so every record S covers sits in
+// older segments — then, with writers running, merges S into a new CSR
+// base and writes that as the checkpoint of S's epoch. The lock is taken
+// again only to rebase: whatever was written during the fold is carried
+// over the new base (all but the last few batches of it before the lock)
+// and published as one more epoch, logged as an empty record so that a
+// reopened store resumes at it. A crash anywhere in between recovers from
+// the newest complete checkpoint plus the retained segments; covered
+// segments and older checkpoints are pruned last.
+func (db *DB) Compact() error {
+	db.compactMu.Lock()
+	defer db.compactMu.Unlock()
+	t0 := time.Now()
 	if db.log != nil {
-		rotateErr = db.log.Rotate(ns.epoch)
+		// Flush what the sync policy left buffered (appends carry on), so
+		// the rotation under the lock has next to nothing to sync. The
+		// rotation reports any failure again.
+		_ = db.log.Sync()
 	}
+	db.mu.Lock()
+	s := db.cur.Load()
+	if s.deltaOps == 0 && len(s.extra) == 0 {
+		db.mu.Unlock() // nothing to fold: no epoch for no logical change
+		return nil
+	}
+	var err error
+	if db.log != nil {
+		err = db.log.Rotate(s.epoch)
+	}
+	db.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	defer func() { db.compactSeconds.ObserveDuration(time.Since(t0)) }()
+	db.atStage(StageFrozen)
+	g, err := fold(s)
+	if err != nil {
+		return err
+	}
+	db.folds.Add(1)
+	if db.log != nil {
+		// Every segment is still there: should this fail, recovery reaches
+		// the current state from the previous checkpoint plus the full log.
+		if err := wal.WriteCheckpoint(db.dir, s.epoch, g); err != nil {
+			return err
+		}
+		db.checkpointEpoch.Store(s.epoch)
+		db.checkpoints.Add(1)
+		db.checkpointTime.Store(time.Now().UnixNano())
+	}
+	db.atStage(StageCheckpointed)
+
+	// Carry while writers still run; under the lock, only what they wrote
+	// in the meantime.
+	ns := newBaseSnapshot(g, 0)
+	ns.hubThreshold = s.hubThreshold
+	mid := db.cur.Load()
+	ns.carry(s, mid, s.epoch)
+	db.mu.Lock()
+	ns.carry(s, db.cur.Load(), mid.epoch)
+	if db.log != nil {
+		if err := db.log.Append(wal.Record{Epoch: ns.epoch}); err != nil {
+			db.mu.Unlock()
+			return err
+		}
+	}
+	db.cur.Store(ns)
 	db.mu.Unlock()
 	db.compactions.Add(1)
 	db.notifyEpoch(ns)
+	db.atStage(StageRebased)
 	if db.log == nil {
 		return nil
 	}
-	if rotateErr != nil {
-		// The in-memory swap already happened; durability just lags — the
-		// current segment keeps accumulating records, all replayable from
-		// the previous checkpoint. Skip the checkpoint and surface it.
-		return rotateErr
-	}
-	if err := wal.WriteCheckpoint(db.dir, ns.epoch, g); err != nil {
-		// Keep every segment: recovery still reaches the current state
-		// from the previous checkpoint plus the full log.
+	if err := db.log.DropSegmentsBefore(s.epoch); err != nil {
 		return err
 	}
-	db.checkpointEpoch.Store(ns.epoch)
-	db.checkpoints.Add(1)
-	db.checkpointTime.Store(time.Now().UnixNano())
-	if err := db.log.DropSegmentsBefore(ns.epoch); err != nil {
-		return err
+	return wal.DropCheckpointsBefore(db.dir, s.epoch)
+}
+
+// fold merges s into a fresh CSR: each vertex contributes its overlay
+// adjacency where it has one and its base run otherwise, both already in
+// CSR order, so nothing is sorted. The new base carries a hub bitset
+// index at the store's configured threshold, so overlay vertices regain
+// their fast-intersection representation at every compaction.
+func fold(s *Snapshot) (*graph.Graph, error) {
+	n := s.NumVertices()
+	labels := make([]graph.Label, n)
+	for v := range labels {
+		labels[v] = s.VertexLabel(graph.VertexID(v))
 	}
-	return wal.DropCheckpointsBefore(db.dir, ns.epoch)
+	asm := graph.NewAssembler(labels, s.m)
+	for _, dir := range []graph.Direction{graph.Forward, graph.Backward} {
+		// Stretches between two overlay entries are copied from the base whole.
+		next := graph.VertexID(0)
+		fromBase := func(upTo graph.VertexID) {
+			if upTo = min(upTo, graph.VertexID(s.nBase)); next < upTo {
+				asm.AppendRange(s.base, next, upTo, dir)
+			}
+		}
+		s.overlay(dir).walk(0, func(v graph.VertexID, a *vadj) {
+			fromBase(v)
+			for i, p := range a.parts {
+				asm.AppendPartition(v, dir, p.e, p.n, a.run(i))
+			}
+			next = v + 1
+		})
+		fromBase(graph.VertexID(n))
+	}
+	return asm.Finish(s.hubThreshold)
+}
+
+// carry makes ns, a snapshot over the fold of s, the successor of cur: it
+// takes cur's counters and appended labels and adopts cur's adjacencies
+// stamped after the given epoch. One stamped after s holds its vertex's
+// complete neighbour set, so it is valid over any base; the rest of cur's
+// overlay is in the fold. A second call with a later cur and the earlier
+// cur's epoch brings ns up to date with what was written in between.
+func (ns *Snapshot) carry(s, cur *Snapshot, after uint64) {
+	ns.epoch = cur.epoch + 1
+	ns.extra = append([]graph.Label(nil), cur.extra[len(s.extra):]...) // not a subslice: the folded labels can go
+	ns.m = cur.m
+	ns.deltaOps = cur.deltaOps - s.deltaOps
+	ns.numVertexLabels = max(ns.numVertexLabels, cur.numVertexLabels)
+	ns.numEdgeLabels = max(ns.numEdgeLabels, cur.numEdgeLabels)
+	for _, dir := range []graph.Direction{graph.Forward, graph.Backward} {
+		ix := ns.overlay(dir)
+		cur.overlay(dir).walk(after, func(v graph.VertexID, a *vadj) {
+			*ix.slot(v, ns.epoch) = a
+		})
+	}
 }

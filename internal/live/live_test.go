@@ -51,7 +51,7 @@ func randomBatch(rng *rand.Rand, s *Snapshot) Batch {
 	// Deletes: mostly existing edges, some absent ones.
 	var existing []EdgeOp
 	s.Edges(func(src, dst graph.VertexID, l graph.Label) bool {
-		existing = append(existing, EdgeOp{src, dst, l})
+		existing = append(existing, EdgeOp{Src: src, Dst: dst, Label: l})
 		return true
 	})
 	for i := rng.Intn(12); i > 0 && len(existing) > 0; i-- {
@@ -71,7 +71,7 @@ func randomBatch(rng *rand.Rand, s *Snapshot) Batch {
 func collectEdges(g graph.View) []EdgeOp {
 	var out []EdgeOp
 	g.Edges(func(src, dst graph.VertexID, l graph.Label) bool {
-		out = append(out, EdgeOp{src, dst, l})
+		out = append(out, EdgeOp{Src: src, Dst: dst, Label: l})
 		return true
 	})
 	return out
@@ -85,41 +85,77 @@ func checkEquivalent(t *testing.T, s *Snapshot, rng *rand.Rand) {
 	if err != nil {
 		t.Fatalf("Rebuild: %v", err)
 	}
-	if s.NumVertices() != want.NumVertices() {
-		t.Fatalf("NumVertices %d, rebuild %d", s.NumVertices(), want.NumVertices())
+	checkViewsAgree(t, s, want, rng)
+}
+
+// checkViewsAgree verifies that got answers every graph.View method as
+// the oracle graph does.
+func checkViewsAgree(t *testing.T, got graph.View, want *graph.Graph, rng *rand.Rand) {
+	t.Helper()
+	if got.NumVertices() != want.NumVertices() {
+		t.Fatalf("NumVertices %d, oracle %d", got.NumVertices(), want.NumVertices())
 	}
-	if s.NumEdges() != want.NumEdges() {
-		t.Fatalf("NumEdges %d, rebuild %d", s.NumEdges(), want.NumEdges())
+	if got.NumEdges() != want.NumEdges() {
+		t.Fatalf("NumEdges %d, oracle %d", got.NumEdges(), want.NumEdges())
 	}
-	if !reflect.DeepEqual(collectEdges(s), collectEdges(want)) {
-		t.Fatalf("Edges iteration diverges from rebuild")
+	if got.NumVertexLabels() < want.NumVertexLabels() || got.NumEdgeLabels() < want.NumEdgeLabels() {
+		t.Fatalf("label counts %d/%d below the oracle's %d/%d",
+			got.NumVertexLabels(), got.NumEdgeLabels(), want.NumVertexLabels(), want.NumEdgeLabels())
 	}
-	n := s.NumVertices()
+	if !reflect.DeepEqual(collectEdges(got), collectEdges(want)) {
+		t.Fatalf("Edges iteration diverges from the oracle")
+	}
+	n := got.NumVertices()
 	labels := []graph.Label{0, 1, 2, graph.WildcardLabel}
 	for v := 0; v < n; v++ {
 		id := graph.VertexID(v)
-		if s.VertexLabel(id) != want.VertexLabel(id) {
-			t.Fatalf("VertexLabel(%d) = %d, rebuild %d", v, s.VertexLabel(id), want.VertexLabel(id))
+		if got.VertexLabel(id) != want.VertexLabel(id) {
+			t.Fatalf("VertexLabel(%d) = %d, oracle %d", v, got.VertexLabel(id), want.VertexLabel(id))
 		}
-		if s.OutDegree(id) != want.OutDegree(id) || s.InDegree(id) != want.InDegree(id) {
+		if got.OutDegree(id) != want.OutDegree(id) || got.InDegree(id) != want.InDegree(id) {
 			t.Fatalf("degree mismatch at %d: out %d/%d in %d/%d",
-				v, s.OutDegree(id), want.OutDegree(id), s.InDegree(id), want.InDegree(id))
+				v, got.OutDegree(id), want.OutDegree(id), got.InDegree(id), want.InDegree(id))
+		}
+		var of []EdgeOp
+		got.EdgesOf(id, func(src, dst graph.VertexID, l graph.Label) bool {
+			of = append(of, EdgeOp{Src: src, Dst: dst, Label: l})
+			return true
+		})
+		var oracleOf []EdgeOp
+		want.EdgesOf(id, func(src, dst graph.VertexID, l graph.Label) bool {
+			oracleOf = append(oracleOf, EdgeOp{Src: src, Dst: dst, Label: l})
+			return true
+		})
+		if !reflect.DeepEqual(of, oracleOf) {
+			t.Fatalf("EdgesOf(%d): %v, oracle %v", v, of, oracleOf)
 		}
 		for _, dir := range []graph.Direction{graph.Forward, graph.Backward} {
 			for _, el := range labels {
 				for _, nl := range labels {
-					got := s.Neighbors(id, dir, el, nl, nil)
+					nbrs := got.Neighbors(id, dir, el, nl, nil)
 					ref := want.Neighbors(id, dir, el, nl, nil)
-					if len(got) != len(ref) {
-						t.Fatalf("Neighbors(%d,%v,%d,%d): %v vs rebuild %v", v, dir, el, nl, got, ref)
+					if len(nbrs) != len(ref) {
+						t.Fatalf("Neighbors(%d,%v,%d,%d): %v vs oracle %v", v, dir, el, nl, nbrs, ref)
 					}
-					for i := range got {
-						if got[i] != ref[i] {
-							t.Fatalf("Neighbors(%d,%v,%d,%d): %v vs rebuild %v", v, dir, el, nl, got, ref)
+					for i := range nbrs {
+						if nbrs[i] != ref[i] {
+							t.Fatalf("Neighbors(%d,%v,%d,%d): %v vs oracle %v", v, dir, el, nl, nbrs, ref)
 						}
 					}
-					if d, rd := s.Degree(id, dir, el, nl), want.Degree(id, dir, el, nl); d != rd {
-						t.Fatalf("Degree(%d,%v,%d,%d) = %d, rebuild %d", v, dir, el, nl, d, rd)
+					if d, rd := got.Degree(id, dir, el, nl), want.Degree(id, dir, el, nl); d != rd {
+						t.Fatalf("Degree(%d,%v,%d,%d) = %d, oracle %d", v, dir, el, nl, d, rd)
+					}
+					// A view may serve no bitset (overlay vertices never do),
+					// but one it serves must hold exactly the run.
+					if bs := got.NeighborBitset(id, dir, el, nl); bs != nil {
+						if bs.Len() != len(ref) {
+							t.Fatalf("NeighborBitset(%d,%v,%d,%d) holds %d IDs, run has %d", v, dir, el, nl, bs.Len(), len(ref))
+						}
+						for _, x := range ref {
+							if !bs.Contains(x) {
+								t.Fatalf("NeighborBitset(%d,%v,%d,%d) misses %d", v, dir, el, nl, x)
+							}
+						}
 					}
 				}
 			}
@@ -129,9 +165,9 @@ func checkEquivalent(t *testing.T, s *Snapshot, rng *rand.Rand) {
 		src := graph.VertexID(rng.Intn(n))
 		dst := graph.VertexID(rng.Intn(n))
 		for _, el := range labels {
-			if s.HasEdge(src, dst, el) != want.HasEdge(src, dst, el) {
-				t.Fatalf("HasEdge(%d,%d,%d) = %v, rebuild %v",
-					src, dst, el, s.HasEdge(src, dst, el), want.HasEdge(src, dst, el))
+			if got.HasEdge(src, dst, el) != want.HasEdge(src, dst, el) {
+				t.Fatalf("HasEdge(%d,%d,%d) = %v, oracle %v",
+					src, dst, el, got.HasEdge(src, dst, el), want.HasEdge(src, dst, el))
 			}
 		}
 	}
@@ -193,8 +229,8 @@ func TestCompactionEquivalence(t *testing.T) {
 	if s.Epoch() != epoch+1 {
 		t.Fatalf("compaction epoch %d, want %d", s.Epoch(), epoch+1)
 	}
-	if s.DeltaOps() != 0 || len(s.fwd) != 0 {
-		t.Fatalf("compacted snapshot still has an overlay: %d ops, %d dirty", s.DeltaOps(), len(s.fwd))
+	if s.DeltaOps() != 0 || s.fwd.root != nil || s.bwd.root != nil {
+		t.Fatalf("compacted snapshot still has an overlay: %d ops, roots %p %p", s.DeltaOps(), s.fwd.root, s.bwd.root)
 	}
 	if !reflect.DeepEqual(collectEdges(s), beforeEdges) {
 		t.Fatal("compaction changed the logical edge set")

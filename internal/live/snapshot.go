@@ -1,6 +1,6 @@
 // Package live is the versioned storage subsystem over the immutable CSR
-// store: a mutable delta overlay (per-vertex sorted adjacency rebuilt
-// copy-on-write for mutated vertices, plus appended vertices) layered on
+// store: a delta overlay (a private sorted adjacency per mutated vertex,
+// found through a path-copying index, plus appended vertices) layered on
 // a frozen graph.Graph base, exposed through epoch-stamped Snapshots that
 // satisfy graph.View. Compiled plans run unmodified against a Snapshot:
 // every read keeps the base layout's sorted-adjacency invariants, so the
@@ -10,8 +10,11 @@
 // Writers go through DB (AddVertex/AddEdge/DeleteEdge/Apply); each batch
 // publishes a fresh Snapshot with an atomic pointer swap, so in-flight
 // queries keep the epoch they started on (snapshot isolation) and readers
-// never take a lock. A background compactor folds the overlay into a new
-// CSR base once it exceeds a size threshold.
+// never take a lock. A batch copies only what it touches — the adjacency
+// of each mutated vertex and the index nodes above it — so its cost does
+// not depend on how large the overlay has grown. A background compactor
+// merges the overlay into a new CSR base once it exceeds a size
+// threshold, without holding the writer lock while it does.
 package live
 
 import (
@@ -21,66 +24,84 @@ import (
 // vadj is one mutated vertex's fully materialised adjacency in one
 // direction: the same (edge label, neighbour label, ID)-sorted layout as
 // the base CSR, but private to the vertex. Partition i spans
-// nbrs[pStart[i]:end] where end is pStart[i+1] (or len(nbrs) for the
-// last). A vadj is immutable once its snapshot is published.
+// nbrs[parts[i].start:end] where end is parts[i+1].start (or len(nbrs)
+// for the last). A vadj is immutable once its snapshot is published;
+// stamp is the epoch that created it, the only one allowed to mutate it.
 type vadj struct {
-	nbrs   []graph.VertexID
-	pE, pN []graph.Label
-	pStart []int
+	stamp uint64
+	nbrs  []graph.VertexID
+	parts []part
+	few   [2]part // backs parts while the directory fits: no third allocation
+}
+
+// part is one partition directory entry.
+type part struct {
+	e, n  graph.Label
+	start uint32
+}
+
+// newVadj returns an empty adjacency with room for deg neighbours in
+// parts partitions plus the one edge (and the one partition) an insert
+// may add, so the common single-edge mutation never regrows a slice.
+func newVadj(deg, parts int) *vadj {
+	a := &vadj{nbrs: make([]graph.VertexID, 0, deg+1)}
+	if a.parts = a.few[:0]; parts >= len(a.few) {
+		a.parts = make([]part, 0, parts+1)
+	}
+	return a
 }
 
 // clone deep-copies the adjacency so a new epoch can modify it without
 // disturbing published snapshots.
 func (a *vadj) clone() *vadj {
-	return &vadj{
-		nbrs:   append([]graph.VertexID(nil), a.nbrs...),
-		pE:     append([]graph.Label(nil), a.pE...),
-		pN:     append([]graph.Label(nil), a.pN...),
-		pStart: append([]int(nil), a.pStart...),
-	}
+	c := newVadj(len(a.nbrs), len(a.parts))
+	c.nbrs = append(c.nbrs, a.nbrs...)
+	c.parts = append(c.parts, a.parts...)
+	return c
 }
 
-// end returns the exclusive end of partition i.
-func (a *vadj) end(i int) int {
-	if i+1 < len(a.pStart) {
-		return a.pStart[i+1]
+// run returns partition i's neighbours.
+func (a *vadj) run(i int) []graph.VertexID {
+	end := uint32(len(a.nbrs))
+	if i+1 < len(a.parts) {
+		end = a.parts[i+1].start
 	}
-	return len(a.nbrs)
+	return a.nbrs[a.parts[i].start:end]
 }
 
 // findPartition returns the directory index whose (eLabel, nLabel) is the
 // first >= the given pair, and whether it matches exactly.
 func (a *vadj) findPartition(e, nl graph.Label) (int, bool) {
-	lo, hi := 0, len(a.pE)
+	lo, hi := 0, len(a.parts)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if a.pE[mid] < e || (a.pE[mid] == e && a.pN[mid] < nl) {
+		if p := a.parts[mid]; p.e < e || (p.e == e && p.n < nl) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(a.pE) && a.pE[lo] == e && a.pN[lo] == nl
+	return lo, lo < len(a.parts) && a.parts[lo].e == e && a.parts[lo].n == nl
+}
+
+// matches reports whether partition p is selected by the (possibly
+// wildcard) label pair.
+func (p part) matches(e, nl graph.Label) bool {
+	return (e == graph.WildcardLabel || p.e == e) && (nl == graph.WildcardLabel || p.n == nl)
 }
 
 // neighbors mirrors Graph.Neighbors over the private layout.
 func (a *vadj) neighbors(e, nl graph.Label, buf []graph.VertexID) []graph.VertexID {
 	if e != graph.WildcardLabel && nl != graph.WildcardLabel {
 		if i, ok := a.findPartition(e, nl); ok {
-			return a.nbrs[a.pStart[i]:a.end(i)]
+			return a.run(i)
 		}
 		return buf[:0]
 	}
 	var runs [][]graph.VertexID
-	for i := range a.pE {
-		if e != graph.WildcardLabel && a.pE[i] != e {
-			continue
-		}
-		if nl != graph.WildcardLabel && a.pN[i] != nl {
-			continue
-		}
-		if s, en := a.pStart[i], a.end(i); s < en {
-			runs = append(runs, a.nbrs[s:en])
+	for i, p := range a.parts {
+		if p.matches(e, nl) {
+			runs = append(runs, a.run(i))
 		}
 	}
 	switch len(runs) {
@@ -96,53 +117,50 @@ func (a *vadj) neighbors(e, nl graph.Label, buf []graph.VertexID) []graph.Vertex
 func (a *vadj) degree(e, nl graph.Label) int {
 	if e != graph.WildcardLabel && nl != graph.WildcardLabel {
 		if i, ok := a.findPartition(e, nl); ok {
-			return a.end(i) - a.pStart[i]
+			return len(a.run(i))
 		}
 		return 0
 	}
 	total := 0
-	for i := range a.pE {
-		if e != graph.WildcardLabel && a.pE[i] != e {
-			continue
+	for i, p := range a.parts {
+		if p.matches(e, nl) {
+			total += len(a.run(i))
 		}
-		if nl != graph.WildcardLabel && a.pN[i] != nl {
-			continue
-		}
-		total += a.end(i) - a.pStart[i]
 	}
 	return total
 }
 
-// lowerBound returns the first index in nbrs[lo:hi) whose value is >= x
-// (hi if none) — the shared kernel of contains/insert/remove.
-func (a *vadj) lowerBound(lo, hi int, x graph.VertexID) int {
+// search returns the position in the ID-sorted run of the first value
+// >= x (len(run) if none) and whether x is there — the shared kernel of
+// hasEdge/insert/remove.
+func search(run []graph.VertexID, x graph.VertexID) (int, bool) {
+	lo, hi := 0, len(run)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if a.nbrs[mid] < x {
+		if run[mid] < x {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo
-}
-
-// contains reports whether partition i holds x, by binary search.
-func (a *vadj) contains(i int, x graph.VertexID) bool {
-	k := a.lowerBound(a.pStart[i], a.end(i), x)
-	return k < a.end(i) && a.nbrs[k] == x
+	return lo, lo < len(run) && run[lo] == x
 }
 
 // hasEdge reports whether the (e, nl) partition holds dst; e may be
 // WildcardLabel (nl is the destination's fixed vertex label).
 func (a *vadj) hasEdge(e, nl graph.Label, dst graph.VertexID) bool {
 	if e != graph.WildcardLabel {
-		i, ok := a.findPartition(e, nl)
-		return ok && a.contains(i, dst)
+		if i, ok := a.findPartition(e, nl); ok {
+			_, ok = search(a.run(i), dst)
+			return ok
+		}
+		return false
 	}
-	for i := range a.pE {
-		if a.pN[i] == nl && a.contains(i, dst) {
-			return true
+	for i, p := range a.parts {
+		if p.n == nl {
+			if _, ok := search(a.run(i), dst); ok {
+				return true
+			}
 		}
 	}
 	return false
@@ -151,10 +169,9 @@ func (a *vadj) hasEdge(e, nl graph.Label, dst graph.VertexID) bool {
 // edges calls fn for every (src, nbr, eLabel) triple in directory order,
 // returning false if fn stopped the iteration.
 func (a *vadj) edges(src graph.VertexID, fn graph.EdgeFunc) bool {
-	for i := range a.pE {
-		el := a.pE[i]
-		for _, dst := range a.nbrs[a.pStart[i]:a.end(i)] {
-			if !fn(src, dst, el) {
+	for i, p := range a.parts {
+		for _, dst := range a.run(i) {
+			if !fn(src, dst, p.e) {
 				return false
 			}
 		}
@@ -163,72 +180,66 @@ func (a *vadj) edges(src graph.VertexID, fn graph.EdgeFunc) bool {
 }
 
 // insert adds (e, nl, x) keeping the sorted layout; false if already
-// present. Only called on private (cloned, unpublished) adjacencies.
+// present. Only called on adjacencies private to the epoch being built.
 func (a *vadj) insert(e, nl graph.Label, x graph.VertexID) bool {
 	i, ok := a.findPartition(e, nl)
-	var pos int
-	if ok {
-		pos = a.lowerBound(a.pStart[i], a.end(i), x)
-		if pos < a.end(i) && a.nbrs[pos] == x {
-			return false
+	if !ok {
+		// New directory entry at i; its (still empty) run starts where the
+		// next partition currently starts, or at the end.
+		start := uint32(len(a.nbrs))
+		if i < len(a.parts) {
+			start = a.parts[i].start
 		}
-	} else {
-		// New partition directory entry at i; its run starts where the next
-		// partition currently starts (or at the end).
-		if i < len(a.pStart) {
-			pos = a.pStart[i]
-		} else {
-			pos = len(a.nbrs)
-		}
-		a.pE = append(a.pE, 0)
-		copy(a.pE[i+1:], a.pE[i:])
-		a.pE[i] = e
-		a.pN = append(a.pN, 0)
-		copy(a.pN[i+1:], a.pN[i:])
-		a.pN[i] = nl
-		a.pStart = append(a.pStart, 0)
-		copy(a.pStart[i+1:], a.pStart[i:])
-		a.pStart[i] = pos
+		a.parts = append(a.parts, part{})
+		copy(a.parts[i+1:], a.parts[i:])
+		a.parts[i] = part{e, nl, start}
 	}
+	k, found := search(a.run(i), x)
+	if found {
+		return false
+	}
+	pos := int(a.parts[i].start) + k
 	a.nbrs = append(a.nbrs, 0)
 	copy(a.nbrs[pos+1:], a.nbrs[pos:])
 	a.nbrs[pos] = x
-	for j := i + 1; j < len(a.pStart); j++ {
-		a.pStart[j]++
+	for j := i + 1; j < len(a.parts); j++ {
+		a.parts[j].start++
 	}
 	return true
 }
 
-// remove deletes (e, nl, x); false if absent. Only called on private
-// adjacencies.
+// remove deletes (e, nl, x), dropping the partition when it empties;
+// false if absent. Only called on adjacencies private to the epoch being
+// built.
 func (a *vadj) remove(e, nl graph.Label, x graph.VertexID) bool {
 	i, ok := a.findPartition(e, nl)
 	if !ok {
 		return false
 	}
-	k := a.lowerBound(a.pStart[i], a.end(i), x)
-	if k >= a.end(i) || a.nbrs[k] != x {
+	k, found := search(a.run(i), x)
+	if !found {
 		return false
 	}
-	a.nbrs = append(a.nbrs[:k], a.nbrs[k+1:]...)
-	for j := i + 1; j < len(a.pStart); j++ {
-		a.pStart[j]--
+	pos := int(a.parts[i].start) + k
+	a.nbrs = append(a.nbrs[:pos], a.nbrs[pos+1:]...)
+	for j := i + 1; j < len(a.parts); j++ {
+		a.parts[j].start--
 	}
-	if a.pStart[i] == a.end(i) {
-		a.pE = append(a.pE[:i], a.pE[i+1:]...)
-		a.pN = append(a.pN[:i], a.pN[i+1:]...)
-		a.pStart = append(a.pStart[:i], a.pStart[i+1:]...)
+	if len(a.run(i)) == 0 {
+		a.parts = append(a.parts[:i], a.parts[i+1:]...)
 	}
 	return true
 }
 
 // fromPartitions materialises a base vertex's adjacency into a private vadj.
 func fromPartitions(g *graph.Graph, v graph.VertexID, dir graph.Direction) *vadj {
-	a := &vadj{}
+	deg := g.OutDegree(v)
+	if dir == graph.Backward {
+		deg = g.InDegree(v)
+	}
+	a := newVadj(deg, g.NumPartitions(v, dir))
 	g.Partitions(v, dir, func(e, nl graph.Label, nbrs []graph.VertexID) bool {
-		a.pE = append(a.pE, e)
-		a.pN = append(a.pN, nl)
-		a.pStart = append(a.pStart, len(a.nbrs))
+		a.parts = append(a.parts, part{e, nl, uint32(len(a.nbrs))})
 		a.nbrs = append(a.nbrs, nbrs...)
 		return true
 	})
@@ -247,9 +258,9 @@ type Snapshot struct {
 	// extra holds the labels of vertices appended past the base; vertex
 	// nBase+i carries extra[i].
 	extra []graph.Label
-	// fwd/bwd map mutated vertices to their private adjacency. A missing
+	// fwd/bwd index mutated vertices' private adjacencies. A missing
 	// entry means the base's adjacency (or empty, for appended vertices).
-	fwd, bwd                       map[graph.VertexID]*vadj
+	fwd, bwd                       index
 	m                              int // live directed edge count
 	deltaOps                       int // overlay mutations since the base was built
 	numVertexLabels, numEdgeLabels int
@@ -265,28 +276,20 @@ func newBaseSnapshot(g *graph.Graph, epoch uint64) *Snapshot {
 		base:            g,
 		epoch:           epoch,
 		nBase:           g.NumVertices(),
-		fwd:             map[graph.VertexID]*vadj{},
-		bwd:             map[graph.VertexID]*vadj{},
 		m:               g.NumEdges(),
 		numVertexLabels: g.NumVertexLabels(),
 		numEdgeLabels:   g.NumEdgeLabels(),
 	}
 }
 
-// clone starts the next epoch: scalar state is copied, the overlay maps
-// are shallow-copied (vadj values are cloned lazily on first touch).
-func (s *Snapshot) clone() *Snapshot {
+// fork starts the given epoch. Everything is shared with s: the overlay
+// indexes copy on write, and extra is append-only — writers are
+// serialised, a published snapshot never reads past its own length, and a
+// batch discarded after a failed log append leaves only unread slots
+// behind.
+func (s *Snapshot) fork(epoch uint64) *Snapshot {
 	ns := *s
-	ns.epoch = s.epoch + 1
-	ns.extra = append([]graph.Label(nil), s.extra...)
-	ns.fwd = make(map[graph.VertexID]*vadj, len(s.fwd))
-	for v, a := range s.fwd {
-		ns.fwd[v] = a
-	}
-	ns.bwd = make(map[graph.VertexID]*vadj, len(s.bwd))
-	for v, a := range s.bwd {
-		ns.bwd[v] = a
-	}
+	ns.epoch = epoch
 	return &ns
 }
 
@@ -321,20 +324,21 @@ func (s *Snapshot) VertexLabel(v graph.VertexID) graph.Label {
 	return s.extra[int(v)-s.nBase]
 }
 
-func (s *Snapshot) overlay(dir graph.Direction) map[graph.VertexID]*vadj {
+func (s *Snapshot) overlay(dir graph.Direction) *index {
 	if dir == graph.Forward {
-		return s.fwd
+		return &s.fwd
 	}
-	return s.bwd
+	return &s.bwd
 }
 
 // Neighbors implements graph.View. Vertices without overlay entries read
 // straight from the base CSR (the common case after compaction), so
-// unmutated regions pay one map lookup over the frozen store.
+// unmutated regions pay one index probe (a nil check while the overlay is
+// empty) over the frozen store.
 //
 //gf:noalloc
 func (s *Snapshot) Neighbors(v graph.VertexID, dir graph.Direction, e, nl graph.Label, buf []graph.VertexID) []graph.VertexID {
-	if a := s.overlay(dir)[v]; a != nil {
+	if a := s.overlay(dir).get(v); a != nil {
 		return a.neighbors(e, nl, buf)
 	}
 	if int(v) < s.nBase {
@@ -353,7 +357,7 @@ func (s *Snapshot) Neighbors(v graph.VertexID, dir graph.Direction, e, nl graph.
 //
 //gf:noalloc
 func (s *Snapshot) NeighborBitset(v graph.VertexID, dir graph.Direction, e, nl graph.Label) *graph.Bitset {
-	if s.overlay(dir)[v] != nil || int(v) >= s.nBase {
+	if int(v) >= s.nBase || s.overlay(dir).get(v) != nil {
 		return nil
 	}
 	return s.base.NeighborBitset(v, dir, e, nl)
@@ -363,7 +367,7 @@ func (s *Snapshot) NeighborBitset(v graph.VertexID, dir graph.Direction, e, nl g
 //
 //gf:noalloc
 func (s *Snapshot) Degree(v graph.VertexID, dir graph.Direction, e, nl graph.Label) int {
-	if a := s.overlay(dir)[v]; a != nil {
+	if a := s.overlay(dir).get(v); a != nil {
 		return a.degree(e, nl)
 	}
 	if int(v) < s.nBase {
@@ -374,7 +378,7 @@ func (s *Snapshot) Degree(v graph.VertexID, dir graph.Direction, e, nl graph.Lab
 
 // OutDegree implements graph.View.
 func (s *Snapshot) OutDegree(v graph.VertexID) int {
-	if a := s.fwd[v]; a != nil {
+	if a := s.fwd.get(v); a != nil {
 		return len(a.nbrs)
 	}
 	if int(v) < s.nBase {
@@ -385,7 +389,7 @@ func (s *Snapshot) OutDegree(v graph.VertexID) int {
 
 // InDegree implements graph.View.
 func (s *Snapshot) InDegree(v graph.VertexID) int {
-	if a := s.bwd[v]; a != nil {
+	if a := s.bwd.get(v); a != nil {
 		return len(a.nbrs)
 	}
 	if int(v) < s.nBase {
@@ -398,7 +402,7 @@ func (s *Snapshot) InDegree(v graph.VertexID) int {
 //
 //gf:noalloc
 func (s *Snapshot) HasEdge(src, dst graph.VertexID, e graph.Label) bool {
-	if a := s.fwd[src]; a != nil {
+	if a := s.fwd.get(src); a != nil {
 		return a.hasEdge(e, s.VertexLabel(dst), dst)
 	}
 	if int(src) < s.nBase && int(dst) < s.nBase {
@@ -427,29 +431,11 @@ func (s *Snapshot) Edges(fn graph.EdgeFunc) {
 
 // EdgesOf implements graph.View.
 func (s *Snapshot) EdgesOf(src graph.VertexID, fn graph.EdgeFunc) {
-	if a := s.fwd[src]; a != nil {
+	if a := s.fwd.get(src); a != nil {
 		a.edges(src, fn)
 		return
 	}
 	if int(src) < s.nBase {
 		s.base.EdgesOf(src, fn)
 	}
-}
-
-// Rebuild materialises the snapshot's logical graph as a fresh immutable
-// CSR — the compaction step, also used by tests to cross-check overlay
-// reads against a from-scratch build. The rebuilt base carries a hub
-// bitset index at the store's configured threshold, so overlay vertices
-// regain their fast-intersection representation at every compaction.
-func Rebuild(s *Snapshot) (*graph.Graph, error) {
-	b := graph.NewBuilder(s.NumVertices())
-	b.SetHubThreshold(s.hubThreshold)
-	for v := 0; v < s.NumVertices(); v++ {
-		b.SetVertexLabel(graph.VertexID(v), s.VertexLabel(graph.VertexID(v)))
-	}
-	s.Edges(func(src, dst graph.VertexID, l graph.Label) bool {
-		b.AddEdge(src, dst, l)
-		return true
-	})
-	return b.Build()
 }

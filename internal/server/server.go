@@ -1113,12 +1113,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	b := graphflow.Batch{AddVertices: req.AddVertices}
-	for _, e := range req.AddEdges {
-		b.AddEdges = append(b.AddEdges, graphflow.EdgeOp{Src: e.Src, Dst: e.Dst, Label: e.Label})
+	b := graphflow.Batch{
+		AddVertices: req.AddVertices,
+		AddEdges:    make([]graphflow.EdgeOp, len(req.AddEdges)),
+		DeleteEdges: make([]graphflow.EdgeOp, len(req.DeleteEdges)),
 	}
-	for _, e := range req.DeleteEdges {
-		b.DeleteEdges = append(b.DeleteEdges, graphflow.EdgeOp{Src: e.Src, Dst: e.Dst, Label: e.Label})
+	for i, e := range req.AddEdges {
+		b.AddEdges[i] = graphflow.EdgeOp{Src: e.Src, Dst: e.Dst, Label: e.Label}
+	}
+	for i, e := range req.DeleteEdges {
+		b.DeleteEdges[i] = graphflow.EdgeOp{Src: e.Src, Dst: e.Dst, Label: e.Label}
 	}
 	res, err := s.cfg.DB.Apply(b)
 	release()

@@ -1,11 +1,9 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -59,16 +57,34 @@ func CheckpointModTime(dir string, epoch uint64) (time.Time, bool) {
 	return fi.ModTime(), true
 }
 
-// crcWriter tees writes through a running CRC32.
-type crcWriter struct {
-	w   io.Writer
+// checkpointChunk is how much payload WriteCheckpoint encodes between
+// writes: large enough that the checksum runs on its vectorised path and
+// a checkpoint costs a few dozen write calls.
+const checkpointChunk = 1 << 16
+
+// checkpointEncoder appends little-endian fields to a chunk buffer and
+// hands full chunks to the file, keeping a running CRC32 of all of them.
+type checkpointEncoder struct {
+	f   *os.File
+	buf []byte
 	crc uint32
+	err error // the first write error; later writes are skipped
 }
 
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc = crc32.Update(c.crc, crcTable, p[:n])
-	return n, err
+// flush checksums and writes what is buffered.
+func (c *checkpointEncoder) flush() {
+	if c.err == nil {
+		c.crc = crc32.Update(c.crc, crcTable, c.buf)
+		_, c.err = c.f.Write(c.buf)
+	}
+	c.buf = c.buf[:0]
+}
+
+// room makes space for n more bytes.
+func (c *checkpointEncoder) room(n int) {
+	if len(c.buf)+n > cap(c.buf) {
+		c.flush()
+	}
 }
 
 // WriteCheckpoint atomically serialises g as the checkpoint at epoch in
@@ -81,61 +97,39 @@ func WriteCheckpoint(dir string, epoch uint64, g *graph.Graph) error {
 	}
 	defer os.Remove(tmp.Name()) // no-op after the rename succeeds
 
-	bw := bufio.NewWriterSize(tmp, 1<<16)
-	cw := &crcWriter{w: bw}
-	if _, err := cw.Write([]byte(checkpointMagic)); err != nil {
-		tmp.Close()
-		return err
-	}
-	var scratch [10]byte
-	writeU64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(scratch[:8], v)
-		_, err := cw.Write(scratch[:8])
-		return err
-	}
-	if err := writeU64(epoch); err != nil {
-		tmp.Close()
-		return err
-	}
+	c := &checkpointEncoder{f: tmp, buf: make([]byte, 0, checkpointChunk)}
+	c.buf = append(c.buf, checkpointMagic...)
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, epoch)
 	n := g.NumVertices()
-	if err := writeU64(uint64(n)); err != nil {
-		tmp.Close()
-		return err
-	}
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(n))
 	for v := 0; v < n; v++ {
-		binary.LittleEndian.PutUint16(scratch[:2], uint16(g.VertexLabel(graph.VertexID(v))))
-		if _, err := cw.Write(scratch[:2]); err != nil {
-			tmp.Close()
-			return err
-		}
+		c.room(2)
+		c.buf = binary.LittleEndian.AppendUint16(c.buf, uint16(g.VertexLabel(graph.VertexID(v))))
 	}
-	if err := writeU64(uint64(g.NumEdges())); err != nil {
-		tmp.Close()
-		return err
+	c.room(8)
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(g.NumEdges()))
+	for v := 0; v < n && c.err == nil; v++ {
+		src := graph.VertexID(v)
+		g.Partitions(src, graph.Forward, func(l, _ graph.Label, nbrs []graph.VertexID) bool {
+			for _, dst := range nbrs {
+				c.room(10)
+				at := len(c.buf)
+				c.buf = c.buf[:at+10]
+				binary.LittleEndian.PutUint32(c.buf[at:], uint32(src))
+				binary.LittleEndian.PutUint32(c.buf[at+4:], uint32(dst))
+				binary.LittleEndian.PutUint16(c.buf[at+8:], uint16(l))
+			}
+			return true
+		})
 	}
-	var edgeErr error
-	g.Edges(func(src, dst graph.VertexID, l graph.Label) bool {
-		binary.LittleEndian.PutUint32(scratch[0:4], uint32(src))
-		binary.LittleEndian.PutUint32(scratch[4:8], uint32(dst))
-		binary.LittleEndian.PutUint16(scratch[8:10], uint16(l))
-		if _, err := cw.Write(scratch[:10]); err != nil {
-			edgeErr = err
-			return false
-		}
-		return true
-	})
-	if edgeErr != nil {
-		tmp.Close()
-		return edgeErr
+	c.flush()
+	if c.err == nil {
+		// The trailer is not part of the checksummed payload.
+		_, c.err = tmp.Write(binary.LittleEndian.AppendUint32(nil, c.crc))
 	}
-	binary.LittleEndian.PutUint32(scratch[:4], cw.crc)
-	if _, err := bw.Write(scratch[:4]); err != nil {
+	if c.err != nil {
 		tmp.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
+		return c.err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

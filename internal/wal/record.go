@@ -7,9 +7,9 @@ import (
 	"graphflow/internal/graph"
 )
 
-// EdgeOp names one directed labelled edge in a logged batch. It mirrors
-// the live store's EdgeOp; the wal package stays below internal/live in
-// the import graph, so the live store converts at the boundary.
+// EdgeOp names one directed labelled edge in a logged batch. The live
+// store's EdgeOp is an alias of it (the wal package stays below
+// internal/live in the import graph), so a batch is logged as it arrived.
 type EdgeOp struct {
 	Src, Dst graph.VertexID
 	Label    graph.Label
@@ -17,12 +17,19 @@ type EdgeOp struct {
 
 // Record is one durable mutation batch plus the epoch its application
 // produced. Replay filters on Epoch: records at or below a checkpoint's
-// epoch are already folded into the checkpointed base and are skipped.
+// epoch are already folded into the checkpointed base and are skipped. A
+// record with no mutations marks an epoch a compaction published: the
+// edge set did not change, only the epoch number did.
 type Record struct {
 	Epoch       uint64
 	AddVertices []graph.Label
 	AddEdges    []EdgeOp
 	DeleteEdges []EdgeOp
+}
+
+// Empty reports whether the record carries no mutation.
+func (r Record) Empty() bool {
+	return len(r.AddVertices) == 0 && len(r.AddEdges) == 0 && len(r.DeleteEdges) == 0
 }
 
 // encode appends the record's varint wire form to buf.

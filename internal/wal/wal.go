@@ -9,9 +9,10 @@
 //
 // (little-endian) where the payload encodes one mutation batch and the
 // epoch it produced. A segment named wal-<E>.log holds only records with
-// epochs greater than E; segments are rotated at checkpoint time, so the
-// records covered by a durable checkpoint live entirely in older segments
-// and can be deleted without scanning.
+// epochs greater than E. The live store rotates at the epoch a compaction
+// freezes, before it builds that epoch's checkpoint, so once the
+// checkpoint is durable the records it covers live entirely in older
+// segments and can be deleted without scanning.
 //
 // Appends are written with a single write(2) per record — no user-space
 // buffering spans records — and made durable according to a SyncPolicy:
@@ -135,6 +136,12 @@ type Log struct {
 	dir  string
 	opts Options
 
+	// syncMu serialises Sync with Rotate and Close. It lets Sync wait for
+	// the device without holding mu — appends carry on meanwhile — while a
+	// segment is still never closed, nor a later one synced, before an
+	// fsync of it has returned. Taken before mu.
+	syncMu sync.Mutex
+
 	mu       sync.Mutex
 	f        *os.File // current segment, opened for append
 	start    uint64   // current segment's start epoch
@@ -167,10 +174,10 @@ var fsyncBuckets = []float64{
 // registration in a metrics registry.
 func (l *Log) FsyncHistogram() *metrics.Histogram { return l.fsyncSeconds }
 
-// syncFile fsyncs the current segment and observes the latency.
-func (l *Log) syncFile() error {
+// syncFile fsyncs a segment and observes the latency.
+func (l *Log) syncFile(f *os.File) error {
 	t0 := time.Now()
-	err := l.f.Sync()
+	err := f.Sync()
 	l.fsyncSeconds.ObserveDuration(time.Since(t0))
 	return err
 }
@@ -300,7 +307,7 @@ func (l *Log) Append(rec Record) error {
 	l.appended++
 	l.dirty = true
 	if l.opts.Policy == SyncBatch {
-		if err := l.syncFile(); err != nil {
+		if err := l.syncFile(l.f); err != nil {
 			return fmt.Errorf("wal: fsync: %w", err)
 		}
 		l.dirty = false
@@ -309,35 +316,51 @@ func (l *Log) Append(rec Record) error {
 }
 
 // Sync flushes pending writes to stable storage regardless of policy.
+// Appends are not held up while the device works: they go on landing in
+// the page cache and mark the log dirty again.
 func (l *Log) Sync() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed || !l.dirty {
+		l.mu.Unlock()
 		return nil
 	}
-	if err := l.syncFile(); err != nil {
+	f := l.f
+	l.dirty = false
+	l.mu.Unlock()
+	if err := l.syncFile(f); err != nil {
+		l.mu.Lock()
+		l.dirty = true
+		l.mu.Unlock()
 		return err
 	}
-	l.dirty = false
 	return nil
 }
 
 // Rotate syncs and closes the current segment and starts a fresh one
-// whose records will all carry epochs greater than start. The caller
-// (the live store's compaction path) must serialise Rotate against
-// Append through its own writer lock; Rotate additionally holds the
-// log's lock so interval fsyncs stay safe.
+// whose records will all carry epochs greater than start; it is a no-op
+// when the current segment already starts there (a compaction pass that
+// failed after rotating is retried at the same epoch). The caller (the
+// live store's compaction path) must serialise Rotate against Append
+// through its own writer lock; Rotate additionally holds the log's lock
+// so interval fsyncs stay safe.
 func (l *Log) Rotate(start uint64) error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return errors.New("wal: log is closed")
 	}
-	if start <= l.start {
-		return fmt.Errorf("wal: rotate to epoch %d not after current segment %d", start, l.start)
+	if start == l.start {
+		return nil
+	}
+	if start < l.start {
+		return fmt.Errorf("wal: rotate to epoch %d before current segment %d", start, l.start)
 	}
 	if l.dirty {
-		if err := l.syncFile(); err != nil {
+		if err := l.syncFile(l.f); err != nil {
 			return err
 		}
 		l.dirty = false
@@ -391,20 +414,23 @@ func (l *Log) Appended() int64 {
 
 // Close syncs and closes the log; further appends fail.
 func (l *Log) Close() error {
+	l.syncMu.Lock()
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
+		l.syncMu.Unlock()
 		return nil
 	}
 	l.closed = true
 	var err error
 	if l.dirty {
-		err = l.syncFile()
+		err = l.syncFile(l.f)
 	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
 	l.mu.Unlock()
+	l.syncMu.Unlock() // before waiting for the interval syncer, which may be about to take it
 	close(l.stop)
 	<-l.done
 	return err

@@ -1,10 +1,15 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"graphflow/internal/graph"
 )
@@ -242,5 +247,100 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if _, _, _, err := LoadNewestCheckpoint(dir, 0); err == nil {
 		t.Fatal("corrupt checkpoint loaded without error")
+	}
+}
+
+// TestCheckpointBytes pins the checkpoint layout byte for byte, across a
+// chunk boundary too: the encoder works in chunks and the file must not
+// show where they end.
+func TestCheckpointBytes(t *testing.T) {
+	const n = checkpointChunk/10 + 100 // the edge section alone spans two chunks
+	b := graph.NewBuilder(n)
+	b.SetVertexLabel(1, 2)
+	for v := 0; v < n; v++ {
+		b.AddEdge(graph.VertexID(v), graph.VertexID((v+1)%n), graph.Label(v%3))
+	}
+	g := b.MustBuild()
+	dir := t.TempDir()
+	if err := WriteCheckpoint(dir, 9, g); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, checkpointName(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte(checkpointMagic)
+	want = binary.LittleEndian.AppendUint64(want, 9)
+	want = binary.LittleEndian.AppendUint64(want, n)
+	for v := 0; v < n; v++ {
+		want = binary.LittleEndian.AppendUint16(want, uint16(g.VertexLabel(graph.VertexID(v))))
+	}
+	want = binary.LittleEndian.AppendUint64(want, uint64(g.NumEdges()))
+	g.Edges(func(src, dst graph.VertexID, l graph.Label) bool {
+		want = binary.LittleEndian.AppendUint32(want, uint32(src))
+		want = binary.LittleEndian.AppendUint32(want, uint32(dst))
+		want = binary.LittleEndian.AppendUint16(want, uint16(l))
+		return true
+	})
+	want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(want, crcTable))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("checkpoint is %d bytes, want %d; first difference at %d", len(got), len(want), firstDiff(got, want))
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// TestSyncDoesNotBlockAppends: Sync waits for the device without the
+// append lock, so appends, rotations, interval syncs and Close may all
+// overlap it. Run under -race; every record must replay, in order.
+func TestSyncDoesNotBlockAppends(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, 0, Options{Policy: SyncInterval, Interval: time.Millisecond}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const records = 400
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if err := l.Sync(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	// Appends and rotations share a goroutine, as the live store's writer
+	// lock makes them.
+	for e := uint64(1); e <= records; e++ {
+		if err := l.Append(Record{Epoch: e, AddEdges: []EdgeOp{{0, graph.VertexID(e), 0}}}); err != nil {
+			t.Fatal(err)
+		}
+		if e%50 == 0 {
+			if err := l.Rotate(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	got, info := replayAll(t, dir)
+	if info.TornTail || len(got) != records {
+		t.Fatalf("replayed %d records (torn tail %v), want %d", len(got), info.TornTail, records)
+	}
+	for i, r := range got {
+		if r.Epoch != uint64(i+1) {
+			t.Fatalf("record %d carries epoch %d", i, r.Epoch)
+		}
 	}
 }
