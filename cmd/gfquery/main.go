@@ -41,6 +41,13 @@ func main() {
 		catH     = flag.Int("cath", 3, "catalogue max subquery size h")
 	)
 	flag.Parse()
+	if *analyze && (*workers > 1 || *adaptive || *limit != 0) {
+		// EXPLAIN ANALYZE enumerates every match of the fixed plan on one
+		// goroutine; better to refuse than to print numbers for a run the
+		// flags did not ask for. -wco and -nocache do apply.
+		fmt.Fprintln(os.Stderr, "gfquery: -analyze runs single-threaded to completion on the fixed plan; it cannot be combined with -workers > 1, -adaptive or -limit")
+		os.Exit(2)
+	}
 
 	opts := &graphflow.Options{CatalogueH: *catH, CatalogueZ: *catZ}
 	var db *graphflow.DB
@@ -90,7 +97,7 @@ func main() {
 		return
 	}
 	if *analyze {
-		if err := runAnalyze(db, *pattern); err != nil {
+		if err := runAnalyze(db, *pattern, qo); err != nil {
 			fatal(err)
 		}
 		return
@@ -103,10 +110,11 @@ func main() {
 
 // runAnalyze is EXPLAIN ANALYZE at the CLI: execute single-threaded and
 // print the operator tree annotated with actual tuples, i-cost, cache
-// hits and attributed wall time, followed by the per-stage breakdown.
-func runAnalyze(db *graphflow.DB, pattern string) error {
+// hits and attributed wall time, followed by the per-stage breakdown. Of
+// qo, the plan space (-wco) and the cache switch (-nocache) apply.
+func runAnalyze(db *graphflow.DB, pattern string, qo *graphflow.QueryOptions) error {
 	start := time.Now()
-	st, err := db.Analyze(pattern)
+	st, err := db.Analyze(pattern, qo)
 	if err != nil {
 		return err
 	}
@@ -159,8 +167,8 @@ func runPrepared(db *graphflow.DB, pattern string, qo *graphflow.QueryOptions, r
 		}
 	}
 	fmt.Printf("matches: %d\n", n)
-	fmt.Printf("plan kind: %s  (planned+compiled once in %v)\nintermediate: %d  i-cost: %d  cache hits: %d  carried sets: %d\n%s",
-		st.PlanKind, planTime, st.Intermediate, st.ICost, st.CacheHits, st.CarriedSets, st.Plan)
+	fmt.Printf("plan kind: %s  (planned+compiled once in %v)\nintermediate: %d  i-cost: %d  cache hits: %d  carried sets: %d  pinned probes: %d\n%s",
+		st.PlanKind, planTime, st.Intermediate, st.ICost, st.CacheHits, st.CarriedSets, st.KernelPinnedProbe, st.Plan)
 	return nil
 }
 
@@ -182,7 +190,7 @@ func repl(db *graphflow.DB, qo *graphflow.QueryOptions) {
 			fmt.Printf("plan cache: %d entries, %d hits, %d misses, %d evictions\n",
 				cs.Entries, cs.Hits, cs.Misses, cs.Evictions)
 		case strings.HasPrefix(line, ":analyze "):
-			if err := runAnalyze(db, strings.TrimSpace(strings.TrimPrefix(line, ":analyze "))); err != nil {
+			if err := runAnalyze(db, strings.TrimSpace(strings.TrimPrefix(line, ":analyze ")), qo); err != nil {
 				fmt.Println("error:", err)
 			}
 		case strings.HasPrefix(line, ":explain "):

@@ -273,17 +273,21 @@ type Stats struct {
 	// intersection the carried set's size plus the lists it still reads.
 	// Zero under DisableCache and the tuple-at-a-time oracle.
 	CarriedSets int64
-	// KernelMerge, KernelGallop, KernelBitsetProbe and KernelBitsetAnd
-	// count intersection-kernel dispatches by kind: how often the
-	// degree-adaptive engine merged two sorted runs, galloped a short run
-	// into a long one, probed a hub's bitset index, or word-ANDed two
-	// bitsets. ICost stays the representation-oblivious Equation 1
-	// metric, so comparing the two shows the work the bitset kernels
-	// short-circuited.
+	// KernelMerge, KernelGallop, KernelBitsetProbe, KernelBitsetAnd and
+	// KernelPinnedProbe count intersection-kernel dispatches by kind: how
+	// often the degree-adaptive engine merged two sorted runs, galloped a
+	// short run into a long one, probed a hub's bitset index, word-ANDed
+	// two bitsets, or swept a list through the bitmap of the operand its
+	// E/I stage had pinned for the run (one that repeats from row to row;
+	// zero under DisableCache and the tuple-at-a-time oracle). ICost stays
+	// the representation-oblivious Equation 1 metric — the pinned operand's
+	// size is still charged to every intersection it takes part in — so
+	// comparing the two shows the work the bitset kernels short-circuited.
 	KernelMerge       int64
 	KernelGallop      int64
 	KernelBitsetProbe int64
 	KernelBitsetAnd   int64
+	KernelPinnedProbe int64
 	// ScanBatches, ExtendBatches and ProbeBatches count the columnar
 	// batches each stage kind of the vectorized engine dispatched (all
 	// zero under the tuple-at-a-time oracle, BatchSize < 0).
@@ -1111,29 +1115,37 @@ func (db *DB) Explain(pattern string) (Stats, error) {
 }
 
 // Analyze runs the pattern and returns Stats whose Plan field carries the
-// per-operator breakdown (tuples out, i-cost, cache hits, probe and build
-// counts, attributed wall time) — EXPLAIN ANALYZE for subgraph plans.
-// Single-threaded.
-func (db *DB) Analyze(pattern string) (Stats, error) {
-	return db.AnalyzeCtx(context.Background(), pattern)
-}
-
-// AnalyzeCtx is Analyze under a context: the analysis run honors
-// cancellation and deadlines, so servers can bound EXPLAIN ANALYZE by
-// their request timeout.
-func (db *DB) AnalyzeCtx(ctx context.Context, pattern string) (Stats, error) {
-	pq, err := db.prepare(pattern, false, false)
+// per-operator breakdown (tuples out, i-cost, cache hits, carried sets,
+// pinned probes, probe and build counts, attributed wall time) — EXPLAIN
+// ANALYZE for subgraph plans. Of opts (which may be nil) it honours
+// Context, WCOOnly and DisableCache — what decides the tree it annotates
+// and the counters on it; the run itself is always single-threaded, fully
+// enumerated and on the fixed plan, so Workers, Limit and Adaptive do not
+// apply.
+func (db *DB) Analyze(pattern string, opts *QueryOptions) (Stats, error) {
+	var qo QueryOptions
+	if opts != nil {
+		qo = *opts
+	}
+	pq, err := db.prepare(pattern, qo.WCOOnly, false)
 	if err != nil {
 		return Stats{}, err
 	}
 	pp := pq.cur.Load()
-	ops, prof, err := pp.compiled.AnalyzeCtx(ctx, exec.RunConfig{})
+	ops, prof, err := pp.compiled.AnalyzeCtx(qo.Context, exec.RunConfig{DisableCache: qo.DisableCache})
 	if err != nil {
 		return Stats{}, err
 	}
 	st := statsFrom(pp.plan, prof, prof.Matches)
 	st.Plan = ops.Describe()
 	return st, nil
+}
+
+// AnalyzeCtx is Analyze under a context: the analysis run honors
+// cancellation and deadlines, so servers can bound EXPLAIN ANALYZE by
+// their request timeout.
+func (db *DB) AnalyzeCtx(ctx context.Context, pattern string, opts *QueryOptions) (Stats, error) {
+	return db.Analyze(pattern, withContext(ctx, opts))
 }
 
 // EstimateCardinality returns the catalogue's estimate of the pattern's
@@ -1427,6 +1439,7 @@ func statsFrom(p *plan.Plan, prof exec.Profile, n int64) Stats {
 		KernelGallop:         prof.Kernels.Gallop,
 		KernelBitsetProbe:    prof.Kernels.BitsetProbe,
 		KernelBitsetAnd:      prof.Kernels.BitsetAnd,
+		KernelPinnedProbe:    prof.Kernels.PinnedProbe,
 		ScanBatches:          prof.Batches.Scan,
 		ExtendBatches:        prof.Batches.Extend,
 		ProbeBatches:         prof.Batches.Probe,

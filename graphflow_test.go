@@ -170,7 +170,7 @@ func TestGraphStats(t *testing.T) {
 
 func TestAnalyze(t *testing.T) {
 	db := tinyDB(t)
-	st, err := db.Analyze("a->b, b->c, a->c")
+	st, err := db.Analyze("a->b, b->c, a->c", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,6 +194,105 @@ func GenDensePattern(rng *rand.Rand, labelled bool) *query.Graph {
 	}
 }
 
+// GenPinnedPattern returns a pattern from the family the pinned operands
+// target — shapes whose E/I stages keep one operand while another
+// changes: a triangle, a diamond with or without its chord, a k-clique
+// (k = 4..6 unlabelled, 4..5 labelled) whole or minus one edge, a
+// triangle with one or two pendant leaves, and a bowtie (two triangles
+// sharing a vertex). Edges are all oriented low→high or each flipped at
+// random. On labelled graphs the vertices take one label more often than
+// not and the edges one label, a random mix, or — a third of the time,
+// on unlabelled graphs too — the wildcard label, whose adjacency lists
+// are merged into per-descriptor reader buffers instead of aliasing the
+// store.
+func GenPinnedPattern(rng *rand.Rand, labelled bool) *query.Graph {
+	for {
+		q := &query.Graph{}
+		vLabel := func() graph.Label { return 0 }
+		eLabel := vLabel
+		if labelled {
+			base, mixV, mixE := graph.Label(rng.Intn(2)), rng.Intn(3) == 0, rng.Intn(2) == 0
+			vLabel = func() graph.Label {
+				if mixV {
+					return graph.Label(rng.Intn(2))
+				}
+				return base
+			}
+			eBase := graph.Label(rng.Intn(3))
+			eLabel = func() graph.Label {
+				if mixE {
+					return graph.Label(rng.Intn(3))
+				}
+				return eBase
+			}
+		}
+		if rng.Intn(3) == 0 {
+			eLabel = func() graph.Label { return graph.WildcardLabel }
+		}
+		mixedDirs := rng.Intn(2) == 0
+		addVertices := func(n int) {
+			for ; n > 0; n-- {
+				q.Vertices = append(q.Vertices, query.Vertex{Name: fmt.Sprintf("v%d", len(q.Vertices)), Label: vLabel()})
+			}
+		}
+		addEdge := func(a, b int) {
+			if mixedDirs && rng.Intn(2) == 0 {
+				a, b = b, a
+			}
+			q.Edges = append(q.Edges, query.Edge{From: a, To: b, Label: eLabel()})
+		}
+		clique := func(k, drop int) {
+			addVertices(k)
+			for i, pair := 0, 0; i < k; i++ {
+				for j := i + 1; j < k; j++ {
+					if pair != drop {
+						addEdge(i, j)
+					}
+					pair++
+				}
+			}
+		}
+		switch rng.Intn(7) {
+		case 0:
+			clique(3, -1)
+		case 1, 2: // diamond, with the chord every other time
+			addVertices(4)
+			addEdge(0, 1)
+			addEdge(0, 2)
+			addEdge(1, 3)
+			addEdge(2, 3)
+			if rng.Intn(2) == 0 {
+				addEdge(1, 2)
+			}
+		case 3, 4: // clique, minus an edge every other time
+			k := 4 + rng.Intn(3)
+			if labelled {
+				k = 4 + rng.Intn(2)
+			}
+			drop := -1
+			if rng.Intn(2) == 0 {
+				drop = rng.Intn(k * (k - 1) / 2)
+			}
+			clique(k, drop)
+		case 5:
+			clique(3, -1)
+			for leaves := 1 + rng.Intn(2); leaves > 0; leaves-- {
+				addVertices(1)
+				addEdge(rng.Intn(3), len(q.Vertices)-1)
+			}
+		case 6:
+			clique(3, -1)
+			addVertices(2)
+			addEdge(0, 3)
+			addEdge(3, 4)
+			addEdge(0, 4)
+		}
+		if q.Validate() == nil {
+			return q
+		}
+	}
+}
+
 // OpenDB wraps g in a DB with a deliberately tiny catalogue (H=2, small
 // sample): on labelled graphs a full catalogue samples a huge labelled
 // pattern space, and the corpus trades catalogue fidelity for volume —
@@ -521,21 +620,22 @@ func CompareFactorized(db *graphflow.DB, q *query.Graph) error {
 // BatchSizes (prefix runs split across batch boundaries differently at
 // each), it requires the oracle's count sequentially and under Workers=4,
 // with factorization on and off and with the intersection cache — hence
-// the carrying — off; an exact Limit spectrum; and the oracle's sorted row
-// set. It returns how many intersections were seeded with a carried set,
-// so a corpus can assert the path was exercised at all.
-func CompareCarried(db *graphflow.DB, q *query.Graph) (carried int64, err error) {
+// the carrying and the pinning — off; an exact Limit spectrum; and the
+// oracle's sorted row set. It returns how many intersections were seeded
+// with a carried set and how many swept a list through a pinned operand's
+// bitmap, so a corpus can assert its path was exercised at all.
+func CompareCarried(db *graphflow.DB, q *query.Graph) (carried, pinned int64, err error) {
 	pattern := q.String()
 	for _, wco := range []bool{false, true} {
 		oracle := &graphflow.QueryOptions{BatchSize: -1, WCOOnly: wco}
 		want, err := db.Count(pattern, oracle)
 		if err != nil {
-			return carried, fmt.Errorf("oracle count of %q: %w", pattern, err)
+			return carried, pinned, fmt.Errorf("oracle count of %q: %w", pattern, err)
 		}
 		var wantRows []string
 		if want <= maxRowCollect {
 			if wantRows, err = collectRowsOpts(db, pattern, oracle); err != nil {
-				return carried, fmt.Errorf("oracle rows of %q: %w", pattern, err)
+				return carried, pinned, fmt.Errorf("oracle rows of %q: %w", pattern, err)
 			}
 		}
 		for _, bs := range BatchSizes {
@@ -549,15 +649,17 @@ func CompareCarried(db *graphflow.DB, q *query.Graph) (carried int64, err error)
 					opts.BatchSize, opts.Workers, opts.WCOOnly = bs, workers, wco
 					got, st, err := db.CountStats(pattern, &opts)
 					if err != nil {
-						return carried, fmt.Errorf("count of %q under %+v: %w", pattern, opts, err)
+						return carried, pinned, fmt.Errorf("count of %q under %+v: %w", pattern, opts, err)
 					}
 					if got != want {
-						return carried, fmt.Errorf("count of %q under %+v = %d, oracle %d", pattern, opts, got, want)
+						return carried, pinned, fmt.Errorf("count of %q under %+v = %d, oracle %d", pattern, opts, got, want)
 					}
-					if opts.DisableCache && st.CarriedSets != 0 {
-						return carried, fmt.Errorf("%q under %+v carried %d sets with the cache off", pattern, opts, st.CarriedSets)
+					if opts.DisableCache && (st.CarriedSets != 0 || st.KernelPinnedProbe != 0) {
+						return carried, pinned, fmt.Errorf("%q under %+v carried %d sets and dispatched %d pinned probes with the cache off",
+							pattern, opts, st.CarriedSets, st.KernelPinnedProbe)
 					}
 					carried += st.CarriedSets
+					pinned += st.KernelPinnedProbe
 				}
 				limits := []int64{1, 2, want / 2, want - 1, want, want + 13}
 				if workers > 1 {
@@ -571,10 +673,10 @@ func CompareCarried(db *graphflow.DB, q *query.Graph) (carried int64, err error)
 					opts := &graphflow.QueryOptions{BatchSize: bs, Workers: workers, WCOOnly: wco, Limit: limit}
 					got, err := db.Count(pattern, opts)
 					if err != nil {
-						return carried, fmt.Errorf("limit count of %q under %+v: %w", pattern, *opts, err)
+						return carried, pinned, fmt.Errorf("limit count of %q under %+v: %w", pattern, *opts, err)
 					}
 					if wantLim := min(limit, want); got != wantLim {
-						return carried, fmt.Errorf("limit count of %q under %+v = %d, want exactly %d", pattern, *opts, got, wantLim)
+						return carried, pinned, fmt.Errorf("limit count of %q under %+v = %d, want exactly %d", pattern, *opts, got, wantLim)
 					}
 				}
 			}
@@ -583,14 +685,14 @@ func CompareCarried(db *graphflow.DB, q *query.Graph) (carried int64, err error)
 			}
 			rows, err := collectRowsOpts(db, pattern, &graphflow.QueryOptions{BatchSize: bs, WCOOnly: wco})
 			if err != nil {
-				return carried, fmt.Errorf("batch %d rows of %q: %w", bs, pattern, err)
+				return carried, pinned, fmt.Errorf("batch %d rows of %q: %w", bs, pattern, err)
 			}
 			if err := diffRows(rows, wantRows); err != nil {
-				return carried, fmt.Errorf("batch %d (wco=%v) of %q: %w", bs, wco, pattern, err)
+				return carried, pinned, fmt.Errorf("batch %d (wco=%v) of %q: %w", bs, wco, pattern, err)
 			}
 		}
 	}
-	return carried, nil
+	return carried, pinned, nil
 }
 
 // CompareDBs checks that got answers q exactly as want does — full

@@ -432,7 +432,7 @@ func TestDifferentialCarriedSets(t *testing.T) {
 			for pi := 0; pi < patternsPer; pi++ {
 				q := GenDensePattern(rng, labelled)
 				for name, db := range map[string]*graphflow.DB{"static": static, "live": live} {
-					n, err := CompareCarried(db, q)
+					n, _, err := CompareCarried(db, q)
 					if err != nil {
 						t.Errorf("graph seed %d hub %d %s pattern %d: %v", seed, hub, name, pi, err)
 					}
@@ -445,4 +445,112 @@ func TestDifferentialCarriedSets(t *testing.T) {
 		t.Error("no intersection of the whole corpus was seeded with a carried set; the family no longer exercises the path")
 	}
 	t.Logf("corpus carried %d extension sets", carried)
+}
+
+// denseBatch appends three vertices and wires each to about a third of
+// the shadow's vertices in both directions, then deletes a handful of
+// existing edges: unlike GenBatch's sprinkle, enough for the appended
+// vertices (IDs beyond the base graph, adjacency wholly in the overlay)
+// to sit in triangles and cliques, and for many base vertices to become
+// overlay-resident.
+func denseBatch(rng *rand.Rand, sh *Shadow, labelled bool) graphflow.Batch {
+	var b graphflow.Batch
+	vLabels, eLabels := 1, 1
+	if labelled {
+		vLabels, eLabels = 2, 3
+	}
+	n := len(sh.VLabels)
+	for i := 0; i < 3; i++ {
+		b.AddVertices = append(b.AddVertices, uint16(rng.Intn(vLabels)))
+		v := uint32(n + i)
+		for u := 0; u < n+i; u++ {
+			if rng.Intn(3) == 0 {
+				b.AddEdges = append(b.AddEdges, graphflow.EdgeOp{Src: v, Dst: uint32(u), Label: uint16(rng.Intn(eLabels))})
+			}
+			if rng.Intn(3) == 0 {
+				b.AddEdges = append(b.AddEdges, graphflow.EdgeOp{Src: uint32(u), Dst: v, Label: uint16(rng.Intn(eLabels))})
+			}
+		}
+	}
+	existing := sh.sortedEdges()
+	for i := 0; i < 10 && len(existing) > 0; i++ {
+		e := existing[rng.Intn(len(existing))]
+		b.DeleteEdges = append(b.DeleteEdges, graphflow.EdgeOp{Src: uint32(e.Src), Dst: uint32(e.Dst), Label: uint16(e.Label)})
+	}
+	return b
+}
+
+// TestDifferentialPinnedOperands sweeps the family the pinned operands
+// target (GenPinnedPattern: triangle, diamond with and without chord,
+// k-cliques 4..6 whole and minus an edge, triangle with leaves, bowtie;
+// mixed directions; 2 × 3 labels and wildcard edge labels) through
+// CompareCarried — the optimizer's plan and the WCO chain, batch sizes
+// 1/3/64/1024 so that prefix runs and carried runs are cut by batch
+// boundaries in every way, Workers 1 and 4, factorization on and off, the
+// cache (and with it the pinning) off, exact Limits and full row sets,
+// all against the tuple-at-a-time oracle — with every adjacency partition
+// indexed as a hub and with none, on the static store and on a live
+// overlay that has taken two random batches and one that appends vertices
+// into the dense part of the graph (no compaction: lists come from the
+// overlay's merged runs, IDs beyond the base graph reach the bitmap).
+func TestDifferentialPinnedOperands(t *testing.T) {
+	numGraphs, patternsPer := 4, 3
+	if testing.Short() {
+		numGraphs, patternsPer = 2, 2
+	}
+	const oracleBudget = 20_000 // matches; denser draws are redrawn
+	var pinned, wildcards int64
+	for gi := 0; gi < numGraphs; gi++ {
+		seed := int64(53000 + gi)
+		labelled := gi%2 == 1
+		g := GenDenseGraph(seed, labelled)
+		rng := rand.New(rand.NewSource(seed * 15485863))
+		for _, hub := range []int{1, -1} {
+			static, err := OpenDBHub(g, hub)
+			if err != nil {
+				t.Fatalf("graph seed %d hub %d: %v", seed, hub, err)
+			}
+			live, err := openDB(g, -1, hub)
+			if err != nil {
+				t.Fatalf("graph seed %d hub %d (live): %v", seed, hub, err)
+			}
+			sh := NewShadow(g)
+			for b := 0; b < 3; b++ {
+				batch := GenBatch(rng, sh)
+				if b == 2 {
+					batch = denseBatch(rng, sh, labelled)
+				}
+				if _, err := live.Apply(batch); err != nil {
+					t.Fatalf("graph seed %d hub %d batch %d: %v", seed, hub, b, err)
+				}
+				sh.Apply(batch)
+			}
+			for pi := 0; pi < patternsPer; {
+				q := GenPinnedPattern(rng, labelled)
+				if n, err := live.Count(q.String(), &graphflow.QueryOptions{Limit: oracleBudget + 1}); err != nil {
+					t.Fatalf("graph seed %d hub %d: sizing %q: %v", seed, hub, q, err)
+				} else if n > oracleBudget {
+					continue
+				}
+				pi++
+				if q.Edges[0].Label == 0xFFFF {
+					wildcards++
+				}
+				for name, db := range map[string]*graphflow.DB{"static": static, "live": live} {
+					_, n, err := CompareCarried(db, q)
+					if err != nil {
+						t.Errorf("graph seed %d hub %d %s pattern %d: %v", seed, hub, name, pi, err)
+					}
+					pinned += n
+				}
+			}
+		}
+	}
+	if pinned == 0 {
+		t.Error("no intersection of the whole corpus swept a pinned operand's bitmap; the family no longer exercises the path")
+	}
+	if wildcards == 0 {
+		t.Error("no wildcard-label pattern was drawn; the reader-buffer lists went untested")
+	}
+	t.Logf("corpus dispatched %d pinned probes; %d wildcard patterns", pinned, wildcards)
 }

@@ -24,6 +24,9 @@ type OpStats struct {
 	// CarriedSets counts intersections seeded with the upstream stage's
 	// extension set (inheriting E/I operators only).
 	CarriedSets int64
+	// PinnedProbes counts intersections computed by sweeping a list through
+	// the bitmap of an operand the stage had pinned for its run (E/I only).
+	PinnedProbes int64
 	// Probes counts probe lookups (HASH-JOIN only).
 	Probes int64
 	// BuildRows is the materialised build-side size (HASH-JOIN only).
@@ -49,6 +52,9 @@ func (s *OpStats) Describe() string {
 		}
 		if n.CarriedSets > 0 {
 			fmt.Fprintf(&sb, " carried=%d", n.CarriedSets)
+		}
+		if n.PinnedProbes > 0 {
+			fmt.Fprintf(&sb, " pinned=%d", n.PinnedProbes)
 		}
 		if n.Probes > 0 || n.BuildRows > 0 {
 			fmt.Fprintf(&sb, " probes=%d build=%d", n.Probes, n.BuildRows)
@@ -84,6 +90,7 @@ func (nc *nodeCounters) add(n plan.Node, d OpStats) {
 	st.ICost += d.ICost
 	st.CacheHits += d.CacheHits
 	st.CarriedSets += d.CarriedSets
+	st.PinnedProbes += d.PinnedProbes
 	st.Probes += d.Probes
 	st.BuildRows += d.BuildRows
 	nc.mu.Unlock()

@@ -150,11 +150,19 @@ func (b *tupleBatch) carriedRun(k int) ([]graph.VertexID, int) {
 }
 
 // runCursor walks a batch's published runs in row order for an
-// inheriting consumer, which visits every row exactly once.
+// inheriting consumer, which visits every row exactly once. The consumer
+// keeps one for its whole life and rewinds it per batch, so seq — the
+// ordinal of the run it stands in — never repeats: a run's identity for
+// the pinned-operand rule (a run continued from the previous batch counts
+// as a new one and is simply pinned again).
 type runCursor struct {
 	k, end int
 	set    []graph.VertexID
+	seq    int
 }
+
+// rewind readies the cursor for row 0 of the next batch.
+func (c *runCursor) rewind() { c.k, c.end, c.set = 0, 0, nil }
 
 // at returns the carried set of the run holding row r; r must advance by
 // one per call from zero.
@@ -162,6 +170,7 @@ func (c *runCursor) at(in *tupleBatch, r int) []graph.VertexID {
 	if r == c.end {
 		c.set, c.end = in.carriedRun(c.k)
 		c.k++
+		c.seq++
 	}
 	return c.set
 }
@@ -337,6 +346,8 @@ type batchExtendState struct {
 	idx  int
 	out  *tupleBatch
 	vals []graph.VertexID
+	// cur walks the input batch's carried runs (inheriting stages only).
+	cur runCursor
 	// inherit and publish are the spec's carried-set marks gated on the
 	// run's intersection cache: carrying a set across stages is the cache
 	// generalised, so DisableCache (Table 3's "Cache Off") turns it off.
@@ -387,7 +398,7 @@ func (s *batchExtendState) extFor(w *worker, in *tupleBatch, r int, runs bool, p
 	for _, d := range s.es.spec.op.Descriptors {
 		s.vals = append(s.vals, in.cols[d.TupleIdx][r])
 	}
-	return s.es.extensionSetFor(w, s.vals, carried)
+	return s.es.extensionSetFor(w, s.vals, carried, s.cur.seq)
 }
 
 //gf:noalloc
@@ -395,7 +406,8 @@ func (s *batchExtendState) pushBatch(w *worker, in *tupleBatch) {
 	width := len(in.cols)
 	runs := s.es.useCache
 	var ext, carried []graph.VertexID
-	var cur runCursor
+	cur := &s.cur
+	cur.rewind()
 	if w.countFast && w.isRoot && s.idx == len(w.bstages)-1 {
 		// Factorized counting (Section 10): the last extension's Cartesian
 		// product is counted, not enumerated.

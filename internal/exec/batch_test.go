@@ -298,77 +298,76 @@ func steadyWorker(tb testing.TB, g *graph.Graph, p *plan.Plan, cfg RunConfig) (*
 // step across packages.
 func TestZeroAllocs(t *testing.T) {
 	g := datagen.Epinions(1)
+	scan := func(w *worker, n int) func() {
+		return func() {
+			w.runBatchRange(0, n)
+			w.flushBatches()
+		}
+	}
 	cases := []struct {
-		name  string
-		setup func(t *testing.T) func()
+		name string
+		// pinned says the row's E/I stages run the pinned-operand path: the
+		// warm-up must have dispatched pinned probes (and with the cache
+		// off, none), so the row measures the path it names.
+		pinned bool
+		setup  func(t *testing.T) (*worker, func())
 	}{
 		{
 			// The batch E/I pipeline: the scan fills reused columns, the
-			// intersections reuse stage scratch, no per-tuple closures.
-			name: "batchEI",
-			setup: func(t *testing.T) func() {
+			// intersections reuse stage scratch, no per-tuple closures. Both
+			// stages pin the adjacency list their prefix run shares: the
+			// bitmap and the saved IDs grow during warm-up only.
+			name: "batchEI", pinned: true,
+			setup: func(t *testing.T) (*worker, func()) {
 				w, n := steadyWorker(t, g, buildWCO(t, query.Q4(), []int{0, 1, 2, 3}), RunConfig{FastCount: true})
-				return func() {
-					w.runBatchRange(0, n)
-					w.flushBatches()
-				}
+				return w, scan(w, n)
 			},
 		},
 		{
 			// The factorized count tail: leaf sets land in reused stage
-			// scratch and products are pure arithmetic.
-			name: "factorizedCount",
-			setup: func(t *testing.T) func() {
+			// scratch (each leaf with its own pinned operand) and products
+			// are pure arithmetic.
+			name: "factorizedCount", pinned: true,
+			setup: func(t *testing.T) (*worker, func()) {
 				w, n := steadyFactorizedWorker(t, g)
-				return func() {
-					w.runBatchRange(0, n)
-					w.flushBatches()
-				}
+				return w, scan(w, n)
 			},
 		},
 		{
 			// Carried extension sets, plain chain: the 4-clique's last stage
 			// intersects into the run table its upstream publishes (run
-			// boundaries, aliased columns, the split-run copy).
-			name: "carriedEI",
-			setup: func(t *testing.T) func() {
+			// boundaries, aliased columns, the split-run copy) and pins the
+			// carried set of each run of two rows or more.
+			name: "carriedEI", pinned: true,
+			setup: func(t *testing.T) (*worker, func()) {
 				w, n := steadyWorker(t, g, buildWCO(t, cliqueQuery(4), chainOrder(4)), RunConfig{FastCount: true})
-				return func() {
-					w.runBatchRange(0, n)
-					w.flushBatches()
-				}
+				return w, scan(w, n)
 			},
 		},
 		{
 			// Carried extension sets into a factorized tail, two links deep:
 			// the 5-clique's middle stage inherits and publishes, its tail
-			// leaf inherits.
-			name: "carriedFactorizedTail",
-			setup: func(t *testing.T) func() {
+			// leaf inherits; both pin what they inherit.
+			name: "carriedFactorizedTail", pinned: true,
+			setup: func(t *testing.T) (*worker, func()) {
 				w, n := steadyWorker(t, g, buildWCO(t, cliqueQuery(5), chainOrder(5)), RunConfig{Factorized: true, FastCount: true})
-				return func() {
-					w.runBatchRange(0, n)
-					w.flushBatches()
-				}
+				return w, scan(w, n)
 			},
 		},
 		{
 			// Cache off (Table 3): every row recomputes its intersection,
-			// still into the stage's owned buffer.
+			// still into the stage's owned buffer, and nothing is pinned.
 			name: "cacheOff",
-			setup: func(t *testing.T) func() {
+			setup: func(t *testing.T) (*worker, func()) {
 				w, n := steadyWorker(t, g, buildWCO(t, query.Q1(), chainOrder(3)), RunConfig{FastCount: true, DisableCache: true})
-				return func() {
-					w.runBatchRange(0, n)
-					w.flushBatches()
-				}
+				return w, scan(w, n)
 			},
 		},
 		{
 			// The oracle scan: per-scan-vertex Neighbors lookups go through
 			// the reusable per-worker reader.
 			name: "oracleScan",
-			setup: func(t *testing.T) func() {
+			setup: func(t *testing.T) (*worker, func()) {
 				cp, err := Compile(g, buildWCO(t, query.Q1(), []int{0, 1, 2}))
 				if err != nil {
 					t.Fatal(err)
@@ -378,13 +377,16 @@ func TestZeroAllocs(t *testing.T) {
 				w := newWorker(rc, cp.pipes[0], true, nil, &stopped, nil)
 				n := g.NumVertices()
 				w.runRange(0, n)
-				return func() { w.runRange(0, n) }
+				return w, func() { w.runRange(0, n) }
 			},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			body := tc.setup(t)
+			w, body := tc.setup(t)
+			if got := pinnedProbes(w); (got > 0) != tc.pinned {
+				t.Fatalf("warm-up dispatched %d pinned probes; row expects pinned=%v", got, tc.pinned)
+			}
 			if allocs := testing.AllocsPerRun(3, body); allocs != 0 {
 				t.Errorf("steady-state %s allocates %.1f times per scan, want 0", tc.name, allocs)
 			}

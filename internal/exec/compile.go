@@ -80,6 +80,21 @@ type extendSpec struct {
 
 func (s *extendSpec) planNode() plan.Node { return s.op }
 
+// listsAreSets reports whether no list the operator intersects can hold
+// an ID twice. A wildcard edge label can: the lookup merges one run per
+// edge label and keeps a neighbour reached under two labels twice, and
+// the sorted kernels intersect such lists as multisets (the smaller
+// multiplicity survives). A wildcard target label cannot — a vertex has
+// one label, so the merged runs are disjoint.
+func (s *extendSpec) listsAreSets() bool {
+	for _, d := range s.op.Descriptors {
+		if d.EdgeLabel == graph.WildcardLabel {
+			return false
+		}
+	}
+	return true
+}
+
 func (s *extendSpec) newState(rc *runContext) stageState {
 	return &extendState{spec: s, useCache: !rc.cfg.DisableCache}
 }

@@ -49,6 +49,8 @@ type factorizedTail struct {
 	odo []int
 	// out is the lazily-unfolded output batch (emit mode only).
 	out *tupleBatch
+	// cur walks the input batch's carried runs for an inheriting first leaf.
+	cur runCursor
 }
 
 func newFactorizedTail(rc *runContext, specs []*extendSpec, idx, inWidth int) *factorizedTail {
@@ -86,22 +88,25 @@ func (s *factorizedTail) reset(rc *runContext) {
 // leave no stale run state behind. An inheriting leaf is seeded with its
 // upstream's set: the previous leaf's, just computed for this row, or —
 // for the first leaf — the one the stage below the tail published for
-// r's run (cur walks them; leaf 0 is computed for every row).
-func (s *factorizedTail) leafSet(w *worker, in *tupleBatch, r, i int, cur *runCursor) []graph.VertexID {
+// r's run (s.cur walks them; leaf 0 is computed for every row). The run
+// ordinal that goes with it is the cursor's, or the count of sets the
+// previous leaf has computed.
+func (s *factorizedTail) leafSet(w *worker, in *tupleBatch, r, i int) []graph.VertexID {
 	leaf := s.leaves[i]
 	leaf.vals = leaf.vals[:0]
 	for _, d := range leaf.es.spec.op.Descriptors {
 		leaf.vals = append(leaf.vals, in.cols[d.TupleIdx][r])
 	}
 	var carried []graph.VertexID
+	run := 0
 	if leaf.inherit {
 		if i == 0 {
-			carried = cur.at(in, r)
+			carried, run = s.cur.at(in, r), s.cur.seq
 		} else {
-			carried = s.sets[i-1]
+			carried, run = s.sets[i-1], s.leaves[i-1].es.setSeq
 		}
 	}
-	ext := leaf.es.extensionSetFor(w, leaf.vals, carried)
+	ext := leaf.es.extensionSetFor(w, leaf.vals, carried, run)
 	s.sets[i] = ext
 	return ext
 }
@@ -110,12 +115,12 @@ func (s *factorizedTail) leafSet(w *worker, in *tupleBatch, r, i int, cur *runCu
 func (s *factorizedTail) pushBatch(w *worker, in *tupleBatch) {
 	counting := w.emit == nil
 	budget := w.rc.countBudget
-	var cur runCursor
+	s.cur.rewind()
 	for r := 0; r < in.n; r++ {
 		w.profile.FactorizedPrefixes++
 		product := int64(1)
 		for i := range s.leaves {
-			n := int64(len(s.leafSet(w, in, r, i, &cur)))
+			n := int64(len(s.leafSet(w, in, r, i)))
 			if n == 0 {
 				product = 0
 				break

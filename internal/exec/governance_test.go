@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -287,5 +288,82 @@ func TestCancelMidFactorizedUnfold(t *testing.T) {
 	}
 	if again != total {
 		t.Fatalf("post-cancel rerun enumerated %d rows, want %d", again, total)
+	}
+}
+
+// TestPinnedBitmapBudget pins how the pin bitmap is paid for: it is
+// ⌈V/64⌉ words of stage scratch, allocated when a stage first pins an
+// operand and reserved from the query's memory budget at that moment —
+// not at worker construction, so a run that never pins never pays. On a
+// graph of 2^18 vertices (a 32 KiB bitmap) whose edges all sit among
+// the first sixty, a 16 KiB budget covers the batches and the kernel
+// buffers many times over and still ends in the structured budget
+// error; with the cache off the same budget is enough; a budget that
+// does cover the bitmap shows it in what the run used; and the worker
+// the refused run left in the pool — bitmap dirty, reservation failed
+// halfway through a batch — serves the next run exactly.
+func TestPinnedBitmapBudget(t *testing.T) {
+	const n = 1 << 18
+	rng := rand.New(rand.NewSource(35))
+	b := graph.NewBuilder(n)
+	for u := 0; u < 60; u++ {
+		for v := 0; v < 60; v++ {
+			if u != v && rng.Float64() < 0.3 {
+				b.AddEdge(graph.VertexID(u), graph.VertexID(v), 0)
+			}
+		}
+	}
+	g := b.MustBuild()
+	const bitmapBytes = n / 8
+	for name, p := range map[string]*plan.Plan{
+		"triangle": buildWCO(t, query.Q1(), chainOrder(3)),
+		"clique4":  buildWCO(t, cliqueQuery(4), chainOrder(4)),
+	} {
+		cp := Must(t, g, p)
+		want, _, err := cp.Count(RunConfig{TupleAtATime: true})
+		if err != nil || want == 0 {
+			t.Fatalf("%s: oracle count %d, %v", name, want, err)
+		}
+		for _, cfg := range []RunConfig{
+			{BatchSize: 64},
+			{BatchSize: 64, FastCount: true},
+			{BatchSize: 64, Factorized: true, FastCount: true},
+			{BatchSize: 64, Workers: 4},
+		} {
+			small := resource.NewBudget(bitmapBytes/2, nil)
+			cfg.MemBudget = small
+			_, _, err := cp.Count(cfg)
+			var be *resource.BudgetError
+			if !errors.As(err, &be) || be.Limit != bitmapBytes/2 || be.Global {
+				t.Fatalf("%s cfg=%+v: err = %v, want a per-query BudgetError with limit %d", name, cfg, err, bitmapBytes/2)
+			}
+			small.Close()
+
+			// The pooled worker of the refused run, reused.
+			cfg.MemBudget = nil
+			if n, _, err := cp.Count(cfg); err != nil || n != want {
+				t.Fatalf("%s cfg=%+v: count after the refused run = %d, %v; want %d", name, cfg, n, err, want)
+			}
+
+			roomy := resource.NewBudget(8*bitmapBytes, nil)
+			cfg.MemBudget = roomy
+			n, prof, err := cp.Count(cfg)
+			if err != nil || n != want || prof.Kernels.PinnedProbe == 0 {
+				t.Fatalf("%s cfg=%+v: roomy count = %d (%d pinned probes), %v; want %d", name, cfg, n, prof.Kernels.PinnedProbe, err, want)
+			}
+			if used := roomy.Used(); used < bitmapBytes {
+				t.Errorf("%s cfg=%+v: run reserved %d bytes, less than its %d-byte bitmap", name, cfg, used, bitmapBytes)
+			}
+			roomy.Close()
+
+			// On workers that have never pinned (a pooled one is charged for
+			// the bitmap it brings along, like for its other scratch).
+			off := resource.NewBudget(bitmapBytes/2, nil)
+			cfg.MemBudget, cfg.DisableCache = off, true
+			if n, _, err := Must(t, g, p).Count(cfg); err != nil || n != want {
+				t.Fatalf("%s cfg=%+v: cache-off count under the small budget = %d, %v; want %d", name, cfg, n, err, want)
+			}
+			off.Close()
+		}
 	}
 }

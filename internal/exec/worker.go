@@ -428,11 +428,14 @@ func (w *worker) foldStageTimes() {
 // run's analysis collector, if one is attached.
 func (w *worker) finish() {
 	w.foldStageTimes()
+	nc := w.rc.analyze
 	w.eachState(func(st *extendState) {
+		if nc != nil {
+			nc.add(st.spec.op, OpStats{PinnedProbes: st.it.Counters.PinnedProbe})
+		}
 		w.profile.Kernels.Add(st.it.Counters)
 		st.it.Counters = graph.KernelCounters{}
 	}, func(*probeState) {})
-	nc := w.rc.analyze
 	if nc == nil {
 		return
 	}
@@ -483,10 +486,29 @@ type extendState struct {
 	// the E/I hot path runs allocation-free after warm-up.
 	it graph.Intersector
 
-	// meteredCap is the cache/scratch capacity (in vertices) already
-	// charged to the current run's memory budget; only growth beyond it
-	// is reserved, so the steady state pays one integer compare.
-	meteredCap int
+	// pins turns on pinned operands (graph.Intersector.IntersectRun): an
+	// operand the previous intersection also had — a descriptor whose source
+	// vertex did not change, or the carried set of the same run — is marked
+	// once in the intersector's bitmap and probed through for the rest of
+	// its run. It is the cache generalised to one repeating operand, so it
+	// follows useCache — in the vectorized engine only (the oracle never
+	// goes through reset and never pins), and only where every list is a
+	// set (extendSpec.listsAreSets): a bitmap has no multiplicities.
+	pins bool
+	// lastRun is the run ordinal the previous computed intersection's
+	// carried set came with (0: none). Ordinals, not slices, identify
+	// carried sets: headBuf is reused, so one pointer and length can hold a
+	// different set in the next batch.
+	lastRun int
+	// setSeq counts the extension sets computed (not served from the
+	// cache): the run ordinal of this stage's current set, for a factorized
+	// leaf that inherits it.
+	setSeq int
+
+	// metered is the cache/scratch/pin capacity (in bytes) already charged
+	// to the current run's memory budget; only growth beyond it is
+	// reserved, so the steady state pays one integer compare.
+	metered int64
 
 	// Per-operator analysis counters (collected by worker.finish).
 	outTuples, icost, hits, carried int64
@@ -497,10 +519,15 @@ type extendState struct {
 // buffers, readers, intersector state) is kept.
 func (s *extendState) reset(useCache bool) {
 	s.useCache = useCache
+	s.pins = useCache && s.spec.listsAreSets()
 	s.cacheValid = false
+	// A run that unwound mid-batch (Limit, cancellation, budget) left its
+	// last operand pinned.
+	s.it.Unpin()
+	s.lastRun = 0
 	// The retained buffers are now held on behalf of the next run: its
 	// budget is recharged for their full capacity on first use.
-	s.meteredCap = 0
+	s.metered = 0
 	s.outTuples, s.icost, s.hits, s.carried = 0, 0, 0, 0
 }
 
@@ -516,7 +543,7 @@ func (s *extendState) extensionSet(w *worker) []graph.VertexID {
 	for _, d := range s.spec.op.Descriptors {
 		s.valBuf = append(s.valBuf, w.tuple[d.TupleIdx])
 	}
-	return s.extensionSetFor(w, s.valBuf, nil)
+	return s.extensionSetFor(w, s.valBuf, nil, 0)
 }
 
 // extensionSetFor computes (or serves from the intersection cache) the
@@ -525,23 +552,26 @@ func (s *extendState) extensionSet(w *worker) []graph.VertexID {
 // extension set the upstream stage already computed over the descriptors
 // in spec.covered (the vectorized engine's inheriting stages): the set is
 // then carried ∩ (the remaining descriptors' lists) and the covered
-// lists are never read. The oracle always passes nil.
+// lists are never read; run is that set's run ordinal — equal to the
+// previous call's exactly when carried holds the same set (never 0). The
+// oracle always passes nil.
 //
 //gf:noalloc
-func (s *extendState) extensionSetFor(w *worker, vals, carried []graph.VertexID) []graph.VertexID {
+func (s *extendState) extensionSetFor(w *worker, vals, carried []graph.VertexID, run int) []graph.VertexID {
 	op := s.spec.op
 	descs := op.Descriptors
-	// Cache lookup.
+	// Cache lookup. unchanged marks the descriptors presenting the source
+	// vertex they presented to the previous computed intersection: all of
+	// them is a hit, some of them is an operand worth pinning.
+	unchanged := uint32(0)
 	if s.useCache {
 		if s.cacheValid && len(s.cacheKey) == len(vals) {
-			hit := true
 			for i, v := range vals {
-				if s.cacheKey[i] != v {
-					hit = false
-					break
+				if s.cacheKey[i] == v {
+					unchanged |= 1 << uint(i)
 				}
 			}
-			if hit {
+			if unchanged == 1<<uint(len(vals))-1 {
 				w.profile.CacheHits++
 				s.hits++
 				return s.cacheExt
@@ -549,8 +579,13 @@ func (s *extendState) extensionSetFor(w *worker, vals, carried []graph.VertexID)
 		}
 		s.cacheKey = append(s.cacheKey[:0], vals...)
 	}
+	if !s.pins {
+		unchanged = 0
+	}
+	s.setSeq++
 	if s.readers == nil {
 		s.readers = make([]graph.NeighborReader, len(descs)) //gf:allowalloc one-time per-descriptor reader setup, retained across tuples
+		s.it.Words = w.nWords
 	}
 	covered := uint32(0)
 	if carried != nil {
@@ -561,15 +596,32 @@ func (s *extendState) extensionSetFor(w *worker, vals, carried []graph.VertexID)
 	// Gather the lists to intersect: the carried set, if any, then one
 	// adjacency run per descriptor it does not cover. i-cost counts every
 	// accessed list's size (Equation 1) — the carried set stands in for
-	// the lists it replaces.
+	// the lists it replaces. A descriptor whose source vertex is unchanged
+	// is not looked up again: its list is where the previous intersection
+	// left it (for a wildcard read, still in its reader's buffer). same
+	// re-numbers what repeats by operand for IntersectRun: bit 0 the carried
+	// set, bit j+1 the j-th list.
 	s.lists = s.lists[:0]
+	same := uint32(0)
 	if carried != nil {
 		s.lists = append(s.lists, carried)
+		if s.pins && run == s.lastRun {
+			same = 1
+		}
+		s.lastRun = run
 	}
+	bit := uint32(2)
 	for i, d := range descs {
-		if covered&(1<<uint(i)) == 0 {
+		if covered&(1<<uint(i)) != 0 {
+			continue
+		}
+		if unchanged&(1<<uint(i)) != 0 {
+			same |= bit
+			s.lists = s.lists[:len(s.lists)+1]
+		} else {
 			s.lists = append(s.lists, s.readers[i].Read(w.g, vals[i], d.Dir, d.EdgeLabel, op.TargetLabel))
 		}
+		bit <<= 1
 	}
 	cost := int64(0)
 	for _, l := range s.lists {
@@ -611,22 +663,18 @@ func (s *extendState) extensionSetFor(w *worker, vals, carried []graph.VertexID)
 		}
 	}
 	var ext []graph.VertexID
-	if carried != nil {
-		ext, s.scratch = s.it.IntersectSeeded(carried, runs, s.bits, s.cacheBuf[:0], s.scratch)
-	} else {
-		ext, s.scratch = s.it.IntersectK(runs, s.bits, s.cacheBuf[:0], s.scratch)
-	}
+	ext, s.scratch = s.it.IntersectRun(carried, runs, s.bits, same, s.cacheBuf[:0], s.scratch)
 	// cacheBuf stays the owned kernel output buffer whether or not the
 	// cache is on: with it off every intersection still writes into the
 	// same storage instead of growing a fresh slice.
 	s.cacheBuf = ext
 	// Charge kernel-buffer growth (the factorized extension-set caches of
-	// the memory budget) — capacity deltas only, so a warm cache costs one
-	// compare per intersection. Exhaustion is observed at the next
-	// pollpoint.
-	if n := cap(ext) + cap(s.scratch); n > s.meteredCap {
-		w.rc.mem.Reserve(int64(n-s.meteredCap) * vertexIDBytes)
-		s.meteredCap = n
+	// the memory budget) and the intersector's pin bitmap, when it first
+	// pins — capacity deltas only, so a warm cache costs one compare per
+	// intersection. Exhaustion is observed at the next pollpoint.
+	if n := int64(cap(ext)+cap(s.scratch))*vertexIDBytes + s.it.PinBytes(); n > s.metered {
+		w.rc.mem.Reserve(n - s.metered)
+		s.metered = n
 	}
 	if s.useCache {
 		s.cacheExt = ext

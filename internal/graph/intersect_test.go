@@ -167,13 +167,178 @@ func TestIntersectKDifferential(t *testing.T) {
 		cut := 1 + rng.Intn(k)
 		seed := naiveIntersect(lists[:cut]...)
 		seedCopy := append([]VertexID(nil), seed...)
-		out, scratch = it.IntersectSeeded(seed, lists[cut:], bits[cut:], out, scratch)
+		out, scratch = it.IntersectRun(seed, lists[cut:], bits[cut:], 0, out, scratch)
 		if !equalIDs(out, want) {
-			t.Fatalf("trial %d: IntersectSeeded(cut=%d of %d) = %v, want %v", trial, cut, k, out, want)
+			t.Fatalf("trial %d: IntersectRun(seeded, cut=%d of %d) = %v, want %v", trial, cut, k, out, want)
 		}
 		if !equalIDs(seed, seedCopy) || (len(out) > 0 && len(seed) > 0 && &out[0] == &seed[0]) {
-			t.Fatalf("trial %d: IntersectSeeded wrote to or aliased its seed", trial)
+			t.Fatalf("trial %d: IntersectRun wrote to or aliased its seed", trial)
 		}
+	}
+}
+
+// marksClean reports whether the pin bitmap has no bit set.
+func marksClean(it *Intersector) bool {
+	for _, w := range it.marks {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPinnedOperandLifecycle walks one Intersector through the states of
+// IntersectRun's pinned operand — pinned on second sight, kept while same
+// names it, dropped and replaced when another operand repeats instead,
+// cleared by Unpin — checking every result against the naive reference,
+// the dispatch counters, and that the bitmap holds exactly the pinned
+// list's bits (none once nothing is pinned).
+func TestPinnedOperandLifecycle(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	a := randomSortedList(rng, 60, 5)
+	a2 := randomSortedList(rng, 45, 7)
+	bs := make([][]VertexID, 6)
+	for i := range bs {
+		bs[i] = randomSortedList(rng, 20+rng.Intn(80), 4)
+	}
+	var it Intersector
+	var out, scratch []VertexID
+	run := func(step string, lists [][]VertexID, same uint32, wantPinned []VertexID, wantProbes int64) {
+		t.Helper()
+		out, scratch = it.IntersectRun(nil, lists, nil, same, out, scratch)
+		if want := naiveIntersect(lists...); !equalIDs(out, want) {
+			t.Fatalf("%s: got %v, want %v", step, out, want)
+		}
+		if !equalIDs(it.pinIDs, wantPinned) {
+			t.Fatalf("%s: pinned %v, want %v", step, it.pinIDs, wantPinned)
+		}
+		if it.Counters.PinnedProbe != wantProbes {
+			t.Fatalf("%s: %d pinned probes, want %d (counters %+v)", step, it.Counters.PinnedProbe, wantProbes, it.Counters)
+		}
+		if len(wantPinned) == 0 && !marksClean(&it) {
+			t.Fatalf("%s: nothing pinned but the bitmap has bits set", step)
+		}
+		set := 0
+		for _, v := range wantPinned {
+			if it.marks[v>>6]&(1<<(v&63)) != 0 {
+				set++
+			}
+		}
+		if set != len(wantPinned) {
+			t.Fatalf("%s: %d of the pinned list's %d bits are set", step, set, len(wantPinned))
+		}
+	}
+	run("first sight merges", [][]VertexID{a, bs[0]}, 0, nil, 0)
+	run("second sight pins", [][]VertexID{a, bs[1]}, 2, a, 1)
+	run("third sight probes", [][]VertexID{a, bs[2]}, 2, a, 2)
+	// The other operand repeats instead: a is unpinned, bs[2] pinned.
+	run("re-pin on the other operand", [][]VertexID{a2, bs[2]}, 4, bs[2], 3)
+	// Both repeat: the pin stays where it is.
+	run("pin kept while named", [][]VertexID{a2, bs[2]}, 6, bs[2], 4)
+	run("run over", [][]VertexID{a, bs[3]}, 0, nil, 4)
+	run("pinned again", [][]VertexID{a, bs[4]}, 2, a, 5)
+	it.Unpin()
+	if !marksClean(&it) || len(it.pinIDs) != 0 {
+		t.Fatal("Unpin left bits or IDs behind")
+	}
+	// After Unpin a stale same is harmless: the operand is pinned afresh.
+	run("after Unpin", [][]VertexID{a, bs[5]}, 2, a, 6)
+
+	// The pin owns its IDs: the caller refilling the pinned list's buffer
+	// (a wildcard-label reader does) must not change what is probed or
+	// what Unpin clears.
+	buf := append([]VertexID(nil), a2...)
+	it.Unpin()
+	run("pin a buffer", [][]VertexID{buf, bs[0]}, 0, nil, 6)
+	run("pin a buffer", [][]VertexID{buf, bs[1]}, 2, a2, 7)
+	for i := range buf {
+		buf[i] = VertexID(100000 + i)
+	}
+	out, scratch = it.IntersectRun(nil, [][]VertexID{buf, bs[2]}, nil, 2, out, scratch)
+	if want := naiveIntersect(a2, bs[2]); !equalIDs(out, want) {
+		t.Fatalf("probe after the caller's buffer was refilled: got %v, want %v", out, want)
+	}
+	it.Unpin()
+	if !marksClean(&it) {
+		t.Fatal("Unpin cleared by the caller's refilled buffer, not by the saved IDs")
+	}
+}
+
+// TestPinnedKWayFold checks the k-way shapes of the pinned path against
+// the naive reference: any operand pinned (the seed or a list), the
+// shortest other one swept through the bitmap, the rest folded in with
+// and without bitset indexes — and the cut-off, where a partner far
+// longer than the pinned list sends the call down the ordinary dispatch.
+func TestPinnedKWayFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var it Intersector
+	var out, scratch []VertexID
+	for trial := 0; trial < 400; trial++ {
+		k := 2 + rng.Intn(3)
+		lists := make([][]VertexID, k)
+		bits := make([]*Bitset, k)
+		for i := range lists {
+			length := 1 + rng.Intn(60)
+			if rng.Intn(4) == 0 {
+				length = 300 + rng.Intn(600)
+			}
+			lists[i] = randomSortedList(rng, length, 3)
+			if rng.Intn(2) == 0 {
+				bits[i] = NewBitsetFromSorted(lists[i])
+			}
+		}
+		var seed []VertexID
+		if rng.Intn(2) == 0 {
+			seed = randomSortedList(rng, 1+rng.Intn(40), 6)
+		}
+		all := lists
+		if seed != nil {
+			all = append([][]VertexID{seed}, lists...)
+		}
+		want := naiveIntersect(all...)
+		// Pin each operand in turn: a first call with same = 0, then two
+		// naming it.
+		for pos := 0; pos <= k; pos++ {
+			if pos == 0 && seed == nil {
+				continue
+			}
+			it.Unpin()
+			before := it.Counters
+			for call, same := range []uint32{0, 1 << uint(pos), 1 << uint(pos)} {
+				out, scratch = it.IntersectRun(seed, lists, bits, same, out, scratch)
+				if !equalIDs(out, want) {
+					t.Fatalf("trial %d pos %d call %d: got %v, want %v", trial, pos, call, out, want)
+				}
+			}
+			// Bit pos is all[pos] with a seed, all[pos-1] without.
+			at := pos
+			if seed == nil {
+				at--
+			}
+			pinned := all[at]
+			if !equalIDs(it.pinIDs, pinned) {
+				t.Fatalf("trial %d pos %d: pinned %v, want %v", trial, pos, it.pinIDs, pinned)
+			}
+			shortest := -1
+			for i, l := range all {
+				if i == at {
+					continue
+				}
+				if shortest < 0 || len(l) < shortest {
+					shortest = len(l)
+				}
+			}
+			probes := it.Counters.PinnedProbe - before.PinnedProbe
+			if cut := shortest >= pinCutoff*len(pinned); cut && probes != 0 {
+				t.Fatalf("trial %d pos %d: partner of %d against a pinned list of %d was swept (cut-off %d)", trial, pos, shortest, len(pinned), pinCutoff)
+			} else if !cut && probes != 2 {
+				t.Fatalf("trial %d pos %d: %d pinned probes over two repeats, want 2", trial, pos, probes)
+			}
+		}
+	}
+	it.Unpin()
+	if !marksClean(&it) {
+		t.Fatal("bitmap dirty after the last Unpin")
 	}
 }
 
@@ -255,6 +420,30 @@ func TestIntersectorZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+	// The pinned path: the operand that repeats is marked once (the bitmap
+	// and the saved IDs grow on the first pin only), every later call
+	// sweeps the partner through it, and a change of operand clears and
+	// re-marks without allocating.
+	t.Run("pinned", func(t *testing.T) {
+		var it Intersector
+		var out, scratch []VertexID
+		body := func() {
+			out, scratch = it.IntersectRun(nil, [][]VertexID{long, mid}, nil, 0, out, scratch)
+			out, scratch = it.IntersectRun(nil, [][]VertexID{long, short}, nil, 2, out, scratch)
+			out, scratch = it.IntersectRun(short, [][]VertexID{long, mid}, nil, 2, out, scratch)
+			out, scratch = it.IntersectRun(short, [][]VertexID{mid, long}, nil, 1, out, scratch)
+		}
+		body()
+		if it.Counters.PinnedProbe != 3 {
+			t.Fatalf("pinned probe dispatched %d times in four calls, want 3 (counters %+v)", it.Counters.PinnedProbe, it.Counters)
+		}
+		if allocs := testing.AllocsPerRun(100, body); allocs != 0 {
+			t.Errorf("pinned IntersectRun allocates %.1f per run, want 0", allocs)
+		}
+		if it.PinBytes() == 0 {
+			t.Error("PinBytes reports nothing held after pinning")
+		}
+	})
 	// The carried-set entry point: a seed probed into an indexed list,
 	// merged with a plain one, and copied when nothing is left to read.
 	t.Run("seeded", func(t *testing.T) {
@@ -263,15 +452,15 @@ func TestIntersectorZeroAllocs(t *testing.T) {
 		lists := [][]VertexID{long, mid}
 		bits := []*Bitset{NewBitsetFromSorted(long), nil}
 		body := func() {
-			out, scratch = it.IntersectSeeded(short, lists, bits, out, scratch)
-			out, scratch = it.IntersectSeeded(short, nil, nil, out, scratch)
+			out, scratch = it.IntersectRun(short, lists, bits, 0, out, scratch)
+			out, scratch = it.IntersectRun(short, nil, nil, 0, out, scratch)
 		}
 		body()
 		if it.Counters.BitsetProbe == 0 {
 			t.Fatalf("seeded probe never dispatched (counters %+v)", it.Counters)
 		}
 		if allocs := testing.AllocsPerRun(100, body); allocs != 0 {
-			t.Errorf("IntersectSeeded allocates %.1f per run, want 0", allocs)
+			t.Errorf("seeded IntersectRun allocates %.1f per run, want 0", allocs)
 		}
 	})
 }
@@ -294,7 +483,8 @@ func decodeFuzzList(data []byte) []VertexID {
 
 // FuzzIntersect cross-checks every intersection kernel against the naive
 // reference on fuzzer-chosen sorted lists, including the k-way engine
-// over three lists with full bitset availability.
+// over three lists with full bitset availability and the pinned-operand
+// kernel with either list pinned.
 func FuzzIntersect(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{1, 2, 3}, []byte{2, 2, 2})
@@ -323,6 +513,28 @@ func FuzzIntersect(f *testing.F) {
 		three := [][]VertexID{a, b, a}
 		if got, _ := it.IntersectK(three, []*Bitset{ba, bb, ba}, nil, nil); !equalIDs(got, want) {
 			t.Fatalf("IntersectK(a,b,a) = %v, want %v", got, want)
+		}
+		// The pinned kernel, either operand pinned (as a list and as the
+		// seed), each followed by an unrelated call that must find the
+		// bitmap clean.
+		for _, pair := range [][2][]VertexID{{a, b}, {b, a}} {
+			lists := [][]VertexID{pair[0], pair[1]}
+			for _, same := range []uint32{0, 2, 2} {
+				if got, _ := it.IntersectRun(nil, lists, nil, same, nil, nil); !equalIDs(got, want) {
+					t.Fatalf("IntersectRun(same=%d) = %v, want %v", same, got, want)
+				}
+			}
+			for _, same := range []uint32{0, 1, 1} {
+				if got, _ := it.IntersectRun(pair[0], lists[1:], nil, same, nil, nil); !equalIDs(got, want) {
+					t.Fatalf("seeded IntersectRun(same=%d) = %v, want %v", same, got, want)
+				}
+			}
+			if got, _ := it.IntersectRun(nil, three, nil, 0, nil, nil); !equalIDs(got, want) {
+				t.Fatalf("IntersectRun after a pinned run = %v, want %v", got, want)
+			}
+			if !marksClean(&it) {
+				t.Fatal("bitmap dirty after the pinned operand stopped repeating")
+			}
 		}
 	})
 }

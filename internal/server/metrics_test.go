@@ -380,10 +380,12 @@ func TestCatalogueMetricsIngestOnly(t *testing.T) {
 	}
 }
 
-// TestCarriedSetsSurfaces checks the one counter the carried extension
-// sets add, everywhere it is promised: a 4-clique count response reports
-// kernels.carried_sets > 0, /stats and /metrics accumulate it, and
-// EXPLAIN ANALYZE renders the inheriting operator with ↑ and carried=.
+// TestCarriedSetsSurfaces checks the counters the carried extension sets
+// and the pinned operands add, everywhere they are promised: a 4-clique
+// count response reports kernels.carried_sets and kernels.pinned_probe
+// > 0, /stats and /metrics accumulate them (the latter as one more kernel
+// of graphflow_exec_kernel_dispatch_total), and EXPLAIN ANALYZE renders
+// the inheriting operator with ↑, carried= and pinned=.
 func TestCarriedSetsSurfaces(t *testing.T) {
 	const clique4 = "a->b, a->c, b->c, a->d, b->d, c->d"
 	s := newTestServer(t, Config{})
@@ -391,43 +393,50 @@ func TestCarriedSetsSurfaces(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("/query = %d: %s", w.Code, w.Body)
 	}
-	var resp struct {
+	type kernels struct {
 		Kernels struct {
 			CarriedSets int64 `json:"carried_sets"`
+			PinnedProbe int64 `json:"pinned_probe"`
 		} `json:"kernels"`
 	}
+	var resp, stats kernels
 	mustDecode(t, w.Body.Bytes(), &resp)
-	if resp.Kernels.CarriedSets <= 0 {
-		t.Fatalf("count response kernels.carried_sets = %d, want > 0: %s", resp.Kernels.CarriedSets, w.Body)
-	}
-	var stats struct {
-		Kernels struct {
-			CarriedSets int64 `json:"carried_sets"`
-		} `json:"kernels"`
+	if resp.Kernels.CarriedSets <= 0 || resp.Kernels.PinnedProbe <= 0 {
+		t.Fatalf("count response kernels = %+v, want carried_sets and pinned_probe > 0: %s", resp.Kernels, w.Body)
 	}
 	mustDecode(t, do(t, s, http.MethodGet, "/stats", nil).Body.Bytes(), &stats)
-	if stats.Kernels.CarriedSets != resp.Kernels.CarriedSets {
-		t.Errorf("/stats kernels.carried_sets = %d, the one served query reported %d", stats.Kernels.CarriedSets, resp.Kernels.CarriedSets)
+	if stats != resp {
+		t.Errorf("/stats kernels = %+v, the one served query reported %+v", stats.Kernels, resp.Kernels)
 	}
 	fams, err := metrics.ParseText(bytes.NewReader(do(t, s, http.MethodGet, "/metrics", nil).Body.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
+	carried, pinned := false, false
 	for _, f := range fams {
-		if f.Name == "graphflow_exec_carried_sets_total" {
-			found = len(f.Series) == 1 && f.Series[0].Value == float64(resp.Kernels.CarriedSets)
+		switch f.Name {
+		case "graphflow_exec_carried_sets_total":
+			carried = len(f.Series) == 1 && f.Series[0].Value == float64(resp.Kernels.CarriedSets)
+		case "graphflow_exec_kernel_dispatch_total":
+			for _, series := range f.Series {
+				if series.Labels["kernel"] == "pinned_probe" {
+					pinned = series.Value == float64(resp.Kernels.PinnedProbe)
+				}
+			}
 		}
 	}
-	if !found {
+	if !carried {
 		t.Errorf("graphflow_exec_carried_sets_total missing or not %d", resp.Kernels.CarriedSets)
+	}
+	if !pinned {
+		t.Errorf(`graphflow_exec_kernel_dispatch_total{kernel="pinned_probe"} missing or not %d`, resp.Kernels.PinnedProbe)
 	}
 	w = do(t, s, http.MethodPost, "/explain", map[string]any{"pattern": clique4, "wco": true, "analyze": true})
 	var explained struct {
 		Plan string `json:"plan"`
 	}
 	mustDecode(t, w.Body.Bytes(), &explained)
-	if !strings.Contains(explained.Plan, "<- ↑∩") || !strings.Contains(explained.Plan, "carried=") {
-		t.Errorf("analyzed 4-clique plan does not show the inheriting operator:\n%s", explained.Plan)
+	if !strings.Contains(explained.Plan, "<- ↑∩") || !strings.Contains(explained.Plan, "carried=") || !strings.Contains(explained.Plan, "pinned=") {
+		t.Errorf("analyzed 4-clique plan does not show the inheriting operator with its carried and pinned counts:\n%s", explained.Plan)
 	}
 }

@@ -199,7 +199,7 @@ type Server struct {
 	// count-mode queries (match mode streams rows and does not report
 	// per-run statistics), surfaced by /stats as the serving-layer view
 	// of the degree-adaptive intersection engine.
-	kernelMerge, kernelGallop, kernelBitsetProbe, kernelBitsetAnd atomic.Int64
+	kernelMerge, kernelGallop, kernelBitsetProbe, kernelBitsetAnd, kernelPinnedProbe atomic.Int64
 	// carriedSets totals the intersections seeded with an upstream
 	// stage's extension set (Stats.CarriedSets), reported beside them.
 	carriedSets atomic.Int64
@@ -325,6 +325,7 @@ func (s *Server) registerMetrics() {
 	}{
 		{"merge", &s.kernelMerge}, {"gallop", &s.kernelGallop},
 		{"bitset_probe", &s.kernelBitsetProbe}, {"bitset_and", &s.kernelBitsetAnd},
+		{"pinned_probe", &s.kernelPinnedProbe},
 	} {
 		c := k.c
 		s.reg.CounterFunc("graphflow_exec_kernel_dispatch_total",
@@ -434,7 +435,8 @@ type queryResponse struct {
 	Truncated bool                 `json:"truncated,omitempty"`
 	PlanKind  string               `json:"plan_kind,omitempty"`
 	// Kernels reports the intersection-kernel dispatch counts of this
-	// run (count mode only): merge, gallop, bitset_probe, bitset_and.
+	// run (count mode only): merge, gallop, bitset_probe, bitset_and,
+	// pinned_probe.
 	Kernels *kernelCounts `json:"kernels,omitempty"`
 	// Batches reports the columnar batches each stage kind of the
 	// vectorized engine dispatched for this run (count mode only).
@@ -498,6 +500,7 @@ type kernelCounts struct {
 	Gallop      int64 `json:"gallop"`
 	BitsetProbe int64 `json:"bitset_probe"`
 	BitsetAnd   int64 `json:"bitset_and"`
+	PinnedProbe int64 `json:"pinned_probe"`
 	// CarriedSets counts the intersections that started from the set an
 	// upstream E/I stage carried down rather than from adjacency lists.
 	CarriedSets int64 `json:"carried_sets"`
@@ -748,6 +751,7 @@ func (s *Server) execute(r *http.Request, name string, pq *graphflow.PreparedQue
 			Gallop:      st.KernelGallop,
 			BitsetProbe: st.KernelBitsetProbe,
 			BitsetAnd:   st.KernelBitsetAnd,
+			PinnedProbe: st.KernelPinnedProbe,
 			CarriedSets: st.CarriedSets,
 		}
 		resp.Batches = &batchCounts{
@@ -764,6 +768,7 @@ func (s *Server) execute(r *http.Request, name string, pq *graphflow.PreparedQue
 		s.kernelGallop.Add(st.KernelGallop)
 		s.kernelBitsetProbe.Add(st.KernelBitsetProbe)
 		s.kernelBitsetAnd.Add(st.KernelBitsetAnd)
+		s.kernelPinnedProbe.Add(st.KernelPinnedProbe)
 		s.carriedSets.Add(st.CarriedSets)
 		s.batchScan.Add(st.ScanBatches)
 		s.batchExtend.Add(st.ExtendBatches)
@@ -1045,7 +1050,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	if analyze {
 		ctx, cancel := context.WithTimeout(r.Context(), s.timeout(&queryRequest{TimeoutMS: req.TimeoutMS}))
-		ast, runErr := s.cfg.DB.AnalyzeCtx(ctx, pattern)
+		ast, runErr := s.cfg.DB.AnalyzeCtx(ctx, pattern, nil)
 		cancel()
 		release()
 		if runErr != nil {
@@ -1264,6 +1269,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Gallop:      s.kernelGallop.Load(),
 		BitsetProbe: s.kernelBitsetProbe.Load(),
 		BitsetAnd:   s.kernelBitsetAnd.Load(),
+		PinnedProbe: s.kernelPinnedProbe.Load(),
 		CarriedSets: s.carriedSets.Load(),
 	}
 	resp.Batches = batchCounts{
