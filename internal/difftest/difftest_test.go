@@ -335,56 +335,72 @@ func TestDifferentialFactorizedLive(t *testing.T) {
 // TestDifferentialBatchLimits is the Limit/RunUntil cap regression: at
 // every batch size (and the oracle), with Workers > 1, Count with a
 // Limit and Match with a Limit must deliver exactly the capped number of
-// results — never limit±overshoot from racing batch flushes.
+// results — never limit±overshoot from racing batch flushes. The triangle
+// runs as a WCO chain; the second pattern is one the optimizer joins by
+// hash, where the limit sizes the driver pipeline's batches and must leave
+// the build side whole.
 func TestDifferentialBatchLimits(t *testing.T) {
-	const pattern = "a->b, b->c, a->c"
-	// Deterministically pick the first corpus graph with enough matches
-	// for the caps to bite.
-	var db *graphflow.DB
-	var full int64
-	for seed := int64(424242); seed < 424262; seed++ {
-		g := GenGraph(seed)
-		d, err := OpenDB(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := d.Count(pattern, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n >= 20 {
-			db, full = d, n
-			break
-		}
-	}
-	if db == nil {
-		t.Fatal("no corpus graph with >= 20 triangles in seed window")
-	}
-	sizes := append([]int{-1}, BatchSizes...)
-	for _, bs := range sizes {
-		for _, limit := range []int64{1, 5, full - 1, full + 50} {
-			wantN := limit
-			if limit > full {
-				wantN = full
-			}
-			opts := &graphflow.QueryOptions{BatchSize: bs, Workers: 4, Limit: limit}
-			n, err := db.Count(pattern, opts)
+	for _, tc := range []struct {
+		pattern  string
+		hashJoin bool
+	}{
+		{"a->b, b->c, a->c", false},
+		{"a->b, b->c, c->d, d->e", true},
+	} {
+		// Deterministically pick the first corpus graph with enough matches
+		// for the caps to bite and the plan shape the case is about.
+		var db *graphflow.DB
+		var full int64
+		for seed := int64(424242); seed < 424262 && db == nil; seed++ {
+			d, err := OpenDB(GenGraph(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n != wantN {
-				t.Errorf("bs=%d limit=%d: Count = %d, want %d", bs, limit, n, wantN)
-			}
-			delivered := int64(0)
-			err = db.Match(pattern, func(map[string]uint32) bool {
-				delivered++
-				return true
-			}, opts)
+			pq, err := d.Prepare(tc.pattern)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if delivered != wantN {
-				t.Errorf("bs=%d limit=%d: Match delivered %d rows, want %d", bs, limit, delivered, wantN)
+			if (pq.PlanKind() != "wco") != tc.hashJoin {
+				continue
+			}
+			if full, err = pq.Count(nil); err != nil {
+				t.Fatal(err)
+			}
+			if full >= 20 {
+				db = d
+			}
+		}
+		if db == nil {
+			t.Fatalf("no corpus graph in the seed window has >= 20 matches of %q under a plan with hashJoin=%v", tc.pattern, tc.hashJoin)
+		}
+		// -1 is the oracle, 0 the engine's own choice: the adaptive size,
+		// which follows the limit.
+		sizes := append([]int{-1, 0}, BatchSizes...)
+		for _, bs := range sizes {
+			for _, limit := range []int64{1, 5, full - 1, full + 50} {
+				wantN := limit
+				if limit > full {
+					wantN = full
+				}
+				opts := &graphflow.QueryOptions{BatchSize: bs, Workers: 4, Limit: limit}
+				n, err := db.Count(tc.pattern, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != wantN {
+					t.Errorf("%q bs=%d limit=%d: Count = %d, want %d", tc.pattern, bs, limit, n, wantN)
+				}
+				delivered := int64(0)
+				err = db.Match(tc.pattern, func(map[string]uint32) bool {
+					delivered++
+					return true
+				}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if delivered != wantN {
+					t.Errorf("%q bs=%d limit=%d: Match delivered %d rows, want %d", tc.pattern, bs, limit, delivered, wantN)
+				}
 			}
 		}
 	}

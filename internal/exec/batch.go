@@ -238,11 +238,16 @@ func (w *worker) dispatchBatch(i int, b *tupleBatch) {
 	w.leaveStage(prev)
 }
 
-// sinkBatch delivers final tuples to emit, row-at-a-time (the emit
-// contract is a flat tuple). A false return unwinds via stopRun exactly
-// like the oracle. With no emit the rows were already counted by
-// dispatchBatch.
+// sinkBatch is the end of the pipeline. A build pipeline's batch goes
+// into the worker's hash-table fragment whole; the driver's rows are
+// delivered to emit row-at-a-time (the emit contract is a flat tuple),
+// and a false return unwinds via stopRun exactly like the oracle. With
+// neither, the rows were already counted by dispatchBatch.
 func (w *worker) sinkBatch(b *tupleBatch) {
+	if w.build != nil {
+		w.admitBuild(b.n).appendBatch(b)
+		return
+	}
 	if w.emit == nil {
 		return
 	}
@@ -462,15 +467,16 @@ func (s *batchExtendState) flush(w *worker) {
 
 // batchProbeState is the vectorized hash-probe: consecutive rows with
 // equal join-key values share one table lookup (sorted batches make key
-// runs contiguous), and matching build rows fan out column-wise.
+// runs contiguous), and the matching build rows — one contiguous
+// row-major run of the sealed table — fan out column-wise.
 type batchProbeState struct {
 	ps  probeState
 	idx int
 	out *tupleBatch
 
-	key      []graph.VertexID
+	// run is the build-row run of ps.key, valid while keyValid.
 	keyValid bool
-	rows     [][]graph.VertexID
+	run      []graph.VertexID
 }
 
 func (s *batchProbeState) outWidth() int { return len(s.out.cols) }
@@ -481,7 +487,7 @@ func (s *batchProbeState) reset(rc *runContext) {
 	s.ps.table = rc.tables[s.ps.spec.op]
 	s.ps.outTuples, s.ps.probes = 0, 0
 	s.keyValid = false
-	s.rows = nil
+	s.run = nil
 	s.out.clear()
 }
 
@@ -490,6 +496,7 @@ func (s *batchProbeState) pushBatch(w *worker, in *tupleBatch) {
 	slots := s.ps.spec.probeSlots
 	appendIdx := s.ps.spec.appendIdx
 	width := len(in.cols)
+	bw := s.ps.table.rowWidth
 	// A terminal probe of a pure count adds each probe row's match count
 	// instead of fanning the joined rows out to be counted at the sink —
 	// the hash-join counterpart of the E/I stage's factorized counting.
@@ -503,34 +510,35 @@ func (s *batchProbeState) pushBatch(w *worker, in *tupleBatch) {
 		same := s.keyValid
 		if same {
 			for i, sl := range slots {
-				if s.key[i] != in.cols[sl][r] {
+				if s.ps.key[i] != in.cols[sl][r] {
 					same = false
 					break
 				}
 			}
 		}
 		if !same {
-			s.key = s.key[:0]
+			s.ps.key = s.ps.key[:0]
 			for _, sl := range slots {
-				s.key = append(s.key, in.cols[sl][r])
+				s.ps.key = append(s.ps.key, in.cols[sl][r])
 			}
-			s.rows = s.ps.table.lookupKey(s.key)
+			s.run = s.ps.table.lookupKey(s.ps.key)
 			s.keyValid = true
 		}
-		if len(s.rows) == 0 {
+		if len(s.run) == 0 {
 			continue
 		}
-		s.ps.outTuples += int64(len(s.rows))
+		matches := len(s.run) / bw
+		s.ps.outTuples += int64(matches)
 		if countOnly {
-			w.profile.Matches += int64(len(s.rows))
+			w.profile.Matches += int64(matches)
 			continue
 		}
 		// Column-major fan-out: replicate the probe-side prefix with bulk
-		// fills and splice each build column in one pass, chunked at batch
-		// capacity.
+		// fills and splice each build column in with one strided pass over
+		// the run, chunked at batch capacity.
 		off := 0
-		for off < len(s.rows) {
-			k := len(s.rows) - off
+		for off < matches {
+			k := matches - off
 			if space := w.batchSize - s.out.n; k > space {
 				k = space
 			}
@@ -539,8 +547,11 @@ func (s *batchProbeState) pushBatch(w *worker, in *tupleBatch) {
 			}
 			for j, bi := range appendIdx {
 				col := s.out.cols[width+j]
-				for t := off; t < off+k; t++ {
-					col = append(col, s.rows[t][bi])
+				n := len(col)
+				col = col[:n+k]
+				src := s.run[off*bw+bi:]
+				for t := range col[n:] {
+					col[n+t] = src[t*bw]
 				}
 				s.out.cols[width+j] = col
 			}

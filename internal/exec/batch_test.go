@@ -281,12 +281,65 @@ func steadyWorker(tb testing.TB, g *graph.Graph, p *plan.Plan, cfg RunConfig) (*
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rc := &runContext{cp: cp, cfg: cfg, batch: cp.EffectiveBatchSize(cfg)}
+	rc := &runContext{cp: cp, cfg: cfg, batch: cp.EffectiveBatchSize(cfg, 0)}
 	var stopped atomic.Bool
 	w := newWorker(rc, cp.pipes[len(cp.pipes)-1], true, nil, &stopped, nil)
 	n := g.NumVertices()
 	w.runBatchRange(0, n)
 	w.flushBatches()
+	return w, n
+}
+
+// wideKeyJoin is a five-vertex pattern split into two four-vertex halves
+// that share b, c and d: the hash join between them has a three-vertex
+// key — the width the deleted byte-string fork used to serve.
+func wideKeyJoin(tb testing.TB) *plan.Plan {
+	tb.Helper()
+	q := query.MustParse("a->b, a->c, a->d, b->c, c->d, b->e, c->e, d->e")
+	hj, err := plan.NewHashJoin(buildWCO(tb, q, []int{0, 1, 2, 3}).Root, buildWCO(tb, q, []int{1, 2, 3, 4}).Root)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(hj.JoinVertices) != 3 {
+		tb.Fatalf("join key %v, want three vertices", hj.JoinVertices)
+	}
+	return &plan.Plan{Query: q, Root: hj}
+}
+
+// twoTriangles is Q8 — two triangles sharing a vertex — as a hash join of
+// its triangles: a one-vertex key.
+func twoTriangles(tb testing.TB) *plan.Plan {
+	tb.Helper()
+	q := query.Q8()
+	hj, err := plan.NewHashJoin(buildWCO(tb, q, []int{0, 1, 2}).Root, buildWCO(tb, q, []int{2, 3, 4}).Root)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &plan.Plan{Query: q, Root: hj}
+}
+
+// steadyProbeWorker builds the hash tables of p (a plan with hash joins)
+// and returns a warmed-up worker for its driver pipeline: every probe
+// fans its matches out into batches that are counted at the sink.
+func steadyProbeWorker(tb testing.TB, g *graph.Graph, p *plan.Plan) (*worker, int) {
+	tb.Helper()
+	cp := Must(tb, g, p)
+	cfg := RunConfig{}
+	rc := &runContext{cp: cp, cfg: cfg, tables: map[*plan.HashJoin]*hashTable{},
+		batch: cp.EffectiveBatchSize(cfg, 0), buildBatch: cp.EffectiveBatchSize(cfg, 0)}
+	for _, pipe := range cp.pipes[:len(cp.pipes)-1] {
+		if err := rc.buildTable(pipe, 1); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	var stopped atomic.Bool
+	w := newWorker(rc, cp.driver(), true, nil, &stopped, nil)
+	n := g.NumVertices()
+	w.runBatchRange(0, n)
+	w.flushBatches()
+	if w.profile.ProbedTuples == 0 || w.profile.Batches.Probe == 0 {
+		tb.Fatalf("warm-up probed %d tuples into %d batches; fixture does not exercise the probe", w.profile.ProbedTuples, w.profile.Batches.Probe)
+	}
 	return w, n
 }
 
@@ -351,6 +404,52 @@ func TestZeroAllocs(t *testing.T) {
 			name: "carriedFactorizedTail", pinned: true,
 			setup: func(t *testing.T) (*worker, func()) {
 				w, n := steadyWorker(t, g, buildWCO(t, cliqueQuery(5), chainOrder(5)), RunConfig{Factorized: true, FastCount: true})
+				return w, scan(w, n)
+			},
+		},
+		{
+			// The hash build into a recycled table: batches are transposed
+			// into fragments the table kept, and the seal sorts them into the
+			// rows and directory it kept.
+			name: "hashBuild", pinned: true,
+			setup: func(t *testing.T) (*worker, func()) {
+				cp := Must(t, g, twoTriangles(t))
+				build := cp.pipes[0]
+				ht := newHashTable(build.keySlots, build.outWidth)
+				rc := &runContext{cp: cp, tables: map[*plan.HashJoin]*hashTable{build.feeds: ht},
+					buildBatch: cp.EffectiveBatchSize(RunConfig{}, 0)}
+				var stopped atomic.Bool
+				w := newWorker(rc, build, false, nil, &stopped, nil)
+				n := g.NumVertices()
+				body := func() {
+					ht.reset()
+					w.frag = nil
+					w.runBatchRange(0, n)
+					w.flushBatches()
+					if !ht.seal(nil) || ht.len() == 0 {
+						t.Fatalf("sealed %d rows", ht.len())
+					}
+				}
+				body()
+				return w, body
+			},
+		},
+		{
+			// The hash probe, one-vertex key: key gather, directory lookup
+			// and the strided fan-out of the build run all work in stage
+			// scratch and table storage.
+			name: "hashProbe", pinned: true,
+			setup: func(t *testing.T) (*worker, func()) {
+				w, n := steadyProbeWorker(t, g, twoTriangles(t))
+				return w, scan(w, n)
+			},
+		},
+		{
+			// The same with a three-vertex key, which used to build a string
+			// per lookup.
+			name: "hashProbeWideKey", pinned: true,
+			setup: func(t *testing.T) (*worker, func()) {
+				w, n := steadyProbeWorker(t, g, wideKeyJoin(t))
 				return w, scan(w, n)
 			},
 		},

@@ -53,15 +53,19 @@ type compiledPipeline struct {
 	// batches, intersection caches) across runs of this pipeline, so the
 	// steady state of a PreparedQuery re-run allocates almost nothing.
 	pool sync.Pool
+	// tables recycles the hash tables of a build pipeline (feeds != nil)
+	// the same way: arena fragments, sealed rows and directory.
+	tables sync.Pool
 }
 
 // stageSpec is the static, shareable description of one operator above a
 // scan. newState mints the per-run mutable oracle counterpart,
 // newBatchState the vectorized one (idx is the stage's position in the
-// chain, inWidth its input tuple width).
+// chain, inWidth its input tuple width, batch its output batch's row
+// capacity).
 type stageSpec interface {
 	newState(rc *runContext) stageState
-	newBatchState(rc *runContext, idx, inWidth int) batchStage
+	newBatchState(rc *runContext, idx, inWidth, batch int) batchStage
 	planNode() plan.Node
 }
 
@@ -99,14 +103,14 @@ func (s *extendSpec) newState(rc *runContext) stageState {
 	return &extendState{spec: s, useCache: !rc.cfg.DisableCache}
 }
 
-func (s *extendSpec) newBatchState(rc *runContext, idx, inWidth int) batchStage {
+func (s *extendSpec) newBatchState(rc *runContext, idx, inWidth, batch int) batchStage {
 	st := &batchExtendState{
 		es:  extendState{spec: s},
 		idx: idx,
-		out: newTupleBatch(inWidth+1, rc.batch),
+		out: newTupleBatch(inWidth+1, batch),
 	}
 	if s.publishes {
-		st.out.runEnds = make([]int32, 0, rc.batch)
+		st.out.runEnds = make([]int32, 0, batch)
 	}
 	st.reset(rc)
 	return st
@@ -126,11 +130,11 @@ func (s *probeSpec) newState(rc *runContext) stageState {
 	return &probeState{spec: s, table: rc.tables[s.op]}
 }
 
-func (s *probeSpec) newBatchState(rc *runContext, idx, inWidth int) batchStage {
+func (s *probeSpec) newBatchState(rc *runContext, idx, inWidth, batch int) batchStage {
 	return &batchProbeState{
 		ps:  probeState{spec: s, table: rc.tables[s.op]},
 		idx: idx,
-		out: newTupleBatch(inWidth+len(s.appendIdx), rc.batch),
+		out: newTupleBatch(inWidth+len(s.appendIdx), batch),
 	}
 }
 

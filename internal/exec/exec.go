@@ -27,6 +27,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"graphflow/internal/faultinject"
 	"graphflow/internal/graph"
@@ -216,10 +217,13 @@ func AdaptiveBatchSize(depth int) int {
 // EffectiveBatchSize reports the batch row capacity one run of cp under
 // cfg uses: an explicit cfg.BatchSize is authoritative; otherwise the
 // capacity is picked per plan — AdaptiveBatchSize of the deepest
-// pipeline, halved down to the optimizer's cardinality estimate when the
-// expected result set is far smaller than the batch (never below
-// minAdaptiveBatchSize).
-func (cp *CompiledPlan) EffectiveBatchSize(cfg RunConfig) int {
+// pipeline, halved down to the number of rows the run is expected to
+// deliver when that is far smaller than the batch (never below
+// minAdaptiveBatchSize). Expected rows are the optimizer's cardinality
+// estimate, capped by limit (0 = none) for the driver pipeline of a run
+// that stops after limit matches; build pipelines run to completion
+// whatever the limit and take the size for limit 0.
+func (cp *CompiledPlan) EffectiveBatchSize(cfg RunConfig, limit int64) int {
 	if cfg.BatchSize != 0 {
 		return cfg.batchSize()
 	}
@@ -230,8 +234,12 @@ func (cp *CompiledPlan) EffectiveBatchSize(cfg RunConfig) int {
 		}
 	}
 	bs := AdaptiveBatchSize(depth)
-	if cp.estCard > 0 {
-		for bs > minAdaptiveBatchSize && float64(bs) > 4*cp.estCard {
+	rows := cp.estCard
+	if limit > 0 && (rows <= 0 || float64(limit) < rows) {
+		rows = float64(limit)
+	}
+	if rows > 0 {
+		for bs > minAdaptiveBatchSize && float64(bs) > 4*rows {
 			bs /= 2
 		}
 	}
@@ -241,14 +249,10 @@ func (cp *CompiledPlan) EffectiveBatchSize(cfg RunConfig) int {
 // ErrBuildTooLarge is returned when MaxBuildRows is exceeded.
 var ErrBuildTooLarge = fmt.Errorf("exec: hash-join build side exceeds MaxBuildRows")
 
-// Memory-accounting coefficients. The budget meters bytes of tuple
-// storage, not malloc-exact footprints: VertexID is 4 bytes, and every
-// materialised hash-table row additionally pays its slice header plus
-// amortised map-entry overhead.
-const (
-	vertexIDBytes        = 4
-	hashRowOverheadBytes = 48
-)
+// vertexIDBytes is the memory-accounting unit: the budget meters tuple
+// storage by the capacity of the flat VertexID (and equally wide offset)
+// arrays that hold it.
+const vertexIDBytes = 4
 
 // PanicError is a worker panic recovered into a per-query error: the
 // run drains cleanly (no leaked goroutines, no stuck admission slots)
@@ -274,9 +278,10 @@ type runContext struct {
 	tables  map[*plan.HashJoin]*hashTable
 	analyze *nodeCounters
 	profile Profile
-	// batch is the resolved batch row capacity of this run (see
+	// batch is the resolved batch row capacity of this run's driver
+	// pipeline, buildBatch that of its build pipelines (see
 	// CompiledPlan.EffectiveBatchSize).
-	batch int
+	batch, buildBatch int
 	// countBudget, when non-nil, is the shared remaining-match allowance
 	// of a factorized CountUpTo: each factorizedTail prefix atomically
 	// claims min(product, remaining) and stops the run when it is
@@ -452,17 +457,17 @@ func (cp *CompiledPlan) CountUpToCtx(ctx context.Context, cfg RunConfig, limit i
 		cfg.FastCount = false
 		var budget atomic.Int64
 		budget.Store(limit)
-		prof, err := cp.runBudget(ctx, cfg, nil, nil, &budget)
+		prof, err := cp.runLimited(ctx, cfg, nil, nil, &budget, limit)
 		return prof.Matches, prof, err
 	}
 	cfg.FastCount = false
 	var n atomic.Int64
-	prof, err := cp.run(ctx, cfg, nil, func([]graph.VertexID) bool {
+	prof, err := cp.runLimited(ctx, cfg, nil, func([]graph.VertexID) bool {
 		// Workers may race past the cap by one tuple each before observing
 		// the stop; the overshoot is clamped below, so the reported count
 		// never exceeds limit.
 		return n.Add(1) < limit
-	})
+	}, nil, limit)
 	c := n.Load()
 	if c > limit {
 		c = limit
@@ -476,12 +481,14 @@ func (cp *CompiledPlan) CountUpToCtx(ctx context.Context, cfg RunConfig, limit i
 // wrappers serialise user callbacks before reaching here) and returns
 // false to request early termination. A nil ctx disables cancellation.
 func (cp *CompiledPlan) run(ctx context.Context, cfg RunConfig, analyze *nodeCounters, emit func([]graph.VertexID) bool) (Profile, error) {
-	return cp.runBudget(ctx, cfg, analyze, emit, nil)
+	return cp.runLimited(ctx, cfg, analyze, emit, nil, 0)
 }
 
-// runBudget is run with an optional factorized count budget (see
-// runContext.countBudget).
-func (cp *CompiledPlan) runBudget(ctx context.Context, cfg RunConfig, analyze *nodeCounters, emit func([]graph.VertexID) bool, countBudget *atomic.Int64) (Profile, error) {
+// runLimited is run for a caller that stops after limit matches (0 = it
+// does not): the limit sizes the driver pipeline's batches, and
+// countBudget, when non-nil, is the factorized count budget that
+// enforces it (see runContext.countBudget).
+func (cp *CompiledPlan) runLimited(ctx context.Context, cfg RunConfig, analyze *nodeCounters, emit func([]graph.VertexID) bool, countBudget *atomic.Int64, limit int64) (Profile, error) {
 	workers := cfg.Workers
 	if workers < 1 {
 		workers = 1
@@ -490,9 +497,15 @@ func (cp *CompiledPlan) runBudget(ctx context.Context, cfg RunConfig, analyze *n
 		workers = runtime.NumCPU() * 4
 	}
 	rc := &runContext{
-		cp: cp, cfg: cfg, ctx: ctx, tables: make(map[*plan.HashJoin]*hashTable),
-		analyze: analyze, batch: cp.EffectiveBatchSize(cfg), countBudget: countBudget,
+		cp: cp, cfg: cfg, ctx: ctx,
+		analyze: analyze, batch: cp.EffectiveBatchSize(cfg, limit), countBudget: countBudget,
 		mem: cfg.MemBudget, faults: cfg.Faults,
+	}
+	if len(cp.pipes) > 1 {
+		rc.tables = make(map[*plan.HashJoin]*hashTable, len(cp.pipes)-1)
+		rc.buildBatch = cp.EffectiveBatchSize(cfg, 0)
+		// Every worker is done with the tables once the pipelines have run.
+		defer rc.releaseTables()
 	}
 	for _, pipe := range cp.pipes {
 		if err := rc.runErr(); err != nil {
@@ -527,42 +540,52 @@ func (rc *runContext) ctxErr() error {
 	return rc.ctx.Err()
 }
 
-// buildTable runs one build pipeline and materialises its hash join's
-// table in the run context.
+// buildTable runs one build pipeline into its hash join's table and
+// seals it for the probe side. The pipeline's workers append to the table
+// themselves (worker.admitBuild), a batch at a time; storage comes from
+// the pipeline's pool and goes back when the run ends.
 func (rc *runContext) buildTable(pipe *compiledPipeline, workers int) error {
-	ht := newHashTable(pipe.keySlots, pipe.outWidth)
-	var mu sync.Mutex
-	overflow := false
-	rowBytes := int64(pipe.outWidth)*vertexIDBytes + hashRowOverheadBytes
-	prof, err := rc.runPipeline(pipe, workers, false, func(t []graph.VertexID) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		rc.faults.Visit(faultinject.PointHashBuild)
-		if rc.cfg.MaxBuildRows > 0 && int64(ht.len()) >= rc.cfg.MaxBuildRows {
-			overflow = true
-			return false
-		}
-		// Every materialised build row is charged to the query's memory
-		// budget before it is copied in; a refused reservation latches the
-		// budget's exceeded state (surfaced by runErr) and stops the build.
-		if !rc.mem.Reserve(rowBytes) {
-			return false
-		}
-		ht.insert(t)
-		return true
-	})
+	ht, _ := pipe.tables.Get().(*hashTable)
+	if ht == nil {
+		ht = newHashTable(pipe.keySlots, pipe.outWidth)
+	}
+	ht.reset()
+	rc.tables[pipe.feeds] = ht
+	prof, err := rc.runPipeline(pipe, workers, false, nil)
 	if err != nil {
 		return err
 	}
-	if overflow {
+	if maxRows := rc.cfg.MaxBuildRows; maxRows > 0 && ht.admitted.Load() > maxRows {
 		return ErrBuildTooLarge
+	}
+	// A build that was cut short (panic, budget, cancellation) is reported
+	// by the driver loop's runErr; its partial table is never probed.
+	if rc.runErr() == nil {
+		start := time.Now()
+		ht.seal(rc.mem)
+		if !rc.cfg.TupleAtATime {
+			// The sort is the second half of building: the sink's stage slot.
+			sealed := time.Since(start).Nanoseconds()
+			prof.Stages.Build += sealed
+			if rc.analyze != nil {
+				rc.analyze.addNanos(pipe.node, sealed)
+			}
+		}
 	}
 	prof.HashedTuples += int64(ht.len())
 	// Build-side outputs are intermediate results.
 	prof.Intermediate += int64(ht.len())
 	rc.profile.Add(prof)
-	rc.tables[pipe.feeds] = ht
 	return nil
+}
+
+// releaseTables returns the run's hash tables to their pipelines' pools.
+func (rc *runContext) releaseTables() {
+	for _, pipe := range rc.cp.pipes {
+		if ht := rc.tables[pipe.feeds]; ht != nil {
+			pipe.tables.Put(ht)
+		}
+	}
 }
 
 // runPipeline executes one pipeline with the given worker count. isRoot

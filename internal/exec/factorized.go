@@ -53,13 +53,13 @@ type factorizedTail struct {
 	cur runCursor
 }
 
-func newFactorizedTail(rc *runContext, specs []*extendSpec, idx, inWidth int) *factorizedTail {
+func newFactorizedTail(rc *runContext, specs []*extendSpec, idx, inWidth, batch int) *factorizedTail {
 	t := &factorizedTail{
 		idx:         idx,
 		prefixWidth: inWidth,
 		sets:        make([][]graph.VertexID, len(specs)),
 		odo:         make([]int, len(specs)),
-		out:         newTupleBatch(inWidth+len(specs), rc.batch),
+		out:         newTupleBatch(inWidth+len(specs), batch),
 	}
 	for _, spec := range specs {
 		leaf := &batchExtendState{es: extendState{spec: spec}}

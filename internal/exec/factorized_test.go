@@ -206,27 +206,72 @@ func TestEffectiveBatchSize(t *testing.T) {
 	g := smallRandomGraph(7, 80, 4)
 	tri := Must(t, g, buildWCO(t, query.Q1(), []int{0, 1, 2}))
 	// Explicit sizes win, including the clamp of sub-1 values.
-	if got := tri.EffectiveBatchSize(RunConfig{BatchSize: 37}); got != 37 {
+	if got := tri.EffectiveBatchSize(RunConfig{BatchSize: 37}, 0); got != 37 {
 		t.Errorf("explicit BatchSize: got %d, want 37", got)
 	}
 	// Triangle pipelines have one post-scan stage: depth-1 default.
-	if got := tri.EffectiveBatchSize(RunConfig{}); got > DefaultBatchSize/4 {
+	if got := tri.EffectiveBatchSize(RunConfig{}, 0); got > DefaultBatchSize/4 {
 		t.Errorf("triangle adaptive batch = %d, want <= %d", got, DefaultBatchSize/4)
 	}
 	deep := Must(t, g, buildWCO(t, query.MustParse("a->b, b->c, c->d, d->e, e->f"), []int{0, 1, 2, 3, 4, 5}))
-	if got := deep.EffectiveBatchSize(RunConfig{}); got > DefaultBatchSize || got < minAdaptiveBatchSize {
+	if got := deep.EffectiveBatchSize(RunConfig{}, 0); got > DefaultBatchSize || got < minAdaptiveBatchSize {
 		t.Errorf("deep-pipeline adaptive batch = %d, want in [%d, %d]", got, minAdaptiveBatchSize, DefaultBatchSize)
 	}
 	// A cardinality estimate far below the depth default halves the size
 	// down to (but not past) the floor.
 	tiny := *tri
 	tiny.estCard = 1
-	if got := tiny.EffectiveBatchSize(RunConfig{}); got != minAdaptiveBatchSize {
+	if got := tiny.EffectiveBatchSize(RunConfig{}, 0); got != minAdaptiveBatchSize {
 		t.Errorf("tiny-cardinality adaptive batch = %d, want floor %d", got, minAdaptiveBatchSize)
 	}
 	tiny.estCard = 0 // unknown estimate: no clamp
-	if got := tiny.EffectiveBatchSize(RunConfig{}); got != DefaultBatchSize/4 {
+	if got := tiny.EffectiveBatchSize(RunConfig{}, 0); got != DefaultBatchSize/4 {
 		t.Errorf("unknown-cardinality adaptive batch = %d, want %d", got, DefaultBatchSize/4)
+	}
+
+	// A limit caps the rows the run is expected to deliver: the clamp sees
+	// min(estimate, limit). Limit 0 is no limit; an explicit size still wins.
+	big := *deep
+	big.estCard = 1e6
+	for _, tc := range []struct {
+		estCard float64
+		limit   int64
+		want    int
+	}{
+		{1e6, 0, DefaultBatchSize},
+		{1e6, 1 << 40, DefaultBatchSize},   // limit ≫ estimate: the estimate rules
+		{1e6, 100, DefaultBatchSize / 4},   // limit ≪ estimate: 256 ≤ 4·100 < 512
+		{1e6, 1, minAdaptiveBatchSize},     // floor unchanged
+		{50, 100, DefaultBatchSize / 8},    // estimate below the limit: 128 ≤ 4·50 < 256
+		{0, 100, DefaultBatchSize / 4},     // no estimate: the limit alone
+		{1, 1 << 40, minAdaptiveBatchSize}, // limit ≫ a tiny estimate
+	} {
+		big.estCard = tc.estCard
+		if got := big.EffectiveBatchSize(RunConfig{}, tc.limit); got != tc.want {
+			t.Errorf("estCard=%g limit=%d: adaptive batch = %d, want %d", tc.estCard, tc.limit, got, tc.want)
+		}
+	}
+	if got := big.EffectiveBatchSize(RunConfig{BatchSize: 37}, 1); got != 37 {
+		t.Errorf("explicit BatchSize under a limit: got %d, want 37", got)
+	}
+
+	// Only the driver pipeline follows the limit: a hybrid plan's build
+	// pipeline runs to completion and keeps the plan-adaptive size.
+	hj, _ := compiledHashJoin(t)
+	hj.estCard = 1e6
+	var stopped atomic.Bool
+	rc := &runContext{cp: hj, batch: hj.EffectiveBatchSize(RunConfig{}, 10), buildBatch: hj.EffectiveBatchSize(RunConfig{}, 0)}
+	for i, pipe := range hj.pipes {
+		want := rc.buildBatch
+		if pipe.feeds == nil {
+			want = minAdaptiveBatchSize
+		}
+		if w := newWorker(rc, pipe, pipe.feeds == nil, nil, &stopped, nil); w.batchSize != want {
+			t.Errorf("pipeline %d (build=%v) under limit 10: batch %d, want %d", i, pipe.feeds != nil, w.batchSize, want)
+		}
+	}
+	if rc.buildBatch <= minAdaptiveBatchSize {
+		t.Fatalf("build batch %d does not differ from the limited driver's; fixture proves nothing", rc.buildBatch)
 	}
 }
 
@@ -283,7 +328,7 @@ func steadyFactorizedWorker(tb testing.TB, g *graph.Graph) (*worker, int) {
 		tb.Fatalf("star suffix = %d, want 3", cp.StarSuffixLen())
 	}
 	cfg := RunConfig{Factorized: true}
-	rc := &runContext{cp: cp, cfg: cfg, batch: cp.EffectiveBatchSize(cfg)}
+	rc := &runContext{cp: cp, cfg: cfg, batch: cp.EffectiveBatchSize(cfg, 0)}
 	var stopped atomic.Bool
 	w := newWorker(rc, cp.pipes[len(cp.pipes)-1], true, nil, &stopped, nil)
 	n := g.NumVertices()

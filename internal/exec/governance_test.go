@@ -36,18 +36,7 @@ func assertGoroutinesReturn(t *testing.T, baseline int) {
 // big enough that the build side does real work.
 func compiledHashJoin(t *testing.T) (*CompiledPlan, int64) {
 	t.Helper()
-	g := smallRandomGraph(4, 800, 20)
-	q := query.Q8()
-	left := buildWCO(t, q, []int{0, 1, 2}).Root
-	right := buildWCO(t, q, []int{2, 3, 4}).Root
-	hj, err := plan.NewHashJoin(left, right)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := Compile(g, &plan.Plan{Query: q, Root: hj})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := Must(t, smallRandomGraph(4, 800, 20), twoTriangles(t))
 	want, _, err := cp.Count(RunConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -124,6 +113,79 @@ func TestBudgetDoesNotDisturbCountBudget(t *testing.T) {
 	n, _, err := cp.CountUpTo(RunConfig{MemBudget: b}, limit)
 	if err != nil || n != limit {
 		t.Fatalf("CountUpTo = %d, %v; want %d, nil", n, err, limit)
+	}
+}
+
+// TestBuildBudgetMatchesFootprint pins what the budget meters for a hash
+// join: the capacity of the table's arena fragments, sealed rows and
+// directory — nothing modelled, nothing per row. The table's share of the
+// reservation is within a tenth of its footprint; a budget one byte short
+// of what the whole query reserves fails it with the structured error;
+// the run after that, on the workers and table the failed run left in the
+// pools, counts exactly and reserves the same again; and the governor is
+// back at zero whenever a budget is closed.
+func TestBuildBudgetMatchesFootprint(t *testing.T) {
+	cp, want := compiledHashJoin(t)
+	build := cp.pipes[0]
+	batch := cp.EffectiveBatchSize(RunConfig{}, 0)
+
+	// The build pipeline with and without a table behind its sink.
+	withTable := resource.NewBudget(0, nil)
+	rc := &runContext{cp: cp, mem: withTable, tables: map[*plan.HashJoin]*hashTable{}, batch: batch, buildBatch: batch}
+	if err := rc.buildTable(build, 1); err != nil {
+		t.Fatal(err)
+	}
+	ht := rc.tables[build.feeds]
+	bare := resource.NewBudget(0, nil)
+	if _, err := (&runContext{cp: cp, mem: bare, batch: batch, buildBatch: batch}).runPipeline(build, 1, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	reserved, footprint := withTable.Used()-bare.Used(), ht.footprintBytes()
+	if ht.len() == 0 || footprint < 2*int64(ht.len()*ht.rowWidth)*vertexIDBytes {
+		t.Fatalf("table of %d rows × %d reports a footprint of %d bytes", ht.len(), ht.rowWidth, footprint)
+	}
+	if diff := reserved - footprint; diff > footprint/10 || diff < -footprint/10 {
+		t.Errorf("build reserved %d bytes for a table holding %d", reserved, footprint)
+	}
+
+	for _, workers := range []int{1, 4} {
+		gov := resource.NewGovernor(1 << 30)
+		count := func(limit int64) (int64, int64, error) {
+			b := resource.NewBudget(limit, gov)
+			n, _, err := cp.Count(RunConfig{Workers: workers, MemBudget: b})
+			used := b.Used()
+			b.Close()
+			if gov.InUse() != 0 {
+				t.Fatalf("workers=%d: governor holds %d bytes after Close", workers, gov.InUse())
+			}
+			return n, used, err
+		}
+		n, total, err := count(0)
+		if err != nil || n != want {
+			t.Fatalf("workers=%d: metered count = %d, %v; want %d", workers, n, err, want)
+		}
+		if total < footprint {
+			t.Fatalf("workers=%d: query reserved %d bytes, less than its table's %d", workers, total, footprint)
+		}
+		// One worker reserves the same bytes every run, so the budget can be
+		// cut to the byte; what parallel workers reserve depends on how the
+		// morsels fell, so theirs starves the table outright.
+		short, enough := total-1, total
+		if workers > 1 {
+			short, enough = footprint/2, 0
+		}
+		_, _, err = count(short)
+		var be *resource.BudgetError
+		if !errors.As(err, &be) || be.Limit != short || be.Global {
+			t.Fatalf("workers=%d: budget %d: err = %v, want a per-query BudgetError", workers, short, err)
+		}
+		n, again, err := count(enough)
+		if err != nil || n != want {
+			t.Fatalf("workers=%d: count on the pooled workers and table, budget %d = %d, %v; want %d", workers, enough, n, err, want)
+		}
+		if workers == 1 && again != total {
+			t.Errorf("pooled run reserved %d bytes, fresh run %d", again, total)
+		}
 	}
 }
 

@@ -80,3 +80,39 @@ func TestCountUpToPropagatesBuildLimit(t *testing.T) {
 		t.Errorf("CountUpTo dropped MaxBuildRows: %v", err)
 	}
 }
+
+// TestMaxBuildRowsBoundary pins the cap to the row: a build side of
+// exactly N rows passes MaxBuildRows = N and fails N − 1 with
+// ErrBuildTooLarge — whole batches at a time or row by row, one worker or
+// several, through Count and through CountUpTo — and the table a refused
+// build left in the pool serves the next run.
+func TestMaxBuildRowsBoundary(t *testing.T) {
+	cp, want := compiledHashJoin(t)
+	_, prof, err := cp.Count(RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := prof.HashedTuples
+	if n < 100 {
+		t.Fatalf("build side of %d rows; fixture too small", n)
+	}
+	for _, cfg := range []RunConfig{
+		{}, {BatchSize: 1}, {BatchSize: 64}, {TupleAtATime: true},
+		{Workers: 4}, {Workers: 4, BatchSize: 3}, {Workers: 4, TupleAtATime: true},
+	} {
+		cfg.MaxBuildRows = n - 1
+		if _, _, err := cp.Count(cfg); err != ErrBuildTooLarge {
+			t.Errorf("cfg=%+v: %d build rows under a cap of %d: err = %v, want ErrBuildTooLarge", cfg, n, n-1, err)
+		}
+		if _, _, err := cp.CountUpTo(cfg, 5); err != ErrBuildTooLarge {
+			t.Errorf("cfg=%+v: CountUpTo under a cap of %d: err = %v, want ErrBuildTooLarge", cfg, n-1, err)
+		}
+		cfg.MaxBuildRows = n
+		if got, _, err := cp.Count(cfg); err != nil || got != want {
+			t.Errorf("cfg=%+v: cap of exactly %d rows: count = %d, %v; want %d", cfg, n, got, err, want)
+		}
+		if got, _, err := cp.CountUpTo(cfg, 5); err != nil || got != 5 {
+			t.Errorf("cfg=%+v: CountUpTo(5) at the cap = %d, %v", cfg, got, err)
+		}
+	}
+}

@@ -21,7 +21,12 @@ type worker struct {
 	isRoot bool
 	// emit receives each output tuple and returns false to request early
 	// termination of the whole pipeline. nil for pure counting.
-	emit    func([]graph.VertexID) bool
+	emit func([]graph.VertexID) bool
+	// build is the hash table a build pipeline's worker sinks into (nil on
+	// the driver pipeline), frag the fragment of it the worker is filling
+	// (checked out with its first rows, replaced when full).
+	build   *hashTable
+	frag    *tableFragment
 	stopped *atomic.Bool
 	tuple   []graph.VertexID
 	profile Profile
@@ -88,12 +93,16 @@ type stageState interface {
 
 func newWorker(rc *runContext, pipe *compiledPipeline, isRoot bool, emit func([]graph.VertexID) bool, stopped *atomic.Bool, mq *morselQueue) *worker {
 	fact := !rc.cfg.TupleAtATime && rc.cfg.Factorized && isRoot && pipe.starSuffix < len(pipe.stages)
+	batch := rc.batch
+	if pipe.feeds != nil {
+		batch = rc.buildBatch
+	}
 	if !rc.cfg.TupleAtATime {
 		// Reuse pooled worker scratch when its shape matches this run; a
 		// mismatched worker (different batch capacity or tail shape) is
 		// simply dropped for the garbage collector.
 		if pooled, _ := pipe.pool.Get().(*worker); pooled != nil &&
-			pooled.batchSize == rc.batch && pooled.factorized == fact {
+			pooled.batchSize == batch && pooled.factorized == fact {
 			pooled.rebind(rc, emit, stopped, mq)
 			pooled.chargeCheckout()
 			return pooled
@@ -101,7 +110,7 @@ func newWorker(rc *runContext, pipe *compiledPipeline, isRoot bool, emit func([]
 	}
 	w := &worker{
 		g: rc.cp.graph, rc: rc, pipe: pipe, isRoot: isRoot,
-		emit: emit, stopped: stopped, mq: mq,
+		emit: emit, stopped: stopped, mq: mq, build: rc.tables[pipe.feeds],
 		countFast:       rc.cfg.FastCount && emit == nil,
 		cancelCountdown: cancelCheckInterval,
 		nWords:          (rc.cp.graph.NumVertices() + 63) / 64,
@@ -111,7 +120,7 @@ func newWorker(rc *runContext, pipe *compiledPipeline, isRoot bool, emit func([]
 			w.stages = append(w.stages, spec.newState(rc))
 		}
 	} else {
-		w.batchSize = rc.batch
+		w.batchSize = batch
 		w.scanBatch = newTupleBatch(2, w.batchSize)
 		width := 2
 		cut := len(pipe.stages)
@@ -119,7 +128,7 @@ func newWorker(rc *runContext, pipe *compiledPipeline, isRoot bool, emit func([]
 			cut = pipe.starSuffix
 		}
 		for i, spec := range pipe.stages[:cut] {
-			st := spec.newBatchState(rc, i, width)
+			st := spec.newBatchState(rc, i, width, batch)
 			width = st.outWidth()
 			w.bstages = append(w.bstages, st)
 		}
@@ -128,7 +137,7 @@ func newWorker(rc *runContext, pipe *compiledPipeline, isRoot bool, emit func([]
 			for _, spec := range pipe.stages[cut:] {
 				specs = append(specs, spec.(*extendSpec))
 			}
-			w.bstages = append(w.bstages, newFactorizedTail(rc, specs, cut, width))
+			w.bstages = append(w.bstages, newFactorizedTail(rc, specs, cut, width, batch))
 			w.factorized = true
 		}
 	}
@@ -169,6 +178,7 @@ func (w *worker) chargeCheckout() {
 func (w *worker) rebind(rc *runContext, emit func([]graph.VertexID) bool, stopped *atomic.Bool, mq *morselQueue) {
 	w.rc = rc
 	w.emit = emit
+	w.build, w.frag = rc.tables[w.pipe.feeds], nil
 	w.stopped = stopped
 	w.mq = mq
 	w.countFast = rc.cfg.FastCount && emit == nil
@@ -200,6 +210,7 @@ func (w *worker) release() {
 	}
 	w.rc = nil
 	w.emit = nil
+	w.build, w.frag = nil, nil
 	w.stopped = nil
 	w.mq = nil
 	w.pipe.pool.Put(w)
@@ -268,7 +279,10 @@ func (w *worker) runRange(start, end int) {
 
 func (w *worker) runStage(i int) {
 	if i == len(w.stages) {
-		if w.emit != nil && !w.emit(w.tuple) {
+		if w.build != nil {
+			f := w.admitBuild(1)
+			f.rows = append(f.rows, w.tuple...)
+		} else if w.emit != nil && !w.emit(w.tuple) {
 			panic(stopRun{})
 		}
 		return
@@ -325,6 +339,28 @@ func (w *worker) pollCancel() {
 		w.stopped.Store(true)
 		panic(stopRun{})
 	}
+}
+
+// admitBuild clears n more rows for the worker's hash-table fragment and
+// returns it with room for them: the build sink's fault point, the
+// MaxBuildRows check and the memory reservation, once per batch (per row
+// in the oracle). A refusal unwinds the pipeline like any early stop; the
+// driver reads the reason off the table's admitted count or the budget.
+//
+//gf:noalloc
+func (w *worker) admitBuild(n int) *tableFragment {
+	ht := w.build
+	w.rc.faults.Visit(faultinject.PointHashBuild)
+	if maxRows := w.rc.cfg.MaxBuildRows; maxRows > 0 && ht.admitted.Add(int64(n)) > maxRows {
+		panic(stopRun{})
+	}
+	words := n * ht.rowWidth
+	if f := w.frag; f == nil || len(f.rows)+words > cap(f.rows) {
+		if w.frag = ht.fragment(words, w.rc.mem); w.frag == nil {
+			panic(stopRun{})
+		}
+	}
+	return w.frag
 }
 
 // eachState calls ext for every E/I state and probe for every hash-probe
@@ -697,6 +733,9 @@ func (s *extendState) extendWith(w *worker, ext []graph.VertexID, next func()) {
 type probeState struct {
 	spec  *probeSpec
 	table *hashTable
+	// key is the gathered join key of the current probe tuple (of the
+	// current key run, in the vectorized engine).
+	key []graph.VertexID
 
 	// Per-operator analysis counters.
 	outTuples, probes int64
@@ -707,12 +746,17 @@ func (s *probeState) push(w *worker, next func()) {
 	w.profile.ProbedTuples++
 	s.probes++
 	base := len(w.tuple)
-	rows := s.table.lookup(w.tuple, s.spec.probeSlots)
-	s.outTuples += int64(len(rows))
-	for _, row := range rows {
+	s.key = s.key[:0]
+	for _, sl := range s.spec.probeSlots {
+		s.key = append(s.key, w.tuple[sl])
+	}
+	run := s.table.lookupKey(s.key)
+	width := s.table.rowWidth
+	s.outTuples += int64(len(run) / width)
+	for off := 0; off < len(run); off += width {
 		w.tuple = w.tuple[:base]
 		for _, bi := range s.spec.appendIdx {
-			w.tuple = append(w.tuple, row[bi])
+			w.tuple = append(w.tuple, run[off+bi])
 		}
 		next()
 	}
