@@ -167,8 +167,8 @@ func runPrepared(db *graphflow.DB, pattern string, qo *graphflow.QueryOptions, r
 		}
 	}
 	fmt.Printf("matches: %d\n", n)
-	fmt.Printf("plan kind: %s  (planned+compiled once in %v)\nintermediate: %d  i-cost: %d  cache hits: %d  carried sets: %d  pinned probes: %d\n%s",
-		st.PlanKind, planTime, st.Intermediate, st.ICost, st.CacheHits, st.CarriedSets, st.KernelPinnedProbe, st.Plan)
+	fmt.Printf("plan kind: %s  (planned+compiled once in %v)\nintermediate: %d  i-cost: %d  cache hits: %d  carried sets: %d  pinned probes: %d  reroutes: %d\n%s",
+		st.PlanKind, planTime, st.Intermediate, st.ICost, st.CacheHits, st.CarriedSets, st.KernelPinnedProbe, st.Reroutes, st.Plan)
 	return nil
 }
 

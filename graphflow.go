@@ -36,7 +36,6 @@ package graphflow
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -213,7 +212,13 @@ type QueryOptions struct {
 	Context context.Context
 	// Workers parallelises execution (paper Section 7); default 1.
 	Workers int
-	// Adaptive re-picks query vertex orderings per tuple (Section 6).
+	// Adaptive re-picks the query vertex ordering of the plan's trailing
+	// E/I chain while the query runs, from the adjacency-list sizes of the
+	// tuples that reach it (Section 6). It selects which compiled form of
+	// the plan runs and nothing else: every other option applies as it
+	// does without it, and a plan with nothing to adapt runs unchanged.
+	// The tuple-at-a-time oracle (BatchSize < 0) runs the plan's own
+	// ordering.
 	Adaptive bool
 	// WCOOnly restricts planning to worst-case-optimal plans. Ignored by
 	// PreparedQuery methods: plan choice is fixed at Prepare time (use
@@ -273,6 +278,9 @@ type Stats struct {
 	// intersection the carried set's size plus the lists it still reads.
 	// Zero under DisableCache and the tuple-at-a-time oracle.
 	CarriedSets int64
+	// Reroutes counts the runs of tuples an Adaptive evaluation sent down
+	// an ordering other than the plan's own; zero when nothing was adapted.
+	Reroutes int64
 	// KernelMerge, KernelGallop, KernelBitsetProbe, KernelBitsetAnd and
 	// KernelPinnedProbe count intersection-kernel dispatches by kind: how
 	// often the degree-adaptive engine merged two sorted runs, galloped a
@@ -598,6 +606,10 @@ type cachedPlan struct {
 	// bound is the plan compiled against the newest snapshot a query ran
 	// it on; nil after the epoch hook dropped a superseded binding.
 	bound atomic.Pointer[preparedPlan]
+	// routes are the candidate orderings of the plan's trailing E/I chain
+	// (nil: nothing to adapt), enumerated by the first Adaptive query.
+	routesOnce sync.Once
+	routes     *adaptive.Routes
 }
 
 // preparedPlan is a cachedPlan bound to one epoch: the plan lowered into
@@ -608,6 +620,26 @@ type preparedPlan struct {
 	*cachedPlan
 	compiled *exec.CompiledPlan
 	snap     *live.Snapshot
+	// adaptive is compiled with a router over cachedPlan.routes (compiled
+	// itself when there are none), made by the first Adaptive query of
+	// this binding.
+	adaptiveOnce sync.Once
+	adaptive     *exec.CompiledPlan
+}
+
+// compiledFor returns the compiled form of pp that a query with options qo
+// runs.
+func (db *DB) compiledFor(pp *preparedPlan, qo *QueryOptions) *exec.CompiledPlan {
+	if !qo.Adaptive {
+		return pp.compiled
+	}
+	pp.adaptiveOnce.Do(func() {
+		pp.routesOnce.Do(func() {
+			pp.routes = adaptive.Enumerate(pp.plan, db.planningStats().cat, db.opts.HubDegreeThreshold, adaptive.MaxOrderings)
+		})
+		pp.adaptive = pp.compiled.Adaptive(pp.routes)
+	})
+	return pp.adaptive
 }
 
 // bind returns cp compiled against snap, reusing the current binding when
@@ -831,9 +863,15 @@ func (pq *PreparedQuery) Match(fn func(map[string]uint32) bool, opts *QueryOptio
 	if opts != nil {
 		qo = *opts
 	}
+	_, err := pq.match(fn, qo)
+	return err
+}
+
+// match is Match returning the run's profile.
+func (pq *PreparedQuery) match(fn func(map[string]uint32) bool, qo QueryOptions) (exec.Profile, error) {
 	pp, err := pq.resolve()
 	if err != nil {
-		return err
+		return exec.Profile{}, err
 	}
 	layout := pp.plan.Root.Out()
 	names := make([]string, len(layout))
@@ -846,7 +884,7 @@ func (pq *PreparedQuery) Match(fn func(map[string]uint32) bool, opts *QueryOptio
 	cfg.MemBudget = mem
 	// delivered needs no synchronisation: RunUntil serialises emit.
 	var delivered int64
-	_, err = pp.compiled.RunUntilCtx(qo.context(), cfg, func(t []graph.VertexID) bool {
+	return pq.db.compiledFor(pp, &qo).RunUntilCtx(qo.context(), cfg, func(t []graph.VertexID) bool {
 		if qo.Distinct && !allDistinct(t) {
 			return true
 		}
@@ -860,7 +898,6 @@ func (pq *PreparedQuery) Match(fn func(map[string]uint32) bool, opts *QueryOptio
 		delivered++
 		return qo.Limit <= 0 || delivered < qo.Limit
 	})
-	return err
 }
 
 // CountCtx is Count bounded by ctx: evaluation stops promptly once ctx
@@ -943,6 +980,7 @@ func (db *DB) memBudget(qo *QueryOptions) *resource.Budget {
 
 // runCount executes a compiled plan under the given options.
 func (db *DB) runCount(pp *preparedPlan, qo QueryOptions) (int64, exec.Profile, error) {
+	compiled := db.compiledFor(pp, &qo)
 	ctx := qo.context()
 	cfg := qo.execConfig()
 	mem := db.memBudget(&qo)
@@ -954,7 +992,7 @@ func (db *DB) runCount(pp *preparedPlan, qo QueryOptions) (int64, exec.Profile, 
 			// RunUntil serialises emit, so the counter needs no atomics and
 			// the limit is exact.
 			var count int64
-			prof, err := pp.compiled.RunUntilCtx(ctx, cfg, func(t []graph.VertexID) bool {
+			prof, err := compiled.RunUntilCtx(ctx, cfg, func(t []graph.VertexID) bool {
 				if !allDistinct(t) {
 					return true
 				}
@@ -966,56 +1004,19 @@ func (db *DB) runCount(pp *preparedPlan, qo QueryOptions) (int64, exec.Profile, 
 		// RunConcurrent calls emit from every worker goroutine without
 		// serialising, so the count must be an atomic.
 		var count atomic.Int64
-		prof, err := pp.compiled.RunConcurrentCtx(ctx, cfg, func(t []graph.VertexID) {
+		prof, err := compiled.RunConcurrentCtx(ctx, cfg, func(t []graph.VertexID) {
 			if allDistinct(t) {
 				count.Add(1)
 			}
 		})
 		return count.Load(), prof, err
-	case qo.Adaptive:
-		// The adaptive evaluator reads the same epoch snapshot the plan was
-		// compiled against and re-costs orderings with the published
-		// statistics.
-		ev := &adaptive.Evaluator{
-			Graph:     pp.snap,
-			Catalogue: db.planningStats().cat,
-			Config: adaptive.Config{
-				Workers:      qo.Workers,
-				HubThreshold: db.opts.HubDegreeThreshold,
-				BatchSize:    qo.BatchSize,
-				MemBudget:    mem,
-				Faults:       qo.Faults,
-			},
-		}
-		if qo.Limit > 0 {
-			// The adaptive evaluator has no native early stop; reaching the
-			// limit cancels a child context, which its amortized polling
-			// already honors. The self-inflicted Canceled is success —
-			// cancellation from the caller's own ctx still propagates.
-			lctx, stop := context.WithCancel(ctx)
-			defer stop()
-			var count int64
-			prof, err := ev.RunCtx(lctx, pp.plan, func([]graph.VertexID) {
-				if count < qo.Limit {
-					count++
-					if count == qo.Limit {
-						stop()
-					}
-				}
-			})
-			if err != nil && !(errors.Is(err, context.Canceled) && ctx.Err() == nil) {
-				return count, prof, err
-			}
-			return count, prof, nil
-		}
-		return ev.CountCtx(ctx, pp.plan)
 	case qo.Limit > 0:
-		return pp.compiled.CountUpToCtx(ctx, cfg, qo.Limit)
+		return compiled.CountUpToCtx(ctx, cfg, qo.Limit)
 	default:
 		// Pure counting can skip enumerating the last extension's Cartesian
 		// product (factorized counting); the count is exact.
 		cfg.FastCount = true
-		return pp.compiled.CountCtx(ctx, cfg)
+		return compiled.CountCtx(ctx, cfg)
 	}
 }
 
@@ -1435,6 +1436,7 @@ func statsFrom(p *plan.Plan, prof exec.Profile, n int64) Stats {
 		ICost:                prof.ICost,
 		CacheHits:            prof.CacheHits,
 		CarriedSets:          prof.CarriedSets,
+		Reroutes:             prof.Reroutes,
 		KernelMerge:          prof.Kernels.Merge,
 		KernelGallop:         prof.Kernels.Gallop,
 		KernelBitsetProbe:    prof.Kernels.BitsetProbe,

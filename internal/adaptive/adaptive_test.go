@@ -1,8 +1,12 @@
-package adaptive
+package adaptive_test
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
+	"testing/quick"
 
+	"graphflow/internal/adaptive"
 	"graphflow/internal/catalogue"
 	"graphflow/internal/datagen"
 	"graphflow/internal/exec"
@@ -42,40 +46,70 @@ func fixedWCO(t testing.TB, q *query.Graph, order []int) *plan.Plan {
 	return &plan.Plan{Query: q, Root: node}
 }
 
-func TestAdaptable(t *testing.T) {
+// run counts p's matches on g twice under cfg: as compiled, and with
+// adaptive evaluation over at most maxOrderings candidates.
+func run(t testing.TB, g graph.View, cat *catalogue.Catalogue, p *plan.Plan, cfg exec.RunConfig, maxOrderings int) (fixed, adapted exec.Profile, routes *adaptive.Routes) {
+	t.Helper()
+	cp, err := exec.Compile(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fixed, err = cp.Count(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes = adaptive.Enumerate(p, cat, 0, maxOrderings)
+	n, adapted, err := cp.Adaptive(routes).Count(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != adapted.Matches {
+		t.Errorf("adaptive count %d, profile matches %d", n, adapted.Matches)
+	}
+	return fixed, adapted, routes
+}
+
+func TestEnumerate(t *testing.T) {
 	q4 := query.Q4()
 	p := fixedWCO(t, q4, []int{1, 2, 0, 3})
-	if !Adaptable(p) {
-		t.Error("diamond-X WCO plan (2 extends) should be adaptable")
+	r := adaptive.Enumerate(p, testCat, 0, adaptive.MaxOrderings)
+	if r == nil {
+		t.Fatal("diamond-X WCO plan (2 extends) should be adaptable")
+	}
+	top := p.Root.(*plan.Extend)
+	chain, source := []*plan.Extend{top.Child.(*plan.Extend), top}, top.Child.(*plan.Extend).Child
+	if !reflect.DeepEqual(r.Chains[0], chain) {
+		t.Error("the first candidate is not the plan's own chain")
+	}
+	for o, c := range r.Chains {
+		if len(c) != len(chain) || c[0].Child != source {
+			t.Errorf("candidate %d is not a chain of %d operators over the plan's source", o, len(chain))
+		}
+	}
+	if adaptive.Enumerate(p, testCat, 0, 1) != nil {
+		t.Error("a cap of one ordering leaves nothing to choose between")
 	}
 	tri := fixedWCO(t, query.Q1(), []int{0, 1, 2})
-	if Adaptable(tri) {
+	if adaptive.Enumerate(tri, testCat, 0, adaptive.MaxOrderings) != nil {
 		t.Error("triangle plan (1 extend) should not be adaptable")
+	}
+	// TestAdaptiveFallsBackWithoutChain: nothing to adapt is the plan itself.
+	if cp, err := exec.Compile(testG, tri); err != nil || cp.Adaptive(nil) != cp {
+		t.Errorf("the adaptive form of a plan without routes should be the compiled plan itself (err %v)", err)
 	}
 }
 
+// TestAdaptiveMatchesFixedCounts (with TestAdaptiveRefCorrectness and
+// TestAdaptiveHybridChain): orderings change the work, never the answer.
 func TestAdaptiveMatchesFixedCounts(t *testing.T) {
-	ev := &Evaluator{Graph: testG, Catalogue: testCat}
 	for _, j := range []int{2, 3, 4, 5, 6} {
-		q := query.Benchmark(j)
-		plans, err := optimizer.EnumerateWCOPlans(q, optimizer.Options{Catalogue: testCat})
+		plans, err := optimizer.EnumerateWCOPlans(query.Benchmark(j), optimizer.Options{Catalogue: testCat})
 		if err != nil {
 			t.Fatalf("Q%d: %v", j, err)
 		}
-		p := plans[0].Plan
-		want, _, err := (&exec.Runner{Graph: testG}).Count(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, prof, err := ev.Count(p)
-		if err != nil {
-			t.Fatalf("Q%d adaptive: %v", j, err)
-		}
-		if got != want {
-			t.Errorf("Q%d: adaptive count = %d, fixed = %d", j, got, want)
-		}
-		if prof.Matches != got {
-			t.Errorf("Q%d: profile matches = %d, want %d", j, prof.Matches, got)
+		fixed, adapted, _ := run(t, testG, testCat, plans[0].Plan, exec.RunConfig{}, adaptive.MaxOrderings)
+		if adapted.Matches != fixed.Matches {
+			t.Errorf("Q%d: adaptive count = %d, fixed = %d", j, adapted.Matches, fixed.Matches)
 		}
 	}
 }
@@ -83,110 +117,186 @@ func TestAdaptiveMatchesFixedCounts(t *testing.T) {
 func TestAdaptiveRefCorrectness(t *testing.T) {
 	small := datagen.CoPurchase(datagen.CoPurchaseConfig{N: 250, K: 4, Rewire: 0.25, Seed: 13})
 	cat := catalogue.Build(small, catalogue.Config{H: 2, Z: 150, MaxInstances: 100, Seed: 5})
-	ev := &Evaluator{Graph: small, Catalogue: cat}
 	q := query.Q4()
-	p := fixedWCO(t, q, []int{0, 1, 2, 3})
-	got, _, err := ev.Count(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := query.RefCount(small, q); got != want {
-		t.Errorf("adaptive diamond-X = %d, reference = %d", got, want)
+	_, adapted, _ := run(t, small, cat, fixedWCO(t, q, []int{0, 1, 2, 3}), exec.RunConfig{}, adaptive.MaxOrderings)
+	if want := query.RefCount(small, q); adapted.Matches != want {
+		t.Errorf("adaptive diamond-X = %d, reference = %d", adapted.Matches, want)
 	}
 }
 
-func TestAdaptiveFallsBackWithoutChain(t *testing.T) {
-	ev := &Evaluator{Graph: testG, Catalogue: testCat}
-	p := fixedWCO(t, query.Q1(), []int{0, 1, 2})
-	got, _, err := ev.Count(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := (&exec.Runner{Graph: testG}).Count(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("fallback count = %d, want %d", got, want)
-	}
-}
-
+// TestAdaptiveHybridChain: whatever the optimizer puts below the chain (a
+// hash join, for Q10) runs as compiled; only the E/I operators above it
+// are routed.
 func TestAdaptiveHybridChain(t *testing.T) {
-	// Q9-style: extends above a hash join are adapted; join below runs
-	// fixed. Build triangles joined on a3, then two extends would be
-	// needed; Q9 has one extend for a6 — use Q10 with the diamond as a
-	// 2-extend chain above a join-free source instead: join triangle
-	// (a4,a5,a6) with edge scan... Simplest hybrid with a >=2 E/I chain on
-	// top: scan(a4->a5), extend a6, then extends a3, a2, a1 over Q10 won't
-	// stay connected without a4... Use the optimizer to get any plan and
-	// check adaptive agrees.
-	q := query.Q10()
-	p, err := optimizer.Optimize(q, optimizer.Options{Catalogue: testCat})
+	p, err := optimizer.Optimize(query.Q10(), optimizer.Options{Catalogue: testCat})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := &Evaluator{Graph: testG, Catalogue: testCat}
-	got, _, err := ev.Count(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := (&exec.Runner{Graph: testG}).Count(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("adaptive hybrid = %d, fixed = %d", got, want)
+	fixed, adapted, _ := run(t, testG, testCat, p, exec.RunConfig{}, adaptive.MaxOrderings)
+	if adapted.Matches != fixed.Matches {
+		t.Errorf("adaptive hybrid = %d, fixed = %d", adapted.Matches, fixed.Matches)
 	}
 }
 
-func TestAdaptiveEmitLayoutDocumented(t *testing.T) {
-	// Emitted tuples start with the source layout; the chain's vertices
-	// follow in per-tuple order. We verify tuple width and that all source
-	// slots hold the scanned edge.
-	b := graph.NewBuilder(4)
-	b.AddEdge(0, 1, 0)
-	b.AddEdge(0, 2, 0)
-	b.AddEdge(1, 2, 0)
-	b.AddEdge(1, 3, 0)
-	b.AddEdge(2, 3, 0)
-	g := b.MustBuild()
-	cat := catalogue.Build(g, catalogue.Config{H: 2, Z: 10, MaxInstances: 10, Seed: 1})
+// TestAdaptiveEmitLayout: whichever ordering matched a tuple, it is
+// emitted in the plan root's layout — every query edge holds between the
+// vertices at its endpoints' slots.
+func TestAdaptiveEmitLayout(t *testing.T) {
 	q := query.Q4()
-	p := fixedWCO(t, q, []int{0, 1, 2, 3})
-	ev := &Evaluator{Graph: g, Catalogue: cat}
-	n := 0
-	_, err := ev.Run(p, func(tu []graph.VertexID) {
-		n++
-		if len(tu) != 4 {
-			t.Errorf("tuple width = %d, want 4", len(tu))
+	p := fixedWCO(t, q, []int{1, 2, 0, 3})
+	routes := adaptive.Enumerate(p, testCat, 0, adaptive.MaxOrderings)
+	cp, err := exec.Compile(testG, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := make([]int, q.NumVertices())
+	for s, v := range p.Root.Out() {
+		slot[v] = s
+	}
+	emitted := int64(0)
+	prof, err := cp.Adaptive(routes).Run(exec.RunConfig{}, func(tu []graph.VertexID) {
+		emitted++
+		for _, e := range q.Edges {
+			if !testG.HasEdge(tu[slot[e.From]], tu[slot[e.To]], e.Label) {
+				t.Fatalf("emitted %v is not a match in the root's layout %v: no edge a%d->a%d", tu, p.Root.Out(), e.From+1, e.To+1)
+			}
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != int(query.RefCount(g, q)) {
-		t.Errorf("emitted %d, want %d", n, query.RefCount(g, q))
+	if prof.Reroutes == 0 {
+		t.Error("no tuple left the plan's own ordering: the layouts were never permuted")
+	}
+	if want := query.RefCount(testG, q); emitted != want {
+		t.Errorf("emitted %d, reference %d", emitted, want)
 	}
 }
 
-// TestAdaptiveBatchSizesAgree checks that batch-boundary re-estimation
-// is routing-only: every batch size (including the per-tuple legacy
-// cadence) must produce the same counts as the fixed executor.
+// TestAdaptiveBatchSizesAgree: where batch boundaries fall changes which
+// rows share a dispatch, never the answer.
 func TestAdaptiveBatchSizesAgree(t *testing.T) {
-	q := query.Q4()
-	p := fixedWCO(t, q, []int{1, 2, 0, 3})
-	want, _, err := (&exec.Runner{Graph: testG}).Count(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := fixedWCO(t, query.Q4(), []int{1, 2, 0, 3})
 	for _, bs := range []int{-1, 1, 3, 64, 1024} {
-		ev := &Evaluator{Graph: testG, Catalogue: testCat, Config: Config{BatchSize: bs}}
-		got, _, err := ev.Count(p)
+		fixed, adapted, _ := run(t, testG, testCat, p, exec.RunConfig{BatchSize: bs}, adaptive.MaxOrderings)
+		if adapted.Matches != fixed.Matches {
+			t.Errorf("batch size %d: adaptive count = %d, fixed = %d", bs, adapted.Matches, fixed.Matches)
+		}
+	}
+}
+
+// TestRouterAdapts is the test a router that always picks the plan's own
+// ordering fails: on a skewed graph, the worst fixed WCO plans of Q4 and
+// Q5 — an ordering that is wrong for most tuples — must cost strictly
+// less i-cost adaptively, with runs actually rerouted; and with a cap of
+// one candidate the adaptive form is the fixed plan, counter for counter.
+func TestRouterAdapts(t *testing.T) {
+	g := datagen.Google(1)
+	cat := catalogue.Build(g, catalogue.Config{H: 3, Z: 300, MaxInstances: 200, Seed: 7})
+	for _, j := range []int{4, 5} {
+		plans, err := optimizer.EnumerateWCOPlans(query.Benchmark(j), optimizer.Options{Catalogue: cat})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Errorf("batch size %d: adaptive count = %d, fixed = %d", bs, got, want)
+		worst := plans[len(plans)-1].Plan
+		for _, cfg := range []exec.RunConfig{{}, {Factorized: true, FastCount: true}, {Workers: 4}} {
+			fixed, adapted, routes := run(t, g, cat, worst, cfg, adaptive.MaxOrderings)
+			if routes == nil {
+				t.Fatalf("Q%d: the worst plan has nothing to adapt", j)
+			}
+			if adapted.Matches != fixed.Matches {
+				t.Errorf("Q%d %+v: adaptive count = %d, fixed = %d", j, cfg, adapted.Matches, fixed.Matches)
+			}
+			if adapted.Reroutes == 0 || adapted.ICost >= fixed.ICost {
+				t.Errorf("Q%d %+v: %d runs rerouted, i-cost %d against the fixed plan's %d; want reroutes and strictly less work",
+					j, cfg, adapted.Reroutes, adapted.ICost, fixed.ICost)
+			}
+			if cfg.Workers > 1 {
+				continue // morsel scheduling moves cache hits between runs
+			}
+			fixed, capped, _ := run(t, g, cat, worst, cfg, 1)
+			fixed.Stages, capped.Stages = exec.StageNanos{}, exec.StageNanos{}
+			if capped != fixed {
+				t.Errorf("Q%d %+v: one candidate should be the fixed plan, counter for counter:\n%+v\n%+v", j, cfg, capped, fixed)
+			}
 		}
+	}
+}
+
+var (
+	quickG = func() *graph.Graph {
+		rng := rand.New(rand.NewSource(31))
+		b := graph.NewBuilder(100)
+		for i := 0; i < 600; i++ {
+			b.AddEdge(graph.VertexID(rng.Intn(100)), graph.VertexID(rng.Intn(100)), 0)
+		}
+		return b.MustBuild()
+	}()
+	quickCat = catalogue.Build(quickG, catalogue.Config{H: 2, Z: 100, MaxInstances: 80, Seed: 3})
+)
+
+// adaptableQuery generates random 4-5 vertex connected queries (so WCO
+// plans have chains of >=2 E/I operators).
+type adaptableQuery struct{ Q *query.Graph }
+
+// Generate implements quick.Generator.
+func (adaptableQuery) Generate(rng *rand.Rand, _ int) reflect.Value {
+	n := 4 + rng.Intn(2)
+	q := &query.Graph{}
+	for i := 0; i < n; i++ {
+		q.Vertices = append(q.Vertices, query.Vertex{})
+	}
+	seen := map[[2]int]bool{}
+	add := func(a, b int) {
+		if a == b {
+			return
+		}
+		k := [2]int{a, b}
+		if a > b {
+			k = [2]int{b, a}
+		}
+		if seen[k] {
+			return
+		}
+		seen[k] = true
+		if rng.Intn(2) == 0 {
+			a, b = b, a
+		}
+		q.Edges = append(q.Edges, query.Edge{From: a, To: b})
+	}
+	for i := 1; i < n; i++ {
+		add(i, rng.Intn(i))
+	}
+	for k := 0; k < 1+rng.Intn(n); k++ {
+		add(rng.Intn(n), rng.Intn(n))
+	}
+	return reflect.ValueOf(adaptableQuery{q})
+}
+
+// TestQuickAdaptiveAlwaysMatchesFixed: ordering changes never change
+// results, for arbitrary queries, plans across the cost range, every cap
+// (TestQuickAdaptiveCapOne's single candidate among them) and the run
+// configurations whose stage chains differ.
+func TestQuickAdaptiveAlwaysMatchesFixed(t *testing.T) {
+	cfgs := []exec.RunConfig{{}, {Factorized: true}, {Factorized: true, FastCount: true}, {BatchSize: 3}}
+	f := func(aq adaptableQuery, pick uint8) bool {
+		plans, err := optimizer.EnumerateWCOPlans(aq.Q, optimizer.Options{Catalogue: quickCat})
+		if err != nil || len(plans) == 0 {
+			return false
+		}
+		want := query.RefCount(quickG, aq.Q)
+		cfg := cfgs[int(pick)%len(cfgs)]
+		for _, i := range []int{0, len(plans) / 2, len(plans) - 1} {
+			for _, maxOrderings := range []int{1, 2, adaptive.MaxOrderings} {
+				fixed, adapted, _ := run(t, quickG, quickCat, plans[i].Plan, cfg, maxOrderings)
+				if fixed.Matches != want || adapted.Matches != want {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Error(err)
 	}
 }

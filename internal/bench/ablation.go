@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"graphflow/internal/adaptive"
 	"graphflow/internal/datagen"
 	"graphflow/internal/exec"
 	"graphflow/internal/graph"
@@ -252,8 +251,8 @@ func AblationBeamWidth(w io.Writer, scale int) error {
 	return nil
 }
 
-// AblationAdaptiveCap sweeps the adaptive evaluator's candidate-ordering
-// cap on the diamond-X query.
+// AblationAdaptiveCap sweeps adaptive evaluation's candidate-ordering cap
+// on the diamond-X query.
 func AblationAdaptiveCap(w io.Writer, scale int) error {
 	g := dataset("Google", scale, 1)
 	c := cat("Google", scale, 1)
@@ -263,19 +262,13 @@ func AblationAdaptiveCap(w io.Writer, scale int) error {
 		return err
 	}
 	p := plans[len(plans)-1].Plan // the worst fixed plan benefits most
-	fixed, _, _, err := timeRun(g, p, 1, false)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "fixed(worst)=%.3fs\n", fixed)
-	fmt.Fprintf(w, "%-6s %12s\n", "cap", "adaptive(s)")
+	fmt.Fprintf(w, "%-6s %12s %12s\n", "cap", "fixed(s)", "adaptive(s)")
 	for _, cap := range []int{1, 2, 8, 48} {
-		ev := &adaptive.Evaluator{Graph: g, Catalogue: c, Config: adaptive.Config{MaxOrderings: cap}}
-		start := time.Now()
-		if _, _, err := ev.Count(p); err != nil {
+		fixed, adapted, _, err := timeAdaptive(g, c, p, cap)
+		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-6d %12.3f\n", cap, time.Since(start).Seconds())
+		fmt.Fprintf(w, "%-6d %12.3f %12.3f\n", cap, fixed, adapted)
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"graphflow/internal/ghd"
 	"graphflow/internal/graph"
 	"graphflow/internal/optimizer"
+	"graphflow/internal/plan"
 	"graphflow/internal/query"
 )
 
@@ -99,28 +100,48 @@ func fig8Run(w io.Writer, scale int, workloads []fig8Workload) error {
 			if len(plans) > 12 {
 				plans = plans[:12]
 			}
-			ev := &adaptive.Evaluator{Graph: g, Catalogue: c}
 			fmt.Fprintf(w, "Q%d on %s: %d WCO plans\n", j, wl.dataset, len(plans))
 			for _, wp := range plans {
-				if !adaptive.Adaptable(wp.Plan) {
-					continue
-				}
-				fixedSecs, _, _, err := timeRun(g, wp.Plan, 1, false)
+				fixedSecs, adaptSecs, adaptable, err := timeAdaptive(g, c, wp.Plan, adaptive.MaxOrderings)
 				if err != nil {
 					return err
 				}
-				start := time.Now()
-				if _, _, err := ev.Count(wp.Plan); err != nil {
-					return err
+				if !adaptable {
+					continue
 				}
-				adaptSecs := time.Since(start).Seconds()
-				speedup := fixedSecs / adaptSecs
 				fmt.Fprintf(w, "  %-14s fixed %8.3fs adaptive %8.3fs (%.2fx)\n",
-					orderName(wp.Order), fixedSecs, adaptSecs, speedup)
+					orderName(wp.Order), fixedSecs, adaptSecs, fixedSecs/adaptSecs)
 			}
 		}
 	}
 	return nil
+}
+
+// timeAdaptive counts p's matches with its fixed ordering and with
+// adaptive re-ordering over at most maxOrderings candidates — the same
+// compiled pipelines under the same RunConfig, so the two times differ by
+// the orderings taken and the routing, nothing else. adaptable is false
+// when there was nothing to choose between and the fixed plan ran twice.
+func timeAdaptive(g *graph.Graph, c *catalogue.Catalogue, p *plan.Plan, maxOrderings int) (fixed, adapted float64, adaptable bool, err error) {
+	cp, err := exec.Compile(g, p)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	timeCount := func(cp *exec.CompiledPlan) (float64, int64, error) {
+		start := time.Now()
+		n, _, err := cp.Count(exec.RunConfig{})
+		return time.Since(start).Seconds(), n, err
+	}
+	fixed, want, err := timeCount(cp)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	routes := adaptive.Enumerate(p, c, g.HubThreshold(), maxOrderings)
+	adapted, got, err := timeCount(cp.Adaptive(routes))
+	if err == nil && got != want {
+		err = fmt.Errorf("adaptive evaluation counted %d matches, the fixed plan %d", got, want)
+	}
+	return fixed, adapted, routes != nil, err
 }
 
 // Fig9 regenerates the EmptyHeaded spectra: for Q3, Q7 and Q8, every

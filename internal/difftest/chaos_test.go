@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,8 +29,9 @@ import (
 // baseline. Bounded to run as a CI smoke test under -race.
 
 var chaosPatterns = []string{
-	"a->b, b->c, a->c", // cyclic: exercises intersection + hash-join plans
-	"a->b, a->c, a->d", // star: exercises the factorized tail
+	"a->b, b->c, a->c",             // cyclic: exercises intersection + hash-join plans
+	"a->b, a->c, a->d",             // star: exercises the factorized tail
+	"a->b, a->c, b->c, b->d, c->d", // diamond-X: its WCO plans end in a chain Adaptive routes
 }
 
 // chaosMode is the deterministic per-query sabotage schedule.
@@ -39,14 +41,17 @@ const (
 	modeClean chaosMode = iota
 	modeBudget
 	modePanic
+	modeCancel
 	numModes
 )
 
-// TestChaosExecStorm storms the public query API directly: every third
-// query is budget-starved, every third is panic-injected, and the
-// surviving third must return the exact oracle count throughout. The
-// engine must map each sabotage to its structured error, leak nothing,
-// and keep serving.
+// TestChaosExecStorm storms the public query API directly: every fourth
+// query is budget-starved, every fourth is panic-injected, every fourth
+// has its context cancelled under it, and the surviving fourth must return
+// the exact oracle count throughout. Every other query of each kind is
+// Adaptive over a WCO plan, so the sabotage also lands in a router and the
+// orderings it built. The engine must map each sabotage to its structured
+// error, leak nothing, and keep serving.
 func TestChaosExecStorm(t *testing.T) {
 	db, err := OpenDB(GenGraph(41))
 	if err != nil {
@@ -73,25 +78,37 @@ func TestChaosExecStorm(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				pat := chaosPatterns[(w+i)%len(chaosPatterns)]
+				adaptive := (w*rounds+i)/int(numModes)%2 == 1
+				opts := graphflow.QueryOptions{Adaptive: adaptive, WCOOnly: adaptive}
 				switch chaosMode((w*rounds + i) % int(numModes)) {
 				case modeClean:
-					n, err := db.Count(pat, &graphflow.QueryOptions{Workers: 2})
+					opts.Workers = 2
+					n, err := db.Count(pat, &opts)
 					if err != nil {
 						errCh <- fmt.Errorf("clean %q: %v", pat, err)
 					} else if n != oracle[pat] {
 						errCh <- fmt.Errorf("clean %q = %d, oracle %d", pat, n, oracle[pat])
 					}
 				case modeBudget:
-					_, err := db.Count(pat, &graphflow.QueryOptions{MemBudgetBytes: 512})
+					opts.MemBudgetBytes = 512
+					_, err := db.Count(pat, &opts)
 					if !errors.Is(err, resource.ErrBudgetExceeded) {
 						errCh <- fmt.Errorf("budget-starved %q: err = %v, want ErrBudgetExceeded", pat, err)
 					}
 				case modePanic:
-					inj := &faultinject.Injector{PanicEvery: 1, Points: 1 << faultinject.PointWorkerStart}
-					_, err := db.Count(pat, &graphflow.QueryOptions{Faults: inj})
+					opts.Faults = &faultinject.Injector{PanicEvery: 1, Points: 1 << faultinject.PointWorkerStart}
+					_, err := db.Count(pat, &opts)
 					var pe *exec.PanicError
 					if !errors.As(err, &pe) {
 						errCh <- fmt.Errorf("panic-injected %q: err = %v, want *PanicError", pat, err)
+					}
+				case modeCancel:
+					// The cancel races the run: it either lands or comes too late.
+					ctx, cancel := context.WithCancel(context.Background())
+					go cancel()
+					n, err := db.CountCtx(ctx, pat, &opts)
+					if !errors.Is(err, context.Canceled) && (err != nil || n != oracle[pat]) {
+						errCh <- fmt.Errorf("cancelled %q = %d, %v; want the oracle's %d or context.Canceled", pat, n, err, oracle[pat])
 					}
 				}
 			}

@@ -625,41 +625,95 @@ func CompareFactorized(db *graphflow.DB, q *query.Graph) error {
 // with a carried set and how many swept a list through a pinned operand's
 // bitmap, so a corpus can assert its path was exercised at all.
 func CompareCarried(db *graphflow.DB, q *query.Graph) (carried, pinned int64, err error) {
+	st, err := compareEngine(db, q, false)
+	return st.CarriedSets, st.KernelPinnedProbe, err
+}
+
+// CompareAdaptive is CompareCarried with every engine query Adaptive
+// (Section 6: the plan's trailing E/I chain re-ordered from run to run of
+// tuples), plus what the option used to ignore or break, at every batch
+// size, sequentially and under Workers=4: the oracle's Distinct count, a
+// Limit through Match, and the oracle's rows — which arrive in another
+// order but in the plan's own layout, so the sorted row sets must still
+// be equal. It returns how many runs left the plan's own ordering, so a
+// corpus can assert that its routers had something to route.
+func CompareAdaptive(db *graphflow.DB, q *query.Graph) (reroutes int64, err error) {
+	st, err := compareEngine(db, q, true)
+	if err != nil {
+		return st.Reroutes, err
+	}
+	pattern := q.String()
+	for _, wco := range []bool{false, true} {
+		wantRows, err := collectRowsOpts(db, pattern, &graphflow.QueryOptions{BatchSize: -1, WCOOnly: wco})
+		if err != nil {
+			return st.Reroutes, fmt.Errorf("oracle rows of %q: %w", pattern, err)
+		}
+		wantDistinct, err := db.Count(pattern, &graphflow.QueryOptions{BatchSize: -1, WCOOnly: wco, Distinct: true})
+		if err != nil {
+			return st.Reroutes, fmt.Errorf("oracle distinct count of %q: %w", pattern, err)
+		}
+		for _, bs := range BatchSizes {
+			for _, workers := range []int{0, 4} {
+				opts := graphflow.QueryOptions{Adaptive: true, BatchSize: bs, Workers: workers, WCOOnly: wco}
+				rows, err := collectRowsOpts(db, pattern, &opts)
+				if err != nil {
+					return st.Reroutes, fmt.Errorf("rows of %q under %+v: %w", pattern, opts, err)
+				}
+				if err := diffRows(rows, wantRows); err != nil {
+					return st.Reroutes, fmt.Errorf("%q under %+v: %w", pattern, opts, err)
+				}
+				opts.Distinct = true
+				if got, err := db.Count(pattern, &opts); err != nil || got != wantDistinct {
+					return st.Reroutes, fmt.Errorf("count of %q under %+v = %d, %v; oracle %d", pattern, opts, got, err, wantDistinct)
+				}
+				opts.Distinct, opts.Limit = false, int64(len(wantRows)/2)
+				if rows, err = collectRowsOpts(db, pattern, &opts); err != nil || len(rows) != len(wantRows)/2 {
+					return st.Reroutes, fmt.Errorf("match of %q under %+v delivered %d rows, %v; want exactly the limit", pattern, opts, len(rows), err)
+				}
+			}
+		}
+	}
+	return st.Reroutes, nil
+}
+
+// compareEngine is the sweep behind CompareCarried and CompareAdaptive;
+// the Stats it returns sum CarriedSets, KernelPinnedProbe and Reroutes
+// over the sweep's full counts.
+func compareEngine(db *graphflow.DB, q *query.Graph, adaptive bool) (sum graphflow.Stats, err error) {
 	pattern := q.String()
 	for _, wco := range []bool{false, true} {
 		oracle := &graphflow.QueryOptions{BatchSize: -1, WCOOnly: wco}
 		want, err := db.Count(pattern, oracle)
 		if err != nil {
-			return carried, pinned, fmt.Errorf("oracle count of %q: %w", pattern, err)
+			return sum, fmt.Errorf("oracle count of %q: %w", pattern, err)
 		}
 		var wantRows []string
 		if want <= maxRowCollect {
 			if wantRows, err = collectRowsOpts(db, pattern, oracle); err != nil {
-				return carried, pinned, fmt.Errorf("oracle rows of %q: %w", pattern, err)
+				return sum, fmt.Errorf("oracle rows of %q: %w", pattern, err)
 			}
 		}
 		for _, bs := range BatchSizes {
 			for _, workers := range []int{0, 4} {
-				for _, variant := range []graphflow.QueryOptions{
-					{},
-					{DisableFactorization: true},
-					{DisableCache: true},
-				} {
-					opts := variant
-					opts.BatchSize, opts.Workers, opts.WCOOnly = bs, workers, wco
+				engine := graphflow.QueryOptions{BatchSize: bs, Workers: workers, WCOOnly: wco, Adaptive: adaptive}
+				variants := [3]graphflow.QueryOptions{engine, engine, engine}
+				variants[1].DisableFactorization = true
+				variants[2].DisableCache = true
+				for _, opts := range variants {
 					got, st, err := db.CountStats(pattern, &opts)
 					if err != nil {
-						return carried, pinned, fmt.Errorf("count of %q under %+v: %w", pattern, opts, err)
+						return sum, fmt.Errorf("count of %q under %+v: %w", pattern, opts, err)
 					}
 					if got != want {
-						return carried, pinned, fmt.Errorf("count of %q under %+v = %d, oracle %d", pattern, opts, got, want)
+						return sum, fmt.Errorf("count of %q under %+v = %d, oracle %d", pattern, opts, got, want)
 					}
 					if opts.DisableCache && (st.CarriedSets != 0 || st.KernelPinnedProbe != 0) {
-						return carried, pinned, fmt.Errorf("%q under %+v carried %d sets and dispatched %d pinned probes with the cache off",
+						return sum, fmt.Errorf("%q under %+v carried %d sets and dispatched %d pinned probes with the cache off",
 							pattern, opts, st.CarriedSets, st.KernelPinnedProbe)
 					}
-					carried += st.CarriedSets
-					pinned += st.KernelPinnedProbe
+					sum.CarriedSets += st.CarriedSets
+					sum.KernelPinnedProbe += st.KernelPinnedProbe
+					sum.Reroutes += st.Reroutes
 				}
 				limits := []int64{1, 2, want / 2, want - 1, want, want + 13}
 				if workers > 1 {
@@ -670,29 +724,31 @@ func CompareCarried(db *graphflow.DB, q *query.Graph) (carried, pinned int64, er
 					if limit <= 0 {
 						continue
 					}
-					opts := &graphflow.QueryOptions{BatchSize: bs, Workers: workers, WCOOnly: wco, Limit: limit}
-					got, err := db.Count(pattern, opts)
+					opts := engine
+					opts.Limit = limit
+					got, err := db.Count(pattern, &opts)
 					if err != nil {
-						return carried, pinned, fmt.Errorf("limit count of %q under %+v: %w", pattern, *opts, err)
+						return sum, fmt.Errorf("limit count of %q under %+v: %w", pattern, opts, err)
 					}
 					if wantLim := min(limit, want); got != wantLim {
-						return carried, pinned, fmt.Errorf("limit count of %q under %+v = %d, want exactly %d", pattern, *opts, got, wantLim)
+						return sum, fmt.Errorf("limit count of %q under %+v = %d, want exactly %d", pattern, opts, got, wantLim)
 					}
 				}
 			}
 			if wantRows == nil {
 				continue
 			}
-			rows, err := collectRowsOpts(db, pattern, &graphflow.QueryOptions{BatchSize: bs, WCOOnly: wco})
+			engine := &graphflow.QueryOptions{BatchSize: bs, WCOOnly: wco, Adaptive: adaptive}
+			rows, err := collectRowsOpts(db, pattern, engine)
 			if err != nil {
-				return carried, pinned, fmt.Errorf("batch %d rows of %q: %w", bs, pattern, err)
+				return sum, fmt.Errorf("rows of %q under %+v: %w", pattern, *engine, err)
 			}
 			if err := diffRows(rows, wantRows); err != nil {
-				return carried, pinned, fmt.Errorf("batch %d (wco=%v) of %q: %w", bs, wco, pattern, err)
+				return sum, fmt.Errorf("%q under %+v: %w", pattern, *engine, err)
 			}
 		}
 	}
-	return carried, pinned, nil
+	return sum, nil
 }
 
 // CompareDBs checks that got answers q exactly as want does — full

@@ -570,3 +570,92 @@ func TestDifferentialPinnedOperands(t *testing.T) {
 	}
 	t.Logf("corpus dispatched %d pinned probes; %d wildcard patterns", pinned, wildcards)
 }
+
+// TestDifferentialAdaptive puts adaptive evaluation through the matrix
+// the fixed engine answers to (CompareAdaptive), over the corpora that
+// stress what a routed chain is made of: the dense family (cliques and
+// chorded cycles: carried sets, several orderings per chain), the pinned
+// family (operands that repeat over a run, wildcard labels) and the
+// factorized family's star-heavy shapes on its sparser graphs (orderings
+// ending in tails of different lengths) — the first two with every
+// adjacency partition indexed as a hub and with none, on the static store
+// and on a live overlay that has taken two random batches and a dense one.
+func TestDifferentialAdaptive(t *testing.T) {
+	numGraphs := 4
+	if testing.Short() {
+		numGraphs = 2
+	}
+	const oracleBudget = 4_000 // matches; denser draws are redrawn
+	stars := []string{
+		"a->b, b->c, a->c, a->d, c->e",
+		"a->b, b->c, c->d, c->e",
+	}
+	var reroutes int64
+	for gi := 0; gi < numGraphs; gi++ {
+		seed := int64(54000 + gi)
+		labelled := gi%2 == 1
+		g := GenDenseGraph(seed, labelled)
+		rng := rand.New(rand.NewSource(seed * 15485863))
+		for _, hub := range []int{1, -1} {
+			static, err := OpenDBHub(g, hub)
+			if err != nil {
+				t.Fatalf("graph seed %d hub %d: %v", seed, hub, err)
+			}
+			live, err := openDB(g, -1, hub)
+			if err != nil {
+				t.Fatalf("graph seed %d hub %d (live): %v", seed, hub, err)
+			}
+			sh := NewShadow(g)
+			for b := 0; b < 3; b++ {
+				batch := GenBatch(rng, sh)
+				if b == 2 {
+					batch = denseBatch(rng, sh, labelled)
+				}
+				if _, err := live.Apply(batch); err != nil {
+					t.Fatalf("graph seed %d hub %d batch %d: %v", seed, hub, b, err)
+				}
+				sh.Apply(batch)
+			}
+			draw := func(gen func(*rand.Rand, bool) *query.Graph) *query.Graph {
+				for {
+					q := gen(rng, labelled)
+					n, err := live.Count(q.String(), &graphflow.QueryOptions{Limit: oracleBudget + 1})
+					if err != nil {
+						t.Fatalf("graph seed %d hub %d: sizing %q: %v", seed, hub, q, err)
+					}
+					if n <= oracleBudget {
+						return q
+					}
+				}
+			}
+			corpus := []*query.Graph{draw(GenDensePattern), draw(GenPinnedPattern)}
+			for pi, q := range corpus {
+				for name, db := range map[string]*graphflow.DB{"static": static, "live": live} {
+					n, err := CompareAdaptive(db, q)
+					if err != nil {
+						t.Errorf("graph seed %d hub %d %s pattern %d: %v", seed, hub, name, pi, err)
+					}
+					reroutes += n
+				}
+			}
+		}
+	}
+	for gi := 0; gi < numGraphs; gi++ {
+		seed := int64(40000 + gi)
+		db, err := OpenDB(GenGraph(seed))
+		if err != nil {
+			t.Fatalf("graph seed %d: %v", seed, err)
+		}
+		for si, s := range stars {
+			n, err := CompareAdaptive(db, query.MustParse(s))
+			if err != nil {
+				t.Errorf("graph seed %d star %d: %v", seed, si, err)
+			}
+			reroutes += n
+		}
+	}
+	if reroutes == 0 {
+		t.Error("no run of tuples of the whole corpus left its plan's own ordering; the routers had nothing to route")
+	}
+	t.Logf("corpus rerouted %d runs", reroutes)
+}

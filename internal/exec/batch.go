@@ -200,9 +200,9 @@ type batchStage interface {
 	reset(rc *runContext)
 }
 
-// dispatchBatch hands a produced batch to stage i (len(bstages) is the
-// sink). Every produced row at every stage flows through here — the
-// batch-granular counterpart of countOutput: exact row accounting for
+// dispatchBatch hands a produced batch to stage i (the sink, for
+// i <= sinkStage). Every produced row at every stage flows through here —
+// the batch-granular counterpart of countOutput: exact row accounting for
 // the profile plus the amortized cancellation poll.
 //
 //gf:noalloc
@@ -210,7 +210,7 @@ func (w *worker) dispatchBatch(i int, b *tupleBatch) {
 	if b.n == 0 {
 		return
 	}
-	sink := i == len(w.bstages)
+	sink := i <= sinkStage
 	// Sink rows delivered to an emit callback are counted per row just
 	// before their emit call (in sinkBatch), so a profile observed after
 	// early termination never includes rows emit was not offered.
@@ -225,15 +225,27 @@ func (w *worker) dispatchBatch(i int, b *tupleBatch) {
 	if w.cancelCountdown <= 0 {
 		w.pollCancel()
 	}
-	// Stage-time attribution: charge the open interval to the producer's
-	// slot, run the consumer under its own, restore on return. Nested
-	// dispatches (a stage filling downstream batches mid-push) stack
-	// naturally, so every slot accumulates self time only.
-	prev := w.enterStage(i + 1)
-	if sink {
-		w.sinkBatch(b)
-	} else {
+	w.deliver(i, b)
+}
+
+// deliver runs stage i's pushBatch (the sink, for i <= sinkStage) on b
+// under stage-time attribution: the open interval is charged to the
+// producer's slot, the consumer runs under its own, and the producer's is
+// restored on return. Nested deliveries (a stage filling downstream
+// batches mid-push) stack naturally, so every slot accumulates self time
+// only.
+//
+//gf:noalloc
+func (w *worker) deliver(i int, b *tupleBatch) {
+	prev := w.enterStage(max(i, sinkStage) + 2)
+	switch {
+	case i >= 0:
 		w.bstages[i].pushBatch(w, b)
+	case i < sinkStage && w.emit != nil:
+		// The last stage of a router's ordering: emit sees the root's layout.
+		w.sinkBatch(w.router.rootLayout(b, sinkStage-i))
+	default:
+		w.sinkBatch(b)
 	}
 	w.leaveStage(prev)
 }
@@ -279,11 +291,13 @@ func (w *worker) sinkBatch(b *tupleBatch) {
 func (w *worker) flushBatches() {
 	if w.scanBatch != nil && w.scanBatch.n > 0 {
 		w.profile.Batches.Scan++
-		w.dispatchBatch(0, w.scanBatch)
+		w.dispatchBatch(w.entry, w.scanBatch)
 		w.scanBatch.clear()
 	}
-	for _, s := range w.bstages {
-		s.flush(w)
+	// By index: a flush can reach a router, which appends the stages of an
+	// ordering it had not used yet — behind everything flushed so far.
+	for i := 0; i < len(w.bstages); i++ {
+		w.bstages[i].flush(w)
 	}
 }
 
@@ -337,7 +351,7 @@ func (w *worker) fillEdges(src graph.VertexID, nbrs []graph.VertexID) {
 		off += k
 		if b.n >= w.batchSize {
 			w.profile.Batches.Scan++
-			w.dispatchBatch(0, b)
+			w.dispatchBatch(w.entry, b)
 			b.clear()
 		}
 	}
@@ -347,8 +361,9 @@ func (w *worker) fillEdges(src graph.VertexID, nbrs []graph.VertexID) {
 // distinct descriptor-key run (served through the shared extendState
 // cache), then a bulk columnar fan-out of the extension set.
 type batchExtendState struct {
-	es   extendState
-	idx  int
+	es extendState
+	// next is the index of the stage that consumes out (see sinkStage).
+	next int
 	out  *tupleBatch
 	vals []graph.VertexID
 	// cur walks the input batch's carried runs (inheriting stages only).
@@ -413,7 +428,7 @@ func (s *batchExtendState) pushBatch(w *worker, in *tupleBatch) {
 	var ext, carried []graph.VertexID
 	cur := &s.cur
 	cur.rewind()
-	if w.countFast && w.isRoot && s.idx == len(w.bstages)-1 {
+	if w.countFast && w.isRoot && s.next <= sinkStage {
 		// Factorized counting (Section 10): the last extension's Cartesian
 		// product is counted, not enumerated.
 		//gf:nopoll bounded by one batch (<= w.batchSize rows); dispatchBatch polled before delivering it
@@ -450,7 +465,7 @@ func (s *batchExtendState) pushBatch(w *worker, in *tupleBatch) {
 			}
 			if full {
 				w.profile.Batches.Extend++
-				w.dispatchBatch(s.idx+1, s.out)
+				w.dispatchBatch(s.next, s.out)
 				s.out.clear()
 			}
 		}
@@ -460,7 +475,7 @@ func (s *batchExtendState) pushBatch(w *worker, in *tupleBatch) {
 func (s *batchExtendState) flush(w *worker) {
 	if s.out.n > 0 {
 		w.profile.Batches.Extend++
-		w.dispatchBatch(s.idx+1, s.out)
+		w.dispatchBatch(s.next, s.out)
 		s.out.clear()
 	}
 }
@@ -470,9 +485,9 @@ func (s *batchExtendState) flush(w *worker) {
 // runs contiguous), and the matching build rows — one contiguous
 // row-major run of the sealed table — fan out column-wise.
 type batchProbeState struct {
-	ps  probeState
-	idx int
-	out *tupleBatch
+	ps   probeState
+	next int
+	out  *tupleBatch
 
 	// run is the build-row run of ps.key, valid while keyValid.
 	keyValid bool
@@ -500,7 +515,7 @@ func (s *batchProbeState) pushBatch(w *worker, in *tupleBatch) {
 	// A terminal probe of a pure count adds each probe row's match count
 	// instead of fanning the joined rows out to be counted at the sink —
 	// the hash-join counterpart of the E/I stage's factorized counting.
-	countOnly := w.countFast && w.isRoot && s.idx == len(w.bstages)-1
+	countOnly := w.countFast && w.isRoot && s.next <= sinkStage
 	for r := 0; r < in.n; r++ {
 		// probes stays a per-input-row counter (like the oracle's), so
 		// Analyze's per-node numbers are engine- and batch-size-
@@ -559,7 +574,7 @@ func (s *batchProbeState) pushBatch(w *worker, in *tupleBatch) {
 			off += k
 			if s.out.n >= w.batchSize {
 				w.profile.Batches.Probe++
-				w.dispatchBatch(s.idx+1, s.out)
+				w.dispatchBatch(s.next, s.out)
 				s.out.clear()
 			}
 		}
@@ -569,7 +584,7 @@ func (s *batchProbeState) pushBatch(w *worker, in *tupleBatch) {
 func (s *batchProbeState) flush(w *worker) {
 	if s.out.n > 0 {
 		w.profile.Batches.Probe++
-		w.dispatchBatch(s.idx+1, s.out)
+		w.dispatchBatch(s.next, s.out)
 		s.out.clear()
 	}
 }

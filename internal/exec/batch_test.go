@@ -277,10 +277,11 @@ func TestHubMorselSplitParity(t *testing.T) {
 // all reached steady-state capacity.
 func steadyWorker(tb testing.TB, g *graph.Graph, p *plan.Plan, cfg RunConfig) (*worker, int) {
 	tb.Helper()
-	cp, err := Compile(g, p)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	return steadyWorkerOf(g, Must(tb, g, p), cfg)
+}
+
+// steadyWorkerOf is steadyWorker for a plan already compiled.
+func steadyWorkerOf(g *graph.Graph, cp *CompiledPlan, cfg RunConfig) (*worker, int) {
 	rc := &runContext{cp: cp, cfg: cfg, batch: cp.EffectiveBatchSize(cfg, 0)}
 	var stopped atomic.Bool
 	w := newWorker(rc, cp.pipes[len(cp.pipes)-1], true, nil, &stopped, nil)
@@ -450,6 +451,22 @@ func TestZeroAllocs(t *testing.T) {
 			name: "hashProbeWideKey", pinned: true,
 			setup: func(t *testing.T) (*worker, func()) {
 				w, n := steadyProbeWorker(t, g, wideKeyJoin(t))
+				return w, scan(w, n)
+			},
+		},
+		{
+			// The adaptive router: route keys, measured list sizes and the
+			// re-estimates live in router scratch, a run is handed to its
+			// ordering as re-sliced columns, and the orderings' stages — a
+			// plain E/I stage and a factorized tail each — were built during
+			// warm-up.
+			name: "adaptiveRouter", pinned: true,
+			setup: func(t *testing.T) (*worker, func()) {
+				cp, _ := routedPlan(t, g)
+				w, n := steadyWorkerOf(g, cp, RunConfig{Factorized: true})
+				if w.profile.Reroutes == 0 || len(w.bstages) != 5 {
+					t.Fatalf("warm-up rerouted %d runs through %d stages; want both orderings built", w.profile.Reroutes, len(w.bstages))
+				}
 				return w, scan(w, n)
 			},
 		},

@@ -2,8 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
+	"graphflow/internal/adaptive"
 	"graphflow/internal/graph"
 	"graphflow/internal/plan"
 )
@@ -49,6 +51,11 @@ type compiledPipeline struct {
 	// pipeline's suffix, when present, is what RunConfig.Factorized
 	// compiles into a factorizedTail stage.
 	starSuffix int
+	// route, when non-nil, makes the driver pipeline's trailing E/I chain
+	// adaptive (CompiledPlan.Adaptive): the vectorized engine places a router
+	// where the chain begins instead of stages[route.cut:], which stay the
+	// plan's own ordering — what the tuple-at-a-time oracle runs.
+	route *routeSpec
 	// pool recycles fully-built batch-engine workers (stage states, column
 	// batches, intersection caches) across runs of this pipeline, so the
 	// steady state of a PreparedQuery re-run allocates almost nothing.
@@ -60,12 +67,12 @@ type compiledPipeline struct {
 
 // stageSpec is the static, shareable description of one operator above a
 // scan. newState mints the per-run mutable oracle counterpart,
-// newBatchState the vectorized one (idx is the stage's position in the
-// chain, inWidth its input tuple width, batch its output batch's row
-// capacity).
+// newBatchState the vectorized one (next is the index of the stage that
+// consumes its output, inWidth its input tuple width, batch its output
+// batch's row capacity).
 type stageSpec interface {
 	newState(rc *runContext) stageState
-	newBatchState(rc *runContext, idx, inWidth, batch int) batchStage
+	newBatchState(rc *runContext, next, inWidth, batch int) batchStage
 	planNode() plan.Node
 }
 
@@ -103,11 +110,11 @@ func (s *extendSpec) newState(rc *runContext) stageState {
 	return &extendState{spec: s, useCache: !rc.cfg.DisableCache}
 }
 
-func (s *extendSpec) newBatchState(rc *runContext, idx, inWidth, batch int) batchStage {
+func (s *extendSpec) newBatchState(rc *runContext, next, inWidth, batch int) batchStage {
 	st := &batchExtendState{
-		es:  extendState{spec: s},
-		idx: idx,
-		out: newTupleBatch(inWidth+1, batch),
+		es:   extendState{spec: s},
+		next: next,
+		out:  newTupleBatch(inWidth+1, batch),
 	}
 	if s.publishes {
 		st.out.runEnds = make([]int32, 0, batch)
@@ -130,11 +137,11 @@ func (s *probeSpec) newState(rc *runContext) stageState {
 	return &probeState{spec: s, table: rc.tables[s.op]}
 }
 
-func (s *probeSpec) newBatchState(rc *runContext, idx, inWidth, batch int) batchStage {
+func (s *probeSpec) newBatchState(rc *runContext, next, inWidth, batch int) batchStage {
 	return &batchProbeState{
-		ps:  probeState{spec: s, table: rc.tables[s.op]},
-		idx: idx,
-		out: newTupleBatch(inWidth+len(s.appendIdx), batch),
+		ps:   probeState{spec: s, table: rc.tables[s.op]},
+		next: next,
+		out:  newTupleBatch(inWidth+len(s.appendIdx), batch),
 	}
 }
 
@@ -144,22 +151,33 @@ func Compile(g graph.View, p *plan.Plan) (*CompiledPlan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	cp, err := CompileNode(g, p.Root)
-	if err != nil {
+	cp := &CompiledPlan{graph: g, root: p.Root, estCard: p.EstimatedCardinality}
+	if err := cp.addPipeline(p.Root, nil); err != nil {
 		return nil, err
 	}
-	cp.estCard = p.EstimatedCardinality
 	return cp, nil
 }
 
-// CompileNode lowers an arbitrary subplan node (which need not cover the
-// whole query). The adaptive evaluator compiles partial plans this way.
-func CompileNode(g graph.View, root plan.Node) (*CompiledPlan, error) {
-	cp := &CompiledPlan{graph: g, root: root}
-	if err := cp.addPipeline(root, nil); err != nil {
-		return nil, err
+// Adaptive returns cp with Section 6's adaptive evaluation of its plan's
+// trailing E/I chain: routes (adaptive.Enumerate of that plan) names the
+// orderings the chain may be matched in, and every run of the result
+// re-picks among them per route-key run of the chain's input (see
+// routeStage). Everything else — the pipelines below the chain, which the
+// two plans share, the RunConfig a run takes, the plan root's Out() layout
+// of emitted tuples — is cp's. With nil routes (nothing to adapt) the
+// result is cp itself.
+func (cp *CompiledPlan) Adaptive(routes *adaptive.Routes) *CompiledPlan {
+	if routes == nil {
+		return cp
 	}
-	return cp, nil
+	d := cp.driver()
+	routed := &compiledPipeline{node: d.node, scan: d.scan, stages: d.stages, outWidth: d.outWidth, starSuffix: d.starSuffix}
+	routed.route = newRouteSpec(routed, routes)
+	builds := cp.pipes[:len(cp.pipes)-1]
+	return &CompiledPlan{
+		graph: cp.graph, root: cp.root, estCard: cp.estCard,
+		pipes: append(slices.Clip(builds), routed),
+	}
 }
 
 // Root returns the plan node this CompiledPlan executes.
@@ -191,12 +209,7 @@ func (cp *CompiledPlan) addPipeline(n plan.Node, feeds *plan.HashJoin) error {
 	for _, cn := range chain {
 		switch op := cn.(type) {
 		case *plan.Extend:
-			spec := &extendSpec{op: op, covered: op.Inherited()}
-			if spec.covered != 0 {
-				// op.Child is an E/I operator, hence the stage just appended.
-				pipe.stages[len(pipe.stages)-1].(*extendSpec).publishes = true
-			}
-			pipe.stages = append(pipe.stages, spec)
+			pipe.stages = appendExtend(pipe.stages, op)
 			width++
 		case *plan.HashJoin:
 			if err := cp.addPipeline(op.Build, op); err != nil {
@@ -241,6 +254,18 @@ func (cp *CompiledPlan) addPipeline(n plan.Node, feeds *plan.HashJoin) error {
 	}
 	cp.pipes = append(cp.pipes, pipe)
 	return nil
+}
+
+// appendExtend appends the compiled form of E/I operator op to stages,
+// marking the stage before it as publishing when op inherits its
+// extension set.
+func appendExtend(stages []stageSpec, op *plan.Extend) []stageSpec {
+	spec := &extendSpec{op: op, covered: op.Inherited()}
+	if spec.covered != 0 {
+		// op.Child is an E/I operator, hence the stage just appended.
+		stages[len(stages)-1].(*extendSpec).publishes = true
+	}
+	return append(stages, spec)
 }
 
 // flattenPipeline decomposes the probe path of n into its driving SCAN and

@@ -56,6 +56,10 @@ type Profile struct {
 	// DisableCache). Each charges ICost the carried set's size plus the
 	// lists it still read.
 	CarriedSets int64
+	// Reroutes counts the route-key runs an adaptive plan's router
+	// (CompiledPlan.Adaptive) sent to an ordering other than the plan's own;
+	// zero for a fixed plan.
+	Reroutes int64
 	// HashedTuples and ProbedTuples count hash-join build and probe work
 	// (the n1/n2 of the paper's hash-join cost model).
 	HashedTuples, ProbedTuples int64
@@ -121,6 +125,7 @@ func (p *Profile) Add(other Profile) {
 	p.Matches += other.Matches
 	p.CacheHits += other.CacheHits
 	p.CarriedSets += other.CarriedSets
+	p.Reroutes += other.Reroutes
 	p.HashedTuples += other.HashedTuples
 	p.ProbedTuples += other.ProbedTuples
 	p.Kernels.Add(other.Kernels)
@@ -734,30 +739,9 @@ func (r *Runner) CountUpTo(p *plan.Plan, limit int64) (int64, Profile, error) {
 // passed to emit is only valid during the call and is laid out according
 // to p.Root.Out(). When Workers > 1, emit calls are serialised.
 func (r *Runner) Run(p *plan.Plan, emit func([]graph.VertexID)) (Profile, error) {
-	return r.RunPlanCtx(context.Background(), p, emit)
-}
-
-// RunPlanCtx is Run bounded by ctx (see CompiledPlan.RunCtx).
-func (r *Runner) RunPlanCtx(ctx context.Context, p *plan.Plan, emit func([]graph.VertexID)) (Profile, error) {
 	cp, err := Compile(r.Graph, p)
 	if err != nil {
 		return Profile{}, err
 	}
-	return cp.RunCtx(ctx, r.config(), emit)
-}
-
-// RunSubplan evaluates an arbitrary subplan node (which need not cover the
-// whole query), emitting its tuples in node.Out() layout. The adaptive
-// evaluator uses this to drive the non-adapted part of a plan.
-func (r *Runner) RunSubplan(node plan.Node, emit func([]graph.VertexID)) (Profile, error) {
-	return r.RunSubplanCtx(context.Background(), node, emit)
-}
-
-// RunSubplanCtx is RunSubplan bounded by ctx (see CompiledPlan.RunCtx).
-func (r *Runner) RunSubplanCtx(ctx context.Context, node plan.Node, emit func([]graph.VertexID)) (Profile, error) {
-	cp, err := CompileNode(r.Graph, node)
-	if err != nil {
-		return Profile{}, err
-	}
-	return cp.RunCtx(ctx, r.config(), emit)
+	return cp.Run(r.config(), emit)
 }

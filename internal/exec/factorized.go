@@ -34,7 +34,7 @@ import (
 // factorizedTail evaluates a star-shaped suffix of leaves as the final
 // stage of the driver pipeline's batch chain.
 type factorizedTail struct {
-	idx         int
+	next        int
 	prefixWidth int
 	// leaves are run-grouped extension computers, one per suffix stage in
 	// chain order; their out batches are unused (the tail owns the unfold
@@ -53,16 +53,16 @@ type factorizedTail struct {
 	cur runCursor
 }
 
-func newFactorizedTail(rc *runContext, specs []*extendSpec, idx, inWidth, batch int) *factorizedTail {
+func newFactorizedTail(rc *runContext, specs []stageSpec, next, inWidth, batch int) *factorizedTail {
 	t := &factorizedTail{
-		idx:         idx,
+		next:        next,
 		prefixWidth: inWidth,
 		sets:        make([][]graph.VertexID, len(specs)),
 		odo:         make([]int, len(specs)),
 		out:         newTupleBatch(inWidth+len(specs), batch),
 	}
 	for _, spec := range specs {
-		leaf := &batchExtendState{es: extendState{spec: spec}}
+		leaf := &batchExtendState{es: extendState{spec: spec.(*extendSpec)}}
 		leaf.reset(rc)
 		t.leaves = append(t.leaves, leaf)
 	}
@@ -209,7 +209,7 @@ func (s *factorizedTail) fillRun(w *worker, in *tupleBatch, r int, last []graph.
 		off += k
 		if out.n >= w.batchSize {
 			w.profile.Batches.Extend++
-			w.dispatchBatch(s.idx+1, out)
+			w.dispatchBatch(s.next, out)
 			out.clear()
 		}
 	}
@@ -218,7 +218,7 @@ func (s *factorizedTail) fillRun(w *worker, in *tupleBatch, r int, last []graph.
 func (s *factorizedTail) flush(w *worker) {
 	if s.out.n > 0 {
 		w.profile.Batches.Extend++
-		w.dispatchBatch(s.idx+1, s.out)
+		w.dispatchBatch(s.next, s.out)
 		s.out.clear()
 	}
 }

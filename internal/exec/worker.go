@@ -37,10 +37,17 @@ type worker struct {
 	bstages   []batchStage
 	scanBatch *tupleBatch
 	batchSize int
+	// entry is the index of the stage the scan feeds: 0, or sinkStage for
+	// a pipeline that is only a scan.
+	entry int
 	// factorized records whether the stage chain ends in a factorizedTail
-	// — part of the pooled worker's shape, checked on reuse.
+	// (every ordering's chain, behind a router) — part of the pooled
+	// worker's shape, checked on reuse.
 	factorized bool
-	mq         *morselQueue
+	// router is the pipeline's adaptive routing stage, if it has one: the
+	// sink asks it for the root layout of an ordering's output.
+	router *routeStage
+	mq     *morselQueue
 	// scanReader is the reusable neighbor fill for the scan stage (both
 	// engines), replacing the old Neighbors(..., nil) per-vertex lookup.
 	scanReader graph.NeighborReader
@@ -59,12 +66,12 @@ type worker struct {
 	// word-AND, precomputed for the bitset-candidate check in E/I stages.
 	nWords int
 	// Per-stage wall-time attribution (batch engine only): stageNanos[0]
-	// is the scan slot, stageNanos[1+i] stage i's slot, and the final
-	// entry the sink (emit or build insert). dispatchBatch charges the
-	// interval since lastStamp to curStage around every pushBatch, so
-	// each slot accumulates self time — two time.Now calls per batch per
-	// stage, no allocation, always on. The slice is minted once per
-	// worker shape and survives pooling.
+	// is the scan slot, stageNanos[1] the sink's (emit or build insert)
+	// and stageNanos[2+i] stage i's. deliver charges the interval since
+	// lastStamp to curStage around every pushBatch, so each slot
+	// accumulates self time — two time.Now calls per batch per stage, no
+	// allocation, always on. The slice grows with the stage chain and
+	// survives pooling.
 	stageNanos []int64
 	curStage   int
 	lastStamp  time.Time
@@ -121,42 +128,70 @@ func newWorker(rc *runContext, pipe *compiledPipeline, isRoot bool, emit func([]
 		}
 	} else {
 		w.batchSize = batch
+		w.factorized = fact
 		w.scanBatch = newTupleBatch(2, w.batchSize)
-		width := 2
-		cut := len(pipe.stages)
-		if fact {
+		w.stageNanos = make([]int64, 2, len(pipe.stages)+3)
+		w.lastStamp = time.Now()
+		specs, cut, exit := pipe.stages, len(pipe.stages), sinkStage
+		route := pipe.route
+		if route != nil && fact && route.allStar {
+			route = nil
+		}
+		switch {
+		case route != nil:
+			// The chain's stages are the router's to build, per ordering.
+			specs, cut, exit = specs[:route.cut], route.cut, route.cut
+		case fact:
 			cut = pipe.starSuffix
 		}
-		for i, spec := range pipe.stages[:cut] {
-			st := spec.newBatchState(rc, i, width, batch)
-			width = st.outWidth()
-			w.bstages = append(w.bstages, st)
+		words := 2*w.batchSize + w.appendStages(specs, cut, 2, exit)
+		if route != nil {
+			w.router = newRouteStage(route, pipe.outWidth-len(route.chains[0]))
+			w.addStage(w.router)
 		}
-		if fact {
-			specs := make([]*extendSpec, 0, len(pipe.stages)-cut)
-			for _, spec := range pipe.stages[cut:] {
-				specs = append(specs, spec.(*extendSpec))
-			}
-			w.bstages = append(w.bstages, newFactorizedTail(rc, specs, cut, width, batch))
-			w.factorized = true
-		}
-	}
-	w.tuple = make([]graph.VertexID, 0, pipe.outWidth)
-	if w.scanBatch != nil {
-		w.stageNanos = make([]int64, len(w.bstages)+2)
-		w.lastStamp = time.Now()
-		words := 2 * w.batchSize
-		for _, st := range w.bstages {
-			words += st.outWidth() * w.batchSize
-			if es, ok := st.(*batchExtendState); ok {
-				// A publishing stage's run table: one more column's worth.
-				words += cap(es.out.runEnds)
-			}
+		if len(w.bstages) == 0 {
+			w.entry = sinkStage
 		}
 		w.memBytes = int64(words) * vertexIDBytes
 	}
+	w.tuple = make([]graph.VertexID, 0, pipe.outWidth)
 	w.chargeCheckout()
 	return w
+}
+
+// addStage appends st to the stage chain with its wall-time slot.
+func (w *worker) addStage(st batchStage) {
+	w.bstages = append(w.bstages, st)
+	w.stageNanos = append(w.stageNanos, 0)
+}
+
+// appendStages mints the batch states of specs[:cut] — and, when specs
+// goes on, one factorized tail over the E/I operators specs[cut:] — and
+// appends them to the stage chain, each feeding the next and the last
+// feeding exit. width is the first one's input width; the result is their
+// batch scratch in words (output batches, plus a publishing stage's run
+// table: one more column's worth).
+func (w *worker) appendStages(specs []stageSpec, cut, width, exit int) int {
+	words := 0
+	for i, spec := range specs[:cut] {
+		next := len(w.bstages) + 1
+		if i == len(specs)-1 {
+			next = exit
+		}
+		st := spec.newBatchState(w.rc, next, width, w.batchSize)
+		width = st.outWidth()
+		words += width * w.batchSize
+		if es, ok := st.(*batchExtendState); ok {
+			words += cap(es.out.runEnds)
+		}
+		w.addStage(st)
+	}
+	if cut < len(specs) {
+		t := newFactorizedTail(w.rc, specs[cut:], exit, width, w.batchSize)
+		words += t.outWidth() * w.batchSize
+		w.addStage(t)
+	}
+	return words
 }
 
 // chargeCheckout reserves the worker's batch scratch against the run's
@@ -428,9 +463,9 @@ func (w *worker) foldStageTimes() {
 	st := &w.profile.Stages
 	st.Scan += w.stageNanos[0]
 	for i, s := range w.bstages {
-		n := w.stageNanos[i+1]
+		n := w.stageNanos[i+2]
 		switch s.(type) {
-		case *batchExtendState:
+		case *batchExtendState, *routeStage:
 			st.Extend += n
 		case *batchProbeState:
 			st.Probe += n
@@ -438,7 +473,7 @@ func (w *worker) foldStageTimes() {
 			st.Factorized += n
 		}
 	}
-	sinkN := w.stageNanos[len(w.bstages)+1]
+	sinkN := w.stageNanos[1]
 	if w.pipe.feeds != nil {
 		st.Build += sinkN
 	} else {
@@ -450,7 +485,7 @@ func (w *worker) foldStageTimes() {
 		nc.addNanos(w.pipe.scan, w.stageNanos[0])
 		for i := range w.bstages {
 			if i < len(w.pipe.stages) {
-				nc.addNanos(w.pipe.stages[i].planNode(), w.stageNanos[i+1])
+				nc.addNanos(w.pipe.stages[i].planNode(), w.stageNanos[i+2])
 			}
 		}
 		nc.addNanos(w.pipe.node, sinkN)

@@ -128,9 +128,7 @@ func IntersectBitsets(a, b *Bitset, out []VertexID) []VertexID {
 // long side of a probe (>= BitsetProbeRatio x the shortest list) or a
 // plausible word-AND participant (dense against nWords, the universe's
 // word count). ok is false when some list is empty — the intersection is
-// already known empty and no index should be consulted at all. E/I
-// operators share this pre-filter so the executor and the adaptive
-// evaluator fetch identical candidate sets.
+// already known empty and no index should be consulted at all.
 func BitsetFetchFloor(lists [][]VertexID, nWords int) (floor int, ok bool) {
 	minLen := len(lists[0])
 	for _, l := range lists[1:] {

@@ -2,8 +2,7 @@ package graph
 
 // NeighborReader is a reusable, allocation-free front end over
 // View.Neighbors for hot loops that look up one adjacency run per tuple
-// or per scan vertex (the vectorized scan, the E/I descriptor gather and
-// the adaptive evaluator's chain steps).
+// or per scan vertex (the vectorized scan and the E/I descriptor gather).
 //
 // Exact-label lookups return the View's internal run directly (no copy,
 // no allocation). Wildcard lookups need a k-way merge into caller

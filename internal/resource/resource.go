@@ -4,7 +4,7 @@
 //
 // A Budget meters the real allocators of one query — hash-join build
 // tables, factorized extension-set caches, batch checkouts from worker
-// pools, adaptive buffers — via Reserve calls at the allocation sites.
+// pools — via Reserve calls at the allocation sites.
 // Reserve never blocks and never allocates: it adds to two atomic
 // counters (the query's own and, when a Governor is attached, the
 // process pool) and latches a sticky exceeded flag the engine's
