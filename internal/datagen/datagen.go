@@ -192,6 +192,72 @@ func CoPurchase(cfg CoPurchaseConfig) *graph.Graph {
 	return b.MustBuild()
 }
 
+// RunShapesConfig parameterises the run-shaped test graph.
+type RunShapesConfig struct {
+	Core      int // vertices 0..Core-1, densely connected
+	Periphery int // vertices Core+1.. hanging off the core
+	// P and P1 are the probabilities of a core pair being an edge under
+	// edge label 0 and, besides it, under edge label 1.
+	P, P1 float64
+	// HubEvery makes every HubEvery-th periphery vertex point at the hub
+	// and at the next periphery vertex as well.
+	HubEvery int
+	// HubThreshold is the hub-index threshold the graph is built with
+	// (graph.Builder.SetHubThreshold).
+	HubThreshold int
+	Seed         int64
+}
+
+// RunShapes generates a graph whose scan order meets every shape of
+// prefix run a vectorized E/I stage can look ahead for — what the
+// differential tests of internal/exec and internal/difftest run on, not a
+// dataset: a dense core, a hub (vertex Core) pointing at every vertex —
+// one run of Core+Periphery rows — and a periphery whose vertices have
+// two out-neighbours and one in turn (runs of two rows and of one,
+// alternating), every HubEvery-th also the hub in the middle of its list
+// (a partner past the pin cut-off inside a run) with a neighbour behind
+// it. Core vertices point back into the periphery, so the core's runs are
+// medium-sized and triangles close through all three parts; one edge
+// enters the hub besides the periphery's, so patterns stay countable by a
+// tuple-at-a-time oracle.
+func RunShapes(cfg RunShapesConfig) *graph.Graph {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	core, hub := cfg.Core, graph.VertexID(cfg.Core)
+	b := graph.NewBuilder(core + 1 + cfg.Periphery)
+	b.SetHubThreshold(cfg.HubThreshold)
+	for u := 0; u < core; u++ {
+		for v := 0; v < core; v++ {
+			if u == v {
+				continue
+			}
+			if rng.Float64() < cfg.P {
+				b.AddEdge(graph.VertexID(u), graph.VertexID(v), 0)
+			}
+			if cfg.P1 > 0 && rng.Float64() < cfg.P1 {
+				b.AddEdge(graph.VertexID(u), graph.VertexID(v), 1)
+			}
+		}
+		b.AddEdge(hub, graph.VertexID(u), 0)
+	}
+	b.AddEdge(0, hub, 0)
+	for i := 0; i < cfg.Periphery; i++ {
+		p := hub + 1 + graph.VertexID(i)
+		b.AddEdge(hub, p, 0)
+		b.AddEdge(p, graph.VertexID(i%core), 0)
+		if i%2 == 0 {
+			b.AddEdge(p, graph.VertexID((i*7+3)%core), 0)
+		}
+		if i%cfg.HubEvery == 0 {
+			b.AddEdge(p, hub, 0)
+			b.AddEdge(p, hub+1+graph.VertexID((i+1)%cfg.Periphery), 0)
+		}
+		if i%3 == 0 {
+			b.AddEdge(graph.VertexID(i%core), p, 0)
+		}
+	}
+	return b.MustBuild()
+}
+
 // Relabel returns a copy of g whose vertex labels are drawn uniformly from
 // [0, numVertexLabels) and edge labels uniformly from [0, numEdgeLabels).
 // This implements the paper's QJi workloads (Section 8.1.3): "we randomly

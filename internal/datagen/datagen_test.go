@@ -110,3 +110,32 @@ func TestHumanDataset(t *testing.T) {
 		t.Errorf("human edge labels = %d, want ~44", g.NumEdgeLabels())
 	}
 }
+
+func TestRunShapes(t *testing.T) {
+	cfg := RunShapesConfig{Core: 10, Periphery: 40, P: 0.4, P1: 0.2, HubEvery: 8, Seed: 3}
+	g := RunShapes(cfg)
+	hub := graph.VertexID(cfg.Core)
+	n := g.NumVertices()
+	if n != cfg.Core+1+cfg.Periphery {
+		t.Fatalf("vertices = %d", n)
+	}
+	if d := g.Degree(hub, graph.Forward, 0, 0); d != n-1 {
+		t.Errorf("hub points at %d of %d vertices", d, n-1)
+	}
+	for i := 0; i < cfg.Periphery; i++ {
+		want := 1 + (i+1)%2
+		if i%cfg.HubEvery == 0 {
+			want += 2
+		}
+		if d := g.Degree(hub+1+graph.VertexID(i), graph.Forward, 0, 0); d != want {
+			t.Errorf("periphery vertex %d: out-degree %d, want %d", i, d, want)
+		}
+	}
+	labelled := 0
+	for u := 0; u < cfg.Core; u++ {
+		labelled += g.Degree(graph.VertexID(u), graph.Forward, 1, 0)
+	}
+	if labelled == 0 {
+		t.Error("no core edge under the second edge label")
+	}
+}

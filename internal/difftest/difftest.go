@@ -122,6 +122,28 @@ func GenDenseGraph(seed int64, labelled bool) *graph.Graph {
 	return g
 }
 
+// GenRunGraph returns a run-shaped graph (datagen.RunShapes) sized for
+// the oracle: a core of 20–27, the hub's run longer than the mid batch
+// size (internal/exec's TestRunBoundaries has the one longer than the
+// largest), every sixteenth periphery vertex with the hub mid-list. With
+// labelled set it is relabelled like GenDenseGraph (2 vertex × 3 edge
+// labels): most vertices then have no edge under a given label, and an
+// operand that a run shares is often empty.
+func GenRunGraph(seed int64, labelled bool) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	cfg := datagen.RunShapesConfig{
+		Core: 20 + rng.Intn(8), Periphery: 160 + rng.Intn(64), P: 0.3 + 0.1*rng.Float64(), HubEvery: 16, Seed: rng.Int63(),
+	}
+	if labelled {
+		cfg.P = 0.6
+	}
+	g := datagen.RunShapes(cfg)
+	if labelled {
+		g = datagen.Relabel(g, 2, 3, rng.Int63())
+	}
+	return g
+}
+
 // GenDensePattern returns a pattern from the dense family the carried
 // extension sets target: a k-clique (k = 4..6 unlabelled, 4..5 labelled),
 // possibly minus one edge, possibly with one or two pendant leaves, with
@@ -451,8 +473,13 @@ func GenBatch(rng *rand.Rand, sh *Shadow) graphflow.Batch {
 // BatchSizes is the matrix the vectorized engine is differentially
 // tested at: single-row batches (maximum flush pressure), an odd size
 // that never divides fan-outs evenly, a mid size, and the engine
-// default.
-var BatchSizes = []int{1, 3, 64, 1024}
+// default. RunBatchSizes adds two-row batches — the shortest that hold a
+// prefix run, where one-row batches hold none — for the families whose
+// E/I stages work in runs (CompareCarried).
+var (
+	BatchSizes    = []int{1, 3, 64, 1024}
+	RunBatchSizes = []int{1, 2, 3, 64, 1024}
+)
 
 // maxRowCollect bounds how many result tuples CompareBatchMatrix
 // materialises for set comparison; beyond it only counts are compared
@@ -617,7 +644,7 @@ func CompareFactorized(db *graphflow.DB, q *query.Graph) error {
 // CompareCarried is the dense-pattern sweep behind the carried extension
 // sets: on one (db, pattern) pair, for the optimizer's plan and the
 // WCO-restricted one (the chains where stages inherit), at every entry of
-// BatchSizes (prefix runs split across batch boundaries differently at
+// RunBatchSizes (prefix runs split across batch boundaries differently at
 // each), it requires the oracle's count sequentially and under Workers=4,
 // with factorization on and off and with the intersection cache — hence
 // the carrying and the pinning — off; an exact Limit spectrum; and the
@@ -625,7 +652,7 @@ func CompareFactorized(db *graphflow.DB, q *query.Graph) error {
 // with a carried set and how many swept a list through a pinned operand's
 // bitmap, so a corpus can assert its path was exercised at all.
 func CompareCarried(db *graphflow.DB, q *query.Graph) (carried, pinned int64, err error) {
-	st, err := compareEngine(db, q, false)
+	st, err := compareEngine(db, q, RunBatchSizes, false)
 	return st.CarriedSets, st.KernelPinnedProbe, err
 }
 
@@ -638,7 +665,7 @@ func CompareCarried(db *graphflow.DB, q *query.Graph) (carried, pinned int64, er
 // be equal. It returns how many runs left the plan's own ordering, so a
 // corpus can assert that its routers had something to route.
 func CompareAdaptive(db *graphflow.DB, q *query.Graph) (reroutes int64, err error) {
-	st, err := compareEngine(db, q, true)
+	st, err := compareEngine(db, q, BatchSizes, true)
 	if err != nil {
 		return st.Reroutes, err
 	}
@@ -676,10 +703,10 @@ func CompareAdaptive(db *graphflow.DB, q *query.Graph) (reroutes int64, err erro
 	return st.Reroutes, nil
 }
 
-// compareEngine is the sweep behind CompareCarried and CompareAdaptive;
-// the Stats it returns sum CarriedSets, KernelPinnedProbe and Reroutes
-// over the sweep's full counts.
-func compareEngine(db *graphflow.DB, q *query.Graph, adaptive bool) (sum graphflow.Stats, err error) {
+// compareEngine is the sweep behind CompareCarried and CompareAdaptive,
+// at the given batch sizes; the Stats it returns sum CarriedSets,
+// KernelPinnedProbe and Reroutes over the sweep's full counts.
+func compareEngine(db *graphflow.DB, q *query.Graph, sizes []int, adaptive bool) (sum graphflow.Stats, err error) {
 	pattern := q.String()
 	for _, wco := range []bool{false, true} {
 		oracle := &graphflow.QueryOptions{BatchSize: -1, WCOOnly: wco}
@@ -693,7 +720,7 @@ func compareEngine(db *graphflow.DB, q *query.Graph, adaptive bool) (sum graphfl
 				return sum, fmt.Errorf("oracle rows of %q: %w", pattern, err)
 			}
 		}
-		for _, bs := range BatchSizes {
+		for _, bs := range sizes {
 			for _, workers := range []int{0, 4} {
 				engine := graphflow.QueryOptions{BatchSize: bs, Workers: workers, WCOOnly: wco, Adaptive: adaptive}
 				variants := [3]graphflow.QueryOptions{engine, engine, engine}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"graphflow"
+	"graphflow/internal/graph"
 	"graphflow/internal/query"
 )
 
@@ -412,19 +413,22 @@ func TestDifferentialBatchLimits(t *testing.T) {
 // 2 vertex × 3 edge label graphs (where a same-slot stage with another
 // target or edge label must not inherit), with the hub bitset threshold
 // forced to both extremes, on the static store and on a live overlay
-// after mutation batches. Wrongly carried, stale or mis-sliced sets
-// surface as count, limit or row-set mismatches against the
-// tuple-at-a-time oracle, which never carries.
+// after mutation batches. The last two graphs of the corpus are
+// run-shaped (GenRunGraph): carried runs of one and two rows in turn,
+// runs cut by a batch end and resumed from the next batch's headSet, a
+// hub-sized partner in the middle of a run. Wrongly carried, stale or
+// mis-sliced sets surface as count, limit or row-set mismatches against
+// the tuple-at-a-time oracle, which never carries.
 func TestDifferentialCarriedSets(t *testing.T) {
-	numGraphs, patternsPer := 4, 3
+	numGraphs, patternsPer := 6, 3
 	if testing.Short() {
-		numGraphs, patternsPer = 2, 2
+		numGraphs, patternsPer = 4, 2
 	}
 	var carried int64
 	for gi := 0; gi < numGraphs; gi++ {
 		seed := int64(52000 + gi)
 		labelled := gi%2 == 1
-		g := GenDenseGraph(seed, labelled)
+		g := corpusGraph(gi, numGraphs, seed, labelled)
 		rng := rand.New(rand.NewSource(seed * 15485863))
 		for _, hub := range []int{1, -1} {
 			static, err := OpenDBHub(g, hub)
@@ -461,6 +465,15 @@ func TestDifferentialCarriedSets(t *testing.T) {
 		t.Error("no intersection of the whole corpus was seeded with a carried set; the family no longer exercises the path")
 	}
 	t.Logf("corpus carried %d extension sets", carried)
+}
+
+// corpusGraph is graph gi of a dense-pattern corpus of n: dense random
+// graphs, then two run-shaped ones.
+func corpusGraph(gi, n int, seed int64, labelled bool) *graph.Graph {
+	if gi >= n-2 {
+		return GenRunGraph(seed, labelled)
+	}
+	return GenDenseGraph(seed, labelled)
 }
 
 // denseBatch appends three vertices and wires each to about a third of
@@ -508,18 +521,25 @@ func denseBatch(rng *rand.Rand, sh *Shadow, labelled bool) graphflow.Batch {
 // indexed as a hub and with none, on the static store and on a live
 // overlay that has taken two random batches and one that appends vertices
 // into the dense part of the graph (no compaction: lists come from the
-// overlay's merged runs, IDs beyond the base graph reach the bitmap).
+// overlay's merged runs, IDs beyond the base graph reach the bitmap). The
+// last two graphs of the corpus are run-shaped (GenRunGraph): scan runs
+// of one and two rows in turn, a run longer than the mid batch size, a
+// hub-sized partner past the pin cut-off in the middle of a run, and — on
+// the labelled one — shared operands that are empty; every exact Limit
+// unwinds the pipeline inside a run and the next query reuses its
+// workers. internal/exec's TestRunBoundaries holds the same shapes to
+// the per-row path's counters.
 func TestDifferentialPinnedOperands(t *testing.T) {
-	numGraphs, patternsPer := 4, 3
+	numGraphs, patternsPer := 6, 3
 	if testing.Short() {
-		numGraphs, patternsPer = 2, 2
+		numGraphs, patternsPer = 4, 2
 	}
 	const oracleBudget = 20_000 // matches; denser draws are redrawn
 	var pinned, wildcards int64
 	for gi := 0; gi < numGraphs; gi++ {
 		seed := int64(53000 + gi)
 		labelled := gi%2 == 1
-		g := GenDenseGraph(seed, labelled)
+		g := corpusGraph(gi, numGraphs, seed, labelled)
 		rng := rand.New(rand.NewSource(seed * 15485863))
 		for _, hub := range []int{1, -1} {
 			static, err := OpenDBHub(g, hub)

@@ -5,42 +5,81 @@ import (
 
 	"graphflow/internal/datagen"
 	"graphflow/internal/graph"
+	"graphflow/internal/query"
 )
 
 // BenchmarkIntersectAdjacency computes N(a) ∩ N(b) for every edge a->b of
 // a generated dataset, in scan order — the first E/I stage of every
-// triangle-based plan — under three policies: "merge" is the sorted
-// merge/gallop dispatch alone, "hubs" adds the hub bitset indexes the way
-// an E/I stage fetches them, "pinned" is what the stage runs: hub indexes
-// plus IntersectRun told that N(a) repeats from a's second edge on. One op
-// is one pass over the graph; ns/elem divides by the summed operand sizes
-// (the pass's i-cost), the same for every policy. graph's own
-// BenchmarkIntersect* draw random-gap lists, where branch prediction and
-// list-length mix are nothing like real adjacency — a branch-free merge
-// measured 1.6× there and 0 % here — so kernel choices are made on this
-// one.
+// triangle-based plan — four ways. Three are the kernels alone, looked up
+// and called by hand: "merge" is the sorted merge/gallop dispatch, "hubs"
+// adds the hub bitset indexes the way the general path fetches them,
+// "pinned" works a run at a time the way a stage does — N(a) pinned once
+// for a's edges, each N(b) swept through the bitmap, the ordinary
+// dispatch past the cut-off. "stage" is the same intersections through a
+// compiled plan: scan, look-ahead, key compare, gather, i-cost, sweep,
+// count — so stage minus pinned is what the engine costs outside the
+// kernel, per pass. One op is one pass over the graph; ns/elem divides by
+// the summed operand sizes (the pass's i-cost), the same for every column.
+// graph's own BenchmarkIntersect* draw random-gap lists, where branch
+// prediction and list-length mix are nothing like real adjacency — a
+// branch-free merge measured 1.6× there and 0 % here — so kernel choices
+// are made on this one.
 //
-// -benchtime 20x -cpu 1, best of 6, ms per pass (ns per element):
+// -benchtime 5x -cpu 1, best of 6 alternating runs, ms per pass (ns per
+// element):
 //
-//	             merge        hubs    pinned       pinned vs merge
-//	LiveJournal  28.9 (4.2)   28.8    12.5 (1.8)   2.3×
-//	Epinions      4.64 (4.6)   4.71    2.31 (2.3)  2.0×
-//	BerkStan      3.61 (6.6)   3.83    2.14 (3.9)  1.7×
+//	             merge        hubs    pinned       stage        pinned vs merge
+//	LiveJournal  28.4 (4.2)   27.4    8.90 (1.3)   11.3 (1.7)   3.2×
+//	Epinions      4.46 (4.4)   4.37   1.58 (1.5)    2.09 (2.0)  2.8×
+//	BerkStan      3.53 (6.5)   3.78   1.49 (2.8)    2.18 (4.0)  2.4×
 //
-// and the pinned column under other values of graph's pinCutoff (the
-// partner-to-pinned length ratio past which the ordinary dispatch runs):
+// (The pinned column was 12.5 / 2.31 / 2.14 when the operand was pinned on
+// second sight inside one IntersectRun call: the first intersection of
+// every run is a sweep now, the call does nothing but sweep, and the sweep
+// loop is kept out of line — inlined into a caller with that many live
+// slices it spilled to the stack on every element.) The stage costs
+// 19 ns (LiveJournal), 20 ns (Epinions) and 18 ns (BerkStan) per
+// intersection on top of the kernels' 70 / 62 / 39 ns.
 //
-//	             4      8      16     32     64     none
-//	LiveJournal  15.5   13.4   12.5   12.5   12.4   12.9
-//	Epinions      2.94   2.44   2.31   2.32   2.31   3.36
-//	BerkStan      2.36   2.21   2.12   2.14   2.14   3.25
+// The pinned and stage columns under other values of graph.PinCutoff (the
+// partner-to-pinned length ratio past which the ordinary dispatch runs;
+// best of 8):
 //
-// Flat from 16 to 64, so the cut-off sits on gallopThreshold (32): what
-// it hands back is exactly what would have galloped. Without it the two
-// skewed graphs lose a third. A branch-free sweep (store, then advance
-// by the bit) measured 12.1 / 2.19 / 2.00 — 3–6 % for an output buffer
-// as long as the swept list; not taken.
+//	                     4      8      16     32     64     none
+//	LiveJournal pinned   12.2   10.0   9.29   8.89   9.09   8.93
+//	LiveJournal stage    14.6   12.5   11.6   11.0   11.4   11.4
+//	Epinions    stage     2.55   2.26   2.08   2.07   2.09   2.09
+//	BerkStan    stage     2.17   2.17   2.17   2.17   2.17   2.16
+//
+// Flat from 16 up, so the cut-off stays on gallopThreshold (32): what it
+// hands back is exactly what would have galloped. On these graphs nothing
+// is lost without it either (1 610 of LiveJournal's 127 357 rows and 308
+// of Epinions' 25 565 are past it; none of BerkStan's, whose skew is in
+// the in-degrees) — their longest lists are a few hundred IDs, and the
+// cut-off is there for the list of 10⁵ that a two-element operand would
+// otherwise sweep.
+//
+// When a run is worth pinning for (exec's minRunRows; stage column, best
+// of 8):
+//
+//	             rows ≥ 2   3      4      8
+//	LiveJournal  11.1       11.2   11.6   15.0
+//	Epinions      2.06       2.08   2.11   3.54
+//	BerkStan      2.18       2.21   2.21   2.92
+//
+// Two rows are enough (the 4-clique, whose carried runs average 1.8 rows:
+// 20.9 / 21.3 / 21.3 ms at 2 / 3 / 4). A second rule — pin only a list at
+// most k times as long as its run — was swept too and is not taken: the
+// stage column is the same at k = 4, 16, 64 and without the rule on all
+// three graphs (LiveJournal 11.4 / 11.3 / 11.3 / 11.2), and worse at 1
+// (14.2: the runs a batch end cut short are lost). A list and the run
+// that shares it are as long as each other by construction (N(a) for a's
+// edges, S for S's rows); no graph here has the hub list a batch end
+// leaves two rows of, so nothing measured sits on either side of it.
+// A branch-free sweep (store, then advance by the bit) measured 3–6 % for
+// an output buffer as long as the swept list; not taken.
 func BenchmarkIntersectAdjacency(b *testing.B) {
+	tri := buildWCO(b, query.Q1(), chainOrder(3))
 	for _, ds := range []struct {
 		name string
 		g    *graph.Graph
@@ -65,30 +104,37 @@ func BenchmarkIntersectAdjacency(b *testing.B) {
 					elems, matches = 0, 0
 					for a := 0; a < n; a++ {
 						na := g.Neighbors(graph.VertexID(a), graph.Forward, 0, 0, nil)
-						for j, v := range na {
+						pinned := policy == "pinned" && len(na) >= minRunRows
+						if pinned {
+							it.Pin(na)
+						}
+						for _, v := range na {
 							nb := g.Neighbors(v, graph.Forward, 0, 0, nil)
 							lists[0], lists[1] = na, nb
-							src := [2]graph.VertexID{graph.VertexID(a), v}
 							elems += int64(len(na) + len(nb))
-							bits = bits[:0]
-							if policy != "merge" {
-								if floor, ok := graph.BitsetFetchFloor(lists, nWords); ok {
-									for k, l := range lists {
-										var bs *graph.Bitset
-										if len(l) >= floor {
-											bs = g.NeighborBitset(src[k], graph.Forward, 0, 0)
+							swept := false
+							if pinned {
+								out, scratch, swept = it.ProbePinned(lists, 0, out, scratch)
+							}
+							if !swept {
+								src := [2]graph.VertexID{graph.VertexID(a), v}
+								bits = bits[:0]
+								if policy != "merge" {
+									if floor, ok := graph.BitsetFetchFloor(lists, nWords); ok {
+										for k, l := range lists {
+											var bs *graph.Bitset
+											if len(l) >= floor {
+												bs = g.NeighborBitset(src[k], graph.Forward, 0, 0)
+											}
+											bits = append(bits, bs)
 										}
-										bits = append(bits, bs)
 									}
 								}
+								out, scratch = it.IntersectK(lists, bits, out, scratch)
 							}
-							same := uint32(0)
-							if policy == "pinned" && j > 0 {
-								same = 2
-							}
-							out, scratch = it.IntersectRun(nil, lists, bits, same, out, scratch)
 							matches += int64(len(out))
 						}
+						it.Unpin()
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elems), "ns/elem")
@@ -96,5 +142,26 @@ func BenchmarkIntersectAdjacency(b *testing.B) {
 				b.ReportMetric(float64(it.Counters.PinnedProbe)/float64(b.N), "pinned/op")
 			})
 		}
+		// The same intersections as the first E/I stage of a compiled
+		// triangle plan computes them: scan, look-ahead, gather, sweep,
+		// count. What it takes beyond "pinned" is the stage's own cost.
+		b.Run(ds.name+"/stage", func(b *testing.B) {
+			cp := Must(b, g, tri)
+			cfg := RunConfig{FastCount: true}
+			var prof Profile
+			var err error
+			if _, _, err = cp.Count(cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, prof, err = cp.Count(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(prof.ICost), "ns/elem")
+			b.ReportMetric(float64(prof.Matches), "matches")
+			b.ReportMetric(float64(prof.Kernels.PinnedProbe), "pinned/op")
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -150,27 +151,22 @@ func (b *tupleBatch) carriedRun(k int) ([]graph.VertexID, int) {
 }
 
 // runCursor walks a batch's published runs in row order for an
-// inheriting consumer, which visits every row exactly once. The consumer
-// keeps one for its whole life and rewinds it per batch, so seq — the
-// ordinal of the run it stands in — never repeats: a run's identity for
-// the pinned-operand rule (a run continued from the previous batch counts
-// as a new one and is simply pinned again).
+// inheriting consumer: at is asked for rows in ascending order, and for
+// the first row of every run (the rows between may be skipped — the run's
+// end is in end).
 type runCursor struct {
 	k, end int
 	set    []graph.VertexID
-	seq    int
 }
 
 // rewind readies the cursor for row 0 of the next batch.
 func (c *runCursor) rewind() { c.k, c.end, c.set = 0, 0, nil }
 
-// at returns the carried set of the run holding row r; r must advance by
-// one per call from zero.
+// at returns the carried set of the run holding row r.
 func (c *runCursor) at(in *tupleBatch, r int) []graph.VertexID {
 	if r == c.end {
 		c.set, c.end = in.carriedRun(c.k)
 		c.k++
-		c.seq++
 	}
 	return c.set
 }
@@ -359,7 +355,9 @@ func (w *worker) fillEdges(src graph.VertexID, nbrs []graph.VertexID) {
 
 // batchExtendState is the vectorized E/I operator: one intersection per
 // distinct descriptor-key run (served through the shared extendState
-// cache), then a bulk columnar fan-out of the extension set.
+// cache), then a bulk columnar fan-out of the extension set. The unit it
+// works in is the prefix run — the consecutive rows of its input batch
+// that share one operand (see extFor).
 type batchExtendState struct {
 	es extendState
 	// next is the index of the stage that consumes out (see sinkStage).
@@ -372,80 +370,222 @@ type batchExtendState struct {
 	// run's intersection cache: carrying a set across stages is the cache
 	// generalised, so DisableCache (Table 3's "Cache Off") turns it off.
 	inherit, publish bool
+
+	// run is the open prefix run.
+	run prefixRun
+}
+
+// prefixRun is the unit a batchExtendState works in: the consecutive rows
+// of its input batch that share one operand of their intersections, which
+// is resolved and pinned in the stage's intersector once for all of them.
+// What is left per row is what vary lists.
+type prefixRun struct {
+	// end is the run's exclusive end row in the input batch; 0 when no run
+	// is open.
+	end int
+	// list is the shared operand — the carried set the stage inherits
+	// (carried true) or one descriptor's adjacency list — and pos its
+	// place among the operands in extendState.lists, where it stays for
+	// the length of the run.
+	list    []graph.VertexID
+	pos     int
+	carried bool
+	// vary are the descriptors whose source vertex can change inside the
+	// run: all but the shared one, or all the carried set does not cover.
+	vary []runDesc
+}
+
+// runDesc is one descriptor a prefix run's rows differ in: its index, the
+// place of its list in extendState.lists, and the input column it reads
+// its source vertex from.
+type runDesc struct {
+	desc, pos int
+	col       []graph.VertexID
 }
 
 func (s *batchExtendState) outWidth() int { return len(s.out.cols) }
 
 func (s *batchExtendState) reset(rc *runContext) {
-	useCache := !rc.cfg.DisableCache
-	s.es.reset(useCache)
-	s.inherit = useCache && s.es.spec.covered != 0
-	s.publish = useCache && s.es.spec.publishes
+	s.es.reset(rc)
+	s.inherit = s.es.useCache && s.es.spec.covered != 0
+	s.publish = s.es.useCache && s.es.spec.publishes
+	s.run.end, s.run.list = 0, nil
 	if s.out != nil {
 		s.out.clear()
 		s.out.headMetered = 0
 	}
 }
 
-// sameRun reports whether row r of in presents the same descriptor
-// vertices as row r-1 — the contiguous-prefix-run probe of the sorted
-// batch. Rows inside a run reuse the previous extension set without
-// touching the cache machinery at all (the reuse is still attributed as
-// a cache hit, matching the oracle's accounting exactly).
-func (s *batchExtendState) sameRun(in *tupleBatch, r int) bool {
-	for _, d := range s.es.spec.op.Descriptors {
-		col := in.cols[d.TupleIdx]
-		if col[r] != col[r-1] {
-			return false
-		}
+// minRunRows is the shortest prefix run worth pinning an operand for:
+// marking and clearing a list costs about what sweeping it once does, and
+// a list and the run that shares it are about as long as each other (a
+// scan vertex's edges share N(a), a carried set S is fanned out to |S|
+// rows). BenchmarkIntersectAdjacency's comment records the measurements.
+const minRunRows = 2
+
+// endRun closes the open run, if any, and charges the budget for what its
+// intersections grew. A batch's last run is closed with the batch: the
+// pinned list may be one of its columns, or a set its producer is about
+// to overwrite, so a run the batch cut short is found again, and pinned
+// again, in the next one.
+func (s *batchExtendState) endRun(w *worker) {
+	if s.run.end != 0 {
+		s.es.it.Unpin()
+		s.run.end, s.run.list = 0, nil
+		s.es.meter(w)
 	}
-	return true
 }
 
-// extFor returns row r's extension set: prev when the batch run
-// continues (attributed as a cache hit), a fresh (possibly cache-served)
-// intersection otherwise — seeded with carried, the set the upstream
-// stage published for r's run, when this stage inherits (nil otherwise).
-// runs is false when the cache is disabled — Table 3's "Cache Off"
-// recomputes per row, exactly like the oracle.
-func (s *batchExtendState) extFor(w *worker, in *tupleBatch, r int, runs bool, prev, carried []graph.VertexID) []graph.VertexID {
-	if runs && r > 0 && s.sameRun(in, r) {
-		w.profile.CacheHits++
-		s.es.hits++
-		return prev
+// extFor returns the extension set of row r of in; a batch's rows are
+// asked for in ascending order after cur.rewind, and endRun follows the
+// last. The stage works a prefix run at a time. On a row that neither repeats the previous key (a
+// cache hit) nor lies in the open run it looks ahead in the batch for the
+// operand the next rows share — the carried set, whose run's end the
+// cursor knows, else the lowest-numbered descriptor whose column repeats —
+// and, when a run of minRunRows rows or more shares one, resolves that
+// operand once and pins it. A row inside the run then costs what differs:
+// one lookup per remaining descriptor, the same i-cost as ever (every
+// operand's size, Equation 1), and one sweep of the shortest remaining
+// list through the bitmap (graph.Intersector.ProbePinned) — or, past the
+// cut-off towards hubs, the ordinary dispatch over the lists already
+// gathered. A row in no run, and every row when the cache is off or a
+// list may be a multiset, takes extensionSetFor's general path, as the
+// tuple-at-a-time oracle does.
+func (s *batchExtendState) extFor(w *worker, in *tupleBatch, r int) []graph.VertexID {
+	es := &s.es
+	if r < s.run.end {
+		key, hit := es.cacheKey, true
+		for i := range s.run.vary {
+			rd := &s.run.vary[i]
+			if v := rd.col[r]; v != key[rd.desc] {
+				key[rd.desc], hit = v, false
+			}
+		}
+		if hit {
+			return es.hit(w)
+		}
+		return s.runSet(w)
 	}
+	s.endRun(w)
+	var carried []graph.VertexID
+	if s.inherit {
+		carried = s.cur.at(in, r)
+	}
+	s.gatherVals(in, r)
+	if es.cached(w, s.vals) {
+		return es.cacheExt
+	}
+	if es.pins && s.openRun(w, in, r, carried) {
+		return s.runSet(w)
+	}
+	es.gather(w, s.vals, carried)
+	return es.intersect(w, s.vals, carried)
+}
+
+// gatherVals loads s.vals with the descriptors' source vertices in row r.
+func (s *batchExtendState) gatherVals(in *tupleBatch, r int) {
 	s.vals = s.vals[:0]
 	for _, d := range s.es.spec.op.Descriptors {
 		s.vals = append(s.vals, in.cols[d.TupleIdx][r])
 	}
-	return s.es.extensionSetFor(w, s.vals, carried, s.cur.seq)
+}
+
+// openRun looks ahead from row r, whose key es.cacheKey now holds, and
+// opens a prefix run there if one is worth it.
+func (s *batchExtendState) openRun(w *worker, in *tupleBatch, r int, carried []graph.VertexID) bool {
+	es := &s.es
+	op := es.spec.op
+	end, shared, list, covered := 0, -1, carried, uint32(0)
+	if carried != nil {
+		covered = es.spec.covered
+		if bits.OnesCount32(covered) == len(op.Descriptors) {
+			return false // nothing left to intersect the carried set with
+		}
+		end = s.cur.end
+	} else if len(op.Descriptors) >= 2 && r+1 < in.n {
+		for i := range op.Descriptors {
+			col := in.cols[op.Descriptors[i].TupleIdx]
+			if v := col[r]; col[r+1] == v {
+				for end = r + 2; end < in.n && col[end] == v; end++ {
+				}
+				shared = i
+				break
+			}
+		}
+	}
+	if end-r < minRunRows {
+		return false
+	}
+	if shared >= 0 {
+		d := &op.Descriptors[shared]
+		list = es.readers[shared].Read(w.g, es.cacheKey[shared], d.Dir, d.EdgeLabel, op.TargetLabel)
+	}
+	// Lay the operands out as gather does, the shared one in place.
+	run := &s.run
+	run.end, run.list, run.carried = end, list, carried != nil
+	run.vary = run.vary[:0]
+	es.lists = es.lists[:0]
+	if carried != nil {
+		es.lists = append(es.lists, carried)
+	}
+	for i := range op.Descriptors {
+		switch {
+		case covered&(1<<uint(i)) != 0:
+			continue
+		case i == shared:
+			run.pos = len(es.lists)
+		default:
+			run.vary = append(run.vary, runDesc{desc: i, pos: len(es.lists), col: in.cols[op.Descriptors[i].TupleIdx]})
+		}
+		es.lists = append(es.lists, list)
+	}
+	es.it.Pin(list)
+	return true
+}
+
+// runSet computes the extension set of es.cacheKey inside the open run:
+// one lookup per descriptor that varies, the i-cost of every operand, one
+// sweep.
+func (s *batchExtendState) runSet(w *worker) []graph.VertexID {
+	es, run := &s.es, &s.run
+	op := es.spec.op
+	cost := int64(len(run.list))
+	for i := range run.vary {
+		rd := &run.vary[i]
+		d := &op.Descriptors[rd.desc]
+		l := es.readers[rd.desc].Read(w.g, es.cacheKey[rd.desc], d.Dir, d.EdgeLabel, op.TargetLabel)
+		es.lists[rd.pos] = l
+		cost += int64(len(l))
+	}
+	es.charge(w, cost, run.carried)
+	ext, scratch, ok := es.it.ProbePinned(es.lists, run.pos, es.cacheBuf[:0], es.scratch)
+	if !ok {
+		var carried []graph.VertexID
+		if run.carried {
+			carried = run.list
+		}
+		return es.intersect(w, es.cacheKey, carried)
+	}
+	es.serve(ext, scratch)
+	return ext
 }
 
 //gf:noalloc
 func (s *batchExtendState) pushBatch(w *worker, in *tupleBatch) {
 	width := len(in.cols)
-	runs := s.es.useCache
-	var ext, carried []graph.VertexID
-	cur := &s.cur
-	cur.rewind()
+	s.cur.rewind()
 	if w.countFast && w.isRoot && s.next <= sinkStage {
 		// Factorized counting (Section 10): the last extension's Cartesian
 		// product is counted, not enumerated.
 		//gf:nopoll bounded by one batch (<= w.batchSize rows); dispatchBatch polled before delivering it
 		for r := 0; r < in.n; r++ {
-			if s.inherit {
-				carried = cur.at(in, r)
-			}
-			ext = s.extFor(w, in, r, runs, ext, carried)
-			w.profile.Matches += int64(len(ext))
+			w.profile.Matches += int64(len(s.extFor(w, in, r)))
 		}
+		s.endRun(w)
 		return
 	}
 	for r := 0; r < in.n; r++ {
-		if s.inherit {
-			carried = cur.at(in, r)
-		}
-		ext = s.extFor(w, in, r, runs, ext, carried)
+		ext := s.extFor(w, in, r)
 		s.es.outTuples += int64(len(ext))
 		off := 0
 		for off < len(ext) {
@@ -470,6 +610,7 @@ func (s *batchExtendState) pushBatch(w *worker, in *tupleBatch) {
 			}
 		}
 	}
+	s.endRun(w)
 }
 
 func (s *batchExtendState) flush(w *worker) {

@@ -13,9 +13,10 @@ import (
 )
 
 // batchSizesUnderTest is the matrix every differential comparison runs
-// at: single-row batches (maximum flush pressure), an odd size that
-// never divides fan-outs evenly, a mid size, and the default.
-var batchSizesUnderTest = []int{1, 3, 64, 1024}
+// at: single-row batches (maximum flush pressure, no prefix run ever),
+// two-row batches (the shortest that hold one), an odd size that never
+// divides fan-outs evenly, a mid size, and the default.
+var batchSizesUnderTest = []int{1, 2, 3, 64, 1024}
 
 // sortedTuples collects every match of cp as a sorted list of formatted
 // tuples, for order-insensitive result-set comparison.
@@ -360,17 +361,24 @@ func TestZeroAllocs(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		// pinned says the row's E/I stages run the pinned-operand path: the
-		// warm-up must have dispatched pinned probes (and with the cache
-		// off, none), so the row measures the path it names.
+		// pinned says the row's E/I stages work in prefix runs: the warm-up
+		// must have dispatched pinned probes (and with the cache off, none),
+		// so the row measures the path it names.
 		pinned bool
-		setup  func(t *testing.T) (*worker, func())
+		// runs, when set, walks the stages' input itself and applies the run
+		// rule to it (sweepRule): how many prefix runs a pass over g meets
+		// with batches of the given size, and how many of their rows are
+		// swept. The warm-up pass must have dispatched exactly that many
+		// pinned probes — first rows included, so every run was pinned when
+		// it was entered, once, and not on second sight.
+		runs  func(batch int) (runs, sweeps int64)
+		setup func(t *testing.T) (*worker, func())
 	}{
 		{
 			// The batch E/I pipeline: the scan fills reused columns, the
 			// intersections reuse stage scratch, no per-tuple closures. Both
 			// stages pin the adjacency list their prefix run shares: the
-			// bitmap and the saved IDs grow during warm-up only.
+			// bitmap grows during warm-up only.
 			name: "batchEI", pinned: true,
 			setup: func(t *testing.T) (*worker, func()) {
 				w, n := steadyWorker(t, g, buildWCO(t, query.Q4(), []int{0, 1, 2, 3}), RunConfig{FastCount: true})
@@ -378,10 +386,22 @@ func TestZeroAllocs(t *testing.T) {
 			},
 		},
 		{
+			// A run fed by the scan, count-only loop: the triangle stage pins
+			// N(a) for a's edges.
+			name: "scanFedRun", pinned: true,
+			runs: func(batch int) (int64, int64) { return scanStageSweeps(g, batch) },
+			setup: func(t *testing.T) (*worker, func()) {
+				w, n := steadyWorker(t, g, buildWCO(t, query.Q1(), chainOrder(3)), RunConfig{FastCount: true})
+				return w, scan(w, n)
+			},
+		},
+		{
 			// The factorized count tail: leaf sets land in reused stage
-			// scratch (each leaf with its own pinned operand) and products
-			// are pure arithmetic.
+			// scratch and products are pure arithmetic. The first leaf is that
+			// triangle stage and works in the same runs; the two behind it
+			// read one list each.
 			name: "factorizedCount", pinned: true,
+			runs: func(batch int) (int64, int64) { return scanStageSweeps(g, batch) },
 			setup: func(t *testing.T) (*worker, func()) {
 				w, n := steadyFactorizedWorker(t, g)
 				return w, scan(w, n)
@@ -391,8 +411,14 @@ func TestZeroAllocs(t *testing.T) {
 			// Carried extension sets, plain chain: the 4-clique's last stage
 			// intersects into the run table its upstream publishes (run
 			// boundaries, aliased columns, the split-run copy) and pins the
-			// carried set of each run of two rows or more.
+			// carried set of each run of two rows or more, below a stage
+			// working in the scan's runs.
 			name: "carriedEI", pinned: true,
+			runs: func(batch int) (int64, int64) {
+				runs, sweeps := scanStageSweeps(g, batch)
+				r, s := carriedStageSweeps(g, batch)
+				return runs + r, sweeps + s
+			},
 			setup: func(t *testing.T) (*worker, func()) {
 				w, n := steadyWorker(t, g, buildWCO(t, cliqueQuery(4), chainOrder(4)), RunConfig{FastCount: true})
 				return w, scan(w, n)
@@ -500,8 +526,14 @@ func TestZeroAllocs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w, body := tc.setup(t)
-			if got := pinnedProbes(w); (got > 0) != tc.pinned {
+			got := pinnedProbes(w)
+			if (got > 0) != tc.pinned {
 				t.Fatalf("warm-up dispatched %d pinned probes; row expects pinned=%v", got, tc.pinned)
+			}
+			if tc.runs != nil {
+				if runs, sweeps := tc.runs(w.batchSize); runs == 0 || got != sweeps {
+					t.Fatalf("warm-up dispatched %d pinned probes; the input holds %d runs with %d rows to sweep", got, runs, sweeps)
+				}
 			}
 			if allocs := testing.AllocsPerRun(3, body); allocs != 0 {
 				t.Errorf("steady-state %s allocates %.1f times per scan, want 0", tc.name, allocs)

@@ -87,18 +87,21 @@ type extendSpec struct {
 	// that upstream stage.
 	covered   uint32
 	publishes bool
+	// sets says that no list the operator intersects can hold an ID twice
+	// (listsAreSets): only then may a prefix run pin one in a bitmap.
+	sets bool
 }
 
 func (s *extendSpec) planNode() plan.Node { return s.op }
 
-// listsAreSets reports whether no list the operator intersects can hold
-// an ID twice. A wildcard edge label can: the lookup merges one run per
-// edge label and keeps a neighbour reached under two labels twice, and
-// the sorted kernels intersect such lists as multisets (the smaller
-// multiplicity survives). A wildcard target label cannot — a vertex has
-// one label, so the merged runs are disjoint.
-func (s *extendSpec) listsAreSets() bool {
-	for _, d := range s.op.Descriptors {
+// listsAreSets reports whether no list op intersects can hold an ID twice.
+// A wildcard edge label can: the lookup merges one run per edge label and
+// keeps a neighbour reached under two labels twice, and the sorted
+// kernels intersect such lists as multisets (the smaller multiplicity
+// survives). A wildcard target label cannot — a vertex has one label, so
+// the merged runs are disjoint.
+func listsAreSets(op *plan.Extend) bool {
+	for _, d := range op.Descriptors {
 		if d.EdgeLabel == graph.WildcardLabel {
 			return false
 		}
@@ -107,12 +110,14 @@ func (s *extendSpec) listsAreSets() bool {
 }
 
 func (s *extendSpec) newState(rc *runContext) stageState {
-	return &extendState{spec: s, useCache: !rc.cfg.DisableCache}
+	es := newExtendState(s)
+	es.useCache = !rc.cfg.DisableCache
+	return &es
 }
 
 func (s *extendSpec) newBatchState(rc *runContext, next, inWidth, batch int) batchStage {
 	st := &batchExtendState{
-		es:   extendState{spec: s},
+		es:   newExtendState(s),
 		next: next,
 		out:  newTupleBatch(inWidth+1, batch),
 	}
@@ -260,7 +265,7 @@ func (cp *CompiledPlan) addPipeline(n plan.Node, feeds *plan.HashJoin) error {
 // marking the stage before it as publishing when op inherits its
 // extension set.
 func appendExtend(stages []stageSpec, op *plan.Extend) []stageSpec {
-	spec := &extendSpec{op: op, covered: op.Inherited()}
+	spec := &extendSpec{op: op, covered: op.Inherited(), sets: listsAreSets(op)}
 	if spec.covered != 0 {
 		// op.Child is an E/I operator, hence the stage just appended.
 		stages[len(stages)-1].(*extendSpec).publishes = true

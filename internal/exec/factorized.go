@@ -49,8 +49,6 @@ type factorizedTail struct {
 	odo []int
 	// out is the lazily-unfolded output batch (emit mode only).
 	out *tupleBatch
-	// cur walks the input batch's carried runs for an inheriting first leaf.
-	cur runCursor
 }
 
 func newFactorizedTail(rc *runContext, specs []stageSpec, next, inWidth, batch int) *factorizedTail {
@@ -62,7 +60,7 @@ func newFactorizedTail(rc *runContext, specs []stageSpec, next, inWidth, batch i
 		out:         newTupleBatch(inWidth+len(specs), batch),
 	}
 	for _, spec := range specs {
-		leaf := &batchExtendState{es: extendState{spec: spec.(*extendSpec)}}
+		leaf := &batchExtendState{es: newExtendState(spec.(*extendSpec))}
 		leaf.reset(rc)
 		t.leaves = append(t.leaves, leaf)
 	}
@@ -82,31 +80,24 @@ func (s *factorizedTail) reset(rc *runContext) {
 }
 
 // leafSet computes (or serves from the leaf's intersection cache) leaf
-// i's extension set for prefix row r. Unlike the batch E/I operator's
-// consecutive-row run probe, the tail always goes through the keyed
-// cache: rows whose sets were skipped (an earlier leaf came up empty)
-// leave no stale run state behind. An inheriting leaf is seeded with its
-// upstream's set: the previous leaf's, just computed for this row, or —
-// for the first leaf — the one the stage below the tail published for
-// r's run (s.cur walks them; leaf 0 is computed for every row). The run
-// ordinal that goes with it is the cursor's, or the count of sets the
-// previous leaf has computed.
+// i's extension set for prefix row r. A leaf sees the rows of the batch in
+// order but not all of them (an earlier leaf came up empty), which extFor
+// allows: its cache and its prefix runs go by the key of the last set
+// computed, not by the previous row. An inheriting first leaf is seeded
+// with the set the stage below the tail published for r's run (its cursor
+// walks them; leaf 0 is computed for every row). A later inheriting leaf
+// is seeded with the previous leaf's set, just computed for this row, and
+// takes the general path: what it shares from row to row is a buffer the
+// previous leaf rewrites.
 func (s *factorizedTail) leafSet(w *worker, in *tupleBatch, r, i int) []graph.VertexID {
 	leaf := s.leaves[i]
-	leaf.vals = leaf.vals[:0]
-	for _, d := range leaf.es.spec.op.Descriptors {
-		leaf.vals = append(leaf.vals, in.cols[d.TupleIdx][r])
+	var ext []graph.VertexID
+	if i > 0 && leaf.inherit {
+		leaf.gatherVals(in, r)
+		ext = leaf.es.extensionSetFor(w, leaf.vals, s.sets[i-1])
+	} else {
+		ext = leaf.extFor(w, in, r)
 	}
-	var carried []graph.VertexID
-	run := 0
-	if leaf.inherit {
-		if i == 0 {
-			carried, run = s.cur.at(in, r), s.cur.seq
-		} else {
-			carried, run = s.sets[i-1], s.leaves[i-1].es.setSeq
-		}
-	}
-	ext := leaf.es.extensionSetFor(w, leaf.vals, carried, run)
 	s.sets[i] = ext
 	return ext
 }
@@ -115,7 +106,10 @@ func (s *factorizedTail) leafSet(w *worker, in *tupleBatch, r, i int) []graph.Ve
 func (s *factorizedTail) pushBatch(w *worker, in *tupleBatch) {
 	counting := w.emit == nil
 	budget := w.rc.countBudget
-	s.cur.rewind()
+	//gf:nopoll bounded by the leaf count
+	for _, leaf := range s.leaves {
+		leaf.cur.rewind()
+	}
 	for r := 0; r < in.n; r++ {
 		w.profile.FactorizedPrefixes++
 		product := int64(1)
@@ -155,6 +149,10 @@ func (s *factorizedTail) pushBatch(w *worker, in *tupleBatch) {
 		}
 		w.profile.Matches += take
 		w.profile.FactorizedAvoided += take
+	}
+	//gf:nopoll bounded by the leaf count
+	for _, leaf := range s.leaves {
+		leaf.endRun(w)
 	}
 }
 

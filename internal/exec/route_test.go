@@ -63,7 +63,8 @@ func TestRouterCounters(t *testing.T) {
 		if (prof.Reroutes > 0) == cfg.TupleAtATime {
 			t.Errorf("%+v: %d reroutes; the batch engine routes, the oracle runs the plan's own ordering", cfg, prof.Reroutes)
 		}
-		if (prof.Kernels.PinnedProbe > 0) == (cfg.DisableCache || cfg.TupleAtATime) {
+		// A one-row batch holds no run of two rows to pin an operand for.
+		if (prof.Kernels.PinnedProbe > 0) == (cfg.DisableCache || cfg.TupleAtATime || cfg.BatchSize == 1) {
 			t.Errorf("%+v: %d pinned probes", cfg, prof.Kernels.PinnedProbe)
 		}
 		if (prof.FactorizedAvoided > 0) != cfg.Factorized {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -524,16 +525,16 @@ func (w *worker) finish() {
 // extendState implements EXTEND/INTERSECT with the intersection cache.
 // Both engines share it: the oracle gathers descriptor values from the
 // flat tuple, the batch engine from its columns; extensionSetFor is the
-// common core.
+// common core, and the one general path — the vectorized engine's prefix
+// runs (batchExtendState.extFor) are built from its pieces.
 type extendState struct {
 	spec     *extendSpec
 	useCache bool
 
 	// Intersection cache (Section 3.1): if consecutive tuples present the
 	// same source vertices to the descriptors, the extension set is reused.
-	// In the batch engine this is also the run-grouping mechanism: sorted
-	// batches make equal-prefix runs contiguous, so one intersection
-	// serves the whole run as a column sweep of cache hits.
+	// cacheKey is the key of the last set computed — also inside a prefix
+	// run, which keeps it current row by row.
 	cacheKey   []graph.VertexID
 	cacheValid bool
 	// cacheExt is the served extension set: for multiway intersections it
@@ -553,28 +554,18 @@ type extendState struct {
 
 	// it is the degree-adaptive k-way intersection engine. It owns the
 	// shortest-first ordering scratch (previously allocated per call
-	// inside graph.IntersectK) and the per-kernel dispatch counters, so
-	// the E/I hot path runs allocation-free after warm-up.
+	// inside graph.IntersectK), the per-kernel dispatch counters and the
+	// pin bitmap, so the E/I hot path runs allocation-free after warm-up.
 	it graph.Intersector
 
-	// pins turns on pinned operands (graph.Intersector.IntersectRun): an
-	// operand the previous intersection also had — a descriptor whose source
-	// vertex did not change, or the carried set of the same run — is marked
-	// once in the intersector's bitmap and probed through for the rest of
-	// its run. It is the cache generalised to one repeating operand, so it
-	// follows useCache — in the vectorized engine only (the oracle never
-	// goes through reset and never pins), and only where every list is a
-	// set (extendSpec.listsAreSets): a bitmap has no multiplicities.
+	// pins lets the vectorized engine work a prefix run at a time: the one
+	// operand the run's rows share is marked once in the intersector's
+	// bitmap and the other lists are swept through it. It is the cache
+	// generalised to one repeating operand, so it follows useCache — in the
+	// vectorized engine only (the oracle never goes through reset and never
+	// pins), and only where every list is a set (extendSpec.sets):
+	// a bitmap has no multiplicities.
 	pins bool
-	// lastRun is the run ordinal the previous computed intersection's
-	// carried set came with (0: none). Ordinals, not slices, identify
-	// carried sets: headBuf is reused, so one pointer and length can hold a
-	// different set in the next batch.
-	lastRun int
-	// setSeq counts the extension sets computed (not served from the
-	// cache): the run ordinal of this stage's current set, for a factorized
-	// leaf that inherits it.
-	setSeq int
 
 	// metered is the cache/scratch/pin capacity (in bytes) already charged
 	// to the current run's memory budget; only growth beyond it is
@@ -585,17 +576,21 @@ type extendState struct {
 	outTuples, icost, hits, carried int64
 }
 
+func newExtendState(spec *extendSpec) extendState {
+	return extendState{spec: spec, readers: make([]graph.NeighborReader, len(spec.op.Descriptors))}
+}
+
 // reset readies the state for reuse by a pooled worker: cache validity
 // and per-operator counters are cleared, allocated scratch (cache
 // buffers, readers, intersector state) is kept.
-func (s *extendState) reset(useCache bool) {
-	s.useCache = useCache
-	s.pins = useCache && s.spec.listsAreSets()
+func (s *extendState) reset(rc *runContext) {
+	s.useCache = !rc.cfg.DisableCache
+	s.pins = s.useCache && s.spec.sets
+	s.it.Words = (rc.cp.graph.NumVertices() + 63) / 64
 	s.cacheValid = false
-	// A run that unwound mid-batch (Limit, cancellation, budget) left its
-	// last operand pinned.
-	s.it.Unpin()
-	s.lastRun = 0
+	// A run that unwound mid-batch (Limit, cancellation, budget, panic)
+	// left its operand pinned, in buffers nobody vouches for any more.
+	s.it.Reset()
 	// The retained buffers are now held on behalf of the next run: its
 	// budget is recharged for their full capacity on first use.
 	s.metered = 0
@@ -614,7 +609,7 @@ func (s *extendState) extensionSet(w *worker) []graph.VertexID {
 	for _, d := range s.spec.op.Descriptors {
 		s.valBuf = append(s.valBuf, w.tuple[d.TupleIdx])
 	}
-	return s.extensionSetFor(w, s.valBuf, nil, 0)
+	return s.extensionSetFor(w, s.valBuf, nil)
 }
 
 // extensionSetFor computes (or serves from the intersection cache) the
@@ -623,92 +618,85 @@ func (s *extendState) extensionSet(w *worker) []graph.VertexID {
 // extension set the upstream stage already computed over the descriptors
 // in spec.covered (the vectorized engine's inheriting stages): the set is
 // then carried ∩ (the remaining descriptors' lists) and the covered
-// lists are never read; run is that set's run ordinal — equal to the
-// previous call's exactly when carried holds the same set (never 0). The
-// oracle always passes nil.
+// lists are never read. The oracle always passes nil.
 //
 //gf:noalloc
-func (s *extendState) extensionSetFor(w *worker, vals, carried []graph.VertexID, run int) []graph.VertexID {
+func (s *extendState) extensionSetFor(w *worker, vals, carried []graph.VertexID) []graph.VertexID {
+	if s.cached(w, vals) {
+		return s.cacheExt
+	}
+	s.gather(w, vals, carried)
+	return s.intersect(w, vals, carried)
+}
+
+// cached is the cache lookup: a hit when vals is the key of the last set
+// computed (cacheExt is then the answer), and otherwise the key the set
+// about to be computed will be stored under.
+func (s *extendState) cached(w *worker, vals []graph.VertexID) bool {
+	if !s.useCache {
+		return false
+	}
+	if s.cacheValid && slices.Equal(s.cacheKey, vals) {
+		s.hit(w)
+		return true
+	}
+	s.cacheKey = append(s.cacheKey[:0], vals...)
+	return false
+}
+
+// hit serves the cached set once more.
+func (s *extendState) hit(w *worker) []graph.VertexID {
+	w.profile.CacheHits++
+	s.hits++
+	return s.cacheExt
+}
+
+// gather fills s.lists with the operands of vals' intersection — the
+// carried set, if any, then one adjacency run per descriptor it does not
+// cover — and charges them.
+func (s *extendState) gather(w *worker, vals, carried []graph.VertexID) {
 	op := s.spec.op
-	descs := op.Descriptors
-	// Cache lookup. unchanged marks the descriptors presenting the source
-	// vertex they presented to the previous computed intersection: all of
-	// them is a hit, some of them is an operand worth pinning.
-	unchanged := uint32(0)
-	if s.useCache {
-		if s.cacheValid && len(s.cacheKey) == len(vals) {
-			for i, v := range vals {
-				if s.cacheKey[i] == v {
-					unchanged |= 1 << uint(i)
-				}
-			}
-			if unchanged == 1<<uint(len(vals))-1 {
-				w.profile.CacheHits++
-				s.hits++
-				return s.cacheExt
-			}
-		}
-		s.cacheKey = append(s.cacheKey[:0], vals...)
-	}
-	if !s.pins {
-		unchanged = 0
-	}
-	s.setSeq++
-	if s.readers == nil {
-		s.readers = make([]graph.NeighborReader, len(descs)) //gf:allowalloc one-time per-descriptor reader setup, retained across tuples
-		s.it.Words = w.nWords
-	}
+	s.lists = s.lists[:0]
 	covered := uint32(0)
+	cost := int64(0)
 	if carried != nil {
 		covered = s.spec.covered
-		w.profile.CarriedSets++
-		s.carried++
-	}
-	// Gather the lists to intersect: the carried set, if any, then one
-	// adjacency run per descriptor it does not cover. i-cost counts every
-	// accessed list's size (Equation 1) — the carried set stands in for
-	// the lists it replaces. A descriptor whose source vertex is unchanged
-	// is not looked up again: its list is where the previous intersection
-	// left it (for a wildcard read, still in its reader's buffer). same
-	// re-numbers what repeats by operand for IntersectRun: bit 0 the carried
-	// set, bit j+1 the j-th list.
-	s.lists = s.lists[:0]
-	same := uint32(0)
-	if carried != nil {
 		s.lists = append(s.lists, carried)
-		if s.pins && run == s.lastRun {
-			same = 1
-		}
-		s.lastRun = run
+		cost = int64(len(carried))
 	}
-	bit := uint32(2)
-	for i, d := range descs {
+	for i := range op.Descriptors {
 		if covered&(1<<uint(i)) != 0 {
 			continue
 		}
-		if unchanged&(1<<uint(i)) != 0 {
-			same |= bit
-			s.lists = s.lists[:len(s.lists)+1]
-		} else {
-			s.lists = append(s.lists, s.readers[i].Read(w.g, vals[i], d.Dir, d.EdgeLabel, op.TargetLabel))
-		}
-		bit <<= 1
-	}
-	cost := int64(0)
-	for _, l := range s.lists {
+		d := &op.Descriptors[i]
+		l := s.readers[i].Read(w.g, vals[i], d.Dir, d.EdgeLabel, op.TargetLabel)
+		s.lists = append(s.lists, l)
 		cost += int64(len(l))
+	}
+	s.charge(w, cost, carried != nil)
+}
+
+// charge accounts one computed intersection: i-cost counts every accessed
+// list's size (Equation 1) — a carried set stands in for the lists it
+// replaces, and an operand a prefix run shares is charged to every
+// intersection of the run.
+func (s *extendState) charge(w *worker, cost int64, carried bool) {
+	if carried {
+		w.profile.CarriedSets++
+		s.carried++
 	}
 	w.profile.ICost += cost
 	s.icost += cost
+}
+
+// intersect computes the extension set of the operands gather left in
+// s.lists through the ordinary kernel dispatch, and serves it.
+func (s *extendState) intersect(w *worker, vals, carried []graph.VertexID) []graph.VertexID {
 	if carried == nil && len(s.lists) == 1 {
+		// The single-descriptor alias is never assigned to cacheBuf, so the
+		// next multiway intersection cannot scribble over graph storage.
 		ext := s.lists[0]
-		if s.useCache {
-			// The single-descriptor alias is never assigned to cacheBuf, so
-			// the next multiway intersection cannot scribble over graph
-			// storage.
-			s.cacheExt = ext
-			s.cacheValid = true
-		}
+		s.cacheExt, s.cacheValid = ext, s.useCache
 		return ext
 	}
 	// Multiway extension: fetch hub bitset indexes only for the adjacency
@@ -716,13 +704,16 @@ func (s *extendState) extensionSetFor(w *worker, vals, carried []graph.VertexID,
 	// aligns with them; a carried set has no index). Extensions over
 	// ordinary-degree vertices (and dead ends with an empty list) pay
 	// nothing for the index's existence.
+	op := s.spec.op
 	runs := s.lists
+	covered := uint32(0)
 	if carried != nil {
 		runs = s.lists[1:]
+		covered = s.spec.covered
 	}
 	s.bits = s.bits[:0]
 	if floor, ok := graph.BitsetFetchFloor(s.lists, w.nWords); ok {
-		for i, d := range descs {
+		for i, d := range op.Descriptors {
 			if covered&(1<<uint(i)) != 0 {
 				continue
 			}
@@ -733,25 +724,31 @@ func (s *extendState) extensionSetFor(w *worker, vals, carried []graph.VertexID,
 			s.bits = append(s.bits, bs)
 		}
 	}
-	var ext []graph.VertexID
-	ext, s.scratch = s.it.IntersectRun(carried, runs, s.bits, same, s.cacheBuf[:0], s.scratch)
-	// cacheBuf stays the owned kernel output buffer whether or not the
-	// cache is on: with it off every intersection still writes into the
-	// same storage instead of growing a fresh slice.
-	s.cacheBuf = ext
-	// Charge kernel-buffer growth (the factorized extension-set caches of
-	// the memory budget) and the intersector's pin bitmap, when it first
-	// pins — capacity deltas only, so a warm cache costs one compare per
-	// intersection. Exhaustion is observed at the next pollpoint.
-	if n := int64(cap(ext)+cap(s.scratch))*vertexIDBytes + s.it.PinBytes(); n > s.metered {
+	ext, scratch := s.it.IntersectSeeded(carried, runs, s.bits, s.cacheBuf[:0], s.scratch)
+	s.serve(ext, scratch)
+	s.meter(w)
+	return ext
+}
+
+// serve makes ext — a kernel's output, with the buffer it ping-ponged
+// with — the stage's current extension set. cacheBuf stays the owned
+// kernel output buffer whether or not the cache is on: with it off every
+// intersection still writes into the same storage instead of growing a
+// fresh slice.
+func (s *extendState) serve(ext, scratch []graph.VertexID) {
+	s.cacheBuf, s.scratch = ext, scratch
+	s.cacheExt, s.cacheValid = ext, s.useCache
+}
+
+// meter charges kernel-buffer growth (the factorized extension-set caches
+// of the memory budget) and the intersector's pin bitmap, once it has
+// pinned — capacity deltas only, so warm buffers cost one compare.
+// Exhaustion is observed at the next pollpoint.
+func (s *extendState) meter(w *worker) {
+	if n := int64(cap(s.cacheBuf)+cap(s.scratch))*vertexIDBytes + s.it.PinBytes(); n > s.metered {
 		w.rc.mem.Reserve(n - s.metered)
 		s.metered = n
 	}
-	if s.useCache {
-		s.cacheExt = ext
-		s.cacheValid = true
-	}
-	return ext
 }
 
 func (s *extendState) extendWith(w *worker, ext []graph.VertexID, next func()) {

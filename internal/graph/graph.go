@@ -167,14 +167,20 @@ func (a *adjacency) partitionRange(v VertexID, eLabel, nLabel Label) (int, int) 
 // Exact lookups are O(log p) in the number of partitions of v; wildcard
 // lookups pay a k-way merge over the matching partitions.
 func (g *Graph) Neighbors(v VertexID, dir Direction, eLabel, nLabel Label, buf []VertexID) []VertexID {
-	a := g.adj(dir)
 	if eLabel != WildcardLabel && nLabel != WildcardLabel {
+		a := g.adj(dir)
 		s, e := a.partitionRange(v, eLabel, nLabel)
 		return a.nbrs[s:e]
 	}
-	// Collect matching partitions, then merge.
+	return MergedNeighbors(g, v, dir, eLabel, nLabel, buf)
+}
+
+// NeighborRuns implements View.
+//
+//gf:noalloc
+func (g *Graph) NeighborRuns(v VertexID, dir Direction, eLabel, nLabel Label, runs [][]VertexID) [][]VertexID {
+	a := g.adj(dir)
 	lo, hi := int(a.pOff[v]), int(a.pOff[v+1])
-	var runs [][]VertexID
 	for i := lo; i < hi; i++ {
 		if eLabel != WildcardLabel && a.pELabel[i] != eLabel {
 			continue
@@ -191,13 +197,7 @@ func (g *Graph) Neighbors(v VertexID, dir Direction, eLabel, nLabel Label, buf [
 			runs = append(runs, a.nbrs[start:end])
 		}
 	}
-	switch len(runs) {
-	case 0:
-		return buf[:0]
-	case 1:
-		return runs[0]
-	}
-	return mergeSortedRuns(runs, buf)
+	return runs
 }
 
 // NeighborBitset returns the bitset index of the exact (eLabel, nLabel)
@@ -394,21 +394,6 @@ func (g *Graph) String() string {
 	return fmt.Sprintf("graph{V=%d E=%d vlabels=%d elabels=%d}", g.n, g.m, g.numVertexLabels, g.numEdgeLabels)
 }
 
-// MergeRuns merges any number of ID-sorted runs into buf (which may be
-// nil) and returns it. Duplicates across runs are preserved, matching the
-// semantics of wildcard Neighbors lookups. The delta overlay uses it to
-// reproduce the base graph's wildcard merge over its per-vertex runs.
-func MergeRuns(runs [][]VertexID, buf []VertexID) []VertexID {
-	switch len(runs) {
-	case 0:
-		return buf[:0]
-	case 1:
-		buf = append(buf[:0], runs[0]...)
-		return buf
-	}
-	return mergeSortedRuns(runs, buf)
-}
-
 func containsSorted(list []VertexID, x VertexID) bool {
 	// Open-coded binary search; sort.Search's closure would heap-escape
 	// on the HasEdge hot path.
@@ -424,11 +409,12 @@ func containsSorted(list []VertexID, x VertexID) bool {
 	return i < len(list) && list[i] == x
 }
 
-// mergeSortedRuns merges k ID-sorted runs into buf.
-func mergeSortedRuns(runs [][]VertexID, buf []VertexID) []VertexID {
+// mergeSortedRuns merges two or more ID-sorted runs into buf, keeping an
+// ID once per run that holds it. idx is the cursor scratch of the k-way
+// case: at least len(runs) long, contents ignored.
+func mergeSortedRuns(runs [][]VertexID, buf []VertexID, idx []int) []VertexID {
 	out := buf[:0]
-	switch len(runs) {
-	case 2:
+	if len(runs) == 2 {
 		a, b := runs[0], runs[1]
 		i, j := 0, 0
 		for i < len(a) && j < len(b) {
@@ -444,7 +430,8 @@ func mergeSortedRuns(runs [][]VertexID, buf []VertexID) []VertexID {
 		out = append(out, b[j:]...)
 		return out
 	}
-	idx := make([]int, len(runs)) //gf:allowalloc k-way (>2 run) wildcard merges are rare; the 2-run fast path above covers label-pair lookups
+	idx = idx[:len(runs)]
+	clear(idx)
 	for {
 		best := -1
 		var bestV VertexID

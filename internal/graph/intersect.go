@@ -12,15 +12,15 @@ const gallopThreshold = 32
 // operators can pre-filter which descriptors are worth a bitset lookup.
 const BitsetProbeRatio = 4
 
-// pinCutoff is the size ratio beyond which an intersection leaves the
-// pinned operand's bitmap alone: sweeping a partner list pinCutoff times
+// PinCutoff is the size ratio beyond which an intersection leaves the
+// pinned operand's bitmap alone: sweeping a partner list PinCutoff times
 // the pinned list's length through the bitmap reads every element of the
 // partner, where galloping the pinned list into it (or probing the
 // partner's hub index) reads a handful per pinned element. Below it the
 // sweep wins whichever side is longer — it never reads the pinned list.
 // Set from BenchmarkIntersectAdjacency (internal/exec), whose comment
 // records the measurements.
-const pinCutoff = gallopThreshold
+const PinCutoff = gallopThreshold
 
 // KernelCounters tallies intersection-kernel dispatches by kind. The
 // engine picks a kernel per pairwise intersection, so one k-way E/I call
@@ -145,9 +145,10 @@ type listRef struct {
 // per-caller scratch it needs to run allocation-free: the shortest-first
 // ordering of list headers that IntersectK previously allocated per call
 // now lives here, owned by the E/I stage state (one Intersector per
-// worker stage, reused across every tuple), and so does the pinned
-// operand of IntersectRun. Kernel dispatches are tallied in Counters. An
-// Intersector is not safe for concurrent use; the zero value is ready.
+// worker stage, reused across every tuple), and so does the bitmap of the
+// operand the stage has pinned (Pin). Kernel dispatches are tallied in
+// Counters. An Intersector is not safe for concurrent use; the zero value
+// is ready.
 type Intersector struct {
 	// Counters tallies kernel dispatches; callers flush and reset it when
 	// aggregating profiles.
@@ -159,13 +160,11 @@ type Intersector struct {
 	Words int
 	refs  []listRef
 
-	// The pinned operand (see IntersectRun): marks has exactly the bits of
-	// pinIDs set, pinBit is the operand's bit in IntersectRun's numbering
-	// (0: nothing pinned, marks all zero). pinIDs is a copy — the caller's
-	// list may sit in a buffer that is refilled long before the unpin.
+	// The pinned operand: marks has exactly the bits of pinned set. pinned
+	// is the caller's own slice (Pin's contract keeps it unchanged until
+	// Unpin), nil when nothing is pinned and marks is all zero.
 	marks  []uint64
-	pinIDs []VertexID
-	pinBit uint32
+	pinned []VertexID
 }
 
 // intersectPair intersects the two smallest refs into out, dispatching
@@ -229,25 +228,18 @@ func (it *Intersector) intersectInto(r []VertexID, ref listRef, out []VertexID) 
 //
 //gf:noalloc
 func (it *Intersector) IntersectK(lists [][]VertexID, bits []*Bitset, out, scratch []VertexID) (result, newScratch []VertexID) {
-	return it.IntersectRun(nil, lists, bits, 0, out, scratch)
+	return it.IntersectSeeded(nil, lists, bits, out, scratch)
 }
 
-// order loads the operands (lists with their optional indexes, and seed
-// when non-nil) into the reusable ref scratch, shortest first to bound
-// intermediate sizes, leaving out the operand whose IntersectRun bit is
-// skip (0: none). Insertion sort: descriptor counts are tiny and
-// sort.Slice would allocate its closure on every call. bits may be
-// shorter than lists (callers pass an empty slice when the pre-filter
-// proves no index can help); missing entries mean no index.
-func (it *Intersector) order(seed []VertexID, lists [][]VertexID, bits []*Bitset, skip uint32) []listRef {
+// order loads lists with their optional indexes into the reusable ref
+// scratch, shortest first to bound intermediate sizes. Insertion sort:
+// descriptor counts are tiny and sort.Slice would allocate its closure on
+// every call. bits may be shorter than lists (callers pass an empty slice
+// when the pre-filter proves no index can help); missing entries mean no
+// index.
+func (it *Intersector) order(lists [][]VertexID, bits []*Bitset) []listRef {
 	it.refs = it.refs[:0]
-	if seed != nil && skip != 1 {
-		it.refs = append(it.refs, listRef{list: seed})
-	}
 	for i, l := range lists {
-		if skip == 2<<uint(i) {
-			continue
-		}
 		ref := listRef{list: l}
 		if i < len(bits) {
 			ref.bits = bits[i]
@@ -263,49 +255,18 @@ func (it *Intersector) order(seed []VertexID, lists [][]VertexID, bits []*Bitset
 	return refs
 }
 
-// IntersectRun is the entry point of a caller that computes a run of
-// intersections over the same operand positions — an E/I stage working
-// through a sorted batch. With seed nil it is IntersectK over lists; with
-// seed — an already-computed sorted set, such as the extension set an
-// upstream E/I stage carried down — it is seed ∩ lists, seed first and
-// lists shortest-first through the same per-step kernel dispatch (seed
-// carries no index, so each step is a bitset probe, a gallop or a merge
-// of the running result into the next list); with no lists the result is
-// a copy of seed. bits aligns with lists as in IntersectK. The result is
-// written into out, ping-ponging with scratch; neither may alias an
-// operand, which are only read.
-//
-// same says which operands hold exactly what they held in the previous
-// IntersectRun call on this Intersector: bit 0 is the seed, bit i+1 is
-// lists[i]. An operand seen again is pinned — its IDs are set in a bitmap
-// the Intersector keeps, and copied so the bitmap can be cleared whatever
-// becomes of the caller's list — and for as long as same keeps naming it,
-// each intersection sweeps the shortest other operand through the bitmap
-// and folds the remaining ones in as IntersectK would: the pinned list is
-// not read again. One operand is pinned at a time, the lowest-numbered
-// repeating one; an intersection whose shortest other operand is
-// pinCutoff times the pinned one's length takes the ordinary dispatch.
-// The caller vouches for same; zero is always safe.
+// IntersectSeeded is IntersectK with an optional seed: an already-computed
+// sorted set, such as the extension set an upstream E/I stage carried
+// down. With seed nil it is IntersectK over lists; otherwise it is
+// seed ∩ lists, seed first and lists shortest-first through the same
+// per-step kernel dispatch (seed carries no index, so each step is a
+// bitset probe, a gallop or a merge of the running result into the next
+// list); with no lists the result is a copy of seed. bits aligns with
+// lists as in IntersectK. The result is written into out, ping-ponging
+// with scratch; neither may alias an operand, which are only read.
 //
 //gf:noalloc
-func (it *Intersector) IntersectRun(seed []VertexID, lists [][]VertexID, bits []*Bitset, same uint32, out, scratch []VertexID) (result, newScratch []VertexID) {
-	if same|it.pinBit != 0 {
-		if it.pinBit&same == 0 {
-			it.repin(seed, lists, same)
-		}
-		if it.pinBit != 0 {
-			refs := it.order(seed, lists, bits, it.pinBit)
-			if len(refs[0].list) < pinCutoff*len(it.pinIDs) {
-				it.Counters.PinnedProbe++
-				out = it.probeMarks(refs[0].list, out)
-				for i := 1; i < len(refs) && len(out) > 0; i++ {
-					scratch = it.intersectInto(out, refs[i], scratch)
-					out, scratch = scratch, out
-				}
-				return out, scratch
-			}
-		}
-	}
+func (it *Intersector) IntersectSeeded(seed []VertexID, lists [][]VertexID, bits []*Bitset, out, scratch []VertexID) (result, newScratch []VertexID) {
 	if seed == nil {
 		switch len(lists) {
 		case 0:
@@ -314,7 +275,7 @@ func (it *Intersector) IntersectRun(seed []VertexID, lists [][]VertexID, bits []
 			out = append(out[:0], lists[0]...)
 			return out, scratch
 		}
-		refs := it.order(nil, lists, bits, 0)
+		refs := it.order(lists, bits)
 		out = it.intersectPair(refs[0], refs[1], out)
 		for i := 2; i < len(refs) && len(out) > 0; i++ {
 			scratch = it.intersectInto(out, refs[i], scratch)
@@ -327,7 +288,7 @@ func (it *Intersector) IntersectRun(seed []VertexID, lists [][]VertexID, bits []
 		return out, scratch
 	}
 	r := seed
-	for _, ref := range it.order(nil, lists, bits, 0) {
+	for _, ref := range it.order(lists, bits) {
 		scratch = it.intersectInto(r, ref, scratch)
 		out, scratch = scratch, out
 		r = out
@@ -338,36 +299,16 @@ func (it *Intersector) IntersectRun(seed []VertexID, lists [][]VertexID, bits []
 	return out, scratch
 }
 
-// repin is called when same no longer names the pinned operand (or none
-// is pinned): it clears the bitmap and pins the lowest-numbered operand
-// same does name, if the intersection has two operands or more.
-func (it *Intersector) repin(seed []VertexID, lists [][]VertexID, same uint32) {
-	it.Unpin()
-	operands := len(lists)
-	if seed != nil {
-		operands++
-	}
-	if same == 0 || operands < 2 {
-		return
-	}
-	if same&1 != 0 {
-		it.pinBit = 1
-		it.pin(seed)
-		return
-	}
-	for i, l := range lists {
-		if same&(2<<uint(i)) != 0 {
-			it.pinBit = 2 << uint(i)
-			it.pin(l)
-			return
-		}
-	}
-}
-
-// pin sets list's IDs in the bitmap and keeps a copy of them to clear it
-// by; nothing may be pinned.
-func (it *Intersector) pin(list []VertexID) {
-	it.pinIDs = append(it.pinIDs[:0], list...) //gf:allowalloc grows to the longest list pinned, then reused
+// Pin marks list — one operand that a run of intersections shares — in a
+// bitmap the Intersector keeps, so that ProbePinned can compute each
+// intersection of the run without reading list again. The caller says
+// what a run is: it pins when it knows the operand repeats and unpins
+// when it stops. list is kept, not copied, and the bitmap is cleared by
+// it: it must stay as it is until Unpin (immutable adjacency, or a buffer
+// nothing refills while the run lasts). It must hold no ID twice — a
+// bitmap has no multiplicities — and nothing may be pinned already.
+func (it *Intersector) Pin(list []VertexID) {
+	it.pinned = list
 	if len(list) == 0 {
 		return
 	}
@@ -383,31 +324,87 @@ func (it *Intersector) pin(list []VertexID) {
 	}
 }
 
-// Unpin clears the bitmap (by the saved IDs, so a run abandoned halfway —
-// an early stop, a cancelled query — is cleaned up the same way) and
-// forgets the pinned operand. The next IntersectRun call need not pass
-// same = 0.
+// Unpin clears the bitmap by the pinned list and forgets it. A no-op when
+// nothing is pinned.
 func (it *Intersector) Unpin() {
-	for _, v := range it.pinIDs {
-		it.marks[v>>6] = 0
+	marks := it.marks
+	for _, v := range it.pinned {
+		marks[v>>6] = 0
 	}
-	it.pinIDs = it.pinIDs[:0]
-	it.pinBit = 0
+	it.pinned = nil
 }
 
-// PinBytes is the memory the pinned-operand scratch holds: the bitmap and
-// the saved IDs. Zero until something has been pinned.
-func (it *Intersector) PinBytes() int64 {
-	return int64(cap(it.marks))*8 + int64(cap(it.pinIDs))*4
+// Reset is Unpin for a caller that can no longer vouch for the pinned
+// list — a run abandoned halfway by an early stop, a cancelled query or a
+// panic, whose buffers may have been refilled since: the whole bitmap is
+// cleared.
+func (it *Intersector) Reset() {
+	if it.pinned != nil {
+		clear(it.marks)
+		it.pinned = nil
+	}
+}
+
+// PinBytes is the memory the pin bitmap holds. Zero until something has
+// been pinned.
+func (it *Intersector) PinBytes() int64 { return int64(cap(it.marks)) * 8 }
+
+// ProbePinned computes the intersection of lists, of which lists[pinned]
+// is the pinned operand (whatever that entry holds, it is not read: the
+// bitmap stands for it): the shortest other list is swept through the
+// bitmap — one word load per element, whichever side is longer — and the
+// remaining ones are folded in by gallop or merge, without their hub
+// indexes. The result is written into out, ping-ponging with scratch as
+// in IntersectK. ok is false, and nothing is computed, when the shortest
+// other list is PinCutoff times the pinned one's length — a hub, where
+// the ordinary dispatch (IntersectK with the hub's index) reads a handful
+// of elements per pinned one and the sweep would read them all — or when
+// there is no other list.
+//
+//gf:noalloc
+func (it *Intersector) ProbePinned(lists [][]VertexID, pinned int, out, scratch []VertexID) (result, newScratch []VertexID, ok bool) {
+	first := -1
+	for i := range lists {
+		if i != pinned && (first < 0 || len(lists[i]) < len(lists[first])) {
+			first = i
+		}
+	}
+	if first < 0 || len(lists[first]) >= PinCutoff*len(it.pinned) {
+		return out, scratch, false
+	}
+	it.Counters.PinnedProbe++
+	out = probeMarks(it.marks, lists[first], out)
+	if len(lists) > 2 {
+		out, scratch = it.foldRest(lists, pinned, first, out, scratch)
+	}
+	return out, scratch, true
+}
+
+// foldRest intersects r, which already stands for lists[a] ∩ lists[b],
+// with every other list.
+func (it *Intersector) foldRest(lists [][]VertexID, a, b int, r, scratch []VertexID) (result, newScratch []VertexID) {
+	for i, l := range lists {
+		if i == a || i == b {
+			continue
+		}
+		if len(r) == 0 {
+			break
+		}
+		scratch = it.intersectInto(r, listRef{list: l}, scratch)
+		r, scratch = scratch, r
+	}
+	return r, scratch
 }
 
 // probeMarks writes the elements of list whose bit is set in the pin
 // bitmap into out (truncated first), in list order: O(len(list)) with one
 // word load per element, whatever the pinned list's length. IDs beyond
-// the bitmap are absent.
-func (it *Intersector) probeMarks(list, out []VertexID) []VertexID {
+// the bitmap are absent. Kept out of line: inlined into its caller the loop
+// spills to the stack on every element.
+//
+//go:noinline
+func probeMarks(marks []uint64, list, out []VertexID) []VertexID {
 	out = out[:0]
-	marks := it.marks
 	for _, x := range list {
 		if w := uint(x >> 6); w < uint(len(marks)) && marks[w]&(1<<(x&63)) != 0 {
 			out = append(out, x)

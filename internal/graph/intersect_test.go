@@ -167,12 +167,12 @@ func TestIntersectKDifferential(t *testing.T) {
 		cut := 1 + rng.Intn(k)
 		seed := naiveIntersect(lists[:cut]...)
 		seedCopy := append([]VertexID(nil), seed...)
-		out, scratch = it.IntersectRun(seed, lists[cut:], bits[cut:], 0, out, scratch)
+		out, scratch = it.IntersectSeeded(seed, lists[cut:], bits[cut:], out, scratch)
 		if !equalIDs(out, want) {
-			t.Fatalf("trial %d: IntersectRun(seeded, cut=%d of %d) = %v, want %v", trial, cut, k, out, want)
+			t.Fatalf("trial %d: IntersectSeeded(cut=%d of %d) = %v, want %v", trial, cut, k, out, want)
 		}
 		if !equalIDs(seed, seedCopy) || (len(out) > 0 && len(seed) > 0 && &out[0] == &seed[0]) {
-			t.Fatalf("trial %d: IntersectRun wrote to or aliased its seed", trial)
+			t.Fatalf("trial %d: IntersectSeeded wrote to or aliased its seed", trial)
 		}
 	}
 }
@@ -188,11 +188,11 @@ func marksClean(it *Intersector) bool {
 }
 
 // TestPinnedOperandLifecycle walks one Intersector through the states of
-// IntersectRun's pinned operand — pinned on second sight, kept while same
-// names it, dropped and replaced when another operand repeats instead,
-// cleared by Unpin — checking every result against the naive reference,
-// the dispatch counters, and that the bitmap holds exactly the pinned
-// list's bits (none once nothing is pinned).
+// its pinned operand — pinned, probed through for a run, unpinned, another
+// list pinned in its place, a run abandoned and Reset — checking every
+// result against the naive reference, the dispatch counters, and that the
+// bitmap holds exactly the pinned list's bits (none once nothing is
+// pinned).
 func TestPinnedOperandLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a := randomSortedList(rng, 60, 5)
@@ -203,72 +203,91 @@ func TestPinnedOperandLifecycle(t *testing.T) {
 	}
 	var it Intersector
 	var out, scratch []VertexID
-	run := func(step string, lists [][]VertexID, same uint32, wantPinned []VertexID, wantProbes int64) {
+	probes := int64(0)
+	probe := func(step string, pinned, partner []VertexID) {
 		t.Helper()
-		out, scratch = it.IntersectRun(nil, lists, nil, same, out, scratch)
-		if want := naiveIntersect(lists...); !equalIDs(out, want) {
+		// The pinned entry is not read: nil stands in for it.
+		var ok bool
+		out, scratch, ok = it.ProbePinned([][]VertexID{nil, partner}, 0, out, scratch)
+		if !ok {
+			t.Fatalf("%s: refused below the cut-off", step)
+		}
+		probes++
+		if want := naiveIntersect(pinned, partner); !equalIDs(out, want) {
 			t.Fatalf("%s: got %v, want %v", step, out, want)
 		}
-		if !equalIDs(it.pinIDs, wantPinned) {
-			t.Fatalf("%s: pinned %v, want %v", step, it.pinIDs, wantPinned)
-		}
-		if it.Counters.PinnedProbe != wantProbes {
-			t.Fatalf("%s: %d pinned probes, want %d (counters %+v)", step, it.Counters.PinnedProbe, wantProbes, it.Counters)
-		}
-		if len(wantPinned) == 0 && !marksClean(&it) {
-			t.Fatalf("%s: nothing pinned but the bitmap has bits set", step)
+		if it.Counters.PinnedProbe != probes || it.Counters.Merge+it.Counters.Gallop != 0 {
+			t.Fatalf("%s: counters %+v, want %d pinned probes and nothing else", step, it.Counters, probes)
 		}
 		set := 0
-		for _, v := range wantPinned {
+		for _, v := range pinned {
 			if it.marks[v>>6]&(1<<(v&63)) != 0 {
 				set++
 			}
 		}
-		if set != len(wantPinned) {
-			t.Fatalf("%s: %d of the pinned list's %d bits are set", step, set, len(wantPinned))
+		if set != len(pinned) {
+			t.Fatalf("%s: %d of the pinned list's %d bits are set", step, set, len(pinned))
 		}
 	}
-	run("first sight merges", [][]VertexID{a, bs[0]}, 0, nil, 0)
-	run("second sight pins", [][]VertexID{a, bs[1]}, 2, a, 1)
-	run("third sight probes", [][]VertexID{a, bs[2]}, 2, a, 2)
-	// The other operand repeats instead: a is unpinned, bs[2] pinned.
-	run("re-pin on the other operand", [][]VertexID{a2, bs[2]}, 4, bs[2], 3)
-	// Both repeat: the pin stays where it is.
-	run("pin kept while named", [][]VertexID{a2, bs[2]}, 6, bs[2], 4)
-	run("run over", [][]VertexID{a, bs[3]}, 0, nil, 4)
-	run("pinned again", [][]VertexID{a, bs[4]}, 2, a, 5)
+	it.Pin(a)
+	probe("first row", a, bs[0])
+	probe("second row", a, bs[1])
+	probe("a pinned list longer than its partner", a, bs[2][:3])
 	it.Unpin()
-	if !marksClean(&it) || len(it.pinIDs) != 0 {
-		t.Fatal("Unpin left bits or IDs behind")
+	if !marksClean(&it) {
+		t.Fatal("Unpin left bits behind")
 	}
-	// After Unpin a stale same is harmless: the operand is pinned afresh.
-	run("after Unpin", [][]VertexID{a, bs[5]}, 2, a, 6)
-
-	// The pin owns its IDs: the caller refilling the pinned list's buffer
-	// (a wildcard-label reader does) must not change what is probed or
-	// what Unpin clears.
-	buf := append([]VertexID(nil), a2...)
+	it.Unpin() // nothing pinned: a no-op
+	it.Pin(a2)
+	probe("next run", a2, bs[3])
+	// The run is abandoned and the caller's buffer refilled: Reset must not
+	// go by it.
+	buf := append([]VertexID(nil), bs[4]...)
 	it.Unpin()
-	run("pin a buffer", [][]VertexID{buf, bs[0]}, 0, nil, 6)
-	run("pin a buffer", [][]VertexID{buf, bs[1]}, 2, a2, 7)
+	it.Pin(buf)
+	probe("pinned buffer", buf, bs[5])
 	for i := range buf {
-		buf[i] = VertexID(100000 + i)
+		buf[i] = VertexID(3 + i)
 	}
-	out, scratch = it.IntersectRun(nil, [][]VertexID{buf, bs[2]}, nil, 2, out, scratch)
-	if want := naiveIntersect(a2, bs[2]); !equalIDs(out, want) {
-		t.Fatalf("probe after the caller's buffer was refilled: got %v, want %v", out, want)
+	it.Reset()
+	if !marksClean(&it) {
+		t.Fatal("Reset cleared by the caller's refilled buffer, not the whole bitmap")
+	}
+	it.Reset() // nothing pinned: a no-op
+	it.Pin(a)
+	probe("after Reset", a, bs[0])
+	it.Unpin()
+
+	// Nothing to sweep, an empty pinned list and a hub partner are refused
+	// without touching out; IDs beyond the bitmap are absent.
+	it.Pin(a)
+	if _, _, ok := it.ProbePinned([][]VertexID{a}, 0, out, scratch); ok {
+		t.Fatal("ProbePinned with no other list reported a result")
+	}
+	hub := randomSortedList(rng, PinCutoff*len(a), 2)
+	if _, _, ok := it.ProbePinned([][]VertexID{hub, a}, 1, out, scratch); ok {
+		t.Fatalf("a partner of %d against a pinned list of %d was swept (cut-off %d)", len(hub), len(a), PinCutoff)
+	}
+	far := []VertexID{a[0], a[len(a)-1], VertexID(len(it.marks)*64 + 5)}
+	if got, _, ok := it.ProbePinned([][]VertexID{far, nil}, 1, nil, nil); !ok || !equalIDs(got, far[:2]) {
+		t.Fatalf("probe with an ID beyond the bitmap = %v, %v; want %v", got, ok, far[:2])
+	}
+	it.Unpin()
+	it.Pin(nil)
+	if _, _, ok := it.ProbePinned([][]VertexID{nil, bs[0]}, 0, out, scratch); ok {
+		t.Fatal("an empty pinned list was swept")
 	}
 	it.Unpin()
 	if !marksClean(&it) {
-		t.Fatal("Unpin cleared by the caller's refilled buffer, not by the saved IDs")
+		t.Fatal("bitmap dirty at the end")
 	}
 }
 
 // TestPinnedKWayFold checks the k-way shapes of the pinned path against
-// the naive reference: any operand pinned (the seed or a list), the
-// shortest other one swept through the bitmap, the rest folded in with
-// and without bitset indexes — and the cut-off, where a partner far
-// longer than the pinned list sends the call down the ordinary dispatch.
+// the naive reference: any operand pinned, the shortest other one swept
+// through the bitmap, the rest folded in — and the cut-off, where a
+// partner far longer than the pinned list is handed back to the ordinary
+// dispatch.
 func TestPinnedKWayFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	var it Intersector
@@ -276,69 +295,39 @@ func TestPinnedKWayFold(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		k := 2 + rng.Intn(3)
 		lists := make([][]VertexID, k)
-		bits := make([]*Bitset, k)
 		for i := range lists {
 			length := 1 + rng.Intn(60)
 			if rng.Intn(4) == 0 {
 				length = 300 + rng.Intn(600)
 			}
 			lists[i] = randomSortedList(rng, length, 3)
-			if rng.Intn(2) == 0 {
-				bits[i] = NewBitsetFromSorted(lists[i])
-			}
 		}
-		var seed []VertexID
-		if rng.Intn(2) == 0 {
-			seed = randomSortedList(rng, 1+rng.Intn(40), 6)
-		}
-		all := lists
-		if seed != nil {
-			all = append([][]VertexID{seed}, lists...)
-		}
-		want := naiveIntersect(all...)
-		// Pin each operand in turn: a first call with same = 0, then two
-		// naming it.
-		for pos := 0; pos <= k; pos++ {
-			if pos == 0 && seed == nil {
-				continue
-			}
-			it.Unpin()
-			before := it.Counters
-			for call, same := range []uint32{0, 1 << uint(pos), 1 << uint(pos)} {
-				out, scratch = it.IntersectRun(seed, lists, bits, same, out, scratch)
-				if !equalIDs(out, want) {
-					t.Fatalf("trial %d pos %d call %d: got %v, want %v", trial, pos, call, out, want)
-				}
-			}
-			// Bit pos is all[pos] with a seed, all[pos-1] without.
-			at := pos
-			if seed == nil {
-				at--
-			}
-			pinned := all[at]
-			if !equalIDs(it.pinIDs, pinned) {
-				t.Fatalf("trial %d pos %d: pinned %v, want %v", trial, pos, it.pinIDs, pinned)
-			}
+		want := naiveIntersect(lists...)
+		for at := range lists {
+			it.Pin(lists[at])
+			before := it.Counters.PinnedProbe
+			var ok bool
+			out, scratch, ok = it.ProbePinned(lists, at, out, scratch)
 			shortest := -1
-			for i, l := range all {
-				if i == at {
-					continue
-				}
-				if shortest < 0 || len(l) < shortest {
+			for i, l := range lists {
+				if i != at && (shortest < 0 || len(l) < shortest) {
 					shortest = len(l)
 				}
 			}
-			probes := it.Counters.PinnedProbe - before.PinnedProbe
-			if cut := shortest >= pinCutoff*len(pinned); cut && probes != 0 {
-				t.Fatalf("trial %d pos %d: partner of %d against a pinned list of %d was swept (cut-off %d)", trial, pos, shortest, len(pinned), pinCutoff)
-			} else if !cut && probes != 2 {
-				t.Fatalf("trial %d pos %d: %d pinned probes over two repeats, want 2", trial, pos, probes)
+			if cut := shortest >= PinCutoff*len(lists[at]); cut == ok {
+				t.Fatalf("trial %d pinned %d: partner of %d against a pinned list of %d: swept = %v (cut-off %d)", trial, at, shortest, len(lists[at]), ok, PinCutoff)
+			}
+			if ok && !equalIDs(out, want) {
+				t.Fatalf("trial %d pinned %d: got %v, want %v", trial, at, out, want)
+			}
+			if got := it.Counters.PinnedProbe - before; ok != (got == 1) {
+				t.Fatalf("trial %d pinned %d: %d pinned probes counted, swept = %v", trial, at, got, ok)
+			}
+			it.Unpin()
+			if !marksClean(&it) {
+				t.Fatalf("trial %d pinned %d: bitmap dirty after Unpin", trial, at)
 			}
 		}
-	}
-	it.Unpin()
-	if !marksClean(&it) {
-		t.Fatal("bitmap dirty after the last Unpin")
 	}
 }
 
@@ -420,25 +409,25 @@ func TestIntersectorZeroAllocs(t *testing.T) {
 			}
 		})
 	}
-	// The pinned path: the operand that repeats is marked once (the bitmap
-	// and the saved IDs grow on the first pin only), every later call
-	// sweeps the partner through it, and a change of operand clears and
-	// re-marks without allocating.
+	// The pinned path: the bitmap grows on the first pin only; pinning,
+	// sweeping a run's partners, folding a third list in and unpinning
+	// allocate nothing after that.
 	t.Run("pinned", func(t *testing.T) {
 		var it Intersector
 		var out, scratch []VertexID
 		body := func() {
-			out, scratch = it.IntersectRun(nil, [][]VertexID{long, mid}, nil, 0, out, scratch)
-			out, scratch = it.IntersectRun(nil, [][]VertexID{long, short}, nil, 2, out, scratch)
-			out, scratch = it.IntersectRun(short, [][]VertexID{long, mid}, nil, 2, out, scratch)
-			out, scratch = it.IntersectRun(short, [][]VertexID{mid, long}, nil, 1, out, scratch)
+			it.Pin(long)
+			out, scratch, _ = it.ProbePinned([][]VertexID{long, mid}, 0, out, scratch)
+			out, scratch, _ = it.ProbePinned([][]VertexID{short, long}, 1, out, scratch)
+			out, scratch, _ = it.ProbePinned([][]VertexID{mid, long, short}, 1, out, scratch)
+			it.Unpin()
 		}
 		body()
 		if it.Counters.PinnedProbe != 3 {
-			t.Fatalf("pinned probe dispatched %d times in four calls, want 3 (counters %+v)", it.Counters.PinnedProbe, it.Counters)
+			t.Fatalf("pinned probe dispatched %d times in three calls, want 3 (counters %+v)", it.Counters.PinnedProbe, it.Counters)
 		}
 		if allocs := testing.AllocsPerRun(100, body); allocs != 0 {
-			t.Errorf("pinned IntersectRun allocates %.1f per run, want 0", allocs)
+			t.Errorf("the pinned path allocates %.1f per run, want 0", allocs)
 		}
 		if it.PinBytes() == 0 {
 			t.Error("PinBytes reports nothing held after pinning")
@@ -452,15 +441,15 @@ func TestIntersectorZeroAllocs(t *testing.T) {
 		lists := [][]VertexID{long, mid}
 		bits := []*Bitset{NewBitsetFromSorted(long), nil}
 		body := func() {
-			out, scratch = it.IntersectRun(short, lists, bits, 0, out, scratch)
-			out, scratch = it.IntersectRun(short, nil, nil, 0, out, scratch)
+			out, scratch = it.IntersectSeeded(short, lists, bits, out, scratch)
+			out, scratch = it.IntersectSeeded(short, nil, nil, out, scratch)
 		}
 		body()
 		if it.Counters.BitsetProbe == 0 {
 			t.Fatalf("seeded probe never dispatched (counters %+v)", it.Counters)
 		}
 		if allocs := testing.AllocsPerRun(100, body); allocs != 0 {
-			t.Errorf("seeded IntersectRun allocates %.1f per run, want 0", allocs)
+			t.Errorf("IntersectSeeded allocates %.1f per run, want 0", allocs)
 		}
 	})
 }
@@ -514,26 +503,24 @@ func FuzzIntersect(f *testing.F) {
 		if got, _ := it.IntersectK(three, []*Bitset{ba, bb, ba}, nil, nil); !equalIDs(got, want) {
 			t.Fatalf("IntersectK(a,b,a) = %v, want %v", got, want)
 		}
-		// The pinned kernel, either operand pinned (as a list and as the
-		// seed), each followed by an unrelated call that must find the
+		// The pinned kernel, either operand pinned — refused exactly past the
+		// cut-off — each followed by an unrelated call that must find the
 		// bitmap clean.
 		for _, pair := range [][2][]VertexID{{a, b}, {b, a}} {
-			lists := [][]VertexID{pair[0], pair[1]}
-			for _, same := range []uint32{0, 2, 2} {
-				if got, _ := it.IntersectRun(nil, lists, nil, same, nil, nil); !equalIDs(got, want) {
-					t.Fatalf("IntersectRun(same=%d) = %v, want %v", same, got, want)
-				}
+			it.Pin(pair[0])
+			got, _, ok := it.ProbePinned([][]VertexID{pair[0], pair[1]}, 0, nil, nil)
+			if cut := len(pair[1]) >= PinCutoff*len(pair[0]); cut == ok {
+				t.Fatalf("ProbePinned(|pinned| %d, |partner| %d) swept = %v", len(pair[0]), len(pair[1]), ok)
 			}
-			for _, same := range []uint32{0, 1, 1} {
-				if got, _ := it.IntersectRun(pair[0], lists[1:], nil, same, nil, nil); !equalIDs(got, want) {
-					t.Fatalf("seeded IntersectRun(same=%d) = %v, want %v", same, got, want)
-				}
+			if ok && !equalIDs(got, want) {
+				t.Fatalf("ProbePinned = %v, want %v", got, want)
 			}
-			if got, _ := it.IntersectRun(nil, three, nil, 0, nil, nil); !equalIDs(got, want) {
-				t.Fatalf("IntersectRun after a pinned run = %v, want %v", got, want)
-			}
+			it.Unpin()
 			if !marksClean(&it) {
-				t.Fatal("bitmap dirty after the pinned operand stopped repeating")
+				t.Fatal("bitmap dirty after Unpin")
+			}
+			if got, _ := it.IntersectSeeded(pair[0], three, nil, nil, nil); !equalIDs(got, want) {
+				t.Fatalf("IntersectSeeded after a pinned run = %v, want %v", got, want)
 			}
 		}
 	})

@@ -27,6 +27,14 @@ type View interface {
 	// (either may be WildcardLabel). The returned slice may alias internal
 	// storage; wildcard lookups that need merging may copy into buf.
 	Neighbors(v VertexID, dir Direction, eLabel, nLabel Label, buf []VertexID) []VertexID
+	// NeighborRuns appends to runs the non-empty partition runs of v's
+	// adjacency in direction dir that match (eLabel, nLabel) — either may
+	// be WildcardLabel — in (edge label, neighbour label) order, each
+	// sorted by ID and aliasing internal storage, and returns the extended
+	// slice. It is what a wildcard Neighbors lookup merges; a
+	// NeighborReader calls it with headers of its own, so that reading
+	// wildcard adjacency per tuple allocates nothing.
+	NeighborRuns(v VertexID, dir Direction, eLabel, nLabel Label, runs [][]VertexID) [][]VertexID
 	// NeighborBitset returns the bitset index over the exact (eLabel,
 	// nLabel) partition of v in direction dir, or nil when no index is
 	// materialised (partition below the hub threshold, indexing disabled,

@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"graphflow/internal/datagen"
@@ -135,6 +136,56 @@ func TestSnapshotReadsZeroAllocs(t *testing.T) {
 			_ = c.s.NeighborBitset(c.v, graph.Forward, 0, 0)
 		}); n != 0 {
 			t.Errorf("%s: %.0f allocs per round of reads", c.name, n)
+		}
+	}
+}
+
+// TestWildcardReadsZeroAllocs: a graph.NeighborReader reads wildcard
+// adjacency through a snapshot without allocating — an overlay vertex and
+// a base vertex beside it, two and three matching partitions — and sees
+// what Neighbors returns. gfvet cannot follow Read through the graph.View
+// interface; the overlay's partition walk used to collect its runs in a
+// fresh slice per lookup.
+func TestWildcardReadsZeroAllocs(t *testing.T) {
+	b := graph.NewBuilder(40)
+	for v := graph.VertexID(0); v < 2; v++ {
+		for l := graph.Label(0); l < 2; l++ {
+			for d := 2; d < 30; d += int(l) + 2 {
+				b.AddEdge(v, graph.VertexID(d), l)
+			}
+		}
+	}
+	db := mustOpen(t, b.MustBuild(), Config{CompactThreshold: -1})
+	if _, err := db.Apply(Batch{AddEdges: []EdgeOp{{Src: 0, Dst: 5, Label: 2}, {Src: 0, Dst: 6, Label: 2}}}); err != nil {
+		t.Fatal(err)
+	}
+	s := db.Snapshot()
+	if s.fwd.get(0) == nil || s.fwd.get(1) != nil {
+		t.Fatal("fixture: vertex 0 should be the only forward overlay entry")
+	}
+	for _, c := range []struct {
+		name  string
+		v     graph.VertexID
+		e     graph.Label
+		parts int
+	}{
+		{"overlay vertex, three partitions", 0, graph.WildcardLabel, 3},
+		{"base vertex, two partitions", 1, graph.WildcardLabel, 2},
+	} {
+		if got := len(s.NeighborRuns(c.v, graph.Forward, c.e, 0, nil)); got != c.parts {
+			t.Fatalf("%s: fixture matches %d partitions", c.name, got)
+		}
+		var r graph.NeighborReader
+		got := r.Read(s, c.v, graph.Forward, c.e, 0)
+		want := s.Neighbors(c.v, graph.Forward, c.e, 0, nil)
+		if !slices.Equal(got, want) || len(got) != s.Degree(c.v, graph.Forward, c.e, 0) || !slices.IsSorted(got) {
+			t.Fatalf("%s: Read = %v, Neighbors = %v", c.name, got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			_ = r.Read(s, c.v, graph.Forward, c.e, 0)
+			_ = r.Read(s, c.v, graph.Forward, c.e, graph.WildcardLabel)
+		}); n != 0 {
+			t.Errorf("%s: %.0f allocs per round of wildcard reads", c.name, n)
 		}
 	}
 }

@@ -90,27 +90,22 @@ func (p part) matches(e, nl graph.Label) bool {
 	return (e == graph.WildcardLabel || p.e == e) && (nl == graph.WildcardLabel || p.n == nl)
 }
 
-// neighbors mirrors Graph.Neighbors over the private layout.
-func (a *vadj) neighbors(e, nl graph.Label, buf []graph.VertexID) []graph.VertexID {
-	if e != graph.WildcardLabel && nl != graph.WildcardLabel {
-		if i, ok := a.findPartition(e, nl); ok {
-			return a.run(i)
-		}
-		return buf[:0]
+// neighbors returns the exact (e, nl) partition's run, empty if absent.
+func (a *vadj) neighbors(e, nl graph.Label) []graph.VertexID {
+	if i, ok := a.findPartition(e, nl); ok {
+		return a.run(i)
 	}
-	var runs [][]graph.VertexID
+	return a.nbrs[:0]
+}
+
+// appendRuns mirrors Graph.NeighborRuns over the private layout.
+func (a *vadj) appendRuns(e, nl graph.Label, runs [][]graph.VertexID) [][]graph.VertexID {
 	for i, p := range a.parts {
-		if p.matches(e, nl) {
+		if p.matches(e, nl) && len(a.run(i)) > 0 {
 			runs = append(runs, a.run(i))
 		}
 	}
-	switch len(runs) {
-	case 0:
-		return buf[:0]
-	case 1:
-		return runs[0]
-	}
-	return graph.MergeRuns(runs, buf)
+	return runs
 }
 
 // degree mirrors Graph.Degree.
@@ -338,13 +333,29 @@ func (s *Snapshot) overlay(dir graph.Direction) *index {
 //
 //gf:noalloc
 func (s *Snapshot) Neighbors(v graph.VertexID, dir graph.Direction, e, nl graph.Label, buf []graph.VertexID) []graph.VertexID {
+	if e == graph.WildcardLabel || nl == graph.WildcardLabel {
+		return graph.MergedNeighbors(s, v, dir, e, nl, buf)
+	}
 	if a := s.overlay(dir).get(v); a != nil {
-		return a.neighbors(e, nl, buf)
+		return a.neighbors(e, nl)
 	}
 	if int(v) < s.nBase {
 		return s.base.Neighbors(v, dir, e, nl, buf)
 	}
 	return buf[:0]
+}
+
+// NeighborRuns implements graph.View.
+//
+//gf:noalloc
+func (s *Snapshot) NeighborRuns(v graph.VertexID, dir graph.Direction, e, nl graph.Label, runs [][]graph.VertexID) [][]graph.VertexID {
+	if a := s.overlay(dir).get(v); a != nil {
+		return a.appendRuns(e, nl, runs)
+	}
+	if int(v) < s.nBase {
+		return s.base.NeighborRuns(v, dir, e, nl, runs)
+	}
+	return runs
 }
 
 // NeighborBitset implements graph.View: vertices whose adjacency is

@@ -109,3 +109,44 @@ func BenchmarkPreparedParallel(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkHotPatterns runs the benchmark's five hot-count patterns
+// (benchmark/workload.go) the way it runs them — prepared, Workers: 1,
+// the benchmark's store options, on LiveJournal(1) — one sub-benchmark
+// each, so README's five-pattern table is
+//
+//	go test -run '^$' -bench HotPatterns -benchtime 20x -cpu 1 -count 6 .
+//
+// (compare minima: the sandbox has two speed states). count and icost are
+// reported beside the time because a change to the engine must not move
+// them.
+func BenchmarkHotPatterns(b *testing.B) {
+	db, err := NewFromDataset("LiveJournal", 1, &Options{CatalogueH: 3, CatalogueZ: 1000, Seed: 1, MemGlobalBytes: 1 << 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	qo := &QueryOptions{Workers: 1}
+	for _, p := range []struct{ name, pattern string }{
+		{"tri", "a->b, b->c, a->c"},
+		{"diamondx", "a->b, a->c, b->c, b->d, c->d"},
+		{"tri2leaf", "a->b, b->c, a->c, a->d, a->e"},
+		{"clique4", "a->b, a->c, a->d, b->c, b->d, c->d"},
+		{"bowtie", "a->b, b->c, a->c, a->d, d->e, a->e"},
+	} {
+		b.Run(p.name, func(b *testing.B) {
+			pq, err := db.Prepare(p.pattern)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var st Stats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, st, err = pq.CountStats(qo); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(st.Matches), "count")
+			b.ReportMetric(float64(st.ICost), "icost")
+		})
+	}
+}
