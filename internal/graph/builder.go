@@ -94,8 +94,14 @@ func (b *Builder) Build() (*Graph, error) {
 		numVertexLabels: int(maxV) + 1,
 		numEdgeLabels:   int(maxE) + 1,
 	}
-	g.fwd, g.m = buildAdjacency(edges, g.vLabels, n, false)
-	g.bwd, _ = buildAdjacency(edges, g.vLabels, n, true)
+	var err error
+	if g.fwd, err = buildAdjacency(edges, g.vLabels, n, false); err != nil {
+		return nil, err
+	}
+	if g.bwd, err = buildAdjacency(edges, g.vLabels, n, true); err != nil {
+		return nil, err
+	}
+	g.m = len(g.fwd.nbrs)
 	g.buildHubIndex(b.hubThreshold)
 	return g, nil
 }
@@ -109,10 +115,10 @@ func (b *Builder) MustBuild() *Graph {
 	return g
 }
 
-// buildAdjacency sorts the edges into the CSR layout described on the
+// buildAdjacency sorts the edges into the layout described on the
 // adjacency type. When reversed is true the incoming index is built (the
 // "neighbour" is the edge source).
-func buildAdjacency(edges []edgeRec, vLabels []Label, n int, reversed bool) (adjacency, int) {
+func buildAdjacency(edges []edgeRec, vLabels []Label, n int, reversed bool) (adjacency, error) {
 	type entry struct {
 		owner  VertexID
 		eLabel Label
@@ -153,45 +159,13 @@ func buildAdjacency(edges []edgeRec, vLabels []Label, n int, reversed bool) (adj
 	}
 	ents = dedup
 
-	var a adjacency
-	a.offsets = make([]int, n+1)
-	a.nbrs = make([]VertexID, len(ents))
-	a.pOff = make([]int32, n+1)
-
-	// First pass: counts per owner and per (owner, eLabel, nLabel) partition.
-	for _, e := range ents {
-		a.offsets[e.owner+1]++
-	}
-	for v := 0; v < n; v++ {
-		a.offsets[v+1] += a.offsets[v]
-	}
-	// Emit neighbours and partition directory in one sweep (ents are fully
-	// sorted, so partitions are contiguous).
-	for i := 0; i < len(ents); {
-		v := ents[i].owner
-		j := i
-		for j < len(ents) && ents[j].owner == v {
-			j++
+	// ents are fully sorted, so partitions are contiguous.
+	w := newDirWriter(n, len(ents))
+	for k, e := range ents {
+		if k == 0 || e.owner != ents[k-1].owner || e.eLabel != ents[k-1].eLabel || e.nLabel != ents[k-1].nLabel {
+			w.part(e.owner, e.eLabel, e.nLabel)
 		}
-		for k := i; k < j; k++ {
-			a.nbrs[a.offsets[v]+(k-i)] = ents[k].nbr
-			if k == i || ents[k].eLabel != ents[k-1].eLabel || ents[k].nLabel != ents[k-1].nLabel {
-				a.pELabel = append(a.pELabel, ents[k].eLabel)
-				a.pNLabel = append(a.pNLabel, ents[k].nLabel)
-				a.pStart = append(a.pStart, a.offsets[v]+(k-i))
-			}
-		}
-		a.pOff[v+1] = int32(len(a.pStart))
-		i = j
+		w.adj.nbrs = append(w.adj.nbrs, e.nbr)
 	}
-	// Owners without entries never had pOff[v+1] assigned; make the array
-	// monotone so their directories are empty ranges.
-	last := int32(0)
-	for v := 1; v <= n; v++ {
-		if a.pOff[v] < last {
-			a.pOff[v] = last
-		}
-		last = a.pOff[v]
-	}
-	return a, len(ents)
+	return w.finish(n)
 }

@@ -13,6 +13,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 )
 
 // VertexID identifies a vertex in the data graph.
@@ -52,27 +53,147 @@ func (d Direction) String() string {
 	return "bwd"
 }
 
-// adjacency stores one direction of the graph in CSR form. The neighbour
-// segment of vertex v spans nbrs[offsets[v]:offsets[v+1]] and is sorted by
-// (edge label, neighbour label, neighbour ID). The partition directory for v
-// spans partition arrays pOff[v]:pOff[v+1]; each directory entry records the
-// labels of the partition and its absolute start index in nbrs. Partition
-// ends are implicit (the next partition's start, or the segment end).
+// Part is one partition directory entry: the edge and neighbour labels of
+// a partition and where its ID-sorted run starts in the neighbour array.
+// The run ends where the next entry's starts.
+type Part struct {
+	E, N  Label
+	Start uint32
+}
+
+// matches reports whether p is selected by the (possibly wildcard) pair.
+func (p Part) matches(e, n Label) bool {
+	return (e == WildcardLabel || p.E == e) && (n == WildcardLabel || p.N == n)
+}
+
+// Dir is one vertex's partition directory: its entries in (E, N) order,
+// then the entry after them, whose Start ends the last run. Entry i's run
+// is nbrs[d[i].Start:d[i+1].Start]. The graph's directories and the live
+// overlay's are read through the same methods.
+type Dir []Part
+
+// Find returns the index of the entry labelled (e, n) and whether there
+// is one; when there is not, the index is where it would be inserted.
+//
+//gf:noalloc
+func (d Dir) Find(e, n Label) (int, bool) {
+	// Open-coded rather than sort.Search: the closure would escape and cost
+	// a heap allocation on every descriptor lookup of every E/I extension.
+	i, j := 0, len(d)-1
+	for i < j {
+		mid := int(uint(i+j) >> 1)
+		if d[mid].E < e || (d[mid].E == e && d[mid].N < n) {
+			i = mid + 1
+		} else {
+			j = mid
+		}
+	}
+	return i, i < len(d)-1 && d[i].E == e && d[i].N == n
+}
+
+// Run returns entry i's neighbours.
+//
+//gf:noalloc
+func (d Dir) Run(nbrs []VertexID, i int) []VertexID {
+	return nbrs[d[i].Start:d[i+1].Start]
+}
+
+// Neighbors returns the run of the entry labelled (e, n) exactly, empty
+// when there is none.
+//
+//gf:noalloc
+func (d Dir) Neighbors(nbrs []VertexID, e, n Label) []VertexID {
+	if i, ok := d.Find(e, n); ok {
+		return d.Run(nbrs, i)
+	}
+	return nbrs[:0]
+}
+
+// AppendRuns appends the non-empty runs of the entries matching (e, n) —
+// either may be WildcardLabel — in directory order.
+//
+//gf:noalloc
+func (d Dir) AppendRuns(nbrs []VertexID, e, n Label, runs [][]VertexID) [][]VertexID {
+	for i, p := range d[:len(d)-1] {
+		if p.matches(e, n) && p.Start < d[i+1].Start {
+			runs = append(runs, d.Run(nbrs, i))
+		}
+	}
+	return runs
+}
+
+// Degree returns how many neighbours the entries matching (e, n) hold.
+//
+//gf:noalloc
+func (d Dir) Degree(e, n Label) int {
+	if e != WildcardLabel && n != WildcardLabel {
+		i, ok := d.Find(e, n)
+		if !ok {
+			return 0
+		}
+		return int(d[i+1].Start - d[i].Start)
+	}
+	total := 0
+	for i, p := range d[:len(d)-1] {
+		if p.matches(e, n) {
+			total += int(d[i+1].Start - p.Start)
+		}
+	}
+	return total
+}
+
+// Contains reports whether x is in a run matching (e, n).
+//
+//gf:noalloc
+func (d Dir) Contains(nbrs []VertexID, e, n Label, x VertexID) bool {
+	if e != WildcardLabel && n != WildcardLabel {
+		i, ok := d.Find(e, n)
+		return ok && containsSorted(d.Run(nbrs, i), x)
+	}
+	for i, p := range d[:len(d)-1] {
+		if p.matches(e, n) && containsSorted(d.Run(nbrs, i), x) {
+			return true
+		}
+	}
+	return false
+}
+
+// Edges calls fn for every (src, neighbour, edge label) in directory
+// order and reports whether fn let the iteration finish.
+func (d Dir) Edges(nbrs []VertexID, src VertexID, fn EdgeFunc) bool {
+	for i, p := range d[:len(d)-1] {
+		for _, dst := range d.Run(nbrs, i) {
+			if !fn(src, dst, p.E) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// adjacency stores one direction of the graph. nbrs holds every vertex's
+// neighbours, sorted by (edge label, neighbour label, ID); dir is the
+// partition directory over it and ends in a sentinel whose Start is
+// len(nbrs), so entry i's run is always nbrs[dir[i].Start:dir[i+1].Start].
+// Every vertex owns at least one entry — an isolated vertex one empty
+// entry — and first[v] is the index of v's first, first[n] the
+// sentinel's. When the directory holds exactly one entry per vertex (every
+// unlabelled graph does) first is nil and v's entry is dir[v]: an exact
+// lookup reads dir[v] and dir[v+1], one cache line, and then nbrs. Build
+// and Finish choose the form from the data.
 type adjacency struct {
-	offsets []int
-	nbrs    []VertexID
+	nbrs  []VertexID
+	dir   []Part
+	first []uint32
 
-	pOff    []int32
-	pELabel []Label
-	pNLabel []Label
-	pStart  []int
-
-	// pBitset, when non-nil, aligns with the partition directory: entry i
-	// is the bitset index of partition i, materialised at build time for
-	// hub partitions at or above the graph's hub threshold (nil for the
-	// rest). The sorted run stays canonical; the bitset is a secondary
-	// representation the degree-adaptive intersection kernels dispatch on.
-	pBitset []*Bitset
+	// hubAt lists, ascending, the directory indexes of the partitions at
+	// or above the graph's hub threshold, and hubs their bitset indexes,
+	// materialised at build time. The sorted run stays canonical; the
+	// bitset is a secondary representation the degree-adaptive
+	// intersection kernels dispatch on. A run shorter than the threshold
+	// never reaches the table.
+	hubAt []uint32
+	hubs  []*Bitset
 }
 
 // Graph is an immutable directed graph with vertex and edge labels.
@@ -114,48 +235,48 @@ func (g *Graph) adj(dir Direction) *adjacency {
 	return &g.bwd
 }
 
-// segment returns the whole neighbour run of v in the given direction,
-// sorted by (edge label, neighbour label, ID).
-func (a *adjacency) segment(v VertexID) []VertexID {
-	return a.nbrs[a.offsets[v]:a.offsets[v+1]]
+// entry returns the directory index of v's first entry (for v = n, the
+// sentinel's).
+//
+//gf:noalloc
+func (a *adjacency) entry(v VertexID) uint32 {
+	if a.first == nil {
+		return uint32(v)
+	}
+	return a.first[v]
 }
 
-// findPartition returns the directory index of v's partition matching
-// (eLabel, nLabel) exactly, and whether one exists.
-func (a *adjacency) findPartition(v VertexID, eLabel, nLabel Label) (int, bool) {
-	lo, hi := int(a.pOff[v]), int(a.pOff[v+1])
-	// Binary search the partition directory on (eLabel, nLabel).
-	// Open-coded rather than sort.Search: the closure would escape and
-	// cost a heap allocation on every descriptor lookup of every E/I
-	// extension.
-	i, j := lo, hi
-	for i < j {
-		mid := int(uint(i+j) >> 1)
-		if a.pELabel[mid] < eLabel || (a.pELabel[mid] == eLabel && a.pNLabel[mid] < nLabel) {
-			i = mid + 1
-		} else {
-			j = mid
-		}
-	}
-	if i >= hi || a.pELabel[i] != eLabel || a.pNLabel[i] != nLabel {
-		return 0, false
-	}
-	return i, true
+// span returns v's directory: its entries and the one after them.
+//
+//gf:noalloc
+func (a *adjacency) span(v VertexID) Dir {
+	return a.dir[a.entry(v) : a.entry(v+1)+1]
 }
 
-// partitionRange returns the [start, end) bounds in a.nbrs of the partition
-// of v matching (eLabel, nLabel) exactly, or (0, 0) if absent.
-func (a *adjacency) partitionRange(v VertexID, eLabel, nLabel Label) (int, int) {
-	i, ok := a.findPartition(v, eLabel, nLabel)
-	if !ok {
-		return 0, 0
+// find returns the directory index of v's (e, n) entry and whether v has
+// one.
+//
+//gf:noalloc
+func (a *adjacency) find(v VertexID, e, n Label) (int, bool) {
+	if a.first == nil {
+		p := a.dir[v]
+		return int(v), p.E == e && p.N == n
 	}
-	start := a.pStart[i]
-	end := a.offsets[v+1]
-	if i+1 < int(a.pOff[v+1]) {
-		end = a.pStart[i+1]
-	}
-	return start, end
+	i, ok := a.span(v).Find(e, n)
+	return int(a.first[v]) + i, ok
+}
+
+// run returns directory entry i's neighbours.
+//
+//gf:noalloc
+func (a *adjacency) run(i int) []VertexID {
+	return a.nbrs[a.dir[i].Start:a.dir[i+1].Start]
+}
+
+// degree returns v's degree across all labels.
+func (a *adjacency) degree(v VertexID) int {
+	d := a.span(v)
+	return int(d[len(d)-1].Start - d[0].Start)
 }
 
 // Neighbors returns the sorted neighbour list of v in direction dir,
@@ -164,13 +285,18 @@ func (a *adjacency) partitionRange(v VertexID, eLabel, nLabel Label) (int, int) 
 // for exact lookups; wildcard lookups that need merging copy into buf (which
 // may be nil) and return it.
 //
-// Exact lookups are O(log p) in the number of partitions of v; wildcard
-// lookups pay a k-way merge over the matching partitions.
+// Exact lookups are O(log p) in the number of partitions of v (O(1) in
+// the one-entry form); wildcard lookups pay a k-way merge over the
+// matching partitions.
+//
+//gf:noalloc
 func (g *Graph) Neighbors(v VertexID, dir Direction, eLabel, nLabel Label, buf []VertexID) []VertexID {
 	if eLabel != WildcardLabel && nLabel != WildcardLabel {
 		a := g.adj(dir)
-		s, e := a.partitionRange(v, eLabel, nLabel)
-		return a.nbrs[s:e]
+		if i, ok := a.find(v, eLabel, nLabel); ok {
+			return a.run(i)
+		}
+		return a.nbrs[:0]
 	}
 	return MergedNeighbors(g, v, dir, eLabel, nLabel, buf)
 }
@@ -180,24 +306,7 @@ func (g *Graph) Neighbors(v VertexID, dir Direction, eLabel, nLabel Label, buf [
 //gf:noalloc
 func (g *Graph) NeighborRuns(v VertexID, dir Direction, eLabel, nLabel Label, runs [][]VertexID) [][]VertexID {
 	a := g.adj(dir)
-	lo, hi := int(a.pOff[v]), int(a.pOff[v+1])
-	for i := lo; i < hi; i++ {
-		if eLabel != WildcardLabel && a.pELabel[i] != eLabel {
-			continue
-		}
-		if nLabel != WildcardLabel && a.pNLabel[i] != nLabel {
-			continue
-		}
-		start := a.pStart[i]
-		end := a.offsets[v+1]
-		if i+1 < hi {
-			end = a.pStart[i+1]
-		}
-		if start < end {
-			runs = append(runs, a.nbrs[start:end])
-		}
-	}
-	return runs
+	return a.span(v).AppendRuns(a.nbrs, eLabel, nLabel, runs)
 }
 
 // NeighborBitset returns the bitset index of the exact (eLabel, nLabel)
@@ -205,16 +314,21 @@ func (g *Graph) NeighborRuns(v VertexID, dir Direction, eLabel, nLabel Label, ru
 // the hub threshold, indexing is disabled, or either label is a
 // wildcard (wildcard lookups merge several partitions, whose union
 // carries duplicate semantics a bitset cannot represent).
+//
+//gf:noalloc
 func (g *Graph) NeighborBitset(v VertexID, dir Direction, eLabel, nLabel Label) *Bitset {
 	a := g.adj(dir)
-	if a.pBitset == nil || eLabel == WildcardLabel || nLabel == WildcardLabel {
+	if len(a.hubs) == 0 || eLabel == WildcardLabel || nLabel == WildcardLabel {
 		return nil
 	}
-	i, ok := a.findPartition(v, eLabel, nLabel)
-	if !ok {
+	i, ok := a.find(v, eLabel, nLabel)
+	if !ok || len(a.run(i)) < g.hubThreshold {
 		return nil
 	}
-	return a.pBitset[i]
+	if k, ok := slices.BinarySearch(a.hubAt, uint32(i)); ok {
+		return a.hubs[k]
+	}
+	return nil
 }
 
 // buildHubIndex materialises bitsets for every partition at or above the
@@ -227,23 +341,14 @@ func (g *Graph) buildHubIndex(threshold int) {
 }
 
 func (a *adjacency) buildHubIndex(th int) {
-	a.pBitset = nil
+	a.hubAt, a.hubs = nil, nil
 	if th < 0 {
 		return
 	}
-	// Partition ends are globally pStart[i+1] (segments tile nbrs, and an
-	// owner's last partition ends exactly where the next non-empty owner's
-	// first partition starts) or len(nbrs) for the final partition.
-	for i := range a.pStart {
-		end := len(a.nbrs)
-		if i+1 < len(a.pStart) {
-			end = a.pStart[i+1]
-		}
-		if end-a.pStart[i] >= th {
-			if a.pBitset == nil {
-				a.pBitset = make([]*Bitset, len(a.pStart))
-			}
-			a.pBitset[i] = NewBitsetFromSorted(a.nbrs[a.pStart[i]:end])
+	for i := range len(a.dir) - 1 {
+		if run := a.run(i); len(run) >= th {
+			a.hubAt = append(a.hubAt, uint32(i))
+			a.hubs = append(a.hubs, NewBitsetFromSorted(run))
 		}
 	}
 }
@@ -276,12 +381,10 @@ func (g *Graph) HubThreshold() int { return g.hubThreshold }
 // HubIndexStats reports the hub bitset index's size and memory.
 func (g *Graph) HubIndexStats() HubStats {
 	st := HubStats{Threshold: g.hubThreshold}
-	for _, a := range []*adjacency{&g.fwd, &g.bwd} {
-		for _, b := range a.pBitset {
-			if b != nil {
-				st.Partitions++
-				st.Bytes += int64(b.WordLen()) * 8
-			}
+	for _, hubs := range [][]*Bitset{g.fwd.hubs, g.bwd.hubs} {
+		for _, b := range hubs {
+			st.Partitions++
+			st.Bytes += int64(b.WordLen()) * 8
 		}
 	}
 	return st
@@ -289,63 +392,37 @@ func (g *Graph) HubIndexStats() HubStats {
 
 // Degree returns the size of the (eLabel, nLabel) partition of v in
 // direction dir; labels may be WildcardLabel.
+//
+//gf:noalloc
 func (g *Graph) Degree(v VertexID, dir Direction, eLabel, nLabel Label) int {
 	a := g.adj(dir)
 	if eLabel != WildcardLabel && nLabel != WildcardLabel {
-		s, e := a.partitionRange(v, eLabel, nLabel)
-		return e - s
+		if i, ok := a.find(v, eLabel, nLabel); ok {
+			return len(a.run(i))
+		}
+		return 0
 	}
-	lo, hi := int(a.pOff[v]), int(a.pOff[v+1])
-	total := 0
-	for i := lo; i < hi; i++ {
-		if eLabel != WildcardLabel && a.pELabel[i] != eLabel {
-			continue
-		}
-		if nLabel != WildcardLabel && a.pNLabel[i] != nLabel {
-			continue
-		}
-		end := a.offsets[v+1]
-		if i+1 < hi {
-			end = a.pStart[i+1]
-		}
-		total += end - a.pStart[i]
-	}
-	return total
+	return a.span(v).Degree(eLabel, nLabel)
 }
 
 // OutDegree returns the total forward degree of v across all labels.
-func (g *Graph) OutDegree(v VertexID) int {
-	return g.fwd.offsets[v+1] - g.fwd.offsets[v]
-}
+func (g *Graph) OutDegree(v VertexID) int { return g.fwd.degree(v) }
 
 // InDegree returns the total backward degree of v across all labels.
-func (g *Graph) InDegree(v VertexID) int {
-	return g.bwd.offsets[v+1] - g.bwd.offsets[v]
-}
+func (g *Graph) InDegree(v VertexID) int { return g.bwd.degree(v) }
 
 // HasEdge reports whether the directed edge src->dst with label eLabel
 // exists. eLabel may be WildcardLabel.
+//
+//gf:noalloc
 func (g *Graph) HasEdge(src, dst VertexID, eLabel Label) bool {
-	// Search the partition matching the destination's label; cheaper than a
+	// Search only the partitions of the destination's label; cheaper than a
 	// wildcard merge.
 	if eLabel != WildcardLabel {
-		list := g.Neighbors(src, Forward, eLabel, g.vLabels[dst], nil)
-		return containsSorted(list, dst)
+		i, ok := g.fwd.find(src, eLabel, g.vLabels[dst])
+		return ok && containsSorted(g.fwd.run(i), dst)
 	}
-	lo, hi := int(g.fwd.pOff[src]), int(g.fwd.pOff[src+1])
-	for i := lo; i < hi; i++ {
-		if g.fwd.pNLabel[i] != g.vLabels[dst] {
-			continue
-		}
-		end := g.fwd.offsets[src+1]
-		if i+1 < hi {
-			end = g.fwd.pStart[i+1]
-		}
-		if containsSorted(g.fwd.nbrs[g.fwd.pStart[i]:end], dst) {
-			return true
-		}
-	}
-	return false
+	return g.fwd.span(src).Contains(g.fwd.nbrs, eLabel, g.vLabels[dst], dst)
 }
 
 // EdgeFunc is the callback type for Edges.
@@ -354,39 +431,16 @@ type EdgeFunc func(src, dst VertexID, eLabel Label) bool
 // Edges calls fn for every directed edge, grouped by source vertex; fn
 // returning false stops the iteration early.
 func (g *Graph) Edges(fn EdgeFunc) {
-	for v := 0; v < g.n; v++ {
-		src := VertexID(v)
-		lo, hi := int(g.fwd.pOff[src]), int(g.fwd.pOff[src+1])
-		for i := lo; i < hi; i++ {
-			end := g.fwd.offsets[src+1]
-			if i+1 < hi {
-				end = g.fwd.pStart[i+1]
-			}
-			el := g.fwd.pELabel[i]
-			for _, dst := range g.fwd.nbrs[g.fwd.pStart[i]:end] {
-				if !fn(src, dst, el) {
-					return
-				}
-			}
+	for v := VertexID(0); int(v) < g.n; v++ {
+		if !g.fwd.span(v).Edges(g.fwd.nbrs, v, fn) {
+			return
 		}
 	}
 }
 
 // EdgesOf calls fn for every forward edge of src only.
 func (g *Graph) EdgesOf(src VertexID, fn EdgeFunc) {
-	lo, hi := int(g.fwd.pOff[src]), int(g.fwd.pOff[src+1])
-	for i := lo; i < hi; i++ {
-		end := g.fwd.offsets[src+1]
-		if i+1 < hi {
-			end = g.fwd.pStart[i+1]
-		}
-		el := g.fwd.pELabel[i]
-		for _, dst := range g.fwd.nbrs[g.fwd.pStart[i]:end] {
-			if !fn(src, dst, el) {
-				return
-			}
-		}
-	}
+	g.fwd.span(src).Edges(g.fwd.nbrs, src, fn)
 }
 
 // String summarises the graph.
@@ -394,6 +448,9 @@ func (g *Graph) String() string {
 	return fmt.Sprintf("graph{V=%d E=%d vlabels=%d elabels=%d}", g.n, g.m, g.numVertexLabels, g.numEdgeLabels)
 }
 
+// containsSorted reports whether the ID-sorted list holds x.
+//
+//gf:noalloc
 func containsSorted(list []VertexID, x VertexID) bool {
 	// Open-coded binary search; sort.Search's closure would heap-escape
 	// on the HasEdge hot path.

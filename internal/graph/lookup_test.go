@@ -1,0 +1,155 @@
+package graph_test
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"graphflow/internal/datagen"
+	"graphflow/internal/graph"
+	"graphflow/internal/live"
+)
+
+// heapOf returns what build leaves on the heap once collected.
+func heapOf(build func() *graph.Graph) (*graph.Graph, uint64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	g := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return g, after.HeapAlloc - before.HeapAlloc
+}
+
+// lookupSink keeps BenchmarkNeighbors' reads from being optimised away.
+var lookupSink int
+
+// probe is one exact lookup: a vertex and one of its partitions' labels
+// (labels (0, 0) for a vertex without one).
+type probe struct {
+	v    graph.VertexID
+	e, n graph.Label
+}
+
+func probesOf(g *graph.Graph, k int) []probe {
+	rng := rand.New(rand.NewSource(1))
+	ps := make([]probe, k)
+	for i := range ps {
+		v := graph.VertexID(rng.Intn(g.NumVertices()))
+		ps[i].v = v
+		var labels []probe
+		g.Partitions(v, graph.Forward, func(e, n graph.Label, _ []graph.VertexID) bool {
+			labels = append(labels, probe{v, e, n})
+			return true
+		})
+		if len(labels) > 0 {
+			ps[i] = labels[rng.Intn(len(labels))]
+		}
+	}
+	return ps
+}
+
+// BenchmarkNeighbors prices reaching one adjacency run: ns per exact
+// Neighbors, per exact Degree and per NeighborBitset at a random vertex
+// and one of its partitions, on LiveJournal(1) (unlabelled: one directory
+// entry per vertex), on cold-plan's Relabel(Epinions(2), 2, 3, 11) (two
+// vertex and three edge labels: several entries per vertex) and through a
+// live.Snapshot with an empty overlay over LiveJournal(1). Every call goes
+// through graph.View, as the executor's do. heapB/edge is what the graph
+// keeps on the heap per directed edge once built.
+func BenchmarkNeighbors(b *testing.B) {
+	lj, ljBytes := heapOf(func() *graph.Graph { return datagen.LiveJournal(1) })
+	cold, coldBytes := heapOf(func() *graph.Graph { return datagen.Relabel(datagen.Epinions(2), 2, 3, 11) })
+	db, err := live.Open(lj, live.Config{CompactThreshold: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		g     *graph.Graph
+		view  graph.View
+		bytes uint64
+	}{
+		{"LiveJournal", lj, lj, ljBytes},
+		{"ColdPlan", cold, cold, coldBytes},
+		{"LiveJournalSnapshot", lj, db.Snapshot(), ljBytes},
+	} {
+		ps := probesOf(c.g, 1<<12)
+		for _, op := range []struct {
+			name string
+			read func(graph.View, probe) int
+		}{
+			{"Neighbors", func(g graph.View, p probe) int { return len(g.Neighbors(p.v, graph.Forward, p.e, p.n, nil)) }},
+			{"Degree", func(g graph.View, p probe) int { return g.Degree(p.v, graph.Forward, p.e, p.n) }},
+			{"NeighborBitset", func(g graph.View, p probe) int {
+				if g.NeighborBitset(p.v, graph.Forward, p.e, p.n) != nil {
+					return 1
+				}
+				return 0
+			}},
+		} {
+			b.Run(c.name+"/"+op.name, func(b *testing.B) {
+				sum := 0
+				for i := 0; i < b.N; i++ {
+					sum += op.read(c.view, ps[i&(len(ps)-1)])
+				}
+				lookupSink = sum
+				b.ReportMetric(float64(c.bytes)/float64(c.g.NumEdges()), "heapB/edge")
+			})
+		}
+	}
+}
+
+// TestZeroAllocs: the exact lookups — Neighbors, Degree, HasEdge and
+// NeighborBitset, on a hub partition and on one below the threshold —
+// allocate nothing in either directory form, read directly and through a
+// live.Snapshot (empty overlay, and a vertex beside an overlay entry).
+// gfvet follows the Graph methods; the View interface hides the snapshot's.
+func TestZeroAllocs(t *testing.T) {
+	const th = 4
+	oneEntry := graph.NewBuilder(12)
+	general := graph.NewBuilder(12)
+	general.SetVertexLabel(11, 1)
+	for _, b := range []*graph.Builder{oneEntry, general} {
+		b.SetHubThreshold(th)
+		for d := graph.VertexID(2); d < 8; d++ {
+			b.AddEdge(0, d, 0) // vertex 0: a hub partition
+		}
+		b.AddEdge(1, 2, 0) // vertex 1: one below the threshold
+		b.AddEdge(10, 9, 0)
+	}
+	general.AddEdge(0, 11, 0) // a second partition each for 0 and 1
+	general.AddEdge(1, 3, 1)
+	views := map[string]graph.View{}
+	for name, b := range map[string]*graph.Builder{"oneEntry": oneEntry, "general": general} {
+		g := b.MustBuild()
+		if graph.OneEntryForm(g, graph.Forward) != (name == "oneEntry") {
+			t.Fatalf("fixture: %s graph has the other directory form", name)
+		}
+		db, err := live.Open(g, live.Config{CompactThreshold: -1, HubThreshold: th})
+		if err != nil {
+			t.Fatal(err)
+		}
+		views[name] = g
+		views[name+"/snapshot"] = db.Snapshot()
+		if _, err := db.Apply(live.Batch{AddEdges: []live.EdgeOp{{Src: 10, Dst: 8}}}); err != nil {
+			t.Fatal(err)
+		}
+		views[name+"/overlaySnapshot"] = db.Snapshot()
+	}
+	for name, g := range views {
+		for _, v := range []graph.VertexID{0, 1} {
+			if hub := g.NeighborBitset(v, graph.Forward, 0, 0) != nil; hub != (v == 0) {
+				t.Fatalf("fixture: %s vertex %d: hub bitset %v", name, v, hub)
+			}
+			if n := testing.AllocsPerRun(100, func() {
+				_ = g.Neighbors(v, graph.Forward, 0, 0, nil)
+				_ = g.Degree(v, graph.Forward, 0, 0)
+				_ = g.HasEdge(v, 2, 0)
+				_ = g.NeighborBitset(v, graph.Forward, 0, 0)
+			}); n != 0 {
+				t.Errorf("%s, vertex %d: %.0f allocs per round of exact lookups", name, v, n)
+			}
+		}
+	}
+}

@@ -74,13 +74,9 @@ type PartitionFunc func(eLabel, nLabel Label, nbrs []VertexID) bool
 // vertex is first mutated.
 func (g *Graph) Partitions(v VertexID, dir Direction, fn PartitionFunc) {
 	a := g.adj(dir)
-	lo, hi := int(a.pOff[v]), int(a.pOff[v+1])
-	for i := lo; i < hi; i++ {
-		end := a.offsets[v+1]
-		if i+1 < hi {
-			end = a.pStart[i+1]
-		}
-		if !fn(a.pELabel[i], a.pNLabel[i], a.nbrs[a.pStart[i]:end]) {
+	d := a.span(v)
+	for i, p := range d[:len(d)-1] {
+		if run := d.Run(a.nbrs, i); len(run) > 0 && !fn(p.E, p.N, run) {
 			return
 		}
 	}
@@ -89,6 +85,12 @@ func (g *Graph) Partitions(v VertexID, dir Direction, fn PartitionFunc) {
 // NumPartitions returns how many partitions Partitions would visit for v
 // in dir, so a caller copying them can size its directory once.
 func (g *Graph) NumPartitions(v VertexID, dir Direction) int {
-	a := g.adj(dir)
-	return int(a.pOff[v+1] - a.pOff[v])
+	d := g.adj(dir).span(v)
+	k := 0
+	for i := range d[:len(d)-1] {
+		if d[i].Start < d[i+1].Start {
+			k++
+		}
+	}
+	return k
 }

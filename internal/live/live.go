@@ -624,8 +624,8 @@ func fold(s *Snapshot) (*graph.Graph, error) {
 		}
 		s.overlay(dir).walk(0, func(v graph.VertexID, a *vadj) {
 			fromBase(v)
-			for i, p := range a.parts {
-				asm.AppendPartition(v, dir, p.e, p.n, a.run(i))
+			for i, p := range a.parts[:len(a.parts)-1] {
+				asm.AppendPartition(v, dir, p.E, p.N, a.parts.Run(a.nbrs, i))
 			}
 			next = v + 1
 		})

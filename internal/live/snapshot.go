@@ -18,35 +18,33 @@
 package live
 
 import (
+	"slices"
+
 	"graphflow/internal/graph"
 )
 
 // vadj is one mutated vertex's fully materialised adjacency in one
 // direction: the same (edge label, neighbour label, ID)-sorted layout as
-// the base CSR, but private to the vertex. Partition i spans
-// nbrs[parts[i].start:end] where end is parts[i+1].start (or len(nbrs)
-// for the last). A vadj is immutable once its snapshot is published;
-// stamp is the epoch that created it, the only one allowed to mutate it.
+// the base, private to the vertex, and read through the same graph.Dir
+// methods. parts ends in a sentinel whose Start is len(nbrs), so entry i
+// spans nbrs[parts[i].Start:parts[i+1].Start]. A vadj is immutable once
+// its snapshot is published; stamp is the epoch that created it, the only
+// one allowed to mutate it.
 type vadj struct {
 	stamp uint64
 	nbrs  []graph.VertexID
-	parts []part
-	few   [2]part // backs parts while the directory fits: no third allocation
+	parts graph.Dir
+	few   [3]graph.Part // backs parts while the directory fits: no third allocation
 }
 
-// part is one partition directory entry.
-type part struct {
-	e, n  graph.Label
-	start uint32
-}
-
-// newVadj returns an empty adjacency with room for deg neighbours in
-// parts partitions plus the one edge (and the one partition) an insert
-// may add, so the common single-edge mutation never regrows a slice.
+// newVadj returns an empty adjacency (its directory just the sentinel)
+// with room for deg neighbours in parts partitions plus the one edge (and
+// the one partition) an insert may add, so the common single-edge
+// mutation never regrows a slice.
 func newVadj(deg, parts int) *vadj {
 	a := &vadj{nbrs: make([]graph.VertexID, 0, deg+1)}
-	if a.parts = a.few[:0]; parts >= len(a.few) {
-		a.parts = make([]part, 0, parts+1)
+	if a.parts = a.few[:1]; parts+2 > len(a.few) {
+		a.parts = make(graph.Dir, 1, parts+2)
 	}
 	return a
 }
@@ -54,151 +52,28 @@ func newVadj(deg, parts int) *vadj {
 // clone deep-copies the adjacency so a new epoch can modify it without
 // disturbing published snapshots.
 func (a *vadj) clone() *vadj {
-	c := newVadj(len(a.nbrs), len(a.parts))
+	c := newVadj(len(a.nbrs), len(a.parts)-1)
 	c.nbrs = append(c.nbrs, a.nbrs...)
-	c.parts = append(c.parts, a.parts...)
+	c.parts = append(c.parts[:0], a.parts...)
 	return c
-}
-
-// run returns partition i's neighbours.
-func (a *vadj) run(i int) []graph.VertexID {
-	end := uint32(len(a.nbrs))
-	if i+1 < len(a.parts) {
-		end = a.parts[i+1].start
-	}
-	return a.nbrs[a.parts[i].start:end]
-}
-
-// findPartition returns the directory index whose (eLabel, nLabel) is the
-// first >= the given pair, and whether it matches exactly.
-func (a *vadj) findPartition(e, nl graph.Label) (int, bool) {
-	lo, hi := 0, len(a.parts)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if p := a.parts[mid]; p.e < e || (p.e == e && p.n < nl) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(a.parts) && a.parts[lo].e == e && a.parts[lo].n == nl
-}
-
-// matches reports whether partition p is selected by the (possibly
-// wildcard) label pair.
-func (p part) matches(e, nl graph.Label) bool {
-	return (e == graph.WildcardLabel || p.e == e) && (nl == graph.WildcardLabel || p.n == nl)
-}
-
-// neighbors returns the exact (e, nl) partition's run, empty if absent.
-func (a *vadj) neighbors(e, nl graph.Label) []graph.VertexID {
-	if i, ok := a.findPartition(e, nl); ok {
-		return a.run(i)
-	}
-	return a.nbrs[:0]
-}
-
-// appendRuns mirrors Graph.NeighborRuns over the private layout.
-func (a *vadj) appendRuns(e, nl graph.Label, runs [][]graph.VertexID) [][]graph.VertexID {
-	for i, p := range a.parts {
-		if p.matches(e, nl) && len(a.run(i)) > 0 {
-			runs = append(runs, a.run(i))
-		}
-	}
-	return runs
-}
-
-// degree mirrors Graph.Degree.
-func (a *vadj) degree(e, nl graph.Label) int {
-	if e != graph.WildcardLabel && nl != graph.WildcardLabel {
-		if i, ok := a.findPartition(e, nl); ok {
-			return len(a.run(i))
-		}
-		return 0
-	}
-	total := 0
-	for i, p := range a.parts {
-		if p.matches(e, nl) {
-			total += len(a.run(i))
-		}
-	}
-	return total
-}
-
-// search returns the position in the ID-sorted run of the first value
-// >= x (len(run) if none) and whether x is there — the shared kernel of
-// hasEdge/insert/remove.
-func search(run []graph.VertexID, x graph.VertexID) (int, bool) {
-	lo, hi := 0, len(run)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if run[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(run) && run[lo] == x
-}
-
-// hasEdge reports whether the (e, nl) partition holds dst; e may be
-// WildcardLabel (nl is the destination's fixed vertex label).
-func (a *vadj) hasEdge(e, nl graph.Label, dst graph.VertexID) bool {
-	if e != graph.WildcardLabel {
-		if i, ok := a.findPartition(e, nl); ok {
-			_, ok = search(a.run(i), dst)
-			return ok
-		}
-		return false
-	}
-	for i, p := range a.parts {
-		if p.n == nl {
-			if _, ok := search(a.run(i), dst); ok {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// edges calls fn for every (src, nbr, eLabel) triple in directory order,
-// returning false if fn stopped the iteration.
-func (a *vadj) edges(src graph.VertexID, fn graph.EdgeFunc) bool {
-	for i, p := range a.parts {
-		for _, dst := range a.run(i) {
-			if !fn(src, dst, p.e) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // insert adds (e, nl, x) keeping the sorted layout; false if already
 // present. Only called on adjacencies private to the epoch being built.
 func (a *vadj) insert(e, nl graph.Label, x graph.VertexID) bool {
-	i, ok := a.findPartition(e, nl)
+	i, ok := a.parts.Find(e, nl)
 	if !ok {
-		// New directory entry at i; its (still empty) run starts where the
-		// next partition currently starts, or at the end.
-		start := uint32(len(a.nbrs))
-		if i < len(a.parts) {
-			start = a.parts[i].start
-		}
-		a.parts = append(a.parts, part{})
-		copy(a.parts[i+1:], a.parts[i:])
-		a.parts[i] = part{e, nl, start}
+		// A new entry at i: its (still empty) run starts where entry i's, or
+		// the sentinel's, does now.
+		a.parts = slices.Insert(a.parts, i, graph.Part{E: e, N: nl, Start: a.parts[i].Start})
 	}
-	k, found := search(a.run(i), x)
+	k, found := slices.BinarySearch(a.parts.Run(a.nbrs, i), x)
 	if found {
 		return false
 	}
-	pos := int(a.parts[i].start) + k
-	a.nbrs = append(a.nbrs, 0)
-	copy(a.nbrs[pos+1:], a.nbrs[pos:])
-	a.nbrs[pos] = x
+	a.nbrs = slices.Insert(a.nbrs, int(a.parts[i].Start)+k, x)
 	for j := i + 1; j < len(a.parts); j++ {
-		a.parts[j].start++
+		a.parts[j].Start++
 	}
 	return true
 }
@@ -207,21 +82,21 @@ func (a *vadj) insert(e, nl graph.Label, x graph.VertexID) bool {
 // false if absent. Only called on adjacencies private to the epoch being
 // built.
 func (a *vadj) remove(e, nl graph.Label, x graph.VertexID) bool {
-	i, ok := a.findPartition(e, nl)
+	i, ok := a.parts.Find(e, nl)
 	if !ok {
 		return false
 	}
-	k, found := search(a.run(i), x)
+	k, found := slices.BinarySearch(a.parts.Run(a.nbrs, i), x)
 	if !found {
 		return false
 	}
-	pos := int(a.parts[i].start) + k
-	a.nbrs = append(a.nbrs[:pos], a.nbrs[pos+1:]...)
+	pos := int(a.parts[i].Start) + k
+	a.nbrs = slices.Delete(a.nbrs, pos, pos+1)
 	for j := i + 1; j < len(a.parts); j++ {
-		a.parts[j].start--
+		a.parts[j].Start--
 	}
-	if len(a.run(i)) == 0 {
-		a.parts = append(a.parts[:i], a.parts[i+1:]...)
+	if a.parts[i].Start == a.parts[i+1].Start {
+		a.parts = slices.Delete(a.parts, i, i+1)
 	}
 	return true
 }
@@ -233,11 +108,13 @@ func fromPartitions(g *graph.Graph, v graph.VertexID, dir graph.Direction) *vadj
 		deg = g.InDegree(v)
 	}
 	a := newVadj(deg, g.NumPartitions(v, dir))
+	a.parts = a.parts[:0]
 	g.Partitions(v, dir, func(e, nl graph.Label, nbrs []graph.VertexID) bool {
-		a.parts = append(a.parts, part{e, nl, uint32(len(a.nbrs))})
+		a.parts = append(a.parts, graph.Part{E: e, N: nl, Start: uint32(len(a.nbrs))})
 		a.nbrs = append(a.nbrs, nbrs...)
 		return true
 	})
+	a.parts = append(a.parts, graph.Part{Start: uint32(len(a.nbrs))})
 	return a
 }
 
@@ -337,7 +214,7 @@ func (s *Snapshot) Neighbors(v graph.VertexID, dir graph.Direction, e, nl graph.
 		return graph.MergedNeighbors(s, v, dir, e, nl, buf)
 	}
 	if a := s.overlay(dir).get(v); a != nil {
-		return a.neighbors(e, nl)
+		return a.parts.Neighbors(a.nbrs, e, nl)
 	}
 	if int(v) < s.nBase {
 		return s.base.Neighbors(v, dir, e, nl, buf)
@@ -350,7 +227,7 @@ func (s *Snapshot) Neighbors(v graph.VertexID, dir graph.Direction, e, nl graph.
 //gf:noalloc
 func (s *Snapshot) NeighborRuns(v graph.VertexID, dir graph.Direction, e, nl graph.Label, runs [][]graph.VertexID) [][]graph.VertexID {
 	if a := s.overlay(dir).get(v); a != nil {
-		return a.appendRuns(e, nl, runs)
+		return a.parts.AppendRuns(a.nbrs, e, nl, runs)
 	}
 	if int(v) < s.nBase {
 		return s.base.NeighborRuns(v, dir, e, nl, runs)
@@ -379,7 +256,7 @@ func (s *Snapshot) NeighborBitset(v graph.VertexID, dir graph.Direction, e, nl g
 //gf:noalloc
 func (s *Snapshot) Degree(v graph.VertexID, dir graph.Direction, e, nl graph.Label) int {
 	if a := s.overlay(dir).get(v); a != nil {
-		return a.degree(e, nl)
+		return a.parts.Degree(e, nl)
 	}
 	if int(v) < s.nBase {
 		return s.base.Degree(v, dir, e, nl)
@@ -414,7 +291,7 @@ func (s *Snapshot) InDegree(v graph.VertexID) int {
 //gf:noalloc
 func (s *Snapshot) HasEdge(src, dst graph.VertexID, e graph.Label) bool {
 	if a := s.fwd.get(src); a != nil {
-		return a.hasEdge(e, s.VertexLabel(dst), dst)
+		return a.parts.Contains(a.nbrs, e, s.VertexLabel(dst), dst)
 	}
 	if int(src) < s.nBase && int(dst) < s.nBase {
 		return s.base.HasEdge(src, dst, e)
@@ -443,7 +320,7 @@ func (s *Snapshot) Edges(fn graph.EdgeFunc) {
 // EdgesOf implements graph.View.
 func (s *Snapshot) EdgesOf(src graph.VertexID, fn graph.EdgeFunc) {
 	if a := s.fwd.get(src); a != nil {
-		a.edges(src, fn)
+		a.parts.Edges(a.nbrs, src, fn)
 		return
 	}
 	if int(src) < s.nBase {
