@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -32,10 +34,10 @@ func denseDB(t testing.TB) *DB {
 // intersections, the workload the cancellation check must interrupt.
 const wcoHeavy = "a->b, a->c, a->d, b->c, b->d, c->d"
 
-// TestCountCtxCancelsWCOQueryPromptly is the acceptance test for the
-// ctx-aware public API: a Count on a WCO-heavy query must return
+// TestContextCancelsWCOQueryPromptly is the acceptance test for
+// QueryOptions.Context: a Count on a WCO-heavy query must return
 // context.DeadlineExceeded promptly when its context expires mid-run.
-func TestCountCtxCancelsWCOQueryPromptly(t *testing.T) {
+func TestContextCancelsWCOQueryPromptly(t *testing.T) {
 	db := denseDB(t)
 
 	full := time.Now()
@@ -51,7 +53,7 @@ func TestCountCtxCancelsWCOQueryPromptly(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = db.CountCtx(ctx, wcoHeavy, &QueryOptions{WCOOnly: true})
+	_, err = db.Count(wcoHeavy, &QueryOptions{WCOOnly: true, Context: ctx})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -61,38 +63,66 @@ func TestCountCtxCancelsWCOQueryPromptly(t *testing.T) {
 	}
 }
 
+// TestCtxEntryPointsPropagateCancellation checks that every query entry
+// point, on DB and PreparedQuery, honours QueryOptions.Context.
 func TestCtxEntryPointsPropagateCancellation(t *testing.T) {
 	db := denseDB(t)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-
-	if _, err := db.CountCtx(cancelled, wcoHeavy, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("DB.CountCtx err = %v, want context.Canceled", err)
-	}
-	if err := db.MatchCtx(cancelled, wcoHeavy, func(map[string]uint32) bool { return true }, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("DB.MatchCtx err = %v, want context.Canceled", err)
-	}
 	pq, err := db.Prepare(wcoHeavy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pq.CountCtx(cancelled, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("PreparedQuery.CountCtx err = %v, want context.Canceled", err)
+	matchAll := func(map[string]uint32) bool { return true }
+	entries := map[string]func(*QueryOptions) error{
+		"DB.Count": func(o *QueryOptions) error {
+			_, err := db.Count(wcoHeavy, o)
+			return err
+		},
+		"DB.CountStats": func(o *QueryOptions) error {
+			_, _, err := db.CountStats(wcoHeavy, o)
+			return err
+		},
+		"DB.Match": func(o *QueryOptions) error { return db.Match(wcoHeavy, matchAll, o) },
+		"DB.Analyze": func(o *QueryOptions) error {
+			_, err := db.Analyze(wcoHeavy, o)
+			return err
+		},
+		"PreparedQuery.Count": func(o *QueryOptions) error {
+			_, err := pq.Count(o)
+			return err
+		},
+		"PreparedQuery.CountStats": func(o *QueryOptions) error {
+			_, _, err := pq.CountStats(o)
+			return err
+		},
+		"PreparedQuery.Match": func(o *QueryOptions) error { return pq.Match(matchAll, o) },
 	}
-	if err := pq.MatchCtx(cancelled, func(map[string]uint32) bool { return true }, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("PreparedQuery.MatchCtx err = %v, want context.Canceled", err)
+	for name, run := range entries {
+		if err := run(&QueryOptions{Context: cancelled}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s err = %v, want context.Canceled", name, err)
+		}
 	}
 
 	// Every execution mode must propagate the context, not just the
 	// factorized-count default path.
-	for _, opts := range []*QueryOptions{
+	for _, opts := range []QueryOptions{
 		{Distinct: true},
 		{Adaptive: true},
 		{Limit: 10},
 		{Workers: 4},
 	} {
-		if _, err := db.CountCtx(cancelled, wcoHeavy, opts); !errors.Is(err, context.Canceled) {
-			t.Errorf("CountCtx(%+v) err = %v, want context.Canceled", *opts, err)
+		opts.Context = cancelled
+		if _, err := db.Count(wcoHeavy, &opts); !errors.Is(err, context.Canceled) {
+			t.Errorf("Count(%+v) err = %v, want context.Canceled", opts, err)
+		}
+	}
+
+	// Without a Context a query runs unbounded; Analyze included.
+	for _, opts := range []*QueryOptions{nil, {}} {
+		st, err := db.Analyze("a->b, b->c, a->c", opts)
+		if err != nil || st.Matches == 0 {
+			t.Errorf("Analyze(%v) without a Context = %d matches, %v; want a full run", opts, st.Matches, err)
 		}
 	}
 }
@@ -152,6 +182,59 @@ func TestParallelMatchHonorsLimit(t *testing.T) {
 	}
 }
 
+// TestMatchSerialisesCallback holds Match to its contract with parallel
+// workers on a result that spans several scan morsels: fn never runs
+// concurrently, never again once it has returned false, and a Limit
+// delivers exactly that many rows. The counters fn updates are
+// deliberately unsynchronised, so -race also catches a broken guard.
+func TestMatchSerialisesCallback(t *testing.T) {
+	db, err := NewFromDataset("Epinions", 1, &Options{CatalogueZ: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pattern = "a->b, b->c, a->c"
+	total, err := db.Count(pattern, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total < 1000 {
+		t.Fatalf("fixture too small: %d triangles", total)
+	}
+	for _, tc := range []struct {
+		name   string
+		opts   QueryOptions
+		stopAt int64 // fn returns false on this call (0 = never)
+		want   int64 // calls of fn
+	}{
+		{"stop", QueryOptions{Workers: 4}, total / 3, total / 3},
+		{"limit", QueryOptions{Workers: 4, Limit: total / 2}, 0, total / 2},
+		{"distinct limit", QueryOptions{Workers: 4, Limit: 100, Distinct: true}, 0, 100},
+	} {
+		var inFlight atomic.Int32
+		var calls, late int64
+		stopped := false
+		err := db.Match(pattern, func(map[string]uint32) bool {
+			if inFlight.Add(1) > 1 {
+				t.Errorf("%s: fn called concurrently", tc.name)
+			}
+			defer inFlight.Add(-1)
+			runtime.Gosched()
+			if stopped {
+				late++
+			}
+			calls++
+			stopped = calls == tc.stopAt
+			return !stopped
+		}, &tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != tc.want || late != 0 {
+			t.Errorf("%s: fn called %d times, %d after it returned false; want %d, 0", tc.name, calls, late, tc.want)
+		}
+	}
+}
+
 // TestParallelCountHonorsLimit checks the Count side of the same fix:
 // Limit with Workers > 1 no longer downgrades to one worker, and the
 // returned count still equals the cap exactly.
@@ -200,16 +283,21 @@ func TestLimitComposesWithDistinctAndAdaptive(t *testing.T) {
 			t.Errorf("Count(%+v) reported an empty profile", *opts)
 		}
 	}
-	// A limit above the total returns the exact full count.
-	full, err := db.Count(pattern, &QueryOptions{Distinct: true})
+	// Without a limit, or with one above the total, Distinct returns the
+	// exact full count at any worker count.
+	full, err := db.Count(pattern, &QueryOptions{Distinct: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := db.Count(pattern, &QueryOptions{Distinct: true, Limit: full + 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if capped != full {
-		t.Errorf("distinct with oversized limit = %d, want full count %d", capped, full)
+	for _, workers := range []int{1, 4} {
+		for _, limit := range []int64{0, full + 1000} {
+			n, err := db.Count(pattern, &QueryOptions{Distinct: true, Limit: limit, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != full {
+				t.Errorf("distinct workers=%d limit=%d = %d, want full count %d", workers, limit, n, full)
+			}
+		}
 	}
 }

@@ -208,7 +208,8 @@ type QueryOptions struct {
 	// is returned. Workers poll the context with an amortized check every
 	// few thousand produced tuples, so cancellation latency is bounded
 	// even for worst-case-optimal plans stuck in a huge intersection
-	// cascade. The CountCtx/MatchCtx entry points set this field.
+	// cascade. It is the one way to bound a query: Count, CountStats,
+	// Match and Analyze, on DB and PreparedQuery alike, all read it.
 	Context context.Context
 	// Workers parallelises execution (paper Section 7); default 1.
 	Workers int
@@ -882,9 +883,15 @@ func (pq *PreparedQuery) match(fn func(map[string]uint32) bool, qo QueryOptions)
 	mem := pq.db.memBudget(&qo)
 	defer mem.Close()
 	cfg.MemBudget = mem
-	// delivered needs no synchronisation: RunUntil serialises emit.
-	var delivered int64
-	return pq.db.compiledFor(pp, &qo).RunUntilCtx(qo.context(), cfg, func(t []graph.VertexID) bool {
+	// RunCtx calls emit from every worker. fn is the user's callback, so
+	// it runs under mu — one call at a time — and never again once it has
+	// returned false or Limit rows have been delivered.
+	var (
+		mu        sync.Mutex
+		stopped   bool
+		delivered int64
+	)
+	return pq.db.compiledFor(pp, &qo).RunCtx(qo.context(), cfg, func(t []graph.VertexID) bool {
 		if qo.Distinct && !allDistinct(t) {
 			return true
 		}
@@ -892,24 +899,15 @@ func (pq *PreparedQuery) match(fn func(map[string]uint32) bool, qo QueryOptions)
 		for slot, v := range t {
 			m[names[slot]] = uint32(v)
 		}
-		if !fn(m) {
+		mu.Lock()
+		defer mu.Unlock()
+		if stopped {
 			return false
 		}
 		delivered++
-		return qo.Limit <= 0 || delivered < qo.Limit
+		stopped = !fn(m) || (qo.Limit > 0 && delivered >= qo.Limit)
+		return !stopped
 	})
-}
-
-// CountCtx is Count bounded by ctx: evaluation stops promptly once ctx
-// is cancelled or its deadline passes, returning ctx's error. Equivalent
-// to setting QueryOptions.Context.
-func (pq *PreparedQuery) CountCtx(ctx context.Context, opts *QueryOptions) (int64, error) {
-	return pq.Count(withContext(ctx, opts))
-}
-
-// MatchCtx is Match bounded by ctx (see CountCtx).
-func (pq *PreparedQuery) MatchCtx(ctx context.Context, fn func(map[string]uint32) bool, opts *QueryOptions) error {
-	return pq.Match(fn, withContext(ctx, opts))
 }
 
 // Stats returns the prepared plan's kind and operator tree without
@@ -986,38 +984,28 @@ func (db *DB) runCount(pp *preparedPlan, qo QueryOptions) (int64, exec.Profile, 
 	mem := db.memBudget(&qo)
 	defer mem.Close()
 	cfg.MemBudget = mem
-	switch {
-	case qo.Distinct:
-		if qo.Limit > 0 {
-			// RunUntil serialises emit, so the counter needs no atomics and
-			// the limit is exact.
-			var count int64
-			prof, err := compiled.RunUntilCtx(ctx, cfg, func(t []graph.VertexID) bool {
-				if !allDistinct(t) {
-					return true
-				}
-				count++
-				return count < qo.Limit
-			})
-			return count, prof, err
-		}
-		// RunConcurrent calls emit from every worker goroutine without
-		// serialising, so the count must be an atomic.
+	if qo.Distinct {
+		// RunCtx calls emit from every worker, so the count is an atomic.
+		// Workers may race past Limit by a row each before observing the
+		// stop; the overshoot is clamped below, as in CountUpToCtx.
 		var count atomic.Int64
-		prof, err := compiled.RunConcurrentCtx(ctx, cfg, func(t []graph.VertexID) {
-			if allDistinct(t) {
-				count.Add(1)
+		prof, err := compiled.RunCtx(ctx, cfg, func(t []graph.VertexID) bool {
+			if !allDistinct(t) {
+				return true
 			}
+			return count.Add(1) < qo.Limit || qo.Limit <= 0
 		})
-		return count.Load(), prof, err
-	case qo.Limit > 0:
-		return compiled.CountUpToCtx(ctx, cfg, qo.Limit)
-	default:
-		// Pure counting can skip enumerating the last extension's Cartesian
-		// product (factorized counting); the count is exact.
-		cfg.FastCount = true
-		return compiled.CountCtx(ctx, cfg)
+		n := count.Load()
+		if qo.Limit > 0 {
+			n = min(n, qo.Limit)
+		}
+		return n, prof, err
 	}
+	// Pure counting can skip enumerating the last extension's Cartesian
+	// product (factorized counting); the count is exact. Under a Limit,
+	// CountUpToCtx enumerates instead.
+	cfg.FastCount = true
+	return compiled.CountUpToCtx(ctx, cfg, qo.Limit)
 }
 
 // context returns the evaluation-bounding context (Background when the
@@ -1029,30 +1017,12 @@ func (qo *QueryOptions) context() context.Context {
 	return context.Background()
 }
 
-// withContext copies opts (nil allowed) and installs ctx as the
-// evaluation-bounding context.
-func withContext(ctx context.Context, opts *QueryOptions) *QueryOptions {
-	var qo QueryOptions
-	if opts != nil {
-		qo = *opts
-	}
-	qo.Context = ctx
-	return &qo
-}
-
 // Count evaluates the pattern and returns the number of matches. opts may
 // be nil. Repeated calls with isomorphic patterns hit the plan cache and
 // skip re-optimization.
 func (db *DB) Count(pattern string, opts *QueryOptions) (int64, error) {
 	n, _, err := db.CountStats(pattern, opts)
 	return n, err
-}
-
-// CountCtx is Count bounded by ctx: evaluation stops promptly once ctx
-// is cancelled or its deadline passes, returning ctx's error. Equivalent
-// to setting QueryOptions.Context.
-func (db *DB) CountCtx(ctx context.Context, pattern string, opts *QueryOptions) (int64, error) {
-	return db.Count(pattern, withContext(ctx, opts))
 }
 
 // CountStats is Count plus the execution statistics and plan description.
@@ -1101,11 +1071,6 @@ func (db *DB) Match(pattern string, fn func(map[string]uint32) bool, opts *Query
 	return pq.Match(fn, opts)
 }
 
-// MatchCtx is Match bounded by ctx (see CountCtx).
-func (db *DB) MatchCtx(ctx context.Context, pattern string, fn func(map[string]uint32) bool, opts *QueryOptions) error {
-	return db.Match(pattern, fn, withContext(ctx, opts))
-}
-
 // Explain returns the optimizer's plan for the pattern without running it.
 func (db *DB) Explain(pattern string) (Stats, error) {
 	pq, err := db.prepare(pattern, false, false)
@@ -1133,20 +1098,13 @@ func (db *DB) Analyze(pattern string, opts *QueryOptions) (Stats, error) {
 		return Stats{}, err
 	}
 	pp := pq.cur.Load()
-	ops, prof, err := pp.compiled.AnalyzeCtx(qo.Context, exec.RunConfig{DisableCache: qo.DisableCache})
+	ops, prof, err := pp.compiled.AnalyzeCtx(qo.context(), exec.RunConfig{DisableCache: qo.DisableCache})
 	if err != nil {
 		return Stats{}, err
 	}
 	st := statsFrom(pp.plan, prof, prof.Matches)
 	st.Plan = ops.Describe()
 	return st, nil
-}
-
-// AnalyzeCtx is Analyze under a context: the analysis run honors
-// cancellation and deadlines, so servers can bound EXPLAIN ANALYZE by
-// their request timeout.
-func (db *DB) AnalyzeCtx(ctx context.Context, pattern string, opts *QueryOptions) (Stats, error) {
-	return db.Analyze(pattern, withContext(ctx, opts))
 }
 
 // EstimateCardinality returns the catalogue's estimate of the pattern's

@@ -1,6 +1,7 @@
 package adaptive_test
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -54,12 +55,12 @@ func run(t testing.TB, g graph.View, cat *catalogue.Catalogue, p *plan.Plan, cfg
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fixed, err = cp.Count(cfg)
+	_, fixed, err = cp.CountCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	routes = adaptive.Enumerate(p, cat, 0, maxOrderings)
-	n, adapted, err := cp.Adaptive(routes).Count(cfg)
+	n, adapted, err := cp.Adaptive(routes).CountCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,13 +155,14 @@ func TestAdaptiveEmitLayout(t *testing.T) {
 		slot[v] = s
 	}
 	emitted := int64(0)
-	prof, err := cp.Adaptive(routes).Run(exec.RunConfig{}, func(tu []graph.VertexID) {
+	prof, err := cp.Adaptive(routes).RunCtx(context.Background(), exec.RunConfig{}, func(tu []graph.VertexID) bool {
 		emitted++
 		for _, e := range q.Edges {
 			if !testG.HasEdge(tu[slot[e.From]], tu[slot[e.To]], e.Label) {
 				t.Fatalf("emitted %v is not a match in the root's layout %v: no edge a%d->a%d", tu, p.Root.Out(), e.From+1, e.To+1)
 			}
 		}
+		return true
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -100,13 +100,13 @@ func AblationFastCount(w io.Writer, scale int) error {
 			return err
 		}
 		start := time.Now()
-		slow, _, err := (&exec.Runner{Graph: g}).Count(p)
+		slow, _, err := countPlan(g, p, exec.RunConfig{}, 0)
 		if err != nil {
 			return err
 		}
 		slowS := time.Since(start).Seconds()
 		start = time.Now()
-		fast, _, err := (&exec.Runner{Graph: g, FastCount: true}).Count(p)
+		fast, _, err := countPlan(g, p, exec.RunConfig{FastCount: true}, 0)
 		if err != nil {
 			return err
 		}

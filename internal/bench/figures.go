@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -129,7 +130,7 @@ func timeAdaptive(g *graph.Graph, c *catalogue.Catalogue, p *plan.Plan, maxOrder
 	}
 	timeCount := func(cp *exec.CompiledPlan) (float64, int64, error) {
 		start := time.Now()
-		n, _, err := cp.Count(exec.RunConfig{})
+		n, _, err := cp.CountCtx(context.Background(), exec.RunConfig{})
 		return time.Since(start).Seconds(), n, err
 	}
 	fixed, want, err := timeCount(cp)
@@ -281,9 +282,8 @@ func fig11Run(w io.Writer, scale int, runs []fig11Load) error {
 			if nw > maxW {
 				break
 			}
-			runner := &exec.Runner{Graph: g, Workers: nw}
 			start := time.Now()
-			if _, _, err := runner.Count(p); err != nil {
+			if _, _, err := countPlan(g, p, exec.RunConfig{Workers: nw}, 0); err != nil {
 				return err
 			}
 			secs := time.Since(start).Seconds()

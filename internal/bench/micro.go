@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -134,14 +135,14 @@ func Micro(scale int) ([]MicroResult, error) {
 				Factorized:   engine == "factorized",
 				DisableCache: engine == "batch-nocache",
 			}
-			matches, _, err := cp.Count(cfg)
+			matches, _, err := cp.CountCtx(context.Background(), cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s (%s): %w", mc.name, engine, err)
 			}
 			r := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := cp.Count(cfg); err != nil {
+					if _, _, err := cp.CountCtx(context.Background(), cfg); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -149,9 +149,8 @@ func fmtSecs(secs float64, err error, budget time.Duration) string {
 // runCapped executes p under the Table 9 caps, mapping outcomes onto the
 // paper's TL/Mm notation.
 func runCapped(g *graph.Graph, p *plan.Plan, budget time.Duration) string {
-	r := &exec.Runner{Graph: g, MaxBuildRows: table9BuildCap}
 	start := time.Now()
-	n, _, err := r.CountUpTo(p, table9MatchCap)
+	n, _, err := countPlan(g, p, exec.RunConfig{MaxBuildRows: table9BuildCap}, table9MatchCap)
 	secs := time.Since(start).Seconds()
 	if err == exec.ErrBuildTooLarge {
 		return "Mm"
@@ -334,7 +333,7 @@ func qerrorWorkload(g *graph.Graph, n int) ([]*query.Graph, []float64) {
 		if err != nil {
 			continue
 		}
-		count, _, err := (&exec.Runner{Graph: g}).Count(p)
+		count, _, err := countPlan(g, p, exec.RunConfig{}, 0)
 		if err != nil || count == 0 {
 			continue
 		}
@@ -403,7 +402,7 @@ func table12Run(w io.Writer, caps []int64, sizes []int, queriesPerSet int) error
 						continue
 					}
 					start := time.Now()
-					gfCount, _, err := (&exec.Runner{Graph: g}).CountUpTo(p, capN)
+					gfCount, _, err := countPlan(g, p, exec.RunConfig{}, capN)
 					if err != nil {
 						continue
 					}

@@ -106,7 +106,8 @@ func TestChaosExecStorm(t *testing.T) {
 					// The cancel races the run: it either lands or comes too late.
 					ctx, cancel := context.WithCancel(context.Background())
 					go cancel()
-					n, err := db.CountCtx(ctx, pat, &opts)
+					opts.Context = ctx
+					n, err := db.Count(pat, &opts)
 					if !errors.Is(err, context.Canceled) && (err != nil || n != oracle[pat]) {
 						errCh <- fmt.Errorf("cancelled %q = %d, %v; want the oracle's %d or context.Canceled", pat, n, err, oracle[pat])
 					}

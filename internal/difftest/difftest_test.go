@@ -333,7 +333,7 @@ func TestDifferentialFactorizedLive(t *testing.T) {
 	}
 }
 
-// TestDifferentialBatchLimits is the Limit/RunUntil cap regression: at
+// TestDifferentialBatchLimits is the Limit cap regression: at
 // every batch size (and the oracle), with Workers > 1, Count with a
 // Limit and Match with a Limit must deliver exactly the capped number of
 // results — never limit±overshoot from racing batch flushes. The triangle

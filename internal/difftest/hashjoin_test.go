@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -69,13 +70,19 @@ var hashJoinShapes = []hashJoinShape{
 func rowsOf(t *testing.T, cp *exec.CompiledPlan, cfg exec.RunConfig) []string {
 	t.Helper()
 	out := cp.Root().Out()
-	var rows []string
-	_, err := cp.Run(cfg, func(tu []graph.VertexID) {
+	var (
+		mu   sync.Mutex
+		rows []string
+	)
+	_, err := cp.RunCtx(context.Background(), cfg, func(tu []graph.VertexID) bool {
 		row := make([]graph.VertexID, len(out))
 		for slot, v := range out {
 			row[v] = tu[slot]
 		}
+		mu.Lock()
 		rows = append(rows, fmt.Sprint(row))
+		mu.Unlock()
+		return true
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +188,7 @@ func checkHashJoin(t *testing.T, name string, cp *exec.CompiledPlan, want int64,
 			at := fmt.Sprintf("%s bs=%d workers=%d", name, bs, workers)
 			for _, fast := range []bool{false, true} {
 				cfg.FastCount = fast
-				n, prof, err := cp.Count(cfg)
+				n, prof, err := cp.CountCtx(context.Background(), cfg)
 				if err != nil || n != want {
 					t.Fatalf("%s fast=%v: count = %d, %v; WCO oracle %d", at, fast, n, err, want)
 				}
@@ -194,25 +201,25 @@ func checkHashJoin(t *testing.T, name string, cp *exec.CompiledPlan, want int64,
 			}
 			cfg.FastCount = false
 			for _, limit := range []int64{1, 5, want - 1, want + 50} {
-				if n, _, err := cp.CountUpTo(cfg, limit); err != nil || n != min(limit, want) {
-					t.Fatalf("%s: CountUpTo(%d) = %d, %v; want %d", at, limit, n, err, min(limit, want))
+				if n, _, err := cp.CountUpToCtx(context.Background(), cfg, limit); err != nil || n != min(limit, want) {
+					t.Fatalf("%s: CountUpToCtx(%d) = %d, %v; want %d", at, limit, n, err, min(limit, want))
 				}
 			}
 			if err := diffRows(rowsOf(t, cp, cfg), wantRows); err != nil {
 				t.Fatalf("%s: %v", at, err)
 			}
 
-			// The cap holds to the row, through Count and CountUpTo.
+			// The cap holds to the row, through Count and CountUpToCtx.
 			cfg.MaxBuildRows = buildRows
-			if n, _, err := cp.Count(cfg); err != nil || n != want {
+			if n, _, err := cp.CountCtx(context.Background(), cfg); err != nil || n != want {
 				t.Fatalf("%s: MaxBuildRows = the %d rows built: count = %d, %v", at, buildRows, n, err)
 			}
 			cfg.MaxBuildRows = buildRows - 1
-			if _, _, err := cp.Count(cfg); err != exec.ErrBuildTooLarge {
+			if _, _, err := cp.CountCtx(context.Background(), cfg); err != exec.ErrBuildTooLarge {
 				t.Fatalf("%s: MaxBuildRows one under the %d rows built: err = %v", at, buildRows, err)
 			}
-			if _, _, err := cp.CountUpTo(cfg, 3); err != exec.ErrBuildTooLarge {
-				t.Fatalf("%s: CountUpTo with MaxBuildRows one under: err = %v", at, err)
+			if _, _, err := cp.CountUpToCtx(context.Background(), cfg, 3); err != exec.ErrBuildTooLarge {
+				t.Fatalf("%s: CountUpToCtx with MaxBuildRows one under: err = %v", at, err)
 			}
 			cfg.MaxBuildRows = 0
 
@@ -221,17 +228,17 @@ func checkHashJoin(t *testing.T, name string, cp *exec.CompiledPlan, want int64,
 			inj := &faultinject.Injector{PanicEvery: 1, Points: 1 << faultinject.PointHashBuild}
 			cfg.Faults = inj
 			var pe *exec.PanicError
-			if _, _, err := cp.Count(cfg); !errors.As(err, &pe) || inj.Panics() == 0 {
+			if _, _, err := cp.CountCtx(context.Background(), cfg); !errors.As(err, &pe) || inj.Panics() == 0 {
 				t.Fatalf("%s: injected build panic: err = %v after %d panics", at, err, inj.Panics())
 			}
 			cfg.Faults = nil
-			if n, _, err := cp.Count(cfg); err != nil || n != want {
+			if n, _, err := cp.CountCtx(context.Background(), cfg); err != nil || n != want {
 				t.Fatalf("%s: count after the injected panic = %d, %v; want %d", at, n, err, want)
 			}
 			if _, _, err := cp.CountCtx(&pollCtx{Context: context.Background(), after: 1}, cfg); !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s: cancelled after the build: err = %v", at, err)
 			}
-			if n, _, err := cp.Count(cfg); err != nil || n != want {
+			if n, _, err := cp.CountCtx(context.Background(), cfg); err != nil || n != want {
 				t.Fatalf("%s: count after the cancelled run = %d, %v; want %d", at, n, err, want)
 			}
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"graphflow/internal/datagen"
@@ -150,12 +151,12 @@ func BenchmarkIntersectAdjacency(b *testing.B) {
 			cfg := RunConfig{FastCount: true}
 			var prof Profile
 			var err error
-			if _, _, err = cp.Count(cfg); err != nil {
+			if _, _, err = cp.CountCtx(context.Background(), cfg); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, prof, err = cp.Count(cfg); err != nil {
+				if _, prof, err = cp.CountCtx(context.Background(), cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

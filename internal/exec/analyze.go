@@ -126,35 +126,20 @@ func formatNanos(n int64) string {
 	}
 }
 
-// Analyze evaluates the plan and returns the per-operator statistics tree
-// along with the aggregate profile. It runs sequentially so counters need
-// no sharding; use Run for performance measurements.
-func (r *Runner) Analyze(p *plan.Plan) (*OpStats, Profile, error) {
-	cp, err := Compile(r.Graph, p)
-	if err != nil {
-		return nil, Profile{}, err
-	}
-	return cp.Analyze(RunConfig{DisableCache: r.DisableCache, MaxBuildRows: r.MaxBuildRows})
-}
-
-// Analyze runs the compiled plan sequentially, collecting per-operator
-// counters. cfg.Workers, cfg.FastCount and cfg.Factorized are ignored:
-// analysis enumerates every match on one goroutine so every operator's
-// numbers reflect full enumeration.
-func (cp *CompiledPlan) Analyze(cfg RunConfig) (*OpStats, Profile, error) {
-	return cp.AnalyzeCtx(context.Background(), cfg)
-}
-
-// AnalyzeCtx is Analyze under a context: the EXPLAIN ANALYZE run honors
-// cancellation and deadlines like any other query, so a server can
-// bound it by its request timeout. A cancelled analysis returns the
-// context's error.
+// AnalyzeCtx runs the compiled plan sequentially, collecting per-operator
+// counters, and returns the statistics tree along with the aggregate
+// profile: the EXPLAIN ANALYZE view. cfg.Workers, cfg.FastCount and
+// cfg.Factorized are ignored: analysis enumerates every match on one
+// goroutine so counters need no sharding and every operator's numbers
+// reflect full enumeration. The run honors ctx like any other query, so a
+// server can bound it by its request timeout; a cancelled analysis
+// returns the context's error.
 func (cp *CompiledPlan) AnalyzeCtx(ctx context.Context, cfg RunConfig) (*OpStats, Profile, error) {
 	cfg.Workers = 1
 	cfg.FastCount = false
 	cfg.Factorized = false
 	nc := &nodeCounters{m: map[plan.Node]*OpStats{}}
-	prof, err := cp.run(ctx, cfg, nc, nil)
+	prof, err := cp.run(ctx, cfg, nc, nil, nil, 0)
 	if err != nil {
 		return nil, Profile{}, err
 	}

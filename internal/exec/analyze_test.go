@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,8 +14,7 @@ func TestAnalyzeWCOPlan(t *testing.T) {
 	g := datagen.Amazon(1)
 	q := query.Q4()
 	p := buildWCO(t, q, []int{0, 1, 2, 3})
-	r := &Runner{Graph: g}
-	stats, prof, err := r.Analyze(p)
+	stats, prof, err := Must(t, g, p).AnalyzeCtx(context.Background(), RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestAnalyzeHybridPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &plan.Plan{Query: q, Root: hj}
-	stats, prof, err := (&Runner{Graph: g}).Analyze(p)
+	stats, prof, err := Must(t, g, p).AnalyzeCtx(context.Background(), RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,11 @@ func TestAnalyzeMatchesPlainCount(t *testing.T) {
 	g := datagen.Epinions(1)
 	q := query.Q1()
 	p := buildWCO(t, q, []int{0, 1, 2})
-	want, _, err := (&Runner{Graph: g}).Count(p)
+	want, _, err := countPlan(g, p, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, prof, err := (&Runner{Graph: g}).Analyze(p)
+	stats, prof, err := Must(t, g, p).AnalyzeCtx(context.Background(), RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

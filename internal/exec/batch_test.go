@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -23,8 +25,12 @@ var batchSizesUnderTest = []int{1, 2, 3, 64, 1024}
 func sortedTuples(t *testing.T, cp *CompiledPlan, cfg RunConfig) []string {
 	t.Helper()
 	var out []string
-	_, err := cp.Run(cfg, func(tu []graph.VertexID) {
+	var mu sync.Mutex
+	_, err := cp.RunCtx(context.Background(), cfg, func(tu []graph.VertexID) bool {
+		mu.Lock()
 		out = append(out, fmt.Sprint(tu))
+		mu.Unlock()
+		return true
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +73,7 @@ func TestBatchEngineMatchesOracle(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		oracle := RunConfig{TupleAtATime: true}
-		wantN, wantProf, err := cp.Count(oracle)
+		wantN, wantProf, err := cp.CountCtx(context.Background(), oracle)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +81,7 @@ func TestBatchEngineMatchesOracle(t *testing.T) {
 		for _, bs := range batchSizesUnderTest {
 			for _, workers := range []int{1, 4} {
 				cfg := RunConfig{BatchSize: bs, Workers: workers}
-				gotN, gotProf, err := cp.Count(cfg)
+				gotN, gotProf, err := cp.CountCtx(context.Background(), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -115,12 +121,12 @@ func TestBatchProfileParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, want, err := cp.Count(RunConfig{TupleAtATime: true})
+		_, want, err := cp.CountCtx(context.Background(), RunConfig{TupleAtATime: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, bs := range batchSizesUnderTest {
-			_, got, err := cp.Count(RunConfig{BatchSize: bs})
+			_, got, err := cp.CountCtx(context.Background(), RunConfig{BatchSize: bs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,12 +153,12 @@ func TestBatchFastCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := cp.Count(RunConfig{})
+	want, _, err := cp.CountCtx(context.Background(), RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bs := range batchSizesUnderTest {
-		got, prof, err := cp.Count(RunConfig{BatchSize: bs, FastCount: true})
+		got, prof, err := cp.CountCtx(context.Background(), RunConfig{BatchSize: bs, FastCount: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,10 +168,10 @@ func TestBatchFastCount(t *testing.T) {
 	}
 }
 
-// TestBatchLimitExactUnderParallelism is the Limit/RunUntil cap
-// regression: at every batch size, with several workers, CountUpTo must
-// report exactly the cap and RunUntil must never call emit after it
-// returned false.
+// TestBatchLimitExactUnderParallelism is the Limit cap regression: at
+// every batch size, with several workers, CountUpToCtx must report exactly
+// the cap. (That Match never calls its callback again after it returned
+// false is the root package's TestMatchSerialisesCallback.)
 func TestBatchLimitExactUnderParallelism(t *testing.T) {
 	g := datagen.Amazon(1)
 	p := buildWCO(t, query.Q1(), []int{0, 1, 2})
@@ -173,7 +179,7 @@ func TestBatchLimitExactUnderParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := cp.Count(RunConfig{TupleAtATime: true})
+	full, _, err := cp.CountCtx(context.Background(), RunConfig{TupleAtATime: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,40 +188,21 @@ func TestBatchLimitExactUnderParallelism(t *testing.T) {
 	}
 	for _, bs := range append([]int{0}, batchSizesUnderTest...) {
 		for _, limit := range []int64{1, 7, 100} {
-			cfg := RunConfig{BatchSize: bs, Workers: 4}
-			n, _, err := cp.CountUpTo(cfg, limit)
+			n, _, err := cp.CountUpToCtx(context.Background(), RunConfig{BatchSize: bs, Workers: 4}, limit)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if n != limit {
-				t.Errorf("bs=%d limit=%d: CountUpTo = %d", bs, limit, n)
-			}
-			var calls, after atomic.Int64
-			var stopped atomic.Bool
-			_, err = cp.RunUntil(cfg, func([]graph.VertexID) bool {
-				if stopped.Load() {
-					after.Add(1)
-				}
-				if calls.Add(1) >= limit {
-					stopped.Store(true)
-					return false
-				}
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if after.Load() != 0 {
-				t.Errorf("bs=%d limit=%d: emit called %d times after stop", bs, limit, after.Load())
+				t.Errorf("bs=%d limit=%d: CountUpToCtx = %d", bs, limit, n)
 			}
 		}
 		// A cap above the total must return the exact count.
-		n, _, err := cp.CountUpTo(RunConfig{BatchSize: bs, Workers: 4}, full+1000)
+		n, _, err := cp.CountUpToCtx(context.Background(), RunConfig{BatchSize: bs, Workers: 4}, full+1000)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n != full {
-			t.Errorf("bs=%d: uncapped CountUpTo = %d, want %d", bs, n, full)
+			t.Errorf("bs=%d: uncapped CountUpToCtx = %d, want %d", bs, n, full)
 		}
 	}
 }
@@ -247,7 +234,7 @@ func TestHubMorselSplitParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := cp.Count(RunConfig{TupleAtATime: true})
+	want, _, err := cp.CountCtx(context.Background(), RunConfig{TupleAtATime: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +242,7 @@ func TestHubMorselSplitParity(t *testing.T) {
 		t.Fatal("hub graph has no triangles; test is vacuous")
 	}
 	for _, workers := range []int{2, 4, 8} {
-		got, _, err := cp.Count(RunConfig{Workers: workers})
+		got, _, err := cp.CountCtx(context.Background(), RunConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,12 +251,12 @@ func TestHubMorselSplitParity(t *testing.T) {
 		}
 	}
 	// Limits must stay exact across hub splits too.
-	n, _, err := cp.CountUpTo(RunConfig{Workers: 4}, 17)
+	n, _, err := cp.CountUpToCtx(context.Background(), RunConfig{Workers: 4}, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 17 {
-		t.Errorf("hub-split CountUpTo = %d, want 17", n)
+		t.Errorf("hub-split CountUpToCtx = %d, want 17", n)
 	}
 }
 
@@ -283,7 +270,7 @@ func steadyWorker(tb testing.TB, g *graph.Graph, p *plan.Plan, cfg RunConfig) (*
 
 // steadyWorkerOf is steadyWorker for a plan already compiled.
 func steadyWorkerOf(g *graph.Graph, cp *CompiledPlan, cfg RunConfig) (*worker, int) {
-	rc := &runContext{cp: cp, cfg: cfg, batch: cp.EffectiveBatchSize(cfg, 0)}
+	rc := &runContext{ctx: context.Background(), cp: cp, cfg: cfg, batch: cp.EffectiveBatchSize(cfg, 0)}
 	var stopped atomic.Bool
 	w := newWorker(rc, cp.pipes[len(cp.pipes)-1], true, nil, &stopped, nil)
 	n := g.NumVertices()
@@ -327,7 +314,7 @@ func steadyProbeWorker(tb testing.TB, g *graph.Graph, p *plan.Plan) (*worker, in
 	tb.Helper()
 	cp := Must(tb, g, p)
 	cfg := RunConfig{}
-	rc := &runContext{cp: cp, cfg: cfg, tables: map[*plan.HashJoin]*hashTable{},
+	rc := &runContext{ctx: context.Background(), cp: cp, cfg: cfg, tables: map[*plan.HashJoin]*hashTable{},
 		batch: cp.EffectiveBatchSize(cfg, 0), buildBatch: cp.EffectiveBatchSize(cfg, 0)}
 	for _, pipe := range cp.pipes[:len(cp.pipes)-1] {
 		if err := rc.buildTable(pipe, 1); err != nil {
@@ -443,7 +430,7 @@ func TestZeroAllocs(t *testing.T) {
 				cp := Must(t, g, twoTriangles(t))
 				build := cp.pipes[0]
 				ht := newHashTable(build.keySlots, build.outWidth)
-				rc := &runContext{cp: cp, tables: map[*plan.HashJoin]*hashTable{build.feeds: ht},
+				rc := &runContext{ctx: context.Background(), cp: cp, tables: map[*plan.HashJoin]*hashTable{build.feeds: ht},
 					buildBatch: cp.EffectiveBatchSize(RunConfig{}, 0)}
 				var stopped atomic.Bool
 				w := newWorker(rc, build, false, nil, &stopped, nil)
@@ -514,7 +501,7 @@ func TestZeroAllocs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rc := &runContext{cp: cp, cfg: RunConfig{TupleAtATime: true, FastCount: true}}
+				rc := &runContext{ctx: context.Background(), cp: cp, cfg: RunConfig{TupleAtATime: true, FastCount: true}}
 				var stopped atomic.Bool
 				w := newWorker(rc, cp.pipes[0], true, nil, &stopped, nil)
 				n := g.NumVertices()
@@ -578,7 +565,7 @@ func BenchmarkDeepPipelineBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := cp.Count(RunConfig{FastCount: true}); err != nil {
+		if _, _, err := cp.CountCtx(context.Background(), RunConfig{FastCount: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -593,7 +580,7 @@ func BenchmarkDeepPipelineOracle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := cp.Count(RunConfig{FastCount: true, TupleAtATime: true}); err != nil {
+		if _, _, err := cp.CountCtx(context.Background(), RunConfig{FastCount: true, TupleAtATime: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -619,7 +606,7 @@ func BenchmarkSkewParallelBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := cp.Count(RunConfig{FastCount: true, Workers: 4}); err != nil {
+		if _, _, err := cp.CountCtx(context.Background(), RunConfig{FastCount: true, Workers: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -634,7 +621,7 @@ func BenchmarkSkewParallelOracle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := cp.Count(RunConfig{FastCount: true, Workers: 4, TupleAtATime: true}); err != nil {
+		if _, _, err := cp.CountCtx(context.Background(), RunConfig{FastCount: true, Workers: 4, TupleAtATime: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -193,7 +194,7 @@ func TestCarriedCliqueICost(t *testing.T) {
 	g := denseRandomGraph(21, 48, 0.25)
 	cp := Must(t, g, buildWCO(t, cliqueQuery(4), chainOrder(4)))
 	wantICost, oracleICost, rows := carriedCliqueICost(g)
-	wantN, oracleProf, err := cp.Count(RunConfig{TupleAtATime: true})
+	wantN, oracleProf, err := cp.CountCtx(context.Background(), RunConfig{TupleAtATime: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestCarriedCliqueICost(t *testing.T) {
 			{BatchSize: bs, Factorized: true},
 			{BatchSize: bs, Factorized: true, FastCount: true},
 		} {
-			n, prof, err := cp.Count(cfg)
+			n, prof, err := cp.CountCtx(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,7 +229,7 @@ func TestCarriedCliqueICost(t *testing.T) {
 					prof.Intermediate, prof.CacheHits, oracleProf.Intermediate, oracleProf.CacheHits)
 			}
 			cfg.DisableCache = true
-			_, off, err := cp.Count(cfg)
+			_, off, err := cp.CountCtx(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,7 +240,7 @@ func TestCarriedCliqueICost(t *testing.T) {
 	}
 	// Analyze attributes the carried intersections to the inheriting
 	// operator and renders it distinctly.
-	ops, _, err := cp.Analyze(RunConfig{})
+	ops, _, err := cp.AnalyzeCtx(context.Background(), RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +253,8 @@ func TestCarriedCliqueICost(t *testing.T) {
 }
 
 // TestCarriedLimitsAndRows drives the carried path through every way a
-// run can end early or unfold: exact CountUpTo caps (factorized budget
-// and emit-counted), RunUntil stops, and full row sets, over cliques
+// run can end early or unfold: exact CountUpToCtx caps (factorized budget
+// and emit-counted), RunCtx stops, and full row sets, over cliques
 // with and without pendant leaves, at every batch size.
 func TestCarriedLimitsAndRows(t *testing.T) {
 	g := denseRandomGraph(22, 40, 0.3)
@@ -273,7 +274,7 @@ func TestCarriedLimitsAndRows(t *testing.T) {
 			t.Fatalf("%s: no inheriting stage", name)
 		}
 		oracle := RunConfig{TupleAtATime: true}
-		want, _, err := cp.Count(oracle)
+		want, _, err := cp.CountCtx(context.Background(), oracle)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,16 +298,16 @@ func TestCarriedLimitsAndRows(t *testing.T) {
 					cfg.Workers = workers
 					for _, limit := range []int64{1, 2, want / 2, want - 1, want, want + 9} {
 						wantLim := min(limit, want)
-						n, _, err := cp.CountUpTo(cfg, limit)
+						n, _, err := cp.CountUpToCtx(context.Background(), cfg, limit)
 						if err != nil {
 							t.Fatal(err)
 						}
 						if n != wantLim {
-							t.Errorf("%s bs=%d fact=%v workers=%d: CountUpTo(%d) = %d, want %d", name, bs, fact, workers, limit, n, wantLim)
+							t.Errorf("%s bs=%d fact=%v workers=%d: CountUpToCtx(%d) = %d, want %d", name, bs, fact, workers, limit, n, wantLim)
 						}
 					}
 					cfg.FastCount = true
-					n, _, err := cp.Count(cfg)
+					n, _, err := cp.CountCtx(context.Background(), cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -342,7 +343,7 @@ func BenchmarkCliqueCarried(b *testing.B) {
 			b.Run(fmt.Sprintf("clique%d/%s", k, v.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := cp.Count(v.cfg); err != nil {
+					if _, _, err := cp.CountCtx(context.Background(), v.cfg); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -41,7 +42,7 @@ func compiledTriangle(t *testing.T) (*CompiledPlan, *graph.Graph, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := cp.Count(RunConfig{})
+	want, _, err := cp.CountCtx(context.Background(), RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +71,11 @@ func TestCompiledPlanConcurrentRuns(t *testing.T) {
 				// Enumerate through emit instead of counting.
 				cfg.FastCount = false
 				var mu sync.Mutex
-				_, err := cp.Run(cfg, func(tuple []graph.VertexID) {
+				_, err := cp.RunCtx(context.Background(), cfg, func(tuple []graph.VertexID) bool {
 					mu.Lock()
 					n++
 					mu.Unlock()
+					return true
 				})
 				if err != nil {
 					errs <- err.Error()
@@ -81,7 +83,7 @@ func TestCompiledPlanConcurrentRuns(t *testing.T) {
 				}
 			} else {
 				var err error
-				n, _, err = cp.Count(cfg)
+				n, _, err = cp.CountCtx(context.Background(), cfg)
 				if err != nil {
 					errs <- err.Error()
 					return
@@ -99,15 +101,15 @@ func TestCompiledPlanConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestRunUntilStopsEarly checks that RunUntil halts enumeration promptly
-// once emit returns false, instead of draining the full result set.
-func TestRunUntilStopsEarly(t *testing.T) {
+// TestRunCtxStopsEarly checks that RunCtx halts enumeration promptly once
+// emit returns false, instead of draining the full result set.
+func TestRunCtxStopsEarly(t *testing.T) {
 	cp, _, want := compiledTriangle(t)
 	if want < 2 {
 		t.Skip("need at least two matches")
 	}
 	calls := 0
-	prof, err := cp.RunUntil(RunConfig{}, func([]graph.VertexID) bool {
+	prof, err := cp.RunCtx(context.Background(), RunConfig{}, func([]graph.VertexID) bool {
 		calls++
 		return false
 	})
@@ -122,36 +124,17 @@ func TestRunUntilStopsEarly(t *testing.T) {
 	}
 }
 
-// TestRunUntilStopsEarlyParallel is the same property with workers: a few
-// extra emits may race in before the stop propagates, but enumeration
-// must not complete.
-func TestRunUntilStopsEarlyParallel(t *testing.T) {
-	cp, _, want := compiledTriangle(t)
-	calls := int64(0)
-	_, err := cp.RunUntil(RunConfig{Workers: 4}, func([]graph.VertexID) bool {
-		calls++
-		return false
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Errorf("serialised emit called %d times after stop, want 1", calls)
-	}
-	_ = want
-}
-
-// TestCountUpToMatchesLimit checks the compiled CountUpTo cap.
+// TestCountUpToMatchesLimit checks the compiled CountUpToCtx cap.
 func TestCountUpToMatchesLimit(t *testing.T) {
 	cp, _, want := compiledTriangle(t)
 	if want < 2 {
 		t.Skip("need at least two matches")
 	}
-	n, _, err := cp.CountUpTo(RunConfig{}, want-1)
+	n, _, err := cp.CountUpToCtx(context.Background(), RunConfig{}, want-1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != want-1 {
-		t.Errorf("CountUpTo = %d, want %d", n, want-1)
+		t.Errorf("CountUpToCtx = %d, want %d", n, want-1)
 	}
 }

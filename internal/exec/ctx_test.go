@@ -49,7 +49,7 @@ func TestCountCtxDeadlineBoundsLatency(t *testing.T) {
 	// Establish that the query genuinely runs long; skip (never fail) on
 	// absurdly fast machines where the premise does not hold.
 	full := time.Now()
-	n, _, err := cp.Count(RunConfig{FastCount: true})
+	n, _, err := cp.CountCtx(context.Background(), RunConfig{FastCount: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +88,10 @@ func TestCountCtxParallelCancellation(t *testing.T) {
 	}
 }
 
-func TestRunUntilCtxEarlyStopIsNotAnError(t *testing.T) {
+func TestRunCtxEarlyStopIsNotAnError(t *testing.T) {
 	cp, _, _ := compiledTriangle(t)
 	seen := 0
-	_, err := cp.RunUntilCtx(context.Background(), RunConfig{}, func([]graph.VertexID) bool {
+	_, err := cp.RunCtx(context.Background(), RunConfig{}, func([]graph.VertexID) bool {
 		seen++
 		return seen < 3
 	})
@@ -103,29 +103,77 @@ func TestRunUntilCtxEarlyStopIsNotAnError(t *testing.T) {
 	}
 }
 
+// TestEntryPointsHonorCancellation runs every way into a compiled plan
+// under a context that is already cancelled and under one whose deadline
+// passes mid-run, sequentially and with workers: each returns the
+// context's error.
+func TestEntryPointsHonorCancellation(t *testing.T) {
+	cp := heavyPlan(t)
+	entries := map[string]func(context.Context, RunConfig) error{
+		"RunCtx": func(ctx context.Context, cfg RunConfig) error {
+			_, err := cp.RunCtx(ctx, cfg, func([]graph.VertexID) bool { return true })
+			return err
+		},
+		"CountCtx": func(ctx context.Context, cfg RunConfig) error {
+			_, _, err := cp.CountCtx(ctx, cfg)
+			return err
+		},
+		"CountUpToCtx": func(ctx context.Context, cfg RunConfig) error {
+			_, _, err := cp.CountUpToCtx(ctx, cfg, 1<<62)
+			return err
+		},
+		"AnalyzeCtx": func(ctx context.Context, cfg RunConfig) error {
+			_, _, err := cp.AnalyzeCtx(ctx, cfg)
+			return err
+		},
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, run := range entries {
+		for _, workers := range []int{1, 4} {
+			cfg := RunConfig{Workers: workers}
+			if err := run(cancelled, cfg); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s workers=%d, cancelled: err = %v, want context.Canceled", name, workers, err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+			err := run(ctx, cfg)
+			cancel()
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s workers=%d, deadline mid-run: err = %v, want context.DeadlineExceeded", name, workers, err)
+			}
+		}
+	}
+}
+
+// TestCountUpToCtxHonorsWorkers checks the cap on every engine: a limit
+// below the total is exact, one above it and one <= 0 (no cap) count
+// everything.
 func TestCountUpToCtxHonorsWorkers(t *testing.T) {
 	cp, _, total := compiledTriangle(t)
-	limit := total / 2
-	if limit < 1 {
+	half := total / 2
+	if half < 1 {
 		t.Skip("triangle fixture too small")
 	}
-	for _, workers := range []int{1, 4} {
-		n, _, err := cp.CountUpTo(RunConfig{Workers: workers}, limit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != limit {
-			t.Errorf("workers=%d: CountUpTo = %d, want %d", workers, n, limit)
-		}
+	configs := map[string]RunConfig{
+		"batch":      {},
+		"workers=4":  {Workers: 4},
+		"factorized": {Factorized: true},
+		"tuple":      {TupleAtATime: true},
 	}
-	// A limit above the total yields the exact total regardless of workers.
-	for _, workers := range []int{1, 4} {
-		n, _, err := cp.CountUpTo(RunConfig{Workers: workers}, total+100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != total {
-			t.Errorf("workers=%d: uncapped CountUpTo = %d, want %d", workers, n, total)
+	for name, cfg := range configs {
+		for _, tc := range []struct{ limit, want int64 }{
+			{half, half},
+			{total + 100, total},
+			{0, total},
+			{-1, total},
+		} {
+			n, _, err := cp.CountUpToCtx(context.Background(), cfg, tc.limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != tc.want {
+				t.Errorf("%s: CountUpToCtx(%d) = %d, want %d", name, tc.limit, n, tc.want)
+			}
 		}
 	}
 }

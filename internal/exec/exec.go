@@ -11,6 +11,14 @@
 // can be executed by many goroutines at the same time — the property
 // prepared queries rely on.
 //
+// A CompiledPlan runs in the paper's three ways, each bounded by a
+// context: CountCtx counts every match, CountUpToCtx counts up to an
+// output cap (Appendix C), and RunCtx enumerates; AnalyzeCtx is a
+// counting run that also collects per-operator statistics. RunCtx does
+// not serialise its callback: with cfg.Workers > 1 every worker calls
+// emit concurrently, and a callback that needs one caller at a time
+// brings its own lock.
+//
 // The E/I operator implements the intersection cache of Section 3.1, and
 // every operator maintains the profiling counters (i-cost, intermediate
 // matches, cache hits) that the paper's demonstrative experiments report.
@@ -288,7 +296,7 @@ type runContext struct {
 	// CompiledPlan.EffectiveBatchSize).
 	batch, buildBatch int
 	// countBudget, when non-nil, is the shared remaining-match allowance
-	// of a factorized CountUpTo: each factorizedTail prefix atomically
+	// of a factorized CountUpToCtx: each factorizedTail prefix atomically
 	// claims min(product, remaining) and stops the run when it is
 	// exhausted, so the total claimed never exceeds the limit even
 	// across workers.
@@ -331,102 +339,26 @@ func (rc *runContext) runErr() error {
 	if rc.mem.Exceeded() {
 		return rc.mem.Err()
 	}
-	return rc.ctxErr()
+	return rc.ctx.Err()
 }
 
-// Run evaluates the compiled plan, invoking emit for every match. The
-// tuple slice passed to emit is only valid during the call and is laid
-// out according to the plan root's Out(). When cfg.Workers > 1, emit is
-// serialised internally — matches never interleave within a call.
-func (cp *CompiledPlan) Run(cfg RunConfig, emit func([]graph.VertexID)) (Profile, error) {
-	return cp.RunCtx(context.Background(), cfg, emit)
+// RunCtx evaluates the compiled plan, invoking emit for every match until
+// emit returns false or ctx is cancelled or its deadline passes. The tuple
+// slice passed to emit is only valid during the call and is laid out
+// according to the plan root's Out(). When cfg.Workers > 1, emit is called
+// from every worker goroutine concurrently and must be safe for that;
+// after one call returns false, the other workers stop at their next scan
+// vertex, so emit may still be called for the rows they hold. Early
+// termination via emit is not an error; cancellation returns ctx's error
+// together with the partial profile accumulated so far. Workers poll ctx
+// every cancelCheckInterval produced tuples, so cancellation latency is
+// bounded even mid-pipeline.
+func (cp *CompiledPlan) RunCtx(ctx context.Context, cfg RunConfig, emit func([]graph.VertexID) bool) (Profile, error) {
+	return cp.run(ctx, cfg, nil, emit, nil, 0)
 }
 
-// RunCtx is Run bounded by ctx: execution stops promptly once ctx is
-// cancelled or its deadline passes, and the ctx error is returned
-// together with the partial profile accumulated so far. Workers poll the
-// context every cancelCheckInterval produced tuples, so cancellation
-// latency is bounded even mid-pipeline.
-func (cp *CompiledPlan) RunCtx(ctx context.Context, cfg RunConfig, emit func([]graph.VertexID)) (Profile, error) {
-	var inner func([]graph.VertexID) bool
-	if emit != nil {
-		if cfg.Workers > 1 {
-			var mu sync.Mutex
-			inner = func(t []graph.VertexID) bool {
-				mu.Lock()
-				emit(t)
-				mu.Unlock()
-				return true
-			}
-		} else {
-			inner = func(t []graph.VertexID) bool {
-				emit(t)
-				return true
-			}
-		}
-	}
-	return cp.run(ctx, cfg, nil, inner)
-}
-
-// RunConcurrent is Run without the emit serialisation: when cfg.Workers
-// > 1, emit is called concurrently from multiple goroutines and must be
-// safe for that. Use it when the callback does its own (cheaper)
-// synchronisation, e.g. a single atomic counter.
-func (cp *CompiledPlan) RunConcurrent(cfg RunConfig, emit func([]graph.VertexID)) (Profile, error) {
-	return cp.RunConcurrentCtx(context.Background(), cfg, emit)
-}
-
-// RunConcurrentCtx is RunConcurrent bounded by ctx (see RunCtx).
-func (cp *CompiledPlan) RunConcurrentCtx(ctx context.Context, cfg RunConfig, emit func([]graph.VertexID)) (Profile, error) {
-	var inner func([]graph.VertexID) bool
-	if emit != nil {
-		inner = func(t []graph.VertexID) bool {
-			emit(t)
-			return true
-		}
-	}
-	return cp.run(ctx, cfg, nil, inner)
-}
-
-// RunUntil is Run with early termination: enumeration halts once emit
-// returns false. Pending workers stop at their next scan vertex, so a few
-// extra tuples may still be produced after the first false return, but
-// emit itself is serialised when cfg.Workers > 1 and is never invoked
-// again once it has returned false.
-func (cp *CompiledPlan) RunUntil(cfg RunConfig, emit func([]graph.VertexID) bool) (Profile, error) {
-	return cp.RunUntilCtx(context.Background(), cfg, emit)
-}
-
-// RunUntilCtx is RunUntil bounded by ctx (see RunCtx). Early termination
-// via emit is not an error; cancellation via ctx returns ctx's error.
-func (cp *CompiledPlan) RunUntilCtx(ctx context.Context, cfg RunConfig, emit func([]graph.VertexID) bool) (Profile, error) {
-	inner := emit
-	if cfg.Workers > 1 {
-		var mu sync.Mutex
-		stopped := false
-		inner = func(t []graph.VertexID) bool {
-			mu.Lock()
-			defer mu.Unlock()
-			if stopped {
-				return false
-			}
-			if !emit(t) {
-				stopped = true
-				return false
-			}
-			return true
-		}
-	}
-	return cp.run(ctx, cfg, nil, inner)
-}
-
-// Count evaluates the compiled plan and returns the number of matches
-// and the execution profile.
-func (cp *CompiledPlan) Count(cfg RunConfig) (int64, Profile, error) {
-	return cp.CountCtx(context.Background(), cfg)
-}
-
-// CountCtx is Count bounded by ctx (see RunCtx). On cancellation the
+// CountCtx evaluates the compiled plan and returns the number of matches
+// and the execution profile (see RunCtx for ctx). On cancellation the
 // partial count is returned alongside ctx's error.
 func (cp *CompiledPlan) CountCtx(ctx context.Context, cfg RunConfig) (int64, Profile, error) {
 	// The factorized tier only counts by set-cardinality product when no
@@ -434,66 +366,53 @@ func (cp *CompiledPlan) CountCtx(ctx context.Context, cfg RunConfig) (int64, Pro
 	// rows that do reach the sink (non-star stages) are counted by
 	// dispatchBatch, rows absorbed by a factorized tail by its product.
 	if cfg.FastCount || (cfg.Factorized && !cfg.TupleAtATime) {
-		prof, err := cp.run(ctx, cfg, nil, nil)
+		prof, err := cp.run(ctx, cfg, nil, nil, nil, 0)
 		return prof.Matches, prof, err
 	}
 	var n atomic.Int64
 	prof, err := cp.run(ctx, cfg, nil, func([]graph.VertexID) bool {
 		n.Add(1)
 		return true
-	})
+	}, nil, 0)
 	return n.Load(), prof, err
 }
 
-// CountUpTo evaluates the compiled plan, stopping once limit matches have
-// been produced (the output caps of the Appendix C experiments). Honors
-// cfg.Workers: with parallel workers the count still stops at limit, but
-// which matches are counted is nondeterministic.
-func (cp *CompiledPlan) CountUpTo(cfg RunConfig, limit int64) (int64, Profile, error) {
-	return cp.CountUpToCtx(context.Background(), cfg, limit)
-}
-
-// CountUpToCtx is CountUpTo bounded by ctx (see RunCtx).
+// CountUpToCtx is CountCtx stopping once limit matches have been produced
+// (the output caps of the Appendix C experiments); a limit <= 0 caps
+// nothing. Honors cfg.Workers: with parallel workers the count still stops
+// at limit, but which matches are counted is nondeterministic.
 func (cp *CompiledPlan) CountUpToCtx(ctx context.Context, cfg RunConfig, limit int64) (int64, Profile, error) {
-	if limit > 0 && cfg.Factorized && !cfg.TupleAtATime && cp.StarSuffixLen() > 0 {
+	if limit <= 0 {
+		return cp.CountCtx(ctx, cfg)
+	}
+	cfg.FastCount = false
+	if cfg.Factorized && !cfg.TupleAtATime && cp.StarSuffixLen() > 0 {
 		// Factorized limit: the tail charges each prefix's set-cardinality
 		// product against a shared budget, so the cap is hit exactly
 		// without unfolding a single suffix tuple.
-		cfg.FastCount = false
 		var budget atomic.Int64
 		budget.Store(limit)
-		prof, err := cp.runLimited(ctx, cfg, nil, nil, &budget, limit)
+		prof, err := cp.run(ctx, cfg, nil, nil, &budget, limit)
 		return prof.Matches, prof, err
 	}
-	cfg.FastCount = false
 	var n atomic.Int64
-	prof, err := cp.runLimited(ctx, cfg, nil, func([]graph.VertexID) bool {
+	prof, err := cp.run(ctx, cfg, nil, func([]graph.VertexID) bool {
 		// Workers may race past the cap by one tuple each before observing
 		// the stop; the overshoot is clamped below, so the reported count
 		// never exceeds limit.
 		return n.Add(1) < limit
 	}, nil, limit)
-	c := n.Load()
-	if c > limit {
-		c = limit
-	}
-	return c, prof, err
+	return min(n.Load(), limit), prof, err
 }
 
 // run is the execution driver: it materialises the per-run context,
 // builds every hash table, then drives the root pipeline. emit, when
-// non-nil, must tolerate concurrent calls if cfg.Workers > 1 (the public
-// wrappers serialise user callbacks before reaching here) and returns
-// false to request early termination. A nil ctx disables cancellation.
-func (cp *CompiledPlan) run(ctx context.Context, cfg RunConfig, analyze *nodeCounters, emit func([]graph.VertexID) bool) (Profile, error) {
-	return cp.runLimited(ctx, cfg, analyze, emit, nil, 0)
-}
-
-// runLimited is run for a caller that stops after limit matches (0 = it
-// does not): the limit sizes the driver pipeline's batches, and
-// countBudget, when non-nil, is the factorized count budget that
-// enforces it (see runContext.countBudget).
-func (cp *CompiledPlan) runLimited(ctx context.Context, cfg RunConfig, analyze *nodeCounters, emit func([]graph.VertexID) bool, countBudget *atomic.Int64, limit int64) (Profile, error) {
+// non-nil, must tolerate concurrent calls if cfg.Workers > 1 and returns
+// false to request early termination. limit is the number of matches
+// after which the caller stops the run (0 = it does not): it sizes the
+// driver pipeline's batches, and countBudget, when non-nil, is the
+// factorized count budget that enforces it (see runContext.countBudget).
+func (cp *CompiledPlan) run(ctx context.Context, cfg RunConfig, analyze *nodeCounters, emit func([]graph.VertexID) bool, countBudget *atomic.Int64, limit int64) (Profile, error) {
 	workers := cfg.Workers
 	if workers < 1 {
 		workers = 1
@@ -535,14 +454,6 @@ func (cp *CompiledPlan) runLimited(ctx context.Context, cfg RunConfig, analyze *
 		return rc.profile, err
 	}
 	return rc.profile, nil
-}
-
-// ctxErr reports the run context's cancellation state.
-func (rc *runContext) ctxErr() error {
-	if rc.ctx == nil {
-		return nil
-	}
-	return rc.ctx.Err()
 }
 
 // buildTable runs one build pipeline into its hash join's table and
@@ -672,76 +583,4 @@ func (rc *runContext) runPipeline(pipe *compiledPipeline, workers int, isRoot bo
 		total.Add(p)
 	}
 	return total, nil
-}
-
-// Runner executes plans against a graph: the single-shot facade over
-// Compile + CompiledPlan.Run kept for callers that do not reuse plans.
-type Runner struct {
-	Graph graph.View
-	// Workers is the number of parallel workers; <=1 means sequential.
-	Workers int
-	// DisableCache turns off the E/I intersection cache.
-	DisableCache bool
-	// MaxBuildRows aborts execution when a hash-join build side
-	// materialises more than this many tuples (0 = unlimited).
-	MaxBuildRows int64
-	// FastCount enables factorized counting when no tuples are emitted.
-	FastCount bool
-	// Factorized enables the factorized execution tier (see
-	// RunConfig.Factorized).
-	Factorized bool
-	// MemBudget meters the run's major allocators (see
-	// RunConfig.MemBudget).
-	MemBudget *resource.Budget
-	// Faults is the fault-injection hook (see RunConfig.Faults).
-	Faults *faultinject.Injector
-}
-
-func (r *Runner) config() RunConfig {
-	return RunConfig{
-		Workers:      r.Workers,
-		DisableCache: r.DisableCache,
-		MaxBuildRows: r.MaxBuildRows,
-		FastCount:    r.FastCount,
-		Factorized:   r.Factorized,
-		MemBudget:    r.MemBudget,
-		Faults:       r.Faults,
-	}
-}
-
-// Count evaluates the plan and returns the number of matches and the
-// execution profile.
-func (r *Runner) Count(p *plan.Plan) (int64, Profile, error) {
-	return r.CountCtx(context.Background(), p)
-}
-
-// CountCtx is Count bounded by ctx (see CompiledPlan.RunCtx).
-func (r *Runner) CountCtx(ctx context.Context, p *plan.Plan) (int64, Profile, error) {
-	cp, err := Compile(r.Graph, p)
-	if err != nil {
-		return 0, Profile{}, err
-	}
-	return cp.CountCtx(ctx, r.config())
-}
-
-// CountUpTo evaluates the plan, stopping once limit matches have been
-// produced. Honors Workers: with parallel workers the count still stops
-// at limit, but which matches are counted is nondeterministic.
-func (r *Runner) CountUpTo(p *plan.Plan, limit int64) (int64, Profile, error) {
-	cp, err := Compile(r.Graph, p)
-	if err != nil {
-		return 0, Profile{}, err
-	}
-	return cp.CountUpTo(r.config(), limit)
-}
-
-// Run evaluates the plan, invoking emit for every match. The tuple slice
-// passed to emit is only valid during the call and is laid out according
-// to p.Root.Out(). When Workers > 1, emit calls are serialised.
-func (r *Runner) Run(p *plan.Plan, emit func([]graph.VertexID)) (Profile, error) {
-	cp, err := Compile(r.Graph, p)
-	if err != nil {
-		return Profile{}, err
-	}
-	return cp.Run(r.config(), emit)
 }

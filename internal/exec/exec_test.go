@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -35,6 +36,15 @@ func buildWCO(t testing.TB, q *query.Graph, order []int) *plan.Plan {
 	return &plan.Plan{Query: q, Root: node}
 }
 
+// countPlan compiles p against g and counts its matches under cfg.
+func countPlan(g graph.View, p *plan.Plan, cfg RunConfig) (int64, Profile, error) {
+	cp, err := Compile(g, p)
+	if err != nil {
+		return 0, Profile{}, err
+	}
+	return cp.CountCtx(context.Background(), cfg)
+}
+
 func smallRandomGraph(seed int64, n, deg int) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder(n)
@@ -50,8 +60,7 @@ func TestScanOnlyPlan(t *testing.T) {
 	g := smallRandomGraph(1, 50, 3)
 	q := query.MustParse("a->b")
 	p := &plan.Plan{Query: q, Root: plan.NewScan(q, q.Edges[0])}
-	r := &Runner{Graph: g}
-	n, prof, err := r.Count(p)
+	n, prof, err := countPlan(g, p, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +76,9 @@ func TestWCOTriangleMatchesReference(t *testing.T) {
 	g := smallRandomGraph(2, 120, 6)
 	q := query.Q1()
 	want := query.RefCount(g, q)
-	r := &Runner{Graph: g}
 	for _, order := range [][]int{{0, 1, 2}, {1, 2, 0}, {0, 2, 1}} {
 		p := buildWCO(t, q, order)
-		got, prof, err := r.Count(p)
+		got, prof, err := countPlan(g, p, RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,11 +95,10 @@ func TestAllQVOsAgreeOnDiamondX(t *testing.T) {
 	g := smallRandomGraph(3, 80, 5)
 	q := query.Q4()
 	want := query.RefCount(g, q)
-	r := &Runner{Graph: g}
 	// All connected-prefix orderings.
 	for _, order := range allOrders(q) {
 		p := buildWCO(t, q, order)
-		got, _, err := r.Count(p)
+		got, _, err := countPlan(g, p, RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,8 +145,7 @@ func TestHashJoinPlanMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &plan.Plan{Query: q, Root: hj}
-	r := &Runner{Graph: g}
-	got, prof, err := r.Count(p)
+	got, prof, err := countPlan(g, p, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +177,7 @@ func TestExtendAfterHashJoin(t *testing.T) {
 		t.Fatalf("a6 close should intersect 2 lists, got %d", len(ext.Descriptors))
 	}
 	p := &plan.Plan{Query: q, Root: ext}
-	r := &Runner{Graph: g}
-	got, _, err := r.Count(p)
+	got, _, err := countPlan(g, p, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +204,7 @@ func TestNestedHashJoins(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &plan.Plan{Query: q, Root: hj}
-	r := &Runner{Graph: g}
-	got, _, err := r.Count(p)
+	got, _, err := countPlan(g, p, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +219,11 @@ func TestIntersectionCacheCorrectnessAndHits(t *testing.T) {
 	// Order a2,a3,a1,a4: extensions of a1 and a4 use identical descriptors
 	// reading slots 0,1 — the second one always hits the cache.
 	pCached := buildWCO(t, q, []int{1, 2, 0, 3})
-	rOn := &Runner{Graph: g}
-	rOff := &Runner{Graph: g, DisableCache: true}
-	nOn, profOn, err := rOn.Count(pCached)
+	nOn, profOn, err := countPlan(g, pCached, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nOff, profOff, err := rOff.Count(pCached)
+	nOff, profOff, err := countPlan(g, pCached, RunConfig{DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,13 +245,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 	g := datagen.Epinions(1)
 	q := query.Q1()
 	p := buildWCO(t, q, []int{0, 1, 2})
-	seq := &Runner{Graph: g, Workers: 1}
-	par := &Runner{Graph: g, Workers: 8}
-	nSeq, profSeq, err := seq.Count(p)
+	nSeq, profSeq, err := countPlan(g, p, RunConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nPar, profPar, err := par.Count(p)
+	nPar, profPar, err := countPlan(g, p, RunConfig{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +271,11 @@ func TestParallelHybridMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &plan.Plan{Query: q, Root: hj}
-	nSeq, _, err := (&Runner{Graph: g, Workers: 1}).Count(p)
+	nSeq, _, err := countPlan(g, p, RunConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nPar, _, err := (&Runner{Graph: g, Workers: 6}).Count(p)
+	nPar, _, err := countPlan(g, p, RunConfig{Workers: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,9 +293,13 @@ func TestRunEmitTuples(t *testing.T) {
 	q := query.Q1()
 	p := buildWCO(t, q, []int{0, 1, 2})
 	var tuples [][]graph.VertexID
-	r := &Runner{Graph: g}
-	_, err := r.Run(p, func(tu []graph.VertexID) {
+	cp, err := Compile(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = cp.RunCtx(context.Background(), RunConfig{}, func(tu []graph.VertexID) bool {
 		tuples = append(tuples, append([]graph.VertexID(nil), tu...))
+		return true
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +319,7 @@ func TestLabeledExecution(t *testing.T) {
 	q := query.WithRandomEdgeLabels(query.Q1(), 3, 99)
 	want := query.RefCount(g, q)
 	p := buildWCO(t, q, []int{0, 1, 2})
-	got, _, err := (&Runner{Graph: g}).Count(p)
+	got, _, err := countPlan(g, p, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +337,7 @@ func TestProfileIntermediateCounts(t *testing.T) {
 	b.AddEdge(0, 2, 0)
 	g := b.MustBuild()
 	p := buildWCO(t, query.Q1(), []int{0, 1, 2})
-	_, prof, err := (&Runner{Graph: g}).Count(p)
+	_, prof, err := countPlan(g, p, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

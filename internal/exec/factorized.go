@@ -18,11 +18,11 @@ import (
 // degree-adaptive kernels and PR-5's run-level reuse carry over) and
 // represents the result as prefix × set₁ × … × setₖ:
 //
-//   - Count multiplies set cardinalities — no suffix tuple is ever built.
-//   - CountUpTo charges each product against a shared atomic budget and
+//   - CountCtx multiplies set cardinalities — no suffix tuple is ever built.
+//   - CountUpToCtx charges each product against a shared atomic budget and
 //     stops the run the moment it is exhausted, hitting the cap exactly
 //     without unfolding.
-//   - Run/RunUntil lazily unfold the product column-major into the
+//   - RunCtx lazily unfolds the product column-major into the
 //     ordinary batch emission path, producing identical tuples in
 //     identical order to full enumeration.
 //

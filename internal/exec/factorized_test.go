@@ -92,12 +92,12 @@ func TestFactorizedCountMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := cp.Count(RunConfig{TupleAtATime: true})
+		want, _, err := cp.CountCtx(context.Background(), RunConfig{TupleAtATime: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			got, prof, err := cp.Count(RunConfig{Factorized: true, Workers: workers})
+			got, prof, err := cp.CountCtx(context.Background(), RunConfig{Factorized: true, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,8 +128,9 @@ func TestFactorizedMatchUnfoldsIdenticalTuples(t *testing.T) {
 		}
 		collect := func(cfg RunConfig) []string {
 			var out []string
-			if _, err := cp.Run(cfg, func(tu []graph.VertexID) {
+			if _, err := cp.RunCtx(context.Background(), cfg, func(tu []graph.VertexID) bool {
 				out = append(out, fmt.Sprint(tu))
+				return true
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +152,7 @@ func TestFactorizedMatchUnfoldsIdenticalTuples(t *testing.T) {
 }
 
 // TestFactorizedLimitExactUnderParallelism checks the shared-budget
-// product claiming: with several workers racing, CountUpTo under the
+// product claiming: with several workers racing, CountUpToCtx under the
 // factorized tier must report exactly min(limit, total) — limits landing
 // mid-product are truncated to the remainder, never overshot.
 func TestFactorizedLimitExactUnderParallelism(t *testing.T) {
@@ -161,7 +162,7 @@ func TestFactorizedLimitExactUnderParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := cp.Count(RunConfig{TupleAtATime: true})
+	full, _, err := cp.CountCtx(context.Background(), RunConfig{TupleAtATime: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestFactorizedLimitExactUnderParallelism(t *testing.T) {
 				t.Fatal(err)
 			}
 			if n != want {
-				t.Errorf("workers=%d limit=%d: factorized CountUpTo = %d, want exactly %d", workers, limit, n, want)
+				t.Errorf("workers=%d limit=%d: factorized CountUpToCtx = %d, want exactly %d", workers, limit, n, want)
 			}
 			if limit <= full && prof.FactorizedPrefixes == 0 {
 				t.Errorf("workers=%d limit=%d: budget path did not engage the factorized tier", workers, limit)
@@ -260,7 +261,7 @@ func TestEffectiveBatchSize(t *testing.T) {
 	hj, _ := compiledHashJoin(t)
 	hj.estCard = 1e6
 	var stopped atomic.Bool
-	rc := &runContext{cp: hj, batch: hj.EffectiveBatchSize(RunConfig{}, 10), buildBatch: hj.EffectiveBatchSize(RunConfig{}, 0)}
+	rc := &runContext{ctx: context.Background(), cp: hj, batch: hj.EffectiveBatchSize(RunConfig{}, 10), buildBatch: hj.EffectiveBatchSize(RunConfig{}, 0)}
 	for i, pipe := range hj.pipes {
 		want := rc.buildBatch
 		if pipe.feeds == nil {
@@ -297,11 +298,11 @@ func TestWorkerPoolReuseAcrossRuns(t *testing.T) {
 		{Factorized: true},
 	} {
 		cp := Must(t, g, buildWCO(t, query.Q4(), []int{0, 1, 2, 3}))
-		if _, _, err := cp.Count(cfg); err != nil {
+		if _, _, err := cp.CountCtx(context.Background(), cfg); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, _, err := cp.Count(cfg); err != nil {
+			if _, _, err := cp.CountCtx(context.Background(), cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -328,7 +329,7 @@ func steadyFactorizedWorker(tb testing.TB, g *graph.Graph) (*worker, int) {
 		tb.Fatalf("star suffix = %d, want 3", cp.StarSuffixLen())
 	}
 	cfg := RunConfig{Factorized: true}
-	rc := &runContext{cp: cp, cfg: cfg, batch: cp.EffectiveBatchSize(cfg, 0)}
+	rc := &runContext{ctx: context.Background(), cp: cp, cfg: cfg, batch: cp.EffectiveBatchSize(cfg, 0)}
 	var stopped atomic.Bool
 	w := newWorker(rc, cp.pipes[len(cp.pipes)-1], true, nil, &stopped, nil)
 	n := g.NumVertices()

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"graphflow/internal/datagen"
@@ -16,11 +17,11 @@ func TestFastCountMatchesExact(t *testing.T) {
 		// Any WCO order built from the first edge.
 		order := connectedOrderForTest(q)
 		p := buildWCO(t, q, order)
-		slow, slowProf, err := (&Runner{Graph: g}).Count(p)
+		slow, slowProf, err := countPlan(g, p, RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, fastProf, err := (&Runner{Graph: g, FastCount: true}).Count(p)
+		fast, fastProf, err := countPlan(g, p, RunConfig{FastCount: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +43,7 @@ func TestFastCountScanOnly(t *testing.T) {
 	g := datagen.Amazon(1)
 	q := query.MustParse("a->b")
 	p := &plan.Plan{Query: q, Root: plan.NewScan(q, q.Edges[0])}
-	fast, _, err := (&Runner{Graph: g, FastCount: true}).Count(p)
+	fast, _, err := countPlan(g, p, RunConfig{FastCount: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +58,15 @@ func TestFastCountIgnoredWithEmit(t *testing.T) {
 	g := datagen.Amazon(1)
 	q := query.Q1()
 	p := buildWCO(t, q, []int{0, 1, 2})
-	want, _, err := (&Runner{Graph: g}).Count(p)
+	want, _, err := countPlan(g, p, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var n int64
-	_, err = (&Runner{Graph: g, FastCount: true}).Run(p, func([]graph.VertexID) { n++ })
+	_, err = Must(t, g, p).RunCtx(context.Background(), RunConfig{FastCount: true}, func([]graph.VertexID) bool {
+		n++
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func assertGoroutinesReturn(t *testing.T, baseline int) {
 func compiledHashJoin(t *testing.T) (*CompiledPlan, int64) {
 	t.Helper()
 	cp := Must(t, smallRandomGraph(4, 800, 20), twoTriangles(t))
-	want, _, err := cp.Count(RunConfig{})
+	want, _, err := cp.CountCtx(context.Background(), RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestBudgetAbortReturnsErrBudgetExceeded(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		baseline := runtime.NumGoroutine()
 		b := resource.NewBudget(512, nil) // cannot cover even one batch checkout
-		_, _, err := cp.Count(RunConfig{Workers: workers, MemBudget: b})
+		_, _, err := cp.CountCtx(context.Background(), RunConfig{Workers: workers, MemBudget: b})
 		if !errors.Is(err, resource.ErrBudgetExceeded) {
 			t.Fatalf("workers=%d: err = %v, want ErrBudgetExceeded", workers, err)
 		}
@@ -67,7 +67,7 @@ func TestBudgetAbortReturnsErrBudgetExceeded(t *testing.T) {
 		b.Close()
 		assertGoroutinesReturn(t, baseline)
 
-		n, _, err := cp.Count(RunConfig{Workers: workers})
+		n, _, err := cp.CountCtx(context.Background(), RunConfig{Workers: workers})
 		if err != nil || n != total {
 			t.Fatalf("workers=%d: post-abort count = %d, %v; want %d, nil", workers, n, err, total)
 		}
@@ -82,7 +82,7 @@ func TestGovernorExhaustionFlagsGlobal(t *testing.T) {
 	cp, _, total := compiledTriangle(t)
 	gov := resource.NewGovernor(1024)
 	b := resource.NewBudget(0, gov)
-	_, _, err := cp.Count(RunConfig{MemBudget: b})
+	_, _, err := cp.CountCtx(context.Background(), RunConfig{MemBudget: b})
 	var be *resource.BudgetError
 	if !errors.As(err, &be) || !be.Global {
 		t.Fatalf("err = %v, want a Global BudgetError", err)
@@ -93,14 +93,14 @@ func TestGovernorExhaustionFlagsGlobal(t *testing.T) {
 	}
 	b2 := resource.NewBudget(0, resource.NewGovernor(1<<30))
 	defer b2.Close()
-	n, _, err := cp.Count(RunConfig{MemBudget: b2})
+	n, _, err := cp.CountCtx(context.Background(), RunConfig{MemBudget: b2})
 	if err != nil || n != total {
 		t.Fatalf("generous governor: count = %d, %v; want %d, nil", n, err, total)
 	}
 }
 
 // TestBudgetDoesNotDisturbCountBudget pins the independence of the two
-// budgets: CountUpTo's tuple budget still caps exactly while a generous
+// budgets: CountUpToCtx's tuple budget still caps exactly while a generous
 // memory budget meters the same run.
 func TestBudgetDoesNotDisturbCountBudget(t *testing.T) {
 	cp, _, total := compiledTriangle(t)
@@ -110,9 +110,9 @@ func TestBudgetDoesNotDisturbCountBudget(t *testing.T) {
 	}
 	b := resource.NewBudget(1<<30, nil)
 	defer b.Close()
-	n, _, err := cp.CountUpTo(RunConfig{MemBudget: b}, limit)
+	n, _, err := cp.CountUpToCtx(context.Background(), RunConfig{MemBudget: b}, limit)
 	if err != nil || n != limit {
-		t.Fatalf("CountUpTo = %d, %v; want %d, nil", n, err, limit)
+		t.Fatalf("CountUpToCtx = %d, %v; want %d, nil", n, err, limit)
 	}
 }
 
@@ -131,13 +131,13 @@ func TestBuildBudgetMatchesFootprint(t *testing.T) {
 
 	// The build pipeline with and without a table behind its sink.
 	withTable := resource.NewBudget(0, nil)
-	rc := &runContext{cp: cp, mem: withTable, tables: map[*plan.HashJoin]*hashTable{}, batch: batch, buildBatch: batch}
+	rc := &runContext{ctx: context.Background(), cp: cp, mem: withTable, tables: map[*plan.HashJoin]*hashTable{}, batch: batch, buildBatch: batch}
 	if err := rc.buildTable(build, 1); err != nil {
 		t.Fatal(err)
 	}
 	ht := rc.tables[build.feeds]
 	bare := resource.NewBudget(0, nil)
-	if _, err := (&runContext{cp: cp, mem: bare, batch: batch, buildBatch: batch}).runPipeline(build, 1, false, nil); err != nil {
+	if _, err := (&runContext{ctx: context.Background(), cp: cp, mem: bare, batch: batch, buildBatch: batch}).runPipeline(build, 1, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	reserved, footprint := withTable.Used()-bare.Used(), ht.footprintBytes()
@@ -152,7 +152,7 @@ func TestBuildBudgetMatchesFootprint(t *testing.T) {
 		gov := resource.NewGovernor(1 << 30)
 		count := func(limit int64) (int64, int64, error) {
 			b := resource.NewBudget(limit, gov)
-			n, _, err := cp.Count(RunConfig{Workers: workers, MemBudget: b})
+			n, _, err := cp.CountCtx(context.Background(), RunConfig{Workers: workers, MemBudget: b})
 			used := b.Used()
 			b.Close()
 			if gov.InUse() != 0 {
@@ -200,7 +200,7 @@ func TestInjectedPanicIsIsolated(t *testing.T) {
 	// The poll case needs a plan big enough to cross the amortized
 	// cancelCheckInterval; the tiny triangle fixture never polls.
 	heavy := heavyPlan(t)
-	heavyTotal, _, err := heavy.Count(RunConfig{})
+	heavyTotal, _, err := heavy.CountCtx(context.Background(), RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestInjectedPanicIsIsolated(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			baseline := runtime.NumGoroutine()
 			inj := &faultinject.Injector{PanicEvery: 1, Points: 1 << tc.point}
-			_, _, err := tc.cp.Count(RunConfig{Workers: workers, Faults: inj})
+			_, _, err := tc.cp.CountCtx(context.Background(), RunConfig{Workers: workers, Faults: inj})
 			var pe *PanicError
 			if !errors.As(err, &pe) {
 				t.Fatalf("%s workers=%d: err = %v, want *PanicError", tc.point, workers, err)
@@ -234,7 +234,7 @@ func TestInjectedPanicIsIsolated(t *testing.T) {
 			}
 			assertGoroutinesReturn(t, baseline)
 
-			n, _, err := tc.cp.Count(RunConfig{Workers: workers})
+			n, _, err := tc.cp.CountCtx(context.Background(), RunConfig{Workers: workers})
 			if err != nil || n != tc.total {
 				t.Fatalf("%s workers=%d: post-panic count = %d, %v; want %d, nil", tc.point, workers, n, err, tc.total)
 			}
@@ -246,12 +246,12 @@ func TestInjectedPanicIsIsolated(t *testing.T) {
 // pollpoint delay the run but never change its answer.
 func TestInjectedStallOnlySlows(t *testing.T) {
 	cp := heavyPlan(t)
-	total, _, err := cp.Count(RunConfig{})
+	total, _, err := cp.CountCtx(context.Background(), RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := &faultinject.Injector{SleepEvery: 2, Sleep: time.Microsecond, Points: 1 << faultinject.PointPoll}
-	n, _, err := cp.Count(RunConfig{Faults: inj})
+	n, _, err := cp.CountCtx(context.Background(), RunConfig{Faults: inj})
 	if err != nil || n != total {
 		t.Fatalf("stalled count = %d, %v; want %d, nil", n, err, total)
 	}
@@ -292,7 +292,7 @@ func TestCancelMidHashBuild(t *testing.T) {
 		}
 		assertGoroutinesReturn(t, baseline)
 
-		n, _, err := cp.Count(RunConfig{Workers: workers})
+		n, _, err := cp.CountCtx(context.Background(), RunConfig{Workers: workers})
 		if err != nil || n != total {
 			t.Fatalf("workers=%d: post-cancel count = %d, %v; want %d, nil", workers, n, err, total)
 		}
@@ -315,7 +315,10 @@ func TestCancelMidFactorizedUnfold(t *testing.T) {
 		t.Fatalf("star suffix len %d; fixture no longer exercises the factorized tail", cp.StarSuffixLen())
 	}
 	var total int64
-	fullProf, err := cp.Run(RunConfig{Factorized: true}, func([]graph.VertexID) { total++ })
+	fullProf, err := cp.RunCtx(context.Background(), RunConfig{Factorized: true}, func([]graph.VertexID) bool {
+		total++
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +333,7 @@ func TestCancelMidFactorizedUnfold(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var emitted int64
-	_, err = cp.RunUntilCtx(ctx, RunConfig{Factorized: true}, func([]graph.VertexID) bool {
+	_, err = cp.RunCtx(ctx, RunConfig{Factorized: true}, func([]graph.VertexID) bool {
 		if emitted++; emitted == 1000 {
 			cancel() // mid-unfold: the odometer is partway through a product
 		}
@@ -345,7 +348,10 @@ func TestCancelMidFactorizedUnfold(t *testing.T) {
 	assertGoroutinesReturn(t, baseline)
 
 	var again int64
-	if _, err := cp.Run(RunConfig{Factorized: true}, func([]graph.VertexID) { again++ }); err != nil {
+	if _, err := cp.RunCtx(context.Background(), RunConfig{Factorized: true}, func([]graph.VertexID) bool {
+		again++
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if again != total {
@@ -382,7 +388,7 @@ func TestPinnedBitmapBudget(t *testing.T) {
 		"clique4":  buildWCO(t, cliqueQuery(4), chainOrder(4)),
 	} {
 		cp := Must(t, g, p)
-		want, _, err := cp.Count(RunConfig{TupleAtATime: true})
+		want, _, err := cp.CountCtx(context.Background(), RunConfig{TupleAtATime: true})
 		if err != nil || want == 0 {
 			t.Fatalf("%s: oracle count %d, %v", name, want, err)
 		}
@@ -394,7 +400,7 @@ func TestPinnedBitmapBudget(t *testing.T) {
 		} {
 			small := resource.NewBudget(bitmapBytes/2, nil)
 			cfg.MemBudget = small
-			_, _, err := cp.Count(cfg)
+			_, _, err := cp.CountCtx(context.Background(), cfg)
 			var be *resource.BudgetError
 			if !errors.As(err, &be) || be.Limit != bitmapBytes/2 || be.Global {
 				t.Fatalf("%s cfg=%+v: err = %v, want a per-query BudgetError with limit %d", name, cfg, err, bitmapBytes/2)
@@ -403,13 +409,13 @@ func TestPinnedBitmapBudget(t *testing.T) {
 
 			// The pooled worker of the refused run, reused.
 			cfg.MemBudget = nil
-			if n, _, err := cp.Count(cfg); err != nil || n != want {
+			if n, _, err := cp.CountCtx(context.Background(), cfg); err != nil || n != want {
 				t.Fatalf("%s cfg=%+v: count after the refused run = %d, %v; want %d", name, cfg, n, err, want)
 			}
 
 			roomy := resource.NewBudget(8*bitmapBytes, nil)
 			cfg.MemBudget = roomy
-			n, prof, err := cp.Count(cfg)
+			n, prof, err := cp.CountCtx(context.Background(), cfg)
 			if err != nil || n != want || prof.Kernels.PinnedProbe == 0 {
 				t.Fatalf("%s cfg=%+v: roomy count = %d (%d pinned probes), %v; want %d", name, cfg, n, prof.Kernels.PinnedProbe, err, want)
 			}
@@ -422,7 +428,7 @@ func TestPinnedBitmapBudget(t *testing.T) {
 			// the bitmap it brings along, like for its other scratch).
 			off := resource.NewBudget(bitmapBytes/2, nil)
 			cfg.MemBudget, cfg.DisableCache = off, true
-			if n, _, err := Must(t, g, p).Count(cfg); err != nil || n != want {
+			if n, _, err := Must(t, g, p).CountCtx(context.Background(), cfg); err != nil || n != want {
 				t.Fatalf("%s cfg=%+v: cache-off count under the small budget = %d, %v; want %d", name, cfg, n, err, want)
 			}
 			off.Close()

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -35,7 +36,7 @@ func TestHashJoinAllocsCeiling(t *testing.T) {
 		cp := Must(t, smallRandomGraph(9, vertices, 2), twoPathJoin(t))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		n, prof, err := cp.Count(RunConfig{FastCount: true})
+		n, prof, err := cp.CountCtx(context.Background(), RunConfig{FastCount: true})
 		runtime.ReadMemStats(&after)
 		if err != nil || n == 0 {
 			t.Fatalf("count = %d, %v", n, err)
@@ -57,11 +58,11 @@ func TestHashJoinAllocsCeiling(t *testing.T) {
 	}
 	cp := Must(t, datagen.Epinions(1), twoTriangles(t))
 	cfg := RunConfig{FastCount: true, Factorized: true}
-	if _, _, err := cp.Count(cfg); err != nil {
+	if _, _, err := cp.CountCtx(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(5, func() {
-		if _, _, err := cp.Count(cfg); err != nil {
+		if _, _, err := cp.CountCtx(context.Background(), cfg); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 25 {
@@ -100,7 +101,7 @@ func BenchmarkHashJoinBuildProbe(b *testing.B) {
 			}
 			batch := cp.EffectiveBatchSize(RunConfig{}, 0)
 			ht := newHashTable(build.keySlots, build.outWidth)
-			rc := &runContext{cp: cp, tables: map[*plan.HashJoin]*hashTable{build.feeds: ht}, batch: batch, buildBatch: batch}
+			rc := &runContext{ctx: context.Background(), cp: cp, tables: map[*plan.HashJoin]*hashTable{build.feeds: ht}, batch: batch, buildBatch: batch}
 			var stopped atomic.Bool
 			var buildNs, sealNs, probeNs time.Duration
 			var buildRows, probeRows int64

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"graphflow/internal/datagen"
@@ -12,14 +13,14 @@ func TestCountUpToStopsEarly(t *testing.T) {
 	g := datagen.Amazon(1)
 	q := query.Q1()
 	p := buildWCO(t, q, []int{0, 1, 2})
-	full, _, err := (&Runner{Graph: g}).Count(p)
+	full, _, err := countPlan(g, p, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full < 100 {
 		t.Skipf("too few triangles (%d)", full)
 	}
-	n, _, err := (&Runner{Graph: g}).CountUpTo(p, 10)
+	n, _, err := Must(t, g, p).CountUpToCtx(context.Background(), RunConfig{}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,12 +28,12 @@ func TestCountUpToStopsEarly(t *testing.T) {
 		t.Errorf("capped count = %d, want 10", n)
 	}
 	// A limit above the total returns the exact count.
-	n, _, err = (&Runner{Graph: g}).CountUpTo(p, full+1000)
+	n, _, err = Must(t, g, p).CountUpToCtx(context.Background(), RunConfig{}, full+1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != full {
-		t.Errorf("uncapped CountUpTo = %d, want %d", n, full)
+		t.Errorf("uncapped CountUpToCtx = %d, want %d", n, full)
 	}
 }
 
@@ -47,16 +48,16 @@ func TestMaxBuildRows(t *testing.T) {
 	}
 	p := &plan.Plan{Query: q, Root: hj}
 	// A tiny budget must trip the guard.
-	_, _, err = (&Runner{Graph: g, MaxBuildRows: 5}).Count(p)
+	_, _, err = countPlan(g, p, RunConfig{MaxBuildRows: 5})
 	if err != ErrBuildTooLarge {
 		t.Errorf("expected ErrBuildTooLarge, got %v", err)
 	}
 	// A generous budget must not change the result.
-	want, _, err := (&Runner{Graph: g}).Count(p)
+	want, _, err := countPlan(g, p, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := (&Runner{Graph: g, MaxBuildRows: 1 << 40}).Count(p)
+	got, _, err := countPlan(g, p, RunConfig{MaxBuildRows: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,20 +76,20 @@ func TestCountUpToPropagatesBuildLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &plan.Plan{Query: q, Root: hj}
-	_, _, err = (&Runner{Graph: g, MaxBuildRows: 5}).CountUpTo(p, 1000)
+	_, _, err = Must(t, g, p).CountUpToCtx(context.Background(), RunConfig{MaxBuildRows: 5}, 1000)
 	if err != ErrBuildTooLarge {
-		t.Errorf("CountUpTo dropped MaxBuildRows: %v", err)
+		t.Errorf("CountUpToCtx dropped MaxBuildRows: %v", err)
 	}
 }
 
 // TestMaxBuildRowsBoundary pins the cap to the row: a build side of
 // exactly N rows passes MaxBuildRows = N and fails N − 1 with
 // ErrBuildTooLarge — whole batches at a time or row by row, one worker or
-// several, through Count and through CountUpTo — and the table a refused
+// several, through Count and through CountUpToCtx — and the table a refused
 // build left in the pool serves the next run.
 func TestMaxBuildRowsBoundary(t *testing.T) {
 	cp, want := compiledHashJoin(t)
-	_, prof, err := cp.Count(RunConfig{})
+	_, prof, err := cp.CountCtx(context.Background(), RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,18 +102,18 @@ func TestMaxBuildRowsBoundary(t *testing.T) {
 		{Workers: 4}, {Workers: 4, BatchSize: 3}, {Workers: 4, TupleAtATime: true},
 	} {
 		cfg.MaxBuildRows = n - 1
-		if _, _, err := cp.Count(cfg); err != ErrBuildTooLarge {
+		if _, _, err := cp.CountCtx(context.Background(), cfg); err != ErrBuildTooLarge {
 			t.Errorf("cfg=%+v: %d build rows under a cap of %d: err = %v, want ErrBuildTooLarge", cfg, n, n-1, err)
 		}
-		if _, _, err := cp.CountUpTo(cfg, 5); err != ErrBuildTooLarge {
-			t.Errorf("cfg=%+v: CountUpTo under a cap of %d: err = %v, want ErrBuildTooLarge", cfg, n-1, err)
+		if _, _, err := cp.CountUpToCtx(context.Background(), cfg, 5); err != ErrBuildTooLarge {
+			t.Errorf("cfg=%+v: CountUpToCtx under a cap of %d: err = %v, want ErrBuildTooLarge", cfg, n-1, err)
 		}
 		cfg.MaxBuildRows = n
-		if got, _, err := cp.Count(cfg); err != nil || got != want {
+		if got, _, err := cp.CountCtx(context.Background(), cfg); err != nil || got != want {
 			t.Errorf("cfg=%+v: cap of exactly %d rows: count = %d, %v; want %d", cfg, n, got, err, want)
 		}
-		if got, _, err := cp.CountUpTo(cfg, 5); err != nil || got != 5 {
-			t.Errorf("cfg=%+v: CountUpTo(5) at the cap = %d, %v", cfg, got, err)
+		if got, _, err := cp.CountUpToCtx(context.Background(), cfg, 5); err != nil || got != 5 {
+			t.Errorf("cfg=%+v: CountUpToCtx(5) at the cap = %d, %v", cfg, got, err)
 		}
 	}
 }

@@ -50,7 +50,7 @@ func TestPinnedAccounting(t *testing.T) {
 	}
 	for name, p := range pinnedShapes(t) {
 		cp := Must(t, g, p)
-		want, oracle, err := cp.Count(RunConfig{TupleAtATime: true})
+		want, oracle, err := cp.CountCtx(context.Background(), RunConfig{TupleAtATime: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestPinnedAccounting(t *testing.T) {
 				{BatchSize: bs, Factorized: true, FastCount: true},
 				{BatchSize: bs, Workers: 4, Factorized: true},
 			} {
-				n, prof, err := cp.Count(cfg)
+				n, prof, err := cp.CountCtx(context.Background(), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -92,7 +92,7 @@ func TestPinnedAccounting(t *testing.T) {
 				}
 				off := cfg
 				off.DisableCache = true
-				nOff, profOff, err := cp.Count(off)
+				nOff, profOff, err := cp.CountCtx(context.Background(), off)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -107,11 +107,11 @@ func TestPinnedAccounting(t *testing.T) {
 	// step, so whatever is a pinned probe now was a merge, a gallop or a
 	// hub probe with the cache off, and nothing else moved.
 	cp := Must(t, g, buildWCO(t, query.Q1(), chainOrder(3)))
-	_, on, err := cp.Count(RunConfig{})
+	_, on, err := cp.CountCtx(context.Background(), RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, off, err := cp.Count(RunConfig{DisableCache: true})
+	_, off, err := cp.CountCtx(context.Background(), RunConfig{DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestPinnedAccounting(t *testing.T) {
 		t.Errorf("triangle: merges %d -> %d with %d pinned probes; pinning moved nothing", off.Kernels.Merge, on.Kernels.Merge, on.Kernels.PinnedProbe)
 	}
 	// Analyze attributes them per operator.
-	ops, _, err := Must(t, g, buildWCO(t, cliqueQuery(4), chainOrder(4))).Analyze(RunConfig{})
+	ops, _, err := Must(t, g, buildWCO(t, cliqueQuery(4), chainOrder(4))).AnalyzeCtx(context.Background(), RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestPinnedCarriedRunIdentity(t *testing.T) {
 			if !hasInheritingStage(cp) {
 				continue
 			}
-			want, _, err := cp.Count(RunConfig{TupleAtATime: true})
+			want, _, err := cp.CountCtx(context.Background(), RunConfig{TupleAtATime: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +184,7 @@ func TestPinnedCarriedRunIdentity(t *testing.T) {
 					{BatchSize: bs, FastCount: true},
 					{BatchSize: bs, Factorized: true, FastCount: true},
 				} {
-					n, prof, err := cp.Count(cfg)
+					n, prof, err := cp.CountCtx(context.Background(), cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -208,14 +208,14 @@ func TestPinnedBitmapSurvivesAbandonedRuns(t *testing.T) {
 	g := denseRandomGraph(33, 70, 0.3) // every shape produces several poll intervals' worth of tuples
 	for name, p := range pinnedShapes(t) {
 		cp := Must(t, g, p)
-		want, _, err := cp.Count(RunConfig{TupleAtATime: true})
+		want, _, err := cp.CountCtx(context.Background(), RunConfig{TupleAtATime: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		check := func(after string) {
 			t.Helper()
 			for _, cfg := range []RunConfig{{FastCount: true}, {Factorized: true, FastCount: true}} {
-				n, prof, err := cp.Count(cfg)
+				n, prof, err := cp.CountCtx(context.Background(), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -230,15 +230,15 @@ func TestPinnedBitmapSurvivesAbandonedRuns(t *testing.T) {
 				if limit < 1 {
 					continue
 				}
-				if n, _, err := cp.CountUpTo(cfg, limit); err != nil || n != limit {
-					t.Fatalf("%s: CountUpTo(%d) = %d, %v", name, limit, n, err)
+				if n, _, err := cp.CountUpToCtx(context.Background(), cfg, limit); err != nil || n != limit {
+					t.Fatalf("%s: CountUpToCtx(%d) = %d, %v", name, limit, n, err)
 				}
 				check("a limit")
 			}
 			// Cancellation observed at the first pollpoint inside the run (the
 			// driver's own check before the pipeline starts is poll one).
 			ctx := &flakyCtx{Context: context.Background(), after: 1}
-			if _, err := cp.RunCtx(ctx, cfg, func([]graph.VertexID) {}); !errors.Is(err, context.Canceled) {
+			if _, err := cp.RunCtx(ctx, cfg, func([]graph.VertexID) bool { return true }); !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s: cancelled run returned %v", name, err)
 			}
 			check("a cancellation")
@@ -247,7 +247,7 @@ func TestPinnedBitmapSurvivesAbandonedRuns(t *testing.T) {
 			faulty := cfg
 			faulty.Faults = &faultinject.Injector{PanicEvery: 1, Points: 1 << faultinject.PointPoll}
 			var pe *PanicError
-			if _, err := cp.RunCtx(context.Background(), faulty, func([]graph.VertexID) {}); !errors.As(err, &pe) {
+			if _, err := cp.RunCtx(context.Background(), faulty, func([]graph.VertexID) bool { return true }); !errors.As(err, &pe) {
 				t.Fatalf("%s: faulted run returned %v", name, err)
 			}
 			check("an injected panic")
@@ -305,7 +305,7 @@ func TestPinnedWildcardLists(t *testing.T) {
 	for name, p := range pinnedShapes(t) {
 		for _, mode := range []struct{ edges, vertices bool }{{false, true}, {true, false}} {
 			cp := Must(t, g, buildWCO(t, wild(p.Query, mode.edges, mode.vertices), chainOrder(len(p.Query.Vertices))))
-			want, oracle, err := cp.Count(RunConfig{TupleAtATime: true, FastCount: true})
+			want, oracle, err := cp.CountCtx(context.Background(), RunConfig{TupleAtATime: true, FastCount: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -322,7 +322,7 @@ func TestPinnedWildcardLists(t *testing.T) {
 					if want > 2_000_000 && !cfg.Factorized {
 						continue // enumerating the leaves' product row by row adds nothing here
 					}
-					n, prof, err := cp.Count(cfg)
+					n, prof, err := cp.CountCtx(context.Background(), cfg)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -40,7 +41,7 @@ func routedPlan(tb testing.TB, g *graph.Graph) (*CompiledPlan, *plan.Plan) {
 func TestRouterCounters(t *testing.T) {
 	g := datagen.Epinions(1)
 	cp, p := routedPlan(t, g)
-	want, _, err := Must(t, g, p).Count(RunConfig{})
+	want, _, err := Must(t, g, p).CountCtx(context.Background(), RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestRouterCounters(t *testing.T) {
 		{TupleAtATime: true},
 		{BatchSize: 1},
 	} {
-		n, prof, err := cp.Count(cfg)
+		n, prof, err := cp.CountCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
@@ -80,7 +81,7 @@ func TestRouterPooledReuse(t *testing.T) {
 	g := datagen.Epinions(1)
 	cp, _ := routedPlan(t, g)
 	cfg := RunConfig{Factorized: true, FastCount: true}
-	want, _, err := cp.Count(cfg)
+	want, _, err := cp.CountCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestRouterPooledReuse(t *testing.T) {
 	for i := range charged {
 		mem := resource.NewBudget(0, gov)
 		cfg.MemBudget = mem
-		n, _, err := cp.Count(cfg)
+		n, _, err := cp.CountCtx(context.Background(), cfg)
 		if err != nil || n != want {
 			t.Fatalf("run %d: %d, %v; want %d", i, n, err, want)
 		}
@@ -103,7 +104,7 @@ func TestRouterPooledReuse(t *testing.T) {
 		return // sync.Pool drops a quarter of its puts under -race
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, err := cp.Count(RunConfig{Factorized: true, FastCount: true}); err != nil {
+		if _, _, err := cp.CountCtx(context.Background(), RunConfig{Factorized: true, FastCount: true}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -122,7 +123,7 @@ func TestRouterChargesOrderings(t *testing.T) {
 	used := func(cp *CompiledPlan, limit int64) (int64, error) {
 		mem := resource.NewBudget(limit, nil)
 		defer mem.Close()
-		_, _, err := cp.Count(RunConfig{BatchSize: 1024, MemBudget: mem})
+		_, _, err := cp.CountCtx(context.Background(), RunConfig{BatchSize: 1024, MemBudget: mem})
 		return mem.Used(), err
 	}
 	cp, p := routedPlan(t, g)

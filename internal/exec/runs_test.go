@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -112,7 +113,7 @@ func TestRunBoundaries(t *testing.T) {
 					t.Fatal(err)
 				}
 				forceGeneralPath(general)
-				want, _, err := cp.Count(RunConfig{TupleAtATime: true, FastCount: true})
+				want, _, err := cp.CountCtx(context.Background(), RunConfig{TupleAtATime: true, FastCount: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -129,8 +130,8 @@ func TestRunBoundaries(t *testing.T) {
 							continue
 						}
 						for _, cfg := range []RunConfig{{BatchSize: bs}, {BatchSize: bs, Factorized: true}} {
-							if n, _, err := cp.CountUpTo(cfg, limit); err != nil || n != limit {
-								t.Fatalf("%s %+v: CountUpTo(%d) = %d, %v", where, cfg, limit, n, err)
+							if n, _, err := cp.CountUpToCtx(context.Background(), cfg, limit); err != nil || n != limit {
+								t.Fatalf("%s %+v: CountUpToCtx(%d) = %d, %v", where, cfg, limit, n, err)
 							}
 						}
 					}
@@ -141,11 +142,11 @@ func TestRunBoundaries(t *testing.T) {
 						{BatchSize: bs, Factorized: true, Workers: 4},
 						{BatchSize: bs, Workers: 4},
 					} {
-						n, prof, err := cp.Count(cfg)
+						n, prof, err := cp.CountCtx(context.Background(), cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
-						nGen, ref, err := general.Count(cfg)
+						nGen, ref, err := general.CountCtx(context.Background(), cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -328,7 +329,7 @@ func FuzzExtendRuns(f *testing.F) {
 			return &compiledPipeline{scan: &plan.Scan{}, stages: stages, outWidth: 2 + len(stages), starSuffix: len(stages)}
 		}
 		run := func(stages []stageSpec, tuple bool) (out [][]graph.VertexID, prof Profile) {
-			rc := &runContext{cp: cp, cfg: RunConfig{TupleAtATime: tuple}, batch: outBatch}
+			rc := &runContext{ctx: context.Background(), cp: cp, cfg: RunConfig{TupleAtATime: tuple}, batch: outBatch}
 			var stopped atomic.Bool
 			w := newWorker(rc, pipe(stages), true, func(tu []graph.VertexID) bool {
 				out = append(out, slices.Clone(tu))

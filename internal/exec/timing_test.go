@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -18,8 +19,7 @@ func TestStageTimesAttributed(t *testing.T) {
 	q := query.Q1()
 	p := buildWCO(t, q, []int{0, 1, 2})
 	for _, workers := range []int{1, 4} {
-		r := &Runner{Graph: g, Workers: workers}
-		_, prof, err := r.Count(p)
+		_, prof, err := countPlan(g, p, RunConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestStageTimesHybridPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &plan.Plan{Query: q, Root: hj}
-	_, prof, err := (&Runner{Graph: g}).Count(p)
+	_, prof, err := countPlan(g, p, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestOracleReportsNoStageTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, prof, err := cp.Count(RunConfig{TupleAtATime: true})
+	_, prof, err := cp.CountCtx(context.Background(), RunConfig{TupleAtATime: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestOracleReportsNoStageTimes(t *testing.T) {
 func TestAnalyzeNanos(t *testing.T) {
 	g := datagen.Epinions(1)
 	p := buildWCO(t, query.Q1(), []int{0, 1, 2})
-	stats, prof, err := (&Runner{Graph: g}).Analyze(p)
+	stats, prof, err := Must(t, g, p).AnalyzeCtx(context.Background(), RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -367,11 +367,7 @@ func (w *worker) countOutput(stageIdx int) {
 func (w *worker) pollCancel() {
 	w.cancelCountdown = cancelCheckInterval
 	w.rc.faults.Visit(faultinject.PointPoll)
-	if w.rc.mem.Exceeded() {
-		w.stopped.Store(true)
-		panic(stopRun{})
-	}
-	if w.rc.ctx != nil && w.rc.ctx.Err() != nil {
+	if w.rc.mem.Exceeded() || w.rc.ctx.Err() != nil {
 		w.stopped.Store(true)
 		panic(stopRun{})
 	}

@@ -1,13 +1,25 @@
 package ghd
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"graphflow/internal/datagen"
 	"graphflow/internal/exec"
+	"graphflow/internal/graph"
+	"graphflow/internal/plan"
 	"graphflow/internal/query"
 )
+
+// countPlan compiles p against g and counts its matches.
+func countPlan(g graph.View, p *plan.Plan) (int64, exec.Profile, error) {
+	cp, err := exec.Compile(g, p)
+	if err != nil {
+		return 0, exec.Profile{}, err
+	}
+	return cp.CountCtx(context.Background(), exec.RunConfig{})
+}
 
 func TestSolveLPBasic(t *testing.T) {
 	// min x1 + x2 s.t. x1 + x2 >= 1, x1 >= 0.5 -> opt 1 (x1=0.5..1).
@@ -112,7 +124,7 @@ func TestBuildPlanSingleBagMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := (&exec.Runner{Graph: g}).Count(p)
+	got, _, err := countPlan(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +151,7 @@ func TestBuildPlanTwoBagMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := (&exec.Runner{Graph: g}).Count(p)
+	got, _, err := countPlan(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +173,7 @@ func TestBuildPlanQ10(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := (&exec.Runner{Graph: g}).Count(p)
+	got, _, err := countPlan(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +196,7 @@ func TestThreeBagChains(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			got, _, err := (&exec.Runner{Graph: g}).Count(p)
+			got, _, err := countPlan(g, p)
 			if err != nil {
 				t.Fatal(err)
 			}

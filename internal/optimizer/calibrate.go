@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	stdcontext "context"
 	"time"
 
 	"graphflow/internal/exec"
@@ -17,7 +18,6 @@ import (
 // reliable.
 func Calibrate(g *graph.Graph) (w1, w2 float64) {
 	w1, w2 = DefaultW1, DefaultW2
-	runner := &exec.Runner{Graph: g}
 
 	// i-cost unit time: close triangles over the whole graph.
 	q := query.Q1()
@@ -28,7 +28,7 @@ func Calibrate(g *graph.Graph) (w1, w2 float64) {
 	}
 	wcoPlan := &plan.Plan{Query: q, Root: ext}
 	start := time.Now()
-	_, prof, err := runner.Count(wcoPlan)
+	_, prof, err := countPlan(g, wcoPlan, exec.RunConfig{})
 	if err != nil || prof.ICost < 1000 {
 		return w1, w2
 	}
@@ -44,7 +44,7 @@ func Calibrate(g *graph.Graph) (w1, w2 float64) {
 	}
 	hjPlan := &plan.Plan{Query: q3, Root: hj}
 	start = time.Now()
-	_, hjProf, err := runner.Count(hjPlan)
+	_, hjProf, err := countPlan(g, hjPlan, exec.RunConfig{})
 	if err != nil || hjProf.HashedTuples < 1000 || hjProf.ProbedTuples < 1000 {
 		return w1, w2
 	}
@@ -60,6 +60,15 @@ func Calibrate(g *graph.Graph) (w1, w2 float64) {
 	w1 = clampWeight(2 * perUnit / icostUnit)
 	w2 = clampWeight(perUnit / icostUnit)
 	return w1, w2
+}
+
+// countPlan compiles p against g and counts its matches under cfg.
+func countPlan(g graph.View, p *plan.Plan, cfg exec.RunConfig) (int64, exec.Profile, error) {
+	cp, err := exec.Compile(g, p)
+	if err != nil {
+		return 0, exec.Profile{}, err
+	}
+	return cp.CountCtx(stdcontext.Background(), cfg)
 }
 
 // clampWeight bounds calibrated weights to a sane range so noisy

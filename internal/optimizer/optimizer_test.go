@@ -24,7 +24,7 @@ func amazonOpts() Options { return Options{Catalogue: amazonCat} }
 
 func countWith(t *testing.T, g *graph.Graph, p *plan.Plan) int64 {
 	t.Helper()
-	n, _, err := (&exec.Runner{Graph: g}).Count(p)
+	n, _, err := countPlan(g, p, exec.RunConfig{})
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}
@@ -145,7 +145,7 @@ func TestCacheConsciousBeatsObliviousOnQ5(t *testing.T) {
 	if !p.IsWCO() {
 		t.Skipf("picked non-WCO plan:\n%s", p.Describe())
 	}
-	_, prof, err := (&exec.Runner{Graph: amazonG}).Count(p)
+	_, prof, err := countPlan(amazonG, p, exec.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +306,10 @@ func TestICostRanksQVOsLikeRuntimeProxy(t *testing.T) {
 	if len(plans) != 3 {
 		t.Fatalf("want 3 triangle QVOs, got %d", len(plans))
 	}
-	runner := &exec.Runner{Graph: webG}
 	type res struct{ est, actual float64 }
 	var rs []res
 	for _, wp := range plans {
-		_, prof, err := runner.Count(wp.Plan)
+		_, prof, err := countPlan(webG, wp.Plan, exec.RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,15 +369,11 @@ func TestCarriedSetPricing(t *testing.T) {
 	if carried >= oblivious {
 		t.Fatalf("carried estimate %.0f not below the cache-oblivious %.0f\n%s", carried, oblivious, p.Describe())
 	}
-	cp, err := exec.Compile(ljG, p)
+	_, got, err := countPlan(ljG, p, exec.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got, err := cp.Count(exec.RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, oracle, err := cp.Count(exec.RunConfig{TupleAtATime: true})
+	_, oracle, err := countPlan(ljG, p, exec.RunConfig{TupleAtATime: true})
 	if err != nil {
 		t.Fatal(err)
 	}

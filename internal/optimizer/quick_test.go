@@ -74,7 +74,7 @@ func TestQuickOptimizedPlanMatchesReference(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		n, _, err := (&exec.Runner{Graph: g}).Count(p)
+		n, _, err := countPlan(g, p, exec.RunConfig{})
 		if err != nil {
 			return false
 		}
@@ -98,7 +98,7 @@ func TestQuickAllSpectrumPlansAgree(t *testing.T) {
 		}
 		want := query.RefCount(g, q)
 		for _, sp := range plans {
-			n, _, err := (&exec.Runner{Graph: g}).Count(sp.Plan)
+			n, _, err := countPlan(g, sp.Plan, exec.RunConfig{})
 			if err != nil || n != want {
 				return false
 			}
@@ -181,11 +181,11 @@ func TestQuickParallelEqualsSequential(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		seq, _, err := (&exec.Runner{Graph: g, Workers: 1}).Count(p)
+		seq, _, err := countPlan(g, p, exec.RunConfig{Workers: 1})
 		if err != nil {
 			return false
 		}
-		par, _, err := (&exec.Runner{Graph: g, Workers: 5}).Count(p)
+		par, _, err := countPlan(g, p, exec.RunConfig{Workers: 5})
 		if err != nil {
 			return false
 		}
@@ -206,11 +206,11 @@ func TestQuickCacheNeverChangesResults(t *testing.T) {
 			return false
 		}
 		p := wco[len(wco)/2].Plan // an arbitrary (not necessarily best) plan
-		on, _, err := (&exec.Runner{Graph: g}).Count(p)
+		on, _, err := countPlan(g, p, exec.RunConfig{})
 		if err != nil {
 			return false
 		}
-		off, _, err := (&exec.Runner{Graph: g, DisableCache: true}).Count(p)
+		off, _, err := countPlan(g, p, exec.RunConfig{DisableCache: true})
 		if err != nil {
 			return false
 		}
@@ -232,7 +232,7 @@ func TestQuickBaselinesAgree(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		n, _, err := (&exec.Runner{Graph: g}).Count(p)
+		n, _, err := countPlan(g, p, exec.RunConfig{})
 		if err != nil {
 			return false
 		}

@@ -734,13 +734,13 @@ func (s *Server) execute(r *http.Request, name string, pq *graphflow.PreparedQue
 
 	start := requestStart(r)
 	resp := queryResponse{PlanKind: pq.PlanKind()}
+	opts, err := s.queryOptions(req)
+	if err != nil {
+		return resp, err
+	}
+	opts.Context = ctx
 	switch req.Mode {
 	case "", "count":
-		opts, err := s.queryOptions(req)
-		if err != nil {
-			return resp, err
-		}
-		opts.Context = ctx
 		n, st, err := pq.CountStats(opts)
 		if err != nil {
 			return resp, err
@@ -782,17 +782,13 @@ func (s *Server) execute(r *http.Request, name string, pq *graphflow.PreparedQue
 		s.stageNanos[4].Add(st.StageBuildNanos)
 		s.stageNanos[5].Add(st.StageEmitNanos)
 	case "match":
-		opts, err := s.queryOptions(req)
-		if err != nil {
-			return resp, err
-		}
 		rowCap := int64(s.cfg.MaxRows)
 		capped := opts.Limit <= 0 || opts.Limit > rowCap
 		if capped {
 			opts.Limit = rowCap
 		}
 		rows := make([]map[string]uint32, 0, 16)
-		err = pq.MatchCtx(ctx, func(m map[string]uint32) bool {
+		err := pq.Match(func(m map[string]uint32) bool {
 			rows = append(rows, m)
 			return true
 		}, opts)
@@ -1050,7 +1046,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	if analyze {
 		ctx, cancel := context.WithTimeout(r.Context(), s.timeout(&queryRequest{TimeoutMS: req.TimeoutMS}))
-		ast, runErr := s.cfg.DB.AnalyzeCtx(ctx, pattern, nil)
+		ast, runErr := s.cfg.DB.Analyze(pattern, &graphflow.QueryOptions{Context: ctx})
 		cancel()
 		release()
 		if runErr != nil {

@@ -206,14 +206,28 @@ func TestTruncatedOnClampedLimit(t *testing.T) {
 // expiry.
 func TestDeadlineReturns504(t *testing.T) {
 	s := newTestServer(t, Config{DefaultTimeout: time.Nanosecond})
-	w := do(t, s, "POST", "/query", queryRequest{Pattern: triangle})
-	if w.Code != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want %d (body: %s)", w.Code, http.StatusGatewayTimeout, w.Body)
+	for _, r := range executingRequests {
+		w := do(t, s, "POST", r.path, r.body)
+		if w.Code != http.StatusGatewayTimeout {
+			t.Fatalf("%s: status = %d, want %d (body: %s)", r.name, w.Code, http.StatusGatewayTimeout, w.Body)
+		}
 	}
 	st := do(t, s, "GET", "/stats", nil)
-	if !strings.Contains(st.Body.String(), `"deadlined":1`) {
-		t.Errorf("stats should count the deadlined request: %s", st.Body)
+	if want := fmt.Sprintf(`"deadlined":%d`, len(executingRequests)); !strings.Contains(st.Body.String(), want) {
+		t.Errorf("stats should count every deadlined request (%s): %s", want, st.Body)
 	}
+}
+
+// executingRequests are the three ways a request runs a query — count
+// and match mode of /query, and /explain?analyze — which must all reach
+// the engine bounded by the request's context.
+var executingRequests = []struct {
+	name, path string
+	body       any
+}{
+	{"count", "/query", queryRequest{Pattern: triangle}},
+	{"match", "/query", queryRequest{Pattern: triangle, Mode: "match"}},
+	{"explain analyze", "/explain?analyze=true", explainRequest{Pattern: triangle}},
 }
 
 // TestHugeTimeoutMSClampsInsteadOfOverflowing: an absurd timeout_ms used
@@ -234,9 +248,11 @@ func TestClientCancelReturns499(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	w := doCtx(t, s, ctx, "POST", "/query", queryRequest{Pattern: triangle})
-	if w.Code != StatusClientClosedRequest {
-		t.Fatalf("status = %d, want %d (body: %s)", w.Code, StatusClientClosedRequest, w.Body)
+	for _, r := range executingRequests {
+		w := doCtx(t, s, ctx, "POST", r.path, r.body)
+		if w.Code != StatusClientClosedRequest {
+			t.Fatalf("%s: status = %d, want %d (body: %s)", r.name, w.Code, StatusClientClosedRequest, w.Body)
+		}
 	}
 }
 
