@@ -530,21 +530,33 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // decodeBody parses the request body into v, reading at most limit
 // bytes; a missing body is treated as an empty object so every knob
-// defaults. Oversized bodies get 413 with the effective limit named so
-// the client knows what to shrink (or which server knob to raise).
+// defaults. Anything but whitespace after the JSON value is rejected.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	if err := dec.Decode(v); err != nil && !errors.Is(err, io.EOF) {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds the %d-byte limit for this endpoint", tooBig.Limit)
-			return false
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == nil {
+			err = errTrailingData
 		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	if err != nil && !errors.Is(err, io.EOF) {
+		writeBodyError(w, err)
 		return false
 	}
 	return true
+}
+
+// writeBodyError answers a request whose body could not be read or
+// decoded. Oversized bodies get 413 with the effective limit named so
+// the client knows what to shrink (or which server knob to raise).
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			"request body exceeds the %d-byte limit for this endpoint", tooBig.Limit)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 }
 
 // admit acquires an execution slot through the admission controller,
@@ -1066,23 +1078,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// ingestEdge is the JSON form of one directed labelled edge.
-type ingestEdge struct {
-	Src   uint32 `json:"src"`
-	Dst   uint32 `json:"dst"`
-	Label uint16 `json:"label"`
-}
-
-// ingestRequest is the body of /ingest: one mutation batch, applied
-// atomically as a single new epoch. Edges may reference vertices added
-// by the same batch (IDs are assigned sequentially from the current
-// vertex count).
-type ingestRequest struct {
-	AddVertices []uint16     `json:"add_vertices"`
-	AddEdges    []ingestEdge `json:"add_edges"`
-	DeleteEdges []ingestEdge `json:"delete_edges"`
-}
-
 type ingestResponse struct {
 	Epoch uint64 `json:"epoch"`
 	// FirstNewVertex is a pointer so the field is present exactly when
@@ -1098,15 +1093,27 @@ type ingestResponse struct {
 	ElapsedMS      float64 `json:"elapsed_ms"`
 }
 
-// handleIngest applies one mutation batch. Ingest work runs inside the
-// admission semaphore like queries: overlay rebuilding for hot vertices
-// is CPU-bound work the limit must cover.
+// handleIngest applies one mutation batch: the body of /ingest,
+// {"add_vertices":[label, ...], "add_edges":[{"src":s, "dst":d,
+// "label":l}, ...], "delete_edges":[...]}, applied atomically as a
+// single new epoch. Edges may reference vertices added by the same
+// batch (IDs are assigned sequentially from the current vertex count).
+// Ingest work runs inside the admission semaphore like queries: overlay
+// rebuilding for hot vertices is CPU-bound work the limit must cover.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req ingestRequest
-	if !decodeBody(w, r, &req, s.cfg.MaxIngestBodyBytes) {
+	sc := getIngestScratch()
+	defer sc.release()
+	sc.body.Reset()
+	_, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxIngestBodyBytes))
+	if err == nil {
+		err = decodeIngest(sc.body.Bytes(), &sc.batch)
+	}
+	if err != nil {
+		writeBodyError(w, err)
 		return
 	}
-	if len(req.AddVertices) == 0 && len(req.AddEdges) == 0 && len(req.DeleteEdges) == 0 {
+	b := &sc.batch
+	if len(b.AddVertices) == 0 && len(b.AddEdges) == 0 && len(b.DeleteEdges) == 0 {
 		writeError(w, http.StatusBadRequest, "empty batch: provide add_vertices, add_edges or delete_edges")
 		return
 	}
@@ -1114,18 +1121,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	b := graphflow.Batch{
-		AddVertices: req.AddVertices,
-		AddEdges:    make([]graphflow.EdgeOp, len(req.AddEdges)),
-		DeleteEdges: make([]graphflow.EdgeOp, len(req.DeleteEdges)),
-	}
-	for i, e := range req.AddEdges {
-		b.AddEdges[i] = graphflow.EdgeOp{Src: e.Src, Dst: e.Dst, Label: e.Label}
-	}
-	for i, e := range req.DeleteEdges {
-		b.DeleteEdges[i] = graphflow.EdgeOp{Src: e.Src, Dst: e.Dst, Label: e.Label}
-	}
-	res, err := s.cfg.DB.Apply(b)
+	res, err := s.cfg.DB.Apply(*b)
 	release()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad batch: %v", err)

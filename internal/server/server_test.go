@@ -99,6 +99,9 @@ func TestHandlerTable(t *testing.T) {
 		{"disconnected pattern", "POST", "/query", queryRequest{Pattern: "a->b, c->d"}, http.StatusBadRequest, "bad pattern"},
 		{"empty pattern", "POST", "/query", queryRequest{}, http.StatusBadRequest, "missing pattern"},
 		{"malformed json", "POST", "/query", `{"pattern": `, http.StatusBadRequest, "bad request body"},
+		{"two values", "POST", "/query", `{"pattern":"a->b, b->c, a->c"} {"pattern":"a->b"}`, http.StatusBadRequest, "bad request body"},
+		{"trailing garbage", "POST", "/query", `{"pattern":"a->b, b->c, a->c"} garbage`, http.StatusBadRequest, "bad request body"},
+		{"trailing whitespace", "POST", "/query", "{\"pattern\":\"a->b, b->c, a->c\"}\n\t ", http.StatusOK, `"count"`},
 		{"bad mode", "POST", "/query", queryRequest{Pattern: triangle, Mode: "explode"}, http.StatusBadRequest, "unknown mode"},
 		{"explain GET", "GET", "/explain?pattern=" + "a-%3Eb,b-%3Ec,a-%3Ec", nil, http.StatusOK, `"plan_kind"`},
 		{"explain bad", "GET", "/explain?pattern=zzz", nil, http.StatusBadRequest, "bad pattern"},
@@ -441,6 +444,13 @@ func TestIngestRejectsBadBatches(t *testing.T) {
 		"{}", // empty batch
 		map[string]any{"add_edges": []map[string]any{{"src": 0, "dst": 999, "label": 0}}},
 		"not json",
+		// Data after the batch: two batches, or one and garbage.
+		`{"add_edges":[{"src":2,"dst":0,"label":0}]}{"add_edges":[{"src":2,"dst":3,"label":0}]}`,
+		`{"add_edges":[{"src":2,"dst":0,"label":0}]} garbage`,
+		// A repeated key, in the batch or in one edge, under any spelling.
+		`{"add_edges":[{"src":0,"dst":2,"label":0}],"add_edges":[{"src":3}]}`,
+		`{"add_edges":[{"src":0,"dst":2,"label":0}],"ADD_EDGES":[{"src":3}]}`,
+		`{"add_edges":[{"src":0,"dst":2,"label":0,"Src":3}]}`,
 	}
 	for i, body := range cases {
 		if w := do(t, s, http.MethodPost, "/ingest", body); w.Code != http.StatusBadRequest {
