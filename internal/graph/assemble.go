@@ -3,64 +3,126 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // maxEntries bounds the neighbour and directory entries of one direction:
 // directory positions are uint32. export_test.go lowers it.
 var maxEntries uint64 = math.MaxUint32
 
-// dirWriter appends one direction's adjacency in vertex order — the
-// neighbour runs, the directory over them and its first index — for both
-// Builder and Assembler, so the two cannot disagree on the layout.
+// dirWriter appends one direction's adjacency in vertex order for both
+// Builder and Assembler — the neighbour runs and an entry per run, every
+// vertex owning at least one: the sparse form — and finish keeps it or
+// lays it out strided, so the two cannot disagree on the layout.
 type dirWriter struct {
-	adj   adjacency
+	nbrs  []VertexID
+	start []uint32
+	keys  []uint32
 	first []uint32
 	next  VertexID // vertices below next own their first entry
 }
 
 func newDirWriter(n, edges int) dirWriter {
 	return dirWriter{
-		adj:   adjacency{nbrs: make([]VertexID, 0, edges), dir: make([]Part, 0, n+1)},
+		nbrs:  make([]VertexID, 0, edges),
+		start: make([]uint32, 0, n+1),
+		keys:  make([]uint32, 0, n),
 		first: make([]uint32, n+1),
 	}
 }
 
-// open starts v's entries at the directory's end, after one empty entry
-// for each vertex before it that received none. Opening the vertex being
-// written does nothing.
-func (w *dirWriter) open(v VertexID) {
+// add appends an entry whose labels pack to k, for the run starting at
+// start.
+func (w *dirWriter) add(k, start uint32) {
+	w.start = append(w.start, start)
+	w.keys = append(w.keys, k)
+}
+
+// fill gives each vertex below v that received no entry one empty entry.
+func (w *dirWriter) fill(v VertexID) {
 	for ; w.next < v; w.next++ {
-		w.first[w.next] = uint32(len(w.adj.dir))
-		w.adj.dir = append(w.adj.dir, Part{Start: uint32(len(w.adj.nbrs))})
+		w.first[w.next] = uint32(len(w.start))
+		w.add(0, uint32(len(w.nbrs)))
 	}
+}
+
+// part appends an entry of v for the run starting at the end of the
+// neighbour array, after filling the vertices before v.
+func (w *dirWriter) part(v VertexID, e, n Label) {
+	w.fill(v)
 	if w.next == v {
-		w.first[v] = uint32(len(w.adj.dir))
+		w.first[v] = uint32(len(w.start))
 		w.next++
 	}
+	w.add(key(e, n), uint32(len(w.nbrs)))
 }
 
-// part opens v and appends an entry for the run starting at the end of
-// the neighbour array.
-func (w *dirWriter) part(v VertexID, e, n Label) {
-	w.open(v)
-	w.adj.dir = append(w.adj.dir, Part{e, n, uint32(len(w.adj.nbrs))})
-}
-
-// finish gives the vertices left empty their entries, appends the
-// sentinel and picks the form: first is kept only when some vertex owns
-// more than one entry.
-func (w *dirWriter) finish(n int) (adjacency, error) {
-	w.open(VertexID(n))
-	if uint64(len(w.adj.nbrs)) > maxEntries || uint64(len(w.adj.dir)) > maxEntries {
+// finish fills the vertices left empty, appends the sentinel and returns
+// the directory in the form that takes fewer bytes, strided with ne·nn
+// slots per vertex or sparse as written — strided on a tie, so an
+// unlabelled graph is always strided, at 4 bytes per vertex.
+func (w *dirWriter) finish(n, ne, nn int) (adjacency, error) {
+	w.fill(VertexID(n))
+	w.first[n] = uint32(len(w.start))
+	entries := len(w.start)
+	if uint64(len(w.nbrs)) > maxEntries || uint64(entries) > maxEntries {
 		return adjacency{}, fmt.Errorf("graph: %d neighbour entries in %d partitions in one direction, over the limit of %d",
-			len(w.adj.nbrs), len(w.adj.dir), maxEntries)
+			len(w.nbrs), entries, maxEntries)
 	}
-	w.adj.dir = append(w.adj.dir, Part{Start: uint32(len(w.adj.nbrs))})
-	if len(w.adj.dir) != n+1 {
-		w.adj.first = w.first
-		w.adj.dir = append([]Part(nil), w.adj.dir...) // it outgrew its n+1 guess: drop the headroom
+	w.start = append(w.start, uint32(len(w.nbrs)))
+	if stridedFits(uint64(n), uint64(ne)*uint64(nn), uint64(entries)) {
+		return w.stride(n, ne, nn), nil
 	}
-	return w.adj, nil
+	return adjacency{nbrs: w.nbrs, start: tight(w.start), keys: tight(w.keys), first: w.first}, nil
+}
+
+// stridedFits reports whether n vertices of k slots each take no more
+// bytes than a sparse directory of the given entries — 4·(n·k+1) plus
+// the slots' 4·k labels, against 4·(entries+1) positions, 4·entries labels
+// and 4·(n+1) first indexes — and keep every slot index within maxEntries,
+// so that it fits a uint32. n·k is never formed: it can overflow.
+func stridedFits(n, k, entries uint64) bool {
+	return (n == 0 || k <= maxEntries/n) && k <= (2*entries+n+1)/(n+1)
+}
+
+// stride lays the entries, whose labels are below ne and nn, out in ne·nn
+// slots per vertex: a slot with an entry takes its position, an empty slot
+// that of the next entry, so that its run is empty. When every slot has
+// its entry — every unlabelled graph — the positions are the table as
+// they stand; otherwise one pass lays them out.
+func (w *dirWriter) stride(n, ne, nn int) adjacency {
+	k := ne * nn
+	a := adjacency{nbrs: w.nbrs, keys: make([]uint32, k), k: uint32(k), ne: uint32(ne), nn: uint32(nn)}
+	for j := range a.keys {
+		a.keys[j] = key(Label(j/nn), Label(j%nn))
+	}
+	if len(w.start) == n*k+1 {
+		a.start = tight(w.start)
+		return a
+	}
+	start, s := make([]uint32, n*k+1), 0
+	for v := range n {
+		base := v * k
+		for i := w.first[v]; i < w.first[v+1]; i++ {
+			for slot := base + int(w.keys[i]>>16)*nn + int(w.keys[i]&0xFFFF); s <= slot; s++ {
+				start[s] = w.start[i]
+			}
+		}
+	}
+	for ; s < len(start); s++ {
+		start[s] = uint32(len(w.nbrs))
+	}
+	a.start = start
+	return a
+}
+
+// tight returns s without spare capacity, copying it only when it has
+// some: a written array outgrows its guess by up to half again.
+func tight(s []uint32) []uint32 {
+	if cap(s) > len(s) {
+		return slices.Clone(s)
+	}
+	return s
 }
 
 // Assembler builds an immutable Graph from adjacency that is already in
@@ -108,26 +170,35 @@ func (a *Assembler) AppendPartition(v VertexID, dir Direction, eLabel, nLabel La
 	}
 	w := &a.w[dir]
 	w.part(v, eLabel, nLabel)
-	w.adj.nbrs = append(w.adj.nbrs, nbrs...)
+	w.nbrs = append(w.nbrs, nbrs...)
 }
 
 // AppendRange appends the whole adjacency in dir of vertices [lo, hi) of
 // src, a graph over the same vertex labels, in place of one
-// AppendPartition call per partition: the neighbour runs and the
-// directory entries are copied as blocks and only the positions are
-// shifted.
+// AppendPartition call per partition: the neighbour runs are copied as
+// one block, and the directory gets an entry with a shifted position for
+// each non-empty run (one empty entry for a vertex without any), in one
+// pass over src's entries whatever its form.
 func (a *Assembler) AppendRange(src *Graph, lo, hi VertexID, dir Direction) {
 	from, w := src.adj(dir), &a.w[dir]
-	w.open(lo)
-	p0, p1 := from.entry(lo), from.entry(hi)
-	shift, pShift := uint32(len(w.adj.nbrs))-from.dir[p0].Start, uint32(len(w.adj.dir))-p0
-	w.adj.nbrs = append(w.adj.nbrs, from.nbrs[from.dir[p0].Start:from.dir[p1].Start]...)
-	for _, p := range from.dir[p0:p1] {
-		p.Start += shift
-		w.adj.dir = append(w.adj.dir, p)
-	}
-	for v := lo + 1; v < hi; v++ {
-		w.first[v] = from.entry(v) + pShift
+	w.fill(lo)
+	i := from.entry(lo)
+	p0, p1 := from.start[i], from.start[from.entry(hi)]
+	shift := uint32(len(w.nbrs)) - p0
+	w.nbrs = append(w.nbrs, from.nbrs[p0:p1]...)
+	first := w.first
+	for v, at := lo, p0; v < hi; v++ {
+		mark := len(w.start)
+		first[v] = uint32(mark)
+		for vi, next := i, from.entry(v+1); i < next; i++ {
+			s := at
+			if at = from.start[i+1]; s < at {
+				w.add(from.keyAt(i, vi), s+shift)
+			}
+		}
+		if len(w.start) == mark {
+			w.add(0, at+shift)
+		}
 	}
 	w.next = hi
 }
@@ -140,25 +211,31 @@ func (a *Assembler) Finish(hubThreshold int) (*Graph, error) {
 	if a.err != nil {
 		return nil, a.err
 	}
+	maxE := Label(0)
+	for _, w := range a.w {
+		for _, k := range w.keys {
+			e, n := Label(k>>16), Label(k)
+			if e == WildcardLabel {
+				return nil, fmt.Errorf("graph: edge uses reserved wildcard label")
+			}
+			if int(n) >= g.numVertexLabels {
+				return nil, fmt.Errorf("graph: partition of neighbour label %d, beyond the %d vertex labels", n, g.numVertexLabels)
+			}
+			maxE = max(maxE, e)
+		}
+	}
+	g.numEdgeLabels = int(maxE) + 1
 	var err error
-	if g.fwd, err = a.w[Forward].finish(g.n); err != nil {
+	if g.fwd, err = a.w[Forward].finish(g.n, g.numEdgeLabels, g.numVertexLabels); err != nil {
 		return nil, err
 	}
-	if g.bwd, err = a.w[Backward].finish(g.n); err != nil {
+	if g.bwd, err = a.w[Backward].finish(g.n, g.numEdgeLabels, g.numVertexLabels); err != nil {
 		return nil, err
 	}
 	if len(g.fwd.nbrs) != len(g.bwd.nbrs) {
 		return nil, fmt.Errorf("graph: assembled %d forward but %d backward edges", len(g.fwd.nbrs), len(g.bwd.nbrs))
 	}
-	maxE := Label(0)
-	for _, p := range g.fwd.dir {
-		if p.E == WildcardLabel {
-			return nil, fmt.Errorf("graph: edge uses reserved wildcard label")
-		}
-		maxE = max(maxE, p.E)
-	}
 	g.m = len(g.fwd.nbrs)
-	g.numEdgeLabels = int(maxE) + 1
 	g.buildHubIndex(hubThreshold)
 	return g, nil
 }

@@ -22,6 +22,31 @@ func TestAssemblerRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestStridedFits: the strided form is picked exactly when its n·k+1
+// positions and k slot labels take no more bytes than the sparse form and
+// its slots fit the entry limit, and the comparison holds at the extremes,
+// where n·k overflows.
+func TestStridedFits(t *testing.T) {
+	const labels = 0xFFFF // the most a Label can count, the wildcard excluded
+	for _, c := range []struct {
+		n, k, entries uint64
+		want          bool
+	}{
+		{0, 1, 0, true},  // the empty graph: 8 B either way
+		{4, 3, 5, true},  // 4·13 + 4·3 B against 4·6 + 4·5 + 4·5: the tie goes to strided
+		{4, 4, 5, false}, // 4·17 + 4·4 B
+		{4, 1, 4, true},  // unlabelled: 4 B a vertex against 12
+		{6, 0x4002, 10, false},
+		{1<<32 - 1, labels * labels, 1<<32 - 1, false},
+		{1<<32 - 1, 1, 1<<32 - 1, true},
+		{2, 2_200_000_000, 1<<32 - 1, false}, // small enough, but past the entry limit
+	} {
+		if got := stridedFits(c.n, c.k, c.entries); got != c.want {
+			t.Errorf("stridedFits(n=%d, k=%d, entries=%d) = %v, want %v", c.n, c.k, c.entries, got, c.want)
+		}
+	}
+}
+
 // TestEntryLimit: directory positions are uint32, so Build and Finish (and
 // with Finish the live store's fold) refuse a direction holding more
 // neighbour entries than that, naming the limit, rather than wrapping.

@@ -95,10 +95,10 @@ func (b *Builder) Build() (*Graph, error) {
 		numEdgeLabels:   int(maxE) + 1,
 	}
 	var err error
-	if g.fwd, err = buildAdjacency(edges, g.vLabels, n, false); err != nil {
+	if g.fwd, err = g.buildAdjacency(edges, false); err != nil {
 		return nil, err
 	}
-	if g.bwd, err = buildAdjacency(edges, g.vLabels, n, true); err != nil {
+	if g.bwd, err = g.buildAdjacency(edges, true); err != nil {
 		return nil, err
 	}
 	g.m = len(g.fwd.nbrs)
@@ -116,9 +116,10 @@ func (b *Builder) MustBuild() *Graph {
 }
 
 // buildAdjacency sorts the edges into the layout described on the
-// adjacency type. When reversed is true the incoming index is built (the
-// "neighbour" is the edge source).
-func buildAdjacency(edges []edgeRec, vLabels []Label, n int, reversed bool) (adjacency, error) {
+// adjacency type, over g's vertices and label counts. When reversed is
+// true the incoming index is built (the "neighbour" is the edge source).
+func (g *Graph) buildAdjacency(edges []edgeRec, reversed bool) (adjacency, error) {
+	vLabels, n := g.vLabels, g.n
 	type entry struct {
 		owner  VertexID
 		eLabel Label
@@ -165,7 +166,7 @@ func buildAdjacency(edges []edgeRec, vLabels []Label, n int, reversed bool) (adj
 		if k == 0 || e.owner != ents[k-1].owner || e.eLabel != ents[k-1].eLabel || e.nLabel != ents[k-1].nLabel {
 			w.part(e.owner, e.eLabel, e.nLabel)
 		}
-		w.adj.nbrs = append(w.adj.nbrs, e.nbr)
+		w.nbrs = append(w.nbrs, e.nbr)
 	}
-	return w.finish(n)
+	return w.finish(n, g.numEdgeLabels, g.numVertexLabels)
 }

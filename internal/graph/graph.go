@@ -68,8 +68,8 @@ func (p Part) matches(e, n Label) bool {
 
 // Dir is one vertex's partition directory: its entries in (E, N) order,
 // then the entry after them, whose Start ends the last run. Entry i's run
-// is nbrs[d[i].Start:d[i+1].Start]. The graph's directories and the live
-// overlay's are read through the same methods.
+// is nbrs[d[i].Start:d[i+1].Start]. The live overlay keeps one per
+// mutated vertex and reads it through these methods.
 type Dir []Part
 
 // Find returns the index of the entry labelled (e, n) and whether there
@@ -172,19 +172,29 @@ func (d Dir) Edges(nbrs []VertexID, src VertexID, fn EdgeFunc) bool {
 }
 
 // adjacency stores one direction of the graph. nbrs holds every vertex's
-// neighbours, sorted by (edge label, neighbour label, ID); dir is the
-// partition directory over it and ends in a sentinel whose Start is
-// len(nbrs), so entry i's run is always nbrs[dir[i].Start:dir[i+1].Start].
-// Every vertex owns at least one entry — an isolated vertex one empty
-// entry — and first[v] is the index of v's first, first[n] the
-// sentinel's. When the directory holds exactly one entry per vertex (every
-// unlabelled graph does) first is nil and v's entry is dir[v]: an exact
-// lookup reads dir[v] and dir[v+1], one cache line, and then nbrs. Build
-// and Finish choose the form from the data.
+// neighbours, sorted by (edge label, neighbour label, ID), and a directory
+// over it has one entry per run, in vertex order: entry i's run is
+// nbrs[start[i]:start[i+1]], the last start being len(nbrs), and v's
+// entries are entry(v) up to entry(v+1). The directory takes one of two
+// forms, chosen from the data by the writer — the smaller, strided on a
+// tie:
+//
+//   - strided (k > 0): every vertex owns k = ne·nn entries, one per (edge
+//     label, neighbour label) pair in that order, whether its run is empty
+//     or not: v's (e, n) entry is v·k + e·nn + n, so an exact lookup is
+//     arithmetic and two adjacent loads. keys holds the k slots' labels,
+//     the same for every vertex. Every unlabelled graph is strided, k = 1.
+//   - sparse: only non-empty runs have entries (an isolated vertex one
+//     empty entry), keys holds each entry's labels, and v's entries are
+//     first[v] up to first[v+1], searched by label. A graph with many
+//     label pairs and few of them used per vertex is sparse.
 type adjacency struct {
 	nbrs  []VertexID
-	dir   []Part
+	start []uint32
+	keys  []uint32 // labels packed by key
 	first []uint32
+
+	k, ne, nn uint32 // strided: entries per vertex, edge labels, neighbour labels
 
 	// hubAt lists, ascending, the directory indexes of the partitions at
 	// or above the graph's hub threshold, and hubs their bitset indexes,
@@ -195,6 +205,11 @@ type adjacency struct {
 	hubAt []uint32
 	hubs  []*Bitset
 }
+
+// key packs a label pair so that keys order as the pairs do.
+//
+//gf:noalloc
+func key(e, n Label) uint32 { return uint32(e)<<16 | uint32(n) }
 
 // Graph is an immutable directed graph with vertex and edge labels.
 type Graph struct {
@@ -235,48 +250,112 @@ func (g *Graph) adj(dir Direction) *adjacency {
 	return &g.bwd
 }
 
+// strided reports the directory's form.
+//
+//gf:noalloc
+func (a *adjacency) strided() bool { return a.k > 0 }
+
 // entry returns the directory index of v's first entry (for v = n, the
 // sentinel's).
 //
 //gf:noalloc
-func (a *adjacency) entry(v VertexID) uint32 {
-	if a.first == nil {
-		return uint32(v)
+func (a *adjacency) entry(v VertexID) int {
+	if a.strided() {
+		return int(v) * int(a.k)
 	}
-	return a.first[v]
-}
-
-// span returns v's directory: its entries and the one after them.
-//
-//gf:noalloc
-func (a *adjacency) span(v VertexID) Dir {
-	return a.dir[a.entry(v) : a.entry(v+1)+1]
-}
-
-// find returns the directory index of v's (e, n) entry and whether v has
-// one.
-//
-//gf:noalloc
-func (a *adjacency) find(v VertexID, e, n Label) (int, bool) {
-	if a.first == nil {
-		p := a.dir[v]
-		return int(v), p.E == e && p.N == n
-	}
-	i, ok := a.span(v).Find(e, n)
-	return int(a.first[v]) + i, ok
+	return int(a.first[v])
 }
 
 // run returns directory entry i's neighbours.
 //
 //gf:noalloc
 func (a *adjacency) run(i int) []VertexID {
-	return a.nbrs[a.dir[i].Start:a.dir[i+1].Start]
+	return a.nbrs[a.start[i]:a.start[i+1]]
+}
+
+// keyAt returns the packed labels of entry i, one of the vertex whose
+// first entry is lo.
+func (a *adjacency) keyAt(i, lo int) uint32 {
+	if a.strided() {
+		i -= lo
+	}
+	return a.keys[i]
+}
+
+// labels returns keyAt's labels unpacked.
+func (a *adjacency) labels(i, lo int) (e, n Label) {
+	k := a.keyAt(i, lo)
+	return Label(k >> 16), Label(k)
+}
+
+// find returns the directory index of v's (e, n) entry, both labels
+// exact, and whether v has one. In the strided form every pair below the
+// label counts has a slot, possibly empty; one beyond them has none, so it
+// never reads another pair's or another vertex's.
+//
+//gf:noalloc
+func (a *adjacency) find(v VertexID, e, n Label) (int, bool) {
+	if a.strided() {
+		return int(v)*int(a.k) + int(e)*int(a.nn) + int(n), uint32(e) < a.ne && uint32(n) < a.nn
+	}
+	// Open-coded rather than slices.BinarySearch, which is not inlined:
+	// an exact lookup stays one call.
+	k, i, end := key(e, n), int(a.first[v]), int(a.first[v+1])
+	for j := end; i < j; {
+		if mid := int(uint(i+j) >> 1); a.keys[mid] < k {
+			i = mid + 1
+		} else {
+			j = mid
+		}
+	}
+	return i, i < end && a.keys[i] == k
+}
+
+// sel returns the entries of v that (e, n) — either may be WildcardLabel
+// — can select: lo, lo+step, … below hi. In the strided form they are
+// exactly the selected slots, a wildcard over e or n being a fixed stride;
+// in the sparse form a wildcard gets all of v's entries, which selects
+// then filters.
+//
+//gf:noalloc
+func (a *adjacency) sel(v VertexID, e, n Label) (lo, hi, step int) {
+	if e != WildcardLabel && n != WildcardLabel {
+		i, ok := a.find(v, e, n)
+		if !ok {
+			return 0, 0, 1
+		}
+		return i, i + 1, 1
+	}
+	lo, hi, step = a.entry(v), a.entry(v+1), 1
+	switch {
+	case !a.strided():
+	case e != WildcardLabel && uint32(e) >= a.ne, n != WildcardLabel && uint32(n) >= a.nn:
+		return lo, lo, 1
+	case e != WildcardLabel: // one edge label: nn adjacent slots
+		lo += int(e) * int(a.nn)
+		hi = lo + int(a.nn)
+	case n != WildcardLabel: // one neighbour label: every nn-th slot
+		lo += int(n)
+		step = int(a.nn)
+	}
+	return lo, hi, step
+}
+
+// selects reports whether entry i, one of those sel returned for (e, n),
+// matches the pair.
+//
+//gf:noalloc
+func (a *adjacency) selects(i int, e, n Label) bool {
+	if a.strided() {
+		return true
+	}
+	k := a.keys[i]
+	return (e == WildcardLabel || Label(k>>16) == e) && (n == WildcardLabel || Label(k) == n)
 }
 
 // degree returns v's degree across all labels.
 func (a *adjacency) degree(v VertexID) int {
-	d := a.span(v)
-	return int(d[len(d)-1].Start - d[0].Start)
+	return int(a.start[a.entry(v+1)] - a.start[a.entry(v)])
 }
 
 // Neighbors returns the sorted neighbour list of v in direction dir,
@@ -285,9 +364,9 @@ func (a *adjacency) degree(v VertexID) int {
 // for exact lookups; wildcard lookups that need merging copy into buf (which
 // may be nil) and return it.
 //
-// Exact lookups are O(log p) in the number of partitions of v (O(1) in
-// the one-entry form); wildcard lookups pay a k-way merge over the
-// matching partitions.
+// Exact lookups are O(1) in the strided form and O(log p) in the number of
+// partitions of v in the sparse form; wildcard lookups pay a k-way merge
+// over the matching partitions.
 //
 //gf:noalloc
 func (g *Graph) Neighbors(v VertexID, dir Direction, eLabel, nLabel Label, buf []VertexID) []VertexID {
@@ -306,7 +385,13 @@ func (g *Graph) Neighbors(v VertexID, dir Direction, eLabel, nLabel Label, buf [
 //gf:noalloc
 func (g *Graph) NeighborRuns(v VertexID, dir Direction, eLabel, nLabel Label, runs [][]VertexID) [][]VertexID {
 	a := g.adj(dir)
-	return a.span(v).AppendRuns(a.nbrs, eLabel, nLabel, runs)
+	lo, hi, step := a.sel(v, eLabel, nLabel)
+	for i := lo; i < hi; i += step {
+		if run := a.run(i); len(run) > 0 && a.selects(i, eLabel, nLabel) {
+			runs = append(runs, run)
+		}
+	}
+	return runs
 }
 
 // NeighborBitset returns the bitset index of the exact (eLabel, nLabel)
@@ -345,7 +430,7 @@ func (a *adjacency) buildHubIndex(th int) {
 	if th < 0 {
 		return
 	}
-	for i := range len(a.dir) - 1 {
+	for i := range len(a.start) - 1 {
 		if run := a.run(i); len(run) >= th {
 			a.hubAt = append(a.hubAt, uint32(i))
 			a.hubs = append(a.hubs, NewBitsetFromSorted(run))
@@ -402,7 +487,14 @@ func (g *Graph) Degree(v VertexID, dir Direction, eLabel, nLabel Label) int {
 		}
 		return 0
 	}
-	return a.span(v).Degree(eLabel, nLabel)
+	lo, hi, step := a.sel(v, eLabel, nLabel)
+	total := 0
+	for i := lo; i < hi; i += step {
+		if a.selects(i, eLabel, nLabel) {
+			total += int(a.start[i+1] - a.start[i])
+		}
+	}
+	return total
 }
 
 // OutDegree returns the total forward degree of v across all labels.
@@ -418,11 +510,14 @@ func (g *Graph) InDegree(v VertexID) int { return g.bwd.degree(v) }
 func (g *Graph) HasEdge(src, dst VertexID, eLabel Label) bool {
 	// Search only the partitions of the destination's label; cheaper than a
 	// wildcard merge.
-	if eLabel != WildcardLabel {
-		i, ok := g.fwd.find(src, eLabel, g.vLabels[dst])
-		return ok && containsSorted(g.fwd.run(i), dst)
+	a, n := &g.fwd, g.vLabels[dst]
+	lo, hi, step := a.sel(src, eLabel, n)
+	for i := lo; i < hi; i += step {
+		if a.selects(i, eLabel, n) && containsSorted(a.run(i), dst) {
+			return true
+		}
 	}
-	return g.fwd.span(src).Contains(g.fwd.nbrs, eLabel, g.vLabels[dst], dst)
+	return false
 }
 
 // EdgeFunc is the callback type for Edges.
@@ -432,7 +527,7 @@ type EdgeFunc func(src, dst VertexID, eLabel Label) bool
 // returning false stops the iteration early.
 func (g *Graph) Edges(fn EdgeFunc) {
 	for v := VertexID(0); int(v) < g.n; v++ {
-		if !g.fwd.span(v).Edges(g.fwd.nbrs, v, fn) {
+		if !g.fwd.edges(v, fn) {
 			return
 		}
 	}
@@ -440,7 +535,26 @@ func (g *Graph) Edges(fn EdgeFunc) {
 
 // EdgesOf calls fn for every forward edge of src only.
 func (g *Graph) EdgesOf(src VertexID, fn EdgeFunc) {
-	g.fwd.span(src).Edges(g.fwd.nbrs, src, fn)
+	g.fwd.edges(src, fn)
+}
+
+// edges calls fn for every edge of src in directory order and reports
+// whether fn let the iteration finish.
+func (a *adjacency) edges(src VertexID, fn EdgeFunc) bool {
+	lo, hi := a.entry(src), a.entry(src+1)
+	for i := lo; i < hi; i++ {
+		run := a.run(i)
+		if len(run) == 0 {
+			continue
+		}
+		e, _ := a.labels(i, lo)
+		for _, dst := range run {
+			if !fn(src, dst, e) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // String summarises the graph.

@@ -116,12 +116,14 @@ func loadEdgeListPlain(r io.Reader) (*Graph, error) {
 }
 
 // WriteEdgeList writes the graph in the format accepted by LoadEdgeList.
-// Vertex-label lines are emitted only for non-zero labels.
+// Vertex-label lines are emitted for non-zero labels and for the last
+// vertex, which sizes the graph LoadEdgeList reads back even when no edge
+// reaches it.
 func (g *Graph) WriteEdgeList(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# graphflow edge list: %d vertices, %d edges\n", g.n, g.m)
 	for v := 0; v < g.n; v++ {
-		if l := g.vLabels[v]; l != 0 {
+		if l := g.vLabels[v]; l != 0 || v == g.n-1 {
 			fmt.Fprintf(bw, "v %d %d\n", v, l)
 		}
 	}

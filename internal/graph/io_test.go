@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"compress/gzip"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -68,6 +69,41 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	}
 	if !g2.HasEdge(1, 2, 2) {
 		t.Errorf("edge lost in round trip")
+	}
+}
+
+// TestEdgeListRoundTripKeepsVertices: a graph written and read back is the
+// graph it was — vertex count, labels and edges — when its last vertices
+// are isolated, when it has no vertex at all and when it has no edge.
+func TestEdgeListRoundTripKeepsVertices(t *testing.T) {
+	tail := NewBuilder(10)
+	tail.SetVertexLabel(1, 2)
+	tail.AddEdge(0, 1, 0)
+	tail.AddEdge(1, 2, 3)
+	isolated := NewBuilder(3)
+	isolated.SetVertexLabel(1, 4)
+	for name, b := range map[string]*Builder{
+		"isolated tail":      tail,
+		"empty":              NewBuilder(0),
+		"no edges":           NewBuilder(3),
+		"labelled, no edges": isolated,
+	} {
+		g := b.MustBuild()
+		var buf bytes.Buffer
+		if err := g.WriteEdgeList(&buf); err != nil {
+			t.Fatalf("%s: WriteEdgeList: %v", name, err)
+		}
+		text := buf.String()
+		got, err := LoadEdgeList(&buf)
+		if err != nil {
+			t.Fatalf("%s: LoadEdgeList: %v", name, err)
+		}
+		if got.NumVertices() != g.NumVertices() || got.NumEdges() != g.NumEdges() {
+			t.Fatalf("%s: read back %v from\n%s\nwant %v", name, got, text, g)
+		}
+		if !reflect.DeepEqual(got, g) {
+			t.Fatalf("%s: read back a different graph from\n%s", name, text)
+		}
 	}
 }
 

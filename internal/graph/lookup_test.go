@@ -51,15 +51,17 @@ func probesOf(g *graph.Graph, k int) []probe {
 
 // BenchmarkNeighbors prices reaching one adjacency run: ns per exact
 // Neighbors, per exact Degree and per NeighborBitset at a random vertex
-// and one of its partitions, on LiveJournal(1) (unlabelled: one directory
-// entry per vertex), on cold-plan's Relabel(Epinions(2), 2, 3, 11) (two
-// vertex and three edge labels: several entries per vertex) and through a
-// live.Snapshot with an empty overlay over LiveJournal(1). Every call goes
-// through graph.View, as the executor's do. heapB/edge is what the graph
-// keeps on the heap per directed edge once built.
+// and one of its partitions, on LiveJournal(1) (unlabelled: strided, one
+// slot per vertex), on cold-plan's Relabel(Epinions(2), 2, 3, 11) (two
+// vertex and three edge labels: strided, six slots per vertex), on Human()
+// (44 edge labels: sparse) and through a live.Snapshot with an empty
+// overlay over LiveJournal(1). Every call goes through graph.View, as the
+// executor's do. heapB/edge is what the graph keeps on the heap per
+// directed edge once built.
 func BenchmarkNeighbors(b *testing.B) {
 	lj, ljBytes := heapOf(func() *graph.Graph { return datagen.LiveJournal(1) })
 	cold, coldBytes := heapOf(func() *graph.Graph { return datagen.Relabel(datagen.Epinions(2), 2, 3, 11) })
+	human, humanBytes := heapOf(datagen.Human)
 	db, err := live.Open(lj, live.Config{CompactThreshold: -1})
 	if err != nil {
 		b.Fatal(err)
@@ -72,6 +74,7 @@ func BenchmarkNeighbors(b *testing.B) {
 	}{
 		{"LiveJournal", lj, lj, ljBytes},
 		{"ColdPlan", cold, cold, coldBytes},
+		{"Human", human, human, humanBytes},
 		{"LiveJournalSnapshot", lj, db.Snapshot(), ljBytes},
 	} {
 		ps := probesOf(c.g, 1<<12)
@@ -102,29 +105,37 @@ func BenchmarkNeighbors(b *testing.B) {
 
 // TestZeroAllocs: the exact lookups — Neighbors, Degree, HasEdge and
 // NeighborBitset, on a hub partition and on one below the threshold —
-// allocate nothing in either directory form, read directly and through a
+// allocate nothing in any directory form, read directly and through a
 // live.Snapshot (empty overlay, and a vertex beside an overlay entry).
 // gfvet follows the Graph methods; the View interface hides the snapshot's.
 func TestZeroAllocs(t *testing.T) {
 	const th = 4
-	oneEntry := graph.NewBuilder(12)
-	general := graph.NewBuilder(12)
-	general.SetVertexLabel(11, 1)
-	for _, b := range []*graph.Builder{oneEntry, general} {
+	fixtures := map[string]*graph.Builder{}
+	for _, name := range []string{"strided k=1", "strided k>1", "sparse"} {
+		b := graph.NewBuilder(12)
 		b.SetHubThreshold(th)
 		for d := graph.VertexID(2); d < 8; d++ {
 			b.AddEdge(0, d, 0) // vertex 0: a hub partition
 		}
 		b.AddEdge(1, 2, 0) // vertex 1: one below the threshold
 		b.AddEdge(10, 9, 0)
+		switch name {
+		case "strided k>1": // a second partition each for 0 and 1: 2 slots a vertex
+			b.AddEdge(0, 11, 1)
+			b.AddEdge(1, 3, 1)
+		case "sparse": // the same by neighbour label, and 41 edge labels: 82 slots a vertex
+			b.SetVertexLabel(11, 1)
+			b.AddEdge(0, 11, 0)
+			b.AddEdge(1, 3, 1)
+			b.AddEdge(1, 4, 40)
+		}
+		fixtures[name] = b
 	}
-	general.AddEdge(0, 11, 0) // a second partition each for 0 and 1
-	general.AddEdge(1, 3, 1)
 	views := map[string]graph.View{}
-	for name, b := range map[string]*graph.Builder{"oneEntry": oneEntry, "general": general} {
+	for name, b := range fixtures {
 		g := b.MustBuild()
-		if graph.OneEntryForm(g, graph.Forward) != (name == "oneEntry") {
-			t.Fatalf("fixture: %s graph has the other directory form", name)
+		if got := form(g, graph.Forward); got != name {
+			t.Fatalf("fixture: the %s graph is %s", name, got)
 		}
 		db, err := live.Open(g, live.Config{CompactThreshold: -1, HubThreshold: th})
 		if err != nil {

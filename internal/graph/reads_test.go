@@ -240,7 +240,7 @@ func checkReads(t *testing.T, where string, g graph.View, c readCase, rule bitse
 	if th == 0 {
 		th = graph.DefaultHubThreshold
 	}
-	eLabels := []graph.Label{0, 1, 2, 3, graph.WildcardLabel}
+	eLabels := []graph.Label{0, 1, 2, 3, 40, graph.WildcardLabel}
 	nLabels := []graph.Label{0, 1, 2, 3, graph.WildcardLabel}
 	for v := graph.VertexID(0); int(v) < n; v++ {
 		if got := g.VertexLabel(v); got != c.labels[v] {
@@ -384,55 +384,85 @@ func checkAllReads(t *testing.T, c readCase, rng *rand.Rand) {
 	}
 }
 
+// form names g's directory form in dir for the fixture censuses.
+func form(g *graph.Graph, dir graph.Direction) string {
+	switch graph.Stride(g, dir) {
+	case 0:
+		return "sparse"
+	case 1:
+		return "strided k=1"
+	}
+	return "strided k>1"
+}
+
+// requireEveryForm fails unless the census counts each directory form.
+func requireEveryForm(t testing.TB, census map[string]int) {
+	t.Helper()
+	t.Logf("directory forms: %v", census)
+	for _, f := range []string{"strided k=1", "strided k>1", "sparse"} {
+		if census[f] == 0 {
+			t.Fatalf("fixture covers %v; every directory form must be covered", census)
+		}
+	}
+}
+
 // TestGraphReads holds every graph.View read to a sorted edge set, on
-// labelled and unlabelled graphs (both directory forms), through Builder,
+// labelled and unlabelled graphs (every directory form), through Builder,
 // Assembler and a live snapshot before and after compaction.
 func TestGraphReads(t *testing.T) {
-	forms := map[bool]int{}
+	census := map[string]int{}
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomReadCase(rng)
 		t.Run(fmt.Sprint(seed), func(t *testing.T) { checkAllReads(t, c, rng) })
-		forms[graph.OneEntryForm(build(c.labels, c.final(), c.hub), graph.Forward)]++
+		census[form(build(c.labels, c.final(), c.hub), graph.Forward)]++
 	}
-	if forms[true] == 0 || forms[false] == 0 {
-		t.Fatalf("fixture: %d one-entry and %d general directories; both forms must be covered", forms[true], forms[false])
-	}
+	requireEveryForm(t, census)
 }
 
 func FuzzGraphReads(f *testing.F) {
+	var seeds [][]byte
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 8; i++ {
 		data := make([]byte, 2+20+3*rng.Intn(40))
 		rng.Read(data)
+		seeds = append(seeds, data)
+	}
+	seeds = append(seeds, []byte{19, 0x10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 2, 3, 0})
+	census := map[string]int{}
+	for _, data := range seeds {
+		c := decodeReadCase(data)
+		census[form(build(c.labels, c.final(), c.hub), graph.Forward)]++
 		f.Add(data)
 	}
-	f.Add([]byte{19, 0x10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 2, 3, 0})
+	requireEveryForm(f, census)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkAllReads(t, decodeReadCase(data), rand.New(rand.NewSource(int64(len(data)))))
 	})
 }
 
-// TestDirectoryFormFlips: a store whose edges gain a second label leaves
-// the one-entry form at the compaction that folds the label in, and
-// returns to it at the one that folds it out, reading right throughout.
+// TestDirectoryFormFlips: an unlabelled store is strided with one slot per
+// vertex; a second edge label keeps it strided with two, an edge labelled
+// 40 makes the strided form 41 times the size and turns it sparse, and
+// deleting both returns it to the graph it started as — each change at the
+// compaction that folds it in, reading right throughout.
 func TestDirectoryFormFlips(t *testing.T) {
 	c := readCase{
 		labels: make([]graph.Label, 7),
 		base:   []edge{{0, 1, 0}, {0, 2, 0}, {1, 2, 0}, {2, 3, 0}, {3, 4, 0}, {4, 0, 0}},
 	}
 	g := build(c.labels, c.base, c.hub)
-	form := func(g *graph.Graph) [2]bool {
-		return [2]bool{graph.OneEntryForm(g, graph.Forward), graph.OneEntryForm(g, graph.Backward)}
+	forms := func(g *graph.Graph) [2]string {
+		return [2]string{form(g, graph.Forward), form(g, graph.Backward)}
 	}
-	if form(g) != [2]bool{true, true} {
-		t.Fatalf("unlabelled graph: one-entry form %v", form(g))
+	if got := forms(g); got != [2]string{"strided k=1", "strided k=1"} {
+		t.Fatalf("unlabelled graph: %v", got)
 	}
 	db, err := live.Open(g, live.Config{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	step := func(b live.Batch, wantForm [2]bool) {
+	step := func(b live.Batch, want string) {
 		t.Helper()
 		if _, err := db.Apply(b); err != nil {
 			t.Fatal(err)
@@ -442,14 +472,16 @@ func TestDirectoryFormFlips(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkReads(t, "after compaction", db.Snapshot(), c, bitsetsExact)
-		if got := form(db.Snapshot().Base()); got != wantForm {
-			t.Fatalf("compacted base: one-entry form %v, want %v", got, wantForm)
+		if got := forms(db.Snapshot().Base()); got != [2]string{want, want} {
+			t.Fatalf("compacted base: %v, want %s", got, want)
 		}
 	}
 	c.add = []edge{{0, 3, 1}}
-	step(live.Batch{AddEdges: []live.EdgeOp{{Src: 0, Dst: 3, Label: 1}}}, [2]bool{false, false})
+	step(live.Batch{AddEdges: []live.EdgeOp{{Src: 0, Dst: 3, Label: 1}}}, "strided k>1")
+	c.add = append(c.add, edge{1, 4, 40})
+	step(live.Batch{AddEdges: []live.EdgeOp{{Src: 1, Dst: 4, Label: 40}}}, "sparse")
 	c.del = c.add
-	step(live.Batch{DeleteEdges: []live.EdgeOp{{Src: 0, Dst: 3, Label: 1}}}, [2]bool{true, true})
+	step(live.Batch{DeleteEdges: []live.EdgeOp{{Src: 0, Dst: 3, Label: 1}, {Src: 1, Dst: 4, Label: 40}}}, "strided k=1")
 	if !reflect.DeepEqual(db.Snapshot().Base(), g) {
 		t.Fatalf("folded back to one label, the base differs from the graph it started as")
 	}

@@ -74,10 +74,12 @@ type PartitionFunc func(eLabel, nLabel Label, nbrs []VertexID) bool
 // vertex is first mutated.
 func (g *Graph) Partitions(v VertexID, dir Direction, fn PartitionFunc) {
 	a := g.adj(dir)
-	d := a.span(v)
-	for i, p := range d[:len(d)-1] {
-		if run := d.Run(a.nbrs, i); len(run) > 0 && !fn(p.E, p.N, run) {
-			return
+	lo, hi := a.entry(v), a.entry(v+1)
+	for i := lo; i < hi; i++ {
+		if run := a.run(i); len(run) > 0 {
+			if e, n := a.labels(i, lo); !fn(e, n, run) {
+				return
+			}
 		}
 	}
 }
@@ -85,10 +87,10 @@ func (g *Graph) Partitions(v VertexID, dir Direction, fn PartitionFunc) {
 // NumPartitions returns how many partitions Partitions would visit for v
 // in dir, so a caller copying them can size its directory once.
 func (g *Graph) NumPartitions(v VertexID, dir Direction) int {
-	d := g.adj(dir).span(v)
+	a := g.adj(dir)
 	k := 0
-	for i := range d[:len(d)-1] {
-		if d[i].Start < d[i+1].Start {
+	for i := a.entry(v); i < a.entry(v+1); i++ {
+		if a.start[i] < a.start[i+1] {
 			k++
 		}
 	}
