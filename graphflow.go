@@ -20,7 +20,7 @@
 // that any number of goroutines may execute concurrently. The one-shot
 // entry points (Count, Match, Analyze, ...) go through the same machinery
 // backed by a concurrent plan cache keyed by the pattern's canonical
-// form, so repeated ad-hoc queries skip re-optimization automatically.
+// code, so repeated ad-hoc queries skip re-optimization automatically.
 //
 // The graph is mutable at runtime: AddVertex/AddEdge/DeleteEdge/Apply
 // publish new epochs with snapshot isolation (queries already running
@@ -36,6 +36,7 @@ package graphflow
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -158,8 +159,8 @@ type DB struct {
 	store  *live.DB
 	opts   Options
 	w1, w2 float64
-	// plans caches optimized plans keyed by canonical query form, the WCO
-	// restriction and the statistics generation they were costed under
+	// plans caches optimized plans keyed by canonical code, the statistics
+	// generation they were costed under and the WCO restriction (planKey)
 	// (nil when caching is disabled). Entries outlive epochs: a plan is
 	// valid on every epoch, so a lookup after a mutation is a hit that
 	// only re-binds the plan to the new snapshot.
@@ -676,10 +677,11 @@ func (db *DB) dropStaleBindings() {
 	})
 }
 
-// preparedFor returns the plan for the canonical query canon (from the
-// cache when possible) bound to the current epoch, and how long the
-// optimizer took when the plan had to be made (0 on a cache hit).
-func (db *DB) preparedFor(canon *query.Graph, wcoOnly, skipCache bool) (*preparedPlan, time.Duration, error) {
+// preparedFor returns the plan for the canonical query canon, whose code
+// is code (from the cache when possible), bound to the current epoch, and
+// how long the optimizer took when the plan had to be made (0 on a cache
+// hit).
+func (db *DB) preparedFor(canon *query.Graph, code query.Code, wcoOnly, skipCache bool) (*preparedPlan, time.Duration, error) {
 	snap := db.store.Snapshot()
 	st := db.planningStats()
 	var (
@@ -687,12 +689,7 @@ func (db *DB) preparedFor(canon *query.Graph, wcoOnly, skipCache bool) (*prepare
 		cp  *cachedPlan
 	)
 	if db.plans != nil && !skipCache {
-		key = canon.Key() + "|g" + strconv.FormatUint(st.gen, 10)
-		if wcoOnly {
-			// WCO-restricted planning yields different plans; keep the
-			// spaces apart in the cache.
-			key += "|wco"
-		}
+		key = planKey(code, st.gen, wcoOnly)
 		cp, _ = db.plans.Get(key)
 	}
 	cached := cp != nil
@@ -735,6 +732,19 @@ func (db *DB) preparedFor(canon *query.Graph, wcoOnly, skipCache bool) (*prepare
 	return pp, planTook, nil
 }
 
+// planKey is the plan-cache key of a canonical code: the code, then the
+// statistics generation as 8 big-endian bytes, then 1 for WCO-restricted
+// planning (which yields different plans) or 0. Both fields are fixed
+// width and end the key, so distinct triples never share one.
+func planKey(code query.Code, gen uint64, wcoOnly bool) string {
+	var suffix [9]byte
+	binary.BigEndian.PutUint64(suffix[:8], gen)
+	if wcoOnly {
+		suffix[8] = 1
+	}
+	return string(code) + string(suffix[:])
+}
+
 // PlanCacheStats reports the DB's compiled-plan cache effectiveness; all
 // zeros when caching is disabled.
 func (db *DB) PlanCacheStats() PlanCacheStats {
@@ -759,9 +769,10 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 // it began.
 type PreparedQuery struct {
 	db *DB
-	// canon is the pattern's canonical form, the unit of planning and of
-	// plan-cache identity.
+	// canon is the pattern's canonical form, the unit of planning; code is
+	// its canonical code, the plan cache's identity for it.
 	canon   *query.Graph
+	code    query.Code
 	wcoOnly bool
 	// skipCache preserves QueryOptions.SkipPlanCache across re-resolves
 	// for ad-hoc queries measuring planning overhead.
@@ -786,7 +797,7 @@ func (pq *PreparedQuery) resolve() (*preparedPlan, error) {
 	if pp.snap == pq.db.store.Snapshot() && pp.gen == pq.db.stats.Load().gen {
 		return pp, nil
 	}
-	pp, _, err := pq.db.preparedFor(pq.canon, pq.wcoOnly, pq.skipCache)
+	pp, _, err := pq.db.preparedFor(pq.canon, pq.code, pq.wcoOnly, pq.skipCache)
 	if err != nil {
 		return nil, err
 	}
@@ -816,8 +827,9 @@ func (db *DB) prepare(pattern string, wcoOnly, skipCache bool) (*PreparedQuery, 
 	if err != nil {
 		return nil, err
 	}
-	canon, perm := q.Canonical()
-	pp, planTook, err := db.preparedFor(canon, wcoOnly, skipCache)
+	code, perm := q.CanonicalCodeWithPerm()
+	canon := q.Renumber(perm)
+	pp, planTook, err := db.preparedFor(canon, code, wcoOnly, skipCache)
 	if err != nil {
 		return nil, err
 	}
@@ -825,7 +837,7 @@ func (db *DB) prepare(pattern string, wcoOnly, skipCache bool) (*PreparedQuery, 
 	for orig, canon := range perm {
 		names[canon] = q.Vertices[orig].Name
 	}
-	pq := &PreparedQuery{db: db, canon: canon, wcoOnly: wcoOnly, skipCache: skipCache, names: names, planTook: planTook}
+	pq := &PreparedQuery{db: db, canon: canon, code: code, wcoOnly: wcoOnly, skipCache: skipCache, names: names, planTook: planTook}
 	pq.cur.Store(pp)
 	return pq, nil
 }
@@ -919,14 +931,14 @@ func (pq *PreparedQuery) Stats() Stats {
 }
 
 // PlanDigest returns a short stable identifier of the prepared plan:
-// a 64-bit FNV-1a hash over the canonical query form and the plan's
-// operator tree, hex-encoded. Two queries share a digest exactly when
-// they canonicalize to the same pattern and received the same plan, so
+// a 64-bit FNV-1a hash over the canonical code and the plan's operator
+// tree, hex-encoded. Two queries share a digest exactly when they
+// canonicalize to the same pattern and received the same plan, so
 // slow-query log lines can be grouped by plan across processes.
 func (pq *PreparedQuery) PlanDigest() string {
 	pp := pq.cur.Load()
 	h := fnv.New64a()
-	io.WriteString(h, pq.canon.Key())
+	io.WriteString(h, string(pq.code))
 	io.WriteString(h, "|")
 	io.WriteString(h, pp.plan.Describe())
 	return strconv.FormatUint(h.Sum64(), 16)

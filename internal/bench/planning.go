@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -12,8 +11,7 @@ import (
 	"graphflow/internal/query"
 )
 
-// PlanningGraph returns the graph the planning-cost rows and benchmarks
-// run on: Epinions under the repository benchmark's cold-plan labelling
+// PlanningGraph returns the graph the planning-cost benchmarks run on: Epinions under the repository benchmark's cold-plan labelling
 // (two vertex labels by three edge labels), which spreads random patterns
 // over thousands of catalogue entries instead of the unlabelled graph's
 // few hundred.
@@ -36,8 +34,8 @@ func PlanningQueries(g *graph.Graph, numVertices, count int) []*query.Graph {
 	return out
 }
 
-// PlanningCatalogue builds the catalogue the planning-cost rows and
-// benchmarks plan against.
+// PlanningCatalogue builds the catalogue the planning-cost benchmarks
+// plan against.
 func PlanningCatalogue(g *graph.Graph) *catalogue.Catalogue {
 	return catalogue.Build(g, planningConfig)
 }
@@ -53,38 +51,5 @@ func BenchmarkOptimize(b *testing.B, c *catalogue.Catalogue, qs []*query.Graph) 
 		if _, err := optimizer.Optimize(qs[i%len(qs)], optimizer.Options{Catalogue: c, Factorized: true}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// planningRows measures what a plan-cache miss and a statistics refresh
-// cost: BenchmarkOptimize over 200 patterns per size, and one
-// catalogue.Build per op.
-func planningRows(scale int) []MicroResult {
-	g := PlanningGraph(scale)
-	c := PlanningCatalogue(g)
-	var out []MicroResult
-	for _, n := range []int{4, 5, 6} {
-		qs := PlanningQueries(g, n, 200)
-		r := testing.Benchmark(func(b *testing.B) { BenchmarkOptimize(b, c, qs) })
-		out = append(out, planningRow(fmt.Sprintf("optimize/v%d", n), "optimizer", r))
-	}
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			PlanningCatalogue(g)
-		}
-	})
-	return append(out, planningRow("catalogue/build", "catalogue", r))
-}
-
-func planningRow(name, engine string, r testing.BenchmarkResult) MicroResult {
-	return MicroResult{
-		Name:        name,
-		Graph:       "Epinions-2x3",
-		Engine:      engine,
-		Workers:     1,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		AllocsPerOp: r.AllocsPerOp(),
 	}
 }

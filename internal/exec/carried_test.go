@@ -326,7 +326,7 @@ func TestCarriedLimitsAndRows(t *testing.T) {
 // graph of the deep-pipeline benchmarks: the vectorized engine with the
 // sets carried (plain chain and factorized tail), the same with the
 // intersection cache off (every stage re-reads all its lists), and the
-// tuple-at-a-time oracle. gfbench -json records the same rows.
+// tuple-at-a-time oracle.
 func BenchmarkCliqueCarried(b *testing.B) {
 	g := datagen.Web(datagen.WebConfig{N: 2500, OutDeg: 8, Copy: 0.6, Seed: 5})
 	for _, k := range []int{4, 5} {

@@ -9,7 +9,7 @@ import (
 
 // BenchmarkOptimizeCold is what a plan-cache miss costs by pattern size:
 // one Optimize per op over 200 random patterns drawn from the planning
-// graph (bench.BenchmarkOptimize; gfbench -json records the same rows).
+// graph (bench.BenchmarkOptimize).
 func BenchmarkOptimizeCold(b *testing.B) {
 	g := bench.PlanningGraph(1)
 	cat := bench.PlanningCatalogue(g)

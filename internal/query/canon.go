@@ -3,15 +3,19 @@ package query
 import (
 	"math/bits"
 	"slices"
+	"sort"
 	"strconv"
 
 	"graphflow/internal/graph"
 )
 
-// Code is a packed canonical code: identical for isomorphic graphs
-// (respecting vertex labels, edge labels, edge directions and the
-// optional target flag) and distinct for non-isomorphic ones, so it is
-// directly a map key. The bytes are the canonical form itself:
+// Code is a packed canonical code, directly a map key: distinct for
+// non-isomorphic graphs (respecting vertex labels, edge labels, edge
+// directions and the optional target flag) and, up to maxCanonPerms
+// candidate orderings, identical for isomorphic ones. Above that bound
+// it is sound only: equal codes still mean isomorphic graphs, but two
+// spellings of one graph may get different codes. The bytes are the
+// canonical form itself:
 //
 //	byte 0            vertex count n, with codeTargetBit set when the last
 //	                  vertex is a flagged target
@@ -37,6 +41,11 @@ const NoTarget = -1
 // live on the stack — twice what a complete 6-vertex digraph has.
 const canonStackEdges = 64
 
+// maxCanonPerms bounds the candidate orderings the kernel enumerates;
+// above it the kernel encodes its first ordering only. Up to six
+// vertices (6! = 720) the bound cannot be reached.
+const maxCanonPerms = 4096
+
 // canonEdge is a query edge inside the projected subgraph, narrowed to
 // what a candidate encoding reads.
 type canonEdge struct {
@@ -52,16 +61,19 @@ type canonEdge struct {
 // nil, receives the canonical renumbering: perm[v] is the canonical
 // index of vertex v for every v in mask; other elements are left alone.
 //
-// The code is exact: it is the minimum, over vertex orderings, of the
-// sorted edge list written in canonical indices. Only orderings that
-// keep an isomorphism invariant — (target flag, label, out-degree,
-// in-degree) — non-decreasing are tried, since isomorphic graphs have
-// the same invariants and so the same candidate set; vertices are
-// permuted only inside classes of equal invariant. Every candidate is
-// packed into integers and compared as integers; nothing is formatted
-// and nothing is allocated per candidate. The cost is the product of the
-// class-size factorials, n! for a vertex-transitive graph: meant for the
-// small subgraphs of the catalogue and of plan deduplication.
+// The code is the minimum, over vertex orderings, of the sorted edge
+// list written in canonical indices. Only orderings that keep an
+// isomorphism invariant — (target flag, label, out-degree, in-degree) —
+// non-decreasing are tried, since isomorphic graphs have the same
+// invariants and so the same candidate set; vertices are permuted only
+// inside classes of equal invariant. Every candidate is packed into
+// integers and compared as integers; nothing is formatted and nothing is
+// allocated per candidate. The candidates number the product of the
+// class-size factorials, n! for a vertex-transitive graph. When that
+// product exceeds maxCanonPerms (a 30-cycle has 30!), the first ordering
+// — invariant-sorted, ascending vertex index within a class — is encoded
+// as it stands: the code still spells out the whole graph, so it stays
+// sound, but it is no longer exact (see Code).
 //
 //gf:noalloc
 func (q *Graph) AppendCanonicalCode(dst []byte, mask Mask, target int, perm []int) []byte {
@@ -111,6 +123,9 @@ func (q *Graph) AppendCanonicalCode(dst []byte, mask Mask, target int, perm []in
 		}
 	}
 
+	// Six vertices or fewer cannot exceed the bound, so catalogue keys
+	// skip the count.
+	exhaustive := n <= 6 || classOrderings(order[:n], &inv) <= maxCanonPerms
 	for first := true; ; first = false {
 		for i := 0; i < n; i++ {
 			pos[order[i]] = uint32(i)
@@ -123,7 +138,7 @@ func (q *Graph) AppendCanonicalCode(dst []byte, mask Mask, target int, perm []in
 			copy(least, cur)
 			best = order
 		}
-		if !nextClassOrdering(order[:n], &inv) {
+		if !exhaustive || !nextClassOrdering(order[:n], &inv) {
 			break
 		}
 	}
@@ -144,6 +159,24 @@ func (q *Graph) AppendCanonicalCode(dst []byte, mask Mask, target int, perm []in
 		dst = append(dst, byte(c>>24), byte(c>>16), byte(c>>8), byte(c))
 	}
 	return dst
+}
+
+// classOrderings returns how many orderings nextClassOrdering visits from
+// the invariant-sorted order — the product of the class-size factorials —
+// stopping at the first partial product above maxCanonPerms.
+func classOrderings(order []uint8, inv *[MaxVertices]uint64) int {
+	perms := 1
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && inv[order[hi]] == inv[order[lo]] {
+			hi++
+			if perms *= hi - lo; perms > maxCanonPerms {
+				return perms
+			}
+		}
+		lo = hi
+	}
+	return perms
 }
 
 // nextClassOrdering advances order to the next ordering that permutes
@@ -186,8 +219,9 @@ func nextPermutation(a []uint8) bool {
 	return true
 }
 
-// CanonicalCode returns the canonical code of the whole graph; see
-// AppendCanonicalCode, which callers on a hot path use directly.
+// CanonicalCode returns the canonical code of the whole graph — exact up
+// to maxCanonPerms candidate orderings, sound only above (see Code and
+// AppendCanonicalCode, which callers on a hot path use directly).
 func (q *Graph) CanonicalCode() Code {
 	code, _ := q.CanonicalCodeWithPerm()
 	return code
@@ -202,6 +236,50 @@ func (q *Graph) CanonicalCodeWithPerm() (Code, []int) {
 	}
 	perm := make([]int, n)
 	return Code(q.AppendCanonicalCode(nil, AllMask(n), NoTarget, perm)), perm
+}
+
+// Canonical returns q in canonical form — renumbered by the kernel's perm
+// (see Renumber) — together with perm, where perm[origIdx] is the
+// canonical index of original vertex origIdx. Spellings with equal codes
+// get identical graphs, so the form is as exact as CanonicalCode.
+func (q *Graph) Canonical() (*Graph, []int) {
+	_, perm := q.CanonicalCodeWithPerm()
+	return q.Renumber(perm), perm
+}
+
+// Key returns q's canonical code as a string.
+func (q *Graph) Key() string { return string(q.CanonicalCode()) }
+
+// canonNames are the canonical vertex names, a1 to a30.
+var canonNames = func() (names [MaxVertices]string) {
+	for i := range names {
+		names[i] = "a" + strconv.Itoa(i+1)
+	}
+	return names
+}()
+
+// Renumber returns the copy of q with vertex origIdx mapped to
+// inv[origIdx], vertices renamed a1..an, and edges sorted.
+func (q *Graph) Renumber(inv []int) *Graph {
+	n := len(q.Vertices)
+	out := &Graph{Vertices: make([]Vertex, n), Edges: make([]Edge, 0, len(q.Edges))}
+	for v, canon := range inv {
+		out.Vertices[canon] = Vertex{Name: canonNames[canon], Label: q.Vertices[v].Label}
+	}
+	for _, e := range q.Edges {
+		out.Edges = append(out.Edges, Edge{From: inv[e.From], To: inv[e.To], Label: e.Label})
+	}
+	sort.Slice(out.Edges, func(i, j int) bool {
+		a, b := out.Edges[i], out.Edges[j]
+		if a.From != b.From {
+			return a.From < b.From
+		}
+		if a.To != b.To {
+			return a.To < b.To
+		}
+		return a.Label < b.Label
+	})
+	return out
 }
 
 // String renders the code as its canonical graph: vertex labels in
@@ -235,15 +313,6 @@ func (c Code) String() string {
 		b = strconv.AppendUint(b, uint64(e&(1<<codeToShift-1)), 10)
 	}
 	return string(b)
-}
-
-// IsIsomorphic reports whether q and other are isomorphic as labelled
-// directed graphs.
-func (q *Graph) IsIsomorphic(other *Graph) bool {
-	if len(q.Vertices) != len(other.Vertices) || len(q.Edges) != len(other.Edges) {
-		return false
-	}
-	return q.CanonicalCode() == other.CanonicalCode()
 }
 
 // Automorphisms returns all vertex permutations p (p[i] = image of i) that

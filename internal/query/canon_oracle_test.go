@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"graphflow/internal/graph"
 )
@@ -68,6 +69,18 @@ func oracleCanonicalCode(q *Graph, target int) (string, []int) {
 	}
 	rec(0)
 	return best, append([]int(nil), bestInv...)
+}
+
+// isIsomorphic reports whether a and b are isomorphic as labelled
+// directed graphs, through the oracle: exact at any size but n! in the
+// vertex count, so for the small graphs of tests only.
+func isIsomorphic(a, b *Graph) bool {
+	if len(a.Vertices) != len(b.Vertices) || len(a.Edges) != len(b.Edges) {
+		return false
+	}
+	oa, _ := oracleCanonicalCode(a, NoTarget)
+	ob, _ := oracleCanonicalCode(b, NoTarget)
+	return oa == ob
 }
 
 // digraphFromBytes decodes a small labelled digraph from fuzz or random
@@ -233,6 +246,69 @@ func (q *Graph) codeWithTarget(target int) Code {
 	return Code(q.AppendCanonicalCode(nil, AllMask(len(q.Vertices)), target, nil))
 }
 
+// TestCanonicalMatchesExactIsomorphism holds the plan-cache key to its
+// contract below the bound: on patterns of at most six vertices, Key is
+// equal exactly when the oracle's codes are — on fixed pairs, on random
+// patterns against respellings of themselves, and against independent
+// draws.
+func TestCanonicalMatchesExactIsomorphism(t *testing.T) {
+	oracle := func(q *Graph) string {
+		o, _ := oracleCanonicalCode(q, NoTarget)
+		return o
+	}
+	for _, p := range []struct {
+		a, b string
+		iso  bool
+	}{
+		{"a->b, b->c, a->c", "j->k, j->l, k->l", true},
+		{"a->b, b->c, a->c", "a->b, b->c, c->a", false},
+		{"a->b, b->c, c->d, d->a", "w->x, x->y, y->z, z->w", true},
+		{"a->b, a->c, a->d", "b->a, c->a, d->a", false},
+	} {
+		qa, qb := MustParse(p.a), MustParse(p.b)
+		if exact := oracle(qa) == oracle(qb); exact != p.iso {
+			t.Fatalf("oracle isomorphism of %q vs %q = %v, want %v", p.a, p.b, exact, p.iso)
+		}
+		if keyed := qa.Key() == qb.Key(); keyed != p.iso {
+			t.Errorf("key equality of %q vs %q = %v, want %v", p.a, p.b, keyed, p.iso)
+		}
+	}
+
+	trials := 300
+	if testing.Short() {
+		trials = 60
+	}
+	f := func(a, b randomQuery, seed int64) bool {
+		re := respell(a.Q, rand.New(rand.NewSource(seed)))
+		oa, ka := oracle(a.Q), a.Q.Key()
+		if ka != re.Key() || oa != oracle(re) {
+			return false
+		}
+		return (ka == b.Q.Key()) == (oa == oracle(b.Q))
+	}
+	rng := rand.New(rand.NewSource(25))
+	if err := quick.Check(f, &quick.Config{MaxCount: trials, Rand: rng}); err != nil {
+		t.Error(err)
+	}
+	// Independent draws of at most three vertices are isomorphic often
+	// enough to exercise "equal" from both sides.
+	equalPairs := 0
+	for i := 0; i < trials; i++ {
+		a, _ := smallDraw(rng)
+		b, _ := smallDraw(rng)
+		keyed := a.Key() == b.Key()
+		if exact := oracle(a) == oracle(b); keyed != exact {
+			t.Fatalf("key equality %v, oracle equality %v:\n  %+v\n  %+v", keyed, exact, a, b)
+		}
+		if keyed {
+			equalPairs++
+		}
+	}
+	if equalPairs == 0 {
+		t.Errorf("no independent pair was isomorphic in %d trials: the draw no longer tests equality from both sides", trials)
+	}
+}
+
 // TestCanonicalCodeOfProjection checks the in-place form the catalogue
 // relies on: the code of a vertex subset of q equals the code of that
 // subset projected into a graph of its own.
@@ -304,7 +380,11 @@ func TestZeroAllocs(t *testing.T) {
 		},
 	}
 	cycle6 := Q12()
-	buf := make([]byte, 0, 64)
+	cycle30 := &Graph{Vertices: make([]Vertex, MaxVertices)}
+	for v := range MaxVertices {
+		cycle30.Edges = append(cycle30.Edges, Edge{From: v, To: (v + 1) % MaxVertices})
+	}
+	buf := make([]byte, 0, 256)
 	perm := make([]int, 6)
 	cases := []struct {
 		name string
@@ -318,6 +398,9 @@ func TestZeroAllocs(t *testing.T) {
 		}},
 		{"canonical code, 6-cycle (720 candidates)", func() {
 			buf = cycle6.AppendCanonicalCode(buf[:0], AllMask(6), NoTarget, nil)
+		}},
+		{"canonical code, 30-cycle (30! candidates: above the bound)", func() {
+			buf = cycle30.AppendCanonicalCode(buf[:0], AllMask(MaxVertices), NoTarget, nil)
 		}},
 	}
 	for _, tc := range cases {

@@ -1,7 +1,7 @@
 // Package query models subgraph queries: directed, connected graphs with
 // optional vertex and edge labels (paper Section 2). It also provides the
-// pattern parser, exact canonicalization for small subgraphs (used as
-// catalogue keys), projection and connectivity utilities used by the
+// pattern parser, the packed canonical code (the catalogue's and the plan
+// cache's keys), projection and connectivity utilities used by the
 // optimizer's dynamic program, and the 14 benchmark queries of Figure 6.
 package query
 

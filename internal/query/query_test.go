@@ -66,7 +66,7 @@ func TestStringRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Q%d: reparse failed: %v (pattern %q)", j, err, q.String())
 		}
-		if !q.IsIsomorphic(q2) {
+		if !isIsomorphic(q, q2) {
 			t.Errorf("Q%d: round trip not isomorphic", j)
 		}
 	}
@@ -149,7 +149,7 @@ func TestProject(t *testing.T) {
 	if len(orig) != 3 || orig[0] != 0 || orig[2] != 2 {
 		t.Errorf("orig mapping = %v", orig)
 	}
-	if !sub.IsIsomorphic(Q1()) {
+	if !isIsomorphic(sub, Q1()) {
 		t.Error("diamond-X projection on a1..a3 should be the asymmetric triangle")
 	}
 }
@@ -191,14 +191,113 @@ func TestCanonicalCode(t *testing.T) {
 	}
 }
 
+func TestCanonicalKeyIsomorphicSpellings(t *testing.T) {
+	// The same structure under renamed vertices and reordered edges must
+	// share a canonical key.
+	groups := [][]string{
+		{"a->b, b->c, a->c", "x->y, y->z, x->z", "b->c, a->b, a->c", "q <- p, q->r, p->r"},
+		{"a->b, b->c, c->a", "z->x, x->y, y->z"},
+		{"a:1 -> b:2", "u:1 -> v:2"},
+		{"a -[3]-> b, b -> c, a -> c", "x -[3]-> y, y -> z, x -> z"},
+	}
+	for gi, group := range groups {
+		want := MustParse(group[0]).Key()
+		for _, pat := range group[1:] {
+			if got := MustParse(pat).Key(); got != want {
+				t.Errorf("group %d: %q key %q != %q", gi, pat, got, want)
+			}
+		}
+	}
+}
+
+func TestCanonicalKeyDistinguishes(t *testing.T) {
+	patterns := []string{
+		"a->b, b->c, a->c", // asymmetric triangle
+		"a->b, b->c, c->a", // cyclic triangle
+		"a->b, b->c",       // path
+		"a->b, a->c",       // out-fork
+		"b->a, c->a",       // in-fork
+		"a:1->b, b->c, a->c",
+		"a-[1]->b, b->c, a->c",
+		"a->b, b->c, c->d, a->d",
+		"a->b, b->c, c->d, d->a",
+	}
+	seen := map[string]string{}
+	for _, pat := range patterns {
+		k := MustParse(pat).Key()
+		if prev, dup := seen[k]; dup {
+			t.Errorf("patterns %q and %q share key %q", prev, pat, Code(k))
+		}
+		seen[k] = pat
+	}
+}
+
+func TestCanonicalKeySoundOnSymmetricQuery(t *testing.T) {
+	// A 6-cycle has one invariant class, so every ordering is a candidate;
+	// the key must still be stable and must differ from a near miss.
+	cyc := MustParse("a->b, b->c, c->d, d->e, e->f, f->a")
+	k1 := cyc.Key()
+	k2 := MustParse("u->v, v->w, w->x, x->y, y->z, z->u").Key()
+	if k1 != k2 {
+		t.Errorf("isomorphic 6-cycles got distinct keys %s / %s", Code(k1), Code(k2))
+	}
+	other := MustParse("a->b, b->c, c->d, d->e, e->f, a->f") // one edge flipped
+	if other.Key() == k1 {
+		t.Error("non-isomorphic query shares the 6-cycle key")
+	}
+	labels, _, _ := strings.Cut(Code(k1).String(), " ")
+	if n := strings.Count(labels, ",") + 1; n != 6 {
+		t.Errorf("key %s names %d vertices, want 6", Code(k1), n)
+	}
+}
+
+func TestCanonicalNormalizesNamesAndEdges(t *testing.T) {
+	q := MustParse("zz->yy, yy->xx, zz->xx")
+	canon, perm := q.Canonical()
+	if len(perm) != 3 {
+		t.Fatalf("perm length %d", len(perm))
+	}
+	for i, v := range canon.Vertices {
+		want := []string{"a1", "a2", "a3"}[i]
+		if v.Name != want {
+			t.Errorf("canonical vertex %d named %q, want %q", i, v.Name, want)
+		}
+	}
+	for i := 1; i < len(canon.Edges); i++ {
+		a, b := canon.Edges[i-1], canon.Edges[i]
+		if a.From > b.From || (a.From == b.From && a.To > b.To) {
+			t.Errorf("edges not sorted: %+v before %+v", a, b)
+		}
+	}
+	if err := canon.Validate(); err != nil {
+		t.Errorf("canonical graph invalid: %v", err)
+	}
+	// perm must be a bijection applied consistently.
+	for orig, c := range perm {
+		if q.Vertices[orig].Label != canon.Vertices[c].Label {
+			t.Errorf("label mismatch through perm at %d", orig)
+		}
+	}
+}
+
+func TestCanonicalDeterministic(t *testing.T) {
+	q := MustParse("a->b, b->c, c->d, a->d, a->c")
+	want := q.Key()
+	for i := 0; i < 20; i++ {
+		if got := q.Key(); got != want {
+			t.Fatalf("run %d: key %q != %q", i, got, want)
+		}
+	}
+}
+
 func TestIsIsomorphic(t *testing.T) {
-	if !Q12().IsIsomorphic(MustParse("b->c, c->d, d->e, e->f, f->a, a->b")) {
+	if !isIsomorphic(Q12(), MustParse("b->c, c->d, d->e, e->f, f->a, a->b")) {
 		t.Error("6-cycles should be isomorphic")
 	}
-	if Q1().IsIsomorphic(Q2()) {
+	if isIsomorphic(Q1(), Q2()) {
 		t.Error("triangle vs 4-cycle should differ")
 	}
-	if Q11().IsIsomorphic(Q13()) {
+	if isIsomorphic(Q11(), Q13()) {
 		t.Error("different-length paths should differ")
 	}
 }

@@ -1,8 +1,13 @@
 package graphflow
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"graphflow/internal/query"
 )
 
 func TestPreparedCountMatchesAdhoc(t *testing.T) {
@@ -180,6 +185,39 @@ func TestPlanCacheHitsOnRepeatAndIsomorphicSpelling(t *testing.T) {
 	wco := db.PlanCacheStats()
 	if wco.Entries != after.Entries+1 {
 		t.Errorf("WCOOnly should occupy its own cache entry: %+v -> %+v", after, wco)
+	}
+}
+
+// TestCanonicalFormBounded pins the kernel's enumeration bound: a
+// 30-vertex directed cycle (one invariant class, 30! orderings) and a
+// 30-vertex out-star (29! orderings of the leaves) canonicalise at once,
+// the cycle's code still tells it from the 30-vertex path, and Prepare
+// of the cycle returns.
+func TestCanonicalFormBounded(t *testing.T) {
+	const n = query.MaxVertices
+	var cycle, path, star []string
+	for i := 0; i < n; i++ {
+		edge := fmt.Sprintf("v%d->v%d", i, (i+1)%n)
+		cycle = append(cycle, edge)
+		if i < n-1 {
+			path = append(path, edge)
+			star = append(star, fmt.Sprintf("hub->s%d", i))
+		}
+	}
+	codes := map[string]query.Code{}
+	for name, edges := range map[string][]string{"cycle": cycle, "path": path, "star": star} {
+		q := query.MustParse(strings.Join(edges, ", "))
+		start := time.Now()
+		codes[name] = query.Code(q.AppendCanonicalCode(nil, query.AllMask(n), query.NoTarget, nil))
+		if took := time.Since(start); took > 50*time.Millisecond {
+			t.Errorf("canonical code of the %d-vertex %s took %v", n, name, took)
+		}
+	}
+	if codes["cycle"] == codes["path"] {
+		t.Errorf("the %d-cycle and the %d-path share code %s", n, n, codes["cycle"])
+	}
+	if _, err := tinyDB(t).Prepare(strings.Join(cycle, ", ")); err != nil {
+		t.Fatalf("Prepare of the %d-cycle: %v", n, err)
 	}
 }
 
