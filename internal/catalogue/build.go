@@ -1,7 +1,9 @@
 package catalogue
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 
 	"graphflow/internal/graph"
 	"graphflow/internal/query"
@@ -73,18 +75,30 @@ func (b *builder) run() {
 		return true
 	})
 	groups := map[groupKey][]instance{}
+	var keys []groupKey
 	for _, se := range reservoir {
+		if groups[se.key] == nil {
+			keys = append(keys, se.key)
+		}
 		groups[se.key] = append(groups[se.key], instance{se.src, se.dst})
 	}
+	// The queue starts with the largest label group, ties broken by the
+	// labels: a fixed order, so the work budget cuts the same patterns on
+	// every build and the catalogue is a function of (graph, config).
+	slices.SortFunc(keys, func(a, b groupKey) int {
+		return cmp.Or(
+			cmp.Compare(len(groups[b]), len(groups[a])),
+			cmp.Compare(a.el, b.el), cmp.Compare(a.sl, b.sl), cmp.Compare(a.dl, b.dl))
+	})
 	// Breadth-first over pattern sizes: all k-vertex patterns are measured
 	// before any (k+1)-vertex pattern, so a larger H never degrades the
 	// coverage of small patterns when the work budget runs out.
-	for key, instances := range groups {
+	for _, key := range keys {
 		pattern := &query.Graph{
 			Vertices: []query.Vertex{{Label: key.sl}, {Label: key.dl}},
 			Edges:    []query.Edge{{From: 0, To: 1, Label: key.el}},
 		}
-		b.queue = append(b.queue, queued{pattern, instances})
+		b.queue = append(b.queue, queued{pattern, groups[key]})
 	}
 	for len(b.queue) > 0 {
 		next := b.queue[0]

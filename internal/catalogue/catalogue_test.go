@@ -358,19 +358,40 @@ func TestHighLabelsDoNotAliasTheTarget(t *testing.T) {
 }
 
 // TestBuildPinnedOnEpinions pins Build on the unlabelled Epinions graph —
-// one label group, so the sampler is deterministic — to the totals the
-// string-keyed implementation produced. Sums do not depend on the key
-// format, nor on which of several automorphic canonical orderings a key
-// computation settles on (that can only move a list size between two
-// symmetric descriptors of one entry).
+// one label group — to the totals the string-keyed implementation
+// produced.
 func TestBuildPinnedOnEpinions(t *testing.T) {
 	c := Build(datagen.Epinions(1), Config{H: 3, Z: 1000, Seed: 1})
-	const (
-		wantLen     = 572
-		wantSamples = 489957
-		wantMu      = 3899.58356089874
-		wantLists   = 88612.973018806486
-	)
+	checkTotals(t, c, 572, 489957, 3899.58356089874, 88612.973018806486)
+}
+
+// TestBuildPinnedOnLabelledEpinions pins Build on the repository
+// benchmark's cold-plan graph and options: six label groups, which the
+// sampler queues largest first, so the work budget cuts the same
+// patterns on every build. Two builds in one process save the same bytes.
+func TestBuildPinnedOnLabelledEpinions(t *testing.T) {
+	g := datagen.Relabel(datagen.Epinions(2), 2, 3, 11)
+	cfg := Config{H: 3, Z: 1000, Seed: 1}
+	var saved [2]bytes.Buffer
+	for i := range saved {
+		c := Build(g, cfg)
+		checkTotals(t, c, 25047, 6997965, 4224.8358768051839, 1617090.6378220529)
+		if err := c.Save(&saved[i]); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+	}
+	if !bytes.Equal(saved[0].Bytes(), saved[1].Bytes()) {
+		t.Errorf("two builds of one graph and config saved different catalogues (%d and %d bytes)", saved[0].Len(), saved[1].Len())
+	}
+}
+
+// checkTotals compares a catalogue's entry count, Σsamples, Σµ and
+// ΣListSizes with pinned values. Sums do not depend on the key format,
+// nor on which of several automorphic canonical orderings a key
+// computation settles on (that can only move a list size between two
+// symmetric descriptors of one entry).
+func checkTotals(t *testing.T, c *Catalogue, wantLen, wantSamples int, wantMu, wantLists float64) {
+	t.Helper()
 	var mus, lists []float64
 	samples := 0
 	for _, e := range c.Entries {
@@ -379,7 +400,7 @@ func TestBuildPinnedOnEpinions(t *testing.T) {
 		lists = append(lists, e.ListSizes...)
 	}
 	sum := func(xs []float64) float64 {
-		sort.Float64s(xs) // a summation order independent of map iteration
+		sort.Float64s(xs) // a summation order independent of entry order
 		s := 0.0
 		for _, x := range xs {
 			s += x
