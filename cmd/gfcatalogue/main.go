@@ -84,7 +84,7 @@ func main() {
 			mu  float64
 		}
 		var rows []row
-		for k, e := range cat.Entries {
+		for k, e := range cat.All() {
 			rows = append(rows, row{k, e.Mu})
 		}
 		sort.Slice(rows, func(i, j int) bool { return rows[i].mu > rows[j].mu })

@@ -515,6 +515,10 @@ type CatalogueStats struct {
 	DriftEdges   int64
 	// LastBuild is how long the published catalogue took to build.
 	LastBuild time.Duration
+	// Entries is the published catalogue's extension entries and Bytes
+	// what they hold in memory.
+	Entries int
+	Bytes   int64
 }
 
 // CatalogueStats reports the state of the planner statistics.
@@ -526,6 +530,8 @@ func (db *DB) CatalogueStats() CatalogueStats {
 		EdgesAtBuild: st.edges,
 		DriftEdges:   db.drift(st),
 		LastBuild:    st.took,
+		Entries:      st.cat.Len(),
+		Bytes:        st.cat.Bytes(),
 	}
 }
 
@@ -1361,6 +1367,10 @@ func (db *DB) RegisterMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(db.CatalogueStats().Builds) })
 	reg.GaugeFunc("graphflow_catalogue_drift_edges", "Vertices appended and edges added or deleted since the published catalogue was sampled (a refresh is due at a tenth of the edges it was sampled over).",
 		func() float64 { return float64(db.CatalogueStats().DriftEdges) })
+	reg.GaugeFunc("graphflow_catalogue_entries", "Extension entries in the published catalogue.",
+		func() float64 { return float64(db.CatalogueStats().Entries) })
+	reg.GaugeFunc("graphflow_catalogue_bytes", "Bytes the published catalogue's entries hold in memory.",
+		func() float64 { return float64(db.CatalogueStats().Bytes) })
 	reg.RegisterHistogram("graphflow_catalogue_build_seconds", "Catalogue build duration (open, background refresh and RefreshStatistics).",
 		db.buildSeconds)
 

@@ -29,15 +29,22 @@ type builder struct {
 	c        *Catalogue
 	rng      *rand.Rand
 	visited  map[query.Code]bool
-	acc      map[Key]*accum
 	expanded int
 	work     int64
 	queue    []queued
 
-	// Scratch reused across measure and expand calls: the extension under
-	// measurement assembled as one graph, and the bytes of the last key.
-	ext query.Graph
-	key []byte
+	// Scratch reused across measure and expand calls: the extension edges
+	// being measured, the extension assembled as one graph, the bytes of
+	// the last key, the intersector with its operands and results, each
+	// descriptor's summed list size, and the new instances, row after row.
+	edges        []query.Edge
+	ext          query.Graph
+	key          []byte
+	it           graph.Intersector
+	lists        [][]graph.VertexID
+	out, scratch []graph.VertexID
+	listSums     []float64
+	rows         []graph.VertexID
 }
 
 // queued is a pattern awaiting expansion, with its sampled instances.
@@ -46,16 +53,9 @@ type queued struct {
 	instances []instance
 }
 
-type accum struct {
-	listSums []float64
-	muSum    float64
-	samples  int
-}
-
 type instance []graph.VertexID
 
 func (b *builder) run() {
-	b.acc = map[Key]*accum{}
 	// Sample Z edges uniformly (reservoir), grouped by their labels.
 	type groupKey struct{ el, sl, dl graph.Label }
 	type sampledEdge struct {
@@ -136,49 +136,35 @@ func (b *builder) expand(pattern *query.Graph, instances []instance) {
 	// edges between the new vertex and the base vertices. Bit 2*v is
 	// v->target, bit 2*v+1 is target->v.
 	for subset := 1; subset < (1 << uint(2*k)); subset++ {
-		var structEdges []query.Edge
+		b.edges = b.edges[:0]
 		for v := 0; v < k; v++ {
 			if subset&(1<<uint(2*v)) != 0 {
-				structEdges = append(structEdges, query.Edge{From: v, To: target})
+				b.edges = append(b.edges, query.Edge{From: v, To: target})
 			}
 			if subset&(1<<uint(2*v+1)) != 0 {
-				structEdges = append(structEdges, query.Edge{From: target, To: v})
+				b.edges = append(b.edges, query.Edge{From: target, To: v})
 			}
 		}
-		// Label combos: edge labels per extension edge x target label.
-		b.labelCombos(len(structEdges), numEL, numVL, func(elabels []graph.Label, tl graph.Label) {
-			edges := make([]query.Edge, len(structEdges))
-			for i, e := range structEdges {
-				e.Label = elabels[i]
-				edges[i] = e
-			}
-			b.measure(pattern, edges, tl, instances)
-		})
-	}
-}
-
-// labelCombos invokes fn for every assignment of nEdges edge labels and one
-// target vertex label.
-func (b *builder) labelCombos(nEdges, numEL, numVL int, fn func([]graph.Label, graph.Label)) {
-	elabels := make([]graph.Label, nEdges)
-	var rec func(i int)
-	rec = func(i int) {
-		if i == nEdges {
+		// Label combos: every assignment of edge labels, counted like an
+		// odometer whose last edge turns fastest, times every target label.
+		for {
 			for tl := 0; tl < numVL; tl++ {
-				fn(elabels, graph.Label(tl))
+				b.measure(pattern, b.edges, graph.Label(tl), instances)
 			}
-			return
-		}
-		for el := 0; el < numEL; el++ {
-			elabels[i] = graph.Label(el)
-			rec(i + 1)
+			i := len(b.edges) - 1
+			for ; i >= 0 && int(b.edges[i].Label)+1 == numEL; i-- {
+				b.edges[i].Label = 0
+			}
+			if i < 0 {
+				break
+			}
+			b.edges[i].Label++
 		}
 	}
-	rec(0)
 }
 
-// measure runs the extension over the instance sample, records the entry,
-// and recurses into the extended pattern.
+// measure runs the extension over the instance sample, adds it to its
+// entry, and queues the extended pattern.
 func (b *builder) measure(pattern *query.Graph, edges []query.Edge, tl graph.Label, instances []instance) {
 	if b.work > maxWorkUnits {
 		return
@@ -186,22 +172,21 @@ func (b *builder) measure(pattern *query.Graph, edges []query.Edge, tl graph.Lab
 	b.work += int64(len(instances)) * int64(len(edges))
 	target := pattern.NumVertices()
 
-	listSums := make([]float64, len(edges))
+	if cap(b.lists) < len(edges) {
+		b.lists, b.listSums = make([][]graph.VertexID, len(edges)), make([]float64, len(edges))
+	}
+	lists, listSums := b.lists[:len(edges)], b.listSums[:len(edges)]
+	clear(listSums)
 	totalExt := 0
 	anyList := false
-	var newInstances []instance
-	recurse := target+1 <= b.c.Cfg.H
-
-	lists := make([][]graph.VertexID, len(edges))
-	var it graph.Intersector
-	var out, scratch []graph.VertexID
+	width := target + 1
+	b.rows = b.rows[:0]
+	recurse := width <= b.c.Cfg.H
 	for _, inst := range instances {
 		for i, e := range edges {
-			src, dir := e.To, graph.Forward
-			if e.From == target {
-				// target -> e.To: candidates in e.To's backward list.
-				src, dir = e.To, graph.Backward
-			} else {
+			// target -> e.To: candidates in e.To's backward list.
+			src, dir := e.To, graph.Backward
+			if e.To == target {
 				src, dir = e.From, graph.Forward
 			}
 			lists[i] = b.g.Neighbors(inst[src], dir, e.Label, tl, nil)
@@ -210,17 +195,14 @@ func (b *builder) measure(pattern *query.Graph, edges []query.Edge, tl graph.Lab
 				anyList = true
 			}
 		}
-		out, scratch = it.IntersectK(lists, nil, out, scratch)
-		totalExt += len(out)
-		if recurse && len(out) > 0 && len(newInstances) < b.c.Cfg.MaxInstances {
-			for _, w := range out {
-				ni := make(instance, len(inst)+1)
-				copy(ni, inst)
-				ni[len(inst)] = w
-				newInstances = append(newInstances, ni)
-				if len(newInstances) >= b.c.Cfg.MaxInstances {
+		b.out, b.scratch = b.it.IntersectK(lists, nil, b.out, b.scratch)
+		totalExt += len(b.out)
+		if recurse {
+			for _, w := range b.out {
+				if len(b.rows) == b.c.Cfg.MaxInstances*width {
 					break
 				}
+				b.rows = append(append(b.rows, inst...), w)
 			}
 		}
 	}
@@ -237,33 +219,24 @@ func (b *builder) measure(pattern *query.Graph, edges []query.Edge, tl graph.Lab
 	base := query.AllMask(target)
 	var perm [query.MaxVertices]int
 	b.key = extensionKey(b.key[:0], &b.ext, base, target, perm[:])
-	a := b.acc[Key(b.key)]
-	if a == nil {
-		a = &accum{listSums: make([]float64, len(edges))}
-		b.acc[Key(b.key)] = a
+	t := &b.c.entries
+	e := t.add(b.key, len(edges))
+	sums := t.listsOf(e)
+	for i, ed := range edges {
+		sums[descriptorRank(&b.ext, base, target, &perm, ed)] += listSums[i]
 	}
-	for i, e := range edges {
-		a.listSums[descriptorRank(&b.ext, base, target, &perm, e)] += listSums[i]
-	}
-	a.muSum += float64(totalExt)
-	a.samples += len(instances)
+	t.mu[e] += float64(totalExt)
+	t.samples[e] += uint32(len(instances))
 
-	if recurse && len(newInstances) > 0 {
-		// Enqueue rather than recurse: see the breadth-first note in run().
-		b.queue = append(b.queue, queued{b.ext.Clone(), newInstances})
-	}
-}
-
-// finalize converts accumulated sums into averaged entries.
-func (b *builder) finalize() {
-	for key, a := range b.acc {
-		e := &Entry{ListSizes: make([]float64, len(a.listSums)), Samples: a.samples}
-		if a.samples > 0 {
-			for i, s := range a.listSums {
-				e.ListSizes[i] = s / float64(a.samples)
-			}
-			e.Mu = a.muSum / float64(a.samples)
+	if len(b.rows) > 0 {
+		// The new instances are rows of one slab. Enqueue rather than
+		// recurse: see the breadth-first note in run().
+		slab := make([]graph.VertexID, len(b.rows))
+		copy(slab, b.rows)
+		next := make([]instance, len(slab)/width)
+		for i := range next {
+			next[i] = slab[i*width : (i+1)*width : (i+1)*width]
 		}
-		b.c.Entries[key] = e
+		b.queue = append(b.queue, queued{b.ext.Clone(), next})
 	}
 }

@@ -16,7 +16,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"iter"
+	"maps"
+	"math"
 	"math/rand"
+	"slices"
 
 	"graphflow/internal/graph"
 	"graphflow/internal/query"
@@ -57,7 +61,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Entry is one catalogue row: averages over the sampled instances of its
-// key's base subquery.
+// key's base subquery. The catalogue itself stores entries flat
+// (entryTable); an Entry is how one is read out and how it is saved.
 type Entry struct {
 	// ListSizes are the average sizes of the descriptor lists, in canonical
 	// descriptor order.
@@ -79,7 +84,7 @@ type (
 // Catalogue is the complete statistics store for one graph.
 type Catalogue struct {
 	Cfg     Config
-	Entries map[Key]*Entry
+	entries entryTable
 
 	// Exact base statistics, computed in one pass over the graph.
 	NumVertices int
@@ -92,7 +97,6 @@ type Catalogue struct {
 func newCatalogue(cfg Config, numVertices int) *Catalogue {
 	return &Catalogue{
 		Cfg:         cfg,
-		Entries:     map[Key]*Entry{},
 		NumVertices: numVertices,
 		edgeCount:   map[edgeLabels]int64{},
 		fwdTotal:    map[listLabels]int64{},
@@ -154,7 +158,8 @@ func Build(g graph.View, cfg Config) *Catalogue {
 
 	b := &builder{g: g, c: c, rng: rand.New(rand.NewSource(cfg.Seed)), visited: map[query.Code]bool{}}
 	b.run()
-	b.finalize()
+	c.entries.average()
+	c.entries.trim()
 	return c
 }
 
@@ -167,14 +172,14 @@ const fileVersion = 2
 // string shapes: hex for the entry keys, "el/sl/dl", "el/nl" and "vl"
 // for the base statistics.
 type catalogueFile struct {
-	Version     int               `json:"version"`
-	Cfg         Config            `json:"config"`
-	Entries     map[string]*Entry `json:"entries"`
-	NumVertices int               `json:"numVertices"`
-	EdgeCount   map[string]int64  `json:"edgeCount"`
-	FwdTotal    map[string]int64  `json:"fwdTotal"`
-	BwdTotal    map[string]int64  `json:"bwdTotal"`
-	VertexCount map[string]int64  `json:"vertexCount"`
+	Version     int              `json:"version"`
+	Cfg         Config           `json:"config"`
+	Entries     map[string]Entry `json:"entries"`
+	NumVertices int              `json:"numVertices"`
+	EdgeCount   map[string]int64 `json:"edgeCount"`
+	FwdTotal    map[string]int64 `json:"fwdTotal"`
+	BwdTotal    map[string]int64 `json:"bwdTotal"`
+	VertexCount map[string]int64 `json:"vertexCount"`
 }
 
 // Save writes the catalogue as JSON.
@@ -182,15 +187,15 @@ func (c *Catalogue) Save(w io.Writer) error {
 	f := catalogueFile{
 		Version:     fileVersion,
 		Cfg:         c.Cfg,
-		Entries:     make(map[string]*Entry, len(c.Entries)),
+		Entries:     make(map[string]Entry, c.Len()),
 		NumVertices: c.NumVertices,
 		EdgeCount:   make(map[string]int64, len(c.edgeCount)),
 		FwdTotal:    make(map[string]int64, len(c.fwdTotal)),
 		BwdTotal:    make(map[string]int64, len(c.bwdTotal)),
 		VertexCount: make(map[string]int64, len(c.vertexCount)),
 	}
-	for k, e := range c.Entries {
-		f.Entries[hex.EncodeToString([]byte(k))] = e
+	for e := range c.entries.len() {
+		f.Entries[hex.EncodeToString(c.entries.key(e))] = c.entries.entry(e)
 	}
 	for k, n := range c.edgeCount {
 		f.EdgeCount[fmt.Sprintf("%d/%d/%d", k.el, k.sl, k.dl)] = n
@@ -218,13 +223,24 @@ func Load(r io.Reader) (*Catalogue, error) {
 		return nil, fmt.Errorf("catalogue: load: file has format version %d, this build reads version %d: rebuild the catalogue", f.Version, fileVersion)
 	}
 	c := newCatalogue(f.Cfg, f.NumVertices)
-	for k, e := range f.Entries {
+	// Sorted, so the entries are numbered alike on every load.
+	for _, k := range slices.Sorted(maps.Keys(f.Entries)) {
 		raw, err := hex.DecodeString(k)
 		if err != nil {
 			return nil, fmt.Errorf("catalogue: load: entry key %q: %w", k, err)
 		}
-		c.Entries[Key(raw)] = e
+		e := f.Entries[k]
+		if e.Samples < 0 || uint64(e.Samples) > math.MaxUint32 {
+			return nil, fmt.Errorf("catalogue: load: entry %q: %d samples", k, e.Samples)
+		}
+		if i, _ := c.entries.find(raw); i >= 0 {
+			return nil, fmt.Errorf("catalogue: load: entry key %q appears twice", k)
+		}
+		i := c.entries.add(raw, len(e.ListSizes))
+		copy(c.entries.listsOf(i), e.ListSizes)
+		c.entries.mu[i], c.entries.samples[i] = e.Mu, uint32(e.Samples)
 	}
+	c.entries.trim()
 	for k, n := range f.EdgeCount {
 		var key edgeLabels
 		if _, err := fmt.Sscanf(k, "%d/%d/%d", &key.el, &key.sl, &key.dl); err != nil {
@@ -255,7 +271,34 @@ func Load(r io.Reader) (*Catalogue, error) {
 }
 
 // Len returns the number of extension entries.
-func (c *Catalogue) Len() int { return len(c.Entries) }
+func (c *Catalogue) Len() int { return c.entries.len() }
+
+// Bytes returns what the entries hold in memory: the capacities of the
+// flat table's arrays times their element sizes.
+func (c *Catalogue) Bytes() int64 { return c.entries.bytes() }
+
+// Lookup returns the entry keyed k. Its ListSizes alias the catalogue
+// and must not be modified.
+func (c *Catalogue) Lookup(k Key) (Entry, bool) {
+	e, _ := c.entries.find([]byte(k))
+	if e < 0 {
+		return Entry{}, false
+	}
+	return c.entries.entry(e), true
+}
+
+// All yields every entry with its key, in the order Build first measured
+// them (Load: in key order). Each ListSizes aliases the catalogue and
+// must not be modified.
+func (c *Catalogue) All() iter.Seq2[Key, Entry] {
+	return func(yield func(Key, Entry) bool) {
+		for e := range c.entries.len() {
+			if !yield(Key(c.entries.key(e)), c.entries.entry(e)) {
+				return
+			}
+		}
+	}
+}
 
 // Extension describes extending Base by one new query vertex. Edges
 // reference Base's vertex indices plus Base.NumVertices() for the target.

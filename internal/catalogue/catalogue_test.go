@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -216,9 +217,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if c2.NumVertices != c.NumVertices || c2.Cfg != c.Cfg {
 		t.Errorf("base stats lost")
 	}
-	for k, e := range c.Entries {
-		if !reflect.DeepEqual(c2.Entries[k], e) {
-			t.Fatalf("entry %s = %+v after the round trip, was %+v", k, c2.Entries[k], e)
+	for k, e := range c.All() {
+		if e2, ok := c2.Lookup(k); !ok || !reflect.DeepEqual(e2, e) {
+			t.Fatalf("entry %s = %+v (found %v) after the round trip, was %+v", k, e2, ok, e)
 		}
 	}
 	for name, pair := range map[string][2]any{
@@ -348,9 +349,10 @@ func TestHighLabelsDoNotAliasTheTarget(t *testing.T) {
 		b.AddEdge(e[0], e[1], 0)
 	}
 	c := Build(b.MustBuild(), Config{H: 2, Z: 100, Seed: 1})
-	ef, eb := c.Entries[kf], c.Entries[kb]
-	if ef == nil || eb == nil {
-		t.Fatalf("entries missing: forward %v, backward %v", ef, eb)
+	ef, okf := c.Lookup(kf)
+	eb, okb := c.Lookup(kb)
+	if !okf || !okb {
+		t.Fatalf("entries missing: forward %v, backward %v", okf, okb)
 	}
 	if ef.Mu != 1 || eb.Mu != 2 {
 		t.Errorf("µ forward = %v (want 1), backward = %v (want 2): the extensions still share statistics", ef.Mu, eb.Mu)
@@ -385,6 +387,35 @@ func TestBuildPinnedOnLabelledEpinions(t *testing.T) {
 	}
 }
 
+// TestCatalogueBytesPerEntry holds the flat layout to its size: a Build
+// on the cold-plan graph retains at most 100 B per entry, measured as the
+// live heap after it less the live heap before, and Bytes, which counts
+// the table's arrays, agrees with that within 10 %.
+func TestCatalogueBytesPerEntry(t *testing.T) {
+	g := datagen.Relabel(datagen.Epinions(2), 2, 3, 11)
+	live := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := live()
+	c := Build(g, Config{H: 3, Z: 1000, Seed: 1})
+	retained := live() - before
+	perEntry := float64(retained) / float64(c.Len())
+	t.Logf("%d entries: %d B retained (%.1f B/entry), Bytes() = %d (%.1f B/entry)",
+		c.Len(), retained, perEntry, c.Bytes(), float64(c.Bytes())/float64(c.Len()))
+	if perEntry > 100 {
+		t.Errorf("a Build retains %.1f B per entry, want at most 100", perEntry)
+	}
+	if r := float64(c.Bytes()) / float64(retained); r < 0.9 || r > 1.1 {
+		t.Errorf("Bytes() = %d against %d B retained: off by more than 10 %%", c.Bytes(), retained)
+	}
+	runtime.KeepAlive(g) // collected during the second reading, it would offset the catalogue
+	runtime.KeepAlive(c)
+}
+
 // checkTotals compares a catalogue's entry count, Σsamples, Σµ and
 // ΣListSizes with pinned values. Sums do not depend on the key format,
 // nor on which of several automorphic canonical orderings a key
@@ -394,7 +425,7 @@ func checkTotals(t *testing.T, c *Catalogue, wantLen, wantSamples int, wantMu, w
 	t.Helper()
 	var mus, lists []float64
 	samples := 0
-	for _, e := range c.Entries {
+	for _, e := range c.All() {
 		samples += e.Samples
 		mus = append(mus, e.Mu)
 		lists = append(lists, e.ListSizes...)

@@ -47,9 +47,9 @@ func (c *Catalogue) ExtendStats(q *query.Graph, base query.Mask, v int, sizes []
 		// the direct lookup for larger bases also avoids canonicalizing
 		// large graphs (factorial cost).
 		var perm [query.MaxVertices]int
-		if entry := c.lookup(q, base, v, len(sizes), &perm); entry != nil {
-			c.fillSizes(q, base, base, v, &perm, entry, sizes)
-			return entry.Mu, true
+		if e := c.lookup(q, base, v, len(sizes), &perm); e >= 0 {
+			c.fillSizes(q, base, base, v, &perm, c.entries.listsOf(e), sizes)
+			return c.entries.mu[e], true
 		}
 	}
 	// Missing entry: reduce the base by removing vertex subsets until a
@@ -75,23 +75,22 @@ const minEntrySamples = 5
 // present, so lookups up to H = 4 build their key on the stack.
 const keyStackBytes = 1 + 2*5 + 4*20
 
-// lookup returns the trusted entry for extending the projection of q
-// onto keep by v through descs descriptors, or nil, and leaves the
-// canonical renumbering in perm for fillSizes.
-func (c *Catalogue) lookup(q *query.Graph, keep query.Mask, v, descs int, perm *[query.MaxVertices]int) *Entry {
+// lookup returns the number of the trusted entry for extending the
+// projection of q onto keep by v through descs descriptors, or -1, and
+// leaves the canonical renumbering in perm for fillSizes.
+func (c *Catalogue) lookup(q *query.Graph, keep query.Mask, v, descs int, perm *[query.MaxVertices]int) int {
 	var buf [keyStackBytes]byte
 	key := extensionKey(buf[:0], q, keep, v, perm[:])
-	e, ok := c.Entries[Key(key)] //gf:allowalloc a map index by a converted byte slice is looked up in place, not copied
-	if ok && len(e.ListSizes) == descs && e.Samples >= minEntrySamples {
+	if e, _ := c.entries.find(key); e >= 0 && len(c.entries.listsOf(e)) == descs && c.entries.samples[e] >= minEntrySamples {
 		return e
 	}
-	return nil
+	return -1
 }
 
 // fillSizes writes the list size of every descriptor of extending base
-// by v into sizes: entry's, for a descriptor anchored in keep (entry
-// and perm come from lookup on keep), the graph-wide default otherwise.
-func (c *Catalogue) fillSizes(q *query.Graph, base, keep query.Mask, v int, perm *[query.MaxVertices]int, entry *Entry, sizes []float64) {
+// by v into sizes: the entry's (lists, with perm, from lookup on keep)
+// for a descriptor anchored in keep, the graph-wide default otherwise.
+func (c *Catalogue) fillSizes(q *query.Graph, base, keep query.Mask, v int, perm *[query.MaxVertices]int, lists, sizes []float64) {
 	i := 0
 	for _, e := range q.Edges {
 		anchor, dir, ok := descriptorOf(e, base, v)
@@ -99,7 +98,7 @@ func (c *Catalogue) fillSizes(q *query.Graph, base, keep query.Mask, v int, perm
 			continue
 		}
 		if keep&query.Bit(anchor) != 0 {
-			sizes[i] = entry.ListSizes[descriptorRank(q, keep, v, perm, e)]
+			sizes[i] = lists[descriptorRank(q, keep, v, perm, e)]
 		} else {
 			sizes[i] = c.DefaultListSize(dir, e.Label, q.Vertices[v].Label)
 		}
@@ -139,9 +138,9 @@ func (c *Catalogue) reducedStats(q *query.Graph, base query.Mask, v, removeCount
 			// Descriptors anchored on surviving vertices stay.
 			if kept := q.NumEdgesBetween(keep, v); kept > 0 {
 				var perm [query.MaxVertices]int
-				if entry := c.lookup(q, keep, v, kept, &perm); entry != nil && entry.Mu < bestMu {
-					bestMu = entry.Mu
-					c.fillSizes(q, base, keep, v, &perm, entry, sizes)
+				if e := c.lookup(q, keep, v, kept, &perm); e >= 0 && c.entries.mu[e] < bestMu {
+					bestMu = c.entries.mu[e]
+					c.fillSizes(q, base, keep, v, &perm, c.entries.listsOf(e), sizes)
 					found = true
 				}
 			}

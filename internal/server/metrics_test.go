@@ -338,6 +338,8 @@ func TestCatalogueMetricsIngestOnly(t *testing.T) {
 			EdgesAtBuild int     `json:"edges_at_build"`
 			DriftEdges   int64   `json:"drift_edges"`
 			LastBuildMS  float64 `json:"last_build_ms"`
+			Entries      int     `json:"entries"`
+			Bytes        int64   `json:"bytes"`
 		} `json:"catalogue"`
 	}
 	stats := func() (st catalogueStats) {
@@ -374,6 +376,12 @@ func TestCatalogueMetricsIngestOnly(t *testing.T) {
 	m = scrape()
 	if m["graphflow_catalogue_builds_total"] != 2 || m["graphflow_catalogue_generation"] != 1 || m["graphflow_catalogue_drift_edges"] != 0 {
 		t.Fatalf("/metrics after the refresh: %v", m)
+	}
+	// The refreshed catalogue has entries; /stats and /metrics report the
+	// same size.
+	if st := stats().Catalogue; st.Entries == 0 || st.Bytes <= int64(st.Entries) ||
+		m["graphflow_catalogue_entries"] != float64(st.Entries) || m["graphflow_catalogue_bytes"] != float64(st.Bytes) {
+		t.Fatalf("catalogue size: /stats %d entries, %d bytes; /metrics %v", st.Entries, st.Bytes, m)
 	}
 	if body := do(t, s, http.MethodGet, "/metrics", nil).Body.String(); !strings.Contains(body, "graphflow_catalogue_build_seconds_count 2") {
 		t.Fatal("build-duration histogram does not hold both builds")

@@ -1212,14 +1212,16 @@ type statsResponse struct {
 	} `json:"plan_cache"`
 	// Catalogue reports the planner statistics: the published generation,
 	// how far the graph has drifted from the one it was sampled on (a
-	// background refresh is due at a tenth of edges_at_build), and what
-	// the published catalogue cost to build.
+	// background refresh is due at a tenth of edges_at_build), what the
+	// published catalogue cost to build, and its entries and their bytes.
 	Catalogue struct {
 		Generation   uint64  `json:"generation"`
 		Builds       int64   `json:"builds"`
 		EdgesAtBuild int     `json:"edges_at_build"`
 		DriftEdges   int64   `json:"drift_edges"`
 		LastBuildMS  float64 `json:"last_build_ms"`
+		Entries      int     `json:"entries"`
+		Bytes        int64   `json:"bytes"`
 	} `json:"catalogue"`
 	Prepared int `json:"prepared_statements"`
 	Requests struct {
@@ -1284,6 +1286,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Catalogue.EdgesAtBuild = cs.EdgesAtBuild
 	resp.Catalogue.DriftEdges = cs.DriftEdges
 	resp.Catalogue.LastBuildMS = float64(cs.LastBuild) / float64(time.Millisecond)
+	resp.Catalogue.Entries = cs.Entries
+	resp.Catalogue.Bytes = cs.Bytes
 	s.mu.RLock()
 	resp.Prepared = len(s.prepared)
 	s.mu.RUnlock()
