@@ -461,6 +461,22 @@ func TestLoadRefusesOtherVersions(t *testing.T) {
 	}
 }
 
+// TestLoadRefusesMalformedEntries: a key spelled twice (hex is read in
+// either case) and a sample count the table cannot hold are refused, not
+// merged or truncated.
+func TestLoadRefusesMalformedEntries(t *testing.T) {
+	for name, tc := range map[string]struct{ entries, want string }{
+		"key twice":            {`"0a01":{"lists":[1],"mu":1,"samples":9},"0A01":{"lists":[2],"mu":2,"samples":9}`, "appears twice"},
+		"negative samples":     {`"0a01":{"lists":[1],"mu":1,"samples":-1}`, "samples"},
+		"samples past 32 bits": {`"0a01":{"lists":[1],"mu":1,"samples":4294967296}`, "samples"},
+	} {
+		file := `{"version":2,"config":{"H":3},"entries":{` + tc.entries + `},"numVertices":1}`
+		if _, err := Load(strings.NewReader(file)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", name, err, tc.want)
+		}
+	}
+}
+
 // TestZeroAllocs is the dynamic backstop of ExtendStats' //gf:noalloc
 // contract — the planner's only call into the catalogue per (subquery,
 // vertex): key computed on the stack, entry found by it, list sizes
