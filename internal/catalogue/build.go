@@ -183,6 +183,7 @@ func (b *builder) measure(pattern *query.Graph, edges []query.Edge, tl graph.Lab
 	b.rows = b.rows[:0]
 	recurse := width <= b.c.Cfg.H
 	for _, inst := range instances {
+		empty := false
 		for i, e := range edges {
 			// target -> e.To: candidates in e.To's backward list.
 			src, dir := e.To, graph.Backward
@@ -193,7 +194,14 @@ func (b *builder) measure(pattern *query.Graph, edges []query.Edge, tl graph.Lab
 			listSums[i] += float64(len(lists[i]))
 			if len(lists[i]) > 0 {
 				anyList = true
+			} else {
+				empty = true
 			}
+		}
+		if empty {
+			// An empty operand empties the intersection: no extensions and
+			// no rows. Every list still counts towards listSums above.
+			continue
 		}
 		b.out, b.scratch = b.it.IntersectK(lists, nil, b.out, b.scratch)
 		totalExt += len(b.out)
