@@ -12,7 +12,9 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"runtime"
 	"sort"
+	"time"
 
 	"graphflow/internal/catalogue"
 	"graphflow/internal/datagen"
@@ -50,6 +52,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		fmt.Printf("catalogue: %d extension entries, %d vertices indexed\n", cat.Len(), cat.NumVertices)
 	default:
 		var g *graph.Graph
 		switch {
@@ -74,10 +77,12 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Printf("building catalogue (h=%d z=%d) for %v...\n", *h, *z, g)
+		t0 := time.Now()
 		cat = catalogue.Build(g, catalogue.Config{H: *h, Z: *z})
+		// Build measures on GOMAXPROCS workers.
+		fmt.Printf("catalogue: %d extension entries in %.2f s on %d workers, %d vertices indexed\n",
+			cat.Len(), time.Since(t0).Seconds(), runtime.GOMAXPROCS(0), cat.NumVertices)
 	}
-
-	fmt.Printf("catalogue: %d extension entries, %d vertices indexed\n", cat.Len(), cat.NumVertices)
 	if *inspect {
 		type row struct {
 			key catalogue.Key

@@ -4,26 +4,54 @@ import (
 	"cmp"
 	"math/rand"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"graphflow/internal/graph"
 	"graphflow/internal/query"
 )
 
 // maxPatternsExpanded bounds the number of distinct labelled patterns the
-// sampler expands, and maxWorkUnits bounds total instance measurements,
-// for heavily labelled graphs whose pattern space explodes (the paper's
-// Table 11 reports 11.9M entries at h=4; we bound construction time
-// rather than memory — entries sampled before the budget runs out are
-// unaffected).
+// sampler expands, and maxWorkUnits bounds the descriptor-list lookups of
+// all measurements together — instances times descriptors, 30.0 M on the
+// cold-plan graph — for heavily labelled graphs whose pattern space
+// explodes (the paper's Table 11 reports 11.9M entries at h=4; we bound
+// construction time rather than memory — entries sampled before the
+// budget runs out are unaffected).
 const (
 	maxPatternsExpanded = 50000
 	maxWorkUnits        = 30_000_000
 )
 
-// builder drives the sampling construction of Section 5.1: a DFS over
-// labelled patterns, carrying the sampled instances of each pattern, and
-// measuring every one-vertex extension of every pattern with at most H
-// vertices.
+// batchJobs is how many measurements the driver plans before the workers
+// run them: enough that the last job of a batch is a small share of it,
+// few enough that the result slots stay small beside the queue's
+// instances.
+const batchJobs = 4096
+
+// builder drives the sampling construction of Section 5.1: a
+// breadth-first walk over labelled patterns, carrying the sampled
+// instances of each pattern, and measuring every one-vertex extension of
+// every pattern with at most H vertices.
+//
+// The measurements run on every worker, and the catalogue is the same on
+// any number of them, because the walk is split three ways:
+//
+//   - Plan, on the calling goroutine. expand pops the queue in FIFO order
+//     and decides everything about what is measured: the reservoir draw,
+//     every shuffle, visited, the pattern and work budgets. Each admitted
+//     measurement becomes a job.
+//   - Measure, on the workers. A job's list sums, extension count, key and
+//     new instances go into the job's own slot.
+//   - Merge, on the calling goroutine, in job order: the sums into the
+//     entry table, so every float addition happens in the sequential
+//     order and entries are numbered alike, and the extended patterns onto
+//     the queue.
+//
+// A measurement changes nothing that planning reads, and its pattern
+// joins the queue behind every pattern already there, so the driver may
+// plan ahead of the merges: it runs a batch when batchJobs are planned or
+// the queue is empty.
 type builder struct {
 	g        graph.View
 	c        *Catalogue
@@ -31,20 +59,19 @@ type builder struct {
 	visited  map[query.Code]bool
 	expanded int
 	work     int64
+	budget   int64 // no job is admitted once work passes it: maxWorkUnits, lower in tests
 	queue    []queued
 
-	// Scratch reused across measure and expand calls: the extension edges
-	// being measured, the extension assembled as one graph, the bytes of
-	// the last key, the intersector with its operands and results, each
-	// descriptor's summed list size, and the new instances, row after row.
-	edges        []query.Edge
-	ext          query.Graph
-	key          []byte
-	it           graph.Intersector
-	lists        [][]graph.VertexID
-	out, scratch []graph.VertexID
-	listSums     []float64
-	rows         []graph.VertexID
+	// The planned batch: its jobs, their extension edges back to back and,
+	// aligned with those, their summed list sizes. Then the extension
+	// edges being enumerated, the bytes of the last pattern code, and one
+	// measurer per worker.
+	jobs    []job
+	edges   []query.Edge
+	sums    []float64
+	cur     []query.Edge
+	key     []byte
+	workers []measurer
 }
 
 // queued is a pattern awaiting expansion, with its sampled instances.
@@ -55,7 +82,58 @@ type queued struct {
 
 type instance []graph.VertexID
 
-func (b *builder) run() {
+// job is one admitted measurement — pattern extended by a vertex labelled
+// tl through edges[lo:hi] of the batch, over instances — and its result,
+// whose summed list sizes, in the entry's descriptor order, are
+// sums[lo:hi]. found reports whether any instance had a non-empty
+// descriptor list; without one the other results are stale.
+type job struct {
+	pattern   *query.Graph
+	instances []instance
+	lo, hi    int
+	tl        graph.Label
+
+	found bool
+	key   []byte // the entry's canonical code, in its measurer's keys
+	ext   int    // extensions over all instances
+	next  queued // the extended pattern and its new instances, if any
+}
+
+// measurer is one worker's scratch, reused across its jobs: the
+// intersector with its operands and results, each descriptor's summed
+// list size, the new instances row after row, the extension assembled as
+// one graph, and the keys of the batch's jobs it ran, back to back.
+type measurer struct {
+	it           graph.Intersector
+	lists        [][]graph.VertexID
+	out, scratch []graph.VertexID
+	listSums     []float64
+	rows         []graph.VertexID
+	ext          query.Graph
+	keys         []byte
+}
+
+// build is Build measuring on the given number of workers; the catalogue
+// comes out byte-identical on any number.
+func build(g graph.View, cfg Config, workers int) *Catalogue {
+	return newBuilder(g, cfg, workers).run()
+}
+
+func newBuilder(g graph.View, cfg Config, workers int) *builder {
+	cfg = cfg.withDefaults()
+	return &builder{
+		g:       g,
+		c:       newCatalogue(cfg, g.NumVertices()),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		visited: map[query.Code]bool{},
+		budget:  maxWorkUnits,
+		workers: make([]measurer, max(1, workers)),
+	}
+}
+
+func (b *builder) run() *Catalogue {
+	b.c.scanBaseStatistics(b.g)
+
 	// Sample Z edges uniformly (reservoir), grouped by their labels.
 	type groupKey struct{ el, sl, dl graph.Label }
 	type sampledEdge struct {
@@ -100,19 +178,26 @@ func (b *builder) run() {
 		}
 		b.queue = append(b.queue, queued{pattern, groups[key]})
 	}
-	for len(b.queue) > 0 {
+	for len(b.queue) > 0 || len(b.jobs) > 0 {
+		if len(b.queue) == 0 {
+			b.flush()
+			continue
+		}
 		next := b.queue[0]
 		b.queue = b.queue[1:]
 		b.expand(next.pattern, next.instances)
 	}
+	b.c.entries.average()
+	b.c.entries.trim()
+	return b.c
 }
 
-// expand measures every one-vertex extension of pattern over its sampled
-// instances, recording entries, and recurses into extended patterns while
-// they remain extensible (size+1 <= H).
+// expand plans the measurement of every one-vertex extension of pattern
+// over its sampled instances; extended patterns are queued by the merge
+// while they remain extensible (size+1 <= H).
 func (b *builder) expand(pattern *query.Graph, instances []instance) {
 	k := pattern.NumVertices()
-	if k > b.c.Cfg.H || len(instances) == 0 || b.work > maxWorkUnits {
+	if k > b.c.Cfg.H || len(instances) == 0 || b.work > b.budget {
 		return
 	}
 	b.key = pattern.AppendCanonicalCode(b.key[:0], query.AllMask(k), query.NoTarget, nil)
@@ -136,51 +221,108 @@ func (b *builder) expand(pattern *query.Graph, instances []instance) {
 	// edges between the new vertex and the base vertices. Bit 2*v is
 	// v->target, bit 2*v+1 is target->v.
 	for subset := 1; subset < (1 << uint(2*k)); subset++ {
-		b.edges = b.edges[:0]
+		b.cur = b.cur[:0]
 		for v := 0; v < k; v++ {
 			if subset&(1<<uint(2*v)) != 0 {
-				b.edges = append(b.edges, query.Edge{From: v, To: target})
+				b.cur = append(b.cur, query.Edge{From: v, To: target})
 			}
 			if subset&(1<<uint(2*v+1)) != 0 {
-				b.edges = append(b.edges, query.Edge{From: target, To: v})
+				b.cur = append(b.cur, query.Edge{From: target, To: v})
 			}
 		}
 		// Label combos: every assignment of edge labels, counted like an
 		// odometer whose last edge turns fastest, times every target label.
 		for {
 			for tl := 0; tl < numVL; tl++ {
-				b.measure(pattern, b.edges, graph.Label(tl), instances)
+				b.admit(pattern, b.cur, graph.Label(tl), instances)
 			}
-			i := len(b.edges) - 1
-			for ; i >= 0 && int(b.edges[i].Label)+1 == numEL; i-- {
-				b.edges[i].Label = 0
+			i := len(b.cur) - 1
+			for ; i >= 0 && int(b.cur[i].Label)+1 == numEL; i-- {
+				b.cur[i].Label = 0
 			}
 			if i < 0 {
 				break
 			}
-			b.edges[i].Label++
+			b.cur[i].Label++
 		}
 	}
 }
 
-// measure runs the extension over the instance sample, adds it to its
-// entry, and queues the extended pattern.
-func (b *builder) measure(pattern *query.Graph, edges []query.Edge, tl graph.Label, instances []instance) {
-	if b.work > maxWorkUnits {
+// admit charges the measurement of one extension to the work budget and
+// plans it as a job, running the batch once it is full.
+func (b *builder) admit(pattern *query.Graph, edges []query.Edge, tl graph.Label, instances []instance) {
+	if b.work > b.budget {
 		return
 	}
 	b.work += int64(len(instances)) * int64(len(edges))
+	lo := len(b.edges)
+	b.edges = append(b.edges, edges...)
+	b.jobs = append(b.jobs, job{pattern: pattern, instances: instances, lo: lo, hi: len(b.edges), tl: tl})
+	if len(b.jobs) == batchJobs {
+		b.flush()
+	}
+}
+
+// flush measures the planned jobs on the workers, the calling goroutine
+// being one of them, and merges the results in job order.
+func (b *builder) flush() {
+	jobs := b.jobs
+	b.sums = slices.Grow(b.sums[:0], len(b.edges))[:len(b.edges)]
+	var next atomic.Int64
+	drain := func(m *measurer) {
+		m.keys = m.keys[:0]
+		for i := int(next.Add(1) - 1); i < len(jobs); i = int(next.Add(1) - 1) {
+			m.measure(b, &jobs[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < min(len(b.workers), len(jobs)); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drain(&b.workers[i])
+		}()
+	}
+	drain(&b.workers[0])
+	wg.Wait()
+
+	t := &b.c.entries
+	for i := range jobs {
+		j := &jobs[i]
+		if !j.found {
+			continue
+		}
+		e := t.add(j.key, j.hi-j.lo)
+		sums := t.listsOf(e)
+		for r, s := range b.sums[j.lo:j.hi] {
+			sums[r] += s
+		}
+		t.mu[e] += float64(j.ext)
+		t.samples[e] += uint32(len(j.instances))
+		if j.next.pattern != nil {
+			b.queue = append(b.queue, j.next)
+		}
+	}
+	// Cleared, the slots hold no instances the queue has let go of.
+	clear(jobs)
+	b.jobs, b.edges = jobs[:0], b.edges[:0]
+}
+
+// measure runs a job's extension over its instance sample, writing the
+// result into the job.
+func (m *measurer) measure(b *builder, j *job) {
+	pattern, edges, tl, instances := j.pattern, b.edges[j.lo:j.hi], j.tl, j.instances
 	target := pattern.NumVertices()
 
-	if cap(b.lists) < len(edges) {
-		b.lists, b.listSums = make([][]graph.VertexID, len(edges)), make([]float64, len(edges))
+	if cap(m.lists) < len(edges) {
+		m.lists, m.listSums = make([][]graph.VertexID, len(edges)), make([]float64, len(edges))
 	}
-	lists, listSums := b.lists[:len(edges)], b.listSums[:len(edges)]
+	lists, listSums := m.lists[:len(edges)], m.listSums[:len(edges)]
 	clear(listSums)
 	totalExt := 0
 	anyList := false
 	width := target + 1
-	b.rows = b.rows[:0]
+	m.rows = m.rows[:0]
 	recurse := width <= b.c.Cfg.H
 	for _, inst := range instances {
 		empty := false
@@ -203,17 +345,18 @@ func (b *builder) measure(pattern *query.Graph, edges []query.Edge, tl graph.Lab
 			// no rows. Every list still counts towards listSums above.
 			continue
 		}
-		b.out, b.scratch = b.it.IntersectK(lists, nil, b.out, b.scratch)
-		totalExt += len(b.out)
+		m.out, m.scratch = m.it.IntersectK(lists, nil, m.out, m.scratch)
+		totalExt += len(m.out)
 		if recurse {
-			for _, w := range b.out {
-				if len(b.rows) == b.c.Cfg.MaxInstances*width {
+			for _, w := range m.out {
+				if len(m.rows) == b.c.Cfg.MaxInstances*width {
 					break
 				}
-				b.rows = append(append(b.rows, inst...), w)
+				m.rows = append(append(m.rows, inst...), w)
 			}
 		}
 	}
+	j.found = anyList
 	if !anyList {
 		// Combination absent from the data: leave the entry missing so the
 		// estimator falls back to defaults, rather than flooding the
@@ -222,29 +365,30 @@ func (b *builder) measure(pattern *query.Graph, edges []query.Edge, tl graph.Lab
 	}
 	// The extension as one graph: pattern, the target as its last vertex,
 	// the extension edges after pattern's own.
-	b.ext.Vertices = append(append(b.ext.Vertices[:0], pattern.Vertices...), query.Vertex{Label: tl})
-	b.ext.Edges = append(append(b.ext.Edges[:0], pattern.Edges...), edges...)
+	m.ext.Vertices = append(append(m.ext.Vertices[:0], pattern.Vertices...), query.Vertex{Label: tl})
+	m.ext.Edges = append(append(m.ext.Edges[:0], pattern.Edges...), edges...)
 	base := query.AllMask(target)
 	var perm [query.MaxVertices]int
-	b.key = extensionKey(b.key[:0], &b.ext, base, target, perm[:])
-	t := &b.c.entries
-	e := t.add(b.key, len(edges))
-	sums := t.listsOf(e)
+	at := len(m.keys)
+	m.keys = extensionKey(m.keys, &m.ext, base, target, perm[:])
+	// The slice stays valid when keys grows: append copies, never
+	// rewrites, the array it leaves.
+	j.key = m.keys[at:]
+	sums := b.sums[j.lo:j.hi]
 	for i, ed := range edges {
-		sums[descriptorRank(&b.ext, base, target, &perm, ed)] += listSums[i]
+		sums[descriptorRank(&m.ext, base, target, &perm, ed)] = listSums[i]
 	}
-	t.mu[e] += float64(totalExt)
-	t.samples[e] += uint32(len(instances))
+	j.ext = totalExt
 
-	if len(b.rows) > 0 {
-		// The new instances are rows of one slab. Enqueue rather than
-		// recurse: see the breadth-first note in run().
-		slab := make([]graph.VertexID, len(b.rows))
-		copy(slab, b.rows)
+	if len(m.rows) > 0 {
+		// The new instances are rows of one slab. The merge queues them
+		// rather than recursing: see the breadth-first note in run().
+		slab := make([]graph.VertexID, len(m.rows))
+		copy(slab, m.rows)
 		next := make([]instance, len(slab)/width)
 		for i := range next {
 			next[i] = slab[i*width : (i+1)*width : (i+1)*width]
 		}
-		b.queue = append(b.queue, queued{b.ext.Clone(), next})
+		j.next = queued{m.ext.Clone(), next}
 	}
 }

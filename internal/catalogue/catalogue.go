@@ -19,7 +19,7 @@ import (
 	"iter"
 	"maps"
 	"math"
-	"math/rand"
+	"runtime"
 	"slices"
 
 	"graphflow/internal/graph"
@@ -150,17 +150,11 @@ func (c *Catalogue) DefaultListSize(dir graph.Direction, el, nl graph.Label) flo
 }
 
 // Build constructs the catalogue for g — any graph View, so a live
-// snapshot is sampled without materialising a CSR.
+// snapshot is sampled without materialising a CSR. Its measurements run
+// on runtime.GOMAXPROCS(0) workers; the catalogue is the same on any
+// number of them.
 func Build(g graph.View, cfg Config) *Catalogue {
-	cfg = cfg.withDefaults()
-	c := newCatalogue(cfg, g.NumVertices())
-	c.scanBaseStatistics(g)
-
-	b := &builder{g: g, c: c, rng: rand.New(rand.NewSource(cfg.Seed)), visited: map[query.Code]bool{}}
-	b.run()
-	c.entries.average()
-	c.entries.trim()
-	return c
+	return build(g, cfg, runtime.GOMAXPROCS(0))
 }
 
 // fileVersion is the version of the JSON form. Version 2 writes entry

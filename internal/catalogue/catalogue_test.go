@@ -5,14 +5,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"graphflow/internal/datagen"
 	"graphflow/internal/graph"
+	"graphflow/internal/live"
 	"graphflow/internal/query"
 )
 
@@ -384,6 +388,138 @@ func TestBuildPinnedOnLabelledEpinions(t *testing.T) {
 	}
 	if !bytes.Equal(saved[0].Bytes(), saved[1].Bytes()) {
 		t.Errorf("two builds of one graph and config saved different catalogues (%d and %d bytes)", saved[0].Len(), saved[1].Len())
+	}
+}
+
+// TestBuildSameOnEveryWorkerCount: Build measures on every core, and the
+// catalogue comes out the same on any number of workers — the same saved
+// bytes and the same entry order as on one. The inputs cover the
+// cold-plan pin, an unlabelled graph, a live snapshot read through its
+// overlay, new instances carried across two levels (H 4), and a work
+// budget that runs out in the middle of a level. No worker outlives its
+// Build.
+func TestBuildSameOnEveryWorkerCount(t *testing.T) {
+	coldPlan := datagen.Relabel(datagen.Epinions(2), 2, 3, 11)
+	cases := []struct {
+		name   string
+		g      graph.View
+		cfg    Config
+		budget int64 // 0 keeps maxWorkUnits
+		check  func(*testing.T, *Catalogue)
+		short  []int // the worker counts under -short, if not all
+	}{
+		{"cold-plan", coldPlan, Config{H: 3, Z: 1000, Seed: 1}, 0, func(t *testing.T, c *Catalogue) {
+			checkTotals(t, c, 25047, 6997965, 4224.8358768051839, 1617090.6378220529)
+		}, []int{8}},
+		{"unlabelled", datagen.Epinions(1), Config{H: 3, Z: 1000, Seed: 1}, 0, func(t *testing.T, c *Catalogue) {
+			checkTotals(t, c, 572, 489957, 3899.58356089874, 88612.973018806486)
+		}, []int{1, 8}},
+		// The budget keeps the number of entries, and so the time Save
+		// takes, near cold-plan's.
+		{"live snapshot", overlaidSnapshot(t), Config{H: 3, Z: 200, MaxInstances: 50, Seed: 2}, 1_000_000, nil, nil},
+		// Label groups past MaxInstances, so the driver shuffles them.
+		{"H 2", datagen.Relabel(datagen.Epinions(1), 2, 2, 5), Config{H: 2, Z: 300, MaxInstances: 20, Seed: 3}, 0, func(t *testing.T, c *Catalogue) {
+			checkTotals(t, c, 1280, 25600, 1207.4500000000005, 25932.150000000085)
+		}, nil},
+		{"H 4", datagen.Epinions(1), Config{H: 4, Z: 40, MaxInstances: 10, Seed: 3}, 300_000, func(t *testing.T, c *Catalogue) {
+			for k := range c.All() {
+				if k[0]&0x7f == 5 { // the code's vertex count: a 4-vertex base and its target
+					return
+				}
+			}
+			t.Error("no entry extends a 4-vertex pattern")
+		}, nil},
+		{"budget runs out mid-level", coldPlan, Config{H: 3, Z: 1000, Seed: 1}, 200_000, nil, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []byte
+			var wantOrder []Key
+			workers := []int{1, 2, 3, 8}
+			if testing.Short() && tc.short != nil {
+				workers = tc.short
+			}
+			for _, w := range workers {
+				before := runtime.NumGoroutine()
+				b := newBuilder(tc.g, tc.cfg, w)
+				if tc.budget > 0 {
+					b.budget = tc.budget
+				}
+				c := b.run()
+				if tc.budget > 0 && b.work <= b.budget {
+					t.Fatalf("%d workers: work %d never passed the budget %d", w, b.work, b.budget)
+				}
+				waitGoroutines(t, before)
+				if tc.check != nil {
+					tc.check(t, c)
+				}
+				var saved bytes.Buffer
+				if err := c.Save(&saved); err != nil {
+					t.Fatalf("Save: %v", err)
+				}
+				var order []Key
+				for k := range c.All() {
+					order = append(order, k)
+				}
+				if want == nil {
+					want, wantOrder = saved.Bytes(), order
+					continue
+				}
+				if !bytes.Equal(saved.Bytes(), want) {
+					t.Errorf("%d workers saved %d bytes that differ from one worker's %d", w, saved.Len(), len(want))
+				}
+				if !slices.Equal(order, wantOrder) {
+					t.Errorf("%d workers numbered the %d entries otherwise than one worker", w, len(order))
+				}
+			}
+		})
+	}
+}
+
+// overlaidSnapshot is a labelled live snapshot whose overlay appends
+// vertices, adds edges and deletes some of the base's, so Build reads
+// through the overlay rather than a CSR.
+func overlaidSnapshot(t *testing.T) graph.View {
+	t.Helper()
+	base := datagen.Relabel(datagen.Epinions(1), 2, 3, 7)
+	db, err := live.Open(base, live.Config{CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch live.Batch
+	base.Edges(func(src, dst graph.VertexID, el graph.Label) bool {
+		if src%5 == 0 {
+			batch.DeleteEdges = append(batch.DeleteEdges, live.EdgeOp{Src: src, Dst: dst, Label: el})
+		}
+		return true
+	})
+	n := base.NumVertices()
+	for i := range 100 {
+		batch.AddVertices = append(batch.AddVertices, graph.Label(i%2))
+	}
+	rng := rand.New(rand.NewSource(9))
+	for range 3000 {
+		src, dst := graph.VertexID(rng.Intn(n+100)), graph.VertexID(rng.Intn(n+100))
+		batch.AddEdges = append(batch.AddEdges, live.EdgeOp{Src: src, Dst: dst, Label: graph.Label(rng.Intn(3))})
+	}
+	res, err := db.Apply(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.AddedEdges == 0 || res.DeletedEdges == 0 {
+		t.Fatalf("overlay added %d and deleted %d edges, want both", res.AddedEdges, res.DeletedEdges)
+	}
+	return db.Snapshot()
+}
+
+// waitGoroutines fails t unless the goroutine count is back to want
+// within a second: a worker may still be returning when Build does.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Build, %d before", runtime.NumGoroutine(), want)
+		}
 	}
 }
 
