@@ -86,7 +86,8 @@ type instance []graph.VertexID
 // tl through edges[lo:hi] of the batch, over instances — and its result,
 // whose summed list sizes, in the entry's descriptor order, are
 // sums[lo:hi]. found reports whether any instance had a non-empty
-// descriptor list; without one the other results are stale.
+// descriptor list; without one the job adds no entry and the other
+// results are unset.
 type job struct {
 	pattern   *query.Graph
 	instances []instance

@@ -509,7 +509,12 @@ func overlaidSnapshot(t *testing.T) graph.View {
 	if res.AddedEdges == 0 || res.DeletedEdges == 0 {
 		t.Fatalf("overlay added %d and deleted %d edges, want both", res.AddedEdges, res.DeletedEdges)
 	}
-	return db.Snapshot()
+	// A closed store's last snapshot stays readable.
+	snap := db.Snapshot()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 // waitGoroutines fails t unless the goroutine count is back to want
