@@ -249,21 +249,31 @@ func carriedStageSweeps(g *graph.Graph, batch int) (runs, sweeps int64) {
 	return sweepRule(key, shared, partner, batch)
 }
 
-// FuzzExtendRuns drives the vectorized E/I stage with fuzzer-chosen input:
-// a small graph with two vertex and two edge labels, one E/I operator of
-// one to three descriptors over a two-column input (labels exact or
-// wildcard, either direction) and, optionally, an operator above it that
-// inherits its extension set, then rows with adversarial run structure —
-// a row repeats its predecessor, keeps one column of it, or starts over —
-// fed in input batches of a fuzzed size into stages with a fuzzed output
-// batch size. The rows that come out, in order, and the hit and
-// intermediate counts must be those of extendState.push fed the same rows
-// one at a time; the i-cost too when nothing is carried; and every
-// counter must equal the same stages' forced down the per-row path.
+// FuzzExtendRuns drives the vectorized E/I and hash-probe stages with
+// fuzzer-chosen input: a small graph with two vertex and two edge labels,
+// one E/I operator of one to three descriptors over a two-column input
+// (labels exact or wildcard, either direction) and, optionally, an
+// operator above it that inherits its extension set — or, as the other
+// operator shape, a hash probe of a fuzzed build table (key of one or two
+// vertices, one to three appended columns) with, optionally, a
+// one-descriptor E/I operator above it — then rows with adversarial run
+// structure — a row repeats its predecessor, keeps one column of it, or
+// starts over — fed in input batches of a fuzzed size into stages with a
+// fuzzed output batch size. The rows that come out, in order, and the
+// hit, probe, intermediate and match counts must be those of
+// extendState.push and probeState.push fed the same rows one at a time;
+// the i-cost too when nothing is carried; the match count of a pure count
+// (the last stage counting instead of writing) too; and every counter
+// must equal the same stages' forced down the per-row path.
 func FuzzExtendRuns(f *testing.F) {
 	f.Add([]byte{7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32})
 	f.Add([]byte{0x83, 0x40, 0x11, 0, 0, 0, 1, 1, 1, 2, 2, 2, 0xff, 0xfe, 0xfd, 9, 9, 9, 9, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3})
 	f.Add([]byte{0xc2, 0x05, 0x33, 200, 100, 50, 25, 12, 6, 3, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1})
+	// Probes: a one-vertex key behind three appended columns, and a
+	// two-vertex key under an E/I stage, both over key runs cut by batch
+	// ends.
+	f.Add([]byte("AX00100000001000100090000000000000000000000000000000000000000120! "))
+	f.Add([]byte("acA001000000019900990000000000000000000000B0000000\xe3AAA0000\xc7A0000000"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -281,18 +291,47 @@ func FuzzExtendRuns(f *testing.F) {
 		}
 		// The operators.
 		head := next()
-		descs := make([]plan.Descriptor, 1+head%3)
-		for i := range descs {
+		var stages []stageSpec
+		var join *plan.HashJoin
+		var keySlots []int
+		buildWidth := 0
+		if probe := head&0xc0 == 0x40; probe {
 			b := next()
-			descs[i] = plan.Descriptor{TupleIdx: b & 1, Dir: graph.Direction(b >> 1 & 1), EdgeLabel: label(b >> 2)}
-		}
-		lower := &plan.Extend{Descriptors: descs, TargetLabel: label(head >> 2)}
-		stages := appendExtend(nil, lower)
-		if head&0x80 != 0 {
-			b := next()
-			upper := &plan.Extend{Child: lower, TargetLabel: lower.TargetLabel,
-				Descriptors: append(slices.Clone(descs), plan.Descriptor{TupleIdx: b % 3, Dir: graph.Direction(b >> 2 & 1), EdgeLabel: label(b >> 3)})}
-			stages = appendExtend(stages, upper)
+			keyWidth, appended := 1+b&1, 1+b>>1%3
+			buildWidth = keyWidth + appended
+			keySlots = []int{0, 1}[:keyWidth]
+			if b&0x08 != 0 {
+				for i := range keySlots {
+					keySlots[i] = appended + i
+				}
+			}
+			spec := &probeSpec{op: &plan.HashJoin{}, probeSlots: []int{b >> 4 & 1, 1 - b>>4&1}[:keyWidth]}
+			for slot := 0; slot < buildWidth; slot++ {
+				if !slices.Contains(keySlots, slot) {
+					spec.appendIdx = append(spec.appendIdx, slot)
+				}
+			}
+			join = spec.op
+			stages = append(stages, spec)
+			if b&0x20 != 0 {
+				d := next()
+				stages = appendExtend(stages, &plan.Extend{TargetLabel: label(head >> 2),
+					Descriptors: []plan.Descriptor{{TupleIdx: d % (2 + appended), Dir: graph.Direction(d >> 4 & 1), EdgeLabel: label(d >> 5)}}})
+			}
+		} else {
+			descs := make([]plan.Descriptor, 1+head%3)
+			for i := range descs {
+				b := next()
+				descs[i] = plan.Descriptor{TupleIdx: b & 1, Dir: graph.Direction(b >> 1 & 1), EdgeLabel: label(b >> 2)}
+			}
+			lower := &plan.Extend{Descriptors: descs, TargetLabel: label(head >> 2)}
+			stages = appendExtend(nil, lower)
+			if head&0x80 != 0 {
+				b := next()
+				upper := &plan.Extend{Child: lower, TargetLabel: lower.TargetLabel,
+					Descriptors: append(slices.Clone(descs), plan.Descriptor{TupleIdx: b % 3, Dir: graph.Direction(b >> 2 & 1), EdgeLabel: label(b >> 3)})}
+				stages = appendExtend(stages, upper)
+			}
 		}
 		inBatch, outBatch := 1+next()%9, 1+next()%9
 		// The graph.
@@ -300,6 +339,20 @@ func FuzzExtendRuns(f *testing.F) {
 		gb := graph.NewBuilder(n)
 		for v := 0; v < n; v++ {
 			gb.SetVertexLabel(graph.VertexID(v), graph.Label(next()&1))
+		}
+		// The build table: up to 24 rows over the first six vertices, so most
+		// probe rows find their key, in runs of one build row or several.
+		var table *hashTable
+		if join != nil {
+			var frag [][]graph.VertexID
+			for i := 1 + next()%24; i > 0; i-- {
+				row := make([]graph.VertexID, buildWidth)
+				for c := range row {
+					row[c] = graph.VertexID(next() % 6)
+				}
+				frag = append(frag, row)
+			}
+			table, _ = buildTables(t, keySlots, buildWidth, inBatch, [][][]graph.VertexID{frag})
 		}
 		for e := 4 * n; e > 0 && len(data) > 24; e-- {
 			b := next()
@@ -326,15 +379,30 @@ func FuzzExtendRuns(f *testing.F) {
 
 		cp := &CompiledPlan{graph: g}
 		pipe := func(stages []stageSpec) *compiledPipeline {
-			return &compiledPipeline{scan: &plan.Scan{}, stages: stages, outWidth: 2 + len(stages), starSuffix: len(stages)}
+			width := 2
+			for _, st := range stages {
+				if ps, ok := st.(*probeSpec); ok {
+					width += len(ps.appendIdx)
+				} else {
+					width++
+				}
+			}
+			return &compiledPipeline{scan: &plan.Scan{}, stages: stages, outWidth: width, starSuffix: len(stages)}
 		}
-		run := func(stages []stageSpec, tuple bool) (out [][]graph.VertexID, prof Profile) {
-			rc := &runContext{ctx: context.Background(), cp: cp, cfg: RunConfig{TupleAtATime: tuple}, batch: outBatch}
+		// run feeds the rows to stages, the tuple-at-a-time oracle's when
+		// tuple is set; count runs a pure count (FastCount, no emit).
+		run := func(stages []stageSpec, tuple, count bool) (out [][]graph.VertexID, prof Profile) {
+			rc := &runContext{ctx: context.Background(), cp: cp, cfg: RunConfig{TupleAtATime: tuple, FastCount: count}, batch: outBatch,
+				tables: map[*plan.HashJoin]*hashTable{join: table}}
 			var stopped atomic.Bool
-			w := newWorker(rc, pipe(stages), true, func(tu []graph.VertexID) bool {
+			emit := func(tu []graph.VertexID) bool {
 				out = append(out, slices.Clone(tu))
 				return true
-			}, &stopped, nil)
+			}
+			if count {
+				emit = nil
+			}
+			w := newWorker(rc, pipe(stages), true, emit, &stopped, nil)
 			if tuple {
 				for _, row := range rows {
 					w.tuple = append(w.tuple[:0], row[0], row[1])
@@ -354,27 +422,36 @@ func FuzzExtendRuns(f *testing.F) {
 			}
 			w.flushBatches()
 			for _, st := range w.bstages {
-				if st.(*batchExtendState).run.end != 0 {
+				if es, ok := st.(*batchExtendState); ok && es.run.end != 0 {
 					t.Fatalf("a stage is still in a run after its last batch")
 				}
 			}
 			return out, w.profile
 		}
-		want, oracle := run(stages, true)
-		got, prof := run(stages, false)
+		want, oracle := run(stages, true, false)
+		got, prof := run(stages, false, false)
 		if !slices.EqualFunc(got, want, func(a, b []graph.VertexID) bool { return slices.Equal(a, b) }) {
-			t.Fatalf("stages %v over %v (batches of %d in, %d out) emitted\n%v\nextendState.push\n%v", stages[len(stages)-1].planNode(), rows, inBatch, outBatch, got, want)
+			t.Fatalf("stages %v over %v (batches of %d in, %d out) emitted\n%v\nrow by row\n%v", stages[len(stages)-1].planNode(), rows, inBatch, outBatch, got, want)
 		}
-		if prof.CacheHits != oracle.CacheHits || prof.Intermediate != oracle.Intermediate || (len(stages) == 1 && prof.ICost != oracle.ICost) {
-			t.Fatalf("hits %d intermediate %d i-cost %d; extendState.push %d, %d, %d", prof.CacheHits, prof.Intermediate, prof.ICost, oracle.CacheHits, oracle.Intermediate, oracle.ICost)
+		if prof.CacheHits != oracle.CacheHits || prof.ProbedTuples != oracle.ProbedTuples || prof.Intermediate != oracle.Intermediate ||
+			prof.Matches != oracle.Matches || (prof.CarriedSets == 0 && prof.ICost != oracle.ICost) {
+			t.Fatalf("hits %d probed %d intermediate %d matches %d i-cost %d; row by row %d, %d, %d, %d, %d",
+				prof.CacheHits, prof.ProbedTuples, prof.Intermediate, prof.Matches, prof.ICost,
+				oracle.CacheHits, oracle.ProbedTuples, oracle.Intermediate, oracle.Matches, oracle.ICost)
+		}
+		if _, counted := run(stages, false, true); counted.Matches != int64(len(want)) || counted.ProbedTuples != oracle.ProbedTuples {
+			t.Fatalf("a pure count matched %d rows and probed %d; row by row %d, %d", counted.Matches, counted.ProbedTuples, len(want), oracle.ProbedTuples)
 		}
 		var perRow []stageSpec
 		for _, st := range stages {
-			spec := *st.(*extendSpec)
-			spec.sets = false
-			perRow = append(perRow, &spec)
+			if es, ok := st.(*extendSpec); ok {
+				spec := *es
+				spec.sets = false
+				st = &spec
+			}
+			perRow = append(perRow, st)
 		}
-		_, ref := run(perRow, false)
+		_, ref := run(perRow, false, false)
 		if prof.CacheHits != ref.CacheHits || prof.ICost != ref.ICost || prof.Intermediate != ref.Intermediate || prof.CarriedSets != ref.CarriedSets {
 			t.Fatalf("hits %d i-cost %d intermediate %d carried %d; per-row path %d, %d, %d, %d",
 				prof.CacheHits, prof.ICost, prof.Intermediate, prof.CarriedSets, ref.CacheHits, ref.ICost, ref.Intermediate, ref.CarriedSets)
