@@ -301,6 +301,8 @@ type Stats struct {
 	// ScanBatches, ExtendBatches and ProbeBatches count the columnar
 	// batches each stage kind of the vectorized engine dispatched (all
 	// zero under the tuple-at-a-time oracle, BatchSize < 0).
+	// ExtendBatches counts E/I stages' batches and also the batches a
+	// factorized tail unfolds its products into when rows are emitted.
 	ScanBatches   int64
 	ExtendBatches int64
 	ProbeBatches  int64

@@ -14,13 +14,22 @@ import (
 // query vertex) instead of one at a time, so the per-tuple costs of the
 // oracle engine — an interface dispatch plus a next() closure per stage
 // per tuple — are paid once per batch and the inner loops become plain
-// column sweeps. The scan fills edge batches straight from adjacency
-// runs, E/I stages intersect once per distinct prefix run within a batch
-// (the intersection cache makes equal-key runs contiguous cache hits),
-// hash probes group equal keys into one lookup, and the cancellation
-// poll and match accounting move to batch granularity with exact row
-// counts. The tuple-at-a-time path (worker.runRange/runStage) is kept as
-// the differential-test oracle behind RunConfig.TupleAtATime.
+// column sweeps.
+//
+// Binary and worst-case optimal joins share one protocol here. Every
+// stage that produces rows — the scan, E/I, the hash probe and the
+// factorized tail's unfold — writes them through one fan-out writer
+// (fanOut): a fixed tuple replicated beside columns spliced from a source
+// at a stride (an adjacency run, an extension set, a sealed table's
+// build rows), chunked at batch capacity, with the terminal count-only
+// rule in the writer. Every stage that reads a key from consecutive rows
+// — E/I inside a prefix run, the hash probe, the adaptive router — finds
+// its key runs with one compare (loadKey): E/I serves an unchanged key
+// from its intersection cache, the probe looks a changed key up once, the
+// router re-prices once. The cancellation poll and match accounting
+// happen at batch granularity with exact row counts. The tuple-at-a-time
+// path (worker.runRange/runStage) is kept as the differential-test oracle
+// behind RunConfig.TupleAtATime.
 
 // DefaultBatchSize is the row capacity of one columnar tuple batch when
 // RunConfig.BatchSize is zero. 1024 rows keeps a 6-wide batch (the
@@ -29,10 +38,10 @@ import (
 const DefaultBatchSize = 1024
 
 // Morsel scheduling constants: the scan's vertex domain is handed to
-// workers in small morsels through an atomic cursor (instead of the old
-// fixed n/(workers*8) chunks), and a scan vertex whose adjacency run is
-// hub-sized has its edges split into sub-morsels other workers can steal,
-// so one hub no longer pins its whole extension subtree on one worker.
+// workers in small morsels through an atomic cursor, and a scan vertex
+// whose adjacency run is hub-sized has its edges split into sub-morsels
+// other workers can steal, so one hub does not pin its whole extension
+// subtree on one worker.
 const (
 	// morselVertices is the scan-range morsel size.
 	morselVertices = 1024
@@ -49,7 +58,8 @@ const (
 type BatchCounters struct {
 	// Scan counts edge batches filled by scan stages.
 	Scan int64
-	// Extend counts output batches produced by E/I stages.
+	// Extend counts output batches produced by E/I stages, including the
+	// batches a factorized tail unfolds its products into.
 	Extend int64
 	// Probe counts output batches produced by hash-probe stages.
 	Probe int64
@@ -171,25 +181,169 @@ func (c *runCursor) at(in *tupleBatch, r int) []graph.VertexID {
 	return c.set
 }
 
-// appendFill appends k copies of v to dst.
-func appendFill(dst []graph.VertexID, v graph.VertexID, k int) []graph.VertexID {
-	for i := 0; i < k; i++ {
-		dst = append(dst, v)
+// noVertex is no vertex's ID. A key that holds no row yet holds it in
+// every position, so the first row loadKey loads changes all of them.
+const noVertex = ^graph.VertexID(0)
+
+// loadKey loads row r of in — its values in the columns slots names — into
+// key and returns the mask of the key positions that changed, bit i for
+// key[i]. Loaded row after row it finds key runs: 0 is a row that repeats
+// the key of the row loaded before it.
+func loadKey(key []graph.VertexID, in *tupleBatch, slots []int, r int) uint32 {
+	changed := uint32(0)
+	for i, sl := range slots {
+		// Branch-free: which positions change from row to row is data the
+		// branch predictor cannot learn (the 4-clique's carried runs on
+		// LiveJournal(1) are 1.8 rows long on average).
+		v, bit := in.cols[sl][r], uint32(0)
+		if v != key[i] {
+			bit = 1 << uint(i)
+		}
+		changed |= bit
+		key[i] = v
 	}
-	return dst
+	return changed
+}
+
+// clearKey makes key hold no row (see noVertex).
+func clearKey(key []graph.VertexID) {
+	for i := range key {
+		key[i] = noVertex
+	}
+}
+
+// batchKind names the BatchCounters field a writer's dispatches count.
+type batchKind uint8
+
+const (
+	scanBatches batchKind = iota
+	extendBatches
+	probeBatches
+)
+
+// fanOut is the output side of a stage that produces rows: the batch it
+// fills, the stage that consumes it (next, as dispatchBatch takes it) and
+// the kind of batch it counts. Rows are written a fan-out at a time: n
+// rows that share one fixed tuple, beside columns spliced from one source
+// read at a stride — row t of a fan-out is fixed followed by
+// src[t*stride+at] for every at in cols. The writer chunks a fan-out at
+// batch capacity and dispatches every batch that fills; flush sends the
+// partial one.
+type fanOut struct {
+	batch *tupleBatch
+	next  int
+	kind  batchKind
+	// last marks the writer of a pipeline's last stage, the scan's
+	// excepted (see write); fixed at construction so that write, called
+	// once per fan-out, stays small enough to inline.
+	last bool
+	// publish closes a carried run in the batch after every chunk (see
+	// tupleBatch.closeRun) over the spliced set: the writer of an E/I stage
+	// whose downstream inherits its extension set.
+	publish bool
+	fixed   []graph.VertexID
+	cols    []int
+}
+
+// oneColumn splices a source of stride 1 whole: an adjacency run or an
+// extension set.
+var oneColumn = []int{0}
+
+// newFanOut makes a writer of rows of fixed replicated values and the
+// spliced columns cols into batches of capacity rows.
+func newFanOut(fixed int, cols []int, capacity, next int, kind batchKind) fanOut {
+	return fanOut{
+		batch: newTupleBatch(fixed+len(cols), capacity),
+		next:  next,
+		kind:  kind,
+		last:  next <= sinkStage && kind != scanBatches,
+		fixed: make([]graph.VertexID, fixed),
+		cols:  cols,
+	}
+}
+
+// write fans out n rows of src. With in non-nil, fixed begins with row r
+// of in; the rest of fixed is the caller's to load. The last stage of a
+// pure count does not write: it adds n to Matches (factorized counting,
+// Section 10). The scan always writes — its batches are what the
+// cancellation poll runs on.
+func (o *fanOut) write(w *worker, in *tupleBatch, r int, src []graph.VertexID, stride, n int) {
+	if w.countFast && o.last {
+		w.profile.Matches += int64(n)
+	} else if n > 0 {
+		o.fill(w, in, r, src, stride, n)
+	}
+}
+
+// fill appends write's n rows column by column, chunked at batch
+// capacity.
+func (o *fanOut) fill(w *worker, in *tupleBatch, r int, src []graph.VertexID, stride, n int) {
+	if in != nil {
+		for c, col := range in.cols {
+			o.fixed[c] = col[r]
+		}
+	}
+	b := o.batch
+	for off := 0; off < n; {
+		k := min(n-off, w.batchSize-b.n)
+		from, to := b.n, b.n+k
+		for c, v := range o.fixed {
+			col := b.cols[c][:to]
+			for t := from; t < to; t++ {
+				col[t] = v
+			}
+			b.cols[c] = col
+		}
+		for j, at := range o.cols {
+			col := b.cols[len(o.fixed)+j][:to]
+			if stride == 1 {
+				copy(col[from:], src[off+at:])
+			} else {
+				for t, i := from, off*stride+at; t < to; t, i = t+1, i+stride {
+					col[t] = src[i]
+				}
+			}
+			b.cols[len(o.fixed)+j] = col
+		}
+		b.n = to
+		off += k
+		full := to >= w.batchSize
+		if o.publish {
+			b.closeRun(w, src, off > k || off < n, full)
+		}
+		if full {
+			o.flush(w)
+		}
+	}
+}
+
+// flush dispatches the batch, if it holds any row, and counts it.
+func (o *fanOut) flush(w *worker) {
+	if o.batch.n == 0 {
+		return
+	}
+	switch o.kind {
+	case scanBatches:
+		w.profile.Batches.Scan++
+	case extendBatches:
+		w.profile.Batches.Extend++
+	default:
+		w.profile.Batches.Probe++
+	}
+	w.dispatchBatch(o.next, o.batch)
+	o.batch.clear()
 }
 
 // batchStage is the per-run mutable state of one operator in the
 // vectorized engine.
 type batchStage interface {
-	// pushBatch processes every row of in, dispatching full output
-	// batches downstream as they fill; a partial output batch is retained
-	// across calls (flush sends it).
+	// pushBatch processes every row of in. The rows it produces go through
+	// its writer, which dispatches full batches downstream as they fill
+	// and keeps a partial one across calls.
 	pushBatch(w *worker, in *tupleBatch)
-	// flush dispatches the retained partial output batch downstream.
-	flush(w *worker)
-	// outWidth is the stage's output tuple width.
-	outWidth() int
+	// output is the stage's writer: nil for the router, which hands its
+	// input on to an ordering's stages.
+	output() *fanOut
 	// reset readies the stage for reuse by a pooled worker in a fresh
 	// run: mutable per-run state (cache validity, counters, hash-table
 	// pointers, retained batches) is cleared, allocated scratch is kept.
@@ -285,15 +439,13 @@ func (w *worker) sinkBatch(b *tupleBatch) {
 // stage order (upstream residue first, so downstream flushes see it).
 // Called once per worker after its last morsel.
 func (w *worker) flushBatches() {
-	if w.scanBatch != nil && w.scanBatch.n > 0 {
-		w.profile.Batches.Scan++
-		w.dispatchBatch(w.entry, w.scanBatch)
-		w.scanBatch.clear()
-	}
+	w.edges.flush(w)
 	// By index: a flush can reach a router, which appends the stages of an
 	// ordering it had not used yet — behind everything flushed so far.
 	for i := 0; i < len(w.bstages); i++ {
-		w.bstages[i].flush(w)
+		if o := w.bstages[i].output(); o != nil {
+			o.flush(w)
+		}
 	}
 }
 
@@ -331,26 +483,10 @@ func (w *worker) runBatchRange(start, end int) {
 	}
 }
 
-// fillEdges appends (src, nbr) rows to the scan batch, dispatching the
-// batch downstream every time it fills.
+// fillEdges writes a (src, nbr) row for every nbr in nbrs.
 func (w *worker) fillEdges(src graph.VertexID, nbrs []graph.VertexID) {
-	b := w.scanBatch
-	off := 0
-	for off < len(nbrs) {
-		k := len(nbrs) - off
-		if space := w.batchSize - b.n; k > space {
-			k = space
-		}
-		b.cols[0] = appendFill(b.cols[0], src, k)
-		b.cols[1] = append(b.cols[1], nbrs[off:off+k]...)
-		b.n += k
-		off += k
-		if b.n >= w.batchSize {
-			w.profile.Batches.Scan++
-			w.dispatchBatch(w.entry, b)
-			b.clear()
-		}
-	}
+	w.edges.fixed[0] = src
+	w.edges.write(w, nil, 0, nbrs, 1, len(nbrs))
 }
 
 // batchExtendState is the vectorized E/I operator: one intersection per
@@ -359,17 +495,16 @@ func (w *worker) fillEdges(src graph.VertexID, nbrs []graph.VertexID) {
 // works in is the prefix run — the consecutive rows of its input batch
 // that share one operand (see extFor).
 type batchExtendState struct {
-	es extendState
-	// next is the index of the stage that consumes out (see sinkStage).
-	next int
-	out  *tupleBatch
+	es   extendState
+	out  fanOut
 	vals []graph.VertexID
 	// cur walks the input batch's carried runs (inheriting stages only).
 	cur runCursor
-	// inherit and publish are the spec's carried-set marks gated on the
-	// run's intersection cache: carrying a set across stages is the cache
-	// generalised, so DisableCache (Table 3's "Cache Off") turns it off.
-	inherit, publish bool
+	// inherit and out.publish are the spec's carried-set marks gated on
+	// the run's intersection cache: carrying a set across stages is the
+	// cache generalised, so DisableCache (Table 3's "Cache Off") turns it
+	// off.
+	inherit bool
 
 	// run is the open prefix run.
 	run prefixRun
@@ -395,24 +530,22 @@ type prefixRun struct {
 	vary []runDesc
 }
 
-// runDesc is one descriptor a prefix run's rows differ in: its index, the
-// place of its list in extendState.lists, and the input column it reads
-// its source vertex from.
+// runDesc is one descriptor a prefix run's rows differ in: its index and
+// the place of its list in extendState.lists.
 type runDesc struct {
 	desc, pos int
-	col       []graph.VertexID
 }
 
-func (s *batchExtendState) outWidth() int { return len(s.out.cols) }
+func (s *batchExtendState) output() *fanOut { return &s.out }
 
 func (s *batchExtendState) reset(rc *runContext) {
 	s.es.reset(rc)
 	s.inherit = s.es.useCache && s.es.spec.covered != 0
-	s.publish = s.es.useCache && s.es.spec.publishes
+	s.out.publish = s.es.useCache && s.es.spec.publishes
 	s.run.end, s.run.list = 0, nil
-	if s.out != nil {
-		s.out.clear()
-		s.out.headMetered = 0
+	if s.out.batch != nil {
+		s.out.batch.clear()
+		s.out.batch.headMetered = 0
 	}
 }
 
@@ -438,8 +571,10 @@ func (s *batchExtendState) endRun(w *worker) {
 
 // extFor returns the extension set of row r of in; a batch's rows are
 // asked for in ascending order after cur.rewind, and endRun follows the
-// last. The stage works a prefix run at a time. On a row that neither repeats the previous key (a
-// cache hit) nor lies in the open run it looks ahead in the batch for the
+// last. The row's key is loaded into es.cacheKey first: a row that
+// repeats the key of the last set computed is a cache hit. The stage
+// works a prefix run at a time. On a row that is neither a cache hit nor
+// lies in the open run it looks ahead in the batch for the
 // operand the next rows share — the carried set, whose run's end the
 // cursor knows, else the lowest-numbered descriptor whose column repeats —
 // and, when a run of minRunRows rows or more shares one, resolves that
@@ -453,15 +588,9 @@ func (s *batchExtendState) endRun(w *worker) {
 // tuple-at-a-time oracle does.
 func (s *batchExtendState) extFor(w *worker, in *tupleBatch, r int) []graph.VertexID {
 	es := &s.es
+	changed := loadKey(es.cacheKey, in, es.spec.slots, r)
 	if r < s.run.end {
-		key, hit := es.cacheKey, true
-		for i := range s.run.vary {
-			rd := &s.run.vary[i]
-			if v := rd.col[r]; v != key[rd.desc] {
-				key[rd.desc], hit = v, false
-			}
-		}
-		if hit {
+		if changed == 0 {
 			return es.hit(w)
 		}
 		return s.runSet(w)
@@ -471,15 +600,14 @@ func (s *batchExtendState) extFor(w *worker, in *tupleBatch, r int) []graph.Vert
 	if s.inherit {
 		carried = s.cur.at(in, r)
 	}
-	s.gatherVals(in, r)
-	if es.cached(w, s.vals) {
-		return es.cacheExt
+	if changed == 0 && es.cacheValid {
+		return es.hit(w)
 	}
 	if es.pins && s.openRun(w, in, r, carried) {
 		return s.runSet(w)
 	}
-	es.gather(w, s.vals, carried)
-	return es.intersect(w, s.vals, carried)
+	es.gather(w, es.cacheKey, carried)
+	return es.intersect(w, es.cacheKey, carried)
 }
 
 // gatherVals loads s.vals with the descriptors' source vertices in row r.
@@ -535,7 +663,7 @@ func (s *batchExtendState) openRun(w *worker, in *tupleBatch, r int, carried []g
 		case i == shared:
 			run.pos = len(es.lists)
 		default:
-			run.vary = append(run.vary, runDesc{desc: i, pos: len(es.lists), col: in.cols[op.Descriptors[i].TupleIdx]})
+			run.vary = append(run.vary, runDesc{desc: i, pos: len(es.lists)})
 		}
 		es.lists = append(es.lists, list)
 	}
@@ -572,161 +700,54 @@ func (s *batchExtendState) runSet(w *worker) []graph.VertexID {
 
 //gf:noalloc
 func (s *batchExtendState) pushBatch(w *worker, in *tupleBatch) {
-	width := len(in.cols)
 	s.cur.rewind()
-	if w.countFast && w.isRoot && s.next <= sinkStage {
-		// Factorized counting (Section 10): the last extension's Cartesian
-		// product is counted, not enumerated.
-		//gf:nopoll bounded by one batch (<= w.batchSize rows); dispatchBatch polled before delivering it
-		for r := 0; r < in.n; r++ {
-			w.profile.Matches += int64(len(s.extFor(w, in, r)))
-		}
-		s.endRun(w)
-		return
-	}
 	for r := 0; r < in.n; r++ {
 		ext := s.extFor(w, in, r)
 		s.es.outTuples += int64(len(ext))
-		off := 0
-		for off < len(ext) {
-			k := len(ext) - off
-			if space := w.batchSize - s.out.n; k > space {
-				k = space
-			}
-			for c := 0; c < width; c++ {
-				s.out.cols[c] = appendFill(s.out.cols[c], in.cols[c][r], k)
-			}
-			s.out.cols[width] = append(s.out.cols[width], ext[off:off+k]...)
-			s.out.n += k
-			off += k
-			full := s.out.n >= w.batchSize
-			if s.publish {
-				s.out.closeRun(w, ext, off > k || off < len(ext), full)
-			}
-			if full {
-				w.profile.Batches.Extend++
-				w.dispatchBatch(s.next, s.out)
-				s.out.clear()
-			}
-		}
+		s.out.write(w, in, r, ext, 1, len(ext))
 	}
 	s.endRun(w)
 }
 
-func (s *batchExtendState) flush(w *worker) {
-	if s.out.n > 0 {
-		w.profile.Batches.Extend++
-		w.dispatchBatch(s.next, s.out)
-		s.out.clear()
-	}
-}
-
-// batchProbeState is the vectorized hash-probe: consecutive rows with
-// equal join-key values share one table lookup (sorted batches make key
-// runs contiguous), and the matching build rows — one contiguous
-// row-major run of the sealed table — fan out column-wise.
+// batchProbeState is the vectorized hash-probe: a run of rows with one
+// join key (sorted batches make key runs contiguous) shares one table
+// lookup, and the matching build rows — one contiguous row-major run of
+// the sealed table — are spliced in column by column, read in place.
 type batchProbeState struct {
-	ps   probeState
-	next int
-	out  *tupleBatch
-
-	// run is the build-row run of ps.key, valid while keyValid.
-	keyValid bool
-	run      []graph.VertexID
+	ps  probeState
+	out fanOut
+	// run is the build-row run of ps.key.
+	run []graph.VertexID
 }
 
-func (s *batchProbeState) outWidth() int { return len(s.out.cols) }
+func (s *batchProbeState) output() *fanOut { return &s.out }
 
 func (s *batchProbeState) reset(rc *runContext) {
 	// The hash table is per-run state: re-fetch it from the new run's
 	// materialised tables.
 	s.ps.table = rc.tables[s.ps.spec.op]
 	s.ps.outTuples, s.ps.probes = 0, 0
-	s.keyValid = false
+	clearKey(s.ps.key)
 	s.run = nil
-	s.out.clear()
+	s.out.batch.clear()
 }
 
 //gf:noalloc
 func (s *batchProbeState) pushBatch(w *worker, in *tupleBatch) {
-	slots := s.ps.spec.probeSlots
-	appendIdx := s.ps.spec.appendIdx
-	width := len(in.cols)
-	bw := s.ps.table.rowWidth
-	// A terminal probe of a pure count adds each probe row's match count
-	// instead of fanning the joined rows out to be counted at the sink —
-	// the hash-join counterpart of the E/I stage's factorized counting.
-	countOnly := w.countFast && w.isRoot && s.next <= sinkStage
+	ps := &s.ps
+	bw := ps.table.rowWidth
 	for r := 0; r < in.n; r++ {
 		// probes stays a per-input-row counter (like the oracle's), so
 		// Analyze's per-node numbers are engine- and batch-size-
-		// independent; the grouped lookup below is purely an optimization.
+		// independent; one lookup per key run is purely an optimization.
 		w.profile.ProbedTuples++
-		s.ps.probes++
-		same := s.keyValid
-		if same {
-			for i, sl := range slots {
-				if s.ps.key[i] != in.cols[sl][r] {
-					same = false
-					break
-				}
-			}
-		}
-		if !same {
-			s.ps.key = s.ps.key[:0]
-			for _, sl := range slots {
-				s.ps.key = append(s.ps.key, in.cols[sl][r])
-			}
-			s.run = s.ps.table.lookupKey(s.ps.key)
-			s.keyValid = true
-		}
-		if len(s.run) == 0 {
-			continue
+		ps.probes++
+		if loadKey(ps.key, in, ps.spec.probeSlots, r) != 0 {
+			s.run = ps.table.lookupKey(ps.key)
 		}
 		matches := len(s.run) / bw
-		s.ps.outTuples += int64(matches)
-		if countOnly {
-			w.profile.Matches += int64(matches)
-			continue
-		}
-		// Column-major fan-out: replicate the probe-side prefix with bulk
-		// fills and splice each build column in with one strided pass over
-		// the run, chunked at batch capacity.
-		off := 0
-		for off < matches {
-			k := matches - off
-			if space := w.batchSize - s.out.n; k > space {
-				k = space
-			}
-			for c := 0; c < width; c++ {
-				s.out.cols[c] = appendFill(s.out.cols[c], in.cols[c][r], k)
-			}
-			for j, bi := range appendIdx {
-				col := s.out.cols[width+j]
-				n := len(col)
-				col = col[:n+k]
-				src := s.run[off*bw+bi:]
-				for t := range col[n:] {
-					col[n+t] = src[t*bw]
-				}
-				s.out.cols[width+j] = col
-			}
-			s.out.n += k
-			off += k
-			if s.out.n >= w.batchSize {
-				w.profile.Batches.Probe++
-				w.dispatchBatch(s.next, s.out)
-				s.out.clear()
-			}
-		}
-	}
-}
-
-func (s *batchProbeState) flush(w *worker) {
-	if s.out.n > 0 {
-		w.profile.Batches.Probe++
-		w.dispatchBatch(s.next, s.out)
-		s.out.clear()
+		ps.outTuples += int64(matches)
+		s.out.write(w, in, r, s.run, bw, matches)
 	}
 }
 
@@ -839,7 +860,7 @@ func (w *worker) runWorkerLoop(q *morselQueue) {
 		// rather than spin hard.
 		runtime.Gosched()
 	}
-	if w.scanBatch != nil && !w.stopped.Load() {
+	if w.edges.batch != nil && !w.stopped.Load() {
 		w.recovered(w.flushBatches)
 	}
 }

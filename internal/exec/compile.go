@@ -90,6 +90,9 @@ type extendSpec struct {
 	// sets says that no list the operator intersects can hold an ID twice
 	// (listsAreSets): only then may a prefix run pin one in a bitmap.
 	sets bool
+	// slots are the input slots the descriptors read their source vertices
+	// from, in descriptor order: the key the vectorized stage loads.
+	slots []int
 }
 
 func (s *extendSpec) planNode() plan.Node { return s.op }
@@ -117,19 +120,18 @@ func (s *extendSpec) newState(rc *runContext) stageState {
 
 func (s *extendSpec) newBatchState(rc *runContext, next, inWidth, batch int) batchStage {
 	st := &batchExtendState{
-		es:   newExtendState(s),
-		next: next,
-		out:  newTupleBatch(inWidth+1, batch),
+		es:  newExtendState(s),
+		out: newFanOut(inWidth, oneColumn, batch, next, extendBatches),
 	}
 	if s.publishes {
-		st.out.runEnds = make([]int32, 0, batch)
+		st.out.batch.runEnds = make([]int32, 0, batch)
 	}
 	st.reset(rc)
 	return st
 }
 
-// probeSpec is the compiled form of a HASH-JOIN probe: the slot maps that
-// the old executor derived lazily per worker are computed once here.
+// probeSpec is the compiled form of a HASH-JOIN probe, its slot maps
+// computed once.
 type probeSpec struct {
 	op         *plan.HashJoin
 	probeSlots []int // slots in the probe tuple carrying the join vertices
@@ -143,11 +145,12 @@ func (s *probeSpec) newState(rc *runContext) stageState {
 }
 
 func (s *probeSpec) newBatchState(rc *runContext, next, inWidth, batch int) batchStage {
-	return &batchProbeState{
-		ps:   probeState{spec: s, table: rc.tables[s.op]},
-		next: next,
-		out:  newTupleBatch(inWidth+len(s.appendIdx), batch),
+	st := &batchProbeState{
+		ps:  probeState{spec: s, key: make([]graph.VertexID, len(s.probeSlots))},
+		out: newFanOut(inWidth, s.appendIdx, batch, next, probeBatches),
 	}
+	st.reset(rc)
+	return st
 }
 
 // Compile validates p and lowers it into a CompiledPlan over g — any
@@ -266,6 +269,9 @@ func (cp *CompiledPlan) addPipeline(n plan.Node, feeds *plan.HashJoin) error {
 // extension set.
 func appendExtend(stages []stageSpec, op *plan.Extend) []stageSpec {
 	spec := &extendSpec{op: op, covered: op.Inherited(), sets: listsAreSets(op)}
+	for _, d := range op.Descriptors {
+		spec.slots = append(spec.slots, d.TupleIdx)
+	}
 	if spec.covered != 0 {
 		// op.Child is an E/I operator, hence the stage just appended.
 		stages[len(stages)-1].(*extendSpec).publishes = true

@@ -508,9 +508,8 @@ func (rc *runContext) releaseTables() {
 // marks whether the pipeline's outputs are final matches rather than
 // intermediate results. Parallel runs schedule the scan through a shared
 // morsel queue (small vertex ranges dealt by an atomic cursor, split hub
-// adjacency morsels stealable by any worker) instead of the old fixed
-// n/(workers*8) chunking, so a single hub vertex no longer pins its
-// whole extension subtree on one worker.
+// adjacency morsels stealable by any worker), so a single hub vertex does
+// not pin its whole extension subtree on one worker.
 func (rc *runContext) runPipeline(pipe *compiledPipeline, workers int, isRoot bool, emit func([]graph.VertexID) bool) (Profile, error) {
 	n := rc.cp.graph.NumVertices()
 	var stopped atomic.Bool
@@ -524,7 +523,7 @@ func (rc *runContext) runPipeline(pipe *compiledPipeline, workers int, isRoot bo
 			defer rc.recoverPanic(&stopped)
 			w := newWorker(rc, pipe, isRoot, emit, &stopped, nil)
 			w.runRecovered(0, n)
-			if w.scanBatch != nil && !stopped.Load() {
+			if w.edges.batch != nil && !stopped.Load() {
 				w.recovered(w.flushBatches)
 			}
 			w.finish()
@@ -536,7 +535,7 @@ func (rc *runContext) runPipeline(pipe *compiledPipeline, workers int, isRoot bo
 	var wg sync.WaitGroup
 	profs := make([]Profile, workers)
 	if rc.cfg.TupleAtATime {
-		// The oracle keeps the PR-4 fixed chunking, so it stays a faithful
+		// The oracle keeps fixed chunking, so it stays a faithful
 		// baseline for the morsel scheduler as well as for results.
 		chunk := n/(workers*8) + 1
 		var next atomic.Int64

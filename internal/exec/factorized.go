@@ -14,17 +14,17 @@ import (
 // matches above one prefix tuple are exactly the cross-product of the
 // leaves' extension sets. The factorizedTail stage therefore computes
 // each leaf's set once per prefix tuple (through the same run-grouped
-// extendState cache machinery as the vectorized E/I operator, so PR-4's
-// degree-adaptive kernels and PR-5's run-level reuse carry over) and
+// extendState cache machinery as the vectorized E/I operator, so the
+// degree-adaptive kernels and the run-level reuse carry over) and
 // represents the result as prefix × set₁ × … × setₖ:
 //
 //   - CountCtx multiplies set cardinalities — no suffix tuple is ever built.
 //   - CountUpToCtx charges each product against a shared atomic budget and
 //     stops the run the moment it is exhausted, hitting the cap exactly
 //     without unfolding.
-//   - RunCtx lazily unfolds the product column-major into the
-//     ordinary batch emission path, producing identical tuples in
-//     identical order to full enumeration.
+//   - RunCtx lazily unfolds the product through the stage's fan-out
+//     writer, producing identical tuples in identical order to full
+//     enumeration.
 //
 // The engine's join semantics are homomorphic (query vertices may bind
 // the same data vertex), so the product is exact even when two leaves
@@ -34,11 +34,9 @@ import (
 // factorizedTail evaluates a star-shaped suffix of leaves as the final
 // stage of the driver pipeline's batch chain.
 type factorizedTail struct {
-	next        int
-	prefixWidth int
 	// leaves are run-grouped extension computers, one per suffix stage in
-	// chain order; their out batches are unused (the tail owns the unfold
-	// batch), only the embedded extendState cache machinery runs.
+	// chain order; they have no writer (the tail owns the unfold's), only
+	// the embedded extendState cache machinery runs.
 	leaves []*batchExtendState
 	// sets holds the current prefix row's extension set per leaf; entries
 	// alias leaf cache storage and stay valid until that leaf's next
@@ -47,17 +45,16 @@ type factorizedTail struct {
 	// odo is the odometer over the outer leaves (all but the last) during
 	// lazy unfolding.
 	odo []int
-	// out is the lazily-unfolded output batch (emit mode only).
-	out *tupleBatch
+	// out writes the unfolded rows (emit mode only): the prefix row and the
+	// outer leaves' values replicated, the last leaf's set spliced.
+	out fanOut
 }
 
 func newFactorizedTail(rc *runContext, specs []stageSpec, next, inWidth, batch int) *factorizedTail {
 	t := &factorizedTail{
-		next:        next,
-		prefixWidth: inWidth,
-		sets:        make([][]graph.VertexID, len(specs)),
-		odo:         make([]int, len(specs)),
-		out:         newTupleBatch(inWidth+len(specs), batch),
+		sets: make([][]graph.VertexID, len(specs)),
+		odo:  make([]int, len(specs)),
+		out:  newFanOut(inWidth+len(specs)-1, oneColumn, batch, next, extendBatches),
 	}
 	for _, spec := range specs {
 		leaf := &batchExtendState{es: newExtendState(spec.(*extendSpec))}
@@ -67,7 +64,7 @@ func newFactorizedTail(rc *runContext, specs []stageSpec, next, inWidth, batch i
 	return t
 }
 
-func (s *factorizedTail) outWidth() int { return s.prefixWidth + len(s.leaves) }
+func (s *factorizedTail) output() *fanOut { return &s.out }
 
 func (s *factorizedTail) reset(rc *runContext) {
 	for _, leaf := range s.leaves {
@@ -76,7 +73,7 @@ func (s *factorizedTail) reset(rc *runContext) {
 	for i := range s.sets {
 		s.sets[i] = nil
 	}
-	s.out.clear()
+	s.out.batch.clear()
 }
 
 // leafSet computes (or serves from the leaf's intersection cache) leaf
@@ -156,20 +153,21 @@ func (s *factorizedTail) pushBatch(w *worker, in *tupleBatch) {
 	}
 }
 
-// unfoldRow lazily materializes prefix row r's cross-product into the
-// output batch, column-major and in full-enumeration order: the
-// odometer steps the outer leaves (rightmost fastest) while the last
-// leaf's whole set is spliced per step, exactly the nested loop order of
-// the non-factorized stage chain.
+// unfoldRow lazily materializes prefix row r's cross-product in
+// full-enumeration order: the odometer steps the outer leaves (rightmost
+// fastest) while each step writes the last leaf's whole set, exactly the
+// nested loop order of the non-factorized stage chain.
 func (s *factorizedTail) unfoldRow(w *worker, in *tupleBatch, r int) {
 	k := len(s.leaves)
 	last := s.sets[k-1]
 	odo := s.odo[:k-1]
-	for i := range odo {
-		odo[i] = 0
-	}
+	clear(odo)
+	o, pw := &s.out, len(in.cols)
 	for {
-		s.fillRun(w, in, r, last)
+		for i, j := range odo {
+			o.fixed[pw+i] = s.sets[i][j]
+		}
+		o.write(w, in, r, last, 1, len(last))
 		i := k - 2
 		for ; i >= 0; i-- {
 			odo[i]++
@@ -181,42 +179,5 @@ func (s *factorizedTail) unfoldRow(w *worker, in *tupleBatch, r int) {
 		if i < 0 {
 			return
 		}
-	}
-}
-
-// fillRun appends one odometer step's rows — prefix and outer-leaf
-// values replicated, the last leaf's set spliced — chunked at batch
-// capacity.
-func (s *factorizedTail) fillRun(w *worker, in *tupleBatch, r int, last []graph.VertexID) {
-	out, pw := s.out, s.prefixWidth
-	lastCol := pw + len(s.leaves) - 1
-	off := 0
-	for off < len(last) {
-		k := len(last) - off
-		if space := w.batchSize - out.n; k > space {
-			k = space
-		}
-		for c := 0; c < pw; c++ {
-			out.cols[c] = appendFill(out.cols[c], in.cols[c][r], k)
-		}
-		for i := 0; i < len(s.leaves)-1; i++ {
-			out.cols[pw+i] = appendFill(out.cols[pw+i], s.sets[i][s.odo[i]], k)
-		}
-		out.cols[lastCol] = append(out.cols[lastCol], last[off:off+k]...)
-		out.n += k
-		off += k
-		if out.n >= w.batchSize {
-			w.profile.Batches.Extend++
-			w.dispatchBatch(s.next, out)
-			out.clear()
-		}
-	}
-}
-
-func (s *factorizedTail) flush(w *worker) {
-	if s.out.n > 0 {
-		w.profile.Batches.Extend++
-		w.dispatchBatch(s.next, s.out)
-		s.out.clear()
 	}
 }

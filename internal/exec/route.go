@@ -86,17 +86,16 @@ type routeStage struct {
 	entry []int
 	// key is the route key of the current run, sizes what Pick measured for
 	// it (see adaptive.Routes.Pick), pick the ordering it went to.
-	key      []graph.VertexID
-	sizes    []float64
-	keyValid bool
-	pick     int
+	key   []graph.VertexID
+	sizes []float64
+	pick  int
 	// run is the stretch of input handed to an ordering, root an ordering's
 	// output behind the plan root's layout: column headers only.
 	run, root tupleBatch
 }
 
 func newRouteStage(spec *routeSpec, inWidth int) *routeStage {
-	return &routeStage{
+	s := &routeStage{
 		spec: spec, inWidth: inWidth,
 		entry: make([]int, len(spec.chains)),
 		key:   make([]graph.VertexID, len(spec.routes.Slots)),
@@ -104,30 +103,24 @@ func newRouteStage(spec *routeSpec, inWidth int) *routeStage {
 		run:   tupleBatch{cols: make([][]graph.VertexID, inWidth)},
 		root:  tupleBatch{cols: make([][]graph.VertexID, inWidth+len(spec.chains[0]))},
 	}
+	s.reset(nil)
+	return s
 }
 
-func (s *routeStage) outWidth() int { return s.inWidth }
+func (s *routeStage) output() *fanOut { return nil }
 
-func (s *routeStage) flush(*worker) {}
-
-func (s *routeStage) reset(*runContext) { s.keyValid, s.pick = false, 0 }
+func (s *routeStage) reset(*runContext) {
+	clearKey(s.key)
+	s.pick = 0
+}
 
 //gf:noalloc
 func (s *routeStage) pushBatch(w *worker, in *tupleBatch) {
-	slots := s.spec.routes.Slots
 	start := 0
 	//gf:nopoll bounded by one batch (<= w.batchSize rows); dispatchBatch polled before delivering it and the orderings' stages poll as they dispatch
 	for r := 0; r < in.n; r++ {
-		changed := uint32(0)
-		for i, sl := range slots {
-			if v := in.cols[sl][r]; v != s.key[i] {
-				s.key[i] = v
-				changed |= 1 << uint(i)
-			}
-		}
-		if !s.keyValid {
-			s.keyValid, changed = true, ^uint32(0)
-		} else if changed == 0 {
+		changed := loadKey(s.key, in, s.spec.routes.Slots, r)
+		if changed == 0 {
 			continue
 		}
 		o := s.spec.routes.Pick(w.g, s.key, changed, s.sizes)

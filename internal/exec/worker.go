@@ -32,15 +32,13 @@ type worker struct {
 	tuple   []graph.VertexID
 	profile Profile
 	// Vectorized-engine state (nil/zero when cfg.TupleAtATime selects the
-	// oracle): the per-worker scan batch, the batch stage chain, the
-	// configured batch row capacity and the shared morsel queue hub
+	// oracle): the batch stage chain, the scan's writer of (src, nbr) rows
+	// — feeding stage 0, or the sink in a pipeline that is only a scan —
+	// the configured batch row capacity and the shared morsel queue hub
 	// morsels are pushed to when a scan vertex's adjacency is split.
 	bstages   []batchStage
-	scanBatch *tupleBatch
+	edges     fanOut
 	batchSize int
-	// entry is the index of the stage the scan feeds: 0, or sinkStage for
-	// a pipeline that is only a scan.
-	entry int
 	// factorized records whether the stage chain ends in a factorizedTail
 	// (every ordering's chain, behind a router) — part of the pooled
 	// worker's shape, checked on reuse.
@@ -50,12 +48,13 @@ type worker struct {
 	router *routeStage
 	mq     *morselQueue
 	// scanReader is the reusable neighbor fill for the scan stage (both
-	// engines), replacing the old Neighbors(..., nil) per-vertex lookup.
+	// engines).
 	scanReader graph.NeighborReader
-	// countFast enables factorized counting: when the final stage is an
-	// E/I operator and no tuples need to be emitted, the extension set's
-	// size is added to the match count without enumerating the Cartesian
-	// product (the factorization optimization of the paper's Section 10).
+	// countFast enables factorized counting on the driver pipeline when no
+	// tuples need to be emitted: the final stage adds the size of what it
+	// would fan out — an extension set, a key's build rows — to the match
+	// count without enumerating it (the factorization optimization of the
+	// paper's Section 10).
 	countFast bool
 	scanOut   int64
 	// cancelCountdown amortizes context polling: it is decremented on
@@ -119,7 +118,7 @@ func newWorker(rc *runContext, pipe *compiledPipeline, isRoot bool, emit func([]
 	w := &worker{
 		g: rc.cp.graph, rc: rc, pipe: pipe, isRoot: isRoot,
 		emit: emit, stopped: stopped, mq: mq, build: rc.tables[pipe.feeds],
-		countFast:       rc.cfg.FastCount && emit == nil,
+		countFast:       rc.cfg.FastCount && emit == nil && isRoot,
 		cancelCountdown: cancelCheckInterval,
 		nWords:          (rc.cp.graph.NumVertices() + 63) / 64,
 	}
@@ -130,7 +129,6 @@ func newWorker(rc *runContext, pipe *compiledPipeline, isRoot bool, emit func([]
 	} else {
 		w.batchSize = batch
 		w.factorized = fact
-		w.scanBatch = newTupleBatch(2, w.batchSize)
 		w.stageNanos = make([]int64, 2, len(pipe.stages)+3)
 		w.lastStamp = time.Now()
 		specs, cut, exit := pipe.stages, len(pipe.stages), sinkStage
@@ -150,9 +148,11 @@ func newWorker(rc *runContext, pipe *compiledPipeline, isRoot bool, emit func([]
 			w.router = newRouteStage(route, pipe.outWidth-len(route.chains[0]))
 			w.addStage(w.router)
 		}
+		entry := 0
 		if len(w.bstages) == 0 {
-			w.entry = sinkStage
+			entry = sinkStage
 		}
+		w.edges = newFanOut(1, oneColumn, w.batchSize, entry, scanBatches)
 		w.memBytes = int64(words) * vertexIDBytes
 	}
 	w.tuple = make([]graph.VertexID, 0, pipe.outWidth)
@@ -180,16 +180,14 @@ func (w *worker) appendStages(specs []stageSpec, cut, width, exit int) int {
 			next = exit
 		}
 		st := spec.newBatchState(w.rc, next, width, w.batchSize)
-		width = st.outWidth()
-		words += width * w.batchSize
-		if es, ok := st.(*batchExtendState); ok {
-			words += cap(es.out.runEnds)
-		}
+		out := st.output().batch
+		width = len(out.cols)
+		words += width*w.batchSize + cap(out.runEnds)
 		w.addStage(st)
 	}
 	if cut < len(specs) {
 		t := newFactorizedTail(w.rc, specs[cut:], exit, width, w.batchSize)
-		words += t.outWidth() * w.batchSize
+		words += len(t.out.batch.cols) * w.batchSize
 		w.addStage(t)
 	}
 	return words
@@ -217,12 +215,12 @@ func (w *worker) rebind(rc *runContext, emit func([]graph.VertexID) bool, stoppe
 	w.build, w.frag = rc.tables[w.pipe.feeds], nil
 	w.stopped = stopped
 	w.mq = mq
-	w.countFast = rc.cfg.FastCount && emit == nil
+	w.countFast = rc.cfg.FastCount && emit == nil && w.isRoot
 	w.cancelCountdown = cancelCheckInterval
 	w.profile = Profile{}
 	w.scanOut = 0
 	w.tuple = w.tuple[:0]
-	w.scanBatch.clear()
+	w.edges.batch.clear()
 	for _, s := range w.bstages {
 		s.reset(rc)
 	}
@@ -241,7 +239,7 @@ func (w *worker) rebind(rc *runContext, emit func([]graph.VertexID) bool, stoppe
 // for the garbage collector. References that could pin caller state
 // (emit closures, the run context) are dropped before pooling.
 func (w *worker) release() {
-	if w.scanBatch == nil || w.poisoned {
+	if w.edges.batch == nil || w.poisoned {
 		return
 	}
 	w.rc = nil
@@ -282,7 +280,7 @@ func (w *worker) recovered(f func()) {
 // to the engine the run was configured with.
 func (w *worker) runRecovered(start, end int) {
 	w.recovered(func() {
-		if w.scanBatch != nil {
+		if w.edges.batch != nil {
 			w.runBatchRange(start, end)
 			return
 		}
@@ -323,7 +321,7 @@ func (w *worker) runStage(i int) {
 		}
 		return
 	}
-	if w.countFast && w.isRoot && i == len(w.stages)-1 {
+	if w.countFast && i == len(w.stages)-1 {
 		if es, ok := w.stages[i].(*extendState); ok {
 			w.profile.Matches += int64(len(es.extensionSet(w)))
 			return
@@ -529,8 +527,9 @@ type extendState struct {
 
 	// Intersection cache (Section 3.1): if consecutive tuples present the
 	// same source vertices to the descriptors, the extension set is reused.
-	// cacheKey is the key of the last set computed — also inside a prefix
-	// run, which keeps it current row by row.
+	// cacheKey is the key of the last set computed; the vectorized stage
+	// loads each row's key into it (loadKey) before computing the row's
+	// set, inside a prefix run too.
 	cacheKey   []graph.VertexID
 	cacheValid bool
 	// cacheExt is the served extension set: for multiway intersections it
@@ -549,9 +548,9 @@ type extendState struct {
 	valBuf  []graph.VertexID
 
 	// it is the degree-adaptive k-way intersection engine. It owns the
-	// shortest-first ordering scratch (previously allocated per call
-	// inside graph.IntersectK), the per-kernel dispatch counters and the
-	// pin bitmap, so the E/I hot path runs allocation-free after warm-up.
+	// shortest-first ordering scratch, the per-kernel dispatch counters and
+	// the pin bitmap, so the E/I hot path runs allocation-free after
+	// warm-up.
 	it graph.Intersector
 
 	// pins lets the vectorized engine work a prefix run at a time: the one
@@ -573,7 +572,8 @@ type extendState struct {
 }
 
 func newExtendState(spec *extendSpec) extendState {
-	return extendState{spec: spec, readers: make([]graph.NeighborReader, len(spec.op.Descriptors))}
+	n := len(spec.op.Descriptors)
+	return extendState{spec: spec, cacheKey: make([]graph.VertexID, n), readers: make([]graph.NeighborReader, n)}
 }
 
 // reset readies the state for reuse by a pooled worker: cache validity
