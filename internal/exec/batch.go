@@ -527,7 +527,12 @@ type prefixRun struct {
 	carried bool
 	// vary are the descriptors whose source vertex can change inside the
 	// run: all but the shared one, or all the carried set does not cover.
-	vary []runDesc
+	// key holds their source vertices in the row last asked for, loaded
+	// from the input slots slots names: a row inside the run compares
+	// only these.
+	vary  []runDesc
+	key   []graph.VertexID
+	slots []int
 }
 
 // runDesc is one descriptor a prefix run's rows differ in: its index and
@@ -588,14 +593,14 @@ func (s *batchExtendState) endRun(w *worker) {
 // tuple-at-a-time oracle does.
 func (s *batchExtendState) extFor(w *worker, in *tupleBatch, r int) []graph.VertexID {
 	es := &s.es
-	changed := loadKey(es.cacheKey, in, es.spec.slots, r)
 	if r < s.run.end {
-		if changed == 0 {
+		if loadKey(s.run.key, in, s.run.slots, r) == 0 {
 			return es.hit(w)
 		}
 		return s.runSet(w)
 	}
 	s.endRun(w)
+	changed := loadKey(es.cacheKey, in, es.spec.slots, r)
 	var carried []graph.VertexID
 	if s.inherit {
 		carried = s.cur.at(in, r)
@@ -651,7 +656,7 @@ func (s *batchExtendState) openRun(w *worker, in *tupleBatch, r int, carried []g
 	// Lay the operands out as gather does, the shared one in place.
 	run := &s.run
 	run.end, run.list, run.carried = end, list, carried != nil
-	run.vary = run.vary[:0]
+	run.vary, run.key, run.slots = run.vary[:0], run.key[:0], run.slots[:0]
 	es.lists = es.lists[:0]
 	if carried != nil {
 		es.lists = append(es.lists, carried)
@@ -664,6 +669,8 @@ func (s *batchExtendState) openRun(w *worker, in *tupleBatch, r int, carried []g
 			run.pos = len(es.lists)
 		default:
 			run.vary = append(run.vary, runDesc{desc: i, pos: len(es.lists)})
+			run.key = append(run.key, es.cacheKey[i])
+			run.slots = append(run.slots, op.Descriptors[i].TupleIdx)
 		}
 		es.lists = append(es.lists, list)
 	}
@@ -680,8 +687,10 @@ func (s *batchExtendState) runSet(w *worker) []graph.VertexID {
 	cost := int64(len(run.list))
 	for i := range run.vary {
 		rd := &run.vary[i]
+		v := run.key[i]
+		es.cacheKey[rd.desc] = v
 		d := &op.Descriptors[rd.desc]
-		l := es.readers[rd.desc].Read(w.g, es.cacheKey[rd.desc], d.Dir, d.EdgeLabel, op.TargetLabel)
+		l := es.readers[rd.desc].Read(w.g, v, d.Dir, d.EdgeLabel, op.TargetLabel)
 		es.lists[rd.pos] = l
 		cost += int64(len(l))
 	}
