@@ -576,12 +576,13 @@ func (s *batchExtendState) endRun(w *worker) {
 
 // extFor returns the extension set of row r of in; a batch's rows are
 // asked for in ascending order after cur.rewind, and endRun follows the
-// last. The row's key is loaded into es.cacheKey first: a row that
-// repeats the key of the last set computed is a cache hit. The stage
-// works a prefix run at a time. On a row that is neither a cache hit nor
-// lies in the open run it looks ahead in the batch for the
-// operand the next rows share — the carried set, whose run's end the
-// cursor knows, else the lowest-numbered descriptor whose column repeats —
+// last. The row's key is loaded first (loadKey; inside the open run only
+// the columns that can change there): a row that repeats the key of the
+// last set computed is a cache hit. The stage works a prefix run at a
+// time. On a row that is neither a cache hit nor in the open run it looks
+// ahead in the batch for the operand the next rows share — the carried
+// set, whose run's end the cursor knows, else the lowest-numbered
+// descriptor whose column repeats —
 // and, when a run of minRunRows rows or more shares one, resolves that
 // operand once and pins it. A row inside the run then costs what differs:
 // one lookup per remaining descriptor, the same i-cost as ever (every
@@ -615,7 +616,8 @@ func (s *batchExtendState) extFor(w *worker, in *tupleBatch, r int) []graph.Vert
 	return es.intersect(w, es.cacheKey, carried)
 }
 
-// gatherVals loads s.vals with the descriptors' source vertices in row r.
+// gatherVals loads s.vals with the descriptors' source vertices in row r,
+// for a factorized leaf that inherits from the leaf before it.
 func (s *batchExtendState) gatherVals(in *tupleBatch, r int) {
 	s.vals = s.vals[:0]
 	for _, d := range s.es.spec.op.Descriptors {
