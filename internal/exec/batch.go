@@ -102,10 +102,13 @@ type tupleBatch struct {
 	headMetered int
 }
 
+// newTupleBatch makes an empty batch of width columns, capacity rows each,
+// in one allocation.
 func newTupleBatch(width, capacity int) *tupleBatch {
 	b := &tupleBatch{cols: make([][]graph.VertexID, width)}
+	buf := make([]graph.VertexID, width*capacity)
 	for i := range b.cols {
-		b.cols[i] = make([]graph.VertexID, 0, capacity)
+		b.cols[i] = buf[i*capacity : i*capacity : (i+1)*capacity]
 	}
 	return b
 }
