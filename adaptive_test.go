@@ -125,7 +125,7 @@ func TestAdaptiveComposes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if adaptive.Enumerate(pq.cur.Load().plan, db.planningStats().cat, 0, adaptive.MaxOrderings) != nil {
+		if adaptive.Enumerate(pq.cur.Load().plan, db.planningStats().cat, adaptive.MaxOrderings) != nil {
 			continue // the optimizer chose a plan with a chain to adapt on this graph
 		}
 		checked++

@@ -67,7 +67,6 @@ func main() {
 		catH      = flag.Int("cath", 3, "catalogue max subquery size h")
 		drain     = flag.Duration("drain", 15*time.Second, "graceful-shutdown drain budget")
 		compact   = flag.Int("compact-threshold", 0, "delta-overlay mutations before background compaction (0 = default 16384, negative disables)")
-		hubTh     = flag.Int("hub-threshold", 0, "adjacency-partition size that gets a bitset hub index for degree-adaptive intersections (0 = default 256, negative disables)")
 		batchSz   = flag.Int("batch-size", 0, "vectorized executor batch rows (0 = plan-adaptive, negative = tuple-at-a-time oracle engine)")
 		noFact    = flag.Bool("no-factorize", false, "disable factorized execution of star-shaped query suffixes")
 		debug     = flag.String("debug-addr", "", "optional listener for net/http/pprof, e.g. localhost:6060 (disabled when empty; keep it on a loopback or otherwise private address)")
@@ -101,8 +100,7 @@ func main() {
 	}
 
 	opts := &graphflow.Options{
-		CatalogueH: *catH, CatalogueZ: *catZ,
-		CompactThreshold: *compact, HubDegreeThreshold: *hubTh,
+		CatalogueH: *catH, CatalogueZ: *catZ, CompactThreshold: *compact,
 		DataDir: *dataDir, Fsync: *fsync, FsyncInterval: *fsyncInt,
 		MemBudgetBytes: *memBudget, MemGlobalBytes: *memGlobal,
 	}

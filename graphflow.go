@@ -102,16 +102,6 @@ type Options struct {
 	// FsyncInterval is the period of the "interval" policy; 0 takes the
 	// WAL default (100ms).
 	FsyncInterval time.Duration
-	// HubDegreeThreshold is the adjacency-partition size at which the
-	// store materialises a uint64 bitset index alongside the sorted run,
-	// enabling the degree-adaptive intersection kernels (bitset probe and
-	// word-AND) on hub vertices. 0 takes the graph package's default
-	// (256); a negative value disables bitset indexing entirely (every
-	// intersection runs on the sorted merge/gallop kernels). Each indexed
-	// partition costs up to ceil(V/8) bytes — less when its neighbour IDs
-	// cluster, since bitsets are range-compressed to the partition's ID
-	// span; LiveStats.BitsetIndexBytes reports the actual total.
-	HubDegreeThreshold int
 	// MemBudgetBytes is the default per-query memory ceiling: every
 	// evaluation meters its major allocators (hash-join build tables,
 	// worker batch scratch, extension-set caches) and aborts with an
@@ -283,20 +273,17 @@ type Stats struct {
 	// Reroutes counts the runs of tuples an Adaptive evaluation sent down
 	// an ordering other than the plan's own; zero when nothing was adapted.
 	Reroutes int64
-	// KernelMerge, KernelGallop, KernelBitsetProbe, KernelBitsetAnd and
-	// KernelPinnedProbe count intersection-kernel dispatches by kind: how
-	// often the degree-adaptive engine merged two sorted runs, galloped a
-	// short run into a long one, probed a hub's bitset index, word-ANDed
-	// two bitsets, or swept a list through the bitmap of the operand its
-	// E/I stage had pinned for the run (one that repeats from row to row;
-	// zero under DisableCache and the tuple-at-a-time oracle). ICost stays
-	// the representation-oblivious Equation 1 metric — the pinned operand's
-	// size is still charged to every intersection it takes part in — so
-	// comparing the two shows the work the bitset kernels short-circuited.
+	// KernelMerge, KernelGallop and KernelPinnedProbe count
+	// intersection-kernel dispatches by kind: how often the engine merged
+	// two sorted runs, galloped a short run into a long one, or swept a
+	// list through the bitmap of the operand its E/I stage had pinned for
+	// the run (one that repeats from row to row; zero under DisableCache
+	// and the tuple-at-a-time oracle). ICost stays Equation 1's metric —
+	// the pinned operand's size is still charged to every intersection it
+	// takes part in — so comparing the two shows the work the pinned sweep
+	// short-circuited.
 	KernelMerge       int64
 	KernelGallop      int64
-	KernelBitsetProbe int64
-	KernelBitsetAnd   int64
 	KernelPinnedProbe int64
 	// ScanBatches, ExtendBatches and ProbeBatches count the columnar
 	// batches each stage kind of the vectorized engine dispatched (all
@@ -350,21 +337,12 @@ func newDB(g *graph.Graph, opts Options) (*DB, error) {
 		buildSeconds: metrics.NewHistogram(catalogueBuildBuckets),
 		planSeconds:  metrics.NewHistogram(planBuckets),
 	}
-	if opts.HubDegreeThreshold != 0 && opts.HubDegreeThreshold != g.HubThreshold() {
-		// Graphs from paths that could not thread the knob into their
-		// builder (edge-list loads, datasets) arrive indexed at the
-		// default threshold; re-index once before the store is shared. A
-		// graph already indexed at the requested threshold (Builder.Open
-		// threads the knob and skips this entirely) is left alone.
-		g.RebuildHubIndex(opts.HubDegreeThreshold)
-	}
 	sync, err := wal.ParseSyncPolicy(opts.Fsync)
 	if err != nil {
 		return nil, err
 	}
 	db.store, err = live.Open(g, live.Config{
 		CompactThreshold: opts.CompactThreshold,
-		HubThreshold:     opts.HubDegreeThreshold,
 		Dir:              opts.DataDir,
 		Sync:             sync,
 		SyncInterval:     opts.FsyncInterval,
@@ -587,15 +565,11 @@ func (b *Builder) AddEdge(src, dst uint32, label uint16) {
 
 // Open freezes the graph and builds the DB.
 func (b *Builder) Open(opts *Options) (*DB, error) {
-	o := opts.withDefaults()
-	// Build the hub index once, at the configured threshold, instead of
-	// indexing at the default and re-indexing in newDB.
-	b.b.SetHubThreshold(o.HubDegreeThreshold)
 	g, err := b.b.Build()
 	if err != nil {
 		return nil, err
 	}
-	return newDB(g, o)
+	return newDB(g, opts.withDefaults())
 }
 
 // NumVertices returns the live epoch's vertex count (post-mutation).
@@ -645,7 +619,7 @@ func (db *DB) compiledFor(pp *preparedPlan, qo *QueryOptions) *exec.CompiledPlan
 	}
 	pp.adaptiveOnce.Do(func() {
 		pp.routesOnce.Do(func() {
-			pp.routes = adaptive.Enumerate(pp.plan, db.planningStats().cat, db.opts.HubDegreeThreshold, adaptive.MaxOrderings)
+			pp.routes = adaptive.Enumerate(pp.plan, db.planningStats().cat, adaptive.MaxOrderings)
 		})
 		pp.adaptive = pp.compiled.Adaptive(pp.routes)
 	})
@@ -705,11 +679,10 @@ func (db *DB) preparedFor(canon *query.Graph, code query.Code, wcoOnly, skipCach
 	if !cached {
 		planStart := time.Now()
 		p, err := optimizer.Optimize(canon, optimizer.Options{
-			Catalogue:    st.cat,
-			W1:           db.w1,
-			W2:           db.w2,
-			WCOOnly:      wcoOnly,
-			HubThreshold: db.opts.HubDegreeThreshold,
+			Catalogue: st.cat,
+			W1:        db.w1,
+			W2:        db.w2,
+			WCOOnly:   wcoOnly,
 			// Plans are cached per canonical query and shared across runs with
 			// factorization on or off, so pricing assumes the default (on):
 			// star-suffix set reuse is what the batch engine actually executes.
@@ -1281,14 +1254,10 @@ type LiveStats struct {
 	DeltaOps int
 	// Compactions counts completed compaction passes.
 	Compactions int64
-	// HubThreshold is the effective hub-index partition-size floor of the
-	// current base CSR (negative when bitset indexing is disabled).
-	HubThreshold int
-	// HubPartitions is the number of bitset-indexed adjacency partitions
-	// in the current base CSR (overlay vertices are unindexed until the
-	// next compaction).
-	HubPartitions int
-	// BitsetIndexBytes is the memory held by the hub bitset indexes.
+	// BitsetIndexBytes is always zero.
+	//
+	// Deprecated: the hub bitset index is gone; the field stays only until
+	// the benchmark stops reading it.
 	BitsetIndexBytes int64
 	// WALEnabled reports whether the store is durable (Options.DataDir
 	// set); the remaining WAL fields are zero when it is false.
@@ -1312,25 +1281,21 @@ type LiveStats struct {
 // LiveStats reports the versioned store's current state.
 func (db *DB) LiveStats() LiveStats {
 	s := db.store.Snapshot()
-	hub := s.Base().HubIndexStats()
 	ws := db.store.WALStats()
 	return LiveStats{
-		Epoch:            s.Epoch(),
-		Vertices:         s.NumVertices(),
-		Edges:            s.NumEdges(),
-		BaseEdges:        s.Base().NumEdges(),
-		DeltaOps:         s.DeltaOps(),
-		Compactions:      db.store.Compactions(),
-		HubThreshold:     hub.Threshold,
-		HubPartitions:    hub.Partitions,
-		BitsetIndexBytes: hub.Bytes,
-		WALEnabled:       ws.Enabled,
-		WALBytes:         ws.Bytes,
-		WALBatches:       ws.Appended,
-		ReplayedBatches:  ws.Replayed,
-		WALTornTail:      ws.TornTailDropped,
-		CheckpointEpoch:  ws.CheckpointEpoch,
-		Checkpoints:      ws.Checkpoints,
+		Epoch:           s.Epoch(),
+		Vertices:        s.NumVertices(),
+		Edges:           s.NumEdges(),
+		BaseEdges:       s.Base().NumEdges(),
+		DeltaOps:        s.DeltaOps(),
+		Compactions:     db.store.Compactions(),
+		WALEnabled:      ws.Enabled,
+		WALBytes:        ws.Bytes,
+		WALBatches:      ws.Appended,
+		ReplayedBatches: ws.Replayed,
+		WALTornTail:     ws.TornTailDropped,
+		CheckpointEpoch: ws.CheckpointEpoch,
+		Checkpoints:     ws.Checkpoints,
 	}
 }
 
@@ -1421,8 +1386,6 @@ func statsFrom(p *plan.Plan, prof exec.Profile, n int64) Stats {
 		Reroutes:             prof.Reroutes,
 		KernelMerge:          prof.Kernels.Merge,
 		KernelGallop:         prof.Kernels.Gallop,
-		KernelBitsetProbe:    prof.Kernels.BitsetProbe,
-		KernelBitsetAnd:      prof.Kernels.BitsetAnd,
 		KernelPinnedProbe:    prof.Kernels.PinnedProbe,
 		ScanBatches:          prof.Batches.Scan,
 		ExtendBatches:        prof.Batches.Extend,

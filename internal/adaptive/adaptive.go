@@ -34,9 +34,8 @@ type Routes struct {
 
 	// lists are the distinct adjacency lists the first operators read;
 	// orderings that share one share its measurement.
-	lists        []list
-	firsts       []firstStep // parallel to Chains
-	hubThreshold int
+	lists  []list
+	firsts []firstStep // parallel to Chains
 }
 
 // list names one adjacency list of a source tuple: a first operator's
@@ -59,9 +58,8 @@ type firstStep struct {
 
 // Enumerate returns the candidate orderings of p's trailing E/I chain, at
 // most maxOrderings of them enumerated (the plan's own first), priced
-// against cat under the store's hub threshold (0: default, negative: no
-// indexes); nil when there is nothing to choose between — a chain shorter
-// than two operators, or a single candidate.
+// against cat; nil when there is nothing to choose between — a chain
+// shorter than two operators, or a single candidate.
 //
 // Re-estimation replaces only the first operator's statistics. Orderings
 // whose first operators read the same lists with the same estimates —
@@ -70,7 +68,7 @@ type firstStep struct {
 // says of their later operators, and only the cheapest of them is kept
 // (beside the plan's own). That bounds Pick's work and the compiled
 // sub-chains by the chain's length; a clique has nothing left to adapt.
-func Enumerate(p *plan.Plan, cat *catalogue.Catalogue, hubThreshold, maxOrderings int) *Routes {
+func Enumerate(p *plan.Plan, cat *catalogue.Catalogue, maxOrderings int) *Routes {
 	// Peel the chain off the root: bottom-up, over a SCAN or a HASH-JOIN.
 	var chain []*plan.Extend
 	source := p.Root
@@ -104,7 +102,7 @@ func Enumerate(p *plan.Plan, cat *catalogue.Catalogue, hubThreshold, maxOrdering
 		}
 	}
 	rec(source, nil, base)
-	r := &Routes{hubThreshold: hubThreshold}
+	r := &Routes{}
 	for _, ops := range all {
 		f := r.price(q, cat, base, ops)
 		// The last kept ordering priced like this one: the cheapest so far,
@@ -144,7 +142,7 @@ func (r *Routes) price(q *query.Graph, cat *catalogue.Catalogue, mask query.Mask
 		mask |= query.Bit(ops[s].TargetVertex)
 		sizes := make([]float64, len(op.Descriptors))
 		mu, _ := cat.ExtendStats(q, mask, op.TargetVertex, sizes)
-		f.rest += card * catalogue.EffectiveICost(sizes, r.hubThreshold)
+		f.rest += card * catalogue.EffectiveICost(sizes)
 		card *= mu
 	}
 	return f
@@ -167,8 +165,7 @@ func (r *Routes) Lists() int { return len(r.lists) }
 // lowest index, so the plan's own ordering wins them. Example 6.2's rule:
 // the first operator's list sizes are the tuple's actual ones, its µ is
 // rescaled by the actual/estimated size ratios, the later operators keep
-// their catalogue estimates — all priced through the hub-aware effective
-// i-cost the executor's kernels realise. sizes is the caller's: it holds
+// their catalogue estimates — all priced through Equation 1's i-cost. sizes is the caller's: it holds
 // the list sizes its previous call measured, and changed marks the key
 // slots whose vertex differs since — only their lists are measured again
 // (every bit set on a first call).
@@ -191,7 +188,7 @@ func (r *Routes) Pick(g graph.View, key []graph.VertexID, changed uint32, sizes 
 				rest = 0
 			}
 		}
-		if cost := catalogue.EffectiveICost(actual, r.hubThreshold) + rest; cost < bestCost {
+		if cost := catalogue.EffectiveICost(actual) + rest; cost < bestCost {
 			best, bestCost = i, cost
 		}
 	}

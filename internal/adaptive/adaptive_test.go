@@ -59,7 +59,7 @@ func run(t testing.TB, g graph.View, cat *catalogue.Catalogue, p *plan.Plan, cfg
 	if err != nil {
 		t.Fatal(err)
 	}
-	routes = adaptive.Enumerate(p, cat, 0, maxOrderings)
+	routes = adaptive.Enumerate(p, cat, maxOrderings)
 	n, adapted, err := cp.Adaptive(routes).CountCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func run(t testing.TB, g graph.View, cat *catalogue.Catalogue, p *plan.Plan, cfg
 func TestEnumerate(t *testing.T) {
 	q4 := query.Q4()
 	p := fixedWCO(t, q4, []int{1, 2, 0, 3})
-	r := adaptive.Enumerate(p, testCat, 0, adaptive.MaxOrderings)
+	r := adaptive.Enumerate(p, testCat, adaptive.MaxOrderings)
 	if r == nil {
 		t.Fatal("diamond-X WCO plan (2 extends) should be adaptable")
 	}
@@ -87,11 +87,11 @@ func TestEnumerate(t *testing.T) {
 			t.Errorf("candidate %d is not a chain of %d operators over the plan's source", o, len(chain))
 		}
 	}
-	if adaptive.Enumerate(p, testCat, 0, 1) != nil {
+	if adaptive.Enumerate(p, testCat, 1) != nil {
 		t.Error("a cap of one ordering leaves nothing to choose between")
 	}
 	tri := fixedWCO(t, query.Q1(), []int{0, 1, 2})
-	if adaptive.Enumerate(tri, testCat, 0, adaptive.MaxOrderings) != nil {
+	if adaptive.Enumerate(tri, testCat, adaptive.MaxOrderings) != nil {
 		t.Error("triangle plan (1 extend) should not be adaptable")
 	}
 	// TestAdaptiveFallsBackWithoutChain: nothing to adapt is the plan itself.
@@ -145,7 +145,7 @@ func TestAdaptiveHybridChain(t *testing.T) {
 func TestAdaptiveEmitLayout(t *testing.T) {
 	q := query.Q4()
 	p := fixedWCO(t, q, []int{1, 2, 0, 3})
-	routes := adaptive.Enumerate(p, testCat, 0, adaptive.MaxOrderings)
+	routes := adaptive.Enumerate(p, testCat, adaptive.MaxOrderings)
 	cp, err := exec.Compile(testG, p)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"graphflow/internal/datagen"
 	"graphflow/internal/exec"
 	"graphflow/internal/graph"
 	"graphflow/internal/optimizer"
@@ -30,7 +29,6 @@ func Ablations() []Ablation {
 		{"cache-conscious", "optimizer pick quality with and without cache-aware costing (Section 5.2)", AblationCacheConscious},
 		{"fast-count", "factorized counting vs full enumeration of the last extension", AblationFastCount},
 		{"galloping", "galloping vs pure merge intersections on skewed lists", AblationGalloping},
-		{"adaptive-kernels", "degree-adaptive bitset kernels vs sorted-only intersections on a hub-heavy graph", AblationAdaptiveKernels},
 		{"beam-width", "plan cost vs beam width for large queries (Section 4.4)", AblationBeamWidth},
 		{"adaptive-cap", "adaptive speedup vs the candidate-ordering cap", AblationAdaptiveCap},
 	}
@@ -155,60 +153,6 @@ func AblationGalloping(w io.Writer, scale int) error {
 	}
 	fmt.Fprintf(w, "pairs=%d galloping=%.3fs merge-only=%.3fs speedup=%.2fx\n",
 		len(pairs), gallop, merge, merge/gallop)
-	return nil
-}
-
-// AblationAdaptiveKernels runs WCO plans end-to-end on a skewed web
-// graph twice — once with hub bitset indexes at the default threshold,
-// once with indexing disabled (sorted merge/gallop only) — and reports
-// wall time plus the per-kernel dispatch counters of the indexed run,
-// showing how much of the intersection work the degree-adaptive engine
-// routes to the bitset kernels.
-func AblationAdaptiveKernels(w io.Writer, scale int) error {
-	// Private builds: the shared dataset cache must not have its hub
-	// index rebuilt under other experiments.
-	gOn := datagen.ByName("BerkStan", scale)
-	gOff := datagen.ByName("BerkStan", scale)
-	gOff.RebuildHubIndex(-1)
-	c := cat("BerkStan", scale, 1)
-	hub := gOn.HubIndexStats()
-	fmt.Fprintf(w, "hub index: %d partitions, %.1f MiB (threshold %d)\n",
-		hub.Partitions, float64(hub.Bytes)/(1<<20), hub.Threshold)
-	fmt.Fprintf(w, "%-12s %10s %10s %8s %10s %10s %10s %10s\n",
-		"query", "bitset(s)", "sorted(s)", "speedup", "probe", "and", "merge", "gallop")
-	// Web-graph workloads whose intersections meet the in-degree hubs:
-	// co-citation closes triangles through backward lists, and the
-	// co-citation diamond intersects two hub in-lists pairwise (the
-	// word-AND sweet spot).
-	patterns := []struct{ name, pattern string }{
-		{"tri", "a->b, b->c, a->c"},
-		{"co-cite", "b->a, c->a, b->c"},
-		{"diamond-in", "c->a, c->b, d->a, d->b"},
-	}
-	for _, pt := range patterns {
-		q, err := query.ParseAny(pt.pattern)
-		if err != nil {
-			return err
-		}
-		p, err := optimizer.Optimize(q, optimizer.Options{Catalogue: c, WCOOnly: true})
-		if err != nil {
-			return err
-		}
-		onS, nOn, profOn, err := timeRun(gOn, p, 1, false)
-		if err != nil {
-			return err
-		}
-		offS, nOff, _, err := timeRun(gOff, p, 1, false)
-		if err != nil {
-			return err
-		}
-		if nOn != nOff {
-			return fmt.Errorf("adaptive kernels changed %s's count: %d vs %d", pt.name, nOn, nOff)
-		}
-		k := profOn.Kernels
-		fmt.Fprintf(w, "%-12s %10.3f %10.3f %7.2fx %10d %10d %10d %10d\n",
-			pt.name, onS, offS, offS/onS, k.BitsetProbe, k.BitsetAnd, k.Merge, k.Gallop)
-	}
 	return nil
 }
 

@@ -8,8 +8,8 @@ import (
 
 func TestAblationRegistry(t *testing.T) {
 	as := Ablations()
-	if len(as) != 6 {
-		t.Fatalf("ablation registry has %d entries, want 6", len(as))
+	if len(as) != 5 {
+		t.Fatalf("ablation registry has %d entries, want 5", len(as))
 	}
 	var buf bytes.Buffer
 	if err := RunAblation("nope", &buf, 1); err == nil {
@@ -33,16 +33,6 @@ func TestAblationGallopingSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "speedup") {
-		t.Errorf("output:\n%s", buf.String())
-	}
-}
-
-func TestAblationAdaptiveKernelsSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	if err := AblationAdaptiveKernels(&buf, 1); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "hub index") || !strings.Contains(buf.String(), "probe") {
 		t.Errorf("output:\n%s", buf.String())
 	}
 }

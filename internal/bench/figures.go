@@ -137,7 +137,7 @@ func timeAdaptive(g *graph.Graph, c *catalogue.Catalogue, p *plan.Plan, maxOrder
 	if err != nil {
 		return 0, 0, false, err
 	}
-	routes := adaptive.Enumerate(p, c, g.HubThreshold(), maxOrderings)
+	routes := adaptive.Enumerate(p, c, maxOrderings)
 	adapted, got, err := timeCount(cp.Adaptive(routes))
 	if err == nil && got != want {
 		err = fmt.Errorf("adaptive evaluation counted %d matches, the fixed plan %d", got, want)

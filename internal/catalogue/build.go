@@ -346,7 +346,7 @@ func (m *measurer) measure(b *builder, j *job) {
 			// no rows. Every list still counts towards listSums above.
 			continue
 		}
-		m.out, m.scratch = m.it.IntersectK(lists, nil, m.out, m.scratch)
+		m.out, m.scratch = m.it.IntersectK(lists, m.out, m.scratch)
 		totalExt += len(m.out)
 		if recurse {
 			for _, w := range m.out {

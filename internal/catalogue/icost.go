@@ -1,54 +1,14 @@
 package catalogue
 
-import "graphflow/internal/graph"
-
-// bitsetProbeCostFactor models the per-element premium of probing a hub
-// bitset over streaming a sorted run: probes are random word loads, so
-// one probed element costs about two sequentially merged ones.
-const bitsetProbeCostFactor = 2.0
-
 // EffectiveICost converts the per-descriptor (average or actual)
 // adjacency-list sizes of one E/I extension into the expected per-tuple
-// intersection work under the degree-adaptive kernel engine.
-//
-// Equation 1 charges the sum of all accessed list sizes — correct for
-// pure sorted-merge intersections. With hub bitset indexes, a list at or
-// above the hub threshold is not scanned: the running intersection
-// result (bounded by the smallest list) is probed into its bitset at
-// O(result) instead, so the list contributes min(size, factor·smallest).
-// The smallest list is always walked in full. hubThreshold follows the
-// store's knob convention: 0 takes graph.DefaultHubThreshold, negative
-// means no indexes exist and the estimate degrades to the plain sum.
-func EffectiveICost(sizes []float64, hubThreshold int) float64 {
-	if len(sizes) <= 1 || hubThreshold < 0 {
-		total := 0.0
-		for _, s := range sizes {
-			total += s
-		}
-		return total
-	}
-	th := float64(graph.DefaultHubThreshold)
-	if hubThreshold > 0 {
-		th = float64(hubThreshold)
-	}
-	smallest := sizes[0]
-	for _, s := range sizes[1:] {
-		if s < smallest {
-			smallest = s
-		}
-	}
-	total := smallest
-	skippedSmallest := false
+// intersection work: Equation 1's sum of all accessed list sizes. The
+// executor merges or gallops every list it intersects, and the pinned
+// sweep of a prefix run reads no more than that.
+func EffectiveICost(sizes []float64) float64 {
+	total := 0.0
 	for _, s := range sizes {
-		if !skippedSmallest && s == smallest {
-			skippedSmallest = true
-			continue
-		}
-		if probe := bitsetProbeCostFactor * smallest; s >= th && probe < s {
-			total += probe
-		} else {
-			total += s
-		}
+		total += s
 	}
 	return total
 }
@@ -60,8 +20,8 @@ func EffectiveICost(sizes []float64, hubThreshold int) float64 {
 // optimizer charges this per prefix group rather than per output tuple
 // — the same arithmetic as EffectiveICost, named separately because it
 // is the unit the factorized multiplier (reuseMult) multiplies against.
-func StarLeafICost(sizes []float64, hubThreshold int) float64 {
-	return EffectiveICost(sizes, hubThreshold)
+func StarLeafICost(sizes []float64) float64 {
+	return EffectiveICost(sizes)
 }
 
 // CarriedICost prices one set computation of an inheriting extension:
@@ -69,13 +29,12 @@ func StarLeafICost(sizes []float64, hubThreshold int) float64 {
 // marked in covered — a bitmask over sizes' indices — and is intersected
 // with the rest, so the executor accesses set plus the uncovered lists
 // (the meaning Profile.ICost keeps for carried extension sets).
-func CarriedICost(set float64, sizes []float64, covered uint32, hubThreshold int) float64 {
-	var buf [33]float64
-	accessed := append(buf[:0], set)
+func CarriedICost(set float64, sizes []float64, covered uint32) float64 {
+	total := set
 	for i, s := range sizes {
 		if covered&(1<<uint(i)) == 0 {
-			accessed = append(accessed, s)
+			total += s
 		}
 	}
-	return EffectiveICost(accessed, hubThreshold)
+	return total
 }

@@ -202,10 +202,7 @@ type RunShapesConfig struct {
 	// HubEvery makes every HubEvery-th periphery vertex point at the hub
 	// and at the next periphery vertex as well.
 	HubEvery int
-	// HubThreshold is the hub-index threshold the graph is built with
-	// (graph.Builder.SetHubThreshold).
-	HubThreshold int
-	Seed         int64
+	Seed     int64
 }
 
 // RunShapes generates a graph whose scan order meets every shape of
@@ -224,7 +221,6 @@ func RunShapes(cfg RunShapesConfig) *graph.Graph {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	core, hub := cfg.Core, graph.VertexID(cfg.Core)
 	b := graph.NewBuilder(core + 1 + cfg.Periphery)
-	b.SetHubThreshold(cfg.HubThreshold)
 	for u := 0; u < core; u++ {
 		for v := 0; v < core; v++ {
 			if u == v {

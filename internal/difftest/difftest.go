@@ -328,20 +328,6 @@ func OpenDB(g *graph.Graph) (*graphflow.DB, error) {
 // races the background compactor against queries and writers; a negative
 // one keeps the overlay growing so overlay reads stay exercised.
 func OpenLiveDB(g *graph.Graph, compactThreshold int) (*graphflow.DB, error) {
-	return openDB(g, compactThreshold, 0)
-}
-
-// OpenDBHub is OpenDB with a forced hub bitset threshold, for the
-// threshold-forcing corpus: 1 indexes every adjacency partition (the
-// "all hubs" extreme — partitions are non-empty, so a floor of 1 catches
-// them all and every multiway intersection may dispatch to the bitset
-// kernels), a negative value indexes none (every intersection stays on
-// the sorted merge/gallop kernels).
-func OpenDBHub(g *graph.Graph, hubThreshold int) (*graphflow.DB, error) {
-	return openDB(g, 0, hubThreshold)
-}
-
-func openDB(g *graph.Graph, compactThreshold, hubThreshold int) (*graphflow.DB, error) {
 	b := graphflow.NewBuilder(g.NumVertices())
 	for v := 0; v < g.NumVertices(); v++ {
 		b.SetVertexLabel(uint32(v), uint16(g.VertexLabel(graph.VertexID(v))))
@@ -351,10 +337,9 @@ func openDB(g *graph.Graph, compactThreshold, hubThreshold int) (*graphflow.DB, 
 		return true
 	})
 	return b.Open(&graphflow.Options{
-		CatalogueZ:         100,
-		CatalogueH:         2,
-		CompactThreshold:   compactThreshold,
-		HubDegreeThreshold: hubThreshold,
+		CatalogueZ:       100,
+		CatalogueH:       2,
+		CompactThreshold: compactThreshold,
 	})
 }
 

@@ -1,11 +1,15 @@
 package difftest
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"graphflow"
+	"graphflow/internal/exec"
 	"graphflow/internal/graph"
+	"graphflow/internal/live"
+	"graphflow/internal/plan"
 	"graphflow/internal/query"
 )
 
@@ -61,66 +65,6 @@ func TestDifferentialExtended(t *testing.T) {
 		t.Skip("extended differential corpus skipped in -short mode")
 	}
 	runCorpus(t, 5000, 40, 25)
-}
-
-// TestDifferentialHubThresholds runs the random (graph, pattern) corpus
-// with the hub bitset threshold forced to its two extremes — 1, indexing
-// every adjacency partition so all eligible intersections dispatch to
-// the bitset probe/AND kernels, and -1, indexing none so everything
-// stays on the sorted merge/gallop kernels — and requires the two
-// engines (hybrid and WCO-restricted plans on each) to agree with each
-// other and with the BJ reference. Any representation-dependent
-// divergence in the degree-adaptive engine shows up as a count mismatch.
-func TestDifferentialHubThresholds(t *testing.T) {
-	numGraphs, patternsPer := 6, 8
-	skipped := 0
-	for gi := 0; gi < numGraphs; gi++ {
-		seed := int64(20000 + gi)
-		g := GenGraph(seed)
-		dbAll, err := OpenDBHub(g, 1)
-		if err != nil {
-			t.Fatalf("graph seed %d (all hubs): %v", seed, err)
-		}
-		dbNone, err := OpenDBHub(g, -1)
-		if err != nil {
-			t.Fatalf("graph seed %d (no hubs): %v", seed, err)
-		}
-		rng := rand.New(rand.NewSource(seed * 104729))
-		for pi := 0; pi < patternsPer; pi++ {
-			q := GenPattern(rng)
-			resAll, err := ComparePair(dbAll, g, q)
-			if err != nil {
-				t.Fatalf("graph seed %d pattern %d (all hubs): %v", seed, pi, err)
-			}
-			resNone, err := ComparePair(dbNone, g, q)
-			if err != nil {
-				t.Fatalf("graph seed %d pattern %d (no hubs): %v", seed, pi, err)
-			}
-			if resAll.Skipped || resNone.Skipped {
-				skipped++
-				continue
-			}
-			for _, c := range []struct {
-				name string
-				got  int64
-			}{
-				{"all-hubs hybrid", resAll.Got},
-				{"all-hubs WCO", resAll.GotWCO},
-				{"no-hubs hybrid", resNone.Got},
-				{"no-hubs WCO", resNone.GotWCO},
-			} {
-				if c.got != resAll.Want {
-					t.Errorf("graph seed %d: %s count of %q = %d, BJ reference %d",
-						seed, c.name, resAll.Pattern, c.got, resAll.Want)
-				}
-			}
-		}
-	}
-	total := numGraphs * patternsPer
-	if skipped > total/2 {
-		t.Errorf("%d/%d pairs skipped on the reference budget; corpus too thin", skipped, total)
-	}
-	t.Logf("hub-threshold corpus: %d pairs, %d skipped", total-skipped, skipped)
 }
 
 // runLiveCorpus checks numTrials live-mutation trials of batchesPer
@@ -411,9 +355,8 @@ func TestDifferentialBatchLimits(t *testing.T) {
 // cliques minus an edge, cliques with pendant leaves, uniform and mixed
 // edge directions — through CompareCarried on unlabelled graphs and on
 // 2 vertex × 3 edge label graphs (where a same-slot stage with another
-// target or edge label must not inherit), with the hub bitset threshold
-// forced to both extremes, on the static store and on a live overlay
-// after mutation batches. The last two graphs of the corpus are
+// target or edge label must not inherit), on the static store and on a
+// live overlay after mutation batches. The last two graphs of the corpus are
 // run-shaped (GenRunGraph): carried runs of one and two rows in turn,
 // runs cut by a batch end and resumed from the next batch's headSet, a
 // hub-sized partner in the middle of a run. Wrongly carried, stale or
@@ -430,36 +373,35 @@ func TestDifferentialCarriedSets(t *testing.T) {
 		labelled := gi%2 == 1
 		g := corpusGraph(gi, numGraphs, seed, labelled)
 		rng := rand.New(rand.NewSource(seed * 15485863))
-		for _, hub := range []int{1, -1} {
-			static, err := OpenDBHub(g, hub)
-			if err != nil {
-				t.Fatalf("graph seed %d hub %d: %v", seed, hub, err)
+		static, err := OpenDB(g)
+		if err != nil {
+			t.Fatalf("graph seed %d: %v", seed, err)
+		}
+		// No compaction: every read after the batches goes through the
+		// overlay's merged neighbor runs.
+		live, err := OpenLiveDB(g, -1)
+		if err != nil {
+			t.Fatalf("graph seed %d (live): %v", seed, err)
+		}
+		sh := NewShadow(g)
+		for b := 0; b < 2; b++ {
+			batch := GenBatch(rng, sh)
+			if _, err := live.Apply(batch); err != nil {
+				t.Fatalf("graph seed %d batch %d: %v", seed, b, err)
 			}
-			// No compaction: every read after the batches goes through the
-			// overlay's merged neighbor runs.
-			live, err := openDB(g, -1, hub)
-			if err != nil {
-				t.Fatalf("graph seed %d hub %d (live): %v", seed, hub, err)
-			}
-			sh := NewShadow(g)
-			for b := 0; b < 2; b++ {
-				batch := GenBatch(rng, sh)
-				if _, err := live.Apply(batch); err != nil {
-					t.Fatalf("graph seed %d hub %d batch %d: %v", seed, hub, b, err)
+			sh.Apply(batch)
+		}
+		for pi := 0; pi < patternsPer; pi++ {
+			q := GenDensePattern(rng, labelled)
+			for name, db := range map[string]*graphflow.DB{"static": static, "live": live} {
+				n, _, err := CompareCarried(db, q)
+				if err != nil {
+					t.Errorf("graph seed %d %s pattern %d: %v", seed, name, pi, err)
 				}
-				sh.Apply(batch)
-			}
-			for pi := 0; pi < patternsPer; pi++ {
-				q := GenDensePattern(rng, labelled)
-				for name, db := range map[string]*graphflow.DB{"static": static, "live": live} {
-					n, _, err := CompareCarried(db, q)
-					if err != nil {
-						t.Errorf("graph seed %d hub %d %s pattern %d: %v", seed, hub, name, pi, err)
-					}
-					carried += n
-				}
+				carried += n
 			}
 		}
+
 	}
 	if carried == 0 {
 		t.Error("no intersection of the whole corpus was seeded with a carried set; the family no longer exercises the path")
@@ -517,9 +459,8 @@ func denseBatch(rng *rand.Rand, sh *Shadow, labelled bool) graphflow.Batch {
 // 1/3/64/1024 so that prefix runs and carried runs are cut by batch
 // boundaries in every way, Workers 1 and 4, factorization on and off, the
 // cache (and with it the pinning) off, exact Limits and full row sets,
-// all against the tuple-at-a-time oracle — with every adjacency partition
-// indexed as a hub and with none, on the static store and on a live
-// overlay that has taken two random batches and one that appends vertices
+// all against the tuple-at-a-time oracle — on the static store and on a
+// live overlay that has taken two random batches and one that appends vertices
 // into the dense part of the graph (no compaction: lists come from the
 // overlay's merged runs, IDs beyond the base graph reach the bitmap). The
 // last two graphs of the corpus are run-shaped (GenRunGraph): scan runs
@@ -527,8 +468,9 @@ func denseBatch(rng *rand.Rand, sh *Shadow, labelled bool) graphflow.Batch {
 // hub-sized partner past the pin cut-off in the middle of a run, and — on
 // the labelled one — shared operands that are empty; every exact Limit
 // unwinds the pipeline inside a run and the next query reuses its
-// workers. internal/exec's TestRunBoundaries holds the same shapes to
-// the per-row path's counters.
+// workers. TestDifferentialPinnedPastCutoff holds the hub-sized partner
+// to the oracle on a plan that is sure to meet it, and internal/exec's
+// TestRunBoundaries holds the same shapes to the per-row path's counters.
 func TestDifferentialPinnedOperands(t *testing.T) {
 	numGraphs, patternsPer := 6, 3
 	if testing.Short() {
@@ -541,46 +483,45 @@ func TestDifferentialPinnedOperands(t *testing.T) {
 		labelled := gi%2 == 1
 		g := corpusGraph(gi, numGraphs, seed, labelled)
 		rng := rand.New(rand.NewSource(seed * 15485863))
-		for _, hub := range []int{1, -1} {
-			static, err := OpenDBHub(g, hub)
-			if err != nil {
-				t.Fatalf("graph seed %d hub %d: %v", seed, hub, err)
+		static, err := OpenDB(g)
+		if err != nil {
+			t.Fatalf("graph seed %d: %v", seed, err)
+		}
+		live, err := OpenLiveDB(g, -1)
+		if err != nil {
+			t.Fatalf("graph seed %d (live): %v", seed, err)
+		}
+		sh := NewShadow(g)
+		for b := 0; b < 3; b++ {
+			batch := GenBatch(rng, sh)
+			if b == 2 {
+				batch = denseBatch(rng, sh, labelled)
 			}
-			live, err := openDB(g, -1, hub)
-			if err != nil {
-				t.Fatalf("graph seed %d hub %d (live): %v", seed, hub, err)
+			if _, err := live.Apply(batch); err != nil {
+				t.Fatalf("graph seed %d batch %d: %v", seed, b, err)
 			}
-			sh := NewShadow(g)
-			for b := 0; b < 3; b++ {
-				batch := GenBatch(rng, sh)
-				if b == 2 {
-					batch = denseBatch(rng, sh, labelled)
-				}
-				if _, err := live.Apply(batch); err != nil {
-					t.Fatalf("graph seed %d hub %d batch %d: %v", seed, hub, b, err)
-				}
-				sh.Apply(batch)
+			sh.Apply(batch)
+		}
+		for pi := 0; pi < patternsPer; {
+			q := GenPinnedPattern(rng, labelled)
+			if n, err := live.Count(q.String(), &graphflow.QueryOptions{Limit: oracleBudget + 1}); err != nil {
+				t.Fatalf("graph seed %d: sizing %q: %v", seed, q, err)
+			} else if n > oracleBudget {
+				continue
 			}
-			for pi := 0; pi < patternsPer; {
-				q := GenPinnedPattern(rng, labelled)
-				if n, err := live.Count(q.String(), &graphflow.QueryOptions{Limit: oracleBudget + 1}); err != nil {
-					t.Fatalf("graph seed %d hub %d: sizing %q: %v", seed, hub, q, err)
-				} else if n > oracleBudget {
-					continue
+			pi++
+			if q.Edges[0].Label == 0xFFFF {
+				wildcards++
+			}
+			for name, db := range map[string]*graphflow.DB{"static": static, "live": live} {
+				_, n, err := CompareCarried(db, q)
+				if err != nil {
+					t.Errorf("graph seed %d %s pattern %d: %v", seed, name, pi, err)
 				}
-				pi++
-				if q.Edges[0].Label == 0xFFFF {
-					wildcards++
-				}
-				for name, db := range map[string]*graphflow.DB{"static": static, "live": live} {
-					_, n, err := CompareCarried(db, q)
-					if err != nil {
-						t.Errorf("graph seed %d hub %d %s pattern %d: %v", seed, hub, name, pi, err)
-					}
-					pinned += n
-				}
+				pinned += n
 			}
 		}
+
 	}
 	if pinned == 0 {
 		t.Error("no intersection of the whole corpus swept a pinned operand's bitmap; the family no longer exercises the path")
@@ -591,15 +532,83 @@ func TestDifferentialPinnedOperands(t *testing.T) {
 	t.Logf("corpus dispatched %d pinned probes; %d wildcard patterns", pinned, wildcards)
 }
 
+// TestDifferentialPinnedPastCutoff meets, on purpose, the row a run
+// hands back from the pinned sweep to the gallop: on the unlabelled
+// run-shaped graphs of the pinned corpus, the triangle chain a, b, c
+// scans each vertex's out-edges as a run that pins N(a), and at every
+// HubEvery-th periphery vertex one row's partner is the hub's list,
+// graph.PinCutoff times N(a)'s length or more. The optimizer may order
+// the triangle another way, so the chain is compiled here. Counts at
+// every run batch size must be the tuple-at-a-time oracle's, on the
+// static graph and behind a live overlay whose appended vertices the hub
+// points at.
+func TestDifferentialPinnedPastCutoff(t *testing.T) {
+	q := query.MustParse("a->b, b->c, a->c")
+	ext, err := plan.NewExtend(q, plan.NewScan(q, q.Edges[0]), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &plan.Plan{Query: q, Root: ext}
+	for _, seed := range []int64{53002, 53004} {
+		g := GenRunGraph(seed, false)
+		hub, past := graph.VertexID(0), 0
+		for a := graph.VertexID(0); int(a) < g.NumVertices(); a++ {
+			if g.OutDegree(a) > g.OutDegree(hub) {
+				hub = a
+			}
+			na := g.Neighbors(a, graph.Forward, 0, 0, nil)
+			for _, b := range na {
+				if len(na) >= 2 && g.OutDegree(b) >= graph.PinCutoff*len(na) {
+					past++
+				}
+			}
+		}
+		if past == 0 {
+			t.Fatalf("graph seed %d: no scan run has a partner past the pin cut-off", seed)
+		}
+		db, err := live.Open(g, live.Config{CompactThreshold: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := graph.VertexID(g.NumVertices())
+		batch := live.Batch{AddVertices: []graph.Label{0, 0}}
+		for v := n; v < n+2; v++ {
+			batch.AddEdges = append(batch.AddEdges, live.EdgeOp{Src: hub, Dst: v}, live.EdgeOp{Src: v, Dst: hub}, live.EdgeOp{Src: v, Dst: v ^ 1})
+		}
+		if _, err := db.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+		for name, view := range map[string]graph.View{"static": g, "live": db.Snapshot()} {
+			cp, err := exec.Compile(view, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := cp.CountCtx(context.Background(), exec.RunConfig{TupleAtATime: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bs := range RunBatchSizes {
+				got, prof, err := cp.CountCtx(context.Background(), exec.RunConfig{BatchSize: bs})
+				if err != nil || got != want {
+					t.Errorf("graph seed %d %s batch %d: count %d, %v; oracle %d", seed, name, bs, got, err, want)
+				}
+				if bs > 1 && (prof.Kernels.PinnedProbe == 0 || prof.Kernels.Gallop == 0) {
+					t.Errorf("graph seed %d %s batch %d: kernels %+v, want pinned sweeps and gallops", seed, name, bs, prof.Kernels)
+				}
+			}
+		}
+	}
+}
+
 // TestDifferentialAdaptive puts adaptive evaluation through the matrix
 // the fixed engine answers to (CompareAdaptive), over the corpora that
 // stress what a routed chain is made of: the dense family (cliques and
 // chorded cycles: carried sets, several orderings per chain), the pinned
 // family (operands that repeat over a run, wildcard labels) and the
 // factorized family's star-heavy shapes on its sparser graphs (orderings
-// ending in tails of different lengths) — the first two with every
-// adjacency partition indexed as a hub and with none, on the static store
-// and on a live overlay that has taken two random batches and a dense one.
+// ending in tails of different lengths) — the first two on the static
+// store and on a live overlay that has taken two random batches and a
+// dense one.
 func TestDifferentialAdaptive(t *testing.T) {
 	numGraphs := 4
 	if testing.Short() {
@@ -616,49 +625,48 @@ func TestDifferentialAdaptive(t *testing.T) {
 		labelled := gi%2 == 1
 		g := GenDenseGraph(seed, labelled)
 		rng := rand.New(rand.NewSource(seed * 15485863))
-		for _, hub := range []int{1, -1} {
-			static, err := OpenDBHub(g, hub)
-			if err != nil {
-				t.Fatalf("graph seed %d hub %d: %v", seed, hub, err)
+		static, err := OpenDB(g)
+		if err != nil {
+			t.Fatalf("graph seed %d: %v", seed, err)
+		}
+		live, err := OpenLiveDB(g, -1)
+		if err != nil {
+			t.Fatalf("graph seed %d (live): %v", seed, err)
+		}
+		sh := NewShadow(g)
+		for b := 0; b < 3; b++ {
+			batch := GenBatch(rng, sh)
+			if b == 2 {
+				batch = denseBatch(rng, sh, labelled)
 			}
-			live, err := openDB(g, -1, hub)
-			if err != nil {
-				t.Fatalf("graph seed %d hub %d (live): %v", seed, hub, err)
+			if _, err := live.Apply(batch); err != nil {
+				t.Fatalf("graph seed %d batch %d: %v", seed, b, err)
 			}
-			sh := NewShadow(g)
-			for b := 0; b < 3; b++ {
-				batch := GenBatch(rng, sh)
-				if b == 2 {
-					batch = denseBatch(rng, sh, labelled)
+			sh.Apply(batch)
+		}
+		draw := func(gen func(*rand.Rand, bool) *query.Graph) *query.Graph {
+			for {
+				q := gen(rng, labelled)
+				n, err := live.Count(q.String(), &graphflow.QueryOptions{Limit: oracleBudget + 1})
+				if err != nil {
+					t.Fatalf("graph seed %d: sizing %q: %v", seed, q, err)
 				}
-				if _, err := live.Apply(batch); err != nil {
-					t.Fatalf("graph seed %d hub %d batch %d: %v", seed, hub, b, err)
-				}
-				sh.Apply(batch)
-			}
-			draw := func(gen func(*rand.Rand, bool) *query.Graph) *query.Graph {
-				for {
-					q := gen(rng, labelled)
-					n, err := live.Count(q.String(), &graphflow.QueryOptions{Limit: oracleBudget + 1})
-					if err != nil {
-						t.Fatalf("graph seed %d hub %d: sizing %q: %v", seed, hub, q, err)
-					}
-					if n <= oracleBudget {
-						return q
-					}
-				}
-			}
-			corpus := []*query.Graph{draw(GenDensePattern), draw(GenPinnedPattern)}
-			for pi, q := range corpus {
-				for name, db := range map[string]*graphflow.DB{"static": static, "live": live} {
-					n, err := CompareAdaptive(db, q)
-					if err != nil {
-						t.Errorf("graph seed %d hub %d %s pattern %d: %v", seed, hub, name, pi, err)
-					}
-					reroutes += n
+				if n <= oracleBudget {
+					return q
 				}
 			}
 		}
+		corpus := []*query.Graph{draw(GenDensePattern), draw(GenPinnedPattern)}
+		for pi, q := range corpus {
+			for name, db := range map[string]*graphflow.DB{"static": static, "live": live} {
+				n, err := CompareAdaptive(db, q)
+				if err != nil {
+					t.Errorf("graph seed %d %s pattern %d: %v", seed, name, pi, err)
+				}
+				reroutes += n
+			}
+		}
+
 	}
 	for gi := 0; gi < numGraphs; gi++ {
 		seed := int64(40000 + gi)

@@ -11,36 +11,36 @@ import (
 
 // BenchmarkIntersectAdjacency computes N(a) ∩ N(b) for every edge a->b of
 // a generated dataset, in scan order — the first E/I stage of every
-// triangle-based plan — four ways. Three are the kernels alone, looked up
-// and called by hand: "merge" is the sorted merge/gallop dispatch, "hubs"
-// adds the hub bitset indexes the way the general path fetches them,
+// triangle-based plan — three ways. Two are the kernels alone, looked up
+// and called by hand: "merge" is the sorted merge/gallop dispatch,
 // "pinned" works a run at a time the way a stage does — N(a) pinned once
-// for a's edges, each N(b) swept through the bitmap, the ordinary
-// dispatch past the cut-off. "stage" is the same intersections through a
-// compiled plan: scan, look-ahead, key compare, gather, i-cost, sweep,
-// count — so stage minus pinned is what the engine costs outside the
-// kernel, per pass. One op is one pass over the graph; ns/elem divides by
-// the summed operand sizes (the pass's i-cost), the same for every column.
-// graph's own BenchmarkIntersect* draw random-gap lists, where branch
-// prediction and list-length mix are nothing like real adjacency — a
-// branch-free merge measured 1.6× there and 0 % here — so kernel choices
-// are made on this one.
+// for a's edges, each N(b) swept through the bitmap, and a row whose N(b)
+// is past the cut-off galloped instead. "stage" is the same intersections
+// through a compiled plan: scan, look-ahead, key compare, gather, i-cost,
+// sweep, count — so stage minus pinned is what the engine costs outside
+// the kernel, per pass. One op is one pass over the graph; ns/elem
+// divides by the summed operand sizes (the pass's i-cost), the same for
+// every column. graph's own BenchmarkIntersect* draw random-gap lists,
+// where branch prediction and list-length mix are nothing like real
+// adjacency — a branch-free merge measured 1.6× there and 0 % here — so
+// kernel choices are made on this one.
 //
-// -benchtime 5x -cpu 1, best of 6 alternating runs, ms per pass (ns per
-// element):
+// -benchtime 5x -cpu 1, best of 20 runs alternated with a build that
+// still probed a per-partition hub bitset index past the cut-off and
+// outside runs (its best in brackets), ms per pass (ns per element):
 //
-//	             merge        hubs    pinned       stage        pinned vs merge
-//	LiveJournal  28.4 (4.2)   27.4    8.90 (1.3)   11.3 (1.7)   3.2×
-//	Epinions      4.46 (4.4)   4.37   1.58 (1.5)    2.09 (2.0)  2.8×
-//	BerkStan      3.53 (6.5)   3.78   1.49 (2.8)    2.18 (4.0)  2.4×
+//	             merge               pinned             stage               pinned vs merge
+//	LiveJournal  31.4 (4.6) [33.9]   9.99 (1.5) [9.43]  13.2 (1.9) [12.3]   3.1×
+//	Epinions      4.91 (4.8) [5.27]  1.69 (1.7) [1.69]   2.41 (2.4) [2.30]  2.9×
+//	BerkStan      3.57 (6.6) [3.86]  1.48 (2.7) [1.56]   2.40 (4.4) [2.40]  2.4×
 //
-// (The pinned column was 12.5 / 2.31 / 2.14 when the operand was pinned on
-// second sight inside one IntersectRun call: the first intersection of
-// every run is a sweep now, the call does nothing but sweep, and the sweep
-// loop is kept out of line — inlined into a caller with that many live
-// slices it spilled to the stack on every element.) The stage costs
-// 19 ns (LiveJournal), 20 ns (Epinions) and 18 ns (BerkStan) per
-// intersection on top of the kernels' 70 / 62 / 39 ns.
+// The hub index itself ("merge" with its probes) read 33.3 / 5.27 / 4.24
+// at best: no faster than the merge and gallop alone. The stage costs
+// 26 ns (LiveJournal), 28 ns (Epinions) and 24 ns (BerkStan) per
+// intersection on top of the kernels. On the 2-vCPU machine these were
+// taken on, a core runs at one of two speeds as its SMT sibling idles or
+// works, so these minima sit above the 28.4 / 8.90 / 11.3 ms an earlier
+// quieter round read on LiveJournal; compare columns within one round.
 //
 // The pinned and stage columns under other values of graph.PinCutoff (the
 // partner-to-pinned length ratio past which the ordinary dispatch runs;
@@ -91,14 +91,12 @@ func BenchmarkIntersectAdjacency(b *testing.B) {
 	} {
 		g := ds.g
 		n := g.NumVertices()
-		nWords := (n + 63) / 64
-		for _, policy := range []string{"merge", "hubs", "pinned"} {
+		for _, policy := range []string{"merge", "pinned"} {
 			b.Run(ds.name+"/"+policy, func(b *testing.B) {
 				var it graph.Intersector
-				it.Words = nWords
+				it.Words = (n + 63) / 64
 				var out, scratch []graph.VertexID
 				lists := make([][]graph.VertexID, 2)
-				bits := make([]*graph.Bitset, 0, 2)
 				var elems, matches int64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -118,20 +116,7 @@ func BenchmarkIntersectAdjacency(b *testing.B) {
 								out, scratch, swept = it.ProbePinned(lists, 0, out, scratch)
 							}
 							if !swept {
-								src := [2]graph.VertexID{graph.VertexID(a), v}
-								bits = bits[:0]
-								if policy != "merge" {
-									if floor, ok := graph.BitsetFetchFloor(lists, nWords); ok {
-										for k, l := range lists {
-											var bs *graph.Bitset
-											if len(l) >= floor {
-												bs = g.NeighborBitset(src[k], graph.Forward, 0, 0)
-											}
-											bits = append(bits, bs)
-										}
-									}
-								}
-								out, scratch = it.IntersectK(lists, bits, out, scratch)
+								out, scratch = it.IntersectK(lists, out, scratch)
 							}
 							matches += int64(len(out))
 						}

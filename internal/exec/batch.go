@@ -616,7 +616,7 @@ func (s *batchExtendState) extFor(w *worker, in *tupleBatch, r int) []graph.Vert
 		return s.runSet(w)
 	}
 	es.gather(w, es.cacheKey, carried)
-	return es.intersect(w, es.cacheKey, carried)
+	return es.intersect(w, carried)
 }
 
 // gatherVals loads s.vals with the descriptors' source vertices in row r,
@@ -706,7 +706,7 @@ func (s *batchExtendState) runSet(w *worker) []graph.VertexID {
 		if run.carried {
 			carried = run.list
 		}
-		return es.intersect(w, es.cacheKey, carried)
+		return es.intersect(w, carried)
 	}
 	es.serve(ext, scratch)
 	return ext

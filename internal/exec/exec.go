@@ -72,11 +72,9 @@ type Profile struct {
 	// (the n1/n2 of the paper's hash-join cost model).
 	HashedTuples, ProbedTuples int64
 	// Kernels tallies intersection-kernel dispatches by kind (merge,
-	// gallop, bitset probe, bitset AND) across every E/I operator: the
-	// observability surface of the degree-adaptive intersection engine.
-	// ICost stays the representation-oblivious Equation 1 metric, so the
-	// two together show how much of the nominal i-cost the bitset kernels
-	// short-circuited.
+	// gallop, pinned sweep) across every E/I operator. ICost stays
+	// Equation 1's metric, so the two together show how much of the
+	// nominal i-cost the pinned sweep short-circuited.
 	Kernels graph.KernelCounters
 	// Batches counts columnar batches dispatched per stage kind by the
 	// vectorized engine (all zero under the tuple-at-a-time oracle).

@@ -15,7 +15,7 @@ import (
 // leaves' extension sets. The factorizedTail stage therefore computes
 // each leaf's set once per prefix tuple (through the same run-grouped
 // extendState cache machinery as the vectorized E/I operator, so the
-// degree-adaptive kernels and the run-level reuse carry over) and
+// kernels and the run-level reuse carry over) and
 // represents the result as prefix × set₁ × … × setₖ:
 //
 //   - CountCtx multiplies set cardinalities — no suffix tuple is ever built.

@@ -309,8 +309,9 @@ func TestWorkerPoolReuseAcrossRuns(t *testing.T) {
 		// The per-run envelope (runContext, stopped flag, profile
 		// bookkeeping) allocates; the worker's column batches and stage
 		// scratch must not. The bound is loose enough for harness noise
-		// but far below one allocation per stage buffer.
-		if allocs > 25 {
+		// but far below one allocation per stage buffer. Under -race
+		// sync.Pool drops a quarter of its puts, so only the counts run.
+		if !raceEnabled && allocs > 25 {
 			t.Errorf("cfg=%+v: steady-state Count allocates %.0f times per run, want <= 25", cfg, allocs)
 		}
 	}

@@ -104,8 +104,8 @@ func TestPinnedAccounting(t *testing.T) {
 		}
 	}
 	// One for one: on the triangle every intersection is one pairwise
-	// step, so whatever is a pinned probe now was a merge, a gallop or a
-	// hub probe with the cache off, and nothing else moved.
+	// step, so whatever is a pinned probe now was a merge or a gallop
+	// with the cache off, and nothing else moved.
 	cp := Must(t, g, buildWCO(t, query.Q1(), chainOrder(3)))
 	_, on, err := cp.CountCtx(context.Background(), RunConfig{})
 	if err != nil {
@@ -116,7 +116,7 @@ func TestPinnedAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	steps := func(k graph.KernelCounters) int64 {
-		return k.Merge + k.Gallop + k.BitsetProbe + k.BitsetAnd + k.PinnedProbe
+		return k.Merge + k.Gallop + k.PinnedProbe
 	}
 	if on.CacheHits != 0 || steps(on.Kernels) != steps(off.Kernels) || on.ICost != off.ICost {
 		t.Errorf("triangle: %+v (i-cost %d) with pinning, %+v (i-cost %d) without: kernel steps and i-cost must match",

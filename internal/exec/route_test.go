@@ -26,7 +26,7 @@ var epinionsCat = sync.OnceValue(func() *catalogue.Catalogue {
 func routedPlan(tb testing.TB, g *graph.Graph) (*CompiledPlan, *plan.Plan) {
 	tb.Helper()
 	p := buildWCO(tb, query.MustParse("a->b, b->c, c->d, d->a, b->d"), []int{0, 1, 2, 3})
-	routes := adaptive.Enumerate(p, epinionsCat(), 0, adaptive.MaxOrderings)
+	routes := adaptive.Enumerate(p, epinionsCat(), adaptive.MaxOrderings)
 	if routes == nil || len(routes.Chains) != 2 {
 		tb.Fatalf("want two candidate orderings, got %+v", routes)
 	}

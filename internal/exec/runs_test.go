@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -22,12 +21,10 @@ var runBatchSizes = []int{1, 2, 3, 64, 1024}
 // runShapesGraph is datagen.RunShapes sized for these tests: a core of 24
 // with a second edge label beside the first on some pairs, the hub (24)
 // pointing at all 1 124 other vertices — one run longer than any batch —
-// and every sixty-fourth periphery vertex with the hub mid-list. hub is
-// the hub-index threshold the graph is built with (1: every partition
-// indexed, -1: none).
-func runShapesGraph(hub int) *graph.Graph {
+// and every sixty-fourth periphery vertex with the hub mid-list.
+func runShapesGraph() *graph.Graph {
 	return datagen.RunShapes(datagen.RunShapesConfig{
-		Core: 24, Periphery: 1100, P: 0.35, P1: 0.15, HubEvery: 64, HubThreshold: hub, Seed: 61,
+		Core: 24, Periphery: 1100, P: 0.35, P1: 0.15, HubEvery: 64, Seed: 61,
 	})
 }
 
@@ -35,9 +32,9 @@ func runShapesGraph(hub int) *graph.Graph {
 // appended three vertices — IDs beyond the base universe, which a pinned
 // list carries into the bitmap — wired into the core, the hub and each
 // other, and deleted a few base edges.
-func runShapesOverlay(t testing.TB, hub int) graph.View {
-	g := runShapesGraph(hub)
-	db, err := live.Open(g, live.Config{CompactThreshold: -1, HubThreshold: hub})
+func runShapesOverlay(t testing.TB) graph.View {
+	g := runShapesGraph()
+	db, err := live.Open(g, live.Config{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,104 +77,101 @@ func runShapePlans(t testing.TB) map[string]*plan.Plan {
 		// c <- N₁(a) ∩ N₀(b): most scan vertices have no label-1 edge.
 		"emptyOperand": buildWCO(t, query.MustParse("a-[0]->b, a-[1]->c, b-[0]->c"), chainOrder(3)),
 		// d <- N(a) ∩ N(b) ∩ N(c) above a one-descriptor stage: no carried
-		// set, and a fold that leaves the hub indexes alone.
+		// set, and a fold.
 		"threeWay": buildWCO(t, query.MustParse("a->b, b->c, a->d, b->d, c->d"), chainOrder(4)),
 		"wildcard": buildWCO(t, wild, chainOrder(3)),
 	}
 }
 
 // TestRunBoundaries holds the run path to its two references on
-// runShapesGraph, at every batch size, with every adjacency partition
-// indexed as a hub and with none, on the CSR store and on a live overlay:
-// counts, exact limits and row sets are the tuple-at-a-time oracle's, and
-// CacheHits, ICost, Intermediate and CarriedSets are those of the same
-// engine forced down the per-row general path (forceGeneralPath) — the
-// run changes what an intersection costs, never what is computed or how
-// it is accounted. A limit unwinds the pipeline mid-run; the count after
+// runShapesGraph, at every batch size, on the CSR store and on a live
+// overlay: counts, exact limits and row sets are the tuple-at-a-time
+// oracle's, and CacheHits, ICost, Intermediate and CarriedSets are those
+// of the same engine forced down the per-row general path
+// (forceGeneralPath) — the run changes what an intersection costs, never
+// what is computed or how it is accounted. A limit unwinds the pipeline mid-run; the count after
 // it runs on the same pooled worker and must find it unpinned.
 func TestRunBoundaries(t *testing.T) {
-	sizes, hubs := runBatchSizes, []int{1, -1}
+	sizes := runBatchSizes
 	if testing.Short() {
-		sizes, hubs = []int{2, 64}, []int{1}
+		sizes = []int{2, 64}
 	}
-	for _, hub := range hubs {
-		for vname, view := range map[string]graph.View{"static": runShapesGraph(hub), "overlay": runShapesOverlay(t, hub)} {
-			for name, p := range runShapePlans(t) {
-				where := fmt.Sprintf("hub=%d %s %s", hub, vname, name)
-				cp, err := Compile(view, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				general, err := Compile(view, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				forceGeneralPath(general)
-				want, _, err := cp.CountCtx(context.Background(), RunConfig{TupleAtATime: true, FastCount: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want == 0 {
-					t.Fatalf("%s: no matches; the row is vacuous", where)
-				}
-				var wantRows []string
-				if want <= 40000 {
-					wantRows = sortedTuples(t, cp, RunConfig{TupleAtATime: true})
-				}
-				for _, bs := range sizes {
-					for _, limit := range []int64{1, want / 2, want - 1} {
-						if limit < 1 {
-							continue
-						}
-						for _, cfg := range []RunConfig{{BatchSize: bs}, {BatchSize: bs, Factorized: true}} {
-							if n, _, err := cp.CountUpToCtx(context.Background(), cfg, limit); err != nil || n != limit {
-								t.Fatalf("%s %+v: CountUpToCtx(%d) = %d, %v", where, cfg, limit, n, err)
-							}
-						}
-					}
-					for _, cfg := range []RunConfig{
-						{BatchSize: bs},
-						{BatchSize: bs, FastCount: true},
-						{BatchSize: bs, Factorized: true, FastCount: true},
-						{BatchSize: bs, Factorized: true, Workers: 4},
-						{BatchSize: bs, Workers: 4},
-					} {
-						n, prof, err := cp.CountCtx(context.Background(), cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						nGen, ref, err := general.CountCtx(context.Background(), cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if n != want || nGen != want {
-							t.Errorf("%s %+v: count %d, per-row path %d, oracle %d", where, cfg, n, nGen, want)
-						}
-						if ref.Kernels.PinnedProbe != 0 {
-							t.Errorf("%s %+v: the forced per-row path dispatched %d pinned probes", where, cfg, ref.Kernels.PinnedProbe)
-						}
-						if pinned := prof.Kernels.PinnedProbe > 0; pinned != (bs > 1 && name != "wildcard") {
-							t.Errorf("%s %+v: %d pinned probes", where, cfg, prof.Kernels.PinnedProbe)
-						}
-						if cfg.Workers > 1 {
-							continue // which rows meet in one worker's batch is the scheduler's
-						}
-						if prof.CacheHits != ref.CacheHits || prof.ICost != ref.ICost || prof.Intermediate != ref.Intermediate || prof.CarriedSets != ref.CarriedSets {
-							t.Errorf("%s %+v: hits %d i-cost %d intermediate %d carried %d; per-row path %d, %d, %d, %d", where, cfg,
-								prof.CacheHits, prof.ICost, prof.Intermediate, prof.CarriedSets,
-								ref.CacheHits, ref.ICost, ref.Intermediate, ref.CarriedSets)
-						}
-						if bs > 1 && name != "wildcard" && name != "threeWay" && prof.Kernels.Merge >= ref.Kernels.Merge {
-							t.Errorf("%s %+v: %d merges, per-row path %d: the runs swept nothing a merge would have", where, cfg, prof.Kernels.Merge, ref.Kernels.Merge)
-						}
-					}
-					if wantRows == nil {
+	for vname, view := range map[string]graph.View{"static": runShapesGraph(), "overlay": runShapesOverlay(t)} {
+		for name, p := range runShapePlans(t) {
+			where := vname + " " + name
+			cp, err := Compile(view, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			general, err := Compile(view, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forceGeneralPath(general)
+			want, _, err := cp.CountCtx(context.Background(), RunConfig{TupleAtATime: true, FastCount: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == 0 {
+				t.Fatalf("%s: no matches; the row is vacuous", where)
+			}
+			var wantRows []string
+			if want <= 40000 {
+				wantRows = sortedTuples(t, cp, RunConfig{TupleAtATime: true})
+			}
+			for _, bs := range sizes {
+				for _, limit := range []int64{1, want / 2, want - 1} {
+					if limit < 1 {
 						continue
 					}
-					for _, fact := range []bool{false, true} {
-						if rows := sortedTuples(t, cp, RunConfig{BatchSize: bs, Factorized: fact}); !slices.Equal(rows, wantRows) {
-							t.Errorf("%s bs=%d factorized=%v: %d rows differ from the oracle's %d", where, bs, fact, len(rows), len(wantRows))
+					for _, cfg := range []RunConfig{{BatchSize: bs}, {BatchSize: bs, Factorized: true}} {
+						if n, _, err := cp.CountUpToCtx(context.Background(), cfg, limit); err != nil || n != limit {
+							t.Fatalf("%s %+v: CountUpToCtx(%d) = %d, %v", where, cfg, limit, n, err)
 						}
+					}
+				}
+				for _, cfg := range []RunConfig{
+					{BatchSize: bs},
+					{BatchSize: bs, FastCount: true},
+					{BatchSize: bs, Factorized: true, FastCount: true},
+					{BatchSize: bs, Factorized: true, Workers: 4},
+					{BatchSize: bs, Workers: 4},
+				} {
+					n, prof, err := cp.CountCtx(context.Background(), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					nGen, ref, err := general.CountCtx(context.Background(), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n != want || nGen != want {
+						t.Errorf("%s %+v: count %d, per-row path %d, oracle %d", where, cfg, n, nGen, want)
+					}
+					if ref.Kernels.PinnedProbe != 0 {
+						t.Errorf("%s %+v: the forced per-row path dispatched %d pinned probes", where, cfg, ref.Kernels.PinnedProbe)
+					}
+					if pinned := prof.Kernels.PinnedProbe > 0; pinned != (bs > 1 && name != "wildcard") {
+						t.Errorf("%s %+v: %d pinned probes", where, cfg, prof.Kernels.PinnedProbe)
+					}
+					if cfg.Workers > 1 {
+						continue // which rows meet in one worker's batch is the scheduler's
+					}
+					if prof.CacheHits != ref.CacheHits || prof.ICost != ref.ICost || prof.Intermediate != ref.Intermediate || prof.CarriedSets != ref.CarriedSets {
+						t.Errorf("%s %+v: hits %d i-cost %d intermediate %d carried %d; per-row path %d, %d, %d, %d", where, cfg,
+							prof.CacheHits, prof.ICost, prof.Intermediate, prof.CarriedSets,
+							ref.CacheHits, ref.ICost, ref.Intermediate, ref.CarriedSets)
+					}
+					if bs > 1 && name != "wildcard" && name != "threeWay" && prof.Kernels.Merge >= ref.Kernels.Merge {
+						t.Errorf("%s %+v: %d merges, per-row path %d: the runs swept nothing a merge would have", where, cfg, prof.Kernels.Merge, ref.Kernels.Merge)
+					}
+				}
+				if wantRows == nil {
+					continue
+				}
+				for _, fact := range []bool{false, true} {
+					if rows := sortedTuples(t, cp, RunConfig{BatchSize: bs, Factorized: fact}); !slices.Equal(rows, wantRows) {
+						t.Errorf("%s bs=%d factorized=%v: %d rows differ from the oracle's %d", where, bs, fact, len(rows), len(wantRows))
 					}
 				}
 			}

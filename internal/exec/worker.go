@@ -62,9 +62,6 @@ type worker struct {
 	// reaches zero, so the hot extend/probe loops pay one integer
 	// decrement per tuple.
 	cancelCountdown int
-	// nWords is the graph's bitset word count ((V+63)/64): the cost of a
-	// word-AND, precomputed for the bitset-candidate check in E/I stages.
-	nWords int
 	// Per-stage wall-time attribution (batch engine only): stageNanos[0]
 	// is the scan slot, stageNanos[1] the sink's (emit or build insert)
 	// and stageNanos[2+i] stage i's. deliver charges the interval since
@@ -120,7 +117,6 @@ func newWorker(rc *runContext, pipe *compiledPipeline, isRoot bool, emit func([]
 		emit: emit, stopped: stopped, mq: mq, build: rc.tables[pipe.feeds],
 		countFast:       rc.cfg.FastCount && emit == nil && isRoot,
 		cancelCountdown: cancelCheckInterval,
-		nWords:          (rc.cp.graph.NumVertices() + 63) / 64,
 	}
 	if rc.cfg.TupleAtATime {
 		for _, spec := range pipe.stages {
@@ -541,16 +537,14 @@ type extendState struct {
 	cacheBuf []graph.VertexID // owns the cached extension set (flat array)
 	scratch  []graph.VertexID
 	lists    [][]graph.VertexID
-	bits     []*graph.Bitset
 	// readers own the per-descriptor neighbor fill buffers (one each, so
 	// a multiway gather never clobbers an earlier descriptor's run).
 	readers []graph.NeighborReader
 	valBuf  []graph.VertexID
 
-	// it is the degree-adaptive k-way intersection engine. It owns the
-	// shortest-first ordering scratch, the per-kernel dispatch counters and
-	// the pin bitmap, so the E/I hot path runs allocation-free after
-	// warm-up.
+	// it is the k-way intersection engine. It owns the shortest-first
+	// ordering scratch, the per-kernel dispatch counters and the pin
+	// bitmap, so the E/I hot path runs allocation-free after warm-up.
 	it graph.Intersector
 
 	// pins lets the vectorized engine work a prefix run at a time: the one
@@ -622,7 +616,7 @@ func (s *extendState) extensionSetFor(w *worker, vals, carried []graph.VertexID)
 		return s.cacheExt
 	}
 	s.gather(w, vals, carried)
-	return s.intersect(w, vals, carried)
+	return s.intersect(w, carried)
 }
 
 // cached is the cache lookup: a hit when vals is the key of the last set
@@ -687,7 +681,7 @@ func (s *extendState) charge(w *worker, cost int64, carried bool) {
 
 // intersect computes the extension set of the operands gather left in
 // s.lists through the ordinary kernel dispatch, and serves it.
-func (s *extendState) intersect(w *worker, vals, carried []graph.VertexID) []graph.VertexID {
+func (s *extendState) intersect(w *worker, carried []graph.VertexID) []graph.VertexID {
 	if carried == nil && len(s.lists) == 1 {
 		// The single-descriptor alias is never assigned to cacheBuf, so the
 		// next multiway intersection cannot scribble over graph storage.
@@ -695,32 +689,13 @@ func (s *extendState) intersect(w *worker, vals, carried []graph.VertexID) []gra
 		s.cacheExt, s.cacheValid = ext, s.useCache
 		return ext
 	}
-	// Multiway extension: fetch hub bitset indexes only for the adjacency
-	// runs the shared pre-filter says could win a bitset kernel (s.bits
-	// aligns with them; a carried set has no index). Extensions over
-	// ordinary-degree vertices (and dead ends with an empty list) pay
-	// nothing for the index's existence.
-	op := s.spec.op
+	// Multiway extension: a carried set stands first in s.lists and seeds
+	// the intersection of the rest.
 	runs := s.lists
-	covered := uint32(0)
 	if carried != nil {
 		runs = s.lists[1:]
-		covered = s.spec.covered
 	}
-	s.bits = s.bits[:0]
-	if floor, ok := graph.BitsetFetchFloor(s.lists, w.nWords); ok {
-		for i, d := range op.Descriptors {
-			if covered&(1<<uint(i)) != 0 {
-				continue
-			}
-			var bs *graph.Bitset
-			if len(runs[len(s.bits)]) >= floor {
-				bs = w.g.NeighborBitset(vals[i], d.Dir, d.EdgeLabel, op.TargetLabel)
-			}
-			s.bits = append(s.bits, bs)
-		}
-	}
-	ext, scratch := s.it.IntersectSeeded(carried, runs, s.bits, s.cacheBuf[:0], s.scratch)
+	ext, scratch := s.it.IntersectSeeded(carried, runs, s.cacheBuf[:0], s.scratch)
 	s.serve(ext, scratch)
 	s.meter(w)
 	return ext

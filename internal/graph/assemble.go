@@ -133,7 +133,7 @@ func tight(s []uint32) []uint32 {
 // arrays — which is what lets the live store's compaction fold an overlay
 // into a fresh base by merging per-vertex runs instead of rebuilding
 // through Builder. The result is structurally identical to what
-// Builder.Build produces for the same edge set, hub bitsets included.
+// Builder.Build produces for the same edge set.
 type Assembler struct {
 	g   *Graph
 	w   [2]dirWriter // by Direction
@@ -203,10 +203,8 @@ func (a *Assembler) AppendRange(src *Graph, lo, hi VertexID, dir Direction) {
 	w.next = hi
 }
 
-// Finish seals the graph, indexing hub partitions at the given threshold
-// exactly as Builder.SetHubThreshold + Build would. The Assembler must
-// not be used afterwards.
-func (a *Assembler) Finish(hubThreshold int) (*Graph, error) {
+// Finish seals the graph. The Assembler must not be used afterwards.
+func (a *Assembler) Finish() (*Graph, error) {
 	g := a.g
 	if a.err != nil {
 		return nil, a.err
@@ -236,6 +234,5 @@ func (a *Assembler) Finish(hubThreshold int) (*Graph, error) {
 		return nil, fmt.Errorf("graph: assembled %d forward but %d backward edges", len(g.fwd.nbrs), len(g.bwd.nbrs))
 	}
 	g.m = len(g.fwd.nbrs)
-	g.buildHubIndex(hubThreshold)
 	return g, nil
 }

@@ -6,18 +6,18 @@ import (
 )
 
 func TestAssemblerRejectsBadInput(t *testing.T) {
-	if _, err := NewAssembler([]Label{0, WildcardLabel}, 0).Finish(-1); err == nil {
+	if _, err := NewAssembler([]Label{0, WildcardLabel}, 0).Finish(); err == nil {
 		t.Error("wildcard vertex label accepted")
 	}
 	asm := NewAssembler([]Label{0, 0}, 1)
 	asm.AppendPartition(0, Forward, WildcardLabel, 0, []VertexID{1})
 	asm.AppendPartition(1, Backward, WildcardLabel, 0, []VertexID{0})
-	if _, err := asm.Finish(-1); err == nil {
+	if _, err := asm.Finish(); err == nil {
 		t.Error("wildcard edge label accepted")
 	}
 	asm = NewAssembler([]Label{0, 0}, 1)
 	asm.AppendPartition(0, Forward, 0, 0, []VertexID{1})
-	if _, err := asm.Finish(-1); err == nil {
+	if _, err := asm.Finish(); err == nil {
 		t.Error("forward edge without its backward twin accepted")
 	}
 }
@@ -69,7 +69,7 @@ func TestEntryLimit(t *testing.T) {
 		asm.AppendRange(g, 0, 2, dir)
 		asm.AppendPartition(2, dir, 0, 0, []VertexID{0, 1, 3})
 	}
-	if _, err := asm.Finish(-1); err == nil || !strings.Contains(err.Error(), "limit of 4") {
+	if _, err := asm.Finish(); err == nil || !strings.Contains(err.Error(), "limit of 4") {
 		t.Fatalf("Finish of 5 edges at a limit of 4: err = %v", err)
 	}
 }

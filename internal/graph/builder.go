@@ -8,9 +8,8 @@ import (
 // Builder accumulates vertices and edges and produces an immutable Graph.
 // The zero value is not usable; call NewBuilder.
 type Builder struct {
-	vLabels      []Label
-	edges        []edgeRec
-	hubThreshold int
+	vLabels []Label
+	edges   []edgeRec
 }
 
 type edgeRec struct {
@@ -40,13 +39,6 @@ func (b *Builder) AddVertex(label Label) VertexID {
 // SetVertexLabel assigns a label to an existing vertex.
 func (b *Builder) SetVertexLabel(v VertexID, label Label) {
 	b.vLabels[v] = label
-}
-
-// SetHubThreshold sets the partition size at which Build materialises a
-// bitset adjacency index alongside the sorted run (0 takes
-// DefaultHubThreshold; negative disables hub indexing).
-func (b *Builder) SetHubThreshold(t int) {
-	b.hubThreshold = t
 }
 
 // AddEdge records the directed edge src->dst with the given edge label.
@@ -102,7 +94,6 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, err
 	}
 	g.m = len(g.fwd.nbrs)
-	g.buildHubIndex(b.hubThreshold)
 	return g, nil
 }
 

@@ -84,11 +84,9 @@ func TestHighLabelsStaySparse(t *testing.T) {
 // neighbour label is past the graph's — where v·k + e·nn + n would land
 // on another pair of v, or on the next vertex — reads nothing, directly
 // and through a snapshot whose overlay brought in an edge label the base
-// lacks. Every run is a hub at threshold 1, so a stray slot would also
-// surface as a bitset.
+// lacks.
 func TestOutOfRangeLabelsReadNothing(t *testing.T) {
 	b := graph.NewBuilder(4)
-	b.SetHubThreshold(1)
 	b.SetVertexLabel(1, 1)
 	b.SetVertexLabel(3, 1)
 	for _, e := range []edge{{0, 1, 0}, {0, 2, 0}, {0, 1, 1}, {0, 2, 1}, {1, 0, 0}, {1, 3, 0}, {1, 2, 1}, {2, 3, 1}, {3, 0, 0}, {3, 1, 1}} {
@@ -100,7 +98,7 @@ func TestOutOfRangeLabelsReadNothing(t *testing.T) {
 			t.Fatalf("fixture: %v stride %d, want 4 (2 edge × 2 vertex labels)", dir, k)
 		}
 	}
-	db, err := live.Open(g, live.Config{CompactThreshold: -1, HubThreshold: 1})
+	db, err := live.Open(g, live.Config{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +130,6 @@ func TestOutOfRangeLabelsReadNothing(t *testing.T) {
 					}
 					if got := view.Degree(v, dir, e, n); got != 0 {
 						t.Errorf("%s: Degree(%d, %v, %d, %d) = %d, want 0", name, v, dir, e, n, got)
-					}
-					if got := view.NeighborBitset(v, dir, e, n); got != nil {
-						t.Errorf("%s: NeighborBitset(%d, %v, %d, %d) set, want nil", name, v, dir, e, n)
 					}
 				}
 				if dir == graph.Forward {

@@ -11,10 +11,7 @@
 // concurrent use.
 package graph
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // VertexID identifies a vertex in the data graph.
 type VertexID uint32
@@ -195,15 +192,6 @@ type adjacency struct {
 	first []uint32
 
 	k, ne, nn uint32 // strided: entries per vertex, edge labels, neighbour labels
-
-	// hubAt lists, ascending, the directory indexes of the partitions at
-	// or above the graph's hub threshold, and hubs their bitset indexes,
-	// materialised at build time. The sorted run stays canonical; the
-	// bitset is a secondary representation the degree-adaptive
-	// intersection kernels dispatch on. A run shorter than the threshold
-	// never reaches the table.
-	hubAt []uint32
-	hubs  []*Bitset
 }
 
 // key packs a label pair so that keys order as the pairs do.
@@ -221,10 +209,6 @@ type Graph struct {
 
 	numVertexLabels int // 1 + max vertex label
 	numEdgeLabels   int // 1 + max edge label
-
-	// hubThreshold is the effective partition-size floor of the hub bitset
-	// index (resolved; negative when indexing is disabled).
-	hubThreshold int
 }
 
 // NumVertices returns the number of vertices.
@@ -392,87 +376,6 @@ func (g *Graph) NeighborRuns(v VertexID, dir Direction, eLabel, nLabel Label, ru
 		}
 	}
 	return runs
-}
-
-// NeighborBitset returns the bitset index of the exact (eLabel, nLabel)
-// partition of v in direction dir, or nil when the partition is below
-// the hub threshold, indexing is disabled, or either label is a
-// wildcard (wildcard lookups merge several partitions, whose union
-// carries duplicate semantics a bitset cannot represent).
-//
-//gf:noalloc
-func (g *Graph) NeighborBitset(v VertexID, dir Direction, eLabel, nLabel Label) *Bitset {
-	a := g.adj(dir)
-	if len(a.hubs) == 0 || eLabel == WildcardLabel || nLabel == WildcardLabel {
-		return nil
-	}
-	i, ok := a.find(v, eLabel, nLabel)
-	if !ok || len(a.run(i)) < g.hubThreshold {
-		return nil
-	}
-	if k, ok := slices.BinarySearch(a.hubAt, uint32(i)); ok {
-		return a.hubs[k]
-	}
-	return nil
-}
-
-// buildHubIndex materialises bitsets for every partition at or above the
-// resolved threshold, in both directions.
-func (g *Graph) buildHubIndex(threshold int) {
-	th := resolveHubThreshold(threshold)
-	g.hubThreshold = th
-	g.fwd.buildHubIndex(th)
-	g.bwd.buildHubIndex(th)
-}
-
-func (a *adjacency) buildHubIndex(th int) {
-	a.hubAt, a.hubs = nil, nil
-	if th < 0 {
-		return
-	}
-	for i := range len(a.start) - 1 {
-		if run := a.run(i); len(run) >= th {
-			a.hubAt = append(a.hubAt, uint32(i))
-			a.hubs = append(a.hubs, NewBitsetFromSorted(run))
-		}
-	}
-}
-
-// RebuildHubIndex replaces the hub bitset index with one built at the
-// given threshold (0 takes DefaultHubThreshold, negative disables). It
-// mutates the otherwise-immutable graph and is NOT safe to run
-// concurrently with readers: call it before the graph is shared (the DB
-// layer does so at open time, before the store is published).
-func (g *Graph) RebuildHubIndex(threshold int) {
-	g.buildHubIndex(threshold)
-}
-
-// HubStats summarises the hub bitset index of one graph.
-type HubStats struct {
-	// Threshold is the effective partition-size floor (negative when
-	// indexing is disabled).
-	Threshold int
-	// Partitions is the number of indexed partitions across both
-	// directions.
-	Partitions int
-	// Bytes is the memory held by the bitset words.
-	Bytes int64
-}
-
-// HubThreshold returns the effective hub-index partition-size floor the
-// graph was built with (negative when indexing is disabled).
-func (g *Graph) HubThreshold() int { return g.hubThreshold }
-
-// HubIndexStats reports the hub bitset index's size and memory.
-func (g *Graph) HubIndexStats() HubStats {
-	st := HubStats{Threshold: g.hubThreshold}
-	for _, hubs := range [][]*Bitset{g.fwd.hubs, g.bwd.hubs} {
-		for _, b := range hubs {
-			st.Partitions++
-			st.Bytes += int64(b.WordLen()) * 8
-		}
-	}
-	return st
 }
 
 // Degree returns the size of the (eLabel, nLabel) partition of v in

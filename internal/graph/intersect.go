@@ -5,19 +5,12 @@ package graph
 // the longer list.
 const gallopThreshold = 32
 
-// BitsetProbeRatio is the size ratio beyond which probing the longer
-// list's bitset index (when one exists) beats scanning it: the probe
-// kernel pays one random word load per short-list element, the merge
-// kernel pays a sequential pass over both lists. Exported so E/I
-// operators can pre-filter which descriptors are worth a bitset lookup.
-const BitsetProbeRatio = 4
-
 // PinCutoff is the size ratio beyond which an intersection leaves the
 // pinned operand's bitmap alone: sweeping a partner list PinCutoff times
 // the pinned list's length through the bitmap reads every element of the
-// partner, where galloping the pinned list into it (or probing the
-// partner's hub index) reads a handful per pinned element. Below it the
-// sweep wins whichever side is longer — it never reads the pinned list.
+// partner, where galloping the pinned list into it reads a handful per
+// pinned element. Below it the sweep wins whichever side is longer — it
+// never reads the pinned list.
 // Set from BenchmarkIntersectAdjacency (internal/exec), whose comment
 // records the measurements.
 const PinCutoff = gallopThreshold
@@ -30,9 +23,15 @@ type KernelCounters struct {
 	Merge int64
 	// Gallop counts galloping (exponential search) intersections.
 	Gallop int64
-	// BitsetProbe counts short-list probes into a hub bitset index.
+	// BitsetProbe is always zero.
+	//
+	// Deprecated: the hub bitset index and its probe kernel are gone; the
+	// field stays only until the benchmark stops reading it.
 	BitsetProbe int64
-	// BitsetAnd counts word-wise ANDs of two hub bitset indexes.
+	// BitsetAnd is always zero.
+	//
+	// Deprecated: the hub bitset index and its word-AND kernel are gone;
+	// the field stays only until the benchmark stops reading it.
 	BitsetAnd int64
 	// PinnedProbe counts sweeps of a list through the bitmap of the
 	// operand an Intersector has pinned for the current run.
@@ -43,8 +42,6 @@ type KernelCounters struct {
 func (c *KernelCounters) Add(other KernelCounters) {
 	c.Merge += other.Merge
 	c.Gallop += other.Gallop
-	c.BitsetProbe += other.BitsetProbe
-	c.BitsetAnd += other.BitsetAnd
 	c.PinnedProbe += other.PinnedProbe
 }
 
@@ -134,19 +131,12 @@ func gallopIntersect(short, long, out []VertexID) []VertexID {
 	return out
 }
 
-// listRef pairs one adjacency run with its optional bitset index inside
-// an Intersector's reusable ordering scratch.
-type listRef struct {
-	list []VertexID
-	bits *Bitset
-}
-
-// Intersector is the degree-adaptive k-way intersection engine plus the
-// per-caller scratch it needs to run allocation-free: the shortest-first
-// ordering of list headers that IntersectK previously allocated per call
-// now lives here, owned by the E/I stage state (one Intersector per
-// worker stage, reused across every tuple), and so does the bitmap of the
-// operand the stage has pinned (Pin). Kernel dispatches are tallied in
+// Intersector is the k-way intersection engine plus the per-caller
+// scratch it needs to run allocation-free: the shortest-first ordering of
+// list headers that IntersectK previously allocated per call now lives
+// here, owned by the E/I stage state (one Intersector per worker stage,
+// reused across every tuple), and so does the bitmap of the operand the
+// stage has pinned (Pin). Kernel dispatches are tallied in
 // Counters. An Intersector is not safe for concurrent use; the zero value
 // is ready.
 type Intersector struct {
@@ -158,7 +148,7 @@ type Intersector struct {
 	// allocation serves every list. Left zero, the bitmap grows to the
 	// largest ID pinned.
 	Words int
-	refs  []listRef
+	refs  [][]VertexID
 
 	// The pinned operand: marks has exactly the bits of pinned set. pinned
 	// is the caller's own slice (Pin's contract keeps it unchanged until
@@ -167,49 +157,11 @@ type Intersector struct {
 	pinned []VertexID
 }
 
-// intersectPair intersects the two smallest refs into out, dispatching
-// on representation: word-AND when both sides are indexed and dense
-// enough that scanning every word beats walking the short list, a bitset
-// probe when the long side is indexed and much longer, and the sorted
-// merge/gallop kernel otherwise.
-func (it *Intersector) intersectPair(a, b listRef, out []VertexID) []VertexID {
-	la, lb := len(a.list), len(b.list)
-	if la > lb {
-		a, b = b, a
-		la, lb = lb, la
-	}
-	if la == 0 {
-		return out[:0]
-	}
-	switch {
-	case a.bits != nil && b.bits != nil && 2*andSpan(a.bits, b.bits) <= la+lb:
-		// Dense enough that scanning the span overlap beats walking the
-		// lists; a zero overlap proves emptiness without reading a word.
-		it.Counters.BitsetAnd++
-		return IntersectBitsets(a.bits, b.bits, out)
-	case b.bits != nil && lb >= BitsetProbeRatio*la:
-		it.Counters.BitsetProbe++
-		return IntersectBitset(a.list, b.bits, out)
-	default:
-		r, galloped := intersectSorted(a.list, b.list, out)
-		if galloped {
-			it.Counters.Gallop++
-		} else {
-			it.Counters.Merge++
-		}
-		return r
-	}
-}
-
-// intersectInto intersects the running result r with ref, writing into
-// out. r is a plain sorted list (intermediate results lose their index),
-// so only the probe and sorted kernels apply.
-func (it *Intersector) intersectInto(r []VertexID, ref listRef, out []VertexID) []VertexID {
-	if ref.bits != nil && len(ref.list) >= BitsetProbeRatio*len(r) {
-		it.Counters.BitsetProbe++
-		return IntersectBitset(r, ref.bits, out)
-	}
-	res, galloped := intersectSorted(r, ref.list, out)
+// intersectInto intersects the sorted list r with l, writing into out:
+// a gallop when one side is much longer than the other, a merge
+// otherwise.
+func (it *Intersector) intersectInto(r, l, out []VertexID) []VertexID {
+	res, galloped := intersectSorted(r, l, out)
 	if galloped {
 		it.Counters.Gallop++
 	} else {
@@ -219,36 +171,24 @@ func (it *Intersector) intersectInto(r []VertexID, ref listRef, out []VertexID) 
 }
 
 // IntersectK intersects any number of ID-sorted lists, shortest-first,
-// picking a kernel per pairwise step from the lists' sizes and available
-// bitset indexes. bits, when non-nil, must align with lists (nil entries
-// mean no index). The result is written into out, ping-ponging with
-// scratch between steps exactly like the package-level IntersectK; the
-// caller keeps both returned buffers. After warm-up the call performs no
-// allocations.
+// picking merge or gallop per pairwise step from the lists' sizes. The
+// result is written into out, ping-ponging with scratch between steps
+// exactly like the package-level IntersectK; the caller keeps both
+// returned buffers. After warm-up the call performs no allocations.
 //
 //gf:noalloc
-func (it *Intersector) IntersectK(lists [][]VertexID, bits []*Bitset, out, scratch []VertexID) (result, newScratch []VertexID) {
-	return it.IntersectSeeded(nil, lists, bits, out, scratch)
+func (it *Intersector) IntersectK(lists [][]VertexID, out, scratch []VertexID) (result, newScratch []VertexID) {
+	return it.IntersectSeeded(nil, lists, out, scratch)
 }
 
-// order loads lists with their optional indexes into the reusable ref
-// scratch, shortest first to bound intermediate sizes. Insertion sort:
-// descriptor counts are tiny and sort.Slice would allocate its closure on
-// every call. bits may be shorter than lists (callers pass an empty slice
-// when the pre-filter proves no index can help); missing entries mean no
-// index.
-func (it *Intersector) order(lists [][]VertexID, bits []*Bitset) []listRef {
-	it.refs = it.refs[:0]
-	for i, l := range lists {
-		ref := listRef{list: l}
-		if i < len(bits) {
-			ref.bits = bits[i]
-		}
-		it.refs = append(it.refs, ref)
-	}
+// order loads the list headers into the reusable ref scratch, shortest
+// first to bound intermediate sizes. Insertion sort: descriptor counts
+// are tiny and sort.Slice would allocate its closure on every call.
+func (it *Intersector) order(lists [][]VertexID) [][]VertexID {
+	it.refs = append(it.refs[:0], lists...)
 	refs := it.refs
 	for i := 1; i < len(refs); i++ {
-		for j := i; j > 0 && len(refs[j].list) < len(refs[j-1].list); j-- {
+		for j := i; j > 0 && len(refs[j]) < len(refs[j-1]); j-- {
 			refs[j], refs[j-1] = refs[j-1], refs[j]
 		}
 	}
@@ -259,14 +199,13 @@ func (it *Intersector) order(lists [][]VertexID, bits []*Bitset) []listRef {
 // sorted set, such as the extension set an upstream E/I stage carried
 // down. With seed nil it is IntersectK over lists; otherwise it is
 // seed ∩ lists, seed first and lists shortest-first through the same
-// per-step kernel dispatch (seed carries no index, so each step is a
-// bitset probe, a gallop or a merge of the running result into the next
-// list); with no lists the result is a copy of seed. bits aligns with
-// lists as in IntersectK. The result is written into out, ping-ponging
-// with scratch; neither may alias an operand, which are only read.
+// per-step dispatch (a gallop or a merge of the running result into the
+// next list); with no lists the result is a copy of seed. The result is
+// written into out, ping-ponging with scratch; neither may alias an
+// operand, which are only read.
 //
 //gf:noalloc
-func (it *Intersector) IntersectSeeded(seed []VertexID, lists [][]VertexID, bits []*Bitset, out, scratch []VertexID) (result, newScratch []VertexID) {
+func (it *Intersector) IntersectSeeded(seed []VertexID, lists [][]VertexID, out, scratch []VertexID) (result, newScratch []VertexID) {
 	if seed == nil {
 		switch len(lists) {
 		case 0:
@@ -275,8 +214,11 @@ func (it *Intersector) IntersectSeeded(seed []VertexID, lists [][]VertexID, bits
 			out = append(out[:0], lists[0]...)
 			return out, scratch
 		}
-		refs := it.order(lists, bits)
-		out = it.intersectPair(refs[0], refs[1], out)
+		refs := it.order(lists)
+		if len(refs[0]) == 0 {
+			return out[:0], scratch
+		}
+		out = it.intersectInto(refs[0], refs[1], out)
 		for i := 2; i < len(refs) && len(out) > 0; i++ {
 			scratch = it.intersectInto(out, refs[i], scratch)
 			out, scratch = scratch, out
@@ -288,7 +230,7 @@ func (it *Intersector) IntersectSeeded(seed []VertexID, lists [][]VertexID, bits
 		return out, scratch
 	}
 	r := seed
-	for _, ref := range it.order(lists, bits) {
+	for _, ref := range it.order(lists) {
 		scratch = it.intersectInto(r, ref, scratch)
 		out, scratch = scratch, out
 		r = out
@@ -353,13 +295,12 @@ func (it *Intersector) PinBytes() int64 { return int64(cap(it.marks)) * 8 }
 // is the pinned operand (whatever that entry holds, it is not read: the
 // bitmap stands for it): the shortest other list is swept through the
 // bitmap — one word load per element, whichever side is longer — and the
-// remaining ones are folded in by gallop or merge, without their hub
-// indexes. The result is written into out, ping-ponging with scratch as
-// in IntersectK. ok is false, and nothing is computed, when the shortest
-// other list is PinCutoff times the pinned one's length — a hub, where
-// the ordinary dispatch (IntersectK with the hub's index) reads a handful
-// of elements per pinned one and the sweep would read them all — or when
-// there is no other list.
+// remaining ones are folded in by gallop or merge. The result is written
+// into out, ping-ponging with scratch as in IntersectK. ok is false, and
+// nothing is computed, when the shortest other list is PinCutoff times
+// the pinned one's length — a hub, where the ordinary dispatch gallops
+// the pinned list into it, reading a handful of elements per pinned one
+// where the sweep would read them all — or when there is no other list.
 //
 //gf:noalloc
 func (it *Intersector) ProbePinned(lists [][]VertexID, pinned int, out, scratch []VertexID) (result, newScratch []VertexID, ok bool) {
@@ -390,7 +331,7 @@ func (it *Intersector) foldRest(lists [][]VertexID, a, b int, r, scratch []Verte
 		if len(r) == 0 {
 			break
 		}
-		scratch = it.intersectInto(r, listRef{list: l}, scratch)
+		scratch = it.intersectInto(r, l, scratch)
 		r, scratch = scratch, r
 	}
 	return r, scratch
@@ -419,11 +360,10 @@ func probeMarks(marks []uint64, list, out []VertexID) []VertexID {
 // nil on first use and keep the returned scratch).
 //
 // This entry point allocates a fresh ordering scratch per call; hot
-// paths hold an Intersector instead, which also enables the bitset
-// kernels over hub-indexed lists.
+// paths hold an Intersector instead.
 //
 //gf:noalloc
 func IntersectK(lists [][]VertexID, out, scratch []VertexID) (result, newScratch []VertexID) {
 	var it Intersector
-	return it.IntersectK(lists, nil, out, scratch)
+	return it.IntersectK(lists, out, scratch)
 }

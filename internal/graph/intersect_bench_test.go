@@ -7,17 +7,13 @@ import (
 
 // benchLists builds the canonical E/I shape: k ID-sorted adjacency runs
 // over one universe, with controllable skew.
-func benchLists(lengths []int, maxGap int, seed int64) ([][]VertexID, []*Bitset) {
+func benchLists(lengths []int, maxGap int, seed int64) [][]VertexID {
 	rng := rand.New(rand.NewSource(seed))
 	lists := make([][]VertexID, len(lengths))
 	for i, l := range lengths {
 		lists[i] = randomSortedList(rng, l, maxGap)
 	}
-	bits := make([]*Bitset, len(lists))
-	for i := range lists {
-		bits[i] = NewBitsetFromSorted(lists[i])
-	}
-	return lists, bits
+	return lists
 }
 
 // BenchmarkIntersectKSorted is the allocation guard of the E/I hot path:
@@ -25,84 +21,27 @@ func benchLists(lengths []int, maxGap int, seed int64) ([][]VertexID, []*Bitset)
 // must report 0 allocs/op (CI greps for it; TestIntersectorZeroAllocs is
 // the in-process equivalent).
 func BenchmarkIntersectKSorted(b *testing.B) {
-	lists, _ := benchLists([]int{40, 900, 700}, 4, 1)
+	benchIntersectK(b, benchLists([]int{40, 900, 700}, 4, 1))
+}
+
+// BenchmarkIntersectHubSkewed is a short frontier list against a hub
+// adjacency three orders of magnitude larger: the gallop.
+func BenchmarkIntersectHubSkewed(b *testing.B) {
+	benchIntersectK(b, benchLists([]int{64, 1 << 17}, 3, 2))
+}
+
+// BenchmarkIntersectUniform is two similar-size lists: the merge.
+func BenchmarkIntersectUniform(b *testing.B) {
+	benchIntersectK(b, benchLists([]int{5000, 6000}, 200, 3))
+}
+
+func benchIntersectK(b *testing.B, lists [][]VertexID) {
 	var it Intersector
 	var out, scratch []VertexID
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, scratch = it.IntersectK(lists, nil, out, scratch)
+		out, scratch = it.IntersectK(lists, out, scratch)
 	}
 	_ = out
-}
-
-// BenchmarkIntersectHubSkewed is the headline case of the degree-adaptive
-// engine: a short frontier list against a hub adjacency three orders of
-// magnitude larger. "sorted" is the pre-existing kernel family (gallop
-// picks this shape up); "adaptive" dispatches to the hub's bitset index.
-func BenchmarkIntersectHubSkewed(b *testing.B) {
-	lists, bits := benchLists([]int{64, 1 << 17}, 3, 2)
-	b.Run("sorted", func(b *testing.B) {
-		var out []VertexID
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out = Intersect(lists[0], lists[1], out)
-		}
-	})
-	b.Run("adaptive", func(b *testing.B) {
-		var it Intersector
-		var out, scratch []VertexID
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out, scratch = it.IntersectK(lists, bits, out, scratch)
-		}
-		_ = scratch
-	})
-}
-
-// BenchmarkIntersectUniform is the no-regression case: two similar-size
-// lists, where the adaptive engine must keep choosing the sorted merge
-// (bitsets exist but the dispatch heuristics leave them alone unless the
-// lists are dense enough for a word-AND to win).
-func BenchmarkIntersectUniform(b *testing.B) {
-	lists, bits := benchLists([]int{5000, 6000}, 200, 3)
-	b.Run("sorted", func(b *testing.B) {
-		var out []VertexID
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out = Intersect(lists[0], lists[1], out)
-		}
-	})
-	b.Run("adaptive", func(b *testing.B) {
-		var it Intersector
-		var out, scratch []VertexID
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out, scratch = it.IntersectK(lists, bits, out, scratch)
-		}
-		_ = scratch
-	})
-}
-
-// BenchmarkIntersectDenseAnd exercises the word-AND kernel: two dense
-// hub lists over a compact universe, where scanning 64 IDs per word load
-// beats element-at-a-time merging.
-func BenchmarkIntersectDenseAnd(b *testing.B) {
-	lists, bits := benchLists([]int{40000, 50000}, 2, 4)
-	b.Run("sorted", func(b *testing.B) {
-		var out []VertexID
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out = Intersect(lists[0], lists[1], out)
-		}
-	})
-	b.Run("adaptive", func(b *testing.B) {
-		var it Intersector
-		var out, scratch []VertexID
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out, scratch = it.IntersectK(lists, bits, out, scratch)
-		}
-		_ = scratch
-	})
 }

@@ -47,37 +47,26 @@ func equalIDs(a, b []VertexID) bool {
 }
 
 // checkAllKernels runs every applicable kernel on (a, b) and compares
-// each against the naive reference: the sorted merge/gallop entry point,
-// the bitset probe in both orientations, the word-AND, and the
-// Intersector dispatcher under every bitset-availability combination.
+// each against the naive reference: the sorted merge/gallop entry point
+// and the Intersector dispatcher in both operand orders.
 func checkAllKernels(t *testing.T, a, b []VertexID) {
 	t.Helper()
 	want := naiveIntersect(a, b)
 	if got := Intersect(a, b, nil); !equalIDs(got, want) {
 		t.Fatalf("Intersect(%v, %v) = %v, want %v", a, b, got, want)
 	}
-	ba, bb := NewBitsetFromSorted(a), NewBitsetFromSorted(b)
-	if got := IntersectBitset(a, bb, nil); !equalIDs(got, want) {
-		t.Fatalf("IntersectBitset(%v, bits(%v)) = %v, want %v", a, b, got, want)
-	}
-	if got := IntersectBitset(b, ba, nil); !equalIDs(got, want) {
-		t.Fatalf("IntersectBitset(%v, bits(%v)) = %v, want %v", b, a, got, want)
-	}
-	if got := IntersectBitsets(ba, bb, nil); !equalIDs(got, want) {
-		t.Fatalf("IntersectBitsets(%v, %v) = %v, want %v", a, b, got, want)
-	}
 	var it Intersector
-	for _, bits := range [][]*Bitset{nil, {nil, nil}, {ba, nil}, {nil, bb}, {ba, bb}} {
-		got, _ := it.IntersectK([][]VertexID{a, b}, bits, nil, nil)
+	for _, lists := range [][][]VertexID{{a, b}, {b, a}} {
+		got, _ := it.IntersectK(lists, nil, nil)
 		if !equalIDs(got, want) {
-			t.Fatalf("Intersector.IntersectK(%v, %v, bits=%v) = %v, want %v", a, b, bits, got, want)
+			t.Fatalf("Intersector.IntersectK(%v) = %v, want %v", lists, got, want)
 		}
 	}
 }
 
 // TestIntersectExhaustiveSmallPairs checks every kernel against the
 // naive reference over ALL pairs of sorted lists drawn from the universe
-// {0..7}: 256 x 256 subset pairs, every representation combination.
+// {0..7}: 256 x 256 subset pairs.
 func TestIntersectExhaustiveSmallPairs(t *testing.T) {
 	subsets := make([][]VertexID, 256)
 	for m := 0; m < 256; m++ {
@@ -108,13 +97,12 @@ func randomSortedList(rng *rand.Rand, length, maxGap int) []VertexID {
 }
 
 // TestIntersectGallopBoundary sweeps list-size ratios across the
-// gallopThreshold switch point (and the BitsetProbeRatio one), checking
-// the kernels against the reference exactly where dispatch flips.
+// gallopThreshold switch point, checking the kernels against the
+// reference exactly where dispatch flips.
 func TestIntersectGallopBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ratios := []int{
-		1, 2,
-		BitsetProbeRatio - 1, BitsetProbeRatio, BitsetProbeRatio + 1,
+		1, 2, 3, 4, 5,
 		gallopThreshold - 1, gallopThreshold, gallopThreshold + 1, 3 * gallopThreshold,
 	}
 	for _, shortLen := range []int{1, 2, 3, 7} {
@@ -129,8 +117,7 @@ func TestIntersectGallopBoundary(t *testing.T) {
 }
 
 // TestIntersectKDifferential fuzzes the k-way engine: random list
-// counts, skewed random sizes, and random per-list bitset availability
-// must all reproduce the naive reference.
+// counts and skewed random sizes must reproduce the naive reference.
 func TestIntersectKDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var it Intersector
@@ -145,18 +132,12 @@ func TestIntersectKDifferential(t *testing.T) {
 			}
 			lists[i] = randomSortedList(rng, length, 4)
 		}
-		bits := make([]*Bitset, k)
-		for i := range bits {
-			if rng.Intn(2) == 0 {
-				bits[i] = NewBitsetFromSorted(lists[i])
-			}
-		}
 		want := naiveIntersect(lists...)
-		out, scratch = it.IntersectK(lists, bits, out, scratch)
+		out, scratch = it.IntersectK(lists, out, scratch)
 		if !equalIDs(out, want) {
 			t.Fatalf("trial %d: IntersectK(k=%d) = %v, want %v", trial, k, out, want)
 		}
-		// The compatibility wrapper (no bitsets) must agree too.
+		// The compatibility wrapper must agree too.
 		got, _ := IntersectK(lists, nil, nil)
 		if !equalIDs(got, want) {
 			t.Fatalf("trial %d: wrapper IntersectK = %v, want %v", trial, got, want)
@@ -167,7 +148,7 @@ func TestIntersectKDifferential(t *testing.T) {
 		cut := 1 + rng.Intn(k)
 		seed := naiveIntersect(lists[:cut]...)
 		seedCopy := append([]VertexID(nil), seed...)
-		out, scratch = it.IntersectSeeded(seed, lists[cut:], bits[cut:], out, scratch)
+		out, scratch = it.IntersectSeeded(seed, lists[cut:], out, scratch)
 		if !equalIDs(out, want) {
 			t.Fatalf("trial %d: IntersectSeeded(cut=%d of %d) = %v, want %v", trial, cut, k, out, want)
 		}
@@ -331,24 +312,10 @@ func TestPinnedKWayFold(t *testing.T) {
 	}
 }
 
-// TestBitsetBeyondUniverse checks that probing IDs past the bitset's
-// universe — live-overlay vertices appended after a base was frozen —
-// reports absent instead of reading out of bounds.
-func TestBitsetBeyondUniverse(t *testing.T) {
-	b := NewBitsetFromSorted([]VertexID{1, 3})
-	if b.Contains(VertexID(1000)) {
-		t.Fatal("Contains(1000) on a 4-vertex universe = true")
-	}
-	got := IntersectBitset([]VertexID{1, 64, 1000}, b, nil)
-	if !equalIDs(got, []VertexID{1}) {
-		t.Fatalf("IntersectBitset beyond universe = %v, want [1]", got)
-	}
-}
-
 // TestIntersectorZeroAllocs asserts the E/I hot path's contract, kernel
 // by kernel: after warm-up (AllocsPerRun runs the body once before
 // measuring), a k-way intersection performs zero allocations no matter
-// which kernel the sizes and indexes select. Each case checks the
+// which kernel the sizes select. Each case checks the
 // Intersector's own dispatch counters first, so a kernel silently
 // falling back to another would fail loudly instead of vacuously
 // passing the alloc check. It is the dynamic counterpart of the
@@ -362,7 +329,6 @@ func TestIntersectorZeroAllocs(t *testing.T) {
 	cases := []struct {
 		name   string
 		lists  [][]VertexID
-		bits   []*Bitset
 		kernel func(c KernelCounters) int64
 	}{
 		{
@@ -376,34 +342,21 @@ func TestIntersectorZeroAllocs(t *testing.T) {
 			kernel: func(c KernelCounters) int64 { return c.Gallop },
 		},
 		{
-			name:   "bitsetProbe",
-			lists:  [][]VertexID{short, long},
-			bits:   []*Bitset{nil, NewBitsetFromSorted(long)},
-			kernel: func(c KernelCounters) int64 { return c.BitsetProbe },
-		},
-		{
-			name:   "bitsetAnd",
-			lists:  [][]VertexID{mid, long},
-			bits:   []*Bitset{NewBitsetFromSorted(mid), NewBitsetFromSorted(long)},
-			kernel: func(c KernelCounters) int64 { return c.BitsetAnd },
-		},
-		{
 			name:   "kWayMixed",
 			lists:  [][]VertexID{long, short, mid},
-			bits:   []*Bitset{NewBitsetFromSorted(long), nil, NewBitsetFromSorted(mid)},
-			kernel: func(c KernelCounters) int64 { return c.Merge + c.Gallop + c.BitsetProbe + c.BitsetAnd },
+			kernel: func(c KernelCounters) int64 { return c.Merge + c.Gallop },
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var it Intersector
 			var out, scratch []VertexID
-			out, scratch = it.IntersectK(tc.lists, tc.bits, out, scratch)
+			out, scratch = it.IntersectK(tc.lists, out, scratch)
 			if got := tc.kernel(it.Counters); got == 0 {
 				t.Fatalf("intended kernel never dispatched (counters %+v)", it.Counters)
 			}
 			if allocs := testing.AllocsPerRun(100, func() {
-				out, scratch = it.IntersectK(tc.lists, tc.bits, out, scratch)
+				out, scratch = it.IntersectK(tc.lists, out, scratch)
 			}); allocs != 0 {
 				t.Errorf("%s-path IntersectK allocates %.1f per run, want 0", tc.name, allocs)
 			}
@@ -433,20 +386,20 @@ func TestIntersectorZeroAllocs(t *testing.T) {
 			t.Error("PinBytes reports nothing held after pinning")
 		}
 	})
-	// The carried-set entry point: a seed probed into an indexed list,
-	// merged with a plain one, and copied when nothing is left to read.
+	// The carried-set entry point: a seed galloped into a long list,
+	// merged with one of its own size, and copied when nothing is left to
+	// read.
 	t.Run("seeded", func(t *testing.T) {
 		var it Intersector
 		var out, scratch []VertexID
-		lists := [][]VertexID{long, mid}
-		bits := []*Bitset{NewBitsetFromSorted(long), nil}
+		lists := [][]VertexID{skewed, short}
 		body := func() {
-			out, scratch = it.IntersectSeeded(short, lists, bits, out, scratch)
-			out, scratch = it.IntersectSeeded(short, nil, nil, out, scratch)
+			out, scratch = it.IntersectSeeded(short, lists, out, scratch)
+			out, scratch = it.IntersectSeeded(short, nil, out, scratch)
 		}
 		body()
-		if it.Counters.BitsetProbe == 0 {
-			t.Fatalf("seeded probe never dispatched (counters %+v)", it.Counters)
+		if it.Counters.Gallop == 0 || it.Counters.Merge == 0 {
+			t.Fatalf("seeded gallop or merge never dispatched (counters %+v)", it.Counters)
 		}
 		if allocs := testing.AllocsPerRun(100, body); allocs != 0 {
 			t.Errorf("IntersectSeeded allocates %.1f per run, want 0", allocs)
@@ -455,8 +408,8 @@ func TestIntersectorZeroAllocs(t *testing.T) {
 }
 
 // decodeFuzzList turns fuzz bytes into a strictly increasing ID list:
-// each byte is a positive delta, capped at 256 elements so bitset
-// universes stay small.
+// each byte is a positive delta, capped at 256 elements so pin bitmaps
+// stay small.
 func decodeFuzzList(data []byte) []VertexID {
 	if len(data) > 256 {
 		data = data[:256]
@@ -472,8 +425,7 @@ func decodeFuzzList(data []byte) []VertexID {
 
 // FuzzIntersect cross-checks every intersection kernel against the naive
 // reference on fuzzer-chosen sorted lists, including the k-way engine
-// over three lists with full bitset availability and the pinned-operand
-// kernel with either list pinned.
+// over three lists and the pinned-operand kernel with either list pinned.
 func FuzzIntersect(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{1, 2, 3}, []byte{2, 2, 2})
@@ -485,22 +437,15 @@ func FuzzIntersect(f *testing.F) {
 		if got := Intersect(a, b, nil); !equalIDs(got, want) {
 			t.Fatalf("Intersect = %v, want %v", got, want)
 		}
-		ba, bb := NewBitsetFromSorted(a), NewBitsetFromSorted(b)
-		if got := IntersectBitset(a, bb, nil); !equalIDs(got, want) {
-			t.Fatalf("IntersectBitset = %v, want %v", got, want)
-		}
-		if got := IntersectBitsets(ba, bb, nil); !equalIDs(got, want) {
-			t.Fatalf("IntersectBitsets = %v, want %v", got, want)
-		}
 		var it Intersector
-		for _, bits := range [][]*Bitset{nil, {ba, bb}, {nil, bb}} {
-			if got, _ := it.IntersectK([][]VertexID{a, b}, bits, nil, nil); !equalIDs(got, want) {
-				t.Fatalf("IntersectK(bits=%v) = %v, want %v", bits, got, want)
+		for _, lists := range [][][]VertexID{{a, b}, {b, a}} {
+			if got, _ := it.IntersectK(lists, nil, nil); !equalIDs(got, want) {
+				t.Fatalf("IntersectK(%v) = %v, want %v", lists, got, want)
 			}
 		}
 		// Three-way: a ∩ b ∩ a must equal a ∩ b.
 		three := [][]VertexID{a, b, a}
-		if got, _ := it.IntersectK(three, []*Bitset{ba, bb, ba}, nil, nil); !equalIDs(got, want) {
+		if got, _ := it.IntersectK(three, nil, nil); !equalIDs(got, want) {
 			t.Fatalf("IntersectK(a,b,a) = %v, want %v", got, want)
 		}
 		// The pinned kernel, either operand pinned — refused exactly past the
@@ -519,7 +464,7 @@ func FuzzIntersect(f *testing.F) {
 			if !marksClean(&it) {
 				t.Fatal("bitmap dirty after Unpin")
 			}
-			if got, _ := it.IntersectSeeded(pair[0], three, nil, nil, nil); !equalIDs(got, want) {
+			if got, _ := it.IntersectSeeded(pair[0], three, nil, nil); !equalIDs(got, want) {
 				t.Fatalf("IntersectSeeded after a pinned run = %v, want %v", got, want)
 			}
 		}

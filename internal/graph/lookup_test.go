@@ -50,8 +50,8 @@ func probesOf(g *graph.Graph, k int) []probe {
 }
 
 // BenchmarkNeighbors prices reaching one adjacency run: ns per exact
-// Neighbors, per exact Degree and per NeighborBitset at a random vertex
-// and one of its partitions, on LiveJournal(1) (unlabelled: strided, one
+// Neighbors and per exact Degree at a random vertex and one of its
+// partitions, on LiveJournal(1) (unlabelled: strided, one
 // slot per vertex), on cold-plan's Relabel(Epinions(2), 2, 3, 11) (two
 // vertex and three edge labels: strided, six slots per vertex), on Human()
 // (44 edge labels: sparse) and through a live.Snapshot with an empty
@@ -84,12 +84,6 @@ func BenchmarkNeighbors(b *testing.B) {
 		}{
 			{"Neighbors", func(g graph.View, p probe) int { return len(g.Neighbors(p.v, graph.Forward, p.e, p.n, nil)) }},
 			{"Degree", func(g graph.View, p probe) int { return g.Degree(p.v, graph.Forward, p.e, p.n) }},
-			{"NeighborBitset", func(g graph.View, p probe) int {
-				if g.NeighborBitset(p.v, graph.Forward, p.e, p.n) != nil {
-					return 1
-				}
-				return 0
-			}},
 		} {
 			b.Run(c.name+"/"+op.name, func(b *testing.B) {
 				sum := 0
@@ -103,21 +97,18 @@ func BenchmarkNeighbors(b *testing.B) {
 	}
 }
 
-// TestZeroAllocs: the exact lookups — Neighbors, Degree, HasEdge and
-// NeighborBitset, on a hub partition and on one below the threshold —
-// allocate nothing in any directory form, read directly and through a
+// TestZeroAllocs: the exact lookups — Neighbors, Degree and HasEdge, on
+// a long partition and on a short one — allocate nothing in any directory form, read directly and through a
 // live.Snapshot (empty overlay, and a vertex beside an overlay entry).
 // gfvet follows the Graph methods; the View interface hides the snapshot's.
 func TestZeroAllocs(t *testing.T) {
-	const th = 4
 	fixtures := map[string]*graph.Builder{}
 	for _, name := range []string{"strided k=1", "strided k>1", "sparse"} {
 		b := graph.NewBuilder(12)
-		b.SetHubThreshold(th)
 		for d := graph.VertexID(2); d < 8; d++ {
-			b.AddEdge(0, d, 0) // vertex 0: a hub partition
+			b.AddEdge(0, d, 0) // vertex 0: a long partition
 		}
-		b.AddEdge(1, 2, 0) // vertex 1: one below the threshold
+		b.AddEdge(1, 2, 0) // vertex 1: a short one
 		b.AddEdge(10, 9, 0)
 		switch name {
 		case "strided k>1": // a second partition each for 0 and 1: 2 slots a vertex
@@ -137,7 +128,7 @@ func TestZeroAllocs(t *testing.T) {
 		if got := form(g, graph.Forward); got != name {
 			t.Fatalf("fixture: the %s graph is %s", name, got)
 		}
-		db, err := live.Open(g, live.Config{CompactThreshold: -1, HubThreshold: th})
+		db, err := live.Open(g, live.Config{CompactThreshold: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,14 +141,10 @@ func TestZeroAllocs(t *testing.T) {
 	}
 	for name, g := range views {
 		for _, v := range []graph.VertexID{0, 1} {
-			if hub := g.NeighborBitset(v, graph.Forward, 0, 0) != nil; hub != (v == 0) {
-				t.Fatalf("fixture: %s vertex %d: hub bitset %v", name, v, hub)
-			}
 			if n := testing.AllocsPerRun(100, func() {
 				_ = g.Neighbors(v, graph.Forward, 0, 0, nil)
 				_ = g.Degree(v, graph.Forward, 0, 0)
 				_ = g.HasEdge(v, 2, 0)
-				_ = g.NeighborBitset(v, graph.Forward, 0, 0)
 			}); n != 0 {
 				t.Errorf("%s, vertex %d: %.0f allocs per round of exact lookups", name, v, n)
 			}

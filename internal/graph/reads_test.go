@@ -27,7 +27,6 @@ type readCase struct {
 	appended int
 	base     []edge
 	add, del []edge
-	hub      int // the hub-threshold knob: -1, 1 or 0 (the default)
 }
 
 // decodeReadCase turns fuzz bytes into a small graph: up to 20 vertices,
@@ -45,7 +44,7 @@ func decodeReadCase(data []byte) readCase {
 	n := 1 + next()%20
 	shape := next()
 	vl, el := 1+shape%3, 1+shape/4%3
-	c := readCase{hub: []int{-1, 1, 0}[shape/16%3], appended: shape / 64 % min(3, n)}
+	c := readCase{appended: shape / 64 % min(3, n)}
 	c.labels = make([]graph.Label, n)
 	for v := range c.labels {
 		c.labels[v] = graph.Label(next() % vl)
@@ -107,9 +106,8 @@ func (c readCase) final() []edge {
 	return out
 }
 
-func build(labels []graph.Label, edges []edge, hub int) *graph.Graph {
+func build(labels []graph.Label, edges []edge) *graph.Graph {
 	b := graph.NewBuilder(len(labels))
-	b.SetHubThreshold(hub)
 	for v, l := range labels {
 		b.SetVertexLabel(graph.VertexID(v), l)
 	}
@@ -122,7 +120,7 @@ func build(labels []graph.Label, edges []edge, hub int) *graph.Graph {
 // reassemble feeds g's adjacency back through an Assembler the way the
 // live store's fold does: stretches copied as blocks, the rest partition
 // by partition.
-func reassemble(t *testing.T, g *graph.Graph, hub int, rng *rand.Rand) *graph.Graph {
+func reassemble(t *testing.T, g *graph.Graph, rng *rand.Rand) *graph.Graph {
 	t.Helper()
 	labels := make([]graph.Label, g.NumVertices())
 	for v := range labels {
@@ -149,7 +147,7 @@ func reassemble(t *testing.T, g *graph.Graph, hub int, rng *rand.Rand) *graph.Gr
 			}
 		}
 	}
-	out, err := asm.Finish(hub)
+	out, err := asm.Finish()
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
@@ -157,13 +155,12 @@ func reassemble(t *testing.T, g *graph.Graph, hub int, rng *rand.Rand) *graph.Gr
 }
 
 // TestAssemblerMatchesBuilder: a graph assembled from sorted partitions
-// is the graph Builder sorts its way to — every array, the directory form,
-// hub bitsets and label counts included.
+// is the graph Builder sorts its way to — every array, the directory form
+// and label counts included.
 func TestAssemblerMatchesBuilder(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(60)
-		hub := []int{-1, 0, 2, 5}[rng.Intn(4)]
 		labels := make([]graph.Label, n)
 		vl, el := 1+rng.Intn(3), 1+rng.Intn(3)
 		for v := range labels {
@@ -174,22 +171,12 @@ func TestAssemblerMatchesBuilder(t *testing.T) {
 		for i := rng.Intn(n * 4); i > 0; i-- {
 			edges = append(edges, edge{graph.VertexID(rng.Intn(n*3/4 + 1)), graph.VertexID(rng.Intn(n*3/4 + 1)), graph.Label(rng.Intn(el))})
 		}
-		want := build(labels, edges, hub)
-		if got := reassemble(t, want, hub, rng); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d (n=%d hub=%d): assembled graph differs from the built one:\n got %+v\nwant %+v", seed, n, hub, got, want)
+		want := build(labels, edges)
+		if got := reassemble(t, want, rng); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d (n=%d): assembled graph differs from the built one:\n got %+v\nwant %+v", seed, n, got, want)
 		}
 	}
 }
-
-// bitsetRule says what NeighborBitset may return: exact on a graph (and
-// a snapshot with nothing in its overlay), possibly nil for a snapshot
-// whose overlay holds the vertex.
-type bitsetRule int
-
-const (
-	bitsetsExact bitsetRule = iota
-	bitsetsMayBeNil
-)
 
 // refRun is one partition of the reference: its labels and ID-sorted run.
 type refRun struct {
@@ -225,7 +212,7 @@ func refRuns(c readCase, want []edge, v graph.VertexID, dir graph.Direction, e, 
 }
 
 // checkReads holds every View read of g to the final edge set of c.
-func checkReads(t *testing.T, where string, g graph.View, c readCase, rule bitsetRule) {
+func checkReads(t *testing.T, where string, g graph.View, c readCase) {
 	t.Helper()
 	want := c.final()
 	n := len(c.labels)
@@ -235,10 +222,6 @@ func checkReads(t *testing.T, where string, g graph.View, c readCase, rule bitse
 	}
 	if g.NumVertices() != n || g.NumEdges() != len(want) {
 		fail("V=%d E=%d, want V=%d E=%d", g.NumVertices(), g.NumEdges(), n, len(want))
-	}
-	th := c.hub
-	if th == 0 {
-		th = graph.DefaultHubThreshold
 	}
 	eLabels := []graph.Label{0, 1, 2, 3, 40, graph.WildcardLabel}
 	nLabels := []graph.Label{0, 1, 2, 3, graph.WildcardLabel}
@@ -292,18 +275,6 @@ func checkReads(t *testing.T, where string, g graph.View, c readCase, rule bitse
 							fail("NeighborRuns(%d, %v, %d, %d) = %v, want %v", v, dir, e, nl, runs, ref)
 						}
 					}
-					b := g.NeighborBitset(v, dir, e, nl)
-					exact := e != graph.WildcardLabel && nl != graph.WildcardLabel
-					hub := exact && th > 0 && len(ids) >= th
-					switch {
-					case b == nil && hub && rule == bitsetsExact:
-						fail("NeighborBitset(%d, %v, %d, %d) = nil for a run of %d at threshold %d", v, dir, e, nl, len(ids), th)
-					case b == nil:
-					case !hub:
-						fail("NeighborBitset(%d, %v, %d, %d) set for a run of %d at threshold %d", v, dir, e, nl, len(ids), th)
-					case b.Len() != len(ids) || slices.ContainsFunc(ids, func(x graph.VertexID) bool { return !b.Contains(x) }):
-						fail("NeighborBitset(%d, %v, %d, %d) differs from its run %v", v, dir, e, nl, ids)
-					}
 				}
 			}
 		}
@@ -352,15 +323,15 @@ func checkReads(t *testing.T, where string, g graph.View, c readCase, rule bitse
 // compacted base must equal the Builder graph field for field.
 func checkAllReads(t *testing.T, c readCase, rng *rand.Rand) {
 	t.Helper()
-	want := build(c.labels, c.final(), c.hub)
-	checkReads(t, "Builder", want, c, bitsetsExact)
-	if got := reassemble(t, want, c.hub, rng); !reflect.DeepEqual(got, want) {
+	want := build(c.labels, c.final())
+	checkReads(t, "Builder", want, c)
+	if got := reassemble(t, want, rng); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reassembled graph differs from the built one:\n got %+v\nwant %+v", got, want)
 	}
-	checkReads(t, "Assembler", reassemble(t, want, c.hub, rng), c, bitsetsExact)
+	checkReads(t, "Assembler", reassemble(t, want, rng), c)
 
 	nBase := len(c.labels) - c.appended
-	db, err := live.Open(build(c.labels[:nBase], c.base, c.hub), live.Config{CompactThreshold: -1, HubThreshold: c.hub})
+	db, err := live.Open(build(c.labels[:nBase], c.base), live.Config{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,11 +345,11 @@ func checkAllReads(t *testing.T, c readCase, rng *rand.Rand) {
 	if _, err := db.Apply(b); err != nil {
 		t.Fatal(err)
 	}
-	checkReads(t, "snapshot", db.Snapshot(), c, bitsetsMayBeNil)
+	checkReads(t, "snapshot", db.Snapshot(), c)
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	checkReads(t, "compacted snapshot", db.Snapshot(), c, bitsetsExact)
+	checkReads(t, "compacted snapshot", db.Snapshot(), c)
 	if got := db.Snapshot().Base(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("compacted base differs from the built graph:\n got %+v\nwant %+v", got, want)
 	}
@@ -415,7 +386,7 @@ func TestGraphReads(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomReadCase(rng)
 		t.Run(fmt.Sprint(seed), func(t *testing.T) { checkAllReads(t, c, rng) })
-		census[form(build(c.labels, c.final(), c.hub), graph.Forward)]++
+		census[form(build(c.labels, c.final()), graph.Forward)]++
 	}
 	requireEveryForm(t, census)
 }
@@ -432,7 +403,7 @@ func FuzzGraphReads(f *testing.F) {
 	census := map[string]int{}
 	for _, data := range seeds {
 		c := decodeReadCase(data)
-		census[form(build(c.labels, c.final(), c.hub), graph.Forward)]++
+		census[form(build(c.labels, c.final()), graph.Forward)]++
 		f.Add(data)
 	}
 	requireEveryForm(f, census)
@@ -451,7 +422,7 @@ func TestDirectoryFormFlips(t *testing.T) {
 		labels: make([]graph.Label, 7),
 		base:   []edge{{0, 1, 0}, {0, 2, 0}, {1, 2, 0}, {2, 3, 0}, {3, 4, 0}, {4, 0, 0}},
 	}
-	g := build(c.labels, c.base, c.hub)
+	g := build(c.labels, c.base)
 	forms := func(g *graph.Graph) [2]string {
 		return [2]string{form(g, graph.Forward), form(g, graph.Backward)}
 	}
@@ -467,11 +438,11 @@ func TestDirectoryFormFlips(t *testing.T) {
 		if _, err := db.Apply(b); err != nil {
 			t.Fatal(err)
 		}
-		checkReads(t, "before compaction", db.Snapshot(), c, bitsetsMayBeNil)
+		checkReads(t, "before compaction", db.Snapshot(), c)
 		if err := db.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		checkReads(t, "after compaction", db.Snapshot(), c, bitsetsExact)
+		checkReads(t, "after compaction", db.Snapshot(), c)
 		if got := forms(db.Snapshot().Base()); got != [2]string{want, want} {
 			t.Fatalf("compacted base: %v, want %s", got, want)
 		}

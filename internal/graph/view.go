@@ -35,15 +35,6 @@ type View interface {
 	// NeighborReader calls it with headers of its own, so that reading
 	// wildcard adjacency per tuple allocates nothing.
 	NeighborRuns(v VertexID, dir Direction, eLabel, nLabel Label, runs [][]VertexID) [][]VertexID
-	// NeighborBitset returns the bitset index over the exact (eLabel,
-	// nLabel) partition of v in direction dir, or nil when no index is
-	// materialised (partition below the hub threshold, indexing disabled,
-	// wildcard labels, or — for live snapshots — a vertex whose adjacency
-	// lives in the mutable overlay). When non-nil, the bitset holds
-	// exactly the IDs Neighbors would return for the same arguments, so
-	// the degree-adaptive intersection kernels may use either
-	// representation interchangeably.
-	NeighborBitset(v VertexID, dir Direction, eLabel, nLabel Label) *Bitset
 	// Degree returns the size of the (eLabel, nLabel) partition of v in
 	// direction dir; labels may be WildcardLabel.
 	Degree(v VertexID, dir Direction, eLabel, nLabel Label) int

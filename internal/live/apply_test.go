@@ -133,7 +133,6 @@ func TestSnapshotReadsZeroAllocs(t *testing.T) {
 			_ = c.s.Neighbors(c.v, graph.Forward, 0, 0, buf)
 			_ = c.s.Degree(c.v, graph.Forward, 0, graph.WildcardLabel)
 			_ = c.s.HasEdge(c.v, 20000, 0)
-			_ = c.s.NeighborBitset(c.v, graph.Forward, 0, 0)
 		}); n != 0 {
 			t.Errorf("%s: %.0f allocs per round of reads", c.name, n)
 		}

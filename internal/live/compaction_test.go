@@ -20,6 +20,21 @@ func unlabelledBase(rng *rand.Rand, n int) *graph.Graph {
 	return b.MustBuild()
 }
 
+// withHub returns g with vertex 0 pointing at every other vertex under
+// edge label 0: runs far longer than the rest for the fold to carry.
+func withHub(g *graph.Graph) *graph.Graph {
+	b := graph.NewBuilder(g.NumVertices())
+	for v := range g.NumVertices() {
+		b.SetVertexLabel(graph.VertexID(v), g.VertexLabel(graph.VertexID(v)))
+		b.AddEdge(0, graph.VertexID(v), 0)
+	}
+	g.Edges(func(src, dst graph.VertexID, l graph.Label) bool {
+		b.AddEdge(src, dst, l)
+		return true
+	})
+	return b.MustBuild()
+}
+
 // isolate returns the batch that deletes every edge at v, both ways.
 func isolate(s *Snapshot, v graph.VertexID) Batch {
 	var b Batch
@@ -54,8 +69,9 @@ func checkFold(t *testing.T, s *Snapshot, rng *rand.Rand) {
 
 // TestFoldMatchesRebuild: for random mutation histories — labelled and
 // unlabelled, with appended vertices, partitions and whole vertices
-// emptied by deletes, hub indexing on and off, folds taken over a base
-// that is itself a fold — the merged fold equals the from-scratch build.
+// emptied by deletes, a base with and without a hub vertex, folds taken
+// over a base that is itself a fold — the merged fold equals the
+// from-scratch build.
 func TestFoldMatchesRebuild(t *testing.T) {
 	for seed := int64(0); seed < 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -63,15 +79,14 @@ func TestFoldMatchesRebuild(t *testing.T) {
 		name := fmt.Sprintf("seed=%d/labelled=%v/hubs=%v", seed, labelled, hubs)
 		t.Run(name, func(t *testing.T) {
 			n := 15 + rng.Intn(25)
-			base, hub := unlabelledBase(rng, n), -1
+			base := unlabelledBase(rng, n)
 			if labelled {
 				base = randomBase(rng, n)
 			}
 			if hubs {
-				hub = 2
-				base.RebuildHubIndex(hub)
+				base = withHub(base)
 			}
-			db := mustOpen(t, base, Config{CompactThreshold: -1, HubThreshold: hub})
+			db := mustOpen(t, base, Config{CompactThreshold: -1})
 			checkFold(t, db.Snapshot(), rng) // nothing to merge: the base itself
 			for round := 0; round < 8; round++ {
 				b := randomBatch(rng, db.Snapshot())
@@ -158,7 +173,7 @@ func hold(s *Snapshot) held { return held{s, s.NumEdges(), collectEdges(s)} }
 // leave a published epoch exactly as it was. Run under -race.
 func TestHeldSnapshotsSurviveCompactions(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	db := mustOpen(t, randomBase(rng, 40), Config{CompactThreshold: -1, HubThreshold: 4})
+	db := mustOpen(t, randomBase(rng, 40), Config{CompactThreshold: -1})
 	const batches = 500
 	at := make(chan int) // the writer reports every batch it applied
 	var all []held

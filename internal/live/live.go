@@ -23,11 +23,6 @@ type Config struct {
 	// background compaction. 0 takes DefaultCompactThreshold; a negative
 	// value disables automatic compaction (Compact still works).
 	CompactThreshold int
-	// HubThreshold is the adjacency-partition size at which compaction
-	// rebuilds materialise hub bitset indexes in the fresh CSR base (0
-	// takes graph.DefaultHubThreshold; negative disables indexing). It
-	// should match the threshold the initial base was built with.
-	HubThreshold int
 	// OnEpoch, when non-nil, is called after every epoch publication
 	// (mutation batch or compaction) with the new snapshot, outside the
 	// writer lock. The DB layer uses it to unbind cached plans from the
@@ -169,16 +164,14 @@ func Open(base *graph.Graph, cfg Config) (*DB, error) {
 	}
 	db := &DB{threshold: th, onEpoch: cfg.OnEpoch, compactSeconds: metrics.NewHistogram(compactBuckets)}
 	if cfg.Dir == "" {
-		s := newBaseSnapshot(base, 0)
-		s.hubThreshold = cfg.HubThreshold
-		db.cur.Store(s)
+		db.cur.Store(newBaseSnapshot(base, 0))
 		return db, nil
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("live: data dir: %w", err)
 	}
 	wal.RemoveStaleTemp(cfg.Dir)
-	ckpt, ckptEpoch, ok, err := wal.LoadNewestCheckpoint(cfg.Dir, cfg.HubThreshold)
+	ckpt, ckptEpoch, ok, err := wal.LoadNewestCheckpoint(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +180,6 @@ func Open(base *graph.Graph, cfg Config) (*DB, error) {
 		base, start = ckpt, ckptEpoch
 	}
 	cur := newBaseSnapshot(base, start)
-	cur.hubThreshold = cfg.HubThreshold
 	replayed := 0
 	log, info, err := wal.Open(cfg.Dir, start, wal.Options{Policy: cfg.Sync, Interval: cfg.SyncInterval}, func(rec wal.Record) error {
 		if rec.Epoch <= start {
@@ -577,7 +569,6 @@ func (db *DB) Compact() error {
 	// Carry while writers still run; under the lock, only what they wrote
 	// in the meantime.
 	ns := newBaseSnapshot(g, 0)
-	ns.hubThreshold = s.hubThreshold
 	mid := db.cur.Load()
 	ns.carry(s, mid, s.epoch)
 	db.mu.Lock()
@@ -604,9 +595,7 @@ func (db *DB) Compact() error {
 
 // fold merges s into a fresh CSR: each vertex contributes its overlay
 // adjacency where it has one and its base run otherwise, both already in
-// CSR order, so nothing is sorted. The new base carries a hub bitset
-// index at the store's configured threshold, so overlay vertices regain
-// their fast-intersection representation at every compaction.
+// CSR order, so nothing is sorted.
 func fold(s *Snapshot) (*graph.Graph, error) {
 	n := s.NumVertices()
 	labels := make([]graph.Label, n)
@@ -631,7 +620,7 @@ func fold(s *Snapshot) (*graph.Graph, error) {
 		})
 		fromBase(graph.VertexID(n))
 	}
-	return asm.Finish(s.hubThreshold)
+	return asm.Finish()
 }
 
 // carry makes ns, a snapshot over the fold of s, the successor of cur: it

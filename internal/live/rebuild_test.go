@@ -8,7 +8,6 @@ import "graphflow/internal/graph"
 // against.
 func Rebuild(s *Snapshot) (*graph.Graph, error) {
 	b := graph.NewBuilder(s.NumVertices())
-	b.SetHubThreshold(s.hubThreshold)
 	for v := 0; v < s.NumVertices(); v++ {
 		b.SetVertexLabel(graph.VertexID(v), s.VertexLabel(graph.VertexID(v)))
 	}

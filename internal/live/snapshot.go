@@ -136,9 +136,6 @@ type Snapshot struct {
 	m                              int // live directed edge count
 	deltaOps                       int // overlay mutations since the base was built
 	numVertexLabels, numEdgeLabels int
-	// hubThreshold is the hub bitset indexing knob carried from the store's
-	// Config so compaction rebuilds index their fresh base the same way.
-	hubThreshold int
 }
 
 var _ graph.View = (*Snapshot)(nil)
@@ -233,22 +230,6 @@ func (s *Snapshot) NeighborRuns(v graph.VertexID, dir graph.Direction, e, nl gra
 		return s.base.NeighborRuns(v, dir, e, nl, runs)
 	}
 	return runs
-}
-
-// NeighborBitset implements graph.View: vertices whose adjacency is
-// served by the base CSR expose its hub bitset index; overlay-resident
-// (mutated or appended) vertices return nil and fall back to the sorted
-// kernels until the next compaction folds them into a fresh indexed
-// base. Base bitsets never contain appended vertices, and Bitset.Contains
-// reports IDs beyond the base universe as absent, so probing overlay IDs
-// into a base bitset is safe.
-//
-//gf:noalloc
-func (s *Snapshot) NeighborBitset(v graph.VertexID, dir graph.Direction, e, nl graph.Label) *graph.Bitset {
-	if int(v) >= s.nBase || s.overlay(dir).get(v) != nil {
-		return nil
-	}
-	return s.base.NeighborBitset(v, dir, e, nl)
 }
 
 // Degree implements graph.View.

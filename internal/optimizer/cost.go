@@ -150,11 +150,11 @@ func (c *context) extendCost(childMask query.Mask, ext *plan.Extend) float64 {
 	// externally built plans (EstimateCost).
 	covered := ext.Inherited()
 	if covered == 0 || c.opts.CacheOblivious || len(st.sizes) != len(ext.Descriptors) {
-		return mult * catalogue.StarLeafICost(st.sizes, c.opts.HubThreshold)
+		return mult * catalogue.StarLeafICost(st.sizes)
 	}
 	up := ext.Child.(*plan.Extend).TargetVertex
 	set := math.Max(1, c.extension(childMask&^query.Bit(up), up).mu)
-	return mult * catalogue.CarriedICost(set, st.sizes, covered, c.opts.HubThreshold)
+	return mult * catalogue.CarriedICost(set, st.sizes, covered)
 }
 
 // reuseMult estimates the number of distinct intersections the E/I

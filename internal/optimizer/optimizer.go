@@ -39,13 +39,6 @@ type Options struct {
 	// CacheOblivious disables intersection-cache-aware costing (the
 	// cache-oblivious optimizer discussed in Section 5.2).
 	CacheOblivious bool
-	// HubThreshold is the store's hub bitset indexing knob (0 takes
-	// graph.DefaultHubThreshold, negative means no bitset indexes). The
-	// cost model uses it to price E/I operators with the degree-adaptive
-	// kernel engine: intersections against hub-indexed lists cost the
-	// probe, not the scan, which steers plan choice toward intersections
-	// the engine executes cheaply.
-	HubThreshold int
 	// FullEnumerationLimit is the largest query-vertex count for which all
 	// WCO orderings are enumerated exactly (Section 4.4); default 10.
 	FullEnumerationLimit int

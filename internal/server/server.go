@@ -198,8 +198,8 @@ type Server struct {
 	// Per-kernel intersection dispatch totals accumulated across served
 	// count-mode queries (match mode streams rows and does not report
 	// per-run statistics), surfaced by /stats as the serving-layer view
-	// of the degree-adaptive intersection engine.
-	kernelMerge, kernelGallop, kernelBitsetProbe, kernelBitsetAnd, kernelPinnedProbe atomic.Int64
+	// of the intersection engine.
+	kernelMerge, kernelGallop, kernelPinnedProbe atomic.Int64
 	// carriedSets totals the intersections seeded with an upstream
 	// stage's extension set (Stats.CarriedSets), reported beside them.
 	carriedSets atomic.Int64
@@ -323,9 +323,7 @@ func (s *Server) registerMetrics() {
 		name string
 		c    *atomic.Int64
 	}{
-		{"merge", &s.kernelMerge}, {"gallop", &s.kernelGallop},
-		{"bitset_probe", &s.kernelBitsetProbe}, {"bitset_and", &s.kernelBitsetAnd},
-		{"pinned_probe", &s.kernelPinnedProbe},
+		{"merge", &s.kernelMerge}, {"gallop", &s.kernelGallop}, {"pinned_probe", &s.kernelPinnedProbe},
 	} {
 		c := k.c
 		s.reg.CounterFunc("graphflow_exec_kernel_dispatch_total",
@@ -435,8 +433,7 @@ type queryResponse struct {
 	Truncated bool                 `json:"truncated,omitempty"`
 	PlanKind  string               `json:"plan_kind,omitempty"`
 	// Kernels reports the intersection-kernel dispatch counts of this
-	// run (count mode only): merge, gallop, bitset_probe, bitset_and,
-	// pinned_probe.
+	// run (count mode only): merge, gallop, pinned_probe.
 	Kernels *kernelCounts `json:"kernels,omitempty"`
 	// Batches reports the columnar batches each stage kind of the
 	// vectorized engine dispatched for this run (count mode only).
@@ -498,8 +495,6 @@ type batchCounts struct {
 type kernelCounts struct {
 	Merge       int64 `json:"merge"`
 	Gallop      int64 `json:"gallop"`
-	BitsetProbe int64 `json:"bitset_probe"`
-	BitsetAnd   int64 `json:"bitset_and"`
 	PinnedProbe int64 `json:"pinned_probe"`
 	// CarriedSets counts the intersections that started from the set an
 	// upstream E/I stage carried down rather than from adjacency lists.
@@ -761,8 +756,6 @@ func (s *Server) execute(r *http.Request, name string, pq *graphflow.PreparedQue
 		resp.Kernels = &kernelCounts{
 			Merge:       st.KernelMerge,
 			Gallop:      st.KernelGallop,
-			BitsetProbe: st.KernelBitsetProbe,
-			BitsetAnd:   st.KernelBitsetAnd,
 			PinnedProbe: st.KernelPinnedProbe,
 			CarriedSets: st.CarriedSets,
 		}
@@ -778,8 +771,6 @@ func (s *Server) execute(r *http.Request, name string, pq *graphflow.PreparedQue
 		resp.Stages = stageMillisFrom(&st)
 		s.kernelMerge.Add(st.KernelMerge)
 		s.kernelGallop.Add(st.KernelGallop)
-		s.kernelBitsetProbe.Add(st.KernelBitsetProbe)
-		s.kernelBitsetAnd.Add(st.KernelBitsetAnd)
 		s.kernelPinnedProbe.Add(st.KernelPinnedProbe)
 		s.carriedSets.Add(st.CarriedSets)
 		s.batchScan.Add(st.ScanBatches)
@@ -1178,11 +1169,6 @@ type statsResponse struct {
 		DeltaOps    int    `json:"delta_ops"`
 		Compactions int64  `json:"compactions"`
 		Ingested    int64  `json:"ingested_batches"`
-		// Hub bitset index of the current base CSR: the partition-size
-		// floor, how many partitions are indexed, and the bytes they hold.
-		HubThreshold     int   `json:"hub_threshold"`
-		HubPartitions    int   `json:"hub_partitions"`
-		BitsetIndexBytes int64 `json:"bitset_index_bytes"`
 	} `json:"graph"`
 	// WAL reports the durability layer's state; all-zero (enabled:false)
 	// when the server runs over an ephemeral store.
@@ -1248,9 +1234,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Graph.DeltaOps = ls.DeltaOps
 	resp.Graph.Compactions = ls.Compactions
 	resp.Graph.Ingested = s.ingested.Load()
-	resp.Graph.HubThreshold = ls.HubThreshold
-	resp.Graph.HubPartitions = ls.HubPartitions
-	resp.Graph.BitsetIndexBytes = ls.BitsetIndexBytes
 	resp.WAL.Enabled = ls.WALEnabled
 	resp.WAL.Bytes = ls.WALBytes
 	resp.WAL.Batches = ls.WALBatches
@@ -1261,8 +1244,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Kernels = kernelCounts{
 		Merge:       s.kernelMerge.Load(),
 		Gallop:      s.kernelGallop.Load(),
-		BitsetProbe: s.kernelBitsetProbe.Load(),
-		BitsetAnd:   s.kernelBitsetAnd.Load(),
 		PinnedProbe: s.kernelPinnedProbe.Load(),
 		CarriedSets: s.carriedSets.Load(),
 	}

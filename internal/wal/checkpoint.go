@@ -156,12 +156,12 @@ func syncDir(dir string) error {
 }
 
 // LoadNewestCheckpoint finds the highest-epoch checkpoint in dir,
-// validates it, and rebuilds its graph through the ordinary Builder with
-// the given hub-index threshold. ok is false when dir holds no
+// validates it, and rebuilds its graph through the ordinary Builder. ok
+// is false when dir holds no
 // checkpoints (recovery then starts from the caller's base graph at
 // epoch 0). A present-but-corrupt checkpoint is an error: silently
 // falling back to an older state would lose acknowledged writes.
-func LoadNewestCheckpoint(dir string, hubThreshold int) (g *graph.Graph, epoch uint64, ok bool, err error) {
+func LoadNewestCheckpoint(dir string) (g *graph.Graph, epoch uint64, ok bool, err error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, 0, false, err
@@ -180,7 +180,7 @@ func LoadNewestCheckpoint(dir string, hubThreshold int) (g *graph.Graph, epoch u
 	}
 	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
 	newest := epochs[len(epochs)-1]
-	g, err = loadCheckpoint(filepath.Join(dir, checkpointName(newest)), newest, hubThreshold)
+	g, err = loadCheckpoint(filepath.Join(dir, checkpointName(newest)), newest)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -207,7 +207,7 @@ func DropCheckpointsBefore(dir string, limit uint64) error {
 	return nil
 }
 
-func loadCheckpoint(path string, wantEpoch uint64, hubThreshold int) (*graph.Graph, error) {
+func loadCheckpoint(path string, wantEpoch uint64) (*graph.Graph, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -243,7 +243,6 @@ func loadCheckpoint(path string, wantEpoch uint64, hubThreshold int) (*graph.Gra
 		return nil, err
 	}
 	gb := graph.NewBuilder(int(nv))
-	gb.SetHubThreshold(hubThreshold)
 	for v := 0; v < int(nv); v++ {
 		gb.SetVertexLabel(graph.VertexID(v), graph.Label(binary.LittleEndian.Uint16(b[v*2:])))
 	}

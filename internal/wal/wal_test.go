@@ -215,7 +215,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := WriteCheckpoint(dir, 42, g); err != nil {
 		t.Fatal(err)
 	}
-	got, epoch, ok, err := LoadNewestCheckpoint(dir, 0)
+	got, epoch, ok, err := LoadNewestCheckpoint(dir)
 	if err != nil || !ok || epoch != 42 {
 		t.Fatalf("load: ok=%v epoch=%d err=%v", ok, epoch, err)
 	}
@@ -245,7 +245,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := LoadNewestCheckpoint(dir, 0); err == nil {
+	if _, _, _, err := LoadNewestCheckpoint(dir); err == nil {
 		t.Fatal("corrupt checkpoint loaded without error")
 	}
 }
