@@ -15,8 +15,14 @@ import (
 // run long enough for mid-run cancellation to be observable.
 func denseDB(t testing.TB) *DB {
 	t.Helper()
+	return denseDBDeg(t, 60)
+}
+
+// denseDBDeg is denseDB with deg random out-edges per vertex.
+func denseDBDeg(t testing.TB, deg int) *DB {
+	t.Helper()
 	rng := rand.New(rand.NewSource(11))
-	const n, deg = 2000, 60
+	const n = 2000
 	b := NewBuilder(n)
 	for v := 0; v < n; v++ {
 		for d := 0; d < deg; d++ {
@@ -37,23 +43,34 @@ const wcoHeavy = "a->b, a->c, a->d, b->c, b->d, c->d"
 // TestContextCancelsWCOQueryPromptly is the acceptance test for
 // QueryOptions.Context: a Count on a WCO-heavy query must return
 // context.DeadlineExceeded promptly when its context expires mid-run.
+//
+// The graph doubles its degree until the uncancelled count runs for at
+// least 100ms, so a fast machine still sees the deadline expire mid-run.
 func TestContextCancelsWCOQueryPromptly(t *testing.T) {
-	db := denseDB(t)
-
-	full := time.Now()
-	n, err := db.Count(wcoHeavy, &QueryOptions{WCOOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullDur := time.Since(full)
-	if fullDur < 100*time.Millisecond {
-		t.Skipf("full count of %d matches took only %v; too fast to observe mid-run cancellation", n, fullDur)
+	var db *DB
+	var n int64
+	var fullDur time.Duration
+	for deg := 60; ; deg *= 2 {
+		db = denseDBDeg(t, deg)
+		full := time.Now()
+		var err error
+		n, err = db.Count(wcoHeavy, &QueryOptions{WCOOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullDur = time.Since(full)
+		if fullDur >= 100*time.Millisecond {
+			break
+		}
+		if deg >= 480 {
+			t.Skipf("full count of %d matches at degree %d took only %v; too fast to observe mid-run cancellation", n, deg, fullDur)
+		}
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = db.Count(wcoHeavy, &QueryOptions{WCOOnly: true, Context: ctx})
+	_, err := db.Count(wcoHeavy, &QueryOptions{WCOOnly: true, Context: ctx})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
