@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"graphflow/internal/adaptive"
+	"graphflow/internal/exec"
 )
 
 // stripTimes zeroes what legitimately differs between two runs of the same
@@ -41,26 +42,36 @@ func TestAdaptiveComposes(t *testing.T) {
 	if full.Reroutes == 0 {
 		t.Fatal("the adaptive run rerouted nothing; the cases below would not exercise the router")
 	}
-	for _, tc := range []QueryOptions{
+	type variant struct {
+		QueryOptions
+		off string // "cache" or "factorization": the ablation run under
+	}
+	hooks := map[string]func(*exec.RunConfig){"cache": cacheOff, "factorization": noFactorize}
+	for _, tc := range []variant{
 		{},
-		{Distinct: true},
-		{Limit: 1000},
-		{Distinct: true, Limit: 1000},
-		{DisableCache: true},
-		{DisableFactorization: true},
-		{DisableFactorization: true, Limit: 1000},
-		{Workers: 4},
-		{Workers: 4, Limit: 1000},
-		{MemBudgetBytes: 64 << 20},
-		{BatchSize: 3},
+		{QueryOptions: QueryOptions{Distinct: true}},
+		{QueryOptions: QueryOptions{Limit: 1000}},
+		{QueryOptions: QueryOptions{Distinct: true, Limit: 1000}},
+		{off: "cache"},
+		{off: "factorization"},
+		{QueryOptions{Limit: 1000}, "factorization"},
+		{QueryOptions: QueryOptions{Workers: 4}},
+		{QueryOptions: QueryOptions{Workers: 4, Limit: 1000}},
+		{QueryOptions: QueryOptions{MemBudgetBytes: 64 << 20}},
+		{QueryOptions: QueryOptions{BatchSize: 3}},
 	} {
-		fixed := tc
+		base := context.Background()
+		if tc.off != "" {
+			base = exec.WithRunConfig(base, hooks[tc.off])
+		}
+		fixed := tc.QueryOptions
+		fixed.Context = base
 		want, _, err := pq.CountStats(&fixed)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		adapted := tc
+		ctx, cancel := context.WithCancel(base)
+		adapted := tc.QueryOptions
 		adapted.Adaptive, adapted.Context = true, ctx
 		got, st, err := pq.CountStats(&adapted)
 		if err != nil || ctx.Err() != nil {
@@ -78,10 +89,10 @@ func TestAdaptiveComposes(t *testing.T) {
 				t.Errorf("adaptive %+v: i-cost %d against %d for all %d matches; the limit did not stop the run", tc, st.ICost, full.ICost, total)
 			}
 		}
-		if tc.DisableCache && (st.CacheHits != 0 || st.CarriedSets != 0 || st.KernelPinnedProbe != 0) {
+		if tc.off == "cache" && (st.CacheHits != 0 || st.CarriedSets != 0 || st.KernelPinnedProbe != 0) {
 			t.Errorf("adaptive %+v: %d cache hits, %d carried sets, %d pinned probes with the cache off", tc, st.CacheHits, st.CarriedSets, st.KernelPinnedProbe)
 		}
-		if tc.DisableFactorization && st.FactorizedPrefixes != 0 {
+		if tc.off == "factorization" && st.FactorizedPrefixes != 0 {
 			t.Errorf("adaptive %+v: %d factorized prefixes with factorization off", tc, st.FactorizedPrefixes)
 		}
 	}

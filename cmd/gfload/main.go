@@ -9,19 +9,16 @@
 //
 //	gfserver -dataset Epinions -data-dir /tmp/gf &
 //	gfload -url http://localhost:8090 -duration 30s -qps 200 -c 8
-//	gfload -url http://localhost:8090 -json bench.json
 //
-// With -json the report is written in the repo's BENCH_*.json envelope
-// (generated_at / scale / results), one row per template plus an
-// overall row with p50/p95/p99 latency and achieved QPS. When the
-// target serves /metrics, the driver scrapes it before and after the
-// run and adds per-endpoint server-side p50/p95/p99 rows (from the
-// request-histogram bucket deltas), so the envelope separates queueing
-// and network overhead from time actually spent in the server.
+// The report is one text row per template plus an overall row: requests,
+// errors, sheds, retries, p50/p95/p99 and mean latency, achieved QPS.
+// When the target serves /metrics, the driver scrapes it before and after
+// the run and adds per-endpoint server-side p50/p95/p99 rows (from the
+// request-histogram bucket deltas), so the report separates queueing and
+// network overhead from time actually spent in the server.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -40,7 +37,6 @@ func main() {
 		conc     = flag.Int("c", 8, "concurrent workers")
 		qps      = flag.Float64("qps", 0, "target aggregate QPS (0 = closed loop)")
 		seed     = flag.Int64("seed", 1, "seed for template selection and ingest batches")
-		jsonPath = flag.String("json", "", "write the report as BENCH-envelope JSON to this file instead of text output")
 		logFmt   = flag.String("log-format", "text", `structured log rendering: "text" or "json"`)
 		retries  = flag.Int("retries", 0, "retries per shed (429/503) request, honouring Retry-After with capped exponential backoff (0 = default 3, negative disables)")
 		backoff  = flag.Duration("backoff-cap", 0, "ceiling on one retry backoff sleep (0 = default 2s)")
@@ -66,21 +62,6 @@ func main() {
 	if err != nil {
 		slog.Error("load run failed", "err", err)
 		os.Exit(1)
-	}
-	rep.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-
-	if *jsonPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			slog.Error("encoding report", "err", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			slog.Error("writing report", "err", err)
-			os.Exit(1)
-		}
-		slog.Info("report written", "path", *jsonPath, "server_rows", len(rep.Server))
-		return
 	}
 	fmt.Printf("%-18s %9s %7s %6s %7s %9s %9s %9s %9s %10s\n",
 		"template", "requests", "errors", "sheds", "retries", "p50(ms)", "p95(ms)", "p99(ms)", "mean(ms)", "qps")

@@ -32,7 +32,6 @@ func main() {
 		workers  = flag.Int("workers", 1, "parallel workers")
 		adaptive = flag.Bool("adaptive", false, "adaptive query-vertex-ordering selection")
 		wcoOnly  = flag.Bool("wco", false, "restrict the optimizer to WCO plans")
-		noCache  = flag.Bool("nocache", false, "disable the intersection cache")
 		limit    = flag.Int64("limit", 0, "stop after this many matches (0 = all)")
 		repeat   = flag.Int("repeat", 1, "execute the prepared query this many times")
 		explain  = flag.Bool("explain", false, "print the plan without executing")
@@ -44,7 +43,7 @@ func main() {
 	if *analyze && (*workers > 1 || *adaptive || *limit != 0) {
 		// EXPLAIN ANALYZE enumerates every match of the fixed plan on one
 		// goroutine; better to refuse than to print numbers for a run the
-		// flags did not ask for. -wco and -nocache do apply.
+		// flags did not ask for. -wco does apply.
 		fmt.Fprintln(os.Stderr, "gfquery: -analyze runs single-threaded to completion on the fixed plan; it cannot be combined with -workers > 1, -adaptive or -limit")
 		os.Exit(2)
 	}
@@ -72,11 +71,10 @@ func main() {
 	fmt.Printf("graph: %d vertices, %d edges\n", db.NumVertices(), db.NumEdges())
 
 	qo := &graphflow.QueryOptions{
-		Workers:      *workers,
-		Adaptive:     *adaptive,
-		WCOOnly:      *wcoOnly,
-		DisableCache: *noCache,
-		Limit:        *limit,
+		Workers:  *workers,
+		Adaptive: *adaptive,
+		WCOOnly:  *wcoOnly,
+		Limit:    *limit,
 	}
 
 	if *pattern == "" {
@@ -111,7 +109,7 @@ func main() {
 // runAnalyze is EXPLAIN ANALYZE at the CLI: execute single-threaded and
 // print the operator tree annotated with actual tuples, i-cost, cache
 // hits and attributed wall time, followed by the per-stage breakdown. Of
-// qo, the plan space (-wco) and the cache switch (-nocache) apply.
+// qo, the plan space (-wco) applies.
 func runAnalyze(db *graphflow.DB, pattern string, qo *graphflow.QueryOptions) error {
 	start := time.Now()
 	st, err := db.Analyze(pattern, qo)

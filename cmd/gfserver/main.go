@@ -67,8 +67,6 @@ func main() {
 		catH      = flag.Int("cath", 3, "catalogue max subquery size h")
 		drain     = flag.Duration("drain", 15*time.Second, "graceful-shutdown drain budget")
 		compact   = flag.Int("compact-threshold", 0, "delta-overlay mutations before background compaction (0 = default 16384, negative disables)")
-		batchSz   = flag.Int("batch-size", 0, "vectorized executor batch rows (0 = plan-adaptive, negative = tuple-at-a-time oracle engine)")
-		noFact    = flag.Bool("no-factorize", false, "disable factorized execution of star-shaped query suffixes")
 		debug     = flag.String("debug-addr", "", "optional listener for net/http/pprof, e.g. localhost:6060 (disabled when empty; keep it on a loopback or otherwise private address)")
 		dataDir   = flag.String("data-dir", "", "durability directory: WAL + checkpoints; /ingest batches survive restarts and are recovered on boot (empty = in-memory only)")
 		fsync     = flag.String("fsync", "batch", `WAL fsync policy: "batch" (fsync before every acknowledged batch), "interval", or "off"`)
@@ -138,8 +136,6 @@ func main() {
 		MaxConcurrent:      *maxConc,
 		MaxRows:            *maxRows,
 		MaxWorkers:         *maxWork,
-		BatchSize:          *batchSz,
-		NoFactorize:        *noFact,
 		MaxBodyBytes:       *maxBody,
 		MaxIngestBodyBytes: *maxIngBd,
 		SlowQueryThreshold: time.Duration(*slowMS) * time.Millisecond,

@@ -51,7 +51,6 @@ import (
 	"graphflow/internal/catalogue"
 	"graphflow/internal/datagen"
 	"graphflow/internal/exec"
-	"graphflow/internal/faultinject"
 	"graphflow/internal/graph"
 	"graphflow/internal/live"
 	"graphflow/internal/metrics"
@@ -72,9 +71,6 @@ type Options struct {
 	CatalogueZ int
 	// Seed drives catalogue sampling; default 1.
 	Seed int64
-	// CalibrateJoinWeights runs the empirical w1/w2 calibration of Section
-	// 4.2 on this machine instead of using the defaults.
-	CalibrateJoinWeights bool
 	// PlanCacheSize bounds the DB's compiled-plan cache (entries, shared
 	// across all goroutines). 0 takes the default of 256; a negative value
 	// disables plan caching entirely.
@@ -140,15 +136,13 @@ func (o *Options) withDefaults() Options {
 
 // DB is a graph database instance: the live versioned store (immutable
 // CSR base plus mutable delta overlay), the published statistics
-// generation (the catalogue), calibrated cost-model weights, and the plan
-// cache. A DB is safe for concurrent use by multiple goroutines: queries
-// read an immutable epoch snapshot, and mutations (AddVertex/AddEdge/
-// DeleteEdge/Apply) publish new epochs without disturbing in-flight
-// queries.
+// generation (the catalogue) and the plan cache. A DB is safe for
+// concurrent use by multiple goroutines: queries read an immutable epoch
+// snapshot, and mutations (AddVertex/AddEdge/DeleteEdge/Apply) publish
+// new epochs without disturbing in-flight queries.
 type DB struct {
-	store  *live.DB
-	opts   Options
-	w1, w2 float64
+	store *live.DB
+	opts  Options
 	// plans caches optimized plans keyed by canonical code, the statistics
 	// generation they were costed under and the WCO restriction (planKey)
 	// (nil when caching is disabled). Entries outlive epochs: a plan is
@@ -216,8 +210,6 @@ type QueryOptions struct {
 	// PreparedQuery methods: plan choice is fixed at Prepare time (use
 	// PrepareWCO for a WCO-restricted prepared query).
 	WCOOnly bool
-	// DisableCache turns off the intersection cache.
-	DisableCache bool
 	// Limit stops after this many matches (0 = all). Parallel execution
 	// honors the limit: with Workers > 1 the count still stops at Limit,
 	// but which matches are produced first is nondeterministic.
@@ -238,23 +230,11 @@ type QueryOptions struct {
 	// differential-testing oracle; production queries should leave this
 	// at 0.
 	BatchSize int
-	// DisableFactorization turns off the factorized execution tier for
-	// this query. By default, plans ending in a star-shaped suffix
-	// (trailing extensions whose targets are pairwise non-adjacent leaves)
-	// represent results as prefix × set₁ × … × setₖ: counts multiply set
-	// cardinalities, limits charge against the product, and enumeration
-	// lazily unfolds identical tuples. Distinct queries and the
-	// tuple-at-a-time oracle (BatchSize < 0) always run fully enumerated,
-	// regardless of this knob.
-	DisableFactorization bool
 	// MemBudgetBytes tightens this query's memory ceiling below the
 	// DB-wide Options.MemBudgetBytes default. The effective ceiling is
 	// the smaller of the two non-zero values — a request can never widen
 	// the operator's limit. 0 keeps the DB default.
 	MemBudgetBytes int64
-	// Faults installs a fault-injection schedule for this evaluation
-	// (chaos testing only; leave nil in production).
-	Faults *faultinject.Injector
 }
 
 // Stats reports what one evaluation did.
@@ -268,7 +248,7 @@ type Stats struct {
 	// include all of its upstream's intersects into that set instead of
 	// re-reading the shared adjacency lists). ICost charges such an
 	// intersection the carried set's size plus the lists it still reads.
-	// Zero under DisableCache and the tuple-at-a-time oracle.
+	// Zero under the tuple-at-a-time oracle.
 	CarriedSets int64
 	// Reroutes counts the runs of tuples an Adaptive evaluation sent down
 	// an ordering other than the plan's own; zero when nothing was adapted.
@@ -277,8 +257,8 @@ type Stats struct {
 	// intersection-kernel dispatches by kind: how often the engine merged
 	// two sorted runs, galloped a short run into a long one, or swept a
 	// list through the bitmap of the operand its E/I stage had pinned for
-	// the run (one that repeats from row to row; zero under DisableCache
-	// and the tuple-at-a-time oracle). ICost stays Equation 1's metric —
+	// the run (one that repeats from row to row; zero under the
+	// tuple-at-a-time oracle). ICost stays Equation 1's metric —
 	// the pinned operand's size is still charged to every intersection it
 	// takes part in — so comparing the two shows the work the pinned sweep
 	// short-circuited.
@@ -326,12 +306,10 @@ type PlanCacheStats struct {
 	Entries int
 }
 
-// newDB builds the catalogue and weights for a finished graph.
+// newDB builds the catalogue for a finished graph.
 func newDB(g *graph.Graph, opts Options) (*DB, error) {
 	db := &DB{
 		opts: opts,
-		w1:   optimizer.DefaultW1,
-		w2:   optimizer.DefaultW2,
 		gov:  resource.NewGovernor(opts.MemGlobalBytes),
 
 		buildSeconds: metrics.NewHistogram(catalogueBuildBuckets),
@@ -357,9 +335,6 @@ func newDB(g *graph.Graph, opts Options) (*DB, error) {
 	// Generation 0 samples the recovered snapshot, not the raw base: after
 	// WAL replay the two differ.
 	db.RefreshStatistics()
-	if opts.CalibrateJoinWeights {
-		db.w1, db.w2 = optimizer.Calibrate(g)
-	}
 	return db, nil
 }
 
@@ -680,12 +655,11 @@ func (db *DB) preparedFor(canon *query.Graph, code query.Code, wcoOnly, skipCach
 		planStart := time.Now()
 		p, err := optimizer.Optimize(canon, optimizer.Options{
 			Catalogue: st.cat,
-			W1:        db.w1,
-			W2:        db.w2,
 			WCOOnly:   wcoOnly,
 			// Plans are cached per canonical query and shared across runs with
-			// factorization on or off, so pricing assumes the default (on):
-			// star-suffix set reuse is what the batch engine actually executes.
+			// factorization on or off (Distinct turns it off), so pricing
+			// assumes the default (on): star-suffix set reuse is what the batch
+			// engine actually executes.
 			Factorized: true,
 		})
 		if err != nil {
@@ -788,7 +762,7 @@ func (pq *PreparedQuery) resolve() (*preparedPlan, error) {
 
 // Prepare compiles the pattern for repeated execution. Planning uses the
 // full WCO/binary/hybrid plan space; per-run knobs (Workers, Limit,
-// Distinct, DisableCache, Adaptive) are supplied to each Count/Match
+// Distinct, Adaptive) are supplied to each Count/Match
 // call. The compiled plan is shared with the DB's plan cache, so ad-hoc
 // Count calls with an isomorphic pattern reuse it too.
 func (db *DB) Prepare(pattern string) (*PreparedQuery, error) {
@@ -936,11 +910,14 @@ func (pq *PreparedQuery) PlanTime() time.Duration { return pq.planTook }
 // statistics generation.
 func (pq *PreparedQuery) PlanKind() string { return pq.cur.Load().plan.Kind() }
 
-// execConfig maps the per-query knobs onto the executor's RunConfig:
+// execConfig maps the per-query knobs onto the executor's RunConfig —
 // the vectorized engine by default, the tuple-at-a-time oracle when
-// BatchSize is negative.
+// BatchSize is negative — and then applies the run-config hook the
+// query's context carries (exec.WithRunConfig), the only way to reach
+// the engine's ablation and fault knobs. Every run of a query, Analyze
+// included, takes its RunConfig from here.
 func (qo *QueryOptions) execConfig() exec.RunConfig {
-	cfg := exec.RunConfig{Workers: qo.Workers, DisableCache: qo.DisableCache, Faults: qo.Faults}
+	cfg := exec.RunConfig{Workers: qo.Workers}
 	if qo.BatchSize < 0 {
 		cfg.TupleAtATime = true
 	} else {
@@ -948,8 +925,9 @@ func (qo *QueryOptions) execConfig() exec.RunConfig {
 		// Factorized execution is the default; Distinct needs every tuple
 		// enumerated for its post-filter, so it opts out wholesale (the
 		// safe fallback), as does the oracle engine above.
-		cfg.Factorized = !qo.DisableFactorization && !qo.Distinct
+		cfg.Factorized = !qo.Distinct
 	}
+	exec.ApplyRunConfig(qo.context(), &cfg)
 	return cfg
 }
 
@@ -1077,7 +1055,7 @@ func (db *DB) Explain(pattern string) (Stats, error) {
 // per-operator breakdown (tuples out, i-cost, cache hits, carried sets,
 // pinned probes, probe and build counts, attributed wall time) — EXPLAIN
 // ANALYZE for subgraph plans. Of opts (which may be nil) it honours
-// Context, WCOOnly and DisableCache — what decides the tree it annotates
+// Context, WCOOnly and BatchSize — what decides the tree it annotates
 // and the counters on it; the run itself is always single-threaded, fully
 // enumerated and on the fixed plan, so Workers, Limit and Adaptive do not
 // apply.
@@ -1091,7 +1069,7 @@ func (db *DB) Analyze(pattern string, opts *QueryOptions) (Stats, error) {
 		return Stats{}, err
 	}
 	pp := pq.cur.Load()
-	ops, prof, err := pp.compiled.AnalyzeCtx(qo.context(), exec.RunConfig{DisableCache: qo.DisableCache})
+	ops, prof, err := pp.compiled.AnalyzeCtx(qo.context(), qo.execConfig())
 	if err != nil {
 		return Stats{}, err
 	}

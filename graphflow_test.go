@@ -3,7 +3,21 @@ package graphflow
 import (
 	"strings"
 	"testing"
+
+	"graphflow/internal/exec"
 )
+
+// cacheOff and noFactorize are the engine ablations the tests run beside
+// the default (Table 3's "Cache Off", the factorized tier turned off);
+// under attaches one to a query's context (exec.WithRunConfig).
+func cacheOff(c *exec.RunConfig)    { c.DisableCache = true }
+func noFactorize(c *exec.RunConfig) { c.Factorized = false }
+
+// under returns a copy of qo whose context carries the run-config hook fn.
+func under(qo QueryOptions, fn func(*exec.RunConfig)) *QueryOptions {
+	qo.Context = exec.WithRunConfig(qo.context(), fn)
+	return &qo
+}
 
 // tinyDB builds a 5-vertex graph with one triangle and a tail.
 func tinyDB(t *testing.T) *DB {
@@ -123,7 +137,7 @@ func TestQueryOptionVariants(t *testing.T) {
 		{Workers: 4},
 		{Adaptive: true},
 		{WCOOnly: true},
-		{DisableCache: true},
+		under(QueryOptions{}, cacheOff),
 	}
 	for i, qo := range variants {
 		n, err := db.Count(pattern, qo)
@@ -233,8 +247,8 @@ func TestBadPattern(t *testing.T) {
 // TestCarriedSetsStats checks the public face of the carried extension
 // sets on a 4-clique: Stats.CarriedSets counts the seeded intersections
 // and the i-cost drops below the tuple-at-a-time engine's, Explain marks
-// the inheriting operator, and DisableCache (and the oracle engine) turn
-// the carrying off without changing the count.
+// the inheriting operator, and the cache turned off (and the oracle
+// engine) turn the carrying off without changing the count.
 func TestCarriedSetsStats(t *testing.T) {
 	db, err := NewFromDataset("Epinions", 1, &Options{CatalogueZ: 200})
 	if err != nil {
@@ -252,7 +266,7 @@ func TestCarriedSetsStats(t *testing.T) {
 		t.Errorf("plan does not mark the inheriting operator:\n%s", st.Plan)
 	}
 	for name, qo := range map[string]*QueryOptions{
-		"cache off": {WCOOnly: true, DisableCache: true},
+		"cache off": under(QueryOptions{WCOOnly: true}, cacheOff),
 		"oracle":    {WCOOnly: true, BatchSize: -1},
 	} {
 		m, off, err := db.CountStats(clique4, qo)

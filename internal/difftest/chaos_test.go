@@ -96,8 +96,8 @@ func TestChaosExecStorm(t *testing.T) {
 						errCh <- fmt.Errorf("budget-starved %q: err = %v, want ErrBudgetExceeded", pat, err)
 					}
 				case modePanic:
-					opts.Faults = &faultinject.Injector{PanicEvery: 1, Points: 1 << faultinject.PointWorkerStart}
-					_, err := db.Count(pat, &opts)
+					inj := &faultinject.Injector{PanicEvery: 1, Points: 1 << faultinject.PointWorkerStart}
+					_, err := db.Count(pat, Under(opts, func(c *exec.RunConfig) { c.Faults = inj }))
 					var pe *exec.PanicError
 					if !errors.As(err, &pe) {
 						errCh <- fmt.Errorf("panic-injected %q: err = %v, want *PanicError", pat, err)
@@ -137,12 +137,12 @@ func TestChaosExecStorm(t *testing.T) {
 }
 
 // TestChaosServerStorm runs the same storm over HTTP against a server
-// with tight admission (3 slots, short queue) and a server-wide
-// injector that panics a fraction of queries. Every response must be
-// one of the governed outcomes — 200 with the exact count, 422 with a
-// structured budget error, 429/503 with Retry-After, 500 from an
-// injected panic — the server must stay healthy throughout, and slots,
-// reservations and goroutines must return to baseline.
+// with tight admission (3 slots, short queue) and an injector, attached
+// to every request's context, that panics a fraction of queries. Every
+// response must be one of the governed outcomes — 200 with the exact
+// count, 422 with a structured budget error, 429/503 with Retry-After,
+// 500 from an injected panic — the server must stay healthy throughout,
+// and slots, reservations and goroutines must return to baseline.
 func TestChaosServerStorm(t *testing.T) {
 	db, err := OpenDB(GenGraph(42))
 	if err != nil {
@@ -161,12 +161,14 @@ func TestChaosServerStorm(t *testing.T) {
 		MaxConcurrent: 3,
 		MaxQueueDepth: 4,
 		MaxQueueWait:  200 * time.Millisecond,
-		Faults:        inj,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	faults := func(c *exec.RunConfig) { c.Faults = inj }
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(w, r.WithContext(exec.WithRunConfig(r.Context(), faults)))
+	}))
 	defer ts.Close()
 	client := ts.Client()
 

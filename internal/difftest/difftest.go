@@ -16,6 +16,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -24,6 +25,7 @@ import (
 	"graphflow"
 	"graphflow/internal/baseline"
 	"graphflow/internal/datagen"
+	"graphflow/internal/exec"
 	"graphflow/internal/graph"
 	"graphflow/internal/query"
 )
@@ -466,6 +468,25 @@ var (
 	RunBatchSizes = []int{1, 2, 3, 64, 1024}
 )
 
+// CacheOff and NoFactorize are the engine ablations the sweeps run
+// beside the default: Table 3's "Cache Off" and the factorized tier
+// turned off. No public option reaches them; Under attaches one to a
+// query's context.
+func CacheOff(c *exec.RunConfig)    { c.DisableCache = true }
+func NoFactorize(c *exec.RunConfig) { c.Factorized = false }
+
+// Under returns a copy of opts whose context carries the run-config hook
+// fn (exec.WithRunConfig), so every run of the query has fn applied to
+// its RunConfig.
+func Under(opts graphflow.QueryOptions, fn func(*exec.RunConfig)) *graphflow.QueryOptions {
+	ctx := opts.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	opts.Context = exec.WithRunConfig(ctx, fn)
+	return &opts
+}
+
 // maxRowCollect bounds how many result tuples CompareBatchMatrix
 // materialises for set comparison; beyond it only counts are compared
 // (the corpus's reference budget keeps most entries well below this).
@@ -578,7 +599,11 @@ func CompareFactorized(db *graphflow.DB, q *query.Graph) error {
 	}
 	for _, workers := range []int{0, 4} {
 		for _, off := range []bool{false, true} {
-			got, err := db.Count(pattern, &graphflow.QueryOptions{Workers: workers, DisableFactorization: off})
+			opts := &graphflow.QueryOptions{Workers: workers}
+			if off {
+				opts = Under(*opts, NoFactorize)
+			}
+			got, err := db.Count(pattern, opts)
 			if err != nil {
 				return fmt.Errorf("factorized(off=%v) workers=%d count of %q: %w", off, workers, pattern, err)
 			}
@@ -708,20 +733,21 @@ func compareEngine(db *graphflow.DB, q *query.Graph, sizes []int, adaptive bool)
 		for _, bs := range sizes {
 			for _, workers := range []int{0, 4} {
 				engine := graphflow.QueryOptions{BatchSize: bs, Workers: workers, WCOOnly: wco, Adaptive: adaptive}
-				variants := [3]graphflow.QueryOptions{engine, engine, engine}
-				variants[1].DisableFactorization = true
-				variants[2].DisableCache = true
-				for _, opts := range variants {
-					got, st, err := db.CountStats(pattern, &opts)
+				variants := []struct {
+					name string
+					opts *graphflow.QueryOptions
+				}{{"default", &engine}, {"factorization off", Under(engine, NoFactorize)}, {"cache off", Under(engine, CacheOff)}}
+				for _, v := range variants {
+					got, st, err := db.CountStats(pattern, v.opts)
 					if err != nil {
-						return sum, fmt.Errorf("count of %q under %+v: %w", pattern, opts, err)
+						return sum, fmt.Errorf("%s count of %q under %+v: %w", v.name, pattern, engine, err)
 					}
 					if got != want {
-						return sum, fmt.Errorf("count of %q under %+v = %d, oracle %d", pattern, opts, got, want)
+						return sum, fmt.Errorf("%s count of %q under %+v = %d, oracle %d", v.name, pattern, engine, got, want)
 					}
-					if opts.DisableCache && (st.CarriedSets != 0 || st.KernelPinnedProbe != 0) {
+					if v.name == "cache off" && (st.CarriedSets != 0 || st.KernelPinnedProbe != 0) {
 						return sum, fmt.Errorf("%q under %+v carried %d sets and dispatched %d pinned probes with the cache off",
-							pattern, opts, st.CarriedSets, st.KernelPinnedProbe)
+							pattern, engine, st.CarriedSets, st.KernelPinnedProbe)
 					}
 					sum.CarriedSets += st.CarriedSets
 					sum.KernelPinnedProbe += st.KernelPinnedProbe

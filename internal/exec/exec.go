@@ -194,6 +194,31 @@ type RunConfig struct {
 	Faults *faultinject.Injector
 }
 
+// runConfigKey is the context key WithRunConfig stores its hook under.
+type runConfigKey struct{}
+
+// WithRunConfig returns a copy of ctx carrying fn. Every query run under
+// the returned context has fn applied to its RunConfig once the caller's
+// options are mapped onto it and before the run reads it (ApplyRunConfig).
+// It is how the module's own tests reach the ablation and fault knobs —
+// the intersection cache, the factorized tier, fault injection — that no
+// public option exposes. The hook travels with the context, so concurrent
+// queries under different hooks each see only their own.
+func WithRunConfig(ctx context.Context, fn func(*RunConfig)) context.Context {
+	return context.WithValue(ctx, runConfigKey{}, fn)
+}
+
+// ApplyRunConfig applies the hook WithRunConfig attached to ctx, if any,
+// to cfg. Without a hook it costs one context lookup and allocates
+// nothing: only the hook's own copy escapes.
+func ApplyRunConfig(ctx context.Context, cfg *RunConfig) {
+	if fn, ok := ctx.Value(runConfigKey{}).(func(*RunConfig)); ok {
+		c := *cfg
+		fn(&c)
+		*cfg = c
+	}
+}
+
 // batchSize resolves an explicitly configured batch row capacity.
 func (c *RunConfig) batchSize() int {
 	switch {

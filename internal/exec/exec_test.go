@@ -348,3 +348,23 @@ func TestProfileIntermediateCounts(t *testing.T) {
 		t.Errorf("matches = %d, want 1", prof.Matches)
 	}
 }
+
+// TestRunConfigHookZeroAllocs: a run under a context without a hook pays
+// one context lookup for it and allocates nothing, with a RunConfig that
+// stays on the stack; only the context that carries a hook sees it.
+func TestRunConfigHookZeroAllocs(t *testing.T) {
+	plain, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	hooked := WithRunConfig(plain, func(c *RunConfig) { c.DisableCache = true })
+	apply := func(ctx context.Context) bool {
+		cfg := RunConfig{Workers: 1}
+		ApplyRunConfig(ctx, &cfg)
+		return cfg.DisableCache
+	}
+	if n := testing.AllocsPerRun(100, func() { apply(plain) }); n != 0 {
+		t.Errorf("%v allocs per ApplyRunConfig without a hook", n)
+	}
+	if apply(plain) || !apply(hooked) {
+		t.Errorf("DisableCache without a hook %v, with one %v; want false, true", apply(plain), apply(hooked))
+	}
+}

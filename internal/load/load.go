@@ -2,14 +2,14 @@
 // gfserver: a weighted mix of query templates and ingest mutation
 // batches is fired at the HTTP API from a pool of workers, optionally
 // paced to a target aggregate QPS, and per-template latency percentiles
-// (p50/p95/p99), error counts and achieved throughput are reported in
-// the repo's BENCH_*.json envelope. The server's /metrics exposition is
-// scraped before and after the run, so the report also carries the
-// server-side latency distribution of each endpoint (reconstructed from
-// histogram bucket deltas) next to the client-observed numbers — the
-// gap between the two is pure network/encode overhead. The cmd/gfload
-// wrapper adds flags; the package itself is driven in-process by tests
-// against an httptest-mounted server.
+// (p50/p95/p99), error counts and achieved throughput are reported. The
+// server's /metrics exposition is scraped before and after the run, so
+// the report also carries the server-side latency distribution of each
+// endpoint (reconstructed from histogram bucket deltas) next to the
+// client-observed numbers — the gap between the two is pure
+// network/encode overhead. The cmd/gfload wrapper adds flags; the
+// package itself is driven in-process by tests against an
+// httptest-mounted server.
 package load
 
 import (
@@ -80,25 +80,25 @@ type Config struct {
 	BackoffCap time.Duration
 }
 
-// Result is one template's (or the overall) aggregate outcome — a row
-// of the BENCH_*.json results array.
+// Result is one template's (or the overall) aggregate outcome: a row of
+// the report.
 type Result struct {
-	Name        string  `json:"name"`
-	Requests    int64   `json:"requests"`
-	Errors      int64   `json:"errors"`
-	P50MS       float64 `json:"p50_ms"`
-	P95MS       float64 `json:"p95_ms"`
-	P99MS       float64 `json:"p99_ms"`
-	MeanMS      float64 `json:"mean_ms"`
-	AchievedQPS float64 `json:"achieved_qps"`
-	TargetQPS   float64 `json:"target_qps,omitempty"`
+	Name        string
+	Requests    int64
+	Errors      int64
+	P50MS       float64
+	P95MS       float64
+	P99MS       float64
+	MeanMS      float64
+	AchievedQPS float64
+	TargetQPS   float64
 	// Sheds counts 429/503 responses the server returned for this
 	// template (including ones a retry then got through); Retries counts
 	// re-issued requests; ShedRate is Sheds over issued requests
 	// (requests + retries), the fraction of sends the server refused.
-	Sheds    int64   `json:"sheds,omitempty"`
-	Retries  int64   `json:"retries,omitempty"`
-	ShedRate float64 `json:"shed_rate,omitempty"`
+	Sheds    int64
+	Retries  int64
+	ShedRate float64
 }
 
 // ServerResult is one endpoint's server-side latency distribution over
@@ -106,22 +106,21 @@ type Result struct {
 // before and after (the quantiles interpolate within bucket-count
 // deltas, so they are exact to bucket resolution, not sample-exact).
 type ServerResult struct {
-	Endpoint string  `json:"endpoint"`
-	Requests int64   `json:"requests"`
-	P50MS    float64 `json:"p50_ms"`
-	P95MS    float64 `json:"p95_ms"`
-	P99MS    float64 `json:"p99_ms"`
-	MeanMS   float64 `json:"mean_ms"`
+	Endpoint string
+	Requests int64
+	P50MS    float64
+	P95MS    float64
+	P99MS    float64
+	MeanMS   float64
 }
 
-// Report is the BENCH_*.json envelope gfload emits. Server is empty
-// when the target exposes no /metrics endpoint (older builds) — the
-// client-side rows still stand alone.
+// Report is what one run measured: one Result per template plus an
+// overall row last, and the server-side rows. Server is empty when the
+// target exposes no /metrics endpoint (older builds) — the client-side
+// rows still stand alone.
 type Report struct {
-	GeneratedAt string         `json:"generated_at"`
-	Scale       int            `json:"scale"`
-	Results     []Result       `json:"results"`
-	Server      []ServerResult `json:"server,omitempty"`
+	Results []Result
+	Server  []ServerResult
 }
 
 // DefaultTemplates is the standard mixed scenario: two count shapes the
@@ -143,8 +142,7 @@ type sample struct {
 	err     bool
 }
 
-// Run drives the configured mix and aggregates the report rows. The
-// returned Report's GeneratedAt is left empty for the caller to stamp.
+// Run drives the configured mix and aggregates the report rows.
 func Run(cfg Config) (*Report, error) {
 	if cfg.BaseURL == "" {
 		return nil, errors.New("load: BaseURL required")
@@ -283,7 +281,7 @@ func Run(cfg Config) (*Report, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	rep := &Report{Scale: 1}
+	rep := &Report{}
 	perTpl := make([][]time.Duration, len(tpls))
 	errCounts := make([]int64, len(tpls))
 	var all []time.Duration

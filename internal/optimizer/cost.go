@@ -107,7 +107,8 @@ func (c *context) cardinality(mask query.Mask) float64 {
 				continue
 			}
 			d := c.q.NumEdgesBetween(rest, v)
-			if d > bestDeg || (d == bestDeg && v < bestV) {
+			// v ascends, so the lowest index wins among equal degrees.
+			if d > bestDeg {
 				bestV, bestDeg = v, d
 			}
 		}
@@ -196,7 +197,7 @@ func (c *context) reuseMult(childMask query.Mask, v int, childPlan plan.Node) fl
 // joinCost returns the cost of hash-joining build and probe subqueries
 // (Section 4.2): w1*n1 + w2*n2 in i-cost units.
 func (c *context) joinCost(buildMask, probeMask query.Mask) float64 {
-	return c.opts.W1*c.cardinality(buildMask) + c.opts.W2*c.cardinality(probeMask)
+	return w1*c.cardinality(buildMask) + w2*c.cardinality(probeMask)
 }
 
 // lastAddedVertex reports the query vertex whose value varies fastest in

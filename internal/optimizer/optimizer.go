@@ -16,20 +16,17 @@ import (
 	"graphflow/internal/query"
 )
 
-// Default hash-join weights (i-cost units per hashed/probed tuple). They
-// can be recalibrated per machine with Calibrate.
+// Hash-join weights w1 and w2 of Section 4.2: i-cost units per hashed
+// and per probed tuple.
 const (
-	DefaultW1 = 3.0
-	DefaultW2 = 1.0
+	w1 = 3.0
+	w2 = 1.0
 )
 
 // Options configures one optimization.
 type Options struct {
 	// Catalogue supplies the statistics; required.
 	Catalogue *catalogue.Catalogue
-	// W1 and W2 are the hash-join cost weights (Section 4.2); zero values
-	// take the defaults.
-	W1, W2 float64
 	// WCOOnly restricts the plan space to WCO plans (the BiGJoin/earlier
 	// Graphflow configuration used as a baseline).
 	WCOOnly bool
@@ -58,12 +55,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.W1 == 0 {
-		o.W1 = DefaultW1
-	}
-	if o.W2 == 0 {
-		o.W2 = DefaultW2
-	}
 	if o.FullEnumerationLimit == 0 {
 		o.FullEnumerationLimit = 10
 	}

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	stdcontext "context"
 	"fmt"
 	"testing"
 
@@ -21,6 +22,15 @@ var (
 )
 
 func amazonOpts() Options { return Options{Catalogue: amazonCat} }
+
+// countPlan compiles p against g and counts its matches under cfg.
+func countPlan(g graph.View, p *plan.Plan, cfg exec.RunConfig) (int64, exec.Profile, error) {
+	cp, err := exec.Compile(g, p)
+	if err != nil {
+		return 0, exec.Profile{}, err
+	}
+	return cp.CountCtx(stdcontext.Background(), cfg)
+}
 
 func countWith(t *testing.T, g *graph.Graph, p *plan.Plan) int64 {
 	t.Helper()
@@ -324,16 +334,6 @@ func TestICostRanksQVOsLikeRuntimeProxy(t *testing.T) {
 	}
 	if rs[0].actual > 3*rs[bestActual].actual {
 		t.Errorf("estimated-best plan has actual i-cost %v, best is %v", rs[0].actual, rs[bestActual].actual)
-	}
-}
-
-func TestCalibrateProducesSaneWeights(t *testing.T) {
-	w1, w2 := Calibrate(datagen.Epinions(1))
-	if w1 <= 0 || w2 <= 0 {
-		t.Errorf("weights = %v, %v", w1, w2)
-	}
-	if w1 < w2 {
-		t.Errorf("hash insert should cost at least a probe: w1=%v w2=%v", w1, w2)
 	}
 }
 

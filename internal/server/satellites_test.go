@@ -84,22 +84,22 @@ func TestBodyLimits(t *testing.T) {
 
 // TestQueryOptionSanitization checks the negative-input handling of
 // queryOptions: nonsense workers/limit clamp to their automatic
-// defaults, while out-of-range batch_size values are rejected.
+// defaults. batch_size is no longer a request field: a request that
+// still sends one, even the negative value that used to select the
+// tuple-at-a-time engine, runs on the default engine.
 func TestQueryOptionSanitization(t *testing.T) {
 	s := newTestServer(t, Config{})
 
 	cases := []struct {
 		name string
-		req  queryRequest
-		want int
+		mode string
+		req  any
 	}{
-		{"negative workers", queryRequest{Pattern: triangle, Workers: -5}, http.StatusOK},
-		{"negative limit count", queryRequest{Pattern: triangle, Limit: -3}, http.StatusOK},
-		{"negative limit match", queryRequest{Pattern: triangle, Mode: "match", Limit: -3}, http.StatusOK},
-		{"negative batch_size", queryRequest{Pattern: triangle, BatchSize: -1}, http.StatusBadRequest},
-		{"negative batch_size match", queryRequest{Pattern: triangle, Mode: "match", BatchSize: -7}, http.StatusBadRequest},
-		{"oversized batch_size", queryRequest{Pattern: triangle, BatchSize: maxRequestBatchSize + 1}, http.StatusBadRequest},
-		{"max batch_size ok", queryRequest{Pattern: triangle, BatchSize: maxRequestBatchSize}, http.StatusOK},
+		{"negative workers", "", queryRequest{Pattern: triangle, Workers: -5}},
+		{"negative limit count", "", queryRequest{Pattern: triangle, Limit: -3}},
+		{"negative limit match", "match", queryRequest{Pattern: triangle, Mode: "match", Limit: -3}},
+		{"negative batch_size", "", `{"pattern": "` + triangle + `", "batch_size": -1}`},
+		{"negative batch_size match", "match", `{"pattern": "` + triangle + `", "mode": "match", "batch_size": -7}`},
 	}
 	var wantCount int64
 	{
@@ -113,22 +113,20 @@ func TestQueryOptionSanitization(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w := do(t, s, http.MethodPost, "/query", tc.req)
-			if w.Code != tc.want {
-				t.Fatalf("status %d, want %d: %s", w.Code, tc.want, w.Body)
-			}
-			if tc.want == http.StatusBadRequest {
-				if !strings.Contains(w.Body.String(), "batch_size") {
-					t.Fatalf("400 does not name batch_size: %s", w.Body)
-				}
-				return
+			if w.Code != http.StatusOK {
+				t.Fatalf("status %d, want 200: %s", w.Code, w.Body)
 			}
 			// Sanitized requests must still answer correctly.
 			var resp queryResponse
 			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 				t.Fatal(err)
 			}
-			if tc.req.Mode == "" && (resp.Count == nil || *resp.Count != wantCount) {
+			if tc.mode == "" && (resp.Count == nil || *resp.Count != wantCount) {
 				t.Fatalf("count %v, want %d", resp.Count, wantCount)
+			}
+			// The tuple-at-a-time engine dispatches no batches.
+			if tc.mode == "" && (resp.Batches == nil || resp.Batches.Scan == 0) {
+				t.Fatalf("no scan batches: the query did not run on the vectorized engine: %s", w.Body)
 			}
 		})
 	}

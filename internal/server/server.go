@@ -53,7 +53,6 @@ import (
 
 	"graphflow"
 	"graphflow/internal/exec"
-	"graphflow/internal/faultinject"
 	"graphflow/internal/metrics"
 	"graphflow/internal/resource"
 )
@@ -103,15 +102,6 @@ type Config struct {
 	MaxRows int
 	// MaxWorkers clamps request-supplied worker counts. Default 16.
 	MaxWorkers int
-	// BatchSize is the vectorized executor's batch row capacity applied
-	// to requests that do not set batch_size. 0 picks a plan-adaptive
-	// size; negative selects the tuple-at-a-time oracle engine (a
-	// debugging configuration, not for production traffic).
-	BatchSize int
-	// NoFactorize disables factorized execution of star-shaped query
-	// suffixes server-wide; individual requests can also opt out with
-	// no_factorize.
-	NoFactorize bool
 	// MaxBodyBytes caps request bodies on the query-shaped endpoints
 	// (/query, /prepare, /execute, /explain). Default 1 MiB. Oversized
 	// bodies are rejected with 413.
@@ -127,9 +117,6 @@ type Config struct {
 	// Logger receives the server's structured log records. Nil takes
 	// slog.Default() (configure process-wide with internal/logx).
 	Logger *slog.Logger
-	// Faults, when non-nil, threads a fault injector into every query
-	// execution — the chaos-test hook. Leave nil in production.
-	Faults *faultinject.Injector
 }
 
 func (c Config) withDefaults() Config {
@@ -411,12 +398,6 @@ type queryRequest struct {
 	Adaptive  bool   `json:"adaptive"`
 	WCO       bool   `json:"wco"`
 	TimeoutMS int64  `json:"timeout_ms"`
-	// BatchSize overrides the server's configured executor batch size for
-	// this request (0 = server default, negative = tuple-at-a-time oracle).
-	BatchSize int `json:"batch_size"`
-	// NoFactorize disables factorized execution of star-shaped suffixes
-	// for this request (it is on by default for count mode).
-	NoFactorize bool `json:"no_factorize"`
 	// MemBudgetBytes tightens the per-query memory budget for this
 	// request (0 = server default). It can only lower the configured
 	// default, never widen it.
@@ -613,18 +594,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// maxRequestBatchSize bounds request-supplied batch_size values; larger
-// batches only waste memory without improving throughput.
-const maxRequestBatchSize = 1 << 20
-
 // queryOptions maps a request onto QueryOptions, clamping workers and
 // limits to the server's configured ceilings and sanitizing nonsense
-// values. Negative workers/limit clamp to 0 (auto / unlimited), but a
-// negative or oversized batch_size is rejected with 400: negative values
-// would silently route the request onto the tuple-at-a-time oracle
-// engine, a debugging path orders of magnitude slower than the
-// vectorized default. That path stays reachable through the server-side
-// Config.BatchSize knob only.
+// values. Negative workers/limit clamp to 0 (auto / unlimited); a
+// negative mem_budget_bytes is rejected with 400.
 func (s *Server) queryOptions(req *queryRequest) (*graphflow.QueryOptions, error) {
 	workers := req.Workers
 	if workers < 0 {
@@ -637,29 +610,16 @@ func (s *Server) queryOptions(req *queryRequest) (*graphflow.QueryOptions, error
 	if limit < 0 {
 		limit = 0
 	}
-	if req.BatchSize < 0 {
-		return nil, fmt.Errorf("%w: batch_size %d is negative (0 = server default)", errBadRequest, req.BatchSize)
-	}
-	if req.BatchSize > maxRequestBatchSize {
-		return nil, fmt.Errorf("%w: batch_size %d exceeds the maximum %d", errBadRequest, req.BatchSize, maxRequestBatchSize)
-	}
-	batch := s.cfg.BatchSize
-	if req.BatchSize != 0 {
-		batch = req.BatchSize
-	}
 	if req.MemBudgetBytes < 0 {
 		return nil, fmt.Errorf("%w: mem_budget_bytes %d is negative (0 = server default)", errBadRequest, req.MemBudgetBytes)
 	}
 	return &graphflow.QueryOptions{
-		Workers:              workers,
-		Limit:                limit,
-		Distinct:             req.Distinct,
-		Adaptive:             req.Adaptive,
-		WCOOnly:              req.WCO,
-		BatchSize:            batch,
-		DisableFactorization: s.cfg.NoFactorize || req.NoFactorize,
-		MemBudgetBytes:       req.MemBudgetBytes,
-		Faults:               s.cfg.Faults,
+		Workers:        workers,
+		Limit:          limit,
+		Distinct:       req.Distinct,
+		Adaptive:       req.Adaptive,
+		WCOOnly:        req.WCO,
+		MemBudgetBytes: req.MemBudgetBytes,
 	}, nil
 }
 

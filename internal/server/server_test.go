@@ -504,8 +504,8 @@ func TestCompactEndpointAndStatsEpoch(t *testing.T) {
 }
 
 // TestBatchCountersServed checks that count-mode responses carry the
-// vectorized engine's per-stage batch counters, that /stats accumulates
-// them, and that batch_size (including the oracle selector) round-trips.
+// vectorized engine's per-stage batch counters and that /stats
+// accumulates them.
 func TestBatchCountersServed(t *testing.T) {
 	s := newTestServer(t, Config{})
 	w := do(t, s, "POST", "/query", queryRequest{Pattern: triangle})
@@ -525,23 +525,5 @@ func TestBatchCountersServed(t *testing.T) {
 	// only E/I stage, so no extend output batches are materialised.)
 	if stats.Batches.Scan == 0 {
 		t.Errorf("/stats batch counters not accumulated: %+v", stats.Batches)
-	}
-
-	// A request-supplied negative batch_size is rejected: it would
-	// silently route onto the tuple-at-a-time oracle engine, which is a
-	// server-config-only debugging path.
-	wOracle := do(t, s, "POST", "/query", queryRequest{Pattern: triangle, BatchSize: -1})
-	if wOracle.Code != http.StatusBadRequest {
-		t.Errorf("batch_size=-1: status %d, want 400: %s", wOracle.Code, wOracle.Body)
-	}
-
-	// An explicit small batch size still answers correctly.
-	wSmall := do(t, s, "POST", "/query", queryRequest{Pattern: triangle, BatchSize: 3})
-	var respSmall queryResponse
-	if err := json.Unmarshal(wSmall.Body.Bytes(), &respSmall); err != nil {
-		t.Fatal(err)
-	}
-	if respSmall.Count == nil || *respSmall.Count != *resp.Count {
-		t.Errorf("batch_size=3 count %v, want %v", respSmall.Count, *resp.Count)
 	}
 }
