@@ -61,19 +61,19 @@ func (w *dirWriter) part(v VertexID, e, n Label) {
 // the directory in the form that takes fewer bytes, strided with ne·nn
 // slots per vertex or sparse as written — strided on a tie, so an
 // unlabelled graph is always strided, at 4 bytes per vertex.
-func (w *dirWriter) finish(n, ne, nn int) (adjacency, error) {
+func (w *dirWriter) finish(n, ne, nn int) (Adjacency, error) {
 	w.fill(VertexID(n))
 	w.first[n] = uint32(len(w.start))
 	entries := len(w.start)
 	if uint64(len(w.nbrs)) > maxEntries || uint64(entries) > maxEntries {
-		return adjacency{}, fmt.Errorf("graph: %d neighbour entries in %d partitions in one direction, over the limit of %d",
+		return Adjacency{}, fmt.Errorf("graph: %d neighbour entries in %d partitions in one direction, over the limit of %d",
 			len(w.nbrs), entries, maxEntries)
 	}
 	w.start = append(w.start, uint32(len(w.nbrs)))
 	if stridedFits(uint64(n), uint64(ne)*uint64(nn), uint64(entries)) {
 		return w.stride(n, ne, nn), nil
 	}
-	return adjacency{nbrs: w.nbrs, start: tight(w.start), keys: tight(w.keys), first: w.first}, nil
+	return Adjacency{nbrs: w.nbrs, start: tight(w.start), keys: tight(w.keys), first: w.first}, nil
 }
 
 // stridedFits reports whether n vertices of k slots each take no more
@@ -90,9 +90,9 @@ func stridedFits(n, k, entries uint64) bool {
 // that of the next entry, so that its run is empty. When every slot has
 // its entry — every unlabelled graph — the positions are the table as
 // they stand; otherwise one pass lays them out.
-func (w *dirWriter) stride(n, ne, nn int) adjacency {
+func (w *dirWriter) stride(n, ne, nn int) Adjacency {
 	k := ne * nn
-	a := adjacency{nbrs: w.nbrs, keys: make([]uint32, k), k: uint32(k), ne: uint32(ne), nn: uint32(nn)}
+	a := Adjacency{nbrs: w.nbrs, keys: make([]uint32, k), k: uint32(k), ne: uint32(ne), nn: uint32(nn)}
 	for j := range a.keys {
 		a.keys[j] = key(Label(j/nn), Label(j%nn))
 	}
@@ -126,14 +126,14 @@ func tight(s []uint32) []uint32 {
 }
 
 // Assembler builds an immutable Graph from adjacency that is already in
-// order: the caller hands over each vertex's (edge label, neighbour label)
-// partitions, ID-sorted and deduplicated, in ascending vertex and
-// directory order, once per direction. Nothing is sorted and no edge list
-// is materialised — the runs are appended straight into the graph's
-// arrays — which is what lets the live store's compaction fold an overlay
-// into a fresh base by merging per-vertex runs instead of rebuilding
-// through Builder. The result is structurally identical to what
-// Builder.Build produces for the same edge set.
+// order: the caller hands over stretches of vertices copied out of other
+// Adjacencies, in ascending vertex order, once per direction. Nothing is
+// sorted and no edge list is materialised — the runs are appended straight
+// into the graph's arrays — which is what lets the live store's compaction
+// fold an overlay into a fresh base by appending base stretches and
+// overlay vertices instead of rebuilding through Builder. The result is
+// structurally identical to what Builder.Build produces for the same edge
+// set.
 type Assembler struct {
 	g   *Graph
 	w   [2]dirWriter // by Direction
@@ -160,47 +160,35 @@ func NewAssembler(vLabels []Label, edges int) *Assembler {
 	return a
 }
 
-// AppendPartition appends the next partition of v's adjacency in dir.
-// Calls for one direction must arrive in ascending (v, eLabel, nLabel)
-// order; empty runs are skipped, as Build never emits an empty partition.
-// nbrs is copied.
-func (a *Assembler) AppendPartition(v VertexID, dir Direction, eLabel, nLabel Label, nbrs []VertexID) {
-	if len(nbrs) == 0 {
-		return
-	}
+// AppendRange appends vertices [lo, hi) of src, an adjacency over the
+// same vertex labels, as vertices to, to+1, … in dir: the neighbour runs
+// are copied as one block, and the directory gets an entry with a shifted
+// position for each non-empty run (one empty entry for a vertex without
+// any), in one pass over src's entries whatever its form. Calls for one
+// direction must arrive in ascending vertex order; vertices skipped
+// between two calls get no runs.
+func (a *Assembler) AppendRange(dir Direction, src *Adjacency, lo, hi, to VertexID) {
 	w := &a.w[dir]
-	w.part(v, eLabel, nLabel)
-	w.nbrs = append(w.nbrs, nbrs...)
-}
-
-// AppendRange appends the whole adjacency in dir of vertices [lo, hi) of
-// src, a graph over the same vertex labels, in place of one
-// AppendPartition call per partition: the neighbour runs are copied as
-// one block, and the directory gets an entry with a shifted position for
-// each non-empty run (one empty entry for a vertex without any), in one
-// pass over src's entries whatever its form.
-func (a *Assembler) AppendRange(src *Graph, lo, hi VertexID, dir Direction) {
-	from, w := src.adj(dir), &a.w[dir]
-	w.fill(lo)
-	i := from.entry(lo)
-	p0, p1 := from.start[i], from.start[from.entry(hi)]
+	w.fill(to)
+	i := src.entry(lo)
+	p0, p1 := src.start[i], src.start[src.entry(hi)]
 	shift := uint32(len(w.nbrs)) - p0
-	w.nbrs = append(w.nbrs, from.nbrs[p0:p1]...)
-	first := w.first
+	w.nbrs = append(w.nbrs, src.nbrs[p0:p1]...)
+	first := w.first[to:]
 	for v, at := lo, p0; v < hi; v++ {
 		mark := len(w.start)
-		first[v] = uint32(mark)
-		for vi, next := i, from.entry(v+1); i < next; i++ {
+		first[v-lo] = uint32(mark)
+		for vi, next := i, src.entry(v+1); i < next; i++ {
 			s := at
-			if at = from.start[i+1]; s < at {
-				w.add(from.keyAt(i, vi), s+shift)
+			if at = src.start[i+1]; s < at {
+				w.add(src.keyAt(i, vi), s+shift)
 			}
 		}
 		if len(w.start) == mark {
 			w.add(0, at+shift)
 		}
 	}
-	w.next = hi
+	w.next = to + hi - lo
 }
 
 // Finish seals the graph. The Assembler must not be used afterwards.

@@ -5,18 +5,28 @@ import (
 	"testing"
 )
 
+// oneRun returns a one-vertex copy holding the run labelled (e, 0) of ids.
+func oneRun(e Label, ids ...VertexID) *Adjacency {
+	a := &Adjacency{}
+	a.CopyVertex(NoRuns(), 0)
+	for _, x := range ids {
+		a.Insert(e, 0, x)
+	}
+	return a
+}
+
 func TestAssemblerRejectsBadInput(t *testing.T) {
 	if _, err := NewAssembler([]Label{0, WildcardLabel}, 0).Finish(); err == nil {
 		t.Error("wildcard vertex label accepted")
 	}
 	asm := NewAssembler([]Label{0, 0}, 1)
-	asm.AppendPartition(0, Forward, WildcardLabel, 0, []VertexID{1})
-	asm.AppendPartition(1, Backward, WildcardLabel, 0, []VertexID{0})
+	asm.AppendRange(Forward, oneRun(WildcardLabel, 1), 0, 1, 0)
+	asm.AppendRange(Backward, oneRun(WildcardLabel, 0), 0, 1, 1)
 	if _, err := asm.Finish(); err == nil {
 		t.Error("wildcard edge label accepted")
 	}
 	asm = NewAssembler([]Label{0, 0}, 1)
-	asm.AppendPartition(0, Forward, 0, 0, []VertexID{1})
+	asm.AppendRange(Forward, oneRun(0, 1), 0, 1, 0)
 	if _, err := asm.Finish(); err == nil {
 		t.Error("forward edge without its backward twin accepted")
 	}
@@ -66,8 +76,8 @@ func TestEntryLimit(t *testing.T) {
 	}
 	asm := NewAssembler(make([]Label, 4), 5)
 	for _, dir := range []Direction{Forward, Backward} {
-		asm.AppendRange(g, 0, 2, dir)
-		asm.AppendPartition(2, dir, 0, 0, []VertexID{0, 1, 3})
+		asm.AppendRange(dir, g.Adjacency(dir), 0, 2, 0)
+		asm.AppendRange(dir, oneRun(0, 3, 1, 0), 0, 1, 2)
 	}
 	if _, err := asm.Finish(); err == nil || !strings.Contains(err.Error(), "limit of 4") {
 		t.Fatalf("Finish of 5 edges at a limit of 4: err = %v", err)

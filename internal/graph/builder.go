@@ -107,9 +107,9 @@ func (b *Builder) MustBuild() *Graph {
 }
 
 // buildAdjacency sorts the edges into the layout described on the
-// adjacency type, over g's vertices and label counts. When reversed is
+// Adjacency type, over g's vertices and label counts. When reversed is
 // true the incoming index is built (the "neighbour" is the edge source).
-func (g *Graph) buildAdjacency(edges []edgeRec, reversed bool) (adjacency, error) {
+func (g *Graph) buildAdjacency(edges []edgeRec, reversed bool) (Adjacency, error) {
 	vLabels, n := g.vLabels, g.n
 	type entry struct {
 		owner  VertexID

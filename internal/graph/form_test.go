@@ -16,8 +16,10 @@ import (
 // position and n+1 first indexes.
 func directoryBytes(g *graph.Graph, dir graph.Direction) (strided, sparse int) {
 	n, k, entries := g.NumVertices(), g.NumEdgeLabels()*g.NumVertexLabels(), 0
+	var runs [][]graph.VertexID
 	for v := range n {
-		entries += max(1, g.NumPartitions(graph.VertexID(v), dir))
+		runs = g.NeighborRuns(graph.VertexID(v), dir, graph.WildcardLabel, graph.WildcardLabel, runs[:0])
+		entries += max(1, len(runs))
 	}
 	return 4 * (n*k + 1 + k), 4 * (2*entries + 1 + n + 1)
 }

@@ -11,7 +11,11 @@
 // concurrent use.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"unsafe"
+)
 
 // VertexID identifies a vertex in the data graph.
 type VertexID uint32
@@ -50,128 +54,10 @@ func (d Direction) String() string {
 	return "bwd"
 }
 
-// Part is one partition directory entry: the edge and neighbour labels of
-// a partition and where its ID-sorted run starts in the neighbour array.
-// The run ends where the next entry's starts.
-type Part struct {
-	E, N  Label
-	Start uint32
-}
-
-// matches reports whether p is selected by the (possibly wildcard) pair.
-func (p Part) matches(e, n Label) bool {
-	return (e == WildcardLabel || p.E == e) && (n == WildcardLabel || p.N == n)
-}
-
-// Dir is one vertex's partition directory: its entries in (E, N) order,
-// then the entry after them, whose Start ends the last run. Entry i's run
-// is nbrs[d[i].Start:d[i+1].Start]. The live overlay keeps one per
-// mutated vertex and reads it through these methods.
-type Dir []Part
-
-// Find returns the index of the entry labelled (e, n) and whether there
-// is one; when there is not, the index is where it would be inserted.
-//
-//gf:noalloc
-func (d Dir) Find(e, n Label) (int, bool) {
-	// Open-coded rather than sort.Search: the closure would escape and cost
-	// a heap allocation on every descriptor lookup of every E/I extension.
-	i, j := 0, len(d)-1
-	for i < j {
-		mid := int(uint(i+j) >> 1)
-		if d[mid].E < e || (d[mid].E == e && d[mid].N < n) {
-			i = mid + 1
-		} else {
-			j = mid
-		}
-	}
-	return i, i < len(d)-1 && d[i].E == e && d[i].N == n
-}
-
-// Run returns entry i's neighbours.
-//
-//gf:noalloc
-func (d Dir) Run(nbrs []VertexID, i int) []VertexID {
-	return nbrs[d[i].Start:d[i+1].Start]
-}
-
-// Neighbors returns the run of the entry labelled (e, n) exactly, empty
-// when there is none.
-//
-//gf:noalloc
-func (d Dir) Neighbors(nbrs []VertexID, e, n Label) []VertexID {
-	if i, ok := d.Find(e, n); ok {
-		return d.Run(nbrs, i)
-	}
-	return nbrs[:0]
-}
-
-// AppendRuns appends the non-empty runs of the entries matching (e, n) —
-// either may be WildcardLabel — in directory order.
-//
-//gf:noalloc
-func (d Dir) AppendRuns(nbrs []VertexID, e, n Label, runs [][]VertexID) [][]VertexID {
-	for i, p := range d[:len(d)-1] {
-		if p.matches(e, n) && p.Start < d[i+1].Start {
-			runs = append(runs, d.Run(nbrs, i))
-		}
-	}
-	return runs
-}
-
-// Degree returns how many neighbours the entries matching (e, n) hold.
-//
-//gf:noalloc
-func (d Dir) Degree(e, n Label) int {
-	if e != WildcardLabel && n != WildcardLabel {
-		i, ok := d.Find(e, n)
-		if !ok {
-			return 0
-		}
-		return int(d[i+1].Start - d[i].Start)
-	}
-	total := 0
-	for i, p := range d[:len(d)-1] {
-		if p.matches(e, n) {
-			total += int(d[i+1].Start - p.Start)
-		}
-	}
-	return total
-}
-
-// Contains reports whether x is in a run matching (e, n).
-//
-//gf:noalloc
-func (d Dir) Contains(nbrs []VertexID, e, n Label, x VertexID) bool {
-	if e != WildcardLabel && n != WildcardLabel {
-		i, ok := d.Find(e, n)
-		return ok && containsSorted(d.Run(nbrs, i), x)
-	}
-	for i, p := range d[:len(d)-1] {
-		if p.matches(e, n) && containsSorted(d.Run(nbrs, i), x) {
-			return true
-		}
-	}
-	return false
-}
-
-// Edges calls fn for every (src, neighbour, edge label) in directory
-// order and reports whether fn let the iteration finish.
-func (d Dir) Edges(nbrs []VertexID, src VertexID, fn EdgeFunc) bool {
-	for i, p := range d[:len(d)-1] {
-		for _, dst := range d.Run(nbrs, i) {
-			if !fn(src, dst, p.E) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// adjacency stores one direction of the graph. nbrs holds every vertex's
-// neighbours, sorted by (edge label, neighbour label, ID), and a directory
-// over it has one entry per run, in vertex order: entry i's run is
-// nbrs[start[i]:start[i+1]], the last start being len(nbrs), and v's
+// Adjacency stores one direction of a graph's edges. nbrs holds every
+// vertex's neighbours, sorted by (edge label, neighbour label, ID), and a
+// directory over it has one entry per run, in vertex order: entry i's run
+// is nbrs[start[i]:start[i+1]], the last start being len(nbrs), and v's
 // entries are entry(v) up to entry(v+1). The directory takes one of two
 // forms, chosen from the data by the writer — the smaller, strided on a
 // tie:
@@ -185,13 +71,22 @@ func (d Dir) Edges(nbrs []VertexID, src VertexID, fn EdgeFunc) bool {
 //     empty entry), keys holds each entry's labels, and v's entries are
 //     first[v] up to first[v+1], searched by label. A graph with many
 //     label pairs and few of them used per vertex is sparse.
-type adjacency struct {
-	nbrs  []VertexID
+//
+// A Graph keeps one per direction. The live store's overlay keeps one per
+// mutated vertex and direction: a one-vertex copy in the sparse form with
+// no empty entry (CopyVertex, Insert, Remove), read at vertex 0 through
+// the same methods.
+type Adjacency struct {
+	// The counts come first: a read tests k before anything else, and a
+	// one-vertex copy embedded after a word of its owner's (live's vadj)
+	// then finds k on the cache line that word is on — the compaction fold
+	// walks thousands of copies.
+	k, ne, nn uint32 // strided: entries per vertex, edge labels, neighbour labels
+
+	first []uint32
 	start []uint32
 	keys  []uint32 // labels packed by key
-	first []uint32
-
-	k, ne, nn uint32 // strided: entries per vertex, edge labels, neighbour labels
+	nbrs  []VertexID
 }
 
 // key packs a label pair so that keys order as the pairs do.
@@ -204,8 +99,8 @@ type Graph struct {
 	n       int
 	m       int
 	vLabels []Label
-	fwd     adjacency
-	bwd     adjacency
+	fwd     Adjacency
+	bwd     Adjacency
 
 	numVertexLabels int // 1 + max vertex label
 	numEdgeLabels   int // 1 + max edge label
@@ -227,7 +122,8 @@ func (g *Graph) NumEdgeLabels() int { return g.numEdgeLabels }
 // VertexLabel returns the label of v.
 func (g *Graph) VertexLabel(v VertexID) Label { return g.vLabels[v] }
 
-func (g *Graph) adj(dir Direction) *adjacency {
+// Adjacency returns g's adjacency in dir.
+func (g *Graph) Adjacency(dir Direction) *Adjacency {
 	if dir == Forward {
 		return &g.fwd
 	}
@@ -237,13 +133,13 @@ func (g *Graph) adj(dir Direction) *adjacency {
 // strided reports the directory's form.
 //
 //gf:noalloc
-func (a *adjacency) strided() bool { return a.k > 0 }
+func (a *Adjacency) strided() bool { return a.k > 0 }
 
 // entry returns the directory index of v's first entry (for v = n, the
 // sentinel's).
 //
 //gf:noalloc
-func (a *adjacency) entry(v VertexID) int {
+func (a *Adjacency) entry(v VertexID) int {
 	if a.strided() {
 		return int(v) * int(a.k)
 	}
@@ -253,38 +149,38 @@ func (a *adjacency) entry(v VertexID) int {
 // run returns directory entry i's neighbours.
 //
 //gf:noalloc
-func (a *adjacency) run(i int) []VertexID {
+func (a *Adjacency) run(i int) []VertexID {
 	return a.nbrs[a.start[i]:a.start[i+1]]
 }
 
 // keyAt returns the packed labels of entry i, one of the vertex whose
 // first entry is lo.
-func (a *adjacency) keyAt(i, lo int) uint32 {
+func (a *Adjacency) keyAt(i, lo int) uint32 {
 	if a.strided() {
 		i -= lo
 	}
 	return a.keys[i]
 }
 
-// labels returns keyAt's labels unpacked.
-func (a *adjacency) labels(i, lo int) (e, n Label) {
-	k := a.keyAt(i, lo)
-	return Label(k >> 16), Label(k)
-}
-
-// find returns the directory index of v's (e, n) entry, both labels
-// exact, and whether v has one. In the strided form every pair below the
-// label counts has a slot, possibly empty; one beyond them has none, so it
-// never reads another pair's or another vertex's.
+// find looks up v's (e, n) entry, both labels exact: its directory index
+// and its run's positions, lo = hi when v has no such run. In the sparse
+// form i is where the entry is or would go. In the strided form every pair
+// below the label counts has a slot, possibly empty; one beyond them has
+// none, so it never reads another pair's or another vertex's.
 //
 //gf:noalloc
-func (a *adjacency) find(v VertexID, e, n Label) (int, bool) {
+func (a *Adjacency) find(v VertexID, e, n Label) (i int, lo, hi uint32) {
 	if a.strided() {
-		return int(v)*int(a.k) + int(e)*int(a.nn) + int(n), uint32(e) < a.ne && uint32(n) < a.nn
+		if uint32(e) >= a.ne || uint32(n) >= a.nn {
+			return 0, 0, 0
+		}
+		i = int(v)*int(a.k) + int(e)*int(a.nn) + int(n)
+		return i, a.start[i], a.start[i+1]
 	}
 	// Open-coded rather than slices.BinarySearch, which is not inlined:
 	// an exact lookup stays one call.
-	k, i, end := key(e, n), int(a.first[v]), int(a.first[v+1])
+	k, end := key(e, n), int(a.first[v+1])
+	i = int(a.first[v])
 	for j := end; i < j; {
 		if mid := int(uint(i+j) >> 1); a.keys[mid] < k {
 			i = mid + 1
@@ -292,7 +188,10 @@ func (a *adjacency) find(v VertexID, e, n Label) (int, bool) {
 			j = mid
 		}
 	}
-	return i, i < end && a.keys[i] == k
+	if i < end && a.keys[i] == k {
+		return i, a.start[i], a.start[i+1]
+	}
+	return i, 0, 0
 }
 
 // sel returns the entries of v that (e, n) — either may be WildcardLabel
@@ -302,13 +201,12 @@ func (a *adjacency) find(v VertexID, e, n Label) (int, bool) {
 // then filters.
 //
 //gf:noalloc
-func (a *adjacency) sel(v VertexID, e, n Label) (lo, hi, step int) {
+func (a *Adjacency) sel(v VertexID, e, n Label) (lo, hi, step int) {
 	if e != WildcardLabel && n != WildcardLabel {
-		i, ok := a.find(v, e, n)
-		if !ok {
-			return 0, 0, 1
+		if i, p0, p1 := a.find(v, e, n); p0 < p1 {
+			return i, i + 1, 1
 		}
-		return i, i + 1, 1
+		return 0, 0, 1
 	}
 	lo, hi, step = a.entry(v), a.entry(v+1), 1
 	switch {
@@ -329,7 +227,7 @@ func (a *adjacency) sel(v VertexID, e, n Label) (lo, hi, step int) {
 // matches the pair.
 //
 //gf:noalloc
-func (a *adjacency) selects(i int, e, n Label) bool {
+func (a *Adjacency) selects(i int, e, n Label) bool {
 	if a.strided() {
 		return true
 	}
@@ -337,9 +235,76 @@ func (a *adjacency) selects(i int, e, n Label) bool {
 	return (e == WildcardLabel || Label(k>>16) == e) && (n == WildcardLabel || Label(k) == n)
 }
 
-// degree returns v's degree across all labels.
-func (a *adjacency) degree(v VertexID) int {
-	return int(a.start[a.entry(v+1)] - a.start[a.entry(v)])
+// Neighbors returns v's run labelled (e, n), aliasing a's storage, or an
+// empty run when v has none. Both labels are exact: a wildcard matches no
+// run here — MergedNeighbors merges the runs NeighborRuns selects.
+//
+//gf:noalloc
+func (a *Adjacency) Neighbors(v VertexID, e, n Label) []VertexID {
+	_, lo, hi := a.find(v, e, n)
+	return a.nbrs[lo:hi]
+}
+
+// NeighborRuns appends to runs v's non-empty runs that (e, n) selects —
+// either may be WildcardLabel — in directory order.
+//
+//gf:noalloc
+func (a *Adjacency) NeighborRuns(v VertexID, e, n Label, runs [][]VertexID) [][]VertexID {
+	lo, hi, step := a.sel(v, e, n)
+	for i := lo; i < hi; i += step {
+		if run := a.run(i); len(run) > 0 && a.selects(i, e, n) {
+			runs = append(runs, run)
+		}
+	}
+	return runs
+}
+
+// Degree returns how many neighbours v's runs that (e, n) selects hold;
+// either label may be WildcardLabel. An exact pair is cheaper as the
+// length of Neighbors, which inlines.
+//
+//gf:noalloc
+func (a *Adjacency) Degree(v VertexID, e, n Label) int {
+	lo, hi, step := a.sel(v, e, n)
+	total := 0
+	for i := lo; i < hi; i += step {
+		if a.selects(i, e, n) {
+			total += int(a.start[i+1] - a.start[i])
+		}
+	}
+	return total
+}
+
+// Contains reports whether x is in one of v's runs that (e, n) selects.
+//
+//gf:noalloc
+func (a *Adjacency) Contains(v VertexID, e, n Label, x VertexID) bool {
+	if e != WildcardLabel && n != WildcardLabel {
+		return containsSorted(a.Neighbors(v, e, n), x)
+	}
+	lo, hi, step := a.sel(v, e, n)
+	for i := lo; i < hi; i += step {
+		if a.selects(i, e, n) && containsSorted(a.run(i), x) {
+			return true
+		}
+	}
+	return false
+}
+
+// Edges calls fn(src, neighbour, edge label) for each of v's neighbours in
+// directory order and reports whether fn let it finish. src is what fn
+// is told the vertex is: a one-vertex copy holds its vertex at 0.
+func (a *Adjacency) Edges(v, src VertexID, fn EdgeFunc) bool {
+	lo, hi := a.entry(v), a.entry(v+1)
+	for i := lo; i < hi; i++ {
+		e := Label(a.keyAt(i, lo) >> 16)
+		for _, dst := range a.run(i) {
+			if !fn(src, dst, e) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Neighbors returns the sorted neighbour list of v in direction dir,
@@ -355,11 +320,7 @@ func (a *adjacency) degree(v VertexID) int {
 //gf:noalloc
 func (g *Graph) Neighbors(v VertexID, dir Direction, eLabel, nLabel Label, buf []VertexID) []VertexID {
 	if eLabel != WildcardLabel && nLabel != WildcardLabel {
-		a := g.adj(dir)
-		if i, ok := a.find(v, eLabel, nLabel); ok {
-			return a.run(i)
-		}
-		return a.nbrs[:0]
+		return g.Adjacency(dir).Neighbors(v, eLabel, nLabel)
 	}
 	return MergedNeighbors(g, v, dir, eLabel, nLabel, buf)
 }
@@ -368,14 +329,7 @@ func (g *Graph) Neighbors(v VertexID, dir Direction, eLabel, nLabel Label, buf [
 //
 //gf:noalloc
 func (g *Graph) NeighborRuns(v VertexID, dir Direction, eLabel, nLabel Label, runs [][]VertexID) [][]VertexID {
-	a := g.adj(dir)
-	lo, hi, step := a.sel(v, eLabel, nLabel)
-	for i := lo; i < hi; i += step {
-		if run := a.run(i); len(run) > 0 && a.selects(i, eLabel, nLabel) {
-			runs = append(runs, run)
-		}
-	}
-	return runs
+	return g.Adjacency(dir).NeighborRuns(v, eLabel, nLabel, runs)
 }
 
 // Degree returns the size of the (eLabel, nLabel) partition of v in
@@ -383,28 +337,18 @@ func (g *Graph) NeighborRuns(v VertexID, dir Direction, eLabel, nLabel Label, ru
 //
 //gf:noalloc
 func (g *Graph) Degree(v VertexID, dir Direction, eLabel, nLabel Label) int {
-	a := g.adj(dir)
+	a := g.Adjacency(dir)
 	if eLabel != WildcardLabel && nLabel != WildcardLabel {
-		if i, ok := a.find(v, eLabel, nLabel); ok {
-			return len(a.run(i))
-		}
-		return 0
+		return len(a.Neighbors(v, eLabel, nLabel))
 	}
-	lo, hi, step := a.sel(v, eLabel, nLabel)
-	total := 0
-	for i := lo; i < hi; i += step {
-		if a.selects(i, eLabel, nLabel) {
-			total += int(a.start[i+1] - a.start[i])
-		}
-	}
-	return total
+	return a.Degree(v, eLabel, nLabel)
 }
 
 // OutDegree returns the total forward degree of v across all labels.
-func (g *Graph) OutDegree(v VertexID) int { return g.fwd.degree(v) }
+func (g *Graph) OutDegree(v VertexID) int { return g.fwd.Degree(v, WildcardLabel, WildcardLabel) }
 
 // InDegree returns the total backward degree of v across all labels.
-func (g *Graph) InDegree(v VertexID) int { return g.bwd.degree(v) }
+func (g *Graph) InDegree(v VertexID) int { return g.bwd.Degree(v, WildcardLabel, WildcardLabel) }
 
 // HasEdge reports whether the directed edge src->dst with label eLabel
 // exists. eLabel may be WildcardLabel.
@@ -413,14 +357,7 @@ func (g *Graph) InDegree(v VertexID) int { return g.bwd.degree(v) }
 func (g *Graph) HasEdge(src, dst VertexID, eLabel Label) bool {
 	// Search only the partitions of the destination's label; cheaper than a
 	// wildcard merge.
-	a, n := &g.fwd, g.vLabels[dst]
-	lo, hi, step := a.sel(src, eLabel, n)
-	for i := lo; i < hi; i += step {
-		if a.selects(i, eLabel, n) && containsSorted(a.run(i), dst) {
-			return true
-		}
-	}
-	return false
+	return g.fwd.Contains(src, eLabel, g.vLabels[dst], dst)
 }
 
 // EdgeFunc is the callback type for Edges.
@@ -430,7 +367,7 @@ type EdgeFunc func(src, dst VertexID, eLabel Label) bool
 // returning false stops the iteration early.
 func (g *Graph) Edges(fn EdgeFunc) {
 	for v := VertexID(0); int(v) < g.n; v++ {
-		if !g.fwd.edges(v, fn) {
+		if !g.fwd.Edges(v, v, fn) {
 			return
 		}
 	}
@@ -438,24 +375,97 @@ func (g *Graph) Edges(fn EdgeFunc) {
 
 // EdgesOf calls fn for every forward edge of src only.
 func (g *Graph) EdgesOf(src VertexID, fn EdgeFunc) {
-	g.fwd.edges(src, fn)
+	g.fwd.Edges(src, src, fn)
 }
 
-// edges calls fn for every edge of src in directory order and reports
-// whether fn let the iteration finish.
-func (a *adjacency) edges(src VertexID, fn EdgeFunc) bool {
-	lo, hi := a.entry(src), a.entry(src+1)
+// noRuns is a one-vertex adjacency without runs.
+var noRuns = Adjacency{start: []uint32{0}, first: []uint32{0, 0}}
+
+// NoRuns returns a one-vertex adjacency without runs, shared and never
+// written: what a vertex without any reads, at vertex 0, and what
+// CopyVertex copies to start one.
+func NoRuns() *Adjacency { return &noRuns }
+
+// CopyVertex makes a a one-vertex adjacency of its own holding v's runs
+// in from: the sparse form, an entry per non-empty run, with room for one
+// more neighbour and one more run — so the Insert that usually follows
+// regrows nothing.
+func (a *Adjacency) CopyVertex(from *Adjacency, v VertexID) {
+	lo, hi := from.entry(v), from.entry(v+1)
+	runs := 0
 	for i := lo; i < hi; i++ {
-		run := a.run(i)
-		if len(run) == 0 {
-			continue
+		if from.start[i] < from.start[i+1] {
+			runs++
 		}
-		e, _ := a.labels(i, lo)
-		for _, dst := range run {
-			if !fn(src, dst, e) {
-				return false
-			}
+	}
+	p0, p1 := from.start[lo], from.start[hi]
+	// first, then runs+1 positions and runs keys, each with room for one more.
+	dir, nbrs := vertexArrays(2*runs+5, int(p1-p0)+1)
+	a.nbrs = append(nbrs[:0], from.nbrs[p0:p1]...)
+	a.first = append(dir[:0:2], 0, uint32(runs))
+	a.start = dir[2 : 2 : runs+4]
+	a.keys = dir[runs+4 : runs+4 : 2*runs+5]
+	for i := lo; i < hi; i++ {
+		if s := from.start[i]; s < from.start[i+1] {
+			a.start = append(a.start, s-p0)
+			a.keys = append(a.keys, from.keyAt(i, lo))
 		}
+	}
+	a.start = append(a.start, p1-p0)
+	a.k, a.ne, a.nn = 0, 0, 0
+}
+
+// vertexArrays allocates a one-vertex copy's directory, d uint32s, and
+// room for n > 0 neighbours as one block without pointers: a copy is two
+// allocations, its struct and this, however many runs it has, and the
+// struct is small and points only into a block the collector need not
+// scan.
+func vertexArrays(d, n int) ([]uint32, []VertexID) {
+	buf := make([]uint32, d+n)
+	// A VertexID is a uint32, so the tail of buf holds n of them.
+	return buf[:d:d], unsafe.Slice((*VertexID)(unsafe.Pointer(&buf[d])), n)
+}
+
+// Insert adds x to the run labelled (e, n) of a one-vertex copy, keeping
+// it sorted; false if x is there already.
+func (a *Adjacency) Insert(e, n Label, x VertexID) bool {
+	i, lo, hi := a.find(0, e, n)
+	if lo == hi {
+		// A copy keeps no empty run, so there is no (e, n) entry: a new
+		// one at i, its run starting where entry i's, or the sentinel's,
+		// does now.
+		a.start = slices.Insert(a.start, i, a.start[i])
+		a.keys = slices.Insert(a.keys, i, key(e, n))
+		a.first[1]++
+	}
+	k, found := slices.BinarySearch(a.run(i), x)
+	if found {
+		return false
+	}
+	a.nbrs = slices.Insert(a.nbrs, int(a.start[i])+k, x)
+	for j := i + 1; j < len(a.start); j++ {
+		a.start[j]++
+	}
+	return true
+}
+
+// Remove deletes x from the run labelled (e, n) of a one-vertex copy,
+// dropping the run's entry when it empties; false if x is not there.
+func (a *Adjacency) Remove(e, n Label, x VertexID) bool {
+	i, lo, hi := a.find(0, e, n)
+	k, found := slices.BinarySearch(a.nbrs[lo:hi], x)
+	if !found {
+		return false
+	}
+	pos := int(lo) + k
+	a.nbrs = slices.Delete(a.nbrs, pos, pos+1)
+	for j := i + 1; j < len(a.start); j++ {
+		a.start[j]--
+	}
+	if a.start[i] == a.start[i+1] {
+		a.start = slices.Delete(a.start, i, i+1)
+		a.keys = slices.Delete(a.keys, i, i+1)
+		a.first[1]--
 	}
 	return true
 }

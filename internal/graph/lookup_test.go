@@ -38,8 +38,10 @@ func probesOf(g *graph.Graph, k int) []probe {
 		v := graph.VertexID(rng.Intn(g.NumVertices()))
 		ps[i].v = v
 		var labels []probe
-		g.Partitions(v, graph.Forward, func(e, n graph.Label, _ []graph.VertexID) bool {
-			labels = append(labels, probe{v, e, n})
+		g.EdgesOf(v, func(_, dst graph.VertexID, e graph.Label) bool {
+			if p := (probe{v, e, g.VertexLabel(dst)}); len(labels) == 0 || labels[len(labels)-1] != p {
+				labels = append(labels, p)
+			}
 			return true
 		})
 		if len(labels) > 0 {
@@ -54,10 +56,12 @@ func probesOf(g *graph.Graph, k int) []probe {
 // partitions, on LiveJournal(1) (unlabelled: strided, one
 // slot per vertex), on cold-plan's Relabel(Epinions(2), 2, 3, 11) (two
 // vertex and three edge labels: strided, six slots per vertex), on Human()
-// (44 edge labels: sparse) and through a live.Snapshot with an empty
-// overlay over LiveJournal(1). Every call goes through graph.View, as the
-// executor's do. heapB/edge is what the graph keeps on the heap per
-// directed edge once built.
+// (44 edge labels: sparse) and through a live.Snapshot over LiveJournal(1),
+// with an empty overlay and with one where every probed vertex reads its
+// own overlay entry, holding its base edges again after an edge was added
+// and deleted. Every call goes through graph.View, as the executor's do.
+// heapB/edge is what the graph keeps on the heap per directed edge once
+// built.
 func BenchmarkNeighbors(b *testing.B) {
 	lj, ljBytes := heapOf(func() *graph.Graph { return datagen.LiveJournal(1) })
 	cold, coldBytes := heapOf(func() *graph.Graph { return datagen.Relabel(datagen.Epinions(2), 2, 3, 11) })
@@ -65,6 +69,26 @@ func BenchmarkNeighbors(b *testing.B) {
 	db, err := live.Open(lj, live.Config{CompactThreshold: -1})
 	if err != nil {
 		b.Fatal(err)
+	}
+	overlay, err := live.Open(lj, live.Config{CompactThreshold: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var toggle live.Batch
+	for _, p := range probesOf(lj, 1<<12) {
+		w := (p.v + 1) % graph.VertexID(lj.NumVertices())
+		for w == p.v || lj.HasEdge(p.v, w, 0) {
+			w = (w + 1) % graph.VertexID(lj.NumVertices())
+		}
+		toggle.AddEdges = append(toggle.AddEdges, live.EdgeOp{Src: p.v, Dst: w})
+	}
+	for _, batch := range []live.Batch{toggle, {DeleteEdges: toggle.AddEdges}} {
+		if _, err := overlay.Apply(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if overlay.Snapshot().NumEdges() != lj.NumEdges() {
+		b.Fatal("fixture: the overlay changed the edge set")
 	}
 	for _, c := range []struct {
 		name  string
@@ -76,6 +100,7 @@ func BenchmarkNeighbors(b *testing.B) {
 		{"ColdPlan", cold, cold, coldBytes},
 		{"Human", human, human, humanBytes},
 		{"LiveJournalSnapshot", lj, db.Snapshot(), ljBytes},
+		{"LiveJournalOverlay", lj, overlay.Snapshot(), ljBytes},
 	} {
 		ps := probesOf(c.g, 1<<12)
 		for _, op := range []struct {

@@ -118,8 +118,8 @@ func build(labels []graph.Label, edges []edge) *graph.Graph {
 }
 
 // reassemble feeds g's adjacency back through an Assembler the way the
-// live store's fold does: stretches copied as blocks, the rest partition
-// by partition.
+// live store's fold does: stretches copied as blocks, the rest one vertex
+// at a time out of a one-vertex copy, as an overlay entry is.
 func reassemble(t *testing.T, g *graph.Graph, rng *rand.Rand) *graph.Graph {
 	t.Helper()
 	labels := make([]graph.Label, g.NumVertices())
@@ -131,19 +131,14 @@ func reassemble(t *testing.T, g *graph.Graph, rng *rand.Rand) *graph.Graph {
 		for v, block := 0, rng.Intn(2) == 0; v < g.NumVertices(); block = !block {
 			end := min(v+1+rng.Intn(4), g.NumVertices())
 			if block {
-				asm.AppendRange(g, graph.VertexID(v), graph.VertexID(end), dir)
+				asm.AppendRange(dir, g.Adjacency(dir), graph.VertexID(v), graph.VertexID(end), graph.VertexID(v))
 				v = end
 				continue
 			}
 			for ; v < end; v++ {
-				if g.NumPartitions(graph.VertexID(v), dir) == 0 {
-					// An empty run must be skipped, wherever it arrives.
-					asm.AppendPartition(graph.VertexID(v), dir, 0, 0, nil)
-				}
-				g.Partitions(graph.VertexID(v), dir, func(e, nl graph.Label, nbrs []graph.VertexID) bool {
-					asm.AppendPartition(graph.VertexID(v), dir, e, nl, nbrs)
-					return true
-				})
+				one := &graph.Adjacency{}
+				one.CopyVertex(g.Adjacency(dir), graph.VertexID(v))
+				asm.AppendRange(dir, one, 0, 1, graph.VertexID(v))
 			}
 		}
 	}
@@ -242,16 +237,6 @@ func checkReads(t *testing.T, where string, g graph.View, c readCase) {
 			if deg != total {
 				fail("degree of %d %v = %d, want %d", v, dir, deg, total)
 			}
-			if gg, ok := g.(*graph.Graph); ok {
-				var parts []refRun
-				gg.Partitions(v, dir, func(e, nl graph.Label, ids []graph.VertexID) bool {
-					parts = append(parts, refRun{e, nl, slices.Clone(ids)})
-					return true
-				})
-				if !reflect.DeepEqual(parts, all) || gg.NumPartitions(v, dir) != len(all) {
-					fail("Partitions(%d, %v) = %v (%d), want %v", v, dir, parts, gg.NumPartitions(v, dir), all)
-				}
-			}
 			for _, e := range eLabels {
 				for _, nl := range nLabels {
 					ref := refRuns(c, want, v, dir, e, nl)
@@ -319,8 +304,10 @@ func checkReads(t *testing.T, where string, g graph.View, c readCase) {
 
 // checkAllReads runs checkReads on the Builder graph of c's final edge
 // set, on its Assembler reassembly and on a live snapshot that reaches it
-// through a batch, before and after Compact; the reassembly and the
-// compacted base must equal the Builder graph field for field.
+// in two epochs — the appended vertices and the adds, then the deletes,
+// which clone and edit adjacencies the first published — after each (the
+// first snapshot again after the second) and after Compact; the reassembly and the compacted base must equal the
+// Builder graph field for field.
 func checkAllReads(t *testing.T, c readCase, rng *rand.Rand) {
 	t.Helper()
 	want := build(c.labels, c.final())
@@ -335,17 +322,24 @@ func checkAllReads(t *testing.T, c readCase, rng *rand.Rand) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := live.Batch{AddVertices: c.labels[nBase:]}
+	adds, dels := live.Batch{AddVertices: c.labels[nBase:]}, live.Batch{}
 	for _, e := range c.add {
-		b.AddEdges = append(b.AddEdges, live.EdgeOp{Src: e.src, Dst: e.dst, Label: e.l})
+		adds.AddEdges = append(adds.AddEdges, live.EdgeOp{Src: e.src, Dst: e.dst, Label: e.l})
 	}
 	for _, e := range c.del {
-		b.DeleteEdges = append(b.DeleteEdges, live.EdgeOp{Src: e.src, Dst: e.dst, Label: e.l})
+		dels.DeleteEdges = append(dels.DeleteEdges, live.EdgeOp{Src: e.src, Dst: e.dst, Label: e.l})
 	}
-	if _, err := db.Apply(b); err != nil {
+	if _, err := db.Apply(adds); err != nil {
 		t.Fatal(err)
 	}
-	checkReads(t, "snapshot", db.Snapshot(), c)
+	added, held := c, db.Snapshot()
+	added.del = nil
+	checkReads(t, "snapshot after the adds", held, added)
+	if _, err := db.Apply(dels); err != nil {
+		t.Fatal(err)
+	}
+	checkReads(t, "snapshot after the deletes", db.Snapshot(), c)
+	checkReads(t, "snapshot after the adds, held", held, added)
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}

@@ -53,37 +53,3 @@ type View interface {
 }
 
 var _ View = (*Graph)(nil)
-
-// PartitionFunc is the callback type for Partitions. nbrs aliases internal
-// storage and must not be retained or modified.
-type PartitionFunc func(eLabel, nLabel Label, nbrs []VertexID) bool
-
-// Partitions calls fn for each (edge label, neighbour label) partition of
-// v's adjacency in direction dir, in (eLabel, nLabel) order, passing the
-// ID-sorted neighbour run. fn returning false stops early. The delta
-// overlay uses it to materialise a vertex's base adjacency when the
-// vertex is first mutated.
-func (g *Graph) Partitions(v VertexID, dir Direction, fn PartitionFunc) {
-	a := g.adj(dir)
-	lo, hi := a.entry(v), a.entry(v+1)
-	for i := lo; i < hi; i++ {
-		if run := a.run(i); len(run) > 0 {
-			if e, n := a.labels(i, lo); !fn(e, n, run) {
-				return
-			}
-		}
-	}
-}
-
-// NumPartitions returns how many partitions Partitions would visit for v
-// in dir, so a caller copying them can size its directory once.
-func (g *Graph) NumPartitions(v VertexID, dir Direction) int {
-	a := g.adj(dir)
-	k := 0
-	for i := a.entry(v); i < a.entry(v+1); i++ {
-		if a.start[i] < a.start[i+1] {
-			k++
-		}
-	}
-	return k
-}

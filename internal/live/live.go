@@ -404,8 +404,8 @@ func applyBatch(s *Snapshot, b Batch, epoch uint64) (*Snapshot, ApplyResult, err
 		if ns.HasEdge(e.Src, e.Dst, e.Label) {
 			continue
 		}
-		ns.materialize(graph.Forward, e.Src).insert(e.Label, ns.VertexLabel(e.Dst), e.Dst)
-		ns.materialize(graph.Backward, e.Dst).insert(e.Label, ns.VertexLabel(e.Src), e.Src)
+		ns.materialize(graph.Forward, e.Src).Insert(e.Label, ns.VertexLabel(e.Dst), e.Dst)
+		ns.materialize(graph.Backward, e.Dst).Insert(e.Label, ns.VertexLabel(e.Src), e.Src)
 		ns.m++
 		ns.deltaOps++
 		if int(e.Label)+1 > ns.numEdgeLabels {
@@ -417,8 +417,8 @@ func applyBatch(s *Snapshot, b Batch, epoch uint64) (*Snapshot, ApplyResult, err
 		if !ns.HasEdge(e.Src, e.Dst, e.Label) {
 			continue
 		}
-		ns.materialize(graph.Forward, e.Src).remove(e.Label, ns.VertexLabel(e.Dst), e.Dst)
-		ns.materialize(graph.Backward, e.Dst).remove(e.Label, ns.VertexLabel(e.Src), e.Src)
+		ns.materialize(graph.Forward, e.Src).Remove(e.Label, ns.VertexLabel(e.Dst), e.Dst)
+		ns.materialize(graph.Backward, e.Dst).Remove(e.Label, ns.VertexLabel(e.Src), e.Src)
 		ns.m--
 		ns.deltaOps++
 		res.DeletedEdges++
@@ -428,24 +428,16 @@ func applyBatch(s *Snapshot, b Batch, epoch uint64) (*Snapshot, ApplyResult, err
 
 // materialize returns v's adjacency in dir, private to the epoch s is
 // building: the entry as it stands when this epoch already made it,
-// otherwise a copy of the published overlay entry or of the base
-// adjacency.
+// otherwise a copy of what v reads now — its published overlay entry, its
+// base adjacency or no runs at all.
 func (s *Snapshot) materialize(dir graph.Direction, v graph.VertexID) *vadj {
 	p := s.overlay(dir).slot(v, s.epoch)
-	a := *p
-	switch {
-	case a == nil && int(v) < s.nBase:
-		a = fromPartitions(s.base, v, dir)
-	case a == nil:
-		a = newVadj(0, 0)
-	case a.stamp == s.epoch:
-		return a
-	default:
-		a = a.clone()
+	if *p == nil || (*p).stamp != s.epoch {
+		a := &vadj{stamp: s.epoch}
+		a.CopyVertex(s.adj(v, dir))
+		*p = a
 	}
-	a.stamp = s.epoch
-	*p = a
-	return a
+	return *p
 }
 
 // maybeCompact starts the background compactor when the overlay has
@@ -605,17 +597,15 @@ func fold(s *Snapshot) (*graph.Graph, error) {
 	asm := graph.NewAssembler(labels, s.m)
 	for _, dir := range []graph.Direction{graph.Forward, graph.Backward} {
 		// Stretches between two overlay entries are copied from the base whole.
-		next := graph.VertexID(0)
+		base, next := s.base.Adjacency(dir), graph.VertexID(0)
 		fromBase := func(upTo graph.VertexID) {
 			if upTo = min(upTo, graph.VertexID(s.nBase)); next < upTo {
-				asm.AppendRange(s.base, next, upTo, dir)
+				asm.AppendRange(dir, base, next, upTo, next)
 			}
 		}
 		s.overlay(dir).walk(0, func(v graph.VertexID, a *vadj) {
 			fromBase(v)
-			for i, p := range a.parts[:len(a.parts)-1] {
-				asm.AppendPartition(v, dir, p.E, p.N, a.parts.Run(a.nbrs, i))
-			}
+			asm.AppendRange(dir, &a.Adjacency, 0, 1, v)
 			next = v + 1
 		})
 		fromBase(graph.VertexID(n))

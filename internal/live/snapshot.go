@@ -17,105 +17,16 @@
 // threshold, without holding the writer lock while it does.
 package live
 
-import (
-	"slices"
+import "graphflow/internal/graph"
 
-	"graphflow/internal/graph"
-)
-
-// vadj is one mutated vertex's fully materialised adjacency in one
-// direction: the same (edge label, neighbour label, ID)-sorted layout as
-// the base, private to the vertex, and read through the same graph.Dir
-// methods. parts ends in a sentinel whose Start is len(nbrs), so entry i
-// spans nbrs[parts[i].Start:parts[i+1].Start]. A vadj is immutable once
-// its snapshot is published; stamp is the epoch that created it, the only
-// one allowed to mutate it.
+// vadj is one mutated vertex's complete adjacency in one direction: a
+// one-vertex graph.Adjacency in the base's sparse format, copied, edited
+// and read at vertex 0 through the graph package's own methods. A vadj is
+// immutable once its snapshot is published; stamp is the epoch that
+// created it, the only one allowed to mutate it.
 type vadj struct {
 	stamp uint64
-	nbrs  []graph.VertexID
-	parts graph.Dir
-	few   [3]graph.Part // backs parts while the directory fits: no third allocation
-}
-
-// newVadj returns an empty adjacency (its directory just the sentinel)
-// with room for deg neighbours in parts partitions plus the one edge (and
-// the one partition) an insert may add, so the common single-edge
-// mutation never regrows a slice.
-func newVadj(deg, parts int) *vadj {
-	a := &vadj{nbrs: make([]graph.VertexID, 0, deg+1)}
-	if a.parts = a.few[:1]; parts+2 > len(a.few) {
-		a.parts = make(graph.Dir, 1, parts+2)
-	}
-	return a
-}
-
-// clone deep-copies the adjacency so a new epoch can modify it without
-// disturbing published snapshots.
-func (a *vadj) clone() *vadj {
-	c := newVadj(len(a.nbrs), len(a.parts)-1)
-	c.nbrs = append(c.nbrs, a.nbrs...)
-	c.parts = append(c.parts[:0], a.parts...)
-	return c
-}
-
-// insert adds (e, nl, x) keeping the sorted layout; false if already
-// present. Only called on adjacencies private to the epoch being built.
-func (a *vadj) insert(e, nl graph.Label, x graph.VertexID) bool {
-	i, ok := a.parts.Find(e, nl)
-	if !ok {
-		// A new entry at i: its (still empty) run starts where entry i's, or
-		// the sentinel's, does now.
-		a.parts = slices.Insert(a.parts, i, graph.Part{E: e, N: nl, Start: a.parts[i].Start})
-	}
-	k, found := slices.BinarySearch(a.parts.Run(a.nbrs, i), x)
-	if found {
-		return false
-	}
-	a.nbrs = slices.Insert(a.nbrs, int(a.parts[i].Start)+k, x)
-	for j := i + 1; j < len(a.parts); j++ {
-		a.parts[j].Start++
-	}
-	return true
-}
-
-// remove deletes (e, nl, x), dropping the partition when it empties;
-// false if absent. Only called on adjacencies private to the epoch being
-// built.
-func (a *vadj) remove(e, nl graph.Label, x graph.VertexID) bool {
-	i, ok := a.parts.Find(e, nl)
-	if !ok {
-		return false
-	}
-	k, found := slices.BinarySearch(a.parts.Run(a.nbrs, i), x)
-	if !found {
-		return false
-	}
-	pos := int(a.parts[i].Start) + k
-	a.nbrs = slices.Delete(a.nbrs, pos, pos+1)
-	for j := i + 1; j < len(a.parts); j++ {
-		a.parts[j].Start--
-	}
-	if a.parts[i].Start == a.parts[i+1].Start {
-		a.parts = slices.Delete(a.parts, i, i+1)
-	}
-	return true
-}
-
-// fromPartitions materialises a base vertex's adjacency into a private vadj.
-func fromPartitions(g *graph.Graph, v graph.VertexID, dir graph.Direction) *vadj {
-	deg := g.OutDegree(v)
-	if dir == graph.Backward {
-		deg = g.InDegree(v)
-	}
-	a := newVadj(deg, g.NumPartitions(v, dir))
-	a.parts = a.parts[:0]
-	g.Partitions(v, dir, func(e, nl graph.Label, nbrs []graph.VertexID) bool {
-		a.parts = append(a.parts, graph.Part{E: e, N: nl, Start: uint32(len(a.nbrs))})
-		a.nbrs = append(a.nbrs, nbrs...)
-		return true
-	})
-	a.parts = append(a.parts, graph.Part{Start: uint32(len(a.nbrs))})
-	return a
+	graph.Adjacency
 }
 
 // Snapshot is one consistent epoch of the live graph: the immutable base
@@ -200,111 +111,82 @@ func (s *Snapshot) overlay(dir graph.Direction) *index {
 	return &s.bwd
 }
 
-// Neighbors implements graph.View. Vertices without overlay entries read
-// straight from the base CSR (the common case after compaction), so
-// unmutated regions pay one index probe (a nil check while the overlay is
-// empty) over the frozen store.
+// adj returns the adjacency holding v's runs in dir and the vertex to
+// read them at: v's overlay entry at 0, else the base at v, else (an
+// appended vertex never mutated) one without runs. While the overlay is
+// empty the index probe is a nil check, so a base read goes straight into
+// the base's lookup.
+func (s *Snapshot) adj(v graph.VertexID, dir graph.Direction) (*graph.Adjacency, graph.VertexID) {
+	if a := s.overlay(dir).get(v); a != nil {
+		return &a.Adjacency, 0
+	}
+	if int(v) < s.nBase {
+		return s.base.Adjacency(dir), v
+	}
+	return graph.NoRuns(), 0
+}
+
+// Neighbors implements graph.View.
 //
 //gf:noalloc
 func (s *Snapshot) Neighbors(v graph.VertexID, dir graph.Direction, e, nl graph.Label, buf []graph.VertexID) []graph.VertexID {
 	if e == graph.WildcardLabel || nl == graph.WildcardLabel {
 		return graph.MergedNeighbors(s, v, dir, e, nl, buf)
 	}
-	if a := s.overlay(dir).get(v); a != nil {
-		return a.parts.Neighbors(a.nbrs, e, nl)
-	}
-	if int(v) < s.nBase {
-		return s.base.Neighbors(v, dir, e, nl, buf)
-	}
-	return buf[:0]
+	a, u := s.adj(v, dir)
+	return a.Neighbors(u, e, nl)
 }
 
 // NeighborRuns implements graph.View.
 //
 //gf:noalloc
 func (s *Snapshot) NeighborRuns(v graph.VertexID, dir graph.Direction, e, nl graph.Label, runs [][]graph.VertexID) [][]graph.VertexID {
-	if a := s.overlay(dir).get(v); a != nil {
-		return a.parts.AppendRuns(a.nbrs, e, nl, runs)
-	}
-	if int(v) < s.nBase {
-		return s.base.NeighborRuns(v, dir, e, nl, runs)
-	}
-	return runs
+	a, u := s.adj(v, dir)
+	return a.NeighborRuns(u, e, nl, runs)
 }
 
 // Degree implements graph.View.
 //
 //gf:noalloc
 func (s *Snapshot) Degree(v graph.VertexID, dir graph.Direction, e, nl graph.Label) int {
-	if a := s.overlay(dir).get(v); a != nil {
-		return a.parts.Degree(e, nl)
+	a, u := s.adj(v, dir)
+	if e != graph.WildcardLabel && nl != graph.WildcardLabel {
+		return len(a.Neighbors(u, e, nl))
 	}
-	if int(v) < s.nBase {
-		return s.base.Degree(v, dir, e, nl)
-	}
-	return 0
+	return a.Degree(u, e, nl)
 }
 
 // OutDegree implements graph.View.
 func (s *Snapshot) OutDegree(v graph.VertexID) int {
-	if a := s.fwd.get(v); a != nil {
-		return len(a.nbrs)
-	}
-	if int(v) < s.nBase {
-		return s.base.OutDegree(v)
-	}
-	return 0
+	a, u := s.adj(v, graph.Forward)
+	return a.Degree(u, graph.WildcardLabel, graph.WildcardLabel)
 }
 
 // InDegree implements graph.View.
 func (s *Snapshot) InDegree(v graph.VertexID) int {
-	if a := s.bwd.get(v); a != nil {
-		return len(a.nbrs)
-	}
-	if int(v) < s.nBase {
-		return s.base.InDegree(v)
-	}
-	return 0
+	a, u := s.adj(v, graph.Backward)
+	return a.Degree(u, graph.WildcardLabel, graph.WildcardLabel)
 }
 
 // HasEdge implements graph.View.
 //
 //gf:noalloc
 func (s *Snapshot) HasEdge(src, dst graph.VertexID, e graph.Label) bool {
-	if a := s.fwd.get(src); a != nil {
-		return a.parts.Contains(a.nbrs, e, s.VertexLabel(dst), dst)
-	}
-	if int(src) < s.nBase && int(dst) < s.nBase {
-		return s.base.HasEdge(src, dst, e)
-	}
-	// A vertex without an overlay entry has no edges beyond the base, and
-	// the base cannot reference appended vertices.
-	return false
+	a, u := s.adj(src, graph.Forward)
+	return a.Contains(u, e, s.VertexLabel(dst), dst)
 }
 
 // Edges implements graph.View.
 func (s *Snapshot) Edges(fn graph.EdgeFunc) {
-	n := s.NumVertices()
-	stopped := false
-	wrap := func(src, dst graph.VertexID, l graph.Label) bool {
-		if !fn(src, dst, l) {
-			stopped = true
-			return false
+	for v := graph.VertexID(0); int(v) < s.NumVertices(); v++ {
+		if a, u := s.adj(v, graph.Forward); !a.Edges(u, v, fn) {
+			return
 		}
-		return true
-	}
-	for v := 0; v < n && !stopped; v++ {
-		s.EdgesOf(graph.VertexID(v), wrap)
 	}
 }
 
 // EdgesOf implements graph.View.
 func (s *Snapshot) EdgesOf(src graph.VertexID, fn graph.EdgeFunc) {
-	if a := s.fwd.get(src); a != nil {
-		a.parts.Edges(a.nbrs, src, fn)
-		return
-	}
-	if int(src) < s.nBase {
-		s.base.EdgesOf(src, fn)
-	}
+	a, u := s.adj(src, graph.Forward)
+	a.Edges(u, src, fn)
 }

@@ -108,20 +108,15 @@ func WriteCheckpoint(dir string, epoch uint64, g *graph.Graph) error {
 	}
 	c.room(8)
 	c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(g.NumEdges()))
-	for v := 0; v < n && c.err == nil; v++ {
-		src := graph.VertexID(v)
-		g.Partitions(src, graph.Forward, func(l, _ graph.Label, nbrs []graph.VertexID) bool {
-			for _, dst := range nbrs {
-				c.room(10)
-				at := len(c.buf)
-				c.buf = c.buf[:at+10]
-				binary.LittleEndian.PutUint32(c.buf[at:], uint32(src))
-				binary.LittleEndian.PutUint32(c.buf[at+4:], uint32(dst))
-				binary.LittleEndian.PutUint16(c.buf[at+8:], uint16(l))
-			}
-			return true
-		})
-	}
+	g.Edges(func(src, dst graph.VertexID, l graph.Label) bool {
+		c.room(10)
+		at := len(c.buf)
+		c.buf = c.buf[:at+10]
+		binary.LittleEndian.PutUint32(c.buf[at:], uint32(src))
+		binary.LittleEndian.PutUint32(c.buf[at+4:], uint32(dst))
+		binary.LittleEndian.PutUint16(c.buf[at+8:], uint16(l))
+		return c.err == nil
+	})
 	c.flush()
 	if c.err == nil {
 		// The trailer is not part of the checksummed payload.
