@@ -26,8 +26,8 @@
 // publish new epochs with snapshot isolation (queries already running
 // never observe a later batch), and a background compactor periodically
 // folds the delta overlay into a fresh CSR base. Planning state is
-// decoupled from the epoch: cached plans are valid on every epoch and are
-// only re-bound (not re-optimized) to the newest snapshot, while the
+// decoupled from the epoch: a cached plan is compiled once and every run
+// of it reads the snapshot current when the run starts, while the
 // catalogue is a sampled statistic republished as a new statistics
 // generation — in the background, or on demand through
 // RefreshStatistics — only once the graph has drifted far enough from
@@ -146,8 +146,7 @@ type DB struct {
 	// plans caches optimized plans keyed by canonical code, the statistics
 	// generation they were costed under and the WCO restriction (planKey)
 	// (nil when caching is disabled). Entries outlive epochs: a plan is
-	// valid on every epoch, so a lookup after a mutation is a hit that
-	// only re-binds the plan to the new snapshot.
+	// valid on every epoch, so a lookup after a mutation is a hit.
 	plans *cache.Cache[*cachedPlan]
 
 	// stats is the published statistics generation. Planners only ever
@@ -324,7 +323,6 @@ func newDB(g *graph.Graph, opts Options) (*DB, error) {
 		Dir:              opts.DataDir,
 		Sync:             sync,
 		SyncInterval:     opts.FsyncInterval,
-		OnEpoch:          func(*live.Snapshot) { db.dropStaleBindings() },
 	})
 	if err != nil {
 		return nil, err
@@ -554,137 +552,73 @@ func (db *DB) NumVertices() int { return db.store.Snapshot().NumVertices() }
 func (db *DB) NumEdges() int { return db.store.Snapshot().NumEdges() }
 
 // cachedPlan is the plan-cache entry for one (canonical query form, WCO
-// restriction, statistics generation): the optimized plan, which
-// references no snapshot and is valid on every epoch, plus its most
-// recent binding to one. The plan is built over the canonical query, so
-// one entry serves every isomorphic spelling of a pattern; per-spelling
-// state (the original vertex names) lives in PreparedQuery instead.
+// restriction, statistics generation): the optimized plan and its
+// compiled forms. Neither references a snapshot — every run names the one
+// it reads (exec.CompiledPlan.On) — so one entry serves every epoch. The
+// plan is built over the canonical query, so one entry serves every
+// isomorphic spelling of a pattern; per-spelling state (the original
+// vertex names) lives in PreparedQuery instead.
 type cachedPlan struct {
-	plan *plan.Plan
-	gen  uint64
-	// bound is the plan compiled against the newest snapshot a query ran
-	// it on; nil after the epoch hook dropped a superseded binding.
-	bound atomic.Pointer[preparedPlan]
-	// routes are the candidate orderings of the plan's trailing E/I chain
-	// (nil: nothing to adapt), enumerated by the first Adaptive query.
-	routesOnce sync.Once
-	routes     *adaptive.Routes
-}
-
-// preparedPlan is a cachedPlan bound to one epoch: the plan lowered into
-// an executable CompiledPlan over that epoch's snapshot. Holding the
-// snapshot pins the epoch the compiled plan reads, which is what gives
-// running queries snapshot isolation across concurrent mutations.
-type preparedPlan struct {
-	*cachedPlan
+	plan     *plan.Plan
+	gen      uint64
 	compiled *exec.CompiledPlan
-	snap     *live.Snapshot
-	// adaptive is compiled with a router over cachedPlan.routes (compiled
-	// itself when there are none), made by the first Adaptive query of
-	// this binding.
+	// adaptive is compiled with a router over the candidate orderings of
+	// the plan's trailing E/I chain (compiled itself when there are none to
+	// adapt), made by the first Adaptive query.
 	adaptiveOnce sync.Once
 	adaptive     *exec.CompiledPlan
 }
 
-// compiledFor returns the compiled form of pp that a query with options qo
-// runs.
-func (db *DB) compiledFor(pp *preparedPlan, qo *QueryOptions) *exec.CompiledPlan {
-	if !qo.Adaptive {
-		return pp.compiled
-	}
-	pp.adaptiveOnce.Do(func() {
-		pp.routesOnce.Do(func() {
-			pp.routes = adaptive.Enumerate(pp.plan, db.planningStats().cat, adaptive.MaxOrderings)
+// compiledFor returns the compiled form of cp that a query with options qo
+// runs, reading the current snapshot.
+func (db *DB) compiledFor(cp *cachedPlan, qo *QueryOptions) *exec.CompiledPlan {
+	compiled := cp.compiled
+	if qo.Adaptive {
+		cp.adaptiveOnce.Do(func() {
+			routes := adaptive.Enumerate(cp.plan, db.planningStats().cat, adaptive.MaxOrderings)
+			cp.adaptive = cp.compiled.Adaptive(routes)
 		})
-		pp.adaptive = pp.compiled.Adaptive(pp.routes)
-	})
-	return pp.adaptive
+		compiled = cp.adaptive
+	}
+	return compiled.On(db.store.Snapshot())
 }
 
-// bind returns cp compiled against snap, reusing the current binding when
-// it already reads snap. Lowering a finished plan is microseconds, against
-// milliseconds for optimizing one.
-func (cp *cachedPlan) bind(snap *live.Snapshot) (*preparedPlan, error) {
-	if pp := cp.bound.Load(); pp != nil && pp.snap == snap {
-		return pp, nil
-	}
-	compiled, err := exec.Compile(snap, cp.plan)
-	if err != nil {
-		return nil, err
-	}
-	pp := &preparedPlan{cachedPlan: cp, compiled: compiled, snap: snap}
-	cp.bound.Store(pp)
-	return pp, nil
-}
-
-// dropStaleBindings is the epoch hook: it unbinds every cached plan still
-// compiled against a superseded snapshot, so the plan cache never pins an
-// old epoch's overlay or a pre-compaction CSR. The entries stay; the next
-// query of each re-binds it. In-flight queries are unaffected — they hold
-// their own preparedPlan reference.
-func (db *DB) dropStaleBindings() {
-	if db.plans == nil {
-		return
-	}
-	cur := db.store.Snapshot()
-	db.plans.Range(func(_ string, cp *cachedPlan) {
-		if pp := cp.bound.Load(); pp != nil && pp.snap != cur {
-			cp.bound.CompareAndSwap(pp, nil)
-		}
-	})
-}
-
-// preparedFor returns the plan for the canonical query canon, whose code
-// is code (from the cache when possible), bound to the current epoch, and
-// how long the optimizer took when the plan had to be made (0 on a cache
-// hit).
-func (db *DB) preparedFor(canon *query.Graph, code query.Code, wcoOnly, skipCache bool) (*preparedPlan, time.Duration, error) {
-	snap := db.store.Snapshot()
+// planFor returns the plan for the canonical query canon, whose code is
+// code — from the cache when possible — and how long the optimizer took
+// when the plan had to be made (0 on a cache hit).
+func (db *DB) planFor(canon *query.Graph, code query.Code, wcoOnly, skipCache bool) (*cachedPlan, time.Duration, error) {
 	st := db.planningStats()
-	var (
-		key string
-		cp  *cachedPlan
-	)
+	var key string
 	if db.plans != nil && !skipCache {
 		key = planKey(code, st.gen, wcoOnly)
-		cp, _ = db.plans.Get(key)
-	}
-	cached := cp != nil
-	var planTook time.Duration
-	if !cached {
-		planStart := time.Now()
-		p, err := optimizer.Optimize(canon, optimizer.Options{
-			Catalogue: st.cat,
-			WCOOnly:   wcoOnly,
-			// Plans are cached per canonical query and shared across runs with
-			// factorization on or off (Distinct turns it off), so pricing
-			// assumes the default (on): star-suffix set reuse is what the batch
-			// engine actually executes.
-			Factorized: true,
-		})
-		if err != nil {
-			return nil, 0, err
+		if cp, ok := db.plans.Get(key); ok {
+			return cp, 0, nil
 		}
-		planTook = time.Since(planStart)
-		db.planSeconds.ObserveDuration(planTook)
-		cp = &cachedPlan{plan: p, gen: st.gen}
 	}
-	pp, err := cp.bind(snap)
+	planStart := time.Now()
+	p, err := optimizer.Optimize(canon, optimizer.Options{
+		Catalogue: st.cat,
+		WCOOnly:   wcoOnly,
+		// Plans are cached per canonical query and shared across runs with
+		// factorization on or off (Distinct turns it off), so pricing
+		// assumes the default (on): star-suffix set reuse is what the batch
+		// engine actually executes.
+		Factorized: true,
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	if !cached && key != "" {
+	planTook := time.Since(planStart)
+	db.planSeconds.ObserveDuration(planTook)
+	compiled, err := exec.Compile(nil, p)
+	if err != nil {
+		return nil, 0, err
+	}
+	cp := &cachedPlan{plan: p, gen: st.gen, compiled: compiled}
+	if key != "" {
 		db.plans.Put(key, cp)
 	}
-	// If a mutation or compaction landed since snap was loaded, the epoch
-	// hook may have swept the cache before this binding was reachable from
-	// it; unbind it ourselves rather than pin snap until the next epoch.
-	// (A binding stored while snap is still current is visible to every
-	// later sweep, so this check cannot miss.)
-	if db.store.Snapshot() != snap {
-		cp.bound.CompareAndSwap(pp, nil)
-	}
-	return pp, planTook, nil
+	return cp, planTook, nil
 }
 
 // planKey is the plan-cache key of a canonical code: the code, then the
@@ -715,13 +649,11 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 // for concurrent use from multiple goroutines: the compiled plan is
 // immutable and every run carries its own mutable state.
 //
-// A PreparedQuery tracks the DB's epoch: each run starts from the
-// current epoch's snapshot. When mutations or compaction have bumped the
-// epoch since the last run it keeps its plan and only re-binds it to the
-// new snapshot; it re-plans (through the plan cache) only when a new
-// statistics generation has been published. A run in flight keeps the
-// snapshot it started on, so it never observes a mutation applied after
-// it began.
+// A PreparedQuery tracks the DB's epoch: each run reads the snapshot
+// current when it starts, with the same compiled plan whatever the epoch;
+// it re-plans (through the plan cache) only when a new statistics
+// generation has been published. A run in flight keeps the snapshot it
+// started on, so it never observes a mutation applied after it began.
 type PreparedQuery struct {
 	db *DB
 	// canon is the pattern's canonical form, the unit of planning; code is
@@ -740,24 +672,23 @@ type PreparedQuery struct {
 	// prepared; 0 when the plan cache already held its plan.
 	planTook time.Duration
 	// cur is the most recently resolved plan; it is replaced on first use
-	// after an epoch bump or a new statistics generation.
-	cur atomic.Pointer[preparedPlan]
+	// after a new statistics generation.
+	cur atomic.Pointer[cachedPlan]
 }
 
-// resolve returns the plan bound to the current epoch under the current
-// statistics generation, re-binding or re-planning if the held one is
-// stale.
-func (pq *PreparedQuery) resolve() (*preparedPlan, error) {
-	pp := pq.cur.Load()
-	if pp.snap == pq.db.store.Snapshot() && pp.gen == pq.db.stats.Load().gen {
-		return pp, nil
+// resolve returns the plan for the current statistics generation,
+// re-planning if the held one is stale.
+func (pq *PreparedQuery) resolve() (*cachedPlan, error) {
+	cp := pq.cur.Load()
+	if cp.gen == pq.db.stats.Load().gen {
+		return cp, nil
 	}
-	pp, _, err := pq.db.preparedFor(pq.canon, pq.code, pq.wcoOnly, pq.skipCache)
+	cp, _, err := pq.db.planFor(pq.canon, pq.code, pq.wcoOnly, pq.skipCache)
 	if err != nil {
 		return nil, err
 	}
-	pq.cur.Store(pp)
-	return pp, nil
+	pq.cur.Store(cp)
+	return cp, nil
 }
 
 // Prepare compiles the pattern for repeated execution. Planning uses the
@@ -784,7 +715,7 @@ func (db *DB) prepare(pattern string, wcoOnly, skipCache bool) (*PreparedQuery, 
 	}
 	code, perm := q.CanonicalCodeWithPerm()
 	canon := q.Renumber(perm)
-	pp, planTook, err := db.preparedFor(canon, code, wcoOnly, skipCache)
+	cp, planTook, err := db.planFor(canon, code, wcoOnly, skipCache)
 	if err != nil {
 		return nil, err
 	}
@@ -793,7 +724,7 @@ func (db *DB) prepare(pattern string, wcoOnly, skipCache bool) (*PreparedQuery, 
 		names[canon] = q.Vertices[orig].Name
 	}
 	pq := &PreparedQuery{db: db, canon: canon, code: code, wcoOnly: wcoOnly, skipCache: skipCache, names: names, planTook: planTook}
-	pq.cur.Store(pp)
+	pq.cur.Store(cp)
 	return pq, nil
 }
 
@@ -812,12 +743,12 @@ func (pq *PreparedQuery) CountStats(opts *QueryOptions) (int64, Stats, error) {
 	if opts != nil {
 		qo = *opts
 	}
-	pp, err := pq.resolve()
+	cp, err := pq.resolve()
 	if err != nil {
 		return 0, Stats{}, err
 	}
-	n, prof, err := pq.db.runCount(pp, qo)
-	return n, statsFrom(pp.plan, prof, n), err
+	n, prof, err := pq.db.runCount(cp, qo)
+	return n, statsFrom(cp.plan, prof, n), err
 }
 
 // Match evaluates the prepared query, invoking fn with each match as a
@@ -837,11 +768,11 @@ func (pq *PreparedQuery) Match(fn func(map[string]uint32) bool, opts *QueryOptio
 
 // match is Match returning the run's profile.
 func (pq *PreparedQuery) match(fn func(map[string]uint32) bool, qo QueryOptions) (exec.Profile, error) {
-	pp, err := pq.resolve()
+	cp, err := pq.resolve()
 	if err != nil {
 		return exec.Profile{}, err
 	}
-	layout := pp.plan.Root.Out()
+	layout := cp.plan.Root.Out()
 	names := make([]string, len(layout))
 	for slot, v := range layout {
 		names[slot] = pq.names[v]
@@ -858,7 +789,7 @@ func (pq *PreparedQuery) match(fn func(map[string]uint32) bool, qo QueryOptions)
 		stopped   bool
 		delivered int64
 	)
-	return pq.db.compiledFor(pp, &qo).RunCtx(qo.context(), cfg, func(t []graph.VertexID) bool {
+	return pq.db.compiledFor(cp, &qo).RunCtx(qo.context(), cfg, func(t []graph.VertexID) bool {
 		if qo.Distinct && !allDistinct(t) {
 			return true
 		}
@@ -881,8 +812,8 @@ func (pq *PreparedQuery) match(fn func(map[string]uint32) bool, qo QueryOptions)
 // running it (the Explain view). It reflects the most recently resolved
 // statistics generation; a pending re-plan is not forced.
 func (pq *PreparedQuery) Stats() Stats {
-	pp := pq.cur.Load()
-	return Stats{PlanKind: pp.plan.Kind(), Plan: pp.plan.Describe()}
+	cp := pq.cur.Load()
+	return Stats{PlanKind: cp.plan.Kind(), Plan: cp.plan.Describe()}
 }
 
 // PlanDigest returns a short stable identifier of the prepared plan:
@@ -891,11 +822,11 @@ func (pq *PreparedQuery) Stats() Stats {
 // canonicalize to the same pattern and received the same plan, so
 // slow-query log lines can be grouped by plan across processes.
 func (pq *PreparedQuery) PlanDigest() string {
-	pp := pq.cur.Load()
+	cp := pq.cur.Load()
 	h := fnv.New64a()
 	io.WriteString(h, string(pq.code))
 	io.WriteString(h, "|")
-	io.WriteString(h, pp.plan.Describe())
+	io.WriteString(h, cp.plan.Describe())
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
@@ -947,9 +878,10 @@ func (db *DB) memBudget(qo *QueryOptions) *resource.Budget {
 	return resource.NewBudget(limit, db.gov)
 }
 
-// runCount executes a compiled plan under the given options.
-func (db *DB) runCount(pp *preparedPlan, qo QueryOptions) (int64, exec.Profile, error) {
-	compiled := db.compiledFor(pp, &qo)
+// runCount executes a cached plan on the current snapshot under the
+// given options.
+func (db *DB) runCount(cp *cachedPlan, qo QueryOptions) (int64, exec.Profile, error) {
+	compiled := db.compiledFor(cp, &qo)
 	ctx := qo.context()
 	cfg := qo.execConfig()
 	mem := db.memBudget(&qo)
@@ -1008,9 +940,9 @@ func (db *DB) CountStats(pattern string, opts *QueryOptions) (int64, Stats, erro
 	if err != nil {
 		return 0, Stats{}, err
 	}
-	pp := pq.cur.Load()
-	n, prof, err := db.runCount(pp, qo)
-	return n, statsFrom(pp.plan, prof, n), err
+	cp := pq.cur.Load()
+	n, prof, err := db.runCount(cp, qo)
+	return n, statsFrom(cp.plan, prof, n), err
 }
 
 // allDistinct reports whether the tuple binds pairwise-distinct data
@@ -1068,12 +1000,12 @@ func (db *DB) Analyze(pattern string, opts *QueryOptions) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	pp := pq.cur.Load()
-	ops, prof, err := pp.compiled.AnalyzeCtx(qo.context(), qo.execConfig())
+	cp := pq.cur.Load()
+	ops, prof, err := cp.compiled.On(db.store.Snapshot()).AnalyzeCtx(qo.context(), qo.execConfig())
 	if err != nil {
 		return Stats{}, err
 	}
-	st := statsFrom(pp.plan, prof, prof.Matches)
+	st := statsFrom(cp.plan, prof, prof.Matches)
 	st.Plan = ops.Describe()
 	return st, nil
 }
@@ -1136,8 +1068,8 @@ type ApplyResult struct {
 // Apply runs one mutation batch atomically against the live store:
 // either the whole batch becomes a single new epoch, or (on validation
 // error) nothing changes. In-flight queries keep the snapshot they
-// started on; subsequent queries keep their cached plans and re-bind them
-// to the new epoch. The background compactor folds the delta overlay into
+// started on; subsequent queries run their cached plans on the new epoch.
+// The background compactor folds the delta overlay into
 // a fresh CSR base once it outgrows Options.CompactThreshold.
 func (db *DB) Apply(b Batch) (ApplyResult, error) {
 	lb := live.Batch{

@@ -125,22 +125,6 @@ func (c *Cache[V]) Clear() int {
 	return removed
 }
 
-// Range calls fn once for every cached entry, without touching recency
-// or the hit/miss counters. fn runs under the entry's shard lock, so it
-// must be brief and must not call back into the cache. Entries stored
-// or evicted concurrently may or may not be visited.
-func (c *Cache[V]) Range(fn func(key string, val V)) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for el := s.order.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*entry[V])
-			fn(e.key, e.val)
-		}
-		s.mu.Unlock()
-	}
-}
-
 // Len returns the current number of cached entries.
 func (c *Cache[V]) Len() int {
 	n := 0

@@ -115,27 +115,3 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatalf("Len = %d exceeds capacity", c.Len())
 	}
 }
-
-func TestRangeVisitsEveryEntryWithoutSideEffects(t *testing.T) {
-	c := New[int](64 * numShards) // no shard can overflow with 40 keys
-	want := map[string]int{}
-	for i := 0; i < 40; i++ {
-		k := fmt.Sprintf("k%d", i)
-		c.Put(k, i)
-		want[k] = i
-	}
-	before := c.Stats()
-	got := map[string]int{}
-	c.Range(func(k string, v int) { got[k] = v })
-	if len(got) != len(want) {
-		t.Fatalf("Range visited %d entries, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("Range saw %q=%d, want %d", k, got[k], v)
-		}
-	}
-	if after := c.Stats(); after != before {
-		t.Fatalf("Range moved the counters: %+v -> %+v", before, after)
-	}
-}

@@ -557,6 +557,23 @@ func (s *batchExtendState) reset(rc *runContext) {
 	}
 }
 
+// forget drops what the stage holds into the graph its run read — the
+// served set, the gathered operands and run headers, the operand of a run
+// left open — for a pooled worker. A run that unwound mid-batch (Limit,
+// cancellation, budget, panic) left its operand pinned, in buffers nobody
+// vouches for any more: the intersector's Reset clears the bitmap whole.
+// (A carried set is always the stage's own buffer or a batch column.)
+func (s *batchExtendState) forget() {
+	es := &s.es
+	es.it.Reset()
+	es.cacheExt, es.cacheValid = nil, false
+	clear(es.lists[:cap(es.lists)])
+	for i := range es.readers {
+		es.readers[i].Forget()
+	}
+	s.run.list = nil
+}
+
 // minRunRows is the shortest prefix run worth pinning an operand for:
 // marking and clearing a list costs about what sweeping it once does, and
 // a list and the run that shares it are about as long as each other (a

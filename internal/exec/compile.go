@@ -18,7 +18,9 @@ import (
 // each Run/Count call materialises (per-pipeline worker scratch is
 // recycled through a sync.Pool, which is itself concurrency-safe) — so
 // one CompiledPlan may be executed by any number of goroutines
-// simultaneously.
+// simultaneously. The graph it reads is the one it was compiled over or
+// the one On names; the pipelines and their pools depend only on the
+// plan, so one compiled plan serves every snapshot of a live graph.
 type CompiledPlan struct {
 	graph graph.View
 	root  plan.Node
@@ -155,6 +157,7 @@ func (s *probeSpec) newBatchState(rc *runContext, next, inWidth, batch int) batc
 
 // Compile validates p and lowers it into a CompiledPlan over g — any
 // graph View: the immutable CSR store or a live snapshot of one epoch.
+// g may be nil when every run names its graph with On.
 func Compile(g graph.View, p *plan.Plan) (*CompiledPlan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -186,6 +189,16 @@ func (cp *CompiledPlan) Adaptive(routes *adaptive.Routes) *CompiledPlan {
 		graph: cp.graph, root: cp.root, estCard: cp.estCard,
 		pipes: append(slices.Clip(builds), routed),
 	}
+}
+
+// On returns cp reading g: a shallow copy that shares cp's pipelines, and
+// with them its worker and hash-table pools. A pooled worker takes its
+// graph from the run it is handed to and keeps nothing of it when the run
+// ends, so runs on different snapshots share one plan's scratch.
+func (cp *CompiledPlan) On(g graph.View) *CompiledPlan {
+	on := *cp
+	on.graph = g
+	return &on
 }
 
 // Root returns the plan node this CompiledPlan executes.

@@ -15,7 +15,14 @@ import (
 // observable: a 4-clique over a dense random graph.
 func heavyPlan(t testing.TB) *CompiledPlan {
 	t.Helper()
-	g := smallRandomGraph(7, 2000, 60)
+	return heavyPlanDeg(t, 60)
+}
+
+// heavyPlanDeg is heavyPlan over a graph with deg random out-edges per
+// vertex.
+func heavyPlanDeg(t testing.TB, deg int) *CompiledPlan {
+	t.Helper()
+	g := smallRandomGraph(7, 2000, deg)
 	q := query.MustParse("a->b, a->c, a->d, b->c, b->d, c->d")
 	p := buildWCO(t, q, []int{0, 1, 2, 3})
 	cp, err := Compile(g, p)
@@ -43,26 +50,33 @@ func TestCountCtxExpiredContextReturnsImmediately(t *testing.T) {
 // amortized cancellation check: a WCO-heavy count whose context expires
 // mid-run must return context.DeadlineExceeded well before the full
 // evaluation would have finished.
+//
+// The graph doubles its degree until the uncancelled count runs for at
+// least 100ms, so a fast machine still sees the deadline expire mid-run.
 func TestCountCtxDeadlineBoundsLatency(t *testing.T) {
-	cp := heavyPlan(t)
-
-	// Establish that the query genuinely runs long; skip (never fail) on
-	// absurdly fast machines where the premise does not hold.
-	full := time.Now()
-	n, _, err := cp.CountCtx(context.Background(), RunConfig{FastCount: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullDur := time.Since(full)
-	if fullDur < 100*time.Millisecond {
-		t.Skipf("full count of %d matches took only %v; too fast to observe mid-run cancellation", n, fullDur)
+	var cp *CompiledPlan
+	var fullDur time.Duration
+	for deg := 60; ; deg *= 2 {
+		cp = heavyPlanDeg(t, deg)
+		full := time.Now()
+		n, _, err := cp.CountCtx(context.Background(), RunConfig{FastCount: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullDur = time.Since(full)
+		if fullDur >= 100*time.Millisecond {
+			break
+		}
+		if deg >= 480 {
+			t.Skipf("full count of %d matches at degree %d took only %v; too fast to observe mid-run cancellation", n, deg, fullDur)
+		}
 	}
 
 	const deadline = 20 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start := time.Now()
-	_, _, err = cp.CountCtx(ctx, RunConfig{FastCount: true})
+	_, _, err := cp.CountCtx(ctx, RunConfig{FastCount: true})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)

@@ -202,10 +202,11 @@ func (w *worker) chargeCheckout() {
 }
 
 // rebind readies a pooled batch-engine worker for a fresh run: the
-// per-run bindings are replaced and every stage resets its mutable state
-// (cache validity, per-operator counters, hash-table pointers) while
-// keeping its allocated scratch.
+// per-run bindings, the graph the run reads included, are replaced and
+// every stage resets its mutable state (cache validity, per-operator
+// counters, hash-table pointers) while keeping its allocated scratch.
 func (w *worker) rebind(rc *runContext, emit func([]graph.VertexID) bool, stopped *atomic.Bool, mq *morselQueue) {
+	w.g = rc.cp.graph
 	w.rc = rc
 	w.emit = emit
 	w.build, w.frag = rc.tables[w.pipe.feeds], nil
@@ -233,16 +234,31 @@ func (w *worker) rebind(rc *runContext, emit func([]graph.VertexID) bool, stoppe
 // reuse machinery. Poisoned workers (a foreign panic unwound through
 // their stages, so batches and caches may be mid-mutation) are dropped
 // for the garbage collector. References that could pin caller state
-// (emit closures, the run context) are dropped before pooling.
+// (emit closures, the run context) are dropped before pooling, and so is
+// every reference into the graph the run read: the pool outlives the
+// snapshot, and must not keep a superseded overlay or base reachable.
 func (w *worker) release() {
 	if w.edges.batch == nil || w.poisoned {
 		return
 	}
+	w.g = nil
 	w.rc = nil
 	w.emit = nil
 	w.build, w.frag = nil, nil
 	w.stopped = nil
 	w.mq = nil
+	w.scanReader.Forget()
+	for _, s := range w.bstages {
+		switch st := s.(type) {
+		case *batchExtendState:
+			st.forget()
+		case *factorizedTail:
+			for _, leaf := range st.leaves {
+				leaf.forget()
+			}
+			clear(st.sets)
+		}
+	}
 	w.pipe.pool.Put(w)
 }
 
@@ -531,8 +547,8 @@ type extendState struct {
 	// cacheExt is the served extension set: for multiway intersections it
 	// is cacheBuf (owned storage the kernels write into), for
 	// single-descriptor extensions it aliases the immutable adjacency run
-	// directly — valid for the whole run since the epoch snapshot is
-	// pinned — so plain extends never copy their neighbour list.
+	// directly — valid for the whole run, which holds its snapshot — so
+	// plain extends never copy their neighbour list.
 	cacheExt []graph.VertexID
 	cacheBuf []graph.VertexID // owns the cached extension set (flat array)
 	scratch  []graph.VertexID
@@ -578,9 +594,6 @@ func (s *extendState) reset(rc *runContext) {
 	s.pins = s.useCache && s.spec.sets
 	s.it.Words = (rc.cp.graph.NumVertices() + 63) / 64
 	s.cacheValid = false
-	// A run that unwound mid-batch (Limit, cancellation, budget, panic)
-	// left its operand pinned, in buffers nobody vouches for any more.
-	s.it.Reset()
 	// The retained buffers are now held on behalf of the next run: its
 	// budget is recharged for their full capacity on first use.
 	s.metered = 0

@@ -279,12 +279,14 @@ func (it *Intersector) Unpin() {
 // Reset is Unpin for a caller that can no longer vouch for the pinned
 // list — a run abandoned halfway by an early stop, a cancelled query or a
 // panic, whose buffers may have been refilled since: the whole bitmap is
-// cleared.
+// cleared. The lists earlier intersections ordered are forgotten too, so
+// an idle Intersector keeps no list's storage reachable.
 func (it *Intersector) Reset() {
 	if it.pinned != nil {
 		clear(it.marks)
 		it.pinned = nil
 	}
+	clear(it.refs[:cap(it.refs)])
 }
 
 // PinBytes is the memory the pin bitmap holds. Zero until something has

@@ -38,6 +38,11 @@ func (r *NeighborReader) Read(g View, v VertexID, dir Direction, eLabel, nLabel 
 	return r.merged(g, v, dir, eLabel, nLabel)
 }
 
+// Forget drops the run headers wildcard reads left behind, which point
+// into the graph they read, and keeps the reader's own buffers: a reader
+// that outlives the graph keeps none of it reachable.
+func (r *NeighborReader) Forget() { clear(r.runs[:cap(r.runs)]) }
+
 // merged is the wildcard read: the matching partition runs of v, merged
 // into the reader's buffer unless there is at most one.
 func (r *NeighborReader) merged(g View, v VertexID, dir Direction, eLabel, nLabel Label) []VertexID {

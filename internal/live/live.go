@@ -25,9 +25,9 @@ type Config struct {
 	CompactThreshold int
 	// OnEpoch, when non-nil, is called after every epoch publication
 	// (mutation batch or compaction) with the new snapshot, outside the
-	// writer lock. The DB layer uses it to unbind cached plans from the
-	// snapshot they superseded. Hooks of consecutive epochs may run out of
-	// order.
+	// writer lock. It serves the benchmark's replica, which clears its plan
+	// cache on every epoch; the DB layer does not set it. Hooks of
+	// consecutive epochs may run out of order.
 	OnEpoch func(*Snapshot)
 	// Dir, when non-empty, makes the store durable: every mutation batch
 	// is appended (length-prefixed, CRC32-checksummed) to a write-ahead

@@ -232,6 +232,49 @@ func TestCompactionEquivalence(t *testing.T) {
 	}
 }
 
+// TestOnEpochSeesEachPublishedSnapshotOnce checks the epoch hook's
+// contract: one call per Apply that changes the graph and one per Compact
+// that folds an overlay, each with the snapshot it published, and none
+// for a batch of no-ops or a Compact with nothing to fold.
+func TestOnEpochSeesEachPublishedSnapshotOnce(t *testing.T) {
+	var seen []*Snapshot
+	db := mustOpen(t, graph.NewBuilder(4).MustBuild(), Config{
+		CompactThreshold: -1,
+		OnEpoch:          func(s *Snapshot) { seen = append(seen, s) },
+	})
+	step := func(name string, do func() error, publishes bool) {
+		t.Helper()
+		seen = nil
+		before := db.Snapshot()
+		if err := do(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cur := db.Snapshot()
+		switch {
+		case !publishes && (len(seen) != 0 || cur != before):
+			t.Fatalf("%s published %d snapshots to the hook (epoch %d -> %d), want none", name, len(seen), before.Epoch(), cur.Epoch())
+		case publishes && (len(seen) != 1 || seen[0] != cur || cur.Epoch() != before.Epoch()+1):
+			t.Fatalf("%s: hook saw %d snapshots, want exactly the published epoch %d", name, len(seen), before.Epoch()+1)
+		}
+	}
+	apply := func(b Batch) func() error {
+		return func() error { _, err := db.Apply(b); return err }
+	}
+	edges := []EdgeOp{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}
+	step("apply", apply(Batch{AddEdges: edges}), true)
+	step("no-op batch", apply(Batch{
+		AddEdges:    []EdgeOp{edges[0], {Src: 3, Dst: 3}},
+		DeleteEdges: []EdgeOp{{Src: 2, Dst: 3}},
+	}), false)
+	step("compact", db.Compact, true)
+	if s := db.Snapshot(); s.DeltaOps() != 0 || s.Base().NumEdges() != 2 {
+		t.Fatalf("the compaction's snapshot is not rebased: %d overlay ops, %d base edges", s.DeltaOps(), s.Base().NumEdges())
+	}
+	step("compact with nothing to fold", db.Compact, false)
+	step("delete", apply(Batch{DeleteEdges: edges[:1]}), true)
+	step("add vertex", apply(Batch{AddVertices: []graph.Label{1}}), true)
+}
+
 func TestAddVertexAndEdgesToNewVertices(t *testing.T) {
 	db := mustOpen(t, graph.NewBuilder(2).MustBuild(), Config{CompactThreshold: -1})
 	v, err := db.AddVertex(2)
