@@ -37,6 +37,7 @@ package graphflow
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -47,6 +48,7 @@ import (
 	"time"
 
 	"graphflow/internal/adaptive"
+	"graphflow/internal/baseline"
 	"graphflow/internal/cache"
 	"graphflow/internal/catalogue"
 	"graphflow/internal/datagen"
@@ -202,8 +204,6 @@ type QueryOptions struct {
 	// tuples that reach it (Section 6). It selects which compiled form of
 	// the plan runs and nothing else: every other option applies as it
 	// does without it, and a plan with nothing to adapt runs unchanged.
-	// The tuple-at-a-time oracle (BatchSize < 0) runs the plan's own
-	// ordering.
 	Adaptive bool
 	// WCOOnly restricts planning to worst-case-optimal plans. Ignored by
 	// PreparedQuery methods: plan choice is fixed at Prepare time (use
@@ -222,12 +222,15 @@ type QueryOptions struct {
 	// overhead; leave false otherwise.
 	SkipPlanCache bool
 	// BatchSize is the row capacity of the columnar tuple batches the
-	// vectorized executor pushes through its pipelines. 0 picks a
-	// plan-adaptive capacity (scaled down for shallow plans and small
-	// estimated results; explicit values stay authoritative). A negative
-	// value selects the legacy tuple-at-a-time engine — kept as the
-	// differential-testing oracle; production queries should leave this
-	// at 0.
+	// executor pushes through its pipelines. 0 picks a plan-adaptive
+	// capacity (scaled down for shallow plans and small estimated
+	// results; explicit values stay authoritative). A negative value is a
+	// test oracle that bypasses the planner and the executor: Count and
+	// CountStats count with the CFL-style reference evaluator, which
+	// shares no code with the engine, over the current snapshot, honouring
+	// Limit and no other option, and report only Stats.Matches; Match,
+	// Analyze and a Distinct count return an error. Production queries
+	// should leave this at 0.
 	BatchSize int
 	// MemBudgetBytes tightens this query's memory ceiling below the
 	// DB-wide Options.MemBudgetBytes default. The effective ceiling is
@@ -236,7 +239,8 @@ type QueryOptions struct {
 	MemBudgetBytes int64
 }
 
-// Stats reports what one evaluation did.
+// Stats reports what one evaluation did. A reference count
+// (QueryOptions.BatchSize < 0) reports Matches alone.
 type Stats struct {
 	Matches      int64
 	Intermediate int64
@@ -247,7 +251,6 @@ type Stats struct {
 	// include all of its upstream's intersects into that set instead of
 	// re-reading the shared adjacency lists). ICost charges such an
 	// intersection the carried set's size plus the lists it still reads.
-	// Zero under the tuple-at-a-time oracle.
 	CarriedSets int64
 	// Reroutes counts the runs of tuples an Adaptive evaluation sent down
 	// an ordering other than the plan's own; zero when nothing was adapted.
@@ -256,17 +259,15 @@ type Stats struct {
 	// intersection-kernel dispatches by kind: how often the engine merged
 	// two sorted runs, galloped a short run into a long one, or swept a
 	// list through the bitmap of the operand its E/I stage had pinned for
-	// the run (one that repeats from row to row; zero under the
-	// tuple-at-a-time oracle). ICost stays Equation 1's metric —
-	// the pinned operand's size is still charged to every intersection it
-	// takes part in — so comparing the two shows the work the pinned sweep
-	// short-circuited.
+	// the run (one that repeats from row to row). ICost stays Equation 1's
+	// metric — the pinned operand's size is still charged to every
+	// intersection it takes part in — so comparing the two shows the work
+	// the pinned sweep short-circuited.
 	KernelMerge       int64
 	KernelGallop      int64
 	KernelPinnedProbe int64
 	// ScanBatches, ExtendBatches and ProbeBatches count the columnar
-	// batches each stage kind of the vectorized engine dispatched (all
-	// zero under the tuple-at-a-time oracle, BatchSize < 0).
+	// batches each stage kind of the executor dispatched.
 	// ExtendBatches counts E/I stages' batches and also the batches a
 	// factorized tail unfolds its products into when rows are emitted.
 	ScanBatches   int64
@@ -279,12 +280,12 @@ type Stats struct {
 	// being materialized. Both zero when factorization did not apply.
 	FactorizedPrefixes int64
 	FactorizedAvoided  int64
-	// Per-stage wall-time attribution of the vectorized engine in
-	// nanoseconds: scan (adjacency reads and batch fills), E/I intersect
-	// fan-out, hash-probe lookups, the factorized star-suffix tail, the
-	// hash-join build-side insert sink, and the root emit sink. Under
-	// parallel runs the numbers sum across workers (busy time per stage,
-	// not elapsed wall clock); all zero under the tuple-at-a-time oracle.
+	// Per-stage wall-time attribution of the executor in nanoseconds:
+	// scan (adjacency reads and batch fills), E/I intersect fan-out,
+	// hash-probe lookups, the factorized star-suffix tail, the hash-join
+	// build-side insert sink, and the root emit sink. Under parallel runs
+	// the numbers sum across workers (busy time per stage, not elapsed
+	// wall clock).
 	StageScanNanos       int64
 	StageExtendNanos     int64
 	StageProbeNanos      int64
@@ -743,6 +744,9 @@ func (pq *PreparedQuery) CountStats(opts *QueryOptions) (int64, Stats, error) {
 	if opts != nil {
 		qo = *opts
 	}
+	if qo.BatchSize < 0 {
+		return pq.db.referenceCount(pq.canon, qo)
+	}
 	cp, err := pq.resolve()
 	if err != nil {
 		return 0, Stats{}, err
@@ -768,6 +772,9 @@ func (pq *PreparedQuery) Match(fn func(map[string]uint32) bool, opts *QueryOptio
 
 // match is Match returning the run's profile.
 func (pq *PreparedQuery) match(fn func(map[string]uint32) bool, qo QueryOptions) (exec.Profile, error) {
+	if qo.BatchSize < 0 {
+		return exec.Profile{}, errReferenceCountsOnly
+	}
 	cp, err := pq.resolve()
 	if err != nil {
 		return exec.Profile{}, err
@@ -841,25 +848,41 @@ func (pq *PreparedQuery) PlanTime() time.Duration { return pq.planTook }
 // statistics generation.
 func (pq *PreparedQuery) PlanKind() string { return pq.cur.Load().plan.Kind() }
 
-// execConfig maps the per-query knobs onto the executor's RunConfig —
-// the vectorized engine by default, the tuple-at-a-time oracle when
-// BatchSize is negative — and then applies the run-config hook the
-// query's context carries (exec.WithRunConfig), the only way to reach
-// the engine's ablation and fault knobs. Every run of a query, Analyze
-// included, takes its RunConfig from here.
+// execConfig maps the per-query knobs onto the executor's RunConfig and
+// then applies the run-config hook the query's context carries
+// (exec.WithRunConfig), the only way to reach the engine's ablation and
+// fault knobs. Every run of a query, Analyze included, takes its
+// RunConfig from here.
 func (qo *QueryOptions) execConfig() exec.RunConfig {
-	cfg := exec.RunConfig{Workers: qo.Workers}
-	if qo.BatchSize < 0 {
-		cfg.TupleAtATime = true
-	} else {
-		cfg.BatchSize = qo.BatchSize
+	cfg := exec.RunConfig{
+		Workers:   qo.Workers,
+		BatchSize: qo.BatchSize,
 		// Factorized execution is the default; Distinct needs every tuple
 		// enumerated for its post-filter, so it opts out wholesale (the
-		// safe fallback), as does the oracle engine above.
-		cfg.Factorized = !qo.Distinct
+		// safe fallback).
+		Factorized: !qo.Distinct,
 	}
 	exec.ApplyRunConfig(qo.context(), &cfg)
 	return cfg
+}
+
+// errReferenceCountsOnly is what Match, Analyze and a Distinct count
+// return under QueryOptions.BatchSize < 0: the reference evaluator that
+// setting selects only counts.
+var errReferenceCountsOnly = errors.New("graphflow: BatchSize < 0 selects the reference counter, which supports Count and CountStats without Distinct only")
+
+// referenceCount counts q's matches on the current snapshot with the
+// CFL-style baseline evaluator, up to qo.Limit (QueryOptions.BatchSize
+// < 0): no planner, no compiled plan, no executor.
+func (db *DB) referenceCount(q *query.Graph, qo QueryOptions) (int64, Stats, error) {
+	if qo.Distinct {
+		return 0, Stats{}, errReferenceCountsOnly
+	}
+	if err := qo.context().Err(); err != nil {
+		return 0, Stats{}, err
+	}
+	n := baseline.CFLCountUpTo(db.store.Snapshot(), q, qo.Limit)
+	return n, Stats{Matches: n}, nil
 }
 
 // memBudget mints the memory budget of one evaluation: the tighter of
@@ -936,6 +959,13 @@ func (db *DB) CountStats(pattern string, opts *QueryOptions) (int64, Stats, erro
 	if opts != nil {
 		qo = *opts
 	}
+	if qo.BatchSize < 0 {
+		q, err := query.ParseAny(pattern)
+		if err != nil {
+			return 0, Stats{}, err
+		}
+		return db.referenceCount(q, qo)
+	}
 	pq, err := db.prepare(pattern, qo.WCOOnly, qo.SkipPlanCache)
 	if err != nil {
 		return 0, Stats{}, err
@@ -990,11 +1020,14 @@ func (db *DB) Explain(pattern string) (Stats, error) {
 // Context, WCOOnly and BatchSize — what decides the tree it annotates
 // and the counters on it; the run itself is always single-threaded, fully
 // enumerated and on the fixed plan, so Workers, Limit and Adaptive do not
-// apply.
+// apply. A negative BatchSize, which has no plan to annotate, is an error.
 func (db *DB) Analyze(pattern string, opts *QueryOptions) (Stats, error) {
 	var qo QueryOptions
 	if opts != nil {
 		qo = *opts
+	}
+	if qo.BatchSize < 0 {
+		return Stats{}, errReferenceCountsOnly
 	}
 	pq, err := db.prepare(pattern, qo.WCOOnly, false)
 	if err != nil {

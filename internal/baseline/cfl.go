@@ -17,14 +17,14 @@ import (
 //
 // The count it returns uses the same homomorphism semantics as the rest of
 // the repository, so it is directly comparable with every other engine.
-func CFLCount(g *graph.Graph, q *query.Graph) int64 {
+func CFLCount(g graph.View, q *query.Graph) int64 {
 	return CFLCountUpTo(g, q, 0)
 }
 
 // CFLCountUpTo is CFLCount with an output cap: evaluation stops once the
 // count reaches limit (0 = unlimited), matching the 10^5/10^8 output caps
 // of the Appendix C experiment.
-func CFLCountUpTo(g *graph.Graph, q *query.Graph, limit int64) int64 {
+func CFLCountUpTo(g graph.View, q *query.Graph, limit int64) int64 {
 	core := coreMask(q)
 	forestChildren, order := forestStructure(q, core)
 
@@ -232,7 +232,7 @@ func forestStructure(q *query.Graph, core query.Mask) (map[int][]forestEdge, []i
 	return children, order
 }
 
-func coreCandidates(g *graph.Graph, q *query.Graph, u int, assign []graph.VertexID, bound query.Mask, candOK func(int, graph.VertexID) bool) []graph.VertexID {
+func coreCandidates(g graph.View, q *query.Graph, u int, assign []graph.VertexID, bound query.Mask, candOK func(int, graph.VertexID) bool) []graph.VertexID {
 	var best []graph.VertexID
 	have := false
 	for _, e := range q.Edges {
@@ -267,7 +267,7 @@ func coreCandidates(g *graph.Graph, q *query.Graph, u int, assign []graph.Vertex
 	return out
 }
 
-func coreConsistent(g *graph.Graph, q *query.Graph, u int, v graph.VertexID, assign []graph.VertexID, bound query.Mask) bool {
+func coreConsistent(g graph.View, q *query.Graph, u int, v graph.VertexID, assign []graph.VertexID, bound query.Mask) bool {
 	for _, e := range q.Edges {
 		if e.From == u && bound&query.Bit(e.To) != 0 {
 			if !g.HasEdge(v, assign[e.To], e.Label) {

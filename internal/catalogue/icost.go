@@ -13,17 +13,6 @@ func EffectiveICost(sizes []float64) float64 {
 	return total
 }
 
-// StarLeafICost prices one set computation of a star-suffix leaf: the
-// intersection work of materializing a leaf's extension set once for a
-// prefix group. Under factorized execution the set is computed per
-// distinct prefix and reused across the whole cross-product, so the
-// optimizer charges this per prefix group rather than per output tuple
-// — the same arithmetic as EffectiveICost, named separately because it
-// is the unit the factorized multiplier (reuseMult) multiplies against.
-func StarLeafICost(sizes []float64) float64 {
-	return EffectiveICost(sizes)
-}
-
 // CarriedICost prices one set computation of an inheriting extension:
 // the upstream extension set (expected size set) replaces the lists
 // marked in covered — a bitmask over sizes' indices — and is intersected

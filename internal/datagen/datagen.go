@@ -216,7 +216,7 @@ type RunShapesConfig struct {
 // it. Core vertices point back into the periphery, so the core's runs are
 // medium-sized and triangles close through all three parts; one edge
 // enters the hub besides the periphery's, so patterns stay countable by a
-// tuple-at-a-time oracle.
+// backtracking reference matcher.
 func RunShapes(cfg RunShapesConfig) *graph.Graph {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	core, hub := cfg.Core, graph.VertexID(cfg.Core)

@@ -48,7 +48,8 @@ const (
 // TestChaosExecStorm storms the public query API directly: every fourth
 // query is budget-starved, every fourth is panic-injected, every fourth
 // has its context cancelled under it, and the surviving fourth must return
-// the exact oracle count throughout. Every other query of each kind is
+// the exact count throughout — the reference counter's (BatchSize -1),
+// which shares no code with the engine. Every other query of each kind is
 // Adaptive over a WCO plan, so the sabotage also lands in a router and the
 // orderings it built. The engine must map each sabotage to its structured
 // error, leak nothing, and keep serving.
@@ -61,7 +62,7 @@ func TestChaosExecStorm(t *testing.T) {
 
 	oracle := make(map[string]int64, len(chaosPatterns))
 	for _, p := range chaosPatterns {
-		n, err := db.Count(p, nil)
+		n, err := db.Count(p, &graphflow.QueryOptions{BatchSize: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func TestChaosServerStorm(t *testing.T) {
 	}
 	defer db.Close()
 	pattern := chaosPatterns[0]
-	oracle, err := db.Count(pattern, nil)
+	oracle, err := db.Count(pattern, &graphflow.QueryOptions{BatchSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

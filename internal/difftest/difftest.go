@@ -125,7 +125,7 @@ func GenDenseGraph(seed int64, labelled bool) *graph.Graph {
 }
 
 // GenRunGraph returns a run-shaped graph (datagen.RunShapes) sized for
-// the oracle: a core of 20–27, the hub's run longer than the mid batch
+// the reference matcher: a core of 20–27, the hub's run longer than the mid batch
 // size (internal/exec's TestRunBoundaries has the one longer than the
 // largest), every sixteenth periphery vertex with the hub mid-list. With
 // labelled set it is relabelled like GenDenseGraph (2 vertex × 3 edge
@@ -523,6 +523,77 @@ func collectRowsOpts(db *graphflow.DB, pattern string, opts *graphflow.QueryOpti
 	return rows, nil
 }
 
+// reference is what the Compare* sweeps hold the engine to: q's count on
+// ref — the graph db holds, or a from-scratch rebuild of it — and, when
+// that is at most maxRows (or maxRows is 0), its rows in collectRows'
+// form, sorted;
+// with distinct, only the matches that bind pairwise-distinct vertices.
+// Both come from query.RefEnumerate, which shares no code with the engine.
+// A pattern with a wildcard edge label is the exception: its adjacency
+// lists are multisets, the engine's kernels keep the smaller multiplicity,
+// and no reference defines that count, so db's own plan at one row a
+// batch (where no prefix run forms and nothing is pinned) stands in.
+func reference(db *graphflow.DB, ref graph.View, q *query.Graph, wco, distinct bool, maxRows int64) (int64, []string, error) {
+	over := func(n int64) bool { return maxRows > 0 && n > maxRows }
+	pattern := q.String()
+	for _, e := range q.Edges {
+		if e.Label == graph.WildcardLabel {
+			opts := &graphflow.QueryOptions{BatchSize: 1, WCOOnly: wco, Distinct: distinct}
+			n, err := db.Count(pattern, opts)
+			if err != nil || over(n) {
+				return n, nil, err
+			}
+			rows, err := collectRowsOpts(db, pattern, opts)
+			return n, rows, err
+		}
+	}
+	// Parsed back from the pattern db is given, so the names are the ones
+	// Match reports.
+	pq, err := query.ParseAny(pattern)
+	if err != nil {
+		return 0, nil, err
+	}
+	order := make([]int, len(pq.Vertices))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool { return pq.Vertices[order[i]].Name < pq.Vertices[order[j]].Name })
+	var rows []string
+	n := int64(0)
+	query.RefEnumerate(ref, pq, func(a []graph.VertexID) {
+		if distinct && !pairwiseDistinct(a) {
+			return
+		}
+		if n++; over(n) {
+			rows = nil
+			return
+		}
+		var sb strings.Builder
+		for _, v := range order {
+			fmt.Fprintf(&sb, "%s=%d;", pq.Vertices[v].Name, a[v])
+		}
+		rows = append(rows, sb.String())
+	})
+	if over(n) {
+		return n, nil, nil
+	}
+	sort.Strings(rows)
+	return n, rows, nil
+}
+
+// pairwiseDistinct reports whether a binds every query vertex to another
+// data vertex.
+func pairwiseDistinct(a []graph.VertexID) bool {
+	for i := range a {
+		for j := range i {
+			if a[i] == a[j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // diffRows reports the first difference between two sorted row sets.
 func diffRows(rows, wantRows []string) error {
 	if len(rows) != len(wantRows) {
@@ -536,23 +607,17 @@ func diffRows(rows, wantRows []string) error {
 	return nil
 }
 
-// CompareBatchMatrix evaluates q on db under the tuple-at-a-time oracle
-// (BatchSize < 0) and at every entry of BatchSizes, requiring identical
-// counts (sequential and Workers=4) and identical sorted tuple sets.
+// CompareBatchMatrix evaluates q on db at every entry of BatchSizes,
+// requiring the reference's count on ref (the graph db holds; see
+// reference) sequentially and under Workers=4, and its sorted tuple set.
 // Any engine divergence — scan fill, run-grouped intersection, grouped
 // probe, flush/limit accounting, morsel scheduling — surfaces as an
 // error naming the batch size.
-func CompareBatchMatrix(db *graphflow.DB, q *query.Graph) error {
+func CompareBatchMatrix(db *graphflow.DB, ref graph.View, q *query.Graph) error {
 	pattern := q.String()
-	want, err := db.Count(pattern, &graphflow.QueryOptions{BatchSize: -1})
+	want, wantRows, err := reference(db, ref, q, false, false, maxRowCollect)
 	if err != nil {
-		return fmt.Errorf("oracle count of %q: %w", pattern, err)
-	}
-	var wantRows []string
-	if want <= maxRowCollect {
-		if wantRows, err = collectRows(db, pattern, -1); err != nil {
-			return fmt.Errorf("oracle rows of %q: %w", pattern, err)
-		}
+		return fmt.Errorf("reference of %q: %w", pattern, err)
 	}
 	for _, bs := range BatchSizes {
 		got, err := db.Count(pattern, &graphflow.QueryOptions{BatchSize: bs})
@@ -560,14 +625,14 @@ func CompareBatchMatrix(db *graphflow.DB, q *query.Graph) error {
 			return fmt.Errorf("batch %d count of %q: %w", bs, pattern, err)
 		}
 		if got != want {
-			return fmt.Errorf("batch %d count of %q = %d, oracle %d", bs, pattern, got, want)
+			return fmt.Errorf("batch %d count of %q = %d, reference %d", bs, pattern, got, want)
 		}
 		gotPar, err := db.Count(pattern, &graphflow.QueryOptions{BatchSize: bs, Workers: 4})
 		if err != nil {
 			return fmt.Errorf("batch %d parallel count of %q: %w", bs, pattern, err)
 		}
 		if gotPar != want {
-			return fmt.Errorf("batch %d parallel count of %q = %d, oracle %d", bs, pattern, gotPar, want)
+			return fmt.Errorf("batch %d parallel count of %q = %d, reference %d", bs, pattern, gotPar, want)
 		}
 		if wantRows == nil {
 			continue
@@ -584,18 +649,18 @@ func CompareBatchMatrix(db *graphflow.DB, q *query.Graph) error {
 }
 
 // CompareFactorized pits factorized star-suffix execution against the
-// tuple-at-a-time oracle on one (db, pattern) pair: full counts with
+// reference on ref (the graph db holds) for one pattern: full counts with
 // factorization explicitly on and off (sequential and Workers=4), exact
 // Limit caps across a spectrum that lands limits mid-cross-product (the
 // shared-budget claiming must sum to exactly min(limit, total) even
 // across racing workers), and identical sorted tuple sets from the lazy
 // unfold. Patterns without a star-shaped suffix degrade to plain batch
 // execution, so the sweep is safe on any corpus pattern.
-func CompareFactorized(db *graphflow.DB, q *query.Graph) error {
+func CompareFactorized(db *graphflow.DB, ref graph.View, q *query.Graph) error {
 	pattern := q.String()
-	want, err := db.Count(pattern, &graphflow.QueryOptions{BatchSize: -1})
+	want, wantRows, err := reference(db, ref, q, false, false, maxRowCollect)
 	if err != nil {
-		return fmt.Errorf("oracle count of %q: %w", pattern, err)
+		return fmt.Errorf("reference of %q: %w", pattern, err)
 	}
 	for _, workers := range []int{0, 4} {
 		for _, off := range []bool{false, true} {
@@ -608,7 +673,7 @@ func CompareFactorized(db *graphflow.DB, q *query.Graph) error {
 				return fmt.Errorf("factorized(off=%v) workers=%d count of %q: %w", off, workers, pattern, err)
 			}
 			if got != want {
-				return fmt.Errorf("factorized(off=%v) workers=%d count of %q = %d, oracle %d", off, workers, pattern, got, want)
+				return fmt.Errorf("factorized(off=%v) workers=%d count of %q = %d, reference %d", off, workers, pattern, got, want)
 			}
 		}
 	}
@@ -634,12 +699,8 @@ func CompareFactorized(db *graphflow.DB, q *query.Graph) error {
 			}
 		}
 	}
-	// The lazy unfold must deliver the oracle's exact tuple set.
-	if want <= maxRowCollect {
-		wantRows, err := collectRows(db, pattern, -1)
-		if err != nil {
-			return fmt.Errorf("oracle rows of %q: %w", pattern, err)
-		}
+	// The lazy unfold must deliver the reference's exact tuple set.
+	if wantRows != nil {
 		rows, err := collectRows(db, pattern, 0)
 		if err != nil {
 			return fmt.Errorf("factorized rows of %q: %w", pattern, err)
@@ -655,39 +716,41 @@ func CompareFactorized(db *graphflow.DB, q *query.Graph) error {
 // sets: on one (db, pattern) pair, for the optimizer's plan and the
 // WCO-restricted one (the chains where stages inherit), at every entry of
 // RunBatchSizes (prefix runs split across batch boundaries differently at
-// each), it requires the oracle's count sequentially and under Workers=4,
-// with factorization on and off and with the intersection cache — hence
-// the carrying and the pinning — off; an exact Limit spectrum; and the
-// oracle's sorted row set. It returns how many intersections were seeded
-// with a carried set and how many swept a list through a pinned operand's
-// bitmap, so a corpus can assert its path was exercised at all.
-func CompareCarried(db *graphflow.DB, q *query.Graph) (carried, pinned int64, err error) {
-	st, err := compareEngine(db, q, RunBatchSizes, false)
+// each), it requires the reference's count on ref (the graph db holds)
+// sequentially and under Workers=4, with factorization on and off and
+// with the intersection cache — hence the carrying and the pinning — off;
+// an exact Limit spectrum; and the reference's sorted row set. It returns
+// how many intersections were seeded with a carried set and how many
+// swept a list through a pinned operand's bitmap, so a corpus can assert
+// its path was exercised at all.
+func CompareCarried(db *graphflow.DB, ref graph.View, q *query.Graph) (carried, pinned int64, err error) {
+	st, err := compareEngine(db, ref, q, RunBatchSizes, false)
 	return st.CarriedSets, st.KernelPinnedProbe, err
 }
 
 // CompareAdaptive is CompareCarried with every engine query Adaptive
 // (Section 6: the plan's trailing E/I chain re-ordered from run to run of
 // tuples), plus what the option used to ignore or break, at every batch
-// size, sequentially and under Workers=4: the oracle's Distinct count, a
-// Limit through Match, and the oracle's rows — which arrive in another
-// order but in the plan's own layout, so the sorted row sets must still
-// be equal. It returns how many runs left the plan's own ordering, so a
-// corpus can assert that its routers had something to route.
-func CompareAdaptive(db *graphflow.DB, q *query.Graph) (reroutes int64, err error) {
-	st, err := compareEngine(db, q, BatchSizes, true)
+// size, sequentially and under Workers=4: the reference's Distinct
+// count, a Limit through Match, and the reference's rows — which arrive
+// in another order but in the plan's own layout, so the sorted row sets
+// must still be equal. It returns how many runs left the plan's own
+// ordering, so a corpus can assert that its routers had something to
+// route.
+func CompareAdaptive(db *graphflow.DB, ref graph.View, q *query.Graph) (reroutes int64, err error) {
+	st, err := compareEngine(db, ref, q, BatchSizes, true)
 	if err != nil {
 		return st.Reroutes, err
 	}
 	pattern := q.String()
 	for _, wco := range []bool{false, true} {
-		wantRows, err := collectRowsOpts(db, pattern, &graphflow.QueryOptions{BatchSize: -1, WCOOnly: wco})
+		_, wantRows, err := reference(db, ref, q, wco, false, 0)
 		if err != nil {
-			return st.Reroutes, fmt.Errorf("oracle rows of %q: %w", pattern, err)
+			return st.Reroutes, fmt.Errorf("reference rows of %q: %w", pattern, err)
 		}
-		wantDistinct, err := db.Count(pattern, &graphflow.QueryOptions{BatchSize: -1, WCOOnly: wco, Distinct: true})
+		wantDistinct, _, err := reference(db, ref, q, wco, true, 0)
 		if err != nil {
-			return st.Reroutes, fmt.Errorf("oracle distinct count of %q: %w", pattern, err)
+			return st.Reroutes, fmt.Errorf("reference distinct count of %q: %w", pattern, err)
 		}
 		for _, bs := range BatchSizes {
 			for _, workers := range []int{0, 4} {
@@ -701,7 +764,7 @@ func CompareAdaptive(db *graphflow.DB, q *query.Graph) (reroutes int64, err erro
 				}
 				opts.Distinct = true
 				if got, err := db.Count(pattern, &opts); err != nil || got != wantDistinct {
-					return st.Reroutes, fmt.Errorf("count of %q under %+v = %d, %v; oracle %d", pattern, opts, got, err, wantDistinct)
+					return st.Reroutes, fmt.Errorf("count of %q under %+v = %d, %v; reference %d", pattern, opts, got, err, wantDistinct)
 				}
 				opts.Distinct, opts.Limit = false, int64(len(wantRows)/2)
 				if rows, err = collectRowsOpts(db, pattern, &opts); err != nil || len(rows) != len(wantRows)/2 {
@@ -716,19 +779,12 @@ func CompareAdaptive(db *graphflow.DB, q *query.Graph) (reroutes int64, err erro
 // compareEngine is the sweep behind CompareCarried and CompareAdaptive,
 // at the given batch sizes; the Stats it returns sum CarriedSets,
 // KernelPinnedProbe and Reroutes over the sweep's full counts.
-func compareEngine(db *graphflow.DB, q *query.Graph, sizes []int, adaptive bool) (sum graphflow.Stats, err error) {
+func compareEngine(db *graphflow.DB, ref graph.View, q *query.Graph, sizes []int, adaptive bool) (sum graphflow.Stats, err error) {
 	pattern := q.String()
 	for _, wco := range []bool{false, true} {
-		oracle := &graphflow.QueryOptions{BatchSize: -1, WCOOnly: wco}
-		want, err := db.Count(pattern, oracle)
+		want, wantRows, err := reference(db, ref, q, wco, false, maxRowCollect)
 		if err != nil {
-			return sum, fmt.Errorf("oracle count of %q: %w", pattern, err)
-		}
-		var wantRows []string
-		if want <= maxRowCollect {
-			if wantRows, err = collectRowsOpts(db, pattern, oracle); err != nil {
-				return sum, fmt.Errorf("oracle rows of %q: %w", pattern, err)
-			}
+			return sum, fmt.Errorf("reference of %q: %w", pattern, err)
 		}
 		for _, bs := range sizes {
 			for _, workers := range []int{0, 4} {
@@ -743,7 +799,7 @@ func compareEngine(db *graphflow.DB, q *query.Graph, sizes []int, adaptive bool)
 						return sum, fmt.Errorf("%s count of %q under %+v: %w", v.name, pattern, engine, err)
 					}
 					if got != want {
-						return sum, fmt.Errorf("%s count of %q under %+v = %d, oracle %d", v.name, pattern, engine, got, want)
+						return sum, fmt.Errorf("%s count of %q under %+v = %d, reference %d", v.name, pattern, engine, got, want)
 					}
 					if v.name == "cache off" && (st.CarriedSets != 0 || st.KernelPinnedProbe != 0) {
 						return sum, fmt.Errorf("%q under %+v carried %d sets and dispatched %d pinned probes with the cache off",

@@ -178,9 +178,9 @@ func TestDifferentialSnapshotIsolation(t *testing.T) {
 }
 
 // TestDifferentialBatchSizes runs the random (graph, pattern) corpus
-// through the batch-size matrix: every entry must produce identical
-// counts (sequential and parallel) and identical sorted tuple sets at
-// batch sizes {1, 3, 64, 1024} and under the tuple-at-a-time oracle.
+// through the batch-size matrix: every entry must produce the reference
+// matcher's count (sequential and parallel) and sorted tuple set at
+// batch sizes {1, 3, 64, 1024}.
 func TestDifferentialBatchSizes(t *testing.T) {
 	numGraphs, patternsPer := 6, 8
 	if testing.Short() {
@@ -195,7 +195,7 @@ func TestDifferentialBatchSizes(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed * 31337))
 		for pi := 0; pi < patternsPer; pi++ {
-			if err := CompareBatchMatrix(db, GenPattern(rng)); err != nil {
+			if err := CompareBatchMatrix(db, g, GenPattern(rng)); err != nil {
 				t.Errorf("graph seed %d pattern %d: %v", seed, pi, err)
 			}
 		}
@@ -203,7 +203,7 @@ func TestDifferentialBatchSizes(t *testing.T) {
 }
 
 // TestDifferentialFactorized sweeps factorized star-suffix execution
-// against the tuple-at-a-time oracle: identical full counts with
+// against the reference matcher: identical full counts with
 // factorization on and off, exact Limit caps under Workers=4 (the
 // shared-budget product claiming), and identical sorted tuple sets from
 // the lazy unfold. The corpus mixes random patterns (some with star
@@ -233,13 +233,13 @@ func TestDifferentialFactorized(t *testing.T) {
 			if err != nil {
 				t.Fatalf("star %d: %v", si, err)
 			}
-			if err := CompareFactorized(db, q); err != nil {
+			if err := CompareFactorized(db, g, q); err != nil {
 				t.Errorf("graph seed %d star %d: %v", seed, si, err)
 			}
 		}
 		rng := rand.New(rand.NewSource(seed * 48611))
 		for pi := 0; pi < patternsPer; pi++ {
-			if err := CompareFactorized(db, GenPattern(rng)); err != nil {
+			if err := CompareFactorized(db, g, GenPattern(rng)); err != nil {
 				t.Errorf("graph seed %d pattern %d: %v", seed, pi, err)
 			}
 		}
@@ -248,7 +248,8 @@ func TestDifferentialFactorized(t *testing.T) {
 
 // TestDifferentialFactorizedLive runs the factorized sweep across live
 // mutation batches: after each batch the factorized counts and caps on
-// the live snapshot must agree with the oracle on the same snapshot.
+// the live snapshot must agree with the reference matcher on a
+// from-scratch rebuild of the same logical graph.
 func TestDifferentialFactorizedLive(t *testing.T) {
 	numTrials, batchesPer := 4, 2
 	if testing.Short() {
@@ -269,7 +270,7 @@ func TestDifferentialFactorizedLive(t *testing.T) {
 				t.Fatalf("seed %d batch %d: %v", seed, b, err)
 			}
 			sh.Apply(batch)
-			if err := CompareFactorized(db, GenPattern(rng)); err != nil {
+			if err := CompareFactorized(db, sh.Build(), GenPattern(rng)); err != nil {
 				t.Errorf("seed %d batch %d: %v", seed, b, err)
 			}
 		}
@@ -278,9 +279,10 @@ func TestDifferentialFactorizedLive(t *testing.T) {
 }
 
 // TestDifferentialBatchLimits is the Limit cap regression: at
-// every batch size (and the oracle), with Workers > 1, Count with a
-// Limit and Match with a Limit must deliver exactly the capped number of
-// results — never limit±overshoot from racing batch flushes. The triangle
+// every batch size, with Workers > 1, Count with a Limit and Match with a
+// Limit must deliver exactly the capped number of results — never
+// limit±overshoot from racing batch flushes; so must the reference count
+// (BatchSize -1), which has no Match. The triangle
 // runs as a WCO chain; the second pattern is one the optimizer joins by
 // hash, where the limit sizes the driver pipeline's batches and must leave
 // the build side whole.
@@ -308,7 +310,7 @@ func TestDifferentialBatchLimits(t *testing.T) {
 			if (pq.PlanKind() != "wco") != tc.hashJoin {
 				continue
 			}
-			if full, err = pq.Count(nil); err != nil {
+			if full, err = pq.Count(&graphflow.QueryOptions{BatchSize: -1}); err != nil {
 				t.Fatal(err)
 			}
 			if full >= 20 {
@@ -318,8 +320,8 @@ func TestDifferentialBatchLimits(t *testing.T) {
 		if db == nil {
 			t.Fatalf("no corpus graph in the seed window has >= 20 matches of %q under a plan with hashJoin=%v", tc.pattern, tc.hashJoin)
 		}
-		// -1 is the oracle, 0 the engine's own choice: the adaptive size,
-		// which follows the limit.
+		// -1 is the reference count, 0 the engine's own choice: the
+		// adaptive size, which follows the limit.
 		sizes := append([]int{-1, 0}, BatchSizes...)
 		for _, bs := range sizes {
 			for _, limit := range []int64{1, 5, full - 1, full + 50} {
@@ -334,6 +336,9 @@ func TestDifferentialBatchLimits(t *testing.T) {
 				}
 				if n != wantN {
 					t.Errorf("%q bs=%d limit=%d: Count = %d, want %d", tc.pattern, bs, limit, n, wantN)
+				}
+				if bs < 0 {
+					continue
 				}
 				delivered := int64(0)
 				err = db.Match(tc.pattern, func(map[string]uint32) bool {
@@ -361,7 +366,7 @@ func TestDifferentialBatchLimits(t *testing.T) {
 // runs cut by a batch end and resumed from the next batch's headSet, a
 // hub-sized partner in the middle of a run. Wrongly carried, stale or
 // mis-sliced sets surface as count, limit or row-set mismatches against
-// the tuple-at-a-time oracle, which never carries.
+// the reference matcher, which shares no code with the engine.
 func TestDifferentialCarriedSets(t *testing.T) {
 	numGraphs, patternsPer := 6, 3
 	if testing.Short() {
@@ -391,10 +396,11 @@ func TestDifferentialCarriedSets(t *testing.T) {
 			}
 			sh.Apply(batch)
 		}
+		rebuilt := sh.Build()
 		for pi := 0; pi < patternsPer; pi++ {
 			q := GenDensePattern(rng, labelled)
-			for name, db := range map[string]*graphflow.DB{"static": static, "live": live} {
-				n, _, err := CompareCarried(db, q)
+			for name, db := range map[string]refDB{"static": {static, g}, "live": {live, rebuilt}} {
+				n, _, err := CompareCarried(db.db, db.ref, q)
 				if err != nil {
 					t.Errorf("graph seed %d %s pattern %d: %v", seed, name, pi, err)
 				}
@@ -407,6 +413,14 @@ func TestDifferentialCarriedSets(t *testing.T) {
 		t.Error("no intersection of the whole corpus was seeded with a carried set; the family no longer exercises the path")
 	}
 	t.Logf("corpus carried %d extension sets", carried)
+}
+
+// refDB is a DB under test and the graph its answers are held to: the
+// graph it was opened over, or a from-scratch rebuild of a live DB's
+// shadow.
+type refDB struct {
+	db  *graphflow.DB
+	ref graph.View
 }
 
 // corpusGraph is graph gi of a dense-pattern corpus of n: dense random
@@ -459,7 +473,7 @@ func denseBatch(rng *rand.Rand, sh *Shadow, labelled bool) graphflow.Batch {
 // 1/3/64/1024 so that prefix runs and carried runs are cut by batch
 // boundaries in every way, Workers 1 and 4, factorization on and off, the
 // cache (and with it the pinning) off, exact Limits and full row sets,
-// all against the tuple-at-a-time oracle — on the static store and on a
+// all against the reference matcher — on the static store and on a
 // live overlay that has taken two random batches and one that appends vertices
 // into the dense part of the graph (no compaction: lists come from the
 // overlay's merged runs, IDs beyond the base graph reach the bitmap). The
@@ -469,14 +483,14 @@ func denseBatch(rng *rand.Rand, sh *Shadow, labelled bool) graphflow.Batch {
 // the labelled one — shared operands that are empty; every exact Limit
 // unwinds the pipeline inside a run and the next query reuses its
 // workers. TestDifferentialPinnedPastCutoff holds the hub-sized partner
-// to the oracle on a plan that is sure to meet it, and internal/exec's
+// to the reference on a plan that is sure to meet it, and internal/exec's
 // TestRunBoundaries holds the same shapes to the per-row path's counters.
 func TestDifferentialPinnedOperands(t *testing.T) {
 	numGraphs, patternsPer := 6, 3
 	if testing.Short() {
 		numGraphs, patternsPer = 4, 2
 	}
-	const oracleBudget = 20_000 // matches; denser draws are redrawn
+	const refBudget = 20_000 // matches; denser draws are redrawn
 	var pinned, wildcards int64
 	for gi := 0; gi < numGraphs; gi++ {
 		seed := int64(53000 + gi)
@@ -502,19 +516,20 @@ func TestDifferentialPinnedOperands(t *testing.T) {
 			}
 			sh.Apply(batch)
 		}
+		rebuilt := sh.Build()
 		for pi := 0; pi < patternsPer; {
 			q := GenPinnedPattern(rng, labelled)
-			if n, err := live.Count(q.String(), &graphflow.QueryOptions{Limit: oracleBudget + 1}); err != nil {
+			if n, err := live.Count(q.String(), &graphflow.QueryOptions{Limit: refBudget + 1}); err != nil {
 				t.Fatalf("graph seed %d: sizing %q: %v", seed, q, err)
-			} else if n > oracleBudget {
+			} else if n > refBudget {
 				continue
 			}
 			pi++
 			if q.Edges[0].Label == 0xFFFF {
 				wildcards++
 			}
-			for name, db := range map[string]*graphflow.DB{"static": static, "live": live} {
-				_, n, err := CompareCarried(db, q)
+			for name, db := range map[string]refDB{"static": {static, g}, "live": {live, rebuilt}} {
+				_, n, err := CompareCarried(db.db, db.ref, q)
 				if err != nil {
 					t.Errorf("graph seed %d %s pattern %d: %v", seed, name, pi, err)
 				}
@@ -539,9 +554,9 @@ func TestDifferentialPinnedOperands(t *testing.T) {
 // HubEvery-th periphery vertex one row's partner is the hub's list,
 // graph.PinCutoff times N(a)'s length or more. The optimizer may order
 // the triangle another way, so the chain is compiled here. Counts at
-// every run batch size must be the tuple-at-a-time oracle's, on the
-// static graph and behind a live overlay whose appended vertices the hub
-// points at.
+// every run batch size must be the reference matcher's, on the static
+// graph and behind a live overlay whose appended vertices the hub points
+// at.
 func TestDifferentialPinnedPastCutoff(t *testing.T) {
 	q := query.MustParse("a->b, b->c, a->c")
 	ext, err := plan.NewExtend(q, plan.NewScan(q, q.Edges[0]), 2)
@@ -583,14 +598,11 @@ func TestDifferentialPinnedPastCutoff(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := cp.CountCtx(context.Background(), exec.RunConfig{TupleAtATime: true})
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := query.RefCount(view, q)
 			for _, bs := range RunBatchSizes {
 				got, prof, err := cp.CountCtx(context.Background(), exec.RunConfig{BatchSize: bs})
 				if err != nil || got != want {
-					t.Errorf("graph seed %d %s batch %d: count %d, %v; oracle %d", seed, name, bs, got, err, want)
+					t.Errorf("graph seed %d %s batch %d: count %d, %v; reference %d", seed, name, bs, got, err, want)
 				}
 				if bs > 1 && (prof.Kernels.PinnedProbe == 0 || prof.Kernels.Gallop == 0) {
 					t.Errorf("graph seed %d %s batch %d: kernels %+v, want pinned sweeps and gallops", seed, name, bs, prof.Kernels)
@@ -614,7 +626,7 @@ func TestDifferentialAdaptive(t *testing.T) {
 	if testing.Short() {
 		numGraphs = 2
 	}
-	const oracleBudget = 4_000 // matches; denser draws are redrawn
+	const refBudget = 4_000 // matches; denser draws are redrawn
 	stars := []string{
 		"a->b, b->c, a->c, a->d, c->e",
 		"a->b, b->c, c->d, c->e",
@@ -644,22 +656,23 @@ func TestDifferentialAdaptive(t *testing.T) {
 			}
 			sh.Apply(batch)
 		}
+		rebuilt := sh.Build()
 		draw := func(gen func(*rand.Rand, bool) *query.Graph) *query.Graph {
 			for {
 				q := gen(rng, labelled)
-				n, err := live.Count(q.String(), &graphflow.QueryOptions{Limit: oracleBudget + 1})
+				n, err := live.Count(q.String(), &graphflow.QueryOptions{Limit: refBudget + 1})
 				if err != nil {
 					t.Fatalf("graph seed %d: sizing %q: %v", seed, q, err)
 				}
-				if n <= oracleBudget {
+				if n <= refBudget {
 					return q
 				}
 			}
 		}
 		corpus := []*query.Graph{draw(GenDensePattern), draw(GenPinnedPattern)}
 		for pi, q := range corpus {
-			for name, db := range map[string]*graphflow.DB{"static": static, "live": live} {
-				n, err := CompareAdaptive(db, q)
+			for name, db := range map[string]refDB{"static": {static, g}, "live": {live, rebuilt}} {
+				n, err := CompareAdaptive(db.db, db.ref, q)
 				if err != nil {
 					t.Errorf("graph seed %d %s pattern %d: %v", seed, name, pi, err)
 				}
@@ -670,12 +683,13 @@ func TestDifferentialAdaptive(t *testing.T) {
 	}
 	for gi := 0; gi < numGraphs; gi++ {
 		seed := int64(40000 + gi)
-		db, err := OpenDB(GenGraph(seed))
+		g := GenGraph(seed)
+		db, err := OpenDB(g)
 		if err != nil {
 			t.Fatalf("graph seed %d: %v", seed, err)
 		}
 		for si, s := range stars {
-			n, err := CompareAdaptive(db, query.MustParse(s))
+			n, err := CompareAdaptive(db, g, query.MustParse(s))
 			if err != nil {
 				t.Errorf("graph seed %d star %d: %v", seed, si, err)
 			}

@@ -108,13 +108,14 @@ func (c *pollCtx) Err() error {
 
 // TestDifferentialHashJoin checks the hash-join table end to end on plans
 // that cannot avoid it: forced build/probe splits with one-, two- and
-// three-vertex keys, at batch sizes 1/3/64/1024 and under the tuple
-// engine, one worker and four, on a static graph and on a live overlay.
-// Counts (enumerated and counted by the terminal probe), exact limits and
-// full row sets must equal those of a WCO chain for the same pattern run
-// tuple at a time — a plan with no table in it. MaxBuildRows holds to the
-// row, and a panic injected into the build sink or a cancellation after
-// it leaves the pooled table and workers fit for the next run.
+// three-vertex keys, at batch sizes 1/3/64/1024, one worker and four, on
+// a static graph and on a live overlay. Counts (enumerated and counted by
+// the terminal probe), exact limits and full row sets must equal the
+// reference matcher's (query.RefEnumerate, which has no table, no kernel
+// and no plan) on the graph, or on a from-scratch rebuild of the
+// overlay's logical graph. MaxBuildRows holds to the row, and a panic
+// injected into the build sink or a cancellation after it leaves the
+// pooled table and workers fit for the next run.
 func TestDifferentialHashJoin(t *testing.T) {
 	seeds := []int64{61000, 61001}
 	if testing.Short() {
@@ -139,9 +140,9 @@ func TestDifferentialHashJoin(t *testing.T) {
 			sh.Apply(batch)
 		}
 		views := []struct {
-			name string
-			view graph.View
-		}{{"static", g}, {"overlay", store.Snapshot()}}
+			name      string
+			view, ref graph.View
+		}{{"static", g, g}, {"overlay", store.Snapshot(), sh.Build()}}
 		for _, v := range views {
 			for _, shape := range hashJoinShapes {
 				name := fmt.Sprintf("seed %d %s %s", seed, v.name, shape.name)
@@ -157,15 +158,11 @@ func TestDifferentialHashJoin(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				order := make([]int, q.NumVertices())
-				for i := range order {
-					order[i] = i
-				}
-				ref, err := exec.Compile(v.view, &plan.Plan{Query: q, Root: wcoNode(t, q, order)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantRows := rowsOf(t, ref, exec.RunConfig{TupleAtATime: true})
+				var wantRows []string
+				query.RefEnumerate(v.ref, q, func(a []graph.VertexID) {
+					wantRows = append(wantRows, fmt.Sprint(a))
+				})
+				sort.Strings(wantRows)
 				want := int64(len(wantRows))
 				if want < 10 {
 					t.Fatalf("%s: %d matches; fixture too sparse", name, want)
@@ -182,15 +179,15 @@ func TestDifferentialHashJoin(t *testing.T) {
 func checkHashJoin(t *testing.T, name string, cp *exec.CompiledPlan, want int64, wantRows []string) {
 	t.Helper()
 	var buildRows int64
-	for _, bs := range append([]int{-1}, BatchSizes...) {
+	for _, bs := range BatchSizes {
 		for _, workers := range []int{1, 4} {
-			cfg := exec.RunConfig{BatchSize: bs, TupleAtATime: bs < 0, Workers: workers}
+			cfg := exec.RunConfig{BatchSize: bs, Workers: workers}
 			at := fmt.Sprintf("%s bs=%d workers=%d", name, bs, workers)
 			for _, fast := range []bool{false, true} {
 				cfg.FastCount = fast
 				n, prof, err := cp.CountCtx(context.Background(), cfg)
 				if err != nil || n != want {
-					t.Fatalf("%s fast=%v: count = %d, %v; WCO oracle %d", at, fast, n, err, want)
+					t.Fatalf("%s fast=%v: count = %d, %v; reference %d", at, fast, n, err, want)
 				}
 				if buildRows == 0 {
 					buildRows = prof.HashedTuples

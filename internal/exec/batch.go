@@ -9,12 +9,10 @@ import (
 	"graphflow/internal/graph"
 )
 
-// This file is the vectorized execution engine: tuples flow through the
+// This file is the execution engine's data path: tuples flow through the
 // pipeline as columnar batches (struct-of-arrays, one column per bound
-// query vertex) instead of one at a time, so the per-tuple costs of the
-// oracle engine — an interface dispatch plus a next() closure per stage
-// per tuple — are paid once per batch and the inner loops become plain
-// column sweeps.
+// query vertex) instead of one at a time, so per-stage dispatch is paid
+// once per batch and the inner loops become plain column sweeps.
 //
 // Binary and worst-case optimal joins share one protocol here. Every
 // stage that produces rows — the scan, E/I, the hash probe and the
@@ -27,9 +25,12 @@ import (
 // its key runs with one compare (loadKey): E/I serves an unchanged key
 // from its intersection cache, the probe looks a changed key up once, the
 // router re-prices once. The cancellation poll and match accounting
-// happen at batch granularity with exact row counts. The tuple-at-a-time
-// path (worker.runRange/runStage) is kept as the differential-test oracle
-// behind RunConfig.TupleAtATime.
+// happen at batch granularity with exact row counts.
+//
+// There is one engine. Its tests hold it to references that share no
+// code with it — query.RefCount and query.RefEnumerate (backtracking over
+// graph.View lookups) and baseline.CFLCount — and hold its counters to
+// the same plan run at a batch size of one.
 
 // DefaultBatchSize is the row capacity of one columnar tuple batch when
 // RunConfig.BatchSize is zero. 1024 rows keeps a 6-wide batch (the
@@ -354,9 +355,11 @@ type batchStage interface {
 }
 
 // dispatchBatch hands a produced batch to stage i (the sink, for
-// i <= sinkStage). Every produced row at every stage flows through here —
-// the batch-granular counterpart of countOutput: exact row accounting for
-// the profile plus the amortized cancellation poll.
+// i <= sinkStage). Every produced row at every stage flows through here,
+// which makes it the natural hook for exact row accounting and for the
+// amortized cancellation poll: long-running pipelines produce rows
+// constantly, so polling every cancelCheckInterval rows bounds
+// cancellation latency without a per-row context load.
 //
 //gf:noalloc
 func (w *worker) dispatchBatch(i int, b *tupleBatch) {
@@ -406,8 +409,8 @@ func (w *worker) deliver(i int, b *tupleBatch) {
 // sinkBatch is the end of the pipeline. A build pipeline's batch goes
 // into the worker's hash-table fragment whole; the driver's rows are
 // delivered to emit row-at-a-time (the emit contract is a flat tuple),
-// and a false return unwinds via stopRun exactly like the oracle. With
-// neither, the rows were already counted by dispatchBatch.
+// and a false return unwinds via stopRun. With neither, the rows were
+// already counted by dispatchBatch.
 func (w *worker) sinkBatch(b *tupleBatch) {
 	if w.build != nil {
 		w.admitBuild(b.n).appendBatch(b)
@@ -610,8 +613,7 @@ func (s *batchExtendState) endRun(w *worker) {
 // list through the bitmap (graph.Intersector.ProbePinned) — or, past the
 // cut-off towards hubs, the ordinary dispatch over the lists already
 // gathered. A row in no run, and every row when the cache is off or a
-// list may be a multiset, takes extensionSetFor's general path, as the
-// tuple-at-a-time oracle does.
+// list may be a multiset, takes extensionSetFor's general path.
 func (s *batchExtendState) extFor(w *worker, in *tupleBatch, r int) []graph.VertexID {
 	es := &s.es
 	if r < s.run.end {
@@ -768,9 +770,9 @@ func (s *batchProbeState) pushBatch(w *worker, in *tupleBatch) {
 	ps := &s.ps
 	bw := ps.table.rowWidth
 	for r := 0; r < in.n; r++ {
-		// probes stays a per-input-row counter (like the oracle's), so
-		// Analyze's per-node numbers are engine- and batch-size-
-		// independent; one lookup per key run is purely an optimization.
+		// probes stays a per-input-row counter, so Analyze's per-node
+		// numbers are batch-size-independent; one lookup per key run is
+		// purely an optimization.
 		w.profile.ProbedTuples++
 		ps.probes++
 		if loadKey(ps.key, in, ps.spec.probeSlots, r) != 0 {
@@ -891,7 +893,7 @@ func (w *worker) runWorkerLoop(q *morselQueue) {
 		// rather than spin hard.
 		runtime.Gosched()
 	}
-	if w.edges.batch != nil && !w.stopped.Load() {
+	if !w.stopped.Load() {
 		w.recovered(w.flushBatches)
 	}
 }

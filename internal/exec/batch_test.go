@@ -62,9 +62,9 @@ func plansUnderTest(t *testing.T, g *graph.Graph) map[string]*plan.Plan {
 	return plans
 }
 
-// TestBatchEngineMatchesOracle compares the vectorized engine against
-// the tuple-at-a-time oracle on counts and sorted tuple sets, across
-// batch sizes, worker counts and plan shapes.
+// TestBatchEngineMatchesOracle compares the engine against the reference
+// matcher (query.RefCount, query.RefEnumerate) on counts and sorted tuple
+// sets, across batch sizes, worker counts and plan shapes.
 func TestBatchEngineMatchesOracle(t *testing.T) {
 	g := smallRandomGraph(11, 160, 6)
 	for name, p := range plansUnderTest(t, g) {
@@ -72,12 +72,8 @@ func TestBatchEngineMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		oracle := RunConfig{TupleAtATime: true}
-		wantN, wantProf, err := cp.CountCtx(context.Background(), oracle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantTuples := sortedTuples(t, cp, oracle)
+		wantN := refCount(g, p)
+		wantTuples := refTuples(g, p)
 		for _, bs := range batchSizesUnderTest {
 			for _, workers := range []int{1, 4} {
 				cfg := RunConfig{BatchSize: bs, Workers: workers}
@@ -88,8 +84,8 @@ func TestBatchEngineMatchesOracle(t *testing.T) {
 				if gotN != wantN {
 					t.Errorf("%s bs=%d workers=%d: count %d, oracle %d", name, bs, workers, gotN, wantN)
 				}
-				if gotProf.Matches != wantProf.Matches {
-					t.Errorf("%s bs=%d workers=%d: profile matches %d, oracle %d", name, bs, workers, gotProf.Matches, wantProf.Matches)
+				if gotProf.Matches != wantN {
+					t.Errorf("%s bs=%d workers=%d: profile matches %d, oracle %d", name, bs, workers, gotProf.Matches, wantN)
 				}
 				if workers == 1 {
 					got := sortedTuples(t, cp, cfg)
@@ -107,13 +103,15 @@ func TestBatchEngineMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestBatchProfileParity checks that the sequential batch engine
-// reproduces the oracle's counters exactly: matches, intermediate
-// tuples, cache hits and probe inputs (run-grouping must behave exactly
-// like the intersection cache it generalises) — and its i-cost too on
-// plans with no inheriting stage. A stage seeded with a carried set
-// reads that set instead of the lists behind it, so there the i-cost may
-// only be lower (TestCarriedCliqueICost pins the exact number).
+// TestBatchProfileParity checks that the batch size changes no counter:
+// at every size the sequential engine reproduces the counters of the
+// same plan at one row a batch, where no prefix run can form — matches,
+// intermediate tuples, cache hits, probe inputs and build rows (run
+// grouping must behave exactly like the intersection cache it
+// generalises), i-cost and carried sets (a run split across batches
+// carries the same set). Matches are held to the reference matcher, and
+// carried sets appear exactly on plans with an inheriting stage
+// (TestCarriedCliqueICost holds their i-cost to an independent model).
 func TestBatchProfileParity(t *testing.T) {
 	g := denseRandomGraph(12, 60, 0.12)
 	for name, p := range plansUnderTest(t, g) {
@@ -121,9 +119,15 @@ func TestBatchProfileParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, want, err := cp.CountCtx(context.Background(), RunConfig{TupleAtATime: true})
+		_, want, err := cp.CountCtx(context.Background(), RunConfig{BatchSize: 1})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if ref := refCount(g, p); want.Matches != ref {
+			t.Fatalf("%s: %d matches, reference %d", name, want.Matches, ref)
+		}
+		if carries := hasInheritingStage(cp); carries != (want.CarriedSets > 0) {
+			t.Errorf("%s: %d carried sets; inheriting stage: %v", name, want.CarriedSets, carries)
 		}
 		for _, bs := range batchSizesUnderTest {
 			_, got, err := cp.CountCtx(context.Background(), RunConfig{BatchSize: bs})
@@ -132,13 +136,9 @@ func TestBatchProfileParity(t *testing.T) {
 			}
 			if got.Matches != want.Matches || got.Intermediate != want.Intermediate ||
 				got.CacheHits != want.CacheHits || got.ProbedTuples != want.ProbedTuples ||
-				got.HashedTuples != want.HashedTuples {
-				t.Errorf("%s bs=%d: profile %+v, oracle %+v", name, bs, got, want)
-			}
-			if carries := hasInheritingStage(cp); carries && (got.ICost >= want.ICost || got.CarriedSets == 0) {
-				t.Errorf("%s bs=%d: i-cost %d with %d carried sets, oracle i-cost %d: want lower", name, bs, got.ICost, got.CarriedSets, want.ICost)
-			} else if !carries && (got.ICost != want.ICost || got.CarriedSets != 0) {
-				t.Errorf("%s bs=%d: i-cost %d with %d carried sets, oracle i-cost %d and none", name, bs, got.ICost, got.CarriedSets, want.ICost)
+				got.HashedTuples != want.HashedTuples || got.ICost != want.ICost ||
+				got.CarriedSets != want.CarriedSets {
+				t.Errorf("%s bs=%d: profile %+v, at one row a batch %+v", name, bs, got, want)
 			}
 		}
 	}
@@ -179,10 +179,7 @@ func TestBatchLimitExactUnderParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := cp.CountCtx(context.Background(), RunConfig{TupleAtATime: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := refCount(g, p)
 	if full < 100 {
 		t.Skipf("too few triangles (%d)", full)
 	}
@@ -226,7 +223,7 @@ func hubStarGraph(t *testing.T) *graph.Graph {
 }
 
 // TestHubMorselSplitParity checks that hub-split parallel scans agree
-// with the sequential oracle on a graph dominated by one hub vertex.
+// with the reference count on a graph dominated by one hub vertex.
 func TestHubMorselSplitParity(t *testing.T) {
 	g := hubStarGraph(t)
 	p := buildWCO(t, query.Q1(), []int{0, 1, 2})
@@ -234,10 +231,7 @@ func TestHubMorselSplitParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := cp.CountCtx(context.Background(), RunConfig{TupleAtATime: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := refCount(g, p)
 	if want == 0 {
 		t.Fatal("hub graph has no triangles; test is vacuous")
 	}
@@ -493,20 +487,14 @@ func TestZeroAllocs(t *testing.T) {
 			},
 		},
 		{
-			// The oracle scan: per-scan-vertex Neighbors lookups go through
-			// the reusable per-worker reader.
-			name: "oracleScan",
+			// A scan-only pipeline: per-scan-vertex Neighbors lookups go
+			// through the reusable per-worker reader, and the scan's batches
+			// go straight to the sink.
+			name: "scanOnly",
 			setup: func(t *testing.T) (*worker, func()) {
-				cp, err := Compile(g, buildWCO(t, query.Q1(), []int{0, 1, 2}))
-				if err != nil {
-					t.Fatal(err)
-				}
-				rc := &runContext{ctx: context.Background(), cp: cp, cfg: RunConfig{TupleAtATime: true, FastCount: true}}
-				var stopped atomic.Bool
-				w := newWorker(rc, cp.pipes[0], true, nil, &stopped, nil)
-				n := g.NumVertices()
-				w.runRange(0, n)
-				return w, func() { w.runRange(0, n) }
+				q := query.MustParse("a->b")
+				w, n := steadyWorker(t, g, &plan.Plan{Query: q, Root: plan.NewScan(q, q.Edges[0])}, RunConfig{FastCount: true})
+				return w, scan(w, n)
 			},
 		},
 	}
@@ -543,9 +531,9 @@ func BenchmarkBatchEISteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkDeepPipelineBatch/Oracle compare the two engines end-to-end
-// on a 4-stage pipeline (6-vertex chained triangles) over a skewed web
-// graph — the shape the vectorized engine targets.
+// BenchmarkDeepPipelineBatch runs a 4-stage pipeline (6-vertex chained
+// triangles) end to end over a skewed web graph — the shape the
+// vectorized engine targets.
 func deepPipelinePlan(tb testing.TB) (*graph.Graph, *plan.Plan) {
 	// A triangle core followed by fan-out expansions of the core vertex: a
 	// 4-stage pipeline whose tail stages extend long sorted prefix runs —
@@ -566,21 +554,6 @@ func BenchmarkDeepPipelineBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := cp.CountCtx(context.Background(), RunConfig{FastCount: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDeepPipelineOracle(b *testing.B) {
-	g, p := deepPipelinePlan(b)
-	cp, err := Compile(g, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := cp.CountCtx(context.Background(), RunConfig{FastCount: true, TupleAtATime: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -607,21 +580,6 @@ func BenchmarkSkewParallelBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := cp.CountCtx(context.Background(), RunConfig{FastCount: true, Workers: 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSkewParallelOracle(b *testing.B) {
-	g, p := skewedParallelPlan(b)
-	cp, err := Compile(g, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := cp.CountCtx(context.Background(), RunConfig{FastCount: true, Workers: 4, TupleAtATime: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -54,13 +54,13 @@ type compiledPipeline struct {
 	// compiles into a factorizedTail stage.
 	starSuffix int
 	// route, when non-nil, makes the driver pipeline's trailing E/I chain
-	// adaptive (CompiledPlan.Adaptive): the vectorized engine places a router
-	// where the chain begins instead of stages[route.cut:], which stay the
-	// plan's own ordering — what the tuple-at-a-time oracle runs.
+	// adaptive (CompiledPlan.Adaptive): a worker places a router where the
+	// chain begins instead of stages[route.cut:], which stay the plan's own
+	// ordering.
 	route *routeSpec
-	// pool recycles fully-built batch-engine workers (stage states, column
-	// batches, intersection caches) across runs of this pipeline, so the
-	// steady state of a PreparedQuery re-run allocates almost nothing.
+	// pool recycles fully-built workers (stage states, column batches,
+	// intersection caches) across runs of this pipeline, so the steady
+	// state of a PreparedQuery re-run allocates almost nothing.
 	pool sync.Pool
 	// tables recycles the hash tables of a build pipeline (feeds != nil)
 	// the same way: arena fragments, sealed rows and directory.
@@ -68,12 +68,10 @@ type compiledPipeline struct {
 }
 
 // stageSpec is the static, shareable description of one operator above a
-// scan. newState mints the per-run mutable oracle counterpart,
-// newBatchState the vectorized one (next is the index of the stage that
-// consumes its output, inWidth its input tuple width, batch its output
-// batch's row capacity).
+// scan. newBatchState mints its per-run mutable counterpart (next is the
+// index of the stage that consumes its output, inWidth its input tuple
+// width, batch its output batch's row capacity).
 type stageSpec interface {
-	newState(rc *runContext) stageState
 	newBatchState(rc *runContext, next, inWidth, batch int) batchStage
 	planNode() plan.Node
 }
@@ -83,17 +81,16 @@ type extendSpec struct {
 	op *plan.Extend
 	// covered marks the descriptors the upstream stage's extension set
 	// already intersects (plan.Extend.Inherited); non-zero makes this an
-	// inheriting stage of the vectorized engine: it intersects the set its
-	// upstream carried down with the remaining descriptors' lists instead
-	// of re-reading the covered ones. publishes is the matching mark on
-	// that upstream stage.
+	// inheriting stage: it intersects the set its upstream carried down
+	// with the remaining descriptors' lists instead of re-reading the
+	// covered ones. publishes is the matching mark on that upstream stage.
 	covered   uint32
 	publishes bool
 	// sets says that no list the operator intersects can hold an ID twice
 	// (listsAreSets): only then may a prefix run pin one in a bitmap.
 	sets bool
 	// slots are the input slots the descriptors read their source vertices
-	// from, in descriptor order: the key the vectorized stage loads.
+	// from, in descriptor order: the key the stage loads.
 	slots []int
 }
 
@@ -112,12 +109,6 @@ func listsAreSets(op *plan.Extend) bool {
 		}
 	}
 	return true
-}
-
-func (s *extendSpec) newState(rc *runContext) stageState {
-	es := newExtendState(s)
-	es.useCache = !rc.cfg.DisableCache
-	return &es
 }
 
 func (s *extendSpec) newBatchState(rc *runContext, next, inWidth, batch int) batchStage {
@@ -141,10 +132,6 @@ type probeSpec struct {
 }
 
 func (s *probeSpec) planNode() plan.Node { return s.op }
-
-func (s *probeSpec) newState(rc *runContext) stageState {
-	return &probeState{spec: s, table: rc.tables[s.op]}
-}
 
 func (s *probeSpec) newBatchState(rc *runContext, next, inWidth, batch int) batchStage {
 	st := &batchProbeState{

@@ -172,7 +172,7 @@ func TestCountUpToCtxHonorsWorkers(t *testing.T) {
 		"batch":      {},
 		"workers=4":  {Workers: 4},
 		"factorized": {Factorized: true},
-		"tuple":      {TupleAtATime: true},
+		"bs=1":       {BatchSize: 1},
 	}
 	for name, cfg := range configs {
 		for _, tc := range []struct{ limit, want int64 }{

@@ -2,14 +2,16 @@
 //
 // Execution is split into two phases. Compile lowers a plan into an
 // immutable CompiledPlan: flattened push-based pipelines — each drives
-// tuples from a SCAN through a chain of EXTEND/INTERSECT and hash-join
-// probes — with all layout work (stage widths, probe slot maps, join key
-// slots) done once. Running a CompiledPlan materialises a fresh per-run
-// context holding every piece of mutable state: hash tables, tuple
-// buffers, intersection caches and profiling counters. Because the
-// compiled form is never written after construction, one CompiledPlan
-// can be executed by many goroutines at the same time — the property
-// prepared queries rely on.
+// columnar batches of tuples from a SCAN through a chain of
+// EXTEND/INTERSECT and hash-join probes — with all layout work (stage
+// widths, probe slot maps, join key slots) done once. Running a
+// CompiledPlan materialises a fresh per-run context holding every piece
+// of mutable state: hash tables, tuple batches, intersection caches and
+// profiling counters. WCO, BJ and hybrid plans all run through this one
+// engine; its tests check it against references that share no code with
+// it (see batch.go). Because the compiled form is never written after
+// construction, one CompiledPlan can be executed by many goroutines at
+// the same time — the property prepared queries rely on.
 //
 // A CompiledPlan runs in the paper's three ways, each bounded by a
 // context: CountCtx counts every match, CountUpToCtx counts up to an
@@ -76,8 +78,7 @@ type Profile struct {
 	// Equation 1's metric, so the two together show how much of the
 	// nominal i-cost the pinned sweep short-circuited.
 	Kernels graph.KernelCounters
-	// Batches counts columnar batches dispatched per stage kind by the
-	// vectorized engine (all zero under the tuple-at-a-time oracle).
+	// Batches counts columnar batches dispatched per stage kind.
 	Batches BatchCounters
 	// FactorizedPrefixes counts prefix tuples evaluated by a
 	// factorizedTail stage: for each, every star-suffix leaf's extension
@@ -87,11 +88,11 @@ type Profile struct {
 	// the factorized prefix × set₁ × … × setₖ form — counted into Matches
 	// (or charged against a Limit budget) without ever being materialized.
 	FactorizedAvoided int64
-	// Stages attributes wall time to each operator kind of the vectorized
-	// engine. Sampling is amortized to two time.Now calls per dispatched
-	// batch per stage (allocation-free), so it is always on; under
-	// parallel runs the numbers sum across workers — busy time per stage,
-	// not elapsed wall clock. The tuple-at-a-time oracle reports zeros.
+	// Stages attributes wall time to each operator kind. Sampling is
+	// amortized to two time.Now calls per dispatched batch per stage
+	// (allocation-free), so it is always on; under parallel runs the
+	// numbers sum across workers — busy time per stage, not elapsed wall
+	// clock.
 	Stages StageNanos
 }
 
@@ -159,15 +160,11 @@ type RunConfig struct {
 	// paper's Section 10). Counts are identical; Matches in the profile is
 	// still exact.
 	FastCount bool
-	// BatchSize is the row capacity of the vectorized engine's columnar
-	// tuple batches. 0 picks a plan-adaptive capacity (see
+	// BatchSize is the row capacity of the engine's columnar tuple
+	// batches. 0 picks a plan-adaptive capacity (see
 	// CompiledPlan.EffectiveBatchSize); an explicit value stays
-	// authoritative, with values below 1 clamping to 1. Ignored under
-	// TupleAtATime.
+	// authoritative, with values below 1 clamping to 1.
 	BatchSize int
-	// TupleAtATime selects the legacy tuple-at-a-time engine — kept as
-	// the differential-test oracle for the vectorized default.
-	TupleAtATime bool
 	// Factorized enables the factorized execution tier: when the driver
 	// pipeline ends in a star-shaped suffix (trailing E/I stages whose
 	// targets are pairwise non-adjacent leaves off the prefix), the
@@ -175,8 +172,7 @@ type RunConfig struct {
 	// and the result is represented as prefix × set₁ × … × setₖ. Counts
 	// multiply set cardinalities, limits are charged against the product,
 	// and enumeration lazily unfolds identical tuples in identical order.
-	// Opt-in; batch engine only (the tuple-at-a-time oracle always
-	// enumerates).
+	// Opt-in.
 	Factorized bool
 	// MemBudget, when non-nil, meters this run's major allocators —
 	// hash-join build tables, worker batch checkouts, extension-set
@@ -384,20 +380,10 @@ func (cp *CompiledPlan) RunCtx(ctx context.Context, cfg RunConfig, emit func([]g
 // and the execution profile (see RunCtx for ctx). On cancellation the
 // partial count is returned alongside ctx's error.
 func (cp *CompiledPlan) CountCtx(ctx context.Context, cfg RunConfig) (int64, Profile, error) {
-	// The factorized tier only counts by set-cardinality product when no
-	// emit callback exists, so a factorized batch count runs emit-free:
-	// rows that do reach the sink (non-star stages) are counted by
+	// A count runs emit-free: rows that reach the sink are counted by
 	// dispatchBatch, rows absorbed by a factorized tail by its product.
-	if cfg.FastCount || (cfg.Factorized && !cfg.TupleAtATime) {
-		prof, err := cp.run(ctx, cfg, nil, nil, nil, 0)
-		return prof.Matches, prof, err
-	}
-	var n atomic.Int64
-	prof, err := cp.run(ctx, cfg, nil, func([]graph.VertexID) bool {
-		n.Add(1)
-		return true
-	}, nil, 0)
-	return n.Load(), prof, err
+	prof, err := cp.run(ctx, cfg, nil, nil, nil, 0)
+	return prof.Matches, prof, err
 }
 
 // CountUpToCtx is CountCtx stopping once limit matches have been produced
@@ -409,7 +395,7 @@ func (cp *CompiledPlan) CountUpToCtx(ctx context.Context, cfg RunConfig, limit i
 		return cp.CountCtx(ctx, cfg)
 	}
 	cfg.FastCount = false
-	if cfg.Factorized && !cfg.TupleAtATime && cp.StarSuffixLen() > 0 {
+	if cfg.Factorized && cp.StarSuffixLen() > 0 {
 		// Factorized limit: the tail charges each prefix's set-cardinality
 		// product against a shared budget, so the cap is hit exactly
 		// without unfolding a single suffix tuple.
@@ -502,13 +488,11 @@ func (rc *runContext) buildTable(pipe *compiledPipeline, workers int) error {
 	if rc.runErr() == nil {
 		start := time.Now()
 		ht.seal(rc.mem)
-		if !rc.cfg.TupleAtATime {
-			// The sort is the second half of building: the sink's stage slot.
-			sealed := time.Since(start).Nanoseconds()
-			prof.Stages.Build += sealed
-			if rc.analyze != nil {
-				rc.analyze.addNanos(pipe.node, sealed)
-			}
+		// The sort is the second half of building: the sink's stage slot.
+		sealed := time.Since(start).Nanoseconds()
+		prof.Stages.Build += sealed
+		if rc.analyze != nil {
+			rc.analyze.addNanos(pipe.node, sealed)
 		}
 	}
 	prof.HashedTuples += int64(ht.len())
@@ -546,7 +530,7 @@ func (rc *runContext) runPipeline(pipe *compiledPipeline, workers int, isRoot bo
 			defer rc.recoverPanic(&stopped)
 			w := newWorker(rc, pipe, isRoot, emit, &stopped, nil)
 			w.runRecovered(0, n)
-			if w.edges.batch != nil && !stopped.Load() {
+			if !stopped.Load() {
 				w.recovered(w.flushBatches)
 			}
 			w.finish()
@@ -557,49 +541,20 @@ func (rc *runContext) runPipeline(pipe *compiledPipeline, workers int, isRoot bo
 	}
 	var wg sync.WaitGroup
 	profs := make([]Profile, workers)
-	if rc.cfg.TupleAtATime {
-		// The oracle keeps fixed chunking, so it stays a faithful
-		// baseline for the morsel scheduler as well as for results.
-		chunk := n/(workers*8) + 1
-		var next atomic.Int64
-		for wi := 0; wi < workers; wi++ {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				defer rc.recoverPanic(&stopped)
-				w := newWorker(rc, pipe, isRoot, emit, &stopped, nil)
-				for !stopped.Load() {
-					start := int(next.Add(int64(chunk))) - chunk
-					if start >= n {
-						break
-					}
-					end := start + chunk
-					if end > n {
-						end = n
-					}
-					w.runRecovered(start, end)
-				}
-				w.finish()
-				profs[wi] = w.profile
-			}(wi)
-		}
-		wg.Wait()
-	} else {
-		q := newMorselQueue(n)
-		for wi := 0; wi < workers; wi++ {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				defer rc.recoverPanic(&stopped)
-				w := newWorker(rc, pipe, isRoot, emit, &stopped, q)
-				w.runWorkerLoop(q)
-				w.finish()
-				profs[wi] = w.profile
-				w.release()
-			}(wi)
-		}
-		wg.Wait()
+	q := newMorselQueue(n)
+	for wi := 0; wi < workers; wi++ {
+		wg.Add(1)
+		go func(wi int) {
+			defer wg.Done()
+			defer rc.recoverPanic(&stopped)
+			w := newWorker(rc, pipe, isRoot, emit, &stopped, q)
+			w.runWorkerLoop(q)
+			w.finish()
+			profs[wi] = w.profile
+			w.release()
+		}(wi)
 	}
+	wg.Wait()
 	var total Profile
 	for _, p := range profs {
 		total.Add(p)

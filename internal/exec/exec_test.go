@@ -2,7 +2,9 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"graphflow/internal/datagen"
@@ -43,6 +45,29 @@ func countPlan(g graph.View, p *plan.Plan, cfg RunConfig) (int64, Profile, error
 		return 0, Profile{}, err
 	}
 	return cp.CountCtx(context.Background(), cfg)
+}
+
+// refCount is the count every engine configuration is held to:
+// query.RefCount of p's query, backtracking over graph.View lookups. It
+// shares no code with the engine — no kernel, extension set, cache or
+// hash table — so a bug there cannot hide in both.
+func refCount(g graph.View, p *plan.Plan) int64 { return query.RefCount(g, p.Query) }
+
+// refTuples is query.RefEnumerate's match set of p's query on g, each
+// match laid out in the slot order p's root emits (Out()), formatted and
+// sorted as sortedTuples formats and sorts the engine's.
+func refTuples(g graph.View, p *plan.Plan) []string {
+	layout := p.Root.Out()
+	row := make([]graph.VertexID, len(layout))
+	var out []string
+	query.RefEnumerate(g, p.Query, func(a []graph.VertexID) {
+		for slot, v := range layout {
+			row[slot] = a[v]
+		}
+		out = append(out, fmt.Sprint(row))
+	})
+	sort.Strings(out)
+	return out
 }
 
 func smallRandomGraph(seed int64, n, deg int) *graph.Graph {

@@ -388,9 +388,9 @@ func TestPinnedBitmapBudget(t *testing.T) {
 		"clique4":  buildWCO(t, cliqueQuery(4), chainOrder(4)),
 	} {
 		cp := Must(t, g, p)
-		want, _, err := cp.CountCtx(context.Background(), RunConfig{TupleAtATime: true})
-		if err != nil || want == 0 {
-			t.Fatalf("%s: oracle count %d, %v", name, want, err)
+		want := refCount(g, p)
+		if want == 0 {
+			t.Fatalf("%s: no matches; test is vacuous", name)
 		}
 		for _, cfg := range []RunConfig{
 			{BatchSize: 64},

@@ -78,8 +78,8 @@ func (h *hashTable) footprintBytes() int64 {
 
 // buildTables fills a hashTable and the oracle with the same rows:
 // frags[i] is what build worker i produced, appended through the batch
-// sink (batches of up to batch rows) when batch > 0 and row by row, as the
-// tuple oracle does, otherwise. The oracle takes the rows fragment by
+// sink (batches of up to batch rows) when batch > 0 and row by row
+// otherwise. The oracle takes the rows fragment by
 // fragment — the build order seal promises to keep inside a key's run.
 func buildTables(tb testing.TB, keySlots []int, width, batch int, frags [][][]graph.VertexID) (*hashTable, *oracleTable) {
 	tb.Helper()

@@ -84,7 +84,7 @@ func TestCountUpToPropagatesBuildLimit(t *testing.T) {
 
 // TestMaxBuildRowsBoundary pins the cap to the row: a build side of
 // exactly N rows passes MaxBuildRows = N and fails N − 1 with
-// ErrBuildTooLarge — whole batches at a time or row by row, one worker or
+// ErrBuildTooLarge — whole batches at a time or a row a batch, one worker or
 // several, through Count and through CountUpToCtx — and the table a refused
 // build left in the pool serves the next run.
 func TestMaxBuildRowsBoundary(t *testing.T) {
@@ -98,8 +98,8 @@ func TestMaxBuildRowsBoundary(t *testing.T) {
 		t.Fatalf("build side of %d rows; fixture too small", n)
 	}
 	for _, cfg := range []RunConfig{
-		{}, {BatchSize: 1}, {BatchSize: 64}, {TupleAtATime: true},
-		{Workers: 4}, {Workers: 4, BatchSize: 3}, {Workers: 4, TupleAtATime: true},
+		{}, {BatchSize: 1}, {BatchSize: 64},
+		{Workers: 4}, {Workers: 4, BatchSize: 3}, {Workers: 4, BatchSize: 1},
 	} {
 		cfg.MaxBuildRows = n - 1
 		if _, _, err := cp.CountCtx(context.Background(), cfg); err != ErrBuildTooLarge {

@@ -37,35 +37,32 @@ func routedPlan(tb testing.TB, g *graph.Graph) (*CompiledPlan, *plan.Plan) {
 // stages it is made of — what the separate evaluator never did: carried
 // sets are out of reach of a two-operator chain, but the cache, the
 // pinned operands and the factorized tail all serve it, under every run
-// configuration, for the count the fixed plan gives.
+// configuration, for the reference count.
 func TestRouterCounters(t *testing.T) {
 	g := datagen.Epinions(1)
 	cp, p := routedPlan(t, g)
-	want, _, err := Must(t, g, p).CountCtx(context.Background(), RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := refCount(g, p)
 	for _, cfg := range []RunConfig{
 		{},
 		{FastCount: true},
 		{Factorized: true},
 		{Factorized: true, FastCount: true, Workers: 4},
 		{DisableCache: true},
-		{TupleAtATime: true},
 		{BatchSize: 1},
+		{BatchSize: 1, Workers: 4},
 	} {
 		n, prof, err := cp.CountCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
 		if n != want || prof.Matches != want {
-			t.Errorf("%+v: counted %d (profile %d), fixed %d", cfg, n, prof.Matches, want)
+			t.Errorf("%+v: counted %d (profile %d), reference %d", cfg, n, prof.Matches, want)
 		}
-		if (prof.Reroutes > 0) == cfg.TupleAtATime {
-			t.Errorf("%+v: %d reroutes; the batch engine routes, the oracle runs the plan's own ordering", cfg, prof.Reroutes)
+		if prof.Reroutes == 0 {
+			t.Errorf("%+v: nothing rerouted", cfg)
 		}
 		// A one-row batch holds no run of two rows to pin an operand for.
-		if (prof.Kernels.PinnedProbe > 0) == (cfg.DisableCache || cfg.TupleAtATime || cfg.BatchSize == 1) {
+		if (prof.Kernels.PinnedProbe > 0) == (cfg.DisableCache || cfg.BatchSize == 1) {
 			t.Errorf("%+v: %d pinned probes", cfg, prof.Kernels.PinnedProbe)
 		}
 		if (prof.FactorizedAvoided > 0) != cfg.Factorized {

@@ -57,25 +57,6 @@ func TestStageTimesHybridPlan(t *testing.T) {
 	}
 }
 
-// TestOracleReportsNoStageTimes pins the contract that the
-// tuple-at-a-time oracle is timing-free: it is the differential
-// baseline and stays clear of instrumentation.
-func TestOracleReportsNoStageTimes(t *testing.T) {
-	g := datagen.Epinions(1)
-	p := buildWCO(t, query.Q1(), []int{0, 1, 2})
-	cp, err := Compile(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, prof, err := cp.CountCtx(context.Background(), RunConfig{TupleAtATime: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prof.Stages != (StageNanos{}) {
-		t.Errorf("oracle reported stage times: %+v", prof.Stages)
-	}
-}
-
 // TestAnalyzeNanos checks that EXPLAIN ANALYZE attributes wall time to
 // every plan node and renders it.
 func TestAnalyzeNanos(t *testing.T) {

@@ -9,8 +9,8 @@ import (
 	"graphflow/internal/graph"
 )
 
-// worker owns the per-goroutine state of one pipeline run: the tuple
-// buffer and the stage states (intersection caches, scratch buffers,
+// worker owns the per-goroutine state of one pipeline run: the stage
+// states (column batches, intersection caches, scratch buffers,
 // per-operator counters) minted from the compiled stage specs. Workers
 // share only the read-only graph, the compiled plan and the run's hash
 // tables.
@@ -18,7 +18,6 @@ type worker struct {
 	g      graph.View
 	rc     *runContext
 	pipe   *compiledPipeline
-	stages []stageState
 	isRoot bool
 	// emit receives each output tuple and returns false to request early
 	// termination of the whole pipeline. nil for pure counting.
@@ -29,11 +28,11 @@ type worker struct {
 	build   *hashTable
 	frag    *tableFragment
 	stopped *atomic.Bool
+	// tuple is the flat row handed to emit, one sink row at a time.
 	tuple   []graph.VertexID
 	profile Profile
-	// Vectorized-engine state (nil/zero when cfg.TupleAtATime selects the
-	// oracle): the batch stage chain, the scan's writer of (src, nbr) rows
-	// — feeding stage 0, or the sink in a pipeline that is only a scan —
+	// The batch stage chain, the scan's writer of (src, nbr) rows —
+	// feeding stage 0, or the sink in a pipeline that is only a scan —
 	// the configured batch row capacity and the shared morsel queue hub
 	// morsels are pushed to when a scan vertex's adjacency is split.
 	bstages   []batchStage
@@ -47,8 +46,7 @@ type worker struct {
 	// sink asks it for the root layout of an ordering's output.
 	router *routeStage
 	mq     *morselQueue
-	// scanReader is the reusable neighbor fill for the scan stage (both
-	// engines).
+	// scanReader is the reusable neighbor fill for the scan stage.
 	scanReader graph.NeighborReader
 	// countFast enables factorized counting on the driver pipeline when no
 	// tuples need to be emitted: the final stage adds the size of what it
@@ -62,13 +60,12 @@ type worker struct {
 	// reaches zero, so the hot extend/probe loops pay one integer
 	// decrement per tuple.
 	cancelCountdown int
-	// Per-stage wall-time attribution (batch engine only): stageNanos[0]
-	// is the scan slot, stageNanos[1] the sink's (emit or build insert)
-	// and stageNanos[2+i] stage i's. deliver charges the interval since
-	// lastStamp to curStage around every pushBatch, so each slot
-	// accumulates self time — two time.Now calls per batch per stage, no
-	// allocation, always on. The slice grows with the stage chain and
-	// survives pooling.
+	// Per-stage wall-time attribution: stageNanos[0] is the scan slot,
+	// stageNanos[1] the sink's (emit or build insert) and stageNanos[2+i]
+	// stage i's. deliver charges the interval since lastStamp to curStage
+	// around every pushBatch, so each slot accumulates self time — two
+	// time.Now calls per batch per stage, no allocation, always on. The
+	// slice grows with the stage chain and survives pooling.
 	stageNanos []int64
 	curStage   int
 	lastStamp  time.Time
@@ -88,69 +85,54 @@ type worker struct {
 // the poll never shows up in profiles.
 const cancelCheckInterval = 4096
 
-// stageState is the per-run mutable counterpart of one stageSpec.
-type stageState interface {
-	// push processes the current w.tuple prefix and calls next() for each
-	// output (with w.tuple grown accordingly).
-	push(w *worker, next func())
-}
-
 func newWorker(rc *runContext, pipe *compiledPipeline, isRoot bool, emit func([]graph.VertexID) bool, stopped *atomic.Bool, mq *morselQueue) *worker {
-	fact := !rc.cfg.TupleAtATime && rc.cfg.Factorized && isRoot && pipe.starSuffix < len(pipe.stages)
+	fact := rc.cfg.Factorized && isRoot && pipe.starSuffix < len(pipe.stages)
 	batch := rc.batch
 	if pipe.feeds != nil {
 		batch = rc.buildBatch
 	}
-	if !rc.cfg.TupleAtATime {
-		// Reuse pooled worker scratch when its shape matches this run; a
-		// mismatched worker (different batch capacity or tail shape) is
-		// simply dropped for the garbage collector.
-		if pooled, _ := pipe.pool.Get().(*worker); pooled != nil &&
-			pooled.batchSize == batch && pooled.factorized == fact {
-			pooled.rebind(rc, emit, stopped, mq)
-			pooled.chargeCheckout()
-			return pooled
-		}
+	// Reuse pooled worker scratch when its shape matches this run; a
+	// mismatched worker (different batch capacity or tail shape) is
+	// simply dropped for the garbage collector.
+	if pooled, _ := pipe.pool.Get().(*worker); pooled != nil &&
+		pooled.batchSize == batch && pooled.factorized == fact {
+		pooled.rebind(rc, emit, stopped, mq)
+		pooled.chargeCheckout()
+		return pooled
 	}
 	w := &worker{
 		g: rc.cp.graph, rc: rc, pipe: pipe, isRoot: isRoot,
 		emit: emit, stopped: stopped, mq: mq, build: rc.tables[pipe.feeds],
 		countFast:       rc.cfg.FastCount && emit == nil && isRoot,
 		cancelCountdown: cancelCheckInterval,
+		batchSize:       batch,
+		factorized:      fact,
+		stageNanos:      make([]int64, 2, len(pipe.stages)+3),
+		lastStamp:       time.Now(),
 	}
-	if rc.cfg.TupleAtATime {
-		for _, spec := range pipe.stages {
-			w.stages = append(w.stages, spec.newState(rc))
-		}
-	} else {
-		w.batchSize = batch
-		w.factorized = fact
-		w.stageNanos = make([]int64, 2, len(pipe.stages)+3)
-		w.lastStamp = time.Now()
-		specs, cut, exit := pipe.stages, len(pipe.stages), sinkStage
-		route := pipe.route
-		if route != nil && fact && route.allStar {
-			route = nil
-		}
-		switch {
-		case route != nil:
-			// The chain's stages are the router's to build, per ordering.
-			specs, cut, exit = specs[:route.cut], route.cut, route.cut
-		case fact:
-			cut = pipe.starSuffix
-		}
-		words := 2*w.batchSize + w.appendStages(specs, cut, 2, exit)
-		if route != nil {
-			w.router = newRouteStage(route, pipe.outWidth-len(route.chains[0]))
-			w.addStage(w.router)
-		}
-		entry := 0
-		if len(w.bstages) == 0 {
-			entry = sinkStage
-		}
-		w.edges = newFanOut(1, oneColumn, w.batchSize, entry, scanBatches)
-		w.memBytes = int64(words) * vertexIDBytes
+	specs, cut, exit := pipe.stages, len(pipe.stages), sinkStage
+	route := pipe.route
+	if route != nil && fact && route.allStar {
+		route = nil
 	}
+	switch {
+	case route != nil:
+		// The chain's stages are the router's to build, per ordering.
+		specs, cut, exit = specs[:route.cut], route.cut, route.cut
+	case fact:
+		cut = pipe.starSuffix
+	}
+	words := 2*w.batchSize + w.appendStages(specs, cut, 2, exit)
+	if route != nil {
+		w.router = newRouteStage(route, pipe.outWidth-len(route.chains[0]))
+		w.addStage(w.router)
+	}
+	entry := 0
+	if len(w.bstages) == 0 {
+		entry = sinkStage
+	}
+	w.edges = newFanOut(1, oneColumn, w.batchSize, entry, scanBatches)
+	w.memBytes = int64(words) * vertexIDBytes
 	w.tuple = make([]graph.VertexID, 0, pipe.outWidth)
 	w.chargeCheckout()
 	return w
@@ -201,10 +183,10 @@ func (w *worker) chargeCheckout() {
 	w.rc.faults.Visit(faultinject.PointWorkerStart)
 }
 
-// rebind readies a pooled batch-engine worker for a fresh run: the
-// per-run bindings, the graph the run reads included, are replaced and
-// every stage resets its mutable state (cache validity, per-operator
-// counters, hash-table pointers) while keeping its allocated scratch.
+// rebind readies a pooled worker for a fresh run: the per-run bindings,
+// the graph the run reads included, are replaced and every stage resets
+// its mutable state (cache validity, per-operator counters, hash-table
+// pointers) while keeping its allocated scratch.
 func (w *worker) rebind(rc *runContext, emit func([]graph.VertexID) bool, stopped *atomic.Bool, mq *morselQueue) {
 	w.g = rc.cp.graph
 	w.rc = rc
@@ -228,17 +210,15 @@ func (w *worker) rebind(rc *runContext, emit func([]graph.VertexID) bool, stoppe
 	w.lastStamp = time.Now()
 }
 
-// release returns a batch-engine worker's scratch to its pipeline's pool
-// once its profile has been collected. Oracle workers are not pooled —
-// the tuple-at-a-time engine is the differential baseline, kept free of
-// reuse machinery. Poisoned workers (a foreign panic unwound through
-// their stages, so batches and caches may be mid-mutation) are dropped
-// for the garbage collector. References that could pin caller state
-// (emit closures, the run context) are dropped before pooling, and so is
-// every reference into the graph the run read: the pool outlives the
-// snapshot, and must not keep a superseded overlay or base reachable.
+// release returns a worker's scratch to its pipeline's pool once its
+// profile has been collected. Poisoned workers (a foreign panic unwound
+// through their stages, so batches and caches may be mid-mutation) are
+// dropped for the garbage collector. References that could pin caller
+// state (emit closures, the run context) are dropped before pooling, and
+// so is every reference into the graph the run read: the pool outlives
+// the snapshot, and must not keep a superseded overlay or base reachable.
 func (w *worker) release() {
-	if w.edges.batch == nil || w.poisoned {
+	if w.poisoned {
 		return
 	}
 	w.g = nil
@@ -288,80 +268,9 @@ func (w *worker) recovered(f func()) {
 	f()
 }
 
-// runRecovered scans [start, end) under the stopRun recover, dispatching
-// to the engine the run was configured with.
+// runRecovered scans [start, end) under the stopRun recover.
 func (w *worker) runRecovered(start, end int) {
-	w.recovered(func() {
-		if w.edges.batch != nil {
-			w.runBatchRange(start, end)
-			return
-		}
-		w.runRange(start, end)
-	})
-}
-
-// runRange is the tuple-at-a-time (oracle) scan loop: it drives each edge
-// tuple of vertices [start, end) through the stages individually.
-func (w *worker) runRange(start, end int) {
-	scan := w.pipe.scan
-	srcLabel := scan.SrcLabel
-	for v := start; v < end; v++ {
-		if w.stopped.Load() {
-			return
-		}
-		src := graph.VertexID(v)
-		if w.g.VertexLabel(src) != srcLabel {
-			continue
-		}
-		nbrs := w.scanReader.Read(w.g, src, graph.Forward, scan.EdgeLabel, scan.DstLabel)
-		for _, dst := range nbrs {
-			w.tuple = append(w.tuple[:0], src, dst)
-			w.scanOut++
-			w.countOutput(0)
-			w.runStage(0)
-		}
-	}
-}
-
-func (w *worker) runStage(i int) {
-	if i == len(w.stages) {
-		if w.build != nil {
-			f := w.admitBuild(1)
-			f.rows = append(f.rows, w.tuple...)
-		} else if w.emit != nil && !w.emit(w.tuple) {
-			panic(stopRun{})
-		}
-		return
-	}
-	if w.countFast && i == len(w.stages)-1 {
-		if es, ok := w.stages[i].(*extendState); ok {
-			w.profile.Matches += int64(len(es.extensionSet(w)))
-			return
-		}
-	}
-	w.stages[i].push(w, func() {
-		w.countOutput(i + 1)
-		w.runStage(i + 1)
-	})
-}
-
-// countOutput attributes a produced tuple to either intermediate results or
-// final matches. Stage index len(stages) output is the root's output when
-// this pipeline is the plan root. Every produced tuple at every stage
-// flows through here, which makes it the natural hook for the amortized
-// cancellation check: long-running pipelines produce tuples constantly,
-// so polling every cancelCheckInterval tuples bounds cancellation
-// latency without a per-tuple context load.
-func (w *worker) countOutput(stageIdx int) {
-	if w.isRoot && stageIdx == len(w.stages) {
-		w.profile.Matches++
-	} else {
-		w.profile.Intermediate++
-	}
-	w.cancelCountdown--
-	if w.cancelCountdown <= 0 {
-		w.pollCancel()
-	}
+	w.recovered(func() { w.runBatchRange(start, end) })
 }
 
 // pollCancel consults the run's context and memory budget and unwinds
@@ -385,9 +294,9 @@ func (w *worker) pollCancel() {
 
 // admitBuild clears n more rows for the worker's hash-table fragment and
 // returns it with room for them: the build sink's fault point, the
-// MaxBuildRows check and the memory reservation, once per batch (per row
-// in the oracle). A refusal unwinds the pipeline like any early stop; the
-// driver reads the reason off the table's admitted count or the budget.
+// MaxBuildRows check and the memory reservation, once per batch. A
+// refusal unwinds the pipeline like any early stop; the driver reads the
+// reason off the table's admitted count or the budget.
 //
 //gf:noalloc
 func (w *worker) admitBuild(n int) *tableFragment {
@@ -406,16 +315,8 @@ func (w *worker) admitBuild(n int) *tableFragment {
 }
 
 // eachState calls ext for every E/I state and probe for every hash-probe
-// state, whichever engine the worker was built for.
+// state of the worker's stage chain.
 func (w *worker) eachState(ext func(*extendState), probe func(*probeState)) {
-	for _, s := range w.stages {
-		switch st := s.(type) {
-		case *extendState:
-			ext(st)
-		case *probeState:
-			probe(st)
-		}
-	}
 	for _, s := range w.bstages {
 		switch st := s.(type) {
 		case *batchExtendState:
@@ -529,10 +430,8 @@ func (w *worker) finish() {
 }
 
 // extendState implements EXTEND/INTERSECT with the intersection cache.
-// Both engines share it: the oracle gathers descriptor values from the
-// flat tuple, the batch engine from its columns; extensionSetFor is the
-// common core, and the one general path — the vectorized engine's prefix
-// runs (batchExtendState.extFor) are built from its pieces.
+// extensionSetFor is the one general path — a factorized leaf's, and the
+// pieces batchExtendState.extFor builds its prefix runs from.
 type extendState struct {
 	spec     *extendSpec
 	useCache bool
@@ -556,20 +455,17 @@ type extendState struct {
 	// readers own the per-descriptor neighbor fill buffers (one each, so
 	// a multiway gather never clobbers an earlier descriptor's run).
 	readers []graph.NeighborReader
-	valBuf  []graph.VertexID
 
 	// it is the k-way intersection engine. It owns the shortest-first
 	// ordering scratch, the per-kernel dispatch counters and the pin
 	// bitmap, so the E/I hot path runs allocation-free after warm-up.
 	it graph.Intersector
 
-	// pins lets the vectorized engine work a prefix run at a time: the one
-	// operand the run's rows share is marked once in the intersector's
-	// bitmap and the other lists are swept through it. It is the cache
-	// generalised to one repeating operand, so it follows useCache — in the
-	// vectorized engine only (the oracle never goes through reset and never
-	// pins), and only where every list is a set (extendSpec.sets):
-	// a bitmap has no multiplicities.
+	// pins lets the stage work a prefix run at a time: the one operand the
+	// run's rows share is marked once in the intersector's bitmap and the
+	// other lists are swept through it. It is the cache generalised to one
+	// repeating operand, so it follows useCache, and only where every list
+	// is a set (extendSpec.sets): a bitmap has no multiplicities.
 	pins bool
 
 	// metered is the cache/scratch/pin capacity (in bytes) already charged
@@ -600,28 +496,12 @@ func (s *extendState) reset(rc *runContext) {
 	s.outTuples, s.icost, s.hits, s.carried = 0, 0, 0, 0
 }
 
-//gf:noalloc
-func (s *extendState) push(w *worker, next func()) {
-	s.extendWith(w, s.extensionSet(w), next)
-}
-
-// extensionSet computes (or serves from the intersection cache) the
-// extension set of the current tuple.
-func (s *extendState) extensionSet(w *worker) []graph.VertexID {
-	s.valBuf = s.valBuf[:0]
-	for _, d := range s.spec.op.Descriptors {
-		s.valBuf = append(s.valBuf, w.tuple[d.TupleIdx])
-	}
-	return s.extensionSetFor(w, s.valBuf, nil)
-}
-
 // extensionSetFor computes (or serves from the intersection cache) the
 // extension set for the given descriptor source vertices, one per
 // descriptor in declaration order. carried, when non-nil, is the
 // extension set the upstream stage already computed over the descriptors
-// in spec.covered (the vectorized engine's inheriting stages): the set is
-// then carried ∩ (the remaining descriptors' lists) and the covered
-// lists are never read. The oracle always passes nil.
+// in spec.covered (an inheriting stage): the set is then carried ∩ (the
+// remaining descriptors' lists) and the covered lists are never read.
 //
 //gf:noalloc
 func (s *extendState) extensionSetFor(w *worker, vals, carried []graph.VertexID) []graph.VertexID {
@@ -735,46 +615,13 @@ func (s *extendState) meter(w *worker) {
 	}
 }
 
-func (s *extendState) extendWith(w *worker, ext []graph.VertexID, next func()) {
-	base := len(w.tuple)
-	s.outTuples += int64(len(ext))
-	for _, x := range ext {
-		w.tuple = append(w.tuple[:base], x)
-		next()
-	}
-	w.tuple = w.tuple[:base]
-}
-
 // probeState implements the probe side of HASH-JOIN.
 type probeState struct {
 	spec  *probeSpec
 	table *hashTable
-	// key is the gathered join key of the current probe tuple (of the
-	// current key run, in the vectorized engine).
+	// key is the join key of the current key run.
 	key []graph.VertexID
 
 	// Per-operator analysis counters.
 	outTuples, probes int64
-}
-
-//gf:noalloc
-func (s *probeState) push(w *worker, next func()) {
-	w.profile.ProbedTuples++
-	s.probes++
-	base := len(w.tuple)
-	s.key = s.key[:0]
-	for _, sl := range s.spec.probeSlots {
-		s.key = append(s.key, w.tuple[sl])
-	}
-	run := s.table.lookupKey(s.key)
-	width := s.table.rowWidth
-	s.outTuples += int64(len(run) / width)
-	for off := 0; off < len(run); off += width {
-		w.tuple = w.tuple[:base]
-		for _, bi := range s.spec.appendIdx {
-			w.tuple = append(w.tuple, run[off+bi])
-		}
-		next()
-	}
-	w.tuple = w.tuple[:base]
 }

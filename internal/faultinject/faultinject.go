@@ -101,14 +101,6 @@ func (in *Injector) Visit(p Point) {
 	}
 }
 
-// Visits reports how many times point p has been visited.
-func (in *Injector) Visits(p Point) int64 {
-	if in == nil {
-		return 0
-	}
-	return in.visits[p].Load()
-}
-
 // Panics reports how many faults have been thrown.
 func (in *Injector) Panics() int64 {
 	if in == nil {

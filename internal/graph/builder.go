@@ -26,10 +26,6 @@ func NewBuilder(numVertices int) *Builder {
 // NumVertices returns the current vertex count.
 func (b *Builder) NumVertices() int { return len(b.vLabels) }
 
-// NumEdgesAdded returns the number of AddEdge calls so far (before
-// deduplication).
-func (b *Builder) NumEdgesAdded() int { return len(b.edges) }
-
 // AddVertex appends a vertex with the given label and returns its ID.
 func (b *Builder) AddVertex(label Label) VertexID {
 	b.vLabels = append(b.vLabels, label)

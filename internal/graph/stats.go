@@ -78,15 +78,10 @@ func degreeStatsOf(g View, dir Direction) DegreeStats {
 	return ds
 }
 
-// SampleClusteringCoefficient estimates the average local clustering
-// coefficient over the undirected view of the graph. It samples k vertices
-// (all if k <= 0 or k >= n). A nil rng means deterministic iteration over
-// the first vertices.
-func (g *Graph) SampleClusteringCoefficient(k int, rng *rand.Rand) float64 {
-	return SampleClusteringCoefficientOf(g, k, rng)
-}
-
-// SampleClusteringCoefficientOf is SampleClusteringCoefficient over any View.
+// SampleClusteringCoefficientOf estimates the average local clustering
+// coefficient over the undirected view of g. It samples k vertices (all
+// if k <= 0 or k >= n). A nil rng means deterministic iteration over the
+// first vertices.
 func SampleClusteringCoefficientOf(g View, k int, rng *rand.Rand) float64 {
 	n := g.NumVertices()
 	if n == 0 {

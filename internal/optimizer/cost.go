@@ -151,7 +151,7 @@ func (c *context) extendCost(childMask query.Mask, ext *plan.Extend) float64 {
 	// externally built plans (EstimateCost).
 	covered := ext.Inherited()
 	if covered == 0 || c.opts.CacheOblivious || len(st.sizes) != len(ext.Descriptors) {
-		return mult * catalogue.StarLeafICost(st.sizes)
+		return mult * catalogue.EffectiveICost(st.sizes)
 	}
 	up := ext.Child.(*plan.Extend).TargetVertex
 	set := math.Max(1, c.extension(childMask&^query.Bit(up), up).mu)

@@ -30,9 +30,6 @@ type Options struct {
 	// WCOOnly restricts the plan space to WCO plans (the BiGJoin/earlier
 	// Graphflow configuration used as a baseline).
 	WCOOnly bool
-	// NoHybrid restricts hash joins to never be followed by intersections
-	// above them — not used by the main optimizer, reserved for baselines.
-	//
 	// CacheOblivious disables intersection-cache-aware costing (the
 	// cache-oblivious optimizer discussed in Section 5.2).
 	CacheOblivious bool

@@ -12,15 +12,16 @@ import "graphflow/internal/graph"
 // to the same data vertex unless an edge constraint forbids it (the store
 // drops self-loops, so adjacent query vertices always bind distinct data
 // vertices). This is exactly the semantics of the multiway self-join
-// formulation in Section 1.
-func RefCount(g *graph.Graph, q *Graph) int64 {
+// formulation in Section 1. A query vertex labelled graph.WildcardLabel
+// binds a data vertex of any label.
+func RefCount(g graph.View, q *Graph) int64 {
 	return RefEnumerate(g, q, nil)
 }
 
 // RefEnumerate counts matches and, if emit is non-nil, calls it with each
 // complete assignment (indexed by query vertex). The assignment slice is
 // reused; callers must copy it to retain it.
-func RefEnumerate(g *graph.Graph, q *Graph, emit func(assignment []graph.VertexID)) int64 {
+func RefEnumerate(g graph.View, q *Graph, emit func(assignment []graph.VertexID)) int64 {
 	n := len(q.Vertices)
 	if n == 0 {
 		return 0
@@ -105,7 +106,7 @@ func connectedOrder(q *Graph) []int {
 
 // candidateList returns candidate data vertices for query vertex v given
 // the current partial assignment.
-func candidateList(g *graph.Graph, q *Graph, v int, assign []graph.VertexID, bound []bool) []graph.VertexID {
+func candidateList(g graph.View, q *Graph, v int, assign []graph.VertexID, bound []bool) []graph.VertexID {
 	// Prefer the smallest adjacency list of a bound neighbour.
 	var best []graph.VertexID
 	haveBest := false
@@ -130,19 +131,25 @@ func candidateList(g *graph.Graph, q *Graph, v int, assign []graph.VertexID, bou
 	// Label 0 is the concrete "default" label, not a wildcard: unlabeled
 	// graphs and queries both use 0 throughout, so exact matching is right.
 	var all []graph.VertexID
-	want := q.Vertices[v].Label
 	for u := 0; u < g.NumVertices(); u++ {
-		if g.VertexLabel(graph.VertexID(u)) == want {
+		if labelMatches(q, v, g.VertexLabel(graph.VertexID(u))) {
 			all = append(all, graph.VertexID(u))
 		}
 	}
 	return all
 }
 
+// labelMatches reports whether a data vertex labelled l may bind query
+// vertex v: l is v's label, or v's label is graph.WildcardLabel.
+func labelMatches(q *Graph, v int, l graph.Label) bool {
+	want := q.Vertices[v].Label
+	return want == graph.WildcardLabel || l == want
+}
+
 // consistent verifies all edges between v and bound vertices, and the label
 // of the candidate.
-func consistent(g *graph.Graph, q *Graph, v int, c graph.VertexID, assign []graph.VertexID, bound []bool) bool {
-	if g.VertexLabel(c) != q.Vertices[v].Label {
+func consistent(g graph.View, q *Graph, v int, c graph.VertexID, assign []graph.VertexID, bound []bool) bool {
+	if !labelMatches(q, v, g.VertexLabel(c)) {
 		return false
 	}
 	for _, e := range q.Edges {

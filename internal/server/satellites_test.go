@@ -85,8 +85,7 @@ func TestBodyLimits(t *testing.T) {
 // TestQueryOptionSanitization checks the negative-input handling of
 // queryOptions: nonsense workers/limit clamp to their automatic
 // defaults. batch_size is no longer a request field: a request that
-// still sends one, even the negative value that used to select the
-// tuple-at-a-time engine, runs on the default engine.
+// still sends one, even a negative value, runs on the default engine.
 func TestQueryOptionSanitization(t *testing.T) {
 	s := newTestServer(t, Config{})
 
@@ -124,9 +123,9 @@ func TestQueryOptionSanitization(t *testing.T) {
 			if tc.mode == "" && (resp.Count == nil || *resp.Count != wantCount) {
 				t.Fatalf("count %v, want %d", resp.Count, wantCount)
 			}
-			// The tuple-at-a-time engine dispatches no batches.
+			// The reference counter dispatches no batches.
 			if tc.mode == "" && (resp.Batches == nil || resp.Batches.Scan == 0) {
-				t.Fatalf("no scan batches: the query did not run on the vectorized engine: %s", w.Body)
+				t.Fatalf("no scan batches: the query did not run on the engine: %s", w.Body)
 			}
 		})
 	}

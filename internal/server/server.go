@@ -440,7 +440,7 @@ type stageMillis struct {
 }
 
 // stageMillisFrom converts a Stats stage breakdown to milliseconds,
-// returning nil when no stage time was attributed (oracle engine runs).
+// returning nil when no stage time was attributed.
 func stageMillisFrom(st *graphflow.Stats) *stageMillis {
 	total := st.StageScanNanos + st.StageExtendNanos + st.StageProbeNanos +
 		st.StageFactorizedNanos + st.StageBuildNanos + st.StageEmitNanos
