@@ -4,8 +4,7 @@ package graphflow
 // Each benchmark runs the experiment's code path on a trimmed workload
 // (bench.Quick) so `go test -bench=.` completes in minutes; the full
 // experiments — the exact rows the paper reports — are regenerated with
-// `go run ./cmd/gfbench -exp <id>` (see DESIGN.md section 4 and
-// EXPERIMENTS.md).
+// `go run ./cmd/gfbench -exp <id>` (README, "Commands", cmd/gfbench).
 
 import (
 	"io"

@@ -1,5 +1,5 @@
-// Command gfbench regenerates the paper's tables and figures (see
-// DESIGN.md section 4 for the experiment index) and runs the ablations.
+// Command gfbench regenerates the paper's tables and figures (-list
+// prints the experiment index) and runs the ablations.
 //
 // Usage:
 //

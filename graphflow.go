@@ -597,15 +597,9 @@ func (db *DB) planFor(canon *query.Graph, code query.Code, wcoOnly, skipCache bo
 		}
 	}
 	planStart := time.Now()
-	p, err := optimizer.Optimize(canon, optimizer.Options{
-		Catalogue: st.cat,
-		WCOOnly:   wcoOnly,
-		// Plans are cached per canonical query and shared across runs with
-		// factorization on or off (Distinct turns it off), so pricing
-		// assumes the default (on): star-suffix set reuse is what the batch
-		// engine actually executes.
-		Factorized: true,
-	})
+	// Zero options but the statistics and the plan space, as internal/bench
+	// plans: star suffixes are priced the way the factorized tier runs them.
+	p, err := optimizer.Optimize(canon, optimizer.Options{Catalogue: st.cat, WCOOnly: wcoOnly})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -828,12 +822,14 @@ func (pq *PreparedQuery) Stats() Stats {
 // tree, hex-encoded. Two queries share a digest exactly when they
 // canonicalize to the same pattern and received the same plan, so
 // slow-query log lines can be grouped by plan across processes.
-func (pq *PreparedQuery) PlanDigest() string {
-	cp := pq.cur.Load()
+func (pq *PreparedQuery) PlanDigest() string { return planDigest(pq.code, pq.cur.Load().plan) }
+
+// planDigest is PlanDigest of plan p for the canonical code code.
+func planDigest(code query.Code, p *plan.Plan) string {
 	h := fnv.New64a()
-	io.WriteString(h, string(pq.code))
+	io.WriteString(h, string(code))
 	io.WriteString(h, "|")
-	io.WriteString(h, cp.plan.Describe())
+	io.WriteString(h, p.Describe())
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
@@ -854,14 +850,7 @@ func (pq *PreparedQuery) PlanKind() string { return pq.cur.Load().plan.Kind() }
 // fault knobs. Every run of a query, Analyze included, takes its
 // RunConfig from here.
 func (qo *QueryOptions) execConfig() exec.RunConfig {
-	cfg := exec.RunConfig{
-		Workers:   qo.Workers,
-		BatchSize: qo.BatchSize,
-		// Factorized execution is the default; Distinct needs every tuple
-		// enumerated for its post-filter, so it opts out wholesale (the
-		// safe fallback).
-		Factorized: !qo.Distinct,
-	}
+	cfg := exec.RunConfig{Workers: qo.Workers, BatchSize: qo.BatchSize}
 	exec.ApplyRunConfig(qo.context(), &cfg)
 	return cfg
 }
@@ -927,10 +916,6 @@ func (db *DB) runCount(cp *cachedPlan, qo QueryOptions) (int64, exec.Profile, er
 		}
 		return n, prof, err
 	}
-	// Pure counting can skip enumerating the last extension's Cartesian
-	// product (factorized counting); the count is exact. Under a Limit,
-	// CountUpToCtx enumerates instead.
-	cfg.FastCount = true
 	return compiled.CountUpToCtx(ctx, cfg, qo.Limit)
 }
 

@@ -11,7 +11,7 @@ import (
 // the default (Table 3's "Cache Off", the factorized tier turned off);
 // under attaches one to a query's context (exec.WithRunConfig).
 func cacheOff(c *exec.RunConfig)    { c.DisableCache = true }
-func noFactorize(c *exec.RunConfig) { c.Factorized = false }
+func noFactorize(c *exec.RunConfig) { c.NoFactorize = true }
 
 // under returns a copy of qo whose context carries the run-config hook fn.
 func under(qo QueryOptions, fn func(*exec.RunConfig)) *QueryOptions {

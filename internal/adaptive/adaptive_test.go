@@ -141,7 +141,9 @@ func TestAdaptiveHybridChain(t *testing.T) {
 
 // TestAdaptiveEmitLayout: whichever ordering matched a tuple, it is
 // emitted in the plan root's layout — every query edge holds between the
-// vertices at its endpoints' slots.
+// vertices at its endpoints' slots. Factorization is off: both orderings
+// of the chain are stars, which a factorized run takes as one tail,
+// without routing.
 func TestAdaptiveEmitLayout(t *testing.T) {
 	q := query.Q4()
 	p := fixedWCO(t, q, []int{1, 2, 0, 3})
@@ -155,7 +157,7 @@ func TestAdaptiveEmitLayout(t *testing.T) {
 		slot[v] = s
 	}
 	emitted := int64(0)
-	prof, err := cp.Adaptive(routes).RunCtx(context.Background(), exec.RunConfig{}, func(tu []graph.VertexID) bool {
+	prof, err := cp.Adaptive(routes).RunCtx(context.Background(), exec.RunConfig{NoFactorize: true}, func(tu []graph.VertexID) bool {
 		emitted++
 		for _, e := range q.Edges {
 			if !testG.HasEdge(tu[slot[e.From]], tu[slot[e.To]], e.Label) {
@@ -201,7 +203,7 @@ func TestRouterAdapts(t *testing.T) {
 			t.Fatal(err)
 		}
 		worst := plans[len(plans)-1].Plan
-		for _, cfg := range []exec.RunConfig{{}, {Factorized: true, FastCount: true}, {Workers: 4}} {
+		for _, cfg := range []exec.RunConfig{{NoFactorize: true}, {}, {Workers: 4}} {
 			fixed, adapted, routes := run(t, g, cat, worst, cfg, adaptive.MaxOrderings)
 			if routes == nil {
 				t.Fatalf("Q%d: the worst plan has nothing to adapt", j)
@@ -280,7 +282,7 @@ func (adaptableQuery) Generate(rng *rand.Rand, _ int) reflect.Value {
 // (TestQuickAdaptiveCapOne's single candidate among them) and the run
 // configurations whose stage chains differ.
 func TestQuickAdaptiveAlwaysMatchesFixed(t *testing.T) {
-	cfgs := []exec.RunConfig{{}, {Factorized: true}, {Factorized: true, FastCount: true}, {BatchSize: 3}}
+	cfgs := []exec.RunConfig{{NoFactorize: true}, {}, {BatchSize: 3, NoFactorize: true}, {BatchSize: 3}}
 	f := func(aq adaptableQuery, pick uint8) bool {
 		plans, err := optimizer.EnumerateWCOPlans(aq.Q, optimizer.Options{Catalogue: quickCat})
 		if err != nil || len(plans) == 0 {

@@ -2,7 +2,7 @@
 // evaluation: an edge-at-a-time binary-join engine standing in for Neo4j
 // (Appendix D), a CFL-style subgraph matcher (Appendix C), and a
 // PostgreSQL-style independence-assumption cardinality estimator
-// (Appendix B). See DESIGN.md substitutions #3-#5.
+// (Appendix B).
 package baseline
 
 import (

@@ -5,16 +5,14 @@ import (
 	"io"
 	"time"
 
-	"graphflow/internal/exec"
 	"graphflow/internal/graph"
 	"graphflow/internal/optimizer"
 	"graphflow/internal/query"
 )
 
-// Ablations isolate the design choices DESIGN.md calls out, beyond the
-// paper's own tables: cache-conscious costing, factorized counting,
-// galloping intersections, hash-join build orientation, beam width, and
-// the adaptive ordering cap.
+// Ablations isolate design choices beyond the paper's own tables:
+// cache-conscious costing, galloping intersections, beam width, and the
+// adaptive ordering cap.
 
 // Ablation is a runnable design-choice study.
 type Ablation struct {
@@ -27,7 +25,6 @@ type Ablation struct {
 func Ablations() []Ablation {
 	return []Ablation{
 		{"cache-conscious", "optimizer pick quality with and without cache-aware costing (Section 5.2)", AblationCacheConscious},
-		{"fast-count", "factorized counting vs full enumeration of the last extension", AblationFastCount},
 		{"galloping", "galloping vs pure merge intersections on skewed lists", AblationGalloping},
 		{"beam-width", "plan cost vs beam width for large queries (Section 4.4)", AblationBeamWidth},
 		{"adaptive-cap", "adaptive speedup vs the candidate-ordering cap", AblationAdaptiveCap},
@@ -81,38 +78,6 @@ func AblationCacheConscious(w io.Writer, scale int) error {
 			return err
 		}
 		fmt.Fprintf(w, "Q%-5d %14.3f %14.3f\n", j, cs, os)
-	}
-	return nil
-}
-
-// AblationFastCount measures factorized counting against full enumeration
-// for count-only workloads.
-func AblationFastCount(w io.Writer, scale int) error {
-	g := dataset("Epinions", scale, 1)
-	c := cat("Epinions", scale, 1)
-	fmt.Fprintf(w, "%-6s %12s %12s %10s\n", "query", "enumerate(s)", "factorized(s)", "matches")
-	for _, j := range []int{1, 3, 4, 6} {
-		q := query.Benchmark(j)
-		p, err := optimizer.Optimize(q, optimizer.Options{Catalogue: c, WCOOnly: true})
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		slow, _, err := countPlan(g, p, exec.RunConfig{}, 0)
-		if err != nil {
-			return err
-		}
-		slowS := time.Since(start).Seconds()
-		start = time.Now()
-		fast, _, err := countPlan(g, p, exec.RunConfig{FastCount: true}, 0)
-		if err != nil {
-			return err
-		}
-		fastS := time.Since(start).Seconds()
-		if fast != slow {
-			return fmt.Errorf("fast count mismatch on Q%d: %d vs %d", j, fast, slow)
-		}
-		fmt.Fprintf(w, "Q%-5d %12.3f %12.3f %10d\n", j, slowS, fastS, slow)
 	}
 	return nil
 }

@@ -8,22 +8,12 @@ import (
 
 func TestAblationRegistry(t *testing.T) {
 	as := Ablations()
-	if len(as) != 5 {
-		t.Fatalf("ablation registry has %d entries, want 5", len(as))
+	if len(as) != 4 {
+		t.Fatalf("ablation registry has %d entries, want 4", len(as))
 	}
 	var buf bytes.Buffer
 	if err := RunAblation("nope", &buf, 1); err == nil {
 		t.Error("unknown ablation should error")
-	}
-}
-
-func TestAblationFastCountSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	if err := AblationFastCount(&buf, 1); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "factorized") {
-		t.Errorf("output:\n%s", buf.String())
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (Section 8 and Appendices B-D) on the synthetic datasets of
 // internal/datagen. Each experiment prints rows shaped like the paper's
-// tables; EXPERIMENTS.md records how the measured shapes compare with the
-// published ones.
+// tables; cmd/gfbench runs them (README, "Commands"). Every experiment
+// plans with the zero optimizer.Options and runs the zero exec.RunConfig
+// apart from its own knob, which is what a query of the DB gets.
 package bench
 
 import (

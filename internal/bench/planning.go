@@ -48,7 +48,7 @@ var planningConfig = catalogue.Config{H: 3, Z: 1000, Seed: 1}
 func BenchmarkOptimize(b *testing.B, c *catalogue.Catalogue, qs []*query.Graph) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := optimizer.Optimize(qs[i%len(qs)], optimizer.Options{Catalogue: c, Factorized: true}); err != nil {
+		if _, err := optimizer.Optimize(qs[i%len(qs)], optimizer.Options{Catalogue: c}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,8 +5,7 @@ import "graphflow/internal/graph"
 // Dataset names mirror Table 8 of the paper. Each named constructor fixes
 // generator parameters and a seed so every experiment is reproducible. The
 // scale parameter multiplies the default vertex counts (scale 1 is
-// laptop-sized; the paper's originals are 10-1000x larger — see DESIGN.md
-// substitution #1).
+// laptop-sized; the paper's originals are 10-1000x larger).
 
 // Amazon returns the Amazon-like product co-purchase graph: near-uniform
 // degrees, moderate clustering.

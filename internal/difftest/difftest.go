@@ -473,7 +473,7 @@ var (
 // turned off. No public option reaches them; Under attaches one to a
 // query's context.
 func CacheOff(c *exec.RunConfig)    { c.DisableCache = true }
-func NoFactorize(c *exec.RunConfig) { c.Factorized = false }
+func NoFactorize(c *exec.RunConfig) { c.NoFactorize = true }
 
 // Under returns a copy of opts whose context carries the run-config hook
 // fn (exec.WithRunConfig), so every run of the query has fn applied to
@@ -650,12 +650,14 @@ func CompareBatchMatrix(db *graphflow.DB, ref graph.View, q *query.Graph) error 
 
 // CompareFactorized pits factorized star-suffix execution against the
 // reference on ref (the graph db holds) for one pattern: full counts with
-// factorization explicitly on and off (sequential and Workers=4), exact
+// factorization on (the default) and off (sequential and Workers=4), exact
 // Limit caps across a spectrum that lands limits mid-cross-product (the
 // shared-budget claiming must sum to exactly min(limit, total) even
-// across racing workers), and identical sorted tuple sets from the lazy
-// unfold. Patterns without a star-shaped suffix degrade to plain batch
-// execution, so the sweep is safe on any corpus pattern.
+// across racing workers), identical sorted tuple sets from the lazy
+// unfold, and the reference's Distinct count — in full and capped at half
+// of it — whose post-filter reads the rows the unfold emits. Patterns
+// without a star-shaped suffix degrade to plain batch execution, so the
+// sweep is safe on any corpus pattern.
 func CompareFactorized(db *graphflow.DB, ref graph.View, q *query.Graph) error {
 	pattern := q.String()
 	want, wantRows, err := reference(db, ref, q, false, false, maxRowCollect)
@@ -707,6 +709,23 @@ func CompareFactorized(db *graphflow.DB, ref graph.View, q *query.Graph) error {
 		}
 		if err := diffRows(rows, wantRows); err != nil {
 			return fmt.Errorf("factorized match of %q: %w", pattern, err)
+		}
+	}
+	wantDistinct, _, err := reference(db, ref, q, false, true, maxRowCollect)
+	if err != nil {
+		return fmt.Errorf("reference distinct count of %q: %w", pattern, err)
+	}
+	for _, workers := range []int{0, 4} {
+		for _, limit := range []int64{0, wantDistinct / 2} {
+			opts := &graphflow.QueryOptions{Workers: workers, Distinct: true, Limit: limit}
+			want := wantDistinct
+			if limit > 0 {
+				want = limit
+			}
+			got, err := db.Count(pattern, opts)
+			if err != nil || got != want {
+				return fmt.Errorf("factorized distinct count of %q under %+v = %d, %v; want %d", pattern, *opts, got, err, want)
+			}
 		}
 	}
 	return nil

@@ -183,20 +183,19 @@ func checkHashJoin(t *testing.T, name string, cp *exec.CompiledPlan, want int64,
 		for _, workers := range []int{1, 4} {
 			cfg := exec.RunConfig{BatchSize: bs, Workers: workers}
 			at := fmt.Sprintf("%s bs=%d workers=%d", name, bs, workers)
-			for _, fast := range []bool{false, true} {
-				cfg.FastCount = fast
+			for _, off := range []bool{true, false} {
+				cfg.NoFactorize = off
 				n, prof, err := cp.CountCtx(context.Background(), cfg)
 				if err != nil || n != want {
-					t.Fatalf("%s fast=%v: count = %d, %v; reference %d", at, fast, n, err, want)
+					t.Fatalf("%s factorization off=%v: count = %d, %v; reference %d", at, off, n, err, want)
 				}
 				if buildRows == 0 {
 					buildRows = prof.HashedTuples
 				}
 				if prof.HashedTuples != buildRows || prof.ProbedTuples == 0 {
-					t.Fatalf("%s fast=%v: hashed %d rows (first run %d), probed %d", at, fast, prof.HashedTuples, buildRows, prof.ProbedTuples)
+					t.Fatalf("%s factorization off=%v: hashed %d rows (first run %d), probed %d", at, off, prof.HashedTuples, buildRows, prof.ProbedTuples)
 				}
 			}
-			cfg.FastCount = false
 			for _, limit := range []int64{1, 5, want - 1, want + 50} {
 				if n, _, err := cp.CountUpToCtx(context.Background(), cfg, limit); err != nil || n != min(limit, want) {
 					t.Fatalf("%s: CountUpToCtx(%d) = %d, %v; want %d", at, limit, n, err, min(limit, want))

@@ -133,7 +133,7 @@ func BenchmarkIntersectAdjacency(b *testing.B) {
 		// count. What it takes beyond "pinned" is the stage's own cost.
 		b.Run(ds.name+"/stage", func(b *testing.B) {
 			cp := Must(b, g, tri)
-			cfg := RunConfig{FastCount: true}
+			cfg := RunConfig{NoFactorize: true}
 			var prof Profile
 			var err error
 			if _, _, err = cp.CountCtx(context.Background(), cfg); err != nil {

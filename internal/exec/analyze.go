@@ -128,16 +128,15 @@ func formatNanos(n int64) string {
 
 // AnalyzeCtx runs the compiled plan sequentially, collecting per-operator
 // counters, and returns the statistics tree along with the aggregate
-// profile: the EXPLAIN ANALYZE view. cfg.Workers, cfg.FastCount and
-// cfg.Factorized are ignored: analysis enumerates every match on one
-// goroutine so counters need no sharding and every operator's numbers
-// reflect full enumeration. The run honors ctx like any other query, so a
-// server can bound it by its request timeout; a cancelled analysis
-// returns the context's error.
+// profile: the EXPLAIN ANALYZE view. cfg.Workers and cfg.NoFactorize are
+// ignored: analysis runs the factorized tier's leaves as ordinary E/I
+// stages and writes every match, on one goroutine, so counters need no
+// sharding and every operator's numbers reflect full enumeration. The run
+// honors ctx like any other query, so a server can bound it by its
+// request timeout; a cancelled analysis returns the context's error.
 func (cp *CompiledPlan) AnalyzeCtx(ctx context.Context, cfg RunConfig) (*OpStats, Profile, error) {
 	cfg.Workers = 1
-	cfg.FastCount = false
-	cfg.Factorized = false
+	cfg.NoFactorize = true
 	nc := &nodeCounters{m: map[plan.Node]*OpStats{}}
 	prof, err := cp.run(ctx, cfg, nc, nil, nil, 0)
 	if err != nil {

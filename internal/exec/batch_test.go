@@ -144,8 +144,8 @@ func TestBatchProfileParity(t *testing.T) {
 	}
 }
 
-// TestBatchFastCount checks the batch-granular factorized count against
-// full enumeration at every batch size.
+// TestBatchFastCount checks the batch-granular count, factorized and
+// not, against full enumeration at every batch size.
 func TestBatchFastCount(t *testing.T) {
 	g := datagen.Epinions(1)
 	p := buildWCO(t, query.Q4(), []int{0, 1, 2, 3})
@@ -153,17 +153,16 @@ func TestBatchFastCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := cp.CountCtx(context.Background(), RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := int64(len(sortedTuples(t, cp, RunConfig{NoFactorize: true})))
 	for _, bs := range batchSizesUnderTest {
-		got, prof, err := cp.CountCtx(context.Background(), RunConfig{BatchSize: bs, FastCount: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want || prof.Matches != want {
-			t.Errorf("bs=%d: fast count %d (profile %d), want %d", bs, got, prof.Matches, want)
+		for _, cfg := range []RunConfig{{BatchSize: bs, NoFactorize: true}, {BatchSize: bs}} {
+			got, prof, err := cp.CountCtx(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want || prof.Matches != want {
+				t.Errorf("%+v: count %d (profile %d), enumerated %d", cfg, got, prof.Matches, want)
+			}
 		}
 	}
 }
@@ -303,7 +302,8 @@ func twoTriangles(tb testing.TB) *plan.Plan {
 
 // steadyProbeWorker builds the hash tables of p (a plan with hash joins)
 // and returns a warmed-up worker for its driver pipeline: every probe
-// fans its matches out into batches that are counted at the sink.
+// fans its matches out into batches the sink delivers to an emit that
+// keeps nothing (without one, the probe would count its build runs).
 func steadyProbeWorker(tb testing.TB, g *graph.Graph, p *plan.Plan) (*worker, int) {
 	tb.Helper()
 	cp := Must(tb, g, p)
@@ -316,7 +316,7 @@ func steadyProbeWorker(tb testing.TB, g *graph.Graph, p *plan.Plan) (*worker, in
 		}
 	}
 	var stopped atomic.Bool
-	w := newWorker(rc, cp.driver(), true, nil, &stopped, nil)
+	w := newWorker(rc, cp.driver(), true, func([]graph.VertexID) bool { return true }, &stopped, nil)
 	n := g.NumVertices()
 	w.runBatchRange(0, n)
 	w.flushBatches()
@@ -362,7 +362,7 @@ func TestZeroAllocs(t *testing.T) {
 			// bitmap grows during warm-up only.
 			name: "batchEI", pinned: true,
 			setup: func(t *testing.T) (*worker, func()) {
-				w, n := steadyWorker(t, g, buildWCO(t, query.Q4(), []int{0, 1, 2, 3}), RunConfig{FastCount: true})
+				w, n := steadyWorker(t, g, buildWCO(t, query.Q4(), []int{0, 1, 2, 3}), RunConfig{NoFactorize: true})
 				return w, scan(w, n)
 			},
 		},
@@ -372,7 +372,7 @@ func TestZeroAllocs(t *testing.T) {
 			name: "scanFedRun", pinned: true,
 			runs: func(batch int) (int64, int64) { return scanStageSweeps(g, batch) },
 			setup: func(t *testing.T) (*worker, func()) {
-				w, n := steadyWorker(t, g, buildWCO(t, query.Q1(), chainOrder(3)), RunConfig{FastCount: true})
+				w, n := steadyWorker(t, g, buildWCO(t, query.Q1(), chainOrder(3)), RunConfig{NoFactorize: true})
 				return w, scan(w, n)
 			},
 		},
@@ -401,7 +401,7 @@ func TestZeroAllocs(t *testing.T) {
 				return runs + r, sweeps + s
 			},
 			setup: func(t *testing.T) (*worker, func()) {
-				w, n := steadyWorker(t, g, buildWCO(t, cliqueQuery(4), chainOrder(4)), RunConfig{FastCount: true})
+				w, n := steadyWorker(t, g, buildWCO(t, cliqueQuery(4), chainOrder(4)), RunConfig{NoFactorize: true})
 				return w, scan(w, n)
 			},
 		},
@@ -411,7 +411,7 @@ func TestZeroAllocs(t *testing.T) {
 			// leaf inherits; both pin what they inherit.
 			name: "carriedFactorizedTail", pinned: true,
 			setup: func(t *testing.T) (*worker, func()) {
-				w, n := steadyWorker(t, g, buildWCO(t, cliqueQuery(5), chainOrder(5)), RunConfig{Factorized: true, FastCount: true})
+				w, n := steadyWorker(t, g, buildWCO(t, cliqueQuery(5), chainOrder(5)), RunConfig{})
 				return w, scan(w, n)
 			},
 		},
@@ -470,7 +470,7 @@ func TestZeroAllocs(t *testing.T) {
 			name: "adaptiveRouter", pinned: true,
 			setup: func(t *testing.T) (*worker, func()) {
 				cp, _ := routedPlan(t, g)
-				w, n := steadyWorkerOf(g, cp, RunConfig{Factorized: true})
+				w, n := steadyWorkerOf(g, cp, RunConfig{})
 				if w.profile.Reroutes == 0 || len(w.bstages) != 5 {
 					t.Fatalf("warm-up rerouted %d runs through %d stages; want both orderings built", w.profile.Reroutes, len(w.bstages))
 				}
@@ -482,7 +482,7 @@ func TestZeroAllocs(t *testing.T) {
 			// still into the stage's owned buffer, and nothing is pinned.
 			name: "cacheOff",
 			setup: func(t *testing.T) (*worker, func()) {
-				w, n := steadyWorker(t, g, buildWCO(t, query.Q1(), chainOrder(3)), RunConfig{FastCount: true, DisableCache: true})
+				w, n := steadyWorker(t, g, buildWCO(t, query.Q1(), chainOrder(3)), RunConfig{NoFactorize: true, DisableCache: true})
 				return w, scan(w, n)
 			},
 		},
@@ -493,7 +493,7 @@ func TestZeroAllocs(t *testing.T) {
 			name: "scanOnly",
 			setup: func(t *testing.T) (*worker, func()) {
 				q := query.MustParse("a->b")
-				w, n := steadyWorker(t, g, &plan.Plan{Query: q, Root: plan.NewScan(q, q.Edges[0])}, RunConfig{FastCount: true})
+				w, n := steadyWorker(t, g, &plan.Plan{Query: q, Root: plan.NewScan(q, q.Edges[0])}, RunConfig{})
 				return w, scan(w, n)
 			},
 		},
@@ -522,7 +522,7 @@ func TestZeroAllocs(t *testing.T) {
 // engine, factorized count. CI asserts 0 allocs/op.
 func BenchmarkBatchEISteadyState(b *testing.B) {
 	g := datagen.Epinions(1)
-	w, n := steadyWorker(b, g, buildWCO(b, query.Q4(), []int{0, 1, 2, 3}), RunConfig{FastCount: true})
+	w, n := steadyWorker(b, g, buildWCO(b, query.Q4(), []int{0, 1, 2, 3}), RunConfig{NoFactorize: true})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -553,7 +553,7 @@ func BenchmarkDeepPipelineBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := cp.CountCtx(context.Background(), RunConfig{FastCount: true}); err != nil {
+		if _, _, err := cp.CountCtx(context.Background(), RunConfig{NoFactorize: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -579,7 +579,7 @@ func BenchmarkSkewParallelBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := cp.CountCtx(context.Background(), RunConfig{FastCount: true, Workers: 4}); err != nil {
+		if _, _, err := cp.CountCtx(context.Background(), RunConfig{NoFactorize: true, Workers: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}

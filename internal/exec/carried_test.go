@@ -210,10 +210,8 @@ func TestCarriedCliqueICost(t *testing.T) {
 	}
 	for _, bs := range batchSizesUnderTest {
 		for _, cfg := range []RunConfig{
+			{BatchSize: bs, NoFactorize: true},
 			{BatchSize: bs},
-			{BatchSize: bs, FastCount: true},
-			{BatchSize: bs, Factorized: true},
-			{BatchSize: bs, Factorized: true, FastCount: true},
 		} {
 			n, prof, err := cp.CountCtx(context.Background(), cfg)
 			if err != nil {
@@ -280,15 +278,15 @@ func TestCarriedLimitsAndRows(t *testing.T) {
 		}
 		wantTuples := refTuples(g, p)
 		for _, bs := range batchSizesUnderTest {
-			for _, fact := range []bool{false, true} {
-				cfg := RunConfig{BatchSize: bs, Factorized: fact}
+			for _, off := range []bool{false, true} {
+				cfg := RunConfig{BatchSize: bs, NoFactorize: off}
 				got := sortedTuples(t, cp, cfg)
 				if len(got) != len(wantTuples) {
-					t.Fatalf("%s bs=%d fact=%v: %d tuples, oracle %d", name, bs, fact, len(got), len(wantTuples))
+					t.Fatalf("%s bs=%d nofactorize=%v: %d tuples, oracle %d", name, bs, off, len(got), len(wantTuples))
 				}
 				for i := range got {
 					if got[i] != wantTuples[i] {
-						t.Fatalf("%s bs=%d fact=%v: tuple[%d] = %s, oracle %s", name, bs, fact, i, got[i], wantTuples[i])
+						t.Fatalf("%s bs=%d nofactorize=%v: tuple[%d] = %s, oracle %s", name, bs, off, i, got[i], wantTuples[i])
 					}
 				}
 				for _, workers := range []int{1, 4} {
@@ -300,18 +298,16 @@ func TestCarriedLimitsAndRows(t *testing.T) {
 							t.Fatal(err)
 						}
 						if n != wantLim {
-							t.Errorf("%s bs=%d fact=%v workers=%d: CountUpToCtx(%d) = %d, want %d", name, bs, fact, workers, limit, n, wantLim)
+							t.Errorf("%s bs=%d nofactorize=%v workers=%d: CountUpToCtx(%d) = %d, want %d", name, bs, off, workers, limit, n, wantLim)
 						}
 					}
-					cfg.FastCount = true
 					n, _, err := cp.CountCtx(context.Background(), cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if n != want {
-						t.Errorf("%s bs=%d fact=%v workers=%d: count %d, oracle %d", name, bs, fact, workers, n, want)
+						t.Errorf("%s bs=%d nofactorize=%v workers=%d: count %d, oracle %d", name, bs, off, workers, n, want)
 					}
-					cfg.FastCount = false
 				}
 			}
 		}
@@ -331,9 +327,9 @@ func BenchmarkCliqueCarried(b *testing.B) {
 			name string
 			cfg  RunConfig
 		}{
-			{"batch", RunConfig{FastCount: true}},
-			{"factorized", RunConfig{FastCount: true, Factorized: true}},
-			{"batch-nocache", RunConfig{FastCount: true, DisableCache: true}},
+			{"batch", RunConfig{NoFactorize: true}},
+			{"factorized", RunConfig{}},
+			{"batch-nocache", RunConfig{NoFactorize: true, DisableCache: true}},
 		} {
 			b.Run(fmt.Sprintf("clique%d/%s", k, v.name), func(b *testing.B) {
 				b.ReportAllocs()

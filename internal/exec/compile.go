@@ -50,8 +50,8 @@ type compiledPipeline struct {
 	// starSuffix is the index into stages where the pipeline's maximal
 	// star-shaped suffix begins (plan.StarSuffixLen mapped onto the
 	// flattened chain); len(stages) when there is none. The driver
-	// pipeline's suffix, when present, is what RunConfig.Factorized
-	// compiles into a factorizedTail stage.
+	// pipeline's suffix, when present, runs as a factorizedTail stage
+	// unless RunConfig.NoFactorize is set.
 	starSuffix int
 	// route, when non-nil, makes the driver pipeline's trailing E/I chain
 	// adaptive (CompiledPlan.Adaptive): a worker places a router where the
@@ -196,9 +196,9 @@ func (cp *CompiledPlan) Root() plan.Node { return cp.root }
 func (cp *CompiledPlan) driver() *compiledPipeline { return cp.pipes[len(cp.pipes)-1] }
 
 // StarSuffixLen reports the length of the driver pipeline's star-shaped
-// suffix: the number of trailing E/I stages RunConfig.Factorized
-// evaluates as a factorizedTail (0 = factorization cannot apply to this
-// plan).
+// suffix: the number of trailing E/I stages a run evaluates as a
+// factorizedTail unless RunConfig.NoFactorize is set (0 = factorization
+// cannot apply to this plan).
 func (cp *CompiledPlan) StarSuffixLen() int {
 	d := cp.driver()
 	return len(d.stages) - d.starSuffix

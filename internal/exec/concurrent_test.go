@@ -65,11 +65,10 @@ func TestCompiledPlanConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cfg := RunConfig{Workers: 1 + i%3, FastCount: i%2 == 0}
+			cfg := RunConfig{Workers: 1 + i%3, NoFactorize: i%2 == 0}
 			var n int64
 			if i%4 == 3 {
 				// Enumerate through emit instead of counting.
-				cfg.FastCount = false
 				var mu sync.Mutex
 				_, err := cp.RunCtx(context.Background(), cfg, func(tuple []graph.VertexID) bool {
 					mu.Lock()

@@ -37,7 +37,7 @@ func TestCountCtxExpiredContextReturnsImmediately(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, _, err := cp.CountCtx(ctx, RunConfig{FastCount: true})
+	_, _, err := cp.CountCtx(ctx, RunConfig{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -59,7 +59,7 @@ func TestCountCtxDeadlineBoundsLatency(t *testing.T) {
 	for deg := 60; ; deg *= 2 {
 		cp = heavyPlanDeg(t, deg)
 		full := time.Now()
-		n, _, err := cp.CountCtx(context.Background(), RunConfig{FastCount: true})
+		n, _, err := cp.CountCtx(context.Background(), RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestCountCtxDeadlineBoundsLatency(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start := time.Now()
-	_, _, err := cp.CountCtx(ctx, RunConfig{FastCount: true})
+	_, _, err := cp.CountCtx(ctx, RunConfig{})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -93,7 +93,7 @@ func TestCountCtxParallelCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err := cp.CountCtx(ctx, RunConfig{Workers: 4, FastCount: true})
+	_, _, err := cp.CountCtx(ctx, RunConfig{Workers: 4})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -169,9 +169,9 @@ func TestCountUpToCtxHonorsWorkers(t *testing.T) {
 		t.Skip("triangle fixture too small")
 	}
 	configs := map[string]RunConfig{
-		"batch":      {},
+		"batch":      {NoFactorize: true},
 		"workers=4":  {Workers: 4},
-		"factorized": {Factorized: true},
+		"factorized": {},
 		"bs=1":       {BatchSize: 1},
 	}
 	for name, cfg := range configs {

@@ -142,8 +142,16 @@ func (p *Profile) Add(other Profile) {
 	p.Stages.Add(other.Stages)
 }
 
-// RunConfig carries the per-run execution knobs. The zero value is a
-// sequential run with the intersection cache on.
+// RunConfig carries the per-run execution knobs. The zero value is what
+// a count of the DB runs: a sequential run with the intersection cache
+// on, a plan-adaptive batch size, and the factorized tier on — a pipeline
+// ending in a star-shaped suffix (trailing E/I stages whose targets are
+// pairwise non-adjacent leaves off the prefix) evaluates it as one
+// extension set per leaf per prefix row, prefix × set₁ × … × setₖ: a
+// count multiplies set cardinalities, a limit is charged against the
+// product, and enumeration lazily unfolds identical rows in identical
+// order. CountCtx writes no row at the last stage: it adds the size of
+// what that stage would fan out to the match count.
 type RunConfig struct {
 	// Workers is the number of parallel workers; <=1 means sequential.
 	Workers int
@@ -154,26 +162,19 @@ type RunConfig struct {
 	// materialises more than this many tuples (0 = unlimited) — the
 	// equivalent of the paper's Mm (out of memory) outcomes.
 	MaxBuildRows int64
-	// FastCount enables factorized counting when no tuples are emitted:
-	// the final E/I operator contributes the size of each extension set
-	// instead of enumerating it (the factorization direction of the
-	// paper's Section 10). Counts are identical; Matches in the profile is
-	// still exact.
+	// Deprecated: ignored. A run without emit counts (see RunConfig).
 	FastCount bool
 	// BatchSize is the row capacity of the engine's columnar tuple
 	// batches. 0 picks a plan-adaptive capacity (see
 	// CompiledPlan.EffectiveBatchSize); an explicit value stays
 	// authoritative, with values below 1 clamping to 1.
 	BatchSize int
-	// Factorized enables the factorized execution tier: when the driver
-	// pipeline ends in a star-shaped suffix (trailing E/I stages whose
-	// targets are pairwise non-adjacent leaves off the prefix), the
-	// suffix is evaluated as one extension set per leaf per prefix tuple
-	// and the result is represented as prefix × set₁ × … × setₖ. Counts
-	// multiply set cardinalities, limits are charged against the product,
-	// and enumeration lazily unfolds identical tuples in identical order.
-	// Opt-in.
+	// Deprecated: ignored. Factorization is on unless NoFactorize is set.
 	Factorized bool
+	// NoFactorize turns the factorized tier off (an ablation: the star
+	// suffix runs as ordinary E/I stages, and the last one's sets are
+	// counted or written row by row).
+	NoFactorize bool
 	// MemBudget, when non-nil, meters this run's major allocators —
 	// hash-join build tables, worker batch checkouts, extension-set
 	// cache growth — against a per-query (and, through its governor, a
@@ -380,8 +381,9 @@ func (cp *CompiledPlan) RunCtx(ctx context.Context, cfg RunConfig, emit func([]g
 // and the execution profile (see RunCtx for ctx). On cancellation the
 // partial count is returned alongside ctx's error.
 func (cp *CompiledPlan) CountCtx(ctx context.Context, cfg RunConfig) (int64, Profile, error) {
-	// A count runs emit-free: rows that reach the sink are counted by
-	// dispatchBatch, rows absorbed by a factorized tail by its product.
+	// A count runs emit-free: the last stage counts what it would fan out
+	// (countsLast), a factorized tail its products, and the sink the rows
+	// of a pipeline that is only a scan.
 	prof, err := cp.run(ctx, cfg, nil, nil, nil, 0)
 	return prof.Matches, prof, err
 }
@@ -394,8 +396,7 @@ func (cp *CompiledPlan) CountUpToCtx(ctx context.Context, cfg RunConfig, limit i
 	if limit <= 0 {
 		return cp.CountCtx(ctx, cfg)
 	}
-	cfg.FastCount = false
-	if cfg.Factorized && cp.StarSuffixLen() > 0 {
+	if !cfg.NoFactorize && cp.StarSuffixLen() > 0 {
 		// Factorized limit: the tail charges each prefix's set-cardinality
 		// product against a shared budget, so the cap is hit exactly
 		// without unfolding a single suffix tuple.

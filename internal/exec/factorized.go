@@ -28,8 +28,8 @@ import (
 //
 // The engine's join semantics are homomorphic (query vertices may bind
 // the same data vertex), so the product is exact even when two leaves
-// share a label; Distinct filtering is a caller-side concern and the
-// public layer falls back to full enumeration for it.
+// share a label; Distinct filtering is a caller-side concern, a post-filter
+// on the rows the lazy unfold emits.
 
 // factorizedTail evaluates a star-shaped suffix of leaves as the final
 // stage of the driver pipeline's batch chain.

@@ -94,7 +94,7 @@ func TestFactorizedCountMatchesOracle(t *testing.T) {
 		}
 		want := refCount(g, tc.p)
 		for _, workers := range []int{1, 4} {
-			got, prof, err := cp.CountCtx(context.Background(), RunConfig{Factorized: true, Workers: workers})
+			got, prof, err := cp.CountCtx(context.Background(), RunConfig{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,8 +134,8 @@ func TestFactorizedMatchUnfoldsIdenticalTuples(t *testing.T) {
 			return out
 		}
 		for _, bs := range []int{0, 1, 3, 64} {
-			want := collect(RunConfig{BatchSize: bs})
-			got := collect(RunConfig{BatchSize: bs, Factorized: true})
+			want := collect(RunConfig{BatchSize: bs, NoFactorize: true})
+			got := collect(RunConfig{BatchSize: bs})
 			if len(got) != len(want) {
 				t.Fatalf("%s bs=%d: %d tuples, plain batch %d", name, bs, len(got), len(want))
 			}
@@ -175,7 +175,7 @@ func TestFactorizedLimitExactUnderParallelism(t *testing.T) {
 				want = full
 			}
 			n, prof, err := cp.CountUpToCtx(context.Background(),
-				RunConfig{Factorized: true, Workers: workers}, limit)
+				RunConfig{Workers: workers}, limit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -293,8 +293,8 @@ func Must(t testing.TB, g *graph.Graph, p *plan.Plan) *CompiledPlan {
 func TestWorkerPoolReuseAcrossRuns(t *testing.T) {
 	g := datagen.Epinions(1)
 	for _, cfg := range []RunConfig{
-		{FastCount: true},
-		{Factorized: true},
+		{NoFactorize: true},
+		{},
 	} {
 		cp := Must(t, g, buildWCO(t, query.Q4(), []int{0, 1, 2, 3}))
 		if _, _, err := cp.CountCtx(context.Background(), cfg); err != nil {
@@ -328,7 +328,7 @@ func steadyFactorizedWorker(tb testing.TB, g *graph.Graph) (*worker, int) {
 	if cp.StarSuffixLen() != 3 {
 		tb.Fatalf("star suffix = %d, want 3", cp.StarSuffixLen())
 	}
-	cfg := RunConfig{Factorized: true}
+	var cfg RunConfig
 	rc := &runContext{ctx: context.Background(), cp: cp, cfg: cfg, batch: cp.EffectiveBatchSize(cfg, 0)}
 	var stopped atomic.Bool
 	w := newWorker(rc, cp.pipes[len(cp.pipes)-1], true, nil, &stopped, nil)

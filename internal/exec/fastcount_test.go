@@ -10,31 +10,40 @@ import (
 	"graphflow/internal/query"
 )
 
+// TestFastCountMatchesExact holds a count — the last stage adds the size
+// of what it would fan out, or a factorized tail its products — to the
+// rows the same plan enumerates through emit.
 func TestFastCountMatchesExact(t *testing.T) {
 	g := datagen.Epinions(1)
 	for _, j := range []int{1, 3, 4, 5} {
 		q := query.Benchmark(j)
 		// Any WCO order built from the first edge.
 		order := connectedOrderForTest(q)
-		p := buildWCO(t, q, order)
-		slow, slowProf, err := countPlan(g, p, RunConfig{})
+		cp := Must(t, g, buildWCO(t, q, order))
+		var slow int64
+		slowProf, err := cp.RunCtx(context.Background(), RunConfig{NoFactorize: true}, func([]graph.VertexID) bool {
+			slow++
+			return true
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, fastProf, err := countPlan(g, p, RunConfig{FastCount: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fast != slow {
-			t.Errorf("Q%d: fast count = %d, exact = %d", j, fast, slow)
-		}
-		if fastProf.Matches != slow {
-			t.Errorf("Q%d: fast profile matches = %d", j, fastProf.Matches)
-		}
-		// Factorized counting does strictly less enumeration work but the
-		// same intersections: i-cost must match.
-		if fastProf.ICost != slowProf.ICost {
-			t.Errorf("Q%d: i-cost changed: fast=%d slow=%d", j, fastProf.ICost, slowProf.ICost)
+		for _, cfg := range []RunConfig{{NoFactorize: true}, {}} {
+			fast, fastProf, err := cp.CountCtx(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fast != slow {
+				t.Errorf("Q%d %+v: count = %d, enumerated = %d", j, cfg, fast, slow)
+			}
+			if fastProf.Matches != slow {
+				t.Errorf("Q%d %+v: profile matches = %d", j, cfg, fastProf.Matches)
+			}
+			// Counting the last stage does less enumeration work but the
+			// same intersections: i-cost must match.
+			if cfg.NoFactorize && fastProf.ICost != slowProf.ICost {
+				t.Errorf("Q%d: i-cost changed: count=%d enumerated=%d", j, fastProf.ICost, slowProf.ICost)
+			}
 		}
 	}
 }
@@ -43,7 +52,7 @@ func TestFastCountScanOnly(t *testing.T) {
 	g := datagen.Amazon(1)
 	q := query.MustParse("a->b")
 	p := &plan.Plan{Query: q, Root: plan.NewScan(q, q.Edges[0])}
-	fast, _, err := countPlan(g, p, RunConfig{FastCount: true})
+	fast, _, err := countPlan(g, p, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +62,8 @@ func TestFastCountScanOnly(t *testing.T) {
 }
 
 func TestFastCountIgnoredWithEmit(t *testing.T) {
-	// Run with an emit callback must still enumerate every tuple even when
-	// FastCount is set.
+	// A run with an emit callback enumerates every tuple; only a run
+	// without one counts.
 	g := datagen.Amazon(1)
 	q := query.Q1()
 	p := buildWCO(t, q, []int{0, 1, 2})
@@ -63,7 +72,7 @@ func TestFastCountIgnoredWithEmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var n int64
-	_, err = Must(t, g, p).RunCtx(context.Background(), RunConfig{FastCount: true}, func([]graph.VertexID) bool {
+	_, err = Must(t, g, p).RunCtx(context.Background(), RunConfig{}, func([]graph.VertexID) bool {
 		n++
 		return true
 	})
@@ -71,7 +80,7 @@ func TestFastCountIgnoredWithEmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != want {
-		t.Errorf("emit with FastCount enumerated %d, want %d", n, want)
+		t.Errorf("emit enumerated %d, want %d", n, want)
 	}
 }
 

@@ -315,7 +315,7 @@ func TestCancelMidFactorizedUnfold(t *testing.T) {
 		t.Fatalf("star suffix len %d; fixture no longer exercises the factorized tail", cp.StarSuffixLen())
 	}
 	var total int64
-	fullProf, err := cp.RunCtx(context.Background(), RunConfig{Factorized: true}, func([]graph.VertexID) bool {
+	fullProf, err := cp.RunCtx(context.Background(), RunConfig{}, func([]graph.VertexID) bool {
 		total++
 		return true
 	})
@@ -333,7 +333,7 @@ func TestCancelMidFactorizedUnfold(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var emitted int64
-	_, err = cp.RunCtx(ctx, RunConfig{Factorized: true}, func([]graph.VertexID) bool {
+	_, err = cp.RunCtx(ctx, RunConfig{}, func([]graph.VertexID) bool {
 		if emitted++; emitted == 1000 {
 			cancel() // mid-unfold: the odometer is partway through a product
 		}
@@ -348,7 +348,7 @@ func TestCancelMidFactorizedUnfold(t *testing.T) {
 	assertGoroutinesReturn(t, baseline)
 
 	var again int64
-	if _, err := cp.RunCtx(context.Background(), RunConfig{Factorized: true}, func([]graph.VertexID) bool {
+	if _, err := cp.RunCtx(context.Background(), RunConfig{}, func([]graph.VertexID) bool {
 		again++
 		return true
 	}); err != nil {
@@ -393,10 +393,10 @@ func TestPinnedBitmapBudget(t *testing.T) {
 			t.Fatalf("%s: no matches; test is vacuous", name)
 		}
 		for _, cfg := range []RunConfig{
+			{BatchSize: 64, NoFactorize: true},
 			{BatchSize: 64},
-			{BatchSize: 64, FastCount: true},
-			{BatchSize: 64, Factorized: true, FastCount: true},
 			{BatchSize: 64, Workers: 4},
+			{BatchSize: 64, NoFactorize: true, Workers: 4},
 		} {
 			small := resource.NewBudget(bitmapBytes/2, nil)
 			cfg.MemBudget = small

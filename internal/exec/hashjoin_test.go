@@ -36,7 +36,7 @@ func TestHashJoinAllocsCeiling(t *testing.T) {
 		cp := Must(t, smallRandomGraph(9, vertices, 2), twoPathJoin(t))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		n, prof, err := cp.CountCtx(context.Background(), RunConfig{FastCount: true})
+		n, prof, err := cp.CountCtx(context.Background(), RunConfig{})
 		runtime.ReadMemStats(&after)
 		if err != nil || n == 0 {
 			t.Fatalf("count = %d, %v", n, err)
@@ -57,7 +57,7 @@ func TestHashJoinAllocsCeiling(t *testing.T) {
 		return
 	}
 	cp := Must(t, datagen.Epinions(1), twoTriangles(t))
-	cfg := RunConfig{FastCount: true, Factorized: true}
+	var cfg RunConfig
 	if _, _, err := cp.CountCtx(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -54,17 +54,15 @@ func TestPinnedAccounting(t *testing.T) {
 		if want == 0 {
 			t.Fatalf("%s: no matches; test is vacuous", name)
 		}
-		_, rowProf, err := cp.CountCtx(context.Background(), RunConfig{BatchSize: 1})
+		_, rowProf, err := cp.CountCtx(context.Background(), RunConfig{BatchSize: 1, NoFactorize: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, bs := range sizes {
 			for _, cfg := range []RunConfig{
+				{BatchSize: bs, NoFactorize: true},
 				{BatchSize: bs},
-				{BatchSize: bs, FastCount: true},
-				{BatchSize: bs, Factorized: true},
-				{BatchSize: bs, Factorized: true, FastCount: true},
-				{BatchSize: bs, Workers: 4, Factorized: true},
+				{BatchSize: bs, Workers: 4},
 			} {
 				n, prof, err := cp.CountCtx(context.Background(), cfg)
 				if err != nil {
@@ -78,7 +76,7 @@ func TestPinnedAccounting(t *testing.T) {
 				if (prof.Kernels.PinnedProbe > 0) != (bs > 1) {
 					t.Errorf("%s cfg=%+v: %d pinned probes dispatched", name, cfg, prof.Kernels.PinnedProbe)
 				}
-				if cfg.Workers <= 1 && !cfg.Factorized {
+				if cfg.Workers <= 1 && cfg.NoFactorize {
 					// Same rows through the same stages as at one row a batch.
 					if prof.Intermediate != rowProf.Intermediate || prof.CacheHits != rowProf.CacheHits ||
 						prof.ICost != rowProf.ICost || prof.CarriedSets != rowProf.CarriedSets {
@@ -174,9 +172,8 @@ func TestPinnedCarriedRunIdentity(t *testing.T) {
 			want := refCount(g, p)
 			for _, bs := range []int{1, 2, 3} {
 				for _, cfg := range []RunConfig{
+					{BatchSize: bs, NoFactorize: true},
 					{BatchSize: bs},
-					{BatchSize: bs, FastCount: true},
-					{BatchSize: bs, Factorized: true, FastCount: true},
 				} {
 					n, prof, err := cp.CountCtx(context.Background(), cfg)
 					if err != nil {
@@ -205,7 +202,7 @@ func TestPinnedBitmapSurvivesAbandonedRuns(t *testing.T) {
 		want := refCount(g, p)
 		check := func(after string) {
 			t.Helper()
-			for _, cfg := range []RunConfig{{FastCount: true}, {Factorized: true, FastCount: true}} {
+			for _, cfg := range []RunConfig{{NoFactorize: true}, {}} {
 				n, prof, err := cp.CountCtx(context.Background(), cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -215,8 +212,8 @@ func TestPinnedBitmapSurvivesAbandonedRuns(t *testing.T) {
 				}
 			}
 		}
-		for _, fact := range []bool{false, true} {
-			cfg := RunConfig{Factorized: fact}
+		for _, off := range []bool{false, true} {
+			cfg := RunConfig{NoFactorize: off}
 			for _, limit := range []int64{1, min(want/3, 5000)} {
 				if limit < 1 {
 					continue
@@ -303,7 +300,7 @@ func TestPinnedWildcardLists(t *testing.T) {
 		for _, mode := range []struct{ edges, vertices bool }{{false, true}, {true, false}} {
 			wp := buildWCO(t, wild(p.Query, mode.edges, mode.vertices), chainOrder(len(p.Query.Vertices)))
 			cp := Must(t, g, wp)
-			want, rowProf, err := cp.CountCtx(context.Background(), RunConfig{BatchSize: 1, FastCount: true})
+			want, rowProf, err := cp.CountCtx(context.Background(), RunConfig{BatchSize: 1, NoFactorize: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -325,8 +322,8 @@ func TestPinnedWildcardLists(t *testing.T) {
 				}
 			}
 			for _, bs := range []int{1, 64} {
-				for _, cfg := range []RunConfig{{BatchSize: bs}, {BatchSize: bs, Factorized: true, FastCount: true}} {
-					if want > 2_000_000 && !cfg.Factorized {
+				for _, cfg := range []RunConfig{{BatchSize: bs, NoFactorize: true}, {BatchSize: bs}} {
+					if want > 2_000_000 && cfg.NoFactorize {
 						continue // enumerating the leaves' product row by row adds nothing here
 					}
 					n, prof, err := cp.CountCtx(context.Background(), cfg)
@@ -339,14 +336,14 @@ func TestPinnedWildcardLists(t *testing.T) {
 					if pinned := prof.Kernels.PinnedProbe > 0; pinned != (!mode.edges && bs > 1) {
 						t.Errorf("%s %+v cfg=%+v: %d pinned probes; wildcard vertex labels pin (in batches of two rows or more), wildcard edge labels must not", name, mode, cfg, prof.Kernels.PinnedProbe)
 					}
-					if !cfg.Factorized && prof.ICost != rowProf.ICost {
+					if cfg.NoFactorize && prof.ICost != rowProf.ICost {
 						t.Errorf("%s %+v cfg=%+v: i-cost %d, at one row a batch %d", name, mode, cfg, prof.ICost, rowProf.ICost)
 					}
 				}
 				if wantTuples == nil {
 					continue
 				}
-				got := sortedTuples(t, cp, RunConfig{BatchSize: bs, Factorized: true})
+				got := sortedTuples(t, cp, RunConfig{BatchSize: bs})
 				if len(got) != len(wantTuples) {
 					t.Fatalf("%s %+v bs=%d: %d tuples, want %d", name, mode, bs, len(got), len(wantTuples))
 				}

@@ -43,12 +43,12 @@ func TestRouterCounters(t *testing.T) {
 	cp, p := routedPlan(t, g)
 	want := refCount(g, p)
 	for _, cfg := range []RunConfig{
+		{NoFactorize: true},
 		{},
-		{FastCount: true},
-		{Factorized: true},
-		{Factorized: true, FastCount: true, Workers: 4},
+		{Workers: 4},
 		{DisableCache: true},
-		{BatchSize: 1},
+		{DisableCache: true, NoFactorize: true},
+		{BatchSize: 1, NoFactorize: true},
 		{BatchSize: 1, Workers: 4},
 	} {
 		n, prof, err := cp.CountCtx(context.Background(), cfg)
@@ -65,7 +65,7 @@ func TestRouterCounters(t *testing.T) {
 		if (prof.Kernels.PinnedProbe > 0) == (cfg.DisableCache || cfg.BatchSize == 1) {
 			t.Errorf("%+v: %d pinned probes", cfg, prof.Kernels.PinnedProbe)
 		}
-		if (prof.FactorizedAvoided > 0) != cfg.Factorized {
+		if (prof.FactorizedAvoided > 0) == cfg.NoFactorize {
 			t.Errorf("%+v: %d matches counted on the factorized form", cfg, prof.FactorizedAvoided)
 		}
 	}
@@ -77,7 +77,7 @@ func TestRouterCounters(t *testing.T) {
 func TestRouterPooledReuse(t *testing.T) {
 	g := datagen.Epinions(1)
 	cp, _ := routedPlan(t, g)
-	cfg := RunConfig{Factorized: true, FastCount: true}
+	var cfg RunConfig
 	want, _, err := cp.CountCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestRouterPooledReuse(t *testing.T) {
 		return // sync.Pool drops a quarter of its puts under -race
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, err := cp.CountCtx(context.Background(), RunConfig{Factorized: true, FastCount: true}); err != nil {
+		if _, _, err := cp.CountCtx(context.Background(), RunConfig{}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -113,7 +113,7 @@ func TestRunBoundaries(t *testing.T) {
 			forceGeneralPath(general)
 			want := refCount(view, p)
 			if name == "wildcard" {
-				if want, _, err = general.CountCtx(context.Background(), RunConfig{BatchSize: 1, FastCount: true}); err != nil {
+				if want, _, err = general.CountCtx(context.Background(), RunConfig{BatchSize: 1}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -133,18 +133,17 @@ func TestRunBoundaries(t *testing.T) {
 					if limit < 1 {
 						continue
 					}
-					for _, cfg := range []RunConfig{{BatchSize: bs}, {BatchSize: bs, Factorized: true}} {
+					for _, cfg := range []RunConfig{{BatchSize: bs, NoFactorize: true}, {BatchSize: bs}} {
 						if n, _, err := cp.CountUpToCtx(context.Background(), cfg, limit); err != nil || n != limit {
 							t.Fatalf("%s %+v: CountUpToCtx(%d) = %d, %v", where, cfg, limit, n, err)
 						}
 					}
 				}
 				for _, cfg := range []RunConfig{
+					{BatchSize: bs, NoFactorize: true},
 					{BatchSize: bs},
-					{BatchSize: bs, FastCount: true},
-					{BatchSize: bs, Factorized: true, FastCount: true},
-					{BatchSize: bs, Factorized: true, Workers: 4},
 					{BatchSize: bs, Workers: 4},
+					{BatchSize: bs, NoFactorize: true, Workers: 4},
 				} {
 					n, prof, err := cp.CountCtx(context.Background(), cfg)
 					if err != nil {
@@ -178,9 +177,9 @@ func TestRunBoundaries(t *testing.T) {
 				if wantRows == nil {
 					continue
 				}
-				for _, fact := range []bool{false, true} {
-					if rows := sortedTuples(t, cp, RunConfig{BatchSize: bs, Factorized: fact}); !slices.Equal(rows, wantRows) {
-						t.Errorf("%s bs=%d factorized=%v: %d rows differ from the reference's %d", where, bs, fact, len(rows), len(wantRows))
+				for _, off := range []bool{false, true} {
+					if rows := sortedTuples(t, cp, RunConfig{BatchSize: bs, NoFactorize: off}); !slices.Equal(rows, wantRows) {
+						t.Errorf("%s bs=%d factorization off=%v: %d rows differ from the reference's %d", where, bs, off, len(rows), len(wantRows))
 					}
 				}
 			}
@@ -393,10 +392,9 @@ func FuzzExtendRuns(f *testing.F) {
 			}
 			return &compiledPipeline{scan: &plan.Scan{}, stages: stages, outWidth: width, starSuffix: len(stages)}
 		}
-		// run feeds the rows to stages; count runs a pure count (FastCount,
-		// no emit).
+		// run feeds the rows to stages; count runs a pure count (no emit).
 		run := func(stages []stageSpec, count bool) (out [][]graph.VertexID, prof Profile) {
-			rc := &runContext{ctx: context.Background(), cp: cp, cfg: RunConfig{FastCount: count}, batch: outBatch,
+			rc := &runContext{ctx: context.Background(), cp: cp, batch: outBatch,
 				tables: map[*plan.HashJoin]*hashTable{join: table}}
 			var stopped atomic.Bool
 			emit := func(tu []graph.VertexID) bool {

@@ -12,23 +12,30 @@ import (
 
 // TestStageTimesAttributed checks the per-stage wall-time attribution:
 // a batch-engine count on a real dataset must charge time to the scan
-// and E/I slots, the total must be positive, and a parallel run's
-// attribution must also land (summed across workers).
+// and E/I slots — the factorized slot, when the E/I stage is the tail's
+// leaf — the total must be positive, and a parallel run's attribution
+// must also land (summed across workers).
 func TestStageTimesAttributed(t *testing.T) {
 	g := datagen.Epinions(1)
 	q := query.Q1()
 	p := buildWCO(t, q, []int{0, 1, 2})
 	for _, workers := range []int{1, 4} {
-		_, prof, err := countPlan(g, p, RunConfig{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := prof.Stages
-		if st.Scan <= 0 || st.Extend <= 0 {
-			t.Errorf("workers=%d: scan=%d extend=%d nanos, want both > 0", workers, st.Scan, st.Extend)
-		}
-		if st.Total() <= 0 {
-			t.Errorf("workers=%d: total stage time %d, want > 0", workers, st.Total())
+		for _, off := range []bool{false, true} {
+			_, prof, err := countPlan(g, p, RunConfig{Workers: workers, NoFactorize: off})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := prof.Stages
+			ei := st.Factorized
+			if off {
+				ei = st.Extend
+			}
+			if st.Scan <= 0 || ei <= 0 {
+				t.Errorf("workers=%d factorization off=%v: scan=%d E/I=%d nanos, want both > 0", workers, off, st.Scan, ei)
+			}
+			if st.Total() <= 0 {
+				t.Errorf("workers=%d factorization off=%v: total stage time %d, want > 0", workers, off, st.Total())
+			}
 		}
 	}
 }

@@ -48,11 +48,11 @@ type worker struct {
 	mq     *morselQueue
 	// scanReader is the reusable neighbor fill for the scan stage.
 	scanReader graph.NeighborReader
-	// countFast enables factorized counting on the driver pipeline when no
-	// tuples need to be emitted: the final stage adds the size of what it
-	// would fan out — an extension set, a key's build rows — to the match
-	// count without enumerating it (the factorization optimization of the
-	// paper's Section 10).
+	// countFast marks a worker of a count's driver pipeline (see
+	// countsLast): the final stage adds the size of what it would fan out
+	// — an extension set, a key's build rows — to the match count without
+	// enumerating it (the factorization optimization of the paper's
+	// Section 10).
 	countFast bool
 	scanOut   int64
 	// cancelCountdown amortizes context polling: it is decremented on
@@ -86,7 +86,7 @@ type worker struct {
 const cancelCheckInterval = 4096
 
 func newWorker(rc *runContext, pipe *compiledPipeline, isRoot bool, emit func([]graph.VertexID) bool, stopped *atomic.Bool, mq *morselQueue) *worker {
-	fact := rc.cfg.Factorized && isRoot && pipe.starSuffix < len(pipe.stages)
+	fact := !rc.cfg.NoFactorize && isRoot && pipe.starSuffix < len(pipe.stages)
 	batch := rc.batch
 	if pipe.feeds != nil {
 		batch = rc.buildBatch
@@ -103,7 +103,7 @@ func newWorker(rc *runContext, pipe *compiledPipeline, isRoot bool, emit func([]
 	w := &worker{
 		g: rc.cp.graph, rc: rc, pipe: pipe, isRoot: isRoot,
 		emit: emit, stopped: stopped, mq: mq, build: rc.tables[pipe.feeds],
-		countFast:       rc.cfg.FastCount && emit == nil && isRoot,
+		countFast:       countsLast(rc, isRoot, emit),
 		cancelCountdown: cancelCheckInterval,
 		batchSize:       batch,
 		factorized:      fact,
@@ -136,6 +136,14 @@ func newWorker(rc *runContext, pipe *compiledPipeline, isRoot bool, emit func([]
 	w.tuple = make([]graph.VertexID, 0, pipe.outWidth)
 	w.chargeCheckout()
 	return w
+}
+
+// countsLast reports whether a worker of the run counts its last stage's
+// fan-outs instead of writing them: on the driver pipeline of a count —
+// no emit, no EXPLAIN ANALYZE counters (they count rows at the sink) and
+// no count budget (only a factorized tail charges it).
+func countsLast(rc *runContext, isRoot bool, emit func([]graph.VertexID) bool) bool {
+	return isRoot && emit == nil && rc.analyze == nil && rc.countBudget == nil
 }
 
 // addStage appends st to the stage chain with its wall-time slot.
@@ -194,7 +202,7 @@ func (w *worker) rebind(rc *runContext, emit func([]graph.VertexID) bool, stoppe
 	w.build, w.frag = rc.tables[w.pipe.feeds], nil
 	w.stopped = stopped
 	w.mq = mq
-	w.countFast = rc.cfg.FastCount && emit == nil && w.isRoot
+	w.countFast = countsLast(rc, w.isRoot, emit)
 	w.cancelCountdown = cancelCheckInterval
 	w.profile = Profile{}
 	w.scanOut = 0

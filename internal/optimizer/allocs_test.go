@@ -19,7 +19,7 @@ func TestOptimizeAllocsCeiling(t *testing.T) {
 	const ceiling = 500
 	cat := catalogue.Build(datagen.Epinions(1), catalogue.Config{H: 3, Z: 200, Seed: 1})
 	canon, _ := query.MustParse("a->b, b->c, c->d, d->e, a->e, b->e").Canonical()
-	opts := Options{Catalogue: cat, Factorized: true}
+	opts := Options{Catalogue: cat}
 	got := testing.AllocsPerRun(50, func() {
 		if _, err := Optimize(canon, opts); err != nil {
 			t.Fatal(err)

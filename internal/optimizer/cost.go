@@ -164,11 +164,12 @@ func (c *context) extendCost(childMask query.Mask, ext *plan.Extend) float64 {
 // run of recently-added vertices — so every trailing vertex no
 // descriptor of v reads can be stripped from the multiplier: its
 // variation keeps v's descriptor key constant, and the single-entry
-// intersection cache serves the whole run. Without Factorized pricing
-// the walk conservatively stops after one step (the PR-4 refinement);
-// with it, the walk continues through a whole star-shaped suffix of
-// leaves, collapsing the multiplier to the prefix cardinality — the
-// set-computation pricing the factorized execution tier realizes.
+// intersection cache serves the whole run. The walk goes back through a
+// whole star-shaped suffix of leaves, collapsing the multiplier to the
+// prefix cardinality: a run of k trailing leaves is charged card(prefix)
+// × per-leaf i-cost, not the cardinality of the growing cross-product —
+// one extension set per leaf per distinct prefix, which is what the
+// factorized execution tier computes.
 func (c *context) reuseMult(childMask query.Mask, v int, childPlan plan.Node) float64 {
 	mask := childMask
 	if !c.opts.CacheOblivious {
@@ -179,9 +180,6 @@ func (c *context) reuseMult(childMask query.Mask, v int, childPlan plan.Node) fl
 				break
 			}
 			mask &^= query.Bit(last)
-			if !c.opts.Factorized {
-				break
-			}
 			ext, isExt := node.(*plan.Extend)
 			if !isExt {
 				// A SCAN's destination is already stripped; its source is

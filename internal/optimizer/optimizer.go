@@ -39,15 +39,8 @@ type Options struct {
 	// BeamWidth is the number of subqueries kept per level for larger
 	// queries (Section 4.4); default 5.
 	BeamWidth int
-	// Factorized prices star-shaped suffixes at set-computation cost: the
-	// cache-conscious multiplier collapse walks back through *every*
-	// trailing leaf none of the new extension's descriptors read, instead
-	// of just the single last-added vertex, so a run of k trailing leaves
-	// is charged card(prefix) × per-leaf i-cost rather than the output
-	// cardinality of the growing cross-product. This matches what the
-	// factorized execution tier actually does (one extension set per leaf
-	// per distinct prefix) and steers plan choice toward orderings that
-	// leave star leaves last.
+	// Deprecated: ignored. Star-shaped suffixes are always priced at
+	// set-computation cost, as the factorized tier runs them.
 	Factorized bool
 }
 
