@@ -29,9 +29,12 @@ func TestAdaptiveComposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A chorded 4-cycle restricted to WCO plans: a SCAN under a chain of
-	// two E/I operators whose orderings read different lists.
-	pq, err := db.PrepareWCO("a->b, b->c, c->d, d->a, b->d")
+	// A diamond-X with a triangle on its c-d edge, restricted to WCO
+	// plans: a SCAN under a chain of three E/I operators whose orderings
+	// read different lists. (The chorded 4-cycle alone is now planned as
+	// a SCAN and two leaves, one factorized tail in any order, which
+	// leaves nothing to route.)
+	pq, err := db.PrepareWCO("a->b, a->c, b->c, b->d, c->d, d->e, c->e")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +105,7 @@ func TestAdaptiveComposes(t *testing.T) {
 	rows := func(qo QueryOptions) ([]string, int64) {
 		var out []string
 		prof, err := pq.match(func(m map[string]uint32) bool {
-			out = append(out, fmt.Sprintf("a=%d b=%d c=%d d=%d", m["a"], m["b"], m["c"], m["d"]))
+			out = append(out, fmt.Sprintf("a=%d b=%d c=%d d=%d e=%d", m["a"], m["b"], m["c"], m["d"], m["e"]))
 			return true
 		}, qo)
 		if err != nil {

@@ -326,35 +326,58 @@ const (
 	spectrumBuildCap = int64(5_000_000)
 )
 
-func runSpectrum(g *graph.Graph, c *catalogue.Catalogue, q *query.Graph, maxPlans int) ([]spectrumPoint, error) {
+// runCost prices a run's own counters in the optimizer's currency:
+// i-cost plus its hash joins' build and probe rows.
+func runCost(prof exec.Profile) float64 {
+	return float64(prof.ICost) + optimizer.BuildCost*float64(prof.HashedTuples) + optimizer.RowCost*float64(prof.ProbedTuples)
+}
+
+// runSpectrum runs the cheapest maxPlans plans of q's spectrum and the
+// optimizer's pick, and returns the spectrum's points and the pick's
+// regret: its actual cost over the lowest actual cost of any uncapped
+// run.
+func runSpectrum(g *graph.Graph, c *catalogue.Catalogue, q *query.Graph, maxPlans int) ([]spectrumPoint, float64, error) {
 	plans, err := optimizer.EnumeratePlans(q, optimizer.Options{Catalogue: c}, 12)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if maxPlans > 0 && len(plans) > maxPlans {
 		plans = plans[:maxPlans]
 	}
 	picked, err := optimizer.Optimize(q, optimizer.Options{Catalogue: c})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	pickedCost := picked.EstimatedCost
-	var out []spectrumPoint
-	marked := false
-	for _, sp := range plans {
+	run := func(kind string, p *plan.Plan) (spectrumPoint, float64, error) {
 		start := time.Now()
-		n, _, err := countPlan(g, sp.Plan, exec.RunConfig{MaxBuildRows: spectrumBuildCap}, spectrumMatchCap)
-		secs := time.Since(start).Seconds()
-		pt := spectrumPoint{Kind: sp.Kind, Seconds: secs}
+		n, prof, err := countPlan(g, p, exec.RunConfig{MaxBuildRows: spectrumBuildCap}, spectrumMatchCap)
+		pt := spectrumPoint{Kind: kind, Seconds: time.Since(start).Seconds()}
 		switch {
 		case err == exec.ErrBuildTooLarge, n >= spectrumMatchCap:
 			pt.Capped = true
 		case err != nil:
-			return nil, err
+			return pt, 0, err
 		}
-		if !marked && sp.Cost <= pickedCost+1e-9 && sp.Kind == picked.Kind() {
+		return pt, runCost(prof), nil
+	}
+	_, pickCost, err := run(picked.Kind(), picked)
+	if err != nil {
+		return nil, 0, err
+	}
+	lowest := pickCost
+	var out []spectrumPoint
+	marked := false
+	for _, sp := range plans {
+		pt, cost, err := run(sp.Kind, sp.Plan)
+		if err != nil {
+			return nil, 0, err
+		}
+		if !marked && sp.Cost <= picked.EstimatedCost+1e-9 && sp.Kind == picked.Kind() {
 			pt.Picked = true
 			marked = true
+		}
+		if !pt.Capped {
+			lowest = min(lowest, cost)
 		}
 		out = append(out, pt)
 	}
@@ -364,7 +387,7 @@ func runSpectrum(g *graph.Graph, c *catalogue.Catalogue, q *query.Graph, maxPlan
 		}
 		return out[i].Seconds < out[j].Seconds
 	})
-	return out, nil
+	return out, pickCost / lowest, nil
 }
 
 // Quick runs a trimmed variant of the named experiment: the same code

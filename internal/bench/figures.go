@@ -35,9 +35,11 @@ var fig7Workloads = []fig7Workload{
 
 // Fig7 regenerates the plan-spectrum charts: for each query/dataset, the
 // runtime of every plan in the spectrum (classified W/B/H), with the
-// optimizer's chosen plan marked with '*'. The paper's claim to check:
-// the pick is optimal or near-optimal across spectra, and different plan
-// classes win on different queries.
+// optimizer's chosen plan marked with '*', and the pick's regret: its
+// actual cost (runCost: i-cost plus hash-join rows) over the lowest in
+// the spectrum. The paper's claim to check: the pick is optimal or
+// near-optimal across spectra, and different plan classes win on
+// different queries.
 func Fig7(w io.Writer, scale int) error {
 	return fig7Run(w, scale, fig7Workloads)
 }
@@ -49,11 +51,11 @@ func fig7Run(w io.Writer, scale int, workloads []fig7Workload) error {
 		c := cat(wl.dataset, scale, wl.labels)
 		for _, j := range wl.queries {
 			q := labelQuery(query.Benchmark(j), wl.labels)
-			points, err := runSpectrum(g, c, q, 20)
+			points, regret, err := runSpectrum(g, c, q, 20)
 			if err != nil {
 				return fmt.Errorf("Q%d on %s: %w", j, wl.dataset, err)
 			}
-			fmt.Fprintf(w, "Q%d on %s (%d labels): %d plans\n", j, wl.dataset, wl.labels, len(points))
+			fmt.Fprintf(w, "Q%d on %s (%d labels): %d plans, pick regret %.2f\n", j, wl.dataset, wl.labels, len(points), regret)
 			for _, pt := range points {
 				mark := " "
 				if pt.Picked {
@@ -160,7 +162,7 @@ func fig9Run(w io.Writer, scale int, queries []int) error {
 	for _, j := range queries {
 		q := query.Benchmark(j)
 		// Graphflow spectrum.
-		gf, err := runSpectrum(g, c, q, 12)
+		gf, _, err := runSpectrum(g, c, q, 12)
 		if err != nil {
 			return err
 		}

@@ -283,16 +283,16 @@ func TestDifferentialFactorizedLive(t *testing.T) {
 // Limit must deliver exactly the capped number of results — never
 // limit±overshoot from racing batch flushes; so must the reference count
 // (BatchSize -1), which has no Match. The triangle
-// runs as a WCO chain; the second pattern is one the optimizer joins by
-// hash, where the limit sizes the driver pipeline's batches and must leave
-// the build side whole.
+// runs as a WCO chain; the second pattern, a 6-cycle, is one the
+// optimizer joins by hash on some corpus graphs, where the limit sizes
+// the driver pipeline's batches and must leave the build side whole.
 func TestDifferentialBatchLimits(t *testing.T) {
 	for _, tc := range []struct {
 		pattern  string
 		hashJoin bool
 	}{
 		{"a->b, b->c, a->c", false},
-		{"a->b, b->c, c->d, d->e", true},
+		{"a->b, b->c, c->d, d->e, e->f, f->a", true},
 	} {
 		// Deterministically pick the first corpus graph with enough matches
 		// for the caps to bite and the plan shape the case is about.

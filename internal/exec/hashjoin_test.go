@@ -78,6 +78,14 @@ func TestHashJoinAllocsCeiling(t *testing.T) {
 // worker, table and workers recycled as in a prepared re-run. ns/op is
 // the whole join; the rows/s metrics divide each phase's rows by its own
 // time.
+//
+// The join's own row costs, the constants optimizer.joinCost prices a
+// hash join with, are the phases net of their E/I work: each side's plan
+// is also counted on its own (its E/I stages, no rows written), which
+// gives ns/icost, the exchange rate of one i-cost unit, and the rest of
+// each phase divided by its rows gives build-ns/row (build + seal) and
+// probe-ns/row (per probed tuple). Each divided by ns/icost is the row's
+// cost in i-cost units: build-units and probe-units.
 func BenchmarkHashJoinBuildProbe(b *testing.B) {
 	g := datagen.LiveJournal(1)
 	diamondX := query.MustParse("a->b, a->c, b->c, b->d, c->d")
@@ -102,33 +110,53 @@ func BenchmarkHashJoinBuildProbe(b *testing.B) {
 			batch := cp.EffectiveBatchSize(RunConfig{}, 0)
 			ht := newHashTable(build.keySlots, build.outWidth)
 			rc := &runContext{ctx: context.Background(), cp: cp, tables: map[*plan.HashJoin]*hashTable{build.feeds: ht}, batch: batch, buildBatch: batch}
+			// Both sides are triangles built in ascending vertex order, so
+			// each one's plan on its own is the same plan on the projection.
+			hj := tc.p.Root.(*plan.HashJoin)
+			var sides [2]*CompiledPlan
+			for j, n := range []plan.Node{hj.Build, hj.Probe} {
+				sub, _ := tc.p.Query.Project(plan.CoverMask(n))
+				sides[j] = Must(b, g, buildWCO(b, sub, []int{0, 1, 2}))
+			}
 			var stopped atomic.Bool
 			var buildNs, sealNs, probeNs time.Duration
-			var buildRows, probeRows int64
+			var buildRows, probeRows, probed int64
+			var sideNs [2]time.Duration
+			var sideICost [2]int64
+			scanAll := func(rc *runContext, pipe *compiledPipeline, root bool) Profile {
+				w := newWorker(rc, pipe, root, nil, &stopped, nil)
+				w.runBatchRange(0, g.NumVertices())
+				w.flushBatches()
+				prof := w.profile
+				w.release()
+				return prof
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ht.reset()
-				scanAll := func(pipe *compiledPipeline, root bool) Profile {
-					w := newWorker(rc, pipe, root, nil, &stopped, nil)
-					w.runBatchRange(0, g.NumVertices())
-					w.flushBatches()
-					prof := w.profile
-					w.release()
-					return prof
-				}
 				start := time.Now()
-				scanAll(build, false)
+				scanAll(rc, build, false)
 				built := time.Now()
 				if !ht.seal(nil) {
 					b.Fatal("seal refused")
 				}
 				sealed := time.Now()
-				prof := scanAll(driver, true)
+				prof := scanAll(rc, driver, true)
 				probeNs += time.Since(sealed)
 				buildNs += built.Sub(start)
 				sealNs += sealed.Sub(built)
 				buildRows += int64(ht.len())
 				probeRows += prof.Matches
+				probed += prof.ProbedTuples
+				b.StopTimer()
+				for j, side := range sides {
+					src := &runContext{ctx: context.Background(), cp: side, batch: batch, buildBatch: batch}
+					start := time.Now()
+					prof := scanAll(src, side.driver(), true)
+					sideNs[j] += time.Since(start)
+					sideICost[j] += prof.ICost
+				}
+				b.StartTimer()
 			}
 			if buildRows == 0 || probeRows == 0 {
 				b.Fatalf("joined %d build rows into %d results", buildRows, probeRows)
@@ -136,6 +164,14 @@ func BenchmarkHashJoinBuildProbe(b *testing.B) {
 			b.ReportMetric(float64(buildRows)/buildNs.Seconds(), "build-rows/s")
 			b.ReportMetric(float64(buildRows)/sealNs.Seconds(), "seal-rows/s")
 			b.ReportMetric(float64(probeRows)/probeNs.Seconds(), "probe-rows/s")
+			nsPerUnit := float64(sideNs[0]+sideNs[1]) / float64(sideICost[0]+sideICost[1])
+			buildRowNs := float64(buildNs+sealNs-sideNs[0]) / float64(buildRows)
+			probeRowNs := float64(probeNs-sideNs[1]) / float64(probed)
+			b.ReportMetric(nsPerUnit, "ns/icost")
+			b.ReportMetric(buildRowNs, "build-ns/row")
+			b.ReportMetric(probeRowNs, "probe-ns/row")
+			b.ReportMetric(buildRowNs/nsPerUnit, "build-units")
+			b.ReportMetric(probeRowNs/nsPerUnit, "probe-units")
 		})
 	}
 }

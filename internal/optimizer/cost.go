@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -40,7 +41,19 @@ type extStat struct {
 	mu    float64
 }
 
-func newContext(q *query.Graph, opts Options) *context {
+// newContext validates q and opts and starts an optimization of q under
+// opts with their defaults applied.
+func newContext(q *query.Graph, opts Options) (*context, error) {
+	if opts.Catalogue == nil {
+		return nil, fmt.Errorf("optimizer: Options.Catalogue is required")
+	}
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkNoParallelEdges(q); err != nil {
+		return nil, err
+	}
+	opts = opts.withDefaults()
 	c := &context{
 		q:        q,
 		cat:      opts.Catalogue,
@@ -54,7 +67,7 @@ func newContext(q *query.Graph, opts Options) *context {
 		c.nbr[e.From] |= query.Bit(e.To)
 		c.nbr[e.To] |= query.Bit(e.From)
 	}
-	return c
+	return c, nil
 }
 
 // adjacent reports whether a query edge connects v to a vertex of mask.
@@ -124,90 +137,82 @@ func (c *context) cardinality(mask query.Mask) float64 {
 	return out
 }
 
-// extendCost returns the estimated i-cost of the E/I operator ext, which
+// extendCost returns the estimated cost of the E/I operator ext, which
 // extends the subquery on childMask (already computed by ext.Child) with
-// one vertex (Equations 1-2 with the cache-conscious refinement of
-// Section 5.2).
-//
-// The executor's intersection cache reuses the previous extension set when
-// consecutive tuples agree on every descriptor anchor. Tuples stream in
-// chain order, so consecutive tuples share all slots except the child's
-// most recently added vertex: if no descriptor reads that vertex, the
-// number of distinct intersections collapses from card(childMask) to
-// card(childMask minus the last-added vertex). A SCAN groups its tuples by
-// source vertex, so its "last added" is the destination.
+// one vertex: RowCost per row that reaches it, plus Equations 1-2 — the
+// lists it reads — once per distinct intersection (the cache-conscious
+// refinement of Section 5.2; see trailing). List sizes are estimated on
+// the same prefix the intersections are counted on, so a leaf of a
+// star-shaped suffix is priced on the factorized prefix it runs on, not
+// on its siblings. The order of a suffix's leaves matters only as the
+// executor's early-out does: a prefix match one leaf finds no extension
+// for reaches no later leaf, so each earlier leaf thins the rows by its
+// µ, where that is below one.
 //
 // An inheriting extension (plan.Extend.Inherited: the child E/I's
 // descriptors are a subset of ext's) is priced the way the executor runs
-// it: the child's extension set, of expected size µ(child) — at least one,
+// it: the child's extension set, of expected size µ — at least one,
 // since only a non-empty set produces rows to extend — stands in for the
 // lists it already intersects. Carrying is the intersection cache
 // generalised, so cache-oblivious costing ignores it too.
 func (c *context) extendCost(childMask query.Mask, ext *plan.Extend) float64 {
 	v := ext.TargetVertex
-	st := c.extension(childMask, v)
-	mult := c.reuseMult(childMask, v, ext.Child)
+	prefix, rows, leaves := c.trailing(ext.Child, childMask, c.nbr[v])
+	visits := c.cardinality(rows)
+	for base := visits; leaves != 0 && base > 0; leaves &= leaves - 1 {
+		visits *= math.Min(1, c.cardinality(rows|leaves&-leaves)/base)
+	}
+	st := c.extension(prefix, v)
+	lists := catalogue.EffectiveICost(st.sizes)
 	// Descriptor i is st.sizes[i] (see extStat); the length check guards
 	// externally built plans (EstimateCost).
-	covered := ext.Inherited()
-	if covered == 0 || c.opts.CacheOblivious || len(st.sizes) != len(ext.Descriptors) {
-		return mult * catalogue.EffectiveICost(st.sizes)
+	if covered := ext.Inherited(); covered != 0 && !c.opts.CacheOblivious && len(st.sizes) == len(ext.Descriptors) {
+		up := ext.Child.(*plan.Extend).TargetVertex
+		// prefix lacks up already when up is a stripped sibling leaf.
+		set := math.Max(1, c.extension(prefix&^query.Bit(up), up).mu)
+		lists = catalogue.CarriedICost(set, st.sizes, covered)
 	}
-	up := ext.Child.(*plan.Extend).TargetVertex
-	set := math.Max(1, c.extension(childMask&^query.Bit(up), up).mu)
-	return mult * catalogue.CarriedICost(set, st.sizes, covered)
+	return RowCost*visits + math.Min(c.cardinality(prefix), visits)*lists
 }
 
-// reuseMult estimates the number of distinct intersections the E/I
-// operator extending childMask by v performs. Cache-consciously, tuples
-// stream in chain order — consecutive tuples differ only in a trailing
-// run of recently-added vertices — so every trailing vertex no
-// descriptor of v reads can be stripped from the multiplier: its
-// variation keeps v's descriptor key constant, and the single-entry
-// intersection cache serves the whole run. The walk goes back through a
-// whole star-shaped suffix of leaves, collapsing the multiplier to the
-// prefix cardinality: a run of k trailing leaves is charged card(prefix)
-// × per-leaf i-cost, not the cardinality of the growing cross-product —
-// one extension set per leaf per distinct prefix, which is what the
-// factorized execution tier computes.
-func (c *context) reuseMult(childMask query.Mask, v int, childPlan plan.Node) float64 {
-	mask := childMask
-	if !c.opts.CacheOblivious {
-		node := childPlan
-		for {
-			last, ok := lastAddedVertex(node)
-			if !ok || c.adjacent(query.Bit(last), v) {
-				break
+// trailing walks node's output stream from its fastest-varying vertex
+// outwards and strips from mask each trailing vertex outside reads, the
+// vertices the consuming operator keys on. Tuples stream in chain order
+// (a SCAN groups its rows by source), so the consumer's key stays
+// constant across such a run and the intersection cache, or a probe's
+// key run, serves it: the consumer works once per distinct match of
+// prefix. A run of k trailing leaves is thus charged card(prefix) ×
+// per-leaf cost, not the cardinality of the growing cross-product, which
+// is what the factorized tier computes; rows is mask without those
+// leaves (the run's pairwise non-adjacent E/I targets next to the
+// consumer), which that tier never unfolds. A hash join's output
+// interleaves build rows, so no reuse is assumed through one.
+func (c *context) trailing(node plan.Node, mask, reads query.Mask) (prefix, rows, leaves query.Mask) {
+	prefix, rows = mask, mask
+	for !c.opts.CacheOblivious {
+		switch op := node.(type) {
+		case *plan.Scan:
+			prefix &^= query.Bit(op.DstVertex) &^ reads
+		case *plan.Extend:
+			if v := query.Bit(op.TargetVertex); v&reads == 0 {
+				prefix &^= v
+				if rows == prefix|v && !c.adjacent(leaves, op.TargetVertex) {
+					rows, leaves = prefix, leaves|v
+				}
+				node = op.Child
+				continue
 			}
-			mask &^= query.Bit(last)
-			ext, isExt := node.(*plan.Extend)
-			if !isExt {
-				// A SCAN's destination is already stripped; its source is
-				// the outermost loop and always remains.
-				break
-			}
-			node = ext.Child
 		}
+		break
 	}
-	return c.cardinality(mask)
+	return prefix, rows, leaves
 }
 
 // joinCost returns the cost of hash-joining build and probe subqueries
-// (Section 4.2): w1*n1 + w2*n2 in i-cost units.
-func (c *context) joinCost(buildMask, probeMask query.Mask) float64 {
-	return w1*c.cardinality(buildMask) + w2*c.cardinality(probeMask)
-}
-
-// lastAddedVertex reports the query vertex whose value varies fastest in
-// the output stream of node: the target of an E/I, or the destination of a
-// SCAN. Hash-join outputs interleave build rows, so no reuse is assumed.
-func lastAddedVertex(n plan.Node) (int, bool) {
-	switch op := n.(type) {
-	case *plan.Extend:
-		return op.TargetVertex, true
-	case *plan.Scan:
-		return op.DstVertex, true
-	default:
-		return 0, false
-	}
+// (Section 4.2) when probe is the probe side's plan: BuildCost per build
+// row, RowCost per probe row, and lookupCost per run of probe rows that
+// share a join key (see trailing).
+func (c *context) joinCost(buildMask, probeMask query.Mask, probe plan.Node) float64 {
+	runs, _, _ := c.trailing(probe, probeMask, buildMask&probeMask)
+	return BuildCost*c.cardinality(buildMask) + RowCost*c.cardinality(probeMask) + lookupCost*c.cardinality(runs)
 }

@@ -1,8 +1,9 @@
 // Package optimizer implements the paper's primary contribution: the
 // cost-based dynamic-programming optimizer of Section 4 that enumerates
 // WCO, binary-join and hybrid plans over connected vertex subsets of the
-// query, ranked by i-cost (Section 3.3) combined with the hash-join cost
-// model of Section 4.2 and the catalogue estimates of Section 5.
+// query and ranks them in one currency — i-cost (Section 3.3) with the
+// row costs of this engine's operators, the hash join's of Section 4.2
+// among them — over the catalogue estimates of Section 5.
 package optimizer
 
 import (
@@ -16,11 +17,18 @@ import (
 	"graphflow/internal/query"
 )
 
-// Hash-join weights w1 and w2 of Section 4.2: i-cost units per hashed
-// and per probed tuple.
+// Row costs in i-cost units (one unit: one adjacency-list element an E/I
+// reads), from BenchmarkHashJoinBuildProbe (internal/exec): triangle ⋈
+// triangle on LiveJournal(1), one worker, each phase net of its sides'
+// own E/I time, per row, over that E/I time per unit (2.2–2.9 ns). Medians
+// of 8 runs of 20 joins: a one-vertex key (key1) costs 28 units per build
+// row and 22 per probe row, a two-vertex key (key2) 37 and 37. A key1
+// probe row keeps the key of the row before it (its side's scan source),
+// so it costs only its row; every key2 probe row looks its key up.
 const (
-	w1 = 3.0
-	w2 = 1.0
+	RowCost    = 22.0 // a row reaching an E/I or a probe: key1's probe row
+	BuildCost  = 32.0 // a build row written to the table and sealed
+	lookupCost = 15.0 // a hash-table lookup: key2's probe row less RowCost
 )
 
 // Options configures one optimization.
@@ -68,21 +76,14 @@ func (pi planInfo) beats(cost float64) bool { return pi.node == nil || cost < pi
 
 // Optimize returns the lowest-estimated-cost plan for q (Algorithm 1).
 func Optimize(q *query.Graph, opts Options) (*plan.Plan, error) {
-	opts = opts.withDefaults()
-	if opts.Catalogue == nil {
-		return nil, fmt.Errorf("optimizer: Options.Catalogue is required")
-	}
-	if err := q.Validate(); err != nil {
+	ctx, err := newContext(q, opts)
+	if err != nil {
 		return nil, err
 	}
-	if err := checkNoParallelEdges(q); err != nil {
-		return nil, err
-	}
-	ctx := newContext(q, opts)
 	m := q.NumVertices()
 
 	var best planInfo
-	if m > opts.FullEnumerationLimit {
+	if m > ctx.opts.FullEnumerationLimit {
 		best = beamSearch(ctx)
 	} else {
 		best = dynamicProgram(ctx)
@@ -208,7 +209,7 @@ func tryJoin(ctx *context, c1, c2 query.Mask, i1, i2 planInfo, best *planInfo) {
 		build, probe = c2, c1
 		bi, pi = i2, i1
 	}
-	cost := bi.cost + pi.cost + ctx.joinCost(build, probe)
+	cost := bi.cost + pi.cost + ctx.joinCost(build, probe, pi.node)
 	if !best.beats(cost) {
 		return
 	}
@@ -224,7 +225,8 @@ func tryJoin(ctx *context, c1, c2 query.Mask, i1, i2 planInfo, best *planInfo) {
 // c1 has to one only c2 has. Joins replaceable by a single-list E/I are
 // omitted (the a1->a2->a3 example): one side is a single query edge
 // hanging off one shared vertex. Joins of larger sub-queries stay — the
-// diamond-X triangles join of Figure 1c is a legitimate hybrid plan.
+// diamond-X triangles join of Figure 1c is a legitimate hybrid plan,
+// though priced per row it loses to the factorized WCO plan.
 func (c *context) validJoinSplit(c1, c2 query.Mask) bool {
 	if c1&c2 == 0 {
 		return false
@@ -323,11 +325,14 @@ func beamSearch(ctx *context) planInfo {
 }
 
 // EstimateCost exposes the cost model for a given externally-built plan:
-// the sum of its operators' estimated costs. Used by the spectrum and
-// baseline experiments to rank arbitrary plans consistently.
+// the sum of its operators' estimated costs (+Inf for an invalid query or
+// options). Used by the spectrum and baseline experiments to rank
+// arbitrary plans consistently.
 func EstimateCost(q *query.Graph, p *plan.Plan, opts Options) float64 {
-	opts = opts.withDefaults()
-	ctx := newContext(q, opts)
+	ctx, err := newContext(q, opts)
+	if err != nil {
+		return math.Inf(1)
+	}
 	var rec func(n plan.Node) float64
 	rec = func(n plan.Node) float64 {
 		switch op := n.(type) {
@@ -337,7 +342,7 @@ func EstimateCost(q *query.Graph, p *plan.Plan, opts Options) float64 {
 			childMask := plan.CoverMask(op.Child)
 			return rec(op.Child) + ctx.extendCost(childMask, op)
 		case *plan.HashJoin:
-			return rec(op.Build) + rec(op.Probe) + ctx.joinCost(plan.CoverMask(op.Build), plan.CoverMask(op.Probe))
+			return rec(op.Build) + rec(op.Probe) + ctx.joinCost(plan.CoverMask(op.Build), plan.CoverMask(op.Probe), op.Probe)
 		default:
 			return math.Inf(1)
 		}

@@ -3,6 +3,7 @@ package optimizer
 import (
 	stdcontext "context"
 	"fmt"
+	"math"
 	"testing"
 
 	"graphflow/internal/catalogue"
@@ -401,4 +402,78 @@ func TestCarriedSetPricing(t *testing.T) {
 	if c, o := qerr(carried, got.ICost), qerr(oblivious, uncarried.ICost); c > 1.25*o || c > 2 {
 		t.Errorf("carried estimate q-error %.2f, cache-oblivious baseline %.2f: pricing drifted from what the executor does", c, o)
 	}
+}
+
+// TestStarLeafPricedOnPrefix is the leaf-order test of a star-shaped
+// suffix: a leaf is priced on the factorized prefix it runs on, never on
+// a sibling leaf, so adding it after a sibling changes its cost only by
+// the executor's early-out — the prefix matches the sibling finds no
+// extension for (µ below one) never reach it. On diamondx the twin
+// SCAN(b→c), d, a and SCAN(b→c), a, d plans once priced 2.604e7 and
+// 2.519e7 because the second leaf's lists were estimated on {a,b,c,d}
+// minus nothing; tri2leaf's two leaves (µ above one) must price equal in
+// either order.
+func TestStarLeafPricedOnPrefix(t *testing.T) {
+	opts := Options{Catalogue: catalogue.Build(datagen.LiveJournal(1), catalogue.Config{H: 3, Z: 1000, Seed: 1})}
+	for _, tc := range []struct {
+		name, pattern string
+		prefix        []int // a chain of connected prefixes
+		leaves        [2]int
+	}{
+		{"diamondx", "a->b, a->c, b->c, b->d, c->d", []int{1, 2}, [2]int{0, 3}},
+		{"tri2leaf", "a->b, b->c, a->c, a->d, a->e", []int{0, 1, 2}, [2]int{3, 4}},
+	} {
+		q := query.MustParse(tc.pattern)
+		prefix := buildWCO(t, q, tc.prefix)
+		ctx, err := newContext(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mask := plan.CoverMask(prefix)
+		extend := func(child plan.Node, v int) *plan.Extend {
+			ext, err := plan.NewExtend(q, child, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ext
+		}
+		var twins [2]float64
+		for i, l := range tc.leaves {
+			sib := tc.leaves[1-i]
+			alone := ctx.extendCost(mask, extend(prefix, l))
+			after := ctx.extendCost(mask|query.Bit(sib), extend(extend(prefix, sib), l))
+			survive := math.Min(1, ctx.cardinality(mask|query.Bit(sib))/ctx.cardinality(mask))
+			if want := alone * survive; math.Abs(after-want) > 1e-9*want {
+				t.Errorf("%s: leaf %s costs %.6g after %s, want %.6g (%.6g alone × %.3f surviving)",
+					tc.name, q.Vertices[l].Name, after, q.Vertices[sib].Name, want, alone, survive)
+			}
+			twin := &plan.Plan{Query: q, Root: extend(extend(prefix, sib), l)}
+			twins[i] = EstimateCost(q, twin, opts)
+		}
+		t.Logf("%s: twins priced %.4g and %.4g", tc.name, twins[0], twins[1])
+		if tc.name == "tri2leaf" && math.Abs(twins[0]-twins[1]) > 1e-9*twins[0] {
+			t.Errorf("tri2leaf: the leaves' two orders price %.6g and %.6g", twins[0], twins[1])
+		}
+	}
+}
+
+// buildWCO returns the chain over order: a SCAN of its first two
+// vertices' edge, then one E/I per vertex.
+func buildWCO(t *testing.T, q *query.Graph, order []int) plan.Node {
+	t.Helper()
+	var node plan.Node
+	for _, e := range q.Edges {
+		if (e.From == order[0] && e.To == order[1]) || (e.From == order[1] && e.To == order[0]) {
+			node = plan.NewScan(q, e)
+			break
+		}
+	}
+	for _, v := range order[2:] {
+		ext, err := plan.NewExtend(q, node, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node = ext
+	}
+	return node
 }

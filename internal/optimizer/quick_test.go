@@ -158,7 +158,10 @@ func TestQuickWCOEnumerationCoversOptimum(t *testing.T) {
 func TestQuickCardinalityNonNegative(t *testing.T) {
 	_, c := quickEnv()
 	f := func(qq quickQuery) bool {
-		ctx := newContext(qq.Q, Options{Catalogue: c}.withDefaults())
+		ctx, err := newContext(qq.Q, Options{Catalogue: c})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, mask := range qq.Q.ConnectedSubsets(2) {
 			card := ctx.cardinality(mask)
 			if card < 0 || card != card /* NaN */ {

@@ -24,20 +24,13 @@ type SpectrumPlan struct {
 // subquery (cheapest first) to bound combinatorial growth. maxPerMask <= 0
 // selects a default of 24.
 func EnumeratePlans(q *query.Graph, opts Options, maxPerMask int) ([]SpectrumPlan, error) {
-	opts = opts.withDefaults()
-	if opts.Catalogue == nil {
-		return nil, fmt.Errorf("optimizer: Options.Catalogue is required")
-	}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkNoParallelEdges(q); err != nil {
+	ctx, err := newContext(q, opts)
+	if err != nil {
 		return nil, err
 	}
 	if maxPerMask <= 0 {
 		maxPerMask = 24
 	}
-	ctx := newContext(q, opts)
 
 	type cand struct {
 		node plan.Node
@@ -106,7 +99,7 @@ func EnumeratePlans(q *query.Graph, opts Options, maxPerMask int) ([]SpectrumPla
 									if err != nil {
 										continue
 									}
-									add(hj, bc.cost+pc.cost+ctx.joinCost(b, p))
+									add(hj, bc.cost+pc.cost+ctx.joinCost(b, p, pc.node))
 								}
 							}
 						}

@@ -59,17 +59,10 @@ type WCOPlan struct {
 // symmetries, such as a2a3a1a4 vs a2a3a4a1 on the symmetric diamond-X —
 // appear once (Section 3.2.3). Results are sorted by estimated cost.
 func EnumerateWCOPlans(q *query.Graph, opts Options) ([]WCOPlan, error) {
-	opts = opts.withDefaults()
-	if opts.Catalogue == nil {
-		return nil, fmt.Errorf("optimizer: Options.Catalogue is required")
-	}
-	if err := q.Validate(); err != nil {
+	ctx, err := newContext(q, opts)
+	if err != nil {
 		return nil, err
 	}
-	if err := checkNoParallelEdges(q); err != nil {
-		return nil, err
-	}
-	ctx := newContext(q, opts)
 	seen := map[string]bool{}
 	var out []WCOPlan
 

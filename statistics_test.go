@@ -55,7 +55,7 @@ func TestIdlePlansPinNoSupersededSnapshot(t *testing.T) {
 		qo      *QueryOptions
 		ran     func(Stats) bool
 	}{
-		{"a->b, b->c, c->d, a->d", nil, func(s Stats) bool { return s.PlanKind == "bj" }},
+		{"a->b, b->c, c->d, d->e, e->f, f->a", nil, func(s Stats) bool { return s.PlanKind == "bj" }},
 		{"a->b, a->c, a->d", nil, func(s Stats) bool { return s.FactorizedPrefixes > 0 }},
 		{"a->b, b->c, c->d", &QueryOptions{WCOOnly: true}, func(s Stats) bool { return s.PlanKind == "wco" }},
 		{"a-[65535]->b, b-[65535]->c", nil, func(s Stats) bool { return s.Matches > 0 }},
