@@ -73,10 +73,6 @@ type Options struct {
 	CatalogueZ int
 	// Seed drives catalogue sampling; default 1.
 	Seed int64
-	// PlanCacheSize bounds the DB's compiled-plan cache (entries, shared
-	// across all goroutines). 0 takes the default of 256; a negative value
-	// disables plan caching entirely.
-	PlanCacheSize int
 	// CompactThreshold is the number of live mutations accumulated in the
 	// delta overlay before the background compactor folds them into a
 	// fresh CSR base. 0 takes the live store's default (16384); a negative
@@ -130,9 +126,6 @@ func (o *Options) withDefaults() Options {
 	if out.Seed == 0 {
 		out.Seed = 1
 	}
-	if out.PlanCacheSize == 0 {
-		out.PlanCacheSize = 256
-	}
 	return out
 }
 
@@ -145,10 +138,10 @@ func (o *Options) withDefaults() Options {
 type DB struct {
 	store *live.DB
 	opts  Options
-	// plans caches optimized plans keyed by canonical code, the statistics
-	// generation they were costed under and the WCO restriction (planKey)
-	// (nil when caching is disabled). Entries outlive epochs: a plan is
-	// valid on every epoch, so a lookup after a mutation is a hit.
+	// plans caches up to planCacheSize optimized plans keyed by canonical
+	// code, the statistics generation they were costed under and the WCO
+	// restriction (planKey). Entries outlive epochs: a plan is valid on
+	// every epoch, so a lookup after a mutation is a hit.
 	plans *cache.Cache[*cachedPlan]
 
 	// stats is the published statistics generation. Planners only ever
@@ -306,6 +299,10 @@ type PlanCacheStats struct {
 	Entries int
 }
 
+// planCacheSize bounds the DB's compiled-plan cache, in plans shared by
+// every goroutine.
+const planCacheSize = 256
+
 // newDB builds the catalogue for a finished graph.
 func newDB(g *graph.Graph, opts Options) (*DB, error) {
 	db := &DB{
@@ -328,9 +325,7 @@ func newDB(g *graph.Graph, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.PlanCacheSize > 0 {
-		db.plans = cache.New[*cachedPlan](opts.PlanCacheSize)
-	}
+	db.plans = cache.New[*cachedPlan](planCacheSize)
 	// Generation 0 samples the recovered snapshot, not the raw base: after
 	// WAL replay the two differ.
 	db.RefreshStatistics()
@@ -447,7 +442,7 @@ func (db *DB) RefreshStatistics() {
 	}
 	db.buildSeconds.ObserveDuration(next.took)
 	db.stats.Store(next)
-	if prev != nil && db.plans != nil {
+	if prev != nil {
 		// Keys carry the generation, so the older generation's plans can
 		// never be looked up again.
 		db.plans.Clear()
@@ -590,7 +585,7 @@ func (db *DB) compiledFor(cp *cachedPlan, qo *QueryOptions) *exec.CompiledPlan {
 func (db *DB) planFor(canon *query.Graph, code query.Code, wcoOnly, skipCache bool) (*cachedPlan, time.Duration, error) {
 	st := db.planningStats()
 	var key string
-	if db.plans != nil && !skipCache {
+	if !skipCache {
 		key = planKey(code, st.gen, wcoOnly)
 		if cp, ok := db.plans.Get(key); ok {
 			return cp, 0, nil
@@ -629,12 +624,8 @@ func planKey(code query.Code, gen uint64, wcoOnly bool) string {
 	return string(code) + string(suffix[:])
 }
 
-// PlanCacheStats reports the DB's compiled-plan cache effectiveness; all
-// zeros when caching is disabled.
+// PlanCacheStats reports the DB's compiled-plan cache effectiveness.
 func (db *DB) PlanCacheStats() PlanCacheStats {
-	if db.plans == nil {
-		return PlanCacheStats{}
-	}
 	st := db.plans.Stats()
 	return PlanCacheStats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions, Entries: st.Entries}
 }
@@ -778,10 +769,8 @@ func (pq *PreparedQuery) match(fn func(map[string]uint32) bool, qo QueryOptions)
 	for slot, v := range layout {
 		names[slot] = pq.names[v]
 	}
-	cfg := qo.execConfig()
-	mem := pq.db.memBudget(&qo)
-	defer mem.Close()
-	cfg.MemBudget = mem
+	ctx, cfg, done := pq.db.runConfig(&qo)
+	defer done()
 	// RunCtx calls emit from every worker. fn is the user's callback, so
 	// it runs under mu — one call at a time — and never again once it has
 	// returned false or Limit rows have been delivered.
@@ -790,7 +779,7 @@ func (pq *PreparedQuery) match(fn func(map[string]uint32) bool, qo QueryOptions)
 		stopped   bool
 		delivered int64
 	)
-	return pq.db.compiledFor(cp, &qo).RunCtx(qo.context(), cfg, func(t []graph.VertexID) bool {
+	return pq.db.compiledFor(cp, &qo).RunCtx(ctx, cfg, func(t []graph.VertexID) bool {
 		if qo.Distinct && !allDistinct(t) {
 			return true
 		}
@@ -844,15 +833,32 @@ func (pq *PreparedQuery) PlanTime() time.Duration { return pq.planTook }
 // statistics generation.
 func (pq *PreparedQuery) PlanKind() string { return pq.cur.Load().plan.Kind() }
 
-// execConfig maps the per-query knobs onto the executor's RunConfig and
-// then applies the run-config hook the query's context carries
-// (exec.WithRunConfig), the only way to reach the engine's ablation and
-// fault knobs. Every run of a query, Analyze included, takes its
-// RunConfig from here.
-func (qo *QueryOptions) execConfig() exec.RunConfig {
+// runConfig returns what one run of a query runs under; every run,
+// Analyze included, takes it from here. The context is qo.Context, or
+// Background. The RunConfig is the per-query knobs, then the hook the
+// context carries (exec.WithRunConfig, the only way to reach the
+// engine's ablation and fault knobs), then the memory budget: the
+// tighter of the DB-wide default and the query's own ceiling, drawing on
+// the process governor, or nil — no metering — when neither a ceiling
+// nor a global pool is configured. done returns the budget's reservation
+// to the governor and must be called once the run is over.
+func (db *DB) runConfig(qo *QueryOptions) (context.Context, exec.RunConfig, func()) {
+	ctx := qo.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	cfg := exec.RunConfig{Workers: qo.Workers, BatchSize: qo.BatchSize}
-	exec.ApplyRunConfig(qo.context(), &cfg)
-	return cfg
+	exec.ApplyRunConfig(ctx, &cfg)
+	limit := db.opts.MemBudgetBytes
+	if qo.MemBudgetBytes > 0 && (limit <= 0 || qo.MemBudgetBytes < limit) {
+		limit = qo.MemBudgetBytes
+	}
+	var mem *resource.Budget
+	if limit > 0 || db.gov.Limit() > 0 {
+		mem = resource.NewBudget(limit, db.gov)
+	}
+	cfg.MemBudget = mem
+	return ctx, cfg, mem.Close
 }
 
 // errReferenceCountsOnly is what Match, Analyze and a Distinct count
@@ -867,38 +873,19 @@ func (db *DB) referenceCount(q *query.Graph, qo QueryOptions) (int64, Stats, err
 	if qo.Distinct {
 		return 0, Stats{}, errReferenceCountsOnly
 	}
-	if err := qo.context().Err(); err != nil {
-		return 0, Stats{}, err
+	if qo.Context != nil && qo.Context.Err() != nil {
+		return 0, Stats{}, qo.Context.Err()
 	}
 	n := baseline.CFLCountUpTo(db.store.Snapshot(), q, qo.Limit)
 	return n, Stats{Matches: n}, nil
-}
-
-// memBudget mints the memory budget of one evaluation: the tighter of
-// the DB-wide default and the query's own ceiling, drawing on the
-// process governor. Nil — no metering at all — when neither a per-query
-// nor a global ceiling is configured. The caller owns the budget and
-// must Close it to return the reservation to the governor.
-func (db *DB) memBudget(qo *QueryOptions) *resource.Budget {
-	limit := db.opts.MemBudgetBytes
-	if qo.MemBudgetBytes > 0 && (limit <= 0 || qo.MemBudgetBytes < limit) {
-		limit = qo.MemBudgetBytes
-	}
-	if limit <= 0 && db.gov.Limit() <= 0 {
-		return nil
-	}
-	return resource.NewBudget(limit, db.gov)
 }
 
 // runCount executes a cached plan on the current snapshot under the
 // given options.
 func (db *DB) runCount(cp *cachedPlan, qo QueryOptions) (int64, exec.Profile, error) {
 	compiled := db.compiledFor(cp, &qo)
-	ctx := qo.context()
-	cfg := qo.execConfig()
-	mem := db.memBudget(&qo)
-	defer mem.Close()
-	cfg.MemBudget = mem
+	ctx, cfg, done := db.runConfig(&qo)
+	defer done()
 	if qo.Distinct {
 		// RunCtx calls emit from every worker, so the count is an atomic.
 		// Workers may race past Limit by a row each before observing the
@@ -917,15 +904,6 @@ func (db *DB) runCount(cp *cachedPlan, qo QueryOptions) (int64, exec.Profile, er
 		return n, prof, err
 	}
 	return compiled.CountUpToCtx(ctx, cfg, qo.Limit)
-}
-
-// context returns the evaluation-bounding context (Background when the
-// caller supplied none).
-func (qo *QueryOptions) context() context.Context {
-	if qo.Context != nil {
-		return qo.Context
-	}
-	return context.Background()
 }
 
 // Count evaluates the pattern and returns the number of matches. opts may
@@ -1003,9 +981,12 @@ func (db *DB) Explain(pattern string) (Stats, error) {
 // pinned probes, probe and build counts, attributed wall time) — EXPLAIN
 // ANALYZE for subgraph plans. Of opts (which may be nil) it honours
 // Context, WCOOnly and BatchSize — what decides the tree it annotates
-// and the counters on it; the run itself is always single-threaded, fully
-// enumerated and on the fixed plan, so Workers, Limit and Adaptive do not
-// apply. A negative BatchSize, which has no plan to annotate, is an error.
+// and the counters on it — and the memory ceiling, MemBudgetBytes under
+// the DB's Options.MemBudgetBytes and MemGlobalBytes, which it aborts on
+// as Count does; the run itself is always single-threaded, fully
+// enumerated and on the fixed plan, so Workers, Limit, Distinct and
+// Adaptive do not apply. A negative BatchSize, which has no plan to
+// annotate, is an error.
 func (db *DB) Analyze(pattern string, opts *QueryOptions) (Stats, error) {
 	var qo QueryOptions
 	if opts != nil {
@@ -1019,7 +1000,9 @@ func (db *DB) Analyze(pattern string, opts *QueryOptions) (Stats, error) {
 		return Stats{}, err
 	}
 	cp := pq.cur.Load()
-	ops, prof, err := cp.compiled.On(db.store.Snapshot()).AnalyzeCtx(qo.context(), qo.execConfig())
+	ctx, cfg, done := db.runConfig(&qo)
+	defer done()
+	ops, prof, err := cp.compiled.On(db.store.Snapshot()).AnalyzeCtx(ctx, cfg)
 	if err != nil {
 		return Stats{}, err
 	}

@@ -1,10 +1,14 @@
 package graphflow
 
 import (
+	"cmp"
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"graphflow/internal/exec"
+	"graphflow/internal/resource"
 )
 
 // cacheOff and noFactorize are the engine ablations the tests run beside
@@ -15,7 +19,7 @@ func noFactorize(c *exec.RunConfig) { c.NoFactorize = true }
 
 // under returns a copy of qo whose context carries the run-config hook fn.
 func under(qo QueryOptions, fn func(*exec.RunConfig)) *QueryOptions {
-	qo.Context = exec.WithRunConfig(qo.context(), fn)
+	qo.Context = exec.WithRunConfig(cmp.Or(qo.Context, context.Background()), fn)
 	return &qo
 }
 
@@ -275,5 +279,41 @@ func TestCarriedSetsStats(t *testing.T) {
 	if m != n || off.CarriedSets != 0 || off.ICost <= st.ICost {
 		t.Errorf("cache off: count %d carried %d i-cost %d; want count %d, no carried sets, i-cost above %d",
 			m, off.CarriedSets, off.ICost, n, st.ICost)
+	}
+}
+
+// TestAnalyzeHonoursMemoryBudget holds Analyze to the memory ceilings
+// Count runs under: the DB-wide default, the query's own MemBudgetBytes
+// and the global pool each abort it with the budget error, and every
+// reservation is back in the pool afterwards.
+func TestAnalyzeHonoursMemoryBudget(t *testing.T) {
+	const tri = "a->b, b->c, a->c"
+	for _, tc := range []struct {
+		name string
+		opts Options
+		qo   *QueryOptions
+	}{
+		{"DB default", Options{MemBudgetBytes: 512}, nil},
+		{"query ceiling", Options{}, &QueryOptions{MemBudgetBytes: 512}},
+		{"global pool", Options{MemGlobalBytes: 512}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opts.CatalogueZ = 50
+			db, err := NewFromDataset("Epinions", 1, &tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if _, err := db.Count(tri, tc.qo); !errors.Is(err, resource.ErrBudgetExceeded) {
+				t.Fatalf("Count: err = %v, want the budget error", err)
+			}
+			st, err := db.Analyze(tri, tc.qo)
+			if !errors.Is(err, resource.ErrBudgetExceeded) {
+				t.Fatalf("Analyze: err = %v (%d matches), want the budget error", err, st.Matches)
+			}
+			if gov := db.Governor(); gov.Limit() > 0 && gov.InUse() != 0 {
+				t.Errorf("%d bytes still reserved from the global pool", gov.InUse())
+			}
+		})
 	}
 }

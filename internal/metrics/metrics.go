@@ -175,7 +175,8 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 }
 
 // QuantileFromBuckets is the quantile core shared with consumers that
-// reconstruct bucket layouts from scraped exposition text (gfload).
+// reconstruct bucket layouts from scraped exposition text
+// (benchmark/traced.go).
 // bounds are the finite upper bounds; counts is per-bucket
 // (len(bounds)+1, last = +Inf overflow).
 func QuantileFromBuckets(bounds []float64, counts []int64, q float64) float64 {

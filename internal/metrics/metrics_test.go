@@ -282,8 +282,8 @@ func TestLintCatchesProblems(t *testing.T) {
 }
 
 // TestParsedBuckets round-trips a histogram through exposition text and
-// back into quantile math — the path gfload uses to compute server-side
-// percentiles from scraped /metrics diffs.
+// back into quantile math — the path benchmark/traced.go uses to compute
+// server-side percentiles from a scraped /metrics exposition.
 func TestParsedBuckets(t *testing.T) {
 	reg := NewRegistry()
 	hv := reg.HistogramVec("rt_seconds", "", []float64{0.01, 0.1, 1}, "endpoint")

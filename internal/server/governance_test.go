@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
+
+	"graphflow"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -262,5 +265,30 @@ func TestBudgetExceededReturns422(t *testing.T) {
 	// A negative budget is a client error, not an abort.
 	if w := do(t, s, "POST", "/query", queryRequest{Pattern: triangle, MemBudgetBytes: -1}); w.Code != http.StatusBadRequest {
 		t.Fatalf("negative budget: status %d, want 400 (body: %s)", w.Code, w.Body)
+	}
+}
+
+// TestExplainAnalyzeBudgetReturns422 holds EXPLAIN ANALYZE to the DB's
+// per-query memory ceiling: an analysis that cannot run within it comes
+// back as the structured 422 a /query gets, while the plan dump, which
+// runs nothing, still answers.
+func TestExplainAnalyzeBudgetReturns422(t *testing.T) {
+	db, err := graphflow.NewFromDataset("Epinions", 1, &graphflow.Options{CatalogueZ: 50, MemBudgetBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s := newTestServer(t, Config{DB: db})
+	path := "/explain?pattern=" + url.QueryEscape(triangle)
+	w := do(t, s, "GET", path+"&analyze=true", nil)
+	if w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422 (body: %s)", w.Code, w.Body)
+	}
+	body := w.Body.String()
+	if !strings.Contains(body, `"code":"budget_exceeded"`) || !strings.Contains(body, `"limit_bytes":512`) {
+		t.Errorf("422 body should carry code budget_exceeded and the 512-byte ceiling: %s", body)
+	}
+	if w := do(t, s, "GET", path, nil); w.Code != http.StatusOK {
+		t.Fatalf("plan dump: status %d, want 200 (body: %s)", w.Code, w.Body)
 	}
 }

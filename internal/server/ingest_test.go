@@ -300,6 +300,108 @@ func TestConcurrentIngest(t *testing.T) {
 	}
 }
 
+// TestDurableMixedLoad runs counts and mutation batches side by side
+// against a server over a durable store: four clients on a 32-vertex
+// ring, each posting a triangle count and an ingest batch in turn. Every
+// response must be 2xx and every batch acknowledged whole, and after
+// Close the directory reopened over the same base must hold the same
+// edges and the same triangles.
+func TestDurableMixedLoad(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *graphflow.DB {
+		t.Helper()
+		b := graphflow.NewBuilder(32)
+		for v := uint32(0); v < 32; v++ {
+			for d := uint32(1); d <= 3; d++ {
+				b.AddEdge(v, (v+d)%32, 0)
+			}
+		}
+		db, err := b.Open(&graphflow.Options{CatalogueZ: 50, CatalogueH: 2, DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	db := open()
+	ts := httptest.NewServer(newTestServer(t, Config{DB: db}).Handler())
+	post := func(path string, body, out any) (int, error) {
+		buf, err := json.Marshal(body)
+		if err != nil {
+			return 0, err
+		}
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(buf))
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
+	}
+
+	// Client c owns the edges v -> v+4+c, apart from the ring's and every
+	// other client's. Round i adds the edges out of the i-th block of four
+	// vertices and deletes the ones round i-1 added, so each batch's
+	// counts are known in advance and the store ends perBatch edges per
+	// client above the ring.
+	const clients, rounds, perBatch = 4, 25, 4
+	edge := func(c, i, k int) ingestEdge {
+		v := uint32((i*perBatch + k) % 32)
+		return ingestEdge{Src: v, Dst: (v + 4 + uint32(c)) % 32}
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				var q queryResponse
+				if code, err := post("/query", queryRequest{Pattern: triangle}, &q); err != nil || code/100 != 2 || q.Count == nil {
+					t.Errorf("client %d round %d: /query status %d, %v", c, i, code, err)
+					return
+				}
+				var req ingestRequest
+				for k := 0; k < perBatch; k++ {
+					req.AddEdges = append(req.AddEdges, edge(c, i, k))
+					if i > 0 {
+						req.DeleteEdges = append(req.DeleteEdges, edge(c, i-1, k))
+					}
+				}
+				var got ingestResponse
+				code, err := post("/ingest", req, &got)
+				if err != nil || code/100 != 2 || got.AddedEdges != len(req.AddEdges) || got.DeletedEdges != len(req.DeleteEdges) {
+					t.Errorf("client %d round %d: /ingest status %d, %+v, %v", c, i, code, got, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	ts.Close()
+	if t.Failed() {
+		return
+	}
+
+	edges := db.NumEdges()
+	if want := 32*3 + clients*perBatch; edges != want {
+		t.Fatalf("%d edges after the load, want %d", edges, want)
+	}
+	tris, err := db.Count(triangle, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = open()
+	defer db.Close()
+	got, err := db.Count(triangle, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.NumEdges() != edges || got != tris {
+		t.Fatalf("reopened: %d edges and %d triangles, want %d and %d", db.NumEdges(), got, edges, tris)
+	}
+}
+
 // TestZeroAllocs is the dynamic backstop of decodeIngest's //gf:noalloc:
 // once a pooled scratch has grown to the benchmark's 32 + 32 body,
 // reading that body into it and decoding the batch allocate nothing.

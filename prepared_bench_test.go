@@ -8,10 +8,6 @@ import "testing"
 // the plan cache amortizes away (the short-running-query regime that
 // motivates prepared queries).
 func benchDB(b *testing.B) *DB {
-	return benchDBOpts(b, &Options{CatalogueZ: 100})
-}
-
-func benchDBOpts(b *testing.B, opts *Options) *DB {
 	b.Helper()
 	const n = 300
 	bd := NewBuilder(n)
@@ -22,7 +18,7 @@ func benchDBOpts(b *testing.B, opts *Options) *DB {
 			}
 		}
 	}
-	db, err := bd.Open(opts)
+	db, err := bd.Open(&Options{CatalogueZ: 100})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -78,14 +74,13 @@ func BenchmarkCountPrepared(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanningOnly isolates what the cache saves: Explain performs
-// parse+canonicalize+optimize+compile but never executes, and with the
-// plan cache disabled it re-plans on every call.
+// BenchmarkPlanningOnly isolates what the cache saves: parse,
+// canonicalize, optimize and compile on every call, never executing.
 func BenchmarkPlanningOnly(b *testing.B) {
-	db := benchDBOpts(b, &Options{CatalogueZ: 100, PlanCacheSize: -1})
+	db := benchDB(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Explain(benchPattern); err != nil {
+		if err := db.planUncached(benchPattern); err != nil {
 			b.Fatal(err)
 		}
 	}

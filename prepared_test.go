@@ -221,25 +221,6 @@ func TestCanonicalFormBounded(t *testing.T) {
 	}
 }
 
-func TestPlanCacheDisabled(t *testing.T) {
-	b := NewBuilder(5)
-	b.AddEdge(0, 1, 0)
-	b.AddEdge(1, 2, 0)
-	b.AddEdge(0, 2, 0)
-	db, err := b.Open(&Options{CatalogueZ: 50, PlanCacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := db.Count("a->b, b->c, a->c", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := db.PlanCacheStats(); st.Hits != 0 || st.Entries != 0 {
-		t.Errorf("disabled cache recorded activity: %+v", st)
-	}
-}
-
 func TestSkipPlanCache(t *testing.T) {
 	db := tinyDB(t)
 	for i := 0; i < 2; i++ {
