@@ -41,7 +41,7 @@ func main() {
 	)
 	flag.Parse()
 	if *analyze && (*workers > 1 || *adaptive || *limit != 0) {
-		// EXPLAIN ANALYZE enumerates every match of the fixed plan on one
+		// EXPLAIN ANALYZE counts every match of the fixed plan on one
 		// goroutine; better to refuse than to print numbers for a run the
 		// flags did not ask for. -wco does apply.
 		fmt.Fprintln(os.Stderr, "gfquery: -analyze runs single-threaded to completion on the fixed plan; it cannot be combined with -workers > 1, -adaptive or -limit")
@@ -108,7 +108,8 @@ func main() {
 
 // runAnalyze is EXPLAIN ANALYZE at the CLI: execute single-threaded and
 // print the operator tree annotated with actual tuples, i-cost, cache
-// hits and attributed wall time, followed by the per-stage breakdown. Of
+// hits, attributed wall time and the factorized tail's components,
+// followed by the per-stage breakdown. Of
 // qo, the plan space (-wco) applies.
 func runAnalyze(db *graphflow.DB, pattern string, qo *graphflow.QueryOptions) error {
 	start := time.Now()

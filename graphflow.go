@@ -267,7 +267,8 @@ type Stats struct {
 	ExtendBatches int64
 	ProbeBatches  int64
 	// FactorizedPrefixes counts prefix tuples evaluated by the factorized
-	// execution tier (one extension set per star-suffix leaf each);
+	// execution tier (every component of the tail evaluated or served
+	// from its cache once each);
 	// FactorizedAvoided counts result tuples that were counted — or
 	// charged against a Limit — directly on the factorized form without
 	// being materialized. Both zero when factorization did not apply.
@@ -275,7 +276,7 @@ type Stats struct {
 	FactorizedAvoided  int64
 	// Per-stage wall-time attribution of the executor in nanoseconds:
 	// scan (adjacency reads and batch fills), E/I intersect fan-out,
-	// hash-probe lookups, the factorized star-suffix tail, the hash-join
+	// hash-probe lookups, the factorized tail, the hash-join
 	// build-side insert sink, and the root emit sink. Under parallel runs
 	// the numbers sum across workers (busy time per stage, not elapsed
 	// wall clock).
@@ -593,7 +594,7 @@ func (db *DB) planFor(canon *query.Graph, code query.Code, wcoOnly, skipCache bo
 	}
 	planStart := time.Now()
 	// Zero options but the statistics and the plan space, as internal/bench
-	// plans: star suffixes are priced the way the factorized tier runs them.
+	// plans: a factorized tail is priced the way the factorized tier runs it.
 	p, err := optimizer.Optimize(canon, optimizer.Options{Catalogue: st.cat, WCOOnly: wcoOnly})
 	if err != nil {
 		return nil, 0, err
@@ -978,13 +979,14 @@ func (db *DB) Explain(pattern string) (Stats, error) {
 
 // Analyze runs the pattern and returns Stats whose Plan field carries the
 // per-operator breakdown (tuples out, i-cost, cache hits, carried sets,
-// pinned probes, probe and build counts, attributed wall time) — EXPLAIN
-// ANALYZE for subgraph plans. Of opts (which may be nil) it honours
+// pinned probes, probe and build counts, attributed wall time, and the
+// factorized tail's components with their separators and key counts) —
+// EXPLAIN ANALYZE for subgraph plans. Of opts (which may be nil) it honours
 // Context, WCOOnly and BatchSize — what decides the tree it annotates
 // and the counters on it — and the memory ceiling, MemBudgetBytes under
 // the DB's Options.MemBudgetBytes and MemGlobalBytes, which it aborts on
-// as Count does; the run itself is always single-threaded, fully
-// enumerated and on the fixed plan, so Workers, Limit, Distinct and
+// as Count does; the run itself is always single-threaded, counts as
+// Count does and runs the fixed plan, so Workers, Limit, Distinct and
 // Adaptive do not apply. A negative BatchSize, which has no plan to
 // annotate, is an error.
 func (db *DB) Analyze(pattern string, opts *QueryOptions) (Stats, error) {

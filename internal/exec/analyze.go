@@ -35,8 +35,30 @@ type OpStats struct {
 	// stage slots; a pipeline's terminal operator also absorbs its sink —
 	// result delivery or build-side insertion).
 	Nanos int64
+	// Components, on the plan root of a run that factorized its tail,
+	// reports the tail's components (see ComponentStats).
+	Components []ComponentStats
 	// Children mirror the plan tree.
 	Children []*OpStats
+}
+
+// ComponentStats is one component of a factorized tail in the EXPLAIN
+// ANALYZE view. A tail operator's OutTuples are then the sizes of the
+// extension sets it computed, and the root's the matches the tail counted
+// or unfolded.
+type ComponentStats struct {
+	// Component names the component's vertices and its separator,
+	// "{a2,a4} on {a5}".
+	Component string
+	// Keys counts the separator keys the component was evaluated for (for
+	// a component counted off the prefix's runs, the runs), Cached the
+	// prefix rows its cache served.
+	Keys, Cached int64
+	// Shared counts the prefix rows whose count the component took from
+	// SharedWith: an identical component, or "prefix" for the run of
+	// prefix rows with one scan source.
+	Shared     int64
+	SharedWith string
 }
 
 // Describe renders the analyzed tree, one operator per line.
@@ -63,6 +85,14 @@ func (s *OpStats) Describe() string {
 			fmt.Fprintf(&sb, " time=%s", formatNanos(n.Nanos))
 		}
 		sb.WriteString("]\n")
+		for _, c := range n.Components {
+			sb.WriteString(strings.Repeat("  ", depth+1))
+			fmt.Fprintf(&sb, "COMPONENT %s  [keys=%d cached=%d", c.Component, c.Keys, c.Cached)
+			if c.SharedWith != "" {
+				fmt.Fprintf(&sb, " shared=%d with %s", c.Shared, c.SharedWith)
+			}
+			sb.WriteString("]\n")
+		}
 		for _, c := range n.Children {
 			rec(c, depth+1)
 		}
@@ -71,10 +101,39 @@ func (s *OpStats) Describe() string {
 	return sb.String()
 }
 
-// nodeCounters accumulates per-plan-node counters across workers.
+// nodeCounters accumulates per-plan-node counters across workers, and
+// the driver pipeline's tail components'.
 type nodeCounters struct {
-	mu sync.Mutex
-	m  map[plan.Node]*OpStats
+	mu   sync.Mutex
+	m    map[plan.Node]*OpStats
+	tail []ComponentStats
+}
+
+// addTail folds one worker's tail counters into the components' stats.
+func (nc *nodeCounters) addTail(t *componentTail) {
+	nc.mu.Lock()
+	if nc.tail == nil {
+		nc.tail = make([]ComponentStats, len(t.comps))
+		for i := range t.comps {
+			cs := &t.spec.comps[i]
+			nc.tail[i].Component = t.spec.name(i)
+			switch {
+			case cs.prefixTwin:
+				nc.tail[i].SharedWith = "prefix"
+			case cs.twin >= 0:
+				nc.tail[i].SharedWith = t.spec.name(cs.twin)
+			}
+		}
+	}
+	for i := range t.comps {
+		c := &t.comps[i]
+		st := &nc.tail[i]
+		st.Keys += c.keys
+		st.Cached += c.cached
+		st.Shared += c.shared
+		c.keys, c.cached, c.shared = 0, 0, 0
+	}
+	nc.mu.Unlock()
 }
 
 // add folds one worker's counters for plan node n (d's counter fields
@@ -128,15 +187,14 @@ func formatNanos(n int64) string {
 
 // AnalyzeCtx runs the compiled plan sequentially, collecting per-operator
 // counters, and returns the statistics tree along with the aggregate
-// profile: the EXPLAIN ANALYZE view. cfg.Workers and cfg.NoFactorize are
-// ignored: analysis runs the factorized tier's leaves as ordinary E/I
-// stages and writes every match, on one goroutine, so counters need no
-// sharding and every operator's numbers reflect full enumeration. The run
-// honors ctx like any other query, so a server can bound it by its
+// profile: the EXPLAIN ANALYZE view. cfg.Workers is ignored: analysis
+// runs the count a Count runs, on one goroutine, so counters need no
+// sharding. A factorized tail counts as it does there, and the root's
+// stats list its components; every other operator writes its rows. The
+// run honors ctx like any other query, so a server can bound it by its
 // request timeout; a cancelled analysis returns the context's error.
 func (cp *CompiledPlan) AnalyzeCtx(ctx context.Context, cfg RunConfig) (*OpStats, Profile, error) {
 	cfg.Workers = 1
-	cfg.NoFactorize = true
 	nc := &nodeCounters{m: map[plan.Node]*OpStats{}}
 	prof, err := cp.run(ctx, cfg, nc, nil, nil, 0)
 	if err != nil {
@@ -154,5 +212,10 @@ func (cp *CompiledPlan) AnalyzeCtx(ctx context.Context, cfg RunConfig) (*OpStats
 		}
 		return st
 	}
-	return build(cp.root), prof, nil
+	root := build(cp.root)
+	if nc.tail != nil {
+		root.OutTuples = prof.Matches
+		root.Components = nc.tail
+	}
+	return root, prof, nil
 }

@@ -165,9 +165,9 @@ func (b *tupleBatch) carriedRun(k int) ([]graph.VertexID, int) {
 }
 
 // runCursor walks a batch's published runs in row order for an
-// inheriting consumer: at is asked for rows in ascending order, and for
-// the first row of every run (the rows between may be skipped — the run's
-// end is in end).
+// inheriting consumer: at is asked for rows in ascending order, any of
+// them skipped (a factorized tail's component asks only where its key
+// changes).
 type runCursor struct {
 	k, end int
 	set    []graph.VertexID
@@ -178,7 +178,7 @@ func (c *runCursor) rewind() { c.k, c.end, c.set = 0, 0, nil }
 
 // at returns the carried set of the run holding row r.
 func (c *runCursor) at(in *tupleBatch, r int) []graph.VertexID {
-	if r == c.end {
+	for r >= c.end {
 		c.set, c.end = in.carriedRun(c.k)
 		c.k++
 	}
@@ -449,6 +449,10 @@ func (w *worker) flushBatches() {
 	// By index: a flush can reach a router, which appends the stages of an
 	// ordering it had not used yet — behind everything flushed so far.
 	for i := 0; i < len(w.bstages); i++ {
+		if t, ok := w.bstages[i].(*componentTail); ok {
+			// Every row has reached the tail: its open run is complete.
+			t.closeRun(w)
+		}
 		if o := w.bstages[i].output(); o != nil {
 			o.flush(w)
 		}
@@ -501,8 +505,10 @@ func (w *worker) fillEdges(src graph.VertexID, nbrs []graph.VertexID) {
 // works in is the prefix run — the consecutive rows of its input batch
 // that share one operand (see extFor).
 type batchExtendState struct {
-	es   extendState
-	out  fanOut
+	es  extendState
+	out fanOut
+	// vals holds the descriptors' source vertices of a tail operator that
+	// reads values bound above the prefix (componentTail.setAt).
 	vals []graph.VertexID
 	// cur walks the input batch's carried runs (inheriting stages only).
 	cur runCursor
@@ -636,15 +642,6 @@ func (s *batchExtendState) extFor(w *worker, in *tupleBatch, r int) []graph.Vert
 	}
 	es.gather(w, es.cacheKey, carried)
 	return es.intersect(w, carried)
-}
-
-// gatherVals loads s.vals with the descriptors' source vertices in row r,
-// for a factorized leaf that inherits from the leaf before it.
-func (s *batchExtendState) gatherVals(in *tupleBatch, r int) {
-	s.vals = s.vals[:0]
-	for _, d := range s.es.spec.op.Descriptors {
-		s.vals = append(s.vals, in.cols[d.TupleIdx][r])
-	}
 }
 
 // openRun looks ahead from row r, whose key es.cacheKey now holds, and
@@ -802,6 +799,12 @@ type morselQueue struct {
 
 	mu   sync.Mutex
 	hubs []hubMorsel
+	// split holds, per hub whose adjacency was split, the merged parts of
+	// its rows' run that factorized tails have closed so far (splitRun);
+	// splits counts its entries, so a tail closing a run looks no further
+	// while there are none.
+	split  map[graph.VertexID]*splitRun
+	splits atomic.Int32
 
 	scanning atomic.Int64
 }
@@ -831,6 +834,11 @@ func (q *morselQueue) pushHubs(src graph.VertexID, nbrs []graph.VertexID, needCo
 		nbrs = append([]graph.VertexID(nil), nbrs...)
 	}
 	q.mu.Lock()
+	if q.split == nil {
+		q.split = map[graph.VertexID]*splitRun{}
+	}
+	q.split[src] = &splitRun{}
+	q.splits.Add(1)
 	for off := 0; off < len(nbrs); off += hubChunkEdges {
 		end := off + hubChunkEdges
 		if end > len(nbrs) {
@@ -839,6 +847,34 @@ func (q *morselQueue) pushHubs(src graph.VertexID, nbrs []graph.VertexID, needCo
 		q.hubs = append(q.hubs, hubMorsel{src: src, nbrs: nbrs[off:end]})
 	}
 	q.mu.Unlock()
+}
+
+// splitRun is what a factorized tail's closed runs (twinRun) of one
+// split hub add up to so far.
+type splitRun struct {
+	sum, rows int64
+}
+
+// mergeSplit adds a closed run of src — sum over rows prefix rows, counted
+// as sum × rowsᵏ — to the parts of src's run merged so far, when src's
+// adjacency was split across workers, and returns what the merge adds to
+// the count: the merged count less the one before. The parts of a run add
+// up to its count whatever order they close in. It reports false, and
+// merges nothing, for a source that was not split (or a nil queue: a
+// sequential run splits nothing).
+func (q *morselQueue) mergeSplit(src graph.VertexID, sum, rows int64, k int) (int64, bool) {
+	if q == nil || q.splits.Load() == 0 {
+		return 0, false
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	st := q.split[src]
+	if st == nil {
+		return 0, false
+	}
+	before := satMul(st.sum, satPow(st.rows, k))
+	st.sum, st.rows = satAdd(st.sum, sum), satAdd(st.rows, rows)
+	return satMul(st.sum, satPow(st.rows, k)) - before, true
 }
 
 // popHub steals one pending hub morsel.

@@ -389,6 +389,27 @@ func TestZeroAllocs(t *testing.T) {
 			},
 		},
 		{
+			// A count of a tail whose component is identical to the prefix's
+			// part above the scan source (the bowtie): runs of rows are counted
+			// and closed, nothing is evaluated above the triangle.
+			name: "prefixTwinCount", pinned: true,
+			setup: func(t *testing.T) (*worker, func()) {
+				w, n := steadyWorker(t, g, componentPlans(t)["bowtie"], RunConfig{})
+				return w, scan(w, n)
+			},
+		},
+		{
+			// A count of a tail of two identical two-vertex components on a
+			// two-vertex separator: one is enumerated per key into reused
+			// stage scratch, its second operator sweeping through the list
+			// the key pins, and the other shares its count.
+			name: "componentCount", pinned: true,
+			setup: func(t *testing.T) (*worker, func()) {
+				w, n := steadyWorker(t, g, componentPlans(t)["cycles"], RunConfig{})
+				return w, scan(w, n)
+			},
+		},
+		{
 			// Carried extension sets, plain chain: the 4-clique's last stage
 			// intersects into the run table its upstream publishes (run
 			// boundaries, aliased columns, the split-run copy) and pins the

@@ -8,6 +8,7 @@ import (
 	"graphflow/internal/adaptive"
 	"graphflow/internal/graph"
 	"graphflow/internal/plan"
+	"graphflow/internal/query"
 )
 
 // CompiledPlan is the immutable, executable form of a physical plan: the
@@ -23,6 +24,7 @@ import (
 // plan, so one compiled plan serves every snapshot of a live graph.
 type CompiledPlan struct {
 	graph graph.View
+	query *query.Graph
 	root  plan.Node
 	// pipes lists every pipeline in execution order: hash-join build
 	// pipelines first (each before any pipeline that probes its table),
@@ -47,12 +49,10 @@ type compiledPipeline struct {
 	feeds    *plan.HashJoin
 	keySlots []int
 	outWidth int
-	// starSuffix is the index into stages where the pipeline's maximal
-	// star-shaped suffix begins (plan.StarSuffixLen mapped onto the
-	// flattened chain); len(stages) when there is none. The driver
-	// pipeline's suffix, when present, runs as a factorizedTail stage
-	// unless RunConfig.NoFactorize is set.
-	starSuffix int
+	// tail is the driver pipeline's factorized tail (plan.TailOf mapped onto
+	// the flattened chain; nil on a build pipeline). When it has one, it
+	// runs as a componentTail stage unless RunConfig.NoFactorize is set.
+	tail *tailSpec
 	// route, when non-nil, makes the driver pipeline's trailing E/I chain
 	// adaptive (CompiledPlan.Adaptive): a worker places a router where the
 	// chain begins instead of stages[route.cut:], which stay the plan's own
@@ -149,7 +149,7 @@ func Compile(g graph.View, p *plan.Plan) (*CompiledPlan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	cp := &CompiledPlan{graph: g, root: p.Root, estCard: p.EstimatedCardinality}
+	cp := &CompiledPlan{graph: g, query: p.Query, root: p.Root, estCard: p.EstimatedCardinality}
 	if err := cp.addPipeline(p.Root, nil); err != nil {
 		return nil, err
 	}
@@ -163,17 +163,25 @@ func Compile(g graph.View, p *plan.Plan) (*CompiledPlan, error) {
 // routeStage). Everything else — the pipelines below the chain, which the
 // two plans share, the RunConfig a run takes, the plan root's Out() layout
 // of emitted tuples — is cp's. With nil routes (nothing to adapt) the
-// result is cp itself.
+// result is cp itself, and so it is when cp's tail counts a component off
+// the runs of its prefix (a PrefixTwin, evaluated for free): the router
+// would hand one scan source's rows to several orderings, and none of
+// them could count it so.
 func (cp *CompiledPlan) Adaptive(routes *adaptive.Routes) *CompiledPlan {
-	if routes == nil {
+	if routes == nil || cp.driver().tail.twins > 0 {
 		return cp
 	}
 	d := cp.driver()
-	routed := &compiledPipeline{node: d.node, scan: d.scan, stages: d.stages, outWidth: d.outWidth, starSuffix: d.starSuffix}
-	routed.route = newRouteSpec(routed, routes)
+	routed := &compiledPipeline{node: d.node, scan: d.scan, stages: d.stages, outWidth: d.outWidth}
+	routed.route = newRouteSpec(cp.query, routed, routes)
+	// A run whose orderings are all leaves takes the plan's own ordering
+	// (see routeSpec.allStar): the tail the router would have built for it.
+	tail := *routed.route.tails[0]
+	tail.cut += routed.route.cut
+	routed.tail = &tail
 	builds := cp.pipes[:len(cp.pipes)-1]
 	return &CompiledPlan{
-		graph: cp.graph, root: cp.root, estCard: cp.estCard,
+		graph: cp.graph, query: cp.query, root: cp.root, estCard: cp.estCard,
 		pipes: append(slices.Clip(builds), routed),
 	}
 }
@@ -195,13 +203,13 @@ func (cp *CompiledPlan) Root() plan.Node { return cp.root }
 // compiled last).
 func (cp *CompiledPlan) driver() *compiledPipeline { return cp.pipes[len(cp.pipes)-1] }
 
-// StarSuffixLen reports the length of the driver pipeline's star-shaped
-// suffix: the number of trailing E/I stages a run evaluates as a
-// factorizedTail unless RunConfig.NoFactorize is set (0 = factorization
-// cannot apply to this plan).
-func (cp *CompiledPlan) StarSuffixLen() int {
+// TailLen reports the length of the driver pipeline's factorized tail:
+// the number of trailing E/I stages a run evaluates as a componentTail
+// unless RunConfig.NoFactorize is set (0 = factorization cannot apply to
+// this plan).
+func (cp *CompiledPlan) TailLen() int {
 	d := cp.driver()
-	return len(d.stages) - d.starSuffix
+	return len(d.stages) - d.tail.cut
 }
 
 // addPipeline flattens the probe path of n into a pipeline, recursively
@@ -247,9 +255,11 @@ func (cp *CompiledPlan) addPipeline(n plan.Node, feeds *plan.HashJoin) error {
 	}
 	pipe.outWidth = width
 	// Trailing E/I operators of the probe path are trailing stages of the
-	// flattened chain, so the plan-level star suffix maps directly onto a
-	// stage index.
-	pipe.starSuffix = len(pipe.stages) - plan.StarSuffixLen(n)
+	// flattened chain, so the plan-level tail maps directly onto a stage
+	// index. Only the driver pipeline's runs factorize.
+	if feeds == nil {
+		pipe.tail = newTailSpec(cp.query, n, len(pipe.stages), true)
+	}
 	if feeds != nil {
 		buildOut := n.Out()
 		slotOf := make(map[int]int, len(buildOut))

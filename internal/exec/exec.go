@@ -81,11 +81,11 @@ type Profile struct {
 	// Batches counts columnar batches dispatched per stage kind.
 	Batches BatchCounters
 	// FactorizedPrefixes counts prefix tuples evaluated by a
-	// factorizedTail stage: for each, every star-suffix leaf's extension
-	// set was computed (or served from a cache) exactly once.
+	// componentTail stage: for each, every component of the tail was
+	// evaluated, served from its cache or counted off the prefix's runs.
 	FactorizedPrefixes int64
 	// FactorizedAvoided counts result tuples accounted for directly on
-	// the factorized prefix × set₁ × … × setₖ form — counted into Matches
+	// the factorized prefix × C₁ × … × Cₖ form — counted into Matches
 	// (or charged against a Limit budget) without ever being materialized.
 	FactorizedAvoided int64
 	// Stages attributes wall time to each operator kind. Sampling is
@@ -99,7 +99,7 @@ type Profile struct {
 // StageNanos is per-stage-kind attributed run time in nanoseconds:
 // Scan covers adjacency reads and batch fills (plus morsel
 // acquisition), Extend the E/I intersect fan-out, Probe the hash-probe
-// lookups, Factorized the star-suffix tail, Build the hash-join
+// lookups, Factorized the factorized tail, Build the hash-join
 // build-side insert sink, and Emit the root sink's row delivery.
 type StageNanos struct {
 	Scan       int64
@@ -145,11 +145,11 @@ func (p *Profile) Add(other Profile) {
 // RunConfig carries the per-run execution knobs. The zero value is what
 // a count of the DB runs: a sequential run with the intersection cache
 // on, a plan-adaptive batch size, and the factorized tier on — a pipeline
-// ending in a star-shaped suffix (trailing E/I stages whose targets are
-// pairwise non-adjacent leaves off the prefix) evaluates it as one
-// extension set per leaf per prefix row, prefix × set₁ × … × setₖ: a
-// count multiplies set cardinalities, a limit is charged against the
-// product, and enumeration lazily unfolds identical rows in identical
+// ending in a factorized tail (plan.TailOf: the connected components of
+// the query vertices after a prefix, a leaf being a one-vertex component)
+// evaluates each component once per separator key, prefix × C₁ × … × Cₖ:
+// a count multiplies the components' counts, a limit is charged against
+// the product, and enumeration unfolds identical rows in identical
 // order. CountCtx writes no row at the last stage: it adds the size of
 // what that stage would fan out to the match count.
 type RunConfig struct {
@@ -171,9 +171,9 @@ type RunConfig struct {
 	BatchSize int
 	// Deprecated: ignored. Factorization is on unless NoFactorize is set.
 	Factorized bool
-	// NoFactorize turns the factorized tier off (an ablation: the star
-	// suffix runs as ordinary E/I stages, and the last one's sets are
-	// counted or written row by row).
+	// NoFactorize turns the factorized tier off (an ablation: the tail
+	// runs as ordinary E/I stages, and the last one's sets are counted or
+	// written row by row).
 	NoFactorize bool
 	// MemBudget, when non-nil, meters this run's major allocators —
 	// hash-join build tables, worker batch checkouts, extension-set
@@ -316,7 +316,7 @@ type runContext struct {
 	// CompiledPlan.EffectiveBatchSize).
 	batch, buildBatch int
 	// countBudget, when non-nil, is the shared remaining-match allowance
-	// of a factorized CountUpToCtx: each factorizedTail prefix atomically
+	// of a factorized CountUpToCtx: each componentTail product atomically
 	// claims min(product, remaining) and stops the run when it is
 	// exhausted, so the total claimed never exceeds the limit even
 	// across workers.
@@ -396,10 +396,10 @@ func (cp *CompiledPlan) CountUpToCtx(ctx context.Context, cfg RunConfig, limit i
 	if limit <= 0 {
 		return cp.CountCtx(ctx, cfg)
 	}
-	if !cfg.NoFactorize && cp.StarSuffixLen() > 0 {
-		// Factorized limit: the tail charges each prefix's set-cardinality
-		// product against a shared budget, so the cap is hit exactly
-		// without unfolding a single suffix tuple.
+	if !cfg.NoFactorize && cp.TailLen() > 0 {
+		// Factorized limit: the tail charges each product of its components'
+		// counts against a shared budget, so the cap is hit exactly without
+		// unfolding a single tail tuple.
 		var budget atomic.Int64
 		budget.Store(limit)
 		prof, err := cp.run(ctx, cfg, nil, nil, &budget, limit)

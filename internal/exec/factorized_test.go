@@ -59,26 +59,29 @@ func starPlans(t testing.TB) map[string]struct {
 	return out
 }
 
-// TestStarSuffixLen pins the detector to the suffix lengths the plan
-// shapes above guarantee, at both the plan and compiled-pipeline layers.
-func TestStarSuffixLen(t *testing.T) {
+// TestTailLen pins the detector to the tail lengths the plan shapes
+// above guarantee, at both the plan and compiled-pipeline layers.
+func TestTailLen(t *testing.T) {
 	g := smallRandomGraph(3, 60, 4)
 	for name, tc := range starPlans(t) {
-		if got := plan.StarSuffixLen(tc.p.Root); got != tc.suffix {
-			t.Errorf("%s: plan.StarSuffixLen = %d, want %d", name, got, tc.suffix)
+		var tail plan.Tail
+		plan.TailOf(&tail, tc.p.Query, tc.p.Root, true)
+		if tail.Len != tc.suffix || !tail.Leaves() {
+			t.Errorf("%s: plan.TailOf = %d operators (all leaves %v), want %d leaves", name, tail.Len, tail.Leaves(), tc.suffix)
 		}
 		cp, err := Compile(g, tc.p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := cp.StarSuffixLen(); got != tc.suffix {
-			t.Errorf("%s: CompiledPlan.StarSuffixLen = %d, want %d", name, got, tc.suffix)
+		if got := cp.TailLen(); got != tc.suffix {
+			t.Errorf("%s: CompiledPlan.TailLen = %d, want %d", name, got, tc.suffix)
 		}
 	}
 	// A scan-only plan has no extends to factorize.
 	qEdge := query.MustParse("a->b")
-	if got := plan.StarSuffixLen(plan.NewScan(qEdge, qEdge.Edges[0])); got != 0 {
-		t.Errorf("scan-only StarSuffixLen = %d, want 0", got)
+	var tail plan.Tail
+	if plan.TailOf(&tail, qEdge, plan.NewScan(qEdge, qEdge.Edges[0]), true); tail.Len != 0 {
+		t.Errorf("scan-only tail = %d operators, want 0", tail.Len)
 	}
 }
 
@@ -325,8 +328,8 @@ func steadyFactorizedWorker(tb testing.TB, g *graph.Graph) (*worker, int) {
 	// both, d and e read a — so the whole post-scan chain factorizes.
 	star := query.MustParse("a->b, a->c, b->c, a->d, a->e")
 	cp := Must(tb, g, buildWCO(tb, star, []int{0, 1, 2, 3, 4}))
-	if cp.StarSuffixLen() != 3 {
-		tb.Fatalf("star suffix = %d, want 3", cp.StarSuffixLen())
+	if cp.TailLen() != 3 {
+		tb.Fatalf("tail = %d operators, want 3", cp.TailLen())
 	}
 	var cfg RunConfig
 	rc := &runContext{ctx: context.Background(), cp: cp, cfg: cfg, batch: cp.EffectiveBatchSize(cfg, 0)}

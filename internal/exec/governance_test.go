@@ -311,8 +311,8 @@ func TestCancelMidFactorizedUnfold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.StarSuffixLen() < 2 {
-		t.Fatalf("star suffix len %d; fixture no longer exercises the factorized tail", cp.StarSuffixLen())
+	if cp.TailLen() < 2 {
+		t.Fatalf("tail len %d; fixture no longer exercises the factorized tail", cp.TailLen())
 	}
 	var total int64
 	fullProf, err := cp.RunCtx(context.Background(), RunConfig{}, func([]graph.VertexID) bool {

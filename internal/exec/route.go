@@ -3,7 +3,7 @@ package exec
 import (
 	"graphflow/internal/adaptive"
 	"graphflow/internal/graph"
-	"graphflow/internal/plan"
+	"graphflow/internal/query"
 )
 
 // This file is Section 6's adaptive evaluation as one stage of the
@@ -23,19 +23,20 @@ type routeSpec struct {
 	// chains[o] is ordering o's operators compiled; chains[0] is the
 	// pipeline's own stages[cut:].
 	chains [][]stageSpec
-	// star[o] is the length of ordering o's star-shaped suffix (at least 1:
-	// a chain's last operator only reads slots bound before it). When every
-	// ordering is a star from end to end (allStar), a factorized run takes
-	// each as one tail computing the same sets: there is nothing to route,
-	// and its workers are built without the router.
-	star    []int
+	// tails[o] is ordering o's factorized tail (at least its last operator,
+	// a leaf), found without PrefixTwin components: the router hands one
+	// scan source's rows to several orderings. When every ordering is all
+	// leaves from end to end (allStar), a factorized run takes each as one
+	// tail computing the same sets: there is nothing to route, and its
+	// workers are built without the router.
+	tails   []*tailSpec
 	allStar bool
 	// perms[o][j] is the column of ordering o's output that holds slot j of
 	// the plan root's layout; nil for the plan's own ordering.
 	perms [][]int
 }
 
-func newRouteSpec(pipe *compiledPipeline, routes *adaptive.Routes) *routeSpec {
+func newRouteSpec(q *query.Graph, pipe *compiledPipeline, routes *adaptive.Routes) *routeSpec {
 	k := len(routes.Chains[0])
 	rs := &routeSpec{routes: routes, cut: len(pipe.stages) - k, allStar: true}
 	rootOut := pipe.node.Out()
@@ -56,9 +57,9 @@ func newRouteSpec(pipe *compiledPipeline, routes *adaptive.Routes) *routeSpec {
 			}
 		}
 		rs.chains = append(rs.chains, specs)
-		star := plan.StarSuffixLen(chain[k-1])
-		rs.star = append(rs.star, star)
-		rs.allStar = rs.allStar && star == k
+		tail := newTailSpec(q, chain[k-1], k, false)
+		rs.tails = append(rs.tails, tail)
+		rs.allStar = rs.allStar && tail.cut == 0 && tail.leaves
 		rs.perms = append(rs.perms, perm)
 	}
 	return rs
@@ -157,19 +158,18 @@ func (s *routeStage) forward(w *worker, in *tupleBatch, lo, hi int) {
 
 // build appends ordering o's stages to the worker's stage list — the same
 // states newWorker mints for a fixed chain, a factorized tail over the
-// ordering's own star suffix when the run is factorized — and charges
+// ordering's own tail when the run is factorized — and charges
 // their batch scratch to the run's budget (a refusal is observed at the
 // next poll).
 //
 //gf:allowalloc an ordering's stages are built once per worker, on the first run routed to it, and pooled with the worker
 func (s *routeStage) build(w *worker, o int) int {
-	specs := s.spec.chains[o]
-	cut := len(specs)
+	var tail *tailSpec
 	if w.factorized {
-		cut -= s.spec.star[o]
+		tail = s.spec.tails[o]
 	}
 	first := len(w.bstages)
-	words := w.appendStages(specs, cut, s.inWidth, sinkStage-o)
+	words := w.appendStages(s.spec.chains[o], tail, s.inWidth, sinkStage-o)
 	w.memBytes += int64(words) * vertexIDBytes
 	w.rc.mem.Reserve(int64(words) * vertexIDBytes)
 	s.entry[o] = first

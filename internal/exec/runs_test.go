@@ -390,7 +390,7 @@ func FuzzExtendRuns(f *testing.F) {
 					width++
 				}
 			}
-			return &compiledPipeline{scan: &plan.Scan{}, stages: stages, outWidth: width, starSuffix: len(stages)}
+			return &compiledPipeline{scan: &plan.Scan{}, stages: stages, outWidth: width, tail: &tailSpec{cut: len(stages)}}
 		}
 		// run feeds the rows to stages; count runs a pure count (no emit).
 		run := func(stages []stageSpec, count bool) (out [][]graph.VertexID, prof Profile) {

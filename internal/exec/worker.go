@@ -38,7 +38,7 @@ type worker struct {
 	bstages   []batchStage
 	edges     fanOut
 	batchSize int
-	// factorized records whether the stage chain ends in a factorizedTail
+	// factorized records whether the stage chain ends in a componentTail
 	// (every ordering's chain, behind a router) — part of the pooled
 	// worker's shape, checked on reuse.
 	factorized bool
@@ -86,7 +86,7 @@ type worker struct {
 const cancelCheckInterval = 4096
 
 func newWorker(rc *runContext, pipe *compiledPipeline, isRoot bool, emit func([]graph.VertexID) bool, stopped *atomic.Bool, mq *morselQueue) *worker {
-	fact := !rc.cfg.NoFactorize && isRoot && pipe.starSuffix < len(pipe.stages)
+	fact := !rc.cfg.NoFactorize && isRoot && pipe.tail.cut < len(pipe.stages)
 	batch := rc.batch
 	if pipe.feeds != nil {
 		batch = rc.buildBatch
@@ -110,7 +110,7 @@ func newWorker(rc *runContext, pipe *compiledPipeline, isRoot bool, emit func([]
 		stageNanos:      make([]int64, 2, len(pipe.stages)+3),
 		lastStamp:       time.Now(),
 	}
-	specs, cut, exit := pipe.stages, len(pipe.stages), sinkStage
+	specs, tail, exit := pipe.stages, (*tailSpec)(nil), sinkStage
 	route := pipe.route
 	if route != nil && fact && route.allStar {
 		route = nil
@@ -118,11 +118,11 @@ func newWorker(rc *runContext, pipe *compiledPipeline, isRoot bool, emit func([]
 	switch {
 	case route != nil:
 		// The chain's stages are the router's to build, per ordering.
-		specs, cut, exit = specs[:route.cut], route.cut, route.cut
+		specs, exit = specs[:route.cut], route.cut
 	case fact:
-		cut = pipe.starSuffix
+		tail = pipe.tail
 	}
-	words := 2*w.batchSize + w.appendStages(specs, cut, 2, exit)
+	words := 2*w.batchSize + w.appendStages(specs, tail, 2, exit)
 	if route != nil {
 		w.router = newRouteStage(route, pipe.outWidth-len(route.chains[0]))
 		w.addStage(w.router)
@@ -152,13 +152,18 @@ func (w *worker) addStage(st batchStage) {
 	w.stageNanos = append(w.stageNanos, 0)
 }
 
-// appendStages mints the batch states of specs[:cut] — and, when specs
-// goes on, one factorized tail over the E/I operators specs[cut:] — and
+// appendStages mints the batch states of specs — the operators before
+// tail.cut one by one and, when tail is non-nil and has a cut inside
+// specs, one componentTail over the E/I operators from there on — and
 // appends them to the stage chain, each feeding the next and the last
 // feeding exit. width is the first one's input width; the result is their
 // batch scratch in words (output batches, plus a publishing stage's run
 // table: one more column's worth).
-func (w *worker) appendStages(specs []stageSpec, cut, width, exit int) int {
+func (w *worker) appendStages(specs []stageSpec, tail *tailSpec, width, exit int) int {
+	cut := len(specs)
+	if tail != nil {
+		cut = tail.cut
+	}
 	words := 0
 	for i, spec := range specs[:cut] {
 		next := len(w.bstages) + 1
@@ -172,7 +177,7 @@ func (w *worker) appendStages(specs []stageSpec, cut, width, exit int) int {
 		w.addStage(st)
 	}
 	if cut < len(specs) {
-		t := newFactorizedTail(w.rc, specs[cut:], exit, width, w.batchSize)
+		t := newComponentTail(w.rc, tail, specs[cut:], exit, width, w.batchSize)
 		words += len(t.out.batch.cols) * w.batchSize
 		w.addStage(t)
 	}
@@ -240,11 +245,8 @@ func (w *worker) release() {
 		switch st := s.(type) {
 		case *batchExtendState:
 			st.forget()
-		case *factorizedTail:
-			for _, leaf := range st.leaves {
-				leaf.forget()
-			}
-			clear(st.sets)
+		case *componentTail:
+			st.forget()
 		}
 	}
 	w.pipe.pool.Put(w)
@@ -331,9 +333,9 @@ func (w *worker) eachState(ext func(*extendState), probe func(*probeState)) {
 			ext(&st.es)
 		case *batchProbeState:
 			probe(&st.ps)
-		case *factorizedTail:
-			for _, leaf := range st.leaves {
-				ext(&leaf.es)
+		case *componentTail:
+			for _, op := range st.stages {
+				ext(&op.es)
 			}
 		}
 	}
@@ -385,7 +387,7 @@ func (w *worker) foldStageTimes() {
 			st.Extend += n
 		case *batchProbeState:
 			st.Probe += n
-		case *factorizedTail:
+		case *componentTail:
 			st.Factorized += n
 		}
 	}
@@ -396,8 +398,9 @@ func (w *worker) foldStageTimes() {
 		st.Emit += sinkN
 	}
 	if nc := w.rc.analyze; nc != nil {
-		// Analyze disables factorization, so bstages[i] maps 1:1 onto
-		// pipe.stages[i]; sink time lands on the pipeline's own node.
+		// Analysis runs the plan's own ordering, so bstages[i] maps 1:1 onto
+		// pipe.stages[i] — a factorized tail's time lands on its first
+		// operator; sink time lands on the pipeline's own node.
 		nc.addNanos(w.pipe.scan, w.stageNanos[0])
 		for i := range w.bstages {
 			if i < len(w.pipe.stages) {
@@ -435,10 +438,15 @@ func (w *worker) finish() {
 		nc.add(st.spec.op, OpStats{OutTuples: st.outTuples, Probes: st.probes, BuildRows: int64(st.table.len())})
 		st.outTuples, st.probes = 0, 0
 	})
+	for _, s := range w.bstages {
+		if t, ok := s.(*componentTail); ok {
+			nc.addTail(t)
+		}
+	}
 }
 
 // extendState implements EXTEND/INTERSECT with the intersection cache.
-// extensionSetFor is the one general path — a factorized leaf's, and the
+// extensionSetFor is the one general path — a factorized tail's, and the
 // pieces batchExtendState.extFor builds its prefix runs from.
 type extendState struct {
 	spec     *extendSpec
@@ -518,6 +526,26 @@ func (s *extendState) extensionSetFor(w *worker, vals, carried []graph.VertexID)
 	}
 	s.gather(w, vals, carried)
 	return s.intersect(w, carried)
+}
+
+// pinnedSetFor is extensionSetFor for an operator whose operand at pos
+// of its lists is pinned in its intersector: the other operands are swept
+// through the bitmap (graph.Intersector.ProbePinned), or, past the
+// cut-off towards hubs, intersected by the ordinary dispatch. Every
+// operand is charged, as ever.
+//
+//gf:noalloc
+func (s *extendState) pinnedSetFor(w *worker, vals, carried []graph.VertexID, pos int) []graph.VertexID {
+	if s.cached(w, vals) {
+		return s.cacheExt
+	}
+	s.gather(w, vals, carried)
+	ext, scratch, ok := s.it.ProbePinned(s.lists, pos, s.cacheBuf[:0], s.scratch)
+	if !ok {
+		return s.intersect(w, carried)
+	}
+	s.serve(ext, scratch)
+	return ext
 }
 
 // cached is the cache lookup: a hit when vals is the key of the last set

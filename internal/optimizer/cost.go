@@ -25,6 +25,8 @@ type context struct {
 	card     map[query.Mask]float64
 	extStats map[extKey]extStat
 	sigMemo  map[extKey]string
+	// tail is tailCost's scratch.
+	tail plan.Tail
 }
 
 // extKey packs (mask, v) — extending the subquery on mask by vertex v —
@@ -206,6 +208,108 @@ func (c *context) trailing(node plan.Node, mask, reads query.Mask) (prefix, rows
 		break
 	}
 	return prefix, rows, leaves
+}
+
+// tailCost returns the cost of the full-query plan root, priced operator
+// by operator at cost, re-priced where the executor's factorized tail
+// (plan.TailOf) runs it otherwise. extendCost already prices a leaf of
+// the tail on its factorized prefix; a component of two or more vertices
+// is evaluated once per distinct separator key, not once per prefix row,
+// so its operators are priced as that evaluation (componentCost) — and
+// not at all when the component shares an identical component's count or
+// is counted off the prefix's runs (plan.Component.Twin, PrefixTwin).
+// The tail evaluates a row's components in order and skips the rest once
+// one is empty, so a component is reached by the prefix rows every
+// component before it extends (min(1, µ) of each). opCosts, when the
+// caller has them, are the extendCost of root's E/I operators in chain
+// order, root's last; nil recomputes them.
+func (c *context) tailCost(root plan.Node, cost float64, opCosts []float64) float64 {
+	t := &c.tail
+	// Pairwise non-adjacent E/I targets make a tail of leaves only, which
+	// extendCost priced already: nothing to find.
+	within := query.Mask(0)
+	for node := root; ; {
+		ext, ok := node.(*plan.Extend)
+		if !ok {
+			return cost
+		}
+		if v := ext.TargetVertex; c.nbr[v]&within == 0 {
+			within |= query.Bit(v)
+			node = ext.Child
+			continue
+		}
+		break
+	}
+	plan.TailOf(t, c.q, root, true)
+	if t.Leaves() {
+		return cost
+	}
+	var ops [query.MaxVertices]*plan.Extend // the tail's operators in chain order
+	node := root
+	for p := t.Len - 1; p >= 0; p-- {
+		ops[p] = node.(*plan.Extend)
+		node = ops[p].Child
+	}
+	reach := c.cardinality(plan.CoverMask(node))
+	for _, comp := range t.Components() {
+		cops := ops[comp.First : comp.First+comp.Len]
+		if comp.Len == 1 {
+			op := cops[0]
+			on, _, _ := c.trailing(op.Child, plan.CoverMask(op.Child), c.nbr[op.TargetVertex])
+			reach *= math.Min(1, c.extension(on, op.TargetVertex).mu)
+			continue
+		}
+		for p := comp.First; p < comp.First+comp.Len; p++ {
+			if opCosts != nil {
+				cost -= opCosts[len(opCosts)-t.Len+p]
+			} else {
+				cost -= c.extendCost(plan.CoverMask(ops[p].Child), ops[p])
+			}
+		}
+		if comp.Twin < 0 && !comp.PrefixTwin {
+			price, perKey := c.componentCost(reach, comp.Separator, cops)
+			cost += price
+			reach *= math.Min(1, perKey)
+		}
+	}
+	return cost
+}
+
+// componentCost prices a tail component of the operators ops keyed on
+// separator, which reach prefix rows reach: RowCost for every one (each
+// looks its key up, as a row reaching a leaf does), and, once per
+// distinct separator key — the share of the separator's matches those
+// rows hold — each operator extending the component's matches before it:
+// RowCost a row and its lists (Equations 1-2). An operator's statistics
+// are the catalogue's for extending the separator and the component's
+// vertices before it — what one key's evaluation reads — and the rows
+// multiply by each operator's µ from the separator's count on. perKey is
+// the component's expected count on one key.
+func (c *context) componentCost(reach float64, separator query.Mask, ops []*plan.Extend) (price, perKey float64) {
+	keys := c.cardinality(separator)
+	rows, mask, total := keys, separator, 0.0
+	for _, op := range ops {
+		v := query.Bit(op.TargetVertex)
+		var lists, mu float64
+		if mask == separator && bits.OnesCount32(mask) == 1 && keys > 0 {
+			// One list, the separator's edges to v: the scan statistics
+			// price it, with no extension key to look up.
+			mu = c.cardinality(mask|v) / keys
+			lists = mu
+		} else {
+			st := c.extension(mask, op.TargetVertex)
+			lists, mu = catalogue.EffectiveICost(st.sizes), st.mu
+		}
+		total += rows * (RowCost + lists)
+		rows *= mu
+		mask |= v
+	}
+	perKey = 1
+	if keys > 0 {
+		perKey = rows / keys
+		total *= math.Min(1, reach/keys)
+	}
+	return RowCost*reach + total, perKey
 }
 
 // joinCost returns the cost of hash-joining build and probe subqueries

@@ -47,8 +47,8 @@ type Options struct {
 	// BeamWidth is the number of subqueries kept per level for larger
 	// queries (Section 4.4); default 5.
 	BeamWidth int
-	// Deprecated: ignored. Star-shaped suffixes are always priced at
-	// set-computation cost, as the factorized tier runs them.
+	// Deprecated: ignored. A factorized tail is always priced as the
+	// factorized tier runs it.
 	Factorized bool
 }
 
@@ -160,7 +160,11 @@ func dynamicProgram(ctx *context) planInfo {
 				if err != nil {
 					continue
 				}
-				if cost := table[rest].cost + ctx.extendCost(rest, ext); best.beats(cost) {
+				cost := table[rest].cost + ctx.extendCost(rest, ext)
+				if mask == query.AllMask(m) {
+					cost = ctx.tailCost(ext, cost, nil)
+				}
+				if best.beats(cost) {
 					best = planInfo{node: ext, cost: cost}
 				}
 			}
@@ -279,7 +283,11 @@ func beamSearch(ctx *context) planInfo {
 					continue
 				}
 				mask := rest | query.Bit(v)
-				if cost := child.cost + ctx.extendCost(rest, ext); cands[mask].beats(cost) {
+				cost := child.cost + ctx.extendCost(rest, ext)
+				if mask == query.AllMask(m) {
+					cost = ctx.tailCost(ext, cost, nil)
+				}
+				if cands[mask].beats(cost) {
 					cands[mask] = planInfo{node: ext, cost: cost}
 				}
 			}
@@ -347,5 +355,5 @@ func EstimateCost(q *query.Graph, p *plan.Plan, opts Options) float64 {
 			return math.Inf(1)
 		}
 	}
-	return rec(p.Root)
+	return ctx.tailCost(p.Root, rec(p.Root), nil)
 }

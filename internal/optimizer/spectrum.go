@@ -72,7 +72,11 @@ func EnumeratePlans(q *query.Graph, opts Options, maxPerMask int) ([]SpectrumPla
 					if err != nil {
 						continue
 					}
-					add(ext, child.cost+ctx.extendCost(rest, ext))
+					cost := child.cost + ctx.extendCost(rest, ext)
+					if mask == query.AllMask(q.NumVertices()) {
+						cost = ctx.tailCost(ext, cost, nil)
+					}
+					add(ext, cost)
 				}
 			}
 			// Binary joins.

@@ -19,8 +19,12 @@ func enumerateWCOBest(ctx *context) []planInfo {
 	m := q.NumVertices()
 	full := query.AllMask(m)
 	best := make([]planInfo, 1<<uint(m))
-	var rec func(mask query.Mask, node plan.Node, cost float64)
-	rec = func(mask query.Mask, node plan.Node, cost float64) {
+	var opCosts [query.MaxVertices]float64 // the chain's operators', bottom-up
+	var rec func(mask query.Mask, node plan.Node, cost float64, ops int)
+	rec = func(mask query.Mask, node plan.Node, cost float64, ops int) {
+		if mask == full {
+			cost = ctx.tailCost(node, cost, opCosts[:ops])
+		}
 		if best[mask].beats(cost) {
 			best[mask] = planInfo{node: node, cost: cost}
 		}
@@ -37,11 +41,12 @@ func enumerateWCOBest(ctx *context) []planInfo {
 			}
 			// extendCost reads the child's trailing chain off node, so the
 			// last-added vertex needs no explicit threading.
-			rec(mask|query.Bit(v), ext, cost+ctx.extendCost(mask, ext))
+			opCosts[ops] = ctx.extendCost(mask, ext)
+			rec(mask|query.Bit(v), ext, cost+opCosts[ops], ops+1)
 		}
 	}
 	for _, e := range q.Edges {
-		rec(query.Bit(e.From)|query.Bit(e.To), plan.NewScan(q, e), 0)
+		rec(query.Bit(e.From)|query.Bit(e.To), plan.NewScan(q, e), 0, 0)
 	}
 	return best
 }
@@ -71,6 +76,7 @@ func EnumerateWCOPlans(q *query.Graph, opts Options) ([]WCOPlan, error) {
 		if mask == query.AllMask(q.NumVertices()) {
 			signature := strings.Join(sig, "|")
 			if !seen[signature] {
+				cost = ctx.tailCost(node, cost, nil)
 				seen[signature] = true
 				out = append(out, WCOPlan{
 					Order: append([]int(nil), order...),

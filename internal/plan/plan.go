@@ -357,49 +357,6 @@ func (p *Plan) Kind() string {
 	}
 }
 
-// StarSuffixLen reports the length of n's star-shaped suffix: the
-// maximal trailing run of E/I operators whose target vertices are all
-// leaves hanging off the prefix — every descriptor of every operator in
-// the run reads a tuple slot bound *before* the run starts. Because an
-// E/I operator carries one descriptor per query edge into its target,
-// this simultaneously guarantees that no suffix vertex anchors another:
-// the suffix vertices are pairwise non-adjacent leaves, so the matches
-// above the prefix are exactly the cross-product set₁ × … × setₖ of the
-// leaves' extension sets. The factorized execution tier evaluates such a
-// suffix as one set computation per leaf per prefix tuple instead of
-// enumerating the product; 0 means the node has no factorizable suffix.
-func StarSuffixLen(n Node) int {
-	width := len(n.Out())
-	// chain[0] is the topmost (last-executed) operator.
-	var chain []*Extend
-	for cur := n; ; {
-		ext, ok := cur.(*Extend)
-		if !ok {
-			break
-		}
-		chain = append(chain, ext)
-		cur = ext.Child
-	}
-	best := 0
-	for l := 1; l <= len(chain); l++ {
-		prefixWidth := width - l
-		ok := true
-		for i := 0; i < l && ok; i++ {
-			for _, d := range chain[i].Descriptors {
-				if d.TupleIdx >= prefixWidth {
-					ok = false
-					break
-				}
-			}
-		}
-		if !ok {
-			break
-		}
-		best = l
-	}
-	return best
-}
-
 // Walk visits every node of the subtree in pre-order.
 func Walk(n Node, fn func(Node)) {
 	fn(n)

@@ -88,3 +88,43 @@ func hotPattern(name string) string {
 		"bowtie":   "a->b, b->c, a->c, a->d, d->e, a->e",
 	}[name]
 }
+
+// TestHotPatternCounters pins the plans and counters of the benchmark's
+// five hot patterns on LiveJournal(1) under its options, the numbers
+// BenchmarkHotPatterns reports beside its times. tri, diamondx, tri2leaf
+// and clique4 keep their plans, counts and i-cost; the bowtie runs its
+// triangle once, with no hash join, and counts its second wing off the
+// runs of the first (the HASHJOIN of two triangles it was planned as
+// read 13 667 696).
+func TestHotPatternCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds LiveJournal(1) with the benchmark's catalogue")
+	}
+	db, err := NewFromDataset("LiveJournal", 1, &Options{CatalogueH: 3, CatalogueZ: 1000, Seed: 1, MemGlobalBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, want := range []struct {
+		name         string
+		count, icost int64
+	}{
+		{"tri", 71928, 6833848},
+		{"diamondx", 123103, 12492399},
+		{"tri2leaf", 478390692, 7077590},
+		{"clique4", 7414, 12050335},
+		{"bowtie", 3462638, 6833848},
+	} {
+		pq, err := db.Prepare(hotPattern(want.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, st, err := pq.CountStats(&QueryOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != want.count || st.ICost != want.icost || st.PlanKind != "wco" {
+			t.Errorf("%s: count %d, i-cost %d, %s plan; want %d, %d, wco\n%s", want.name, n, st.ICost, st.PlanKind, want.count, want.icost, st.Plan)
+		}
+	}
+}
