@@ -15,8 +15,8 @@ import (
 // extension-statistics caches. Nothing in it outlives the Optimize call.
 type context struct {
 	q    *query.Graph
-	cat  *catalogue.Catalogue
 	opts Options
+	full query.Mask // every vertex of q
 
 	// nbr[v] is the set of query vertices sharing an edge with v: the
 	// adjacency and join-split tests of the search read it instead of
@@ -24,7 +24,6 @@ type context struct {
 	nbr      []query.Mask
 	card     map[query.Mask]float64
 	extStats map[extKey]extStat
-	sigMemo  map[extKey]string
 	// tail is tailCost's scratch.
 	tail plan.Tail
 }
@@ -43,8 +42,8 @@ type extStat struct {
 	mu    float64
 }
 
-// newContext validates q and opts and starts an optimization of q under
-// opts with their defaults applied.
+// newContext validates q, which may have no parallel edges, and opts and
+// starts an optimization of q under opts with their defaults applied.
 func newContext(q *query.Graph, opts Options) (*context, error) {
 	if opts.Catalogue == nil {
 		return nil, fmt.Errorf("optimizer: Options.Catalogue is required")
@@ -52,20 +51,23 @@ func newContext(q *query.Graph, opts Options) (*context, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if err := checkNoParallelEdges(q); err != nil {
-		return nil, err
+	if opts.BeamWidth == 0 {
+		opts.BeamWidth = 5
 	}
-	opts = opts.withDefaults()
 	c := &context{
 		q:        q,
-		cat:      opts.Catalogue,
 		opts:     opts,
+		full:     query.AllMask(q.NumVertices()),
 		nbr:      make([]query.Mask, q.NumVertices()),
 		card:     map[query.Mask]float64{},
 		extStats: map[extKey]extStat{},
-		sigMemo:  map[extKey]string{},
 	}
 	for _, e := range q.Edges {
+		// A SCAN matches exactly one query edge and the engine has no
+		// residual-filter operator (the paper's queries have none either).
+		if c.nbr[e.From]&query.Bit(e.To) != 0 {
+			return nil, fmt.Errorf("optimizer: parallel edges between a%d and a%d are not supported", min(e.From, e.To)+1, max(e.From, e.To)+1)
+		}
 		c.nbr[e.From] |= query.Bit(e.To)
 		c.nbr[e.To] |= query.Bit(e.From)
 	}
@@ -83,7 +85,7 @@ func (c *context) extension(mask query.Mask, v int) extStat {
 		return st
 	}
 	st := extStat{sizes: make([]float64, c.q.NumEdgesBetween(mask, v))}
-	st.mu, _ = c.cat.ExtendStats(c.q, mask, v, st.sizes)
+	st.mu, _ = c.opts.Catalogue.ExtendStats(c.q, mask, v, st.sizes)
 	c.extStats[key] = st
 	return st
 }
@@ -97,15 +99,13 @@ func (c *context) cardinality(mask query.Mask) float64 {
 	}
 	var out float64
 	switch bits.OnesCount32(mask) {
-	case 0:
-		out = 0
 	case 1:
 		v := bits.TrailingZeros32(mask)
-		out = c.cat.VertexCountByLabel(c.q.Vertices[v].Label)
+		out = c.opts.Catalogue.VertexCountByLabel(c.q.Vertices[v].Label)
 	case 2:
 		for _, e := range c.q.Edges {
 			if mask == query.Bit(e.From)|query.Bit(e.To) {
-				out = c.cat.ScanCount(e.Label, c.q.Vertices[e.From].Label, c.q.Vertices[e.To].Label)
+				out = c.opts.Catalogue.ScanCount(e.Label, c.q.Vertices[e.From].Label, c.q.Vertices[e.To].Label)
 				break
 			}
 		}
@@ -114,25 +114,18 @@ func (c *context) cardinality(mask query.Mask) float64 {
 		// from the largest base, so the chain stays maximally informed.
 		bestV, bestDeg := -1, -1
 		for v := 0; v < c.q.NumVertices(); v++ {
-			if mask&query.Bit(v) == 0 {
-				continue
-			}
 			rest := mask &^ query.Bit(v)
-			if !c.q.IsConnected(rest) {
+			if rest == mask || !c.q.IsConnected(rest) {
 				continue
 			}
-			d := c.q.NumEdgesBetween(rest, v)
 			// v ascends, so the lowest index wins among equal degrees.
-			if d > bestDeg {
+			if d := c.q.NumEdgesBetween(rest, v); d > bestDeg {
 				bestV, bestDeg = v, d
 			}
 		}
-		if bestV < 0 {
-			out = 0
-		} else {
+		if bestV >= 0 {
 			rest := mask &^ query.Bit(bestV)
-			st := c.extension(rest, bestV)
-			out = c.cardinality(rest) * st.mu
+			out = c.cardinality(rest) * c.extension(rest, bestV).mu
 		}
 	}
 	c.card[mask] = out
@@ -227,18 +220,16 @@ func (c *context) tailCost(root plan.Node, cost float64, opCosts []float64) floa
 	t := &c.tail
 	// Pairwise non-adjacent E/I targets make a tail of leaves only, which
 	// extendCost priced already: nothing to find.
-	within := query.Mask(0)
-	for node := root; ; {
+	for node, within := root, query.Mask(0); ; {
 		ext, ok := node.(*plan.Extend)
 		if !ok {
 			return cost
 		}
-		if v := ext.TargetVertex; c.nbr[v]&within == 0 {
-			within |= query.Bit(v)
-			node = ext.Child
-			continue
+		if c.nbr[ext.TargetVertex]&within != 0 {
+			break
 		}
-		break
+		within |= query.Bit(ext.TargetVertex)
+		node = ext.Child
 	}
 	plan.TailOf(t, c.q, root, true)
 	if t.Leaves() {

@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
 
@@ -31,128 +30,20 @@ func EnumeratePlans(q *query.Graph, opts Options, maxPerMask int) ([]SpectrumPla
 	if maxPerMask <= 0 {
 		maxPerMask = 24
 	}
-
-	type cand struct {
-		node plan.Node
-		cost float64
+	s := &spectrum{kept: map[query.Mask][]planInfo{}, seen: map[string]bool{}}
+	for _, e := range q.Edges {
+		s.keep(query.Bit(e.From)|query.Bit(e.To), planInfo{node: plan.NewScan(q, e)})
 	}
-	memo := map[query.Mask][]cand{}
-
-	var plansFor func(mask query.Mask) []cand
-	plansFor = func(mask query.Mask) []cand {
-		if got, ok := memo[mask]; ok {
-			return got
-		}
-		var out []cand
-		seen := map[string]bool{}
-		add := func(n plan.Node, cost float64) {
-			sig := planSignature(n, nil)
-			if seen[sig] {
-				return
-			}
-			seen[sig] = true
-			out = append(out, cand{n, cost})
-		}
-		if bits.OnesCount32(mask) == 2 {
-			for _, e := range q.EdgesWithin(mask) {
-				add(plan.NewScan(q, e), 0)
-			}
-		} else {
-			// E/I extensions.
-			for v := 0; v < q.NumVertices(); v++ {
-				if mask&query.Bit(v) == 0 {
-					continue
-				}
-				rest := mask &^ query.Bit(v)
-				if !q.IsConnected(rest) || !ctx.adjacent(rest, v) {
-					continue
-				}
-				for _, child := range plansFor(rest) {
-					ext, err := plan.NewExtend(q, child.node, v)
-					if err != nil {
-						continue
-					}
-					cost := child.cost + ctx.extendCost(rest, ext)
-					if mask == query.AllMask(q.NumVertices()) {
-						cost = ctx.tailCost(ext, cost, nil)
-					}
-					add(ext, cost)
-				}
-			}
-			// Binary joins.
-			lowest := query.Mask(1) << uint(bits.TrailingZeros32(mask))
-			for c1 := mask; c1 > 0; c1 = (c1 - 1) & mask {
-				if c1&lowest == 0 || c1 == mask || !q.IsConnected(c1) {
-					continue
-				}
-				rest := mask &^ c1
-				if rest == 0 {
-					continue
-				}
-				for s := c1; ; s = (s - 1) & c1 {
-					c2 := rest | s
-					if s != 0 && c2 != mask && q.IsConnected(c2) {
-						if ctx.validJoinSplit(c1, c2) {
-							b, p := c1, c2
-							if ctx.cardinality(c2) < ctx.cardinality(c1) {
-								b, p = c2, c1
-							}
-							for _, bc := range plansFor(b) {
-								for _, pc := range plansFor(p) {
-									hj, err := plan.NewHashJoin(bc.node, pc.node)
-									if err != nil {
-										continue
-									}
-									add(hj, bc.cost+pc.cost+ctx.joinCost(b, p, pc.node))
-								}
-							}
-						}
-					}
-					if s == 0 {
-						break
-					}
-				}
-			}
-		}
-		sort.SliceStable(out, func(i, j int) bool { return out[i].cost < out[j].cost })
-		if len(out) > maxPerMask {
-			// Keep the cheapest plans but preserve operator diversity:
-			// join-rooted subplans usually cost more than WCO chains, yet
-			// they are what the hybrid region of the spectrum is made of
-			// (e.g. the Figure 1d 6-cycle plan needs a join of two paths to
-			// survive here).
-			keep := out[:0:0]
-			joinQuota := maxPerMask / 3
-			var joins, others []cand
-			for _, c := range out {
-				if _, isJ := c.node.(*plan.HashJoin); isJ {
-					joins = append(joins, c)
-				} else {
-					others = append(others, c)
-				}
-			}
-			if len(joins) > joinQuota {
-				joins = joins[:joinQuota]
-			}
-			keep = append(keep, joins...)
-			for _, c := range others {
-				if len(keep) >= maxPerMask {
-					break
-				}
-				keep = append(keep, c)
-			}
-			sort.SliceStable(keep, func(i, j int) bool { return keep[i].cost < keep[j].cost })
-			out = keep
-		}
-		memo[mask] = out
-		return out
+	for _, mask := range q.ConnectedSubsets(3) {
+		ctx.extensions(s, mask)
+		ctx.joins(s, mask)
+		s.kept[mask] = cheapest(s.kept[mask], maxPerMask)
 	}
 
-	full := query.AllMask(q.NumVertices())
 	autos := q.Automorphisms()
 	finalSeen := map[string]bool{}
 	var result []SpectrumPlan
-	for _, c := range plansFor(full) {
+	for _, c := range s.kept[ctx.full] {
 		// Deduplicate under query automorphisms: the minimum signature over
 		// all relabelings identifies plans doing identical work on
 		// symmetric queries.
@@ -167,11 +58,54 @@ func EnumeratePlans(q *query.Graph, opts Options, maxPerMask int) ([]SpectrumPla
 			continue
 		}
 		finalSeen[minSig] = true
-		p := &plan.Plan{Query: q, Root: c.node, EstimatedCost: c.cost, EstimatedCardinality: ctx.cardinality(full)}
+		p := &plan.Plan{Query: q, Root: c.node, EstimatedCost: c.cost, EstimatedCardinality: ctx.cardinality(ctx.full)}
 		result = append(result, SpectrumPlan{Plan: p, Cost: c.cost, Kind: p.Kind()})
 	}
-	sort.SliceStable(result, func(i, j int) bool { return result[i].Cost < result[j].Cost })
 	return result, nil
+}
+
+// spectrum is EnumeratePlans' keeper: every distinct candidate of the
+// mask being grown, cut to the cheapest few once it is grown. A plan's
+// signature names the vertices it covers, so one set serves every mask.
+type spectrum struct {
+	kept map[query.Mask][]planInfo
+	seen map[string]bool // signatures of the candidates offered
+}
+
+func (s *spectrum) plans(mask query.Mask) []planInfo { return s.kept[mask] }
+
+func (s *spectrum) wants(query.Mask, float64) bool { return true }
+
+func (s *spectrum) keep(mask query.Mask, cand planInfo) {
+	if sig := planSignature(cand.node, nil); !s.seen[sig] {
+		s.seen[sig] = true
+		s.kept[mask] = append(s.kept[mask], cand)
+	}
+}
+
+// cheapest keeps the limit cheapest plans of grown, cheapest first, but
+// preserves operator diversity: join-rooted subplans usually cost more
+// than WCO chains, yet they are what the hybrid region of the spectrum is
+// made of (e.g. the Figure 1d 6-cycle plan needs a join of two paths to
+// survive here), so up to a third of the places go to the cheapest joins.
+func cheapest(grown []planInfo, limit int) []planInfo {
+	sort.SliceStable(grown, func(i, j int) bool { return grown[i].cost < grown[j].cost })
+	if len(grown) <= limit {
+		return grown
+	}
+	keep := make([]planInfo, 0, limit)
+	for _, c := range grown {
+		if _, isJ := c.node.(*plan.HashJoin); isJ && len(keep) < limit/3 {
+			keep = append(keep, c)
+		}
+	}
+	for _, c := range grown {
+		if _, isJ := c.node.(*plan.HashJoin); !isJ && len(keep) < limit {
+			keep = append(keep, c)
+		}
+	}
+	sort.SliceStable(keep, func(i, j int) bool { return keep[i].cost < keep[j].cost })
+	return keep
 }
 
 // planSignature serialises the plan tree with query vertices optionally

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -10,45 +11,38 @@ import (
 	"graphflow/internal/query"
 )
 
-// enumerateWCOBest walks every query vertex ordering with connected
-// prefixes and records, for every prefix mask, the cheapest WCO plan
-// reaching it (line 1 of Algorithm 1), in a table indexed by mask. The
-// full-query row doubles as the complete WCO plan space.
-func enumerateWCOBest(ctx *context) []planInfo {
-	q := ctx.q
-	m := q.NumVertices()
-	full := query.AllMask(m)
-	best := make([]planInfo, 1<<uint(m))
+// walkOrders walks every query-vertex ordering with connected prefixes —
+// the WCO plan space, line 1 of Algorithm 1 — and calls visit with each
+// prefix: its vertices in matching order, its mask, its plan and the
+// plan's cost, a full plan's re-priced by its factorized tail.
+func (c *context) walkOrders(visit func(order []int, mask query.Mask, node plan.Node, cost float64)) {
+	var order [query.MaxVertices]int
 	var opCosts [query.MaxVertices]float64 // the chain's operators', bottom-up
-	var rec func(mask query.Mask, node plan.Node, cost float64, ops int)
-	rec = func(mask query.Mask, node plan.Node, cost float64, ops int) {
-		if mask == full {
-			cost = ctx.tailCost(node, cost, opCosts[:ops])
-		}
-		if best[mask].beats(cost) {
-			best[mask] = planInfo{node: node, cost: cost}
-		}
-		if mask == full {
+	var rec func(n int, mask query.Mask, node plan.Node, cost float64)
+	rec = func(n int, mask query.Mask, node plan.Node, cost float64) {
+		if mask == c.full {
+			visit(order[:n], mask, node, c.tailCost(node, cost, opCosts[:n-2]))
 			return
 		}
-		for v := 0; v < m; v++ {
-			if mask&query.Bit(v) != 0 || !ctx.adjacent(mask, v) {
+		visit(order[:n], mask, node, cost)
+		for v := 0; v < c.q.NumVertices(); v++ {
+			if mask&query.Bit(v) != 0 || !c.adjacent(mask, v) {
 				continue
 			}
-			ext, err := plan.NewExtend(q, node, v)
+			ext, err := plan.NewExtend(c.q, node, v)
 			if err != nil {
 				continue
 			}
 			// extendCost reads the child's trailing chain off node, so the
 			// last-added vertex needs no explicit threading.
-			opCosts[ops] = ctx.extendCost(mask, ext)
-			rec(mask|query.Bit(v), ext, cost+opCosts[ops], ops+1)
+			order[n], opCosts[n-2] = v, c.extendCost(mask, ext)
+			rec(n+1, mask|query.Bit(v), ext, cost+opCosts[n-2])
 		}
 	}
-	for _, e := range q.Edges {
-		rec(query.Bit(e.From)|query.Bit(e.To), plan.NewScan(q, e), 0, 0)
+	for _, e := range c.q.Edges {
+		order[0], order[1] = e.From, e.To
+		rec(2, query.Bit(e.From)|query.Bit(e.To), plan.NewScan(c.q, e), 0)
 	}
-	return best
 }
 
 // WCOPlan is one query-vertex ordering with its plan and estimated cost.
@@ -68,66 +62,34 @@ func EnumerateWCOPlans(q *query.Graph, opts Options) ([]WCOPlan, error) {
 	if err != nil {
 		return nil, err
 	}
+	// sigs[i] describes the prefix's i-th operator: a scan's labels, or
+	// an E/I's labelled prefix pattern with the extension marked (the
+	// rendered key; its packed bytes could hold the "|" separator) and
+	// whether it can reuse the intersection cache. Orderings with
+	// identical step sequences perform identical work.
+	var sigs [query.MaxVertices]string
 	seen := map[string]bool{}
 	var out []WCOPlan
-
-	var rec func(order []int, mask query.Mask, lastAdded int, node plan.Node, cost float64, sig []string)
-	rec = func(order []int, mask query.Mask, lastAdded int, node plan.Node, cost float64, sig []string) {
-		if mask == query.AllMask(q.NumVertices()) {
-			signature := strings.Join(sig, "|")
-			if !seen[signature] {
-				cost = ctx.tailCost(node, cost, nil)
-				seen[signature] = true
-				out = append(out, WCOPlan{
-					Order: append([]int(nil), order...),
-					Plan:  &plan.Plan{Query: q, Root: node, EstimatedCost: cost, EstimatedCardinality: ctx.cardinality(mask)},
-					Cost:  cost,
-				})
+	ctx.walkOrders(func(order []int, mask query.Mask, node plan.Node, cost float64) {
+		n := len(order)
+		if scan, ok := node.(*plan.Scan); ok {
+			sigs[0] = fmt.Sprintf("scan:%d/%d/%d", scan.EdgeLabel, scan.SrcLabel, scan.DstLabel)
+		} else {
+			v, cached := order[n-1], "-"
+			if !ctx.adjacent(query.Bit(order[n-2]), v) {
+				cached = "c"
 			}
+			sigs[n-2] = catalogue.ExtensionKey(q, mask&^query.Bit(v), v).String() + cached
+		}
+		if mask != ctx.full {
 			return
 		}
-		for v := 0; v < q.NumVertices(); v++ {
-			if mask&query.Bit(v) != 0 || !ctx.adjacent(mask, v) {
-				continue
-			}
-			ext, err := plan.NewExtend(q, node, v)
-			if err != nil {
-				continue
-			}
-			stepSig := ctx.stepSignature(mask, v, lastAdded)
-			rec(append(order, v), mask|query.Bit(v), v, ext,
-				cost+ctx.extendCost(mask, ext), append(sig, stepSig))
+		if sig := strings.Join(sigs[:n-1], "|"); !seen[sig] {
+			seen[sig] = true
+			p := &plan.Plan{Query: q, Root: node, EstimatedCost: cost, EstimatedCardinality: ctx.cardinality(mask)}
+			out = append(out, WCOPlan{Order: slices.Clone(order), Plan: p, Cost: cost})
 		}
-	}
-	for _, e := range q.Edges {
-		scan := plan.NewScan(q, e)
-		mask := query.Bit(e.From) | query.Bit(e.To)
-		scanSig := scanSignature(q, e)
-		rec([]int{e.From, e.To}, mask, e.To, scan, 0, []string{scanSig})
-	}
+	})
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost < out[j].Cost })
 	return out, nil
-}
-
-// stepSignature canonically describes one E/I step: the labelled prefix
-// pattern with the extension marked, plus whether the step can reuse the
-// intersection cache. Orderings with identical step sequences perform
-// identical work.
-func (c *context) stepSignature(mask query.Mask, v, lastAdded int) string {
-	cached := "-"
-	if !c.adjacent(query.Bit(lastAdded), v) {
-		cached = "c"
-	}
-	if sig, ok := c.sigMemo[newExtKey(mask, v)]; ok {
-		return sig + cached
-	}
-	// The rendered key, not its packed bytes: signatures are joined with a
-	// separator the bytes could contain.
-	key := catalogue.ExtensionKey(c.q, mask, v).String()
-	c.sigMemo[newExtKey(mask, v)] = key
-	return key + cached
-}
-
-func scanSignature(q *query.Graph, e query.Edge) string {
-	return fmt.Sprintf("scan:%d/%d/%d", e.Label, q.Vertices[e.From].Label, q.Vertices[e.To].Label)
 }
