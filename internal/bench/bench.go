@@ -8,6 +8,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -21,6 +22,7 @@ import (
 	"graphflow/internal/optimizer"
 	"graphflow/internal/plan"
 	"graphflow/internal/query"
+	"graphflow/internal/resource"
 )
 
 // Experiment is a runnable reproduction of one table or figure.
@@ -119,6 +121,19 @@ func countPlan(g *graph.Graph, p *plan.Plan, cfg exec.RunConfig, limit int64) (i
 		return 0, exec.Profile{}, err
 	}
 	return cp.CountUpToCtx(context.Background(), cfg, limit)
+}
+
+// countBudgeted counts p's matches on g like countPlan, under a memory
+// budget of its own of budget bytes. mm reports a run the budget stopped:
+// the paper's Mm (out of memory).
+func countBudgeted(g *graph.Graph, p *plan.Plan, budget, limit int64) (n int64, prof exec.Profile, mm bool, err error) {
+	mem := resource.NewBudget(budget, nil)
+	defer mem.Close()
+	n, prof, err = countPlan(g, p, exec.RunConfig{MemBudget: mem}, limit)
+	if errors.Is(err, resource.ErrBudgetExceeded) {
+		return n, prof, true, nil
+	}
+	return n, prof, false, err
 }
 
 // timeRun executes the plan and returns elapsed seconds plus the profile.
@@ -314,16 +329,17 @@ type spectrumPoint struct {
 	Kind    string
 	Seconds float64
 	Picked  bool
-	// Capped marks plans that hit the match or build-row cap (the paper's
-	// TL/Mm spectrum entries); Seconds then holds the time until the cap.
+	// Capped marks plans that hit the match cap or the memory budget (the
+	// paper's TL/Mm spectrum entries); Seconds then holds the time until
+	// the cap.
 	Capped bool
 }
 
 // spectrum run caps keep pathological plans (giant binary joins on skewed
 // graphs) from stalling the harness.
 const (
-	spectrumMatchCap = int64(10_000_000)
-	spectrumBuildCap = int64(5_000_000)
+	spectrumMatchCap  = int64(10_000_000)
+	spectrumMemBudget = int64(128 << 20) // bytes
 )
 
 // runCost prices a run's own counters in the optimizer's currency:
@@ -350,10 +366,10 @@ func runSpectrum(g *graph.Graph, c *catalogue.Catalogue, q *query.Graph, maxPlan
 	}
 	run := func(kind string, p *plan.Plan) (spectrumPoint, float64, error) {
 		start := time.Now()
-		n, prof, err := countPlan(g, p, exec.RunConfig{MaxBuildRows: spectrumBuildCap}, spectrumMatchCap)
+		n, prof, mm, err := countBudgeted(g, p, spectrumMemBudget, spectrumMatchCap)
 		pt := spectrumPoint{Kind: kind, Seconds: time.Since(start).Seconds()}
 		switch {
-		case err == exec.ErrBuildTooLarge, n >= spectrumMatchCap:
+		case mm, n >= spectrumMatchCap:
 			pt.Capped = true
 		case err != nil:
 			return pt, 0, err

@@ -113,9 +113,9 @@ func (c *pollCtx) Err() error {
 // the terminal probe), exact limits and full row sets must equal the
 // reference matcher's (query.RefEnumerate, which has no table, no kernel
 // and no plan) on the graph, or on a from-scratch rebuild of the
-// overlay's logical graph. MaxBuildRows holds to the row, and a panic
-// injected into the build sink or a cancellation after it leaves the
-// pooled table and workers fit for the next run.
+// overlay's logical graph. A panic injected into the build sink or a
+// cancellation after it leaves the pooled table and workers fit for the
+// next run.
 func TestDifferentialHashJoin(t *testing.T) {
 	seeds := []int64{61000, 61001}
 	if testing.Short() {
@@ -204,20 +204,6 @@ func checkHashJoin(t *testing.T, name string, cp *exec.CompiledPlan, want int64,
 			if err := diffRows(rowsOf(t, cp, cfg), wantRows); err != nil {
 				t.Fatalf("%s: %v", at, err)
 			}
-
-			// The cap holds to the row, through Count and CountUpToCtx.
-			cfg.MaxBuildRows = buildRows
-			if n, _, err := cp.CountCtx(context.Background(), cfg); err != nil || n != want {
-				t.Fatalf("%s: MaxBuildRows = the %d rows built: count = %d, %v", at, buildRows, n, err)
-			}
-			cfg.MaxBuildRows = buildRows - 1
-			if _, _, err := cp.CountCtx(context.Background(), cfg); err != exec.ErrBuildTooLarge {
-				t.Fatalf("%s: MaxBuildRows one under the %d rows built: err = %v", at, buildRows, err)
-			}
-			if _, _, err := cp.CountUpToCtx(context.Background(), cfg, 3); err != exec.ErrBuildTooLarge {
-				t.Fatalf("%s: CountUpToCtx with MaxBuildRows one under: err = %v", at, err)
-			}
-			cfg.MaxBuildRows = 0
 
 			// A panic in the build sink, then a cancellation noticed once the
 			// build is done: each fails its own run only.

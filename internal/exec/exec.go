@@ -158,10 +158,6 @@ type RunConfig struct {
 	// DisableCache turns off the E/I intersection cache (Table 3's
 	// "Cache Off" configuration).
 	DisableCache bool
-	// MaxBuildRows aborts execution when a hash-join build side
-	// materialises more than this many tuples (0 = unlimited) — the
-	// equivalent of the paper's Mm (out of memory) outcomes.
-	MaxBuildRows int64
 	// Deprecated: ignored. A run without emit counts (see RunConfig).
 	FastCount bool
 	// BatchSize is the row capacity of the engine's columnar tuple
@@ -278,9 +274,6 @@ func (cp *CompiledPlan) EffectiveBatchSize(cfg RunConfig, limit int64) int {
 	}
 	return bs
 }
-
-// ErrBuildTooLarge is returned when MaxBuildRows is exceeded.
-var ErrBuildTooLarge = fmt.Errorf("exec: hash-join build side exceeds MaxBuildRows")
 
 // vertexIDBytes is the memory-accounting unit: the budget meters tuple
 // storage by the capacity of the flat VertexID (and equally wide offset)
@@ -480,9 +473,6 @@ func (rc *runContext) buildTable(pipe *compiledPipeline, workers int) error {
 	prof, err := rc.runPipeline(pipe, workers, false, nil)
 	if err != nil {
 		return err
-	}
-	if maxRows := rc.cfg.MaxBuildRows; maxRows > 0 && ht.admitted.Load() > maxRows {
-		return ErrBuildTooLarge
 	}
 	// A build that was cut short (panic, budget, cancellation) is reported
 	// by the driver loop's runErr; its partial table is never probed.

@@ -3,7 +3,6 @@ package exec
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"graphflow/internal/graph"
 	"graphflow/internal/resource"
@@ -31,13 +30,11 @@ type hashTable struct {
 	// Build phase. mu guards the fragment checkout: frags[:nfrags] are in
 	// use, the rest (left by earlier runs of the pooled table) are handed
 	// out before anything is allocated, and arena is the capacity handed
-	// out so far. admitted counts the rows workers asked to add and is
-	// kept only under RunConfig.MaxBuildRows.
-	mu       sync.Mutex
-	frags    []*tableFragment
-	nfrags   int
-	arena    int
-	admitted atomic.Int64
+	// out so far.
+	mu     sync.Mutex
+	frags  []*tableFragment
+	nfrags int
+	arena  int
 
 	// Sealed form. There are 1<<(64-shift) buckets — the smallest power of
 	// two holding one bucket per row — and a key's bucket is the top bits
@@ -75,7 +72,6 @@ func (h *hashTable) reset() {
 		f.rows, f.metered = f.rows[:0], 0
 	}
 	h.nfrags, h.arena = 0, 0
-	h.admitted.Store(0)
 	h.n = 0
 	h.offsMetered, h.rowsMetered, h.scratchMetered = 0, 0, 0
 }

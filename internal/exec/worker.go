@@ -303,18 +303,14 @@ func (w *worker) pollCancel() {
 }
 
 // admitBuild clears n more rows for the worker's hash-table fragment and
-// returns it with room for them: the build sink's fault point, the
-// MaxBuildRows check and the memory reservation, once per batch. A
-// refusal unwinds the pipeline like any early stop; the driver reads the
-// reason off the table's admitted count or the budget.
+// returns it with room for them: the build sink's fault point and the
+// memory reservation, once per batch. A refusal unwinds the pipeline like
+// any early stop; the driver reads the reason off the budget.
 //
 //gf:noalloc
 func (w *worker) admitBuild(n int) *tableFragment {
 	ht := w.build
 	w.rc.faults.Visit(faultinject.PointHashBuild)
-	if maxRows := w.rc.cfg.MaxBuildRows; maxRows > 0 && ht.admitted.Add(int64(n)) > maxRows {
-		panic(stopRun{})
-	}
 	words := n * ht.rowWidth
 	if f := w.frag; f == nil || len(f.rows)+words > cap(f.rows) {
 		if w.frag = ht.fragment(words, w.rc.mem); w.frag == nil {
