@@ -978,18 +978,34 @@ func (db *DB) Explain(pattern string) (Stats, error) {
 }
 
 // Analyze runs the pattern and returns Stats whose Plan field carries the
-// per-operator breakdown (tuples out, i-cost, cache hits, carried sets,
-// pinned probes, probe and build counts, attributed wall time, and the
-// factorized tail's components with their separators and key counts) —
-// EXPLAIN ANALYZE for subgraph plans. Of opts (which may be nil) it honours
-// Context, WCOOnly and BatchSize — what decides the tree it annotates
-// and the counters on it — and the memory ceiling, MemBudgetBytes under
+// per-operator breakdown — EXPLAIN ANALYZE for subgraph plans; see
+// PreparedQuery.Analyze. It is Prepare (honouring opts.WCOOnly) plus that
+// call.
+func (db *DB) Analyze(pattern string, opts *QueryOptions) (Stats, error) {
+	var qo QueryOptions
+	if opts != nil {
+		qo = *opts
+	}
+	pq, err := db.prepare(pattern, qo.WCOOnly, false)
+	if err != nil {
+		return Stats{}, err
+	}
+	return pq.Analyze(opts)
+}
+
+// Analyze runs the prepared query and returns Stats whose Plan field
+// carries the per-operator breakdown (tuples out, i-cost, cache hits,
+// carried sets, pinned probes, probe and build counts, attributed wall
+// time, and the factorized tail's components with their separators and
+// key counts) — EXPLAIN ANALYZE for subgraph plans. Of opts (which may be
+// nil) it honours Context and BatchSize — what decides the counters on
+// the tree it annotates — and the memory ceiling, MemBudgetBytes under
 // the DB's Options.MemBudgetBytes and MemGlobalBytes, which it aborts on
 // as Count does; the run itself is always single-threaded, counts as
 // Count does and runs the fixed plan, so Workers, Limit, Distinct and
 // Adaptive do not apply. A negative BatchSize, which has no plan to
 // annotate, is an error.
-func (db *DB) Analyze(pattern string, opts *QueryOptions) (Stats, error) {
+func (pq *PreparedQuery) Analyze(opts *QueryOptions) (Stats, error) {
 	var qo QueryOptions
 	if opts != nil {
 		qo = *opts
@@ -997,14 +1013,13 @@ func (db *DB) Analyze(pattern string, opts *QueryOptions) (Stats, error) {
 	if qo.BatchSize < 0 {
 		return Stats{}, errReferenceCountsOnly
 	}
-	pq, err := db.prepare(pattern, qo.WCOOnly, false)
+	cp, err := pq.resolve()
 	if err != nil {
 		return Stats{}, err
 	}
-	cp := pq.cur.Load()
-	ctx, cfg, done := db.runConfig(&qo)
+	ctx, cfg, done := pq.db.runConfig(&qo)
 	defer done()
-	ops, prof, err := cp.compiled.On(db.store.Snapshot()).AnalyzeCtx(ctx, cfg)
+	ops, prof, err := cp.compiled.On(pq.db.store.Snapshot()).AnalyzeCtx(ctx, cfg)
 	if err != nil {
 		return Stats{}, err
 	}

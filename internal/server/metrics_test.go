@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"graphflow"
 	"graphflow/internal/metrics"
 )
 
@@ -120,6 +121,28 @@ func TestMetricsResponseCodeLabels(t *testing.T) {
 	}
 	if got["200"] != 1 || got["400"] != 1 {
 		t.Fatalf("response counts by code = %v, want 200:1 400:1", got)
+	}
+}
+
+// TestExplainAnalyzePreparesOnce holds an EXPLAIN ANALYZE to one plan
+// lookup: the handler analyzes the PreparedQuery it prepared for the plan
+// dump instead of preparing the pattern a second time.
+func TestExplainAnalyzePreparesOnce(t *testing.T) {
+	db, err := graphflow.NewFromDataset("Epinions", 1, &graphflow.Options{CatalogueZ: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s := newTestServer(t, Config{DB: db})
+	lookups := func() int64 { st := db.PlanCacheStats(); return st.Hits + st.Misses }
+	for _, fresh := range []bool{true, false} {
+		before := lookups()
+		if w := do(t, s, "GET", "/explain?pattern="+url.QueryEscape(triangle)+"&analyze=true", nil); w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+		if got := lookups() - before; got != 1 {
+			t.Errorf("fresh=%v: one /explain?analyze=true made %d plan-cache lookups, want 1", fresh, got)
+		}
 	}
 }
 

@@ -1009,7 +1009,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	if analyze {
 		ctx, cancel := context.WithTimeout(r.Context(), s.timeout(&queryRequest{TimeoutMS: req.TimeoutMS}))
-		ast, runErr := s.cfg.DB.Analyze(pattern, &graphflow.QueryOptions{Context: ctx})
+		ast, runErr := pq.Analyze(&graphflow.QueryOptions{Context: ctx})
 		cancel()
 		release()
 		if runErr != nil {
