@@ -140,21 +140,21 @@ func singleEdgeAttachment(side, other query.Mask) bool {
 	return bits.OnesCount32(side) == 2 && bits.OnesCount32(side&other) == 1
 }
 
-// rows is the exact DP's keeper: one row per mask, indexed by mask (below
+// dpTable is the exact DP's keeper: one row per mask, indexed by mask (below
 // fullEnumerationLimit vertices 2^m rows are cheaper than a map of the
 // connected ones), holding the first of the cheapest plans offered.
-type rows struct{ row []planInfo }
+type dpTable struct{ row []planInfo }
 
-func (t *rows) plans(mask query.Mask) []planInfo {
+func (t *dpTable) plans(mask query.Mask) []planInfo {
 	if t.row[mask].node == nil {
 		return nil
 	}
 	return t.row[mask : mask+1]
 }
 
-func (t *rows) wants(mask query.Mask, cost float64) bool { return t.row[mask].beats(cost) }
+func (t *dpTable) wants(mask query.Mask, cost float64) bool { return t.row[mask].beats(cost) }
 
-func (t *rows) keep(mask query.Mask, cand planInfo) { t.row[mask] = cand }
+func (t *dpTable) keep(mask query.Mask, cand planInfo) { t.row[mask] = cand }
 
 // dynamicProgram runs Algorithm 1 exactly and returns the full query's
 // row. Line 1 offers every WCO plan first, its scans being line 2, so a
@@ -164,7 +164,7 @@ func (t *rows) keep(mask query.Mask, cand planInfo) { t.row[mask] = cand }
 // joins of smaller rows; under WCOOnly the rows hold WCO plans, and (ii)
 // only matters where the walk found nothing.
 func dynamicProgram(ctx *context) planInfo {
-	t := &rows{row: make([]planInfo, ctx.full+1)}
+	t := &dpTable{row: make([]planInfo, ctx.full+1)}
 	ctx.walkOrders(func(_ []int, mask query.Mask, node plan.Node, cost float64) {
 		if t.wants(mask, cost) {
 			t.keep(mask, planInfo{node: node, cost: cost})
