@@ -220,16 +220,18 @@ func (c *context) tailCost(root plan.Node, cost float64, opCosts []float64) floa
 	t := &c.tail
 	// Pairwise non-adjacent E/I targets make a tail of leaves only, which
 	// extendCost priced already: nothing to find.
-	for node, within := root, query.Mask(0); ; {
+	within := query.Mask(0)
+	for node := root; ; {
 		ext, ok := node.(*plan.Extend)
 		if !ok {
 			return cost
 		}
-		if c.nbr[ext.TargetVertex]&within != 0 {
-			break
+		if v := ext.TargetVertex; c.nbr[v]&within == 0 {
+			within |= query.Bit(v)
+			node = ext.Child
+			continue
 		}
-		within |= query.Bit(ext.TargetVertex)
-		node = ext.Child
+		break
 	}
 	plan.TailOf(t, c.q, root, true)
 	if t.Leaves() {

@@ -60,11 +60,12 @@ func Optimize(q *query.Graph, opts Options) (*plan.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	search := dynamicProgram
+	var best planInfo
 	if q.NumVertices() > fullEnumerationLimit {
-		search = beamSearch
+		best = beamSearch(ctx)
+	} else {
+		best = dynamicProgram(ctx)
 	}
-	best := search(ctx)
 	if best.node == nil {
 		return nil, fmt.Errorf("optimizer: no plan found")
 	}

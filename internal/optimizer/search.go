@@ -28,7 +28,7 @@ type planInfo struct {
 func (pi planInfo) beats(cost float64) bool { return pi.node == nil || cost < pi.cost }
 
 // A keeper is what one search keeps of the candidates the candidate
-// step (extend, join) offers it. The searches differ only here: the
+// step (extend, join, grow) offers it. The searches differ only here: the
 // exact DP keeps a row per mask, the beam a row per mask for BeamWidth
 // masks a level, the spectrum the cheapest few distinct plans per mask.
 type keeper interface {
@@ -41,12 +41,26 @@ type keeper interface {
 	keep(mask query.Mask, cand planInfo)
 }
 
-// extensions offers k, by ascending target vertex, every E/I that grows a
-// kept plan of a subquery one vertex short of mask into mask.
-func (c *context) extensions(k keeper, mask query.Mask) {
+// grow offers k every candidate for mask built from kept plans of
+// smaller masks: by ascending vertex v, the E/I adding v to mask − v,
+// then the binary joins — c1 over the submasks holding mask's lowest
+// vertex, c2 over the rest of mask plus a non-empty part of c1.
+func (c *context) grow(k keeper, mask query.Mask) {
 	for v := 0; v < c.q.NumVertices(); v++ {
 		if rest := mask &^ query.Bit(v); rest != mask && c.adjacent(rest, v) {
 			c.extend(k, rest, v)
+		}
+	}
+	lowest := mask & -mask
+	for c1 := mask; c1 > 0; c1 = (c1 - 1) & mask {
+		if c1&lowest == 0 || c1 == mask || k.plans(c1) == nil {
+			continue
+		}
+		rest := mask &^ c1
+		for s := c1; s != 0; s = (s - 1) & c1 {
+			if c2 := rest | s; c2 != mask && k.plans(c2) != nil {
+				c.join(k, c1, c2)
+			}
 		}
 	}
 }
@@ -66,24 +80,6 @@ func (c *context) extend(k keeper, rest query.Mask, v int) {
 		}
 		if k.wants(mask, cost) {
 			k.keep(mask, planInfo{node: ext, cost: cost})
-		}
-	}
-}
-
-// joins offers k every binary join computing mask from two kept
-// subqueries: c1 runs over the submasks holding mask's lowest vertex, c2
-// over the rest of mask plus a non-empty part of c1.
-func (c *context) joins(k keeper, mask query.Mask) {
-	lowest := mask & -mask
-	for c1 := mask; c1 > 0; c1 = (c1 - 1) & mask {
-		if c1&lowest == 0 || c1 == mask || k.plans(c1) == nil {
-			continue
-		}
-		rest := mask &^ c1
-		for s := c1; s != 0; s = (s - 1) & c1 {
-			if c2 := rest | s; c2 != mask && k.plans(c2) != nil {
-				c.join(k, c1, c2)
-			}
 		}
 	}
 }
@@ -161,8 +157,8 @@ func (t *dpTable) keep(mask query.Mask, cand planInfo) { t.row[mask] = cand }
 // mask starts from its cheapest WCO plan (intersection-cache effects make
 // the best one for Qk not necessarily extend the best for Qk-1). Each
 // connected subquery is then offered (ii) E/I extensions and (iii) binary
-// joins of smaller rows; under WCOOnly the rows hold WCO plans, and (ii)
-// only matters where the walk found nothing.
+// joins of smaller rows. The walk reaches every connected subquery, so
+// under WCOOnly its rows are the answer.
 func dynamicProgram(ctx *context) planInfo {
 	t := &dpTable{row: make([]planInfo, ctx.full+1)}
 	ctx.walkOrders(func(_ []int, mask query.Mask, node plan.Node, cost float64) {
@@ -170,12 +166,9 @@ func dynamicProgram(ctx *context) planInfo {
 			t.keep(mask, planInfo{node: node, cost: cost})
 		}
 	})
-	for _, mask := range ctx.q.ConnectedSubsets(3) {
-		if !ctx.opts.WCOOnly || t.row[mask].node == nil {
-			ctx.extensions(t, mask)
-		}
-		if !ctx.opts.WCOOnly {
-			ctx.joins(t, mask)
+	if !ctx.opts.WCOOnly {
+		for _, mask := range ctx.q.ConnectedSubsets(3) {
+			ctx.grow(t, mask)
 		}
 	}
 	return t.row[ctx.full]

@@ -35,8 +35,7 @@ func EnumeratePlans(q *query.Graph, opts Options, maxPerMask int) ([]SpectrumPla
 		s.keep(query.Bit(e.From)|query.Bit(e.To), planInfo{node: plan.NewScan(q, e)})
 	}
 	for _, mask := range q.ConnectedSubsets(3) {
-		ctx.extensions(s, mask)
-		ctx.joins(s, mask)
+		ctx.grow(s, mask)
 		s.kept[mask] = cheapest(s.kept[mask], maxPerMask)
 	}
 

@@ -86,8 +86,11 @@ func EnumerateWCOPlans(q *query.Graph, opts Options) ([]WCOPlan, error) {
 		}
 		if sig := strings.Join(sigs[:n-1], "|"); !seen[sig] {
 			seen[sig] = true
-			p := &plan.Plan{Query: q, Root: node, EstimatedCost: cost, EstimatedCardinality: ctx.cardinality(mask)}
-			out = append(out, WCOPlan{Order: slices.Clone(order), Plan: p, Cost: cost})
+			out = append(out, WCOPlan{
+				Order: slices.Clone(order),
+				Plan:  &plan.Plan{Query: q, Root: node, EstimatedCost: cost, EstimatedCardinality: ctx.cardinality(mask)},
+				Cost:  cost,
+			})
 		}
 	})
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost < out[j].Cost })
