@@ -123,11 +123,15 @@ func countPlan(g *graph.Graph, p *plan.Plan, cfg exec.RunConfig, limit int64) (i
 	return cp.CountUpToCtx(context.Background(), cfg, limit)
 }
 
+// runMemBudget is the memory a capped run (Table 9, the spectrum) may
+// reserve, hash-join build tables above all, before it is reported Mm.
+const runMemBudget = int64(128 << 20)
+
 // countBudgeted counts p's matches on g like countPlan, under a memory
-// budget of its own of budget bytes. mm reports a run the budget stopped:
-// the paper's Mm (out of memory).
-func countBudgeted(g *graph.Graph, p *plan.Plan, budget, limit int64) (n int64, prof exec.Profile, mm bool, err error) {
-	mem := resource.NewBudget(budget, nil)
+// budget of its own of runMemBudget bytes. mm reports a run the budget
+// stopped: the paper's Mm (out of memory).
+func countBudgeted(g *graph.Graph, p *plan.Plan, limit int64) (n int64, prof exec.Profile, mm bool, err error) {
+	mem := resource.NewBudget(runMemBudget, nil)
 	defer mem.Close()
 	n, prof, err = countPlan(g, p, exec.RunConfig{MemBudget: mem}, limit)
 	if errors.Is(err, resource.ErrBudgetExceeded) {
@@ -335,12 +339,9 @@ type spectrumPoint struct {
 	Capped bool
 }
 
-// spectrum run caps keep pathological plans (giant binary joins on skewed
-// graphs) from stalling the harness.
-const (
-	spectrumMatchCap  = int64(10_000_000)
-	spectrumMemBudget = int64(128 << 20) // bytes
-)
+// spectrumMatchCap and runMemBudget keep pathological plans (giant
+// binary joins on skewed graphs) from stalling the harness.
+const spectrumMatchCap = int64(10_000_000)
 
 // runCost prices a run's own counters in the optimizer's currency:
 // i-cost plus its hash joins' build and probe rows.
@@ -366,7 +367,7 @@ func runSpectrum(g *graph.Graph, c *catalogue.Catalogue, q *query.Graph, maxPlan
 	}
 	run := func(kind string, p *plan.Plan) (spectrumPoint, float64, error) {
 		start := time.Now()
-		n, prof, mm, err := countBudgeted(g, p, spectrumMemBudget, spectrumMatchCap)
+		n, prof, mm, err := countBudgeted(g, p, spectrumMatchCap)
 		pt := spectrumPoint{Kind: kind, Seconds: time.Since(start).Seconds()}
 		switch {
 		case mm, n >= spectrumMatchCap:
