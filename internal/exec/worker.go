@@ -305,7 +305,7 @@ func (w *worker) pollCancel() {
 // admitBuild clears n more rows for the worker's hash-table fragment and
 // returns it with room for them: the build sink's fault point and the
 // memory reservation, once per batch. A refusal unwinds the pipeline like
-// any early stop; the driver reads the reason off the budget.
+// any early stop, and the run reports the budget's error.
 //
 //gf:noalloc
 func (w *worker) admitBuild(n int) *tableFragment {
