@@ -13,8 +13,7 @@ import (
 // stripTimes zeroes what legitimately differs between two runs of the same
 // work: wall times.
 func stripTimes(st Stats) Stats {
-	st.StageScanNanos, st.StageExtendNanos, st.StageProbeNanos = 0, 0, 0
-	st.StageFactorizedNanos, st.StageBuildNanos, st.StageEmitNanos = 0, 0, 0
+	st.Stages = exec.StageNanos{}
 	return st
 }
 
@@ -92,8 +91,8 @@ func TestAdaptiveComposes(t *testing.T) {
 				t.Errorf("adaptive %+v: i-cost %d against %d for all %d matches; the limit did not stop the run", tc, st.ICost, full.ICost, total)
 			}
 		}
-		if tc.off == "cache" && (st.CacheHits != 0 || st.CarriedSets != 0 || st.KernelPinnedProbe != 0) {
-			t.Errorf("adaptive %+v: %d cache hits, %d carried sets, %d pinned probes with the cache off", tc, st.CacheHits, st.CarriedSets, st.KernelPinnedProbe)
+		if tc.off == "cache" && (st.CacheHits != 0 || st.CarriedSets != 0 || st.Kernels.PinnedProbe != 0) {
+			t.Errorf("adaptive %+v: %d cache hits, %d carried sets, %d pinned probes with the cache off", tc, st.CacheHits, st.CarriedSets, st.Kernels.PinnedProbe)
 		}
 		if tc.off == "factorization" && st.FactorizedPrefixes != 0 {
 			t.Errorf("adaptive %+v: %d factorized prefixes with factorization off", tc, st.FactorizedPrefixes)

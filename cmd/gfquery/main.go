@@ -119,13 +119,10 @@ func runAnalyze(db *graphflow.DB, pattern string, qo *graphflow.QueryOptions) er
 	}
 	elapsed := time.Since(start)
 	fmt.Printf("matches: %d\nplan kind: %s\n%s", st.Matches, st.PlanKind, st.Plan)
-	total := st.StageScanNanos + st.StageExtendNanos + st.StageProbeNanos +
-		st.StageFactorizedNanos + st.StageBuildNanos + st.StageEmitNanos
-	if total > 0 {
+	if sn := st.Stages; sn.Total() > 0 {
 		ms := func(n int64) float64 { return float64(n) / 1e6 }
 		fmt.Printf("stage times: scan %.2fms  extend %.2fms  probe %.2fms  factorized %.2fms  build %.2fms  emit %.2fms\n",
-			ms(st.StageScanNanos), ms(st.StageExtendNanos), ms(st.StageProbeNanos),
-			ms(st.StageFactorizedNanos), ms(st.StageBuildNanos), ms(st.StageEmitNanos))
+			ms(sn.Scan), ms(sn.Extend), ms(sn.Probe), ms(sn.Factorized), ms(sn.Build), ms(sn.Emit))
 	}
 	fmt.Printf("elapsed: %v\n", elapsed)
 	return nil
@@ -167,7 +164,7 @@ func runPrepared(db *graphflow.DB, pattern string, qo *graphflow.QueryOptions, r
 	}
 	fmt.Printf("matches: %d\n", n)
 	fmt.Printf("plan kind: %s  (planned+compiled once in %v)\nintermediate: %d  i-cost: %d  cache hits: %d  carried sets: %d  pinned probes: %d  reroutes: %d\n%s",
-		st.PlanKind, planTime, st.Intermediate, st.ICost, st.CacheHits, st.CarriedSets, st.KernelPinnedProbe, st.Reroutes, st.Plan)
+		st.PlanKind, planTime, st.Intermediate, st.ICost, st.CacheHits, st.CarriedSets, st.Kernels.PinnedProbe, st.Reroutes, st.Plan)
 	return nil
 }
 

@@ -232,62 +232,17 @@ type QueryOptions struct {
 	MemBudgetBytes int64
 }
 
-// Stats reports what one evaluation did. A reference count
-// (QueryOptions.BatchSize < 0) reports Matches alone.
+// Stats reports what one evaluation did: the run's exec.Profile, whose
+// field comments say what each counter means — ICost, Intermediate,
+// CacheHits, CarriedSets, Reroutes, the Kernels, Batches and Stages
+// breakdowns, FactorizedPrefixes and FactorizedAvoided — and the plan
+// that ran. Matches is the evaluation's answer (the capped count under a
+// Limit). A reference count (QueryOptions.BatchSize < 0) reports Matches
+// alone.
 type Stats struct {
-	Matches      int64
-	Intermediate int64
-	ICost        int64
-	CacheHits    int64
-	// CarriedSets counts intersections seeded with the extension set the
-	// previous E/I stage already computed (a stage whose descriptors
-	// include all of its upstream's intersects into that set instead of
-	// re-reading the shared adjacency lists). ICost charges such an
-	// intersection the carried set's size plus the lists it still reads.
-	CarriedSets int64
-	// Reroutes counts the runs of tuples an Adaptive evaluation sent down
-	// an ordering other than the plan's own; zero when nothing was adapted.
-	Reroutes int64
-	// KernelMerge, KernelGallop and KernelPinnedProbe count
-	// intersection-kernel dispatches by kind: how often the engine merged
-	// two sorted runs, galloped a short run into a long one, or swept a
-	// list through the bitmap of the operand its E/I stage had pinned for
-	// the run (one that repeats from row to row). ICost stays Equation 1's
-	// metric — the pinned operand's size is still charged to every
-	// intersection it takes part in — so comparing the two shows the work
-	// the pinned sweep short-circuited.
-	KernelMerge       int64
-	KernelGallop      int64
-	KernelPinnedProbe int64
-	// ScanBatches, ExtendBatches and ProbeBatches count the columnar
-	// batches each stage kind of the executor dispatched.
-	// ExtendBatches counts E/I stages' batches and also the batches a
-	// factorized tail unfolds its products into when rows are emitted.
-	ScanBatches   int64
-	ExtendBatches int64
-	ProbeBatches  int64
-	// FactorizedPrefixes counts prefix tuples evaluated by the factorized
-	// execution tier (every component of the tail evaluated or served
-	// from its cache once each);
-	// FactorizedAvoided counts result tuples that were counted — or
-	// charged against a Limit — directly on the factorized form without
-	// being materialized. Both zero when factorization did not apply.
-	FactorizedPrefixes int64
-	FactorizedAvoided  int64
-	// Per-stage wall-time attribution of the executor in nanoseconds:
-	// scan (adjacency reads and batch fills), E/I intersect fan-out,
-	// hash-probe lookups, the factorized tail, the hash-join
-	// build-side insert sink, and the root emit sink. Under parallel runs
-	// the numbers sum across workers (busy time per stage, not elapsed
-	// wall clock).
-	StageScanNanos       int64
-	StageExtendNanos     int64
-	StageProbeNanos      int64
-	StageFactorizedNanos int64
-	StageBuildNanos      int64
-	StageEmitNanos       int64
-	PlanKind             string // "wco", "bj" or "hybrid"
-	Plan                 string // operator tree, one operator per line
+	exec.Profile
+	PlanKind string // "wco", "bj" or "hybrid"
+	Plan     string // operator tree, one operator per line
 }
 
 // PlanCacheStats is a snapshot of the DB's compiled-plan cache counters.
@@ -878,7 +833,7 @@ func (db *DB) referenceCount(q *query.Graph, qo QueryOptions) (int64, Stats, err
 		return 0, Stats{}, qo.Context.Err()
 	}
 	n := baseline.CFLCountUpTo(db.store.Snapshot(), q, qo.Limit)
-	return n, Stats{Matches: n}, nil
+	return n, Stats{Profile: exec.Profile{Matches: n}}, nil
 }
 
 // runCount executes a cached plan on the current snapshot under the
@@ -1305,28 +1260,6 @@ func (db *DB) RegisterMetrics(reg *metrics.Registry) {
 }
 
 func statsFrom(p *plan.Plan, prof exec.Profile, n int64) Stats {
-	return Stats{
-		Matches:              n,
-		Intermediate:         prof.Intermediate,
-		ICost:                prof.ICost,
-		CacheHits:            prof.CacheHits,
-		CarriedSets:          prof.CarriedSets,
-		Reroutes:             prof.Reroutes,
-		KernelMerge:          prof.Kernels.Merge,
-		KernelGallop:         prof.Kernels.Gallop,
-		KernelPinnedProbe:    prof.Kernels.PinnedProbe,
-		ScanBatches:          prof.Batches.Scan,
-		ExtendBatches:        prof.Batches.Extend,
-		ProbeBatches:         prof.Batches.Probe,
-		FactorizedPrefixes:   prof.FactorizedPrefixes,
-		FactorizedAvoided:    prof.FactorizedAvoided,
-		StageScanNanos:       prof.Stages.Scan,
-		StageExtendNanos:     prof.Stages.Extend,
-		StageProbeNanos:      prof.Stages.Probe,
-		StageFactorizedNanos: prof.Stages.Factorized,
-		StageBuildNanos:      prof.Stages.Build,
-		StageEmitNanos:       prof.Stages.Emit,
-		PlanKind:             p.Kind(),
-		Plan:                 p.Describe(),
-	}
+	prof.Matches = n
+	return Stats{Profile: prof, PlanKind: p.Kind(), Plan: p.Describe()}
 }

@@ -111,10 +111,6 @@ type Program struct {
 	directives map[string]map[int]map[string]string
 }
 
-// PackageOf returns the loaded package with the given import path, or
-// nil.
-func (p *Program) PackageOf(path string) *Package { return p.byPath[path] }
-
 // FuncDecl resolves a types.Func to its declaration within the module,
 // or nil for functions declared outside it (stdlib, interface methods).
 func (p *Program) FuncDecl(fn *types.Func) *FuncInfo {

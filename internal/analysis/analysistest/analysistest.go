@@ -8,7 +8,6 @@
 package analysistest
 
 import (
-	"fmt"
 	"go/ast"
 	"regexp"
 	"strconv"
@@ -100,22 +99,5 @@ func collectWants(t *testing.T, prog *analysis.Program, f *ast.File, add func(st
 			pos := prog.Fset.Position(c.Pos())
 			add(pos.Filename, pos.Line, re)
 		}
-	}
-}
-
-// RunClean asserts the module at dir produces no diagnostics at all —
-// used to prove the analyzers stay quiet on compliant code.
-func RunClean(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
-	t.Helper()
-	prog, err := analysis.Load(analysis.Config{Dir: dir})
-	if err != nil {
-		t.Fatalf("loading %s: %v", dir, err)
-	}
-	diags := analysis.Run(prog, analyzers)
-	for _, d := range diags {
-		t.Errorf("unexpected diagnostic on clean module: %s", d)
-	}
-	if len(diags) > 0 {
-		t.Logf("module: %s", fmt.Sprint(prog.ModulePath))
 	}
 }

@@ -744,7 +744,7 @@ func CompareFactorized(db *graphflow.DB, ref graph.View, q *query.Graph) error {
 // its path was exercised at all.
 func CompareCarried(db *graphflow.DB, ref graph.View, q *query.Graph) (carried, pinned int64, err error) {
 	st, err := compareEngine(db, ref, q, RunBatchSizes, false)
-	return st.CarriedSets, st.KernelPinnedProbe, err
+	return st.CarriedSets, st.Kernels.PinnedProbe, err
 }
 
 // CompareAdaptive is CompareCarried with every engine query Adaptive
@@ -797,7 +797,7 @@ func CompareAdaptive(db *graphflow.DB, ref graph.View, q *query.Graph) (reroutes
 
 // compareEngine is the sweep behind CompareCarried and CompareAdaptive,
 // at the given batch sizes; the Stats it returns sum CarriedSets,
-// KernelPinnedProbe and Reroutes over the sweep's full counts.
+// Kernels.PinnedProbe and Reroutes over the sweep's full counts.
 func compareEngine(db *graphflow.DB, ref graph.View, q *query.Graph, sizes []int, adaptive bool) (sum graphflow.Stats, err error) {
 	pattern := q.String()
 	for _, wco := range []bool{false, true} {
@@ -820,12 +820,12 @@ func compareEngine(db *graphflow.DB, ref graph.View, q *query.Graph, sizes []int
 					if got != want {
 						return sum, fmt.Errorf("%s count of %q under %+v = %d, reference %d", v.name, pattern, engine, got, want)
 					}
-					if v.name == "cache off" && (st.CarriedSets != 0 || st.KernelPinnedProbe != 0) {
+					if v.name == "cache off" && (st.CarriedSets != 0 || st.Kernels.PinnedProbe != 0) {
 						return sum, fmt.Errorf("%q under %+v carried %d sets and dispatched %d pinned probes with the cache off",
-							pattern, engine, st.CarriedSets, st.KernelPinnedProbe)
+							pattern, engine, st.CarriedSets, st.Kernels.PinnedProbe)
 					}
 					sum.CarriedSets += st.CarriedSets
-					sum.KernelPinnedProbe += st.KernelPinnedProbe
+					sum.Kernels.PinnedProbe += st.Kernels.PinnedProbe
 					sum.Reroutes += st.Reroutes
 				}
 				limits := []int64{1, 2, want / 2, want - 1, want, want + 13}

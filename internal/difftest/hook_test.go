@@ -30,7 +30,7 @@ type hookObserved struct {
 }
 
 func observedFrom(st graphflow.Stats) hookObserved {
-	return hookObserved{true, st.CacheHits, st.CarriedSets, st.KernelPinnedProbe, st.FactorizedPrefixes, st.Matches}
+	return hookObserved{true, st.CacheHits, st.CarriedSets, st.Kernels.PinnedProbe, st.FactorizedPrefixes, st.Matches}
 }
 
 // statusError is a response other than the one a request expected.
@@ -60,8 +60,8 @@ func TestRunConfigHookReachesEveryEntryPoint(t *testing.T) {
 	defer db.Close()
 	// Without a hook the triangle pins, factorizes and finds matches, so
 	// every zero below is the hook's doing.
-	if _, st, err := db.CountStats(triangle, nil); err != nil || st.KernelPinnedProbe == 0 || st.FactorizedPrefixes == 0 {
-		t.Fatalf("default triangle: pinned %d, factorized prefixes %d, err %v; want both > 0", st.KernelPinnedProbe, st.FactorizedPrefixes, err)
+	if _, st, err := db.CountStats(triangle, nil); err != nil || st.Kernels.PinnedProbe == 0 || st.FactorizedPrefixes == 0 {
+		t.Fatalf("default triangle: pinned %d, factorized prefixes %d, err %v; want both > 0", st.Kernels.PinnedProbe, st.FactorizedPrefixes, err)
 	}
 	pq, err := db.Prepare(triangle)
 	if err != nil {
@@ -215,8 +215,8 @@ func TestRunConfigHookIsPerQuery(t *testing.T) {
 		hook  func(*exec.RunConfig)
 		ok    func(graphflow.Stats) bool
 	}{
-		{&cacheCalls, CacheOff, func(st graphflow.Stats) bool { return st.KernelPinnedProbe == 0 && st.FactorizedPrefixes > 0 }},
-		{&factCalls, NoFactorize, func(st graphflow.Stats) bool { return st.KernelPinnedProbe > 0 && st.FactorizedPrefixes == 0 }},
+		{&cacheCalls, CacheOff, func(st graphflow.Stats) bool { return st.Kernels.PinnedProbe == 0 && st.FactorizedPrefixes > 0 }},
+		{&factCalls, NoFactorize, func(st graphflow.Stats) bool { return st.Kernels.PinnedProbe > 0 && st.FactorizedPrefixes == 0 }},
 	}
 	var wg sync.WaitGroup
 	for i, s := range streams {
@@ -230,7 +230,7 @@ func TestRunConfigHookIsPerQuery(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				n, st, err := pq.CountStats(&graphflow.QueryOptions{Context: ctx, Workers: 2})
 				if err != nil || n != 17888 || !s.ok(st) {
-					t.Errorf("stream %d round %d: count %d, pinned %d, factorized prefixes %d, err %v", i, r, n, st.KernelPinnedProbe, st.FactorizedPrefixes, err)
+					t.Errorf("stream %d round %d: count %d, pinned %d, factorized prefixes %d, err %v", i, r, n, st.Kernels.PinnedProbe, st.FactorizedPrefixes, err)
 					return
 				}
 			}

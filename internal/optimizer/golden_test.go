@@ -92,10 +92,7 @@ func TestPlanSpaceGolden(t *testing.T) {
 // path of TestBeamSearchLargeQuery and an 11-vertex pattern with a
 // 4-cycle and a triangle in it.
 func TestBeamGolden(t *testing.T) {
-	path := "a1->a2"
-	for i := 2; i < 12; i++ {
-		path += ", " + vname(i) + "->" + vname(i+1)
-	}
+	path := pathPattern(12)
 	cyclic := "a1->a2, a2->a3, a3->a4, a1->a4, a4->a5, a5->a6, a6->a7, a5->a7, a7->a8, a8->a9, a9->a10, a10->a11, a3->a9"
 	for _, ds := range goldenSets() {
 		var sb strings.Builder

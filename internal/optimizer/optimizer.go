@@ -83,8 +83,8 @@ func Optimize(q *query.Graph, opts Options) (*plan.Plan, error) {
 
 // EstimateCost exposes the cost model for a given externally-built plan:
 // the sum of its operators' estimated costs (+Inf for an invalid query or
-// options). Used by the spectrum and baseline experiments to rank
-// arbitrary plans consistently.
+// options). Only tests call it: it is their independent pricer of the
+// plans they build or the search returns.
 func EstimateCost(q *query.Graph, p *plan.Plan, opts Options) float64 {
 	ctx, err := newContext(q, opts)
 	if err != nil {

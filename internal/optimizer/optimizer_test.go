@@ -91,6 +91,9 @@ func TestOptimizePicksWCOForClique(t *testing.T) {
 	}
 }
 
+// TestWCOOnlyOption: WCOOnly plans hold no join, from the exact DP (Q8)
+// and from the beam (TestBeamGolden's 12-vertex path on both golden
+// graphs).
 func TestWCOOnlyOption(t *testing.T) {
 	p, err := Optimize(query.Q8(), Options{Catalogue: amazonCat, WCOOnly: true})
 	if err != nil {
@@ -98,6 +101,15 @@ func TestWCOOnlyOption(t *testing.T) {
 	}
 	if !p.IsWCO() {
 		t.Errorf("WCOOnly produced a non-WCO plan:\n%s", p.Describe())
+	}
+	for _, ds := range goldenSets() {
+		p, err := Optimize(query.MustParse(pathPattern(12)), Options{Catalogue: ds.cat, WCOOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.IsWCO() {
+			t.Errorf("%s: WCOOnly beam produced a non-WCO plan for the 12-vertex path:\n%s", ds.name, p.Describe())
+		}
 	}
 }
 
@@ -247,11 +259,7 @@ func TestSpectrumContainsNonGHDPlanForSixCycle(t *testing.T) {
 func TestBeamSearchLargeQuery(t *testing.T) {
 	// A 12-vertex path exceeds the full-enumeration limit and must go
 	// through beam search, still yielding a valid, correct plan.
-	pattern := "a1->a2"
-	for i := 2; i < 12; i++ {
-		pattern += ", " + vname(i) + "->" + vname(i+1)
-	}
-	q := query.MustParse(pattern)
+	q := query.MustParse(pathPattern(12))
 	if q.NumVertices() != 12 {
 		t.Fatalf("test query has %d vertices", q.NumVertices())
 	}
@@ -274,6 +282,15 @@ func TestBeamSearchLargeQuery(t *testing.T) {
 }
 
 func vname(i int) string { return fmt.Sprintf("a%d", i) }
+
+// pathPattern is the directed path a1->a2->…->an.
+func pathPattern(n int) string {
+	path := "a1->a2"
+	for i := 2; i < n; i++ {
+		path += ", " + vname(i) + "->" + vname(i+1)
+	}
+	return path
+}
 
 func TestEstimateCostMatchesOptimizerOnWCO(t *testing.T) {
 	plans, err := EnumerateWCOPlans(query.Q3(), amazonOpts())

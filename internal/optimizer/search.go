@@ -191,7 +191,8 @@ func (b *beam) keep(mask query.Mask, cand planInfo) { b.level[mask] = cand }
 // the full query's row: WCO plans are not enumerated separately, and only
 // the BeamWidth cheapest subqueries are kept per level (the full query
 // always). A level grows from the kept masks — extensions of the level
-// below, joins of kept pairs — not from every submask of a wide mask.
+// below, joins of kept pairs, two (k−1)-vertex sides included — not from
+// every submask of a wide mask. Under WCOOnly it offers no join.
 func beamSearch(ctx *context) planInfo {
 	m := ctx.q.NumVertices()
 	b := &beam{kept: map[query.Mask][]planInfo{}}
@@ -212,7 +213,7 @@ func beamSearch(ctx *context) planInfo {
 				}
 			}
 		}
-		for k1 := 2; k1 <= k-2; k1++ {
+		for k1 := 2; k1 <= k-1 && !ctx.opts.WCOOnly; k1++ {
 			for _, c1 := range levels[k1] {
 				for k2 := max(k-k1, 2); k2 <= k-1; k2++ {
 					for _, c2 := range levels[k2] {

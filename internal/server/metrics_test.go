@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -411,63 +414,169 @@ func TestCatalogueMetricsIngestOnly(t *testing.T) {
 	}
 }
 
-// TestCarriedSetsSurfaces checks the counters the carried extension sets
-// and the pinned operands add, everywhere they are promised: a 4-clique
-// count response reports kernels.carried_sets and kernels.pinned_probe
-// > 0, /stats and /metrics accumulate them (the latter as one more kernel
-// of graphflow_exec_kernel_dispatch_total), and EXPLAIN ANALYZE renders
-// the inheriting operator with ↑, carried= and pinned=.
+// TestCarriedSetsSurfaces checks every counter the server totals over
+// served count queries, everywhere it is promised. Two count queries of
+// different shapes (a 4-clique, whose E/I stages carry sets and pin
+// operands, and two triangles a path apart, planned as a hash join
+// whose probe side ends in a factorized tail) each report kernels, batches,
+// factorized and stage_ms; /stats reports the sums of the first three,
+// and /metrics the sums of the kernels, the carried sets, the factorized
+// counters and the six stage times. EXPLAIN ANALYZE renders the
+// inheriting operator with ↑, carried= and pinned=.
 func TestCarriedSetsSurfaces(t *testing.T) {
 	const clique4 = "a->b, a->c, b->c, a->d, b->d, c->d"
 	s := newTestServer(t, Config{})
-	w := do(t, s, http.MethodPost, "/query", map[string]any{"pattern": clique4, "wco": true})
-	if w.Code != http.StatusOK {
-		t.Fatalf("/query = %d: %s", w.Code, w.Body)
-	}
-	type kernels struct {
+	type counters struct {
 		Kernels struct {
-			CarriedSets int64 `json:"carried_sets"`
+			Merge       int64 `json:"merge"`
+			Gallop      int64 `json:"gallop"`
 			PinnedProbe int64 `json:"pinned_probe"`
+			CarriedSets int64 `json:"carried_sets"`
 		} `json:"kernels"`
+		Batches struct {
+			Scan   int64 `json:"scan"`
+			Extend int64 `json:"extend"`
+			Probe  int64 `json:"probe"`
+		} `json:"batches"`
+		Factorized struct {
+			Prefixes      int64 `json:"prefixes"`
+			AvoidedTuples int64 `json:"avoided_tuples"`
+		} `json:"factorized"`
 	}
-	var resp, stats kernels
-	mustDecode(t, w.Body.Bytes(), &resp)
-	if resp.Kernels.CarriedSets <= 0 || resp.Kernels.PinnedProbe <= 0 {
-		t.Fatalf("count response kernels = %+v, want carried_sets and pinned_probe > 0: %s", resp.Kernels, w.Body)
+	var sum counters
+	stageMS := map[string]float64{}
+	for _, q := range []struct {
+		pattern string
+		wco     bool
+	}{{clique4, true}, {"a->b, b->c, a->c, a->d, d->e, e->f, d->f", false}} {
+		w := do(t, s, http.MethodPost, "/query", map[string]any{"pattern": q.pattern, "wco": q.wco})
+		if w.Code != http.StatusOK {
+			t.Fatalf("/query %q = %d: %s", q.pattern, w.Code, w.Body)
+		}
+		var resp struct {
+			counters
+			Stages map[string]float64 `json:"stage_ms"`
+		}
+		mustDecode(t, w.Body.Bytes(), &resp)
+		if q.pattern == clique4 && (resp.Kernels.CarriedSets <= 0 || resp.Kernels.PinnedProbe <= 0) {
+			t.Fatalf("4-clique count response kernels = %+v, want carried_sets and pinned_probe > 0: %s", resp.Kernels, w.Body)
+		}
+		k, b, f := &sum.Kernels, &sum.Batches, &sum.Factorized
+		k.Merge += resp.Kernels.Merge
+		k.Gallop += resp.Kernels.Gallop
+		k.PinnedProbe += resp.Kernels.PinnedProbe
+		k.CarriedSets += resp.Kernels.CarriedSets
+		b.Scan += resp.Batches.Scan
+		b.Extend += resp.Batches.Extend
+		b.Probe += resp.Batches.Probe
+		f.Prefixes += resp.Factorized.Prefixes
+		f.AvoidedTuples += resp.Factorized.AvoidedTuples
+		for stage, ms := range resp.Stages {
+			stageMS[stage] += ms
+		}
 	}
+	// batches.probe stays 0: a count writes no rows at its last stage,
+	// and the optimizer puts a hash join's probe last.
+	if sum.Kernels.Merge == 0 || sum.Kernels.Gallop == 0 || sum.Batches.Scan == 0 || sum.Batches.Extend == 0 ||
+		sum.Factorized.Prefixes == 0 || sum.Factorized.AvoidedTuples == 0 || stageMS["probe"] == 0 || stageMS["build"] == 0 {
+		t.Fatalf("the two queries leave a surface untested: %+v, stage_ms %v", sum, stageMS)
+	}
+	var stats counters
 	mustDecode(t, do(t, s, http.MethodGet, "/stats", nil).Body.Bytes(), &stats)
-	if stats != resp {
-		t.Errorf("/stats kernels = %+v, the one served query reported %+v", stats.Kernels, resp.Kernels)
+	if stats != sum {
+		t.Errorf("/stats = %+v, the served queries summed to %+v", stats, sum)
 	}
 	fams, err := metrics.ParseText(bytes.NewReader(do(t, s, http.MethodGet, "/metrics", nil).Body.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	carried, pinned := false, false
+	want := map[string]float64{
+		"graphflow_exec_kernel_dispatch_total/merge":        float64(sum.Kernels.Merge),
+		"graphflow_exec_kernel_dispatch_total/gallop":       float64(sum.Kernels.Gallop),
+		"graphflow_exec_kernel_dispatch_total/pinned_probe": float64(sum.Kernels.PinnedProbe),
+		"graphflow_exec_carried_sets_total/":                float64(sum.Kernels.CarriedSets),
+		"graphflow_exec_factorized_prefixes_total/":         float64(sum.Factorized.Prefixes),
+		"graphflow_exec_factorized_avoided_tuples_total/":   float64(sum.Factorized.AvoidedTuples),
+	}
+	for stage, ms := range stageMS {
+		want["graphflow_exec_stage_seconds_total/"+stage] = ms / 1e3
+	}
 	for _, f := range fams {
-		switch f.Name {
-		case "graphflow_exec_carried_sets_total":
-			carried = len(f.Series) == 1 && f.Series[0].Value == float64(resp.Kernels.CarriedSets)
-		case "graphflow_exec_kernel_dispatch_total":
-			for _, series := range f.Series {
-				if series.Labels["kernel"] == "pinned_probe" {
-					pinned = series.Value == float64(resp.Kernels.PinnedProbe)
-				}
+		for _, series := range f.Series {
+			key := f.Name + "/" + series.Labels["kernel"] + series.Labels["stage"]
+			w, ok := want[key]
+			if !ok {
+				continue
+			}
+			delete(want, key)
+			// Stage times cross the wire as float milliseconds and
+			// seconds; they agree to rounding.
+			if math.Abs(series.Value-w) > 1e-9*math.Max(1, math.Abs(w)) {
+				t.Errorf("/metrics %s = %v, the served queries summed to %v", key, series.Value, w)
 			}
 		}
 	}
-	if !carried {
-		t.Errorf("graphflow_exec_carried_sets_total missing or not %d", resp.Kernels.CarriedSets)
+	if len(want) > 0 {
+		t.Errorf("/metrics lacks %v", want)
 	}
-	if !pinned {
-		t.Errorf(`graphflow_exec_kernel_dispatch_total{kernel="pinned_probe"} missing or not %d`, resp.Kernels.PinnedProbe)
-	}
-	w = do(t, s, http.MethodPost, "/explain", map[string]any{"pattern": clique4, "wco": true, "analyze": true})
+	w := do(t, s, http.MethodPost, "/explain", map[string]any{"pattern": clique4, "wco": true, "analyze": true})
 	var explained struct {
 		Plan string `json:"plan"`
 	}
 	mustDecode(t, w.Body.Bytes(), &explained)
 	if !strings.Contains(explained.Plan, "<- ↑∩") || !strings.Contains(explained.Plan, "carried=") || !strings.Contains(explained.Plan, "pinned=") {
 		t.Errorf("analyzed 4-clique plan does not show the inheriting operator with its carried and pinned counts:\n%s", explained.Plan)
+	}
+}
+
+// TestServedTotalsUnderConcurrentCounts: count queries served at once
+// add up exactly in /stats, while /stats and /metrics are read beside
+// them (the served total is one Profile under a mutex; run with -race).
+func TestServedTotalsUnderConcurrentCounts(t *testing.T) {
+	s := newTestServer(t, Config{MaxConcurrent: 16})
+	const body = `{"pattern":"a->b, b->c, a->c"}`
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return w
+	}
+	type counters struct {
+		Kernels    map[string]int64 `json:"kernels"`
+		Batches    map[string]int64 `json:"batches"`
+		Factorized map[string]int64 `json:"factorized"`
+	}
+	var one counters
+	mustDecode(t, serve(http.MethodPost, "/query", body).Body.Bytes(), &one)
+	const goroutines, perG = 4, 5
+	var wg sync.WaitGroup
+	for range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range perG {
+				if w := serve(http.MethodPost, "/query", body); w.Code != http.StatusOK {
+					t.Errorf("/query = %d: %s", w.Code, w.Body)
+				}
+				serve(http.MethodGet, "/stats", "")
+				serve(http.MethodGet, "/metrics", "")
+			}
+		}()
+	}
+	wg.Wait()
+	var total counters
+	mustDecode(t, serve(http.MethodGet, "/stats", "").Body.Bytes(), &total)
+	const runs = 1 + goroutines*perG
+	for _, group := range []struct {
+		name       string
+		one, total map[string]int64
+	}{{"kernels", one.Kernels, total.Kernels}, {"batches", one.Batches, total.Batches}, {"factorized", one.Factorized, total.Factorized}} {
+		if len(group.one) == 0 || len(group.total) != len(group.one) {
+			t.Fatalf("%s: one run %v, total %v", group.name, group.one, group.total)
+		}
+		for k, v := range group.one {
+			if group.total[k] != runs*v {
+				t.Errorf("/stats %s.%s = %d, want %d runs × %d", group.name, k, group.total[k], runs, v)
+			}
+		}
 	}
 }

@@ -182,28 +182,12 @@ type Server struct {
 	// panicked counts queries failed by a recovered execution panic.
 	budgetAborts, panicked atomic.Int64
 
-	// Per-kernel intersection dispatch totals accumulated across served
-	// count-mode queries (match mode streams rows and does not report
-	// per-run statistics), surfaced by /stats as the serving-layer view
-	// of the intersection engine.
-	kernelMerge, kernelGallop, kernelPinnedProbe atomic.Int64
-	// carriedSets totals the intersections seeded with an upstream
-	// stage's extension set (Stats.CarriedSets), reported beside them.
-	carriedSets atomic.Int64
-
-	// Per-stage batch dispatch totals of the vectorized engine, same
-	// accumulation rules as the kernel counters.
-	batchScan, batchExtend, batchProbe atomic.Int64
-
-	// Factorized-execution totals across served count-mode queries:
-	// prefixes that hit a factorized tail and the tuples whose
-	// materialisation the cross-product arithmetic avoided.
-	factorizedPrefixes, factorizedAvoided atomic.Int64
-
-	// stageNanos accumulates per-stage executor wall time across served
-	// count-mode queries, indexed by stageNames; /metrics exposes it as
-	// graphflow_exec_stage_seconds_total{stage=...}.
-	stageNanos [len(stageNames)]atomic.Int64
+	// runsMu guards runs, the executor profiles of every served
+	// count-mode query added up (match mode streams rows and reports no
+	// per-run statistics); /stats and the graphflow_exec_* counters read
+	// it through totals.
+	runsMu sync.Mutex
+	runs   exec.Profile
 
 	// reg holds every server and DB metric; /metrics serialises it.
 	reg *metrics.Registry
@@ -221,10 +205,6 @@ type Server struct {
 	admissionWait    *metrics.Histogram
 	budgetAbortBytes *metrics.Histogram
 }
-
-// stageNames indexes Server.stageNanos and labels the per-stage time
-// series; order matches the executor's Profile stage breakdown.
-var stageNames = [...]string{"scan", "extend", "probe", "factorized", "build", "emit"}
 
 // New builds a Server over cfg.DB.
 func New(cfg Config) (*Server, error) {
@@ -256,8 +236,8 @@ func New(cfg Config) (*Server, error) {
 
 // registerMetrics builds the server's registry: the DB's graphflow_*
 // internals plus the serving layer's request, admission, per-template
-// and per-stage series. The counter funcs read the same atomics /stats
-// reports, so the two views can never disagree.
+// and per-stage series. The counter funcs read what /stats reports (the
+// request atomics, totals), so the two views can never disagree.
 func (s *Server) registerMetrics() {
 	s.reg = metrics.NewRegistry()
 	s.cfg.DB.RegisterMetrics(s.reg)
@@ -300,32 +280,43 @@ func (s *Server) registerMetrics() {
 			defer s.mu.RUnlock()
 			return float64(len(s.prepared))
 		})
-	for i, name := range stageNames {
-		n := &s.stageNanos[i]
+	total := func(get func(*exec.Profile) int64, per float64) func() float64 {
+		return func() float64 { p := s.totals(); return float64(get(&p)) / per }
+	}
+	type series struct {
+		label string
+		get   func(*exec.Profile) int64
+	}
+	for _, st := range []series{
+		{"scan", func(p *exec.Profile) int64 { return p.Stages.Scan }},
+		{"extend", func(p *exec.Profile) int64 { return p.Stages.Extend }},
+		{"probe", func(p *exec.Profile) int64 { return p.Stages.Probe }},
+		{"factorized", func(p *exec.Profile) int64 { return p.Stages.Factorized }},
+		{"build", func(p *exec.Profile) int64 { return p.Stages.Build }},
+		{"emit", func(p *exec.Profile) int64 { return p.Stages.Emit }},
+	} {
 		s.reg.CounterFunc("graphflow_exec_stage_seconds_total",
 			"Executor wall time attributed to each pipeline stage across served count queries.",
-			func() float64 { return float64(n.Load()) / 1e9 }, "stage", name)
+			total(st.get, 1e9), "stage", st.label)
 	}
-	for _, k := range []struct {
-		name string
-		c    *atomic.Int64
-	}{
-		{"merge", &s.kernelMerge}, {"gallop", &s.kernelGallop}, {"pinned_probe", &s.kernelPinnedProbe},
+	for _, k := range []series{
+		{"merge", func(p *exec.Profile) int64 { return p.Kernels.Merge }},
+		{"gallop", func(p *exec.Profile) int64 { return p.Kernels.Gallop }},
+		{"pinned_probe", func(p *exec.Profile) int64 { return p.Kernels.PinnedProbe }},
 	} {
-		c := k.c
 		s.reg.CounterFunc("graphflow_exec_kernel_dispatch_total",
 			"Intersection-kernel dispatches across served count queries.",
-			func() float64 { return float64(c.Load()) }, "kernel", k.name)
+			total(k.get, 1), "kernel", k.label)
 	}
 	s.reg.CounterFunc("graphflow_exec_carried_sets_total",
 		"E/I intersections seeded with the upstream stage's extension set across served count queries.",
-		func() float64 { return float64(s.carriedSets.Load()) })
+		total(func(p *exec.Profile) int64 { return p.CarriedSets }, 1))
 	s.reg.CounterFunc("graphflow_exec_factorized_prefixes_total",
 		"Prefixes that reached a factorized tail across served count queries.",
-		func() float64 { return float64(s.factorizedPrefixes.Load()) })
+		total(func(p *exec.Profile) int64 { return p.FactorizedPrefixes }, 1))
 	s.reg.CounterFunc("graphflow_exec_factorized_avoided_tuples_total",
 		"Output tuples counted without materialisation by factorized execution.",
-		func() float64 { return float64(s.factorizedAvoided.Load()) })
+		total(func(p *exec.Profile) int64 { return p.FactorizedAvoided }, 1))
 }
 
 // Metrics returns the server's registry so embedding processes (tests,
@@ -439,23 +430,36 @@ type stageMillis struct {
 	Emit       float64 `json:"emit"`
 }
 
-// stageMillisFrom converts a Stats stage breakdown to milliseconds,
-// returning nil when no stage time was attributed.
-func stageMillisFrom(st *graphflow.Stats) *stageMillis {
-	total := st.StageScanNanos + st.StageExtendNanos + st.StageProbeNanos +
-		st.StageFactorizedNanos + st.StageBuildNanos + st.StageEmitNanos
-	if total == 0 {
-		return nil
+// wire is the JSON form of an exec.Profile's counters: one run's in the
+// count response and EXPLAIN ANALYZE, the served total's in /stats.
+type wire struct {
+	kernels    kernelCounts
+	batches    batchCounts
+	factorized factorizedCounts
+	stages     *stageMillis // nil when no stage time was attributed
+}
+
+// wireCounts converts p to its JSON form.
+func wireCounts(p *exec.Profile) wire {
+	w := wire{
+		kernels: kernelCounts{Merge: p.Kernels.Merge, Gallop: p.Kernels.Gallop,
+			PinnedProbe: p.Kernels.PinnedProbe, CarriedSets: p.CarriedSets},
+		batches:    batchCounts{Scan: p.Batches.Scan, Extend: p.Batches.Extend, Probe: p.Batches.Probe},
+		factorized: factorizedCounts{Prefixes: p.FactorizedPrefixes, AvoidedTuples: p.FactorizedAvoided},
 	}
-	ms := func(n int64) float64 { return float64(n) / 1e6 }
-	return &stageMillis{
-		Scan:       ms(st.StageScanNanos),
-		Extend:     ms(st.StageExtendNanos),
-		Probe:      ms(st.StageProbeNanos),
-		Factorized: ms(st.StageFactorizedNanos),
-		Build:      ms(st.StageBuildNanos),
-		Emit:       ms(st.StageEmitNanos),
+	if st := p.Stages; st.Total() > 0 {
+		ms := func(n int64) float64 { return float64(n) / 1e6 }
+		w.stages = &stageMillis{Scan: ms(st.Scan), Extend: ms(st.Extend), Probe: ms(st.Probe),
+			Factorized: ms(st.Factorized), Build: ms(st.Build), Emit: ms(st.Emit)}
 	}
+	return w
+}
+
+// totals returns the served count queries' summed profiles.
+func (s *Server) totals() exec.Profile {
+	s.runsMu.Lock()
+	defer s.runsMu.Unlock()
+	return s.runs
 }
 
 // factorizedCounts is the JSON shape of factorized-execution counters.
@@ -713,37 +717,11 @@ func (s *Server) execute(r *http.Request, name string, pq *graphflow.PreparedQue
 			return resp, err
 		}
 		resp.Count = &n
-		resp.Kernels = &kernelCounts{
-			Merge:       st.KernelMerge,
-			Gallop:      st.KernelGallop,
-			PinnedProbe: st.KernelPinnedProbe,
-			CarriedSets: st.CarriedSets,
-		}
-		resp.Batches = &batchCounts{
-			Scan:   st.ScanBatches,
-			Extend: st.ExtendBatches,
-			Probe:  st.ProbeBatches,
-		}
-		resp.Factorized = &factorizedCounts{
-			Prefixes:      st.FactorizedPrefixes,
-			AvoidedTuples: st.FactorizedAvoided,
-		}
-		resp.Stages = stageMillisFrom(&st)
-		s.kernelMerge.Add(st.KernelMerge)
-		s.kernelGallop.Add(st.KernelGallop)
-		s.kernelPinnedProbe.Add(st.KernelPinnedProbe)
-		s.carriedSets.Add(st.CarriedSets)
-		s.batchScan.Add(st.ScanBatches)
-		s.batchExtend.Add(st.ExtendBatches)
-		s.batchProbe.Add(st.ProbeBatches)
-		s.factorizedPrefixes.Add(st.FactorizedPrefixes)
-		s.factorizedAvoided.Add(st.FactorizedAvoided)
-		s.stageNanos[0].Add(st.StageScanNanos)
-		s.stageNanos[1].Add(st.StageExtendNanos)
-		s.stageNanos[2].Add(st.StageProbeNanos)
-		s.stageNanos[3].Add(st.StageFactorizedNanos)
-		s.stageNanos[4].Add(st.StageBuildNanos)
-		s.stageNanos[5].Add(st.StageEmitNanos)
+		c := wireCounts(&st.Profile)
+		resp.Kernels, resp.Batches, resp.Factorized, resp.Stages = &c.kernels, &c.batches, &c.factorized, c.stages
+		s.runsMu.Lock()
+		s.runs.Add(st.Profile)
+		s.runsMu.Unlock()
 	case "match":
 		rowCap := int64(s.cfg.MaxRows)
 		capped := opts.Limit <= 0 || opts.Limit > rowCap
@@ -1019,7 +997,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		resp.Analyzed = true
 		resp.Plan = ast.Plan
 		resp.Matches = &ast.Matches
-		resp.Stages = stageMillisFrom(&ast)
+		resp.Stages = wireCounts(&ast.Profile).stages
 		resp.ElapsedMS = elapsedMS(r)
 		writeJSON(w, http.StatusOK, resp)
 		return
@@ -1201,21 +1179,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.WAL.TornTailDropped = ls.WALTornTail
 	resp.WAL.CheckpointEpoch = ls.CheckpointEpoch
 	resp.WAL.Checkpoints = ls.Checkpoints
-	resp.Kernels = kernelCounts{
-		Merge:       s.kernelMerge.Load(),
-		Gallop:      s.kernelGallop.Load(),
-		PinnedProbe: s.kernelPinnedProbe.Load(),
-		CarriedSets: s.carriedSets.Load(),
-	}
-	resp.Batches = batchCounts{
-		Scan:   s.batchScan.Load(),
-		Extend: s.batchExtend.Load(),
-		Probe:  s.batchProbe.Load(),
-	}
-	resp.Factorized = factorizedCounts{
-		Prefixes:      s.factorizedPrefixes.Load(),
-		AvoidedTuples: s.factorizedAvoided.Load(),
-	}
+	total := s.totals()
+	c := wireCounts(&total)
+	resp.Kernels, resp.Batches, resp.Factorized = c.kernels, c.batches, c.factorized
 	pc := s.cfg.DB.PlanCacheStats()
 	resp.PlanCache.Hits = pc.Hits
 	resp.PlanCache.Misses = pc.Misses
