@@ -235,10 +235,12 @@ type QueryOptions struct {
 // Stats reports what one evaluation did: the run's exec.Profile, whose
 // field comments say what each counter means — ICost, Intermediate,
 // CacheHits, CarriedSets, Reroutes, the Kernels, Batches and Stages
-// breakdowns, FactorizedPrefixes and FactorizedAvoided — and the plan
-// that ran. Matches is the evaluation's answer (the capped count under a
-// Limit). A reference count (QueryOptions.BatchSize < 0) reports Matches
-// alone.
+// breakdowns, FactorizedPrefixes and FactorizedAvoided, and HashedTuples
+// and ProbedTuples, the hash joins' build and probe counts — and the plan
+// that ran. Kernels.BitsetProbe and Kernels.BitsetAnd are deprecated and
+// always zero. Matches is the evaluation's answer (the capped count under
+// a Limit). A reference count (QueryOptions.BatchSize < 0) reports
+// Matches alone.
 type Stats struct {
 	exec.Profile
 	PlanKind string // "wco", "bj" or "hybrid"

@@ -213,7 +213,7 @@ func beamSearch(ctx *context) planInfo {
 				}
 			}
 		}
-		for k1 := 2; k1 <= k-1 && !ctx.opts.WCOOnly; k1++ {
+		for k1 := 2; k1 <= k-2 && !ctx.opts.WCOOnly; k1++ {
 			for _, c1 := range levels[k1] {
 				for k2 := max(k-k1, 2); k2 <= k-1; k2++ {
 					for _, c2 := range levels[k2] {
@@ -221,6 +221,14 @@ func beamSearch(ctx *context) planInfo {
 							ctx.join(b, c1, c2)
 						}
 					}
+				}
+			}
+		}
+		// Two (k−1)-vertex sides: each unordered pair once.
+		for i := 0; i < len(levels[k-1]) && !ctx.opts.WCOOnly; i++ {
+			for _, c2 := range levels[k-1][i+1:] {
+				if c1 := levels[k-1][i]; bits.OnesCount32(c1|c2) == k {
+					ctx.join(b, c1, c2)
 				}
 			}
 		}

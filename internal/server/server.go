@@ -430,29 +430,34 @@ type stageMillis struct {
 	Emit       float64 `json:"emit"`
 }
 
-// wire is the JSON form of an exec.Profile's counters: one run's in the
-// count response and EXPLAIN ANALYZE, the served total's in /stats.
-type wire struct {
-	kernels    kernelCounts
-	batches    batchCounts
-	factorized factorizedCounts
-	stages     *stageMillis // nil when no stage time was attributed
+// runCounts is the JSON shape of an exec.Profile's counters: /stats
+// embeds the served total's, and the count response points at one run's.
+type runCounts struct {
+	Kernels    kernelCounts     `json:"kernels"`
+	Batches    batchCounts      `json:"batches"`
+	Factorized factorizedCounts `json:"factorized"`
 }
 
-// wireCounts converts p to its JSON form.
-func wireCounts(p *exec.Profile) wire {
-	w := wire{
-		kernels: kernelCounts{Merge: p.Kernels.Merge, Gallop: p.Kernels.Gallop,
+// countsOf converts p's counters to their JSON shape.
+func countsOf(p *exec.Profile) runCounts {
+	return runCounts{
+		Kernels: kernelCounts{Merge: p.Kernels.Merge, Gallop: p.Kernels.Gallop,
 			PinnedProbe: p.Kernels.PinnedProbe, CarriedSets: p.CarriedSets},
-		batches:    batchCounts{Scan: p.Batches.Scan, Extend: p.Batches.Extend, Probe: p.Batches.Probe},
-		factorized: factorizedCounts{Prefixes: p.FactorizedPrefixes, AvoidedTuples: p.FactorizedAvoided},
+		Batches:    batchCounts{Scan: p.Batches.Scan, Extend: p.Batches.Extend, Probe: p.Batches.Probe},
+		Factorized: factorizedCounts{Prefixes: p.FactorizedPrefixes, AvoidedTuples: p.FactorizedAvoided},
 	}
-	if st := p.Stages; st.Total() > 0 {
-		ms := func(n int64) float64 { return float64(n) / 1e6 }
-		w.stages = &stageMillis{Scan: ms(st.Scan), Extend: ms(st.Extend), Probe: ms(st.Probe),
-			Factorized: ms(st.Factorized), Build: ms(st.Build), Emit: ms(st.Emit)}
+}
+
+// stageMillisOf converts p's stage times to milliseconds, nil when no
+// stage time was attributed.
+func stageMillisOf(p *exec.Profile) *stageMillis {
+	st := p.Stages
+	if st.Total() == 0 {
+		return nil
 	}
-	return w
+	ms := func(n int64) float64 { return float64(n) / 1e6 }
+	return &stageMillis{Scan: ms(st.Scan), Extend: ms(st.Extend), Probe: ms(st.Probe),
+		Factorized: ms(st.Factorized), Build: ms(st.Build), Emit: ms(st.Emit)}
 }
 
 // totals returns the served count queries' summed profiles.
@@ -717,8 +722,9 @@ func (s *Server) execute(r *http.Request, name string, pq *graphflow.PreparedQue
 			return resp, err
 		}
 		resp.Count = &n
-		c := wireCounts(&st.Profile)
-		resp.Kernels, resp.Batches, resp.Factorized, resp.Stages = &c.kernels, &c.batches, &c.factorized, c.stages
+		c := countsOf(&st.Profile)
+		resp.Kernels, resp.Batches, resp.Factorized = &c.Kernels, &c.Batches, &c.Factorized
+		resp.Stages = stageMillisOf(&st.Profile)
 		s.runsMu.Lock()
 		s.runs.Add(st.Profile)
 		s.runsMu.Unlock()
@@ -997,7 +1003,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		resp.Analyzed = true
 		resp.Plan = ast.Plan
 		resp.Matches = &ast.Matches
-		resp.Stages = wireCounts(&ast.Profile).stages
+		resp.Stages = stageMillisOf(&ast.Profile)
 		resp.ElapsedMS = elapsedMS(r)
 		writeJSON(w, http.StatusOK, resp)
 		return
@@ -1119,16 +1125,10 @@ type statsResponse struct {
 		CheckpointEpoch uint64 `json:"checkpoint_epoch"`
 		Checkpoints     int64  `json:"checkpoints"`
 	} `json:"wal"`
-	// Kernels totals intersection-kernel dispatches across served
-	// count-mode queries.
-	Kernels kernelCounts `json:"kernels"`
-	// Batches totals the vectorized engine's per-stage batch dispatches
-	// across served count-mode queries.
-	Batches batchCounts `json:"batches"`
-	// Factorized totals factorized-execution work across served
-	// count-mode queries.
-	Factorized factorizedCounts `json:"factorized"`
-	PlanCache  struct {
+	// runCounts totals the kernels, batches and factorized counters of
+	// the served count-mode queries.
+	runCounts
+	PlanCache struct {
 		Hits      int64 `json:"hits"`
 		Misses    int64 `json:"misses"`
 		Evictions int64 `json:"evictions"`
@@ -1180,8 +1180,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.WAL.CheckpointEpoch = ls.CheckpointEpoch
 	resp.WAL.Checkpoints = ls.Checkpoints
 	total := s.totals()
-	c := wireCounts(&total)
-	resp.Kernels, resp.Batches, resp.Factorized = c.kernels, c.batches, c.factorized
+	resp.runCounts = countsOf(&total)
 	pc := s.cfg.DB.PlanCacheStats()
 	resp.PlanCache.Hits = pc.Hits
 	resp.PlanCache.Misses = pc.Misses
