@@ -8,6 +8,7 @@ import (
 
 	"graphflow/internal/adaptive"
 	"graphflow/internal/exec"
+	"graphflow/internal/optimizer"
 )
 
 // stripTimes zeroes what legitimately differs between two runs of the same
@@ -138,7 +139,7 @@ func TestAdaptiveComposes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if adaptive.Enumerate(pq.cur.Load().plan, db.planningStats().cat, adaptive.MaxOrderings) != nil {
+		if optimizer.Routes(pq.cur.Load().plan, db.planningStats().cat, adaptive.MaxOrderings) != nil {
 			continue // the optimizer chose a plan with a chain to adapt on this graph
 		}
 		checked++

@@ -529,7 +529,7 @@ func (db *DB) compiledFor(cp *cachedPlan, qo *QueryOptions) *exec.CompiledPlan {
 	compiled := cp.compiled
 	if qo.Adaptive {
 		cp.adaptiveOnce.Do(func() {
-			routes := adaptive.Enumerate(cp.plan, db.planningStats().cat, adaptive.MaxOrderings)
+			routes := optimizer.Routes(cp.plan, db.planningStats().cat, adaptive.MaxOrderings)
 			cp.adaptive = cp.compiled.Adaptive(routes)
 		})
 		compiled = cp.adaptive

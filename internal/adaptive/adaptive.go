@@ -2,28 +2,29 @@
 // a plan ends in a chain of two or more EXTEND/INTERSECT operators, the
 // order the chain's query vertices are matched in is re-chosen while the
 // query runs, from the adjacency-list sizes of the tuples that arrive, not
-// the catalogue's averages. The package enumerates the chain's candidate
-// orderings and prices them for one tuple (Example 6.2's rule); it runs
-// nothing: internal/exec places a routing stage where the chain begins and
-// pushes each run of tuples into the E/I stages of the ordering Pick names.
+// the catalogue's averages. The optimizer lists and prices the chain's
+// orderings in its own currency (optimizer.Routes) and adds them here; this
+// package keeps one per first-operator class and picks among them for one
+// tuple (Example 6.2's rule). It runs nothing: internal/exec places a
+// routing stage where the chain begins and pushes each run of tuples into
+// the E/I stages of the ordering Pick names.
 package adaptive
 
 import (
 	"math"
 	"slices"
 
-	"graphflow/internal/catalogue"
 	"graphflow/internal/graph"
 	"graphflow/internal/plan"
-	"graphflow/internal/query"
 )
 
-// MaxOrderings caps the orderings enumerated per chain: cliques have
+// MaxOrderings caps the orderings listed per chain: cliques have
 // factorially many near-identical ones (Section 8.3's Q6 note).
 const MaxOrderings = 48
 
 // Routes is the adaptive part of one plan: the orderings a tuple of its
-// source can take and what Pick prices them by. Immutable once enumerated.
+// source can take and what Pick prices them by. Filled by Add, then
+// immutable.
 type Routes struct {
 	// Chains holds each ordering as E/I operators, bottom-up over the
 	// plan's source; Chains[0] is the plan's own chain.
@@ -45,107 +46,46 @@ type list struct {
 	target graph.Label
 }
 
-// firstStep is what re-estimation reads of one ordering: its first
-// operator, priced per tuple, and its later operators, priced once.
+// firstStep is what Pick reads of one ordering: its first operator's
+// lists as indices into Routes.lists, 1 / the catalogue's size of each (0
+// for one it expects empty), and the price of the rest per source tuple.
 type firstStep struct {
-	lists []int // the operator's descriptors, as indices into Routes.lists
-	// invEst is 1 / the catalogue's average size of each of those lists (0
-	// for one it expects empty); rest the catalogue i-cost of the later
-	// operators per input tuple: µ_0 · Σ_{s≥1} icost_s · Π_{1≤j<s} µ_j.
+	lists  []int
 	invEst []float64
 	rest   float64
 }
 
-// Enumerate returns the candidate orderings of p's trailing E/I chain, at
-// most maxOrderings of them enumerated (the plan's own first), priced
-// against cat; nil when there is nothing to choose between — a chain
-// shorter than two operators, or a single candidate.
+// Add offers r the ordering chain of the plan's trailing E/I operators:
+// sizes are the catalogue's sizes of its first operator's lists, in
+// descriptor order, and rest is the price of everything after those lists
+// per source tuple. The first ordering added is the plan's own.
 //
-// Re-estimation replaces only the first operator's statistics. Orderings
-// whose first operators read the same lists with the same estimates —
-// those that start with the same query vertex, a clique's symmetric ones —
-// are therefore priced alike for every tuple but for what the catalogue
-// says of their later operators, and only the cheapest of them is kept
-// (beside the plan's own). That bounds Pick's work and the compiled
-// sub-chains by the chain's length; a clique has nothing left to adapt.
-func Enumerate(p *plan.Plan, cat *catalogue.Catalogue, maxOrderings int) *Routes {
-	// Peel the chain off the root: bottom-up, over a SCAN or a HASH-JOIN.
-	var chain []*plan.Extend
-	source := p.Root
-	for ext, ok := source.(*plan.Extend); ok; ext, ok = source.(*plan.Extend) {
-		chain = append(chain, ext)
-		source = ext.Child
-	}
-	slices.Reverse(chain)
-	q, base := p.Query, plan.CoverMask(source)
-	var all [][]*plan.Extend
-	var rec func(node plan.Node, ops []*plan.Extend, mask query.Mask)
-	rec = func(node plan.Node, ops []*plan.Extend, mask query.Mask) {
-		if len(chain) < 2 || len(all) >= maxOrderings {
-			return
-		}
-		if len(ops) == len(chain) {
-			all = append(all, slices.Clone(ops))
-			return
-		}
-		for _, c := range chain {
-			v := c.TargetVertex
-			if mask&query.Bit(v) != 0 || q.NumEdgesBetween(mask, v) == 0 {
-				continue
-			}
-			// Where an ordering follows the plan, it shares the plan's operators.
-			ext := chain[len(ops)]
-			if ext.TargetVertex != v || ext.Child != node {
-				ext, _ = plan.NewExtend(q, node, v) // cannot fail: v is unmatched and adjacent to mask
-			}
-			rec(ext, append(ops, ext), mask|query.Bit(v))
-		}
-	}
-	rec(source, nil, base)
-	r := &Routes{}
-	for _, ops := range all {
-		f := r.price(q, cat, base, ops)
-		// The last kept ordering priced like this one: the cheapest so far,
-		// or the plan's own, which keeps index 0 even when it is not.
-		at := len(r.firsts) - 1
-		for at >= 0 && !(slices.Equal(r.firsts[at].lists, f.lists) && slices.Equal(r.firsts[at].invEst, f.invEst)) {
-			at--
-		}
-		if at > 0 && f.rest < r.firsts[at].rest {
-			r.Chains[at], r.firsts[at] = ops, f
-		} else if at < 0 || f.rest < r.firsts[at].rest {
-			r.Chains, r.firsts = append(r.Chains, ops), append(r.firsts, f)
-		}
-	}
-	if len(r.Chains) < 2 {
-		return nil
-	}
-	return r
-}
-
-// price fills in what Pick reads of ordering ops: its first operator's
-// lists (entered into r.Slots and r.lists) and the catalogue's estimates.
-func (r *Routes) price(q *query.Graph, cat *catalogue.Catalogue, mask query.Mask, ops []*plan.Extend) firstStep {
-	first := ops[0]
-	f := firstStep{invEst: make([]float64, len(first.Descriptors))}
-	for _, d := range first.Descriptors {
+// Re-estimation replaces only the first operator's statistics, so
+// orderings whose first operators read the same lists with the same
+// estimates — a clique's symmetric ones — differ only in their rest, and
+// only the cheapest is kept beside the plan's own. That bounds Pick's work
+// and the compiled sub-chains by the chain's length.
+func (r *Routes) Add(chain []*plan.Extend, sizes []float64, rest float64) {
+	first := chain[0]
+	f := firstStep{invEst: make([]float64, len(first.Descriptors)), rest: rest}
+	for j, d := range first.Descriptors {
 		d.TupleIdx = intern(&r.Slots, d.TupleIdx)
 		f.lists = append(f.lists, intern(&r.lists, list{d, first.TargetLabel}))
-	}
-	card, _ := cat.ExtendStats(q, mask, first.TargetVertex, f.invEst)
-	for j, est := range f.invEst {
-		if est > 0 {
-			f.invEst[j] = 1 / est
+		if sizes[j] > 0 {
+			f.invEst[j] = 1 / sizes[j]
 		}
 	}
-	for s, op := range ops[1:] {
-		mask |= query.Bit(ops[s].TargetVertex)
-		sizes := make([]float64, len(op.Descriptors))
-		mu, _ := cat.ExtendStats(q, mask, op.TargetVertex, sizes)
-		f.rest += card * catalogue.EffectiveICost(sizes)
-		card *= mu
+	// The last kept ordering priced like this one: the cheapest so far,
+	// or the plan's own, which keeps index 0 even when it is not.
+	at := len(r.firsts) - 1
+	for at >= 0 && !(slices.Equal(r.firsts[at].lists, f.lists) && slices.Equal(r.firsts[at].invEst, f.invEst)) {
+		at--
 	}
-	return f
+	if at > 0 && f.rest < r.firsts[at].rest {
+		r.Chains[at], r.firsts[at] = chain, f
+	} else if at < 0 || f.rest < r.firsts[at].rest {
+		r.Chains, r.firsts = append(r.Chains, chain), append(r.firsts, f)
+	}
 }
 
 // intern returns v's index in *s, appending it when it is new.
@@ -161,14 +101,14 @@ func intern[T comparable](s *[]T, v T) int {
 func (r *Routes) Lists() int { return len(r.lists) }
 
 // Pick returns the index of the ordering with the lowest re-estimated
-// i-cost for a source tuple presenting key on r.Slots; ties go to the
+// price for a source tuple presenting key on r.Slots; ties go to the
 // lowest index, so the plan's own ordering wins them. Example 6.2's rule:
-// the first operator's list sizes are the tuple's actual ones, its µ is
-// rescaled by the actual/estimated size ratios, the later operators keep
-// their catalogue estimates — all priced through Equation 1's i-cost. sizes is the caller's: it holds
-// the list sizes its previous call measured, and changed marks the key
-// slots whose vertex differs since — only their lists are measured again
-// (every bit set on a first call).
+// the first operator's lists cost their actual sizes (Equation 1), and
+// the rest keeps its estimate rescaled by the actual/estimated size ratios
+// of those lists. sizes is the caller's: it holds the list sizes its
+// previous call measured, and changed marks the key slots whose vertex
+// differs since — only their lists are measured again (every bit set on a
+// first call).
 func (r *Routes) Pick(g graph.View, key []graph.VertexID, changed uint32, sizes []float64) int {
 	for i := range r.lists {
 		if l := &r.lists[i]; changed&(1<<uint(l.TupleIdx)) != 0 {
@@ -176,19 +116,18 @@ func (r *Routes) Pick(g graph.View, key []graph.VertexID, changed uint32, sizes 
 		}
 	}
 	best, bestCost := 0, math.Inf(1)
-	var buf [8]float64
 	for i := range r.firsts {
 		f := &r.firsts[i]
-		actual, rest := buf[:0], f.rest
+		lists, rest := 0.0, f.rest
 		for j, l := range f.lists {
-			actual = append(actual, sizes[l])
+			lists += sizes[l]
 			if inv := f.invEst[j]; inv > 0 {
 				rest *= sizes[l] * inv
 			} else if sizes[l] == 0 {
 				rest = 0
 			}
 		}
-		if cost := catalogue.EffectiveICost(actual) + rest; cost < bestCost {
+		if cost := lists + rest; cost < bestCost {
 			best, bestCost = i, cost
 		}
 	}

@@ -55,7 +55,10 @@ const (
 
 // BatchCounters counts columnar batches dispatched by each stage kind —
 // the observability surface of the vectorized engine (surfaced per query
-// and aggregated in gfserver's /stats).
+// and aggregated in gfserver's /stats). A stage counts the batches it
+// writes, and the last stage of a count writes none — it counts its rows
+// — whether it is an E/I or a probe: a count whose plan ends in a hash
+// join reads Probe 0, and the same plan run with an emit does not.
 type BatchCounters struct {
 	// Scan counts edge batches filled by scan stages.
 	Scan int64

@@ -157,7 +157,7 @@ func Compile(g graph.View, p *plan.Plan) (*CompiledPlan, error) {
 }
 
 // Adaptive returns cp with Section 6's adaptive evaluation of its plan's
-// trailing E/I chain: routes (adaptive.Enumerate of that plan) names the
+// trailing E/I chain: routes (optimizer.Routes of that plan) names the
 // orderings the chain may be matched in, and every run of the result
 // re-picks among them per route-key run of the chain's input (see
 // routeStage). Everything else — the pipelines below the chain, which the

@@ -182,6 +182,29 @@ func TestHashJoinPlanMatchesReference(t *testing.T) {
 	}
 }
 
+// TestBatchCountersLastStage pins BatchCounters' rule: the last stage of
+// a count writes no batch, so a count whose root is a hash join reads
+// Batches.Probe 0, while the same plan with an emit writes probe batches.
+func TestBatchCountersLastStage(t *testing.T) {
+	g := smallRandomGraph(4, 100, 5)
+	p := twoTriangles(t)
+	n, counted, err := countPlan(g, p, RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 || counted.ProbedTuples == 0 || counted.Batches.Probe != 0 {
+		t.Errorf("count: %d matches, %d probed tuples, %d probe batches; want matches, probes and 0 batches",
+			n, counted.ProbedTuples, counted.Batches.Probe)
+	}
+	matched, err := Must(t, g, p).RunCtx(context.Background(), RunConfig{}, func([]graph.VertexID) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if matched.Matches != n || matched.Batches.Probe == 0 {
+		t.Errorf("match: %d rows in %d probe batches; want %d rows in at least one", matched.Matches, matched.Batches.Probe, n)
+	}
+}
+
 func TestExtendAfterHashJoin(t *testing.T) {
 	// Q9's signature plan shape (Figure 10): join two triangles, then close
 	// a6 with a 2-way intersection after the join.

@@ -10,6 +10,7 @@ import (
 	"graphflow/internal/catalogue"
 	"graphflow/internal/datagen"
 	"graphflow/internal/graph"
+	"graphflow/internal/optimizer"
 	"graphflow/internal/plan"
 	"graphflow/internal/query"
 	"graphflow/internal/resource"
@@ -26,7 +27,7 @@ var epinionsCat = sync.OnceValue(func() *catalogue.Catalogue {
 func routedPlan(tb testing.TB, g *graph.Graph) (*CompiledPlan, *plan.Plan) {
 	tb.Helper()
 	p := buildWCO(tb, query.MustParse("a->b, b->c, c->d, d->a, b->d"), []int{0, 1, 2, 3})
-	routes := adaptive.Enumerate(p, epinionsCat(), adaptive.MaxOrderings)
+	routes := optimizer.Routes(p, epinionsCat(), adaptive.MaxOrderings)
 	if routes == nil || len(routes.Chains) != 2 {
 		tb.Fatalf("want two candidate orderings, got %+v", routes)
 	}

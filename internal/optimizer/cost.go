@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 
-	"graphflow/internal/catalogue"
 	"graphflow/internal/plan"
 	"graphflow/internal/query"
 )
@@ -24,8 +23,11 @@ type context struct {
 	nbr      []query.Mask
 	card     map[query.Mask]float64
 	extStats map[extKey]extStat
-	// tail is tailCost's scratch.
-	tail plan.Tail
+	// tail is tailCost's scratch; routing prices a router's orderings
+	// (Routes), which split one scan source's rows and so find their tails
+	// without PrefixTwin components.
+	tail    plan.Tail
+	routing bool
 }
 
 // extKey packs (mask, v) — extending the subquery on mask by vertex v —
@@ -36,10 +38,11 @@ func newExtKey(mask query.Mask, v int) extKey { return extKey(mask)<<5 | extKey(
 
 // extStat holds the catalogue estimates for extending mask by v: the
 // average list size per query edge between mask and v, in q.Edges order
-// (the order plan.NewExtend derives descriptors in), and µ.
+// (the order plan.NewExtend derives descriptors in), µ, and the sizes'
+// sum, lists: Equation 1's i-cost of the E/I.
 type extStat struct {
-	sizes []float64
-	mu    float64
+	sizes     []float64
+	mu, lists float64
 }
 
 // newContext validates q, which may have no parallel edges, and opts and
@@ -86,6 +89,9 @@ func (c *context) extension(mask query.Mask, v int) extStat {
 	}
 	st := extStat{sizes: make([]float64, c.q.NumEdgesBetween(mask, v))}
 	st.mu, _ = c.opts.Catalogue.ExtendStats(c.q, mask, v, st.sizes)
+	for _, s := range st.sizes {
+		st.lists += s
+	}
 	c.extStats[key] = st
 	return st
 }
@@ -158,14 +164,19 @@ func (c *context) extendCost(childMask query.Mask, ext *plan.Extend) float64 {
 		visits *= math.Min(1, c.cardinality(rows|leaves&-leaves)/base)
 	}
 	st := c.extension(prefix, v)
-	lists := catalogue.EffectiveICost(st.sizes)
+	lists := st.lists
 	// Descriptor i is st.sizes[i] (see extStat); the length check guards
 	// externally built plans (EstimateCost).
 	if covered := ext.Inherited(); covered != 0 && !c.opts.CacheOblivious && len(st.sizes) == len(ext.Descriptors) {
 		up := ext.Child.(*plan.Extend).TargetVertex
-		// prefix lacks up already when up is a stripped sibling leaf.
-		set := math.Max(1, c.extension(prefix&^query.Bit(up), up).mu)
-		lists = catalogue.CarriedICost(set, st.sizes, covered)
+		// The set, then the lists it does not cover; prefix lacks up
+		// already when up is a stripped sibling leaf.
+		lists = math.Max(1, c.extension(prefix&^query.Bit(up), up).mu)
+		for i, s := range st.sizes {
+			if covered&(1<<uint(i)) == 0 {
+				lists += s
+			}
+		}
 	}
 	return RowCost*visits + math.Min(c.cardinality(prefix), visits)*lists
 }
@@ -215,7 +226,7 @@ func (c *context) trailing(node plan.Node, mask, reads query.Mask) (prefix, rows
 // one is empty, so a component is reached by the prefix rows every
 // component before it extends (min(1, µ) of each). opCosts, when the
 // caller has them, are the extendCost of root's E/I operators in chain
-// order, root's last; nil recomputes them.
+// order, root's last (only the tail's are read); nil recomputes them.
 func (c *context) tailCost(root plan.Node, cost float64, opCosts []float64) float64 {
 	t := &c.tail
 	// Pairwise non-adjacent E/I targets make a tail of leaves only, which
@@ -233,7 +244,7 @@ func (c *context) tailCost(root plan.Node, cost float64, opCosts []float64) floa
 		}
 		break
 	}
-	plan.TailOf(t, c.q, root, true)
+	plan.TailOf(t, c.q, root, !c.routing)
 	if t.Leaves() {
 		return cost
 	}
@@ -291,7 +302,7 @@ func (c *context) componentCost(reach float64, separator query.Mask, ops []*plan
 			lists = mu
 		} else {
 			st := c.extension(mask, op.TargetVertex)
-			lists, mu = catalogue.EffectiveICost(st.sizes), st.mu
+			lists, mu = st.lists, st.mu
 		}
 		total += rows * (RowCost + lists)
 		rows *= mu

@@ -10,7 +10,8 @@
 // DP a row per subquery, the beam of Section 4.4 a row for BeamWidth
 // subqueries a level, the plan spectrum (EnumeratePlans, Figure 7) the
 // cheapest few per subquery. One walk over the WCO orderings seeds the
-// DP and lists EnumerateWCOPlans.
+// DP, lists EnumerateWCOPlans and, from a plan's own source, the orderings
+// of Section 6's adaptive router (Routes), priced in the same currency.
 package optimizer
 
 import (

@@ -161,10 +161,11 @@ func (t *dpTable) keep(mask query.Mask, cand planInfo) { t.row[mask] = cand }
 // under WCOOnly its rows are the answer.
 func dynamicProgram(ctx *context) planInfo {
 	t := &dpTable{row: make([]planInfo, ctx.full+1)}
-	ctx.walkOrders(func(_ []int, mask query.Mask, node plan.Node, cost float64) {
+	ctx.walkOrders(nil, func(_ []int, mask query.Mask, node plan.Node, cost float64) bool {
 		if t.wants(mask, cost) {
 			t.keep(mask, planInfo{node: node, cost: cost})
 		}
+		return true
 	})
 	if !ctx.opts.WCOOnly {
 		for _, mask := range ctx.q.ConnectedSubsets(3) {

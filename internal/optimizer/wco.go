@@ -6,25 +6,35 @@ import (
 	"sort"
 	"strings"
 
+	"graphflow/internal/adaptive"
 	"graphflow/internal/catalogue"
 	"graphflow/internal/plan"
 	"graphflow/internal/query"
 )
 
-// walkOrders walks every query-vertex ordering with connected prefixes —
-// the WCO plan space, line 1 of Algorithm 1 — and calls visit with each
-// prefix: its vertices in matching order, its mask, its plan and the
-// plan's cost, a full plan's re-priced by its factorized tail.
-func (c *context) walkOrders(visit func(order []int, mask query.Mask, node plan.Node, cost float64)) {
-	var order [query.MaxVertices]int
-	var opCosts [query.MaxVertices]float64 // the chain's operators', bottom-up
-	var rec func(n int, mask query.Mask, node plan.Node, cost float64)
-	rec = func(n int, mask query.Mask, node plan.Node, cost float64) {
-		if mask == c.full {
-			visit(order[:n], mask, node, c.tailCost(node, cost, opCosts[:n-2]))
-			return
+// walkOrders walks, from each plan of sources — every query edge's SCAN
+// when nil: the WCO plan space, line 1 of Algorithm 1 — every ordering of
+// the query vertices it leaves with connected prefixes, and calls visit
+// with each prefix: its vertices in matching order, its mask, its plan and
+// the plan's cost over its source, a full plan's re-priced by its
+// factorized tail. visit returning false ends the walk.
+func (c *context) walkOrders(sources []plan.Node, visit func(order []int, mask query.Mask, node plan.Node, cost float64) bool) {
+	if sources == nil {
+		sources = make([]plan.Node, len(c.q.Edges))
+		for i, e := range c.q.Edges {
+			sources[i] = plan.NewScan(c.q, e)
 		}
-		visit(order[:n], mask, node, cost)
+	}
+	var order [query.MaxVertices]int
+	var opCosts [query.MaxVertices]float64 // opCosts[n]: the operator adding order[n]
+	var rec func(n int, mask query.Mask, node plan.Node, cost float64) bool
+	rec = func(n int, mask query.Mask, node plan.Node, cost float64) bool {
+		if mask == c.full {
+			return visit(order[:n], mask, node, c.tailCost(node, cost, opCosts[:n]))
+		}
+		if !visit(order[:n], mask, node, cost) {
+			return false
+		}
 		for v := 0; v < c.q.NumVertices(); v++ {
 			if mask&query.Bit(v) != 0 || !c.adjacent(mask, v) {
 				continue
@@ -35,13 +45,17 @@ func (c *context) walkOrders(visit func(order []int, mask query.Mask, node plan.
 			}
 			// extendCost reads the child's trailing chain off node, so the
 			// last-added vertex needs no explicit threading.
-			order[n], opCosts[n-2] = v, c.extendCost(mask, ext)
-			rec(n+1, mask|query.Bit(v), ext, cost+opCosts[n-2])
+			order[n], opCosts[n] = v, c.extendCost(mask, ext)
+			if !rec(n+1, mask|query.Bit(v), ext, cost+opCosts[n]) {
+				return false
+			}
 		}
+		return true
 	}
-	for _, e := range c.q.Edges {
-		order[0], order[1] = e.From, e.To
-		rec(2, query.Bit(e.From)|query.Bit(e.To), plan.NewScan(c.q, e), 0)
+	for _, source := range sources {
+		if !rec(copy(order[:], source.Out()), plan.CoverMask(source), source, 0) {
+			return
+		}
 	}
 }
 
@@ -70,7 +84,7 @@ func EnumerateWCOPlans(q *query.Graph, opts Options) ([]WCOPlan, error) {
 	var sigs [query.MaxVertices]string
 	seen := map[string]bool{}
 	var out []WCOPlan
-	ctx.walkOrders(func(order []int, mask query.Mask, node plan.Node, cost float64) {
+	ctx.walkOrders(nil, func(order []int, mask query.Mask, node plan.Node, cost float64) bool {
 		n := len(order)
 		if scan, ok := node.(*plan.Scan); ok {
 			sigs[0] = fmt.Sprintf("scan:%d/%d/%d", scan.EdgeLabel, scan.SrcLabel, scan.DstLabel)
@@ -82,7 +96,7 @@ func EnumerateWCOPlans(q *query.Graph, opts Options) ([]WCOPlan, error) {
 			sigs[n-2] = catalogue.ExtensionKey(q, mask&^query.Bit(v), v).String() + cached
 		}
 		if mask != ctx.full {
-			return
+			return true
 		}
 		if sig := strings.Join(sigs[:n-1], "|"); !seen[sig] {
 			seen[sig] = true
@@ -92,7 +106,67 @@ func EnumerateWCOPlans(q *query.Graph, opts Options) ([]WCOPlan, error) {
 				Cost:  cost,
 			})
 		}
+		return true
 	})
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost < out[j].Cost })
 	return out, nil
+}
+
+// Routes returns the orderings Section 6's adaptive router may match p's
+// trailing E/I chain in: walkOrders from the chain's source lists at most
+// maxOrderings, the plan's own first, priced as Optimize prices them but
+// with no PrefixTwin (see context.routing). nil when there is nothing to
+// choose between: a chain of one operator, or one ordering left.
+func Routes(p *plan.Plan, cat *catalogue.Catalogue, maxOrderings int) *adaptive.Routes {
+	own := chainOf(p.Root)
+	c, err := newContext(p.Query, Options{Catalogue: cat})
+	if len(own) < 2 || maxOrderings < 2 || err != nil {
+		return nil
+	}
+	c.routing = true
+	r, n := &adaptive.Routes{}, 1
+	c.addRoute(r, own)
+	c.walkOrders([]plan.Node{own[0].Child}, func(order []int, mask query.Mask, node plan.Node, _ float64) bool {
+		if mask != c.full || slices.EqualFunc(order[len(order)-len(own):], own, func(v int, op *plan.Extend) bool { return v == op.TargetVertex }) {
+			return true
+		}
+		c.addRoute(r, chainOf(node))
+		n++
+		return n < maxOrderings
+	})
+	if len(r.Chains) < 2 {
+		return nil
+	}
+	return r
+}
+
+// chainOf returns the E/I operators that end at root, bottom-up.
+func chainOf(root plan.Node) []*plan.Extend {
+	var chain []*plan.Extend
+	for ext, ok := root.(*plan.Extend); ok; ext, ok = ext.Child.(*plan.Extend) {
+		chain = append(chain, ext)
+	}
+	slices.Reverse(chain)
+	return chain
+}
+
+// addRoute adds chain to r with the catalogue's sizes of its first
+// operator's lists and the price of everything after them per source row:
+// the later operators and the tail (a component holding the first
+// operator priced whole) per row the first outputs, times its µ, which
+// Pick rescales. The first operator's row cost is every ordering's.
+func (c *context) addRoute(r *adaptive.Routes, chain []*plan.Extend) {
+	var costs [query.MaxVertices]float64 // chain order; the first's stays 0
+	rest := 0.0
+	for s, op := range chain[1:] {
+		costs[s+1] = c.extendCost(plan.CoverMask(op.Child), op)
+		rest += costs[s+1]
+	}
+	rest = c.tailCost(chain[len(chain)-1], rest, costs[:len(chain)])
+	base, v := plan.CoverMask(chain[0].Child), chain[0].TargetVertex
+	first := c.extension(base, v)
+	if card := c.cardinality(base | query.Bit(v)); card > 0 {
+		rest = rest / card * first.mu
+	}
+	r.Add(chain, first.sizes, rest)
 }

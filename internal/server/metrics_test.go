@@ -245,10 +245,17 @@ func TestElapsedMSConsistency(t *testing.T) {
 
 // TestSlowQueryLogged checks the slow-query spine: a threshold of 1ns
 // makes every query slow, and the Warn record must carry the pattern,
-// plan digest and stage breakdown.
+// plan digest and stage breakdown. It has a DB of its own, whose plan
+// cache no other test and no earlier run of this one has filled.
 func TestSlowQueryLogged(t *testing.T) {
+	db, err := graphflow.NewFromDataset("Epinions", 1, &graphflow.Options{CatalogueZ: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
 	var buf bytes.Buffer
 	s := newTestServer(t, Config{
+		DB:                 db,
 		SlowQueryThreshold: time.Nanosecond,
 		Logger:             slog.New(slog.NewTextHandler(&buf, nil)),
 	})
@@ -263,8 +270,7 @@ func TestSlowQueryLogged(t *testing.T) {
 	}
 
 	// plan_ms says how much of the request was the optimizer: present when
-	// the request planned (a pattern no other test of the shared DB sends),
-	// absent when the plan cache served it.
+	// the request planned, absent when the plan cache served it.
 	for _, planned := range []bool{true, false} {
 		buf.Reset()
 		do(t, s, http.MethodPost, "/query", map[string]any{"pattern": "p->q, q->r, r->s, s->t, t->p, p->r", "limit": 1})
