@@ -731,13 +731,18 @@ func (pq *PreparedQuery) match(fn func(map[string]uint32) bool, qo QueryOptions)
 	defer done()
 	// RunCtx calls emit from every worker. fn is the user's callback, so
 	// it runs under mu — one call at a time — and never again once it has
-	// returned false or Limit rows have been delivered.
+	// returned false or Limit rows have been delivered. A Distinct Limit
+	// counts distinct rows only, so the run is not told of it.
 	var (
 		mu        sync.Mutex
 		stopped   bool
 		delivered int64
+		limit     = qo.Limit
 	)
-	return pq.db.compiledFor(cp, &qo).RunCtx(ctx, cfg, func(t []graph.VertexID) bool {
+	if qo.Distinct {
+		limit = 0
+	}
+	return pq.db.compiledFor(cp, &qo).RunCtx(ctx, cfg, limit, func(t []graph.VertexID) bool {
 		if qo.Distinct && !allDistinct(t) {
 			return true
 		}
@@ -847,9 +852,10 @@ func (db *DB) runCount(cp *cachedPlan, qo QueryOptions) (int64, exec.Profile, er
 	if qo.Distinct {
 		// RunCtx calls emit from every worker, so the count is an atomic.
 		// Workers may race past Limit by a row each before observing the
-		// stop; the overshoot is clamped below, as in CountUpToCtx.
+		// stop; the overshoot is clamped below, as in CountUpToCtx. The
+		// Limit counts distinct rows only, so RunCtx is not told of it.
 		var count atomic.Int64
-		prof, err := compiled.RunCtx(ctx, cfg, func(t []graph.VertexID) bool {
+		prof, err := compiled.RunCtx(ctx, cfg, 0, func(t []graph.VertexID) bool {
 			if !allDistinct(t) {
 				return true
 			}

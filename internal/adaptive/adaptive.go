@@ -100,9 +100,16 @@ func intern[T comparable](s *[]T, v T) int {
 // Lists is the length of Pick's sizes argument.
 func (r *Routes) Lists() int { return len(r.lists) }
 
+// tied is the relative difference below which Pick takes two prices to be
+// equal: orderings whose prices are equal as sums (two symmetric orderings
+// over equally long lists) can differ in their last bits by the order in
+// which the sums were rounded.
+const tied = 1e-9
+
 // Pick returns the index of the ordering with the lowest re-estimated
-// price for a source tuple presenting key on r.Slots; ties go to the
-// lowest index, so the plan's own ordering wins them. Example 6.2's rule:
+// price for a source tuple presenting key on r.Slots; ties (prices within
+// a relative tied) go to the lowest index, so the plan's own ordering wins
+// them. Example 6.2's rule:
 // the first operator's lists cost their actual sizes (Equation 1), and
 // the rest keeps its estimate rescaled by the actual/estimated size ratios
 // of those lists. sizes is the caller's: it holds the list sizes its
@@ -127,7 +134,7 @@ func (r *Routes) Pick(g graph.View, key []graph.VertexID, changed uint32, sizes 
 				rest = 0
 			}
 		}
-		if cost := lists + rest; cost < bestCost {
+		if cost := lists + rest; cost < bestCost*(1-tied) {
 			best, bestCost = i, cost
 		}
 	}

@@ -2,6 +2,7 @@ package adaptive_test
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -100,6 +101,55 @@ func TestRoutes(t *testing.T) {
 	}
 }
 
+// TestPickTies: prices within a relative 1e-9 are one price, and the plan's
+// own ordering wins it. Q2's two orderings over a scanned edge read one
+// list each, of equal length on a directed 4-cycle; the other ordering's
+// rest is one ulp below the plan's own, which rounding alone can do to two
+// spellings of one sum.
+func TestPickTies(t *testing.T) {
+	b := graph.NewBuilder(4)
+	for v := graph.VertexID(0); v < 4; v++ {
+		b.AddEdge(v, (v+1)%4, 0)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := func(order []int) []*plan.Extend {
+		top := fixedWCO(t, query.Q2(), order).Root.(*plan.Extend)
+		return []*plan.Extend{top.Child.(*plan.Extend), top}
+	}
+	const rest = 1e6
+	if 1+math.Nextafter(rest, 0) == 1+rest {
+		t.Fatal("the two prices round to one float: the check is vacuous")
+	}
+	for _, tc := range []struct {
+		name      string
+		otherRest float64
+		want      int
+	}{
+		{"one ulp cheaper", math.Nextafter(rest, 0), 0},
+		{"half the price", rest / 2, 1},
+	} {
+		var r adaptive.Routes
+		r.Add(chain([]int{0, 1, 2, 3}), []float64{1}, rest)
+		r.Add(chain([]int{0, 1, 3, 2}), []float64{1}, tc.otherRest)
+		if len(r.Chains) != 2 {
+			t.Fatalf("%s: %d orderings kept, want both", tc.name, len(r.Chains))
+		}
+		// The scanned edge a1->a2 = (0, 1): a2's forward list and a1's
+		// backward list hold one vertex each.
+		tuple := []graph.VertexID{0, 1}
+		key := make([]graph.VertexID, len(r.Slots))
+		for i, s := range r.Slots {
+			key[i] = tuple[s]
+		}
+		if got := r.Pick(g, key, ^uint32(0), make([]float64, r.Lists())); got != tc.want {
+			t.Errorf("%s: Pick = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestAdaptiveMatchesFixedCounts (with TestAdaptiveRefCorrectness and
 // TestAdaptiveHybridChain): orderings change the work, never the answer.
 func TestAdaptiveMatchesFixedCounts(t *testing.T) {
@@ -189,7 +239,7 @@ func TestAdaptiveEmitLayout(t *testing.T) {
 		slot[v] = s
 	}
 	emitted := int64(0)
-	prof, err := cp.Adaptive(routes).RunCtx(context.Background(), exec.RunConfig{NoFactorize: true}, func(tu []graph.VertexID) bool {
+	prof, err := cp.Adaptive(routes).RunCtx(context.Background(), exec.RunConfig{NoFactorize: true}, 0, func(tu []graph.VertexID) bool {
 		emitted++
 		for _, e := range q.Edges {
 			if !testG.HasEdge(tu[slot[e.From]], tu[slot[e.To]], e.Label) {

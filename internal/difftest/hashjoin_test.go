@@ -74,7 +74,7 @@ func rowsOf(t *testing.T, cp *exec.CompiledPlan, cfg exec.RunConfig) []string {
 		mu   sync.Mutex
 		rows []string
 	)
-	_, err := cp.RunCtx(context.Background(), cfg, func(tu []graph.VertexID) bool {
+	_, err := cp.RunCtx(context.Background(), cfg, 0, func(tu []graph.VertexID) bool {
 		row := make([]graph.VertexID, len(out))
 		for slot, v := range out {
 			row[v] = tu[slot]

@@ -399,7 +399,7 @@ func (w *worker) deliver(i int, b *tupleBatch) {
 	prev := w.enterStage(max(i, sinkStage) + 2)
 	switch {
 	case i >= 0:
-		w.bstages[i].pushBatch(w, b)
+		w.push(i, b)
 	case i < sinkStage && w.emit != nil:
 		// The last stage of a router's ordering: emit sees the root's layout.
 		w.sinkBatch(w.router.rootLayout(b, sinkStage-i))
@@ -407,6 +407,44 @@ func (w *worker) deliver(i int, b *tupleBatch) {
 		w.sinkBatch(b)
 	}
 	w.leaveStage(prev)
+}
+
+// push runs stage i's pushBatch on b. In a run whose Limit stops it
+// early the driver pipeline holds no rows back (see runContext.pipelined):
+// the partial batch the stage is left with goes on down the pipeline at
+// once, so the rows a Limit needs reach the sink, or the tail's count
+// budget, with the input batch that produced them and not at the end of
+// the scan.
+//
+//gf:noalloc
+func (w *worker) push(i int, b *tupleBatch) {
+	s := w.bstages[i]
+	s.pushBatch(w, b)
+	if !w.rc.pipelined || !w.isRoot {
+		return
+	}
+	r, ok := s.(*routeStage)
+	if !ok {
+		w.handOn(i)
+		return
+	}
+	// The router has no writer: it handed runs of b to its orderings' first
+	// stages, and those hand their partial batches on once, after all of b.
+	for _, first := range r.entry {
+		if first != 0 { // 0: an ordering not built yet, so not entered
+			w.handOn(first)
+		}
+	}
+}
+
+// handOn dispatches stage i's partial output batch, if it has a writer:
+// the one place a run with a Limit flushes (see push).
+//
+//gf:noalloc
+func (w *worker) handOn(i int) {
+	if o := w.bstages[i].output(); o != nil {
+		o.flush(w)
+	}
 }
 
 // sinkBatch is the end of the pipeline. A build pipeline's batch goes

@@ -26,7 +26,7 @@ func sortedTuples(t *testing.T, cp *CompiledPlan, cfg RunConfig) []string {
 	t.Helper()
 	var out []string
 	var mu sync.Mutex
-	_, err := cp.RunCtx(context.Background(), cfg, func(tu []graph.VertexID) bool {
+	_, err := cp.RunCtx(context.Background(), cfg, 0, func(tu []graph.VertexID) bool {
 		mu.Lock()
 		out = append(out, fmt.Sprint(tu))
 		mu.Unlock()

@@ -126,7 +126,7 @@ func TestComponentTailMatchesReference(t *testing.T) {
 			}
 			ordered := func(cfg RunConfig) []string {
 				var out []string
-				if _, err := cp.RunCtx(context.Background(), cfg, func(tu []graph.VertexID) bool {
+				if _, err := cp.RunCtx(context.Background(), cfg, 0, func(tu []graph.VertexID) bool {
 					out = append(out, fmt.Sprint(tu))
 					return true
 				}); err != nil {
@@ -216,7 +216,7 @@ func TestComponentTailEnumerationIsMetered(t *testing.T) {
 		t.Fatalf("count: %d, %v; want %d", n, err, pairs*pairs)
 	}
 	ceiling := counted.Used() + 16<<10
-	_, err = cp.RunCtx(context.Background(), RunConfig{MemBudget: resource.NewBudget(ceiling, nil)},
+	_, err = cp.RunCtx(context.Background(), RunConfig{MemBudget: resource.NewBudget(ceiling, nil)}, 0,
 		func([]graph.VertexID) bool { return true })
 	if !errors.Is(err, resource.ErrBudgetExceeded) {
 		t.Fatalf("enumeration under %d bytes: err = %v, want the budget exceeded", ceiling, err)
@@ -333,7 +333,7 @@ func FuzzComponentTail(f *testing.F) {
 			cfg RunConfig
 			out *[]string
 		}{{RunConfig{BatchSize: bs}, &got}, {RunConfig{BatchSize: bs, NoFactorize: true}, &plain}} {
-			if _, err := cp.RunCtx(context.Background(), run.cfg, func(tu []graph.VertexID) bool {
+			if _, err := cp.RunCtx(context.Background(), run.cfg, 0, func(tu []graph.VertexID) bool {
 				*run.out = append(*run.out, fmt.Sprint(tu))
 				return true
 			}); err != nil {

@@ -70,7 +70,7 @@ func TestCompiledPlanConcurrentRuns(t *testing.T) {
 			if i%4 == 3 {
 				// Enumerate through emit instead of counting.
 				var mu sync.Mutex
-				_, err := cp.RunCtx(context.Background(), cfg, func(tuple []graph.VertexID) bool {
+				_, err := cp.RunCtx(context.Background(), cfg, 0, func(tuple []graph.VertexID) bool {
 					mu.Lock()
 					n++
 					mu.Unlock()
@@ -108,7 +108,7 @@ func TestRunCtxStopsEarly(t *testing.T) {
 		t.Skip("need at least two matches")
 	}
 	calls := 0
-	prof, err := cp.RunCtx(context.Background(), RunConfig{}, func([]graph.VertexID) bool {
+	prof, err := cp.RunCtx(context.Background(), RunConfig{}, 0, func([]graph.VertexID) bool {
 		calls++
 		return false
 	})

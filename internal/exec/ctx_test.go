@@ -105,7 +105,7 @@ func TestCountCtxParallelCancellation(t *testing.T) {
 func TestRunCtxEarlyStopIsNotAnError(t *testing.T) {
 	cp, _, _ := compiledTriangle(t)
 	seen := 0
-	_, err := cp.RunCtx(context.Background(), RunConfig{}, func([]graph.VertexID) bool {
+	_, err := cp.RunCtx(context.Background(), RunConfig{}, 0, func([]graph.VertexID) bool {
 		seen++
 		return seen < 3
 	})
@@ -125,7 +125,7 @@ func TestEntryPointsHonorCancellation(t *testing.T) {
 	cp := heavyPlan(t)
 	entries := map[string]func(context.Context, RunConfig) error{
 		"RunCtx": func(ctx context.Context, cfg RunConfig) error {
-			_, err := cp.RunCtx(ctx, cfg, func([]graph.VertexID) bool { return true })
+			_, err := cp.RunCtx(ctx, cfg, 0, func([]graph.VertexID) bool { return true })
 			return err
 		},
 		"CountCtx": func(ctx context.Context, cfg RunConfig) error {

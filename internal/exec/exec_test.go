@@ -196,7 +196,7 @@ func TestBatchCountersLastStage(t *testing.T) {
 		t.Errorf("count: %d matches, %d probed tuples, %d probe batches; want matches, probes and 0 batches",
 			n, counted.ProbedTuples, counted.Batches.Probe)
 	}
-	matched, err := Must(t, g, p).RunCtx(context.Background(), RunConfig{}, func([]graph.VertexID) bool { return true })
+	matched, err := Must(t, g, p).RunCtx(context.Background(), RunConfig{}, 0, func([]graph.VertexID) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestRunEmitTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = cp.RunCtx(context.Background(), RunConfig{}, func(tu []graph.VertexID) bool {
+	_, err = cp.RunCtx(context.Background(), RunConfig{}, 0, func(tu []graph.VertexID) bool {
 		tuples = append(tuples, append([]graph.VertexID(nil), tu...))
 		return true
 	})

@@ -128,7 +128,7 @@ func TestFactorizedMatchUnfoldsIdenticalTuples(t *testing.T) {
 		}
 		collect := func(cfg RunConfig) []string {
 			var out []string
-			if _, err := cp.RunCtx(context.Background(), cfg, func(tu []graph.VertexID) bool {
+			if _, err := cp.RunCtx(context.Background(), cfg, 0, func(tu []graph.VertexID) bool {
 				out = append(out, fmt.Sprint(tu))
 				return true
 			}); err != nil {
@@ -234,24 +234,30 @@ func TestEffectiveBatchSize(t *testing.T) {
 
 	// A limit caps the rows the run is expected to deliver: the clamp sees
 	// min(estimate, limit). Limit 0 is no limit; an explicit size still wins.
+	// The same test (stopsEarly) makes the run pipelined: a limit at or
+	// above the estimate changes nothing.
 	big := *deep
 	big.estCard = 1e6
 	for _, tc := range []struct {
-		estCard float64
-		limit   int64
-		want    int
+		estCard   float64
+		limit     int64
+		want      int
+		pipelined bool
 	}{
-		{1e6, 0, DefaultBatchSize},
-		{1e6, 1 << 40, DefaultBatchSize},   // limit ≫ estimate: the estimate rules
-		{1e6, 100, DefaultBatchSize / 4},   // limit ≪ estimate: 256 ≤ 4·100 < 512
-		{1e6, 1, minAdaptiveBatchSize},     // floor unchanged
-		{50, 100, DefaultBatchSize / 8},    // estimate below the limit: 128 ≤ 4·50 < 256
-		{0, 100, DefaultBatchSize / 4},     // no estimate: the limit alone
-		{1, 1 << 40, minAdaptiveBatchSize}, // limit ≫ a tiny estimate
+		{1e6, 0, DefaultBatchSize, false},
+		{1e6, 1 << 40, DefaultBatchSize, false},   // limit ≫ estimate: the estimate rules
+		{1e6, 100, DefaultBatchSize / 4, true},    // limit ≪ estimate: 256 ≤ 4·100 < 512
+		{1e6, 1, minAdaptiveBatchSize, true},      // floor unchanged
+		{50, 100, DefaultBatchSize / 8, false},    // estimate below the limit: 128 ≤ 4·50 < 256
+		{0, 100, DefaultBatchSize / 4, true},      // no estimate: the limit alone
+		{1, 1 << 40, minAdaptiveBatchSize, false}, // limit ≫ a tiny estimate
 	} {
 		big.estCard = tc.estCard
 		if got := big.EffectiveBatchSize(RunConfig{}, tc.limit); got != tc.want {
 			t.Errorf("estCard=%g limit=%d: adaptive batch = %d, want %d", tc.estCard, tc.limit, got, tc.want)
+		}
+		if got := big.stopsEarly(tc.limit); got != tc.pipelined {
+			t.Errorf("estCard=%g limit=%d: stopsEarly = %v, want %v", tc.estCard, tc.limit, got, tc.pipelined)
 		}
 	}
 	if got := big.EffectiveBatchSize(RunConfig{BatchSize: 37}, 1); got != 37 {

@@ -21,7 +21,7 @@ func TestFastCountMatchesExact(t *testing.T) {
 		order := connectedOrderForTest(q)
 		cp := Must(t, g, buildWCO(t, q, order))
 		var slow int64
-		slowProf, err := cp.RunCtx(context.Background(), RunConfig{NoFactorize: true}, func([]graph.VertexID) bool {
+		slowProf, err := cp.RunCtx(context.Background(), RunConfig{NoFactorize: true}, 0, func([]graph.VertexID) bool {
 			slow++
 			return true
 		})
@@ -72,7 +72,7 @@ func TestFastCountIgnoredWithEmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var n int64
-	_, err = Must(t, g, p).RunCtx(context.Background(), RunConfig{}, func([]graph.VertexID) bool {
+	_, err = Must(t, g, p).RunCtx(context.Background(), RunConfig{}, 0, func([]graph.VertexID) bool {
 		n++
 		return true
 	})

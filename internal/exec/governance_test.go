@@ -315,7 +315,7 @@ func TestCancelMidFactorizedUnfold(t *testing.T) {
 		t.Fatalf("tail len %d; fixture no longer exercises the factorized tail", cp.TailLen())
 	}
 	var total int64
-	fullProf, err := cp.RunCtx(context.Background(), RunConfig{}, func([]graph.VertexID) bool {
+	fullProf, err := cp.RunCtx(context.Background(), RunConfig{}, 0, func([]graph.VertexID) bool {
 		total++
 		return true
 	})
@@ -333,7 +333,7 @@ func TestCancelMidFactorizedUnfold(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var emitted int64
-	_, err = cp.RunCtx(ctx, RunConfig{}, func([]graph.VertexID) bool {
+	_, err = cp.RunCtx(ctx, RunConfig{}, 0, func([]graph.VertexID) bool {
 		if emitted++; emitted == 1000 {
 			cancel() // mid-unfold: the odometer is partway through a product
 		}
@@ -348,7 +348,7 @@ func TestCancelMidFactorizedUnfold(t *testing.T) {
 	assertGoroutinesReturn(t, baseline)
 
 	var again int64
-	if _, err := cp.RunCtx(context.Background(), RunConfig{}, func([]graph.VertexID) bool {
+	if _, err := cp.RunCtx(context.Background(), RunConfig{}, 0, func([]graph.VertexID) bool {
 		again++
 		return true
 	}); err != nil {

@@ -226,7 +226,7 @@ func TestPinnedBitmapSurvivesAbandonedRuns(t *testing.T) {
 			// Cancellation observed at the first pollpoint inside the run (the
 			// driver's own check before the pipeline starts is poll one).
 			ctx := &flakyCtx{Context: context.Background(), after: 1}
-			if _, err := cp.RunCtx(ctx, cfg, func([]graph.VertexID) bool { return true }); !errors.Is(err, context.Canceled) {
+			if _, err := cp.RunCtx(ctx, cfg, 0, func([]graph.VertexID) bool { return true }); !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s: cancelled run returned %v", name, err)
 			}
 			check("a cancellation")
@@ -235,7 +235,7 @@ func TestPinnedBitmapSurvivesAbandonedRuns(t *testing.T) {
 			faulty := cfg
 			faulty.Faults = &faultinject.Injector{PanicEvery: 1, Points: 1 << faultinject.PointPoll}
 			var pe *PanicError
-			if _, err := cp.RunCtx(context.Background(), faulty, func([]graph.VertexID) bool { return true }); !errors.As(err, &pe) {
+			if _, err := cp.RunCtx(context.Background(), faulty, 0, func([]graph.VertexID) bool { return true }); !errors.As(err, &pe) {
 				t.Fatalf("%s: faulted run returned %v", name, err)
 			}
 			check("an injected panic")

@@ -143,3 +143,44 @@ func TestRouterChargesOrderings(t *testing.T) {
 		t.Errorf("one byte short of the %d the run needs: err = %v, want ErrBudgetExceeded", need, err)
 	}
 }
+
+// TestRouterHandsOnOncePerBatch: under a Limit the router's orderings hand
+// their partial batches on once per router input batch, not once per
+// routed run — a run can be a single row, and flushing each would send
+// near-row-at-a-time batches down the chain. The chorded 4-cycle is
+// scanned on its chord, so the two orderings' picks change from row to
+// row. emit never stops the run, so it covers the whole graph told the
+// limit or not. Told it, each of the two orderings' first stages adds at
+// most one partial batch per router input batch, and each second stage
+// one per batch it is handed: those partial batches or the full ones the
+// untold run dispatches as well.
+func TestRouterHandsOnOncePerBatch(t *testing.T) {
+	g := datagen.Epinions(1)
+	p := buildWCO(t, query.MustParse("a->b, b->c, c->d, d->a, b->d"), []int{1, 3, 0, 2})
+	routes := optimizer.Routes(p, epinionsCat(), adaptive.MaxOrderings)
+	if routes == nil || len(routes.Chains) != 2 || len(routes.Chains[0]) != 2 {
+		t.Fatalf("want two orderings of two operators, got %+v", routes)
+	}
+	cp := Must(t, g, p).Adaptive(routes)
+	cfg := RunConfig{NoFactorize: true, BatchSize: 1024}
+	run := func(limit int64) Profile {
+		prof, err := cp.RunCtx(context.Background(), cfg, limit, func([]graph.VertexID) bool { return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prof
+	}
+	if !cp.stopsEarly(1) {
+		t.Fatalf("estimate %g: a limit of 1 does not pipeline the run", cp.estCard)
+	}
+	told, untold := run(1), run(0)
+	if told.Matches != untold.Matches || told.Reroutes != untold.Reroutes {
+		t.Fatalf("told the limit: %d matches, %d reroutes; not told: %d, %d", told.Matches, told.Reroutes, untold.Matches, untold.Reroutes)
+	}
+	bound := 2*untold.Batches.Extend + 4*told.Batches.Scan
+	if told.Batches.Extend > bound || told.Reroutes <= bound {
+		t.Errorf("told the limit: %d extend batches over %d scan batches and %d reroutes; want at most %d (not told: %d), and more reroutes than that",
+			told.Batches.Extend, told.Batches.Scan, told.Reroutes, bound, untold.Batches.Extend)
+	}
+	t.Logf("extend batches %d told, %d not told; %d scan batches, %d reroutes", told.Batches.Extend, untold.Batches.Extend, told.Batches.Scan, told.Reroutes)
+}
