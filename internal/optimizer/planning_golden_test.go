@@ -12,14 +12,16 @@ import (
 
 // TestPlanningQueriesGolden pins the plan Optimize picks for each of the
 // 200 random patterns per size BenchmarkOptimizeCold plans — the shapes
-// the cold-plan workload cycles through — one line per pattern: the
-// pattern, a digest of the plan's description and its cost.
+// the cold-plan workload cycles through — and for 50 patterns each of 7
+// and 8 vertices, where the walk over WCO orderings is widest, one line
+// per pattern: the pattern, a digest of the plan's description and its
+// cost.
 func TestPlanningQueriesGolden(t *testing.T) {
 	g := bench.PlanningGraph(1)
 	cat := bench.PlanningCatalogue(g)
 	var sb strings.Builder
-	for _, n := range []int{4, 5, 6} {
-		for _, q := range bench.PlanningQueries(g, n, 200) {
+	for _, size := range []struct{ n, count int }{{4, 200}, {5, 200}, {6, 200}, {7, 50}, {8, 50}} {
+		for _, q := range bench.PlanningQueries(g, size.n, size.count) {
 			p, err := optimizer.Optimize(q, optimizer.Options{Catalogue: cat})
 			if err != nil {
 				t.Fatalf("%s: %v", q, err)
