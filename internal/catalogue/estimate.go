@@ -41,15 +41,49 @@ func (c *Catalogue) ExtensionStats(base *query.Graph, edges []query.Edge, tl gra
 //
 //gf:noalloc
 func (c *Catalogue) ExtendStats(q *query.Graph, base query.Mask, v int, sizes []float64) (float64, bool) {
+	return c.extendStats(q, base, v, sizes, nil)
+}
+
+// Lookups remembers what the catalogue's entry lookups found for one
+// query: the missing-entry rule looks the same reduced base up for every
+// base that holds it, and a planner asks for the statistics of many bases.
+// Its ExtendStats is the catalogue's, each (base, v) looked up once.
+type Lookups struct {
+	c     *Catalogue
+	q     *query.Graph
+	found query.Memo[lookupResult]
+	lists []float64 // the list sizes of every lookupResult, one slab
+}
+
+// lookupResult is one remembered lookup: the trusted entry's µ and its
+// list sizes in q.Edges order (from at in the Lookups' lists), or ok
+// false for none.
+type lookupResult struct {
+	mu float64
+	at int32
+	ok bool
+}
+
+// Lookups returns an empty memo of c's lookups for q.
+func (c *Catalogue) Lookups(q *query.Graph) Lookups { return Lookups{c: c, q: q} }
+
+// ExtendStats is Catalogue.ExtendStats on l's catalogue and query,
+// remembering every lookup it makes in l.
+func (l *Lookups) ExtendStats(base query.Mask, v int, sizes []float64) (float64, bool) {
+	return l.c.extendStats(l.q, base, v, sizes, l)
+}
+
+// extendStats is ExtendStats, remembering its lookups in l unless l is
+// nil.
+func (c *Catalogue) extendStats(q *query.Graph, base query.Mask, v int, sizes []float64, l *Lookups) (float64, bool) {
 	k := bits.OnesCount32(base)
+	// Only bases of at most H vertices can have entries, and skipping the
+	// direct lookup for larger bases also avoids canonicalizing large
+	// graphs (factorial cost). Every descriptor of a direct hit is
+	// anchored in base, so its lists are sizes.
 	if k <= c.Cfg.H {
-		// Only bases of at most H vertices can have entries, and skipping
-		// the direct lookup for larger bases also avoids canonicalizing
-		// large graphs (factorial cost).
-		var perm [query.MaxVertices]int
-		if e := c.lookup(q, base, v, len(sizes), &perm); e >= 0 {
-			c.fillSizes(q, base, base, v, &perm, c.entries.listsOf(e), sizes)
-			return c.entries.mu[e], true
+		if mu, ok := c.lookup(q, base, v, sizes, l); ok {
+			return mu, true
 		}
 	}
 	// Missing entry: reduce the base by removing vertex subsets until a
@@ -57,7 +91,7 @@ func (c *Catalogue) ExtendStats(q *query.Graph, base query.Mask, v int, sizes []
 	// below H can also miss when construction was budget-bounded, so keep
 	// shrinking toward well-sampled small patterns before giving up).
 	for target := min(k-1, c.Cfg.H); target >= 1; target-- {
-		if mu, ok := c.reducedStats(q, base, v, k-target, sizes); ok {
+		if mu, ok := c.reducedStats(q, base, v, k-target, sizes, l); ok {
 			return mu, true
 		}
 	}
@@ -75,22 +109,53 @@ const minEntrySamples = 5
 // present, so lookups up to H = 4 build their key on the stack.
 const keyStackBytes = 1 + 2*5 + 4*20
 
-// lookup returns the number of the trusted entry for extending the
-// projection of q onto keep by v through descs descriptors, or -1, and
-// leaves the canonical renumbering in perm for fillSizes.
-func (c *Catalogue) lookup(q *query.Graph, keep query.Mask, v, descs int, perm *[query.MaxVertices]int) int {
-	var buf [keyStackBytes]byte
-	key := extensionKey(buf[:0], q, keep, v, perm[:])
-	if e, _ := c.entries.find(key); e >= 0 && len(c.entries.listsOf(e)) == descs && c.entries.samples[e] >= minEntrySamples {
-		return e
+// lookup looks up the trusted entry for extending the projection of q
+// onto keep by v through len(lists) descriptors: its µ and whether there
+// is one, and then each descriptor's list size in lists, in q.Edges order.
+// l, unless nil, answers a lookup it remembers and remembers a new one.
+func (c *Catalogue) lookup(q *query.Graph, keep query.Mask, v int, lists []float64, l *Lookups) (float64, bool) {
+	if l != nil {
+		if f, seen := l.found.Get(keep, v); seen {
+			copy(lists, l.lists[f.at:])
+			return f.mu, f.ok
+		}
 	}
-	return -1
+	var buf [keyStackBytes]byte
+	var perm [query.MaxVertices]int
+	key := extensionKey(buf[:0], q, keep, v, perm[:])
+	e, _ := c.entries.find(key)
+	ok := e >= 0 && len(c.entries.listsOf(e)) == len(lists) && c.entries.samples[e] >= minEntrySamples
+	mu := 0.0
+	if ok {
+		mu = c.entries.mu[e]
+		i := 0
+		for _, d := range q.Edges {
+			if _, _, is := descriptorOf(d, keep, v); is {
+				lists[i] = c.entries.listsOf(e)[descriptorRank(q, keep, v, &perm, d)]
+				i++
+			}
+		}
+	}
+	if l != nil {
+		l.remember(keep, v, mu, ok, lists)
+	}
+	return mu, ok
+}
+
+// remember keeps what lookup found for (keep, v).
+func (l *Lookups) remember(keep query.Mask, v int, mu float64, ok bool, lists []float64) {
+	f := lookupResult{mu: mu, at: int32(len(l.lists)), ok: ok}
+	if ok {
+		l.lists = append(l.lists, lists...)
+	}
+	l.found.Put(keep, v, f)
 }
 
 // fillSizes writes the list size of every descriptor of extending base
-// by v into sizes: the entry's (lists, with perm, from lookup on keep)
-// for a descriptor anchored in keep, the graph-wide default otherwise.
-func (c *Catalogue) fillSizes(q *query.Graph, base, keep query.Mask, v int, perm *[query.MaxVertices]int, lists, sizes []float64) {
+// by v into sizes: the entry's for a descriptor anchored in keep (lists,
+// in q.Edges order, from lookup on keep), the graph-wide default
+// otherwise.
+func (c *Catalogue) fillSizes(q *query.Graph, base, keep query.Mask, v int, lists, sizes []float64) {
 	i := 0
 	for _, e := range q.Edges {
 		anchor, dir, ok := descriptorOf(e, base, v)
@@ -98,7 +163,7 @@ func (c *Catalogue) fillSizes(q *query.Graph, base, keep query.Mask, v int, perm
 			continue
 		}
 		if keep&query.Bit(anchor) != 0 {
-			sizes[i] = lists[descriptorRank(q, keep, v, perm, e)]
+			sizes[i], lists = lists[0], lists[1:]
 		} else {
 			sizes[i] = c.DefaultListSize(dir, e.Label, q.Vertices[v].Label)
 		}
@@ -111,7 +176,7 @@ func (c *Catalogue) fillSizes(q *query.Graph, base, keep query.Mask, v int, perm
 // removed vertices), look the reduced entries up, and keep the minimum µ
 // (the first in lexicographic subset order on a tie). Removed descriptors
 // contribute default list sizes.
-func (c *Catalogue) reducedStats(q *query.Graph, base query.Mask, v, removeCount int, sizes []float64) (float64, bool) {
+func (c *Catalogue) reducedStats(q *query.Graph, base query.Mask, v, removeCount int, sizes []float64, l *Lookups) (float64, bool) {
 	var verts [query.MaxVertices]int // base's vertices, ascending
 	k := 0
 	for m := base; m != 0; m &= m - 1 {
@@ -123,6 +188,7 @@ func (c *Catalogue) reducedStats(q *query.Graph, base query.Mask, v, removeCount
 	}
 	bestMu := math.Inf(1)
 	found := false
+	nbr := q.Neighbors()
 
 	// comb walks the removeCount-subsets of verts in lexicographic order.
 	var comb [query.MaxVertices]int
@@ -134,13 +200,13 @@ func (c *Catalogue) reducedStats(q *query.Graph, base query.Mask, v, removeCount
 		for i := 0; i < removeCount; i++ {
 			keep &^= query.Bit(verts[comb[i]])
 		}
-		if q.IsConnected(keep) {
+		if query.Connected(nbr[:], keep) {
 			// Descriptors anchored on surviving vertices stay.
 			if kept := q.NumEdgesBetween(keep, v); kept > 0 {
-				var perm [query.MaxVertices]int
-				if e := c.lookup(q, keep, v, kept, &perm); e >= 0 && c.entries.mu[e] < bestMu {
-					bestMu = c.entries.mu[e]
-					c.fillSizes(q, base, keep, v, &perm, c.entries.listsOf(e), sizes)
+				var buf [query.MaxVertices]float64
+				if mu, ok := c.lookup(q, keep, v, buf[:kept], l); ok && mu < bestMu {
+					bestMu = mu
+					c.fillSizes(q, base, keep, v, buf[:kept], sizes)
 					found = true
 				}
 			}

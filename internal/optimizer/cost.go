@@ -5,13 +5,16 @@ import (
 	"math"
 	"math/bits"
 
+	"graphflow/internal/catalogue"
 	"graphflow/internal/plan"
 	"graphflow/internal/query"
 )
 
 // context carries the per-query state of one optimization: the catalogue,
-// the options, the query's neighbour sets, and memoized cardinality and
-// extension-statistics caches. Nothing in it outlives the Optimize call.
+// the options, the query's neighbour sets, and the flat per-query memos
+// of cardinalities, extension statistics and catalogue lookups, which
+// every search of the query reads. Nothing in it outlives the Optimize
+// call.
 type context struct {
 	q    *query.Graph
 	opts Options
@@ -20,30 +23,31 @@ type context struct {
 	// nbr[v] is the set of query vertices sharing an edge with v: the
 	// adjacency and join-split tests of the search read it instead of
 	// rescanning (and copying out of) the edge list.
-	nbr      []query.Mask
-	card     map[query.Mask]float64
-	extStats map[extKey]extStat
-	// tail is tailCost's scratch; routing prices a router's orderings
-	// (Routes), which split one scan source's rows and so find their tails
-	// without PrefixTwin components.
+	nbr   []query.Mask
+	card  query.Memo[float64] // by mask
+	exts  query.Memo[extStat] // by (mask, v)
+	sizes []float64           // every extStat's list sizes, one slab
+	stats catalogue.Lookups
+	// ext is extend's scratch operator and tail tailCost's scratch;
+	// routing prices a router's orderings (Routes), which split one scan
+	// source's rows and so find their tails without PrefixTwin components.
+	ext     plan.Extend
 	tail    plan.Tail
 	routing bool
 }
 
-// extKey packs (mask, v) — extending the subquery on mask by vertex v —
-// into one word: v < 32 takes the low five bits.
-type extKey uint64
-
-func newExtKey(mask query.Mask, v int) extKey { return extKey(mask)<<5 | extKey(v) }
-
 // extStat holds the catalogue estimates for extending mask by v: the
 // average list size per query edge between mask and v, in q.Edges order
-// (the order plan.NewExtend derives descriptors in), µ, and the sizes'
-// sum, lists: Equation 1's i-cost of the E/I.
+// (the order plan.NewExtend derives descriptors in) — the n sizes from
+// at in the context's sizes — µ, and the sizes' sum, lists: Equation 1's
+// i-cost of the E/I.
 type extStat struct {
-	sizes     []float64
 	mu, lists float64
+	at, n     int32
 }
+
+// listSizes returns st's list sizes.
+func (c *context) listSizes(st extStat) []float64 { return c.sizes[st.at : st.at+st.n] }
 
 // newContext validates q, which may have no parallel edges, and opts and
 // starts an optimization of q under opts with their defaults applied.
@@ -58,12 +62,11 @@ func newContext(q *query.Graph, opts Options) (*context, error) {
 		opts.BeamWidth = 5
 	}
 	c := &context{
-		q:        q,
-		opts:     opts,
-		full:     query.AllMask(q.NumVertices()),
-		nbr:      make([]query.Mask, q.NumVertices()),
-		card:     map[query.Mask]float64{},
-		extStats: map[extKey]extStat{},
+		q:     q,
+		opts:  opts,
+		full:  query.AllMask(q.NumVertices()),
+		nbr:   make([]query.Mask, q.NumVertices()),
+		stats: opts.Catalogue.Lookups(q),
 	}
 	for _, e := range q.Edges {
 		// A SCAN matches exactly one query edge and the engine has no
@@ -80,19 +83,24 @@ func newContext(q *query.Graph, opts Options) (*context, error) {
 // adjacent reports whether a query edge connects v to a vertex of mask.
 func (c *context) adjacent(mask query.Mask, v int) bool { return c.nbr[v]&mask != 0 }
 
+// edgesBetween counts the query edges between v and mask: q has no
+// parallel edges, so one per neighbour.
+func (c *context) edgesBetween(mask query.Mask, v int) int { return bits.OnesCount32(c.nbr[v] & mask) }
+
 // extension returns the memoized catalogue statistics for extending the
 // subquery on mask by query vertex v.
 func (c *context) extension(mask query.Mask, v int) extStat {
-	key := newExtKey(mask, v)
-	if st, ok := c.extStats[key]; ok {
+	if st, ok := c.exts.Get(mask, v); ok {
 		return st
 	}
-	st := extStat{sizes: make([]float64, c.q.NumEdgesBetween(mask, v))}
-	st.mu, _ = c.opts.Catalogue.ExtendStats(c.q, mask, v, st.sizes)
-	for _, s := range st.sizes {
+	n := c.edgesBetween(mask, v)
+	st := extStat{at: int32(len(c.sizes)), n: int32(n)}
+	c.sizes = append(c.sizes, make([]float64, n)...)
+	st.mu, _ = c.stats.ExtendStats(mask, v, c.listSizes(st))
+	for _, s := range c.listSizes(st) {
 		st.lists += s
 	}
-	c.extStats[key] = st
+	c.exts.Put(mask, v, st)
 	return st
 }
 
@@ -100,7 +108,7 @@ func (c *context) extension(mask query.Mask, v int) extStat {
 // mask (Section 5.2, estimate 1): a deterministic extension chain whose µ
 // values multiply out. Memoized per mask.
 func (c *context) cardinality(mask query.Mask) float64 {
-	if v, ok := c.card[mask]; ok {
+	if v, ok := c.card.Get(mask, -1); ok {
 		return v
 	}
 	var out float64
@@ -121,11 +129,11 @@ func (c *context) cardinality(mask query.Mask) float64 {
 		bestV, bestDeg := -1, -1
 		for v := 0; v < c.q.NumVertices(); v++ {
 			rest := mask &^ query.Bit(v)
-			if rest == mask || !c.q.IsConnected(rest) {
+			if rest == mask || !query.Connected(c.nbr, rest) {
 				continue
 			}
 			// v ascends, so the lowest index wins among equal degrees.
-			if d := c.q.NumEdgesBetween(rest, v); d > bestDeg {
+			if d := c.edgesBetween(rest, v); d > bestDeg {
 				bestV, bestDeg = v, d
 			}
 		}
@@ -134,7 +142,7 @@ func (c *context) cardinality(mask query.Mask) float64 {
 			out = c.cardinality(rest) * c.extension(rest, bestV).mu
 		}
 	}
-	c.card[mask] = out
+	c.card.Put(mask, -1, out)
 	return out
 }
 
@@ -165,14 +173,14 @@ func (c *context) extendCost(childMask query.Mask, ext *plan.Extend) float64 {
 	}
 	st := c.extension(prefix, v)
 	lists := st.lists
-	// Descriptor i is st.sizes[i] (see extStat); the length check guards
+	// Descriptor i has list size i (see extStat); the length check guards
 	// externally built plans (EstimateCost).
-	if covered := ext.Inherited(); covered != 0 && !c.opts.CacheOblivious && len(st.sizes) == len(ext.Descriptors) {
+	if covered := ext.Inherited(); covered != 0 && !c.opts.CacheOblivious && int(st.n) == len(ext.Descriptors) {
 		up := ext.Child.(*plan.Extend).TargetVertex
 		// The set, then the lists it does not cover; prefix lacks up
 		// already when up is a stripped sibling leaf.
 		lists = math.Max(1, c.extension(prefix&^query.Bit(up), up).mu)
-		for i, s := range st.sizes {
+		for i, s := range c.listSizes(st) {
 			if covered&(1<<uint(i)) == 0 {
 				lists += s
 			}

@@ -65,7 +65,7 @@ func Optimize(q *query.Graph, opts Options) (*plan.Plan, error) {
 	if q.NumVertices() > fullEnumerationLimit {
 		best = beamSearch(ctx)
 	} else {
-		best = dynamicProgram(ctx)
+		best = dynamicProgram(ctx, &dpTable{row: make([]planInfo, ctx.full+1)})
 	}
 	if best.node == nil {
 		return nil, fmt.Errorf("optimizer: no plan found")

@@ -15,11 +15,13 @@ import (
 // go through beam search.
 const fullEnumerationLimit = 10
 
-// planInfo is one kept plan for a subquery mask and its cost. The zero
-// value (no node) is an empty DP row.
+// planInfo is one kept plan for a subquery mask, its cost, and whether a
+// hash join built it (joined: it holds one). The zero value (no node) is
+// an empty DP row.
 type planInfo struct {
-	node plan.Node
-	cost float64
+	node   plan.Node
+	cost   float64
+	joined bool
 }
 
 // beats reports whether a plan of the given cost should replace the row:
@@ -36,9 +38,14 @@ type keeper interface {
 	// dropped or never reached.
 	plans(mask query.Mask) []planInfo
 	// wants reports whether a candidate of the given cost for mask would
-	// be kept; the step asks before it builds a hash-join node.
+	// be kept; the step asks before it builds a node.
 	wants(mask query.Mask, cost float64) bool
 	keep(mask query.Mask, cand planInfo)
+	// seeded reports whether the walk over every WCO ordering seeded the
+	// kept plans, so that an E/I on a kept plan without a hash join — a
+	// WCO prefix — is a WCO plan the walk offered already, at the same
+	// cost: it cannot strictly win, and extend skips it.
+	seeded() bool
 }
 
 // grow offers k every candidate for mask built from kept plans of
@@ -65,13 +72,15 @@ func (c *context) grow(k keeper, mask query.Mask) {
 	}
 }
 
-// extend offers k the E/I adding v to each kept plan of rest, priced by
-// extendCost and, for the full query, re-priced by its factorized tail.
+// extend offers k the E/I adding v to each kept plan of rest (each one a
+// hash join built, when k is seeded), priced by extendCost on the
+// context's scratch operator and, for the full query, re-priced by its
+// factorized tail; only a candidate k keeps is copied out.
 func (c *context) extend(k keeper, rest query.Mask, v int) {
 	mask := rest | query.Bit(v)
+	ext := &c.ext
 	for _, child := range k.plans(rest) {
-		ext, err := plan.NewExtend(c.q, child.node, v)
-		if err != nil {
+		if !child.joined && k.seeded() || plan.FillExtend(ext, c.q, child.node, v) != nil {
 			continue
 		}
 		cost := child.cost + c.extendCost(rest, ext)
@@ -79,7 +88,7 @@ func (c *context) extend(k keeper, rest query.Mask, v int) {
 			cost = c.tailCost(ext, cost, nil)
 		}
 		if k.wants(mask, cost) {
-			k.keep(mask, planInfo{node: ext, cost: cost})
+			k.keep(mask, planInfo{node: ext.CopyOnto(child.node), cost: cost, joined: child.joined})
 		}
 	}
 }
@@ -101,7 +110,7 @@ func (c *context) join(k keeper, c1, c2 query.Mask) {
 				continue
 			}
 			if hj, err := plan.NewHashJoin(b.node, p.node); err == nil {
-				k.keep(c1|c2, planInfo{node: hj, cost: cost})
+				k.keep(c1|c2, planInfo{node: hj, cost: cost, joined: true})
 			}
 		}
 	}
@@ -152,18 +161,21 @@ func (t *dpTable) wants(mask query.Mask, cost float64) bool { return t.row[mask]
 
 func (t *dpTable) keep(mask query.Mask, cand planInfo) { t.row[mask] = cand }
 
-// dynamicProgram runs Algorithm 1 exactly and returns the full query's
-// row. Line 1 offers every WCO plan first, its scans being line 2, so a
-// mask starts from its cheapest WCO plan (intersection-cache effects make
-// the best one for Qk not necessarily extend the best for Qk-1). Each
-// connected subquery is then offered (ii) E/I extensions and (iii) binary
-// joins of smaller rows. The walk reaches every connected subquery, so
-// under WCOOnly its rows are the answer.
-func dynamicProgram(ctx *context) planInfo {
-	t := &dpTable{row: make([]planInfo, ctx.full+1)}
-	ctx.walkOrders(nil, func(_ []int, mask query.Mask, node plan.Node, cost float64) bool {
+func (t *dpTable) seeded() bool { return true }
+
+// dynamicProgram runs Algorithm 1 exactly into t, an empty dpTable (or,
+// in tests, one wrapped), and returns the full query's row. Line 1 offers
+// every WCO plan first, its scans being line 2, so a mask starts from its
+// cheapest WCO plan (intersection-cache effects make the best one for Qk
+// not necessarily extend the best for Qk-1). Each connected subquery is
+// then offered (ii) E/I extensions of the smaller rows a hash join built
+// (see keeper.seeded) and (iii) binary joins of smaller rows. The walk
+// reaches every connected subquery, so under WCOOnly its rows are the
+// answer.
+func dynamicProgram(ctx *context, t keeper) planInfo {
+	ctx.walkOrders(nil, func(_ []int, mask query.Mask, _ plan.Node, cost float64, own func() plan.Node) bool {
 		if t.wants(mask, cost) {
-			t.keep(mask, planInfo{node: node, cost: cost})
+			t.keep(mask, planInfo{node: own(), cost: cost})
 		}
 		return true
 	})
@@ -172,7 +184,10 @@ func dynamicProgram(ctx *context) planInfo {
 			ctx.grow(t, mask)
 		}
 	}
-	return t.row[ctx.full]
+	if row := t.plans(ctx.full); row != nil {
+		return row[0]
+	}
+	return planInfo{}
 }
 
 // beam is beam search's keeper: the rows of the masks kept at earlier
@@ -187,6 +202,8 @@ func (b *beam) plans(mask query.Mask) []planInfo { return b.kept[mask] }
 func (b *beam) wants(mask query.Mask, cost float64) bool { return b.level[mask].beats(cost) }
 
 func (b *beam) keep(mask query.Mask, cand planInfo) { b.level[mask] = cand }
+
+func (b *beam) seeded() bool { return false }
 
 // beamSearch is the Section 4.4 path for very large queries and returns
 // the full query's row: WCO plans are not enumerated separately, and only

@@ -75,6 +75,8 @@ func (s *spectrum) plans(mask query.Mask) []planInfo { return s.kept[mask] }
 
 func (s *spectrum) wants(query.Mask, float64) bool { return true }
 
+func (s *spectrum) seeded() bool { return false }
+
 func (s *spectrum) keep(mask query.Mask, cand planInfo) {
 	if sig := planSignature(cand.node, nil); !s.seen[sig] {
 		s.seen[sig] = true

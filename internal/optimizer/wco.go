@@ -18,45 +18,85 @@ import (
 // with each prefix: its vertices in matching order, its mask, its plan and
 // the plan's cost over its source, a full plan's re-priced by its
 // factorized tail. visit returning false ends the walk.
-func (c *context) walkOrders(sources []plan.Node, visit func(order []int, mask query.Mask, node plan.Node, cost float64) bool) {
+//
+// Each prefix is priced on the walk's scratch operator for its depth, so
+// node holds only until visit returns: a visitor that keeps the plan
+// keeps own(), a copy that shares the copies of its own prefixes made
+// since they were last filled.
+func (c *context) walkOrders(sources []plan.Node, visit func(order []int, mask query.Mask, node plan.Node, cost float64, own func() plan.Node) bool) {
 	if sources == nil {
 		sources = make([]plan.Node, len(c.q.Edges))
 		for i, e := range c.q.Edges {
 			sources[i] = plan.NewScan(c.q, e)
 		}
 	}
-	var order [query.MaxVertices]int
-	var opCosts [query.MaxVertices]float64 // opCosts[n]: the operator adding order[n]
-	var rec func(n int, mask query.Mask, node plan.Node, cost float64) bool
-	rec = func(n int, mask query.Mask, node plan.Node, cost float64) bool {
-		if mask == c.full {
-			return visit(order[:n], mask, node, c.tailCost(node, cost, opCosts[:n]))
-		}
-		if !visit(order[:n], mask, node, cost) {
-			return false
-		}
-		for v := 0; v < c.q.NumVertices(); v++ {
-			if mask&query.Bit(v) != 0 || !c.adjacent(mask, v) {
-				continue
-			}
-			ext, err := plan.NewExtend(c.q, node, v)
-			if err != nil {
-				continue
-			}
-			// extendCost reads the child's trailing chain off node, so the
-			// last-added vertex needs no explicit threading.
-			order[n], opCosts[n] = v, c.extendCost(mask, ext)
-			if !rec(n+1, mask|query.Bit(v), ext, cost+opCosts[n]) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, source := range sources {
-		if !rec(copy(order[:], source.Out()), plan.CoverMask(source), source, 0) {
+	w := &walk{c: c, visit: visit, at: make([]depth, c.q.NumVertices())}
+	w.own = func() plan.Node { return w.copyOut(w.n) }
+	for _, w.source = range sources {
+		w.from = copy(w.order[:], w.source.Out())
+		if !w.rec(w.from, plan.CoverMask(w.source), w.source, 0) {
 			return
 		}
 	}
+}
+
+// walk is one walkOrders: the ordering it is on and what it keeps per
+// depth.
+type walk struct {
+	c       *context
+	visit   func(order []int, mask query.Mask, node plan.Node, cost float64, own func() plan.Node) bool
+	own     func() plan.Node // copyOut of the prefix being visited
+	source  plan.Node
+	from, n int // source's vertex count; the visited prefix's
+	order   [query.MaxVertices]int
+	opCosts [query.MaxVertices]float64 // opCosts[n]: the operator adding order[n]
+	at      []depth                    // per query vertex
+}
+
+// depth n of a walk: the scratch operator adding order[n], and the copy
+// of the prefix through it made since op was last filled (nil if none).
+type depth struct {
+	op    plan.Extend
+	owned plan.Node
+}
+
+func (w *walk) rec(n int, mask query.Mask, node plan.Node, cost float64) bool {
+	c := w.c
+	w.n = n
+	if mask == c.full {
+		return w.visit(w.order[:n], mask, node, c.tailCost(node, cost, w.opCosts[:n]), w.own)
+	}
+	if !w.visit(w.order[:n], mask, node, cost, w.own) {
+		return false
+	}
+	at := &w.at[n]
+	op := &at.op
+	for v := 0; v < c.q.NumVertices(); v++ {
+		if mask&query.Bit(v) != 0 || !c.adjacent(mask, v) || plan.FillExtend(op, c.q, node, v) != nil {
+			continue
+		}
+		at.owned = nil
+		// extendCost reads the child's trailing chain off node, so the
+		// last-added vertex needs no explicit threading.
+		w.order[n], w.opCosts[n] = v, c.extendCost(mask, op)
+		if !w.rec(n+1, mask|query.Bit(v), op, cost+w.opCosts[n]) {
+			return false
+		}
+	}
+	return true
+}
+
+// copyOut returns the prefix of n vertices as a plan that outlives the
+// walk: the source itself, or a copy of its scratch operators.
+func (w *walk) copyOut(n int) plan.Node {
+	if n == w.from {
+		return w.source
+	}
+	at := &w.at[n-1]
+	if at.owned == nil {
+		at.owned = at.op.CopyOnto(w.copyOut(n - 1))
+	}
+	return at.owned
 }
 
 // WCOPlan is one query-vertex ordering with its plan and estimated cost.
@@ -84,7 +124,7 @@ func EnumerateWCOPlans(q *query.Graph, opts Options) ([]WCOPlan, error) {
 	var sigs [query.MaxVertices]string
 	seen := map[string]bool{}
 	var out []WCOPlan
-	ctx.walkOrders(nil, func(order []int, mask query.Mask, node plan.Node, cost float64) bool {
+	ctx.walkOrders(nil, func(order []int, mask query.Mask, node plan.Node, cost float64, own func() plan.Node) bool {
 		n := len(order)
 		if scan, ok := node.(*plan.Scan); ok {
 			sigs[0] = fmt.Sprintf("scan:%d/%d/%d", scan.EdgeLabel, scan.SrcLabel, scan.DstLabel)
@@ -102,7 +142,7 @@ func EnumerateWCOPlans(q *query.Graph, opts Options) ([]WCOPlan, error) {
 			seen[sig] = true
 			out = append(out, WCOPlan{
 				Order: slices.Clone(order),
-				Plan:  &plan.Plan{Query: q, Root: node, EstimatedCost: cost, EstimatedCardinality: ctx.cardinality(mask)},
+				Plan:  &plan.Plan{Query: q, Root: own(), EstimatedCost: cost, EstimatedCardinality: ctx.cardinality(mask)},
 				Cost:  cost,
 			})
 		}
@@ -126,11 +166,11 @@ func Routes(p *plan.Plan, cat *catalogue.Catalogue, maxOrderings int) *adaptive.
 	c.routing = true
 	r, n := &adaptive.Routes{}, 1
 	c.addRoute(r, own)
-	c.walkOrders([]plan.Node{own[0].Child}, func(order []int, mask query.Mask, node plan.Node, _ float64) bool {
+	c.walkOrders([]plan.Node{own[0].Child}, func(order []int, mask query.Mask, _ plan.Node, _ float64, copyOut func() plan.Node) bool {
 		if mask != c.full || slices.EqualFunc(order[len(order)-len(own):], own, func(v int, op *plan.Extend) bool { return v == op.TargetVertex }) {
 			return true
 		}
-		c.addRoute(r, chainOf(node))
+		c.addRoute(r, chainOf(copyOut()))
 		n++
 		return n < maxOrderings
 	})
@@ -168,5 +208,5 @@ func (c *context) addRoute(r *adaptive.Routes, chain []*plan.Extend) {
 	if card := c.cardinality(base | query.Bit(v)); card > 0 {
 		rest = rest / card * first.mu
 	}
-	r.Add(chain, first.sizes, rest)
+	r.Add(chain, c.listSizes(first), rest)
 }

@@ -10,6 +10,7 @@ package plan
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"graphflow/internal/graph"
@@ -92,6 +93,20 @@ type Extend struct {
 // using one descriptor per query edge between target and the child's
 // vertices.
 func NewExtend(q *query.Graph, child Node, target int) (*Extend, error) {
+	ext := &Extend{}
+	if err := FillExtend(ext, q, child, target); err != nil {
+		return nil, err
+	}
+	return ext, nil
+}
+
+// FillExtend makes e the E/I node NewExtend(q, child, target) would
+// build, in place: it reuses e's descriptors and layout when they are
+// large enough, so a search that prices every ordering prefix on one
+// node per depth allocates nothing once each depth has held its widest
+// operator. A node FillExtend reuses must not be kept: CopyOnto copies
+// it out.
+func FillExtend(e *Extend, q *query.Graph, child Node, target int) error {
 	childOut := child.Out()
 	var slotOf [32]int // query vertex -> child tuple slot, for vertices in mask
 	mask := query.Mask(0)
@@ -100,11 +115,10 @@ func NewExtend(q *query.Graph, child Node, target int) (*Extend, error) {
 		mask |= query.Bit(v)
 	}
 	if mask&query.Bit(target) != 0 {
-		return nil, fmt.Errorf("plan: target a%d already matched", target+1)
+		return fmt.Errorf("plan: target a%d already matched", target+1)
 	}
-	// The optimizer builds one node per ordering prefix it visits, so the
-	// descriptors are gathered on the stack and then the node, its
-	// descriptors and its layout are each allocated once, at final size.
+	// The descriptors are gathered on the stack, so a new node's
+	// descriptors and layout are each allocated once, at final size.
 	var buf [8]Descriptor
 	descs := buf[:0]
 	for _, e := range q.Edges {
@@ -117,18 +131,43 @@ func NewExtend(q *query.Graph, child Node, target int) (*Extend, error) {
 		}
 	}
 	if len(descs) == 0 {
-		return nil, fmt.Errorf("plan: target a%d not adjacent to child", target+1)
+		return fmt.Errorf("plan: target a%d not adjacent to child", target+1)
 	}
-	ext := &Extend{
-		Child:        child,
-		Descriptors:  append(make([]Descriptor, 0, len(descs)), descs...),
-		TargetVertex: target,
-		TargetLabel:  q.Vertices[target].Label,
-		out:          make([]int, len(childOut)+1),
+	if cap(e.Descriptors) < len(descs) {
+		e.Descriptors = make([]Descriptor, 0, len(descs))
 	}
-	copy(ext.out, childOut)
-	ext.out[len(childOut)] = target
-	return ext, nil
+	if cap(e.out) <= len(childOut) {
+		e.out = make([]int, 0, len(childOut)+1)
+	}
+	e.Child, e.TargetVertex, e.TargetLabel = child, target, q.Vertices[target].Label
+	e.Descriptors = append(e.Descriptors[:0], descs...)
+	e.out = append(append(e.out[:0], childOut...), target)
+	return nil
+}
+
+// CopyOnto returns a copy of e on child, whose layout must be e.Child's,
+// with descriptors and a layout of its own: what outlives the reuse of a
+// node FillExtend filled. A search copies out every plan it keeps, so a
+// copy that fits extendCopy is one allocation, not three.
+func (e *Extend) CopyOnto(child Node) *Extend {
+	if len(e.Descriptors) > len(extendCopy{}.descs) || len(e.out) > len(extendCopy{}.out) {
+		return &Extend{Child: child, Descriptors: slices.Clone(e.Descriptors), TargetVertex: e.TargetVertex,
+			TargetLabel: e.TargetLabel, out: slices.Clone(e.out)}
+	}
+	c := &extendCopy{}
+	c.Extend = Extend{Child: child, Descriptors: c.descs[:len(e.Descriptors)], TargetVertex: e.TargetVertex,
+		TargetLabel: e.TargetLabel, out: c.out[:len(e.out)]}
+	copy(c.descs[:], e.Descriptors)
+	copy(c.out[:], e.out)
+	return &c.Extend
+}
+
+// extendCopy is a copied E/I operator with room for its descriptors and
+// layout: an operator of an 8-vertex query reading up to four lists.
+type extendCopy struct {
+	Extend
+	descs [4]Descriptor
+	out   [8]int
 }
 
 // Out implements Node.

@@ -104,24 +104,34 @@ func Bit(v int) Mask { return Mask(1) << uint(v) }
 // IsConnected reports whether the vertices in mask induce a connected
 // subgraph (edges considered undirected).
 func (q *Graph) IsConnected(mask Mask) bool {
+	nbr := q.Neighbors()
+	return Connected(nbr[:], mask)
+}
+
+// Neighbors returns each vertex's neighbours (edges considered
+// undirected).
+func (q *Graph) Neighbors() (nbr [MaxVertices]Mask) {
+	for _, e := range q.Edges {
+		nbr[e.From] |= Bit(e.To)
+		nbr[e.To] |= Bit(e.From)
+	}
+	return nbr
+}
+
+// Connected reports whether mask is non-empty and induces a connected
+// subgraph of the graph in which nbr[v] are vertex v's neighbours: a
+// breadth-first search on bitmasks. A planner that keeps its query's
+// neighbour sets (Neighbors) asks this instead of IsConnected, which
+// rebuilds them.
+func Connected(nbr []Mask, mask Mask) bool {
 	if mask == 0 {
 		return false
-	}
-	// One pass over the edges for the induced neighbour sets, then a
-	// breadth-first search on bitmasks.
-	var nbr [32]Mask
-	for _, e := range q.Edges {
-		fb, tb := Bit(e.From), Bit(e.To)
-		if fb&mask != 0 && tb&mask != 0 {
-			nbr[e.From] |= tb
-			nbr[e.To] |= fb
-		}
 	}
 	reached := mask & -mask
 	for frontier := reached; frontier != 0; {
 		v := bits.TrailingZeros32(frontier)
 		frontier &^= Bit(v)
-		fresh := nbr[v] &^ reached
+		fresh := nbr[v] & mask &^ reached
 		reached |= fresh
 		frontier |= fresh
 	}
@@ -215,11 +225,12 @@ func (q *Graph) ConnectedSubsets(minSize int) []Mask {
 	n := len(q.Vertices)
 	var out []Mask
 	full := AllMask(n)
+	nbr := q.Neighbors()
 	for mask := Mask(1); mask <= full; mask++ {
 		if bits.OnesCount32(mask) < minSize {
 			continue
 		}
-		if q.IsConnected(mask) {
+		if Connected(nbr[:], mask) {
 			out = append(out, mask)
 		}
 	}
