@@ -649,3 +649,50 @@ func TestZeroAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestLookupsAgreeWithExtendStats holds a query's lookup memo to the
+// catalogue it remembers: for every connected base of each query and
+// every vertex extending it, Lookups.ExtendStats returns what
+// Catalogue.ExtendStats does, bit for bit, whether the memo has seen the
+// base's lookups (second pass, bases in reverse) or not (first pass).
+// The labelled graph leaves some bases an entry and some none.
+func TestLookupsAgreeWithExtendStats(t *testing.T) {
+	c := Build(datagen.Relabel(datagen.Epinions(1), 2, 3, 11), Config{H: 3, Z: 300, Seed: 1})
+	qs := []*query.Graph{
+		query.MustParse("a:1 -[2]-> b, b -> c:1, c -[1]-> d, d -> a:1, a:1 -> c:1, d -> e:1, e:1 -[2]-> b"),
+		query.MustParse("a -> b:1, b:1 -[1]-> c, c -> a, c -> d:1, d:1 -[2]-> e, e -> f:1, f:1 -> d:1"),
+	}
+	for j := 1; j <= 14; j++ {
+		qs = append(qs, query.Benchmark(j))
+	}
+	found := map[bool]int{}
+	for _, q := range qs {
+		l := c.Lookups(q)
+		bases := q.ConnectedSubsets(1)
+		for pass := 0; pass < 2; pass++ {
+			for i := range bases {
+				base := bases[i]
+				if pass == 1 {
+					base = bases[len(bases)-1-i]
+				}
+				for v := 0; v < q.NumVertices(); v++ {
+					n := q.NumEdgesBetween(base, v)
+					if base&query.Bit(v) != 0 || n == 0 {
+						continue
+					}
+					want, got := make([]float64, n), make([]float64, n)
+					wantMu, wantOK := c.ExtendStats(q, base, v, want)
+					gotMu, gotOK := l.ExtendStats(base, v, got)
+					if math.Float64bits(gotMu) != math.Float64bits(wantMu) || gotOK != wantOK || !slices.Equal(got, want) {
+						t.Fatalf("%s: base %b + a%d, pass %d: memo %v %v %v, catalogue %v %v %v", q, base, v+1, pass, gotMu, gotOK, got, wantMu, wantOK, want)
+					}
+					found[wantOK]++
+				}
+			}
+		}
+	}
+	if found[true] == 0 || found[false] == 0 {
+		t.Errorf("every compared lookup found an entry or none did: %v", found)
+	}
+	t.Logf("compared %d lookups that found an entry and %d that fell back to the defaults", found[true], found[false])
+}

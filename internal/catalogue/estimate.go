@@ -64,8 +64,11 @@ type lookupResult struct {
 	ok bool
 }
 
-// Lookups returns an empty memo of c's lookups for q.
-func (c *Catalogue) Lookups(q *query.Graph) Lookups { return Lookups{c: c, q: q} }
+// Lookups returns an empty memo of c's lookups for q, with room for the
+// list sizes of most queries' lookups.
+func (c *Catalogue) Lookups(q *query.Graph) Lookups {
+	return Lookups{c: c, q: q, lists: make([]float64, 0, 8*len(q.Edges))}
+}
 
 // ExtendStats is Catalogue.ExtendStats on l's catalogue and query,
 // remembering every lookup it makes in l.
@@ -116,7 +119,9 @@ const keyStackBytes = 1 + 2*5 + 4*20
 func (c *Catalogue) lookup(q *query.Graph, keep query.Mask, v int, lists []float64, l *Lookups) (float64, bool) {
 	if l != nil {
 		if f, seen := l.found.Get(keep, v); seen {
-			copy(lists, l.lists[f.at:])
+			if f.ok {
+				copy(lists, l.lists[f.at:])
+			}
 			return f.mu, f.ok
 		}
 	}

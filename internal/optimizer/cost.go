@@ -23,7 +23,7 @@ type context struct {
 	// nbr[v] is the set of query vertices sharing an edge with v: the
 	// adjacency and join-split tests of the search read it instead of
 	// rescanning (and copying out of) the edge list.
-	nbr   []query.Mask
+	nbr   [query.MaxVertices]query.Mask
 	card  query.Memo[float64] // by mask
 	exts  query.Memo[extStat] // by (mask, v)
 	sizes []float64           // every extStat's list sizes, one slab
@@ -65,8 +65,10 @@ func newContext(q *query.Graph, opts Options) (*context, error) {
 		q:     q,
 		opts:  opts,
 		full:  query.AllMask(q.NumVertices()),
-		nbr:   make([]query.Mask, q.NumVertices()),
 		stats: opts.Catalogue.Lookups(q),
+		// Room for the list sizes of most queries' extensions: a
+		// 6-vertex, 8-edge query asks for ≈ 130.
+		sizes: make([]float64, 0, 16*len(q.Edges)),
 	}
 	for _, e := range q.Edges {
 		// A SCAN matches exactly one query edge and the engine has no
@@ -129,7 +131,7 @@ func (c *context) cardinality(mask query.Mask) float64 {
 		bestV, bestDeg := -1, -1
 		for v := 0; v < c.q.NumVertices(); v++ {
 			rest := mask &^ query.Bit(v)
-			if rest == mask || !query.Connected(c.nbr, rest) {
+			if rest == mask || !query.Connected(c.nbr[:], rest) {
 				continue
 			}
 			// v ascends, so the lowest index wins among equal degrees.
