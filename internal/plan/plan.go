@@ -155,19 +155,22 @@ func (e *Extend) CopyOnto(child Node) *Extend {
 			TargetLabel: e.TargetLabel, out: slices.Clone(e.out)}
 	}
 	c := &extendCopy{}
-	c.Extend = Extend{Child: child, Descriptors: c.descs[:len(e.Descriptors)], TargetVertex: e.TargetVertex,
-		TargetLabel: e.TargetLabel, out: c.out[:len(e.out)]}
+	d, o := len(e.Descriptors), len(e.out)
+	c.Extend = Extend{Child: child, Descriptors: c.descs[:d:d], TargetVertex: e.TargetVertex,
+		TargetLabel: e.TargetLabel, out: c.out[:o:o]}
 	copy(c.descs[:], e.Descriptors)
 	copy(c.out[:], e.out)
 	return &c.Extend
 }
 
 // extendCopy is a copied E/I operator with room for its descriptors and
-// layout: an operator of an 8-vertex query reading up to four lists.
+// layout: an operator of a 6-vertex query reading up to two lists, in
+// the 160-byte size class that the three separate allocations of most
+// such operators come to, so that the plans a cache holds grow no larger.
 type extendCopy struct {
 	Extend
-	descs [4]Descriptor
-	out   [8]int
+	descs [2]Descriptor
+	out   [6]int
 }
 
 // Out implements Node.
