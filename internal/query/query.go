@@ -109,8 +109,8 @@ func (q *Graph) IsConnected(mask Mask) bool {
 }
 
 // Neighbors returns each vertex's neighbours (edges considered
-// undirected).
-func (q *Graph) Neighbors() (nbr [MaxVertices]Mask) {
+// undirected), one set per bit of a Mask.
+func (q *Graph) Neighbors() (nbr [32]Mask) {
 	for _, e := range q.Edges {
 		nbr[e.From] |= Bit(e.To)
 		nbr[e.To] |= Bit(e.From)
