@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"graphflow/internal/catalogue"
 	"graphflow/internal/plan"
@@ -97,7 +98,7 @@ func (c *context) extension(mask query.Mask, v int) extStat {
 	}
 	n := c.edgesBetween(mask, v)
 	st := extStat{at: int32(len(c.sizes)), n: int32(n)}
-	c.sizes = append(c.sizes, make([]float64, n)...)
+	c.sizes = slices.Grow(c.sizes, n)[:int(st.at)+n]
 	st.mu, _ = c.stats.ExtendStats(mask, v, c.listSizes(st))
 	for _, s := range c.listSizes(st) {
 		st.lists += s
