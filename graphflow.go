@@ -992,7 +992,9 @@ func (pq *PreparedQuery) Analyze(opts *QueryOptions) (Stats, error) {
 }
 
 // EstimateCardinality returns the catalogue's estimate of the pattern's
-// match count (Section 5.2).
+// match count (Section 5.2): the one its plan is priced on, computed on
+// its canonical form, so every spelling of the pattern gets the same
+// number.
 func (db *DB) EstimateCardinality(pattern string) (float64, error) {
 	q, err := query.ParseAny(pattern)
 	if err != nil {

@@ -4,10 +4,14 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"graphflow/internal/exec"
+	"graphflow/internal/query"
 	"graphflow/internal/resource"
 )
 
@@ -124,6 +128,40 @@ func TestEstimateCardinality(t *testing.T) {
 	}
 	if est != 5 {
 		t.Errorf("edge estimate = %v, want 5", est)
+	}
+}
+
+// TestEstimateIsThePlans holds DB.EstimateCardinality to the estimate the
+// prepared plan was priced on: for three spellings of each of Q1–Q14
+// (vertices renamed, edges shuffled) it equals, bit for bit, the prepared
+// plan's EstimatedCardinality.
+func TestEstimateIsThePlans(t *testing.T) {
+	db, err := NewFromDataset("Epinions", 1, &Options{CatalogueZ: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for j := 1; j <= 14; j++ {
+		for range 3 {
+			q := query.Benchmark(j).Clone()
+			names := rng.Perm(len(q.Vertices))
+			for i := range q.Vertices {
+				q.Vertices[i].Name = fmt.Sprintf("v%d", names[i])
+			}
+			rng.Shuffle(len(q.Edges), func(i, j int) { q.Edges[i], q.Edges[j] = q.Edges[j], q.Edges[i] })
+			pattern := q.String()
+			pq, err := db.Prepare(pattern)
+			if err != nil {
+				t.Fatalf("Q%d %s: %v", j, pattern, err)
+			}
+			est, err := db.EstimateCardinality(pattern)
+			if err != nil {
+				t.Fatalf("Q%d %s: %v", j, pattern, err)
+			}
+			if want := pq.cur.Load().plan.EstimatedCardinality; math.Float64bits(est) != math.Float64bits(want) {
+				t.Errorf("Q%d %s: EstimateCardinality %v, the prepared plan's %v", j, pattern, est, want)
+			}
+		}
 	}
 }
 

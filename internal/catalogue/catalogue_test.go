@@ -650,13 +650,14 @@ func TestZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestLookupsAgreeWithExtendStats holds a query's lookup memo to the
-// catalogue it remembers: for every connected base of each query and
-// every vertex extending it, Lookups.ExtendStats returns what
-// Catalogue.ExtendStats does, bit for bit, whether the memo has seen the
-// base's lookups (second pass, bases in reverse) or not (first pass).
-// The labelled graph leaves some bases an entry and some none.
-func TestLookupsAgreeWithExtendStats(t *testing.T) {
+// TestEstimatesAgreeWithExtendStats holds a query's estimates to the
+// catalogue they remember: for every connected base of each query and
+// every vertex extending it, Estimates.Extension returns what
+// Catalogue.ExtendStats does, bit for bit, and the sizes' sum, whether
+// the lookup memo has seen the base's lookups (second pass, bases in
+// reverse) or not (first pass). The labelled graph leaves some bases an
+// entry and some none.
+func TestEstimatesAgreeWithExtendStats(t *testing.T) {
 	c := Build(datagen.Relabel(datagen.Epinions(1), 2, 3, 11), Config{H: 3, Z: 300, Seed: 1})
 	qs := []*query.Graph{
 		query.MustParse("a:1 -[2]-> b, b -> c:1, c -[1]-> d, d -> a:1, a:1 -> c:1, d -> e:1, e:1 -[2]-> b"),
@@ -667,7 +668,7 @@ func TestLookupsAgreeWithExtendStats(t *testing.T) {
 	}
 	found := map[bool]int{}
 	for _, q := range qs {
-		l := c.Lookups(q)
+		est := c.Estimates(q)
 		bases := q.ConnectedSubsets(1)
 		for pass := 0; pass < 2; pass++ {
 			for i := range bases {
@@ -680,11 +681,15 @@ func TestLookupsAgreeWithExtendStats(t *testing.T) {
 					if base&query.Bit(v) != 0 || n == 0 {
 						continue
 					}
-					want, got := make([]float64, n), make([]float64, n)
+					want := make([]float64, n)
 					wantMu, wantOK := c.ExtendStats(q, base, v, want)
-					gotMu, gotOK := l.ExtendStats(base, v, got)
-					if math.Float64bits(gotMu) != math.Float64bits(wantMu) || gotOK != wantOK || !slices.Equal(got, want) {
-						t.Fatalf("%s: base %b + a%d, pass %d: memo %v %v %v, catalogue %v %v %v", q, base, v+1, pass, gotMu, gotOK, got, wantMu, wantOK, want)
+					wantLists := 0.0
+					for _, s := range want {
+						wantLists += s
+					}
+					got := est.Extension(base, v)
+					if math.Float64bits(got.Mu) != math.Float64bits(wantMu) || math.Float64bits(got.Lists) != math.Float64bits(wantLists) || !slices.Equal(got.Sizes, want) {
+						t.Fatalf("%s: base %b + a%d, pass %d: estimates %v %v %v, catalogue %v %v %v", q, base, v+1, pass, got.Mu, got.Lists, got.Sizes, wantMu, wantLists, want)
 					}
 					found[wantOK]++
 				}

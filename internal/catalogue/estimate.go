@@ -3,6 +3,7 @@ package catalogue
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"graphflow/internal/graph"
 	"graphflow/internal/query"
@@ -44,19 +45,44 @@ func (c *Catalogue) ExtendStats(q *query.Graph, base query.Mask, v int, sizes []
 	return c.extendStats(q, base, v, sizes, nil)
 }
 
-// Lookups remembers what the catalogue's entry lookups found for one
-// query: the missing-entry rule looks the same reduced base up for every
-// base that holds it, and a planner asks for the statistics of many bases.
-// Its ExtendStats is the catalogue's, each (base, v) looked up once.
-type Lookups struct {
+// Estimates are Section 5.2's estimates for one query, each computed
+// once: a subquery's cardinality (estimate 1), the statistics of
+// extending a subquery by one vertex, and the catalogue entry lookups
+// both rest on — the missing-entry rule looks the same reduced base up
+// for every base that holds it, and a planner asks for the statistics of
+// many bases. The optimizer prices every plan on them and
+// EstimateCardinality reports them, so a plan's estimated cardinality and
+// the catalogue's are one number.
+type Estimates struct {
 	c     *Catalogue
 	q     *query.Graph
-	found query.Memo[lookupResult]
-	lists []float64 // the list sizes of every lookupResult, one slab
+	nbr   [32]query.Mask           // q.Neighbors()
+	card  query.Memo[float64]      // by mask
+	exts  query.Memo[extension]    // by (mask, v)
+	sizes []float64                // every extension's list sizes, one slab
+	found query.Memo[lookupResult] // by (keep, v)
+	lists []float64                // the list sizes of every lookupResult, one slab
+}
+
+// ExtensionEstimate is the catalogue's estimate for extending a subquery
+// by one vertex: the average number of extensions µ, each descriptor's
+// average adjacency-list size in q.Edges order (the order plan.NewExtend
+// derives descriptors in), and the sizes' sum, Lists — Equation 1's
+// i-cost of the E/I per input row.
+type ExtensionEstimate struct {
+	Mu, Lists float64
+	Sizes     []float64
+}
+
+// extension is a remembered ExtensionEstimate: its sizes are the n from
+// at in the Estimates' sizes.
+type extension struct {
+	mu, lists float64
+	at, n     int32
 }
 
 // lookupResult is one remembered lookup: the trusted entry's µ and its
-// list sizes in q.Edges order (from at in the Lookups' lists), or ok
+// list sizes in q.Edges order (from at in the Estimates' lists), or ok
 // false for none.
 type lookupResult struct {
 	mu float64
@@ -64,28 +90,93 @@ type lookupResult struct {
 	ok bool
 }
 
-// Lookups returns an empty memo of c's lookups for q, with room for the
-// list sizes of most queries' lookups.
-func (c *Catalogue) Lookups(q *query.Graph) Lookups {
-	return Lookups{c: c, q: q, lists: make([]float64, 0, 8*len(q.Edges))}
+// Estimates returns q's estimates on c, none computed yet, with room for
+// the list sizes of most queries' extensions (a 6-vertex, 8-edge query
+// asks for ≈ 130) and lookups.
+func (c *Catalogue) Estimates(q *query.Graph) Estimates {
+	return Estimates{
+		c:     c,
+		q:     q,
+		nbr:   q.Neighbors(),
+		sizes: make([]float64, 0, 16*len(q.Edges)),
+		lists: make([]float64, 0, 8*len(q.Edges)),
+	}
 }
 
-// ExtendStats is Catalogue.ExtendStats on l's catalogue and query,
-// remembering every lookup it makes in l.
-func (l *Lookups) ExtendStats(base query.Mask, v int, sizes []float64) (float64, bool) {
-	return l.c.extendStats(l.q, base, v, sizes, l)
+// Cardinality estimates the number of matches of the projection of q
+// onto the connected mask (Section 5.2, estimate 1): a vertex's count by
+// label, an edge's scan count, and beyond two vertices a deterministic
+// extension chain whose µ values multiply out.
+func (e *Estimates) Cardinality(mask query.Mask) float64 {
+	if card, ok := e.card.Get(mask, -1); ok {
+		return card
+	}
+	var out float64
+	switch bits.OnesCount32(mask) {
+	case 1:
+		out = e.c.VertexCountByLabel(e.q.Vertices[bits.TrailingZeros32(mask)].Label)
+	case 2:
+		for _, ed := range e.q.Edges {
+			if mask == query.Bit(ed.From)|query.Bit(ed.To) {
+				out = e.c.ScanCount(ed.Label, e.q.Vertices[ed.From].Label, e.q.Vertices[ed.To].Label)
+				break
+			}
+		}
+	default:
+		// Remove the most-connected removable vertex: its µ is estimated
+		// from the largest base, so the chain stays maximally informed.
+		bestV, bestDeg := -1, -1
+		for v := 0; v < e.q.NumVertices(); v++ {
+			rest := mask &^ query.Bit(v)
+			if rest == mask || !query.Connected(e.nbr[:], rest) {
+				continue
+			}
+			// v ascends, so the lowest index wins among equal degrees.
+			if d := bits.OnesCount32(e.nbr[v] & rest); d > bestDeg {
+				bestV, bestDeg = v, d
+			}
+		}
+		if bestV >= 0 {
+			rest := mask &^ query.Bit(bestV)
+			out = e.Cardinality(rest) * e.Extension(rest, bestV).Mu
+		}
+	}
+	e.card.Put(mask, -1, out)
+	return out
 }
 
-// extendStats is ExtendStats, remembering its lookups in l unless l is
+// Extension returns the catalogue's estimate for extending the subquery
+// on mask by vertex v (see Catalogue.ExtendStats). Its Sizes are shared:
+// callers read them and keep nothing.
+func (e *Estimates) Extension(mask query.Mask, v int) ExtensionEstimate {
+	st, ok := e.exts.Get(mask, v)
+	if !ok {
+		// One size per descriptor: a valid query may have parallel
+		// edges, which the optimizer rejects but EstimateCardinality
+		// estimates.
+		n := e.q.NumEdgesBetween(mask, v)
+		st = extension{at: int32(len(e.sizes)), n: int32(n)}
+		e.sizes = slices.Grow(e.sizes, n)[:int(st.at)+n]
+		sizes := e.sizes[st.at:]
+		st.mu, _ = e.c.extendStats(e.q, mask, v, sizes, e)
+		for _, s := range sizes {
+			st.lists += s
+		}
+		e.exts.Put(mask, v, st)
+	}
+	return ExtensionEstimate{Mu: st.mu, Lists: st.lists, Sizes: e.sizes[st.at : st.at+st.n]}
+}
+
+// extendStats is ExtendStats, remembering its lookups in e unless e is
 // nil.
-func (c *Catalogue) extendStats(q *query.Graph, base query.Mask, v int, sizes []float64, l *Lookups) (float64, bool) {
+func (c *Catalogue) extendStats(q *query.Graph, base query.Mask, v int, sizes []float64, e *Estimates) (float64, bool) {
 	k := bits.OnesCount32(base)
 	// Only bases of at most H vertices can have entries, and skipping the
 	// direct lookup for larger bases also avoids canonicalizing large
 	// graphs (factorial cost). Every descriptor of a direct hit is
 	// anchored in base, so its lists are sizes.
 	if k <= c.Cfg.H {
-		if mu, ok := c.lookup(q, base, v, sizes, l); ok {
+		if mu, ok := c.lookup(q, base, v, sizes, e); ok {
 			return mu, true
 		}
 	}
@@ -94,7 +185,7 @@ func (c *Catalogue) extendStats(q *query.Graph, base query.Mask, v int, sizes []
 	// below H can also miss when construction was budget-bounded, so keep
 	// shrinking toward well-sampled small patterns before giving up).
 	for target := min(k-1, c.Cfg.H); target >= 1; target-- {
-		if mu, ok := c.reducedStats(q, base, v, k-target, sizes, l); ok {
+		if mu, ok := c.reducedStats(q, base, v, k-target, sizes, e); ok {
 			return mu, true
 		}
 	}
@@ -115,12 +206,12 @@ const keyStackBytes = 1 + 2*5 + 4*20
 // lookup looks up the trusted entry for extending the projection of q
 // onto keep by v through len(lists) descriptors: its µ and whether there
 // is one, and then each descriptor's list size in lists, in q.Edges order.
-// l, unless nil, answers a lookup it remembers and remembers a new one.
-func (c *Catalogue) lookup(q *query.Graph, keep query.Mask, v int, lists []float64, l *Lookups) (float64, bool) {
-	if l != nil {
-		if f, seen := l.found.Get(keep, v); seen {
+// est, unless nil, answers a lookup it remembers and remembers a new one.
+func (c *Catalogue) lookup(q *query.Graph, keep query.Mask, v int, lists []float64, est *Estimates) (float64, bool) {
+	if est != nil {
+		if f, seen := est.found.Get(keep, v); seen {
 			if f.ok {
-				copy(lists, l.lists[f.at:])
+				copy(lists, est.lists[f.at:])
 			}
 			return f.mu, f.ok
 		}
@@ -141,19 +232,19 @@ func (c *Catalogue) lookup(q *query.Graph, keep query.Mask, v int, lists []float
 			}
 		}
 	}
-	if l != nil {
-		l.remember(keep, v, mu, ok, lists)
+	if est != nil {
+		est.remember(keep, v, mu, ok, lists)
 	}
 	return mu, ok
 }
 
 // remember keeps what lookup found for (keep, v).
-func (l *Lookups) remember(keep query.Mask, v int, mu float64, ok bool, lists []float64) {
-	f := lookupResult{mu: mu, at: int32(len(l.lists)), ok: ok}
+func (e *Estimates) remember(keep query.Mask, v int, mu float64, ok bool, lists []float64) {
+	f := lookupResult{mu: mu, at: int32(len(e.lists)), ok: ok}
 	if ok {
-		l.lists = append(l.lists, lists...)
+		e.lists = append(e.lists, lists...)
 	}
-	l.found.Put(keep, v, f)
+	e.found.Put(keep, v, f)
 }
 
 // fillSizes writes the list size of every descriptor of extending base
@@ -181,7 +272,7 @@ func (c *Catalogue) fillSizes(q *query.Graph, base, keep query.Mask, v int, list
 // removed vertices), look the reduced entries up, and keep the minimum µ
 // (the first in lexicographic subset order on a tie). Removed descriptors
 // contribute default list sizes.
-func (c *Catalogue) reducedStats(q *query.Graph, base query.Mask, v, removeCount int, sizes []float64, l *Lookups) (float64, bool) {
+func (c *Catalogue) reducedStats(q *query.Graph, base query.Mask, v, removeCount int, sizes []float64, est *Estimates) (float64, bool) {
 	var verts [query.MaxVertices]int // base's vertices, ascending
 	k := 0
 	for m := base; m != 0; m &= m - 1 {
@@ -209,7 +300,7 @@ func (c *Catalogue) reducedStats(q *query.Graph, base query.Mask, v, removeCount
 			// Descriptors anchored on surviving vertices stay.
 			if kept := q.NumEdgesBetween(keep, v); kept > 0 {
 				var buf [query.MaxVertices]float64
-				if mu, ok := c.lookup(q, keep, v, buf[:kept], l); ok && mu < bestMu {
+				if mu, ok := c.lookup(q, keep, v, buf[:kept], est); ok && mu < bestMu {
 					bestMu = mu
 					c.fillSizes(q, base, keep, v, buf[:kept], sizes)
 					found = true
@@ -252,45 +343,16 @@ func (c *Catalogue) defaultStats(q *query.Graph, base query.Mask, v int, sizes [
 	return mu
 }
 
-// EstimateCardinality estimates |Q| as the paper does: pick a WCO-style
-// extension chain for q and multiply the scan selectivity by the µ of each
-// extension step (Section 5.2, estimate 1).
+// EstimateCardinality estimates |Q| (Section 5.2, estimate 1) as the
+// optimizer prices q's plans: the Cardinality of the whole of q's
+// canonical form, so every spelling of q gets the same number, the one
+// its plan carries as EstimatedCardinality. An invalid query (see
+// query.Graph.Validate) estimates 0.
 func (c *Catalogue) EstimateCardinality(q *query.Graph) float64 {
-	n := q.NumVertices()
-	if n < 2 || len(q.Edges) == 0 {
+	if q.Validate() != nil {
 		return 0
 	}
-	// Start from the most selective scan edge.
-	bestEdge, bestCount := 0, math.Inf(1)
-	for i, e := range q.Edges {
-		cnt := c.ScanCount(e.Label, q.Vertices[e.From].Label, q.Vertices[e.To].Label)
-		if cnt < bestCount {
-			bestEdge, bestCount = i, cnt
-		}
-	}
-	e0 := q.Edges[bestEdge]
-	card := bestCount
-	mask := query.Bit(e0.From) | query.Bit(e0.To)
-	sizes := make([]float64, len(q.Edges))
-	for card > 0 && mask != query.AllMask(n) {
-		// Greedily extend by the vertex with the most connections to the
-		// current mask (maximally constrained first, as a sampling plan
-		// would).
-		next, nextDeg := -1, -1
-		for v := 0; v < n; v++ {
-			if mask&query.Bit(v) != 0 {
-				continue
-			}
-			if d := q.NumEdgesBetween(mask, v); d > nextDeg {
-				next, nextDeg = v, d
-			}
-		}
-		if next < 0 || nextDeg == 0 {
-			return 0 // disconnected query
-		}
-		mu, _ := c.ExtendStats(q, mask, next, sizes[:nextDeg])
-		card *= mu
-		mask |= query.Bit(next)
-	}
-	return card
+	canon, _ := q.Canonical()
+	est := c.Estimates(canon)
+	return est.Cardinality(query.AllMask(canon.NumVertices()))
 }

@@ -24,8 +24,8 @@ func TestOptimizeAllocsCeiling(t *testing.T) {
 		ceiling  float64
 		measured int
 	}{
-		{"a->b, b->c, c->d, d->e, a->e, b->e", 87, 72},
-		{"a->b, b->c, c->d, d->e, e->f, f->a, a->c, d->f", 186, 155},
+		{"a->b, b->c, c->d, d->e, a->e, b->e", 83, 69},
+		{"a->b, b->c, c->d, d->e, e->f, f->a, a->c, d->f", 180, 150},
 	} {
 		canon, _ := query.MustParse(tc.pattern).Canonical()
 		opts := Options{Catalogue: cat}

@@ -4,18 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"graphflow/internal/catalogue"
 	"graphflow/internal/plan"
 	"graphflow/internal/query"
 )
 
-// context carries the per-query state of one optimization: the catalogue,
-// the options, the query's neighbour sets, and the flat per-query memos
-// of cardinalities, extension statistics and catalogue lookups, which
-// every search of the query reads. Nothing in it outlives the Optimize
-// call.
+// context carries the per-query state of one optimization: the options,
+// the query's neighbour sets and its catalogue estimates, which every
+// search of the query reads. Nothing in it outlives the Optimize call.
 type context struct {
 	q    *query.Graph
 	opts Options
@@ -24,11 +21,8 @@ type context struct {
 	// nbr[v] is the set of query vertices sharing an edge with v: the
 	// adjacency and join-split tests of the search read it instead of
 	// rescanning (and copying out of) the edge list.
-	nbr   [query.MaxVertices]query.Mask
-	card  query.Memo[float64] // by mask
-	exts  query.Memo[extStat] // by (mask, v)
-	sizes []float64           // every extStat's list sizes, one slab
-	stats catalogue.Lookups
+	nbr [query.MaxVertices]query.Mask
+	est catalogue.Estimates
 	// ext is extend's scratch operator and tail tailCost's scratch;
 	// routing prices a router's orderings (Routes), which split one scan
 	// source's rows and so find their tails without PrefixTwin components.
@@ -36,19 +30,6 @@ type context struct {
 	tail    plan.Tail
 	routing bool
 }
-
-// extStat holds the catalogue estimates for extending mask by v: the
-// average list size per query edge between mask and v, in q.Edges order
-// (the order plan.NewExtend derives descriptors in) — the n sizes from
-// at in the context's sizes — µ, and the sizes' sum, lists: Equation 1's
-// i-cost of the E/I.
-type extStat struct {
-	mu, lists float64
-	at, n     int32
-}
-
-// listSizes returns st's list sizes.
-func (c *context) listSizes(st extStat) []float64 { return c.sizes[st.at : st.at+st.n] }
 
 // newContext validates q, which may have no parallel edges, and opts and
 // starts an optimization of q under opts with their defaults applied.
@@ -63,13 +44,10 @@ func newContext(q *query.Graph, opts Options) (*context, error) {
 		opts.BeamWidth = 5
 	}
 	c := &context{
-		q:     q,
-		opts:  opts,
-		full:  query.AllMask(q.NumVertices()),
-		stats: opts.Catalogue.Lookups(q),
-		// Room for the list sizes of most queries' extensions: a
-		// 6-vertex, 8-edge query asks for ≈ 130.
-		sizes: make([]float64, 0, 16*len(q.Edges)),
+		q:    q,
+		opts: opts,
+		full: query.AllMask(q.NumVertices()),
+		est:  opts.Catalogue.Estimates(q),
 	}
 	for _, e := range q.Edges {
 		// A SCAN matches exactly one query edge and the engine has no
@@ -85,69 +63,6 @@ func newContext(q *query.Graph, opts Options) (*context, error) {
 
 // adjacent reports whether a query edge connects v to a vertex of mask.
 func (c *context) adjacent(mask query.Mask, v int) bool { return c.nbr[v]&mask != 0 }
-
-// edgesBetween counts the query edges between v and mask: q has no
-// parallel edges, so one per neighbour.
-func (c *context) edgesBetween(mask query.Mask, v int) int { return bits.OnesCount32(c.nbr[v] & mask) }
-
-// extension returns the memoized catalogue statistics for extending the
-// subquery on mask by query vertex v.
-func (c *context) extension(mask query.Mask, v int) extStat {
-	if st, ok := c.exts.Get(mask, v); ok {
-		return st
-	}
-	n := c.edgesBetween(mask, v)
-	st := extStat{at: int32(len(c.sizes)), n: int32(n)}
-	c.sizes = slices.Grow(c.sizes, n)[:int(st.at)+n]
-	st.mu, _ = c.stats.ExtendStats(mask, v, c.listSizes(st))
-	for _, s := range c.listSizes(st) {
-		st.lists += s
-	}
-	c.exts.Put(mask, v, st)
-	return st
-}
-
-// cardinality estimates the number of matches of the projection of q onto
-// mask (Section 5.2, estimate 1): a deterministic extension chain whose µ
-// values multiply out. Memoized per mask.
-func (c *context) cardinality(mask query.Mask) float64 {
-	if v, ok := c.card.Get(mask, -1); ok {
-		return v
-	}
-	var out float64
-	switch bits.OnesCount32(mask) {
-	case 1:
-		v := bits.TrailingZeros32(mask)
-		out = c.opts.Catalogue.VertexCountByLabel(c.q.Vertices[v].Label)
-	case 2:
-		for _, e := range c.q.Edges {
-			if mask == query.Bit(e.From)|query.Bit(e.To) {
-				out = c.opts.Catalogue.ScanCount(e.Label, c.q.Vertices[e.From].Label, c.q.Vertices[e.To].Label)
-				break
-			}
-		}
-	default:
-		// Remove the most-connected removable vertex: its µ is estimated
-		// from the largest base, so the chain stays maximally informed.
-		bestV, bestDeg := -1, -1
-		for v := 0; v < c.q.NumVertices(); v++ {
-			rest := mask &^ query.Bit(v)
-			if rest == mask || !query.Connected(c.nbr[:], rest) {
-				continue
-			}
-			// v ascends, so the lowest index wins among equal degrees.
-			if d := c.edgesBetween(rest, v); d > bestDeg {
-				bestV, bestDeg = v, d
-			}
-		}
-		if bestV >= 0 {
-			rest := mask &^ query.Bit(bestV)
-			out = c.cardinality(rest) * c.extension(rest, bestV).mu
-		}
-	}
-	c.card.Put(mask, -1, out)
-	return out
-}
 
 // extendCost returns the estimated cost of the E/I operator ext, which
 // extends the subquery on childMask (already computed by ext.Child) with
@@ -170,26 +85,26 @@ func (c *context) cardinality(mask query.Mask) float64 {
 func (c *context) extendCost(childMask query.Mask, ext *plan.Extend) float64 {
 	v := ext.TargetVertex
 	prefix, rows, leaves := c.trailing(ext.Child, childMask, c.nbr[v])
-	visits := c.cardinality(rows)
+	visits := c.est.Cardinality(rows)
 	for base := visits; leaves != 0 && base > 0; leaves &= leaves - 1 {
-		visits *= math.Min(1, c.cardinality(rows|leaves&-leaves)/base)
+		visits *= math.Min(1, c.est.Cardinality(rows|leaves&-leaves)/base)
 	}
-	st := c.extension(prefix, v)
-	lists := st.lists
-	// Descriptor i has list size i (see extStat); the length check guards
-	// externally built plans (EstimateCost).
-	if covered := ext.Inherited(); covered != 0 && !c.opts.CacheOblivious && int(st.n) == len(ext.Descriptors) {
+	st := c.est.Extension(prefix, v)
+	lists := st.Lists
+	// Descriptor i has list size i (see catalogue.ExtensionEstimate); the
+	// length check guards externally built plans (EstimateCost).
+	if covered := ext.Inherited(); covered != 0 && !c.opts.CacheOblivious && len(st.Sizes) == len(ext.Descriptors) {
 		up := ext.Child.(*plan.Extend).TargetVertex
 		// The set, then the lists it does not cover; prefix lacks up
 		// already when up is a stripped sibling leaf.
-		lists = math.Max(1, c.extension(prefix&^query.Bit(up), up).mu)
-		for i, s := range c.listSizes(st) {
+		lists = math.Max(1, c.est.Extension(prefix&^query.Bit(up), up).Mu)
+		for i, s := range st.Sizes {
 			if covered&(1<<uint(i)) == 0 {
 				lists += s
 			}
 		}
 	}
-	return RowCost*visits + math.Min(c.cardinality(prefix), visits)*lists
+	return RowCost*visits + math.Min(c.est.Cardinality(prefix), visits)*lists
 }
 
 // trailing walks node's output stream from its fastest-varying vertex
@@ -265,13 +180,13 @@ func (c *context) tailCost(root plan.Node, cost float64, opCosts []float64) floa
 		ops[p] = node.(*plan.Extend)
 		node = ops[p].Child
 	}
-	reach := c.cardinality(plan.CoverMask(node))
+	reach := c.est.Cardinality(plan.CoverMask(node))
 	for _, comp := range t.Components() {
 		cops := ops[comp.First : comp.First+comp.Len]
 		if comp.Len == 1 {
 			op := cops[0]
 			on, _, _ := c.trailing(op.Child, plan.CoverMask(op.Child), c.nbr[op.TargetVertex])
-			reach *= math.Min(1, c.extension(on, op.TargetVertex).mu)
+			reach *= math.Min(1, c.est.Extension(on, op.TargetVertex).Mu)
 			continue
 		}
 		for p := comp.First; p < comp.First+comp.Len; p++ {
@@ -301,7 +216,7 @@ func (c *context) tailCost(root plan.Node, cost float64, opCosts []float64) floa
 // multiply by each operator's µ from the separator's count on. perKey is
 // the component's expected count on one key.
 func (c *context) componentCost(reach float64, separator query.Mask, ops []*plan.Extend) (price, perKey float64) {
-	keys := c.cardinality(separator)
+	keys := c.est.Cardinality(separator)
 	rows, mask, total := keys, separator, 0.0
 	for _, op := range ops {
 		v := query.Bit(op.TargetVertex)
@@ -309,11 +224,11 @@ func (c *context) componentCost(reach float64, separator query.Mask, ops []*plan
 		if mask == separator && bits.OnesCount32(mask) == 1 && keys > 0 {
 			// One list, the separator's edges to v: the scan statistics
 			// price it, with no extension key to look up.
-			mu = c.cardinality(mask|v) / keys
+			mu = c.est.Cardinality(mask|v) / keys
 			lists = mu
 		} else {
-			st := c.extension(mask, op.TargetVertex)
-			lists, mu = st.lists, st.mu
+			st := c.est.Extension(mask, op.TargetVertex)
+			lists, mu = st.Lists, st.Mu
 		}
 		total += rows * (RowCost + lists)
 		rows *= mu
@@ -333,5 +248,5 @@ func (c *context) componentCost(reach float64, separator query.Mask, ops []*plan
 // share a join key (see trailing).
 func (c *context) joinCost(buildMask, probeMask query.Mask, probe plan.Node) float64 {
 	runs, _, _ := c.trailing(probe, probeMask, buildMask&probeMask)
-	return BuildCost*c.cardinality(buildMask) + RowCost*c.cardinality(probeMask) + lookupCost*c.cardinality(runs)
+	return BuildCost*c.est.Cardinality(buildMask) + RowCost*c.est.Cardinality(probeMask) + lookupCost*c.est.Cardinality(runs)
 }

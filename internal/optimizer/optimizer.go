@@ -74,7 +74,7 @@ func Optimize(q *query.Graph, opts Options) (*plan.Plan, error) {
 		Query:                q,
 		Root:                 best.node,
 		EstimatedCost:        best.cost,
-		EstimatedCardinality: ctx.cardinality(ctx.full),
+		EstimatedCardinality: ctx.est.Cardinality(ctx.full),
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("optimizer: produced invalid plan: %w", err)

@@ -459,7 +459,7 @@ func TestStarLeafPricedOnPrefix(t *testing.T) {
 			sib := tc.leaves[1-i]
 			alone := ctx.extendCost(mask, extend(prefix, l))
 			after := ctx.extendCost(mask|query.Bit(sib), extend(extend(prefix, sib), l))
-			survive := math.Min(1, ctx.cardinality(mask|query.Bit(sib))/ctx.cardinality(mask))
+			survive := math.Min(1, ctx.est.Cardinality(mask|query.Bit(sib))/ctx.est.Cardinality(mask))
 			if want := alone * survive; math.Abs(after-want) > 1e-9*want {
 				t.Errorf("%s: leaf %s costs %.6g after %s, want %.6g (%.6g alone × %.3f surviving)",
 					tc.name, q.Vertices[l].Name, after, q.Vertices[sib].Name, want, alone, survive)

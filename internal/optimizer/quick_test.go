@@ -163,7 +163,7 @@ func TestQuickCardinalityNonNegative(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mask := range qq.Q.ConnectedSubsets(2) {
-			card := ctx.cardinality(mask)
+			card := ctx.est.Cardinality(mask)
 			if card < 0 || card != card /* NaN */ {
 				return false
 			}

@@ -100,7 +100,7 @@ func (c *context) join(k keeper, c1, c2 query.Mask) {
 		return
 	}
 	build, probe := c1, c2
-	if c.cardinality(c2) < c.cardinality(c1) {
+	if c.est.Cardinality(c2) < c.est.Cardinality(c1) {
 		build, probe = c2, c1
 	}
 	for _, b := range k.plans(build) {

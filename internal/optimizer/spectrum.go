@@ -57,7 +57,7 @@ func EnumeratePlans(q *query.Graph, opts Options, maxPerMask int) ([]SpectrumPla
 			continue
 		}
 		finalSeen[minSig] = true
-		p := &plan.Plan{Query: q, Root: c.node, EstimatedCost: c.cost, EstimatedCardinality: ctx.cardinality(ctx.full)}
+		p := &plan.Plan{Query: q, Root: c.node, EstimatedCost: c.cost, EstimatedCardinality: ctx.est.Cardinality(ctx.full)}
 		result = append(result, SpectrumPlan{Plan: p, Cost: c.cost, Kind: p.Kind()})
 	}
 	return result, nil

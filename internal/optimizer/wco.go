@@ -142,7 +142,7 @@ func EnumerateWCOPlans(q *query.Graph, opts Options) ([]WCOPlan, error) {
 			seen[sig] = true
 			out = append(out, WCOPlan{
 				Order: slices.Clone(order),
-				Plan:  &plan.Plan{Query: q, Root: own(), EstimatedCost: cost, EstimatedCardinality: ctx.cardinality(mask)},
+				Plan:  &plan.Plan{Query: q, Root: own(), EstimatedCost: cost, EstimatedCardinality: ctx.est.Cardinality(mask)},
 				Cost:  cost,
 			})
 		}
@@ -204,9 +204,9 @@ func (c *context) addRoute(r *adaptive.Routes, chain []*plan.Extend) {
 	}
 	rest = c.tailCost(chain[len(chain)-1], rest, costs[:len(chain)])
 	base, v := plan.CoverMask(chain[0].Child), chain[0].TargetVertex
-	first := c.extension(base, v)
-	if card := c.cardinality(base | query.Bit(v)); card > 0 {
-		rest = rest / card * first.mu
+	first := c.est.Extension(base, v)
+	if card := c.est.Cardinality(base | query.Bit(v)); card > 0 {
+		rest = rest / card * first.Mu
 	}
-	r.Add(chain, c.listSizes(first), rest)
+	r.Add(chain, first.Sizes, rest)
 }

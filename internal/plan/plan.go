@@ -330,33 +330,40 @@ func (p *Plan) Describe() string {
 // construction: nodes always carry *all* induced query edges because E/I
 // descriptors and scans are derived from the query itself).
 func (p *Plan) Validate() error {
-	var rec func(n Node) error
-	rec = func(n Node) error {
-		seen := map[int]bool{}
-		for _, v := range n.Out() {
-			if v < 0 || v >= p.Query.NumVertices() {
-				return fmt.Errorf("plan: slot references vertex %d out of range", v)
-			}
-			if seen[v] {
-				return fmt.Errorf("plan: vertex a%d appears twice in layout", v+1)
-			}
-			seen[v] = true
-		}
-		if !p.Query.IsConnected(CoverMask(n)) {
-			return fmt.Errorf("plan: node %s covers a disconnected projection", n)
-		}
-		for _, c := range n.Children() {
-			if err := rec(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(p.Root); err != nil {
+	nbr := p.Query.Neighbors()
+	if err := p.validate(p.Root, &nbr); err != nil {
 		return err
 	}
 	if CoverMask(p.Root) != query.AllMask(p.Query.NumVertices()) {
 		return fmt.Errorf("plan: root does not cover the query")
+	}
+	return nil
+}
+
+// validate checks the layouts and projections of n's subtree for
+// Validate; nbr are the query's neighbour sets.
+func (p *Plan) validate(n Node, nbr *[32]query.Mask) error {
+	seen := query.Mask(0)
+	for _, v := range n.Out() {
+		if v < 0 || v >= p.Query.NumVertices() {
+			return fmt.Errorf("plan: slot references vertex %d out of range", v)
+		}
+		if seen&query.Bit(v) != 0 {
+			return fmt.Errorf("plan: vertex a%d appears twice in layout", v+1)
+		}
+		seen |= query.Bit(v)
+	}
+	if !query.Connected(nbr[:], seen) {
+		return fmt.Errorf("plan: node %s covers a disconnected projection", n)
+	}
+	switch op := n.(type) {
+	case *Extend:
+		return p.validate(op.Child, nbr)
+	case *HashJoin:
+		if err := p.validate(op.Build, nbr); err != nil {
+			return err
+		}
+		return p.validate(op.Probe, nbr)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ package query
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"graphflow/internal/graph"
@@ -63,26 +64,22 @@ func (q *Graph) Validate() error {
 	if len(q.Edges) == 0 {
 		return fmt.Errorf("query: no edges")
 	}
-	seen := map[Edge]struct{}{}
-	for _, e := range q.Edges {
+	// Duplicates are found by comparing pairs: with at most MaxVertices
+	// vertices that is cheaper than building a set.
+	for i, e := range q.Edges {
 		if e.From < 0 || e.From >= len(q.Vertices) || e.To < 0 || e.To >= len(q.Vertices) {
 			return fmt.Errorf("query: edge (%d->%d) out of range", e.From, e.To)
 		}
 		if e.From == e.To {
 			return fmt.Errorf("query: self-loop on vertex %d", e.From)
 		}
-		if _, dup := seen[e]; dup {
+		if slices.Contains(q.Edges[:i], e) {
 			return fmt.Errorf("query: duplicate edge %d->%d", e.From, e.To)
 		}
-		seen[e] = struct{}{}
 	}
-	names := map[string]struct{}{}
-	for _, v := range q.Vertices {
-		if v.Name != "" {
-			if _, dup := names[v.Name]; dup {
-				return fmt.Errorf("query: duplicate vertex name %q", v.Name)
-			}
-			names[v.Name] = struct{}{}
+	for i, v := range q.Vertices {
+		if v.Name != "" && slices.ContainsFunc(q.Vertices[:i], func(w Vertex) bool { return w.Name == v.Name }) {
+			return fmt.Errorf("query: duplicate vertex name %q", v.Name)
 		}
 	}
 	full := AllMask(len(q.Vertices))

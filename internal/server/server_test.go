@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"graphflow"
+	"graphflow/internal/query"
 )
 
 var (
@@ -125,6 +128,52 @@ func TestHandlerTable(t *testing.T) {
 				t.Errorf("body %q does not contain %q", w.Body, tc.wantSubstr)
 			}
 		})
+	}
+}
+
+// TestExplainEstimateIsThePlans holds /explain's estimated_cardinality to
+// DB.EstimateCardinality, the estimate the prepared plan was priced on:
+// for three spellings of each of Q1–Q14 (vertices renamed, edges
+// shuffled) the response carries that number bit for bit, the same for
+// every spelling.
+func TestExplainEstimateIsThePlans(t *testing.T) {
+	db, err := graphflow.NewFromDataset("Epinions", 1, &graphflow.Options{CatalogueZ: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{DB: db})
+	rng := rand.New(rand.NewSource(1))
+	for j := 1; j <= 14; j++ {
+		first := math.NaN()
+		for range 3 {
+			q := query.Benchmark(j).Clone()
+			names := rng.Perm(len(q.Vertices))
+			for i := range q.Vertices {
+				q.Vertices[i].Name = fmt.Sprintf("v%d", names[i])
+			}
+			rng.Shuffle(len(q.Edges), func(i, j int) { q.Edges[i], q.Edges[j] = q.Edges[j], q.Edges[i] })
+			pattern := q.String()
+			w := do(t, s, "POST", "/explain", explainRequest{Pattern: pattern})
+			if w.Code != http.StatusOK {
+				t.Fatalf("Q%d %s: status %d: %s", j, pattern, w.Code, w.Body)
+			}
+			var resp explainResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			want, err := db.EstimateCardinality(pattern)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(resp.Estimated) != math.Float64bits(want) {
+				t.Errorf("Q%d %s: estimated_cardinality %v, DB.EstimateCardinality %v", j, pattern, resp.Estimated, want)
+			}
+			if math.IsNaN(first) {
+				first = resp.Estimated
+			} else if resp.Estimated != first {
+				t.Errorf("Q%d %s: estimated_cardinality %v, another spelling's %v", j, pattern, resp.Estimated, first)
+			}
+		}
 	}
 }
 
