@@ -796,6 +796,14 @@ func (pq *PreparedQuery) PlanTime() time.Duration { return pq.planTook }
 // statistics generation.
 func (pq *PreparedQuery) PlanKind() string { return pq.cur.Load().plan.Kind() }
 
+// EstimatedCardinality returns the catalogue's estimate of the number of
+// matches that the prepared plan was priced on: DB.EstimateCardinality of
+// the pattern, without parsing it again. Like Stats, it reflects the most
+// recently resolved statistics generation.
+func (pq *PreparedQuery) EstimatedCardinality() float64 {
+	return pq.cur.Load().plan.EstimatedCardinality
+}
+
 // runConfig returns what one run of a query runs under; every run,
 // Analyze included, takes it from here. The context is qo.Context, or
 // Background. The RunConfig is the per-query knobs, then the hook the
@@ -994,7 +1002,8 @@ func (pq *PreparedQuery) Analyze(opts *QueryOptions) (Stats, error) {
 // EstimateCardinality returns the catalogue's estimate of the pattern's
 // match count (Section 5.2): the one its plan is priced on, computed on
 // its canonical form, so every spelling of the pattern gets the same
-// number.
+// number. A prepared query's PreparedQuery.EstimatedCardinality reads it
+// off the plan instead.
 func (db *DB) EstimateCardinality(pattern string) (float64, error) {
 	q, err := query.ParseAny(pattern)
 	if err != nil {

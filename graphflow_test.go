@@ -158,7 +158,7 @@ func TestEstimateIsThePlans(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Q%d %s: %v", j, pattern, err)
 			}
-			if want := pq.cur.Load().plan.EstimatedCardinality; math.Float64bits(est) != math.Float64bits(want) {
+			if want := pq.EstimatedCardinality(); math.Float64bits(est) != math.Float64bits(want) {
 				t.Errorf("Q%d %s: EstimateCardinality %v, the prepared plan's %v", j, pattern, est, want)
 			}
 		}

@@ -12,12 +12,15 @@ import (
 )
 
 // maxPatternsExpanded bounds the number of distinct labelled patterns the
-// sampler expands, and maxWorkUnits bounds the descriptor-list lookups of
-// all measurements together — instances times descriptors, 30.0 M on the
-// cold-plan graph — for heavily labelled graphs whose pattern space
-// explodes (the paper's Table 11 reports 11.9M entries at h=4; we bound
-// construction time rather than memory — entries sampled before the
-// budget runs out are unaffected).
+// sampler expands, and maxWorkUnits bounds the work of all measurements
+// together — instances times descriptors, 30.0 M on the cold-plan graph —
+// for heavily labelled graphs whose pattern space explodes (the paper's
+// Table 11 reports 11.9M entries at h=4; we bound construction time rather
+// than memory — entries sampled before the budget runs out are
+// unaffected). A unit is one descriptor list read by one measurement, not
+// a lookup: a pattern's lists are fetched once, into its listTable, for
+// all the measurements that read them (60 828 fetches on the cold-plan
+// graph).
 const (
 	maxPatternsExpanded = 50000
 	maxWorkUnits        = 30_000_000
@@ -40,9 +43,12 @@ const batchJobs = 4096
 //   - Plan, on the calling goroutine. expand pops the queue in FIFO order
 //     and decides everything about what is measured: the reservoir draw,
 //     every shuffle, visited, the pattern and work budgets. Each admitted
-//     measurement becomes a job.
-//   - Measure, on the workers. A job's list sums, extension count, key and
-//     new instances go into the job's own slot.
+//     measurement becomes a job, and each list column it is the first to
+//     read a fill.
+//   - Measure, on the workers. First every descriptor list the batch's
+//     jobs read and no earlier batch fetched goes into its pattern's
+//     listTable, a column at a time; then a job's list sums, extension
+//     count, key and new instances go into the job's own slot.
 //   - Merge, on the calling goroutine, in job order: the sums into the
 //     entry table, so every float addition happens in the sequential
 //     order and entries are numbered alike, and the extended patterns onto
@@ -63,12 +69,15 @@ type builder struct {
 	queue    []queued
 
 	// The planned batch: its jobs, their extension edges back to back and,
-	// aligned with those, their summed list sizes. Then the extension
-	// edges being enumerated, the bytes of the last pattern code, and one
-	// measurer per worker.
+	// aligned with those, the columns they read and their summed list
+	// sizes; the columns it fetches. Then the extension edges being
+	// enumerated, the bytes of the last pattern code, and one measurer per
+	// worker.
 	jobs    []job
 	edges   []query.Edge
+	cols    []*column
 	sums    []float64
+	fills   []fill
 	cur     []query.Edge
 	key     []byte
 	workers []measurer
@@ -83,11 +92,11 @@ type queued struct {
 type instance []graph.VertexID
 
 // job is one admitted measurement — pattern extended by a vertex labelled
-// tl through edges[lo:hi] of the batch, over instances — and its result,
-// whose summed list sizes, in the entry's descriptor order, are
-// sums[lo:hi]. found reports whether any instance had a non-empty
-// descriptor list; without one the job adds no entry and the other
-// results are unset.
+// tl through edges[lo:hi] of the batch, over instances, reading the lists
+// in cols[lo:hi] — and its result, whose summed list sizes, in the
+// entry's descriptor order, are sums[lo:hi]. found reports whether any
+// instance had a non-empty descriptor list; without one the job adds no
+// entry and the other results are unset.
 type job struct {
 	pattern   *query.Graph
 	instances []instance
@@ -101,17 +110,67 @@ type job struct {
 }
 
 // measurer is one worker's scratch, reused across its jobs: the
-// intersector with its operands and results, each descriptor's summed
-// list size, the new instances row after row, the extension assembled as
-// one graph, and the keys of the batch's jobs it ran, back to back.
+// intersector with its operands and results, the new instances row after
+// row, the extension assembled as one graph, and the keys of the batch's
+// jobs it ran, back to back.
 type measurer struct {
 	it           graph.Intersector
 	lists        [][]graph.VertexID
 	out, scratch []graph.VertexID
-	listSums     []float64
 	rows         []graph.VertexID
 	ext          query.Graph
 	keys         []byte
+}
+
+// A listTable holds the descriptor lists of one pattern's sampled
+// instances, for every job that extends the pattern to read: a column per
+// slot — a base vertex, a list direction, an edge label and a target
+// label, numbered by listTable.slot — each holding its slot's list for
+// every instance, in instance order. A column is fetched once, and only
+// if a job reads it; the table goes when the pattern's last job has been
+// merged.
+type listTable struct {
+	cols         []column
+	numEL, numVL int
+}
+
+// column is one slot's lists, by instance, and their sizes summed in
+// instance order: the slot's summed list size in any job that reads it.
+// lists is set when a job is planned to read the column, the rest when a
+// worker has fetched it.
+type column struct {
+	lists [][]graph.VertexID
+	sum   float64
+}
+
+// fill is a column planned for fetching: the lists of anchor's
+// (dir, el, tl) slot, one per instance.
+type fill struct {
+	col       *column
+	instances []instance
+	anchor    int
+	dir       graph.Direction
+	el, tl    graph.Label
+}
+
+func newListTable(k, numEL, numVL int) *listTable {
+	return &listTable{cols: make([]column, 2*k*numEL*numVL), numEL: numEL, numVL: numVL}
+}
+
+// slot numbers the column of anchor's (dir, el, tl) lists.
+func (t *listTable) slot(anchor int, dir graph.Direction, el, tl graph.Label) int {
+	return ((anchor*2+int(dir))*t.numEL+int(el))*t.numVL + int(tl)
+}
+
+// run fetches the column's lists from g.
+func (f *fill) run(g graph.View) {
+	sum := 0.0
+	for i, inst := range f.instances {
+		l := g.Neighbors(inst[f.anchor], f.dir, f.el, f.tl, nil)
+		f.col.lists[i] = l
+		sum += float64(len(l))
+	}
+	f.col.sum = sum
 }
 
 // build is Build measuring on the given number of workers; the catalogue
@@ -217,6 +276,7 @@ func (b *builder) expand(pattern *query.Graph, instances []instance) {
 
 	numEL := b.g.NumEdgeLabels()
 	numVL := b.g.NumVertexLabels()
+	table := newListTable(k, numEL, numVL)
 	target := k
 	// Structural extensions: non-empty subsets of the 2k possible directed
 	// edges between the new vertex and the base vertices. Bit 2*v is
@@ -235,7 +295,7 @@ func (b *builder) expand(pattern *query.Graph, instances []instance) {
 		// odometer whose last edge turns fastest, times every target label.
 		for {
 			for tl := 0; tl < numVL; tl++ {
-				b.admit(pattern, b.cur, graph.Label(tl), instances)
+				b.admit(pattern, b.cur, graph.Label(tl), instances, table)
 			}
 			i := len(b.cur) - 1
 			for ; i >= 0 && int(b.cur[i].Label)+1 == numEL; i-- {
@@ -250,42 +310,45 @@ func (b *builder) expand(pattern *query.Graph, instances []instance) {
 }
 
 // admit charges the measurement of one extension to the work budget and
-// plans it as a job, running the batch once it is full.
-func (b *builder) admit(pattern *query.Graph, edges []query.Edge, tl graph.Label, instances []instance) {
+// plans it as a job, with a fill for each column of table it reads that
+// no job has read before, running the batch once it is full.
+func (b *builder) admit(pattern *query.Graph, edges []query.Edge, tl graph.Label, instances []instance, table *listTable) {
 	if b.work > b.budget {
 		return
 	}
 	b.work += int64(len(instances)) * int64(len(edges))
 	lo := len(b.edges)
 	b.edges = append(b.edges, edges...)
+	target := pattern.NumVertices()
+	for _, e := range edges {
+		// target -> e.To: candidates in e.To's backward list.
+		anchor, dir := e.To, graph.Backward
+		if e.To == target {
+			anchor, dir = e.From, graph.Forward
+		}
+		c := &table.cols[table.slot(anchor, dir, e.Label, tl)]
+		if c.lists == nil {
+			c.lists = make([][]graph.VertexID, len(instances))
+			b.fills = append(b.fills, fill{c, instances, anchor, dir, e.Label, tl})
+		}
+		b.cols = append(b.cols, c)
+	}
 	b.jobs = append(b.jobs, job{pattern: pattern, instances: instances, lo: lo, hi: len(b.edges), tl: tl})
 	if len(b.jobs) == batchJobs {
 		b.flush()
 	}
 }
 
-// flush measures the planned jobs on the workers, the calling goroutine
-// being one of them, and merges the results in job order.
+// flush fetches the columns the planned jobs read first, then measures
+// the jobs, each on the workers, and merges the results in job order.
 func (b *builder) flush() {
-	jobs := b.jobs
+	jobs, fills := b.jobs, b.fills
+	b.parallel(len(fills), func(_ *measurer, i int) { fills[i].run(b.g) })
+	for i := range b.workers {
+		b.workers[i].keys = b.workers[i].keys[:0]
+	}
 	b.sums = slices.Grow(b.sums[:0], len(b.edges))[:len(b.edges)]
-	var next atomic.Int64
-	drain := func(m *measurer) {
-		m.keys = m.keys[:0]
-		for i := int(next.Add(1) - 1); i < len(jobs); i = int(next.Add(1) - 1) {
-			m.measure(b, &jobs[i])
-		}
-	}
-	var wg sync.WaitGroup
-	for i := 1; i < min(len(b.workers), len(jobs)); i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			drain(&b.workers[i])
-		}()
-	}
-	drain(&b.workers[0])
-	wg.Wait()
+	b.parallel(len(jobs), func(m *measurer, i int) { m.measure(b, &jobs[i]) })
 
 	t := &b.c.entries
 	for i := range jobs {
@@ -304,46 +367,71 @@ func (b *builder) flush() {
 			b.queue = append(b.queue, j.next)
 		}
 	}
-	// Cleared, the slots hold no instances the queue has let go of.
+	// Cleared, the slots hold no instances the queue has let go of, and
+	// no table of a pattern whose jobs are all merged.
 	clear(jobs)
-	b.jobs, b.edges = jobs[:0], b.edges[:0]
+	clear(fills)
+	clear(b.cols)
+	b.jobs, b.edges, b.cols, b.fills = jobs[:0], b.edges[:0], b.cols[:0], fills[:0]
+}
+
+// parallel runs task for every i < n on the workers, the calling
+// goroutine being one of them, each worker with its own measurer.
+func (b *builder) parallel(n int, task func(m *measurer, i int)) {
+	var next atomic.Int64
+	drain := func(m *measurer) {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			task(m, i)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < min(len(b.workers), n); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drain(&b.workers[i])
+		}()
+	}
+	drain(&b.workers[0])
+	wg.Wait()
 }
 
 // measure runs a job's extension over its instance sample, writing the
-// result into the job.
+// result into the job. Its lists are its columns' and its summed list
+// sizes theirs, so each is added up over the instances in instance
+// order, as reading the lists instance by instance would.
 func (m *measurer) measure(b *builder, j *job) {
-	pattern, edges, tl, instances := j.pattern, b.edges[j.lo:j.hi], j.tl, j.instances
+	pattern, edges, cols, tl, instances := j.pattern, b.edges[j.lo:j.hi], b.cols[j.lo:j.hi], j.tl, j.instances
 	target := pattern.NumVertices()
 
-	if cap(m.lists) < len(edges) {
-		m.lists, m.listSums = make([][]graph.VertexID, len(edges)), make([]float64, len(edges))
-	}
-	lists, listSums := m.lists[:len(edges)], m.listSums[:len(edges)]
-	clear(listSums)
-	totalExt := 0
 	anyList := false
+	for _, c := range cols {
+		anyList = anyList || c.sum > 0
+	}
+	j.found = anyList
+	if !anyList {
+		// Combination absent from the data: leave the entry missing so the
+		// estimator falls back to defaults, rather than flooding the
+		// catalogue with all-zero rows.
+		return
+	}
+	if cap(m.lists) < len(cols) {
+		m.lists = make([][]graph.VertexID, len(cols))
+	}
+	lists := m.lists[:len(cols)]
+	totalExt := 0
 	width := target + 1
 	m.rows = m.rows[:0]
 	recurse := width <= b.c.Cfg.H
-	for _, inst := range instances {
-		empty := false
-		for i, e := range edges {
-			// target -> e.To: candidates in e.To's backward list.
-			src, dir := e.To, graph.Backward
-			if e.To == target {
-				src, dir = e.From, graph.Forward
-			}
-			lists[i] = b.g.Neighbors(inst[src], dir, e.Label, tl, nil)
-			listSums[i] += float64(len(lists[i]))
-			if len(lists[i]) > 0 {
-				anyList = true
-			} else {
-				empty = true
-			}
+	for n, inst := range instances {
+		skip := false
+		for i, c := range cols {
+			lists[i] = c.lists[n]
+			skip = skip || len(lists[i]) == 0
 		}
-		if empty {
+		if skip {
 			// An empty operand empties the intersection: no extensions and
-			// no rows. Every list still counts towards listSums above.
+			// no rows.
 			continue
 		}
 		m.out, m.scratch = m.it.IntersectK(lists, m.out, m.scratch)
@@ -356,13 +444,6 @@ func (m *measurer) measure(b *builder, j *job) {
 				m.rows = append(append(m.rows, inst...), w)
 			}
 		}
-	}
-	j.found = anyList
-	if !anyList {
-		// Combination absent from the data: leave the entry missing so the
-		// estimator falls back to defaults, rather than flooding the
-		// catalogue with all-zero rows.
-		return
 	}
 	// The extension as one graph: pattern, the target as its last vertex,
 	// the extension edges after pattern's own.
@@ -377,7 +458,7 @@ func (m *measurer) measure(b *builder, j *job) {
 	j.key = m.keys[at:]
 	sums := b.sums[j.lo:j.hi]
 	for i, ed := range edges {
-		sums[descriptorRank(&m.ext, base, target, &perm, ed)] = listSums[i]
+		sums[descriptorRank(&m.ext, base, target, &perm, ed)] = cols[i].sum
 	}
 	j.ext = totalExt
 

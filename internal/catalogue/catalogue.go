@@ -271,16 +271,6 @@ func (c *Catalogue) Len() int { return c.entries.len() }
 // flat table's arrays times their element sizes.
 func (c *Catalogue) Bytes() int64 { return c.entries.bytes() }
 
-// Lookup returns the entry keyed k. Its ListSizes alias the catalogue
-// and must not be modified.
-func (c *Catalogue) Lookup(k Key) (Entry, bool) {
-	e, _ := c.entries.find([]byte(k))
-	if e < 0 {
-		return Entry{}, false
-	}
-	return c.entries.entry(e), true
-}
-
 // All yields every entry with its key, in the order Build first measured
 // them (Load: in key order). Each ListSizes aliases the catalogue and
 // must not be modified.
@@ -292,42 +282,6 @@ func (c *Catalogue) All() iter.Seq2[Key, Entry] {
 			}
 		}
 	}
-}
-
-// Extension describes extending Base by one new query vertex. Edges
-// reference Base's vertex indices plus Base.NumVertices() for the target.
-// It is the paper's (Q_{k-1}, A, a_k) spelled out; the estimator and the
-// sampler address the same thing in place, as a vertex subset of a larger
-// graph plus one more of its vertices (extensionKey).
-type Extension struct {
-	Base        *query.Graph
-	Edges       []query.Edge
-	TargetLabel graph.Label
-}
-
-// graph returns the extension as one graph: Base, then the target as
-// the last vertex, then Edges after Base's own.
-func (e Extension) graph() *query.Graph {
-	kg := e.Base.Clone()
-	kg.Vertices = append(kg.Vertices, query.Vertex{Label: e.TargetLabel})
-	kg.Edges = append(kg.Edges, e.Edges...)
-	return kg
-}
-
-// Key returns the canonical entry key and, for each input edge, its rank in
-// the canonical descriptor order (so callers can align ListSizes with their
-// own descriptor order).
-func (e Extension) Key() (Key, []int) {
-	kg := e.graph()
-	target := len(e.Base.Vertices)
-	base := query.AllMask(target)
-	var perm [query.MaxVertices]int
-	key := Key(extensionKey(nil, kg, base, target, perm[:]))
-	ranks := make([]int, 0, len(e.Edges))
-	for _, ed := range e.Edges {
-		ranks = append(ranks, descriptorRank(kg, base, target, &perm, ed))
-	}
-	return key, ranks
 }
 
 // ExtensionKey returns the key of extending the projection of q onto base

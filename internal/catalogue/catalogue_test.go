@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -310,12 +311,40 @@ func TestBaseStatisticsKeyFormat(t *testing.T) {
 
 // BenchmarkCatalogueBuild is what one statistics refresh costs: a full
 // Build on Epinions under the repository benchmark's cold-plan labelling
-// (two vertex labels by three edge labels).
+// (two vertex labels by three edge labels). fetches/op is the Build's
+// Neighbors calls.
 func BenchmarkCatalogueBuild(b *testing.B) {
-	g := datagen.Relabel(datagen.Epinions(1), 2, 3, 11)
+	g := &countingView{View: datagen.Relabel(datagen.Epinions(1), 2, 3, 11)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Build(g, Config{H: 3, Z: 1000, Seed: 1})
+	}
+	b.ReportMetric(float64(g.calls.Load())/float64(b.N), "fetches/op")
+}
+
+// countingView counts the Neighbors calls made through it.
+type countingView struct {
+	graph.View
+	calls atomic.Int64
+}
+
+func (v *countingView) Neighbors(u graph.VertexID, dir graph.Direction, el, nl graph.Label, buf []graph.VertexID) []graph.VertexID {
+	v.calls.Add(1)
+	return v.View.Neighbors(u, dir, el, nl, buf)
+}
+
+// TestBuildFetchesEachListOnce pins the descriptor lists a Build fetches
+// on the cold-plan graph: each (pattern, sampled instance, list slot) at
+// most once, into the pattern's listTable. Every slot of every table is
+// read by some measurement there, so the count is the tables' size.
+// Reading each measurement's lists itself, Build made 30 000 867 calls,
+// one per work unit, for the same catalogue.
+func TestBuildFetchesEachListOnce(t *testing.T) {
+	g := &countingView{View: datagen.Relabel(datagen.Epinions(2), 2, 3, 11)}
+	c := Build(g, Config{H: 3, Z: 1000, Seed: 1})
+	checkTotals(t, c, 25047, 6997965, 4224.8358768051839, 1617090.6378220529)
+	if got, want := g.calls.Load(), int64(60828); got != want {
+		t.Errorf("Build called Neighbors %d times, want %d", got, want)
 	}
 }
 
@@ -395,9 +424,10 @@ func TestBuildPinnedOnLabelledEpinions(t *testing.T) {
 // catalogue comes out the same on any number of workers — the same saved
 // bytes and the same entry order as on one. The inputs cover the
 // cold-plan pin, an unlabelled graph, a live snapshot read through its
-// overlay, new instances carried across two levels (H 4), and a work
-// budget that runs out in the middle of a level. No worker outlives its
-// Build.
+// overlay, new instances carried across two levels (H 4), a work budget
+// that runs out in the middle of a level, and a heavily labelled graph
+// whose budget runs out in the middle of a pattern's jobs. No worker
+// outlives its Build.
 func TestBuildSameOnEveryWorkerCount(t *testing.T) {
 	coldPlan := datagen.Relabel(datagen.Epinions(2), 2, 3, 11)
 	cases := []struct {
@@ -430,6 +460,10 @@ func TestBuildSameOnEveryWorkerCount(t *testing.T) {
 			t.Error("no entry extends a 4-vertex pattern")
 		}, nil},
 		{"budget runs out mid-level", coldPlan, Config{H: 3, Z: 1000, Seed: 1}, 200_000, nil, nil},
+		// 16 vertex by 8 edge labels: 512 list slots per 2-vertex pattern,
+		// over 10⁵ jobs per pattern, so its table's columns are read across
+		// batches, and a budget that runs out among the first pattern's.
+		{"heavily labelled", datagen.Relabel(datagen.Epinions(1), 16, 8, 5), Config{H: 3, Z: 1000, Seed: 4}, 300_000, nil, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -5,25 +5,8 @@ import (
 	"math/bits"
 	"slices"
 
-	"graphflow/internal/graph"
 	"graphflow/internal/query"
 )
-
-// ExtensionStats estimates the statistics for extending base by a new
-// vertex labelled tl through the given edges (which reference base's
-// vertices plus base.NumVertices() as the target): the average size of each
-// descriptor's adjacency list (aligned with the edges order) and the
-// average number of extensions µ. The boolean reports whether a catalogue
-// entry (direct or reduced) was found.
-//
-// This is the spelled-out form of ExtendStats, which planners call: it
-// assembles the extension into one graph first.
-func (c *Catalogue) ExtensionStats(base *query.Graph, edges []query.Edge, tl graph.Label) ([]float64, float64, bool) {
-	k := base.NumVertices()
-	sizes := make([]float64, len(edges))
-	mu, found := c.ExtendStats(Extension{Base: base, Edges: edges, TargetLabel: tl}.graph(), query.AllMask(k), k, sizes)
-	return sizes, mu, found
-}
 
 // ExtendStats estimates the statistics for extending the projection of q
 // onto base by vertex v of q: the extension's descriptors are q's edges

@@ -984,12 +984,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pst := pq.Stats()
-	est, _ := s.cfg.DB.EstimateCardinality(pattern)
 	resp := explainResponse{
 		PlanKind:   pst.PlanKind,
 		Plan:       pst.Plan,
 		PlanDigest: pq.PlanDigest(),
-		Estimated:  est,
+		Estimated:  pq.EstimatedCardinality(),
 	}
 	if analyze {
 		ctx, cancel := context.WithTimeout(r.Context(), s.timeout(&queryRequest{TimeoutMS: req.TimeoutMS}))
