@@ -43,12 +43,10 @@ const batchJobs = 4096
 //   - Plan, on the calling goroutine. expand pops the queue in FIFO order
 //     and decides everything about what is measured: the reservoir draw,
 //     every shuffle, visited, the pattern and work budgets. Each admitted
-//     measurement becomes a job, and each list column it is the first to
-//     read a fill.
-//   - Measure, on the workers. First every descriptor list the batch's
-//     jobs read and no earlier batch fetched goes into its pattern's
-//     listTable, a column at a time; then a job's list sums, extension
-//     count, key and new instances go into the job's own slot.
+//     measurement becomes a job, and each descriptor list column it is
+//     the first to read is fetched into its pattern's listTable.
+//   - Measure, on the workers. A job's list sums, extension count, key
+//     and new instances go into the job's own slot.
 //   - Merge, on the calling goroutine, in job order: the sums into the
 //     entry table, so every float addition happens in the sequential
 //     order and entries are numbered alike, and the extended patterns onto
@@ -70,14 +68,12 @@ type builder struct {
 
 	// The planned batch: its jobs, their extension edges back to back and,
 	// aligned with those, the columns they read and their summed list
-	// sizes; the columns it fetches. Then the extension edges being
-	// enumerated, the bytes of the last pattern code, and one measurer per
-	// worker.
+	// sizes. Then the extension edges being enumerated, the bytes of the
+	// last pattern code, and one measurer per worker.
 	jobs    []job
 	edges   []query.Edge
 	cols    []*column
 	sums    []float64
-	fills   []fill
 	cur     []query.Edge
 	key     []byte
 	workers []measurer
@@ -126,9 +122,9 @@ type measurer struct {
 // instances, for every job that extends the pattern to read: a column per
 // slot — a base vertex, a list direction, an edge label and a target
 // label, numbered by listTable.slot — each holding its slot's list for
-// every instance, in instance order. A column is fetched once, and only
-// if a job reads it; the table goes when the pattern's last job has been
-// merged.
+// every instance, in instance order. A column is fetched once, when the
+// first job that reads it is planned; the table goes when the pattern's
+// last job has been merged.
 type listTable struct {
 	cols         []column
 	numEL, numVL int
@@ -136,21 +132,10 @@ type listTable struct {
 
 // column is one slot's lists, by instance, and their sizes summed in
 // instance order: the slot's summed list size in any job that reads it.
-// lists is set when a job is planned to read the column, the rest when a
-// worker has fetched it.
+// lists is nil until the column is fetched.
 type column struct {
 	lists [][]graph.VertexID
 	sum   float64
-}
-
-// fill is a column planned for fetching: the lists of anchor's
-// (dir, el, tl) slot, one per instance.
-type fill struct {
-	col       *column
-	instances []instance
-	anchor    int
-	dir       graph.Direction
-	el, tl    graph.Label
 }
 
 func newListTable(k, numEL, numVL int) *listTable {
@@ -162,15 +147,14 @@ func (t *listTable) slot(anchor int, dir graph.Direction, el, tl graph.Label) in
 	return ((anchor*2+int(dir))*t.numEL+int(el))*t.numVL + int(tl)
 }
 
-// run fetches the column's lists from g.
-func (f *fill) run(g graph.View) {
-	sum := 0.0
-	for i, inst := range f.instances {
-		l := g.Neighbors(inst[f.anchor], f.dir, f.el, f.tl, nil)
-		f.col.lists[i] = l
-		sum += float64(len(l))
+// fetch fills the column with anchor's (dir, el, tl) list of every
+// instance.
+func (c *column) fetch(g graph.View, instances []instance, anchor int, dir graph.Direction, el, tl graph.Label) {
+	c.lists = make([][]graph.VertexID, len(instances))
+	for i, inst := range instances {
+		c.lists[i] = g.Neighbors(inst[anchor], dir, el, tl, nil)
+		c.sum += float64(len(c.lists[i]))
 	}
-	f.col.sum = sum
 }
 
 // build is Build measuring on the given number of workers; the catalogue
@@ -310,8 +294,8 @@ func (b *builder) expand(pattern *query.Graph, instances []instance) {
 }
 
 // admit charges the measurement of one extension to the work budget and
-// plans it as a job, with a fill for each column of table it reads that
-// no job has read before, running the batch once it is full.
+// plans it as a job, fetching each column of table it reads that no job
+// has read before, and runs the batch once it is full.
 func (b *builder) admit(pattern *query.Graph, edges []query.Edge, tl graph.Label, instances []instance, table *listTable) {
 	if b.work > b.budget {
 		return
@@ -328,8 +312,7 @@ func (b *builder) admit(pattern *query.Graph, edges []query.Edge, tl graph.Label
 		}
 		c := &table.cols[table.slot(anchor, dir, e.Label, tl)]
 		if c.lists == nil {
-			c.lists = make([][]graph.VertexID, len(instances))
-			b.fills = append(b.fills, fill{c, instances, anchor, dir, e.Label, tl})
+			c.fetch(b.g, instances, anchor, dir, e.Label, tl)
 		}
 		b.cols = append(b.cols, c)
 	}
@@ -339,16 +322,28 @@ func (b *builder) admit(pattern *query.Graph, edges []query.Edge, tl graph.Label
 	}
 }
 
-// flush fetches the columns the planned jobs read first, then measures
-// the jobs, each on the workers, and merges the results in job order.
+// flush measures the planned jobs on the workers, the calling goroutine
+// being one of them, and merges the results in job order.
 func (b *builder) flush() {
-	jobs, fills := b.jobs, b.fills
-	b.parallel(len(fills), func(_ *measurer, i int) { fills[i].run(b.g) })
-	for i := range b.workers {
-		b.workers[i].keys = b.workers[i].keys[:0]
-	}
+	jobs := b.jobs
 	b.sums = slices.Grow(b.sums[:0], len(b.edges))[:len(b.edges)]
-	b.parallel(len(jobs), func(m *measurer, i int) { m.measure(b, &jobs[i]) })
+	var next atomic.Int64
+	drain := func(m *measurer) {
+		m.keys = m.keys[:0]
+		for i := int(next.Add(1) - 1); i < len(jobs); i = int(next.Add(1) - 1) {
+			m.measure(b, &jobs[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < min(len(b.workers), len(jobs)); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drain(&b.workers[i])
+		}()
+	}
+	drain(&b.workers[0])
+	wg.Wait()
 
 	t := &b.c.entries
 	for i := range jobs {
@@ -370,30 +365,8 @@ func (b *builder) flush() {
 	// Cleared, the slots hold no instances the queue has let go of, and
 	// no table of a pattern whose jobs are all merged.
 	clear(jobs)
-	clear(fills)
 	clear(b.cols)
-	b.jobs, b.edges, b.cols, b.fills = jobs[:0], b.edges[:0], b.cols[:0], fills[:0]
-}
-
-// parallel runs task for every i < n on the workers, the calling
-// goroutine being one of them, each worker with its own measurer.
-func (b *builder) parallel(n int, task func(m *measurer, i int)) {
-	var next atomic.Int64
-	drain := func(m *measurer) {
-		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-			task(m, i)
-		}
-	}
-	var wg sync.WaitGroup
-	for i := 1; i < min(len(b.workers), n); i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			drain(&b.workers[i])
-		}()
-	}
-	drain(&b.workers[0])
-	wg.Wait()
+	b.jobs, b.edges, b.cols = jobs[:0], b.edges[:0], b.cols[:0]
 }
 
 // measure runs a job's extension over its instance sample, writing the
