@@ -32,11 +32,8 @@ var registryMethods = map[string]struct {
 	kind   string
 	isFunc bool
 }{
-	"Counter":           {"counter", false},
 	"CounterVec":        {"counter", false},
 	"CounterFunc":       {"counter", true},
-	"Gauge":             {"gauge", false},
-	"GaugeVec":          {"gauge", false},
 	"GaugeFunc":         {"gauge", true},
 	"Histogram":         {"histogram", false},
 	"HistogramVec":      {"histogram", false},

@@ -5,29 +5,17 @@ package sandbox
 
 type Registry struct{}
 
-type Counter struct{}
-
-type Gauge struct{}
-
 type Histogram struct{}
 
 type CounterVec struct{}
 
-type GaugeVec struct{}
-
 type HistogramVec struct{}
-
-func (r *Registry) Counter(name, help string) *Counter { return &Counter{} }
-
-func (r *Registry) Gauge(name, help string) *Gauge { return &Gauge{} }
 
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram { return &Histogram{} }
 
 func (r *Registry) CounterVec(name, help string, labelKeys ...string) *CounterVec {
 	return &CounterVec{}
 }
-
-func (r *Registry) GaugeVec(name, help string, labelKeys ...string) *GaugeVec { return &GaugeVec{} }
 
 func (r *Registry) HistogramVec(name, help string, bounds []float64, labelKeys ...string) *HistogramVec {
 	return &HistogramVec{}

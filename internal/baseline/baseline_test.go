@@ -82,7 +82,7 @@ func TestCFLCountMatchesReference(t *testing.T) {
 	for name, g := range testGraphs {
 		for _, j := range []int{1, 2, 3, 4, 5, 8, 10, 11, 13} {
 			q := query.Benchmark(j)
-			got := CFLCount(g, q)
+			got := CFLCountUpTo(g, q, 0)
 			want := query.RefCount(g, q)
 			if got != want {
 				t.Errorf("%s Q%d: CFL count = %d, want %d", name, j, got, want)
@@ -96,7 +96,7 @@ func TestCFLLabeled(t *testing.T) {
 	q := query.WithRandomEdgeLabels(query.Q3(), 4, 42)
 	// Also label the query vertices.
 	q.Vertices[0].Label = 1
-	got := CFLCount(g, q)
+	got := CFLCountUpTo(g, q, 0)
 	want := query.RefCount(g, q)
 	if got != want {
 		t.Errorf("labeled CFL count = %d, want %d", got, want)
@@ -133,7 +133,7 @@ func popcount(m query.Mask) int {
 func TestCFLCountUpTo(t *testing.T) {
 	g := testGraphs["copurchase"]
 	q := query.Q11() // plenty of path matches
-	full := CFLCount(g, q)
+	full := CFLCountUpTo(g, q, 0)
 	if full < 100 {
 		t.Skipf("too few matches (%d) for cap test", full)
 	}

@@ -8,22 +8,17 @@ import (
 	"graphflow/internal/query"
 )
 
-// CFLCount evaluates q on g with the CFL-style strategy of Appendix C
+// CFLCountUpTo evaluates q on g with the CFL-style strategy of Appendix C
 // (Bi et al., SIGMOD 2016): decompose the query into a dense core and a
 // forest; match the core first by candidate-filtered backtracking (fewer
 // matches, less independence); then *count* the forest per core match
 // with postponed Cartesian products — independent subtrees contribute
-// multiplicatively without being enumerated.
+// multiplicatively without being enumerated. Evaluation stops once the
+// count reaches limit (0 = unlimited), matching the 10^5/10^8 output caps
+// of the Appendix C experiment.
 //
 // The count it returns uses the same homomorphism semantics as the rest of
 // the repository, so it is directly comparable with every other engine.
-func CFLCount(g graph.View, q *query.Graph) int64 {
-	return CFLCountUpTo(g, q, 0)
-}
-
-// CFLCountUpTo is CFLCount with an output cap: evaluation stops once the
-// count reaches limit (0 = unlimited), matching the 10^5/10^8 output caps
-// of the Appendix C experiment.
 func CFLCountUpTo(g graph.View, q *query.Graph, limit int64) int64 {
 	core := coreMask(q)
 	forestChildren, order := forestStructure(q, core)

@@ -75,7 +75,7 @@ func TestQuickEnginesAgree(t *testing.T) {
 		if err != nil || bjEager != want {
 			return false
 		}
-		return CFLCount(quickG, q) == want
+		return CFLCountUpTo(quickG, q, 0) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -99,7 +99,7 @@ func TestQuickPGEstimateWellFormed(t *testing.T) {
 func TestQuickCFLCapMonotone(t *testing.T) {
 	f := func(sq smallQuery, capRaw uint16) bool {
 		capN := int64(capRaw%200) + 1
-		full := CFLCount(quickG, sq.Q)
+		full := CFLCountUpTo(quickG, sq.Q, 0)
 		capped := CFLCountUpTo(quickG, sq.Q, capN)
 		if capped > capN && capped > full {
 			return false

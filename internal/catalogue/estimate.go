@@ -8,26 +8,6 @@ import (
 	"graphflow/internal/query"
 )
 
-// ExtendStats estimates the statistics for extending the projection of q
-// onto base by vertex v of q: the extension's descriptors are q's edges
-// between v and base. sizes must have one element per descriptor and
-// receives each one's average adjacency-list size, in q.Edges order; the
-// results are the average number of extensions µ and whether a catalogue
-// entry (direct or reduced) was found. Nothing is projected or copied:
-// keys are computed on q in place.
-//
-// Resolution order (Section 5.2):
-//  1. exact catalogue entry;
-//  2. if base is larger than H, the minimum-µ estimate over all reduced
-//     entries obtained by removing (|base|-H)-vertex subsets and their
-//     descriptors;
-//  3. graph-wide average list sizes with an independence assumption for µ.
-//
-//gf:noalloc
-func (c *Catalogue) ExtendStats(q *query.Graph, base query.Mask, v int, sizes []float64) (float64, bool) {
-	return c.extendStats(q, base, v, sizes, nil)
-}
-
 // Estimates are Section 5.2's estimates for one query, each computed
 // once: a subquery's cardinality (estimate 1), the statistics of
 // extending a subquery by one vertex, and the catalogue entry lookups
@@ -129,7 +109,7 @@ func (e *Estimates) Cardinality(mask query.Mask) float64 {
 }
 
 // Extension returns the catalogue's estimate for extending the subquery
-// on mask by vertex v (see Catalogue.ExtendStats). Its Sizes are shared:
+// on mask by vertex v (extendStats, memoized). Its Sizes are shared:
 // callers read them and keep nothing.
 func (e *Estimates) Extension(mask query.Mask, v int) ExtensionEstimate {
 	st, ok := e.exts.Get(mask, v)
@@ -150,8 +130,23 @@ func (e *Estimates) Extension(mask query.Mask, v int) ExtensionEstimate {
 	return ExtensionEstimate{Mu: st.mu, Lists: st.lists, Sizes: e.sizes[st.at : st.at+st.n]}
 }
 
-// extendStats is ExtendStats, remembering its lookups in e unless e is
-// nil.
+// extendStats estimates the statistics for extending the projection of q
+// onto base by vertex v of q: the extension's descriptors are q's edges
+// between v and base. sizes must have one element per descriptor and
+// receives each one's average adjacency-list size, in q.Edges order; the
+// results are the average number of extensions µ and whether a catalogue
+// entry (direct or reduced) was found. Nothing is projected or copied:
+// keys are computed on q in place. Lookups are remembered in e unless e
+// is nil.
+//
+// Resolution order (Section 5.2):
+//  1. exact catalogue entry;
+//  2. if base is larger than H, the minimum-µ estimate over all reduced
+//     entries obtained by removing (|base|-H)-vertex subsets and their
+//     descriptors;
+//  3. graph-wide average list sizes with an independence assumption for µ.
+//
+//gf:noalloc
 func (c *Catalogue) extendStats(q *query.Graph, base query.Mask, v int, sizes []float64, e *Estimates) (float64, bool) {
 	k := bits.OnesCount32(base)
 	// Only bases of at most H vertices can have entries, and skipping the

@@ -5,6 +5,13 @@ import (
 	"graphflow/internal/query"
 )
 
+// ExtendStats is extendStats without a memo: the statistics for
+// extending the projection of q onto base by vertex v, with no Estimates
+// in between.
+func (c *Catalogue) ExtendStats(q *query.Graph, base query.Mask, v int, sizes []float64) (float64, bool) {
+	return c.extendStats(q, base, v, sizes, nil)
+}
+
 // Lookup returns the entry keyed k. Its ListSizes alias the catalogue
 // and must not be modified.
 func (c *Catalogue) Lookup(k Key) (Entry, bool) {

@@ -15,7 +15,7 @@ func TestSocialShape(t *testing.T) {
 	if g.NumEdges() < 5000 {
 		t.Fatalf("edges = %d, too few", g.NumEdges())
 	}
-	st := g.ComputeStats(500, rand.New(rand.NewSource(1)))
+	st := graph.ComputeStatsOf(g, 500, rand.New(rand.NewSource(1)))
 	if st.Clustering < 0.05 {
 		t.Errorf("social clustering = %v, want clearly positive", st.Clustering)
 	}
@@ -27,7 +27,7 @@ func TestSocialShape(t *testing.T) {
 
 func TestWebInDegreeSkew(t *testing.T) {
 	g := Web(WebConfig{N: 3000, OutDeg: 7, Copy: 0.7, Seed: 8})
-	st := g.ComputeStats(500, rand.New(rand.NewSource(1)))
+	st := graph.ComputeStatsOf(g, 500, rand.New(rand.NewSource(1)))
 	// Copying model: in-degree much more skewed than out-degree.
 	if st.In.Max <= st.Out.Max {
 		t.Errorf("web graph should have in-skew > out-skew: in.max=%d out.max=%d", st.In.Max, st.Out.Max)
@@ -39,7 +39,7 @@ func TestWebInDegreeSkew(t *testing.T) {
 
 func TestCoPurchaseUniformity(t *testing.T) {
 	g := CoPurchase(CoPurchaseConfig{N: 3000, K: 5, Rewire: 0.15, Seed: 9})
-	st := g.ComputeStats(500, rand.New(rand.NewSource(1)))
+	st := graph.ComputeStatsOf(g, 500, rand.New(rand.NewSource(1)))
 	// Lattice-based: bounded degree, no heavy tail.
 	if float64(st.Out.Max) > 6*st.Out.Mean {
 		t.Errorf("co-purchase out-degree unexpectedly skewed: max=%d mean=%v", st.Out.Max, st.Out.Mean)

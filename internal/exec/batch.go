@@ -29,7 +29,7 @@ import (
 //
 // There is one engine. Its tests hold it to references that share no
 // code with it — query.RefCount and query.RefEnumerate (backtracking over
-// graph.View lookups) and baseline.CFLCount — and hold its counters to
+// graph.View lookups) and baseline.CFLCountUpTo — and hold its counters to
 // the same plan run at a batch size of one.
 
 // DefaultBatchSize is the row capacity of one columnar tuple batch when

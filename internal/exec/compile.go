@@ -196,9 +196,6 @@ func (cp *CompiledPlan) On(g graph.View) *CompiledPlan {
 	return &on
 }
 
-// Root returns the plan node this CompiledPlan executes.
-func (cp *CompiledPlan) Root() plan.Node { return cp.root }
-
 // driver returns the pipeline whose outputs are final matches (always
 // compiled last).
 func (cp *CompiledPlan) driver() *compiledPipeline { return cp.pipes[len(cp.pipes)-1] }

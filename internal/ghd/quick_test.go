@@ -127,7 +127,7 @@ func TestQuickFECBounds(t *testing.T) {
 		if math.IsInf(fec, 1) {
 			return false // connected queries with >=1 edge are coverable
 		}
-		return fec >= n/2-1e-6 && fec <= float64(q.NumEdges())+1e-6
+		return fec >= n/2-1e-6 && fec <= float64(len(q.Edges))+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

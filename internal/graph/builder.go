@@ -23,9 +23,6 @@ func NewBuilder(numVertices int) *Builder {
 	return &Builder{vLabels: make([]Label, numVertices)}
 }
 
-// NumVertices returns the current vertex count.
-func (b *Builder) NumVertices() int { return len(b.vLabels) }
-
 // AddVertex appends a vertex with the given label and returns its ID.
 func (b *Builder) AddVertex(label Label) VertexID {
 	b.vLabels = append(b.vLabels, label)

@@ -38,14 +38,6 @@ const (
 	Backward
 )
 
-// Reverse returns the opposite direction.
-func (d Direction) Reverse() Direction {
-	if d == Forward {
-		return Backward
-	}
-	return Forward
-}
-
 // String implements fmt.Stringer.
 func (d Direction) String() string {
 	if d == Forward {

@@ -218,16 +218,17 @@ func TestIntersectK(t *testing.T) {
 		{2, 4, 6, 8},
 		{4, 5, 6, 7},
 	}
-	got, _ := IntersectK(lists, nil, nil)
+	var it Intersector
+	got, _ := it.IntersectK(lists, nil, nil)
 	want := []VertexID{4, 6}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("IntersectK = %v, want %v", got, want)
 	}
-	one, _ := IntersectK(lists[:1], nil, nil)
+	one, _ := it.IntersectK(lists[:1], nil, nil)
 	if !reflect.DeepEqual(one, lists[0]) {
 		t.Errorf("IntersectK single = %v", one)
 	}
-	empty, _ := IntersectK(nil, nil, nil)
+	empty, _ := it.IntersectK(nil, nil, nil)
 	if len(empty) != 0 {
 		t.Errorf("IntersectK() = %v, want empty", empty)
 	}
@@ -288,7 +289,7 @@ func TestStats(t *testing.T) {
 	b.AddEdge(0, 2, 0)
 	b.AddEdge(2, 3, 0)
 	g := b.MustBuild()
-	st := g.ComputeStats(0, nil)
+	st := ComputeStatsOf(g, 0, nil)
 	if st.Vertices != 4 || st.Edges != 4 {
 		t.Errorf("stats counts = %+v", st)
 	}
@@ -308,7 +309,7 @@ func TestEmptyGraph(t *testing.T) {
 	if g.NumVertices() != 0 || g.NumEdges() != 0 {
 		t.Errorf("empty graph: %v", g)
 	}
-	st := g.ComputeStats(0, nil)
+	st := ComputeStatsOf(g, 0, nil)
 	if st.Clustering != 0 || st.Out.Mean != 0 {
 		t.Errorf("empty stats: %+v", st)
 	}

@@ -133,8 +133,7 @@ func gallopIntersect(short, long, out []VertexID) []VertexID {
 
 // Intersector is the k-way intersection engine plus the per-caller
 // scratch it needs to run allocation-free: the shortest-first ordering of
-// list headers that IntersectK previously allocated per call now lives
-// here, owned by the E/I stage state (one Intersector per worker stage,
+// list headers lives here, owned by the E/I stage state (one Intersector per worker stage,
 // reused across every tuple), and so does the bitmap of the operand the
 // stage has pinned (Pin). Kernel dispatches are tallied in
 // Counters. An Intersector is not safe for concurrent use; the zero value
@@ -173,8 +172,8 @@ func (it *Intersector) intersectInto(r, l, out []VertexID) []VertexID {
 // IntersectK intersects any number of ID-sorted lists, shortest-first,
 // picking merge or gallop per pairwise step from the lists' sizes. The
 // result is written into out, ping-ponging with scratch between steps
-// exactly like the package-level IntersectK; the caller keeps both
-// returned buffers. After warm-up the call performs no allocations.
+// (pass nil on first use); the caller keeps both returned buffers. After
+// warm-up the call performs no allocations.
 //
 //gf:noalloc
 func (it *Intersector) IntersectK(lists [][]VertexID, out, scratch []VertexID) (result, newScratch []VertexID) {
@@ -354,18 +353,4 @@ func probeMarks(marks []uint64, list, out []VertexID) []VertexID {
 		}
 	}
 	return out
-}
-
-// IntersectK intersects any number of ID-sorted lists using iterative 2-way
-// intersections, shortest-first, as the paper's E/I operator does. It writes
-// the result into out and returns it; scratch is reused between calls (pass
-// nil on first use and keep the returned scratch).
-//
-// This entry point allocates a fresh ordering scratch per call; hot
-// paths hold an Intersector instead.
-//
-//gf:noalloc
-func IntersectK(lists [][]VertexID, out, scratch []VertexID) (result, newScratch []VertexID) {
-	var it Intersector
-	return it.IntersectK(lists, out, scratch)
 }

@@ -137,11 +137,6 @@ func TestIntersectKDifferential(t *testing.T) {
 		if !equalIDs(out, want) {
 			t.Fatalf("trial %d: IntersectK(k=%d) = %v, want %v", trial, k, out, want)
 		}
-		// The compatibility wrapper must agree too.
-		got, _ := IntersectK(lists, nil, nil)
-		if !equalIDs(got, want) {
-			t.Fatalf("trial %d: wrapper IntersectK = %v, want %v", trial, got, want)
-		}
 		// Seeding with the intersection of a prefix of the lists and
 		// intersecting the rest in must land on the same set — with no
 		// lists left, on a copy of the seed.

@@ -92,7 +92,8 @@ func TestQuickIntersectIdempotent(t *testing.T) {
 
 func TestQuickIntersectKMatchesPairwise(t *testing.T) {
 	f := func(a, b, c sortedSet) bool {
-		k, _ := IntersectK([][]VertexID{a, b, c}, nil, nil)
+		var it Intersector
+		k, _ := it.IntersectK([][]VertexID{a, b, c}, nil, nil)
 		two := Intersect([]VertexID(a), []VertexID(b), nil)
 		want := Intersect(two, []VertexID(c), nil)
 		if len(k) != len(want) {

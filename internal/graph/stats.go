@@ -22,15 +22,10 @@ type Stats struct {
 	Clustering float64 // sampled average local clustering coefficient (undirected view)
 }
 
-// ComputeStats collects Stats, sampling at most sampleVertices vertices for
-// the clustering coefficient (all vertices if sampleVertices <= 0 or larger
-// than the graph).
-func (g *Graph) ComputeStats(sampleVertices int, rng *rand.Rand) Stats {
-	return ComputeStatsOf(g, sampleVertices, rng)
-}
-
-// ComputeStatsOf is ComputeStats over any View — notably live snapshots,
-// so post-mutation stats reflect the delta overlay, not just the base CSR.
+// ComputeStatsOf collects Stats of any View — notably live snapshots, so
+// post-mutation stats reflect the delta overlay, not just the base CSR. It
+// samples at most sampleVertices vertices for the clustering coefficient
+// (all vertices if sampleVertices <= 0 or larger than the graph).
 func ComputeStatsOf(g View, sampleVertices int, rng *rand.Rand) Stats {
 	st := Stats{Vertices: g.NumVertices(), Edges: g.NumEdges()}
 	st.Out = degreeStatsOf(g, Forward)

@@ -175,7 +175,7 @@ func TestApplyAfterCloseFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.AddVertex(0); err != nil {
+	if _, err := db.Apply(Batch{AddVertices: []graph.Label{0}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {

@@ -284,36 +284,6 @@ func (db *DB) Epoch() uint64 { return db.cur.Load().epoch }
 // Compactions returns how many compaction passes have completed.
 func (db *DB) Compactions() int64 { return db.compactions.Load() }
 
-// AddVertex appends a vertex with the given label and returns its ID.
-func (db *DB) AddVertex(label graph.Label) (graph.VertexID, error) {
-	res, err := db.Apply(Batch{AddVertices: []graph.Label{label}})
-	if err != nil {
-		return 0, err
-	}
-	return res.FirstNewVertex, nil
-}
-
-// AddEdge inserts the directed edge src->dst with the given label. It
-// reports whether the edge was new (false: duplicate or self-loop, both
-// dropped to preserve the frozen Builder's semantics).
-func (db *DB) AddEdge(src, dst graph.VertexID, label graph.Label) (bool, error) {
-	res, err := db.Apply(Batch{AddEdges: []EdgeOp{{Src: src, Dst: dst, Label: label}}})
-	if err != nil {
-		return false, err
-	}
-	return res.AddedEdges > 0, nil
-}
-
-// DeleteEdge removes the directed edge src->dst with the given (exact)
-// label, reporting whether it existed.
-func (db *DB) DeleteEdge(src, dst graph.VertexID, label graph.Label) (bool, error) {
-	res, err := db.Apply(Batch{DeleteEdges: []EdgeOp{{Src: src, Dst: dst, Label: label}}})
-	if err != nil {
-		return false, err
-	}
-	return res.DeletedEdges > 0, nil
-}
-
 // Apply runs one batch atomically: either the whole batch is published as
 // a single new epoch, or (on validation error) nothing changes. A batch
 // whose operations are all no-ops (duplicate adds, self-loops, absent

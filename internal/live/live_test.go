@@ -277,18 +277,18 @@ func TestOnEpochSeesEachPublishedSnapshotOnce(t *testing.T) {
 
 func TestAddVertexAndEdgesToNewVertices(t *testing.T) {
 	db := mustOpen(t, graph.NewBuilder(2).MustBuild(), Config{CompactThreshold: -1})
-	v, err := db.AddVertex(2)
+	res, err := db.Apply(Batch{AddVertices: []graph.Label{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != 2 {
+	if v := res.FirstNewVertex; v != 2 {
 		t.Fatalf("new vertex ID %d, want 2", v)
 	}
-	if added, err := db.AddEdge(0, v, 1); err != nil || !added {
-		t.Fatalf("AddEdge to new vertex: added=%v err=%v", added, err)
+	if res, err := db.Apply(Batch{AddEdges: []EdgeOp{{Src: 0, Dst: 2, Label: 1}}}); err != nil || res.AddedEdges != 1 {
+		t.Fatalf("edge to new vertex: %+v err=%v", res, err)
 	}
 	// Batch that creates a vertex and wires it in one epoch.
-	res, err := db.Apply(Batch{
+	res, err = db.Apply(Batch{
 		AddVertices: []graph.Label{1},
 		AddEdges:    []EdgeOp{{Src: 3, Dst: 0, Label: 0}, {Src: 2, Dst: 3, Label: 0}},
 	})
@@ -306,14 +306,14 @@ func TestAddVertexAndEdgesToNewVertices(t *testing.T) {
 		t.Fatalf("label counts not raised: v=%d e=%d", s.NumVertexLabels(), s.NumEdgeLabels())
 	}
 	// Dedup and self-loop semantics match the frozen Builder.
-	if added, err := db.AddEdge(0, 2, 1); err != nil || added {
-		t.Fatalf("duplicate edge reported as added=%v err=%v", added, err)
-	}
-	if added, err := db.AddEdge(1, 1, 0); err != nil || added {
-		t.Fatalf("self-loop reported as added=%v err=%v", added, err)
-	}
-	if del, err := db.DeleteEdge(0, 1, 0); err != nil || del {
-		t.Fatalf("absent delete reported as deleted=%v err=%v", del, err)
+	for _, b := range []Batch{
+		{AddEdges: []EdgeOp{{Src: 0, Dst: 2, Label: 1}}},    // duplicate
+		{AddEdges: []EdgeOp{{Src: 1, Dst: 1, Label: 0}}},    // self-loop
+		{DeleteEdges: []EdgeOp{{Src: 0, Dst: 1, Label: 0}}}, // absent
+	} {
+		if res, err := db.Apply(b); err != nil || res.AddedEdges != 0 || res.DeletedEdges != 0 {
+			t.Fatalf("no-op batch %+v applied as %+v err=%v", b, res, err)
+		}
 	}
 }
 

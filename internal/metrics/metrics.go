@@ -1,17 +1,16 @@
 // Package metrics is a zero-dependency instrumentation layer: atomic
-// counters, gauges and fixed-bucket latency histograms behind a
-// registry that serves the Prometheus text exposition format. The hot
-// paths (Counter.Inc, Gauge.Set, Histogram.Observe) are single atomic
-// operations — no locks, no allocation — so metrics can sit on the
-// executor's per-batch path; registration and scraping take a mutex
-// but only touch family bookkeeping, never the sample atomics.
+// counters and fixed-bucket latency histograms behind a registry that
+// serves the Prometheus text exposition format. The hot paths
+// (Counter.Inc, Histogram.Observe) are single atomic operations — no
+// locks, no allocation — so metrics can sit on the executor's per-batch
+// path; registration and scraping take a mutex but only touch family
+// bookkeeping, never the sample atomics.
 //
 // The package deliberately implements only what the repo needs: int64
-// counters, float64 gauges, cumulative-bucket histograms with
-// p50/p95/p99 extraction, one-or-two-label vectors, and closure-backed
-// "func" metrics for values that are already counted elsewhere (plan
-// cache stats, live-store epochs). No push gateways, no summaries, no
-// exemplars.
+// counters, cumulative-bucket histograms, one-or-two-label vectors, and
+// closure-backed "func" counters and gauges for values that are already
+// counted elsewhere (plan cache stats, live-store epochs). No push
+// gateways, no summaries, no exemplars.
 package metrics
 
 import (
@@ -41,43 +40,8 @@ type Counter struct {
 //gf:noalloc
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n; negative deltas are ignored (counters are monotone).
-//
-//gf:noalloc
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.v.Add(n)
-	}
-}
-
 // Value reads the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an arbitrary float64 that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-//
-//gf:noalloc
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds delta via a CAS loop.
-//
-//gf:noalloc
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value reads the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket cumulative histogram. Observations are
 // bucketed by upper bound (v <= bound, Prometheus `le` semantics) with
@@ -166,19 +130,14 @@ type HistSnapshot struct {
 	Sum    float64
 }
 
-// Quantile extracts the q-quantile (0 < q <= 1) by linear
-// interpolation inside the straddling bucket, prometheus
-// histogram_quantile-style: samples in the +Inf bucket clamp to the
-// highest finite bound. Returns 0 for an empty histogram.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	return QuantileFromBuckets(s.Bounds, s.Counts, q)
-}
-
-// QuantileFromBuckets is the quantile core shared with consumers that
-// reconstruct bucket layouts from scraped exposition text
-// (benchmark/traced.go).
-// bounds are the finite upper bounds; counts is per-bucket
-// (len(bounds)+1, last = +Inf overflow).
+// QuantileFromBuckets extracts the q-quantile (0 < q <= 1) of a
+// histogram by linear interpolation inside the straddling bucket,
+// prometheus histogram_quantile-style: samples in the +Inf bucket clamp
+// to the highest finite bound, and an empty histogram gives 0. bounds
+// are the finite upper bounds; counts is per-bucket (len(bounds)+1,
+// last = +Inf overflow). The benchmark binary (benchmark/traced.go) is
+// what reaches it: it rebuilds bucket layouts from scraped exposition
+// text and takes their percentiles here.
 func QuantileFromBuckets(bounds []float64, counts []int64, q float64) float64 {
 	var total int64
 	for _, c := range counts {
@@ -241,23 +200,11 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return s.hist
 }
 
-// GaugeVec is a family of gauges keyed by label values.
-type GaugeVec struct {
-	fam *family
-}
-
-// With returns the child gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	s := v.fam.child(values)
-	return s.gauge
-}
-
 // series is one exposed time series: a fixed label-value tuple plus
 // exactly one sample source.
 type series struct {
 	labelValues []string
 	counter     *Counter
-	gauge       *Gauge
 	hist        *Histogram
 	fn          func() float64 // func-backed counter or gauge
 }
@@ -269,8 +216,6 @@ func (s *series) value() float64 {
 		return s.fn()
 	case s.counter != nil:
 		return float64(s.counter.Value())
-	case s.gauge != nil:
-		return s.gauge.Value()
 	}
 	return 0
 }
@@ -310,8 +255,6 @@ func (f *family) child(values []string) *series {
 	switch f.typ {
 	case "counter":
 		s.counter = &Counter{}
-	case "gauge":
-		s.gauge = &Gauge{}
 	case "histogram":
 		s.hist = NewHistogram(f.bounds)
 	}

@@ -11,19 +11,28 @@ import (
 	"time"
 )
 
+// TestCounterGauge: a counter counts its increments, and a func gauge
+// reads its closure at every scrape.
 func TestCounterGauge(t *testing.T) {
 	var c Counter
-	c.Inc()
-	c.Add(41)
-	c.Add(-5) // ignored: counters are monotone
+	for i := 0; i < 42; i++ {
+		c.Inc()
+	}
 	if got := c.Value(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	var g Gauge
-	g.Set(2.5)
-	g.Add(-1.25)
-	if got := g.Value(); got != 1.25 {
-		t.Fatalf("gauge = %g, want 1.25", got)
+	reg := NewRegistry()
+	depth := 2.5
+	reg.GaugeFunc("test_depth", "", func() float64 { return depth })
+	for _, want := range []string{"test_depth 2.5\n", "test_depth 1.25\n"} {
+		var buf bytes.Buffer
+		if err := reg.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("scrape %q lacks %q", buf.String(), want)
+		}
+		depth = 1.25
 	}
 }
 
@@ -62,21 +71,22 @@ func TestHistogramQuantiles(t *testing.T) {
 		h.Observe(0.0999)
 	}
 	s := h.Snapshot()
-	if p50 := s.Quantile(0.5); p50 < 0.01 || p50 > 0.1 {
+	if p50 := QuantileFromBuckets(s.Bounds, s.Counts, 0.5); p50 < 0.01 || p50 > 0.1 {
 		t.Fatalf("p50 = %g, want within (0.01, 0.1]", p50)
 	}
 	// Interpolation: all mass in one bucket, p50 at its midpoint.
-	if p50 := s.Quantile(0.5); math.Abs(p50-0.055) > 1e-9 {
+	if p50 := QuantileFromBuckets(s.Bounds, s.Counts, 0.5); math.Abs(p50-0.055) > 1e-9 {
 		t.Fatalf("p50 = %g, want 0.055 (linear midpoint of (0.01,0.1])", p50)
 	}
 	// Everything in +Inf clamps to the largest finite bound.
 	h2 := NewHistogram([]float64{1, 2})
 	h2.Observe(100)
-	if q := h2.Snapshot().Quantile(0.99); q != 2 {
+	s2 := h2.Snapshot()
+	if q := QuantileFromBuckets(s2.Bounds, s2.Counts, 0.99); q != 2 {
 		t.Fatalf("+Inf quantile = %g, want clamp to 2", q)
 	}
 	// Empty histogram.
-	if q := NewHistogram([]float64{1}).Snapshot().Quantile(0.5); q != 0 {
+	if q := QuantileFromBuckets([]float64{1}, make([]int64, 2), 0.5); q != 0 {
 		t.Fatalf("empty quantile = %g, want 0", q)
 	}
 }
@@ -152,10 +162,11 @@ func TestHistogramConcurrent(t *testing.T) {
 // histogram with deterministic observations.
 func TestExpositionGolden(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("test_requests_total", "Requests served.")
-	c.Add(3)
-	g := reg.Gauge("test_queue_depth", "Current queue depth.")
-	g.Set(2)
+	c := reg.CounterVec("test_requests_total", "Requests served.").With()
+	for i := 0; i < 3; i++ {
+		c.Inc()
+	}
+	reg.GaugeFunc("test_queue_depth", "Current queue depth.", func() float64 { return 2 })
 	reg.GaugeFunc("test_stage_seconds_total", "Per-stage time.", func() float64 { return 1.5 }, "stage", "scan")
 	reg.GaugeFunc("test_stage_seconds_total", "Per-stage time.", func() float64 { return 0.25 }, "stage", "probe")
 	h := reg.Histogram("test_latency_seconds", "Request latency.", []float64{0.01, 0.1, 1})
@@ -218,13 +229,13 @@ func TestLabelEscaping(t *testing.T) {
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("dup_total", "")
+	reg.CounterVec("dup_total", "")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on duplicate registration")
 		}
 	}()
-	reg.Counter("dup_total", "")
+	reg.CounterVec("dup_total", "")
 }
 
 func TestLintCatchesProblems(t *testing.T) {
@@ -340,15 +351,11 @@ func TestParsedBuckets(t *testing.T) {
 func TestZeroAllocs(t *testing.T) {
 	h := NewHistogram(DefBuckets)
 	var c Counter
-	var g Gauge
 	cases := []struct {
 		name string
 		body func()
 	}{
 		{"Counter.Inc", func() { c.Inc() }},
-		{"Counter.Add", func() { c.Add(3) }},
-		{"Gauge.Set", func() { g.Set(1.5) }},
-		{"Gauge.Add", func() { g.Add(-0.25) }},
 		{"Histogram.Observe", func() { h.Observe(0.003) }},
 		{"Histogram.ObserveDuration", func() { h.ObserveDuration(3 * time.Millisecond) }},
 	}

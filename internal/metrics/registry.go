@@ -25,18 +25,6 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// Counter registers and returns a label-less counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	f := r.newFamily(name, help, "counter", nil, nil, false)
-	return f.child(nil).counter
-}
-
-// Gauge registers and returns a label-less gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.newFamily(name, help, "gauge", nil, nil, false)
-	return f.child(nil).gauge
-}
-
 // Histogram registers and returns a label-less histogram over bounds
 // (nil = DefBuckets).
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
@@ -63,12 +51,6 @@ func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
 func (r *Registry) CounterVec(name, help string, labelKeys ...string) *CounterVec {
 	f := r.newFamily(name, help, "counter", labelKeys, nil, false)
 	return &CounterVec{fam: f}
-}
-
-// GaugeVec registers a gauge family with the given label keys.
-func (r *Registry) GaugeVec(name, help string, labelKeys ...string) *GaugeVec {
-	f := r.newFamily(name, help, "gauge", labelKeys, nil, false)
-	return &GaugeVec{fam: f}
 }
 
 // HistogramVec registers a histogram family with the given label keys

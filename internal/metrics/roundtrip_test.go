@@ -86,15 +86,16 @@ func buildRandomRegistry(rng *rand.Rand) (*Registry, map[string]*famModel) {
 		switch rng.Intn(7) {
 		case 0: // plain counter
 			name := fmt.Sprintf("rt_c%d_total", i)
-			c := r.Counter(name, "random counter")
+			c := r.CounterVec(name, "random counter").With()
 			v := int64(rng.Intn(1000))
-			c.Add(v)
+			for n := int64(0); n < v; n++ {
+				c.Inc()
+			}
 			model[name] = &famModel{typ: "counter", series: []seriesModel{{value: float64(v)}}}
 		case 1: // plain gauge, negative and fractional values included
 			name := fmt.Sprintf("rt_g%d", i)
-			g := r.Gauge(name, "random gauge")
 			v := (rng.Float64() - 0.5) * 2000
-			g.Set(v)
+			r.GaugeFunc(name, "random gauge", func() float64 { return v })
 			model[name] = &famModel{typ: "gauge", series: []seriesModel{{value: v}}}
 		case 2: // plain histogram
 			name := fmt.Sprintf("rt_h%d_seconds", i)
@@ -112,7 +113,10 @@ func buildRandomRegistry(rng *rand.Rand) (*Registry, map[string]*famModel) {
 			fm := &famModel{typ: "counter", keys: keys}
 			for _, vals := range randTuples(len(keys)) {
 				v := int64(rng.Intn(1000))
-				vec.With(vals...).Add(v)
+				c := vec.With(vals...)
+				for n := int64(0); n < v; n++ {
+					c.Inc()
+				}
 				fm.series = append(fm.series, seriesModel{values: vals, value: float64(v)})
 			}
 			model[name] = fm

@@ -1,12 +1,38 @@
 package optimizer
 
 import (
+	"math"
 	"testing"
 
 	"graphflow/internal/catalogue"
 	"graphflow/internal/plan"
 	"graphflow/internal/query"
 )
+
+// EstimateCost exposes the cost model for a given externally-built plan:
+// the sum of its operators' estimated costs (+Inf for an invalid query or
+// options). It is the tests' independent pricer of the plans they build
+// or the search returns.
+func EstimateCost(q *query.Graph, p *plan.Plan, opts Options) float64 {
+	ctx, err := newContext(q, opts)
+	if err != nil {
+		return math.Inf(1)
+	}
+	var rec func(n plan.Node) float64
+	rec = func(n plan.Node) float64 {
+		switch op := n.(type) {
+		case *plan.Scan:
+			return 0
+		case *plan.Extend:
+			return rec(op.Child) + ctx.extendCost(plan.CoverMask(op.Child), op)
+		case *plan.HashJoin:
+			return rec(op.Build) + rec(op.Probe) + ctx.joinCost(plan.CoverMask(op.Build), plan.CoverMask(op.Probe), op.Probe)
+		default:
+			return math.Inf(1)
+		}
+	}
+	return ctx.tailCost(p.Root, rec(p.Root), nil)
+}
 
 // CheckGolden lets the external test package record and compare goldens
 // under the same -update flag.

@@ -16,7 +16,6 @@ package optimizer
 
 import (
 	"fmt"
-	"math"
 
 	"graphflow/internal/catalogue"
 	"graphflow/internal/plan"
@@ -80,29 +79,4 @@ func Optimize(q *query.Graph, opts Options) (*plan.Plan, error) {
 		return nil, fmt.Errorf("optimizer: produced invalid plan: %w", err)
 	}
 	return p, nil
-}
-
-// EstimateCost exposes the cost model for a given externally-built plan:
-// the sum of its operators' estimated costs (+Inf for an invalid query or
-// options). Only tests call it: it is their independent pricer of the
-// plans they build or the search returns.
-func EstimateCost(q *query.Graph, p *plan.Plan, opts Options) float64 {
-	ctx, err := newContext(q, opts)
-	if err != nil {
-		return math.Inf(1)
-	}
-	var rec func(n plan.Node) float64
-	rec = func(n plan.Node) float64 {
-		switch op := n.(type) {
-		case *plan.Scan:
-			return 0
-		case *plan.Extend:
-			return rec(op.Child) + ctx.extendCost(plan.CoverMask(op.Child), op)
-		case *plan.HashJoin:
-			return rec(op.Build) + rec(op.Probe) + ctx.joinCost(plan.CoverMask(op.Build), plan.CoverMask(op.Probe), op.Probe)
-		default:
-			return math.Inf(1)
-		}
-	}
-	return ctx.tailCost(p.Root, rec(p.Root), nil)
 }

@@ -75,7 +75,7 @@ func TestOptimizePicksWCOForTriangle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.IsWCO() {
+	if p.Kind() != "wco" {
 		t.Errorf("triangle plan should be WCO:\n%s", p.Describe())
 	}
 }
@@ -86,7 +86,7 @@ func TestOptimizePicksWCOForClique(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.IsWCO() {
+	if p.Kind() != "wco" {
 		t.Errorf("4-clique plan should be WCO:\n%s", p.Describe())
 	}
 }
@@ -99,7 +99,7 @@ func TestWCOOnlyOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.IsWCO() {
+	if p.Kind() != "wco" {
 		t.Errorf("WCOOnly produced a non-WCO plan:\n%s", p.Describe())
 	}
 	for _, ds := range goldenSets() {
@@ -107,7 +107,7 @@ func TestWCOOnlyOption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !p.IsWCO() {
+		if p.Kind() != "wco" {
 			t.Errorf("%s: WCOOnly beam produced a non-WCO plan for the 12-vertex path:\n%s", ds.name, p.Describe())
 		}
 	}
@@ -167,7 +167,7 @@ func TestCacheConsciousBeatsObliviousOnQ5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.IsWCO() {
+	if p.Kind() != "wco" {
 		t.Skipf("picked non-WCO plan:\n%s", p.Describe())
 	}
 	_, prof, err := countPlan(amazonG, p, exec.RunConfig{NoFactorize: true})

@@ -368,18 +368,6 @@ func (p *Plan) validate(n Node, nbr *[32]query.Mask) error {
 	return nil
 }
 
-// IsWCO reports whether the plan uses only SCAN and E/I operators (a
-// query-vertex-at-a-time plan).
-func (p *Plan) IsWCO() bool {
-	ok := true
-	Walk(p.Root, func(n Node) {
-		if _, isJoin := n.(*HashJoin); isJoin {
-			ok = false
-		}
-	})
-	return ok
-}
-
 // Kind classifies the plan as "wco", "bj" or "hybrid" following the paper's
 // Figure 7 legend (W/B/H): no hash join means WCO; hash joins with only
 // single-list extensions (which are binary-join-convertible lookups) means

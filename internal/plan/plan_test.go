@@ -39,7 +39,7 @@ func TestWCOPlanStructure(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if !p.IsWCO() || p.Kind() != "wco" {
+	if p.Kind() != "wco" {
 		t.Errorf("kind = %q, want wco", p.Kind())
 	}
 	ext := p.Root.(*Extend)

@@ -20,8 +20,8 @@ func TestParseCypherPathChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.NumVertices() != 4 || q.NumEdges() != 3 {
-		t.Fatalf("chain parsed to %d/%d", q.NumVertices(), q.NumEdges())
+	if q.NumVertices() != 4 || len(q.Edges) != 3 {
+		t.Fatalf("chain parsed to %d/%d", q.NumVertices(), len(q.Edges))
 	}
 }
 

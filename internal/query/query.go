@@ -41,9 +41,6 @@ type Graph struct {
 // NumVertices returns the number of query vertices.
 func (q *Graph) NumVertices() int { return len(q.Vertices) }
 
-// NumEdges returns the number of query edges.
-func (q *Graph) NumEdges() int { return len(q.Edges) }
-
 // VertexIndex returns the index of the named vertex, or -1.
 func (q *Graph) VertexIndex(name string) int {
 	for i, v := range q.Vertices {

@@ -11,8 +11,8 @@ func TestParseTriangle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if q.NumVertices() != 3 || q.NumEdges() != 3 {
-		t.Fatalf("parsed %d vertices, %d edges", q.NumVertices(), q.NumEdges())
+	if q.NumVertices() != 3 || len(q.Edges) != 3 {
+		t.Fatalf("parsed %d vertices, %d edges", q.NumVertices(), len(q.Edges))
 	}
 	if q.VertexIndex("a2") != 1 {
 		t.Errorf("a2 index = %d", q.VertexIndex("a2"))
@@ -86,7 +86,7 @@ func TestBenchmarkQueries(t *testing.T) {
 		if err := q.Validate(); err != nil {
 			t.Errorf("Q%d invalid: %v", j, err)
 		}
-		if got := [2]int{q.NumVertices(), q.NumEdges()}; got != wantVE[j] {
+		if got := [2]int{q.NumVertices(), len(q.Edges)}; got != wantVE[j] {
 			t.Errorf("Q%d = %v vertices/edges, want %v", j, got, wantVE[j])
 		}
 	}
@@ -143,8 +143,8 @@ func TestConnectedSubsets(t *testing.T) {
 func TestProject(t *testing.T) {
 	q := Q4()
 	sub, orig := q.Project(Bit(0) | Bit(1) | Bit(2)) // a1,a2,a3 triangle
-	if sub.NumVertices() != 3 || sub.NumEdges() != 3 {
-		t.Fatalf("projection = %d/%d, want 3/3", sub.NumVertices(), sub.NumEdges())
+	if sub.NumVertices() != 3 || len(sub.Edges) != 3 {
+		t.Fatalf("projection = %d/%d, want 3/3", sub.NumVertices(), len(sub.Edges))
 	}
 	if len(orig) != 3 || orig[0] != 0 || orig[2] != 2 {
 		t.Errorf("orig mapping = %v", orig)
@@ -338,7 +338,7 @@ func TestAutomorphisms(t *testing.T) {
 
 func TestWithRandomEdgeLabels(t *testing.T) {
 	q := WithRandomEdgeLabels(Q4(), 3, 99)
-	if q.NumEdges() != 5 {
+	if len(q.Edges) != 5 {
 		t.Fatalf("labeled copy lost edges")
 	}
 	distinct := map[int]bool{}

@@ -120,7 +120,7 @@ func TestQuickProjectionsConnectedSubsetsConsistent(t *testing.T) {
 			if len(orig) != sub.NumVertices() {
 				return false
 			}
-			if sub.NumEdges() > 0 && !sub.IsConnected(AllMask(sub.NumVertices())) {
+			if len(sub.Edges) > 0 && !sub.IsConnected(AllMask(sub.NumVertices())) {
 				return false
 			}
 		}

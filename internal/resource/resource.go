@@ -169,14 +169,6 @@ func (b *Budget) Used() int64 {
 	return b.used.Load()
 }
 
-// Limit reports the per-query ceiling (0 = none).
-func (b *Budget) Limit() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.limit
-}
-
 // Err returns the structured abort error when the budget has been
 // exceeded, nil otherwise.
 func (b *Budget) Err() error {
