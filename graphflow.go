@@ -672,6 +672,15 @@ func (db *DB) prepare(pattern string, wcoOnly, skipCache bool) (*PreparedQuery, 
 	return pq, nil
 }
 
+// orZero returns *opts, or the zero options when opts is nil: every entry
+// point accepts a nil *QueryOptions.
+func orZero(opts *QueryOptions) QueryOptions {
+	if opts == nil {
+		return QueryOptions{}
+	}
+	return *opts
+}
+
 // Count evaluates the prepared query and returns the number of matches.
 // opts may be nil. Safe for concurrent use.
 func (pq *PreparedQuery) Count(opts *QueryOptions) (int64, error) {
@@ -683,10 +692,7 @@ func (pq *PreparedQuery) Count(opts *QueryOptions) (int64, error) {
 // On context cancellation the partial count and statistics observed so
 // far are returned alongside the error.
 func (pq *PreparedQuery) CountStats(opts *QueryOptions) (int64, Stats, error) {
-	var qo QueryOptions
-	if opts != nil {
-		qo = *opts
-	}
+	qo := orZero(opts)
 	if qo.BatchSize < 0 {
 		return pq.db.referenceCount(pq.canon, qo)
 	}
@@ -705,11 +711,7 @@ func (pq *PreparedQuery) CountStats(opts *QueryOptions) (int64, Stats, error) {
 // concurrently) and a Limit is still honored exactly, but match order is
 // nondeterministic across runs when Workers > 1.
 func (pq *PreparedQuery) Match(fn func(map[string]uint32) bool, opts *QueryOptions) error {
-	var qo QueryOptions
-	if opts != nil {
-		qo = *opts
-	}
-	_, err := pq.match(fn, qo)
+	_, err := pq.match(fn, orZero(opts))
 	return err
 }
 
@@ -890,11 +892,9 @@ func (db *DB) Count(pattern string, opts *QueryOptions) (int64, error) {
 // On context cancellation the partial count and statistics observed so
 // far are returned alongside the error.
 func (db *DB) CountStats(pattern string, opts *QueryOptions) (int64, Stats, error) {
-	var qo QueryOptions
-	if opts != nil {
-		qo = *opts
-	}
+	qo := orZero(opts)
 	if qo.BatchSize < 0 {
+		// The engine's oracle must not plan: it parses and counts.
 		q, err := query.ParseAny(pattern)
 		if err != nil {
 			return 0, Stats{}, err
@@ -905,9 +905,7 @@ func (db *DB) CountStats(pattern string, opts *QueryOptions) (int64, Stats, erro
 	if err != nil {
 		return 0, Stats{}, err
 	}
-	cp := pq.cur.Load()
-	n, prof, err := db.runCount(cp, qo)
-	return n, statsFrom(cp.plan, prof, n), err
+	return pq.CountStats(opts)
 }
 
 // allDistinct reports whether the tuple binds pairwise-distinct data
@@ -928,10 +926,7 @@ func allDistinct(t []graph.VertexID) bool {
 // promptly (the runner halts rather than draining the full result set).
 // Distinct, Limit and Workers apply as in PreparedQuery.Match.
 func (db *DB) Match(pattern string, fn func(map[string]uint32) bool, opts *QueryOptions) error {
-	var qo QueryOptions
-	if opts != nil {
-		qo = *opts
-	}
+	qo := orZero(opts)
 	pq, err := db.prepare(pattern, qo.WCOOnly, qo.SkipPlanCache)
 	if err != nil {
 		return err
@@ -950,14 +945,11 @@ func (db *DB) Explain(pattern string) (Stats, error) {
 
 // Analyze runs the pattern and returns Stats whose Plan field carries the
 // per-operator breakdown — EXPLAIN ANALYZE for subgraph plans; see
-// PreparedQuery.Analyze. It is Prepare (honouring opts.WCOOnly) plus that
-// call.
+// PreparedQuery.Analyze. It is Prepare (honouring opts.WCOOnly and
+// opts.SkipPlanCache, as Count and Match do) plus that call.
 func (db *DB) Analyze(pattern string, opts *QueryOptions) (Stats, error) {
-	var qo QueryOptions
-	if opts != nil {
-		qo = *opts
-	}
-	pq, err := db.prepare(pattern, qo.WCOOnly, false)
+	qo := orZero(opts)
+	pq, err := db.prepare(pattern, qo.WCOOnly, qo.SkipPlanCache)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -977,10 +969,7 @@ func (db *DB) Analyze(pattern string, opts *QueryOptions) (Stats, error) {
 // Adaptive do not apply. A negative BatchSize, which has no plan to
 // annotate, is an error.
 func (pq *PreparedQuery) Analyze(opts *QueryOptions) (Stats, error) {
-	var qo QueryOptions
-	if opts != nil {
-		qo = *opts
-	}
+	qo := orZero(opts)
 	if qo.BatchSize < 0 {
 		return Stats{}, errReferenceCountsOnly
 	}

@@ -121,24 +121,24 @@ func (c *Catalogue) scanBaseStatistics(g graph.View) {
 	}
 }
 
-// ScanCount returns the exact number of edges matching the given labels —
+// scanCount returns the exact number of edges matching the given labels —
 // the selectivity µ(l_e) used to seed 2-vertex subqueries in Algorithm 1.
-func (c *Catalogue) ScanCount(el, srcLabel, dstLabel graph.Label) float64 {
+func (c *Catalogue) scanCount(el, srcLabel, dstLabel graph.Label) float64 {
 	return float64(c.edgeCount[edgeLabels{el, srcLabel, dstLabel}])
 }
 
-// VertexCountByLabel returns the exact number of vertices carrying the
+// vertexCountByLabel returns the exact number of vertices carrying the
 // label; used as the cardinality of single-query-vertex prefixes when the
 // optimizer reasons about intersection-cache reuse across scan tuples
 // grouped by source vertex.
-func (c *Catalogue) VertexCountByLabel(vl graph.Label) float64 {
+func (c *Catalogue) vertexCountByLabel(vl graph.Label) float64 {
 	return float64(c.vertexCount[vl])
 }
 
-// DefaultListSize returns the graph-wide average adjacency-partition size
+// defaultListSize returns the graph-wide average adjacency-partition size
 // for (dir, edge label, neighbour label): the fallback when an entry is
 // missing.
-func (c *Catalogue) DefaultListSize(dir graph.Direction, el, nl graph.Label) float64 {
+func (c *Catalogue) defaultListSize(dir graph.Direction, el, nl graph.Label) float64 {
 	if c.NumVertices == 0 {
 		return 0
 	}

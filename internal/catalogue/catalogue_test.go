@@ -34,14 +34,14 @@ func TestScanCountsExact(t *testing.T) {
 	b.AddEdge(2, 3, 1)
 	g := b.MustBuild()
 	c := buildSmall(t, g, 2, 100)
-	if got := c.ScanCount(0, 0, 0); got != 2 {
-		t.Errorf("ScanCount(0,0,0) = %v, want 2", got)
+	if got := c.scanCount(0, 0, 0); got != 2 {
+		t.Errorf("scanCount(0,0,0) = %v, want 2", got)
 	}
-	if got := c.ScanCount(1, 0, 1); got != 1 {
-		t.Errorf("ScanCount(1,0,1) = %v, want 1", got)
+	if got := c.scanCount(1, 0, 1); got != 1 {
+		t.Errorf("scanCount(1,0,1) = %v, want 1", got)
 	}
-	if got := c.ScanCount(1, 1, 1); got != 0 {
-		t.Errorf("ScanCount(1,1,1) = %v, want 0", got)
+	if got := c.scanCount(1, 1, 1); got != 0 {
+		t.Errorf("scanCount(1,1,1) = %v, want 0", got)
 	}
 }
 
@@ -53,10 +53,10 @@ func TestDefaultListSize(t *testing.T) {
 	b.AddEdge(1, 2, 0)
 	g := b.MustBuild()
 	c := buildSmall(t, g, 2, 100)
-	if got := c.DefaultListSize(graph.Forward, 0, 0); got != 1.0 {
+	if got := c.defaultListSize(graph.Forward, 0, 0); got != 1.0 {
 		t.Errorf("avg fwd = %v, want 1.0 (4 edges / 4 vertices)", got)
 	}
-	if got := c.DefaultListSize(graph.Backward, 0, 0); got != 1.0 {
+	if got := c.defaultListSize(graph.Backward, 0, 0); got != 1.0 {
 		t.Errorf("avg bwd = %v, want 1.0", got)
 	}
 }
@@ -263,7 +263,7 @@ func TestLabeledCatalogue(t *testing.T) {
 	// Scan counts must partition the edges across labels.
 	var total float64
 	for el := graph.Label(0); el < 3; el++ {
-		total += c.ScanCount(el, 0, 0)
+		total += c.scanCount(el, 0, 0)
 	}
 	if int(total) != g.NumEdges() {
 		t.Errorf("label scan counts sum to %v, want %d", total, g.NumEdges())

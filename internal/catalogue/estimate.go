@@ -77,11 +77,11 @@ func (e *Estimates) Cardinality(mask query.Mask) float64 {
 	var out float64
 	switch bits.OnesCount32(mask) {
 	case 1:
-		out = e.c.VertexCountByLabel(e.q.Vertices[bits.TrailingZeros32(mask)].Label)
+		out = e.c.vertexCountByLabel(e.q.Vertices[bits.TrailingZeros32(mask)].Label)
 	case 2:
 		for _, ed := range e.q.Edges {
 			if mask == query.Bit(ed.From)|query.Bit(ed.To) {
-				out = e.c.ScanCount(ed.Label, e.q.Vertices[ed.From].Label, e.q.Vertices[ed.To].Label)
+				out = e.c.scanCount(ed.Label, e.q.Vertices[ed.From].Label, e.q.Vertices[ed.To].Label)
 				break
 			}
 		}
@@ -239,7 +239,7 @@ func (c *Catalogue) fillSizes(q *query.Graph, base, keep query.Mask, v int, list
 		if keep&query.Bit(anchor) != 0 {
 			sizes[i], lists = lists[0], lists[1:]
 		} else {
-			sizes[i] = c.DefaultListSize(dir, e.Label, q.Vertices[v].Label)
+			sizes[i] = c.defaultListSize(dir, e.Label, q.Vertices[v].Label)
 		}
 		i++
 	}
@@ -307,7 +307,7 @@ func (c *Catalogue) defaultStats(q *query.Graph, base query.Mask, v int, sizes [
 	i := 0
 	for _, e := range q.Edges {
 		if _, dir, ok := descriptorOf(e, base, v); ok {
-			sizes[i] = c.DefaultListSize(dir, e.Label, q.Vertices[v].Label)
+			sizes[i] = c.defaultListSize(dir, e.Label, q.Vertices[v].Label)
 			i++
 		}
 	}

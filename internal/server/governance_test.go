@@ -269,9 +269,10 @@ func TestBudgetExceededReturns422(t *testing.T) {
 }
 
 // TestExplainAnalyzeBudgetReturns422 holds EXPLAIN ANALYZE to the DB's
-// per-query memory ceiling: an analysis that cannot run within it comes
-// back as the structured 422 a /query gets, while the plan dump, which
-// runs nothing, still answers.
+// per-query memory ceiling and to the request's own mem_budget_bytes: an
+// analysis that cannot run within either comes back as the structured
+// 422 a /query gets, while the plan dump, which runs nothing, still
+// answers.
 func TestExplainAnalyzeBudgetReturns422(t *testing.T) {
 	db, err := graphflow.NewFromDataset("Epinions", 1, &graphflow.Options{CatalogueZ: 50, MemBudgetBytes: 512})
 	if err != nil {
@@ -290,5 +291,16 @@ func TestExplainAnalyzeBudgetReturns422(t *testing.T) {
 	}
 	if w := do(t, s, "GET", path, nil); w.Code != http.StatusOK {
 		t.Fatalf("plan dump: status %d, want 200 (body: %s)", w.Code, w.Body)
+	}
+
+	// The same ceiling set by the request on a DB without one.
+	s = newTestServer(t, Config{})
+	w = do(t, s, "POST", "/explain?analyze=true", queryRequest{Pattern: triangle, MemBudgetBytes: 512})
+	body = w.Body.String()
+	if w.Code != http.StatusUnprocessableEntity || !strings.Contains(body, `"code":"budget_exceeded"`) || !strings.Contains(body, `"limit_bytes":512`) {
+		t.Errorf("request ceiling: status %d, want 422 with code budget_exceeded and the 512-byte ceiling: %s", w.Code, body)
+	}
+	if w := do(t, s, "POST", "/explain", queryRequest{Pattern: triangle, MemBudgetBytes: 512}); w.Code != http.StatusOK {
+		t.Fatalf("request ceiling, plan dump: status %d, want 200 (body: %s)", w.Code, w.Body)
 	}
 }

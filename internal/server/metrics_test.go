@@ -527,9 +527,13 @@ func TestCarriedSetsSurfaces(t *testing.T) {
 	}
 	w := do(t, s, http.MethodPost, "/explain", map[string]any{"pattern": clique4, "wco": true, "analyze": true})
 	var explained struct {
-		Plan string `json:"plan"`
+		PlanKind string `json:"plan_kind"`
+		Plan     string `json:"plan"`
 	}
 	mustDecode(t, w.Body.Bytes(), &explained)
+	if explained.PlanKind != "wco" {
+		t.Errorf("/explain with wco analyzed a %q plan, want wco", explained.PlanKind)
+	}
 	if !strings.Contains(explained.Plan, "<- ↑∩") || !strings.Contains(explained.Plan, "carried=") || !strings.Contains(explained.Plan, "pinned=") {
 		t.Errorf("analyzed 4-clique plan does not show the inheriting operator with its carried and pinned counts:\n%s", explained.Plan)
 	}

@@ -25,6 +25,11 @@
 //	GET /metrics           Prometheus text exposition of every server and DB metric
 //	GET /healthz           liveness probe
 //
+// The four query endpoints decode one request body; those that plan a
+// pattern prepare it through admitPrepared, and every run takes its
+// deadline and QueryOptions from runOptions, so a field means the same
+// wherever it is read.
+//
 // Every mutating or querying endpoint runs behind one timing middleware:
 // request latency histograms (per endpoint) and response counters (per
 // endpoint and status code) are observed in exactly one place, and the
@@ -376,23 +381,32 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// queryRequest is the body of /query and /execute/{name}. All fields are
-// optional except Pattern (ignored by /execute, which uses the prepared
-// statement's pattern).
+// queryRequest is the one request body of /query, /prepare,
+// /execute/{name} and /explain. Each endpoint reads the fields that apply
+// to it and ignores the rest, as it ignores unknown fields: /prepare reads
+// Name, Pattern and WCO; /execute every run field but Pattern and WCO (the
+// statement fixed both); /explain Pattern, WCO and Analyze, and under
+// Analyze TimeoutMS and MemBudgetBytes.
 type queryRequest struct {
+	// Name names the statement /prepare registers.
+	Name    string `json:"name"`
 	Pattern string `json:"pattern"`
 	// Mode is "count" (default) or "match".
-	Mode      string `json:"mode"`
-	Workers   int    `json:"workers"`
-	Limit     int64  `json:"limit"`
-	Distinct  bool   `json:"distinct"`
-	Adaptive  bool   `json:"adaptive"`
-	WCO       bool   `json:"wco"`
-	TimeoutMS int64  `json:"timeout_ms"`
+	Mode     string `json:"mode"`
+	Workers  int    `json:"workers"`
+	Limit    int64  `json:"limit"`
+	Distinct bool   `json:"distinct"`
+	Adaptive bool   `json:"adaptive"`
+	// WCO restricts planning to worst-case-optimal plans.
+	WCO       bool  `json:"wco"`
+	TimeoutMS int64 `json:"timeout_ms"`
 	// MemBudgetBytes tightens the per-query memory budget for this
 	// request (0 = server default). It can only lower the configured
 	// default, never widen it.
 	MemBudgetBytes int64 `json:"mem_budget_bytes"`
+	// Analyze upgrades /explain's plan dump to EXPLAIN ANALYZE: the plan
+	// runs single-threaded and each operator is annotated with what it did.
+	Analyze bool `json:"analyze"`
 }
 
 // queryResponse is the body of a successful /query or /execute response.
@@ -513,12 +527,13 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// decodeBody parses the request body into v, reading at most limit
-// bytes; a missing body is treated as an empty object so every knob
-// defaults. Anything but whitespace after the JSON value is rejected.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	err := dec.Decode(v)
+// decodeRequest parses the request body into req, reading at most
+// Config.MaxBodyBytes; a missing body is treated as an empty object so
+// every knob defaults. Anything but whitespace after the JSON value is
+// rejected. On failure the 400 or 413 is already written.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, req *queryRequest) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	err := dec.Decode(req)
 	if err == nil {
 		if _, err = dec.Token(); err == nil {
 			err = errTrailingData
@@ -603,61 +618,48 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// queryOptions maps a request onto QueryOptions, clamping workers and
-// limits to the server's configured ceilings and sanitizing nonsense
-// values. Negative workers/limit clamp to 0 (auto / unlimited); a
-// negative mem_budget_bytes is rejected with 400.
-func (s *Server) queryOptions(req *queryRequest) (*graphflow.QueryOptions, error) {
-	workers := req.Workers
-	if workers < 0 {
-		workers = 0
-	}
-	if workers > s.cfg.MaxWorkers {
-		workers = s.cfg.MaxWorkers
-	}
-	limit := req.Limit
-	if limit < 0 {
-		limit = 0
-	}
+// runOptions maps req onto the QueryOptions of one run — a count, a
+// match or an EXPLAIN ANALYZE — whose Context carries the request's
+// deadline: the one place a request's bounds are set. Workers and limit
+// clamp to the server's ceilings (negative values to 0: auto /
+// unlimited); a negative mem_budget_bytes is rejected with errBadRequest.
+// timeout_ms is compared before multiplying so an absurd value cannot
+// overflow time.Duration into a negative (instantly expired) deadline.
+// cancel releases the deadline and must be called once the run ends.
+func (s *Server) runOptions(r *http.Request, req *queryRequest) (*graphflow.QueryOptions, context.CancelFunc, error) {
 	if req.MemBudgetBytes < 0 {
-		return nil, fmt.Errorf("%w: mem_budget_bytes %d is negative (0 = server default)", errBadRequest, req.MemBudgetBytes)
+		return nil, nil, fmt.Errorf("%w: mem_budget_bytes %d is negative (0 = server default)", errBadRequest, req.MemBudgetBytes)
 	}
+	timeout := s.cfg.DefaultTimeout
+	if req.TimeoutMS > 0 {
+		timeout = s.cfg.MaxTimeout
+		if req.TimeoutMS < s.cfg.MaxTimeout.Milliseconds() {
+			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		}
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), min(timeout, s.cfg.MaxTimeout))
 	return &graphflow.QueryOptions{
-		Workers:        workers,
-		Limit:          limit,
+		Context:        ctx,
+		Workers:        min(max(req.Workers, 0), s.cfg.MaxWorkers),
+		Limit:          max(req.Limit, 0),
 		Distinct:       req.Distinct,
 		Adaptive:       req.Adaptive,
 		WCOOnly:        req.WCO,
 		MemBudgetBytes: req.MemBudgetBytes,
-	}, nil
+	}, cancel, nil
 }
 
-// timeout resolves the request's execution budget. The millisecond
-// value is compared before multiplying so an absurd timeout_ms cannot
-// overflow time.Duration into a negative (instantly expired) deadline.
-func (s *Server) timeout(req *queryRequest) time.Duration {
-	d := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		if req.TimeoutMS >= s.cfg.MaxTimeout.Milliseconds() {
-			return s.cfg.MaxTimeout
-		}
-		d = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	return d
-}
-
-// writeRunError maps an execution error onto resource-governance and
-// timeout/cancellation semantics: 422 when the query's memory budget
-// aborted it (with the ceiling and reservation in the body), 500 with
-// a stack-carrying log record when a panic was recovered inside the
-// engine, 504 when the server-side deadline expired, 499 when the
-// client went away, 500 otherwise.
+// writeRunError maps the error of a run onto its response: 400 when the
+// request's mode or options are invalid, 422 when the query's memory
+// budget aborted it (with the ceiling and reservation in the body), 500
+// with a stack-carrying log record when a panic was recovered inside the
+// engine, 504 when the server-side deadline expired, 499 when the client
+// went away, 500 otherwise.
 func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error) {
 	var pe *exec.PanicError
 	switch {
+	case errors.Is(err, errUnknownMode), errors.Is(err, errBadRequest):
+		writeError(w, http.StatusBadRequest, "%v", err)
 	case errors.Is(err, resource.ErrBudgetExceeded):
 		s.budgetAborts.Add(1)
 		resp := errorResponse{Error: fmt.Sprintf("query aborted: %v", err), Code: "budget_exceeded"}
@@ -692,11 +694,11 @@ func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error
 }
 
 // errUnknownMode marks a request whose mode field is neither "count"
-// nor "match"; respond maps it to 400.
+// nor "match"; writeRunError maps it to 400.
 var errUnknownMode = errors.New("unknown mode")
 
-// errBadRequest marks a request with invalid option values; respond
-// maps it to 400.
+// errBadRequest marks a request with invalid option values;
+// writeRunError maps it to 400.
 var errBadRequest = errors.New("bad request")
 
 // execute runs pq under the request's deadline and options. name is the
@@ -705,16 +707,13 @@ var errBadRequest = errors.New("bad request")
 // must hold an admission slot: planning and execution are the CPU-bound
 // phases the semaphore bounds.
 func (s *Server) execute(r *http.Request, name string, pq *graphflow.PreparedQuery, req *queryRequest) (queryResponse, error) {
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req))
-	defer cancel()
-
 	start := requestStart(r)
 	resp := queryResponse{PlanKind: pq.PlanKind()}
-	opts, err := s.queryOptions(req)
+	opts, cancel, err := s.runOptions(r, req)
 	if err != nil {
 		return resp, err
 	}
-	opts.Context = ctx
+	defer cancel()
 	switch req.Mode {
 	case "", "count":
 		n, st, err := pq.CountStats(opts)
@@ -803,55 +802,56 @@ func (s *Server) maybeLogSlow(name string, pq *graphflow.PreparedQuery, req *que
 
 // respond writes the outcome of execute.
 func (s *Server) respond(w http.ResponseWriter, r *http.Request, resp queryResponse, err error) {
-	switch {
-	case err == nil:
-		s.served.Add(1)
-		writeJSON(w, http.StatusOK, resp)
-	case errors.Is(err, errUnknownMode), errors.Is(err, errBadRequest):
-		writeError(w, http.StatusBadRequest, "%v", err)
-	default:
+	if err != nil {
 		s.writeRunError(w, r, err)
+		return
 	}
+	s.served.Add(1)
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// admitPrepared acquires an execution slot for r and prepares
+// req.Pattern inside it — a flood of novel patterns is optimizer work the
+// admission limit must bound — over worst-case-optimal plans only when
+// req.WCO is set. It is the server's one caller of DB.Prepare and
+// DB.PrepareWCO. It returns the closure that releases the slot; on
+// refusal or a bad pattern the response is already written and ok is
+// false.
+func (s *Server) admitPrepared(w http.ResponseWriter, r *http.Request, req *queryRequest) (pq *graphflow.PreparedQuery, release func(), ok bool) {
+	release, ok = s.admit(w, r)
+	if !ok {
+		return nil, nil, false
+	}
+	var err error
+	if req.WCO {
+		pq, err = s.cfg.DB.PrepareWCO(req.Pattern)
+	} else {
+		pq, err = s.cfg.DB.Prepare(req.Pattern)
+	}
+	if err != nil {
+		release()
+		writeError(w, http.StatusBadRequest, "bad pattern: %v", err)
+		return nil, nil, false
+	}
+	return pq, release, true
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if !decodeBody(w, r, &req, s.cfg.MaxBodyBytes) {
+	if !s.decodeRequest(w, r, &req) {
 		return
 	}
 	if req.Pattern == "" {
 		writeError(w, http.StatusBadRequest, "missing pattern")
 		return
 	}
-	// Planning runs inside the admission slot too: a flood of novel
-	// patterns is optimizer work the admission limit must bound.
-	release, ok := s.admit(w, r)
+	pq, release, ok := s.admitPrepared(w, r, &req)
 	if !ok {
-		return
-	}
-	pq, err := s.prepare(req.Pattern, req.WCO)
-	if err != nil {
-		release()
-		writeError(w, http.StatusBadRequest, "bad pattern: %v", err)
 		return
 	}
 	resp, runErr := s.execute(r, "", pq, &req)
 	release()
 	s.respond(w, r, resp, runErr)
-}
-
-func (s *Server) prepare(pattern string, wco bool) (*graphflow.PreparedQuery, error) {
-	if wco {
-		return s.cfg.DB.PrepareWCO(pattern)
-	}
-	return s.cfg.DB.Prepare(pattern)
-}
-
-// prepareRequest is the body of /prepare.
-type prepareRequest struct {
-	Name    string `json:"name"`
-	Pattern string `json:"pattern"`
-	WCO     bool   `json:"wco"`
 }
 
 type prepareResponse struct {
@@ -861,24 +861,19 @@ type prepareResponse struct {
 }
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	var req prepareRequest
-	if !decodeBody(w, r, &req, s.cfg.MaxBodyBytes) {
+	var req queryRequest
+	if !s.decodeRequest(w, r, &req) {
 		return
 	}
 	if req.Name == "" || req.Pattern == "" {
 		writeError(w, http.StatusBadRequest, "both name and pattern are required")
 		return
 	}
-	release, ok := s.admit(w, r)
+	pq, release, ok := s.admitPrepared(w, r, &req)
 	if !ok {
 		return
 	}
-	pq, err := s.prepare(req.Pattern, req.WCO)
 	release()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad pattern: %v", err)
-		return
-	}
 	s.mu.Lock()
 	if _, exists := s.prepared[req.Name]; exists {
 		s.mu.Unlock()
@@ -914,7 +909,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if !decodeBody(w, r, &req, s.cfg.MaxBodyBytes) {
+	if !s.decodeRequest(w, r, &req) {
 		return
 	}
 	release, ok := s.admit(w, r)
@@ -924,16 +919,6 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	resp, runErr := s.execute(r, name, pq, &req)
 	release()
 	s.respond(w, r, resp, runErr)
-}
-
-// explainRequest is the POST body of /explain. Analyze switches from
-// plan inspection to EXPLAIN ANALYZE: the plan is executed
-// single-threaded under the request deadline and each operator is
-// annotated with its actual tuples, i-cost, cache hits and wall time.
-type explainRequest struct {
-	Pattern   string `json:"pattern"`
-	Analyze   bool   `json:"analyze"`
-	TimeoutMS int64  `json:"timeout_ms"`
 }
 
 type explainResponse struct {
@@ -952,35 +937,26 @@ type explainResponse struct {
 }
 
 // handleExplain accepts the pattern either as a ?pattern= query
-// parameter (GET) or a JSON body (POST); ?analyze=true (or "analyze":
-// true in the body) upgrades the plan dump to EXPLAIN ANALYZE.
+// parameter or in the request body (POST); ?analyze=true (or "analyze":
+// true in the body) upgrades the plan dump to EXPLAIN ANALYZE, which runs
+// under the bounds runOptions gives every run.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	pattern := q.Get("pattern")
-	analyze := q.Get("analyze") == "true" || q.Get("analyze") == "1"
-	var req explainRequest
-	if r.Method == http.MethodPost {
-		if !decodeBody(w, r, &req, s.cfg.MaxBodyBytes) {
-			return
-		}
-		if pattern == "" {
-			pattern = req.Pattern
-		}
-		analyze = analyze || req.Analyze
+	var req queryRequest
+	if r.Method == http.MethodPost && !s.decodeRequest(w, r, &req) {
+		return
 	}
-	if pattern == "" {
+	q := r.URL.Query()
+	if p := q.Get("pattern"); p != "" {
+		req.Pattern = p
+	}
+	req.Analyze = req.Analyze || q.Get("analyze") == "true" || q.Get("analyze") == "1"
+	if req.Pattern == "" {
 		writeError(w, http.StatusBadRequest, "missing pattern")
 		return
 	}
 	// Admission covers planning, and for analyze the full execution.
-	release, ok := s.admit(w, r)
+	pq, release, ok := s.admitPrepared(w, r, &req)
 	if !ok {
-		return
-	}
-	pq, err := s.cfg.DB.Prepare(pattern)
-	if err != nil {
-		release()
-		writeError(w, http.StatusBadRequest, "bad pattern: %v", err)
 		return
 	}
 	pst := pq.Stats()
@@ -990,24 +966,25 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		PlanDigest: pq.PlanDigest(),
 		Estimated:  pq.EstimatedCardinality(),
 	}
-	if analyze {
-		ctx, cancel := context.WithTimeout(r.Context(), s.timeout(&queryRequest{TimeoutMS: req.TimeoutMS}))
-		ast, runErr := pq.Analyze(&graphflow.QueryOptions{Context: ctx})
-		cancel()
+	if req.Analyze {
+		opts, cancel, err := s.runOptions(r, &req)
+		var ast graphflow.Stats
+		if err == nil {
+			ast, err = pq.Analyze(opts)
+			cancel()
+		}
 		release()
-		if runErr != nil {
-			s.writeRunError(w, r, runErr)
+		if err != nil {
+			s.writeRunError(w, r, err)
 			return
 		}
 		resp.Analyzed = true
 		resp.Plan = ast.Plan
 		resp.Matches = &ast.Matches
 		resp.Stages = stageMillisOf(&ast.Profile)
-		resp.ElapsedMS = elapsedMS(r)
-		writeJSON(w, http.StatusOK, resp)
-		return
+	} else {
+		release()
 	}
-	release()
 	resp.ElapsedMS = elapsedMS(r)
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -82,7 +82,7 @@ const triangle = "a->b, b->c, a->c"
 func TestHandlerTable(t *testing.T) {
 	s := newTestServer(t, Config{})
 	// One statement for the /execute cases.
-	if w := do(t, s, "POST", "/prepare", prepareRequest{Name: "tri", Pattern: triangle}); w.Code != http.StatusCreated {
+	if w := do(t, s, "POST", "/prepare", queryRequest{Name: "tri", Pattern: triangle}); w.Code != http.StatusCreated {
 		t.Fatalf("prepare: status %d: %s", w.Code, w.Body)
 	}
 
@@ -109,9 +109,9 @@ func TestHandlerTable(t *testing.T) {
 		{"explain GET", "GET", "/explain?pattern=" + "a-%3Eb,b-%3Ec,a-%3Ec", nil, http.StatusOK, `"plan_kind"`},
 		{"explain bad", "GET", "/explain?pattern=zzz", nil, http.StatusBadRequest, "bad pattern"},
 		{"explain missing", "GET", "/explain", nil, http.StatusBadRequest, "missing pattern"},
-		{"prepare duplicate", "POST", "/prepare", prepareRequest{Name: "tri", Pattern: triangle}, http.StatusConflict, "already prepared"},
-		{"prepare nameless", "POST", "/prepare", prepareRequest{Pattern: triangle}, http.StatusBadRequest, "required"},
-		{"prepare bad pattern", "POST", "/prepare", prepareRequest{Name: "bad", Pattern: "->"}, http.StatusBadRequest, "bad pattern"},
+		{"prepare duplicate", "POST", "/prepare", queryRequest{Name: "tri", Pattern: triangle}, http.StatusConflict, "already prepared"},
+		{"prepare nameless", "POST", "/prepare", queryRequest{Pattern: triangle}, http.StatusBadRequest, "required"},
+		{"prepare bad pattern", "POST", "/prepare", queryRequest{Name: "bad", Pattern: "->"}, http.StatusBadRequest, "bad pattern"},
 		{"execute", "POST", "/execute/tri", queryRequest{}, http.StatusOK, `"count"`},
 		{"execute match", "POST", "/execute/tri", queryRequest{Mode: "match", Limit: 3}, http.StatusOK, `"rows"`},
 		{"execute unknown", "POST", "/execute/nope", queryRequest{}, http.StatusNotFound, "no prepared statement"},
@@ -153,7 +153,7 @@ func TestExplainEstimateIsThePlans(t *testing.T) {
 			}
 			rng.Shuffle(len(q.Edges), func(i, j int) { q.Edges[i], q.Edges[j] = q.Edges[j], q.Edges[i] })
 			pattern := q.String()
-			w := do(t, s, "POST", "/explain", explainRequest{Pattern: pattern})
+			w := do(t, s, "POST", "/explain", queryRequest{Pattern: pattern})
 			if w.Code != http.StatusOK {
 				t.Fatalf("Q%d %s: status %d: %s", j, pattern, w.Code, w.Body)
 			}
@@ -262,6 +262,7 @@ func TestTruncatedOnClampedLimit(t *testing.T) {
 // expiry.
 func TestDeadlineReturns504(t *testing.T) {
 	s := newTestServer(t, Config{DefaultTimeout: time.Nanosecond})
+	prepareTriangle(t, s)
 	for _, r := range executingRequests {
 		w := do(t, s, "POST", r.path, r.body)
 		if w.Code != http.StatusGatewayTimeout {
@@ -274,16 +275,74 @@ func TestDeadlineReturns504(t *testing.T) {
 	}
 }
 
-// executingRequests are the three ways a request runs a query — count
-// and match mode of /query, and /explain?analyze — which must all reach
-// the engine bounded by the request's context.
+// executingRequests are the ways a request runs a query — count and
+// match mode of /query, a prepared statement's /execute, and
+// /explain?analyze — which must all reach the engine bounded by the
+// request's context. /execute/tri needs prepareTriangle first.
 var executingRequests = []struct {
 	name, path string
 	body       any
 }{
 	{"count", "/query", queryRequest{Pattern: triangle}},
 	{"match", "/query", queryRequest{Pattern: triangle, Mode: "match"}},
-	{"explain analyze", "/explain?analyze=true", explainRequest{Pattern: triangle}},
+	{"execute", "/execute/tri", queryRequest{}},
+	{"explain analyze", "/explain?analyze=true", queryRequest{Pattern: triangle}},
+}
+
+// prepareTriangle registers the triangle as the statement "tri".
+func prepareTriangle(t *testing.T, s *Server) {
+	t.Helper()
+	if w := do(t, s, "POST", "/prepare", queryRequest{Name: "tri", Pattern: triangle}); w.Code != http.StatusCreated {
+		t.Fatalf("prepare: status %d: %s", w.Code, w.Body)
+	}
+}
+
+// TestOneRequestContract sends the same body to /query, to a statement
+// prepared from it (/execute) and to /explain?analyze=true: each reads
+// wco, mem_budget_bytes and timeout_ms alike, so the three report the
+// same plan kind, the same 422 for a request ceiling too small to run
+// under, the same 400 for a negative one and the same 504 for a deadline
+// too short. The plain /explain of the
+// 6-cycle under wco reports the WCO plan the others run, not the
+// unrestricted optimizer's hash join.
+func TestOneRequestContract(t *testing.T) {
+	const (
+		cycle5 = "a->b, b->c, c->d, d->e, e->a"
+		cycle6 = "a->b, b->c, c->d, d->e, e->f, f->a"
+	)
+	s := newTestServer(t, Config{})
+	// Unrestricted, the optimizer plans both cycles as hash joins.
+	for _, p := range []string{cycle5, cycle6} {
+		if w := do(t, s, "POST", "/explain", queryRequest{Pattern: p}); !strings.Contains(w.Body.String(), `"plan_kind":"bj"`) {
+			t.Fatalf("/explain %q: %s; the test needs an unrestricted hash join", p, w.Body)
+		}
+	}
+	for i, tc := range []struct {
+		name       string
+		req        queryRequest
+		wantStatus int
+		wantSubstr string
+	}{
+		{"wco", queryRequest{Pattern: cycle5, WCO: true, Limit: 1}, http.StatusOK, `"plan_kind":"wco"`},
+		{"request ceiling", queryRequest{Pattern: cycle6, WCO: true, MemBudgetBytes: 512}, http.StatusUnprocessableEntity, `"limit_bytes":512`},
+		{"negative ceiling", queryRequest{Pattern: cycle6, WCO: true, MemBudgetBytes: -1}, http.StatusBadRequest, "mem_budget_bytes -1 is negative"},
+		{"request deadline", queryRequest{Pattern: cycle6, WCO: true, TimeoutMS: 1}, http.StatusGatewayTimeout, "deadline"},
+	} {
+		name := fmt.Sprintf("contract%d", i)
+		if w := do(t, s, "POST", "/prepare", queryRequest{Name: name, Pattern: tc.req.Pattern, WCO: true}); w.Code != http.StatusCreated {
+			t.Fatalf("prepare %s: status %d: %s", name, w.Code, w.Body)
+		}
+		for _, path := range []string{"/query", "/execute/" + name, "/explain?analyze=true"} {
+			w := do(t, s, "POST", path, tc.req)
+			if w.Code != tc.wantStatus || !strings.Contains(w.Body.String(), tc.wantSubstr) {
+				t.Errorf("%s %s: status %d, want %d with %s: %s", tc.name, path, w.Code, tc.wantStatus, tc.wantSubstr, w.Body)
+			}
+		}
+	}
+	w := do(t, s, "POST", "/explain", queryRequest{Pattern: cycle6, WCO: true})
+	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"plan_kind":"wco"`) {
+		t.Errorf("/explain of the 6-cycle with wco: status %d, want 200 with plan_kind wco: %s", w.Code, w.Body)
+	}
 }
 
 // TestHugeTimeoutMSClampsInsteadOfOverflowing: an absurd timeout_ms used
@@ -302,6 +361,7 @@ func TestHugeTimeoutMSClampsInsteadOfOverflowing(t *testing.T) {
 // server deadline expiring), the handler reports the non-standard 499.
 func TestClientCancelReturns499(t *testing.T) {
 	s := newTestServer(t, Config{})
+	prepareTriangle(t, s)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, r := range executingRequests {
@@ -578,5 +638,42 @@ func TestBatchCountersServed(t *testing.T) {
 	// only E/I stage, so no extend output batches are materialised.)
 	if stats.Batches.Scan == 0 {
 		t.Errorf("/stats batch counters not accumulated: %+v", stats.Batches)
+	}
+}
+
+// TestAllocsCeilingServedRequests bounds what the two benchmarked request
+// shapes allocate through ServeHTTP, httptest request and recorder
+// included: a /query whose plan the cache holds (cold-plan's body: a
+// pattern and limit 100) and a prepared /execute with one worker
+// (hot-count's body). The ceilings are what both allocated before the
+// four query endpoints shared one request body.
+func TestAllocsCeilingServedRequests(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled buffers")
+	}
+	s := newTestServer(t, Config{})
+	prepareTriangle(t, s)
+	for _, tc := range []struct {
+		name, path, body string
+		ceiling          float64
+	}{
+		{"query plan-cache hit", "/query", `{"pattern":"a->b, b->c, a->c","limit":100}`, 87},
+		{"execute", "/execute/tri", `{"workers":1}`, 63},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serve := func() {
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body)))
+				if w.Code != http.StatusOK {
+					t.Fatalf("status %d: %s", w.Code, w.Body)
+				}
+			}
+			serve() // plans the pattern and warms the pools
+			n := testing.AllocsPerRun(100, serve)
+			t.Logf("%.0f allocations per request", n)
+			if n > tc.ceiling {
+				t.Errorf("%.0f allocations per request, want at most %.0f", n, tc.ceiling)
+			}
+		})
 	}
 }

@@ -231,6 +231,20 @@ func TestSkipPlanCache(t *testing.T) {
 	if st := db.PlanCacheStats(); st.Hits != 0 {
 		t.Errorf("SkipPlanCache still hit the cache: %+v", st)
 	}
+	// Analyze honours it as Count does: each call plans afresh and the
+	// cache sees no lookup.
+	before, planned := db.PlanCacheStats(), db.planSeconds.Snapshot().Count
+	for i := 0; i < 2; i++ {
+		if _, err := db.Analyze("a->b, b->c, c->d", &QueryOptions{SkipPlanCache: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := db.PlanCacheStats(); st.Hits != before.Hits || st.Misses != before.Misses {
+		t.Errorf("Analyze under SkipPlanCache looked the plan cache up: %+v, then %+v", before, st)
+	}
+	if got := db.planSeconds.Snapshot().Count - planned; got != 2 {
+		t.Errorf("two Analyze calls under SkipPlanCache planned %d times, want 2", got)
+	}
 }
 
 // TestConcurrentQueriesSharedDB is the headline concurrency test: many

@@ -128,6 +128,28 @@ func TestReferenceCount(t *testing.T) {
 	}
 }
 
+// TestReferenceCountPlansNothing holds the benchmark oracle's exact call,
+// DB.Count with BatchSize -1 and SkipPlanCache, to the reference
+// evaluator alone: it answers the engine's count and never runs the
+// optimizer (graphflow_plan_seconds does not move).
+func TestReferenceCountPlansNothing(t *testing.T) {
+	db := tinyDB(t)
+	defer db.Close()
+	const pattern = "a->b, b->c, a->c"
+	want, err := db.Count(pattern, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned := db.planSeconds.Snapshot().Count
+	got, err := db.Count(pattern, &QueryOptions{BatchSize: -1, SkipPlanCache: true})
+	if err != nil || got != want {
+		t.Fatalf("oracle count %d, %v; the engine's %d", got, err, want)
+	}
+	if n := db.planSeconds.Snapshot().Count - planned; n != 0 {
+		t.Errorf("the oracle count ran the optimizer %d times, want 0", n)
+	}
+}
+
 // bowtieByBags counts the bowtie a->b, b->c, a->c, a->d, d->e, a->e on g
 // bag by bag, as a GHD of two triangle bags joined at a does, sharing no
 // code with the engine: it lists the triangles by nested loops over g's
