@@ -2,6 +2,7 @@ package catalogue
 
 import (
 	"cmp"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -43,14 +44,27 @@ const batchJobs = 4096
 //   - Plan, on the calling goroutine. expand pops the queue in FIFO order
 //     and decides everything about what is measured: the reservoir draw,
 //     every shuffle, visited, the pattern and work budgets. Each admitted
-//     measurement becomes a job, and each descriptor list column it is
-//     the first to read is fetched into its pattern's listTable.
+//     measurement becomes a job, linked to its parent job (below), and
+//     each descriptor list column it is the first to read is fetched into
+//     its pattern's listTable.
 //   - Measure, on the workers. A job's list sums, extension count, key
-//     and new instances go into the job's own slot.
+//     and new instances go into the job's own slot, and the intersection
+//     its children extend into its pattern's listTable.
 //   - Merge, on the calling goroutine, in job order: the sums into the
 //     entry table, so every float addition happens in the sequential
 //     order and entries are numbered alike, and the extended patterns onto
 //     the queue.
+//
+// A job with two or more extension edges has a parent: the job of the
+// same pattern and target label whose edges and labels are its own less
+// the last. Its intersection is the parent's, per instance, intersected
+// with its last column, so it visits only the instances where the parent
+// found something (the prefix extension of BiGJoin, PAPERS.md). expand
+// enumerates edge subsets in ascending order, the last edge being the
+// highest bit, and admission stops for good once the work budget is
+// spent, so a parent is always admitted, and admitted first. flush
+// measures a batch in rounds by edge count, so a parent is measured in
+// an earlier batch or an earlier round than its children.
 //
 // A measurement changes nothing that planning reads, and its pattern
 // joins the queue behind every pattern already there, so the driver may
@@ -68,15 +82,27 @@ type builder struct {
 
 	// The planned batch: its jobs, their extension edges back to back and,
 	// aligned with those, the columns they read and their summed list
-	// sizes. Then the extension edges being enumerated, the bytes of the
-	// last pattern code, and one measurer per worker.
+	// sizes; the jobs of the round being measured. Then the extension
+	// edges being enumerated, the ordinal of each edge subset's first job
+	// in the pattern being expanded, the bytes of the last pattern code,
+	// and one measurer per worker.
 	jobs    []job
 	edges   []query.Edge
 	cols    []*column
 	sums    []float64
+	round   []int32
 	cur     []query.Edge
+	first   []int
 	key     []byte
 	workers []measurer
+
+	// intersections counts the two-list intersections the measurements
+	// made, summed over the workers after each batch.
+	intersections int64
+	// recompute, when set, computes a job's extensions in place of
+	// measurer.intersect: FuzzBuild's reference intersects every job's
+	// columns afresh and holds the parent results to it.
+	recompute func(m *measurer, b *builder, j *job, cols []*column)
 }
 
 // queued is a pattern awaiting expansion, with its sampled instances.
@@ -90,14 +116,21 @@ type instance []graph.VertexID
 // job is one admitted measurement — pattern extended by a vertex labelled
 // tl through edges[lo:hi] of the batch, over instances, reading the lists
 // in cols[lo:hi] — and its result, whose summed list sizes, in the
-// entry's descriptor order, are sums[lo:hi]. found reports whether any
-// instance had a non-empty descriptor list; without one the job adds no
-// entry and the other results are unset.
+// entry's descriptor order, are sums[lo:hi]. ord numbers the job among
+// its pattern's jobs, in table.results; parent is its parent's ordinal,
+// or -1 when the parent has one edge and so its column, cols[lo], for a
+// result. keep is set when a later job may extend it: it has two or more
+// edges, and its last is not the pattern's last possible one. found
+// reports whether any instance had a non-empty descriptor list; without
+// one the job adds no entry and the other results are unset.
 type job struct {
-	pattern   *query.Graph
-	instances []instance
-	lo, hi    int
-	tl        graph.Label
+	pattern     *query.Graph
+	instances   []instance
+	table       *listTable
+	lo, hi      int
+	tl          graph.Label
+	ord, parent int
+	keep        bool
 
 	found bool
 	key   []byte // the entry's canonical code, in its measurer's keys
@@ -106,16 +139,17 @@ type job struct {
 }
 
 // measurer is one worker's scratch, reused across its jobs: the
-// intersector with its operands and results, the new instances row after
-// row, the extension assembled as one graph, and the keys of the batch's
-// jobs it ran, back to back.
+// intersection of the current instance, the job's extension count, new
+// instances row after row and result for its children, the extension
+// assembled as one graph, and the keys of the batch's jobs it ran, back
+// to back. intersections counts its two-list intersections.
 type measurer struct {
-	it           graph.Intersector
-	lists        [][]graph.VertexID
-	out, scratch []graph.VertexID
-	rows         []graph.VertexID
-	ext          query.Graph
-	keys         []byte
+	out           []graph.VertexID
+	total         int
+	rows, result  []graph.VertexID
+	ext           query.Graph
+	keys          []byte
+	intersections int64
 }
 
 // A listTable holds the descriptor lists of one pattern's sampled
@@ -123,11 +157,23 @@ type measurer struct {
 // slot — a base vertex, a list direction, an edge label and a target
 // label, numbered by listTable.slot — each holding its slot's list for
 // every instance, in instance order. A column is fetched once, when the
-// first job that reads it is planned; the table goes when the pattern's
-// last job has been merged.
+// first job that reads it is planned. results holds, by job ordinal, the
+// intersection of each measured job that a later job extends, packed
+// instance by instance in instance order — the instance's index, the
+// set's size, then the set — over the instances where it is not empty.
+// The table, results included, goes when the pattern's last job has been
+// merged.
 type listTable struct {
 	cols         []column
+	results      [][]graph.VertexID
 	numEL, numVL int
+}
+
+// nextSet splits a packed result into its first instance's index and set
+// and the rest.
+func nextSet(r []graph.VertexID) (n int, set, rest []graph.VertexID) {
+	end := 2 + int(r[1])
+	return int(r[0]), r[2:end], r[end:]
 }
 
 // column is one slot's lists, by instance, and their sizes summed in
@@ -262,10 +308,19 @@ func (b *builder) expand(pattern *query.Graph, instances []instance) {
 	numVL := b.g.NumVertexLabels()
 	table := newListTable(k, numEL, numVL)
 	target := k
+	subsets := 1 << uint(2*k)
+	b.first = slices.Grow(b.first[:0], subsets)[:subsets]
 	// Structural extensions: non-empty subsets of the 2k possible directed
 	// edges between the new vertex and the base vertices. Bit 2*v is
 	// v->target, bit 2*v+1 is target->v.
-	for subset := 1; subset < (1 << uint(2*k)); subset++ {
+	for subset := 1; subset < subsets; subset++ {
+		// The parent subset drops the highest bit, the last edge. Its jobs
+		// are all admitted if any of this subset's is, numbered from
+		// first[parent] in odometer order, so a job's parent is at
+		// first[parent] + (its combo without the last label)*numVL + tl.
+		parent := subset &^ (1 << uint(bits.Len(uint(subset))-1))
+		keep := parent != 0 && subset < subsets/2
+		b.first[subset] = len(table.results)
 		b.cur = b.cur[:0]
 		for v := 0; v < k; v++ {
 			if subset&(1<<uint(2*v)) != 0 {
@@ -277,9 +332,13 @@ func (b *builder) expand(pattern *query.Graph, instances []instance) {
 		}
 		// Label combos: every assignment of edge labels, counted like an
 		// odometer whose last edge turns fastest, times every target label.
-		for {
+		for combo := 0; ; combo++ {
 			for tl := 0; tl < numVL; tl++ {
-				b.admit(pattern, b.cur, graph.Label(tl), instances, table)
+				p := -1
+				if len(b.cur) > 2 {
+					p = b.first[parent] + combo/numEL*numVL + tl
+				}
+				b.admit(job{pattern: pattern, instances: instances, table: table, tl: graph.Label(tl), parent: p, keep: keep}, b.cur)
 			}
 			i := len(b.cur) - 1
 			for ; i >= 0 && int(b.cur[i].Label)+1 == numEL; i-- {
@@ -294,56 +353,62 @@ func (b *builder) expand(pattern *query.Graph, instances []instance) {
 }
 
 // admit charges the measurement of one extension to the work budget and
-// plans it as a job, fetching each column of table it reads that no job
-// has read before, and runs the batch once it is full.
-func (b *builder) admit(pattern *query.Graph, edges []query.Edge, tl graph.Label, instances []instance, table *listTable) {
+// plans it as j, numbering it in its pattern's table and fetching each
+// column of the table it reads that no job has read before, and runs the
+// batch once it is full.
+func (b *builder) admit(j job, edges []query.Edge) {
 	if b.work > b.budget {
 		return
 	}
+	instances, table := j.instances, j.table
 	b.work += int64(len(instances)) * int64(len(edges))
-	lo := len(b.edges)
+	j.ord = len(table.results)
+	table.results = append(table.results, nil)
+	j.lo = len(b.edges)
 	b.edges = append(b.edges, edges...)
-	target := pattern.NumVertices()
+	j.hi = len(b.edges)
+	target := j.pattern.NumVertices()
 	for _, e := range edges {
 		// target -> e.To: candidates in e.To's backward list.
 		anchor, dir := e.To, graph.Backward
 		if e.To == target {
 			anchor, dir = e.From, graph.Forward
 		}
-		c := &table.cols[table.slot(anchor, dir, e.Label, tl)]
+		c := &table.cols[table.slot(anchor, dir, e.Label, j.tl)]
 		if c.lists == nil {
-			c.fetch(b.g, instances, anchor, dir, e.Label, tl)
+			c.fetch(b.g, instances, anchor, dir, e.Label, j.tl)
 		}
 		b.cols = append(b.cols, c)
 	}
-	b.jobs = append(b.jobs, job{pattern: pattern, instances: instances, lo: lo, hi: len(b.edges), tl: tl})
+	b.jobs = append(b.jobs, j)
 	if len(b.jobs) == batchJobs {
 		b.flush()
 	}
 }
 
 // flush measures the planned jobs on the workers, the calling goroutine
-// being one of them, and merges the results in job order.
+// being one of them, in rounds by edge count, and merges the results in
+// job order.
 func (b *builder) flush() {
 	jobs := b.jobs
 	b.sums = slices.Grow(b.sums[:0], len(b.edges))[:len(b.edges)]
-	var next atomic.Int64
-	drain := func(m *measurer) {
-		m.keys = m.keys[:0]
-		for i := int(next.Add(1) - 1); i < len(jobs); i = int(next.Add(1) - 1) {
-			m.measure(b, &jobs[i])
+	for i := range b.workers {
+		b.workers[i].keys = b.workers[i].keys[:0]
+	}
+	for edges, left := 1, len(jobs); left > 0; edges++ {
+		b.round = b.round[:0]
+		for i := range jobs {
+			if jobs[i].hi-jobs[i].lo == edges {
+				b.round = append(b.round, int32(i))
+			}
 		}
+		left -= len(b.round)
+		b.measureRound()
 	}
-	var wg sync.WaitGroup
-	for i := 1; i < min(len(b.workers), len(jobs)); i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			drain(&b.workers[i])
-		}()
+	for i := range b.workers {
+		b.intersections += b.workers[i].intersections
+		b.workers[i].intersections = 0
 	}
-	drain(&b.workers[0])
-	wg.Wait()
 
 	t := &b.c.entries
 	for i := range jobs {
@@ -369,12 +434,35 @@ func (b *builder) flush() {
 	b.jobs, b.edges, b.cols = jobs[:0], b.edges[:0], b.cols[:0]
 }
 
+// measureRound measures the jobs of the round on the workers, job
+// indices off an atomic counter.
+func (b *builder) measureRound() {
+	round := b.round
+	var next atomic.Int64
+	drain := func(m *measurer) {
+		for i := int(next.Add(1) - 1); i < len(round); i = int(next.Add(1) - 1) {
+			m.measure(b, &b.jobs[round[i]])
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < min(len(b.workers), len(round)); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drain(&b.workers[i])
+		}()
+	}
+	drain(&b.workers[0])
+	wg.Wait()
+}
+
 // measure runs a job's extension over its instance sample, writing the
-// result into the job. Its lists are its columns' and its summed list
-// sizes theirs, so each is added up over the instances in instance
-// order, as reading the lists instance by instance would.
+// result into the job, and the intersection its children extend into its
+// table. Its lists are its columns' and its summed list sizes theirs, so
+// each is added up over the instances in instance order, as reading the
+// lists instance by instance would.
 func (m *measurer) measure(b *builder, j *job) {
-	pattern, edges, cols, tl, instances := j.pattern, b.edges[j.lo:j.hi], b.cols[j.lo:j.hi], j.tl, j.instances
+	pattern, edges, cols, tl := j.pattern, b.edges[j.lo:j.hi], b.cols[j.lo:j.hi], j.tl
 	target := pattern.NumVertices()
 
 	anyList := false
@@ -388,35 +476,15 @@ func (m *measurer) measure(b *builder, j *job) {
 		// catalogue with all-zero rows.
 		return
 	}
-	if cap(m.lists) < len(cols) {
-		m.lists = make([][]graph.VertexID, len(cols))
+	m.total, m.rows, m.result = 0, m.rows[:0], m.result[:0]
+	if b.recompute != nil {
+		b.recompute(m, b, j, cols)
+	} else {
+		m.intersect(b, j, cols)
 	}
-	lists := m.lists[:len(cols)]
-	totalExt := 0
-	width := target + 1
-	m.rows = m.rows[:0]
-	recurse := width <= b.c.Cfg.H
-	for n, inst := range instances {
-		skip := false
-		for i, c := range cols {
-			lists[i] = c.lists[n]
-			skip = skip || len(lists[i]) == 0
-		}
-		if skip {
-			// An empty operand empties the intersection: no extensions and
-			// no rows.
-			continue
-		}
-		m.out, m.scratch = m.it.IntersectK(lists, m.out, m.scratch)
-		totalExt += len(m.out)
-		if recurse {
-			for _, w := range m.out {
-				if len(m.rows) == b.c.Cfg.MaxInstances*width {
-					break
-				}
-				m.rows = append(append(m.rows, inst...), w)
-			}
-		}
+	if j.keep && len(m.result) > 0 {
+		// Each job writes its own slot; a child reads it in a later round.
+		j.table.results[j.ord] = slices.Clone(m.result)
 	}
 	// The extension as one graph: pattern, the target as its last vertex,
 	// the extension edges after pattern's own.
@@ -433,11 +501,12 @@ func (m *measurer) measure(b *builder, j *job) {
 	for i, ed := range edges {
 		sums[descriptorRank(&m.ext, base, target, &perm, ed)] = cols[i].sum
 	}
-	j.ext = totalExt
+	j.ext = m.total
 
 	if len(m.rows) > 0 {
 		// The new instances are rows of one slab. The merge queues them
 		// rather than recursing: see the breadth-first note in run().
+		width := target + 1
 		slab := make([]graph.VertexID, len(m.rows))
 		copy(slab, m.rows)
 		next := make([]instance, len(slab)/width)
@@ -445,5 +514,65 @@ func (m *measurer) measure(b *builder, j *job) {
 			next[i] = slab[i*width : (i+1)*width : (i+1)*width]
 		}
 		j.next = queued{m.ext.Clone(), next}
+	}
+}
+
+// intersect computes the job's extensions instance by instance: a
+// one-edge job's are its column's lists; any other job's are its
+// parent's, on the instances where the parent found some, intersected
+// with its last column. A job whose parent found none does no work.
+func (m *measurer) intersect(b *builder, j *job, cols []*column) {
+	last := cols[len(cols)-1].lists
+	switch {
+	case len(cols) == 1:
+		for n, l := range last {
+			if len(l) > 0 {
+				m.add(b, j, n, l)
+			}
+		}
+	case j.parent < 0:
+		for n, l := range cols[0].lists {
+			m.extend(b, j, n, l, last[n])
+		}
+	default:
+		for r := j.table.results[j.parent]; len(r) > 0; {
+			var n int
+			var set []graph.VertexID
+			n, set, r = nextSet(r)
+			m.extend(b, j, n, set, last[n])
+		}
+	}
+}
+
+// extend adds instance n's extensions, the intersection of set, its
+// parent's, with its list in the job's last column.
+func (m *measurer) extend(b *builder, j *job, n int, set, list []graph.VertexID) {
+	if len(set) == 0 || len(list) == 0 {
+		return
+	}
+	m.out = graph.Intersect(set, list, m.out)
+	m.intersections++
+	if len(m.out) > 0 {
+		m.add(b, j, n, m.out)
+	}
+}
+
+// add records set, non-empty and sorted, as instance n's extensions: in
+// the job's extension count, as new instances while the extended pattern
+// can itself be extended and MaxInstances rows are not yet taken, and in
+// its result if a later job extends it.
+func (m *measurer) add(b *builder, j *job, n int, set []graph.VertexID) {
+	m.total += len(set)
+	inst := j.instances[n]
+	if width := len(inst) + 1; width <= b.c.Cfg.H {
+		for _, w := range set {
+			if len(m.rows) == b.c.Cfg.MaxInstances*width {
+				break
+			}
+			m.rows = append(append(m.rows, inst...), w)
+		}
+	}
+	if j.keep {
+		m.result = append(append(m.result, graph.VertexID(n), graph.VertexID(len(set))), set...)
 	}
 }

@@ -116,7 +116,7 @@ func BenchmarkIntersectAdjacency(b *testing.B) {
 								out, scratch, swept = it.ProbePinned(lists, 0, out, scratch)
 							}
 							if !swept {
-								out, scratch = it.IntersectK(lists, out, scratch)
+								out, scratch = it.IntersectSeeded(nil, lists, out, scratch)
 							}
 							matches += int64(len(out))
 						}

@@ -219,18 +219,18 @@ func TestIntersectK(t *testing.T) {
 		{4, 5, 6, 7},
 	}
 	var it Intersector
-	got, _ := it.IntersectK(lists, nil, nil)
+	got, _ := it.IntersectSeeded(nil, lists, nil, nil)
 	want := []VertexID{4, 6}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("IntersectK = %v, want %v", got, want)
+		t.Errorf("IntersectSeeded(nil, lists) = %v, want %v", got, want)
 	}
-	one, _ := it.IntersectK(lists[:1], nil, nil)
+	one, _ := it.IntersectSeeded(nil, lists[:1], nil, nil)
 	if !reflect.DeepEqual(one, lists[0]) {
-		t.Errorf("IntersectK single = %v", one)
+		t.Errorf("IntersectSeeded(nil, one list) = %v", one)
 	}
-	empty, _ := it.IntersectK(nil, nil, nil)
+	empty, _ := it.IntersectSeeded(nil, nil, nil, nil)
 	if len(empty) != 0 {
-		t.Errorf("IntersectK() = %v, want empty", empty)
+		t.Errorf("IntersectSeeded(nil, nil) = %v, want empty", empty)
 	}
 }
 

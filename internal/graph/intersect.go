@@ -169,17 +169,6 @@ func (it *Intersector) intersectInto(r, l, out []VertexID) []VertexID {
 	return res
 }
 
-// IntersectK intersects any number of ID-sorted lists, shortest-first,
-// picking merge or gallop per pairwise step from the lists' sizes. The
-// result is written into out, ping-ponging with scratch between steps
-// (pass nil on first use); the caller keeps both returned buffers. After
-// warm-up the call performs no allocations.
-//
-//gf:noalloc
-func (it *Intersector) IntersectK(lists [][]VertexID, out, scratch []VertexID) (result, newScratch []VertexID) {
-	return it.IntersectSeeded(nil, lists, out, scratch)
-}
-
 // order loads the list headers into the reusable ref scratch, shortest
 // first to bound intermediate sizes. Insertion sort: descriptor counts
 // are tiny and sort.Slice would allocate its closure on every call.
@@ -194,14 +183,17 @@ func (it *Intersector) order(lists [][]VertexID) [][]VertexID {
 	return refs
 }
 
-// IntersectSeeded is IntersectK with an optional seed: an already-computed
-// sorted set, such as the extension set an upstream E/I stage carried
-// down. With seed nil it is IntersectK over lists; otherwise it is
-// seed ∩ lists, seed first and lists shortest-first through the same
-// per-step dispatch (a gallop or a merge of the running result into the
-// next list); with no lists the result is a copy of seed. The result is
-// written into out, ping-ponging with scratch; neither may alias an
-// operand, which are only read.
+// IntersectSeeded intersects any number of ID-sorted lists with an
+// optional seed: an already-computed sorted set, such as the extension
+// set an upstream E/I stage carried down. With seed nil it intersects
+// lists shortest-first, picking merge or gallop per pairwise step from
+// the lists' sizes (one list is copied; none gives an empty result);
+// otherwise it is seed ∩ lists, seed first and lists shortest-first
+// through the same per-step dispatch; with no lists the result is a copy
+// of seed. The result is written into out, ping-ponging with scratch
+// between steps (pass nil on first use; the caller keeps both returned
+// buffers); neither may alias an operand, which are only read. After
+// warm-up the call performs no allocations.
 //
 //gf:noalloc
 func (it *Intersector) IntersectSeeded(seed []VertexID, lists [][]VertexID, out, scratch []VertexID) (result, newScratch []VertexID) {
@@ -297,7 +289,7 @@ func (it *Intersector) PinBytes() int64 { return int64(cap(it.marks)) * 8 }
 // bitmap stands for it): the shortest other list is swept through the
 // bitmap — one word load per element, whichever side is longer — and the
 // remaining ones are folded in by gallop or merge. The result is written
-// into out, ping-ponging with scratch as in IntersectK. ok is false, and
+// into out, ping-ponging with scratch as in IntersectSeeded. ok is false, and
 // nothing is computed, when the shortest other list is PinCutoff times
 // the pinned one's length — a hub, where the ordinary dispatch gallops
 // the pinned list into it, reading a handful of elements per pinned one

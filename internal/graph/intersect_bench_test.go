@@ -41,7 +41,7 @@ func benchIntersectK(b *testing.B, lists [][]VertexID) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, scratch = it.IntersectK(lists, out, scratch)
+		out, scratch = it.IntersectSeeded(nil, lists, out, scratch)
 	}
 	_ = out
 }

@@ -57,9 +57,9 @@ func checkAllKernels(t *testing.T, a, b []VertexID) {
 	}
 	var it Intersector
 	for _, lists := range [][][]VertexID{{a, b}, {b, a}} {
-		got, _ := it.IntersectK(lists, nil, nil)
+		got, _ := it.IntersectSeeded(nil, lists, nil, nil)
 		if !equalIDs(got, want) {
-			t.Fatalf("Intersector.IntersectK(%v) = %v, want %v", lists, got, want)
+			t.Fatalf("Intersector.IntersectSeeded(nil, %v) = %v, want %v", lists, got, want)
 		}
 	}
 }
@@ -133,9 +133,9 @@ func TestIntersectKDifferential(t *testing.T) {
 			lists[i] = randomSortedList(rng, length, 4)
 		}
 		want := naiveIntersect(lists...)
-		out, scratch = it.IntersectK(lists, out, scratch)
+		out, scratch = it.IntersectSeeded(nil, lists, out, scratch)
 		if !equalIDs(out, want) {
-			t.Fatalf("trial %d: IntersectK(k=%d) = %v, want %v", trial, k, out, want)
+			t.Fatalf("trial %d: IntersectSeeded(nil, k=%d lists) = %v, want %v", trial, k, out, want)
 		}
 		// Seeding with the intersection of a prefix of the lists and
 		// intersecting the rest in must land on the same set — with no
@@ -346,14 +346,14 @@ func TestIntersectorZeroAllocs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var it Intersector
 			var out, scratch []VertexID
-			out, scratch = it.IntersectK(tc.lists, out, scratch)
+			out, scratch = it.IntersectSeeded(nil, tc.lists, out, scratch)
 			if got := tc.kernel(it.Counters); got == 0 {
 				t.Fatalf("intended kernel never dispatched (counters %+v)", it.Counters)
 			}
 			if allocs := testing.AllocsPerRun(100, func() {
-				out, scratch = it.IntersectK(tc.lists, out, scratch)
+				out, scratch = it.IntersectSeeded(nil, tc.lists, out, scratch)
 			}); allocs != 0 {
-				t.Errorf("%s-path IntersectK allocates %.1f per run, want 0", tc.name, allocs)
+				t.Errorf("%s-path IntersectSeeded allocates %.1f per run, want 0", tc.name, allocs)
 			}
 		})
 	}
@@ -434,14 +434,14 @@ func FuzzIntersect(f *testing.F) {
 		}
 		var it Intersector
 		for _, lists := range [][][]VertexID{{a, b}, {b, a}} {
-			if got, _ := it.IntersectK(lists, nil, nil); !equalIDs(got, want) {
-				t.Fatalf("IntersectK(%v) = %v, want %v", lists, got, want)
+			if got, _ := it.IntersectSeeded(nil, lists, nil, nil); !equalIDs(got, want) {
+				t.Fatalf("IntersectSeeded(nil, %v) = %v, want %v", lists, got, want)
 			}
 		}
 		// Three-way: a ∩ b ∩ a must equal a ∩ b.
 		three := [][]VertexID{a, b, a}
-		if got, _ := it.IntersectK(three, nil, nil); !equalIDs(got, want) {
-			t.Fatalf("IntersectK(a,b,a) = %v, want %v", got, want)
+		if got, _ := it.IntersectSeeded(nil, three, nil, nil); !equalIDs(got, want) {
+			t.Fatalf("IntersectSeeded(nil, a,b,a) = %v, want %v", got, want)
 		}
 		// The pinned kernel, either operand pinned — refused exactly past the
 		// cut-off — each followed by an unrelated call that must find the

@@ -93,7 +93,7 @@ func TestQuickIntersectIdempotent(t *testing.T) {
 func TestQuickIntersectKMatchesPairwise(t *testing.T) {
 	f := func(a, b, c sortedSet) bool {
 		var it Intersector
-		k, _ := it.IntersectK([][]VertexID{a, b, c}, nil, nil)
+		k, _ := it.IntersectSeeded(nil, [][]VertexID{a, b, c}, nil, nil)
 		two := Intersect([]VertexID(a), []VertexID(b), nil)
 		want := Intersect(two, []VertexID(c), nil)
 		if len(k) != len(want) {

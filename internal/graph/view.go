@@ -10,7 +10,7 @@ package graph
 // Every method must be safe for concurrent use, and the sorted-adjacency
 // invariants documented on Graph carry over: Neighbors returns runs
 // sorted by vertex ID (per (edge label, neighbour label) partition), so
-// Intersect/IntersectK work directly on the returned slices.
+// Intersect/IntersectSeeded work directly on the returned slices.
 type View interface {
 	// NumVertices returns the number of vertices.
 	NumVertices() int

@@ -4,7 +4,7 @@
 // a frozen graph.Graph base, exposed through epoch-stamped Snapshots that
 // satisfy graph.View. Compiled plans run unmodified against a Snapshot:
 // every read keeps the base layout's sorted-adjacency invariants, so the
-// executor's Intersect/IntersectK kernels and the WCO extenders work on
+// executor's Intersect/IntersectSeeded kernels and the WCO extenders work on
 // overlay vertices exactly as they do on base vertices.
 //
 // Writers go through DB (AddVertex/AddEdge/DeleteEdge/Apply); each batch
